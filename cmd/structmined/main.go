@@ -18,23 +18,26 @@
 // jobs are forgotten first), and -cache-entries caps the artifact cache
 // (least recently used artifacts are evicted).
 //
-// Passing -persist DIR makes the daemon durable: registered datasets
-// are snapshotted, completed artifacts spill to a disk cache, and
-// terminal jobs are journaled under DIR. A restarted daemon (even after
-// SIGKILL or a crash) recovers all three — datasets are listed again,
-// old job ids still answer, and identical queries are cache hits
-// without re-mining. Corrupt files found at boot are quarantined under
-// DIR/quarantine, never trusted. -fsync additionally syncs every write
+// Passing -persist DIR makes the daemon durable: every registered
+// dataset is written as one self-describing columnar file under
+// DIR/colstore (the only dataset format), completed artifacts spill to
+// a disk cache, and terminal jobs are journaled under DIR. A restarted
+// daemon (even after SIGKILL or a crash) recovers all three — datasets
+// are listed again and read back into memory, old job ids still answer,
+// and identical queries are cache hits without re-mining. Corrupt files
+// found at boot are quarantined under DIR/quarantine, never trusted;
+// DIR/datasets/*.snap files written by older builds are converted to
+// columnar files once, at boot. -fsync additionally syncs every write
 // for power-loss durability at a latency cost.
 //
 // With -persist, -resident-bytes N additionally bounds how many CSV
 // bytes of parsed relations stay in memory: a dataset larger than N is
-// registered out of core — streamed into a paged columnar file under
-// DIR/colstore and mined page-at-a-time ("storage":"paged" in its
-// listing) — and resident datasets are evicted to the same tier, least
-// recently used first, when the total exceeds N. Paged datasets run the
-// tasks marked "paged" in GET /v1/tasks (describe, mine-fds, rank-fds)
-// with results identical to the resident path.
+// registered out of core — streamed into its columnar file and mined
+// page-at-a-time ("storage":"paged" in its listing) — and resident
+// datasets drop their in-memory copy, least recently used first, when
+// the total exceeds N. Paged datasets run the tasks marked "paged" in
+// GET /v1/tasks (describe, mine-fds, rank-fds) with results identical
+// to the resident path.
 //
 // Endpoints (canonical under /v1; the bare paths still answer but are
 // deprecated and carry a "Deprecation: true" response header):
@@ -179,14 +182,6 @@ func run(args []string, ready chan<- string) error {
 			return fmt.Errorf("opening durable store: %w", err)
 		}
 		defer st.Close()
-		t := st.Stats()
-		fmt.Printf("durable store %s: recovered %d datasets, %d artifacts, %d job records",
-			*persist, t.RecoveredDatasets, t.RecoveredArtifacts, t.RecoveredJobs)
-		if t.Quarantined > 0 || t.DroppedJobRecords > 0 {
-			fmt.Printf(" (quarantined %d files, dropped %d torn journal lines)",
-				t.Quarantined, t.DroppedJobRecords)
-		}
-		fmt.Println()
 	}
 
 	srv := server.New(server.Config{
@@ -212,6 +207,17 @@ func run(args []string, ready chan<- string) error {
 		},
 		DisableDeprecated: !*serveDeprecated,
 	})
+	if st != nil {
+		t := st.Stats()
+		datasets, _ := srv.Registry().Recovered()
+		fmt.Printf("durable store %s: recovered %d datasets, %d artifacts, %d job records",
+			*persist, datasets, t.RecoveredArtifacts, t.RecoveredJobs)
+		if t.Quarantined > 0 || t.DroppedJobRecords > 0 {
+			fmt.Printf(" (quarantined %d files, dropped %d torn journal lines)",
+				t.Quarantined, t.DroppedJobRecords)
+		}
+		fmt.Println()
+	}
 	for _, path := range fs.Args() {
 		ds, _, err := srv.Registry().RegisterPath(path)
 		if err != nil {

@@ -199,23 +199,23 @@ func TestNewRejectsSelfOutsidePeers(t *testing.T) {
 	r.Close()
 }
 
-func TestRouteMemoryBounded(t *testing.T) {
-	r, err := New(peerSet(2)[0], peerSet(2), 0)
+// TestJobOwnerFromTag: a job id minted in router mode names its node,
+// and ids without a tag of this replica set name nobody.
+func TestJobOwnerFromTag(t *testing.T) {
+	r, err := New(peerSet(3)[0], peerSet(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	peer := r.Table().Nodes()[1].ID
-	for i := 0; i < maxRememberedRoutes+100; i++ {
-		r.RememberRoute(fmt.Sprintf("job-%06d", i), peer)
+	for _, n := range r.Table().Nodes() {
+		id := fmt.Sprintf("job-%s-%06d", JobTag(n.ID), 7)
+		if got, ok := r.JobOwner(id); !ok || got != n {
+			t.Fatalf("JobOwner(%s) = %+v, %v; want %+v", id, got, ok, n)
+		}
 	}
-	if n := len(r.routes); n > maxRememberedRoutes {
-		t.Fatalf("route memory grew to %d entries (cap %d)", n, maxRememberedRoutes)
-	}
-	if _, ok := r.RouteFor("job-000000"); ok {
-		t.Fatal("oldest route survived past the cap")
-	}
-	if _, ok := r.RouteFor(fmt.Sprintf("job-%06d", maxRememberedRoutes+99)); !ok {
-		t.Fatal("newest route missing")
+	for _, id := range []string{"job-000007", "job-zzzzzz-000007", "job--", "task-" + JobTag(r.Self().ID) + "-1", ""} {
+		if n, ok := r.JobOwner(id); ok {
+			t.Fatalf("JobOwner(%q) = %+v, want no owner", id, n)
+		}
 	}
 }

@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -36,13 +39,9 @@ type Router struct {
 	prober *Prober
 	client *http.Client
 
-	// routes remembers which peer answered a proxied job submission, so
-	// later polls of that job id go straight to the node that owns it
-	// without a scatter. Bounded FIFO: cluster routing stays correct
-	// (scatter is the fallback) even when entries are evicted.
-	mu       sync.Mutex
-	routes   map[string]string
-	routeSeq []string
+	// byTag resolves the node tag a job id carries (JobTag) to the node
+	// that minted it.
+	byTag map[string]Node
 
 	// metrics, registered once into the owning server's registry.
 	metricsOnce sync.Once
@@ -51,8 +50,14 @@ type Router struct {
 	ownerMoves  *obs.Counter    // structmine_cluster_owner_moves_total
 }
 
-// maxRememberedRoutes bounds the job-id route memory.
-const maxRememberedRoutes = 8192
+// JobTag is the node qualifier inside job ids minted in router mode
+// ("job-<tag>-<seq>"): the first 6 hex digits of SHA-256(node id). Job
+// sequences are node-local, so without it two nodes mint the same ids
+// and a proxying node cannot tell a peer's job from its own.
+func JobTag(nodeID string) string {
+	sum := sha256.Sum256([]byte(nodeID))
+	return hex.EncodeToString(sum[:3])
+}
 
 // New builds the node's router. self must be one of peers (the flag
 // lists every replica, this node included); probeInterval tunes the
@@ -72,10 +77,17 @@ func New(self string, peers []string, probeInterval time.Duration) (*Router, err
 	r := &Router{
 		self:   Node{ID: selfURL, URL: selfURL},
 		table:  table,
-		prober: NewProber(table.Nodes(), probeInterval),
 		client: &http.Client{Timeout: 30 * time.Second},
-		routes: map[string]string{},
+		byTag:  map[string]Node{},
 	}
+	for _, n := range table.Nodes() {
+		tag := JobTag(n.ID)
+		if prior, dup := r.byTag[tag]; dup {
+			return nil, fmt.Errorf("cluster: nodes %s and %s share job tag %s", prior.ID, n.ID, tag)
+		}
+		r.byTag[tag] = n
+	}
+	r.prober = NewProber(table.Nodes(), probeInterval)
 	r.prober.Start()
 	return r, nil
 }
@@ -112,62 +124,39 @@ func (r *Router) NoteOwnerMove() {
 	}
 }
 
-// RememberRoute records that a job id lives on a peer, so later
-// requests for it skip the scatter.
-func (r *Router) RememberRoute(jobID, peer string) {
-	if jobID == "" || peer == "" || peer == r.self.ID {
-		return
+// JobOwner returns the node that minted a job id, read off the id's
+// node tag. It reports false for ids without a tag of this replica set
+// (single-node ids such as "job-000001" recovered from an older
+// journal), which only the local node can know.
+func (r *Router) JobOwner(jobID string) (Node, bool) {
+	parts := strings.Split(jobID, "-")
+	if len(parts) != 3 || parts[0] != "job" {
+		return Node{}, false
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.routes[jobID]; !ok {
-		r.routeSeq = append(r.routeSeq, jobID)
-		if len(r.routeSeq) > maxRememberedRoutes {
-			delete(r.routes, r.routeSeq[0])
-			r.routeSeq = r.routeSeq[1:]
-		}
-	}
-	r.routes[jobID] = peer
-}
-
-// RouteFor returns the remembered peer for a job id.
-func (r *Router) RouteFor(jobID string) (string, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	peer, ok := r.routes[jobID]
-	return peer, ok
+	n, ok := r.byTag[parts[1]]
+	return n, ok
 }
 
 // Hopped reports whether the request already crossed a proxy hop (and
 // therefore must be answered from local state).
 func Hopped(req *http.Request) bool { return req.Header.Get(HopHeader) != "" }
 
-// HealthyPeers returns the peers (excluding self) currently believed
-// reachable, in stable order — the scatter set for job-id lookups.
-func (r *Router) HealthyPeers() []Node {
-	var out []Node
-	for _, n := range r.table.Nodes() {
-		if n.ID != r.self.ID && r.prober.Healthy(n.ID) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // relayedHeaders are the response headers a proxied answer carries back
 // to the client unchanged.
 var relayedHeaders = []string{"Content-Type", "Retry-After", "Deprecation", "Sunset"}
 
-// Fetch sends the request (with the given body) to a peer and returns
-// the peer's response without writing anything to the client — the
-// caller decides whether to relay it (Relay) or try another peer. The
-// hop header travels with it, so the peer answers from local state. On
-// a transport failure the peer is marked unhealthy and err is non-nil.
-func (r *Router) Fetch(req *http.Request, peer Node, body []byte) (status int, header http.Header, data []byte, err error) {
+// Forward proxies the request (with the given body) to a peer and
+// relays the response verbatim — status, content headers and body bytes
+// are exactly what the owner produced, so a proxied artifact is
+// byte-identical to a direct request. The hop header travels with the
+// request, so the peer answers from local state. It reports whether a
+// response was written: on a transport failure nothing is, and the peer
+// is marked unhealthy so the caller can 503.
+func (r *Router) Forward(w http.ResponseWriter, req *http.Request, peer Node, body []byte) bool {
 	out, err := http.NewRequestWithContext(req.Context(), req.Method,
 		peer.URL+req.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, nil, err
+		return false
 	}
 	for _, h := range forwardedHeaders {
 		if v := req.Header.Get(h); v != "" {
@@ -176,49 +165,27 @@ func (r *Router) Fetch(req *http.Request, peer Node, body []byte) (status int, h
 	}
 	out.Header.Set(HopHeader, "1")
 	resp, err := r.client.Do(out)
-	if err != nil {
-		r.prober.MarkUnhealthy(peer.ID)
-		r.setUnhealthyGauge(peer.ID, true)
-		return 0, nil, nil, err
+	var data []byte
+	if err == nil {
+		data, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
 	}
-	defer resp.Body.Close()
-	data, err = io.ReadAll(resp.Body)
 	if err != nil {
 		r.prober.MarkUnhealthy(peer.ID)
 		r.setUnhealthyGauge(peer.ID, true)
-		return 0, nil, nil, err
+		return false
 	}
 	if r.proxied != nil {
 		r.proxied.With(peer.ID).Inc()
 	}
-	return resp.StatusCode, resp.Header, data, nil
-}
-
-// Relay writes a fetched peer response to the client verbatim: status,
-// content headers, and body bytes are exactly what the owner produced,
-// so a proxied artifact is byte-identical to a direct request.
-func Relay(w http.ResponseWriter, status int, header http.Header, data []byte) {
 	for _, h := range relayedHeaders {
-		if v := header.Get(h); v != "" {
+		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
-	w.WriteHeader(status)
+	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(data)
-}
-
-// Forward proxies the request to a peer and relays the response
-// (Fetch + Relay). The returned body is also handed back to the caller
-// (route memory); handled reports whether a response was written. On a
-// dead peer nothing is written and the peer is marked unhealthy so the
-// caller can fall back or 503.
-func (r *Router) Forward(w http.ResponseWriter, req *http.Request, peer Node, body []byte) (respBody []byte, status int, handled bool) {
-	status, header, data, err := r.Fetch(req, peer, body)
-	if err != nil {
-		return nil, 0, false
-	}
-	Relay(w, status, header, data)
-	return data, status, true
+	return true
 }
 
 // RegisterMetrics wires the cluster metric families into a registry

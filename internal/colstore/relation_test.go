@@ -1,0 +1,215 @@
+package colstore
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"structmine/internal/relation"
+	"structmine/internal/store"
+	"structmine/internal/task"
+)
+
+// assertSameRelation checks that got is indistinguishable from want:
+// same shape, same dictionary in the same id order, same value id in
+// every cell, and therefore the same WriteCSV bytes.
+func assertSameRelation(t *testing.T, what string, got, want *relation.Relation) {
+	t.Helper()
+	if got.Name != want.Name || strings.Join(got.Attrs, "\x00") != strings.Join(want.Attrs, "\x00") {
+		t.Fatalf("%s: schema %s%v, want %s%v", what, got.Name, got.Attrs, want.Name, want.Attrs)
+	}
+	if got.N() != want.N() || got.M() != want.M() || got.D() != want.D() {
+		t.Fatalf("%s: shape (%d,%d,%d), want (%d,%d,%d)", what,
+			got.N(), got.M(), got.D(), want.N(), want.M(), want.D())
+	}
+	for id := int32(0); id < int32(want.D()); id++ {
+		if got.ValueString(id) != want.ValueString(id) || got.ValueAttr(id) != want.ValueAttr(id) {
+			t.Fatalf("%s: value id %d is %q of attribute %d, want %q of %d", what, id,
+				got.ValueString(id), got.ValueAttr(id), want.ValueString(id), want.ValueAttr(id))
+		}
+		if back, ok := got.ValueID(want.ValueAttr(id), want.ValueString(id)); !ok || back != id {
+			t.Fatalf("%s: dictionary lookup of value %d gives %d, %v", what, id, back, ok)
+		}
+	}
+	for tup := 0; tup < want.N(); tup++ {
+		for a := 0; a < want.M(); a++ {
+			if got.Value(tup, a) != want.Value(tup, a) {
+				t.Fatalf("%s: cell (%d,%d) holds id %d, want %d", what, tup, a, got.Value(tup, a), want.Value(tup, a))
+			}
+		}
+	}
+	var g, w bytes.Buffer
+	if err := got.WriteCSV(&g); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.WriteCSV(&w); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g.Bytes(), w.Bytes()) {
+		t.Fatalf("%s: WriteCSV bytes diverged", what)
+	}
+}
+
+// assertSameArtifacts runs every single-dataset task over both
+// relations and requires byte-identical artifacts (or, where a task
+// refuses the instance, the identical refusal).
+func assertSameArtifacts(t *testing.T, what string, got, want *relation.Relation) {
+	t.Helper()
+	ran := 0
+	for _, spec := range task.Specs {
+		if spec.MultiFile {
+			continue
+		}
+		p := task.Params{}.Normalize(spec.Name)
+		artifact := func(r *relation.Relation) []byte {
+			res, err := task.Run(context.Background(), r, spec.Name, p)
+			if err != nil {
+				return []byte("error: " + err.Error())
+			}
+			data, err := json.Marshal(res)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", what, spec.Name, err)
+			}
+			return data
+		}
+		if g, w := artifact(got), artifact(want); !bytes.Equal(g, w) {
+			t.Fatalf("%s: %s artifact diverged:\n%s\nwant\n%s", what, spec.Name, g, w)
+		}
+		ran++
+	}
+	if ran != 11 {
+		t.Fatalf("%s: compared %d single-dataset tasks, want all 11", what, ran)
+	}
+}
+
+// TestRelationRoundTrip is the one-format property: a dataset restored
+// from its .col file is the dataset that was parsed from CSV. For each
+// input, CSV → relation → WriteFromRelation → Open → Relation() must
+// reproduce the value ids, the WriteCSV bytes and the artifact of every
+// single-dataset task byte for byte — and so must the post-append
+// state, whether the append ran over the file (colstore.Append) or in
+// memory (relation.AppendCSV), on the original or on the restored
+// relation. That equivalence is what lets a resident dataset keep one
+// durable representation and a restarted server keep its cache keys.
+func TestRelationRoundTrip(t *testing.T) {
+	// The append body brings values no base row has (a new city and zip,
+	// a new grade), repeats old ones, and has NULLs both where the base
+	// has them and where it does not.
+	appendBody := func(header string, m int) []byte {
+		var b strings.Builder
+		b.WriteString(header)
+		for _, cells := range [][]string{
+			{"900", "essen", "z-essen", "g9", ""},
+			{"901", "athens", "z-athens", "", "late"},
+			{"", "essen", "", "g0", "ok"},
+			{"903", "NULL", "z-cairo", "g9", "ok"},
+		} {
+			b.WriteString(strings.Join(cells[:m], ",") + "\n")
+		}
+		return []byte(b.String())
+	}
+	for _, tc := range []struct {
+		name     string
+		csv      []byte
+		pageRows int
+	}{
+		{"stripes-and-partial-tail", testCSV(300), 64},
+		{"exact-stripe-boundary", testCSV(128), 64},
+		{"single-page", testCSV(40), 0},
+		{"qualified-values", []byte("id,city,zip,grade,note\n1,x,x,x,x\n2,NULL,,x,NULL\n3,\"a,b\",x,,x\n"), 2},
+		{"one-column", []byte("id\n1\n2\n\n2\n"), 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := WriteOptions{PageRows: tc.pageRows}
+			dir := t.TempDir()
+			rel := mustRelation(t, "ds.csv", tc.csv)
+			meta := metaFor("ds.csv", tc.csv)
+			meta.ID = meta.Hash[:12]
+			path, err := WriteFromRelation(dir, meta, rel, opt)
+			if err != nil {
+				t.Fatalf("WriteFromRelation: %v", err)
+			}
+			tbl := mustOpen(t, path)
+			if tbl.Meta() != meta {
+				t.Fatalf("meta %+v, want %+v", tbl.Meta(), meta)
+			}
+			restored, err := tbl.Relation()
+			if err != nil {
+				t.Fatalf("Relation: %v", err)
+			}
+			assertSameRelation(t, "restored", restored, rel)
+			assertSameArtifacts(t, "restored", restored, rel)
+
+			header := string(tc.csv[:bytes.IndexByte(tc.csv, '\n')+1])
+			body := appendBody(header, rel.M())
+			want, rows, err := relation.AppendCSV(rel, body, relation.Limits{})
+			if err != nil || rows < 3 { // a blank line (one column, empty cell) is no row
+				t.Fatalf("relation.AppendCSV: %d rows, %v", rows, err)
+			}
+			meta2 := meta
+			meta2.Hash, meta2.Epoch, meta2.Bytes = fmt.Sprintf("%064x", 2), 1, meta.Bytes+int64(len(body))
+			path2, err := Append(dir, meta2, tbl, body, relation.Limits{}, opt)
+			if err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+			onDisk, err := mustOpen(t, path2).Relation()
+			if err != nil {
+				t.Fatalf("Relation after Append: %v", err)
+			}
+			assertSameRelation(t, "colstore.Append", onDisk, want)
+			assertSameArtifacts(t, "colstore.Append", onDisk, want)
+
+			// What a restarted server holds: the restored relation,
+			// extended in memory.
+			inMem, _, err := relation.AppendCSV(restored, body, relation.Limits{})
+			if err != nil {
+				t.Fatalf("relation.AppendCSV on the restored relation: %v", err)
+			}
+			assertSameRelation(t, "restored+AppendCSV", inMem, want)
+		})
+	}
+}
+
+// TestRelationRejectsCorruptPage: materialising a table reads every
+// page through the CRC check, so a flipped bit fails the restore rather
+// than producing a relation with a wrong cell.
+func TestRelationRejectsCorruptPage(t *testing.T) {
+	data := testCSV(200)
+	path, err := WriteFromRelation(t.TempDir(), metaFor("ds", data), mustRelation(t, "ds", data), WriteOptions{PageRows: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[headerSize+5] ^= 0x10
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tbl := mustOpen(t, path) // the tail is intact, so Open succeeds
+	if _, err := tbl.Relation(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Relation() over a corrupt page = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestWriteRejectsBadHash: the hash is the file name, so one that is
+// empty or would escape the directory is refused before anything is
+// written.
+func TestWriteRejectsBadHash(t *testing.T) {
+	dir := t.TempDir()
+	rel := mustRelation(t, "ds", testCSV(3))
+	for _, hash := range []string{"", "../escape", "a/b"} {
+		if _, err := WriteFromRelation(dir, store.DatasetMeta{Hash: hash}, rel, WriteOptions{}); err == nil {
+			t.Fatalf("hash %q accepted", hash)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("rejected writes left %d files behind", len(entries))
+	}
+}

@@ -308,6 +308,54 @@ func (t *Table) ValueStrings() ([]string, error) {
 	return out, nil
 }
 
+// Relation materialises the table as a resident relation: the
+// dictionary and every stripe are read (each page CRC-checked) into the
+// raw tables relation.FromRaw adopts. Value ids are preserved, so the
+// result is indistinguishable from the parse that produced the file —
+// this is how a restarted server brings a dataset back into memory.
+func (t *Table) Relation() (*relation.Relation, error) {
+	valueStr, err := t.ValueStrings()
+	if err != nil {
+		return nil, err
+	}
+	n, m := int(t.h.n), t.h.m
+	raw := relation.Raw{
+		Name:      t.relName,
+		Attrs:     t.attrs,
+		ValueStr:  valueStr,
+		ValueAttr: make([]int, t.h.d),
+		Rows:      make([][]int32, n),
+	}
+	for v, a := range t.valueAttr {
+		raw.ValueAttr[v] = int(a)
+	}
+	cells := make([]int32, n*m) // one backing block, carved per row
+	for i := range raw.Rows {
+		raw.Rows[i] = cells[i*m : (i+1)*m : (i+1)*m]
+	}
+	attrs := make([]int, m)
+	for a := range attrs {
+		attrs[a] = a
+	}
+	var cols [][]int32
+	for p := 0; p < t.NumPages(); p++ {
+		if cols, err = t.ReadStripe(p, attrs, cols); err != nil {
+			return nil, err
+		}
+		base := p * t.h.pageRows
+		for a, col := range cols {
+			for i, v := range col {
+				raw.Rows[base+i][a] = v
+			}
+		}
+	}
+	rel, err := relation.FromRaw(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return rel, nil
+}
+
 // Path returns the file path the table was opened from.
 func (t *Table) Path() string { return t.path }
 

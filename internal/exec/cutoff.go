@@ -1,9 +1,8 @@
 package exec
 
 // Kernel names a parallel fan-out site so the cutoff policy and the
-// steal metrics can be per-kernel. The old policy was one constant
-// (par.Cutoff = 4096 work units) for every site; the table below is
-// calibrated per kernel because a "work unit" costs wildly different
+// steal metrics can be per-kernel. The table below is calibrated per
+// kernel because a "work unit" costs wildly different
 // amounts across them — a full δI evaluation at an AIB pair site versus
 // a handful of probe-table operations per tuple at a TANE product site.
 type Kernel uint8
@@ -75,8 +74,8 @@ func (k Kernel) String() string {
 	return kernelNames[k]
 }
 
-// StealGrain is how many chunks each worker's fair share is split into
+// stealGrain is how many chunks each worker's fair share is split into
 // for work-stealing handout: more chunks than workers, so a worker that
 // lands a skewed chunk sheds the rest of its range to idle peers, but
 // few enough that the per-chunk atomic claim stays negligible.
-const StealGrain = 4
+const stealGrain = 4

@@ -1,8 +1,5 @@
 // Package exec is the process-wide execution engine behind every
-// CPU-bound fan-out in the miner. It replaces the organically grown
-// per-package machinery (internal/par's GOMAXPROCS reads, LIMBO's slab
-// arena, TANE's stamped prodScratch slab, AIB's scratch buffers) with
-// three shared pieces:
+// CPU-bound fan-out in the miner. It has three shared pieces:
 //
 //   - worker budgets: a fair Scheduler hands each running job a Grant
 //     carrying the number of workers its parallel loops may use. Budgets
@@ -19,10 +16,10 @@
 //     concurrent jobs is bounded by the pool instead of growing one
 //     private arena per kernel instance.
 //
-//   - one cutoff policy: the per-kernel calibrated table in cutoff.go
-//     replaces the single par.Cutoff constant, and internal/par's chunk
-//     handout becomes work-stealing so a skewed chunk cannot serialize
-//     the tail.
+//   - one fan-out: For/ForChunk (for.go) partition an index range over
+//     the context's budget, go parallel only above the per-kernel
+//     calibrated cutoff (cutoff.go), and hand chunks out by
+//     work-stealing so a skewed chunk cannot serialize the tail.
 //
 // Determinism contract: budgets only decide how index ranges are
 // partitioned, never what is computed per index. Every kernel in this

@@ -1,21 +1,9 @@
-// Package par holds the single parallel-iteration policy shared by the
-// CPU-bound inner loops of the miner: AIB candidate generation and
-// post-merge recomputation (internal/ib), LIMBO's Phase 3 assignment
-// scan and Phase 1 closest-entry search (internal/limbo), and TANE's
-// per-level partition products (internal/fd). It is a thin veneer over
-// the execution engine (internal/exec): worker counts come from the
-// context's budget (a scheduler grant, a fixed test budget, or the
-// GOMAXPROCS fallback), the serial/parallel decision comes from the
-// per-kernel cutoff table, and chunks are handed out by work-stealing
-// so one skewed chunk cannot serialize the tail.
-package par
+package exec
 
 import (
 	"context"
 	"sync"
 	"sync/atomic"
-
-	"structmine/internal/exec"
 )
 
 // For partitions the index range [0, n) across the context's worker
@@ -31,7 +19,7 @@ import (
 // need deterministic results must make fn(i) independent of chunk
 // boundaries, which every call site in this repo does (pure per-index
 // computation into a preallocated slice).
-func For(ctx context.Context, k exec.Kernel, n, work int, fn func(lo, hi int)) {
+func For(ctx context.Context, k Kernel, n, work int, fn func(lo, hi int)) {
 	ForChunk(ctx, k, n, work, func(_, lo, hi int) { fn(lo, hi) })
 }
 
@@ -40,11 +28,11 @@ func For(ctx context.Context, k exec.Kernel, n, work int, fn func(lo, hi int)) {
 // Callers that keep per-worker scratch state (e.g. TANE's probe tables)
 // size their scratch slice with it before fanning out, so the workers
 // only ever index, never grow, shared state.
-func NumWorkers(ctx context.Context, k exec.Kernel, n, work int) int {
+func NumWorkers(ctx context.Context, k Kernel, n, work int) int {
 	if n <= 0 {
 		return 0
 	}
-	workers := exec.Workers(ctx)
+	workers := Workers(ctx)
 	if workers > n {
 		workers = n
 	}
@@ -61,7 +49,7 @@ func NumWorkers(ctx context.Context, k exec.Kernel, n, work int) int {
 // duration of the call while skewed chunks still spread across idle
 // workers. Chunks a worker executes outside its home range are counted
 // as steals in structmine_exec_steals_total.
-func ForChunk(ctx context.Context, k exec.Kernel, n, work int, fn func(w, lo, hi int)) {
+func ForChunk(ctx context.Context, k Kernel, n, work int, fn func(w, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -70,11 +58,11 @@ func ForChunk(ctx context.Context, k exec.Kernel, n, work int, fn func(w, lo, hi
 		fn(0, 0, n)
 		return
 	}
-	// Work-stealing handout: split the range into StealGrain chunks per
+	// Work-stealing handout: split the range into stealGrain chunks per
 	// worker, claimed off one atomic counter. Claims are in index order,
 	// so a worker that finishes its share early continues into a slower
 	// peer's range instead of idling at the barrier.
-	numChunks := workers * exec.StealGrain
+	numChunks := workers * stealGrain
 	if numChunks > n {
 		numChunks = n
 	}
@@ -104,7 +92,7 @@ func ForChunk(ctx context.Context, k exec.Kernel, n, work int, fn func(w, lo, hi
 				}
 				fn(w, lo, hi)
 			}
-			exec.CountSteals(k, steals)
+			countSteals(k, steals)
 		}(w)
 	}
 	wg.Wait()

@@ -1,4 +1,4 @@
-package par
+package exec_test
 
 import (
 	"context"
@@ -15,7 +15,7 @@ func coverage(t *testing.T, budget, n, work int) []int32 {
 	ctx := exec.WithWorkers(context.Background(), budget)
 	hits := make([]int32, n)
 	var mu sync.Mutex
-	For(ctx, exec.Generic, n, work, func(lo, hi int) {
+	exec.For(ctx, exec.Generic, n, work, func(lo, hi int) {
 		if lo < 0 || hi > n || lo > hi {
 			t.Errorf("bad range [%d, %d) for n=%d", lo, hi, n)
 		}
@@ -52,11 +52,11 @@ func TestForEmptyAndTiny(t *testing.T) {
 	ctx := exec.WithWorkers(context.Background(), 4)
 	big := exec.Generic.Cutoff() * 10
 	called := false
-	For(ctx, exec.Generic, 0, big, func(lo, hi int) { called = true })
+	exec.For(ctx, exec.Generic, 0, big, func(lo, hi int) { called = true })
 	if called {
 		t.Fatal("fn invoked for n=0")
 	}
-	For(ctx, exec.Generic, -3, big, func(lo, hi int) { called = true })
+	exec.For(ctx, exec.Generic, -3, big, func(lo, hi int) { called = true })
 	if called {
 		t.Fatal("fn invoked for n<0")
 	}
@@ -68,7 +68,7 @@ func TestForParallelWritesDisjointSlots(t *testing.T) {
 	ctx := exec.WithWorkers(context.Background(), 4)
 	n := 50_000
 	out := make([]int, n)
-	For(ctx, exec.Generic, n, n, func(lo, hi int) {
+	exec.For(ctx, exec.Generic, n, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = i * i
 		}
@@ -86,14 +86,14 @@ func TestForParallelWritesDisjointSlots(t *testing.T) {
 func TestForChunkWorkerIndexBounded(t *testing.T) {
 	ctx := exec.WithWorkers(context.Background(), 4)
 	n := 40_000
-	workers := NumWorkers(ctx, exec.Generic, n, n)
+	workers := exec.NumWorkers(ctx, exec.Generic, n, n)
 	if workers != 4 {
 		t.Fatalf("NumWorkers = %d, want 4", workers)
 	}
 	busy := make([]sync.Mutex, workers)
 	covered := make([]int32, n)
 	var mu sync.Mutex
-	ForChunk(ctx, exec.Generic, n, n, func(w, lo, hi int) {
+	exec.ForChunk(ctx, exec.Generic, n, n, func(w, lo, hi int) {
 		if w < 0 || w >= workers {
 			t.Errorf("worker index %d out of [0, %d)", w, workers)
 			return
@@ -119,13 +119,13 @@ func TestNumWorkersRespectsBudget(t *testing.T) {
 	big := exec.Generic.Cutoff() * 10
 	for _, budget := range []int{1, 2, 4, 8} {
 		ctx := exec.WithWorkers(context.Background(), budget)
-		if got := NumWorkers(ctx, exec.Generic, 1<<20, big); got != budget {
+		if got := exec.NumWorkers(ctx, exec.Generic, 1<<20, big); got != budget {
 			t.Fatalf("budget %d: NumWorkers = %d", budget, got)
 		}
 	}
 	// Below the cutoff the fan-out is always serial.
 	ctx := exec.WithWorkers(context.Background(), 8)
-	if got := NumWorkers(ctx, exec.Generic, 1<<20, exec.Generic.Cutoff()-1); got != 1 {
+	if got := exec.NumWorkers(ctx, exec.Generic, 1<<20, exec.Generic.Cutoff()-1); got != 1 {
 		t.Fatalf("below-cutoff NumWorkers = %d, want 1", got)
 	}
 }

@@ -33,9 +33,9 @@ func init() {
 		func() float64 { return float64(arenaHighwater.Load()) })
 }
 
-// CountSteals records n stolen chunks for a kernel's fan-out; callers
+// countSteals records n stolen chunks for a kernel's fan-out; callers
 // batch per worker so the hot loop carries no metric traffic.
-func CountSteals(k Kernel, n int) {
+func countSteals(k Kernel, n int) {
 	if n > 0 {
 		execSteals.With(k.String()).Add(uint64(n))
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"structmine/internal/exec"
-	"structmine/internal/par"
 	"structmine/internal/relation"
 )
 
@@ -158,7 +157,7 @@ func emptyPartition(n int) *partition {
 // buckets, both invalidated by generation stamps instead of O(n) clears,
 // plus an accumulation buffer for the result and a slab arena the final
 // exact-size copy is carved from. One scratch serves one goroutine; the
-// tane driver keeps one per par.ForChunk worker.
+// tane driver keeps one per exec.ForChunk worker.
 type prodScratch struct {
 	n      int
 	tClass []int32 // b-class of tuple t, valid iff tGen[t] == gen
@@ -538,14 +537,14 @@ func (t *tane) generate(level map[AttrSet]*levelNode) map[AttrSet]*levelNode {
 		for i, c := range cands {
 			parts[i] = productSerial(level[c.x].part, level[c.y].part, t.n)
 		}
-	case par.NumWorkers(t.ctx, exec.TANEProduct, len(cands), work) <= 1:
+	case exec.NumWorkers(t.ctx, exec.TANEProduct, len(cands), work) <= 1:
 		sc := t.scratch(0)
 		for i, c := range cands {
 			parts[i] = product(level[c.x].part, level[c.y].part, t.n, sc)
 		}
 	default:
-		t.scratch(par.NumWorkers(t.ctx, exec.TANEProduct, len(cands), work) - 1)
-		par.ForChunk(t.ctx, exec.TANEProduct, len(cands), work, func(w, lo, hi int) {
+		t.scratch(exec.NumWorkers(t.ctx, exec.TANEProduct, len(cands), work) - 1)
+		exec.ForChunk(t.ctx, exec.TANEProduct, len(cands), work, func(w, lo, hi int) {
 			sc := t.scs[w]
 			for i := lo; i < hi; i++ {
 				parts[i] = product(level[cands[i].x].part, level[cands[i].y].part, t.n, sc)

@@ -6,7 +6,6 @@ import (
 
 	"structmine/internal/exec"
 	"structmine/internal/it"
-	"structmine/internal/par"
 )
 
 // Heap-compaction policy: the lazy-deletion queue is rebuilt without
@@ -63,7 +62,7 @@ func newEngine(ctx context.Context, objects []Object) *engine {
 }
 
 // buildInitialCandidates computes δI for all q(q−1)/2 initial pairs into
-// one preallocated slice — the pair space is flattened so par.For can
+// one preallocated slice — the pair space is flattened so exec.For can
 // hand each worker an equally sized contiguous range regardless of row
 // lengths — then establishes the heap invariant with a single O(q²)
 // bottom-up init instead of q²/2 serial pushes (O(q² log q)).
@@ -84,7 +83,7 @@ func (e *engine) buildInitialCandidates() {
 		rowStart[i] = off
 		off += q - 1 - i
 	}
-	par.For(e.ctx, exec.AIBPairs, total, total, func(lo, hi int) {
+	exec.For(e.ctx, exec.AIBPairs, total, total, func(lo, hi int) {
 		// Locate the (i, j) pair at flat index lo, then walk forward.
 		i := sort.Search(q, func(r int) bool { return rowStart[r] > lo }) - 1
 		j := i + 1 + (lo - rowStart[i])
@@ -171,7 +170,7 @@ func (e *engine) pushMergeCandidates(node int) {
 	nc := e.clusters[node]
 	// Work estimate: each δI walks the merged conditional's support,
 	// which dominates the pairing cost.
-	par.For(e.ctx, exec.AIBRecompute, len(ids), len(ids)*(len(nc.cond)+1), func(lo, hi int) {
+	exec.For(e.ctx, exec.AIBRecompute, len(ids), len(ids)*(len(nc.cond)+1), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			c := e.clusters[ids[k]]
 			buf[k] = pairItem{

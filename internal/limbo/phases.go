@@ -7,7 +7,6 @@ import (
 	"structmine/internal/exec"
 	"structmine/internal/ib"
 	"structmine/internal/it"
-	"structmine/internal/par"
 )
 
 // Phase2 runs AIB over the Phase 1 leaf summaries down to k clusters and
@@ -93,7 +92,7 @@ func Assign(reps []*DCF, objs []Obj) []Assignment {
 // AssignCtx is Assign under the context's worker budget.
 func AssignCtx(ctx context.Context, reps []*DCF, objs []Obj) []Assignment {
 	out := make([]Assignment, len(objs))
-	par.For(ctx, exec.LIMBOAssign, len(objs), len(objs)*len(reps), func(lo, hi int) {
+	exec.For(ctx, exec.LIMBOAssign, len(objs), len(objs)*len(reps), func(lo, hi int) {
 		for oi := lo; oi < hi; oi++ {
 			best, bestDist := -1, math.Inf(1)
 			for ri, r := range reps {

@@ -8,7 +8,6 @@ import (
 
 	"structmine/internal/exec"
 	"structmine/internal/it"
-	"structmine/internal/par"
 )
 
 // Config controls Phase 1 tree construction.
@@ -238,11 +237,11 @@ func (t *Tree) closest(entries []*entry, d *DCF) (int, float64) {
 	// lives out here so the (overwhelmingly common) serial path never
 	// constructs the parallel closure.
 	work := len(entries) * (d.SupportLen() + 1)
-	if par.NumWorkers(t.ctx, exec.LIMBOClosest, len(entries), work) <= 1 {
+	if exec.NumWorkers(t.ctx, exec.LIMBOClosest, len(entries), work) <= 1 {
 		return closestEntrySerial(entries, d)
 	}
 	dist := t.distBuf(len(entries))
-	par.For(t.ctx, exec.LIMBOClosest, len(entries), work, func(lo, hi int) {
+	exec.For(t.ctx, exec.LIMBOClosest, len(entries), work, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dist[i] = DeltaIDCF(entries[i].dcf, d)
 		}
@@ -261,7 +260,7 @@ func (t *Tree) closestObj(entries []*entry, o Obj) (int, float64) {
 		return -1, math.Inf(1)
 	}
 	work := len(entries) * (len(o.Cond) + 1)
-	if par.NumWorkers(t.ctx, exec.LIMBOClosest, len(entries), work) <= 1 {
+	if exec.NumWorkers(t.ctx, exec.LIMBOClosest, len(entries), work) <= 1 {
 		best, bestDist := -1, math.Inf(1)
 		for i, e := range entries {
 			if dist := deltaIObjCtx(e.dcf, &t.octx, t.posRow(i)); dist < bestDist {
@@ -271,7 +270,7 @@ func (t *Tree) closestObj(entries []*entry, o Obj) (int, float64) {
 		return best, bestDist
 	}
 	dist := t.distBuf(len(entries))
-	par.For(t.ctx, exec.LIMBOClosest, len(entries), work, func(lo, hi int) {
+	exec.For(t.ctx, exec.LIMBOClosest, len(entries), work, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dist[i] = deltaIObjCtx(entries[i].dcf, &t.octx, t.posRow(i))
 		}

@@ -31,8 +31,9 @@ func TestExtendMatchesConcatenatedParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Raw(), want.Raw()) {
-		t.Fatalf("extended relation differs from concatenated parse:\ngot  %+v\nwant %+v", got.Raw(), want.Raw())
+	// DeepEqual sees the unexported tables: rows, dictionary, value ids.
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("extended relation differs from concatenated parse:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 

@@ -2,12 +2,13 @@ package relation
 
 import "fmt"
 
-// Raw exposes the relation's internal tables for serialization: the
-// attribute-qualified value dictionary (id → string, id → attribute)
-// and the dense int32 row block. Together with the attribute names it
-// reconstructs a Relation bit-identically — value ids keep their
-// original interning order, so a snapshot→restore round trip yields the
-// same ids, the same dictionary, and the same WriteCSV bytes.
+// Raw is a relation's internal tables as a durable dataset file holds
+// them: the attribute-qualified value dictionary (id → string, id →
+// attribute) and the dense int32 row block. Together with the attribute
+// names it reconstructs a Relation bit-identically — value ids keep
+// their original interning order, so a relation restored from disk has
+// the same ids, the same dictionary, and the same WriteCSV bytes as the
+// original parse.
 type Raw struct {
 	Name      string
 	Attrs     []string
@@ -16,20 +17,8 @@ type Raw struct {
 	Rows      [][]int32
 }
 
-// Raw returns the relation's internal tables. The slices are shared
-// with the relation, not copied; callers must treat them as read-only.
-func (r *Relation) Raw() Raw {
-	return Raw{
-		Name:      r.Name,
-		Attrs:     r.Attrs,
-		ValueStr:  r.valueStr,
-		ValueAttr: r.valueAttr,
-		Rows:      r.rows,
-	}
-}
-
 // FromRaw reconstructs a Relation from its raw tables, validating every
-// cross-reference so a corrupt or hostile snapshot cannot produce a
+// cross-reference so a corrupt or hostile file cannot produce a
 // relation that panics later: value attributes must be in range, the
 // (attribute, string) dictionary must be collision-free, and every row
 // cell must reference a value of its own column. The input slices are

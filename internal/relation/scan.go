@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"structmine/internal/exec"
-	"structmine/internal/par"
 )
 
 // ScanStripes streams every page stripe of c through fn, fanning the
@@ -30,7 +29,7 @@ func ScanStripes(ctx context.Context, c Columns, attrs []int, fn func(w, p int, 
 		return nil
 	}
 	work := c.N() * len(attrs)
-	workers := par.NumWorkers(ctx, exec.ColScan, pages, work)
+	workers := exec.NumWorkers(ctx, exec.ColScan, pages, work)
 	dsts := make([][][]int32, workers)
 	var (
 		mu   sync.Mutex
@@ -38,7 +37,7 @@ func ScanStripes(ctx context.Context, c Columns, attrs []int, fn func(w, p int, 
 		err  error
 		bail atomic.Bool
 	)
-	par.ForChunk(ctx, exec.ColScan, pages, work, func(w, lo, hi int) {
+	exec.ForChunk(ctx, exec.ColScan, pages, work, func(w, lo, hi int) {
 		if dsts[w] == nil {
 			ar := exec.CheckoutArena(ctx)
 			bufs := make([][]int32, len(attrs))
@@ -78,5 +77,5 @@ func ScanWorkers(ctx context.Context, c Columns, nattrs int) int {
 	if pages == 0 || nattrs == 0 {
 		return 0
 	}
-	return par.NumWorkers(ctx, exec.ColScan, pages, c.N()*nattrs)
+	return exec.NumWorkers(ctx, exec.ColScan, pages, c.N()*nattrs)
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"structmine/internal/colstore"
@@ -23,13 +22,16 @@ import (
 // keyed to exactly one point in the lineage and can never leak across an
 // append boundary.
 //
-// Durability follows the store's intent-record protocol: the append
-// record (carrying the body and the identity transition) is written
-// BEFORE any dataset state changes and retired only after the new
-// snapshot or paged file is published and the old one removed. A crash
-// anywhere in between is replayed on restart — by store.Open for the
-// snapshot tier, and by Registry.RecoverAppends for the paged tier —
-// so appended rows are never lost and never applied twice.
+// Durability follows one intent-record protocol for both tiers: the
+// append record (carrying the body and the identity transition) is
+// written BEFORE any dataset state changes; colstore.Append then
+// publishes the post-append file next to the old one; the registry entry
+// swaps; the old file is removed; and only then is the intent retired.
+// A crash anywhere in between is replayed on restart by
+// Registry.RecoverAppends, so appended rows are never lost and never
+// applied twice. A resident dataset additionally extends its in-memory
+// relation with relation.AppendCSV, which assigns the same value ids
+// colstore.Append writes.
 
 // appendHash advances a dataset's content hash across an append:
 // SHA-256 over the previous hash's hex bytes followed by the appended
@@ -55,158 +57,107 @@ func (g *Registry) AppendCSV(id string, body []byte) (*Dataset, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, id)
 	}
-	newHash := appendHash(ds.Hash, body)
-	epoch := ds.Epoch + 1
-	newBytes := ds.Bytes + int64(len(body))
-
-	var next *Dataset
-	var rows int
-	var err error
+	meta := store.DatasetMeta{
+		Hash: appendHash(ds.Hash, body), Name: ds.Name, Source: ds.Source,
+		Bytes: ds.Bytes + int64(len(body)), ID: ds.ID, Epoch: ds.Epoch + 1,
+	}
+	// Validate before any durable state moves: a malformed body must be
+	// a clean 4xx with the dataset untouched. The extension shares the
+	// existing rows — it costs the appended rows, not a copy.
+	var rel *relation.Relation
 	if ds.rel != nil {
-		next, rows, err = g.appendResident(ds, body, newHash, epoch, newBytes)
+		var err error
+		if rel, _, err = relation.AppendCSV(ds.rel, body, g.lim); err != nil {
+			return nil, err
+		}
+		if g.budget > 0 && meta.Bytes > g.budget && !g.pagedTier() {
+			return nil, fmt.Errorf("%w (%d > %d bytes)", ErrAppendOverBudget, meta.Bytes, g.budget)
+		}
+	}
+	var next *Dataset
+	if g.st != nil {
+		var err error
+		if next, err = g.appendCol(ds, meta, body); err != nil {
+			return nil, err
+		}
 	} else {
-		next, rows, err = g.appendPaged(ds, body, newHash, epoch, newBytes)
+		next = &Dataset{
+			ID: ds.ID, Name: ds.Name, Hash: meta.Hash, Epoch: meta.Epoch,
+			Source: ds.Source, Bytes: meta.Bytes,
+		}
 	}
-	if err != nil {
-		return nil, err
+	next.use = ds.use
+	if rel != nil {
+		// A resident dataset reports the summary of its relation, as at
+		// registration (the file-derived one agrees only within ulps).
+		next.rel, next.Storage, next.Summary = rel, StorageResident, task.Describe(rel)
 	}
-	obs.AppendRows.Add(uint64(rows))
+	g.mu.Lock()
+	delete(g.byHash, ds.Hash)
+	g.addLocked(next)
+	g.evictLocked()
+	next = g.byHash[next.Hash] // eviction may have paged the new entry out
+	g.mu.Unlock()
+	if g.st != nil {
+		// The new file is published and registered: the old one is garbage.
+		ds.handle.mu.Lock()
+		if ds.handle.table != nil {
+			ds.handle.table.Close()
+			ds.handle.table = nil
+		}
+		ds.handle.mu.Unlock()
+		_ = g.st.FS().Remove(ds.colPath)
+		_ = g.st.RetireAppendRecord(next.Hash)
+	}
+	obs.AppendRows.Add(uint64(next.Summary.Tuples - ds.Summary.Tuples))
 	obs.AppendEpochs.Inc()
 	return next, nil
 }
 
-// appendResident applies an append to an in-memory dataset: validate the
-// body against the resident relation, persist the transition (intent
-// record, new snapshot, old snapshot removal), then swap the registry
-// entry. The relation extension shares the existing rows — an append
-// costs the appended rows, not a copy of the dataset.
-func (g *Registry) appendResident(ds *Dataset, body []byte, newHash string, epoch int, newBytes int64) (*Dataset, int, error) {
-	// Validate before any durable state moves: a malformed body must be
-	// a clean 4xx with the dataset untouched.
-	rel2, rows, err := relation.AppendCSV(ds.rel, body, g.lim)
-	if err != nil {
-		return nil, 0, err
-	}
-	if g.budget > 0 && newBytes > g.budget && !g.pagedTier() {
-		return nil, 0, fmt.Errorf("%w (%d > %d bytes)", ErrAppendOverBudget, newBytes, g.budget)
-	}
-	if g.st != nil {
-		rec := store.AppendRecord{
-			ID: ds.ID, Name: ds.Name, Source: ds.Source,
-			OldHash: ds.Hash, NewHash: newHash, Epoch: epoch,
-			Bytes: newBytes, Rows: body,
-		}
-		if err := g.st.PutAppendRecord(rec); err != nil {
-			return nil, 0, fmt.Errorf("%w: %v", ErrStoreWrite, err)
-		}
-		meta := store.DatasetMeta{
-			Hash: newHash, Name: ds.Name, Source: ds.Source,
-			Bytes: newBytes, ID: ds.ID, Epoch: epoch,
-		}
-		if err := g.st.SaveDataset(meta, rel2); err != nil {
-			// The append did not happen: withdraw the intent so recovery
-			// does not replay it.
-			_ = g.st.RetireAppendRecord(newHash)
-			return nil, 0, fmt.Errorf("%w: %v", ErrStoreWrite, err)
-		}
-		_ = g.st.RemoveDataset(ds.Hash)
-		_ = g.st.RetireAppendRecord(newHash)
-	}
-	next := &Dataset{
-		ID: ds.ID, Name: ds.Name, Hash: newHash, Epoch: epoch,
-		Source: ds.Source, Bytes: newBytes, Storage: StorageResident,
-		Summary: task.Describe(rel2), rel: rel2, use: ds.use,
-	}
-	g.mu.Lock()
-	delete(g.byHash, ds.Hash)
-	g.byHash[newHash] = next
-	g.alias[ds.ID] = newHash
-	g.touch(next)
-	g.evictLocked()
-	out := g.byHash[newHash] // eviction may have paged the new entry out
-	g.mu.Unlock()
-	return out, rows, nil
-}
-
-// appendPaged applies an append to a colstore-backed dataset: the new
-// rows land in a new paged file as additional stripes (full stripes of
-// the old file are copied verbatim), the registry entry swaps to it, and
-// the old file is removed. The intent record is written first so a crash
-// at any point is replayed by RecoverAppends.
-func (g *Registry) appendPaged(ds *Dataset, body []byte, newHash string, epoch int, newBytes int64) (*Dataset, int, error) {
+// appendCol is the durable half of an append: intent record, then the
+// post-append colstore file (full stripes of the old file are copied
+// verbatim, the rest replayed with the new rows), reopened as the paged
+// dataset it describes. On failure the intent is withdrawn so recovery
+// does not replay an append the client saw fail.
+func (g *Registry) appendCol(ds *Dataset, meta store.DatasetMeta, body []byte) (*Dataset, error) {
 	old, err := ds.table()
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrStoreWrite, err)
+		return nil, fmt.Errorf("%w: %v", ErrStoreWrite, err)
 	}
 	dir, err := g.st.ColstoreDir()
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrStoreWrite, err)
+		return nil, fmt.Errorf("%w: %v", ErrStoreWrite, err)
 	}
 	rec := store.AppendRecord{
-		ID: ds.ID, Name: ds.Name, Source: ds.Source,
-		OldHash: ds.Hash, NewHash: newHash, Epoch: epoch,
-		Bytes: newBytes, Rows: body,
+		ID: meta.ID, Name: meta.Name, Source: meta.Source,
+		OldHash: ds.Hash, NewHash: meta.Hash, Epoch: meta.Epoch,
+		Bytes: meta.Bytes, Rows: body,
 	}
 	if err := g.st.PutAppendRecord(rec); err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrStoreWrite, err)
-	}
-	meta := store.DatasetMeta{
-		Hash: newHash, Name: ds.Name, Source: ds.Source,
-		Bytes: newBytes, ID: ds.ID, Epoch: epoch,
+		return nil, fmt.Errorf("%w: %v", ErrStoreWrite, err)
 	}
 	path, err := colstore.Append(dir, meta, old, body, g.lim, g.writeOpts())
 	if err != nil {
-		_ = g.st.RetireAppendRecord(newHash)
+		_ = g.st.RetireAppendRecord(meta.Hash)
 		if errors.Is(err, relation.ErrShapeMismatch) {
-			return nil, 0, err // 4xx: body rejected, dataset untouched
+			return nil, err // 4xx: body rejected, dataset untouched
 		}
-		return nil, 0, fmt.Errorf("%w: %v", ErrStoreWrite, err)
+		return nil, fmt.Errorf("%w: %v", ErrStoreWrite, err)
 	}
-	tbl, err := colstore.Open(path)
+	next, err := g.openCol(path, meta.Hash)
 	if err != nil {
-		g.st.Quarantine(path)
-		_ = g.st.RetireAppendRecord(newHash)
-		return nil, 0, fmt.Errorf("%w: %v", ErrStoreWrite, err)
+		_ = g.st.RetireAppendRecord(meta.Hash)
+		return nil, err
 	}
-	summary, err := task.DescribeColumns(tbl)
-	if err != nil {
-		tbl.Close()
-		g.st.Quarantine(path)
-		_ = g.st.RetireAppendRecord(newHash)
-		return nil, 0, fmt.Errorf("%w: %v", ErrStoreWrite, err)
-	}
-	rows := tbl.N() - old.N()
-	next := &Dataset{
-		ID: ds.ID, Name: ds.Name, Hash: newHash, Epoch: epoch,
-		Source: ds.Source, Bytes: newBytes, Storage: StoragePaged,
-		Summary: summary, colPath: path, use: ds.use,
-		handle: &pagedHandle{table: tbl},
-	}
-	g.mu.Lock()
-	delete(g.byHash, ds.Hash)
-	g.byHash[newHash] = next
-	g.alias[ds.ID] = newHash
-	g.touch(next)
-	g.mu.Unlock()
-	// The new file is published and registered: the old one is garbage.
-	ds.handle.mu.Lock()
-	if ds.handle.table != nil {
-		ds.handle.table.Close()
-		ds.handle.table = nil
-	}
-	ds.handle.mu.Unlock()
-	os.Remove(ds.colPath)
-	_ = g.st.RetireAppendRecord(newHash)
-	return next, rows, nil
+	return next, nil
 }
 
-// RecoverAppends replays append intents that store.Open left pending —
-// those whose lineage has no snapshot, i.e. paged-tier appends. Call
-// after snapshot adoption and BEFORE RecoverColstore, so the directory
-// sweep only ever sees the settled side of each lineage. Every outcome
-// retires the record: either the new paged file exists (append landed
-// before the crash — finish the cleanup half), or the old one does
-// (re-apply the body), or neither (the lineage is gone; nothing to do).
+// RecoverAppends replays the append intents a crash left behind. Call
+// BEFORE RecoverColstore, so the directory sweep only ever sees the
+// settled side of each lineage. Every outcome retires the record:
+// either the new file exists (the append landed before the crash —
+// finish the cleanup half), or the old one does (re-apply the body), or
+// neither (the lineage is gone; nothing to do).
 func (g *Registry) RecoverAppends() {
 	if g.st == nil {
 		return
@@ -216,29 +167,32 @@ func (g *Registry) RecoverAppends() {
 		return
 	}
 	for _, rec := range g.st.AppendRecords() {
-		g.recoverPagedAppend(dir, rec)
+		if g.recoverAppend(dir, rec) {
+			g.mu.Lock()
+			g.appendReplays++
+			g.mu.Unlock()
+		}
+		_ = g.st.RetireAppendRecord(rec.NewHash)
 	}
 }
 
-// recoverPagedAppend settles one pending intent against the colstore
-// directory. Idempotent: a crash during recovery re-enters the same
-// protocol on the next boot.
-func (g *Registry) recoverPagedAppend(dir string, rec store.AppendRecord) {
+// recoverAppend settles one intent against the colstore directory,
+// reporting whether its lineage was there to settle. Idempotent: a
+// crash during recovery re-enters the same protocol on the next boot.
+func (g *Registry) recoverAppend(dir string, rec store.AppendRecord) bool {
 	oldPath := filepath.Join(dir, rec.OldHash+colstore.Ext)
 	newPath := filepath.Join(dir, rec.NewHash+colstore.Ext)
 	if tbl, err := colstore.Open(newPath); err == nil {
 		// Applied before the crash; finish the cleanup half.
 		tbl.Close()
-		os.Remove(oldPath)
-		_ = g.st.RetireAppendRecord(rec.NewHash)
-		return
+		_ = g.st.FS().Remove(oldPath)
+		return true
 	}
 	old, err := colstore.Open(oldPath)
 	if err != nil {
 		// Neither side opens: the lineage is gone (or corrupt, in which
 		// case the sweep quarantines it). The intent cannot apply.
-		_ = g.st.RetireAppendRecord(rec.NewHash)
-		return
+		return false
 	}
 	oldMeta := old.Meta()
 	meta := store.DatasetMeta{
@@ -259,9 +213,8 @@ func (g *Registry) recoverPagedAppend(dir string, rec store.AppendRecord) {
 	if err != nil {
 		// The body no longer applies (corrupt record, schema drift): keep
 		// the pre-append state rather than lose the dataset.
-		_ = g.st.RetireAppendRecord(rec.NewHash)
-		return
+		return false
 	}
-	os.Remove(oldPath)
-	_ = g.st.RetireAppendRecord(rec.NewHash)
+	_ = g.st.FS().Remove(oldPath)
+	return true
 }

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
@@ -176,7 +178,7 @@ func TestClusterProxyRegisterAndMine(t *testing.T) {
 	}
 
 	// Submit rank-fds through the NON-owner: the job runs on the owner,
-	// and polls through the non-owner resolve via its route memory.
+	// and polls through the non-owner follow the node tag in the job id.
 	var job JobView
 	code, body = doJSON(t, "POST", other.ts.URL+"/v1/jobs",
 		submitRequest{Dataset: ds.ID, Task: "rank-fds"}, &job)
@@ -214,9 +216,8 @@ func TestClusterProxyRegisterAndMine(t *testing.T) {
 		t.Fatal("proxied rank-fds artifact is not byte-identical to the owner's")
 	}
 
-	// A scatter lookup also finds the job: a fresh request through the
-	// non-owner for a job id it has no memory of (clear via a new id —
-	// use the trace endpoint, which shares routeJob).
+	// Every job-id endpoint routes the same way: the trace endpoint
+	// shares routeJob.
 	if code, _, _ := doReq(t, "GET", other.ts.URL+"/v1/jobs/"+job.ID+"/trace", nil, nil); code != http.StatusOK {
 		t.Fatalf("trace via non-owner: %d", code)
 	}
@@ -368,5 +369,110 @@ func TestClusterOwnerMoves(t *testing.T) {
 	_, _, metrics := doReq(t, "GET", other.ts.URL+"/v1/metrics", nil, nil)
 	if !strings.Contains(metrics, "structmine_cluster_owner_moves_total 1") {
 		t.Fatal("owner move not counted")
+	}
+}
+
+// TestClusterJobIDsAreNodeQualified pins the router-mode job-id
+// contract. Job sequences are node-local, so both nodes mint sequence
+// number 1; the ids must still differ (each carries its node's tag), and
+// each id must return its own job's artifact from either node — a node
+// that runs its own jobs and proxies for a peer must never answer a
+// peer's id from its own job of the same number. A proxied question
+// costs exactly two proxied requests: the submission and the result.
+func TestClusterJobIDsAreNodeQualified(t *testing.T) {
+	nodes := newTestCluster(t, 2, Config{Workers: 1})
+
+	// One dataset per node: vary a cell until the rendezvous table has
+	// placed one on each replica.
+	type placed struct {
+		node, peer clusterNode
+		ds         Dataset
+		jobID      string
+		direct     string
+	}
+	var jobs []placed
+	for i := 0; len(jobs) < 2 && i < 64; i++ {
+		csv := fmt.Sprintf("A,B,C\n1,x,%d\n2,y,%d\n3,x,%d\n4,z,%d\n", i, i, i+1, i)
+		sum := sha256.Sum256([]byte(csv))
+		owner, other := ownerAndOther(t, nodes, hex.EncodeToString(sum[:]))
+		if len(jobs) == 1 && owner.ts.URL == jobs[0].node.ts.URL {
+			continue
+		}
+		var ds Dataset
+		if code, body := doJSON(t, "POST", owner.ts.URL+"/v1/datasets?name=d", []byte(csv), &ds); code != http.StatusCreated {
+			t.Fatalf("register: %d %s", code, body)
+		}
+		jobs = append(jobs, placed{node: owner, peer: other, ds: ds})
+	}
+	if len(jobs) != 2 {
+		t.Fatal("could not place one dataset on each node")
+	}
+
+	// Each node mines its own dataset: both mint sequence number 1.
+	for i := range jobs {
+		j := &jobs[i]
+		var v JobView
+		if code, body := doJSON(t, "POST", j.node.ts.URL+"/v1/jobs",
+			submitRequest{Dataset: j.ds.ID, Task: "describe"}, &v); code != http.StatusAccepted {
+			t.Fatalf("submit on %s: %d %s", j.node.ts.URL, code, body)
+		}
+		if !strings.HasSuffix(v.ID, "-000001") {
+			t.Fatalf("first job on %s is %s, want sequence number 1", j.node.ts.URL, v.ID)
+		}
+		if got := waitJob(t, j.node.ts, v.ID); got.State != StateDone {
+			t.Fatalf("job %s: %s (%s)", v.ID, got.State, got.Error)
+		}
+		j.jobID = v.ID
+		_, _, j.direct = doReq(t, "GET", j.node.ts.URL+"/v1/jobs/"+v.ID+"/result", nil, nil)
+		if !strings.Contains(j.direct, `"dataset": "`+j.ds.ID+`"`) {
+			t.Fatalf("direct result of %s is not for dataset %s: %s", v.ID, j.ds.ID, j.direct)
+		}
+	}
+	if jobs[0].jobID == jobs[1].jobID {
+		t.Fatalf("both nodes minted %s: job ids are not node-qualified", jobs[0].jobID)
+	}
+
+	// Each id answers with its own artifact from either node.
+	for _, j := range jobs {
+		before := proxiedCount(scrapeMetrics(t, j.peer.ts.URL), j.node.ts.URL)
+		code, _, viaPeer := doReq(t, "GET", j.peer.ts.URL+"/v1/jobs/"+j.jobID+"/result", nil, nil)
+		if code != http.StatusOK || viaPeer != j.direct {
+			t.Fatalf("job %s asked through %s: %d\n%s\nwant its own artifact\n%s",
+				j.jobID, j.peer.ts.URL, code, viaPeer, j.direct)
+		}
+		if got := proxiedCount(scrapeMetrics(t, j.peer.ts.URL), j.node.ts.URL) - before; got != 1 {
+			t.Fatalf("proxied result fetch cost %g proxied requests, want 1", got)
+		}
+		if code, body := doJSON(t, "GET", j.peer.ts.URL+"/v1/jobs/"+j.jobID, nil, nil); code != http.StatusOK ||
+			!strings.Contains(body, j.ds.ID) {
+			t.Fatalf("poll of %s through the peer: %d %s", j.jobID, code, body)
+		}
+	}
+
+	// A question asked through the non-owner is a cache hit on the owner
+	// and costs two proxied requests, submit and result, no scatter.
+	j := jobs[0]
+	before := proxiedCount(scrapeMetrics(t, j.peer.ts.URL), j.node.ts.URL)
+	var hit JobView
+	if code, body := doJSON(t, "POST", j.peer.ts.URL+"/v1/jobs",
+		submitRequest{Dataset: j.ds.ID, Task: "describe"}, &hit); code != http.StatusOK || !hit.CacheHit {
+		t.Fatalf("proxied resubmit: %d %s", code, body)
+	}
+	if owner, ok := j.peer.router.JobOwner(hit.ID); !ok || owner.ID != j.node.ts.URL {
+		t.Fatalf("proxied job id %s does not name its owner %s", hit.ID, j.node.ts.URL)
+	}
+	if code, _, _ := doReq(t, "GET", j.peer.ts.URL+"/v1/jobs/"+hit.ID+"/result", nil, nil); code != http.StatusOK {
+		t.Fatalf("proxied result: %d", code)
+	}
+	if got := proxiedCount(scrapeMetrics(t, j.peer.ts.URL), j.node.ts.URL) - before; got != 2 {
+		t.Fatalf("proxied question cost %g proxied requests, want 2", got)
+	}
+
+	// An id with no tag of this replica set is nobody's but the asked
+	// node's: a plain local 404, no proxying.
+	for _, id := range []string{"job-000001", "job-ffffff-000001", "nope"} {
+		if code, body := doJSON(t, "GET", j.peer.ts.URL+"/v1/jobs/"+id, nil, nil); code != http.StatusNotFound {
+			t.Fatalf("GET /v1/jobs/%s = %d %s, want 404", id, code, body)
+		}
 	}
 }

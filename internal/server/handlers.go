@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"structmine/internal/cluster"
 	"structmine/internal/obs"
 	"structmine/internal/task"
 )
@@ -334,26 +333,10 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// In router mode the job runs where its dataset lives: the
-	// submission is proxied to the rendezvous owner, and the returned
-	// job id is remembered so later polls go straight there.
-	if rt := s.cfg.Router; rt != nil && !cluster.Hopped(r) {
-		if _, ok := s.reg.Get(req.Dataset); !ok {
-			if owner := rt.Owner(req.Dataset); owner.ID != rt.Self().ID {
-				if !rt.Prober().Healthy(owner.ID) {
-					writeErrFor(w, cluster.ErrPeerUnavailable)
-					return
-				}
-				respBody, status, handled := rt.Forward(w, r, owner, body)
-				if !handled {
-					writeErrFor(w, cluster.ErrPeerUnavailable)
-					return
-				}
-				s.rememberSubmittedJob(owner.ID, status, respBody)
-				return
-			}
-		} else if !rt.OwnsLocally(req.Dataset) {
-			rt.NoteOwnerMove()
-		}
+	// submission is proxied to the rendezvous owner, whose tag in the
+	// returned job id routes later polls straight there.
+	if s.routeDataset(w, r, req.Dataset, body) {
+		return
 	}
 	view, err := s.jobs.SubmitAs(tenantOf(r), priority, req.Dataset, req.Task, req.Params)
 	if err != nil {
@@ -517,8 +500,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if st := s.cfg.Store; st != nil {
 		t := st.Stats()
+		recovered, _ := s.reg.Recovered()
 		h.Store = &storeStats{
-			RecoveredDatasets: t.RecoveredDatasets,
+			RecoveredDatasets: recovered,
 			RecoveredJobs:     t.RecoveredJobs,
 			RecoveredArts:     t.RecoveredArtifacts,
 			DroppedJobRecords: t.DroppedJobRecords,

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -142,6 +144,7 @@ type Runner struct {
 	jobs     map[string]*Job
 	order    []string
 	seq      int
+	idPrefix string // "job-", or "job-<node tag>-" in router mode
 	draining bool
 	// Two FIFO queues, one per priority class. Workers always drain
 	// high before low; within a class submission order is preserved.
@@ -174,7 +177,7 @@ func NewRunner(reg *Registry, cache *Cache, st *store.Store, sched *exec.Schedul
 		reg: reg, cache: cache, st: st, sched: sched, prim: prim,
 		tenants: newTenants(lim), timeout: timeout, retain: retain, depth: depth,
 		baseCtx: ctx, baseCancel: cancel,
-		jobs: map[string]*Job{},
+		jobs: map[string]*Job{}, idPrefix: "job-",
 	}
 	q.cond = sync.NewCond(&q.mu)
 	q.workers.Add(workers)
@@ -210,8 +213,9 @@ func (q *Runner) journal(record []byte) {
 
 // Preload replays journal records recovered by the store: terminal jobs
 // from previous runs become poll-able records again, and the id
-// sequence resumes past the highest recovered id so new jobs never
-// collide with journaled ones. Call before serving requests.
+// sequence resumes past the highest recovered id — of either shape,
+// "job-<seq>" or "job-<node tag>-<seq>" — so new jobs never collide
+// with journaled ones. Call before serving requests.
 func (q *Runner) Preload(records [][]byte) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -242,8 +246,7 @@ func (q *Runner) Preload(records [][]byte) {
 		}
 		q.jobs[jr.ID] = job
 		q.order = append(q.order, jr.ID)
-		var n int
-		if _, err := fmt.Sscanf(jr.ID, "job-%d", &n); err == nil && n > q.seq {
+		if n, err := strconv.Atoi(jr.ID[strings.LastIndexByte(jr.ID, '-')+1:]); err == nil && n > q.seq {
 			q.seq = n
 		}
 	}
@@ -303,6 +306,11 @@ func (q *Runner) SubmitAs(tenant string, priority Priority, datasetID, taskName 
 		rel = ds.Relation()
 	}
 	p = p.Normalize(taskName)
+	// The lookup happens before q.mu is taken: on a memory miss it reads
+	// and CRC-checks an artifact file from the durable tier, and every
+	// poll, list and submit would otherwise queue behind that disk read.
+	key := Key(ds.Hash, ds.Epoch, taskName, p)
+	cached, hit := q.cache.Get(key)
 
 	q.mu.Lock()
 	if q.draining {
@@ -312,19 +320,19 @@ func (q *Runner) SubmitAs(tenant string, priority Priority, datasetID, taskName 
 	q.seq++
 	ctx, cancel := context.WithCancel(q.baseCtx)
 	job := &Job{
-		id: fmt.Sprintf("job-%06d", q.seq), datasetID: ds.ID, dataset: ds,
+		id: fmt.Sprintf("%s%06d", q.idPrefix, q.seq), datasetID: ds.ID, dataset: ds,
 		rel: rel, cols: cols,
 		task: taskName, params: p, hash: ds.Hash, epoch: ds.Epoch,
 		tenant: tenant, priority: priority,
-		key: Key(ds.Hash, ds.Epoch, taskName, p), state: StateQueued,
+		key: key, state: StateQueued,
 		trace:     obs.TraceReport{Stages: []obs.StageTiming{}},
 		submitted: time.Now(),
 		ctx:       ctx, cancel: cancel, done: make(chan struct{}),
 	}
-	if v, ok := q.cache.Get(job.key); ok {
+	if hit {
 		job.state = StateDone
 		job.cacheHit = true
-		job.result = v
+		job.result = cached
 		close(job.done)
 		cancel()
 		q.jobs[job.id] = job
@@ -604,9 +612,9 @@ func (q *Runner) Result(id string) (any, JobView, bool) {
 // Page returns one cursor page of jobs in id order: the first `limit`
 // jobs whose id sorts strictly after `cursor` (empty cursor = from the
 // start), the cursor addressing the next page ("" on the last page),
-// and the retained total. Ids are zero-padded sequence numbers, so
-// lexicographic order is submission order and a cursor stays stable
-// while jobs are submitted or pruned around it.
+// and the retained total. Ids are zero-padded sequence numbers behind
+// one per-node prefix, so lexicographic order is submission order and a
+// cursor stays stable while jobs are submitted or pruned around it.
 func (q *Runner) Page(cursor string, limit int) (items []JobView, next string, total int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

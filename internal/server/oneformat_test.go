@@ -1,0 +1,474 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"structmine/internal/colstore"
+	"structmine/internal/relation"
+	"structmine/internal/store"
+	"structmine/internal/store/storetest"
+)
+
+// canonicalCSV is what WriteCSV renders for the relation parsed from the
+// given CSV source — the form dataset contents are compared in.
+func canonicalCSV(t *testing.T, src []byte) string {
+	t.Helper()
+	rel, err := relation.ReadCSV("x", bytes.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return relationCSV(t, rel)
+}
+
+func relationCSV(t *testing.T, rel *relation.Relation) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rel.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// datasetCSV reads a dataset's rows back out of its durable file, and
+// for a resident dataset checks the in-memory relation says the same.
+func datasetCSV(t *testing.T, ds *Dataset) string {
+	t.Helper()
+	tbl, err := colstore.Open(ds.colPath)
+	if err != nil {
+		t.Fatalf("opening %s: %v", ds.colPath, err)
+	}
+	defer tbl.Close()
+	rel, err := tbl.Relation()
+	if err != nil {
+		t.Fatalf("materialising %s: %v", ds.colPath, err)
+	}
+	onDisk := relationCSV(t, rel)
+	if ds.rel != nil {
+		if inMem := relationCSV(t, ds.rel); inMem != onDisk {
+			t.Fatalf("resident relation and its file disagree:\n%s\n--- file\n%s", inMem, onDisk)
+		}
+	}
+	return onDisk
+}
+
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestCrashAtEveryStepOfRegisterAppend enumerates a process kill at
+// every mutating filesystem call — each CreateTemp, Write, Sync, Rename
+// and Remove — of register → append, on both tiers, and reboots over
+// what the kill left behind. Whatever the crash point: the dataset is
+// in exactly the pre-append or the post-append state (rows neither lost
+// nor doubled), never both lineages; an acknowledged registration or
+// append is durable; no intent, temp file or orphaned dataset file
+// survives recovery; a second reboot changes nothing; and the lineage
+// still accepts the append afterwards.
+func TestCrashAtEveryStepOfRegisterAppend(t *testing.T) {
+	base := csvOf(appendCSVRows(150, 9))
+	body := csvOf([]string{"800,c2,z-c2,g1", "801,c77,z-c77,", ",c5,z-c5,g9"})
+	sum := sha256.Sum256(base)
+	baseHash := hex.EncodeToString(sum[:])
+	preCSV := canonicalCSV(t, base)
+	postCSV := canonicalCSV(t, append(append([]byte(nil), base...), body[len(appendHeader)+1:]...))
+
+	for _, tier := range []struct {
+		name    string
+		budget  int64
+		storage string
+	}{
+		{"resident", 0, StorageResident},
+		{"paged", 1, StoragePaged},
+	} {
+		t.Run(tier.name, func(t *testing.T) {
+			ffs := storetest.NewFaultFS()
+			boot := func(dir string) (*Server, *store.Store) {
+				st, err := store.Open(dir, store.Options{FS: ffs, Fsync: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return New(Config{Workers: 1, Store: st, ResidentBytes: tier.budget}), st
+			}
+			halt := func(s *Server, st *store.Store) {
+				_ = s.Shutdown(context.Background())
+				_ = st.Close()
+			}
+			// run drives the protocol under test; with crashAt = 0 it runs
+			// clean and reports how many crash points the protocol has.
+			run := func(dir string, crashAt int) (regErr, appErr error, ops int) {
+				s, st := boot(dir)
+				defer halt(s, st)
+				ffs.CrashAt(crashAt)
+				defer ffs.CrashAt(0)
+				ds, _, regErr := s.reg.RegisterCSV("crash", "upload", base)
+				if regErr == nil {
+					_, appErr = s.reg.AppendCSV(ds.ID, body)
+				}
+				return regErr, appErr, ffs.Ops()
+			}
+			regErr, appErr, total := run(t.TempDir(), 0)
+			if regErr != nil || appErr != nil || total < 12 {
+				t.Fatalf("clean run: register %v, append %v, %d mutating calls", regErr, appErr, total)
+			}
+			t.Logf("register → append makes %d mutating filesystem calls; crashing at each", total)
+
+			for k := 1; k <= total; k++ {
+				dir := t.TempDir()
+				regErr, appErr, _ := run(dir, k)
+				if k < total && regErr == nil && appErr == nil {
+					// Only best-effort cleanups (old file, intent) may fail silently.
+					if left := dirNames(t, filepath.Join(dir, "appends")); len(left) == 0 {
+						t.Fatalf("crash %d/%d went unnoticed and left nothing to clean up", k, total)
+					}
+				}
+
+				var state string
+				for life := 1; life <= 2; life++ {
+					s, st := boot(dir)
+					list := s.reg.List()
+					if len(list) > 1 {
+						t.Fatalf("crash %d/%d, life %d: %d datasets, both sides of the append survived", k, total, life, len(list))
+					}
+					if regErr == nil && len(list) == 0 {
+						t.Fatalf("crash %d/%d, life %d: acknowledged registration lost", k, total, life)
+					}
+					got := ""
+					if len(list) == 1 {
+						ds := list[0]
+						got = datasetCSV(t, ds)
+						switch {
+						case got == preCSV && ds.Epoch == 0 && ds.Hash == baseHash && ds.Summary.Tuples == 150:
+						case got == postCSV && ds.Epoch == 1 && ds.Hash == appendHash(baseHash, body) && ds.Summary.Tuples == 153:
+						default:
+							t.Fatalf("crash %d/%d, life %d: dataset is in neither the pre- nor the post-append state (epoch %d, %d tuples):\n%s",
+								k, total, life, ds.Epoch, ds.Summary.Tuples, got)
+						}
+						if appErr == nil && regErr == nil && got != postCSV {
+							t.Fatalf("crash %d/%d, life %d: acknowledged append lost", k, total, life)
+						}
+						if ds.Storage != tier.storage || ds.Name != "crash" || ds.Source != "upload" {
+							t.Fatalf("crash %d/%d, life %d: recovered as %+v", k, total, life, ds)
+						}
+						if files := dirNames(t, filepath.Join(dir, "colstore")); len(files) != 1 || files[0] != ds.Hash+colstore.Ext {
+							t.Fatalf("crash %d/%d, life %d: colstore holds %v, want only the dataset's file", k, total, life, files)
+						}
+					} else if files := dirNames(t, filepath.Join(dir, "colstore")); len(files) != 0 {
+						t.Fatalf("crash %d/%d, life %d: no dataset but colstore holds %v", k, total, life, files)
+					}
+					if left := dirNames(t, filepath.Join(dir, "appends")); len(left) != 0 {
+						t.Fatalf("crash %d/%d, life %d: intents survived recovery: %v", k, total, life, left)
+					}
+					if _, replays := s.reg.Recovered(); life == 2 && replays != 0 {
+						t.Fatalf("crash %d/%d: second boot replayed %d intents", k, total, replays)
+					}
+					if life == 1 {
+						state = got
+					} else if got != state {
+						t.Fatalf("crash %d/%d: second boot changed the dataset", k, total)
+					}
+					if life == 2 && got == preCSV {
+						// The surviving lineage is whole: the append still applies.
+						next, err := s.reg.AppendCSV(list[0].ID, body)
+						if err != nil {
+							t.Fatalf("crash %d/%d: append after recovery: %v", k, total, err)
+						}
+						if after := datasetCSV(t, next); after != postCSV {
+							t.Fatalf("crash %d/%d: append after recovery produced\n%s", k, total, after)
+						}
+					}
+					halt(s, st)
+				}
+			}
+		})
+	}
+}
+
+// TestRecoverAppendKeepsStateWhenBodyCannotApply: an intent whose body
+// no longer applies to its lineage (schema drift, a corrupt record) is
+// retired without touching the pre-append state, on both tiers.
+func TestRecoverAppendKeepsStateWhenBodyCannotApply(t *testing.T) {
+	for _, budget := range []int64{0, 1} {
+		dir := t.TempDir()
+		st := openStore(t, dir)
+		s := New(Config{Workers: 1, Store: st, ResidentBytes: budget})
+		ds, _, err := s.reg.RegisterCSV("ds", "upload", csvOf(appendCSVRows(20, 3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.PutAppendRecord(store.AppendRecord{
+			ID: ds.ID, OldHash: ds.Hash, NewHash: strings.Repeat("c", 64), Epoch: 1,
+			Bytes: ds.Bytes + 12, Rows: []byte("X,Y,Z\n1,2,3\n"),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		_ = s.Shutdown(context.Background())
+		st.Close()
+
+		st2 := openStore(t, dir)
+		s2 := New(Config{Workers: 1, Store: st2, ResidentBytes: budget})
+		got, ok := s2.reg.Get(ds.ID)
+		if !ok || got.Hash != ds.Hash || got.Epoch != 0 || got.Summary.Tuples != 20 {
+			t.Fatalf("budget %d: pre-append state not preserved: %+v", budget, got)
+		}
+		if left := dirNames(t, filepath.Join(dir, "appends")); len(left) != 0 {
+			t.Fatalf("budget %d: inapplicable intent not retired: %v", budget, left)
+		}
+		if _, replays := s2.reg.Recovered(); replays != 0 {
+			t.Fatalf("budget %d: an intent that did not apply counted as a replay", budget)
+		}
+		_ = s2.Shutdown(context.Background())
+		st2.Close()
+	}
+}
+
+// TestResidentRestart is the restart contract of the one format: a
+// persistent server registers a resident dataset, appends to it and
+// runs dedup — a task with no paged runner, so it only works on a
+// relation that is really back in memory. After a restart the dataset
+// returns with the same id, hash, epoch and summary and
+// "storage":"resident"; the resubmission is a byte-identical cache hit;
+// nothing was written outside colstore/; and a further append still
+// re-mines by delta from the mine-state of the previous life.
+func TestResidentRestart(t *testing.T) {
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	s1 := New(Config{Workers: 1, Store: st1})
+	ts1 := httptest.NewServer(s1.Handler())
+
+	rows := appendCSVRows(400, 5)
+	var ds, appended Dataset
+	if code, body := doJSON(t, "POST", ts1.URL+"/v1/datasets?name=life", csvOf(rows[:300]), &ds); code != http.StatusCreated {
+		t.Fatalf("register: %d %s", code, body)
+	}
+	if code, body := doJSON(t, "POST", ts1.URL+"/v1/datasets/"+ds.ID+"/append", csvOf(rows[300:350]), &appended); code != http.StatusOK {
+		t.Fatalf("append: %d %s", code, body)
+	}
+	if appended.Storage != StorageResident || appended.Epoch != 1 || appended.ID != ds.ID {
+		t.Fatalf("appended dataset: %+v", appended)
+	}
+	// A second dataset that is only registered: its listing — summary
+	// floats included — must also survive the restart to the byte.
+	var plain Dataset
+	if code, body := doJSON(t, "POST", ts1.URL+"/v1/datasets?name=plain", csvOf(rows[:120]), &plain); code != http.StatusCreated {
+		t.Fatalf("register: %d %s", code, body)
+	}
+	_, _, plainListed1 := doReq(t, "GET", ts1.URL+"/v1/datasets/"+plain.ID, nil, nil)
+	dedup1 := mineResult(t, ts1, ds.ID, "dedup")
+	fds1 := mineResult(t, ts1, ds.ID, "mine-fds") // leaves FD mine-state behind
+	_, _, listed1 := doReq(t, "GET", ts1.URL+"/v1/datasets/"+ds.ID, nil, nil)
+
+	ts1.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st1.Close()
+
+	if files := dirNames(t, filepath.Join(dir, "datasets")); len(files) != 0 {
+		t.Fatalf("state/datasets holds %v; datasets belong under colstore/ only", files)
+	}
+	if files := dirNames(t, filepath.Join(dir, "colstore")); len(files) != 2 {
+		t.Fatalf("colstore holds %v, want exactly the two datasets' files", files)
+	}
+
+	st2 := openStoreClosed(t, dir)
+	_, ts2 := newTestServer(t, Config{Workers: 1, Store: st2})
+	code, _, listed2 := doReq(t, "GET", ts2.URL+"/v1/datasets/"+ds.ID, nil, nil)
+	if code != http.StatusOK || listed2 != listed1 {
+		t.Fatalf("dataset after restart (%d):\n%s\n--- before\n%s", code, listed2, listed1)
+	}
+	if !strings.Contains(listed2, `"storage": "resident"`) {
+		t.Fatalf("dataset did not come back resident: %s", listed2)
+	}
+	if _, _, plainListed2 := doReq(t, "GET", ts2.URL+"/v1/datasets/"+plain.ID, nil, nil); plainListed2 != plainListed1 {
+		t.Fatalf("never-appended dataset after restart:\n%s\n--- before\n%s", plainListed2, plainListed1)
+	}
+
+	// Same artifacts, served from the durable cache without re-mining.
+	for taskName, want := range map[string]string{"dedup": string(dedup1), "mine-fds": string(fds1)} {
+		var hit JobView
+		if code, body := doJSON(t, "POST", ts2.URL+"/v1/jobs",
+			submitRequest{Dataset: ds.ID, Task: taskName}, &hit); code != http.StatusOK || !hit.CacheHit {
+			t.Fatalf("%s resubmission after restart: %d %s", taskName, code, body)
+		}
+		if got := mineResult(t, ts2, ds.ID, taskName); string(got) != want {
+			t.Fatalf("%s artifact changed across the restart", taskName)
+		}
+	}
+	// A cache hit proves nothing about the restored relation itself: mine
+	// it afresh (different parameters, so a miss) and compare with a
+	// relation parsed from the same CSV on a server with no history.
+	_, fresh := newTestServer(t, Config{Workers: 1})
+	var again Dataset
+	if code, body := doJSON(t, "POST", fresh.URL+"/v1/datasets?name=life", csvOf(rows[:350]), &again); code != http.StatusCreated {
+		t.Fatalf("fresh register: %d %s", code, body)
+	}
+	if got, want := mineResult(t, ts2, ds.ID, "values"), mineResult(t, fresh, again.ID, "values"); !bytes.Equal(got, want) {
+		t.Fatal("values artifact over the restored relation differs from a fresh parse")
+	}
+
+	// Delta re-mining still engages: the FD state of the previous life is
+	// picked up by the first re-mine after the next append.
+	before := metricValue(t, scrapeMetrics(t, ts2.URL), "structmine_append_delta_remine_seconds_count")
+	if code, body := doJSON(t, "POST", ts2.URL+"/v1/datasets/"+ds.ID+"/append", csvOf(rows[350:]), &appended); code != http.StatusOK {
+		t.Fatalf("append after restart: %d %s", code, body)
+	}
+	if appended.Epoch != 2 || appended.Storage != StorageResident || appended.Summary.Tuples != 400 {
+		t.Fatalf("second append: %+v", appended)
+	}
+	delta := mineResult(t, ts2, ds.ID, "mine-fds")
+	if after := metricValue(t, scrapeMetrics(t, ts2.URL), "structmine_append_delta_remine_seconds_count"); after != before+1 {
+		t.Fatalf("delta re-mines %g -> %g, want one more", before, after)
+	}
+	if code, body := doJSON(t, "POST", fresh.URL+"/v1/datasets?name=life", csvOf(rows), &again); code != http.StatusCreated {
+		t.Fatalf("fresh register: %d %s", code, body)
+	}
+	if want := mineResult(t, fresh, again.ID, "mine-fds"); !bytes.Equal(delta, want) {
+		t.Fatal("delta re-mine after a restart differs from a from-scratch mine")
+	}
+}
+
+// TestRecoveryHonoursResidentBudget: at boot a dataset comes back
+// resident while it fits -resident-bytes and stays paged otherwise.
+func TestRecoveryHonoursResidentBudget(t *testing.T) {
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	s1 := New(Config{Workers: 1, Store: st1})
+	var sizes []int64
+	for i := 0; i < 3; i++ {
+		ds, _, err := s1.reg.RegisterCSV(fmt.Sprintf("d%d", i), "upload", csvOf(appendCSVRows(40+i, int64(i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, ds.Bytes)
+	}
+	_ = s1.Shutdown(context.Background())
+	st1.Close()
+
+	// Room for two of the three (they are within a few bytes of each
+	// other), whichever the directory order adopts first.
+	budget := sizes[0] + sizes[1] + sizes[2] - 10
+	st2 := openStore(t, dir)
+	defer st2.Close()
+	s2 := New(Config{Workers: 1, Store: st2, ResidentBytes: budget})
+	defer s2.Shutdown(context.Background())
+	resident := 0
+	for _, ds := range s2.reg.List() {
+		if (ds.rel != nil) != (ds.Storage == StorageResident) {
+			t.Fatalf("dataset %s: storage %q with rel=%v", ds.ID, ds.Storage, ds.rel != nil)
+		}
+		if ds.rel != nil {
+			resident++
+		}
+	}
+	if s2.reg.Len() != 3 || resident != 2 || s2.reg.ResidentBytes() > budget {
+		t.Fatalf("recovered %d datasets, %d resident holding %d of %d budget bytes; want 3, 2",
+			s2.reg.Len(), resident, s2.reg.ResidentBytes(), budget)
+	}
+}
+
+// TestSnapshotMigrationAtBoot covers the one-way migration from the
+// snapshot format: committed v1 and v2 .snap files (written by the last
+// snapshot-writing commit, see internal/store/snapshot_test.go) are each
+// planted in a store's datasets/ directory; after boot the dataset is
+// served from a .col, resident, under the identity the snapshot
+// carried, the .snap is gone, and — for an intent the old build left
+// mid-append — the single replay has applied it exactly once.
+func TestSnapshotMigrationAtBoot(t *testing.T) {
+	const fixtureCSV = "City,DepName,Budget\nBoston,Boston,10\nNULL,Sales,20\n,Sales,10\n\"a,b\",R&D,30\nBoston,Sales,20\n"
+	sum := sha256.Sum256([]byte(fixtureCSV))
+	hash := hex.EncodeToString(sum[:])
+	body := []byte("City,DepName,Budget\nOslo,R&D,\n")
+
+	for _, tc := range []struct {
+		file, wantID string
+		intent       bool
+	}{
+		{"v1.snap", hash[:shortIDLen], false}, // v1 carries no id: a fresh prefix is claimed
+		{"v2.snap", hash[:12], false},
+		{"v2.snap", hash[:12], true},
+	} {
+		t.Run(fmt.Sprintf("%s-intent=%t", tc.file, tc.intent), func(t *testing.T) {
+			dir := t.TempDir()
+			snap, err := os.ReadFile(filepath.Join("..", "store", "testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(filepath.Join(dir, "datasets"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "datasets", hash+".snap"), snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			wantHash, wantEpoch, wantCSV := hash, 0, canonicalCSV(t, []byte(fixtureCSV))
+			if tc.intent {
+				wantHash, wantEpoch = appendHash(hash, body), 1
+				wantCSV = canonicalCSV(t, []byte(fixtureCSV+"Oslo,R&D,\n"))
+				st := openStore(t, dir)
+				if err := st.PutAppendRecord(store.AppendRecord{
+					ID: tc.wantID, Name: "fixture.csv", Source: "upload", OldHash: hash, NewHash: wantHash,
+					Epoch: 1, Bytes: int64(len(fixtureCSV) + len(body)), Rows: body,
+				}); err != nil {
+					t.Fatal(err)
+				}
+				st.Close()
+			}
+
+			for life := 1; life <= 2; life++ {
+				st := openStore(t, dir)
+				s := New(Config{Workers: 1, Store: st})
+				list := s.reg.List()
+				if len(list) != 1 {
+					t.Fatalf("life %d: %d datasets after migration, want 1", life, len(list))
+				}
+				ds := list[0]
+				if ds.ID != tc.wantID || ds.Hash != wantHash || ds.Epoch != wantEpoch || ds.Name != "fixture.csv" ||
+					ds.Storage != StorageResident || ds.colPath != filepath.Join(dir, "colstore", wantHash+colstore.Ext) {
+					t.Fatalf("life %d: migrated dataset %+v (file %s)", life, ds, ds.colPath)
+				}
+				if got := datasetCSV(t, ds); got != wantCSV {
+					t.Fatalf("life %d: migrated rows:\n%s\nwant\n%s", life, got, wantCSV)
+				}
+				if files := dirNames(t, filepath.Join(dir, "datasets")); len(files) != 0 {
+					t.Fatalf("life %d: snapshot survived its migration: %v", life, files)
+				}
+				if files := dirNames(t, filepath.Join(dir, "colstore")); len(files) != 1 {
+					t.Fatalf("life %d: colstore holds %v", life, files)
+				}
+				if left := dirNames(t, filepath.Join(dir, "appends")); len(left) != 0 {
+					t.Fatalf("life %d: intent not settled: %v", life, left)
+				}
+				wantReplays := 0
+				if tc.intent && life == 1 {
+					wantReplays = 1
+				}
+				if _, replays := s.reg.Recovered(); replays != wantReplays {
+					t.Fatalf("life %d: %d intents replayed, want %d", life, replays, wantReplays)
+				}
+				_ = s.Shutdown(context.Background())
+				st.Close()
+			}
+		})
+	}
+}

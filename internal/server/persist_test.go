@@ -10,10 +10,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"structmine/internal/store"
+	"structmine/internal/task"
 )
 
 func openStore(t *testing.T, dir string) *store.Store {
@@ -139,7 +141,7 @@ func TestServerWarmRestart(t *testing.T) {
 	scrape := scrapeMetrics(t, ts2.URL)
 	for _, want := range []string{
 		"structmine_store_recovered_datasets 1",
-		"structmine_store_snapshot_writes_total",
+		"structmine_store_append_replays_total 0",
 		"structmine_store_journal_appends_total",
 	} {
 		if !strings.Contains(scrape, want) {
@@ -149,8 +151,9 @@ func TestServerWarmRestart(t *testing.T) {
 }
 
 // TestRegisterFailsWhenStoreCannotWrite pins durability-before-
-// residency: when the snapshot cannot be written, registration returns
-// 507 store_write_failed and the dataset does not become resident.
+// residency: when the dataset file cannot be written, registration
+// returns 507 store_write_failed and the dataset does not become
+// resident.
 func TestRegisterFailsWhenStoreCannotWrite(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
@@ -160,9 +163,9 @@ func TestRegisterFailsWhenStoreCannotWrite(t *testing.T) {
 	defer ts.Close()
 	defer s.Shutdown(context.Background())
 
-	// Sabotage the datasets directory: replace it with a plain file so
+	// Sabotage the colstore directory: replace it with a plain file so
 	// the atomic-write temp file cannot be created.
-	datasets := filepath.Join(dir, "datasets")
+	datasets := filepath.Join(dir, "colstore")
 	if err := os.RemoveAll(datasets); err != nil {
 		t.Fatal(err)
 	}
@@ -270,5 +273,74 @@ func TestErrorEnvelope(t *testing.T) {
 		if env.Error.Message == "" {
 			t.Errorf("%s %s: empty error message", tc.method, tc.path)
 		}
+	}
+}
+
+// gatedFS blocks reads of artifact files, once armed, until released —
+// a slow disk under the durable cache tier.
+type gatedFS struct {
+	store.FS
+	armed   atomic.Bool
+	entered chan struct{} // one send per blocked read
+	release chan struct{} // closed to let reads through
+}
+
+func (f *gatedFS) ReadFile(path string) ([]byte, error) {
+	if f.armed.Load() && strings.Contains(path, "artifacts") {
+		f.entered <- struct{}{}
+		<-f.release
+	}
+	return f.FS.ReadFile(path)
+}
+
+// TestSubmitDoesNotHoldRunnerLockAcrossDiskRead: a submission whose
+// artifact lives only in the durable tier reads and CRC-checks a file.
+// That read must happen outside the runner's lock — while it is stuck,
+// polls, lists and other submissions keep being answered.
+func TestSubmitDoesNotHoldRunnerLockAcrossDiskRead(t *testing.T) {
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	s1, ts1 := newTestServer(t, Config{Workers: 1, Store: st1})
+	ds := registerDB2(t, ts1)
+	runToDone(t, ts1, ds.ID, "describe") // spills the artifact to disk
+	_ = s1.Shutdown(context.Background())
+	st1.Close()
+
+	gate := &gatedFS{FS: store.OS(), entered: make(chan struct{}), release: make(chan struct{})}
+	st2, err := store.Open(dir, store.Options{FS: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	s2, _ := newTestServer(t, Config{Workers: 1, Store: st2})
+	gate.armed.Store(true)
+
+	submitted := make(chan JobView, 1)
+	go func() {
+		v, err := s2.jobs.Submit(ds.ID, "describe", task.Params{})
+		if err != nil {
+			t.Errorf("submit: %v", err)
+		}
+		submitted <- v
+	}()
+	<-gate.entered // the submission is now inside the disk read
+
+	answered := make(chan struct{})
+	go func() {
+		s2.jobs.List()
+		s2.jobs.QueueDepth()
+		if _, err := s2.jobs.Submit("no-such-dataset", "describe", task.Params{}); err == nil {
+			t.Error("submit for an unknown dataset succeeded")
+		}
+		close(answered)
+	}()
+	select {
+	case <-answered:
+	case <-time.After(10 * time.Second):
+		t.Error("list, queue depth and submit are stuck behind another submission's disk read")
+	}
+	close(gate.release)
+	if v := <-submitted; !v.CacheHit || v.State != StateDone {
+		t.Fatalf("submission after the slow read: %+v, want a done cache hit", v)
 	}
 }

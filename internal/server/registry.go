@@ -46,9 +46,10 @@ const (
 	StoragePaged = "paged"
 )
 
-// Dataset is one registered relation instance. Resident datasets keep
-// the parsed relation in memory; paged datasets keep only a lazily
-// opened colstore handle. The exported (JSON) fields are immutable for
+// Dataset is one registered relation instance. With a durable store
+// every dataset is backed by one colstore file; a resident dataset
+// additionally keeps the parsed relation in memory, a paged one reads
+// the file page-at-a-time. The exported (JSON) fields are immutable for
 // the lifetime of a *Dataset value: tier changes (eviction) replace the
 // registry entry with a new value rather than mutating the old one, so
 // handlers may marshal the pointers they hold without locking.
@@ -72,27 +73,28 @@ type Dataset struct {
 	Source string `json:"source"`
 	// Bytes is the size of the registered CSV source — the residency
 	// cost proxy behind the structmined_dataset_resident_bytes gauge.
-	// For paged and evicted datasets it comes from the snapshot or
-	// colstore header, never from a relation that is no longer resident.
+	// For paged datasets it comes from the colstore tail, never from a
+	// relation that is no longer resident.
 	Bytes int64 `json:"bytes"`
 	// Storage is the dataset's tier: StorageResident or StoragePaged.
 	Storage string               `json:"storage"`
 	Summary *task.DescribeResult `json:"summary"`
 
 	rel     *relation.Relation // resident tier (nil when paged)
-	colPath string             // paged tier: the colstore file
+	colPath string             // the dataset's colstore file ("" without a store)
 
 	// use is the LRU clock cell, shared across tier-change copies of the
 	// same dataset so eviction ordering survives the copy.
 	use *atomic.Int64
 
-	// handle is the lazily opened paged table, behind a pointer so the
-	// struct stays copyable (tests unmarshal Dataset values).
+	// handle is the lazily opened colstore table, behind a pointer so the
+	// struct stays copyable (tests unmarshal Dataset values) and tier
+	// changes share one open file.
 	handle *pagedHandle
 }
 
-// pagedHandle owns a paged dataset's colstore table, opened on first
-// use and kept open for the registry's lifetime.
+// pagedHandle owns a dataset's colstore table, opened on first use and
+// kept open until an append replaces the file.
 type pagedHandle struct {
 	mu    sync.Mutex
 	table *colstore.Table
@@ -119,14 +121,14 @@ func (d *Dataset) Columns() (relation.Columns, error) {
 	return t, nil
 }
 
-// table returns the paged dataset's colstore handle, opening it lazily.
+// table returns the dataset's colstore handle, opening it lazily.
 func (d *Dataset) table() (*colstore.Table, error) {
 	d.handle.mu.Lock()
 	defer d.handle.mu.Unlock()
 	if d.handle.table == nil {
 		t, err := colstore.Open(d.colPath)
 		if err != nil {
-			return nil, fmt.Errorf("server: opening paged dataset %s: %w", d.ID, err)
+			return nil, fmt.Errorf("server: opening dataset file of %s: %w", d.ID, err)
 		}
 		d.handle.table = t
 	}
@@ -146,17 +148,21 @@ type Registry struct {
 
 	// budget caps the total CSV bytes of resident relations (0 =
 	// unlimited). With a store attached, registrations above the budget
-	// are admitted straight to the paged tier, and resident datasets are
-	// evicted to colstore (least recently used first) when the total
-	// exceeds it.
+	// are admitted straight to the paged tier, and resident datasets drop
+	// their in-memory relation (least recently used first) when the
+	// total exceeds it.
 	budget int64
 	useSeq atomic.Int64
 
-	// st, when non-nil, makes registration durable: a dataset snapshot
-	// is written before the relation becomes resident, so a restarted
-	// server re-adopts it without re-parsing the CSV. It also hosts the
-	// colstore directory of the paged tier.
+	// st, when non-nil, makes registration durable: the dataset's
+	// colstore file is written before the relation becomes resident, so
+	// a restarted server re-adopts it without re-parsing the CSV.
 	st *store.Store
+
+	// Boot recovery counters (RecoverAppends, RecoverColstore), guarded
+	// by mu.
+	recovered     int
+	appendReplays int
 
 	// appendMu serializes appends: each one is a multi-step identity
 	// transition (intent record, new artifact, old-state removal), and
@@ -193,7 +199,7 @@ func (g *Registry) assignIDLocked(hash string) string {
 }
 
 // claimIDLocked returns the dataset's stable id: the preferred one
-// (recovered from a snapshot or colstore tail) when it is well-formed
+// (recovered from a colstore tail) when it is well-formed
 // and not claimed by a different lineage, else a fresh hash prefix.
 // The caller holds g.mu.
 func (g *Registry) claimIDLocked(preferred, hash string) string {
@@ -211,6 +217,24 @@ func (g *Registry) pagedTier() bool { return g.st != nil && g.budget > 0 }
 
 func (g *Registry) writeOpts() colstore.WriteOptions {
 	return colstore.WriteOptions{FS: g.st.FS(), Fsync: g.st.FsyncEnabled()}
+}
+
+// writeCol makes a parsed relation durable as its colstore file,
+// returning the path.
+func (g *Registry) writeCol(meta store.DatasetMeta, rel *relation.Relation) (string, error) {
+	dir, err := g.st.ColstoreDir()
+	if err != nil {
+		return "", err
+	}
+	return colstore.WriteFromRelation(dir, meta, rel, g.writeOpts())
+}
+
+// addLocked enters a dataset under its hash and id. The caller holds
+// g.mu.
+func (g *Registry) addLocked(ds *Dataset) {
+	g.byHash[ds.Hash] = ds
+	g.alias[ds.ID] = ds.Hash
+	g.touch(ds)
 }
 
 // touch advances the dataset's LRU clock.
@@ -265,21 +289,20 @@ func (g *Registry) RegisterCSV(name, source string, data []byte) (ds *Dataset, c
 		Bytes: int64(len(data)), Storage: StorageResident, Summary: summary,
 		rel: rel, use: &atomic.Int64{},
 	}
-	// Durability before residency: if the snapshot cannot be written the
-	// registration fails outright, so the server never carries datasets a
-	// restart would silently forget.
+	// Durability before residency: if the dataset file cannot be written
+	// the registration fails outright, so the server never carries
+	// datasets a restart would silently forget.
 	if g.st != nil {
 		meta := store.DatasetMeta{
 			Hash: hash, Name: name, Source: source,
 			Bytes: int64(len(data)), ID: ds.ID,
 		}
-		if err := g.st.SaveDataset(meta, rel); err != nil {
+		if ds.colPath, err = g.writeCol(meta, rel); err != nil {
 			return nil, false, fmt.Errorf("%w: %v", ErrStoreWrite, err)
 		}
+		ds.handle = &pagedHandle{}
 	}
-	g.byHash[hash] = ds
-	g.alias[ds.ID] = hash
-	g.touch(ds)
+	g.addLocked(ds)
 	g.evictLocked()
 	return ds, true, nil
 }
@@ -287,9 +310,9 @@ func (g *Registry) RegisterCSV(name, source string, data []byte) (ds *Dataset, c
 // registerPaged admits over-budget content to the colstore tier: the
 // CSV streams through the bounded-memory ingest into a paged file
 // (skipped when the content-addressed file already exists), and the
-// summary is computed from the value index. No snapshot is written —
-// the colstore tail carries the dataset metadata, so the file is
-// self-describing and re-adopted at boot.
+// summary is computed from the value index. The colstore tail carries
+// the dataset metadata, so the file is self-describing and re-adopted
+// at boot.
 func (g *Registry) registerPaged(name, source, hash string, data []byte) (*Dataset, bool, error) {
 	dir, err := g.st.ColstoreDir()
 	if err != nil {
@@ -309,45 +332,32 @@ func (g *Registry) registerPaged(name, source, hash string, data []byte) (*Datas
 			return nil, false, err
 		}
 	}
-	tbl, err := colstore.Open(path)
+	ds, err := g.openCol(path, hash)
 	if err != nil {
-		g.st.Quarantine(path)
-		return nil, false, fmt.Errorf("%w: %v", ErrStoreWrite, err)
-	}
-	summary, err := task.DescribeColumns(tbl)
-	if err != nil {
-		tbl.Close()
-		g.st.Quarantine(path)
-		return nil, false, fmt.Errorf("%w: %v", ErrStoreWrite, err)
+		return nil, false, err
 	}
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if prior, ok := g.byHash[hash]; ok {
-		tbl.Close()
+		ds.handle.table.Close()
 		return prior, false, nil
 	}
 	if g.max > 0 && len(g.byHash) >= g.max {
-		tbl.Close()
+		ds.handle.table.Close()
 		return nil, false, fmt.Errorf("%w (%d resident)", ErrDatasetLimit, len(g.byHash))
 	}
-	ds := &Dataset{
-		ID: g.claimIDLocked(meta.ID, hash), Name: name, Hash: hash, Source: source,
-		Bytes: meta.Bytes, Storage: StoragePaged, Summary: summary,
-		colPath: path, use: &atomic.Int64{}, handle: &pagedHandle{table: tbl},
-	}
-	g.byHash[hash] = ds
-	g.alias[ds.ID] = hash
-	g.touch(ds)
+	ds.ID = g.claimIDLocked(ds.ID, hash)
+	g.addLocked(ds)
 	return ds, true, nil
 }
 
-// evictLocked pages resident relations out to colstore files, least
-// recently used first, until the resident total fits the budget. An
-// evicted dataset keeps its id, summary and cache keys; its registry
-// entry is replaced by a paged copy whose colstore handle reopens
-// lazily on next use. Requires the paged tier; a write failure stops
-// eviction (the dataset simply stays resident). The caller holds g.mu.
+// evictLocked drops the in-memory relation of resident datasets, least
+// recently used first, until the resident total fits the budget. The
+// dataset's colstore file already exists (durability before
+// residency), so eviction writes nothing: the registry entry is
+// replaced by a paged copy that keeps the id, summary, cache keys and
+// file handle. Requires the paged tier. The caller holds g.mu.
 func (g *Registry) evictLocked() {
 	if !g.pagedTier() {
 		return
@@ -355,73 +365,58 @@ func (g *Registry) evictLocked() {
 	for g.residentBytesLocked() > g.budget {
 		var victim *Dataset
 		for _, ds := range g.byHash {
-			if ds.rel == nil {
-				continue
-			}
-			if victim == nil || ds.use.Load() < victim.use.Load() {
+			if ds.rel != nil && (victim == nil || ds.use.Load() < victim.use.Load()) {
 				victim = ds
 			}
 		}
 		if victim == nil {
 			return
 		}
-		dir, err := g.st.ColstoreDir()
-		if err != nil {
-			return
-		}
-		path := filepath.Join(dir, victim.Hash+colstore.Ext)
-		if _, err := os.Stat(path); err != nil {
-			meta := store.DatasetMeta{
-				Hash: victim.Hash, Name: victim.Name, Source: victim.Source,
-				Bytes: victim.Bytes, ID: victim.ID, Epoch: victim.Epoch,
-			}
-			if _, err := colstore.WriteFromRelation(dir, meta, victim.rel, g.writeOpts()); err != nil {
-				return
-			}
-		}
-		paged := &Dataset{
-			ID: victim.ID, Name: victim.Name, Hash: victim.Hash, Epoch: victim.Epoch,
-			Source: victim.Source, Bytes: victim.Bytes, Storage: StoragePaged,
-			Summary: victim.Summary, colPath: path, use: victim.use, handle: &pagedHandle{},
-		}
-		g.byHash[victim.Hash] = paged
+		paged := *victim
+		paged.rel, paged.Storage = nil, StoragePaged
+		g.byHash[victim.Hash] = &paged
 	}
 }
 
-// Adopt makes a dataset recovered from the durable store resident
-// without re-writing its snapshot. Instance statistics are recomputed
-// from the decoded relation; the source size comes from the snapshot
-// header, not the decoded instance. Already-resident content is
-// returned as is; the dataset cap still applies (a nil return means the
-// snapshot stays on disk but is not adopted). Adoption honors the
-// resident budget: over-budget relations are paged back out right away.
-func (g *Registry) Adopt(meta store.DatasetMeta, rel *relation.Relation) *Dataset {
-	summary := task.Describe(rel)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if prior, ok := g.byHash[meta.Hash]; ok {
-		return prior
+// openCol opens a colstore file as a not-yet-registered paged dataset:
+// identity, metadata and summary all come from the self-describing
+// file. A file that does not open, names another hash, or cannot be
+// described is quarantined. ID holds the id the file prefers; the
+// caller claims it under g.mu.
+func (g *Registry) openCol(path, hash string) (*Dataset, error) {
+	fail := func(err error) (*Dataset, error) {
+		g.st.Quarantine(path)
+		return nil, fmt.Errorf("%w: %v", ErrStoreWrite, err)
 	}
-	if g.max > 0 && len(g.byHash) >= g.max {
-		return nil
+	tbl, err := colstore.Open(path)
+	if err != nil {
+		return fail(err)
 	}
-	ds := &Dataset{
-		ID: g.claimIDLocked(meta.ID, meta.Hash), Name: meta.Name, Hash: meta.Hash,
-		Epoch: meta.Epoch, Source: meta.Source, Bytes: meta.Bytes,
-		Storage: StorageResident, Summary: summary, rel: rel, use: &atomic.Int64{},
+	meta := tbl.Meta()
+	if meta.Hash != hash {
+		tbl.Close()
+		return fail(fmt.Errorf("%s holds dataset %s", path, meta.Hash))
 	}
-	g.byHash[meta.Hash] = ds
-	g.alias[ds.ID] = meta.Hash
-	g.touch(ds)
-	g.evictLocked()
-	return g.byHash[meta.Hash]
+	summary, err := task.DescribeColumns(tbl)
+	if err != nil {
+		tbl.Close()
+		return fail(err)
+	}
+	return &Dataset{
+		ID: meta.ID, Name: meta.Name, Hash: hash, Epoch: meta.Epoch,
+		Source: meta.Source, Bytes: meta.Bytes, Storage: StoragePaged,
+		Summary: summary, colPath: path, use: &atomic.Int64{},
+		handle: &pagedHandle{table: tbl},
+	}, nil
 }
 
 // RecoverColstore sweeps the colstore directory at boot: leftover temp
 // files are removed, foreign or corrupt files are quarantined, and
-// every valid paged file whose content is not already registered is
-// adopted as a paged dataset. Call after snapshot adoption so datasets
-// holding both a snapshot and a paged file prefer the resident tier.
+// every valid file whose content is not already registered is adopted
+// — re-materialised as a resident relation (value ids preserved) while
+// it fits the resident budget, left paged otherwise. Call after
+// RecoverAppends so the sweep only sees the settled side of each
+// lineage.
 func (g *Registry) RecoverColstore() {
 	if g.st == nil {
 		return
@@ -450,44 +445,39 @@ func (g *Registry) RecoverColstore() {
 		hash := strings.TrimSuffix(e.Name(), colstore.Ext)
 		g.mu.RLock()
 		_, known := g.byHash[hash]
+		full := g.max > 0 && len(g.byHash) >= g.max
 		g.mu.RUnlock()
-		if known {
+		if known || full {
 			continue
 		}
-		tbl, err := colstore.Open(path)
+		ds, err := g.openCol(path, hash)
 		if err != nil {
-			g.st.Quarantine(path)
 			continue
 		}
-		meta := tbl.Meta()
-		if meta.Hash != hash {
-			tbl.Close()
-			g.st.Quarantine(path)
-			continue
-		}
-		summary, err := task.DescribeColumns(tbl)
-		if err != nil {
-			tbl.Close()
-			g.st.Quarantine(path)
-			continue
+		if g.budget == 0 || g.ResidentBytes()+ds.Bytes <= g.budget {
+			if ds.rel, err = ds.handle.table.Relation(); err != nil {
+				ds.handle.table.Close()
+				g.st.Quarantine(path)
+				continue
+			}
+			// Same summary as at registration: computed from the relation
+			// (the file-derived one agrees only within ulps).
+			ds.Storage, ds.Summary = StorageResident, task.Describe(ds.rel)
 		}
 		g.mu.Lock()
-		if _, ok := g.byHash[hash]; ok || (g.max > 0 && len(g.byHash) >= g.max) {
-			g.mu.Unlock()
-			tbl.Close()
-			continue
-		}
-		ds := &Dataset{
-			ID: g.claimIDLocked(meta.ID, hash), Name: meta.Name, Hash: hash,
-			Epoch: meta.Epoch, Source: meta.Source, Bytes: meta.Bytes,
-			Storage: StoragePaged, Summary: summary, colPath: path,
-			use: &atomic.Int64{}, handle: &pagedHandle{table: tbl},
-		}
-		g.byHash[hash] = ds
-		g.alias[ds.ID] = hash
-		g.touch(ds)
+		ds.ID = g.claimIDLocked(ds.ID, hash)
+		g.addLocked(ds)
+		g.recovered++
 		g.mu.Unlock()
 	}
+}
+
+// Recovered reports what the last boot's recovery did: datasets adopted
+// from colstore files, and append intents settled by replay.
+func (g *Registry) Recovered() (datasets, appendReplays int) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.recovered, g.appendReplays
 }
 
 // RegisterPath reads a CSV file from the server's filesystem and

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"structmine/internal/cluster"
@@ -10,8 +9,8 @@ import (
 // Cluster routing glue. With Config.Router set every node serves in
 // router mode: dataset-scoped requests whose rendezvous owner is
 // another replica are proxied there over the same /v1 wire protocol,
-// and job-id requests unknown locally are resolved through the
-// router's route memory or a one-hop scatter. Three invariants:
+// and job-id requests go to the node whose tag the id carries. Three
+// invariants:
 //
 //   - local first: a dataset registered on this node is always served
 //     from local state (counted as an owner move when the rendezvous
@@ -42,71 +41,36 @@ func (s *Server) routeDataset(w http.ResponseWriter, r *http.Request, idOrHash s
 	if owner.ID == rt.Self().ID {
 		return false // we own it (registered or not) — answer locally
 	}
-	if !rt.Prober().Healthy(owner.ID) {
-		writeErrFor(w, cluster.ErrPeerUnavailable)
-		return true
-	}
-	if _, _, handled := rt.Forward(w, r, owner, body); !handled {
-		writeErrFor(w, cluster.ErrPeerUnavailable)
-	}
+	s.proxyTo(w, r, owner, body)
 	return true
 }
 
-// routeJob resolves a job-id request that this node cannot answer.
-// Job ids are node-local (the submitting node numbers them), so there
-// is no rendezvous owner to compute; instead the router remembers
-// which peer answered each proxied submission, and falls back to a
-// one-hop scatter across the healthy peers. It reports true when a
-// peer's response was relayed; false means answer locally (which for
-// an unknown id is the usual 404).
+// proxyTo relays the request to a peer, or answers 503 peer_unavailable
+// when the peer is (or turns out to be) down.
+func (s *Server) proxyTo(w http.ResponseWriter, r *http.Request, peer cluster.Node, body []byte) {
+	rt := s.cfg.Router
+	if !rt.Prober().Healthy(peer.ID) || !rt.Forward(w, r, peer, body) {
+		writeErrFor(w, cluster.ErrPeerUnavailable)
+	}
+}
+
+// routeJob applies cluster routing for a job-id request. Job ids
+// minted in router mode carry their node's tag (cluster.JobTag), so the
+// owner is read off the id: a peer's id is proxied there, our own — or
+// an untagged id, which no peer can know — is answered locally (which
+// for an unknown id is the usual 404). It reports true when the request
+// was fully handled here.
 func (s *Server) routeJob(w http.ResponseWriter, r *http.Request, jobID string) bool {
 	rt := s.cfg.Router
 	if rt == nil || cluster.Hopped(r) {
 		return false
 	}
-	if _, ok := s.jobs.Get(jobID); ok {
+	owner, ok := rt.JobOwner(jobID)
+	if !ok || owner.ID == rt.Self().ID {
 		return false
 	}
-	// Remembered route first: the peer that accepted the submission.
-	if peerID, ok := rt.RouteFor(jobID); ok && rt.Prober().Healthy(peerID) {
-		for _, n := range rt.Table().Nodes() {
-			if n.ID != peerID {
-				continue
-			}
-			if status, header, data, err := rt.Fetch(r, n, nil); err == nil {
-				cluster.Relay(w, status, header, data)
-				return true
-			}
-			break // owner down — fall through to the scatter
-		}
-	}
-	// Scatter: ask every healthy peer; the first one that recognizes
-	// the id answers, and the route is remembered for later polls.
-	for _, n := range rt.HealthyPeers() {
-		status, header, data, err := rt.Fetch(r, n, nil)
-		if err != nil || status == http.StatusNotFound {
-			continue
-		}
-		rt.RememberRoute(jobID, n.ID)
-		cluster.Relay(w, status, header, data)
-		return true
-	}
-	return false
-}
-
-// rememberSubmittedJob parses a proxied job submission's response and
-// records which peer owns the new job id, so later polls skip the
-// scatter.
-func (s *Server) rememberSubmittedJob(peerID string, status int, body []byte) {
-	if status != http.StatusOK && status != http.StatusAccepted {
-		return
-	}
-	var v struct {
-		ID string `json:"id"`
-	}
-	if json.Unmarshal(body, &v) == nil && v.ID != "" {
-		s.cfg.Router.RememberRoute(v.ID, peerID)
-	}
+	s.proxyTo(w, r, owner, nil)
+	return true
 }
 
 // nodeID returns this node's cluster identity ("" outside router

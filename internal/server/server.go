@@ -73,9 +73,9 @@ type Config struct {
 	// memory (0 = unlimited). It needs Store: registrations above the
 	// budget are admitted out of core — streamed into a colstore file
 	// and served page-at-a-time ("storage":"paged") — and resident
-	// datasets are evicted to colstore, least recently used first, when
-	// the total exceeds the budget. Evicted datasets keep their id and
-	// summary; their paged handles reopen lazily.
+	// datasets drop their in-memory relation, least recently used first,
+	// when the total exceeds the budget. Evicted datasets keep their id,
+	// summary and colstore file.
 	ResidentBytes int64
 	// PrimCacheBytes caps the (hash, epoch, attribute)-keyed primitive
 	// cache serving single-attribute partitions, marginal entropies, and
@@ -94,9 +94,9 @@ type Config struct {
 	EnablePprof bool
 	// Router, when non-nil, puts the server in cluster (router) mode:
 	// dataset-scoped requests whose rendezvous owner is another replica
-	// are transparently proxied there, and job-id requests unknown
-	// locally are resolved via the router's route memory or a one-hop
-	// scatter. Node-local surfaces (/v1/healthz, /v1/metrics) are never
+	// are transparently proxied there, job ids carry the minting node's
+	// tag, and a job-id request for a peer's id is proxied to that peer.
+	// Node-local surfaces (/v1/healthz, /v1/metrics) are never
 	// proxied. The router's lifecycle (Close) belongs to the caller.
 	Router *cluster.Router
 	// Tenant bounds per-tenant admission (X-Tenant header; zero values
@@ -107,8 +107,8 @@ type Config struct {
 	// -serve-deprecated=false). The default keeps serving them with
 	// Deprecation and Sunset headers.
 	DisableDeprecated bool
-	// Store, when non-nil, makes the server durable: dataset snapshots
-	// are written before a registration is acknowledged, completed
+	// Store, when non-nil, makes the server durable: a dataset's colstore
+	// file is written before its registration is acknowledged, completed
 	// artifacts spill to disk, terminal jobs are journaled, and New
 	// replays all three so a restarted server answers for its previous
 	// life (the daemon's -persist flag). Nil keeps every piece of state
@@ -164,9 +164,9 @@ type Server struct {
 
 // New assembles a server and starts its worker pool. With a durable
 // store configured, the store's recovered state is adopted before the
-// first request: snapshots become resident datasets, journal records
-// become poll-able terminal jobs, and disk artifacts answer repeated
-// queries as cache hits.
+// first request: colstore files become datasets again (resident while
+// they fit the budget), journal records become poll-able terminal jobs,
+// and disk artifacts answer repeated queries as cache hits.
 func New(cfg Config) *Server {
 	cfg = cfg.normalized()
 	s := &Server{
@@ -180,12 +180,21 @@ func New(cfg Config) *Server {
 	s.cache.st = cfg.Store
 	s.jobs = NewRunner(s.reg, s.cache, cfg.Store, exec.NewScheduler(cfg.Procs), primcache.New(cfg.PrimCacheBytes),
 		cfg.Tenant, cfg.Workers, cfg.QueueDepth, cfg.JobTimeout, cfg.MaxJobs)
+	if cfg.Router != nil {
+		// Job sequences are node-local: qualify the ids so a peer that
+		// proxies for this node can tell our jobs from its own.
+		s.jobs.idPrefix = "job-" + cluster.JobTag(cfg.Router.Self().ID) + "-"
+	}
 	if cfg.Store != nil {
-		for _, ld := range cfg.Store.Datasets() {
-			s.reg.Adopt(ld.Meta, ld.Rel)
-		}
-		// Settle paged-tier append intents before sweeping the colstore
-		// directory, so the sweep only ever sees one side of a torn append.
+		// One boot path. Snapshot files an older build left are first
+		// rewritten as colstore files (a snapshot that fails to migrate
+		// stays on disk for the next boot, so the error needs no handling
+		// here); append intents are settled next, so the directory sweep
+		// only ever sees one side of a torn append.
+		_ = cfg.Store.MigrateSnapshots(func(meta store.DatasetMeta, rel *relation.Relation) error {
+			_, err := s.reg.writeCol(meta, rel)
+			return err
+		})
 		s.reg.RecoverAppends()
 		s.reg.RecoverColstore()
 		s.jobs.Preload(cfg.Store.Jobs())
@@ -260,12 +269,6 @@ func (s *Server) registerStoreMetrics(st *store.Store) {
 		name, help string
 		read       func(store.Stats) float64
 	}{
-		{"structmine_store_snapshot_writes_total",
-			"Dataset snapshots written durably.",
-			func(t store.Stats) float64 { return float64(t.SnapshotWrites) }},
-		{"structmine_store_snapshot_write_errors_total",
-			"Dataset snapshot writes that failed.",
-			func(t store.Stats) float64 { return float64(t.SnapshotWriteErr) }},
 		{"structmine_store_artifact_writes_total",
 			"Artifacts spilled to the durable tier.",
 			func(t store.Stats) float64 { return float64(t.ArtifactWrites) }},
@@ -287,9 +290,6 @@ func (s *Server) registerStoreMetrics(st *store.Store) {
 		{"structmine_store_append_record_writes_total",
 			"Append intent records written durably.",
 			func(t store.Stats) float64 { return float64(t.AppendRecordWrites) }},
-		{"structmine_store_append_replays_total",
-			"Append intents replayed against the snapshot tier at the last boot.",
-			func(t store.Stats) float64 { return float64(t.AppendReplays) }},
 	}
 	for _, c := range counters {
 		read := c.read
@@ -308,9 +308,6 @@ func (s *Server) registerStoreMetrics(st *store.Store) {
 		{"structmine_store_journal_records",
 			"Job records in the journal (recovered + appended this run).",
 			func(t store.Stats) float64 { return float64(t.JournalRecords) }},
-		{"structmine_store_recovered_datasets",
-			"Dataset snapshots recovered at the last boot.",
-			func(t store.Stats) float64 { return float64(t.RecoveredDatasets) }},
 		{"structmine_store_recovered_artifacts",
 			"Artifacts recovered at the last boot.",
 			func(t store.Stats) float64 { return float64(t.RecoveredArtifacts) }},
@@ -325,6 +322,17 @@ func (s *Server) registerStoreMetrics(st *store.Store) {
 		read := g.read
 		m.GaugeFunc(g.name, g.help, func() float64 { return read(st.Stats()) })
 	}
+	// Dataset recovery is the registry's work, not the store's.
+	m.CounterFunc("structmine_store_append_replays_total",
+		"Append intents replayed against their dataset files at the last boot.", func() float64 {
+			_, replays := s.reg.Recovered()
+			return float64(replays)
+		})
+	m.GaugeFunc("structmine_store_recovered_datasets",
+		"Datasets recovered from their colstore files at the last boot.", func() float64 {
+			datasets, _ := s.reg.Recovered()
+			return float64(datasets)
+		})
 }
 
 // resolveDataPath validates a client-supplied registration path against

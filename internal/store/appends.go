@@ -6,33 +6,18 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"strings"
-
-	"structmine/internal/relation"
 )
 
 // Dataset appends are made crash-safe with intent records: the record —
 // carrying the appended CSV body and the identity transition (old hash,
 // new hash, epoch) — is durably written BEFORE any dataset state
-// changes, and retired only after the new snapshot (or paged file)
-// exists and the old one is gone. Recovery replays surviving records:
-//
-//   - new snapshot already present  → the append applied; drop the old
-//     snapshot and retire the record (crash landed between publish and
-//     retire);
-//   - only the old snapshot present → re-apply the body and publish the
-//     new snapshot (crash landed between intent and publish);
-//   - neither present → the dataset is paged (or gone); the record is
-//     left for the server's colstore-aware recovery pass.
-//
-// Each step is idempotent, so a crash during recovery itself re-enters
-// the same protocol: appended rows are never lost and never applied
-// twice.
+// changes, and retired only after the new dataset file exists and the
+// old one is gone. The store keeps the records; the server's registry
+// replays the survivors at boot against the colstore directory
+// (server.Registry.RecoverAppends), where each step is idempotent, so
+// appended rows are never lost and never applied twice.
 
-const (
-	appendsDirName = "appends"
-	appendExt      = ".apd"
-)
+const appendExt = ".apd"
 
 // AppendRecord is one durable append intent.
 type AppendRecord struct {
@@ -88,14 +73,12 @@ func (s *Store) RetireAppendRecord(newHash string) error {
 	return nil
 }
 
-// AppendRecords returns the intents still pending after Open's resident
-// replay — appends against paged (snapshot-less) datasets, which the
-// server replays once the colstore tier is recovered.
+// AppendRecords returns the intents found at Open — appends whose
+// protocol a crash interrupted — for the server to replay.
 func (s *Store) AppendRecords() []AppendRecord { return s.pendingAppends }
 
-// recoverAppends replays append intents against the snapshot tier. It
-// runs before recoverDatasets so adoption only ever sees the post-append
-// state of a lineage, never both sides of a torn append.
+// recoverAppends loads the surviving append intents; malformed or
+// misnamed records are quarantined.
 func (s *Store) recoverAppends() error {
 	names, err := s.fsys.ReadDir(s.appendsDir)
 	if err != nil {
@@ -108,72 +91,11 @@ func (s *Store) recoverAppends() error {
 			return fmt.Errorf("store: reading %s: %w", path, err)
 		}
 		var rec AppendRecord
-		if jerr := json.Unmarshal(data, &rec); jerr != nil || !rec.valid() ||
-			!strings.HasSuffix(name, appendExt) || rec.NewHash+appendExt != name {
+		if jerr := json.Unmarshal(data, &rec); jerr != nil || !rec.valid() || rec.NewHash+appendExt != name {
 			s.quarantine(path)
 			continue
 		}
-		switch applied, err := s.replayAppend(rec); {
-		case err != nil:
-			// The record references a resident lineage but cannot apply
-			// (corrupt body, schema drift): keep the pre-append state.
-			s.quarantine(path)
-		case applied:
-			s.appendReplays++
-			if rerr := s.RetireAppendRecord(rec.NewHash); rerr != nil {
-				return rerr
-			}
-		default:
-			// No snapshot on either side: a paged-tier append, replayed by
-			// the server once the colstore directory is recovered.
-			s.pendingAppends = append(s.pendingAppends, rec)
-		}
+		s.pendingAppends = append(s.pendingAppends, rec)
 	}
 	return nil
-}
-
-// replayAppend applies one intent against the snapshot tier, reporting
-// whether the record is settled (true) or must wait for the paged tier
-// (false, nil error).
-func (s *Store) replayAppend(rec AppendRecord) (bool, error) {
-	oldPath := filepath.Join(s.datasetsDir, rec.OldHash+snapshotExt)
-	newPath := filepath.Join(s.datasetsDir, rec.NewHash+snapshotExt)
-	if data, err := s.fsys.ReadFile(newPath); err == nil {
-		if _, _, derr := decodeSnapshot(data); derr == nil {
-			// Applied before the crash; finish the cleanup half.
-			return true, s.RemoveDataset(rec.OldHash)
-		}
-		s.quarantine(newPath)
-	}
-	data, err := s.fsys.ReadFile(oldPath)
-	if err != nil {
-		return false, nil // not a snapshot-tier lineage
-	}
-	meta, rel, err := decodeSnapshot(data)
-	if err != nil {
-		s.quarantine(oldPath)
-		return false, nil
-	}
-	rel2, _, err := relation.AppendCSV(rel, rec.Rows, relation.Limits{})
-	if err != nil {
-		return false, fmt.Errorf("store: replaying append onto %s: %w", rec.OldHash, err)
-	}
-	id := rec.ID
-	if id == "" {
-		id = meta.ID
-	}
-	meta2 := DatasetMeta{
-		Hash: rec.NewHash, Name: rec.Name, Source: rec.Source,
-		Bytes: rec.Bytes, ID: id, Epoch: rec.Epoch,
-	}
-	if meta2.Name == "" {
-		meta2.Name = meta.Name
-	}
-	if meta2.Source == "" {
-		meta2.Source = meta.Source
-	}
-	if err := s.SaveDataset(meta2, rel2); err != nil {
-		return false, err
-	}
-	return true, s.RemoveDataset(rec.OldHash)
 }

@@ -3,168 +3,67 @@ package store
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-
-	"structmine/internal/relation"
 )
 
-const apBase = "A,B\n1,x\n2,y\n3,x\n"
 const apTail = "A,B\n4,z\n2,y\n"
 
-func apRelation(t *testing.T, csv string) *relation.Relation {
-	t.Helper()
-	rel, err := relation.ReadCSV("ds", strings.NewReader(csv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rel
-}
-
-// seedAppend stages a dataset snapshot plus an append intent record in
-// dir, returning the record. Pass stage to control which side(s) of the
-// append exist on disk: "old", "new", "both", or "none".
-func seedAppend(t *testing.T, dir, stage string) AppendRecord {
-	t.Helper()
+// TestAppendRecordsSurfaceAtOpen: the store replays nothing itself — a
+// surviving intent is handed to the server whole (the replay against
+// the dataset files is server.Registry.RecoverAppends, enumerated crash
+// by crash in server/crash_test.go) — while a malformed or misnamed
+// record is quarantined rather than surfaced.
+func TestAppendRecordsSurfaceAtOpen(t *testing.T) {
+	dir := t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := AppendRecord{
 		ID: "stable-id", Name: "ds", Source: "upload",
-		OldHash: "aaaa", NewHash: "bbbb", Epoch: 1,
-		Bytes: int64(len(apBase) + len(apTail)), Rows: []byte(apTail),
-	}
-	old := apRelation(t, apBase)
-	if stage == "old" || stage == "both" {
-		meta := DatasetMeta{Hash: rec.OldHash, Name: "ds", Source: "upload", Bytes: int64(len(apBase)), ID: rec.ID}
-		if err := s.SaveDataset(meta, old); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if stage == "new" || stage == "both" {
-		applied, _, err := relation.AppendCSV(old, rec.Rows, relation.Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		meta := DatasetMeta{Hash: rec.NewHash, Name: "ds", Source: "upload", Bytes: rec.Bytes, ID: rec.ID, Epoch: rec.Epoch}
-		if err := s.SaveDataset(meta, applied); err != nil {
-			t.Fatal(err)
-		}
+		OldHash: "aaaa", NewHash: "bbbb", Epoch: 1, Bytes: 42, Rows: []byte(apTail),
 	}
 	if err := s.PutAppendRecord(rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return rec
-}
-
-// TestAppendReplayCrashWindows drives boot recovery through every crash
-// window of the append protocol and checks the invariant the smoke test
-// asserts end-to-end: rows are neither lost nor applied twice.
-func TestAppendReplayCrashWindows(t *testing.T) {
-	for _, stage := range []string{"old", "both", "new"} {
-		t.Run(stage, func(t *testing.T) {
-			dir := t.TempDir()
-			rec := seedAppend(t, dir, stage)
-			s, err := Open(dir, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			ds := s.Datasets()
-			if len(ds) != 1 {
-				t.Fatalf("recovered %d datasets, want 1", len(ds))
-			}
-			got := ds[0]
-			if got.Meta.Hash != rec.NewHash || got.Meta.Epoch != 1 || got.Meta.ID != "stable-id" {
-				t.Fatalf("recovered meta %+v, want new hash/epoch/id", got.Meta)
-			}
-			if got.Rel.N() != 5 { // 3 base + 2 appended, exactly once
-				t.Fatalf("recovered %d rows, want 5", got.Rel.N())
-			}
-			want := apRelation(t, apBase+"4,z\n2,y\n")
-			for tt := 0; tt < want.N(); tt++ {
-				for a := 0; a < want.M(); a++ {
-					if got.Rel.Value(tt, a) != want.Value(tt, a) {
-						t.Fatalf("row %d attr %d: id %d, want %d", tt, a, got.Rel.Value(tt, a), want.Value(tt, a))
-					}
-				}
-			}
-			if len(s.AppendRecords()) != 0 {
-				t.Fatalf("record not retired: %v", s.AppendRecords())
-			}
-			if _, err := os.Stat(filepath.Join(dir, "appends", rec.NewHash+appendExt)); !os.IsNotExist(err) {
-				t.Fatalf("record file still present (err=%v)", err)
-			}
-			if _, err := os.Stat(filepath.Join(dir, "datasets", rec.OldHash+snapshotExt)); !os.IsNotExist(err) {
-				t.Fatal("old snapshot still present")
-			}
-			// Recovery must be idempotent: a second boot changes nothing.
-			s.Close()
-			s2, err := Open(dir, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			if len(s2.Datasets()) != 1 || s2.Datasets()[0].Rel.N() != 5 {
-				t.Fatal("second recovery drifted")
-			}
-		})
-	}
-}
-
-// TestAppendReplayLeavesPagedRecords checks that an intent with no
-// snapshot on either side (a paged-tier append) is surfaced to the
-// server instead of being applied or dropped.
-func TestAppendReplayLeavesPagedRecords(t *testing.T) {
-	dir := t.TempDir()
-	rec := seedAppend(t, dir, "none")
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	pending := s.AppendRecords()
-	if len(pending) != 1 || pending[0].NewHash != rec.NewHash || string(pending[0].Rows) != apTail {
-		t.Fatalf("pending = %+v, want the paged record", pending)
-	}
-}
-
-// TestAppendReplayQuarantinesBadRecords: a record whose body cannot
-// apply to its resident lineage (schema drift) must be quarantined, and
-// the pre-append snapshot kept.
-func TestAppendReplayQuarantinesBadRecords(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta := DatasetMeta{Hash: "aaaa", Name: "ds", ID: "stable-id"}
-	if err := s.SaveDataset(meta, apRelation(t, apBase)); err != nil {
-		t.Fatal(err)
-	}
-	rec := AppendRecord{ID: "stable-id", OldHash: "aaaa", NewHash: "cccc", Epoch: 1, Rows: []byte("X,Y,Z\n1,2,3\n")}
-	if err := s.PutAppendRecord(rec); err != nil {
-		t.Fatal(err)
+	if err := s.PutAppendRecord(AppendRecord{OldHash: "aaaa", NewHash: "../x", Epoch: 1, Rows: []byte(apTail)}); err == nil {
+		t.Fatal("path-escaping hash accepted")
 	}
 	s.Close()
+	good, err := os.ReadFile(filepath.Join(dir, "appends", "bbbb"+appendExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"cccc" + appendExt: good,                // valid record under the wrong name
+		"dddd" + appendExt: []byte("{not json"), // torn or foreign bytes
+		"eeee" + appendExt: []byte(`{"old_hash":"aaaa","new_hash":"eeee","epoch":0,"rows":"QQ=="}`),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, "appends", name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	ds := s2.Datasets()
-	if len(ds) != 1 || ds[0].Meta.Hash != "aaaa" || ds[0].Rel.N() != 3 {
-		t.Fatalf("pre-append snapshot not preserved: %+v", ds)
+	pending := s2.AppendRecords()
+	if len(pending) != 1 || pending[0].NewHash != rec.NewHash || pending[0].ID != rec.ID || string(pending[0].Rows) != apTail {
+		t.Fatalf("pending = %+v, want the one valid record", pending)
 	}
-	if len(s2.AppendRecords()) != 0 {
-		t.Fatal("bad record not quarantined")
+	if got := s2.Stats().Quarantined; got != 3 {
+		t.Fatalf("Quarantined = %d, want 3", got)
 	}
-	if s2.Stats().Quarantined == 0 {
-		t.Fatal("quarantine counter did not advance")
+	if err := s2.RetireAppendRecord(rec.NewHash); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.RetireAppendRecord(rec.NewHash); err != nil {
+		t.Fatalf("retiring a retired record: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "appends", rec.NewHash+appendExt)); !os.IsNotExist(err) {
+		t.Fatalf("record file still present (err=%v)", err)
 	}
 }
 

@@ -5,97 +5,80 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"math"
+	"path/filepath"
 
 	"structmine/internal/relation"
 )
 
-// The dataset snapshot is a versioned binary image of a parsed
-// relation.Relation plus its registration metadata:
+// The dataset snapshot (<hash>.snap under datasets/) is the format
+// releases before the single .col format kept resident datasets in: a
+// versioned binary image of a parsed relation.Relation plus its
+// registration metadata:
 //
 //	magic "SMSN" | uint16 version | payload | uint32 CRC32-IEEE
 //
 // The payload is a sequence of uvarint-length-prefixed strings and
-// uvarint counts followed by the n×m little-endian int32 row block. The
-// trailing CRC covers the magic, version, and payload, so any torn or
-// bit-flipped file is rejected before parsing. Value ids are stored in
-// interning order, which makes the round trip bit-identical: restoring
-// a snapshot yields the same dictionary, the same ids, and the same
-// WriteCSV bytes as the original parse.
+// uvarint counts followed by the n×m little-endian int32 row block; the
+// trailing CRC covers the magic, version, and payload. Value ids are
+// stored in interning order, so a decoded relation carries the ids of
+// the original parse.
+//
+// This build never writes the format. It keeps the decoder for one
+// release as a one-way boot migration (MigrateSnapshots); this file is
+// the store's only use of internal/relation and goes with the decoder.
 
 var snapshotMagic = [4]byte{'S', 'M', 'S', 'N'}
 
-// snapshotVersion is bumped on any incompatible format change. Version
-// 2 added the stable dataset id and the append epoch after the source
-// size; version 1 snapshots still decode (id empty, epoch zero), newer
-// versions are rejected (the daemon re-registers from source) rather
-// than guessed at.
+// snapshotVersion is the newest version the decoder reads. Version 2
+// added the stable dataset id and the append epoch after the source
+// size; version 1 snapshots decode with id empty and epoch zero.
 const snapshotVersion = 2
 
+const snapshotExt = ".snap"
+
 // ErrCorruptSnapshot reports a snapshot that failed its checksum or
-// structural validation; the store quarantines such files on load.
+// structural validation; the migration quarantines such files.
 var ErrCorruptSnapshot = errors.New("store: corrupt snapshot")
 
-// DatasetMeta is the registration metadata persisted alongside the
-// relation image.
-type DatasetMeta struct {
-	// Hash is the full SHA-256 of the original CSV bytes — the dataset's
-	// registry identity and the snapshot's file name.
-	Hash string
-	// Name is the display name given at registration.
-	Name string
-	// Source records where the data came from ("upload" or a path).
-	Source string
-	// Bytes is the size of the original CSV source plus every appended
-	// body.
-	Bytes int64
-	// ID is the dataset's stable short id, assigned at first
-	// registration and kept across appends even though Hash changes.
-	// Empty in version-1 snapshots.
-	ID string
-	// Epoch counts applied appends: (Hash, Epoch) is the dataset's
-	// cache identity. Zero for freshly registered content.
-	Epoch int
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// encodeSnapshot renders the snapshot bytes for one dataset.
-func encodeSnapshot(meta DatasetMeta, rel *relation.Relation) []byte {
-	raw := rel.Raw()
-	n, m, d := len(raw.Rows), len(raw.Attrs), len(raw.ValueStr)
-
-	size := 4 + 2 + 16 + len(meta.Hash) + len(meta.Name) + len(meta.Source) + len(raw.Name)
-	size += 10 + 4*n*m + 5*d
-	buf := make([]byte, 0, size)
-	buf = append(buf, snapshotMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, snapshotVersion)
-	buf = appendString(buf, meta.Hash)
-	buf = appendString(buf, meta.Name)
-	buf = appendString(buf, meta.Source)
-	buf = binary.AppendUvarint(buf, uint64(meta.Bytes))
-	buf = appendString(buf, meta.ID)
-	buf = binary.AppendUvarint(buf, uint64(meta.Epoch))
-	buf = appendString(buf, raw.Name)
-	buf = binary.AppendUvarint(buf, uint64(m))
-	for _, a := range raw.Attrs {
-		buf = appendString(buf, a)
+// MigrateSnapshots converts every legacy datasets/<hash>.snap into the
+// current dataset format: each snapshot is decoded, handed to write
+// (which must make the dataset durable before returning nil), and only
+// then removed. Undecodable or misnamed files are quarantined; a
+// snapshot that cannot be read, written or removed stays in place for
+// the next boot and the first such error is returned. Run it before
+// append intents are replayed, so an intent left by a snapshot-writing
+// build is settled against the migrated files.
+func (s *Store) MigrateSnapshots(write func(DatasetMeta, *relation.Relation) error) error {
+	dir := filepath.Join(s.root, "datasets")
+	names, err := s.fsys.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
 	}
-	buf = binary.AppendUvarint(buf, uint64(d))
-	for id := 0; id < d; id++ {
-		buf = binary.AppendUvarint(buf, uint64(raw.ValueAttr[id]))
-		buf = appendString(buf, raw.ValueStr[id])
+	if err != nil {
+		return fmt.Errorf("store: scanning legacy snapshots: %w", err)
 	}
-	buf = binary.AppendUvarint(buf, uint64(n))
-	for _, row := range raw.Rows {
-		for _, v := range row {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+	var first error
+	for _, name := range s.sweepTemps(dir, names) {
+		path := filepath.Join(dir, name)
+		data, err := s.fsys.ReadFile(path)
+		if err == nil {
+			meta, rel, derr := decodeSnapshot(data)
+			if derr != nil || meta.Hash+snapshotExt != name {
+				s.quarantine(path)
+				continue
+			}
+			if err = write(meta, rel); err == nil {
+				err = s.fsys.Remove(path)
+			}
+		}
+		if err != nil && first == nil {
+			first = fmt.Errorf("store: migrating %s: %w", path, err)
 		}
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	_ = s.fsys.Remove(dir) // succeeds only once the directory is empty
+	return first
 }
 
 // snapReader parses the payload with explicit bounds checks so a

@@ -1,14 +1,22 @@
 // Package store is the dependency-free durable storage subsystem behind
 // the structmined daemon's warm restarts. It owns an on-disk directory
-// with three kinds of state:
+// with four kinds of state:
 //
-//   - dataset snapshots: versioned, CRC32-checksummed binary images of
-//     parsed relations (snapshot.go), one file per content hash;
 //   - a persistent artifact cache: completed task results spilled to
 //     content-addressed JSON files with entry and byte budgets
 //     (artifacts.go);
 //   - an append-only job journal: one JSON line per terminal job record
-//     (journal.go), so GET /jobs survives restarts.
+//     (journal.go), so GET /jobs survives restarts;
+//   - append intent records (appends.go): the durable half of the
+//     dataset append protocol, replayed by the registry at boot;
+//   - mine-state files (minestate.go): per-dataset engine state that
+//     makes re-mining after an append a delta.
+//
+// Datasets themselves are not the store's business: they live in
+// self-describing colstore files under ColstoreDir, written through
+// the store's FS by internal/colstore. The store only carries their
+// metadata type (DatasetMeta) and, for one release, a read-only decoder
+// that migrates the snapshot files older builds wrote (snapshot.go).
 //
 // Every write is atomic (temp → optional fsync → rename), so a crash —
 // including kill -9 mid-write — leaves either the previous durable
@@ -20,16 +28,34 @@
 package store
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"structmine/internal/relation"
 )
+
+// DatasetMeta is the registration metadata a durable dataset file
+// carries (the colstore tail, and the legacy snapshot header).
+type DatasetMeta struct {
+	// Hash is the full SHA-256 of the original CSV bytes, advanced by
+	// every append — the dataset's registry identity and its file name.
+	Hash string
+	// Name is the display name given at registration.
+	Name string
+	// Source records where the data came from ("upload" or a path).
+	Source string
+	// Bytes is the size of the original CSV source plus every appended
+	// body.
+	Bytes int64
+	// ID is the dataset's stable short id, assigned at first
+	// registration and kept across appends even though Hash changes.
+	// Empty in version-1 snapshots.
+	ID string
+	// Epoch counts applied appends: (Hash, Epoch) is the dataset's
+	// cache identity. Zero for freshly registered content.
+	Epoch int
+}
 
 // Options tunes a Store. Zero values select the defaults.
 type Options struct {
@@ -75,15 +101,13 @@ type Store struct {
 	fsync bool
 	root  string
 
-	datasetsDir   string
 	artifactsDir  string
 	quarantineDir string
 	jobsDir       string
 	appendsDir    string
 	minestateDir  string
 
-	datasets       []LoadedDataset // recovered at Open, consumed by the server
-	pendingAppends []AppendRecord  // paged-tier intents left for the server
+	pendingAppends []AppendRecord // recovered at Open, replayed by the server
 
 	amu        sync.Mutex
 	artifacts  map[string]*artifactEntry
@@ -98,8 +122,6 @@ type Store struct {
 	jobRecords [][]byte // recovered at Open, consumed by the server
 
 	// Counters behind the structmine_store_* metric families.
-	snapshotWrites     atomic.Uint64
-	snapshotWriteErr   atomic.Uint64
 	artifactWrites     atomic.Uint64
 	artifactWriteErr   atomic.Uint64
 	artifactEvictions  atomic.Uint64
@@ -109,21 +131,13 @@ type Store struct {
 	appendRecordWrites atomic.Uint64
 	minestateWrites    atomic.Uint64
 	minestateWriteErr  atomic.Uint64
-	recoveredDatasets  int
 	recoveredArtifacts int
 	recoveredJobs      int
 	droppedJobRecords  int
-	appendReplays      int
-}
-
-// LoadedDataset is one dataset recovered from a snapshot at Open.
-type LoadedDataset struct {
-	Meta DatasetMeta
-	Rel  *relation.Relation
 }
 
 // Open mounts (creating if needed) the store rooted at dir and runs
-// recovery: dataset snapshots are decoded, the artifact index is
+// recovery: pending append intents are loaded, the artifact index is
 // rebuilt, the job journal is replayed (and compacted when oversized),
 // and anything corrupt is quarantined rather than trusted. Leftover
 // temp files from interrupted writes are deleted.
@@ -133,7 +147,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		fsys:          opts.FS,
 		fsync:         opts.Fsync,
 		root:          dir,
-		datasetsDir:   filepath.Join(dir, "datasets"),
 		artifactsDir:  filepath.Join(dir, "artifacts"),
 		quarantineDir: filepath.Join(dir, "quarantine"),
 		jobsDir:       filepath.Join(dir, "jobs"),
@@ -143,7 +156,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		maxEntries:    opts.ArtifactMaxEntries,
 		maxBytes:      opts.ArtifactMaxBytes,
 	}
-	for _, d := range []string{s.datasetsDir, s.artifactsDir, s.quarantineDir, s.jobsDir, s.appendsDir, s.minestateDir} {
+	for _, d := range []string{s.artifactsDir, s.quarantineDir, s.jobsDir, s.appendsDir, s.minestateDir} {
 		if err := s.fsys.MkdirAll(d); err != nil {
 			return nil, fmt.Errorf("store: creating %s: %w", d, err)
 		}
@@ -152,9 +165,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.sweepTemps(s.minestateDir, names)
 	}
 	if err := s.recoverAppends(); err != nil {
-		return nil, err
-	}
-	if err := s.recoverDatasets(); err != nil {
 		return nil, err
 	}
 	if err := s.recoverArtifacts(); err != nil {
@@ -178,9 +188,9 @@ func (s *Store) Close() error {
 	return err
 }
 
-// ColstoreDir returns (creating it if needed) the directory for paged
-// columnar dataset files, which live under the same durable root as the
-// snapshots so one -persist flag owns all dataset state.
+// ColstoreDir returns (creating it if needed) the directory for the
+// columnar dataset files, which live under the same durable root as
+// everything else so one -persist flag owns all state.
 func (s *Store) ColstoreDir() (string, error) {
 	dir := filepath.Join(s.root, "colstore")
 	if err := s.fsys.MkdirAll(dir); err != nil {
@@ -198,7 +208,7 @@ func (s *Store) FS() FS { return s.fsys }
 func (s *Store) FsyncEnabled() bool { return s.fsync }
 
 // Quarantine moves a corrupt file out of the live tree; exported for
-// the colstore subsystem, whose paged files live under the same root.
+// the colstore subsystem, whose dataset files live under the same root.
 func (s *Store) Quarantine(path string) { s.quarantine(path) }
 
 // quarantine moves a corrupt file out of the live tree so recovery
@@ -224,69 +234,9 @@ func (s *Store) sweepTemps(dir string, names []string) []string {
 	return live
 }
 
-const snapshotExt = ".snap"
-
-// SaveDataset durably persists one registered dataset. The write is
-// atomic; an existing snapshot of the same hash is replaced (the
-// content is identical by construction, so this is idempotent).
-func (s *Store) SaveDataset(meta DatasetMeta, rel *relation.Relation) error {
-	if meta.Hash == "" || meta.Hash != filepath.Base(meta.Hash) {
-		return fmt.Errorf("store: invalid dataset hash %q", meta.Hash)
-	}
-	data := encodeSnapshot(meta, rel)
-	path := filepath.Join(s.datasetsDir, meta.Hash+snapshotExt)
-	if err := writeAtomic(s.fsys, path, data, s.fsync); err != nil {
-		s.snapshotWriteErr.Add(1)
-		return fmt.Errorf("store: writing dataset snapshot: %w", err)
-	}
-	s.snapshotWrites.Add(1)
-	return nil
-}
-
-// RemoveDataset deletes a dataset snapshot (used when an adoption is
-// rolled back). Missing files are not an error.
-func (s *Store) RemoveDataset(hash string) error {
-	err := s.fsys.Remove(filepath.Join(s.datasetsDir, hash+snapshotExt))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	return nil
-}
-
-// Datasets returns the datasets recovered at Open, ordered by hash.
-func (s *Store) Datasets() []LoadedDataset { return s.datasets }
-
-func (s *Store) recoverDatasets() error {
-	names, err := s.fsys.ReadDir(s.datasetsDir)
-	if err != nil {
-		return fmt.Errorf("store: scanning datasets: %w", err)
-	}
-	for _, name := range s.sweepTemps(s.datasetsDir, names) {
-		path := filepath.Join(s.datasetsDir, name)
-		if !strings.HasSuffix(name, snapshotExt) {
-			s.quarantine(path)
-			continue
-		}
-		data, err := s.fsys.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("store: reading %s: %w", path, err)
-		}
-		meta, rel, err := decodeSnapshot(data)
-		if err != nil || meta.Hash+snapshotExt != name {
-			s.quarantine(path)
-			continue
-		}
-		s.datasets = append(s.datasets, LoadedDataset{Meta: meta, Rel: rel})
-	}
-	s.recoveredDatasets = len(s.datasets)
-	return nil
-}
-
 // Stats is a snapshot of the store's observable state, exported as the
 // structmine_store_* metric families.
 type Stats struct {
-	SnapshotWrites     uint64
-	SnapshotWriteErr   uint64
 	ArtifactEntries    int
 	ArtifactBytes      int64
 	ArtifactWrites     uint64
@@ -299,11 +249,9 @@ type Stats struct {
 	AppendRecordWrites uint64
 	MinestateWrites    uint64
 	MinestateWriteErr  uint64
-	RecoveredDatasets  int
 	RecoveredArtifacts int
 	RecoveredJobs      int
 	DroppedJobRecords  int
-	AppendReplays      int
 }
 
 // Stats returns the current counters and gauges.
@@ -315,8 +263,6 @@ func (s *Store) Stats() Stats {
 	journalLen := s.journalLen
 	s.jmu.Unlock()
 	return Stats{
-		SnapshotWrites:     s.snapshotWrites.Load(),
-		SnapshotWriteErr:   s.snapshotWriteErr.Load(),
 		ArtifactEntries:    entries,
 		ArtifactBytes:      bytes,
 		ArtifactWrites:     s.artifactWrites.Load(),
@@ -329,10 +275,8 @@ func (s *Store) Stats() Stats {
 		AppendRecordWrites: s.appendRecordWrites.Load(),
 		MinestateWrites:    s.minestateWrites.Load(),
 		MinestateWriteErr:  s.minestateWriteErr.Load(),
-		RecoveredDatasets:  s.recoveredDatasets,
 		RecoveredArtifacts: s.recoveredArtifacts,
 		RecoveredJobs:      s.recoveredJobs,
 		DroppedJobRecords:  s.droppedJobRecords,
-		AppendReplays:      s.appendReplays,
 	}
 }

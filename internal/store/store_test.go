@@ -9,22 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"structmine/internal/relation"
 )
-
-func testRelation(t *testing.T) *relation.Relation {
-	t.Helper()
-	b := relation.NewBuilder("db", []string{"City", "Dep"})
-	b.MustAdd("Boston", "Sales")
-	b.MustAdd("NULL", "Sales")
-	b.MustAdd("Chicago", "HR")
-	return b.Relation()
-}
-
-func testMeta(i int) DatasetMeta {
-	return DatasetMeta{Hash: fmt.Sprintf("%064x", i), Name: fmt.Sprintf("ds%d", i), Source: "upload", Bytes: 100 + int64(i)}
-}
 
 func mustOpen(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()
@@ -36,99 +21,52 @@ func mustOpen(t *testing.T, dir string, opts Options) *Store {
 	return s
 }
 
-func TestStoreDatasetPersistAndRecover(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	rel := testRelation(t)
-	meta := testMeta(1)
-	if err := s.SaveDataset(meta, rel); err != nil {
-		t.Fatalf("SaveDataset: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	s2 := mustOpen(t, dir, Options{})
-	got := s2.Datasets()
-	if len(got) != 1 {
-		t.Fatalf("recovered %d datasets, want 1", len(got))
-	}
-	if got[0].Meta != meta {
-		t.Fatalf("meta %+v, want %+v", got[0].Meta, meta)
-	}
-	if !bytes.Equal(csvBytes(t, got[0].Rel), csvBytes(t, rel)) {
-		t.Fatalf("recovered relation diverged")
-	}
-	if st := s2.Stats(); st.RecoveredDatasets != 1 {
-		t.Fatalf("RecoveredDatasets = %d, want 1", st.RecoveredDatasets)
+func testIntent(i int) AppendRecord {
+	return AppendRecord{
+		ID: "ds", OldHash: fmt.Sprintf("%064x", i), NewHash: fmt.Sprintf("%064x", i+1000),
+		Epoch: 1, Bytes: 100, Rows: []byte("A,B\n1,x\n"),
 	}
 }
 
-func TestStoreRejectsBadHash(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), Options{})
-	for _, hash := range []string{"", "../escape", "a/b"} {
-		if err := s.SaveDataset(DatasetMeta{Hash: hash}, testRelation(t)); err == nil {
-			t.Fatalf("hash %q accepted", hash)
-		}
-	}
-}
-
-func TestStoreRemoveDataset(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	meta := testMeta(1)
-	if err := s.SaveDataset(meta, testRelation(t)); err != nil {
-		t.Fatalf("SaveDataset: %v", err)
-	}
-	if err := s.RemoveDataset(meta.Hash); err != nil {
-		t.Fatalf("RemoveDataset: %v", err)
-	}
-	if err := s.RemoveDataset(meta.Hash); err != nil {
-		t.Fatalf("RemoveDataset (missing): %v", err)
-	}
-	s.Close()
-	if got := mustOpen(t, dir, Options{}).Datasets(); len(got) != 0 {
-		t.Fatalf("recovered %d datasets after removal, want 0", len(got))
-	}
-}
-
-// TestCrashMidSnapshotWrite simulates kill -9 during a dataset write:
-// the bytes land short in a temp file, the rename never happens, and a
-// restart must still see the previous durable state with no ghosts.
-func TestCrashMidSnapshotWrite(t *testing.T) {
-	dir := t.TempDir()
-	ffs := newFaultFS()
-	s := mustOpen(t, dir, Options{FS: ffs})
-	first := testMeta(1)
-	if err := s.SaveDataset(first, testRelation(t)); err != nil {
-		t.Fatalf("SaveDataset: %v", err)
-	}
-
-	ffs.setWriteBudget(10) // the next write tears after 10 bytes
-	if err := s.SaveDataset(testMeta(2), testRelation(t)); err == nil {
-		t.Fatalf("short write reported success")
-	}
-	if st := s.Stats(); st.SnapshotWriteErr != 1 {
-		t.Fatalf("SnapshotWriteErr = %d, want 1", st.SnapshotWriteErr)
-	}
-	s.Close()
-
-	// Recovery: only the first dataset exists; no temp files remain.
-	ffs.setWriteBudget(-1)
-	s2 := mustOpen(t, dir, Options{FS: ffs})
-	got := s2.Datasets()
-	if len(got) != 1 || got[0].Meta != first {
-		t.Fatalf("recovered %d datasets after torn write, want the first only", len(got))
-	}
-	names, err := os.ReadDir(filepath.Join(dir, "datasets"))
+func assertNoTemps(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range names {
+	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), tempPrefix) {
 			t.Fatalf("temp file %s survived recovery", e.Name())
 		}
 	}
+}
+
+// TestCrashMidAtomicWrite simulates kill -9 during a writeAtomic (the
+// discipline behind intents, artifacts and mine-state): the bytes land
+// short in a temp file, the rename never happens, and a restart must
+// still see the previous durable state with no ghosts.
+func TestCrashMidAtomicWrite(t *testing.T) {
+	dir := t.TempDir()
+	ffs := newFaultFS()
+	s := mustOpen(t, dir, Options{FS: ffs})
+	first := testIntent(1)
+	if err := s.PutAppendRecord(first); err != nil {
+		t.Fatalf("PutAppendRecord: %v", err)
+	}
+
+	ffs.setWriteBudget(10) // the next write tears after 10 bytes
+	if err := s.PutAppendRecord(testIntent(2)); err == nil {
+		t.Fatalf("short write reported success")
+	}
+	s.Close()
+
+	// Recovery: only the first record exists; no temp files remain.
+	ffs.setWriteBudget(-1)
+	s2 := mustOpen(t, dir, Options{FS: ffs})
+	if got := s2.AppendRecords(); len(got) != 1 || got[0].NewHash != first.NewHash {
+		t.Fatalf("recovered %d records after torn write, want the first only", len(got))
+	}
+	assertNoTemps(t, filepath.Join(dir, "appends"))
 }
 
 // TestCrashBeforeRename simulates a crash between writing the temp file
@@ -138,13 +76,13 @@ func TestCrashBeforeRename(t *testing.T) {
 	ffs := newFaultFS()
 	s := mustOpen(t, dir, Options{FS: ffs})
 	ffs.setFailRenames(true)
-	if err := s.SaveDataset(testMeta(1), testRelation(t)); err == nil {
+	if err := s.PutAppendRecord(testIntent(1)); err == nil {
 		t.Fatalf("failed rename reported success")
 	}
 	s.Close()
 	ffs.setFailRenames(false)
-	if got := mustOpen(t, dir, Options{FS: ffs}).Datasets(); len(got) != 0 {
-		t.Fatalf("recovered %d datasets, want 0", len(got))
+	if got := mustOpen(t, dir, Options{FS: ffs}).AppendRecords(); len(got) != 0 {
+		t.Fatalf("recovered %d records, want 0", len(got))
 	}
 }
 
@@ -152,48 +90,8 @@ func TestFsyncFailureSurfaces(t *testing.T) {
 	ffs := newFaultFS()
 	s := mustOpen(t, t.TempDir(), Options{FS: ffs, Fsync: true})
 	ffs.setFailSync(true)
-	if err := s.SaveDataset(testMeta(1), testRelation(t)); err == nil {
+	if err := s.PutAppendRecord(testIntent(1)); err == nil {
 		t.Fatalf("failed fsync reported success")
-	}
-}
-
-// TestTornSnapshotQuarantined plants a truncated snapshot (what a torn
-// rename-less filesystem could leave) and a junk file; recovery must
-// quarantine both and keep the good one.
-func TestTornSnapshotQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	good := testMeta(1)
-	if err := s.SaveDataset(good, testRelation(t)); err != nil {
-		t.Fatalf("SaveDataset: %v", err)
-	}
-	s.Close()
-
-	dsDir := filepath.Join(dir, "datasets")
-	full := encodeSnapshot(testMeta(2), testRelation(t))
-	if err := os.WriteFile(filepath.Join(dsDir, testMeta(2).Hash+snapshotExt), full[:len(full)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dsDir, "junk.bin"), []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A valid snapshot under the wrong file name must not be trusted.
-	misnamed := encodeSnapshot(testMeta(3), testRelation(t))
-	if err := os.WriteFile(filepath.Join(dsDir, testMeta(4).Hash+snapshotExt), misnamed, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := mustOpen(t, dir, Options{})
-	got := s2.Datasets()
-	if len(got) != 1 || got[0].Meta != good {
-		t.Fatalf("recovered %d datasets, want the good one only", len(got))
-	}
-	if st := s2.Stats(); st.Quarantined != 3 {
-		t.Fatalf("Quarantined = %d, want 3", st.Quarantined)
-	}
-	qNames, err := os.ReadDir(filepath.Join(dir, "quarantine"))
-	if err != nil || len(qNames) != 3 {
-		t.Fatalf("quarantine holds %d files (err %v), want 3", len(qNames), err)
 	}
 }
 
@@ -478,7 +376,7 @@ func TestRandomizedCrashRecovery(t *testing.T) {
 		dir := t.TempDir()
 		ffs := newFaultFS()
 		s := mustOpen(t, dir, Options{FS: ffs})
-		durableDS := map[string]bool{}
+		durableRec := map[string]bool{}
 		durableArt := map[string]string{}
 		ops := 3 + rng.Intn(8)
 		tearAt := rng.Intn(ops)
@@ -492,9 +390,9 @@ func TestRandomizedCrashRecovery(t *testing.T) {
 			}
 			switch rng.Intn(3) {
 			case 0:
-				meta := testMeta(op)
-				if err := s.SaveDataset(meta, randomRelation(rng, rng.Intn(10), 1+rng.Intn(3))); err == nil {
-					durableDS[meta.Hash] = true
+				rec := testIntent(op)
+				if err := s.PutAppendRecord(rec); err == nil {
+					durableRec[rec.NewHash] = true
 				}
 			case 1:
 				key := fmt.Sprintf("key-%d-%d", trial, op)
@@ -513,17 +411,17 @@ func TestRandomizedCrashRecovery(t *testing.T) {
 		ffs.setFailRenames(false)
 		s2 := mustOpen(t, dir, Options{FS: ffs})
 		got := map[string]bool{}
-		for _, ds := range s2.Datasets() {
-			got[ds.Meta.Hash] = true
+		for _, rec := range s2.AppendRecords() {
+			got[rec.NewHash] = true
 		}
-		for hash := range durableDS {
+		for hash := range durableRec {
 			if !got[hash] {
-				t.Fatalf("trial %d: durable dataset %s lost", trial, hash[:8])
+				t.Fatalf("trial %d: durable intent %s lost", trial, hash[56:])
 			}
 		}
 		for hash := range got {
-			if !durableDS[hash] {
-				t.Fatalf("trial %d: phantom dataset %s recovered", trial, hash[:8])
+			if !durableRec[hash] {
+				t.Fatalf("trial %d: phantom intent %s recovered", trial, hash[56:])
 			}
 		}
 		for key, want := range durableArt {

@@ -2,7 +2,9 @@
 // subsystems that write through the durable filesystem seam (the store
 // itself uses an in-package twin; external packages such as colstore
 // use this one to prove their temp→fsync→rename writes never corrupt
-// durable state under short writes, failed renames, or failed syncs).
+// durable state under short writes, failed renames, or failed syncs,
+// and — with CrashAt — to enumerate a kill at every mutating call of a
+// multi-step protocol).
 package storetest
 
 import (
@@ -17,6 +19,7 @@ var (
 	ErrInjectedWrite  = errors.New("injected write failure")
 	ErrInjectedRename = errors.New("injected rename failure")
 	ErrInjectedSync   = errors.New("injected sync failure")
+	ErrInjectedCrash  = errors.New("injected crash")
 )
 
 // FaultFS wraps the real filesystem with programmable failures. The
@@ -35,6 +38,9 @@ type FaultFS struct {
 	failRenames bool
 	// failSync makes every file Sync fail.
 	failSync bool
+	// ops counts mutating calls (CreateTemp, Write, Sync, Rename,
+	// Remove) since CrashAt; from the crashAt-th on, all of them fail.
+	ops, crashAt int
 }
 
 // NewFaultFS returns a FaultFS over the OS filesystem with no faults
@@ -63,8 +69,40 @@ func (f *FaultFS) SetFailSync(v bool) {
 	f.mu.Unlock()
 }
 
+// CrashAt simulates a process killed at its n-th mutating filesystem
+// call from now (CreateTemp, Write, Sync, Rename and Remove, counted in
+// call order): that call fails — a Write after landing half its bytes —
+// and so does every one after it, error-path cleanups included, which is
+// what a kill leaves on disk. n = 0 disarms. Ops reports the calls
+// counted since, so a test can run a protocol once to learn how many
+// crash points it has.
+func (f *FaultFS) CrashAt(n int) {
+	f.mu.Lock()
+	f.ops, f.crashAt = 0, n
+	f.mu.Unlock()
+}
+
+// Ops returns the mutating calls counted since the last CrashAt.
+func (f *FaultFS) Ops() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.ops
+}
+
+// crashed counts one mutating call and reports whether it must fail:
+// it is the crash point itself (first) or comes after it.
+func (f *FaultFS) crashed() (fail, first bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.ops++
+	return f.crashAt > 0 && f.ops >= f.crashAt, f.ops == f.crashAt
+}
+
 // CreateTemp wraps the created file with the fault budget.
 func (f *FaultFS) CreateTemp(dir, pattern string) (store.File, error) {
+	if fail, _ := f.crashed(); fail {
+		return nil, ErrInjectedCrash
+	}
 	file, err := f.FS.CreateTemp(dir, pattern)
 	if err != nil {
 		return nil, err
@@ -81,8 +119,19 @@ func (f *FaultFS) OpenAppend(path string) (store.File, error) {
 	return &faultFile{File: file, fs: f}, nil
 }
 
-// Rename fails when armed with SetFailRenames.
+// Remove fails past a crash point.
+func (f *FaultFS) Remove(path string) error {
+	if fail, _ := f.crashed(); fail {
+		return ErrInjectedCrash
+	}
+	return f.FS.Remove(path)
+}
+
+// Rename fails when armed with SetFailRenames, or past a crash point.
 func (f *FaultFS) Rename(oldPath, newPath string) error {
+	if fail, _ := f.crashed(); fail {
+		return ErrInjectedCrash
+	}
 	f.mu.Lock()
 	fail := f.failRenames
 	f.mu.Unlock()
@@ -101,6 +150,13 @@ type faultFile struct {
 // the bytes within budget still hit the file, the rest are lost —
 // which is exactly what a crash mid-write leaves behind.
 func (f *faultFile) Write(p []byte) (int, error) {
+	if fail, first := f.fs.crashed(); fail {
+		n := 0
+		if first {
+			n, _ = f.File.Write(p[:len(p)/2])
+		}
+		return n, ErrInjectedCrash
+	}
 	f.fs.mu.Lock()
 	budget := f.fs.writeBudget
 	if budget >= 0 {
@@ -118,6 +174,9 @@ func (f *faultFile) Write(p []byte) (int, error) {
 }
 
 func (f *faultFile) Sync() error {
+	if fail, _ := f.fs.crashed(); fail {
+		return ErrInjectedCrash
+	}
 	f.fs.mu.Lock()
 	fail := f.fs.failSync
 	f.fs.mu.Unlock()

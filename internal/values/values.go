@@ -14,7 +14,6 @@ import (
 	"structmine/internal/exec"
 	"structmine/internal/it"
 	"structmine/internal/limbo"
-	"structmine/internal/par"
 	"structmine/internal/relation"
 )
 
@@ -130,14 +129,14 @@ func ObjectsOverClustersColumnsCtx(ctx context.Context, c relation.Columns, tupl
 // first error (lowest attribute index wins) cancels the remainder.
 func forAttrs(ctx context.Context, n, m int, fn func(w int, scratch *[]int32, attr int) error) error {
 	work := n * m
-	workers := par.NumWorkers(ctx, exec.ColScan, m, work)
+	workers := exec.NumWorkers(ctx, exec.ColScan, m, work)
 	scratch := make([][]int32, workers)
 	var (
 		mu   sync.Mutex
 		errA = -1
 		err  error
 	)
-	par.ForChunk(ctx, exec.ColScan, m, work, func(w, lo, hi int) {
+	exec.ForChunk(ctx, exec.ColScan, m, work, func(w, lo, hi int) {
 		for a := lo; a < hi; a++ {
 			mu.Lock()
 			bail := errA >= 0 && errA < a

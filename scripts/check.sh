@@ -9,5 +9,5 @@ cd "$(dirname "$0")/.."
 
 go vet ./...
 go test -race ./...
-go test -race -count=2 ./internal/exec ./internal/par
+go test -race -count=2 ./internal/exec
 scripts/smoke.sh

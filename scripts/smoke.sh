@@ -6,8 +6,9 @@
 # observability surface (/v1/metrics and the job's /trace). Then the
 # crash-recovery phase: SIGKILL the daemon (no drain, no warning), boot
 # a successor over the same -persist directory, and assert it recovers
-# the dataset, the old job record, and the artifact — the repeated query
-# must be a cache hit without re-mining. The incremental append phase
+# the dataset (resident again, from its colstore file — the only thing
+# -persist writes for a dataset), the old job record, and the artifact —
+# the repeated query must be a cache hit without re-mining. The incremental append phase
 # then drives POST /v1/datasets/{id}/append: epoch bump, cache miss on
 # re-mine, delta artifact equal to a from-scratch mine of the
 # concatenated contents, and a simulated crash inside the append window
@@ -99,7 +100,8 @@ echo "smoke: job trace reports $stages pipeline stages"
 metrics=$(curl -sS "$base/v1/metrics")
 for series in structmined_http_requests_total structmined_jobs_queue_depth \
               structmined_cache_hits_total structmine_aib_merges_total \
-              structmine_stage_seconds_bucket structmine_store_snapshot_writes_total \
+              structmine_stage_seconds_bucket structmine_store_recovered_datasets \
+              structmine_store_append_replays_total \
               structmine_store_journal_appends_total; do
   echo "$metrics" | grep "^$series" >/dev/null \
     || { echo "smoke: FAIL — /v1/metrics is missing $series"; exit 1; }
@@ -143,9 +145,22 @@ pid=""
 boot "$workdir/log2"
 echo "smoke: successor up at $base"
 
+# assert_one_format STATEDIR — a booted daemon keeps datasets under
+# colstore/ only: nothing may sit in the pre-.col snapshot directory.
+assert_one_format() {
+  if [ -d "$1/datasets" ] && [ -n "$(find "$1/datasets" -type f)" ]; then
+    echo "smoke: FAIL — files under $1/datasets; datasets belong under colstore/ only"; exit 1
+  fi
+  [ -n "$(find "$1/colstore" -name '*.col' -type f)" ] \
+    || { echo "smoke: FAIL — no .col file under $1/colstore"; exit 1; }
+}
+
 recovered=$(curl -sS "$base/v1/datasets" | jq -r --arg id "$ds" '[.items[] | select(.id == $id)] | length')
 [ "$recovered" = 1 ] || { echo "smoke: FAIL — dataset $ds not recovered after SIGKILL"; exit 1; }
-echo "smoke: dataset $ds recovered"
+rstorage=$(curl -sS "$base/v1/datasets/$ds" | jq -r .storage)
+[ "$rstorage" = resident ] || { echo "smoke: FAIL — dataset $ds came back as storage=$rstorage, want resident"; exit 1; }
+assert_one_format "$workdir/state"
+echo "smoke: dataset $ds recovered, resident, from its colstore file"
 
 rec=$(curl -sS "$base/v1/jobs/$id")
 rstate=$(echo "$rec" | jq -r .state)
@@ -245,8 +260,8 @@ echo "smoke: append counters and delta re-mine histogram exposed on /v1/metrics"
 
 # Crash inside the append window: SIGKILL the daemon, then plant the
 # durable intent record exactly as the handler writes it before
-# publishing any new state. The restarted store must replay it — rows
-# neither lost nor doubled — and a second boot must not re-apply it.
+# publishing any new state. The restarted daemon's single replay must
+# apply it to the resident lineage — rows neither lost nor doubled.
 echo "smoke: SIGKILL the daemon and simulate a crash mid-append (intent written, state unpublished)"
 kill -KILL "$pid"
 for _ in $(seq 1 100); do
@@ -269,9 +284,13 @@ crashed=$(curl -sS "$base/v1/datasets/$ds")
 cep=$(echo "$crashed" | jq .epoch)
 chash=$(echo "$crashed" | jq -r .hash)
 ctuples=$(echo "$crashed" | jq .summary.tuples)
-if [ "$cep" != 2 ] || [ "$chash" != "$nhash" ] || [ "$ctuples" != $((atuples + 2)) ]; then
-  echo "smoke: FAIL — crashed append not replayed exactly once (epoch=$cep tuples=$ctuples, want epoch=2 and $((atuples + 2)) tuples)"; exit 1
+cstorage=$(echo "$crashed" | jq -r .storage)
+if [ "$cep" != 2 ] || [ "$chash" != "$nhash" ] || [ "$ctuples" != $((atuples + 2)) ] || [ "$cstorage" != resident ]; then
+  echo "smoke: FAIL — crashed append not replayed exactly once on the resident lineage (epoch=$cep tuples=$ctuples storage=$cstorage, want epoch=2, $((atuples + 2)) tuples, resident)"; exit 1
 fi
+assert_one_format "$workdir/state"
+[ -z "$(ls "$workdir/state/appends")" ] \
+  || { echo "smoke: FAIL — append intent not retired after its replay"; exit 1; }
 curl -sS "$base/v1/metrics" | grep '^structmine_store_append_replays_total 1' >/dev/null \
   || { echo "smoke: FAIL — append replay counter missing from /v1/metrics"; exit 1; }
 echo "smoke: mid-append crash replayed to exactly one application ($atuples -> $ctuples tuples)"
@@ -290,7 +309,8 @@ echo "smoke: graceful shutdown ok"
 # --- out-of-core (paged colstore) phase -----------------------------------
 # A daemon with a tiny resident budget must admit the sample as a paged
 # (out-of-core) dataset, mine it from the colstore file, survive a
-# SIGKILL, and re-adopt the paged dataset at boot without a snapshot.
+# SIGKILL, and re-adopt the dataset at boot — paged again, because it
+# still does not fit the budget.
 echo "smoke: booting a budgeted daemon (-resident-bytes 1024) for the paged tier"
 boot "$workdir/log3" -persist "$workdir/state2" -resident-bytes 1024
 
@@ -382,6 +402,7 @@ boot "$workdir/log4" -persist "$workdir/state2" -resident-bytes 1024
 
 pstorage=$(curl -sS "$base/v1/datasets/$ds" | jq -r .storage)
 [ "$pstorage" = paged ] || { echo "smoke: FAIL — paged dataset not re-adopted after SIGKILL (storage=$pstorage)"; exit 1; }
+assert_one_format "$workdir/state2"
 echo "smoke: paged dataset $ds re-adopted from its colstore file"
 
 pagain=$(submit)
