@@ -35,9 +35,10 @@
 // registered out of core — streamed into its columnar file and mined
 // page-at-a-time ("storage":"paged" in its listing) — and resident
 // datasets drop their in-memory copy, least recently used first, when
-// the total exceeds N. Paged datasets run the tasks marked "paged" in
-// GET /v1/tasks (describe, mine-fds, rank-fds) with results identical
-// to the resident path.
+// the total exceeds N. Paged datasets run every task a resident one
+// does — all of them are marked "paged" in GET /v1/tasks; only joins,
+// which takes several files, cannot run as a job — through the same
+// pipeline, with identical results.
 //
 // Endpoints (canonical under /v1; the bare paths still answer but are
 // deprecated and carry a "Deprecation: true" response header):

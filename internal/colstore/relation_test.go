@@ -10,6 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"structmine/internal/datagen"
+	"structmine/internal/exec"
+	"structmine/internal/primcache"
 	"structmine/internal/relation"
 	"structmine/internal/store"
 	"structmine/internal/task"
@@ -172,6 +175,106 @@ func TestRelationRoundTrip(t *testing.T) {
 			}
 			assertSameRelation(t, "restored+AppendCSV", inMem, want)
 		})
+	}
+}
+
+// TestTaskParity is the one net under the one task pipeline: for a
+// generated relation with NULLs and strings repeated across attributes,
+// every single-dataset task produces the same artifact bytes whichever
+// way the rows are held — in memory behind relation.AsColumns, in a
+// colstore table, or in a table read through the primitive cache (cold
+// on its first run, warm after) — under a worker budget of 1 and of 4,
+// both before and after a 1% append that brings new values.
+func TestTaskParity(t *testing.T) {
+	const baseRows, appendRows = 400, 4
+	full := datagen.NewDBLP(datagen.DBLPConfig{
+		Tuples: baseRows + appendRows, Seed: 11, MiscFrac: 0.02, JournalFrac: 0.3,
+	}).Project(datagen.ProjectionAttrs())
+	var buf bytes.Buffer
+	if err := full.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
+	header := lines[0]
+	csv := bytes.Join(lines[:1+baseRows], nil)
+	body := append(append([]byte(nil), header...), bytes.Join(lines[1+baseRows:], nil)...)
+
+	opt := WriteOptions{PageRows: 64}
+	dir := t.TempDir()
+	rel := mustRelation(t, "dblp", csv)
+	meta := metaFor("dblp", csv)
+	path, err := WriteFromRelation(dir, meta, rel, opt)
+	if err != nil {
+		t.Fatalf("WriteFromRelation: %v", err)
+	}
+	tbl := mustOpen(t, path)
+
+	ext, rows, err := relation.AppendCSV(rel, body, relation.Limits{})
+	if err != nil || rows != appendRows {
+		t.Fatalf("relation.AppendCSV: %d rows, %v", rows, err)
+	}
+	if ext.D() == rel.D() {
+		t.Fatal("the append brought no new value")
+	}
+	meta2 := meta
+	meta2.Hash, meta2.Epoch, meta2.Bytes = fmt.Sprintf("%064x", 2), 1, meta.Bytes+int64(len(body))
+	path2, err := Append(dir, meta2, tbl, body, relation.Limits{}, opt)
+	if err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	tbl2 := mustOpen(t, path2)
+
+	artifact := func(c relation.Columns, name string, workers int) []byte {
+		res, err := task.RunColumns(exec.WithWorkers(context.Background(), workers), c, name, task.Params{})
+		if err != nil {
+			return []byte("error: " + err.Error())
+		}
+		data, err := json.Marshal(res)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return data
+	}
+	prim := primcache.New(1 << 20)
+	for _, state := range []struct {
+		name string
+		rel  *relation.Relation
+		tbl  *Table
+		meta store.DatasetMeta
+	}{
+		{"before-append", rel, tbl, meta},
+		{"after-append", ext, tbl2, meta2},
+	} {
+		sources := []struct {
+			name string
+			c    relation.Columns
+		}{
+			{"in-memory", relation.AsColumns(state.rel)},
+			{"table", state.tbl},
+			{"primcache", primcache.Wrap(state.tbl, state.meta.Hash, state.meta.Epoch, prim)},
+		}
+		ran := 0
+		for _, spec := range task.Specs {
+			if spec.MultiFile {
+				continue
+			}
+			ran++
+			want := artifact(sources[0].c, spec.Name, 1)
+			if bytes.HasPrefix(want, []byte("error: ")) {
+				t.Fatalf("%s: %s on the reference: %s", state.name, spec.Name, want)
+			}
+			for _, src := range sources {
+				for _, workers := range []int{1, 4} {
+					if got := artifact(src.c, spec.Name, workers); !bytes.Equal(got, want) {
+						t.Errorf("%s: %s over %s with %d workers diverged:\n%s\nwant\n%s",
+							state.name, spec.Name, src.name, workers, got, want)
+					}
+				}
+			}
+		}
+		if ran != 11 {
+			t.Fatalf("%s: compared %d single-dataset tasks, want all 11", state.name, ran)
+		}
 	}
 }
 

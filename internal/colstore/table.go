@@ -333,21 +333,12 @@ func (t *Table) Relation() (*relation.Relation, error) {
 	for i := range raw.Rows {
 		raw.Rows[i] = cells[i*m : (i+1)*m : (i+1)*m]
 	}
-	attrs := make([]int, m)
-	for a := range attrs {
-		attrs[a] = a
-	}
-	var cols [][]int32
-	for p := 0; p < t.NumPages(); p++ {
-		if cols, err = t.ReadStripe(p, attrs, cols); err != nil {
-			return nil, err
-		}
-		base := p * t.h.pageRows
-		for a, col := range cols {
-			for i, v := range col {
-				raw.Rows[base+i][a] = v
-			}
-		}
+	err = relation.ForEachRow(t, relation.AllAttrs(t), func(i int, row []int32) bool {
+		copy(raw.Rows[i], row)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	rel, err := relation.FromRaw(raw)
 	if err != nil {

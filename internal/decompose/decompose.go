@@ -36,25 +36,34 @@ type Result struct {
 	RAD, RTR float64
 }
 
-// On decomposes r on the dependency f. It returns an error when the FD
+// On decomposes c on the dependency f. It returns an error when the FD
 // does not hold exactly (decomposing on an approximate dependency would
-// lose the violating tuples).
-func On(r *relation.Relation, f fd.FD) (*Result, error) {
+// lose the violating tuples). S1 and S2 are built in memory from one
+// streaming pass over c each.
+func On(c relation.Columns, f fd.FD) (*Result, error) {
 	f.RHS = f.RHS.Minus(f.LHS) // drop the trivial part
 	if f.RHS.Empty() {
 		return nil, fmt.Errorf("decompose: dependency has empty (or trivial) right-hand side")
 	}
 	max := f.Attrs().Attrs()
-	if len(max) > 0 && max[len(max)-1] >= r.M() {
-		return nil, fmt.Errorf("decompose: dependency references attribute %d, relation has %d", max[len(max)-1], r.M())
+	if len(max) > 0 && max[len(max)-1] >= c.M() {
+		return nil, fmt.Errorf("decompose: dependency references attribute %d, relation has %d", max[len(max)-1], c.M())
 	}
-	if !fd.Holds(r, f) {
-		return nil, fmt.Errorf("decompose: %s does not hold exactly (g3=%.4f)", f.Format(r.Attrs), fd.G3(r, f))
+	holds, err := fd.HoldsColumns(c, f)
+	if err != nil {
+		return nil, err
+	}
+	if !holds {
+		g3, err := fd.G3Columns(c, f)
+		if err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("decompose: %s does not hold exactly (g3=%.4f)", f.Format(c.AttrNames()), g3)
 	}
 
 	s1Attrs := f.Attrs().Attrs()
 	var s2Attrs []int
-	for a := 0; a < r.M(); a++ {
+	for a := 0; a < c.M(); a++ {
 		if !f.RHS.Has(a) {
 			s2Attrs = append(s2Attrs, a)
 		}
@@ -63,70 +72,75 @@ func On(r *relation.Relation, f fd.FD) (*Result, error) {
 	// except Y; S1 is the single constant row.
 	sort.Ints(s1Attrs)
 
-	s1 := distinctProject(r, s1Attrs, r.Name+"_s1")
-	s2 := r.Project(s2Attrs)
-	s2.Name = r.Name + "_s2"
+	s1, err := relation.ProjectColumns(c, s1Attrs, c.Name()+"_s1", true)
+	if err != nil {
+		return nil, err
+	}
+	s2, err := relation.ProjectColumns(c, s2Attrs, c.Name()+"_s2", false)
+	if err != nil {
+		return nil, err
+	}
 
 	res := &Result{
 		S1: s1, S2: s2,
-		CellsBefore: r.N() * r.M(),
+		CellsBefore: c.N() * c.M(),
 		CellsAfter:  s1.N()*s1.M() + s2.N()*s2.M(),
 	}
 	if res.CellsBefore > 0 {
 		res.Reduction = 1 - float64(res.CellsAfter)/float64(res.CellsBefore)
 	}
-	ix := f.Attrs().Attrs()
-	res.RAD = measures.RAD(r, ix)
-	res.RTR = measures.RTR(r, ix)
+	if res.RAD, err = measures.RADColumns(c, s1Attrs); err != nil {
+		return nil, err
+	}
+	if res.RTR, err = measures.RTRColumns(c, s1Attrs); err != nil {
+		return nil, err
+	}
 	return res, nil
-}
-
-// distinctProject projects with duplicate elimination.
-func distinctProject(r *relation.Relation, attrs []int, name string) *relation.Relation {
-	names := make([]string, len(attrs))
-	for i, a := range attrs {
-		names[i] = r.Attrs[a]
-	}
-	b := relation.NewBuilder(name, names)
-	seen := map[string]bool{}
-	vals := make([]string, len(attrs))
-	key := make([]byte, 0, 64)
-	for t := 0; t < r.N(); t++ {
-		key = key[:0]
-		for _, a := range attrs {
-			v := r.Value(t, a)
-			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), 0xfd)
-		}
-		if seen[string(key)] {
-			continue
-		}
-		seen[string(key)] = true
-		for i, a := range attrs {
-			vals[i] = r.ValueString(r.Value(t, a))
-		}
-		if err := b.Add(vals); err != nil {
-			panic(err) // schema constructed to match
-		}
-	}
-	return b.Relation()
 }
 
 // Lossless verifies R = S2 ⋈_X S1 by reconstructing every original tuple
 // from the decomposition. It returns an error describing the first
 // mismatch (nil means the decomposition is information-preserving).
-func (res *Result) Lossless(r *relation.Relation, f fd.FD) error {
-	if f.LHS.Empty() {
-		return res.losslessConstant(r, f)
-	}
-	// Index S1 on X.
-	lhsNames := make([]string, 0, f.LHS.Count())
-	for _, a := range f.LHS.Attrs() {
-		lhsNames = append(lhsNames, r.Attrs[a])
-	}
-	s1LHS, err := res.S1.AttrIndices(lhsNames)
+func (res *Result) Lossless(c relation.Columns, f fd.FD) error {
+	names := c.AttrNames()
+	lhsAttrs, rhsAttrs := f.LHS.Attrs(), f.RHS.Attrs()
+	strs, err := c.ValueStrings()
 	if err != nil {
 		return err
 	}
+	if f.LHS.Empty() {
+		if res.S1.N() != 1 {
+			return fmt.Errorf("decompose: constant dependency should yield a single S1 row, got %d", res.S1.N())
+		}
+		rows, err := relation.FetchRows(c, []int{0})
+		if err != nil {
+			return err
+		}
+		for i, a := range rhsAttrs {
+			want := strs[rows[0][a]]
+			got := res.S1.ValueString(res.S1.Value(0, i))
+			if want != got {
+				return fmt.Errorf("decompose: constant attribute %s reconstructs to %q, want %q", names[a], got, want)
+			}
+		}
+		return nil
+	}
+	s1Index := func(attrs []int) ([]int, error) {
+		ns := make([]string, len(attrs))
+		for i, a := range attrs {
+			ns[i] = names[a]
+		}
+		return res.S1.AttrIndices(ns)
+	}
+	s1LHS, err := s1Index(lhsAttrs)
+	if err != nil {
+		return err
+	}
+	s1RHS, err := s1Index(rhsAttrs)
+	if err != nil {
+		return err
+	}
+	// Index S1 on X.
 	index := map[string]int{}
 	key := make([]byte, 0, 64)
 	for t := 0; t < res.S1.N(); t++ {
@@ -138,48 +152,32 @@ func (res *Result) Lossless(r *relation.Relation, f fd.FD) error {
 		index[string(key)] = t
 	}
 
-	rhsAttrs := f.RHS.Attrs()
-	rhsNames := make([]string, len(rhsAttrs))
-	for i, a := range rhsAttrs {
-		rhsNames[i] = r.Attrs[a]
-	}
-	s1RHS, err := res.S1.AttrIndices(rhsNames)
-	if err != nil {
-		return err
-	}
-
-	for t := 0; t < r.N(); t++ {
+	nl := len(lhsAttrs)
+	var mismatch error
+	err = relation.ForEachRow(c, append(lhsAttrs, rhsAttrs...), func(t int, row []int32) bool {
 		key = key[:0]
-		for _, a := range f.LHS.Attrs() {
-			key = append(key, r.ValueString(r.Value(t, a))...)
+		for _, v := range row[:nl] {
+			key = append(key, strs[v]...)
 			key = append(key, 0)
 		}
 		s1Row, ok := index[string(key)]
 		if !ok {
-			return fmt.Errorf("decompose: tuple %d has no join partner in S1", t)
+			mismatch = fmt.Errorf("decompose: tuple %d has no join partner in S1", t)
+			return false
 		}
-		for i, a := range rhsAttrs {
-			want := r.ValueString(r.Value(t, a))
+		for i, v := range row[nl:] {
+			want := strs[v]
 			got := res.S1.ValueString(res.S1.Value(s1Row, s1RHS[i]))
 			if want != got {
-				return fmt.Errorf("decompose: tuple %d attribute %s reconstructs to %q, want %q",
-					t, r.Attrs[a], got, want)
+				mismatch = fmt.Errorf("decompose: tuple %d attribute %s reconstructs to %q, want %q",
+					t, names[rhsAttrs[i]], got, want)
+				return false
 			}
 		}
+		return true
+	})
+	if err != nil {
+		return err
 	}
-	return nil
-}
-
-func (res *Result) losslessConstant(r *relation.Relation, f fd.FD) error {
-	if res.S1.N() != 1 {
-		return fmt.Errorf("decompose: constant dependency should yield a single S1 row, got %d", res.S1.N())
-	}
-	for i, a := range f.RHS.Attrs() {
-		want := r.ValueString(r.Value(0, a))
-		got := res.S1.ValueString(res.S1.Value(0, i+f.LHS.Count()))
-		if want != got {
-			return fmt.Errorf("decompose: constant attribute %s reconstructs to %q, want %q", r.Attrs[a], got, want)
-		}
-	}
-	return nil
+	return mismatch
 }

@@ -30,11 +30,11 @@ func TestDecomposePaperExample(t *testing.T) {
 	cToB := fd.FD{LHS: fd.NewAttrSet(2), RHS: fd.NewAttrSet(1)}
 	aToB := fd.FD{LHS: fd.NewAttrSet(0), RHS: fd.NewAttrSet(1)}
 
-	resC, err := On(r, cToB)
+	resC, err := On(relation.AsColumns(r), cToB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resC.Lossless(r, cToB); err != nil {
+	if err := resC.Lossless(relation.AsColumns(r), cToB); err != nil {
 		t.Fatalf("C→B decomposition not lossless: %v", err)
 	}
 	// S1 = (B,C) projected distinctly: (1,p), (1,r), (2,x) = 3 rows.
@@ -46,11 +46,11 @@ func TestDecomposePaperExample(t *testing.T) {
 		t.Fatalf("S2 shape %dx%d", resC.S2.N(), resC.S2.M())
 	}
 
-	resA, err := On(r, aToB)
+	resA, err := On(relation.AsColumns(r), aToB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resA.Lossless(r, aToB); err != nil {
+	if err := resA.Lossless(relation.AsColumns(r), aToB); err != nil {
 		t.Fatalf("A→B decomposition not lossless: %v", err)
 	}
 	// The paper: decomposing on C→B removes more redundancy.
@@ -69,11 +69,11 @@ func TestDecomposeDB2Department(t *testing.T) {
 	rhs := fd.NewAttrSet(r.AttrIndex("DepName")).Add(r.AttrIndex("MgrNo")).Add(r.AttrIndex("AdminDepNo"))
 	f := fd.FD{LHS: lhs, RHS: rhs}
 
-	res, err := On(r, f)
+	res, err := On(relation.AsColumns(r), f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Lossless(r, f); err != nil {
+	if err := res.Lossless(relation.AsColumns(r), f); err != nil {
 		t.Fatal(err)
 	}
 	// 9 departments: S1 collapses to 9 rows of 4 attributes.
@@ -98,14 +98,14 @@ func TestDecomposeConstantRHS(t *testing.T) {
 	b.MustAdd("z", "k")
 	r := b.Relation()
 	f := fd.FD{LHS: 0, RHS: fd.NewAttrSet(1)}
-	res, err := On(r, f)
+	res, err := On(relation.AsColumns(r), f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.S1.N() != 1 {
 		t.Fatalf("constant S1 rows %d", res.S1.N())
 	}
-	if err := res.Lossless(r, f); err != nil {
+	if err := res.Lossless(relation.AsColumns(r), f); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,17 +113,17 @@ func TestDecomposeConstantRHS(t *testing.T) {
 func TestDecomposeRejectsApproximate(t *testing.T) {
 	r := fig4(t)
 	bToC := fd.FD{LHS: fd.NewAttrSet(1), RHS: fd.NewAttrSet(2)} // does not hold
-	if _, err := On(r, bToC); err == nil {
+	if _, err := On(relation.AsColumns(r), bToC); err == nil {
 		t.Fatal("approximate dependency must be rejected")
 	}
 }
 
 func TestDecomposeRejectsTrivial(t *testing.T) {
 	r := fig4(t)
-	if _, err := On(r, fd.FD{LHS: fd.NewAttrSet(0), RHS: fd.NewAttrSet(0)}); err == nil {
+	if _, err := On(relation.AsColumns(r), fd.FD{LHS: fd.NewAttrSet(0), RHS: fd.NewAttrSet(0)}); err == nil {
 		t.Fatal("trivial dependency must be rejected")
 	}
-	if _, err := On(r, fd.FD{LHS: fd.NewAttrSet(0), RHS: fd.NewAttrSet(9)}); err == nil {
+	if _, err := On(relation.AsColumns(r), fd.FD{LHS: fd.NewAttrSet(0), RHS: fd.NewAttrSet(9)}); err == nil {
 		t.Fatal("out-of-range attribute must be rejected")
 	}
 }
@@ -158,11 +158,11 @@ func TestPropDecomposeLossless(t *testing.T) {
 			if f.Attrs().Count() == r.M() {
 				continue // decomposition would be the identity
 			}
-			res, err := On(r, f)
+			res, err := On(relation.AsColumns(r), f)
 			if err != nil {
 				return false
 			}
-			if err := res.Lossless(r, f); err != nil {
+			if err := res.Lossless(relation.AsColumns(r), f); err != nil {
 				return false
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"structmine/internal/fd"
 	"structmine/internal/fdrank"
 	"structmine/internal/measures"
+	"structmine/internal/relation"
 	"structmine/internal/values"
 )
 
@@ -41,7 +42,10 @@ func Table3(s Scale) Report {
 	for i, rf := range top {
 		ix := rf.FD.Attrs().Attrs()
 		rad := measures.RAD(r, ix)
-		radw := measures.RADWeighted(r, ix)
+		radw, err := measures.RADWeighted(relation.AsColumns(r), ix)
+		if err != nil {
+			panic(err) // an in-memory relation has no failing reads
+		}
 		rtr := measures.RTR(r, ix)
 		radws = append(radws, radw)
 		rtrs = append(rtrs, rtr)

@@ -37,11 +37,24 @@ func MineApprox(r *relation.Relation, eps float64, maxLHS int) ([]ApproxFD, erro
 // reuses one probe table, and candidate counts stay small under the
 // maxLHS bound).
 func MineApproxCtx(ctx context.Context, r *relation.Relation, eps float64, maxLHS int) ([]ApproxFD, error) {
-	m := r.M()
+	single := func(a int) (*partition, error) { return singlePartition(r, a), nil }
+	return mineApprox(ctx, r.M(), r.N(), single, eps, maxLHS)
+}
+
+// MineApproxColumns is MineApproxCtx over the paged column interface:
+// the level-1 partitions come from the value index (or a
+// relation.PartitionSource) and the lattice walk above them is shared,
+// so the result is identical to the resident one.
+func MineApproxColumns(ctx context.Context, c relation.Columns, eps float64, maxLHS int) ([]ApproxFD, error) {
+	single := func(a int) (*partition, error) { return singlePartitionColumns(c, a) }
+	return mineApprox(ctx, c.M(), c.N(), single, eps, maxLHS)
+}
+
+func mineApprox(ctx context.Context, m, n int, single func(a int) (*partition, error), eps float64, maxLHS int) ([]ApproxFD, error) {
 	if m > MaxAttrs {
 		return nil, fmt.Errorf("fd: relation has %d attributes, max %d", m, MaxAttrs)
 	}
-	if r.N() == 0 || m == 0 {
+	if n == 0 || m == 0 {
 		return nil, nil
 	}
 	if eps < 0 {
@@ -50,13 +63,16 @@ func MineApproxCtx(ctx context.Context, r *relation.Relation, eps float64, maxLH
 	if maxLHS <= 0 || maxLHS > m-1 {
 		maxLHS = m - 1
 	}
-	n := r.N()
 	sc := &prodScratch{ar: exec.CheckoutArena(ctx)} // one reusable probe table for every product and g3 below
 
 	// Partitions per LHS set, built level by level.
 	parts := map[AttrSet]*partition{0: emptyPartition(n)}
 	for a := 0; a < m; a++ {
-		parts[NewAttrSet(a)] = singlePartition(r, a)
+		p, err := single(a)
+		if err != nil {
+			return nil, err
+		}
+		parts[NewAttrSet(a)] = p
 	}
 
 	// found[a] lists the minimal satisfying LHSs discovered so far for

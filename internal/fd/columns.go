@@ -41,42 +41,70 @@ func singlePartitionColumns(c relation.Columns, a int) (*partition, error) {
 // answers identically to Holds on the equivalent resident relation.
 func HoldsColumns(c relation.Columns, f FD) (bool, error) {
 	lhs := f.LHS.Attrs()
-	rhs := f.RHS.Attrs()
+	nl := len(lhs)
 	seen := make(map[string][]int32, c.N())
 	key := make([]byte, 0, 32)
-	attrs := make([]int, 0, len(lhs)+len(rhs))
-	attrs = append(append(attrs, lhs...), rhs...)
-	cols := make([][]int32, len(attrs))
-	for p := 0; p < c.NumPages(); p++ {
-		got, err := c.ReadStripe(p, attrs, cols)
-		if err != nil {
-			return false, err
-		}
-		cols = got
-		lcols, rcols := cols[:len(lhs)], cols[len(lhs):]
-		rows := c.PageLen(p)
-		for t := 0; t < rows; t++ {
-			key = key[:0]
-			for i := range lhs {
-				v := lcols[i][t]
-				key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), 0xfe)
-			}
-			if prev, ok := seen[string(key)]; ok {
-				for i := range rhs {
-					if prev[i] != rcols[i][t] {
-						return false, nil
-					}
+	holds := true
+	err := relation.ForEachRow(c, append(lhs, f.RHS.Attrs()...), func(t int, row []int32) bool {
+		key = appendValueKey(key[:0], row[:nl])
+		if prev, ok := seen[string(key)]; ok {
+			for i, v := range row[nl:] {
+				if prev[i] != v {
+					holds = false
+					return false
 				}
-				continue
 			}
-			cur := make([]int32, len(rhs))
-			for i := range rhs {
-				cur[i] = rcols[i][t]
-			}
-			seen[string(key)] = cur
+			return true
 		}
+		seen[string(key)] = append([]int32(nil), row[nl:]...)
+		return true
+	})
+	return holds, err
+}
+
+// G3Columns is G3 over the column interface: a direct count, per group
+// of tuples agreeing on the LHS, of the most frequent RHS combination.
+func G3Columns(c relation.Columns, f FD) (float64, error) {
+	if c.N() == 0 {
+		return 0, nil
 	}
-	return true, nil
+	lhs := f.LHS.Attrs()
+	nl := len(lhs)
+	groups := map[string]map[string]int{} // LHS group → RHS combination → count
+	var key, val []byte
+	err := relation.ForEachRow(c, append(lhs, f.RHS.Attrs()...), func(t int, row []int32) bool {
+		key = appendValueKey(key[:0], row[:nl])
+		val = appendValueKey(val[:0], row[nl:])
+		g := groups[string(key)]
+		if g == nil {
+			g = map[string]int{}
+			groups[string(key)] = g
+		}
+		g[string(val)]++
+		return true
+	})
+	if err != nil {
+		return 0, err
+	}
+	keep := 0
+	for _, g := range groups {
+		best := 0
+		for _, n := range g {
+			if n > best {
+				best = n
+			}
+		}
+		keep += best
+	}
+	return 1 - float64(keep)/float64(c.N()), nil
+}
+
+// appendValueKey appends the map-key encoding of a value-id tuple.
+func appendValueKey(key []byte, vals []int32) []byte {
+	for _, v := range vals {
+		key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), 0xfe)
+	}
+	return key
 }
 
 // DiscoverColumns mines all minimal, non-trivial FDs over the paged

@@ -60,44 +60,8 @@ func Holds(r *relation.Relation, f FD) bool {
 // the minimum fraction of tuples that must be removed for the dependency
 // to hold (Huhtala et al.). Zero means the FD holds exactly.
 func G3(r *relation.Relation, f FD) float64 {
-	if r.N() == 0 {
-		return 0
-	}
-	rhs := f.RHS.Attrs()
-	lhs := f.LHS.Attrs()
-	// group -> value combination counts
-	groups := map[string]map[string]int{}
-	key := make([]byte, 0, 32)
-	val := make([]byte, 0, 16)
-	for t := 0; t < r.N(); t++ {
-		key = key[:0]
-		for _, a := range lhs {
-			v := r.Value(t, a)
-			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), 0xfe)
-		}
-		val = val[:0]
-		for _, a := range rhs {
-			v := r.Value(t, a)
-			val = append(val, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), 0xfe)
-		}
-		g := groups[string(key)]
-		if g == nil {
-			g = map[string]int{}
-			groups[string(key)] = g
-		}
-		g[string(val)]++
-	}
-	keep := 0
-	for _, g := range groups {
-		best := 0
-		for _, c := range g {
-			if c > best {
-				best = c
-			}
-		}
-		keep += best
-	}
-	return 1 - float64(keep)/float64(r.N())
+	g3, _ := G3Columns(relation.AsColumns(r), f) // an in-memory relation has no failing reads
+	return g3
 }
 
 // SortFDs orders FDs deterministically (by LHS then RHS bit patterns).

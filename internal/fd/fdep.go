@@ -24,7 +24,10 @@ func FDEP(r *relation.Relation) ([]FD, error) {
 	if r.N() == 0 || m == 0 {
 		return nil, nil
 	}
-	rows := distinctRows(r)
+	rows, err := distinctRows(relation.AsColumns(r))
+	if err != nil {
+		return nil, err
+	}
 	agree := agreeSets(rows, m)
 	full := FullSet(m)
 
@@ -69,23 +72,22 @@ func FDEP(r *relation.Relation) ([]FD, error) {
 	return out, nil
 }
 
-// distinctRows returns one value-id row per distinct tuple.
-func distinctRows(r *relation.Relation) [][]int32 {
+// distinctRows returns one value-id row per distinct tuple, in order of
+// first appearance. The rows are materialized: the agree-set computation
+// compares them pairwise.
+func distinctRows(c relation.Columns) ([][]int32, error) {
 	seen := map[string]bool{}
 	var rows [][]int32
-	key := make([]byte, 0, 64)
-	for t := 0; t < r.N(); t++ {
-		row := r.Row(t)
-		key = key[:0]
-		for _, v := range row {
-			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
+	var key []byte
+	err := relation.ForEachRow(c, relation.AllAttrs(c), func(t int, row []int32) bool {
+		key = appendValueKey(key[:0], row)
 		if !seen[string(key)] {
 			seen[string(key)] = true
-			rows = append(rows, row)
+			rows = append(rows, append([]int32(nil), row...))
 		}
-	}
-	return rows
+		return true
+	})
+	return rows, err
 }
 
 // agreeSets returns the deduplicated agree sets of all pairs of distinct

@@ -18,18 +18,26 @@ import (
 // rows; it is intended for the interactive report over moderate
 // instances.
 func Keys(r *relation.Relation) ([]AttrSet, error) {
-	m := r.M()
+	return KeysColumns(relation.AsColumns(r))
+}
+
+// KeysColumns is Keys over the column interface.
+func KeysColumns(c relation.Columns) ([]AttrSet, error) {
+	n, m := c.N(), c.M()
 	if m > MaxAttrs {
 		return nil, fmt.Errorf("fd: relation has %d attributes, max %d", m, MaxAttrs)
 	}
 	if m == 0 {
 		return nil, nil
 	}
-	if r.N() <= 1 {
+	if n <= 1 {
 		return []AttrSet{0}, nil // the empty set identifies ≤1 tuple
 	}
-	rows := distinctRows(r)
-	if len(rows) < r.N() {
+	rows, err := distinctRows(c)
+	if err != nil {
+		return nil, err
+	}
+	if len(rows) < n {
 		// Exact duplicate tuples exist: no attribute set can tell them
 		// apart, so the instance has no key at all.
 		return nil, nil

@@ -25,45 +25,44 @@ func (v MVD) Format(names []string) string {
 // MVDHolds reports whether X →→ Y holds: within every X-group, the
 // projections on Y and on Z = R−X−Y are independent, i.e. the group is
 // exactly the cross product of its Y-side and Z-side value combinations.
-func MVDHolds(r *relation.Relation, v MVD) bool {
+// The instance streams page stripe by page stripe.
+func MVDHolds(c relation.Columns, v MVD) (bool, error) {
 	x := v.LHS
 	y := v.RHS.Minus(x)
-	z := FullSet(r.M()).Minus(x).Minus(y)
+	z := FullSet(c.M()).Minus(x).Minus(y)
 	if y.Empty() || z.Empty() {
-		return true // trivial MVD
+		return true, nil // trivial MVD
 	}
 	type group struct {
 		ys, zs map[string]bool
 		rows   map[string]bool
 	}
 	groups := map[string]*group{}
-	key := func(attrs []int, t int) string {
-		buf := make([]byte, 0, 32)
-		for _, a := range attrs {
-			vid := r.Value(t, a)
-			buf = append(buf, byte(vid), byte(vid>>8), byte(vid>>16), byte(vid>>24), 0xfc)
-		}
-		return string(buf)
-	}
 	xa, ya, za := x.Attrs(), y.Attrs(), z.Attrs()
-	for t := 0; t < r.N(); t++ {
-		k := key(xa, t)
+	nx, ny := len(xa), len(ya)
+	err := relation.ForEachRow(c, append(append(xa, ya...), za...), func(t int, row []int32) bool {
+		k := string(appendValueKey(nil, row[:nx]))
 		g := groups[k]
 		if g == nil {
 			g = &group{ys: map[string]bool{}, zs: map[string]bool{}, rows: map[string]bool{}}
 			groups[k] = g
 		}
-		yk, zk := key(ya, t), key(za, t)
+		yk := string(appendValueKey(nil, row[nx:nx+ny]))
+		zk := string(appendValueKey(nil, row[nx+ny:]))
 		g.ys[yk] = true
 		g.zs[zk] = true
 		g.rows[yk+"\x00"+zk] = true
+		return true
+	})
+	if err != nil {
+		return false, err
 	}
 	for _, g := range groups {
 		if len(g.rows) != len(g.ys)*len(g.zs) {
-			return false
+			return false, nil
 		}
 	}
-	return true
+	return true, nil
 }
 
 // MineMVDs enumerates the non-trivial multivalued dependencies X →→ Y
@@ -75,18 +74,18 @@ func MVDHolds(r *relation.Relation, v MVD) bool {
 // The search is exponential in the arity, as any MVD miner's is; the
 // maxLHS bound (default 2) and the m ≤ 16 guard keep it interactive.
 // FDs imply MVDs (X → Y ⟹ X →→ Y); pass skipFDImplied to suppress those.
-func MineMVDs(r *relation.Relation, maxLHS int, skipFDImplied bool) ([]MVD, error) {
-	return MineMVDsCtx(context.Background(), r, maxLHS, skipFDImplied)
+func MineMVDs(c relation.Columns, maxLHS int, skipFDImplied bool) ([]MVD, error) {
+	return MineMVDsCtx(context.Background(), c, maxLHS, skipFDImplied)
 }
 
 // MineMVDsCtx is MineMVDs under the context's worker budget (used by the
 // FD-pruning TANE pass).
-func MineMVDsCtx(ctx context.Context, r *relation.Relation, maxLHS int, skipFDImplied bool) ([]MVD, error) {
-	m := r.M()
+func MineMVDsCtx(ctx context.Context, c relation.Columns, maxLHS int, skipFDImplied bool) ([]MVD, error) {
+	m := c.M()
 	if m > 16 {
 		return nil, fmt.Errorf("fd: MVD mining limited to 16 attributes, got %d", m)
 	}
-	if r.N() == 0 || m < 3 {
+	if c.N() == 0 || m < 3 {
 		return nil, nil
 	}
 	if maxLHS <= 0 {
@@ -98,7 +97,7 @@ func MineMVDsCtx(ctx context.Context, r *relation.Relation, maxLHS int, skipFDIm
 	var fds []FD
 	if skipFDImplied {
 		var err error
-		fds, err = TANECtx(ctx, r)
+		fds, err = TANEColumnsCtx(ctx, c)
 		if err != nil {
 			return nil, err
 		}
@@ -146,7 +145,9 @@ func MineMVDsCtx(ctx context.Context, r *relation.Relation, maxLHS int, skipFDIm
 				}
 			}
 			v := MVD{LHS: x, RHS: y}
-			if !MVDHolds(r, v) {
+			if ok, err := MVDHolds(c, v); err != nil {
+				return nil, err
+			} else if !ok {
 				continue
 			}
 			if skipFDImplied && (Implies(fds, FD{LHS: x, RHS: y}) || Implies(fds, FD{LHS: x, RHS: comp})) {

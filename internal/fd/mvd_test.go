@@ -25,11 +25,20 @@ func crossProductRelation(t *testing.T) *relation.Relation {
 	return b.Relation()
 }
 
+func mvdHolds(t testing.TB, r *relation.Relation, v MVD) bool {
+	t.Helper()
+	ok, err := MVDHolds(relation.AsColumns(r), v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
 func TestMVDHoldsCrossProduct(t *testing.T) {
 	r := crossProductRelation(t)
 	emp := NewAttrSet(0)
 	skill := NewAttrSet(1)
-	if !MVDHolds(r, MVD{LHS: emp, RHS: skill}) {
+	if !mvdHolds(t, r, MVD{LHS: emp, RHS: skill}) {
 		t.Fatal("Emp →→ Skill should hold")
 	}
 	// The corresponding FD does not.
@@ -43,7 +52,7 @@ func TestMVDViolated(t *testing.T) {
 	b.MustAdd("pat", "sql", "en")
 	b.MustAdd("pat", "go", "fr") // missing (sql,fr) and (go,en)
 	r := b.Relation()
-	if MVDHolds(r, MVD{LHS: NewAttrSet(0), RHS: NewAttrSet(1)}) {
+	if mvdHolds(t, r, MVD{LHS: NewAttrSet(0), RHS: NewAttrSet(1)}) {
 		t.Fatal("non-cross-product group should violate the MVD")
 	}
 }
@@ -51,17 +60,17 @@ func TestMVDViolated(t *testing.T) {
 func TestMVDTrivial(t *testing.T) {
 	r := crossProductRelation(t)
 	// Y empty after removing X, or Z empty: trivially true.
-	if !MVDHolds(r, MVD{LHS: NewAttrSet(0), RHS: NewAttrSet(0)}) {
+	if !mvdHolds(t, r, MVD{LHS: NewAttrSet(0), RHS: NewAttrSet(0)}) {
 		t.Fatal("trivial MVD (Y ⊆ X) should hold")
 	}
-	if !MVDHolds(r, MVD{LHS: NewAttrSet(0), RHS: NewAttrSet(1, 2)}) {
+	if !mvdHolds(t, r, MVD{LHS: NewAttrSet(0), RHS: NewAttrSet(1, 2)}) {
 		t.Fatal("trivial MVD (Z empty) should hold")
 	}
 }
 
 func TestMineMVDsFindsSkillLanguage(t *testing.T) {
 	r := crossProductRelation(t)
-	mvds, err := MineMVDs(r, 0, false)
+	mvds, err := MineMVDs(relation.AsColumns(r), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +93,11 @@ func TestMineMVDsSkipFDImplied(t *testing.T) {
 	b.MustAdd("2", "y", "p")
 	b.MustAdd("2", "y", "r")
 	r := b.Relation()
-	withFD, err := MineMVDs(r, 0, false)
+	withFD, err := MineMVDs(relation.AsColumns(r), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := MineMVDs(r, 0, true)
+	without, err := MineMVDs(relation.AsColumns(r), 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,19 +119,19 @@ func TestMineMVDsSkipFDImplied(t *testing.T) {
 
 func TestMineMVDsEdgeCases(t *testing.T) {
 	empty := relation.NewBuilder("e", []string{"A", "B", "C"}).Relation()
-	if got, err := MineMVDs(empty, 0, false); err != nil || got != nil {
+	if got, err := MineMVDs(relation.AsColumns(empty), 0, false); err != nil || got != nil {
 		t.Fatalf("empty: %v %v", got, err)
 	}
 	two := relation.NewBuilder("two", []string{"A", "B"})
 	two.MustAdd("x", "y")
-	if got, err := MineMVDs(two.Relation(), 0, false); err != nil || got != nil {
+	if got, err := MineMVDs(relation.AsColumns(two.Relation()), 0, false); err != nil || got != nil {
 		t.Fatalf("m<3: %v %v", got, err)
 	}
 	wide := make([]string, 17)
 	for i := range wide {
 		wide[i] = strconv.Itoa(i)
 	}
-	if _, err := MineMVDs(relation.NewBuilder("wide", wide).Relation(), 0, false); err == nil {
+	if _, err := MineMVDs(relation.AsColumns(relation.NewBuilder("wide", wide).Relation()), 0, false); err == nil {
 		t.Fatal("17 attributes should be rejected")
 	}
 }
@@ -162,16 +171,16 @@ func TestPropFDImpliesMVD(t *testing.T) {
 			return false
 		}
 		for _, f := range fds {
-			if !MVDHolds(r, MVD{LHS: f.LHS, RHS: f.RHS}) {
+			if !mvdHolds(t, r, MVD{LHS: f.LHS, RHS: f.RHS}) {
 				return false
 			}
 		}
-		mvds, err := MineMVDs(r, 0, false)
+		mvds, err := MineMVDs(relation.AsColumns(r), 0, false)
 		if err != nil {
 			return false
 		}
 		for _, v := range mvds {
-			if !MVDHolds(r, v) {
+			if !mvdHolds(t, r, v) {
 				return false
 			}
 		}

@@ -44,18 +44,12 @@ func runTANE(ctx context.Context, r *relation.Relation, serial bool) ([]FD, erro
 	return t.mine(ctx, r.M(), r.N(), serial)
 }
 
-// TANEColumns mines the same minimal FDs over the paged column
-// interface: level-1 partitions come straight from the value index and
-// satisfaction checks stream page stripes, so the full row set is never
-// resident. The output is bit-identical to TANE on the equivalent
-// resident relation — identical level-1 partitions feed the identical
-// lattice walk.
-func TANEColumns(c relation.Columns) ([]FD, error) {
-	return TANEColumnsCtx(context.Background(), c)
-}
-
-// TANEColumnsCtx is TANEColumns under the context's worker budget and
-// arena pool.
+// TANEColumnsCtx mines the same minimal FDs over the column interface,
+// under the context's worker budget and arena pool: level-1 partitions
+// come straight from the value index and satisfaction checks stream page
+// stripes, so the full row set is never resident. The output is
+// bit-identical to TANE on the equivalent resident relation — identical
+// level-1 partitions feed the identical lattice walk.
 func TANEColumnsCtx(ctx context.Context, c relation.Columns) ([]FD, error) {
 	t := &tane{
 		single: func(a int) (*partition, error) { return singlePartitionColumns(c, a) },

@@ -22,38 +22,35 @@ import (
 // RAD returns the Relative Attribute Duplication of the attribute group.
 // Groups are attribute indices; an empty group or empty relation yields 0.
 func RAD(r *relation.Relation, attrs []int) float64 {
-	n := r.N()
-	if n <= 1 || len(attrs) == 0 {
-		return 0
-	}
-	h := it.EntropyCounts(r.ProjectionCounts(attrs))
-	return 1 - h/math.Log2(float64(n))
+	rad, _ := RADColumns(relation.AsColumns(r), attrs) // no failing reads in memory
+	return rad
 }
 
 // RADWeighted is RAD with the projection entropy scaled by |CA|/m,
 // making the measure width-sensitive as the paper describes.
-func RADWeighted(r *relation.Relation, attrs []int) float64 {
-	n := r.N()
-	m := r.M()
+func RADWeighted(c relation.Columns, attrs []int) (float64, error) {
+	n := c.N()
+	m := c.M()
 	if n <= 1 || len(attrs) == 0 || m == 0 {
-		return 0
+		return 0, nil
 	}
-	h := it.EntropyCounts(r.ProjectionCounts(attrs)) * float64(len(attrs)) / float64(m)
-	return 1 - h/math.Log2(float64(n))
+	counts, err := relation.ProjectionCountsColumns(c, attrs)
+	if err != nil {
+		return 0, err
+	}
+	h := it.EntropyCounts(counts) * float64(len(attrs)) / float64(m)
+	return 1 - h/math.Log2(float64(n)), nil
 }
 
 // RTR returns the Relative Tuple Reduction of the attribute group.
 func RTR(r *relation.Relation, attrs []int) float64 {
-	n := r.N()
-	if n == 0 || len(attrs) == 0 {
-		return 0
-	}
-	return 1 - float64(r.DistinctRows(attrs))/float64(n)
+	rtr, _ := RTRColumns(relation.AsColumns(r), attrs) // no failing reads in memory
+	return rtr
 }
 
-// RADColumns is RAD over the paged column interface. The projection
-// counts arrive in the same sorted order as the resident scan, so the
-// entropy sum — and hence the measure — is bit-identical.
+// RADColumns is RAD over the column interface. The projection counts
+// arrive in a canonical sorted order, so the entropy sum — and hence the
+// measure — is bit-identical across Columns implementations.
 func RADColumns(c relation.Columns, attrs []int) (float64, error) {
 	n := c.N()
 	if n <= 1 || len(attrs) == 0 {

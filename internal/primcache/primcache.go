@@ -26,7 +26,6 @@ package primcache
 
 import (
 	"container/list"
-	"errors"
 	"sync"
 
 	"structmine/internal/obs"
@@ -148,9 +147,9 @@ type partitionEntry struct {
 
 // Wrap returns c with the cache layered over its single-attribute
 // primitives: the wrapper implements relation.PartitionSource and
-// relation.MarginalSource (and caches ValueStrings when the underlying
-// source has it), so consumers probing those capabilities hit the
-// cache while every plain Columns method passes straight through.
+// relation.MarginalSource and caches ValueStrings, so consumers probing
+// those capabilities hit the cache while every other Columns method
+// passes straight through.
 // hash and epoch must identify the exact relation instance c reads —
 // serving a wrapper past its dataset's epoch bump is a correctness
 // bug, not just a staleness one.
@@ -201,25 +200,15 @@ func (w *wrapped) Marginal(a int) (relation.AttrMarginal, error) {
 	return mg, nil
 }
 
-// stringsSource is the dictionary capability colstore.Table has; the
-// resident adapter does not (its relation keeps strings natively).
-type stringsSource interface {
-	ValueStrings() ([]string, error)
-}
-
-// ValueStrings serves the decoded dictionary through the cache when
-// the underlying source decodes on demand. The returned slice is
+// ValueStrings serves the decoded dictionary through the cache (an
+// on-disk source decodes it on every call). The returned slice is
 // shared: callers must treat it as read-only.
 func (w *wrapped) ValueStrings() ([]string, error) {
-	src, ok := w.Columns.(stringsSource)
-	if !ok {
-		return nil, errors.New("primcache: source has no on-demand dictionary")
-	}
 	k := key{w.hash, w.epoch, -1, kindDict}
 	if v, ok := w.cache.get(k); ok {
 		return v.([]string), nil
 	}
-	strs, err := src.ValueStrings()
+	strs, err := w.Columns.ValueStrings()
 	if err != nil {
 		return nil, err
 	}

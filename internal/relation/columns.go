@@ -76,6 +76,11 @@ type Columns interface {
 	ValueAttr(v int32) int
 	// NullCount returns how many tuples hold NULL in attribute a.
 	NullCount(a int) int
+	// ValueStrings returns the dictionary, value id → string, len D.
+	// Callers must not modify the returned slice. On-disk
+	// implementations decode it on every call, so consumers fetch it
+	// once per run, not per value.
+	ValueStrings() ([]string, error)
 }
 
 // AsColumns adapts a resident *Relation to the Columns interface with
@@ -83,6 +88,16 @@ type Columns interface {
 // on the first VisitValues/NullCount call and cached.
 func AsColumns(r *Relation) Columns {
 	return &residentColumns{r: r}
+}
+
+// InMemory returns the relation behind an AsColumns value, or nil when c
+// reads from anywhere else. It exists for the kernels that still need
+// random row access to every tuple (delta FD maintenance).
+func InMemory(c Columns) *Relation {
+	if rc, ok := c.(*residentColumns); ok {
+		return rc.r
+	}
+	return nil
 }
 
 type residentColumns struct {
@@ -185,6 +200,8 @@ func (c *residentColumns) VisitValues(a int, f func(v int32, count int, runs []R
 
 func (c *residentColumns) ValueAttr(v int32) int { return c.r.ValueAttr(v) }
 
+func (c *residentColumns) ValueStrings() ([]string, error) { return c.r.valueStr, nil }
+
 func (c *residentColumns) NullCount(a int) int {
 	id, ok := c.r.dict[a][Null]
 	if !ok {
@@ -207,24 +224,24 @@ func compressRuns(dst []Run, tuples []int32) []Run {
 	return dst
 }
 
-// DistinctRowsColumns is DistinctRows over the paged interface: the
-// number of distinct rows of the projection on attrs (set semantics).
-// One page stripe of the projected attributes is resident at a time.
+// DistinctRowsColumns returns the number of distinct rows of the
+// projection on attrs (set semantics). One page stripe of the projected
+// attributes is resident at a time.
 func DistinctRowsColumns(c Columns, attrs []int) (int, error) {
 	seen := map[string]struct{}{}
-	err := scanProjection(c, attrs, func(key []byte) {
+	err := scanProjection(c, attrs, func(key []byte, _ []int32) {
 		seen[string(key)] = struct{}{}
 	})
 	return len(seen), err
 }
 
-// ProjectionCountsColumns is ProjectionCounts over the paged interface:
-// the multiplicity of each distinct projected row (bag semantics),
-// sorted descending. The ordering matches ProjectionCounts exactly, so
-// entropies computed over either are bit-identical.
+// ProjectionCountsColumns returns the multiplicity of each distinct
+// projected row (bag semantics), sorted descending — a canonical order,
+// so entropies summed over it are bit-identical across Columns
+// implementations.
 func ProjectionCountsColumns(c Columns, attrs []int) ([]int, error) {
 	counts := map[string]int{}
-	err := scanProjection(c, attrs, func(key []byte) {
+	err := scanProjection(c, attrs, func(key []byte, _ []int32) {
 		counts[string(key)]++
 	})
 	if err != nil {
@@ -238,27 +255,120 @@ func ProjectionCountsColumns(c Columns, attrs []int) ([]int, error) {
 	return out, nil
 }
 
-// scanProjection streams the projection of c on attrs page stripe by
-// page stripe, calling visit with each row's encoded key. The key
-// buffer is reused; visit must copy if it retains (map[string(key)]
-// insertions copy implicitly).
-func scanProjection(c Columns, attrs []int, visit func(key []byte)) error {
+// AllAttrs returns the attribute indices 0..M-1: the attrs argument of a
+// scan over whole rows.
+func AllAttrs(c Columns) []int {
+	attrs := make([]int, c.M())
+	for a := range attrs {
+		attrs[a] = a
+	}
+	return attrs
+}
+
+// FetchRows returns the value-id rows of the given tuples, rows[i] for
+// ts[i]. Each stripe that holds one of them is read once, whatever the
+// order of ts, so fetching the members of many small groups costs one
+// pass over the stripes they touch rather than a stripe read per tuple.
+func FetchRows(c Columns, ts []int) ([][]int32, error) {
+	m, pageRows := c.M(), c.PageRows()
+	order := make([]int, len(ts))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool { return ts[order[i]] < ts[order[j]] })
+	attrs := AllAttrs(c)
+	rows := make([][]int32, len(ts))
+	cells := make([]int32, len(ts)*m)
+	var cols [][]int32
+	loaded := -1
+	for _, i := range order {
+		t := ts[i]
+		if p := t / pageRows; p != loaded {
+			got, err := c.ReadStripe(p, attrs, cols)
+			if err != nil {
+				return nil, err
+			}
+			cols, loaded = got, p
+		}
+		row := cells[i*m : (i+1)*m : (i+1)*m]
+		for a := range row {
+			row[a] = cols[a][t%pageRows]
+		}
+		rows[i] = row
+	}
+	return rows, nil
+}
+
+// ForEachRow streams the projection of c on attrs in tuple order, one
+// page stripe resident at a time: fn receives the tuple index and its
+// projected value ids, and returns false to stop the scan early. The
+// row slice is reused between calls; fn must copy what it retains.
+func ForEachRow(c Columns, attrs []int, fn func(t int, row []int32) bool) error {
 	cols := make([][]int32, len(attrs))
-	key := make([]byte, 0, 5*len(attrs))
+	row := make([]int32, len(attrs))
+	t := 0
 	for p := 0; p < c.NumPages(); p++ {
 		got, err := c.ReadStripe(p, attrs, cols)
 		if err != nil {
 			return err
 		}
 		cols = got
-		rows := c.PageLen(p)
-		for t := 0; t < rows; t++ {
-			key = key[:0]
-			for i := range attrs {
-				key = appendKey(key, cols[i][t])
+		for i, rows := 0, c.PageLen(p); i < rows; i++ {
+			for j := range row {
+				row[j] = cols[j][i]
 			}
-			visit(key)
+			if !fn(t, row) {
+				return nil
+			}
+			t++
 		}
 	}
 	return nil
+}
+
+// ProjectColumns builds the projection of c on attrs as a new in-memory
+// relation, value ids re-interned: every tuple (bag semantics), or with
+// distinct set only the first occurrence of each projected row.
+func ProjectColumns(c Columns, attrs []int, name string, distinct bool) (*Relation, error) {
+	strs, err := c.ValueStrings()
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, len(attrs))
+	for i, a := range attrs {
+		names[i] = c.AttrNames()[a]
+	}
+	b := NewBuilder(name, names)
+	seen := map[string]bool{}
+	vals := make([]string, len(attrs))
+	err = scanProjection(c, attrs, func(key []byte, row []int32) {
+		if distinct {
+			if seen[string(key)] {
+				return
+			}
+			seen[string(key)] = true
+		}
+		for i, v := range row {
+			vals[i] = strs[v]
+		}
+		if err := b.Add(vals); err != nil {
+			panic(err) // schema is constructed to match
+		}
+	})
+	return b.Relation(), err
+}
+
+// scanProjection streams the projection of c on attrs, calling visit
+// with each row and its encoded key. Both buffers are reused; visit must
+// copy what it retains (map[string(key)] insertions copy implicitly).
+func scanProjection(c Columns, attrs []int, visit func(key []byte, row []int32)) error {
+	key := make([]byte, 0, 5*len(attrs))
+	return ForEachRow(c, attrs, func(t int, row []int32) bool {
+		key = key[:0]
+		for _, v := range row {
+			key = appendKey(key, v)
+		}
+		visit(key, row)
+		return true
+	})
 }

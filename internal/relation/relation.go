@@ -12,10 +12,7 @@
 // precisely because co-occurring NULLs correlate attributes.
 package relation
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Null is the canonical representation of a missing value.
 const Null = "NULL"
@@ -224,21 +221,8 @@ func (r *Relation) Stats() *Stats {
 // Project returns a new relation over the given attribute indices,
 // preserving every tuple (bag semantics). Value ids are re-interned.
 func (r *Relation) Project(attrs []int) *Relation {
-	names := make([]string, len(attrs))
-	for i, a := range attrs {
-		names[i] = r.Attrs[a]
-	}
-	b := NewBuilder(r.Name+"-proj", names)
-	vals := make([]string, len(attrs))
-	for t := range r.rows {
-		for i, a := range attrs {
-			vals[i] = r.valueStr[r.rows[t][a]]
-		}
-		if err := b.Add(vals); err != nil {
-			panic(err) // schema is constructed to match
-		}
-	}
-	return b.Relation()
+	p, _ := ProjectColumns(AsColumns(r), attrs, r.Name+"-proj", false) // no failing reads in memory
+	return p
 }
 
 // Select returns a new relation containing only the given tuple indices,
@@ -256,36 +240,15 @@ func (r *Relation) Select(tuples []int) *Relation {
 // DistinctRows returns the number of distinct rows when the relation is
 // projected on the given attributes (set semantics), i.e. n' in RTR.
 func (r *Relation) DistinctRows(attrs []int) int {
-	seen := map[string]struct{}{}
-	key := make([]byte, 0, 64)
-	for t := range r.rows {
-		key = key[:0]
-		for _, a := range attrs {
-			key = appendKey(key, r.rows[t][a])
-		}
-		seen[string(key)] = struct{}{}
-	}
-	return len(seen)
+	n, _ := DistinctRowsColumns(AsColumns(r), attrs) // no failing reads in memory
+	return n
 }
 
 // ProjectionCounts returns the multiplicity of each distinct projected row
-// (bag semantics), used by the RAD measure.
+// (bag semantics), sorted descending; used by the RAD measure.
 func (r *Relation) ProjectionCounts(attrs []int) []int {
-	counts := map[string]int{}
-	key := make([]byte, 0, 64)
-	for t := range r.rows {
-		key = key[:0]
-		for _, a := range attrs {
-			key = appendKey(key, r.rows[t][a])
-		}
-		counts[string(key)]++
-	}
-	out := make([]int, 0, len(counts))
-	for _, c := range counts {
-		out = append(out, c)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
+	counts, _ := ProjectionCountsColumns(AsColumns(r), attrs) // no failing reads in memory
+	return counts
 }
 
 func appendKey(b []byte, v int32) []byte {

@@ -12,8 +12,12 @@ import (
 // stripes across the context's worker budget (exec.ColScan kernel).
 // fn(w, p, cols) receives the worker index, the page index, and one
 // decoded column per entry of attrs, each of length PageLen(p). Page
-// buffers are carved once per worker from a pooled arena, so a full
-// scan costs O(workers) page allocations regardless of page count.
+// buffers are allocated once per worker, so a full scan costs
+// O(workers) page allocations regardless of page count. They are plain
+// allocations, not carves from the job's pooled arenas: a scan needs a
+// few pages for its own duration, and checking an arena out for them
+// would hand it one of the pool's grown slabs — which the engine that
+// runs next (a LIMBO tree, TANE's products) would then have to regrow.
 //
 // Concurrency contract: fn runs concurrently for different pages but
 // never concurrently for the same w, and cols is reused across the
@@ -39,10 +43,9 @@ func ScanStripes(ctx context.Context, c Columns, attrs []int, fn func(w, p int, 
 	)
 	exec.ForChunk(ctx, exec.ColScan, pages, work, func(w, lo, hi int) {
 		if dsts[w] == nil {
-			ar := exec.CheckoutArena(ctx)
 			bufs := make([][]int32, len(attrs))
 			for i := range bufs {
-				bufs[i] = ar.Int32s(c.PageRows())
+				bufs[i] = make([]int32, c.PageRows())
 			}
 			dsts[w] = bufs
 		}

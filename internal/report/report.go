@@ -15,7 +15,6 @@ import (
 	"structmine/internal/attrs"
 	"structmine/internal/fd"
 	"structmine/internal/fdrank"
-	"structmine/internal/it"
 	"structmine/internal/limbo"
 	"structmine/internal/measures"
 	"structmine/internal/relation"
@@ -101,39 +100,59 @@ type RankedFD struct {
 }
 
 // Generate runs the pipeline over the relation.
-func Generate(r *relation.Relation, opts Options) (*Report, error) {
-	return GenerateCtx(context.Background(), r, opts)
+func Generate(c relation.Columns, opts Options) (*Report, error) {
+	return GenerateCtx(context.Background(), c, opts)
 }
 
 // GenerateCtx is Generate under the context's worker budget and arena
 // pool.
-func GenerateCtx(ctx context.Context, r *relation.Relation, opts Options) (*Report, error) {
+func GenerateCtx(ctx context.Context, c relation.Columns, opts Options) (*Report, error) {
 	opts = opts.normalized()
+	n, m := c.N(), c.M()
+	names := c.AttrNames()
 	rep := &Report{
-		Relation: r.Name,
-		N:        r.N(), M: r.M(), D: r.D(),
+		Relation: c.Name(),
+		N:        n, M: m, D: c.D(),
 	}
-	if r.N() == 0 || r.M() == 0 {
+	if n == 0 || m == 0 {
 		return rep, nil
 	}
-	rep.TupleInfo = limbo.MutualInfo(tuples.Objects(r))
+	objs, err := tuples.ObjectsColumnsCtx(ctx, c)
+	if err != nil {
+		return nil, err
+	}
+	rep.TupleInfo = limbo.MutualInfo(objs)
 
 	// Per-attribute profiles.
-	for a := 0; a < r.M(); a++ {
-		counts := r.ProjectionCounts([]int{a})
+	for a := 0; a < m; a++ {
+		mg, err := relation.ComputeAttrMarginal(c, a)
+		if err != nil {
+			return nil, err
+		}
+		rad, err := measures.RADColumns(c, []int{a})
+		if err != nil {
+			return nil, err
+		}
+		rtr, err := measures.RTRColumns(c, []int{a})
+		if err != nil {
+			return nil, err
+		}
 		rep.Attrs = append(rep.Attrs, AttrProfile{
-			Name:         r.Attrs[a],
-			Distinct:     r.DomainSize(a),
-			NullFraction: r.NullFraction(a),
-			Entropy:      it.EntropyCounts(counts),
-			MaxEntropy:   log2i(r.DomainSize(a)),
-			RAD:          measures.RAD(r, []int{a}),
-			RTR:          measures.RTR(r, []int{a}),
+			Name:         names[a],
+			Distinct:     mg.Distinct,
+			NullFraction: float64(c.NullCount(a)) / float64(n),
+			Entropy:      mg.EntropyBits,
+			MaxEntropy:   log2i(mg.Distinct),
+			RAD:          rad,
+			RTR:          rtr,
 		})
 	}
 
 	// Duplicate tuples.
-	dup := tuples.FindDuplicatesCtx(ctx, r, opts.PhiT, 4)
+	dup, err := tuples.FindDuplicatesColumns(ctx, c, opts.PhiT, 4)
+	if err != nil {
+		return nil, err
+	}
 	for _, g := range dup.Groups {
 		if len(g) >= 2 {
 			rep.DuplicateTupleGroups = append(rep.DuplicateTupleGroups, g)
@@ -141,7 +160,15 @@ func GenerateCtx(ctx context.Context, r *relation.Relation, opts Options) (*Repo
 	}
 
 	// Duplicate value groups + attribute grouping.
-	vc := values.ClusterRelationCtx(ctx, r, opts.PhiV, 4)
+	vobjs, err := values.ObjectsColumnsCtx(ctx, c)
+	if err != nil {
+		return nil, err
+	}
+	strs, err := c.ValueStrings()
+	if err != nil {
+		return nil, err
+	}
+	vc := values.ClusterCtx(ctx, vobjs, opts.PhiV, 4, m)
 	for _, gi := range vc.DuplicateGroups() {
 		g := vc.Groups[gi]
 		if len(g.Values) < 2 {
@@ -149,34 +176,40 @@ func GenerateCtx(ctx context.Context, r *relation.Relation, opts Options) (*Repo
 		}
 		labels := make([]string, 0, len(g.Values))
 		for _, v := range g.Values {
-			labels = append(labels, r.ValueLabel(v))
+			labels = append(labels, names[c.ValueAttr(v)]+"="+strs[v])
 		}
 		rep.DuplicateValueGroups = append(rep.DuplicateValueGroups, labels)
 	}
-	rep.Grouping = attrs.GroupCtx(ctx, r, vc)
+	rep.Grouping = attrs.GroupNamesCtx(ctx, names, vc)
 
 	// Candidate keys and ranked dependencies.
 	if !opts.SkipFDs {
-		if keys, err := fd.Keys(r); err == nil {
+		if keys, err := fd.KeysColumns(c); err == nil {
 			for _, k := range keys {
-				rep.CandidateKeys = append(rep.CandidateKeys, k.Format(r.Attrs))
+				rep.CandidateKeys = append(rep.CandidateKeys, k.Format(names))
 			}
 		}
-		fds, err := fd.DiscoverCtx(ctx, r)
+		fds, err := fd.DiscoverColumns(ctx, c)
 		if err != nil {
 			return nil, fmt.Errorf("report: mining dependencies: %w", err)
 		}
 		cover := fd.MinCover(fds)
 		for _, rf := range fdrank.Rank(cover, rep.Grouping, opts.Psi) {
 			ix := rf.FD.Attrs().Attrs()
-			rep.RankedFDs = append(rep.RankedFDs, RankedFD{
-				Label:    rf.FD.Format(r.Attrs),
-				Rank:     rf.Rank,
-				RAD:      measures.RAD(r, ix),
-				RADw:     measures.RADWeighted(r, ix),
-				RTR:      measures.RTR(r, ix),
-				ApproxG3: fd.G3(r, rf.FD),
-			})
+			rfd := RankedFD{Label: rf.FD.Format(names), Rank: rf.Rank}
+			if rfd.RAD, err = measures.RADColumns(c, ix); err != nil {
+				return nil, err
+			}
+			if rfd.RADw, err = measures.RADWeighted(c, ix); err != nil {
+				return nil, err
+			}
+			if rfd.RTR, err = measures.RTRColumns(c, ix); err != nil {
+				return nil, err
+			}
+			if rfd.ApproxG3, err = fd.G3Columns(c, rf.FD); err != nil {
+				return nil, err
+			}
+			rep.RankedFDs = append(rep.RankedFDs, rfd)
 		}
 	}
 	return rep, nil

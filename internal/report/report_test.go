@@ -13,7 +13,7 @@ func TestGenerateOnDB2Sample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Generate(db.Joined, Options{})
+	rep, err := Generate(relation.AsColumns(db.Joined), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestRenderSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Generate(db.Joined, Options{MaxGroups: 2, MaxFDs: 3})
+	rep, err := Generate(relation.AsColumns(db.Joined), Options{MaxGroups: 2, MaxFDs: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestGenerateSkipFDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Generate(db.Joined, Options{SkipFDs: true})
+	rep, err := Generate(relation.AsColumns(db.Joined), Options{SkipFDs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestGenerateWithDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := datagen.InjectExactDuplicates(db.Joined, 3, 9)
-	rep, err := Generate(inj.Dirty, Options{PhiT: 1e-9, SkipFDs: true})
+	rep, err := Generate(relation.AsColumns(inj.Dirty), Options{PhiT: 1e-9, SkipFDs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestGenerateWithDuplicates(t *testing.T) {
 
 func TestGenerateEmptyRelation(t *testing.T) {
 	r := relation.NewBuilder("empty", []string{"A"}).Relation()
-	rep, err := Generate(r, Options{})
+	rep, err := Generate(relation.AsColumns(r), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestReportCandidateKeys(t *testing.T) {
 	b.MustAdd("1", "Pat", "Boston")
 	b.MustAdd("2", "Sal", "Boston")
 	b.MustAdd("3", "Pat", "Paris")
-	rep, err := Generate(b.Relation(), Options{})
+	rep, err := Generate(relation.AsColumns(b.Relation()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,16 +81,15 @@ func (g *Registry) AppendCSV(id string, body []byte) (*Dataset, error) {
 			return nil, err
 		}
 	} else {
+		// Without a store every dataset is resident: rel is set.
 		next = &Dataset{
 			ID: ds.ID, Name: ds.Name, Hash: meta.Hash, Epoch: meta.Epoch,
-			Source: ds.Source, Bytes: meta.Bytes,
+			Source: ds.Source, Bytes: meta.Bytes, Summary: task.Describe(rel),
 		}
 	}
 	next.use = ds.use
 	if rel != nil {
-		// A resident dataset reports the summary of its relation, as at
-		// registration (the file-derived one agrees only within ulps).
-		next.rel, next.Storage, next.Summary = rel, StorageResident, task.Describe(rel)
+		next.rel, next.Storage = rel, StorageResident
 	}
 	g.mu.Lock()
 	delete(g.byHash, ds.Hash)
@@ -100,12 +99,9 @@ func (g *Registry) AppendCSV(id string, body []byte) (*Dataset, error) {
 	g.mu.Unlock()
 	if g.st != nil {
 		// The new file is published and registered: the old one is garbage.
-		ds.handle.mu.Lock()
-		if ds.handle.table != nil {
-			ds.handle.table.Close()
-			ds.handle.table = nil
-		}
-		ds.handle.mu.Unlock()
+		// Unlinking it now is safe — a job that pinned the old table keeps
+		// it mapped until it releases the pin.
+		ds.handle.unpin()
 		_ = g.st.FS().Remove(ds.colPath)
 		_ = g.st.RetireAppendRecord(next.Hash)
 	}
@@ -120,10 +116,11 @@ func (g *Registry) AppendCSV(id string, body []byte) (*Dataset, error) {
 // dataset it describes. On failure the intent is withdrawn so recovery
 // does not replay an append the client saw fail.
 func (g *Registry) appendCol(ds *Dataset, meta store.DatasetMeta, body []byte) (*Dataset, error) {
-	old, err := ds.table()
+	old, err := ds.handle.pin(ds.colPath)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStoreWrite, err)
 	}
+	defer ds.handle.unpin()
 	dir, err := g.st.ColstoreDir()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStoreWrite, err)

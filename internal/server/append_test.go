@@ -8,11 +8,15 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"structmine/internal/relation"
 	"structmine/internal/store"
+	"structmine/internal/task"
 )
 
 // appendCSVRows builds a deterministic CSV instance with an embedded FD
@@ -280,5 +284,162 @@ func TestAppendContracts(t *testing.T) {
 	if code, _ := doJSON(t, "POST", ts.URL+"/datasets/"+ds.ID+"/append",
 		[]byte("EmpNo,Name,Dept,City\n7,Kim,Eng,Oslo\n"), nil); code != http.StatusNotFound {
 		t.Fatalf("bare /datasets/{id}/append = %d, want 404 (/v1-only policy)", code)
+	}
+}
+
+// gatedColumns blocks the job that reads it — on its first N() — until
+// released, so a test can hold a pool worker for as long as it needs.
+type gatedColumns struct {
+	relation.Columns
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedColumns) N() int {
+	g.once.Do(func() { close(g.entered) })
+	<-g.release
+	return g.Columns.N()
+}
+
+// TestAppendKeepsPinnedTableMapped: an append replaces and unlinks a
+// paged dataset's file while a job admitted before it is still queued.
+// The job pinned the old table at submit, so it must finish — with the
+// pre-append artifact — rather than read a table the append unmapped;
+// the last release after the append then closes the old table.
+func TestAppendKeepsPinnedTableMapped(t *testing.T) {
+	base := appendCSVRows(300, 3)
+	st := openStoreClosed(t, t.TempDir())
+	s, ts := newTestServer(t, Config{Store: st, ResidentBytes: 64, Workers: 1})
+	var ds Dataset
+	if code, b := doJSON(t, "POST", ts.URL+"/v1/datasets?name=pin", csvOf(base), &ds); code != http.StatusCreated || ds.Storage != StoragePaged {
+		t.Fatalf("register: %d %s", code, b)
+	}
+	old, _ := s.reg.Get(ds.ID)
+
+	_, ref := newTestServer(t, Config{})
+	var refDS Dataset
+	if code, b := doJSON(t, "POST", ref.URL+"/v1/datasets?name=pin", csvOf(base), &refDS); code != http.StatusCreated {
+		t.Fatalf("reference register: %d %s", code, b)
+	}
+	want := mineResult(t, ref, refDS.ID, "mine-fds")
+
+	// The blocker holds the only worker.
+	gate := &gatedColumns{
+		Columns: relation.AsColumns(relation.NewBuilder("gate", []string{"A"}).Relation()),
+		entered: make(chan struct{}), release: make(chan struct{}),
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	blocker := &Job{
+		id: "blocker", task: "describe", key: "blocker", cols: gate, release: func() {},
+		state: StateQueued, submitted: time.Now(), ctx: ctx, cancel: cancel, done: make(chan struct{}),
+	}
+	q := s.jobs
+	q.mu.Lock()
+	q.jobs[blocker.id] = blocker
+	q.order = append(q.order, blocker.id)
+	q.high = append(q.high, blocker)
+	q.cond.Signal()
+	q.mu.Unlock()
+	<-gate.entered
+
+	var queued JobView
+	if code, b := doJSON(t, "POST", ts.URL+"/v1/jobs", submitRequest{Dataset: ds.ID, Task: "mine-fds"}, &queued); code != http.StatusAccepted {
+		t.Fatalf("submit behind the blocker: %d %s", code, b)
+	}
+	var after Dataset
+	body := csvOf([]string{"900,c1,z-other,g0"}) // breaks city → zip: the post-append artifact differs
+	if code, b := doJSON(t, "POST", ts.URL+"/v1/datasets/"+ds.ID+"/append", body, &after); code != http.StatusOK || after.Epoch != 1 {
+		t.Fatalf("append: %d %s", code, b)
+	}
+	close(gate.release)
+
+	if got := waitJob(t, ts, queued.ID); got.State != StateDone {
+		t.Fatalf("job pinned before the append: state %s (%s)", got.State, got.Error)
+	}
+	var res struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if code, b := doJSON(t, "GET", ts.URL+"/v1/jobs/"+queued.ID+"/result", nil, &res); code != http.StatusOK {
+		t.Fatalf("result: %d %s", code, b)
+	}
+	if !bytes.Equal(res.Result, want) {
+		t.Fatalf("pinned job's artifact is not the pre-append one:\n got %s\nwant %s", res.Result, want)
+	}
+	if now := mineResult(t, ts, ds.ID, "mine-fds"); bytes.Equal(now, want) {
+		t.Fatal("post-append mine-fds returned the pre-append artifact")
+	}
+	q.mu.Lock()
+	held := q.jobs[queued.ID].cols
+	q.mu.Unlock()
+	if held != nil {
+		t.Fatal("the finished job's record still holds the Columns value it read")
+	}
+	old.handle.mu.Lock()
+	defer old.handle.mu.Unlock()
+	if old.handle.table != nil || old.handle.refs != 0 {
+		t.Fatalf("old table still open after its last reader left (refs=%d)", old.handle.refs)
+	}
+}
+
+// TestDatasetStateStoreEpochRule: mine-state saved under a NEWER epoch
+// than the job's pin is never served to it (an append landed while the
+// job queued: that state covers rows the job is not mining); state from
+// the pinned or an older epoch is — the delta-resume case.
+func TestDatasetStateStoreEpochRule(t *testing.T) {
+	st := openStoreClosed(t, t.TempDir())
+	datasetStateStore{st: st, id: "ds", epoch: 3}.SaveState(task.StateFDs, []byte("state@3"))
+	for _, tc := range []struct {
+		pin  int
+		want bool
+	}{{2, false}, {3, true}, {4, true}} {
+		data, ok := datasetStateStore{st: st, id: "ds", epoch: tc.pin}.LoadState(task.StateFDs)
+		if ok != tc.want || (ok && string(data) != "state@3") {
+			t.Errorf("job pinned at epoch %d over state from epoch 3: got %q, %v; want served=%v", tc.pin, data, ok, tc.want)
+		}
+	}
+	if _, ok := (datasetStateStore{st: st, id: "ds", epoch: 3}).LoadState(task.StateTree); ok {
+		t.Error("a kind never saved was served")
+	}
+}
+
+// TestPagedHandleConcurrentPins: readers pin and unpin the table from
+// several goroutines while the dataset's own reference is dropped (an
+// append) and the file unlinked. Every successful pin reads a mapped
+// table, and the last one out closes it.
+func TestPagedHandleConcurrentPins(t *testing.T) {
+	st := openStoreClosed(t, t.TempDir())
+	s, _ := newTestServer(t, Config{Store: st, ResidentBytes: 64})
+	ds, _, err := s.reg.RegisterCSV("pins", "test", csvOf(appendCSVRows(200, 5)))
+	if err != nil || ds.Storage != StoragePaged {
+		t.Fatalf("register: %+v, %v", ds, err)
+	}
+	h := ds.handle
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				tbl, err := h.pin(ds.colPath)
+				if err != nil {
+					return // closed and unlinked: nothing left to pin
+				}
+				if _, err := tbl.ReadPage(0, 0, nil); err != nil {
+					t.Errorf("read through a pinned table: %v", err)
+				}
+				h.unpin()
+			}
+		}()
+	}
+	h.unpin() // what an append does to the handle it replaces
+	if err := os.Remove(ds.colPath); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.table != nil || h.refs != 0 {
+		t.Fatalf("table still open with no holder (refs=%d)", h.refs)
 	}
 }

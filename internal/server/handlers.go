@@ -524,12 +524,12 @@ func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request) {
 		Synopsis string `json:"synopsis"`
 		Runnable bool   `json:"runnable"`
 		// Paged marks tasks that can also run over "storage":"paged"
-		// (colstore-backed) datasets.
+		// (colstore-backed) datasets: every one that runs as a job.
 		Paged bool `json:"paged"`
 	}
 	out := make([]taskInfo, 0, len(task.Specs))
 	for _, sp := range task.Specs {
-		out = append(out, taskInfo{Name: sp.Name, Synopsis: sp.Synopsis, Runnable: !sp.MultiFile, Paged: sp.Paged})
+		out = append(out, taskInfo{Name: sp.Name, Synopsis: sp.Synopsis, Runnable: !sp.MultiFile, Paged: !sp.MultiFile})
 	}
 	writeJSON(w, http.StatusOK, out)
 }

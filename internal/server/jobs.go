@@ -13,7 +13,6 @@ import (
 
 	"structmine/internal/exec"
 	"structmine/internal/obs"
-	"structmine/internal/primcache"
 	"structmine/internal/relation"
 	"structmine/internal/store"
 	"structmine/internal/task"
@@ -53,17 +52,16 @@ type Job struct {
 	task      string
 	params    task.Params
 	key       string   // artifact-cache key
-	hash      string   // dataset content hash pinned at Submit (keys the primitive cache)
-	epoch     int      // dataset epoch pinned at Submit (keys the mine-state)
 	tenant    string   // admission key (X-Tenant, DefaultTenant otherwise)
 	priority  Priority // queue class: interactive jobs dequeue before batch
 	quotaHeld bool     // true while the job holds a tenant concurrent-job slot
 
-	// Exactly one of rel/cols is set for executable jobs, pinned at
-	// Submit so a dataset evicted to the paged tier mid-queue still runs
-	// against the state it was admitted under.
-	rel  *relation.Relation
-	cols relation.Columns
+	// cols is what the job reads, pinned at Submit so a dataset evicted,
+	// or replaced by an append, mid-queue still runs against the state it
+	// was admitted under. unpin lets go of it, exactly once, when the job
+	// reaches a terminal state.
+	cols    relation.Columns
+	release func()
 
 	state     State
 	errMsg    string
@@ -76,6 +74,14 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{} // closed on any terminal state
+}
+
+// unpin releases the pin on the dataset's table and drops the Columns
+// value: a retained job record must not keep alive the per-value
+// statistics an in-memory adapter derived for the run.
+func (j *Job) unpin() {
+	j.release()
+	j.cols = nil
 }
 
 // JobView is the JSON shape of a job served by the jobs endpoints.
@@ -128,10 +134,9 @@ type jobRecord struct {
 type Runner struct {
 	reg     *Registry
 	cache   *Cache
-	st      *store.Store     // optional journal (nil = memory only)
-	sched   *exec.Scheduler  // divides CPU cores fairly across concurrent jobs
-	prim    *primcache.Cache // optional (hash, epoch)-keyed primitive cache for paged jobs
-	tenants *tenants         // per-tenant rate limits and concurrent-job quotas
+	st      *store.Store    // optional journal (nil = memory only)
+	sched   *exec.Scheduler // divides CPU cores fairly across concurrent jobs
+	tenants *tenants        // per-tenant rate limits and concurrent-job quotas
 	timeout time.Duration
 	retain  int // max job records kept; oldest terminal jobs beyond it are dropped
 	depth   int // combined queue bound across both priority classes
@@ -159,10 +164,8 @@ type Runner struct {
 // the oldest terminal jobs are forgotten — their artifacts stay in the
 // cache, but polling the job id yields 404. A non-nil st journals every
 // terminal job. sched divides CPU cores fairly across the jobs running
-// concurrently on the pool (nil = the process-wide exec.Default). A
-// non-nil prim serves single-attribute primitives of paged datasets
-// across jobs, keyed (hash, epoch, attr).
-func NewRunner(reg *Registry, cache *Cache, st *store.Store, sched *exec.Scheduler, prim *primcache.Cache, lim TenantLimits, workers, depth int, timeout time.Duration, retain int) *Runner {
+// concurrently on the pool (nil = the process-wide exec.Default).
+func NewRunner(reg *Registry, cache *Cache, st *store.Store, sched *exec.Scheduler, lim TenantLimits, workers, depth int, timeout time.Duration, retain int) *Runner {
 	if workers < 1 {
 		workers = 1
 	}
@@ -174,7 +177,7 @@ func NewRunner(reg *Registry, cache *Cache, st *store.Store, sched *exec.Schedul
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &Runner{
-		reg: reg, cache: cache, st: st, sched: sched, prim: prim,
+		reg: reg, cache: cache, st: st, sched: sched,
 		tenants: newTenants(lim), timeout: timeout, retain: retain, depth: depth,
 		baseCtx: ctx, baseCancel: cancel,
 		jobs: map[string]*Job{}, idPrefix: "job-",
@@ -287,42 +290,41 @@ func (q *Runner) SubmitAs(tenant string, priority Priority, datasetID, taskName 
 	if !ok {
 		return JobView{}, fmt.Errorf("%w %q", ErrUnknownDataset, datasetID)
 	}
-	// Pin the execution surface now: a paged dataset must carry a paged
-	// task (rejected here, before a worker is consumed), and a resident
-	// relation pinned at submit keeps its content even if the registry
-	// evicts the dataset to the paged tier while the job waits.
-	var rel *relation.Relation
-	var cols relation.Columns
-	if ds.Paged() {
-		if !spec.Paged {
-			return JobView{}, fmt.Errorf("%w: task %q needs the resident relation, and dataset %s is paged (out of core)",
-				ErrTaskNotRunnable, taskName, ds.ID)
-		}
-		var err error
-		if cols, err = ds.Columns(); err != nil {
-			return JobView{}, err
-		}
-	} else {
-		rel = ds.Relation()
-	}
 	p = p.Normalize(taskName)
 	// The lookup happens before q.mu is taken: on a memory miss it reads
 	// and CRC-checks an artifact file from the durable tier, and every
 	// poll, list and submit would otherwise queue behind that disk read.
 	key := Key(ds.Hash, ds.Epoch, taskName, p)
 	cached, hit := q.cache.Get(key)
+	// Pin what the job will read now, before it queues. A cache hit reads
+	// nothing.
+	var cols relation.Columns
+	release := func() {}
+	if !hit {
+		var err error
+		if cols, release, err = ds.Columns(); err != nil {
+			return JobView{}, err
+		}
+	}
 
 	q.mu.Lock()
 	if q.draining {
 		q.mu.Unlock()
+		release()
 		return JobView{}, ErrDraining
 	}
 	q.seq++
 	ctx, cancel := context.WithCancel(q.baseCtx)
+	if q.st != nil {
+		// With a store attached the delta-capable tasks persist mine-state
+		// per (dataset, epoch) and, after an append, absorb only the
+		// appended tuples instead of re-mining from scratch.
+		ctx = task.WithState(ctx, datasetStateStore{st: q.st, id: ds.ID, epoch: ds.Epoch})
+	}
 	job := &Job{
 		id: fmt.Sprintf("%s%06d", q.idPrefix, q.seq), datasetID: ds.ID, dataset: ds,
-		rel: rel, cols: cols,
-		task: taskName, params: p, hash: ds.Hash, epoch: ds.Epoch,
+		cols: cols, release: release,
+		task: taskName, params: p,
 		tenant: tenant, priority: priority,
 		key: key, state: StateQueued,
 		trace:     obs.TraceReport{Stages: []obs.StageTiming{}},
@@ -346,6 +348,7 @@ func (q *Runner) SubmitAs(tenant string, priority Priority, datasetID, taskName 
 	if len(q.high)+len(q.low) >= q.depth {
 		cancel()
 		q.mu.Unlock()
+		release()
 		return JobView{}, ErrQueueFull
 	}
 	// The quota slot is reserved under q.mu (its own lock nests inside),
@@ -353,6 +356,7 @@ func (q *Runner) SubmitAs(tenant string, priority Priority, datasetID, taskName 
 	if err := q.tenants.admitJob(tenant); err != nil {
 		cancel()
 		q.mu.Unlock()
+		release()
 		return JobView{}, err
 	}
 	job.quotaHeld = true
@@ -482,42 +486,18 @@ func (q *Runner) run(job *Job) {
 	// budget that shrinks as more jobs run concurrently and recovers as
 	// they finish, so one heavy job cannot monopolize the cores. The
 	// grant also lends the job pooled scratch arenas; releasing it after
-	// task.Run returns them — safe because task results are freshly
-	// allocated copies, never views into arena memory.
+	// the task returns them — safe because task results are freshly
+	// allocated copies, never views into arena or mapped-file memory.
 	exec.ObserveQueueWait(time.Since(job.submitted))
 	g := q.sched.Acquire()
 	ctx = exec.WithGrant(ctx, g)
 	// Each job gets its own trace buffer; the pipeline stages inside
-	// task.Run record themselves on it through the context.
+	// task.RunColumns record themselves on it through the context.
 	tr := obs.NewTrace()
-	var res any
-	var err error
-	if job.cols != nil {
-		// Paged jobs read through the primitive cache: single-attribute
-		// partitions and marginals computed by any earlier job on the same
-		// (hash, epoch) are shared read-only instead of rederived. The
-		// wrapper is per-job, so the cache never outlives its keying — an
-		// append bumps the epoch and later submissions address new keys.
-		cols := primcache.Wrap(job.cols, job.hash, job.epoch, q.prim)
-		res, err = task.RunColumns(obs.WithTrace(ctx, tr), cols, job.task, job.params)
-	} else {
-		// Resident jobs run through the state-aware runner: with a store
-		// attached they persist mine-state per (dataset, epoch) and, after
-		// an append, absorb only the appended tuples instead of re-mining
-		// from scratch. The result is identical either way.
-		var ss task.StateStore
-		if q.st != nil && job.dataset != nil {
-			ss = datasetStateStore{st: q.st, id: job.datasetID, epoch: job.epoch}
-		}
-		start := time.Now()
-		var delta bool
-		res, delta, err = task.RunWithState(obs.WithTrace(ctx, tr), job.rel, job.task, job.params, ss)
-		if delta && err == nil {
-			obs.DeltaRemineSeconds.Observe(time.Since(start).Seconds())
-		}
-	}
+	res, err := task.RunColumns(obs.WithTrace(ctx, tr), job.cols, job.task, job.params)
 	tr.Finish()
 	g.Release()
+	job.unpin()
 
 	q.mu.Lock()
 	job.trace = tr.Report()
@@ -656,15 +636,18 @@ func (q *Runner) Cancel(id string) (JobView, bool) {
 		return JobView{}, false
 	}
 	var rec []byte
+	release := func() {}
 	if job.state == StateQueued {
 		job.state = StateCanceled
 		job.errMsg = "canceled before execution"
 		close(job.done)
 		q.releaseQuotaLocked(job)
 		rec = job.recordLocked()
+		release = job.unpin // run will never see this job
 	}
 	view := job.viewLocked()
 	q.mu.Unlock()
+	release()
 	q.journal(rec)
 	job.cancel()
 	return view, true

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"structmine/internal/store"
+	"structmine/internal/task"
 )
 
 // pagedBudget is the resident budget the paged tests run under; the big
@@ -88,12 +90,25 @@ func runToDone(t *testing.T, ts *httptest.Server, dataset, taskName string) (Job
 	return view, raw.String()
 }
 
-// TestPagedRankFDsMatchesResident is the acceptance end-to-end: a
-// dataset more than 4× the resident budget registers as
-// "storage":"paged" on a budgeted server, rank-fds runs out of core,
-// and the artifact is byte-identical to the one a plain resident server
-// mines from the same CSV.
-func TestPagedRankFDsMatchesResident(t *testing.T) {
+// resultOf extracts the "result" member of a result envelope: the
+// artifact bytes, without the job record around them.
+func resultOf(t *testing.T, envelope string) string {
+	t.Helper()
+	var env struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal([]byte(envelope), &env); err != nil || len(env.Result) == 0 {
+		t.Fatalf("result envelope %q: %v", envelope, err)
+	}
+	return string(env.Result)
+}
+
+// TestPagedTasksMatchResident is the acceptance end-to-end: a dataset
+// more than 4× the resident budget registers as "storage":"paged" on a
+// budgeted server, every single-dataset task runs out of core, and each
+// artifact is byte-identical to the one a plain resident server mines
+// from the same CSV.
+func TestPagedTasksMatchResident(t *testing.T) {
 	csv := bigCSV()
 	if int64(len(csv)) < 4*pagedBudget {
 		t.Fatalf("test CSV is %d bytes, need >= %d (4x budget)", len(csv), 4*pagedBudget)
@@ -124,18 +139,19 @@ func TestPagedRankFDsMatchesResident(t *testing.T) {
 		t.Fatalf("paged summary diverges: %+v vs %+v", paged.Summary, resident.Summary)
 	}
 
-	_, wantBody := runToDone(t, residentTS, resident.ID, "rank-fds")
-	_, gotBody := runToDone(t, pagedTS, paged.ID, "rank-fds")
-	if gotBody != wantBody {
-		t.Fatalf("paged rank-fds artifact differs from resident:\n got %s\nwant %s", gotBody, wantBody)
+	for _, spec := range task.Specs {
+		if spec.MultiFile {
+			continue
+		}
+		_, wantBody := runToDone(t, residentTS, resident.ID, spec.Name)
+		_, gotBody := runToDone(t, pagedTS, paged.ID, spec.Name)
+		if gotBody != wantBody {
+			t.Fatalf("paged %s artifact differs from resident:\n got %s\nwant %s", spec.Name, gotBody, wantBody)
+		}
+		if spec.Name == "rank-fds" && (!strings.Contains(gotBody, `"ranked"`) || !strings.Contains(gotBody, "city")) {
+			t.Fatalf("suspiciously empty artifact: %s", gotBody)
+		}
 	}
-	if !strings.Contains(gotBody, `"ranked"`) || !strings.Contains(gotBody, "city") {
-		t.Fatalf("suspiciously empty artifact: %s", gotBody)
-	}
-
-	// mine-fds and describe also run out of core.
-	runToDone(t, pagedTS, paged.ID, "mine-fds")
-	runToDone(t, pagedTS, paged.ID, "describe")
 
 	// The colstore metric families are exposed and alive: the open
 	// table is gauged and the miner streamed pages.
@@ -152,7 +168,8 @@ func TestPagedRankFDsMatchesResident(t *testing.T) {
 
 // TestResidentBudgetEviction drives the shared accounting: two small
 // datasets that together exceed the budget force the least recently
-// used one out to the paged tier, where only paged tasks may run.
+// used one out to the paged tier, where every task still runs — with the
+// artifact a resident server produces.
 func TestResidentBudgetEviction(t *testing.T) {
 	st := openStoreClosed(t, t.TempDir())
 	_, ts := newTestServer(t, Config{Store: st, ResidentBytes: pagedBudget})
@@ -184,14 +201,18 @@ func TestResidentBudgetEviction(t *testing.T) {
 		t.Fatalf("evicted dataset lost its summary: %+v", got1)
 	}
 
-	// Non-paged tasks are rejected up front on the evicted dataset...
-	var apiErr apiErrorBody
-	code, body := doJSON(t, "POST", ts.URL+"/v1/jobs",
-		submitRequest{Dataset: ds1.ID, Task: "report"}, &apiErr)
-	if code != http.StatusBadRequest || apiErr.Error.Code != CodeTaskNotRunnable {
-		t.Fatalf("report on paged dataset: %d %s", code, body)
+	// A task that used to need the resident relation reopens the evicted
+	// dataset's file lazily and answers as a resident server does.
+	_, residentTS := newTestServer(t, Config{})
+	var ref Dataset
+	if code, body := doJSON(t, "POST", residentTS.URL+"/v1/datasets?name=one", csv1, &ref); code != http.StatusCreated {
+		t.Fatalf("reference register: %d %s", code, body)
 	}
-	// ...while paged ones reopen the relation lazily and run.
+	_, want := runToDone(t, residentTS, ref.ID, "report")
+	_, got := runToDone(t, ts, ds1.ID, "report")
+	if resultOf(t, got) != resultOf(t, want) {
+		t.Fatalf("report on the evicted dataset differs from resident:\n got %s\nwant %s", got, want)
+	}
 	runToDone(t, ts, ds1.ID, "describe")
 	runToDone(t, ts, ds1.ID, "mine-fds")
 }

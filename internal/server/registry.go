@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"structmine/internal/colstore"
+	"structmine/internal/primcache"
 	"structmine/internal/relation"
 	"structmine/internal/store"
 	"structmine/internal/task"
@@ -41,8 +42,8 @@ const (
 	// memory — the classic tier, and the only one without a store.
 	StorageResident = "resident"
 	// StoragePaged marks a dataset backed by an on-disk colstore file,
-	// read page-at-a-time through the relation.Columns interface. Only
-	// the Paged tasks can run over it.
+	// read page-at-a-time through the relation.Columns interface. Every
+	// single-dataset task runs over it.
 	StoragePaged = "paged"
 )
 
@@ -93,46 +94,61 @@ type Dataset struct {
 	handle *pagedHandle
 }
 
-// pagedHandle owns a dataset's colstore table, opened on first use and
-// kept open until an append replaces the file.
+// pagedHandle owns a dataset's colstore table: opened on first use,
+// shared by the tier-change copies of the dataset, read through the
+// server's primitive cache, and kept mapped while anyone holds a
+// reference. The registered dataset holds one from the start and every
+// job that reads the table pins another; an append drops the dataset's
+// (the file is replaced and unlinked), so the table is unmapped when the
+// last job admitted before the append has finished with it.
 type pagedHandle struct {
+	prim *primcache.Cache
+
 	mu    sync.Mutex
 	table *colstore.Table
+	refs  int
 }
 
-// Relation returns the resident parsed instance (nil for paged
-// datasets).
-func (d *Dataset) Relation() *relation.Relation { return d.rel }
-
-// Paged reports whether the dataset is colstore-backed.
-func (d *Dataset) Paged() bool { return d.Storage == StoragePaged }
-
-// Columns returns the dataset as a paged column stream: a wrapper over
-// the resident relation, or the colstore table (opened on first use and
-// kept open — evicted residents reopen lazily here).
-func (d *Dataset) Columns() (relation.Columns, error) {
-	if d.rel != nil {
-		return relation.AsColumns(d.rel), nil
-	}
-	t, err := d.table()
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// table returns the dataset's colstore handle, opening it lazily.
-func (d *Dataset) table() (*colstore.Table, error) {
-	d.handle.mu.Lock()
-	defer d.handle.mu.Unlock()
-	if d.handle.table == nil {
-		t, err := colstore.Open(d.colPath)
+// pin returns the open table, holding it mapped until unpin.
+func (h *pagedHandle) pin(path string) (*colstore.Table, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.table == nil {
+		t, err := colstore.Open(path)
 		if err != nil {
-			return nil, fmt.Errorf("server: opening dataset file of %s: %w", d.ID, err)
+			return nil, err
 		}
-		d.handle.table = t
+		h.table = t
 	}
-	return d.handle.table, nil
+	h.refs++
+	return h.table, nil
+}
+
+func (h *pagedHandle) unpin() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.refs--; h.refs == 0 && h.table != nil {
+		h.table.Close()
+		h.table = nil
+	}
+}
+
+// Columns returns the dataset as the column value a job reads, plus the
+// release the job calls when done. This is the one place the tiers
+// differ: a resident dataset reads its in-memory relation (a fresh
+// adapter per job, so the per-value statistics it derives die with the
+// job); a paged one reads its colstore table — pinned until release,
+// reopened lazily after an eviction — through the (hash, epoch)-keyed
+// primitive cache shared across jobs.
+func (d *Dataset) Columns() (relation.Columns, func(), error) {
+	if d.rel != nil {
+		return relation.AsColumns(d.rel), func() {}, nil
+	}
+	t, err := d.handle.pin(d.colPath)
+	if err != nil {
+		return nil, nil, fmt.Errorf("server: opening dataset file of %s: %w", d.ID, err)
+	}
+	return primcache.Wrap(t, d.Hash, d.Epoch, d.handle.prim), d.handle.unpin, nil
 }
 
 // Registry owns the registered datasets, keyed on the full content
@@ -153,6 +169,10 @@ type Registry struct {
 	// total exceeds it.
 	budget int64
 	useSeq atomic.Int64
+
+	// prim serves single-attribute primitives of paged datasets across
+	// jobs, keyed (hash, epoch, attr); nil disables it.
+	prim *primcache.Cache
 
 	// st, when non-nil, makes registration durable: the dataset's
 	// colstore file is written before the relation becomes resident, so
@@ -300,7 +320,7 @@ func (g *Registry) RegisterCSV(name, source string, data []byte) (ds *Dataset, c
 		if ds.colPath, err = g.writeCol(meta, rel); err != nil {
 			return nil, false, fmt.Errorf("%w: %v", ErrStoreWrite, err)
 		}
-		ds.handle = &pagedHandle{}
+		ds.handle = &pagedHandle{prim: g.prim, refs: 1}
 	}
 	g.addLocked(ds)
 	g.evictLocked()
@@ -406,7 +426,7 @@ func (g *Registry) openCol(path, hash string) (*Dataset, error) {
 		ID: meta.ID, Name: meta.Name, Hash: hash, Epoch: meta.Epoch,
 		Source: meta.Source, Bytes: meta.Bytes, Storage: StoragePaged,
 		Summary: summary, colPath: path, use: &atomic.Int64{},
-		handle: &pagedHandle{table: tbl},
+		handle: &pagedHandle{prim: g.prim, table: tbl, refs: 1},
 	}, nil
 }
 
@@ -460,9 +480,7 @@ func (g *Registry) RecoverColstore() {
 				g.st.Quarantine(path)
 				continue
 			}
-			// Same summary as at registration: computed from the relation
-			// (the file-derived one agrees only within ulps).
-			ds.Storage, ds.Summary = StorageResident, task.Describe(ds.rel)
+			ds.Storage = StorageResident
 		}
 		g.mu.Lock()
 		ds.ID = g.claimIDLocked(ds.ID, hash)

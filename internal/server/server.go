@@ -177,8 +177,9 @@ func New(cfg Config) *Server {
 	}
 	s.reg.st = cfg.Store
 	s.reg.budget = cfg.ResidentBytes
+	s.reg.prim = primcache.New(cfg.PrimCacheBytes)
 	s.cache.st = cfg.Store
-	s.jobs = NewRunner(s.reg, s.cache, cfg.Store, exec.NewScheduler(cfg.Procs), primcache.New(cfg.PrimCacheBytes),
+	s.jobs = NewRunner(s.reg, s.cache, cfg.Store, exec.NewScheduler(cfg.Procs),
 		cfg.Tenant, cfg.Workers, cfg.QueueDepth, cfg.JobTimeout, cfg.MaxJobs)
 	if cfg.Router != nil {
 		// Job sequences are node-local: qualify the ids so a peer that

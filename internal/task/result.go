@@ -3,12 +3,12 @@ package task
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"structmine/internal/attrs"
 	"structmine/internal/decompose"
 	"structmine/internal/fd"
 	"structmine/internal/fdrank"
-	"structmine/internal/it"
 	"structmine/internal/joins"
 	"structmine/internal/limbo"
 	"structmine/internal/measures"
@@ -45,34 +45,71 @@ type DescribeResult struct {
 	Attrs          []AttrProfile `json:"attrs"`
 }
 
-// Describe builds the instance summary without running any miner. It is
-// also what the server keeps resident per registered dataset.
+// Describe builds the instance summary of a resident relation:
+// DescribeColumns behind relation.AsColumns. It is also what the server
+// keeps per registered dataset.
 func Describe(r *relation.Relation) *DescribeResult {
-	res := &DescribeResult{
-		Relation:       r.Name,
-		Tuples:         r.N(),
-		Attributes:     r.M(),
-		DistinctValues: r.D(),
-	}
-	if r.N() > 0 && r.M() > 0 {
-		res.TupleInfoBits = limbo.MutualInfo(tuples.Objects(r))
-	}
-	for a := 0; a < r.M(); a++ {
-		res.Attrs = append(res.Attrs, AttrProfile{
-			Name:         r.Attrs[a],
-			Distinct:     r.DomainSize(a),
-			NullFraction: r.NullFraction(a),
-			EntropyBits:  it.EntropyCounts(r.ProjectionCounts([]int{a})),
-		})
+	res, err := DescribeColumns(relation.AsColumns(r))
+	if err != nil {
+		panic(err) // an in-memory relation has no failing reads
 	}
 	return res
 }
 
-func runDescribe(ctx context.Context, r *relation.Relation) (*DescribeResult, error) {
+// DescribeColumns builds the instance summary from the value index,
+// without running any miner or touching a row. Because every value id
+// is attribute-qualified, each tuple's conditional is uniform over
+// exactly m ids, so H(V|T) = log2(m) exactly and
+// I(T;V) = H(V) − log2(m) with H(V) over the marginal p(v) = n_v/(n·m).
+func DescribeColumns(c relation.Columns) (*DescribeResult, error) {
+	n := c.N()
+	m := c.M()
+	res := &DescribeResult{
+		Relation:       c.Name(),
+		Tuples:         n,
+		Attributes:     m,
+		DistinctValues: c.D(),
+	}
+	names := c.AttrNames()
+	ms, cached := c.(relation.MarginalSource)
+	for a := 0; a < m; a++ {
+		// relation.ComputeAttrMarginal sums p(v) contributions in
+		// ascending value-id order and entropies over descending counts,
+		// and a MarginalSource (e.g. a primcache wrapper) serves the same
+		// struct, so cached and fresh describes are bit-identical.
+		var mg relation.AttrMarginal
+		var err error
+		if cached {
+			mg, err = ms.Marginal(a)
+		} else {
+			mg, err = relation.ComputeAttrMarginal(c, a)
+		}
+		if err != nil {
+			return nil, err
+		}
+		res.TupleInfoBits += mg.HV
+		nullFrac := 0.0
+		if n > 0 {
+			nullFrac = float64(c.NullCount(a)) / float64(n)
+		}
+		res.Attrs = append(res.Attrs, AttrProfile{
+			Name:         names[a],
+			Distinct:     mg.Distinct,
+			NullFraction: nullFrac,
+			EntropyBits:  mg.EntropyBits,
+		})
+	}
+	if n > 0 && m > 0 { // otherwise no value was visited and the sum is 0
+		res.TupleInfoBits -= math.Log2(float64(m))
+	}
+	return res, nil
+}
+
+func runDescribe(ctx context.Context, c relation.Columns) (*DescribeResult, error) {
 	if err := step(ctx, "describe"); err != nil {
 		return nil, err
 	}
-	return Describe(r), nil
+	return DescribeColumns(c)
 }
 
 // DupPair is a scored candidate duplicate pair.
@@ -95,11 +132,14 @@ type DedupResult struct {
 	Pairs  []DupPair `json:"pairs,omitempty"`
 }
 
-func runDedup(ctx context.Context, r *relation.Relation, p Params) (*DedupResult, error) {
+func runDedup(ctx context.Context, c relation.Columns, p Params) (*DedupResult, error) {
 	if err := step(ctx, "tuple clustering"); err != nil {
 		return nil, err
 	}
-	rep := tuples.FindDuplicatesCtx(ctx, r, fv(p.PhiT), defaultB)
+	rep, err := tuples.FindDuplicatesColumns(ctx, c, fv(p.PhiT), defaultB)
+	if err != nil {
+		return nil, err
+	}
 	res := &DedupResult{
 		PhiT: fv(p.PhiT), Threshold: rep.Threshold, LeafCount: rep.LeafCount,
 		MinSim: fv(p.MinSim), Groups: [][]int{},
@@ -112,7 +152,11 @@ func runDedup(ctx context.Context, r *relation.Relation, p Params) (*DedupResult
 	if err := step(ctx, "pair refinement"); err != nil {
 		return nil, err
 	}
-	for _, ps := range tuples.RefineDuplicates(r, rep, fv(p.MinSim)) {
+	pairs, err := tuples.RefineDuplicatesColumns(c, rep, fv(p.MinSim))
+	if err != nil {
+		return nil, err
+	}
+	for _, ps := range pairs {
 		res.Pairs = append(res.Pairs, DupPair{T1: ps.T1, T2: ps.T2, Agree: ps.Agree, Similarity: ps.Similarity})
 	}
 	return res, nil
@@ -134,16 +178,52 @@ type PartitionResult struct {
 	Partitions   []PartitionGroup `json:"partitions"`
 }
 
-func runPartition(ctx context.Context, r *relation.Relation, p Params) (*PartitionResult, error) {
+// runPartition resumes the dataset's persisted Phase 1 tree when
+// incremental re-mining is in reach (deltaReach), absorbing only the
+// appended tuples; otherwise it builds the tree from scratch. Phases 2
+// and 3 are the same either way.
+func runPartition(ctx context.Context, c relation.Columns, p Params) (*PartitionResult, error) {
 	if err := step(ctx, "partitioning"); err != nil {
 		return nil, err
 	}
-	pr := tuples.PartitionCtx(ctx, r, defaultMaxLeaves, defaultB, p.K)
+	st, _ := deltaReach(ctx, c)
+	var state []byte
+	if st != nil {
+		state, _ = st.store.LoadState(StateTree)
+	}
+	pr, tree, resumed, err := tuples.PartitionColumns(ctx, c, defaultMaxLeaves, defaultB, p.K, state)
+	if err != nil {
+		return nil, err
+	}
+	if st != nil {
+		st.store.SaveState(StateTree, limbo.EncodeTree(tree))
+		st.delta = resumed
+	}
+	// The sample rows — each partition's first member — come from one
+	// pass over the stripes that hold them.
+	var firsts []int
+	for _, cluster := range pr.Clusters {
+		if len(cluster) > 0 {
+			firsts = append(firsts, cluster[0])
+		}
+	}
+	rows, err := relation.FetchRows(c, firsts)
+	if err != nil {
+		return nil, err
+	}
+	strs, err := c.ValueStrings()
+	if err != nil {
+		return nil, err
+	}
 	res := &PartitionResult{K: pr.K, InfoLossFrac: pr.InfoLossFrac}
+	sampled := 0
 	for _, cluster := range pr.Clusters {
 		g := PartitionGroup{Size: len(cluster), Tuples: cluster}
 		if len(cluster) > 0 {
-			g.Sample = r.TupleStrings(cluster[0])
+			for _, v := range rows[sampled] {
+				g.Sample = append(g.Sample, strs[v])
+			}
+			sampled++
 		}
 		res.Partitions = append(res.Partitions, g)
 	}
@@ -168,9 +248,21 @@ type ValuesResult struct {
 	DuplicateGroups    []ValueGroup `json:"duplicate_groups"`
 }
 
-func newValuesResult(r *relation.Relation, phiV float64, vc *values.Clustering) *ValuesResult {
+func runValues(ctx context.Context, c relation.Columns, p Params) (*ValuesResult, error) {
+	if err := step(ctx, "value clustering"); err != nil {
+		return nil, err
+	}
+	vc, err := clusterValuesFor(ctx, c, p)
+	if err != nil {
+		return nil, err
+	}
+	strs, err := c.ValueStrings()
+	if err != nil {
+		return nil, err
+	}
+	names := c.AttrNames()
 	res := &ValuesResult{
-		PhiV: phiV, Threshold: vc.Threshold,
+		PhiV: fv(p.PhiV), Threshold: vc.Threshold,
 		NumGroups: len(vc.Groups), DuplicateGroups: []ValueGroup{},
 	}
 	for _, gi := range vc.DuplicateGroups() {
@@ -178,19 +270,11 @@ func newValuesResult(r *relation.Relation, phiV float64, vc *values.Clustering) 
 		res.NumDuplicateGroups++
 		vg := ValueGroup{Tuples: int(g.DCF.N), Duplicate: true}
 		for _, v := range g.Values {
-			vg.Values = append(vg.Values, r.ValueLabel(v))
+			vg.Values = append(vg.Values, names[c.ValueAttr(v)]+"="+strs[v])
 		}
 		res.DuplicateGroups = append(res.DuplicateGroups, vg)
 	}
-	return res
-}
-
-func runValues(ctx context.Context, r *relation.Relation, p Params) (*ValuesResult, error) {
-	if err := step(ctx, "value clustering"); err != nil {
-		return nil, err
-	}
-	vc := values.ClusterRelationCtx(ctx, r, fv(p.PhiV), defaultB)
-	return newValuesResult(r, fv(p.PhiV), vc), nil
+	return res, nil
 }
 
 // MergeStep is one agglomerative merge of the attribute dendrogram.
@@ -212,45 +296,56 @@ type GroupAttrsResult struct {
 	Dendrogram string `json:"dendrogram"`
 }
 
-func clusterValuesFor(ctx context.Context, r *relation.Relation, p Params) (*values.Clustering, error) {
+// clusterValuesFor clusters the attribute values at φV, over the tuples
+// themselves or — with p.Double — over the tuple clusters of a φT
+// compression pass (double clustering).
+func clusterValuesFor(ctx context.Context, c relation.Columns, p Params) (*values.Clustering, error) {
+	var objs []limbo.Obj
+	var err error
 	if !p.Double {
-		return values.ClusterRelationCtx(ctx, r, fv(p.PhiV), defaultB), nil
+		objs, err = values.ObjectsColumnsCtx(ctx, c)
+	} else {
+		var assign []int
+		var k int
+		if assign, k, err = tuples.CompressColumns(ctx, c, fv(p.PhiT), defaultB); err != nil {
+			return nil, err
+		}
+		if err = step(ctx, "value clustering over tuple clusters"); err != nil {
+			return nil, err
+		}
+		objs, err = values.ObjectsOverClustersColumnsCtx(ctx, c, assign, k)
 	}
-	assign, k := tuples.CompressCtx(ctx, r, fv(p.PhiT), defaultB)
-	if err := step(ctx, "value clustering over tuple clusters"); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	objs := values.ObjectsOverClusters(r, assign, k)
-	return values.ClusterCtx(ctx, objs, fv(p.PhiV), defaultB, r.M()), nil
+	return values.ClusterCtx(ctx, objs, fv(p.PhiV), defaultB, c.M()), nil
 }
 
-func newGroupAttrsResult(r *relation.Relation, g *attrs.Grouping, vc *values.Clustering) *GroupAttrsResult {
-	res := &GroupAttrsResult{
-		NumDuplicateGroups: len(vc.DuplicateGroups()),
-		Dendrogram:         g.Dendrogram().ASCII(78),
-		Merges:             []MergeStep{},
-	}
-	for _, ix := range g.AttrIdx {
-		res.Attrs = append(res.Attrs, r.Attrs[ix])
-	}
-	for _, m := range g.Res.Merges {
-		res.Merges = append(res.Merges, MergeStep{Left: m.Left, Right: m.Right, Node: m.Node, Loss: m.Loss, K: m.K})
-	}
-	return res
-}
-
-func runGroupAttrs(ctx context.Context, r *relation.Relation, p Params) (*GroupAttrsResult, error) {
+func runGroupAttrs(ctx context.Context, c relation.Columns, p Params) (*GroupAttrsResult, error) {
 	if err := step(ctx, "value clustering"); err != nil {
 		return nil, err
 	}
-	vc, err := clusterValuesFor(ctx, r, p)
+	vc, err := clusterValuesFor(ctx, c, p)
 	if err != nil {
 		return nil, err
 	}
 	if err := step(ctx, "attribute grouping"); err != nil {
 		return nil, err
 	}
-	return newGroupAttrsResult(r, attrs.GroupCtx(ctx, r, vc), vc), nil
+	names := c.AttrNames()
+	g := attrs.GroupNamesCtx(ctx, names, vc)
+	res := &GroupAttrsResult{
+		NumDuplicateGroups: len(vc.DuplicateGroups()),
+		Dendrogram:         g.Dendrogram().ASCII(78),
+		Merges:             []MergeStep{},
+	}
+	for _, ix := range g.AttrIdx {
+		res.Attrs = append(res.Attrs, names[ix])
+	}
+	for _, m := range g.Res.Merges {
+		res.Merges = append(res.Merges, MergeStep{Left: m.Left, Right: m.Right, Node: m.Node, Loss: m.Loss, K: m.K})
+	}
+	return res, nil
 }
 
 // FDItem is a functional dependency with named attributes.
@@ -260,13 +355,13 @@ type FDItem struct {
 	Label string   `json:"label"`
 }
 
-func newFDItem(r *relation.Relation, f fd.FD) FDItem {
-	item := FDItem{Label: f.Format(r.Attrs), LHS: []string{}, RHS: []string{}}
+func newFDItem(names []string, f fd.FD) FDItem {
+	item := FDItem{Label: f.Format(names), LHS: []string{}, RHS: []string{}}
 	for _, a := range f.LHS.Attrs() {
-		item.LHS = append(item.LHS, r.Attrs[a])
+		item.LHS = append(item.LHS, names[a])
 	}
 	for _, a := range f.RHS.Attrs() {
-		item.RHS = append(item.RHS, r.Attrs[a])
+		item.RHS = append(item.RHS, names[a])
 	}
 	return item
 }
@@ -277,20 +372,44 @@ type FDsResult struct {
 	Cover      []FDItem `json:"cover"`
 }
 
-func runMineFDs(ctx context.Context, r *relation.Relation) (*FDsResult, error) {
+// minedFDs discovers the minimal FD set. When incremental re-mining is
+// in reach (deltaReach) it goes through the delta path — the persisted
+// state of a prefix is rechecked against the appended rows only — and
+// refreshes the state on the way out; otherwise it mines the columns
+// directly and builds no state nobody would save.
+func minedFDs(ctx context.Context, c relation.Columns) ([]fd.FD, error) {
 	if err := step(ctx, "dependency mining"); err != nil {
 		return nil, err
 	}
-	fds, err := fd.DiscoverCtx(ctx, r)
+	st, r := deltaReach(ctx, c)
+	if st == nil {
+		return fd.DiscoverColumns(ctx, c)
+	}
+	var prev *fd.MineState
+	if data, ok := st.store.LoadState(StateFDs); ok {
+		prev, _ = fd.DecodeState(data) // nil on corruption: scratch run
+	}
+	fds, next, delta, err := fd.DiscoverDelta(ctx, r, prev)
+	if err != nil {
+		return nil, err
+	}
+	st.store.SaveState(StateFDs, fd.EncodeState(next))
+	st.delta = delta
+	return fds, nil
+}
+
+func runMineFDs(ctx context.Context, c relation.Columns) (*FDsResult, error) {
+	fds, err := minedFDs(ctx, c)
 	if err != nil {
 		return nil, err
 	}
 	if err := step(ctx, "minimum cover"); err != nil {
 		return nil, err
 	}
+	names := c.AttrNames()
 	res := &FDsResult{NumMinimal: len(fds), Cover: []FDItem{}}
 	for _, f := range fd.MinCover(fds) {
-		res.Cover = append(res.Cover, newFDItem(r, f))
+		res.Cover = append(res.Cover, newFDItem(names, f))
 	}
 	return res, nil
 }
@@ -308,23 +427,19 @@ type MVDsResult struct {
 	MVDs   []MVDItem `json:"mvds"`
 }
 
-func runMineMVDs(ctx context.Context, r *relation.Relation, p Params) (*MVDsResult, error) {
+func runMineMVDs(ctx context.Context, c relation.Columns, p Params) (*MVDsResult, error) {
 	if err := step(ctx, "MVD mining"); err != nil {
 		return nil, err
 	}
-	mvds, err := fd.MineMVDsCtx(ctx, r, p.MaxLHS, true)
+	mvds, err := fd.MineMVDsCtx(ctx, c, p.MaxLHS, true)
 	if err != nil {
 		return nil, err
 	}
+	names := c.AttrNames()
 	res := &MVDsResult{MaxLHS: p.MaxLHS, MVDs: []MVDItem{}}
 	for _, v := range mvds {
-		item := MVDItem{Label: v.Format(r.Attrs), LHS: []string{}, RHS: []string{}}
-		for _, a := range v.LHS.Attrs() {
-			item.LHS = append(item.LHS, r.Attrs[a])
-		}
-		for _, a := range v.RHS.Attrs() {
-			item.RHS = append(item.RHS, r.Attrs[a])
-		}
+		item := MVDItem(newFDItem(names, fd.FD{LHS: v.LHS, RHS: v.RHS}))
+		item.Label = v.Format(names)
 		res.MVDs = append(res.MVDs, item)
 	}
 	return res, nil
@@ -343,17 +458,18 @@ type ApproxFDsResult struct {
 	FDs    []ApproxFDItem `json:"fds"`
 }
 
-func runApproxFDs(ctx context.Context, r *relation.Relation, p Params) (*ApproxFDsResult, error) {
+func runApproxFDs(ctx context.Context, c relation.Columns, p Params) (*ApproxFDsResult, error) {
 	if err := step(ctx, "approximate dependency mining"); err != nil {
 		return nil, err
 	}
-	fds, err := fd.MineApproxCtx(ctx, r, fv(p.Eps), p.MaxLHS)
+	fds, err := fd.MineApproxColumns(ctx, c, fv(p.Eps), p.MaxLHS)
 	if err != nil {
 		return nil, err
 	}
+	names := c.AttrNames()
 	res := &ApproxFDsResult{Eps: fv(p.Eps), MaxLHS: p.MaxLHS, FDs: []ApproxFDItem{}}
 	for _, a := range fds {
-		res.FDs = append(res.FDs, ApproxFDItem{FD: newFDItem(r, a.FD), G3: a.Err})
+		res.FDs = append(res.FDs, ApproxFDItem{FD: newFDItem(names, a.FD), G3: a.Err})
 	}
 	return res, nil
 }
@@ -379,51 +495,57 @@ type RankFDsResult struct {
 // FD-RANK value-clustering step.
 const largeInstance = 5000
 
-func rankPipeline(ctx context.Context, r *relation.Relation, psi float64) (*RankFDsResult, []fdrank.Ranked, error) {
-	fds, err := fd.DiscoverCtx(ctx, r)
+// rankedFDs is the FD-RANK pipeline shared by rank-fds and decompose:
+// dependency mining, minimum cover, value clustering (double above
+// largeInstance), attribute grouping, ranking. It returns the ranked
+// cover and the size of the minimal set it was reduced from.
+func rankedFDs(ctx context.Context, c relation.Columns, psi float64) (ranked []fdrank.Ranked, numMinimal, coverSize int, err error) {
+	fds, err := minedFDs(ctx, c)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, 0, err
 	}
-	return rankPipelineFrom(ctx, r, psi, fds)
-}
-
-// rankPipelineFrom is the FD-RANK pipeline after dependency mining,
-// shared between the scratch path above and the delta path in state.go,
-// which supplies the fds from incremental discovery.
-func rankPipelineFrom(ctx context.Context, r *relation.Relation, psi float64, fds []fd.FD) (*RankFDsResult, []fdrank.Ranked, error) {
 	cover := fd.MinCover(fds)
 	if err := step(ctx, "value clustering"); err != nil {
-		return nil, nil, err
+		return nil, 0, 0, err
 	}
-	vc, err := clusterValuesFor(ctx, r, Params{Double: r.N() > largeInstance})
+	vc, err := clusterValuesFor(ctx, c, Params{Double: c.N() > largeInstance})
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, 0, err
 	}
 	if err := step(ctx, "attribute grouping"); err != nil {
-		return nil, nil, err
+		return nil, 0, 0, err
 	}
-	g := attrs.GroupCtx(ctx, r, vc)
+	g := attrs.GroupNamesCtx(ctx, c.AttrNames(), vc)
 	if err := step(ctx, "ranking"); err != nil {
-		return nil, nil, err
+		return nil, 0, 0, err
 	}
-	ranked := fdrank.Rank(cover, g, psi)
-	res := &RankFDsResult{Psi: psi, NumMinimal: len(fds), CoverSize: len(cover), Ranked: []RankedFDItem{}}
-	for _, rf := range ranked {
-		ix := rf.FD.Attrs().Attrs()
-		res.Ranked = append(res.Ranked, RankedFDItem{
-			FD: newFDItem(r, rf.FD), Rank: rf.Rank, Updated: rf.Updated,
-			RAD: measures.RAD(r, ix), RTR: measures.RTR(r, ix),
-		})
-	}
-	return res, ranked, nil
+	return fdrank.Rank(cover, g, psi), len(fds), len(cover), nil
 }
 
-func runRankFDs(ctx context.Context, r *relation.Relation, p Params) (*RankFDsResult, error) {
-	if err := step(ctx, "dependency mining"); err != nil {
+func runRankFDs(ctx context.Context, c relation.Columns, p Params) (*RankFDsResult, error) {
+	psi := fv(p.Psi)
+	ranked, numMinimal, coverSize, err := rankedFDs(ctx, c, psi)
+	if err != nil {
 		return nil, err
 	}
-	res, _, err := rankPipeline(ctx, r, fv(p.Psi))
-	return res, err
+	names := c.AttrNames()
+	res := &RankFDsResult{Psi: psi, NumMinimal: numMinimal, CoverSize: coverSize, Ranked: []RankedFDItem{}}
+	for _, rf := range ranked {
+		ix := rf.FD.Attrs().Attrs()
+		rad, err := measures.RADColumns(c, ix)
+		if err != nil {
+			return nil, err
+		}
+		rtr, err := measures.RTRColumns(c, ix)
+		if err != nil {
+			return nil, err
+		}
+		res.Ranked = append(res.Ranked, RankedFDItem{
+			FD: newFDItem(names, rf.FD), Rank: rf.Rank, Updated: rf.Updated,
+			RAD: rad, RTR: rtr,
+		})
+	}
+	return res, nil
 }
 
 // RelationSummary is the shape of a decomposition output relation.
@@ -447,11 +569,8 @@ type DecomposeResult struct {
 	RTR         float64         `json:"rtr"`
 }
 
-func runDecompose(ctx context.Context, r *relation.Relation, p Params) (*DecomposeResult, error) {
-	if err := step(ctx, "dependency mining"); err != nil {
-		return nil, err
-	}
-	_, ranked, err := rankPipeline(ctx, r, fv(p.Psi))
+func runDecompose(ctx context.Context, c relation.Columns, p Params) (*DecomposeResult, error) {
+	ranked, _, _, err := rankedFDs(ctx, c, fv(p.Psi))
 	if err != nil {
 		return nil, err
 	}
@@ -459,15 +578,15 @@ func runDecompose(ctx context.Context, r *relation.Relation, p Params) (*Decompo
 		return nil, err
 	}
 	for _, rf := range ranked {
-		res, err := decompose.On(r, rf.FD)
+		res, err := decompose.On(c, rf.FD)
 		if err != nil {
 			continue // e.g. the FD covers every attribute
 		}
-		if err := res.Lossless(r, rf.FD); err != nil {
+		if err := res.Lossless(c, rf.FD); err != nil {
 			continue
 		}
 		return &DecomposeResult{
-			FD: newFDItem(r, rf.FD), Rank: rf.Rank,
+			FD: newFDItem(c.AttrNames(), rf.FD), Rank: rf.Rank,
 			S1:          RelationSummary{Name: res.S1.Name, Attrs: res.S1.Attrs, Tuples: res.S1.N()},
 			S2:          RelationSummary{Name: res.S2.Name, Attrs: res.S2.Attrs, Tuples: res.S2.N()},
 			CellsBefore: res.CellsBefore, CellsAfter: res.CellsAfter,
@@ -504,12 +623,12 @@ type ReportResult struct {
 	Text                 string           `json:"text"`
 }
 
-func runReport(ctx context.Context, r *relation.Relation, p Params) (*ReportResult, error) {
+func runReport(ctx context.Context, c relation.Columns, p Params) (*ReportResult, error) {
 	if err := step(ctx, "report generation"); err != nil {
 		return nil, err
 	}
 	opts := report.Options{PhiT: fv(p.PhiT), PhiV: fv(p.PhiV), Psi: fv(p.Psi)}
-	rep, err := report.GenerateCtx(ctx, r, opts)
+	rep, err := report.GenerateCtx(ctx, c, opts)
 	if err != nil {
 		return nil, err
 	}

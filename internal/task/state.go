@@ -3,10 +3,7 @@ package task
 import (
 	"context"
 
-	"structmine/internal/fd"
-	"structmine/internal/limbo"
 	"structmine/internal/relation"
-	"structmine/internal/tuples"
 )
 
 // State kinds: the incremental-mining artifacts a StateStore keeps per
@@ -29,97 +26,40 @@ type StateStore interface {
 	SaveState(kind string, data []byte)
 }
 
-// RunWithState is Run plus incremental re-mining: for the tasks with
-// delta support (mine-fds, rank-fds, partition) it consumes the
-// dataset's persisted mining state and re-mines only what an append
-// could have changed, falling back to — and indistinguishable from — a
-// scratch run whenever the state is missing or unusable. The returned
-// result is identical to Run's in content either way; delta reports
-// whether the cheap path was actually taken. A nil ss degrades to
-// scratch runs that still work (state is simply not kept).
-func RunWithState(ctx context.Context, r *relation.Relation, taskName string, p Params, ss StateStore) (res any, delta bool, err error) {
-	p = p.Normalize(taskName)
-	switch taskName {
-	case "mine-fds":
-		return runMineFDsState(ctx, r, ss)
-	case "rank-fds":
-		fds, delta, err := minedFDsState(ctx, r, ss)
-		if err != nil {
-			return nil, false, err
-		}
-		res, _, err := rankPipelineFrom(ctx, r, fv(p.Psi), fds)
-		return res, delta, err
-	case "partition":
-		return runPartitionState(ctx, r, p, ss)
-	}
-	res, err = Run(ctx, r, taskName, p)
-	return res, false, err
+// runState is what WithState hangs on the context for one run: the
+// store, and whether a runner took the delta path (RunColumns reads it
+// back to time delta re-mines).
+type runState struct {
+	store StateStore
+	delta bool
 }
 
-// minedFDsState discovers the minimal FD set via the delta path,
-// refreshing the persisted state on the way out.
-func minedFDsState(ctx context.Context, r *relation.Relation, ss StateStore) ([]fd.FD, bool, error) {
-	if err := step(ctx, "dependency mining"); err != nil {
-		return nil, false, err
-	}
-	var prev *fd.MineState
-	if ss != nil {
-		if data, ok := ss.LoadState(StateFDs); ok {
-			prev, _ = fd.DecodeState(data) // nil on corruption: scratch run
-		}
-	}
-	fds, st, delta, err := fd.DiscoverDelta(ctx, r, prev)
-	if err != nil {
-		return nil, false, err
-	}
-	if ss != nil {
-		ss.SaveState(StateFDs, fd.EncodeState(st))
-	}
-	return fds, delta, nil
+type stateKey struct{}
+
+// WithState returns a context under which one RunColumns call re-mines
+// incrementally: the tasks with delta support (mine-fds, rank-fds,
+// partition) consume the dataset's persisted mining state and re-mine
+// only what an append could have changed, falling back to — and
+// indistinguishable from — a scratch run whenever the state is missing
+// or unusable, and leave fresh state behind. Without it nothing is
+// loaded, built or saved.
+func WithState(ctx context.Context, ss StateStore) context.Context {
+	return context.WithValue(ctx, stateKey{}, &runState{store: ss})
 }
 
-func runMineFDsState(ctx context.Context, r *relation.Relation, ss StateStore) (*FDsResult, bool, error) {
-	fds, delta, err := minedFDsState(ctx, r, ss)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := step(ctx, "minimum cover"); err != nil {
-		return nil, false, err
-	}
-	res := &FDsResult{NumMinimal: len(fds), Cover: []FDItem{}}
-	for _, f := range fd.MinCover(fds) {
-		res.Cover = append(res.Cover, newFDItem(r, f))
-	}
-	return res, delta, nil
+func stateOf(ctx context.Context) *runState {
+	st, _ := ctx.Value(stateKey{}).(*runState)
+	return st
 }
 
-func runPartitionState(ctx context.Context, r *relation.Relation, p Params, ss StateStore) (*PartitionResult, bool, error) {
-	if err := step(ctx, "partitioning"); err != nil {
-		return nil, false, err
+// deltaReach is the one place that decides whether incremental
+// re-mining can engage: a state store travels on the context and the
+// rows are in memory (delta FD maintenance needs random row access). It
+// returns both, or nils.
+func deltaReach(ctx context.Context, c relation.Columns) (*runState, *relation.Relation) {
+	st, r := stateOf(ctx), relation.InMemory(c)
+	if st == nil || r == nil {
+		return nil, nil
 	}
-	var tree *limbo.Tree
-	delta := false
-	if ss != nil {
-		if data, ok := ss.LoadState(StateTree); ok {
-			if resumed, err := tuples.ExtendPartitionTreeCtx(ctx, r, data); err == nil {
-				tree, delta = resumed, true
-			}
-		}
-	}
-	if tree == nil {
-		tree = tuples.PartitionTreeCtx(ctx, r, defaultMaxLeaves, defaultB)
-	}
-	if ss != nil {
-		ss.SaveState(StateTree, limbo.EncodeTree(tree))
-	}
-	pr := tuples.PartitionFromTree(ctx, r, tree, p.K)
-	res := &PartitionResult{K: pr.K, InfoLossFrac: pr.InfoLossFrac}
-	for _, cluster := range pr.Clusters {
-		g := PartitionGroup{Size: len(cluster), Tuples: cluster}
-		if len(cluster) > 0 {
-			g.Sample = r.TupleStrings(cluster[0])
-		}
-		res.Partitions = append(res.Partitions, g)
-	}
-	return res, delta, nil
+	return st, r
 }

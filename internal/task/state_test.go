@@ -36,12 +36,23 @@ func stateRel(t *testing.T, n int, seed int64) *relation.Relation {
 	return r
 }
 
-// TestRunWithStateDeltaMatchesScratch pins the contract the append path
+// runWithState runs one task under WithState and reports whether the
+// delta path was taken.
+func runWithState(t *testing.T, c relation.Columns, name string, ss StateStore) (any, bool) {
+	t.Helper()
+	ctx := WithState(context.Background(), ss)
+	res, err := RunColumns(ctx, c, name, Params{})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res, stateOf(ctx).delta
+}
+
+// TestStateDeltaMatchesScratch pins the contract the append path
 // depends on: for every state-aware task, a scratch run seeds the state,
 // and a delta run over the appended relation returns JSON identical to a
 // stateless scratch run on the same final relation.
-func TestRunWithStateDeltaMatchesScratch(t *testing.T) {
-	ctx := context.Background()
+func TestStateDeltaMatchesScratch(t *testing.T) {
 	base := stateRel(t, 150, 5)
 	ext, err := base.Extend([][]string{
 		{"900", "c1", "z-c1", "g0"},
@@ -53,20 +64,17 @@ func TestRunWithStateDeltaMatchesScratch(t *testing.T) {
 	for _, name := range []string{"mine-fds", "rank-fds", "partition"} {
 		t.Run(name, func(t *testing.T) {
 			ss := memStateStore{}
-			if _, delta, err := RunWithState(ctx, base, name, Params{}, ss); err != nil || delta {
-				t.Fatalf("seed run: delta=%v err=%v", delta, err)
+			if _, delta := runWithState(t, relation.AsColumns(base), name, ss); delta {
+				t.Fatal("seed run took the delta path")
 			}
 			if len(ss) == 0 {
 				t.Fatal("seed run saved no state")
 			}
-			got, delta, err := RunWithState(ctx, ext, name, Params{}, ss)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, delta := runWithState(t, relation.AsColumns(ext), name, ss)
 			if !delta {
 				t.Fatal("append run did not take the delta path")
 			}
-			want, _, err := RunWithState(ctx, ext, name, Params{}, memStateStore{})
+			want, err := Run(context.Background(), ext, name, Params{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,19 +87,25 @@ func TestRunWithStateDeltaMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestRunWithStateFallbacks: a nil store and a non-state task both
-// behave like Run.
-func TestRunWithStateFallbacks(t *testing.T) {
-	ctx := context.Background()
+// TestStateReachAndFallbacks: state is touched only when a store travels
+// on the context AND the rows are in memory; a task without delta
+// support ignores it; corrupt state degrades to a scratch run.
+func TestStateReachAndFallbacks(t *testing.T) {
 	r := stateRel(t, 60, 2)
-	if _, delta, err := RunWithState(ctx, r, "mine-fds", Params{}, nil); err != nil || delta {
-		t.Fatalf("nil store: delta=%v err=%v", delta, err)
+	// Rows not in memory (any Columns that is not an AsColumns value):
+	// the store is neither read nor written.
+	ss := memStateStore{}
+	paged := struct{ relation.Columns }{relation.AsColumns(r)}
+	for _, name := range []string{"mine-fds", "partition"} {
+		if _, delta := runWithState(t, paged, name, ss); delta || len(ss) != 0 {
+			t.Fatalf("%s out of reach: delta=%v, %d states saved", name, delta, len(ss))
+		}
 	}
-	got, delta, err := RunWithState(ctx, r, "describe", Params{}, memStateStore{})
-	if err != nil || delta {
-		t.Fatalf("describe: delta=%v err=%v", delta, err)
+	got, delta := runWithState(t, relation.AsColumns(r), "describe", ss)
+	if delta || len(ss) != 0 {
+		t.Fatalf("describe: delta=%v, %d states saved", delta, len(ss))
 	}
-	want, err := Run(ctx, r, "describe", Params{})
+	want, err := Run(context.Background(), r, "describe", Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +115,10 @@ func TestRunWithStateFallbacks(t *testing.T) {
 		t.Fatalf("describe result drifted: %s vs %s", gj, wj)
 	}
 	// Corrupt state must degrade to a scratch run, not an error.
-	ss := memStateStore{StateFDs: []byte("garbage"), StateTree: []byte("junk")}
+	ss = memStateStore{StateFDs: []byte("garbage"), StateTree: []byte("junk")}
 	for _, name := range []string{"mine-fds", "partition"} {
-		if _, delta, err := RunWithState(ctx, r, name, Params{}, ss); err != nil || delta {
-			t.Fatalf("%s corrupt state: delta=%v err=%v", name, delta, err)
+		if _, delta := runWithState(t, relation.AsColumns(r), name, ss); delta {
+			t.Fatalf("%s took the delta path over corrupt state", name)
 		}
 	}
 }

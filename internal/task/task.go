@@ -3,6 +3,12 @@
 // tasks, their JSON-serializable parameters and result types, and a
 // context-aware runner.
 //
+// There is one pipeline: every single-dataset task has exactly one
+// runner, written against relation.Columns, and RunColumns is the one
+// dispatcher. A resident relation runs through the same code behind
+// relation.AsColumns (Run), so an in-memory dataset and an out-of-core
+// colstore table produce byte-identical artifacts by construction.
+//
 // The CLI's text mode renders these same results; its -json mode and the
 // server's job results are encodings of the structs in result.go, so the
 // two front ends cannot drift apart. Parameters are normalized per task
@@ -14,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"structmine/internal/obs"
 	"structmine/internal/relation"
@@ -30,23 +37,20 @@ type Spec struct {
 	// MultiFile marks tasks that operate on several CSV files at once
 	// (joins); these are CLI-only and cannot run as server jobs.
 	MultiFile bool
-	// Paged marks tasks that can run over a colstore-backed (out-of-core)
-	// dataset via RunColumns; the rest need the resident relation.
-	Paged bool
 }
 
 // Specs lists every task, in presentation order.
 var Specs = []Spec{
-	{Name: "describe", Synopsis: "print instance statistics and per-attribute profiles", Paged: true},
+	{Name: "describe", Synopsis: "print instance statistics and per-attribute profiles"},
 	{Name: "report", Synopsis: "full structure report (profiles, duplicates, ranked FDs)", Flags: "-phit -phiv -psi"},
 	{Name: "dedup", Synopsis: "find duplicate / near-duplicate tuples", Flags: "-phit -minsim"},
 	{Name: "partition", Synopsis: "horizontal partitioning (0 = automatic k)", Flags: "-k"},
 	{Name: "values", Synopsis: "cluster co-occurring attribute values", Flags: "-phiv"},
 	{Name: "group-attrs", Synopsis: "attribute grouping dendrogram", Flags: "-phiv -double"},
-	{Name: "mine-fds", Synopsis: "discover minimal FDs (+ minimum cover)", Paged: true},
+	{Name: "mine-fds", Synopsis: "discover minimal FDs (+ minimum cover)"},
 	{Name: "mine-mvds", Synopsis: "discover multivalued dependencies (X ->-> Y)", Flags: "-maxlhs"},
 	{Name: "approx-fds", Synopsis: "discover approximate FDs under a g3 bound", Flags: "-eps"},
-	{Name: "rank-fds", Synopsis: "FD-RANK pipeline with RAD/RTR per dependency", Flags: "-psi", Paged: true},
+	{Name: "rank-fds", Synopsis: "FD-RANK pipeline with RAD/RTR per dependency", Flags: "-psi"},
 	{Name: "decompose", Synopsis: "apply the top-ranked FD as a lossless vertical split", Flags: "-psi"},
 	{Name: "joins", Synopsis: "discover join paths across several CSVs", Flags: "-mincont", MultiFile: true},
 }
@@ -194,14 +198,22 @@ func (p Params) CacheKey(taskName string) string {
 		taskName, fv(q.PhiT), fv(q.PhiV), fv(q.Psi), q.K, fv(q.Eps), q.MaxLHS, fv(q.MinSim), q.Double, fv(q.MinContainment))
 }
 
-// Run executes the named task over the relation and returns its
-// JSON-serializable result struct. The context is checked between
-// pipeline stages, so cancellation or a deadline aborts a multi-stage
-// job at the next stage boundary.
+// Run executes the named task over a resident relation: RunColumns
+// behind relation.AsColumns.
+func Run(ctx context.Context, r *relation.Relation, taskName string, p Params) (any, error) {
+	return RunColumns(ctx, relation.AsColumns(r), taskName, p)
+}
+
+// RunColumns executes the named task over the column interface and
+// returns its JSON-serializable result struct. The context is checked
+// between pipeline stages, so cancellation or a deadline aborts a
+// multi-stage job at the next stage boundary. Under WithState the
+// delta-capable tasks re-mine incrementally; the result is the same
+// either way.
 //
 // The joins task operates on several relations and is not runnable here;
 // use Joins directly.
-func Run(ctx context.Context, r *relation.Relation, taskName string, p Params) (any, error) {
+func RunColumns(ctx context.Context, c relation.Columns, taskName string, p Params) (any, error) {
 	spec, ok := Lookup(taskName)
 	if !ok {
 		return nil, fmt.Errorf("task: unknown task %q (have: %s)", taskName, strings.Join(Names(), ", "))
@@ -210,29 +222,38 @@ func Run(ctx context.Context, r *relation.Relation, taskName string, p Params) (
 		return nil, fmt.Errorf("task: %q operates on several relations and cannot run over one dataset", taskName)
 	}
 	p = p.Normalize(taskName)
+	start := time.Now()
+	res, err := dispatch(ctx, c, taskName, p)
+	if st := stateOf(ctx); st != nil && st.delta && err == nil {
+		obs.DeltaRemineSeconds.Observe(time.Since(start).Seconds())
+	}
+	return res, err
+}
+
+func dispatch(ctx context.Context, c relation.Columns, taskName string, p Params) (any, error) {
 	switch taskName {
 	case "describe":
-		return runDescribe(ctx, r)
+		return runDescribe(ctx, c)
 	case "report":
-		return runReport(ctx, r, p)
+		return runReport(ctx, c, p)
 	case "dedup":
-		return runDedup(ctx, r, p)
+		return runDedup(ctx, c, p)
 	case "partition":
-		return runPartition(ctx, r, p)
+		return runPartition(ctx, c, p)
 	case "values":
-		return runValues(ctx, r, p)
+		return runValues(ctx, c, p)
 	case "group-attrs":
-		return runGroupAttrs(ctx, r, p)
+		return runGroupAttrs(ctx, c, p)
 	case "mine-fds":
-		return runMineFDs(ctx, r)
+		return runMineFDs(ctx, c)
 	case "mine-mvds":
-		return runMineMVDs(ctx, r, p)
+		return runMineMVDs(ctx, c, p)
 	case "approx-fds":
-		return runApproxFDs(ctx, r, p)
+		return runApproxFDs(ctx, c, p)
 	case "rank-fds":
-		return runRankFDs(ctx, r, p)
+		return runRankFDs(ctx, c, p)
 	case "decompose":
-		return runDecompose(ctx, r, p)
+		return runDecompose(ctx, c, p)
 	}
 	return nil, fmt.Errorf("task: %q has no runner", taskName)
 }

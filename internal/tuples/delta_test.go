@@ -39,15 +39,14 @@ func TestPartitionDeltaMatchesScratch(t *testing.T) {
 		t.Run(fmt.Sprintf("cut-%d", cut), func(t *testing.T) {
 			prefix := full.Select(seq(cut))
 			prefTree := PartitionTreeCtx(ctx, prefix, 40, 4)
-			resumed, err := ExtendPartitionTreeCtx(ctx, full, limbo.EncodeTree(prefTree))
-			if err != nil {
-				t.Fatal(err)
+			got, tree, resumed, err := PartitionColumns(ctx, relation.AsColumns(full), 40, 4, 0, limbo.EncodeTree(prefTree))
+			if err != nil || !resumed {
+				t.Fatalf("resumed=%v err=%v", resumed, err)
 			}
 			scratch := PartitionTreeCtx(ctx, full, 40, 4)
-			if !reflect.DeepEqual(limbo.EncodeTree(resumed), limbo.EncodeTree(scratch)) {
+			if !reflect.DeepEqual(limbo.EncodeTree(tree), limbo.EncodeTree(scratch)) {
 				t.Fatal("resumed tree bytes diverge from scratch build")
 			}
-			got := PartitionFromTree(ctx, full, resumed, 0)
 			want := PartitionFromTree(ctx, full, scratch, 0)
 			if got.K != want.K || !reflect.DeepEqual(got.Assign, want.Assign) ||
 				!reflect.DeepEqual(got.Clusters, want.Clusters) ||
@@ -59,18 +58,30 @@ func TestPartitionDeltaMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestExtendPartitionTreeRejects pins the rebuild triggers: corrupt
-// bytes and trees that claim more rows than the relation holds.
-func TestExtendPartitionTreeRejects(t *testing.T) {
+// TestPartitionColumnsIgnoresBadState pins the rebuild triggers: corrupt
+// bytes and trees that claim more rows than the relation holds are not
+// resumed, and the from-scratch result stands.
+func TestPartitionColumnsIgnoresBadState(t *testing.T) {
 	ctx := context.Background()
 	r := randomCSVRel(t, 50, 3)
 	enc := limbo.EncodeTree(PartitionTreeCtx(ctx, r, 20, 4))
-	if _, err := ExtendPartitionTreeCtx(ctx, r, enc[:len(enc)-3]); err == nil {
-		t.Fatal("truncated tree accepted")
-	}
 	small := r.Select(seq(10))
-	if _, err := ExtendPartitionTreeCtx(ctx, small, enc); err == nil {
-		t.Fatal("tree covering 50 rows accepted for 10-row relation")
+	for what, tc := range map[string]struct {
+		rel   *relation.Relation
+		state []byte
+	}{
+		"truncated tree":               {r, enc[:len(enc)-3]},
+		"tree covering 50 rows for 10": {small, enc},
+	} {
+		got, tree, resumed, err := PartitionColumns(ctx, relation.AsColumns(tc.rel), 20, 4, 0, tc.state)
+		if err != nil || resumed {
+			t.Fatalf("%s: resumed=%v err=%v", what, resumed, err)
+		}
+		scratch := PartitionTreeCtx(ctx, tc.rel, 20, 4)
+		if !reflect.DeepEqual(limbo.EncodeTree(tree), limbo.EncodeTree(scratch)) ||
+			!reflect.DeepEqual(got.Clusters, PartitionFromTree(ctx, tc.rel, scratch, 0).Clusters) {
+			t.Fatalf("%s: result diverges from a from-scratch run", what)
+		}
 	}
 }
 

@@ -29,11 +29,43 @@ type PairScore struct {
 // RefineDuplicates scores every pair inside each candidate group of the
 // report and returns the pairs with Similarity ≥ minSim, best first.
 func RefineDuplicates(r *relation.Relation, rep *DuplicateReport, minSim float64) []PairScore {
+	return refine(rep.Groups, r.Row, r.ValueString, minSim)
+}
+
+// RefineDuplicatesColumns is RefineDuplicates over the paged column
+// interface: the rows of every tuple in a multi-tuple group are fetched
+// in one pass over the stripes that hold them (never a stripe read per
+// pair), the dictionary is decoded once, and the scoring is shared.
+func RefineDuplicatesColumns(c relation.Columns, rep *DuplicateReport, minSim float64) ([]PairScore, error) {
+	var members []int
+	for _, g := range rep.Groups {
+		if len(g) >= 2 {
+			members = append(members, g...)
+		}
+	}
+	rows, err := relation.FetchRows(c, members)
+	if err != nil {
+		return nil, err
+	}
+	rowOf := make(map[int][]int32, len(members))
+	for i, t := range members {
+		rowOf[t] = rows[i]
+	}
+	strs, err := c.ValueStrings()
+	if err != nil {
+		return nil, err
+	}
+	return refine(rep.Groups, func(t int) []int32 { return rowOf[t] },
+		func(v int32) string { return strs[v] }, minSim), nil
+}
+
+func refine(groups [][]int, row func(t int) []int32, str func(v int32) string, minSim float64) []PairScore {
 	var out []PairScore
-	for _, group := range rep.Groups {
+	for _, group := range groups {
 		for i := 0; i < len(group); i++ {
 			for j := i + 1; j < len(group); j++ {
-				ps := scorePair(r, group[i], group[j])
+				ps := scorePair(row(group[i]), row(group[j]), str)
+				ps.T1, ps.T2 = group[i], group[j]
 				if ps.Similarity >= minSim {
 					out = append(out, ps)
 				}
@@ -55,18 +87,18 @@ func RefineDuplicates(r *relation.Relation, rep *DuplicateReport, minSim float64
 	return out
 }
 
-func scorePair(r *relation.Relation, t1, t2 int) PairScore {
-	ps := PairScore{T1: t1, T2: t2}
+func scorePair(r1, r2 []int32, str func(v int32) string) PairScore {
+	var ps PairScore
 	totalSim := 0.0
 	differing := 0
-	for a := 0; a < r.M(); a++ {
-		v1, v2 := r.Value(t1, a), r.Value(t2, a)
+	for a, v1 := range r1 {
+		v2 := r2[a]
 		if v1 == v2 {
 			ps.Agree++
 			continue
 		}
 		differing++
-		totalSim += Similarity(r.ValueString(v1), r.ValueString(v2))
+		totalSim += Similarity(str(v1), str(v2))
 	}
 	if differing == 0 {
 		ps.Similarity = 1

@@ -7,7 +7,6 @@ package tuples
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"structmine/internal/ib"
@@ -32,26 +31,18 @@ func Objects(r *relation.Relation) []limbo.Obj {
 	return objs
 }
 
-// ObjectsColumns is Objects over the paged column interface: one page
+// ObjectsColumnsCtx is Objects over the column interface: one page
 // stripe per worker is resident at a time, and each tuple's object is
 // identical to the resident construction (same ids, same uniform
-// conditionals), so downstream clustering is bit-identical.
-func ObjectsColumns(c relation.Columns) ([]limbo.Obj, error) {
-	return ObjectsColumnsCtx(context.Background(), c)
-}
-
-// ObjectsColumnsCtx is ObjectsColumns under the context's worker
-// budget: page stripes fan across workers, each writing the per-tuple
-// slots of its own pages — object construction is pure per-index, so
-// the result is bit-identical for any budget.
+// conditionals), so downstream clustering is bit-identical. Page stripes
+// fan across the context's worker budget, each worker writing the
+// per-tuple slots of its own pages — object construction is pure
+// per-index, so the result is the same for any budget.
 func ObjectsColumnsCtx(ctx context.Context, c relation.Columns) ([]limbo.Obj, error) {
 	n := c.N()
 	m := c.M()
 	objs := make([]limbo.Obj, n)
-	attrs := make([]int, m)
-	for a := range attrs {
-		attrs[a] = a
-	}
+	attrs := relation.AllAttrs(c)
 	pageRows := c.PageRows()
 	scratch := make([][]int32, relation.ScanWorkers(ctx, c, m))
 	err := relation.ScanStripes(ctx, c, attrs, func(w, p int, cols [][]int32) error {
@@ -111,7 +102,21 @@ func FindDuplicates(r *relation.Relation, phiT float64, b int) *DuplicateReport 
 // returned report's DCFs live in pooled slabs and must not be retained
 // past the grant's release (task runners copy what they keep).
 func FindDuplicatesCtx(ctx context.Context, r *relation.Relation, phiT float64, b int) *DuplicateReport {
-	objs := Objects(r)
+	return findDuplicates(ctx, Objects(r), phiT, b)
+}
+
+// FindDuplicatesColumns is FindDuplicatesCtx over the paged column
+// interface: the tuple objects stream from page stripes and everything
+// after them is shared, so the report is identical to the resident one.
+func FindDuplicatesColumns(ctx context.Context, c relation.Columns, phiT float64, b int) (*DuplicateReport, error) {
+	objs, err := ObjectsColumnsCtx(ctx, c)
+	if err != nil {
+		return nil, err
+	}
+	return findDuplicates(ctx, objs, phiT, b), nil
+}
+
+func findDuplicates(ctx context.Context, objs []limbo.Obj, phiT float64, b int) *DuplicateReport {
 	tree := limbo.BuildTreeCtx(ctx, objs, phiT, b)
 	rep := &DuplicateReport{LeafCount: tree.LeafCount(), Threshold: tree.Threshold()}
 	for _, d := range tree.Leaves() {
@@ -172,54 +177,29 @@ func PartitionCtx(ctx context.Context, r *relation.Relation, maxLeaves, b, k int
 	return PartitionFromTree(ctx, r, PartitionTreeCtx(ctx, r, maxLeaves, b), k)
 }
 
-// unitObjects builds the Phase 1 insertion objects for rows [from, n)
-// with unit mass instead of 1/n. Unit weights make the tree independent
-// of the eventual row count, which is what lets an append resume a
-// persisted tree: the objects inserted for the suffix are exactly the
-// ones a from-scratch pass over the extended relation would have
-// inserted at those positions. Leaf-bounded splitting is count-based,
-// so the tree shape is scale-invariant; masses are normalized to 1/n
-// when the leaves are handed to Phase 2.
-func unitObjects(r *relation.Relation, from int) []limbo.Obj {
-	n := r.N()
-	objs := make([]limbo.Obj, 0, n-from)
-	for t := from; t < n; t++ {
-		objs = append(objs, limbo.Obj{ID: int32(t), W: 1, Cond: it.Uniform(r.Row(t))})
+// insertUnit feeds the Phase 1 tree the tuple objects it has not yet
+// seen, objs[tree.Inserted():], with unit mass instead of 1/n. Unit
+// weights make the tree independent of the eventual row count, which is
+// what lets an append resume a persisted tree: the objects inserted for
+// the suffix are exactly the ones a from-scratch pass over the extended
+// relation would have inserted at those positions. Leaf-bounded
+// splitting is count-based, so the tree shape is scale-invariant; masses
+// are normalized to 1/n when the leaves are handed to Phase 2.
+func insertUnit(tree *limbo.Tree, objs []limbo.Obj) {
+	for _, o := range objs[tree.Inserted():] {
+		o.W = 1
+		tree.Insert(o)
 	}
-	return objs
 }
 
 // PartitionTreeCtx builds the Phase 1 tree for horizontal partitioning
 // from scratch: leaf-bounded, over unit-weight tuple objects. Persist
-// it with limbo.EncodeTree and resume it after an append with
-// ExtendPartitionTreeCtx.
+// it with limbo.EncodeTree and resume it after an append by handing the
+// bytes to PartitionColumns.
 func PartitionTreeCtx(ctx context.Context, r *relation.Relation, maxLeaves, b int) *limbo.Tree {
 	tree := limbo.NewTreeCtx(ctx, limbo.Config{B: b, MaxLeafEntries: maxLeaves})
-	for _, o := range unitObjects(r, 0) {
-		tree.Insert(o)
-	}
+	insertUnit(tree, Objects(r))
 	return tree
-}
-
-// ExtendPartitionTreeCtx decodes a persisted partition tree and absorbs
-// the rows it has not yet seen ([tree.Inserted(), r.N())). Because
-// decode+insert is bit-identical to an uninterrupted build, the result
-// — and everything Phase 2/3 derives from it — matches
-// PartitionTreeCtx over the full relation exactly. Errors (corrupt
-// bytes, a tree claiming more rows than the relation has) mean the
-// caller should rebuild from scratch.
-func ExtendPartitionTreeCtx(ctx context.Context, r *relation.Relation, data []byte) (*limbo.Tree, error) {
-	tree, err := limbo.DecodeTree(ctx, data)
-	if err != nil {
-		return nil, err
-	}
-	if tree.Inserted() > r.N() {
-		return nil, fmt.Errorf("partition tree covers %d rows, relation has %d", tree.Inserted(), r.N())
-	}
-	for _, o := range unitObjects(r, tree.Inserted()) {
-		tree.Insert(o)
-	}
-	return tree, nil
 }
 
 // PartitionFromTree runs Phases 2 and 3 over an already-built (or
@@ -227,8 +207,39 @@ func ExtendPartitionTreeCtx(ctx context.Context, r *relation.Relation, data []by
 // probabilities p(t) = 1/n before AIB so the information curve keeps
 // the paper's normalization.
 func PartitionFromTree(ctx context.Context, r *relation.Relation, tree *limbo.Tree, k int) *PartitionResult {
-	objs := Objects(r)
-	n := float64(r.N())
+	return partitionFromTree(ctx, Objects(r), tree, k)
+}
+
+// PartitionColumns is the horizontal-partitioning pipeline over the
+// column interface, with the tuple objects streamed once and shared by
+// Phases 1 and 3. state, when non-nil, is a persisted Phase 1 tree
+// (limbo.EncodeTree) of a prefix of c: it is decoded and absorbs only
+// the rows it has not yet seen. Because decode+insert is bit-identical
+// to an uninterrupted build, the result matches a from-scratch run
+// exactly; state that does not decode, or claims more rows than c has,
+// is ignored. It returns the result, the Phase 1 tree to persist for the
+// next append, and whether state was resumed.
+func PartitionColumns(ctx context.Context, c relation.Columns, maxLeaves, b, k int, state []byte) (*PartitionResult, *limbo.Tree, bool, error) {
+	objs, err := ObjectsColumnsCtx(ctx, c)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	var tree *limbo.Tree
+	if state != nil {
+		if t, err := limbo.DecodeTree(ctx, state); err == nil && t.Inserted() <= len(objs) {
+			tree = t
+		}
+	}
+	resumed := tree != nil
+	if !resumed {
+		tree = limbo.NewTreeCtx(ctx, limbo.Config{B: b, MaxLeafEntries: maxLeaves})
+	}
+	insertUnit(tree, objs)
+	return partitionFromTree(ctx, objs, tree, k), tree, resumed, nil
+}
+
+func partitionFromTree(ctx context.Context, objs []limbo.Obj, tree *limbo.Tree, k int) *PartitionResult {
+	n := float64(len(objs))
 	raw := tree.Leaves()
 	leaves := make([]*limbo.DCF, len(raw))
 	for i, d := range raw {

@@ -38,19 +38,13 @@ func Objects(r *relation.Relation) []limbo.Obj {
 	return objs
 }
 
-// ObjectsColumns is Objects over the paged column interface: postings
-// stream from the value index instead of a Stats scan, producing
-// objects identical to the resident construction (the index lists the
-// same ascending tuple ids Stats.Tuples holds).
-func ObjectsColumns(c relation.Columns) ([]limbo.Obj, error) {
-	return ObjectsColumnsCtx(context.Background(), c)
-}
-
-// ObjectsColumnsCtx is ObjectsColumns under the context's worker
-// budget: the per-attribute index walks fan across workers, each
-// filling the objs[v] slots of its own attributes — disjoint writes,
-// pure per-value construction, so results are bit-identical for any
-// budget.
+// ObjectsColumnsCtx is Objects over the column interface: postings
+// stream from the value index instead of a Stats scan, producing objects
+// identical to the resident construction (the index lists the same
+// ascending tuple ids Stats.Tuples holds). The per-attribute index walks
+// fan across the context's worker budget, each filling the objs[v] slots
+// of its own attributes — disjoint writes, pure per-value construction,
+// so results are bit-identical for any budget.
 func ObjectsColumnsCtx(ctx context.Context, c relation.Columns) ([]limbo.Obj, error) {
 	d := c.D()
 	m := c.M()
@@ -75,17 +69,10 @@ func ObjectsColumnsCtx(ctx context.Context, c relation.Columns) ([]limbo.Obj, er
 	return objs, nil
 }
 
-// ObjectsOverClustersColumns is ObjectsOverClusters over the paged
-// column interface. Cluster mass accumulates in ascending tuple order —
-// the same order the resident Stats scan feeds — so the float sums are
-// bit-identical.
-func ObjectsOverClustersColumns(c relation.Columns, tupleCluster []int, k int) ([]limbo.Obj, error) {
-	return ObjectsOverClustersColumnsCtx(context.Background(), c, tupleCluster, k)
-}
-
-// ObjectsOverClustersColumnsCtx is ObjectsOverClustersColumns under the
-// context's worker budget, parallelized per attribute like
-// ObjectsColumnsCtx.
+// ObjectsOverClustersColumnsCtx is ObjectsOverClusters over the column
+// interface, parallelized per attribute like ObjectsColumnsCtx. Cluster
+// mass accumulates in ascending tuple order — the same order the
+// resident Stats scan feeds — so the float sums are bit-identical.
 func ObjectsOverClustersColumnsCtx(ctx context.Context, c relation.Columns, tupleCluster []int, k int) ([]limbo.Obj, error) {
 	d := c.D()
 	m := c.M()
@@ -262,12 +249,6 @@ func ClusterCtx(ctx context.Context, objs []limbo.Obj, phiV float64, b, numAttrs
 // relation's values at φV.
 func ClusterRelation(r *relation.Relation, phiV float64, b int) *Clustering {
 	return Cluster(Objects(r), phiV, b, r.M())
-}
-
-// ClusterRelationCtx is ClusterRelation under the context's worker
-// budget and arena pool.
-func ClusterRelationCtx(ctx context.Context, r *relation.Relation, phiV float64, b int) *Clustering {
-	return ClusterCtx(ctx, Objects(r), phiV, b, r.M())
 }
 
 // isDuplicate applies the C_V^D test: non-zero conditional mass on at

@@ -14,7 +14,8 @@
 # concatenated contents, and a simulated crash inside the append window
 # that must replay to exactly one application. Finishes with a SIGTERM
 # to check graceful drain, then repeats the core flow on the paged
-# (out-of-core) tier.
+# (out-of-core) tier, where dedup and partition must reproduce the
+# resident phase's artifacts byte for byte.
 #
 # On failure the daemon log is copied to $SMOKE_ARTIFACT_DIR (when set),
 # so CI can upload it as an artifact.
@@ -79,6 +80,24 @@ submit() {
     -d "{\"dataset\":\"$ds\",\"task\":\"rank-fds\"}" "$base/v1/jobs"
 }
 
+# mine TASK — run TASK on dataset $ds to completion and print its
+# artifact (the compact "result" member).
+mine() {
+  local j jid jstate
+  j=$(curl -sS -X POST -H 'Content-Type: application/json' \
+    -d "{\"dataset\":\"$ds\",\"task\":\"$1\"}" "$base/v1/jobs")
+  jid=$(echo "$j" | jq -r .id)
+  jstate=$(echo "$j" | jq -r .state)
+  for _ in $(seq 1 600); do
+    case "$jstate" in done) break ;; failed|canceled)
+      echo "smoke: FAIL — $1 job $jid reached state $jstate" >&2; exit 1 ;; esac
+    sleep 0.1
+    jstate=$(curl -sS "$base/v1/jobs/$jid" | jq -r .state)
+  done
+  [ "$jstate" = done ] || { echo "smoke: FAIL — $1 job $jid stuck in $jstate" >&2; exit 1; }
+  curl -sS "$base/v1/jobs/$jid/result" | jq -c .result
+}
+
 job=$(submit)
 id=$(echo "$job" | jq -r .id)
 state=$(echo "$job" | jq -r .state)
@@ -96,6 +115,12 @@ echo "smoke: job $id done, $ranked ranked dependencies"
 stages=$(curl -sS "$base/v1/jobs/$id/trace" | jq '.trace.stages | length')
 [ "$stages" -gt 0 ] || { echo "smoke: FAIL — finished job reports no trace stages"; exit 1; }
 echo "smoke: job trace reports $stages pipeline stages"
+
+# The artifacts the out-of-core phase must reproduce byte for byte.
+rdedup=$(mine dedup)
+rpartition=$(mine partition)
+[ -n "$rdedup" ] && [ -n "$rpartition" ] || { echo "smoke: FAIL — empty dedup/partition artifact"; exit 1; }
+echo "smoke: resident dedup and partition artifacts kept for the out-of-core comparison"
 
 metrics=$(curl -sS "$base/v1/metrics")
 for series in structmined_http_requests_total structmined_jobs_queue_depth \
@@ -334,6 +359,15 @@ done
 pranked=$(curl -sS "$base/v1/jobs/$id/result" | jq '.result.ranked | length')
 [ "$pranked" = "$ranked" ] || { echo "smoke: FAIL — paged rank-fds found $pranked dependencies, resident found $ranked"; exit 1; }
 echo "smoke: paged rank-fds job $id done, matches the resident run ($pranked dependencies)"
+
+# Tasks that used to need the resident relation run out of core too, with
+# the resident phase's artifacts.
+for t in dedup partition; do
+  got=$(mine "$t")
+  case "$t" in dedup) want=$rdedup ;; partition) want=$rpartition ;; esac
+  [ "$got" = "$want" ] || { echo "smoke: FAIL — paged $t artifact differs from the resident run"; exit 1; }
+done
+echo "smoke: paged dedup and partition match the resident artifacts byte for byte"
 
 curl -sS "$base/v1/metrics" | grep '^structmine_colstore_pages_read_total' >/dev/null \
   || { echo "smoke: FAIL — colstore page-read counter missing from /v1/metrics"; exit 1; }

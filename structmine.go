@@ -238,7 +238,7 @@ type MVD = fd.MVD
 // dependencies. MVDs justify binary lossless decompositions beyond what
 // FDs capture.
 func (m *Miner) MineMVDs(maxLHS int, skipFDImplied bool) ([]MVD, error) {
-	return fd.MineMVDs(m.r, maxLHS, skipFDImplied)
+	return fd.MineMVDs(relation.AsColumns(m.r), maxLHS, skipFDImplied)
 }
 
 // JoinCandidate is a joinable attribute pair across relations.
@@ -261,11 +261,12 @@ type Decomposition = decompose.Result
 // verifying losslessness. The paper's FD-RANK exists to pick the f that
 // maximizes the redundancy this removes.
 func (m *Miner) Decompose(f FD) (*Decomposition, error) {
-	res, err := decompose.On(m.r, f)
+	c := relation.AsColumns(m.r)
+	res, err := decompose.On(c, f)
 	if err != nil {
 		return nil, err
 	}
-	if err := res.Lossless(m.r, f); err != nil {
+	if err := res.Lossless(c, f); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -276,7 +277,7 @@ func (m *Miner) Decompose(f FD) (*Decomposition, error) {
 // ranked dependencies.
 func (m *Miner) StructureReport() (string, error) {
 	opts := report.Options{PhiT: m.opts.PhiT, PhiV: m.opts.PhiV, Psi: m.opts.Psi}
-	rep, err := report.Generate(m.r, opts)
+	rep, err := report.Generate(relation.AsColumns(m.r), opts)
 	if err != nil {
 		return "", err
 	}
