@@ -25,10 +25,10 @@
 // daemon (even after SIGKILL or a crash) recovers all three — datasets
 // are listed again and read back into memory, old job ids still answer,
 // and identical queries are cache hits without re-mining. Corrupt files
-// found at boot are quarantined under DIR/quarantine, never trusted;
-// DIR/datasets/*.snap files written by older builds are converted to
-// columnar files once, at boot. -fsync additionally syncs every write
-// for power-loss durability at a latency cost.
+// found at boot are quarantined under DIR/quarantine, never trusted. A
+// DIR/datasets/ directory left by a build older than the columnar
+// format is not read (and not touched). -fsync additionally syncs every
+// write for power-loss durability at a latency cost.
 //
 // With -persist, -resident-bytes N additionally bounds how many CSV
 // bytes of parsed relations stay in memory: a dataset larger than N is
@@ -40,13 +40,12 @@
 // which takes several files, cannot run as a job — through the same
 // pipeline, with identical results.
 //
-// Endpoints (canonical under /v1; the bare paths still answer but are
-// deprecated and carry a "Deprecation: true" response header):
+// Endpoints (/v1 is the only surface; any other path is a plain 404):
 //
 //	POST /v1/datasets            register a dataset (raw CSV body, or JSON {"path":...} / {"name":...,"csv":...})
 //	GET  /v1/datasets            list registered datasets
 //	GET  /v1/datasets/{id}       one dataset with its resident statistics
-//	POST /v1/datasets/{id}/append  append CSV rows (same header); bumps the epoch, re-mines by delta (/v1 only)
+//	POST /v1/datasets/{id}/append  append CSV rows (same header); bumps the epoch, re-mines by delta
 //	POST /v1/jobs                submit a job: {"dataset":id,"task":name,"params":{...}}
 //	GET  /v1/jobs                list jobs
 //	GET  /v1/jobs/{id}           poll one job (queued|running|done|failed|canceled)
@@ -78,10 +77,6 @@
 // -tenant-max-jobs caps each tenant's queued+running jobs (429
 // quota_exceeded). Submissions may carry "priority":"interactive"
 // (default) or "batch"; queued interactive jobs always run first.
-//
-// -serve-deprecated=false disables the pre-/v1 bare-path aliases: they
-// answer 410 gone instead (the aliases otherwise carry Deprecation and
-// Sunset headers announcing their removal date).
 //
 // Passing -pprof additionally mounts net/http/pprof under /debug/pprof/.
 // Like the rest of the surface it is unauthenticated — only enable it on
@@ -146,7 +141,6 @@ func run(args []string, ready chan<- string) error {
 	tenantRate := fs.Float64("tenant-rate", 0, "per-tenant sustained job submissions per second (0 = unlimited)")
 	tenantBurst := fs.Int("tenant-burst", 0, "per-tenant submission burst size (default ceil of -tenant-rate)")
 	tenantMaxJobs := fs.Int("tenant-max-jobs", 0, "per-tenant cap on queued+running jobs (0 = unlimited)")
-	serveDeprecated := fs.Bool("serve-deprecated", true, "serve the pre-/v1 bare-path aliases (false turns them into 410 gone)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -206,7 +200,6 @@ func run(args []string, ready chan<- string) error {
 			Burst:   *tenantBurst,
 			MaxJobs: *tenantMaxJobs,
 		},
-		DisableDeprecated: !*serveDeprecated,
 	})
 	if st != nil {
 		t := st.Stats()

@@ -35,7 +35,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	var base string
 	select {
 	case addr := <-ready:
-		base = "http://" + addr
+		base = "http://" + addr + "/v1"
 	case err := <-errc:
 		t.Fatalf("daemon exited early: %v", err)
 	case <-time.After(30 * time.Second):

@@ -143,7 +143,7 @@ func Hopped(req *http.Request) bool { return req.Header.Get(HopHeader) != "" }
 
 // relayedHeaders are the response headers a proxied answer carries back
 // to the client unchanged.
-var relayedHeaders = []string{"Content-Type", "Retry-After", "Deprecation", "Sunset"}
+var relayedHeaders = []string{"Content-Type", "Retry-After"}
 
 // Forward proxies the request (with the given body) to a peer and
 // relays the response verbatim — status, content headers and body bytes

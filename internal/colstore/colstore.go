@@ -26,11 +26,10 @@
 // each page, tail — carries its own CRC so torn or bit-flipped files
 // are rejected, never trusted.
 //
-// Files are written through the store.FS temp→fsync→rename discipline
-// (store snapshots use the same), so a crash mid-write leaves no
-// partial .col file. Reads go through mmap on linux/darwin; the
-// colstore_readat build tag (or any other GOOS) selects a plain
-// pread-based fallback.
+// Files are written through the store.FS temp→fsync→rename discipline,
+// so a crash mid-write leaves no partial .col file. Reads go through
+// mmap on linux/darwin; the colstore_readat build tag (or any other
+// GOOS) selects a plain pread-based fallback.
 package colstore
 
 import (
@@ -40,7 +39,7 @@ import (
 )
 
 // Ext is the file extension of a columnar dataset file; the base name
-// is the dataset's content hash, mirroring the snapshot convention.
+// is the dataset's content hash.
 const Ext = ".col"
 
 // ErrCorrupt reports a file that failed checksum or structural
@@ -48,7 +47,7 @@ const Ext = ".col"
 var ErrCorrupt = errors.New("colstore: corrupt file")
 
 // Package metrics, exported through the default obs registry the
-// daemon's /metrics endpoint already serves.
+// daemon's /v1/metrics endpoint already serves.
 var (
 	pagesRead = obs.Default.Counter("structmine_colstore_pages_read_total",
 		"Column pages served by paged relations.")

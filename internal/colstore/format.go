@@ -133,7 +133,7 @@ func decodeFooter(b []byte) (tailOff, tailLen int64, tailCRC uint32, err error) 
 
 // tailReader parses the tail with explicit bounds checks so a corrupt
 // length prefix yields ErrCorrupt instead of a panic or an allocation
-// bomb (the same discipline as the store's snapshot reader).
+// bomb.
 type tailReader struct {
 	buf []byte
 	off int

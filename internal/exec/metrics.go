@@ -7,7 +7,7 @@ import (
 )
 
 // Engine metrics on the process-wide registry, served by structmined's
-// GET /metrics. They make the fairness story observable rather than
+// GET /v1/metrics. They make the fairness story observable rather than
 // asserted: grants and granted workers show the budget split, queue
 // wait shows whether small jobs stall behind heavy ones, steals show
 // the chunk handout correcting skew, and the arena high-water mark

@@ -3,7 +3,7 @@ package fd
 import "structmine/internal/obs"
 
 // FD-mining metrics, registered on the process-wide registry and served
-// by structmined's GET /metrics. Products are counted inside the two
+// by structmined's GET /v1/metrics. Products are counted inside the two
 // product kernels themselves (one atomic add each), so the counter
 // covers level-wise generation, the serial reference, and approximate
 // mining alike; levels count lattice levels a TANE run actually

@@ -3,7 +3,7 @@ package ib
 import "structmine/internal/obs"
 
 // Engine metrics, registered on the process-wide registry and served by
-// structmined's GET /metrics. Updates are single atomic operations on
+// structmined's GET /v1/metrics. Updates are single atomic operations on
 // the per-merge path (never inside the δI inner loops), so the
 // instrumented engine stays within noise of the uninstrumented one —
 // scripts/benchcmp.sh holds it to the BENCH_1.json baseline.

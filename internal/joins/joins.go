@@ -7,14 +7,17 @@
 // these candidates.
 //
 // Each attribute gets a bottom-k hash sketch of its distinct non-NULL
-// values (exact sets are kept when small). Jaccard resemblance is
-// estimated from merged sketches; directed containment |A∩B| / |A|
-// identifies foreign-key-like inclusions even when domains differ in
-// size.
+// values (exact sets are kept when small), built from the value
+// dictionary of a relation.Columns: O(D) hashes and no row read over a
+// colstore table; relation.AsColumns first derives its value index in one
+// O(n·m) pass over the rows. Jaccard resemblance is estimated from merged
+// sketches; directed containment |A∩B| / |A| identifies foreign-key-like
+// inclusions even when domains differ in size.
 package joins
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"structmine/internal/relation"
@@ -37,24 +40,27 @@ type Signature struct {
 }
 
 // Signatures sketches every attribute of the relation.
-func Signatures(r *relation.Relation) []Signature {
-	out := make([]Signature, 0, r.M())
-	for a := 0; a < r.M(); a++ {
-		set := map[uint64]bool{}
-		for t := 0; t < r.N(); t++ {
-			if r.IsNull(t, a) {
-				continue
+func Signatures(c relation.Columns) ([]Signature, error) {
+	strs, err := c.ValueStrings()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Signature, 0, c.M())
+	for a := 0; a < c.M(); a++ {
+		var hashes []uint64
+		if err := c.VisitValues(a, func(v int32, _ int, _ []relation.Run) error {
+			if strs[v] != relation.Null {
+				hashes = append(hashes, hashValue(strs[v]))
 			}
-			set[hashValue(r.ValueString(r.Value(t, a)))] = true
+			return nil
+		}); err != nil {
+			return nil, err
 		}
-		hashes := make([]uint64, 0, len(set))
-		for h := range set {
-			hashes = append(hashes, h)
-		}
-		sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
+		slices.Sort(hashes)
+		hashes = slices.Compact(hashes) // colliding hashes count once
 		sig := Signature{
-			Relation: r.Name,
-			Attr:     r.Attrs[a],
+			Relation: c.Name(),
+			Attr:     c.AttrNames()[a],
 			Distinct: len(hashes),
 			exact:    len(hashes) <= SketchSize,
 		}
@@ -64,7 +70,7 @@ func Signatures(r *relation.Relation) []Signature {
 		sig.hashes = hashes
 		out = append(out, sig)
 	}
-	return out
+	return out, nil
 }
 
 func hashValue(s string) uint64 {
@@ -146,13 +152,17 @@ type Candidate struct {
 // and at least minDistinct distinct values, strongest first. Pairs
 // within the same relation are included only across different
 // attributes (self-correspondences are trivial).
-func FindJoinable(rels []*relation.Relation, minContainment float64, minDistinct int) []Candidate {
+func FindJoinable(rels []relation.Columns, minContainment float64, minDistinct int) ([]Candidate, error) {
 	if minDistinct < 1 {
 		minDistinct = 1
 	}
 	var sigs []Signature
-	for _, r := range rels {
-		sigs = append(sigs, Signatures(r)...)
+	for _, c := range rels {
+		s, err := Signatures(c)
+		if err != nil {
+			return nil, err
+		}
+		sigs = append(sigs, s...)
 	}
 	var out []Candidate
 	for i := range sigs {
@@ -191,7 +201,7 @@ func FindJoinable(rels []*relation.Relation, minContainment float64, minDistinct
 		}
 		return out[i].FromAttr < out[j].FromAttr
 	})
-	return out
+	return out, nil
 }
 
 func intersectSorted(a, b []uint64) int {

@@ -1,15 +1,55 @@
 package joins
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"structmine/internal/colstore"
 	"structmine/internal/datagen"
 	"structmine/internal/relation"
+	"structmine/internal/store"
 )
+
+// sigsOf sketches a resident relation; in-memory reads cannot fail.
+func sigsOf(r *relation.Relation) []Signature {
+	sigs, err := Signatures(relation.AsColumns(r))
+	if err != nil {
+		panic(err)
+	}
+	return sigs
+}
+
+func findJoinable(t *testing.T, minContainment float64, minDistinct int, rels ...relation.Columns) []Candidate {
+	t.Helper()
+	cands, err := FindJoinable(rels, minContainment, minDistinct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cands
+}
+
+func db2Tables(t *testing.T) []*relation.Relation {
+	t.Helper()
+	db, err := datagen.NewDB2Sample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*relation.Relation{db.Employee, db.Department, db.Project}
+}
+
+func resident(rels []*relation.Relation) []relation.Columns {
+	cols := make([]relation.Columns, len(rels))
+	for i, r := range rels {
+		cols[i] = relation.AsColumns(r)
+	}
+	return cols
+}
 
 func TestSignaturesBasics(t *testing.T) {
 	b := relation.NewBuilder("r", []string{"A", "B"})
@@ -17,7 +57,7 @@ func TestSignaturesBasics(t *testing.T) {
 	b.MustAdd("y", "")
 	b.MustAdd("x", "2")
 	r := b.Relation()
-	sigs := Signatures(r)
+	sigs := sigsOf(r)
 	if len(sigs) != 2 {
 		t.Fatalf("signatures %d", len(sigs))
 	}
@@ -36,7 +76,7 @@ func TestResemblanceExact(t *testing.T) {
 		for _, v := range vals {
 			b.MustAdd(v)
 		}
-		return Signatures(b.Relation())[0]
+		return sigsOf(b.Relation())[0]
 	}
 	a := mk("1", "2", "3", "4")
 	b := mk("3", "4", "5", "6")
@@ -56,11 +96,7 @@ func TestResemblanceExact(t *testing.T) {
 }
 
 func TestFindJoinableOnDB2Tables(t *testing.T) {
-	db, err := datagen.NewDB2Sample()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands := FindJoinable([]*relation.Relation{db.Employee, db.Department, db.Project}, 0.95, 3)
+	cands := findJoinable(t, 0.95, 3, resident(db2Tables(t))...)
 
 	find := func(fr, fa, tr, ta string) *Candidate {
 		for i := range cands {
@@ -88,12 +124,40 @@ func TestFindJoinableOnDB2Tables(t *testing.T) {
 	}
 }
 
-func TestFindJoinableOrdering(t *testing.T) {
-	db, err := datagen.NewDB2Sample()
-	if err != nil {
-		t.Fatal(err)
+// TestFindJoinablePagedMatchesResident: the same CSVs ingested into
+// colstore files and opened as paged tables sketch to exactly the
+// candidates the resident relations give — the sketch depends on the
+// dictionary alone, and both tiers carry the same one.
+func TestFindJoinablePagedMatchesResident(t *testing.T) {
+	rels := db2Tables(t)
+	dir := t.TempDir()
+	paged := make([]relation.Columns, len(rels))
+	for i, r := range rels {
+		var csv bytes.Buffer
+		if err := r.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		open := func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(csv.Bytes())), nil }
+		meta := store.DatasetMeta{Hash: fmt.Sprintf("%064d", i), Name: r.Name}
+		path, err := colstore.Ingest(dir, meta, open, relation.Limits{}, colstore.WriteOptions{PageRows: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := colstore.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tbl.Close()
+		paged[i] = tbl
 	}
-	cands := FindJoinable([]*relation.Relation{db.Employee, db.Department}, 0.5, 2)
+	want := findJoinable(t, 0.5, 2, resident(rels)...)
+	if got := findJoinable(t, 0.5, 2, paged...); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("paged candidates differ from resident:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+func TestFindJoinableOrdering(t *testing.T) {
+	cands := findJoinable(t, 0.5, 2, resident(db2Tables(t)[:2])...)
 	for i := 1; i < len(cands); i++ {
 		if cands[i].Containment > cands[i-1].Containment+1e-12 {
 			t.Fatal("candidates not sorted by containment")
@@ -118,8 +182,8 @@ func TestPropSketchAccuracy(t *testing.T) {
 				b2.MustAdd(fmt.Sprintf("w%d", i))
 			}
 		}
-		s1 := Signatures(b1.Relation())[0]
-		s2 := Signatures(b2.Relation())[0]
+		s1 := sigsOf(b1.Relation())[0]
+		s2 := sigsOf(b2.Relation())[0]
 		exact := float64(overlap) / float64(2*n-overlap)
 		est := Resemblance(s1, s2)
 		return math.Abs(est-exact) < 0.12
@@ -165,8 +229,8 @@ func TestContainmentSketched(t *testing.T) {
 			b1.MustAdd(fmt.Sprintf("v%d", i))
 		}
 	}
-	s1 := Signatures(b1.Relation())[0]
-	s2 := Signatures(b2.Relation())[0]
+	s1 := sigsOf(b1.Relation())[0]
+	s2 := sigsOf(b2.Relation())[0]
 	if c := Containment(s1, s2); c < 0.85 {
 		t.Fatalf("subset containment %v, want ≈1", c)
 	}

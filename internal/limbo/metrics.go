@@ -3,7 +3,7 @@ package limbo
 import "structmine/internal/obs"
 
 // Phase 1 metrics, registered on the process-wide registry and served by
-// structmined's GET /metrics. The tree gauges are last-writer-wins
+// structmined's GET /v1/metrics. The tree gauges are last-writer-wins
 // snapshots: when several trees are being built concurrently they
 // describe the most recently updated one, which is the intended
 // process-level view (one daemon job at a time dominates the tree).

@@ -13,7 +13,7 @@
 // the per-merge and per-insert paths of the engines; registration and
 // rendering take the registry lock. The package-wide Default registry
 // holds the engine metrics; the server adds its own registry on top and
-// renders both on GET /metrics.
+// renders both on GET /v1/metrics.
 package obs
 
 import (

@@ -25,7 +25,7 @@ type StageTiming struct {
 }
 
 // TraceReport is the JSON shape of a finished trace, served by the
-// daemon's /jobs/{id}/trace endpoint and printed by the CLI's -stats.
+// daemon's /v1/jobs/{id}/trace endpoint and printed by the CLI's -stats.
 type TraceReport struct {
 	Stages  []StageTiming `json:"stages"`
 	TotalMS float64       `json:"total_ms"`

@@ -279,11 +279,10 @@ func TestAppendContracts(t *testing.T) {
 	do("err_append_over_budget.json", "POST", "/v1/datasets/"+ds.ID+"/append",
 		[]byte(over), http.StatusInsufficientStorage)
 
-	// Post-versioning routes exist under /v1 only: the bare path is 404,
-	// not a deprecated alias.
+	// The route exists under /v1 only: the bare path is the mux's 404.
 	if code, _ := doJSON(t, "POST", ts.URL+"/datasets/"+ds.ID+"/append",
 		[]byte("EmpNo,Name,Dept,City\n7,Kim,Eng,Oslo\n"), nil); code != http.StatusNotFound {
-		t.Fatalf("bare /datasets/{id}/append = %d, want 404 (/v1-only policy)", code)
+		t.Fatalf("bare /datasets/{id}/append = %d, want 404", code)
 	}
 }
 
@@ -379,6 +378,175 @@ func TestAppendKeepsPinnedTableMapped(t *testing.T) {
 	defer old.handle.mu.Unlock()
 	if old.handle.table != nil || old.handle.refs != 0 {
 		t.Fatalf("old table still open after its last reader left (refs=%d)", old.handle.refs)
+	}
+}
+
+// TestSubmitRacingAppend: submissions race appends to a paged dataset.
+// Lookup and pin are one registry step, so a job reads whichever epoch
+// its submission resolved: every job finishes done with the artifact of
+// one of the epochs the dataset passed through (recomputed serially on a
+// fresh server from the same bodies) — never a failure to open a file an
+// append has already replaced and unlinked.
+func TestSubmitRacingAppend(t *testing.T) {
+	const baseRows, step, epochs = 200, 8, 7
+	rows := appendCSVRows(baseRows+step*epochs, 11)
+	body := func(epoch int) []byte { return csvOf(rows[baseRows+(epoch-1)*step : baseRows+epoch*step]) }
+	tasks := []string{"describe", "mine-fds"}
+	compact := func(raw []byte) string { // artifacts compare without the response's indentation
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, raw); err != nil {
+			t.Fatalf("artifact %q: %v", raw, err)
+		}
+		return buf.String()
+	}
+
+	_, ref := newTestServer(t, Config{})
+	var refDS Dataset
+	if code, b := doJSON(t, "POST", ref.URL+"/v1/datasets?name=race", csvOf(rows[:baseRows]), &refDS); code != http.StatusCreated {
+		t.Fatalf("reference register: %d %s", code, b)
+	}
+	want := map[string]map[string]int{} // task → artifact → the epoch it belongs to
+	for epoch := 0; epoch <= epochs; epoch++ {
+		if epoch > 0 {
+			if code, b := doJSON(t, "POST", ref.URL+"/v1/datasets/"+refDS.ID+"/append", body(epoch), nil); code != http.StatusOK {
+				t.Fatalf("reference append %d: %d %s", epoch, code, b)
+			}
+		}
+		for _, tn := range tasks {
+			if want[tn] == nil {
+				want[tn] = map[string]int{}
+			}
+			want[tn][compact(mineResult(t, ref, refDS.ID, tn))] = epoch
+		}
+	}
+
+	st := openStoreClosed(t, t.TempDir())
+	s, ts := newTestServer(t, Config{Store: st, ResidentBytes: 64, Workers: 2, QueueDepth: 1 << 12, MaxJobs: 1 << 16})
+	var ds Dataset
+	if code, b := doJSON(t, "POST", ts.URL+"/v1/datasets?name=race", csvOf(rows[:baseRows]), &ds); code != http.StatusCreated || ds.Storage != StoragePaged {
+		t.Fatalf("register: %d %s", code, b)
+	}
+
+	// The deterministic half: resolve, let an append retire the table,
+	// then read. The pin holds the epoch-0 table mapped through the unlink.
+	pinned, cols, release, err := s.reg.Pin(ds.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.reg.AppendCSV(ds.ID, body(1)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := task.RunColumns(context.Background(), cols, "describe", task.Params{})
+	release()
+	if err != nil {
+		t.Fatalf("reading the table pinned before the append: %v", err)
+	}
+	raw, _ := json.Marshal(res)
+	if epoch, ok := want["describe"][string(raw)]; !ok || epoch != 0 || pinned.Epoch != 0 {
+		t.Fatalf("pin taken at epoch %d read %s, want the epoch-0 artifact", pinned.Epoch, raw)
+	}
+
+	// The racing half: one appender, several submitters, until the appends run out.
+	type submitted struct{ id, task string }
+	var mu sync.Mutex
+	var jobs []submitted
+	appended := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i, last := 0, false; !last; i++ {
+				select {
+				case <-appended:
+					last = true // one more submission, against the final epoch
+				default:
+				}
+				tn := tasks[(g+i)%len(tasks)]
+				var v JobView
+				code, b := doJSON(t, "POST", ts.URL+"/v1/jobs", submitRequest{Dataset: ds.ID, Task: tn}, nil)
+				switch code {
+				case http.StatusOK, http.StatusAccepted:
+					if err := json.Unmarshal([]byte(b), &v); err != nil {
+						t.Errorf("submit %s: %s: %v", tn, b, err)
+						return
+					}
+					mu.Lock()
+					jobs = append(jobs, submitted{v.ID, tn})
+					mu.Unlock()
+				case http.StatusTooManyRequests: // refused by admission: allowed
+				default:
+					t.Errorf("submit %s racing an append: %d %s", tn, code, b)
+					return
+				}
+			}
+		}(g)
+	}
+	for epoch := 2; epoch <= epochs; epoch++ {
+		if code, b := doJSON(t, "POST", ts.URL+"/v1/datasets/"+ds.ID+"/append", body(epoch), nil); code != http.StatusOK {
+			t.Errorf("append %d: %d %s", epoch, code, b)
+		}
+	}
+	close(appended)
+	wg.Wait()
+
+	seen := map[int]bool{}
+	for _, j := range jobs {
+		if v := waitJob(t, ts, j.id); v.State != StateDone {
+			t.Fatalf("%s job %s submitted during appends: %s (%s)", j.task, j.id, v.State, v.Error)
+		}
+		got := jobArtifact(t, ts, j.id)
+		epoch, ok := want[j.task][compact([]byte(got))]
+		if !ok {
+			t.Fatalf("%s job %s: artifact belongs to no epoch the dataset passed through:\n%s", j.task, j.id, got)
+		}
+		seen[epoch] = true
+	}
+	t.Logf("%d jobs raced %d appends and read epochs %v", len(jobs), epochs-1, seen)
+	if len(jobs) < 8 || !seen[epochs] {
+		t.Fatalf("%d jobs over epochs %v: the race did not happen or never reached the final epoch", len(jobs), seen)
+	}
+}
+
+// TestReferenceBeforeOpenSurvivesAppend: Pin takes its reference under
+// the registry lock and opens the file only after it. An append that
+// lands in that window must leave the table mapped for the open that
+// follows — here on an evicted dataset whose file nobody had opened yet.
+func TestReferenceBeforeOpenSurvivesAppend(t *testing.T) {
+	st := openStoreClosed(t, t.TempDir())
+	small, big := csvOf(appendCSVRows(40, 3)), csvOf(appendCSVRows(41, 5))
+	s, _ := newTestServer(t, Config{Store: st, ResidentBytes: int64(len(big))})
+	ds, _, err := s.reg.RegisterCSV("small", "test", small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.reg.RegisterCSV("big", "test", big); err != nil { // evicts small
+		t.Fatal(err)
+	}
+	cur, _ := s.reg.Get(ds.ID)
+	h := cur.handle
+	h.mu.Lock()
+	if cur.Storage != StoragePaged || h.table != nil {
+		t.Fatalf("setup: want an evicted, never-opened dataset, got %s (open=%v)", cur.Storage, h.table != nil)
+	}
+	h.refs++ // what Pin does under the registry lock
+	h.mu.Unlock()
+	if _, err := s.reg.AppendCSV(ds.ID, csvOf([]string{"900,c1,z-c1,g0"})); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := h.pin(cur.colPath) // what Pin does after it; the file is unlinked by now
+	if err != nil {
+		t.Fatalf("opening the table referenced before the append: %v", err)
+	}
+	if tbl.N() != 40 {
+		t.Errorf("the referenced table has %d rows, want the pre-append 40", tbl.N())
+	}
+	h.unpin()
+	h.unpin()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.table != nil || h.refs != 0 {
+		t.Fatalf("table still open with no holder (refs=%d)", h.refs)
 	}
 }
 

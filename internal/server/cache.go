@@ -11,17 +11,19 @@ import (
 )
 
 // Cache is the content-addressed artifact cache: completed task results
-// keyed on (dataset content hash, task, normalized parameters). Because
-// datasets are immutable once registered and every task is
-// deterministic, entries never go stale — but a long-running daemon
-// cannot keep every artifact forever, so the cache evicts
-// least-recently-used entries beyond a configured capacity.
+// keyed on (dataset content hash, epoch, task, normalized parameters).
+// An artifact is its JSON encoding from the moment its job finishes —
+// the cache stores and returns those bytes, so a response is the same
+// whichever tier answered. Because a (hash, epoch) state is immutable
+// and every task is deterministic, entries never go stale — but a
+// long-running daemon cannot keep every artifact forever, so the cache
+// evicts least-recently-used entries beyond a configured capacity.
 //
 // With a durable store attached the cache is two-tiered: every Put also
-// spills the marshaled artifact to disk, and a memory miss falls back to
-// the store before being counted as a miss. Disk hits are promoted back
-// into memory as json.RawMessage (handlers re-encode them verbatim), so
-// a warm restart answers repeated queries without re-running the miner.
+// spills the artifact to disk, and a memory miss falls back to the store
+// before being counted as a miss. Disk hits are promoted back into
+// memory, so a warm restart answers repeated queries without re-running
+// the miner.
 type Cache struct {
 	mu     sync.Mutex
 	m      map[string]*list.Element
@@ -31,12 +33,12 @@ type Cache struct {
 	misses uint64
 	disk   uint64 // hits served from the durable tier
 
-	st *store.Store // optional durable tier (nil = memory only)
+	st *store.Store // optional durable tier (nil = memory only); set once, before the first request
 }
 
 type cacheEntry struct {
 	key string
-	val any
+	val json.RawMessage
 }
 
 // NewCache returns an empty artifact cache holding at most max entries
@@ -50,19 +52,14 @@ func NewCache(max int) *Cache {
 // content hash already advances on every append the epoch is strictly
 // redundant, but keying on it too makes a cross-epoch cache hit
 // structurally impossible rather than merely hash-collision-improbable.
-// Epoch 0 renders without the suffix so artifacts persisted by earlier
-// builds keep their addresses.
 func Key(datasetHash string, epoch int, taskName string, p task.Params) string {
-	if epoch > 0 {
-		return fmt.Sprintf("%s@%d|%s", datasetHash, epoch, p.CacheKey(taskName))
-	}
-	return datasetHash + "|" + p.CacheKey(taskName)
+	return fmt.Sprintf("%s@%d|%s", datasetHash, epoch, p.CacheKey(taskName))
 }
 
 // Get returns the cached artifact, refreshes its recency, and counts
 // the lookup as a hit or miss. On a memory miss the durable tier (when
 // attached) is consulted; a disk hit is promoted into memory.
-func (c *Cache) Get(key string) (any, bool) {
+func (c *Cache) Get(key string) (json.RawMessage, bool) {
 	c.mu.Lock()
 	el, ok := c.m[key]
 	if ok {
@@ -72,11 +69,10 @@ func (c *Cache) Get(key string) (any, bool) {
 		c.mu.Unlock()
 		return v, true
 	}
-	st := c.st
 	c.mu.Unlock()
 
-	if st != nil {
-		if raw, ok := st.GetArtifact(key); ok {
+	if c.st != nil {
+		if raw, ok := c.st.GetArtifact(key); ok {
 			c.mu.Lock()
 			c.hits++
 			c.disk++
@@ -94,47 +90,34 @@ func (c *Cache) Get(key string) (any, bool) {
 // Peek returns the artifact without touching the hit/miss counters or
 // promoting disk entries — used when serving the result of a recovered
 // job record, which is a read of existing state rather than a query.
-func (c *Cache) Peek(key string) (any, bool) {
+func (c *Cache) Peek(key string) (json.RawMessage, bool) {
 	c.mu.Lock()
-	el, ok := c.m[key]
-	st := c.st
-	c.mu.Unlock()
-	if ok {
+	if el, ok := c.m[key]; ok {
+		defer c.mu.Unlock()
 		return el.Value.(*cacheEntry).val, true
 	}
-	if st != nil {
-		if raw, ok := st.GetArtifact(key); ok {
-			return raw, true
-		}
+	c.mu.Unlock()
+	if c.st != nil {
+		return c.st.GetArtifact(key)
 	}
 	return nil, false
 }
 
 // Put stores one completed artifact, evicting the least recently used
 // entries if the cache is over capacity. With a durable tier attached
-// the artifact is also marshaled and spilled to disk; a spill failure
-// only costs durability (the store counts it), never the job result.
-func (c *Cache) Put(key string, v any) {
+// the artifact is also spilled to disk; a spill failure only costs
+// durability (the store counts it), never the job result.
+func (c *Cache) Put(key string, v json.RawMessage) {
 	c.mu.Lock()
 	c.putLocked(key, v)
-	st := c.st
 	c.mu.Unlock()
 
-	if st == nil {
-		return
+	if c.st != nil {
+		_ = c.st.PutArtifact(key, v)
 	}
-	raw, ok := v.(json.RawMessage)
-	if !ok {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return
-		}
-		raw = data
-	}
-	_ = st.PutArtifact(key, raw)
 }
 
-func (c *Cache) putLocked(key string, v any) {
+func (c *Cache) putLocked(key string, v json.RawMessage) {
 	if el, ok := c.m[key]; ok {
 		el.Value.(*cacheEntry).val = v
 		c.lru.MoveToFront(el)
@@ -148,7 +131,7 @@ func (c *Cache) putLocked(key string, v any) {
 	}
 }
 
-// CacheStats is the cache's observable state, served by /healthz and
+// CacheStats is the cache's observable state, served by /v1/healthz and
 // asserted by the smoke test.
 type CacheStats struct {
 	Entries int    `json:"entries"`

@@ -179,38 +179,6 @@ func TestGoldenThrottleEnvelopes(t *testing.T) {
 	})
 }
 
-// TestGoldenAliasSunset pins the deprecation lifecycle of the bare-path
-// aliases: Deprecation + Sunset headers while they serve, a 410 gone
-// envelope once disabled, with /v1 unaffected either way.
-func TestGoldenAliasSunset(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	code, hdr, _ := doReq(t, "GET", ts.URL+"/healthz", nil, nil)
-	if code != http.StatusOK {
-		t.Fatalf("alias healthz: %d", code)
-	}
-	if hdr.Get("Deprecation") != "true" || hdr.Get("Sunset") != AliasSunset {
-		t.Fatalf("alias headers = Deprecation %q Sunset %q", hdr.Get("Deprecation"), hdr.Get("Sunset"))
-	}
-	if code, hdr, _ := doReq(t, "GET", ts.URL+"/v1/healthz", nil, nil); code != http.StatusOK ||
-		hdr.Get("Deprecation") != "" || hdr.Get("Sunset") != "" {
-		t.Fatalf("/v1 must carry no deprecation headers (code %d)", code)
-	}
-
-	_, tsOff := newTestServer(t, Config{DisableDeprecated: true})
-	code, _, raw := doReq(t, "GET", tsOff.URL+"/healthz", nil, nil)
-	if code != http.StatusGone {
-		t.Fatalf("disabled alias: %d %s, want 410", code, raw)
-	}
-	checkGolden(t, "err_gone.json", raw)
-	if code, _, _ := doReq(t, "GET", tsOff.URL+"/v1/healthz", nil, nil); code != http.StatusOK {
-		t.Fatalf("/v1 must keep serving with aliases disabled: %d", code)
-	}
-	// Every alias route answers 410, not just healthz.
-	if code, _, raw := doReq(t, "POST", tsOff.URL+"/datasets?name=x", map[string]string{"Content-Type": "text/csv"}, []byte("A,B\n1,2\n")); code != http.StatusGone {
-		t.Fatalf("disabled register alias: %d %s", code, raw)
-	}
-}
-
 // TestPaginationWalkCoversAll walks a larger corpus page by page and
 // checks exact cover: no item skipped, none repeated, in sort order.
 func TestPaginationWalkCoversAll(t *testing.T) {

@@ -30,13 +30,13 @@ var (
 	// ErrStoreWrite reports that durable persistence of new state failed;
 	// the mutation is rolled back rather than left memory-only.
 	ErrStoreWrite = errors.New("server: durable store write failed")
+	// ErrResultEncoding reports a task result that has no JSON encoding;
+	// the job fails rather than carry an artifact no response can render.
+	ErrResultEncoding = errors.New("server: encoding job result")
 	// ErrRateLimited reports a tenant that exhausted its token bucket.
 	ErrRateLimited = errors.New("server: tenant rate limit exceeded")
 	// ErrQuotaExceeded reports a tenant at its concurrent-jobs quota.
 	ErrQuotaExceeded = errors.New("server: tenant concurrent-jobs quota exceeded")
-	// ErrGone reports a request for a sunset (deprecated, now disabled)
-	// route alias.
-	ErrGone = errors.New("server: deprecated alias disabled; use the /v1 route")
 )
 
 // retryAfterError wraps a 429 sentinel with the seconds a client should
@@ -80,7 +80,6 @@ const (
 	CodeOverBudget      = "over_budget"
 	CodeRateLimited     = "rate_limited"
 	CodeQuotaExceeded   = "quota_exceeded"
-	CodeGone            = "gone"
 	CodePeerUnavailable = "peer_unavailable"
 )
 
@@ -127,8 +126,6 @@ func errStatus(err error) (int, string) {
 		return http.StatusServiceUnavailable, CodeDraining
 	case errors.Is(err, cluster.ErrPeerUnavailable):
 		return http.StatusServiceUnavailable, CodePeerUnavailable
-	case errors.Is(err, ErrGone):
-		return http.StatusGone, CodeGone
 	case errors.Is(err, ErrDatasetLimit):
 		return http.StatusTooManyRequests, CodeDatasetLimit
 	case errors.Is(err, ErrStoreWrite):

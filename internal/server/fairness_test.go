@@ -53,7 +53,7 @@ func TestFairnessSmallJobsNotStarved(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	heavy, err := s.jobs.Submit(heavyDS.ID, "mine-fds", task.Params{})
+	heavy, err := s.jobs.SubmitAs(DefaultTenant, PriorityInteractive, heavyDS.ID, "mine-fds", task.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFairnessSmallJobsNotStarved(t *testing.T) {
 	start := time.Now()
 	ids := make([]string, smallJobs)
 	for i := range ids {
-		v, err := s.jobs.Submit(smallDS.ID, "describe", task.Params{})
+		v, err := s.jobs.SubmitAs(DefaultTenant, PriorityInteractive, smallDS.ID, "describe", task.Params{})
 		if err != nil {
 			t.Fatal(err)
 		}

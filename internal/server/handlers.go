@@ -31,39 +31,20 @@ func (s *Server) routes() {
 			latency.Observe(time.Since(start).Seconds())
 		})
 	}
-	// api mounts one endpoint twice: the canonical /v1 route, and the
-	// pre-versioning alias at the bare path. The alias serves the exact
-	// same payload but answers with "Deprecation: true" and a Sunset
-	// date so clients can migrate; each registration keeps its own
-	// metrics route label. With DisableDeprecated set the alias instead
-	// answers 410 gone — the dry run for the sunset itself. New
-	// endpoints are added under /v1 only.
-	api := func(method, path string, h http.HandlerFunc) {
-		handle(method+" /v1"+path, h)
-		handle(method+" "+path, func(w http.ResponseWriter, r *http.Request) {
-			if s.cfg.DisableDeprecated {
-				writeErrFor(w, ErrGone)
-				return
-			}
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Sunset", AliasSunset)
-			h(w, r)
-		})
-	}
-	api("POST", "/datasets", s.handleRegisterDataset)
-	api("GET", "/datasets", s.handleListDatasets)
-	api("GET", "/datasets/{id}", s.handleGetDataset)
-	// Post-versioning endpoint: /v1 only, no deprecated bare alias.
+	// /v1 is the only HTTP surface; anything else is the mux's plain 404.
+	handle("POST /v1/datasets", s.handleRegisterDataset)
+	handle("GET /v1/datasets", s.handleListDatasets)
+	handle("GET /v1/datasets/{id}", s.handleGetDataset)
 	handle("POST /v1/datasets/{id}/append", s.handleAppendDataset)
-	api("POST", "/jobs", s.handleSubmitJob)
-	api("GET", "/jobs", s.handleListJobs)
-	api("GET", "/jobs/{id}", s.handleGetJob)
-	api("GET", "/jobs/{id}/result", s.handleJobResult)
-	api("GET", "/jobs/{id}/trace", s.handleJobTrace)
-	api("POST", "/jobs/{id}/cancel", s.handleCancelJob)
-	api("GET", "/healthz", s.handleHealthz)
-	api("GET", "/tasks", s.handleListTasks)
-	api("GET", "/metrics", s.handleMetrics)
+	handle("POST /v1/jobs", s.handleSubmitJob)
+	handle("GET /v1/jobs", s.handleListJobs)
+	handle("GET /v1/jobs/{id}", s.handleGetJob)
+	handle("GET /v1/jobs/{id}/result", s.handleJobResult)
+	handle("GET /v1/jobs/{id}/trace", s.handleJobTrace)
+	handle("POST /v1/jobs/{id}/cancel", s.handleCancelJob)
+	handle("GET /v1/healthz", s.handleHealthz)
+	handle("GET /v1/tasks", s.handleListTasks)
+	handle("GET /v1/metrics", s.handleMetrics)
 	if s.cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -73,16 +54,30 @@ func (s *Server) routes() {
 	}
 }
 
-// AliasSunset is the Sunset header (RFC 8594) on every deprecated
-// bare-path alias: the date after which the aliases may be removed.
-const AliasSunset = "Fri, 01 Jan 2027 00:00:00 GMT"
-
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// readBody reads a request body of at most limit bytes. On failure it
+// has written the response — 413 body_too_large naming what overflowed,
+// 400 for any other read error — and reports ok=false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeAPIErr(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+				"%s exceeds %d bytes", what, limit)
+		} else {
+			writeAPIErr(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
+		}
+		return nil, false
+	}
+	return body, true
 }
 
 // registerRequest is the JSON form of POST /v1/datasets. Alternatively
@@ -102,14 +97,8 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 		writeErrFor(w, ErrDraining)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxUploadBytes+1))
-	if err != nil {
-		writeAPIErr(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
-		return
-	}
-	if int64(len(body)) > s.cfg.MaxUploadBytes {
-		writeAPIErr(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-			"upload exceeds %d bytes", s.cfg.MaxUploadBytes)
+	body, ok := readBody(w, r, s.cfg.MaxUploadBytes, "upload")
+	if !ok {
 		return
 	}
 
@@ -122,6 +111,7 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 	// this node's filesystem.
 	var ds *Dataset
 	var created bool
+	var err error
 	var csv []byte
 	var regName, regPath string
 	ct := r.Header.Get("Content-Type")
@@ -191,14 +181,8 @@ func (s *Server) handleAppendDataset(w http.ResponseWriter, r *http.Request) {
 		writeErrFor(w, ErrDraining)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxUploadBytes+1))
-	if err != nil {
-		writeAPIErr(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
-		return
-	}
-	if int64(len(body)) > s.cfg.MaxUploadBytes {
-		writeAPIErr(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-			"append exceeds %d bytes", s.cfg.MaxUploadBytes)
+	body, ok := readBody(w, r, s.cfg.MaxUploadBytes, "append")
+	if !ok {
 		return
 	}
 	if len(body) == 0 {
@@ -306,15 +290,8 @@ func tenantOf(r *http.Request) string {
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJobBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeAPIErr(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				"job submission exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeAPIErr(w, http.StatusBadRequest, CodeBadRequest, "reading body: %v", err)
+	body, ok := readBody(w, r, maxJobBodyBytes, "job submission")
+	if !ok {
 		return
 	}
 	var req submitRequest
@@ -386,8 +363,8 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 
 // jobResult wraps a completed artifact with its job metadata.
 type jobResult struct {
-	Job    JobView `json:"job"`
-	Result any     `json:"result"`
+	Job    JobView         `json:"job"`
+	Result json.RawMessage `json:"result"`
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
@@ -495,7 +472,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:   "ok",
 		Draining: s.jobs.Draining(),
 		Datasets: s.reg.Len(),
-		Jobs:     len(s.jobs.List()),
+		Jobs:     s.jobs.Len(),
 		Cache:    s.cache.Stats(),
 	}
 	if st := s.cfg.Store; st != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -67,7 +66,7 @@ type Job struct {
 	errMsg    string
 	cacheHit  bool
 	recovered bool
-	result    any
+	result    json.RawMessage // the artifact: encoded once, when the job finishes
 	trace     obs.TraceReport // per-stage timings, filled when the job terminates
 	submitted time.Time       // when the job entered the queue (queue-wait metric)
 
@@ -159,22 +158,15 @@ type Runner struct {
 }
 
 // NewRunner starts a pool of `workers` goroutines consuming a queue of
-// depth `depth`. Each job gets `timeout` of wall clock (0 = unlimited).
-// At most `retain` job records are kept (0 = unlimited): once exceeded,
-// the oldest terminal jobs are forgotten — their artifacts stay in the
-// cache, but polling the job id yields 404. A non-nil st journals every
-// terminal job. sched divides CPU cores fairly across the jobs running
-// concurrently on the pool (nil = the process-wide exec.Default).
+// depth `depth`. It requires workers ≥ 1, depth ≥ 1 and a non-nil sched
+// and applies no defaults of its own: New, its one caller, passes them
+// from the normalized Config. Each job gets `timeout` of wall clock (0 =
+// unlimited). At most `retain` job records are kept (0 = unlimited): once
+// exceeded, the oldest terminal jobs are forgotten — their artifacts stay
+// in the cache, but polling the job id yields 404. A non-nil st journals
+// every terminal job. sched divides CPU cores fairly across the jobs
+// running concurrently on the pool.
 func NewRunner(reg *Registry, cache *Cache, st *store.Store, sched *exec.Scheduler, lim TenantLimits, workers, depth int, timeout time.Duration, retain int) *Runner {
-	if workers < 1 {
-		workers = 1
-	}
-	if depth < 1 {
-		depth = 64
-	}
-	if sched == nil {
-		sched = exec.Default
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	q := &Runner{
 		reg: reg, cache: cache, st: st, sched: sched,
@@ -256,12 +248,6 @@ func (q *Runner) Preload(records [][]byte) {
 	q.pruneLocked()
 }
 
-// Submit validates and enqueues one job for the default tenant at
-// interactive priority. See SubmitAs.
-func (q *Runner) Submit(datasetID, taskName string, p task.Params) (JobView, error) {
-	return q.SubmitAs(DefaultTenant, PriorityInteractive, datasetID, taskName, p)
-}
-
 // SubmitAs validates and enqueues one job on behalf of a tenant. When
 // the artifact cache already holds the result of an identical query
 // against the same dataset content, the returned job is already done
@@ -286,9 +272,12 @@ func (q *Runner) SubmitAs(tenant string, priority Priority, datasetID, taskName 
 	if spec.MultiFile {
 		return JobView{}, fmt.Errorf("%w: task %q operates on several files", ErrTaskNotRunnable, taskName)
 	}
-	ds, ok := q.reg.Get(datasetID)
-	if !ok {
-		return JobView{}, fmt.Errorf("%w %q", ErrUnknownDataset, datasetID)
+	// Pin what the job will read now, before it queues: the id resolves
+	// and the reference is taken in one registry step, so an append cannot
+	// retire the dataset's table in between.
+	ds, cols, release, err := q.reg.Pin(datasetID)
+	if err != nil {
+		return JobView{}, err
 	}
 	p = p.Normalize(taskName)
 	// The lookup happens before q.mu is taken: on a memory miss it reads
@@ -296,15 +285,9 @@ func (q *Runner) SubmitAs(tenant string, priority Priority, datasetID, taskName 
 	// poll, list and submit would otherwise queue behind that disk read.
 	key := Key(ds.Hash, ds.Epoch, taskName, p)
 	cached, hit := q.cache.Get(key)
-	// Pin what the job will read now, before it queues. A cache hit reads
-	// nothing.
-	var cols relation.Columns
-	release := func() {}
-	if !hit {
-		var err error
-		if cols, release, err = ds.Columns(); err != nil {
-			return JobView{}, err
-		}
+	if hit { // a cache hit reads no rows: let the table go
+		release()
+		cols, release = nil, func() {}
 	}
 
 	q.mu.Lock()
@@ -498,14 +481,23 @@ func (q *Runner) run(job *Job) {
 	tr.Finish()
 	g.Release()
 	job.unpin()
+	// The result is encoded once, here: these are the bytes every tier
+	// stores and every response carries. A result JSON cannot express (a
+	// NaN statistic) fails the job instead of being cached half-written.
+	var artifact json.RawMessage
+	if err == nil {
+		if artifact, err = json.Marshal(res); err != nil {
+			err = fmt.Errorf("%w: %v", ErrResultEncoding, err)
+		}
+	}
 
 	q.mu.Lock()
 	job.trace = tr.Report()
 	switch {
 	case err == nil:
 		job.state = StateDone
-		job.result = res
-		q.cache.Put(job.key, res)
+		job.result = artifact
+		q.cache.Put(job.key, artifact)
 	case errors.Is(err, context.Canceled):
 		job.state = StateCanceled
 		job.errMsg = err.Error()
@@ -570,7 +562,7 @@ func (q *Runner) StateCounts() map[State]int {
 // Result returns the job's artifact once it is done. A done job
 // recovered from the journal carries no in-memory result; its artifact
 // is re-read from the cache (memory or durable tier) by key.
-func (q *Runner) Result(id string) (any, JobView, bool) {
+func (q *Runner) Result(id string) (json.RawMessage, JobView, bool) {
 	q.mu.Lock()
 	job, ok := q.jobs[id]
 	if !ok {
@@ -582,9 +574,7 @@ func (q *Runner) Result(id string) (any, JobView, bool) {
 	key := job.key
 	q.mu.Unlock()
 	if res == nil && view.State == StateDone {
-		if v, ok := q.cache.Peek(key); ok {
-			res = v
-		}
+		res, _ = q.cache.Peek(key)
 	}
 	return res, view, true
 }
@@ -598,32 +588,19 @@ func (q *Runner) Result(id string) (any, JobView, bool) {
 func (q *Runner) Page(cursor string, limit int) (items []JobView, next string, total int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	ids := make([]string, len(q.order))
-	copy(ids, q.order)
-	sort.Strings(ids)
-	total = len(ids)
-	start := sort.Search(len(ids), func(i int) bool { return ids[i] > cursor })
-	end := len(ids)
-	if limit > 0 && start+limit < end {
-		end = start + limit
-		next = ids[end-1]
-	}
-	items = make([]JobView, 0, end-start)
-	for _, id := range ids[start:end] {
+	page, next := cursorPage(append([]string(nil), q.order...), cursor, limit)
+	items = make([]JobView, 0, len(page))
+	for _, id := range page {
 		items = append(items, q.jobs[id].viewLocked())
 	}
-	return items, next, total
+	return items, next, len(q.order)
 }
 
-// List returns snapshots of every job in submission order.
-func (q *Runner) List() []JobView {
+// Len returns how many job records are retained.
+func (q *Runner) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make([]JobView, 0, len(q.order))
-	for _, id := range q.order {
-		out = append(out, q.jobs[id].viewLocked())
-	}
-	return out
+	return len(q.order)
 }
 
 // Cancel aborts a job: a queued job terminates immediately; a running

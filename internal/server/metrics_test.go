@@ -14,16 +14,16 @@ import (
 
 func scrapeMetrics(t *testing.T, url string) string {
 	t.Helper()
-	resp, err := http.Get(url + "/metrics")
+	resp, err := http.Get(url + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: %d", resp.StatusCode)
+		t.Fatalf("GET /v1/metrics: %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("GET /metrics Content-Type = %q, want text/plain", ct)
+		t.Fatalf("GET /v1/metrics Content-Type = %q, want text/plain", ct)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -34,7 +34,7 @@ func scrapeMetrics(t *testing.T, url string) string {
 
 // metricsLineRE matches one Prometheus text-exposition sample line.
 // Label values are quoted strings with backslash escapes and may contain
-// braces (route patterns like "GET /jobs/{id}/trace").
+// braces (route patterns like "GET /v1/jobs/{id}/trace").
 var metricsLineRE = regexp.MustCompile(
 	`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{([a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*",?)*\})? (NaN|[+-]?Inf|[-+0-9.eE]+)$`)
 
@@ -71,7 +71,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// rank-fds exercises the AIB engine; partition exercises LIMBO.
 	for _, tn := range []string{"rank-fds", "partition"} {
 		var v JobView
-		code, body := doJSON(t, "POST", ts.URL+"/jobs",
+		code, body := doJSON(t, "POST", ts.URL+"/v1/jobs",
 			submitRequest{Dataset: ds.ID, Task: tn}, &v)
 		if code != http.StatusAccepted && code != http.StatusOK {
 			t.Fatalf("submit %s: %d %s", tn, code, body)
@@ -82,7 +82,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// A repeated submission is a cache hit.
 	var v JobView
-	if code, body := doJSON(t, "POST", ts.URL+"/jobs",
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/jobs",
 		submitRequest{Dataset: ds.ID, Task: "rank-fds"}, &v); code != http.StatusOK {
 		t.Fatalf("cached submit: %d %s", code, body)
 	}
@@ -125,8 +125,11 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("scrape is missing line %q", want)
 		}
 	}
-	if !regexp.MustCompile(`structmined_http_requests_total\{route="POST /jobs"\} [1-9]`).MatchString(scrape) {
-		t.Error("scrape has no request count for POST /jobs")
+	if !regexp.MustCompile(`structmined_http_requests_total\{route="POST /v1/jobs"\} [1-9]`).MatchString(scrape) {
+		t.Error("scrape has no request count for POST /v1/jobs")
+	}
+	if n := strings.Count(scrape, "structmined_http_requests_total{route="); n != 13 {
+		t.Errorf("request counter has %d route labels, want the 13 /v1 routes", n)
 	}
 }
 
@@ -149,7 +152,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(ts.URL + "/metrics")
+				resp, err := http.Get(ts.URL + "/v1/metrics")
 				if err != nil {
 					t.Error(err)
 					return
@@ -164,7 +167,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 	ids := make([]string, 0, len(tasks))
 	for _, tn := range tasks {
 		var v JobView
-		code, body := doJSON(t, "POST", ts.URL+"/jobs",
+		code, body := doJSON(t, "POST", ts.URL+"/v1/jobs",
 			submitRequest{Dataset: ds.ID, Task: tn}, &v)
 		if code != http.StatusAccepted && code != http.StatusOK {
 			t.Fatalf("submit %s: %d %s", tn, code, body)
@@ -189,7 +192,7 @@ func TestJobTrace(t *testing.T) {
 	ds := registerDB2(t, ts)
 
 	var v JobView
-	code, body := doJSON(t, "POST", ts.URL+"/jobs",
+	code, body := doJSON(t, "POST", ts.URL+"/v1/jobs",
 		submitRequest{Dataset: ds.ID, Task: "rank-fds"}, &v)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, body)
@@ -199,7 +202,7 @@ func TestJobTrace(t *testing.T) {
 	}
 
 	var tr jobTrace
-	if code, body := doJSON(t, "GET", ts.URL+"/jobs/"+v.ID+"/trace", nil, &tr); code != http.StatusOK {
+	if code, body := doJSON(t, "GET", ts.URL+"/v1/jobs/"+v.ID+"/trace", nil, &tr); code != http.StatusOK {
 		t.Fatalf("get trace: %d %s", code, body)
 	}
 	if tr.Job.ID != v.ID || tr.Job.State != StateDone {
@@ -243,13 +246,13 @@ func TestJobTrace(t *testing.T) {
 	}
 
 	// Unknown job → 404.
-	if code, _ := doJSON(t, "GET", ts.URL+"/jobs/nope/trace", nil, nil); code != http.StatusNotFound {
+	if code, _ := doJSON(t, "GET", ts.URL+"/v1/jobs/nope/trace", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("unknown job trace: %d, want 404", code)
 	}
 
 	// Cache-hit resubmission: done instantly, trace is an empty array.
 	var hit JobView
-	if code, body := doJSON(t, "POST", ts.URL+"/jobs",
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/jobs",
 		submitRequest{Dataset: ds.ID, Task: "rank-fds"}, &hit); code != http.StatusOK {
 		t.Fatalf("cached submit: %d %s", code, body)
 	}
@@ -258,7 +261,7 @@ func TestJobTrace(t *testing.T) {
 			Stages []obs.StageTiming `json:"stages"`
 		} `json:"trace"`
 	}
-	code, body = doJSON(t, "GET", ts.URL+"/jobs/"+hit.ID+"/trace", nil, &raw)
+	code, body = doJSON(t, "GET", ts.URL+"/v1/jobs/"+hit.ID+"/trace", nil, &raw)
 	if code != http.StatusOK {
 		t.Fatalf("cached trace: %d %s", code, body)
 	}
@@ -307,16 +310,16 @@ func TestJobTraceNotTerminal(t *testing.T) {
 
 	// Occupy the only worker, then queue a second job behind it.
 	var first, second JobView
-	if code, body := doJSON(t, "POST", ts.URL+"/jobs",
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/jobs",
 		submitRequest{Dataset: ds.ID, Task: "rank-fds"}, &first); code != http.StatusAccepted {
 		t.Fatalf("submit first: %d %s", code, body)
 	}
-	if code, body := doJSON(t, "POST", ts.URL+"/jobs",
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/jobs",
 		submitRequest{Dataset: ds.ID, Task: "mine-fds"}, &second); code != http.StatusAccepted {
 		t.Fatalf("submit second: %d %s", code, body)
 	}
 
-	code, body := doJSON(t, "GET", ts.URL+"/jobs/"+second.ID+"/trace", nil, nil)
+	code, body := doJSON(t, "GET", ts.URL+"/v1/jobs/"+second.ID+"/trace", nil, nil)
 	if code != http.StatusConflict {
 		// The queue may already have drained on a fast machine; only the
 		// still-pending case is asserted.

@@ -145,7 +145,7 @@ func TestCrashAtEveryStepOfRegisterAppend(t *testing.T) {
 				var state string
 				for life := 1; life <= 2; life++ {
 					s, st := boot(dir)
-					list := s.reg.List()
+					list, _, _ := s.reg.Page("", 0)
 					if len(list) > 1 {
 						t.Fatalf("crash %d/%d, life %d: %d datasets, both sides of the append survived", k, total, life, len(list))
 					}
@@ -374,7 +374,8 @@ func TestRecoveryHonoursResidentBudget(t *testing.T) {
 	s2 := New(Config{Workers: 1, Store: st2, ResidentBytes: budget})
 	defer s2.Shutdown(context.Background())
 	resident := 0
-	for _, ds := range s2.reg.List() {
+	all, _, _ := s2.reg.Page("", 0)
+	for _, ds := range all {
 		if (ds.rel != nil) != (ds.Storage == StorageResident) {
 			t.Fatalf("dataset %s: storage %q with rel=%v", ds.ID, ds.Storage, ds.rel != nil)
 		}
@@ -385,90 +386,5 @@ func TestRecoveryHonoursResidentBudget(t *testing.T) {
 	if s2.reg.Len() != 3 || resident != 2 || s2.reg.ResidentBytes() > budget {
 		t.Fatalf("recovered %d datasets, %d resident holding %d of %d budget bytes; want 3, 2",
 			s2.reg.Len(), resident, s2.reg.ResidentBytes(), budget)
-	}
-}
-
-// TestSnapshotMigrationAtBoot covers the one-way migration from the
-// snapshot format: committed v1 and v2 .snap files (written by the last
-// snapshot-writing commit, see internal/store/snapshot_test.go) are each
-// planted in a store's datasets/ directory; after boot the dataset is
-// served from a .col, resident, under the identity the snapshot
-// carried, the .snap is gone, and — for an intent the old build left
-// mid-append — the single replay has applied it exactly once.
-func TestSnapshotMigrationAtBoot(t *testing.T) {
-	const fixtureCSV = "City,DepName,Budget\nBoston,Boston,10\nNULL,Sales,20\n,Sales,10\n\"a,b\",R&D,30\nBoston,Sales,20\n"
-	sum := sha256.Sum256([]byte(fixtureCSV))
-	hash := hex.EncodeToString(sum[:])
-	body := []byte("City,DepName,Budget\nOslo,R&D,\n")
-
-	for _, tc := range []struct {
-		file, wantID string
-		intent       bool
-	}{
-		{"v1.snap", hash[:shortIDLen], false}, // v1 carries no id: a fresh prefix is claimed
-		{"v2.snap", hash[:12], false},
-		{"v2.snap", hash[:12], true},
-	} {
-		t.Run(fmt.Sprintf("%s-intent=%t", tc.file, tc.intent), func(t *testing.T) {
-			dir := t.TempDir()
-			snap, err := os.ReadFile(filepath.Join("..", "store", "testdata", tc.file))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.MkdirAll(filepath.Join(dir, "datasets"), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, "datasets", hash+".snap"), snap, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			wantHash, wantEpoch, wantCSV := hash, 0, canonicalCSV(t, []byte(fixtureCSV))
-			if tc.intent {
-				wantHash, wantEpoch = appendHash(hash, body), 1
-				wantCSV = canonicalCSV(t, []byte(fixtureCSV+"Oslo,R&D,\n"))
-				st := openStore(t, dir)
-				if err := st.PutAppendRecord(store.AppendRecord{
-					ID: tc.wantID, Name: "fixture.csv", Source: "upload", OldHash: hash, NewHash: wantHash,
-					Epoch: 1, Bytes: int64(len(fixtureCSV) + len(body)), Rows: body,
-				}); err != nil {
-					t.Fatal(err)
-				}
-				st.Close()
-			}
-
-			for life := 1; life <= 2; life++ {
-				st := openStore(t, dir)
-				s := New(Config{Workers: 1, Store: st})
-				list := s.reg.List()
-				if len(list) != 1 {
-					t.Fatalf("life %d: %d datasets after migration, want 1", life, len(list))
-				}
-				ds := list[0]
-				if ds.ID != tc.wantID || ds.Hash != wantHash || ds.Epoch != wantEpoch || ds.Name != "fixture.csv" ||
-					ds.Storage != StorageResident || ds.colPath != filepath.Join(dir, "colstore", wantHash+colstore.Ext) {
-					t.Fatalf("life %d: migrated dataset %+v (file %s)", life, ds, ds.colPath)
-				}
-				if got := datasetCSV(t, ds); got != wantCSV {
-					t.Fatalf("life %d: migrated rows:\n%s\nwant\n%s", life, got, wantCSV)
-				}
-				if files := dirNames(t, filepath.Join(dir, "datasets")); len(files) != 0 {
-					t.Fatalf("life %d: snapshot survived its migration: %v", life, files)
-				}
-				if files := dirNames(t, filepath.Join(dir, "colstore")); len(files) != 1 {
-					t.Fatalf("life %d: colstore holds %v", life, files)
-				}
-				if left := dirNames(t, filepath.Join(dir, "appends")); len(left) != 0 {
-					t.Fatalf("life %d: intent not settled: %v", life, left)
-				}
-				wantReplays := 0
-				if tc.intent && life == 1 {
-					wantReplays = 1
-				}
-				if _, replays := s.reg.Recovered(); replays != wantReplays {
-					t.Fatalf("life %d: %d intents replayed, want %d", life, replays, wantReplays)
-				}
-				_ = s.Shutdown(context.Background())
-				st.Close()
-			}
-		})
 	}
 }

@@ -103,6 +103,16 @@ func resultOf(t *testing.T, envelope string) string {
 	return string(env.Result)
 }
 
+// jobArtifact fetches a done job's /result and returns its artifact.
+func jobArtifact(t *testing.T, ts *httptest.Server, jobID string) string {
+	t.Helper()
+	code, _, body := doReq(t, "GET", ts.URL+"/v1/jobs/"+jobID+"/result", nil, nil)
+	if code != http.StatusOK {
+		t.Fatalf("result of %s: %d %s", jobID, code, body)
+	}
+	return resultOf(t, body)
+}
+
 // TestPagedTasksMatchResident is the acceptance end-to-end: a dataset
 // more than 4× the resident budget registers as "storage":"paged" on a
 // budgeted server, every single-dataset task runs out of core, and each

@@ -3,12 +3,10 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -30,11 +28,20 @@ func openStore(t *testing.T, dir string) *store.Store {
 // TestServerWarmRestart is the crash-recovery contract end to end: a
 // persistent server is registered and queried, torn down, and rebuilt
 // over the same data directory. The successor must list the dataset,
-// answer polls for the old job id, serve the old artifact byte-for-byte,
-// and answer the identical resubmission as a cache hit without
-// re-running the miner.
+// answer polls for the old job id, and answer the identical resubmission
+// as a cache hit without re-running the miner. The artifact is the same
+// bytes wherever it is served from: the first run, a memory hit, the
+// recovered pre-restart job and a disk-promoted hit. A datasets/
+// directory left by a pre-.col build is neither read nor touched.
 func TestServerWarmRestart(t *testing.T) {
 	dir := t.TempDir()
+	legacy := filepath.Join(dir, "datasets", "x.snap")
+	if err := os.MkdirAll(filepath.Dir(legacy), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacy, []byte("SMSN left by an older build"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	st1 := openStore(t, dir)
 	s1 := New(Config{Workers: 1, Store: st1})
@@ -52,11 +59,14 @@ func TestServerWarmRestart(t *testing.T) {
 	if got := waitJob(t, ts1, v.ID); got.State != StateDone {
 		t.Fatalf("job state = %s (%s)", got.State, got.Error)
 	}
-	var before struct {
-		Result any `json:"result"`
+	first := jobArtifact(t, ts1, v.ID)
+	var memHit JobView
+	if code, body := doJSON(t, "POST", ts1.URL+"/v1/jobs",
+		submitRequest{Dataset: ds.ID, Task: "rank-fds"}, &memHit); code != http.StatusOK || !memHit.CacheHit {
+		t.Fatalf("resubmit before the restart: %d %s", code, body)
 	}
-	if code, body := doJSON(t, "GET", ts1.URL+"/v1/jobs/"+v.ID+"/result", nil, &before); code != http.StatusOK {
-		t.Fatalf("result: %d %s", code, body)
+	if got := jobArtifact(t, ts1, memHit.ID); got != first {
+		t.Fatalf("memory hit serves different bytes than the run that produced them:\n%s\n--- first run\n%s", got, first)
 	}
 
 	ts1.Close()
@@ -101,15 +111,9 @@ func TestServerWarmRestart(t *testing.T) {
 		t.Fatalf("recovered job = %+v", rec)
 	}
 
-	// Its artifact is served from the durable tier, identical payload.
-	var after struct {
-		Result any `json:"result"`
-	}
-	if code, body := doJSON(t, "GET", ts2.URL+"/v1/jobs/"+v.ID+"/result", nil, &after); code != http.StatusOK {
-		t.Fatalf("recovered result: %d %s", code, body)
-	}
-	if !reflect.DeepEqual(before.Result, after.Result) {
-		t.Fatal("recovered artifact differs from the pre-restart result")
+	// Its artifact is served from the durable tier, the same bytes.
+	if got := jobArtifact(t, ts2, v.ID); got != first {
+		t.Fatalf("recovered job's artifact differs from the pre-restart result:\n%s\n--- first run\n%s", got, first)
 	}
 
 	// The identical resubmission is a cache hit — no recompute.
@@ -123,6 +127,9 @@ func TestServerWarmRestart(t *testing.T) {
 	}
 	if hit.ID == v.ID {
 		t.Fatal("new job reused a recovered job id")
+	}
+	if got := jobArtifact(t, ts2, hit.ID); got != first {
+		t.Fatalf("disk-promoted hit serves different bytes than the first run:\n%s\n--- first run\n%s", got, first)
 	}
 
 	// healthz reports the recovery; the disk tier answered the lookup.
@@ -147,6 +154,14 @@ func TestServerWarmRestart(t *testing.T) {
 		if !strings.Contains(scrape, want) {
 			t.Errorf("scrape is missing %q", want)
 		}
+	}
+
+	// Two boots later the pre-.col file is where it was, as it was.
+	if data, err := os.ReadFile(legacy); err != nil || string(data) != "SMSN left by an older build" {
+		t.Fatalf("datasets/x.snap after two boots: %q, %v; want it untouched", data, err)
+	}
+	if q := dirNames(t, filepath.Join(dir, "quarantine")); len(q) != 0 {
+		t.Fatalf("quarantine holds %v; nothing under datasets/ may be moved there", q)
 	}
 }
 
@@ -197,39 +212,6 @@ func TestRegisterFailsWhenStoreCannotWrite(t *testing.T) {
 	}
 	if code, body := doJSON(t, "POST", ts.URL+"/v1/datasets?name=db2", db2CSV(t), nil); code != http.StatusCreated {
 		t.Fatalf("register after repair: %d %s", code, body)
-	}
-}
-
-// TestDeprecatedAliases checks the migration contract: every bare path
-// serves the same payload as its /v1 twin but carries the
-// "Deprecation: true" header, while /v1 responses do not.
-func TestDeprecatedAliases(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	registerDB2(t, ts)
-
-	for _, path := range []string{"/healthz", "/tasks", "/datasets", "/jobs"} {
-		old, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oldBody, _ := io.ReadAll(old.Body)
-		old.Body.Close()
-		if old.Header.Get("Deprecation") != "true" {
-			t.Errorf("GET %s: missing Deprecation header", path)
-		}
-
-		neu, err := http.Get(ts.URL + "/v1" + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		newBody, _ := io.ReadAll(neu.Body)
-		neu.Body.Close()
-		if neu.Header.Get("Deprecation") != "" {
-			t.Errorf("GET /v1%s: unexpected Deprecation header", path)
-		}
-		if old.StatusCode != neu.StatusCode || string(oldBody) != string(newBody) {
-			t.Errorf("GET %s and /v1%s disagree: %d vs %d", path, path, old.StatusCode, neu.StatusCode)
-		}
 	}
 }
 
@@ -317,7 +299,7 @@ func TestSubmitDoesNotHoldRunnerLockAcrossDiskRead(t *testing.T) {
 
 	submitted := make(chan JobView, 1)
 	go func() {
-		v, err := s2.jobs.Submit(ds.ID, "describe", task.Params{})
+		v, err := s2.jobs.SubmitAs(DefaultTenant, PriorityInteractive, ds.ID, "describe", task.Params{})
 		if err != nil {
 			t.Errorf("submit: %v", err)
 		}
@@ -327,9 +309,9 @@ func TestSubmitDoesNotHoldRunnerLockAcrossDiskRead(t *testing.T) {
 
 	answered := make(chan struct{})
 	go func() {
-		s2.jobs.List()
+		s2.jobs.Page("", 0)
 		s2.jobs.QueueDepth()
-		if _, err := s2.jobs.Submit("no-such-dataset", "describe", task.Params{}); err == nil {
+		if _, err := s2.jobs.SubmitAs(DefaultTenant, PriorityInteractive, "no-such-dataset", "describe", task.Params{}); err == nil {
 			t.Error("submit for an unknown dataset succeeded")
 		}
 		close(answered)

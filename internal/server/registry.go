@@ -133,24 +133,6 @@ func (h *pagedHandle) unpin() {
 	}
 }
 
-// Columns returns the dataset as the column value a job reads, plus the
-// release the job calls when done. This is the one place the tiers
-// differ: a resident dataset reads its in-memory relation (a fresh
-// adapter per job, so the per-value statistics it derives die with the
-// job); a paged one reads its colstore table — pinned until release,
-// reopened lazily after an eviction — through the (hash, epoch)-keyed
-// primitive cache shared across jobs.
-func (d *Dataset) Columns() (relation.Columns, func(), error) {
-	if d.rel != nil {
-		return relation.AsColumns(d.rel), func() {}, nil
-	}
-	t, err := d.handle.pin(d.colPath)
-	if err != nil {
-		return nil, nil, fmt.Errorf("server: opening dataset file of %s: %w", d.ID, err)
-	}
-	return primcache.Wrap(t, d.Hash, d.Epoch, d.handle.prim), d.handle.unpin, nil
-}
-
 // Registry owns the registered datasets, keyed on the full content
 // hash. Short ids are aliases: a hash prefix extended on collision,
 // never silently resolving to a different dataset's content. All
@@ -239,16 +221,6 @@ func (g *Registry) writeOpts() colstore.WriteOptions {
 	return colstore.WriteOptions{FS: g.st.FS(), Fsync: g.st.FsyncEnabled()}
 }
 
-// writeCol makes a parsed relation durable as its colstore file,
-// returning the path.
-func (g *Registry) writeCol(meta store.DatasetMeta, rel *relation.Relation) (string, error) {
-	dir, err := g.st.ColstoreDir()
-	if err != nil {
-		return "", err
-	}
-	return colstore.WriteFromRelation(dir, meta, rel, g.writeOpts())
-}
-
 // addLocked enters a dataset under its hash and id. The caller holds
 // g.mu.
 func (g *Registry) addLocked(ds *Dataset) {
@@ -317,7 +289,11 @@ func (g *Registry) RegisterCSV(name, source string, data []byte) (ds *Dataset, c
 			Hash: hash, Name: name, Source: source,
 			Bytes: int64(len(data)), ID: ds.ID,
 		}
-		if ds.colPath, err = g.writeCol(meta, rel); err != nil {
+		dir, err := g.st.ColstoreDir()
+		if err == nil {
+			ds.colPath, err = colstore.WriteFromRelation(dir, meta, rel, g.writeOpts())
+		}
+		if err != nil {
 			return nil, false, fmt.Errorf("%w: %v", ErrStoreWrite, err)
 		}
 		ds.handle = &pagedHandle{prim: g.prim, refs: 1}
@@ -509,7 +485,8 @@ func (g *Registry) RegisterPath(path string) (*Dataset, bool, error) {
 }
 
 // Get returns the dataset with the given short id or full content hash,
-// advancing its LRU clock.
+// advancing its LRU clock. It answers for the listing only (handlers,
+// routing); whoever will read the rows takes Pin instead.
 func (g *Registry) Get(id string) (*Dataset, bool) {
 	g.mu.RLock()
 	ds, ok := g.getLocked(id)
@@ -528,16 +505,43 @@ func (g *Registry) getLocked(id string) (*Dataset, bool) {
 	return ds, ok
 }
 
-// List returns every dataset, ordered by id.
-func (g *Registry) List() []*Dataset {
+// Pin resolves a dataset id or hash and returns the dataset together
+// with the column value a job reads and the release the job calls when
+// done. Lookup and reference are one step under the registry lock: an
+// append swaps the entry under the write lock before it drops the old
+// table's reference and unlinks the file, so a pin either lands first
+// and keeps that table mapped, or resolves to the post-append dataset.
+// Only the reference is taken under the lock; the file opens after it
+// (an append opens the table it replaces before unlinking it, so a held
+// reference never finds the file gone), and listings and probes never
+// queue behind an open. This is the one place the tiers differ: a
+// resident dataset reads its in-memory relation (a fresh adapter per
+// job, so the per-value statistics it derives die with the job); a paged
+// one reads its colstore table — opened by the first pin when the
+// dataset was registered resident and evicted since — through the
+// (hash, epoch)-keyed primitive cache shared across jobs.
+func (g *Registry) Pin(id string) (*Dataset, relation.Columns, func(), error) {
 	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]*Dataset, 0, len(g.byHash))
-	for _, ds := range g.byHash {
-		out = append(out, ds)
+	d, ok := g.getLocked(id)
+	if ok && d.rel == nil { // the reference only: the file opens below, unlocked
+		d.handle.mu.Lock()
+		d.handle.refs++
+		d.handle.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	g.mu.RUnlock()
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("%w %q", ErrUnknownDataset, id)
+	}
+	g.touch(d)
+	if d.rel != nil {
+		return d, relation.AsColumns(d.rel), func() {}, nil
+	}
+	t, err := d.handle.pin(d.colPath)
+	d.handle.unpin() // the reference taken above: pin holds its own, or failed
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("server: opening dataset file of %s: %w", d.ID, err)
+	}
+	return d, primcache.Wrap(t, d.Hash, d.Epoch, d.handle.prim), d.handle.unpin, nil
 }
 
 // Page returns one cursor page of datasets in content-hash order: the
@@ -549,20 +553,32 @@ func (g *Registry) List() []*Dataset {
 // consumed, and nothing is ever repeated.
 func (g *Registry) Page(cursor string, limit int) (items []*Dataset, next string, total int) {
 	g.mu.RLock()
-	all := make([]*Dataset, 0, len(g.byHash))
-	for _, ds := range g.byHash {
-		all = append(all, ds)
+	defer g.mu.RUnlock()
+	hashes := make([]string, 0, len(g.byHash))
+	for hash := range g.byHash {
+		hashes = append(hashes, hash)
 	}
-	g.mu.RUnlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].Hash < all[j].Hash })
-	total = len(all)
-	start := sort.Search(len(all), func(i int) bool { return all[i].Hash > cursor })
-	end := len(all)
+	page, next := cursorPage(hashes, cursor, limit)
+	items = make([]*Dataset, 0, len(page))
+	for _, hash := range page {
+		items = append(items, g.byHash[hash])
+	}
+	return items, next, len(hashes)
+}
+
+// cursorPage sorts keys and cuts one cursor page out of them: the first
+// `limit` keys strictly after `cursor` (limit ≤ 0 = all of them), and the
+// cursor addressing the next page — the last key returned, "" when the
+// page reaches the end. Both list endpoints page through it.
+func cursorPage(keys []string, cursor string, limit int) (page []string, next string) {
+	sort.Strings(keys)
+	start := sort.Search(len(keys), func(i int) bool { return keys[i] > cursor })
+	end := len(keys)
 	if limit > 0 && start+limit < end {
 		end = start + limit
-		next = all[end-1].Hash
+		next = keys[end-1]
 	}
-	return all[start:end], next, total
+	return keys[start:end], next
 }
 
 // Len returns the number of registered datasets (both tiers).

@@ -1,16 +1,18 @@
 // Package server implements structmined, a long-running structure-mining
-// service over the task contract of internal/task. It owns three pieces
-// of state:
+// service over the task contract of internal/task, served under /v1 and
+// nowhere else. It owns three pieces of state:
 //
 //   - a dataset registry: CSV instances registered once (by path or
 //     upload), parsed under configurable limits, kept resident together
-//     with their instance statistics and content hash;
+//     with their instance statistics and content hash; a job reaches its
+//     dataset through Registry.Pin, lookup and reference in one step;
 //   - an async job runner: a bounded worker pool executing mining tasks
 //     with per-job timeouts and cancellation, states
 //     queued → running → done|failed|canceled;
-//   - a content-addressed artifact cache keyed on (dataset hash, task,
-//     normalized parameters), so an identical repeated query is answered
-//     without re-running the miner.
+//   - a content-addressed artifact cache keyed on (dataset hash, epoch,
+//     task, normalized parameters) holding each artifact as the JSON
+//     bytes its job encoded once, so an identical repeated query is
+//     answered without re-running the miner and with the same bytes.
 //
 // Shutdown is graceful: admission stops (new submissions get 503),
 // accepted jobs drain, then the HTTP listener closes.
@@ -102,11 +104,6 @@ type Config struct {
 	// Tenant bounds per-tenant admission (X-Tenant header; zero values
 	// keep admission unlimited, exactly as before).
 	Tenant TenantLimits
-	// DisableDeprecated turns the pre-/v1 bare-path aliases into 410
-	// gone envelopes instead of serving them (the daemon's
-	// -serve-deprecated=false). The default keeps serving them with
-	// Deprecation and Sunset headers.
-	DisableDeprecated bool
 	// Store, when non-nil, makes the server durable: a dataset's colstore
 	// file is written before its registration is acknowledged, completed
 	// artifacts spill to disk, terminal jobs are journaled, and New
@@ -154,7 +151,7 @@ type Server struct {
 	mux   *http.ServeMux
 
 	// metrics is this server's own registry (request counters, queue and
-	// cache gauges); GET /metrics renders it after the process-wide
+	// cache gauges); GET /v1/metrics renders it after the process-wide
 	// obs.Default holding the engine metrics. Per-server so tests can
 	// assemble many servers in one process without name collisions.
 	metrics    *obs.Registry
@@ -187,15 +184,8 @@ func New(cfg Config) *Server {
 		s.jobs.idPrefix = "job-" + cluster.JobTag(cfg.Router.Self().ID) + "-"
 	}
 	if cfg.Store != nil {
-		// One boot path. Snapshot files an older build left are first
-		// rewritten as colstore files (a snapshot that fails to migrate
-		// stays on disk for the next boot, so the error needs no handling
-		// here); append intents are settled next, so the directory sweep
-		// only ever sees one side of a torn append.
-		_ = cfg.Store.MigrateSnapshots(func(meta store.DatasetMeta, rel *relation.Relation) error {
-			_, err := s.reg.writeCol(meta, rel)
-			return err
-		})
+		// One boot path: append intents are settled first, so the directory
+		// sweep only ever sees one side of a torn append.
 		s.reg.RecoverAppends()
 		s.reg.RecoverColstore()
 		s.jobs.Preload(cfg.Store.Jobs())
@@ -252,7 +242,7 @@ func (s *Server) registerMetrics() {
 	if st := s.cfg.Store; st != nil {
 		s.registerStoreMetrics(st)
 	}
-	// Cluster families live in this server's registry too: /metrics
+	// Cluster families live in this server's registry too: /v1/metrics
 	// always reports node-local state, never a peer's — the node-id
 	// guard the cluster tests pin.
 	if rt := s.cfg.Router; rt != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -87,7 +88,7 @@ func doJSON(t *testing.T, method, url string, body any, out any) (int, string) {
 func registerDB2(t *testing.T, ts *httptest.Server) Dataset {
 	t.Helper()
 	var ds Dataset
-	code, body := doJSON(t, "POST", ts.URL+"/datasets?name=db2", db2CSV(t), &ds)
+	code, body := doJSON(t, "POST", ts.URL+"/v1/datasets?name=db2", db2CSV(t), &ds)
 	if code != http.StatusCreated {
 		t.Fatalf("register: %d %s", code, body)
 	}
@@ -99,7 +100,7 @@ func waitJob(t *testing.T, ts *httptest.Server, id string) JobView {
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
 		var v JobView
-		code, body := doJSON(t, "GET", ts.URL+"/jobs/"+id, nil, &v)
+		code, body := doJSON(t, "GET", ts.URL+"/v1/jobs/"+id, nil, &v)
 		if code != http.StatusOK {
 			t.Fatalf("get job: %d %s", code, body)
 		}
@@ -123,14 +124,14 @@ func TestEndToEndFlow(t *testing.T) {
 
 	// Re-registering identical content is idempotent (200, same id).
 	var again Dataset
-	code, _ := doJSON(t, "POST", ts.URL+"/datasets?name=db2", db2CSV(t), &again)
+	code, _ := doJSON(t, "POST", ts.URL+"/v1/datasets?name=db2", db2CSV(t), &again)
 	if code != http.StatusOK || again.ID != ds.ID {
 		t.Fatalf("re-register: code %d id %s, want 200 id %s", code, again.ID, ds.ID)
 	}
 
 	submit := func() (JobView, int) {
 		var v JobView
-		code, body := doJSON(t, "POST", ts.URL+"/jobs",
+		code, body := doJSON(t, "POST", ts.URL+"/v1/jobs",
 			submitRequest{Dataset: ds.ID, Task: "rank-fds"}, &v)
 		if code != http.StatusAccepted && code != http.StatusOK {
 			t.Fatalf("submit: %d %s", code, body)
@@ -151,7 +152,7 @@ func TestEndToEndFlow(t *testing.T) {
 		Job    JobView            `json:"job"`
 		Result task.RankFDsResult `json:"result"`
 	}
-	code, body := doJSON(t, "GET", ts.URL+"/jobs/"+first.ID+"/result", nil, &res)
+	code, body := doJSON(t, "GET", ts.URL+"/v1/jobs/"+first.ID+"/result", nil, &res)
 	if code != http.StatusOK {
 		t.Fatalf("result: %d %s", code, body)
 	}
@@ -170,7 +171,7 @@ func TestEndToEndFlow(t *testing.T) {
 
 	// Different parameters miss the cache.
 	var third JobView
-	code, _ = doJSON(t, "POST", ts.URL+"/jobs",
+	code, _ = doJSON(t, "POST", ts.URL+"/v1/jobs",
 		submitRequest{Dataset: ds.ID, Task: "rank-fds", Params: task.Params{Psi: task.F(0.9)}}, &third)
 	if code != http.StatusAccepted || third.CacheHit {
 		t.Fatalf("changed psi should miss the cache: %d %+v", code, third)
@@ -189,15 +190,17 @@ func TestErrorPaths(t *testing.T) {
 		body   any
 		want   int
 	}{
-		{"dataset 404", "GET", "/datasets/nope", nil, http.StatusNotFound},
-		{"job 404", "GET", "/jobs/nope", nil, http.StatusNotFound},
-		{"result 404", "GET", "/jobs/nope/result", nil, http.StatusNotFound},
-		{"cancel 404", "POST", "/jobs/nope/cancel", nil, http.StatusNotFound},
-		{"bad register", "POST", "/datasets", map[string]string{}, http.StatusBadRequest},
-		{"bad submit", "POST", "/jobs", map[string]string{}, http.StatusBadRequest},
-		{"unknown task", "POST", "/jobs", submitRequest{Dataset: ds.ID, Task: "frobnicate"}, http.StatusBadRequest},
-		{"joins rejected", "POST", "/jobs", submitRequest{Dataset: ds.ID, Task: "joins"}, http.StatusBadRequest},
-		{"unknown dataset", "POST", "/jobs", submitRequest{Dataset: "nope", Task: "describe"}, http.StatusNotFound},
+		{"dataset 404", "GET", "/v1/datasets/nope", nil, http.StatusNotFound},
+		{"job 404", "GET", "/v1/jobs/nope", nil, http.StatusNotFound},
+		{"result 404", "GET", "/v1/jobs/nope/result", nil, http.StatusNotFound},
+		{"cancel 404", "POST", "/v1/jobs/nope/cancel", nil, http.StatusNotFound},
+		{"bad register", "POST", "/v1/datasets", map[string]string{}, http.StatusBadRequest},
+		{"bad submit", "POST", "/v1/jobs", map[string]string{}, http.StatusBadRequest},
+		{"unknown task", "POST", "/v1/jobs", submitRequest{Dataset: ds.ID, Task: "frobnicate"}, http.StatusBadRequest},
+		{"joins rejected", "POST", "/v1/jobs", submitRequest{Dataset: ds.ID, Task: "joins"}, http.StatusBadRequest},
+		{"unknown dataset", "POST", "/v1/jobs", submitRequest{Dataset: "nope", Task: "describe"}, http.StatusNotFound},
+		// /v1 is the only surface: the pre-versioning bare paths are gone.
+		{"bare healthz", "GET", "/healthz", nil, http.StatusNotFound},
 	}
 	for _, c := range cases {
 		code, body := doJSON(t, c.method, ts.URL+c.path, c.body, nil)
@@ -207,7 +210,7 @@ func TestErrorPaths(t *testing.T) {
 	}
 
 	// Malformed CSV upload is a line-numbered 400.
-	code, body := doJSON(t, "POST", ts.URL+"/datasets", []byte("A,B,A\n1,2,3\n"), nil)
+	code, body := doJSON(t, "POST", ts.URL+"/v1/datasets", []byte("A,B,A\n1,2,3\n"), nil)
 	if code != http.StatusBadRequest || !strings.Contains(body, "duplicate attribute") {
 		t.Errorf("duplicate-header upload: %d %s", code, body)
 	}
@@ -215,8 +218,8 @@ func TestErrorPaths(t *testing.T) {
 	// Result of a still-unfinished job is 409 (submit against a fresh
 	// dataset so the artifact cache cannot satisfy it instantly).
 	var v JobView
-	doJSON(t, "POST", ts.URL+"/jobs", submitRequest{Dataset: ds.ID, Task: "report"}, &v)
-	code, _ = doJSON(t, "GET", ts.URL+"/jobs/"+v.ID+"/result", nil, nil)
+	doJSON(t, "POST", ts.URL+"/v1/jobs", submitRequest{Dataset: ds.ID, Task: "report"}, &v)
+	code, _ = doJSON(t, "GET", ts.URL+"/v1/jobs/"+v.ID+"/result", nil, nil)
 	if code != http.StatusOK && code != http.StatusConflict {
 		t.Errorf("unfinished result: %d", code)
 	}
@@ -238,7 +241,7 @@ func TestConcurrentClients(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var v JobView
-			code, body := doJSON(t, "POST", ts.URL+"/jobs",
+			code, body := doJSON(t, "POST", ts.URL+"/v1/jobs",
 				submitRequest{Dataset: ds.ID, Task: tasks[i%len(tasks)]}, &v)
 			if code != http.StatusAccepted && code != http.StatusOK {
 				t.Errorf("client %d: %d %s", i, code, body)
@@ -275,7 +278,7 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	var accepted []JobView
 	for _, name := range []string{"rank-fds", "report", "dedup"} {
 		var v JobView
-		code, body := doJSON(t, "POST", ts.URL+"/jobs", submitRequest{Dataset: ds.ID, Task: name}, &v)
+		code, body := doJSON(t, "POST", ts.URL+"/v1/jobs", submitRequest{Dataset: ds.ID, Task: name}, &v)
 		if code != http.StatusAccepted {
 			t.Fatalf("submit %s: %d %s", name, code, body)
 		}
@@ -297,16 +300,16 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	}
 
 	// New work is rejected while the HTTP surface stays up.
-	code, _ := doJSON(t, "POST", ts.URL+"/jobs", submitRequest{Dataset: ds.ID, Task: "describe"}, nil)
+	code, _ := doJSON(t, "POST", ts.URL+"/v1/jobs", submitRequest{Dataset: ds.ID, Task: "describe"}, nil)
 	if code != http.StatusServiceUnavailable {
 		t.Errorf("post-drain submit: %d, want 503", code)
 	}
-	code, _ = doJSON(t, "POST", ts.URL+"/datasets?name=x", []byte("A,B\n1,2\n"), nil)
+	code, _ = doJSON(t, "POST", ts.URL+"/v1/datasets?name=x", []byte("A,B\n1,2\n"), nil)
 	if code != http.StatusServiceUnavailable {
 		t.Errorf("post-drain register: %d, want 503", code)
 	}
 	var h healthz
-	code, _ = doJSON(t, "GET", ts.URL+"/healthz", nil, &h)
+	code, _ = doJSON(t, "GET", ts.URL+"/v1/healthz", nil, &h)
 	if code != http.StatusOK || !h.Draining {
 		t.Errorf("healthz during drain: %d draining=%t", code, h.Draining)
 	}
@@ -321,7 +324,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	var jobs []JobView
 	for i := 0; i < 6; i++ {
 		var v JobView
-		code, body := doJSON(t, "POST", ts.URL+"/jobs",
+		code, body := doJSON(t, "POST", ts.URL+"/v1/jobs",
 			submitRequest{Dataset: ds.ID, Task: "rank-fds", Params: task.Params{Psi: task.F(0.2 + float64(i)/50)}}, &v)
 		if code != http.StatusAccepted {
 			t.Fatalf("submit %d: %d %s", i, code, body)
@@ -330,7 +333,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	last := jobs[len(jobs)-1]
 	var canceled JobView
-	code, body := doJSON(t, "POST", ts.URL+"/jobs/"+last.ID+"/cancel", nil, &canceled)
+	code, body := doJSON(t, "POST", ts.URL+"/v1/jobs/"+last.ID+"/cancel", nil, &canceled)
 	if code != http.StatusOK {
 		t.Fatalf("cancel: %d %s", code, body)
 	}
@@ -349,7 +352,7 @@ func TestJobTimeout(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, JobTimeout: time.Nanosecond})
 	ds := registerDB2(t, ts)
 	var v JobView
-	code, body := doJSON(t, "POST", ts.URL+"/jobs", submitRequest{Dataset: ds.ID, Task: "rank-fds"}, &v)
+	code, body := doJSON(t, "POST", ts.URL+"/v1/jobs", submitRequest{Dataset: ds.ID, Task: "rank-fds"}, &v)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", code, body)
 	}
@@ -365,16 +368,16 @@ func TestUploadLimits(t *testing.T) {
 		Limits:         relation.Limits{MaxRows: 3, MaxFields: 4},
 		MaxUploadBytes: 128,
 	})
-	code, body := doJSON(t, "POST", ts.URL+"/datasets?name=rows", []byte("A,B\n1,2\n3,4\n5,6\n7,8\n"), nil)
+	code, body := doJSON(t, "POST", ts.URL+"/v1/datasets?name=rows", []byte("A,B\n1,2\n3,4\n5,6\n7,8\n"), nil)
 	if code != http.StatusBadRequest || !strings.Contains(body, "row limit") {
 		t.Errorf("row limit: %d %s", code, body)
 	}
-	code, body = doJSON(t, "POST", ts.URL+"/datasets?name=wide", []byte("A,B,C,D,E\n1,2,3,4,5\n"), nil)
+	code, body = doJSON(t, "POST", ts.URL+"/v1/datasets?name=wide", []byte("A,B,C,D,E\n1,2,3,4,5\n"), nil)
 	if code != http.StatusBadRequest || !strings.Contains(body, "limit is 4") {
 		t.Errorf("field limit: %d %s", code, body)
 	}
 	big := []byte("A,B\n" + strings.Repeat("x,y\n", 200))
-	code, _ = doJSON(t, "POST", ts.URL+"/datasets?name=big", big, nil)
+	code, _ = doJSON(t, "POST", ts.URL+"/v1/datasets?name=big", big, nil)
 	if code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized upload: %d, want 413", code)
 	}
@@ -403,7 +406,7 @@ func TestQueueFull(t *testing.T) {
 	// values dodge the artifact cache.
 	sawFull := false
 	for i := 0; i < 8 && !sawFull; i++ {
-		_, err := s.jobs.Submit(ds.ID, "rank-fds", task.Params{Psi: task.F(0.1 + float64(i)/100)})
+		_, err := s.jobs.SubmitAs(DefaultTenant, PriorityInteractive, ds.ID, "rank-fds", task.Params{Psi: task.F(0.1 + float64(i)/100)})
 		if err != nil {
 			if !strings.Contains(err.Error(), "queue is full") {
 				t.Fatalf("unexpected submit error: %v", err)
@@ -419,7 +422,7 @@ func TestQueueFull(t *testing.T) {
 func TestHealthzAndTasks(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	var h healthz
-	code, _ := doJSON(t, "GET", ts.URL+"/healthz", nil, &h)
+	code, _ := doJSON(t, "GET", ts.URL+"/v1/healthz", nil, &h)
 	if code != http.StatusOK || h.Status != "ok" {
 		t.Fatalf("healthz: %d %+v", code, h)
 	}
@@ -427,7 +430,7 @@ func TestHealthzAndTasks(t *testing.T) {
 		Name     string `json:"name"`
 		Runnable bool   `json:"runnable"`
 	}
-	code, _ = doJSON(t, "GET", ts.URL+"/tasks", nil, &infos)
+	code, _ = doJSON(t, "GET", ts.URL+"/v1/tasks", nil, &infos)
 	if code != http.StatusOK {
 		t.Fatalf("tasks: %d", code)
 	}
@@ -449,7 +452,7 @@ func TestRegisterByPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ds Dataset
-	code, body := doJSON(t, "POST", ts.URL+"/datasets",
+	code, body := doJSON(t, "POST", ts.URL+"/v1/datasets",
 		registerRequest{Path: path}, &ds)
 	if code != http.StatusCreated {
 		t.Fatalf("register by path: %d %s", code, body)
@@ -460,14 +463,14 @@ func TestRegisterByPath(t *testing.T) {
 
 	// Relative paths are rooted at the data directory.
 	var rel Dataset
-	code, body = doJSON(t, "POST", ts.URL+"/datasets", registerRequest{Path: "sample.csv"}, &rel)
+	code, body = doJSON(t, "POST", ts.URL+"/v1/datasets", registerRequest{Path: "sample.csv"}, &rel)
 	if code != http.StatusOK || rel.ID != ds.ID {
 		t.Errorf("relative path: %d %s, want 200 with id %s", code, body, ds.ID)
 	}
 
 	// EvalSymlinks fails on a missing file → the path never reaches the
 	// registry.
-	code, _ = doJSON(t, "POST", ts.URL+"/datasets", registerRequest{Path: dir + "/missing.csv"}, nil)
+	code, _ = doJSON(t, "POST", ts.URL+"/v1/datasets", registerRequest{Path: dir + "/missing.csv"}, nil)
 	if code != http.StatusForbidden {
 		t.Errorf("missing path: %d, want 403", code)
 	}
@@ -485,7 +488,7 @@ func TestRegisterByPathConfined(t *testing.T) {
 
 	// Default server: no data directory, path registration disabled.
 	_, ts := newTestServer(t, Config{Workers: 1})
-	code, body := doJSON(t, "POST", ts.URL+"/datasets", registerRequest{Path: secret}, nil)
+	code, body := doJSON(t, "POST", ts.URL+"/v1/datasets", registerRequest{Path: secret}, nil)
 	if code != http.StatusForbidden || !strings.Contains(body, "disabled") {
 		t.Errorf("no data-dir: %d %s, want 403 disabled", code, body)
 	}
@@ -501,7 +504,7 @@ func TestRegisterByPathConfined(t *testing.T) {
 		"relative dotdot": "../" + filepath.Base(outside) + "/secret.csv",
 		"symlink escape":  dir + "/link.csv",
 	} {
-		code, body := doJSON(t, "POST", ts.URL+"/datasets", registerRequest{Path: path}, nil)
+		code, body := doJSON(t, "POST", ts.URL+"/v1/datasets", registerRequest{Path: path}, nil)
 		if code != http.StatusForbidden {
 			t.Errorf("%s (%s): %d %s, want 403", name, path, code, body)
 		}
@@ -517,11 +520,11 @@ func TestBoundedState(t *testing.T) {
 
 	// Registry at capacity: identical content is still idempotent, new
 	// content is refused with 429.
-	code, _ := doJSON(t, "POST", ts.URL+"/datasets?name=db2", db2CSV(t), nil)
+	code, _ := doJSON(t, "POST", ts.URL+"/v1/datasets?name=db2", db2CSV(t), nil)
 	if code != http.StatusOK {
 		t.Errorf("re-register at cap: %d, want 200", code)
 	}
-	code, body := doJSON(t, "POST", ts.URL+"/datasets?name=other", []byte("A,B\n1,2\n"), nil)
+	code, body := doJSON(t, "POST", ts.URL+"/v1/datasets?name=other", []byte("A,B\n1,2\n"), nil)
 	if code != http.StatusTooManyRequests || !strings.Contains(body, "dataset limit") {
 		t.Errorf("register beyond cap: %d %s, want 429", code, body)
 	}
@@ -531,7 +534,7 @@ func TestBoundedState(t *testing.T) {
 	var ids []string
 	for _, params := range []float64{0.3, 0.4, 0.5, 0.6} {
 		var v JobView
-		code, body := doJSON(t, "POST", ts.URL+"/jobs",
+		code, body := doJSON(t, "POST", ts.URL+"/v1/jobs",
 			submitRequest{Dataset: ds.ID, Task: "rank-fds", Params: task.Params{Psi: task.F(params)}}, &v)
 		if code != http.StatusAccepted {
 			t.Fatalf("submit psi=%v: %d %s", params, code, body)
@@ -539,13 +542,13 @@ func TestBoundedState(t *testing.T) {
 		waitJob(t, ts, v.ID)
 		ids = append(ids, v.ID)
 	}
-	if n := len(s.jobs.List()); n > 2 {
+	if n := s.jobs.Len(); n > 2 {
 		t.Errorf("retained job records = %d, want ≤ 2", n)
 	}
-	if code, _ := doJSON(t, "GET", ts.URL+"/jobs/"+ids[0], nil, nil); code != http.StatusNotFound {
+	if code, _ := doJSON(t, "GET", ts.URL+"/v1/jobs/"+ids[0], nil, nil); code != http.StatusNotFound {
 		t.Errorf("oldest job should be forgotten: %d, want 404", code)
 	}
-	if code, _ := doJSON(t, "GET", ts.URL+"/jobs/"+ids[len(ids)-1], nil, nil); code != http.StatusOK {
+	if code, _ := doJSON(t, "GET", ts.URL+"/v1/jobs/"+ids[len(ids)-1], nil, nil); code != http.StatusOK {
 		t.Errorf("newest job should survive retention: %d, want 200", code)
 	}
 
@@ -555,12 +558,12 @@ func TestBoundedState(t *testing.T) {
 	}
 	// The most recent artifact is still a hit, the first was evicted.
 	var v JobView
-	doJSON(t, "POST", ts.URL+"/jobs",
+	doJSON(t, "POST", ts.URL+"/v1/jobs",
 		submitRequest{Dataset: ds.ID, Task: "rank-fds", Params: task.Params{Psi: task.F(0.6)}}, &v)
 	if !v.CacheHit {
 		t.Error("most recent artifact should still be cached")
 	}
-	doJSON(t, "POST", ts.URL+"/jobs",
+	doJSON(t, "POST", ts.URL+"/v1/jobs",
 		submitRequest{Dataset: ds.ID, Task: "rank-fds", Params: task.Params{Psi: task.F(0.3)}}, &v)
 	if v.CacheHit {
 		t.Error("oldest artifact should have been evicted")
@@ -570,12 +573,12 @@ func TestBoundedState(t *testing.T) {
 
 func TestCacheLRU(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	if _, ok := c.Get("a"); !ok { // refresh a: b is now least recent
-		t.Fatal("a should be cached")
+	c.Put("a", json.RawMessage("1"))
+	c.Put("b", json.RawMessage("2"))
+	if v, ok := c.Get("a"); !ok || string(v) != "1" { // refresh a: b is now least recent
+		t.Fatalf("a should be cached as the bytes that were put, got %q", v)
 	}
-	c.Put("c", 3)
+	c.Put("c", json.RawMessage("3"))
 	if _, ok := c.Get("b"); ok {
 		t.Error("b should have been evicted as least recently used")
 	}
@@ -587,6 +590,46 @@ func TestCacheLRU(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 2 {
 		t.Errorf("entries = %d, want 2", st.Entries)
+	}
+}
+
+// nanColumns serves a NaN marginal, so describe computes a result JSON
+// cannot express.
+type nanColumns struct{ relation.Columns }
+
+func (nanColumns) Marginal(int) (relation.AttrMarginal, error) {
+	return relation.AttrMarginal{HV: math.NaN()}, nil
+}
+
+// TestUnencodableResultFailsJob: the artifact is encoded when its job
+// finishes, so a result with no JSON encoding fails the job, typed, and
+// nothing reaches the cache.
+func TestUnencodableResultFailsJob(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	job := &Job{
+		id: "nan", task: "describe", key: "nan", release: func() {},
+		cols:  nanColumns{relation.AsColumns(relation.NewBuilder("nan", []string{"A"}).Relation())},
+		state: StateQueued, submitted: time.Now(), ctx: ctx, cancel: cancel, done: make(chan struct{}),
+	}
+	q := s.jobs
+	q.mu.Lock()
+	q.jobs[job.id] = job
+	q.order = append(q.order, job.id)
+	q.high = append(q.high, job)
+	q.cond.Signal()
+	q.mu.Unlock()
+
+	got := waitJob(t, ts, job.id)
+	if got.State != StateFailed || !strings.Contains(got.Error, ErrResultEncoding.Error()) {
+		t.Fatalf("job = %s (%q), want failed with %q", got.State, got.Error, ErrResultEncoding)
+	}
+	if _, ok := s.cache.Peek(job.key); ok {
+		t.Error("an unencodable result reached the cache")
+	}
+	code, body := doJSON(t, "GET", ts.URL+"/v1/jobs/"+job.id+"/result", nil, nil)
+	if code != http.StatusConflict || !strings.Contains(body, `"result": null`) {
+		t.Errorf("result of the failed job: %d %s", code, body)
 	}
 }
 

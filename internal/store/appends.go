@@ -92,7 +92,7 @@ func (s *Store) recoverAppends() error {
 		}
 		var rec AppendRecord
 		if jerr := json.Unmarshal(data, &rec); jerr != nil || !rec.valid() || rec.NewHash+appendExt != name {
-			s.quarantine(path)
+			s.Quarantine(path)
 			continue
 		}
 		s.pendingAppends = append(s.pendingAppends, rec)

@@ -131,7 +131,7 @@ func (s *Store) GetArtifact(key string) (json.RawMessage, bool) {
 	if err := json.Unmarshal(data, &env); err != nil ||
 		env.Key != key || crc32.ChecksumIEEE(env.Result) != env.CRC32 {
 		s.dropArtifact(key)
-		s.quarantine(path)
+		s.Quarantine(path)
 		return nil, false
 	}
 	return env.Result, true
@@ -159,7 +159,7 @@ func (s *Store) recoverArtifacts() error {
 	for _, name := range s.sweepTemps(s.artifactsDir, names) {
 		path := filepath.Join(s.artifactsDir, name)
 		if !strings.HasSuffix(name, artifactExt) {
-			s.quarantine(path)
+			s.Quarantine(path)
 			continue
 		}
 		data, err := s.fsys.ReadFile(path)
@@ -169,7 +169,7 @@ func (s *Store) recoverArtifacts() error {
 		var env artifactEnvelope
 		if err := json.Unmarshal(data, &env); err != nil ||
 			artifactFile(env.Key) != name || crc32.ChecksumIEEE(env.Result) != env.CRC32 {
-			s.quarantine(path)
+			s.Quarantine(path)
 			continue
 		}
 		s.artifacts[env.Key] = &artifactEntry{

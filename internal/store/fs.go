@@ -88,21 +88,19 @@ func (osFS) SyncDir(dir string) error {
 	return closeErr
 }
 
-// tempPrefix marks in-flight atomic writes; boot sweeps ignore and
+// TempPrefix marks in-flight atomic writes; boot sweeps ignore and
 // delete anything carrying it, so a crash mid-write leaves no ghosts.
-const tempPrefix = ".tmp-"
-
-// TempPrefix is tempPrefix for sibling subsystems (colstore) that write
-// through the same FS with the same temp→rename discipline, so one boot
-// sweep convention covers every directory under the durable root.
-const TempPrefix = tempPrefix
+// Sibling subsystems (colstore) write through the same FS with the same
+// temp→rename discipline, so one boot sweep convention covers every
+// directory under the durable root.
+const TempPrefix = ".tmp-"
 
 // writeAtomic writes data to path via a unique temp file in the same
 // directory: temp → (fsync) → rename → (fsync dir). A crash at any
 // point leaves either the old file or the new one, never a torn mix.
 func writeAtomic(fsys FS, path string, data []byte, fsync bool) error {
 	dir := filepath.Dir(path)
-	f, err := fsys.CreateTemp(dir, tempPrefix+filepath.Base(path)+"-*")
+	f, err := fsys.CreateTemp(dir, TempPrefix+filepath.Base(path)+"-*")
 	if err != nil {
 		return err
 	}

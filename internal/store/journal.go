@@ -11,7 +11,7 @@ import (
 
 // The job journal is an append-only JSONL file of terminal job records:
 // one line per job that reached done, failed, or canceled. The server
-// replays it at boot so GET /jobs keeps its history across restarts.
+// replays it at boot so GET /v1/jobs keeps its history across restarts.
 // Appends are the only write path while the daemon runs; a crash can at
 // worst tear the final line, which recovery drops. When a boot finds
 // more records than the configured keep budget, the journal is

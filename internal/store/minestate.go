@@ -11,7 +11,7 @@ import (
 // partitions) across epochs so a re-mine after an append absorbs only
 // the appended tuples. They are caches, not sources of truth: a
 // missing or corrupt file just means the next mine runs from scratch,
-// so unlike snapshots they need no quarantine ceremony — bad files are
+// so unlike artifacts they need no quarantine ceremony — bad files are
 // deleted on read.
 //
 // Envelope: magic "SMMS" | uint16 version | uvarint epoch | payload |

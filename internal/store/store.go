@@ -6,7 +6,7 @@
 //     content-addressed JSON files with entry and byte budgets
 //     (artifacts.go);
 //   - an append-only job journal: one JSON line per terminal job record
-//     (journal.go), so GET /jobs survives restarts;
+//     (journal.go), so GET /v1/jobs survives restarts;
 //   - append intent records (appends.go): the durable half of the
 //     dataset append protocol, replayed by the registry at boot;
 //   - mine-state files (minestate.go): per-dataset engine state that
@@ -15,8 +15,8 @@
 // Datasets themselves are not the store's business: they live in
 // self-describing colstore files under ColstoreDir, written through
 // the store's FS by internal/colstore. The store only carries their
-// metadata type (DatasetMeta) and, for one release, a read-only decoder
-// that migrates the snapshot files older builds wrote (snapshot.go).
+// metadata type (DatasetMeta); it imports no other package of this
+// module.
 //
 // Every write is atomic (temp → optional fsync → rename), so a crash —
 // including kill -9 mid-write — leaves either the previous durable
@@ -36,7 +36,7 @@ import (
 )
 
 // DatasetMeta is the registration metadata a durable dataset file
-// carries (the colstore tail, and the legacy snapshot header).
+// carries in its colstore tail.
 type DatasetMeta struct {
 	// Hash is the full SHA-256 of the original CSV bytes, advanced by
 	// every append — the dataset's registry identity and its file name.
@@ -50,7 +50,6 @@ type DatasetMeta struct {
 	Bytes int64
 	// ID is the dataset's stable short id, assigned at first
 	// registration and kept across appends even though Hash changes.
-	// Empty in version-1 snapshots.
 	ID string
 	// Epoch counts applied appends: (Hash, Epoch) is the dataset's
 	// cache identity. Zero for freshly registered content.
@@ -207,13 +206,10 @@ func (s *Store) FS() FS { return s.fsys }
 // FsyncEnabled reports whether durable writes fsync before rename.
 func (s *Store) FsyncEnabled() bool { return s.fsync }
 
-// Quarantine moves a corrupt file out of the live tree; exported for
-// the colstore subsystem, whose dataset files live under the same root.
-func (s *Store) Quarantine(path string) { s.quarantine(path) }
-
-// quarantine moves a corrupt file out of the live tree so recovery
-// never trusts it again but an operator can still inspect it.
-func (s *Store) quarantine(path string) {
+// Quarantine moves a corrupt file out of the live tree so recovery
+// never trusts it again but an operator can still inspect it. The
+// registry calls it too: its colstore files live under the same root.
+func (s *Store) Quarantine(path string) {
 	s.quarantined.Add(1)
 	dst := filepath.Join(s.quarantineDir, filepath.Base(path))
 	if err := s.fsys.Rename(path, dst); err != nil {
@@ -225,7 +221,7 @@ func (s *Store) quarantine(path string) {
 func (s *Store) sweepTemps(dir string, names []string) []string {
 	live := names[:0]
 	for _, name := range names {
-		if strings.HasPrefix(name, tempPrefix) {
+		if strings.HasPrefix(name, TempPrefix) {
 			_ = s.fsys.Remove(filepath.Join(dir, name))
 			continue
 		}

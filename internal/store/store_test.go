@@ -35,7 +35,7 @@ func assertNoTemps(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), tempPrefix) {
+		if strings.HasPrefix(e.Name(), TempPrefix) {
 			t.Fatalf("temp file %s survived recovery", e.Name())
 		}
 	}

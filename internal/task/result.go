@@ -677,15 +677,14 @@ type JoinsResult struct {
 }
 
 // Joins discovers join paths across several relations.
-func Joins(rels []*relation.Relation, minContainment float64, minDistinct int) *JoinsResult {
-	res := &JoinsResult{MinContainment: minContainment, Candidates: []JoinCandidate{}}
-	for _, c := range joins.FindJoinable(rels, minContainment, minDistinct) {
-		res.Candidates = append(res.Candidates, JoinCandidate{
-			FromRelation: c.FromRelation, FromAttr: c.FromAttr,
-			ToRelation: c.ToRelation, ToAttr: c.ToAttr,
-			Containment: c.Containment, Jaccard: c.Jaccard,
-			FromDistinct: c.FromDistinct, ToDistinct: c.ToDistinct,
-		})
+func Joins(rels []relation.Columns, minContainment float64, minDistinct int) (*JoinsResult, error) {
+	cands, err := joins.FindJoinable(rels, minContainment, minDistinct)
+	if err != nil {
+		return nil, err
 	}
-	return res
+	res := &JoinsResult{MinContainment: minContainment, Candidates: []JoinCandidate{}}
+	for _, c := range cands {
+		res.Candidates = append(res.Candidates, JoinCandidate(c)) // same fields, plus JSON tags
+	}
+	return res, nil
 }

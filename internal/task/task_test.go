@@ -214,8 +214,10 @@ func TestJoinsResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Joins([]*relation.Relation{db.Employee, db.Department, db.Project}, 0.95, 2)
-	if len(res.Candidates) == 0 {
+	res, err := Joins([]relation.Columns{
+		relation.AsColumns(db.Employee), relation.AsColumns(db.Department), relation.AsColumns(db.Project),
+	}, 0.95, 2)
+	if err != nil || len(res.Candidates) == 0 {
 		t.Fatal("DB2 sample relations should have joinable attribute pairs")
 	}
 	if _, err := json.Marshal(res); err != nil {

@@ -124,7 +124,7 @@ fi
 [ -s "$workdir/result-via-a.json" ] || { echo "load: FAIL — empty artifact"; exit 1; }
 echo "load: artifact byte-identical via either node ($(wc -c <"$workdir/result-via-a.json") bytes)"
 
-proxied=$(curl -sS "$node_a/metrics" "$node_b/metrics" |
+proxied=$(curl -sS "$node_a/v1/metrics" "$node_b/v1/metrics" |
   sed -n 's/^structmine_cluster_proxied_requests_total{[^}]*} //p' |
   awk '{s += $1} END {printf "%d", s}')
 if [ "${proxied:-0}" -lt 1 ]; then

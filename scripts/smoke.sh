@@ -143,15 +143,10 @@ hits=$(curl -sS "$base/v1/healthz" | jq .cache.hits)
 [ "$hits" -ge 1 ] || { echo "smoke: FAIL — healthz reports $hits cache hits"; exit 1; }
 echo "smoke: repeated query served from artifact cache (hits=$hits)"
 
-# The pre-/v1 paths still answer, marked deprecated with a Sunset date;
-# /v1 is not marked.
-dep=$(curl -sSI "$base/healthz" | tr -d '\r' | sed -n 's/^Deprecation: //p')
-[ "$dep" = true ] || { echo "smoke: FAIL — bare /healthz lacks the Deprecation header"; exit 1; }
-sunset=$(curl -sSI "$base/healthz" | tr -d '\r' | sed -n 's/^Sunset: //p')
-[ -n "$sunset" ] || { echo "smoke: FAIL — bare /healthz lacks the Sunset header"; exit 1; }
-dep=$(curl -sSI "$base/v1/healthz" | tr -d '\r' | sed -n 's/^Deprecation: //p')
-[ -z "$dep" ] || { echo "smoke: FAIL — /v1/healthz carries a Deprecation header"; exit 1; }
-echo "smoke: unversioned aliases answer with Deprecation and Sunset headers"
+# /v1 is the only surface: the pre-versioning bare paths are plain 404s.
+bare=$(curl -sS -o /dev/null -w '%{http_code}' "$base/healthz")
+[ "$bare" = 404 ] || { echo "smoke: FAIL — bare /healthz answered $bare, want 404"; exit 1; }
+echo "smoke: bare paths are gone; only /v1 answers"
 
 # Errors are machine-readable envelopes.
 code=$(curl -sS "$base/v1/datasets/nope" | jq -r .error.code)
@@ -455,25 +450,6 @@ done
 if kill -0 "$pid" 2>/dev/null; then
   echo "smoke: FAIL — budgeted server did not drain on SIGTERM"; exit 1
 fi
-pid=""
-
-# --- alias-sunset phase -----------------------------------------------------
-# A daemon started with -serve-deprecated=false turns the pre-/v1 bare
-# paths into 410 gone envelopes while /v1 keeps serving.
-echo "smoke: booting with -serve-deprecated=false (alias sunset dry run)"
-boot "$workdir/log6" -serve-deprecated=false
-gcode=$(curl -sS -o /dev/null -w '%{http_code}' "$base/healthz")
-[ "$gcode" = 410 ] || { echo "smoke: FAIL — disabled alias answered $gcode, want 410"; exit 1; }
-gerr=$(curl -sS "$base/healthz" | jq -r .error.code)
-[ "$gerr" = gone ] || { echo "smoke: FAIL — disabled alias envelope code=$gerr, want gone"; exit 1; }
-vcode=$(curl -sS -o /dev/null -w '%{http_code}' "$base/v1/healthz")
-[ "$vcode" = 200 ] || { echo "smoke: FAIL — /v1/healthz answered $vcode with aliases disabled"; exit 1; }
-echo "smoke: disabled aliases answer 410 gone while /v1 serves"
-kill -TERM "$pid"
-for _ in $(seq 1 100); do
-  kill -0 "$pid" 2>/dev/null || break
-  sleep 0.1
-done
 pid=""
 
 echo "smoke: PASS"

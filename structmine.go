@@ -250,7 +250,16 @@ type JoinCandidate = joins.Candidate
 // minContainment or with fewer than minDistinct distinct values are
 // dropped.
 func FindJoinable(rels []*Relation, minContainment float64, minDistinct int) []JoinCandidate {
-	return joins.FindJoinable(rels, minContainment, minDistinct)
+	cands, _ := joins.FindJoinable(asColumns(rels), minContainment, minDistinct) // no failing reads in memory
+	return cands
+}
+
+func asColumns(rels []*Relation) []relation.Columns {
+	cols := make([]relation.Columns, len(rels))
+	for i, r := range rels {
+		cols[i] = relation.AsColumns(r)
+	}
+	return cols
 }
 
 // Decomposition is a lossless vertical decomposition on one FD.

@@ -76,5 +76,6 @@ func (m *Miner) DescribeResult() *DescribeResult { return task.Describe(m.r) }
 
 // FindJoinableResult is FindJoinable with the shared JSON result shape.
 func FindJoinableResult(rels []*relation.Relation, minContainment float64, minDistinct int) *JoinsResult {
-	return task.Joins(rels, minContainment, minDistinct)
+	res, _ := task.Joins(asColumns(rels), minContainment, minDistinct) // no failing reads in memory
+	return res
 }
