@@ -319,6 +319,49 @@ func BenchmarkDCFTreeInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkLimboAssign times Phase 3 alone on the four shapes the
+// cluster_narrow sessions and report hand it, at the tasks' default
+// parameters: sparse is value clustering (double-clustered value objects
+// against every φV = 0 leaf of the 5 200-row projection — thousands of
+// representatives, under 1 % of the pairs sharing a coordinate); dense is
+// report's duplicate step on the 8 000 × 13 relation (tuples against the
+// multi-tuple leaves of its φT = 0.3 tree); tiny/partition and tiny/dedup
+// are the projection's tuples against partition's k merged
+// representatives and dedup's few multi-tuple leaves.
+func BenchmarkLimboAssign(b *testing.B) {
+	dblp := func(n int) *relation.Relation {
+		return datagen.NewDBLP(datagen.DBLPConfig{
+			Tuples: n, Seed: 1, MiscFrac: 129.0 / 50000, JournalFrac: 0.28,
+		})
+	}
+	proj := dblp(5200).Project(datagen.ProjectionAttrs())
+	run := func(name string, reps []*limbo.DCF, objs []limbo.Obj) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				limbo.Assign(reps, objs)
+			}
+			b.ReportMetric(float64(len(objs)), "objects/op")
+			b.ReportMetric(float64(len(reps)), "reps/op")
+		})
+	}
+
+	assign, k := tuples.Compress(proj, 0, 4)
+	vobjs := values.ObjectsOverClusters(proj, assign, k)
+	run("sparse", limbo.BuildTree(vobjs, 0, 4).Leaves(), vobjs)
+
+	full := dblp(8000)
+	run("dense", tuples.FindDuplicates(full, 0.3, 4).Summaries, tuples.Objects(full))
+
+	pr := tuples.Partition(proj, 100, 4, 0)
+	clusters, err := pr.Res.ClustersAt(pr.K)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tobjs := tuples.Objects(proj)
+	run("tiny/partition", limbo.RepsFromClusters(pr.Leaves, clusters), tobjs)
+	run("tiny/dedup", tuples.FindDuplicates(proj, 0, 4).Summaries, tobjs)
+}
+
 // BenchmarkTANE mines the datagen relations end to end: the DB2-style
 // join sample and the DBLP instance (projection and full arity) at the
 // suite's 20k scale — the workloads whose per-level partition products

@@ -19,8 +19,10 @@ const (
 	// LIMBOClosest: closest-entry δI scan during DCF-tree descent; work
 	// counts entries × (support+1) sparse adds (~5 ns each).
 	LIMBOClosest
-	// LIMBOAssign: object→representative assignment; work counts
-	// objects × representatives δI evaluations (~µs each).
+	// LIMBOAssign: object→representative assignment through the inverted
+	// index of the representatives' supports; work counts posting terms
+	// (one shared coordinate of an object and a representative: one
+	// logarithm, ~10 ns), estimated from the index's list lengths.
 	LIMBOAssign
 	// TANEProduct: partition products per lattice level; work counts
 	// stripped-partition tuples (~10 ns each).
@@ -44,7 +46,7 @@ var cutoffs = [numKernels]int{
 	AIBPairs:     512,   // ~µs/unit → ~0.5 ms of work
 	AIBRecompute: 16384, // ~5 ns/unit → ~80 µs of work
 	LIMBOClosest: 16384, // ~5 ns/unit → ~80 µs of work
-	LIMBOAssign:  256,   // ~µs/unit → ~0.25 ms of work
+	LIMBOAssign:  8192,  // ~10 ns/unit → ~80 µs of work
 	TANEProduct:  8192,  // ~10 ns/unit → ~80 µs of work
 	ColScan:      16384, // ~1–10 ns/unit → ≥ ~20 µs of work (4+ stripes)
 }

@@ -6,7 +6,8 @@
 //	         threshold τ = φ·I(V;T)/|V|;
 //	Phase 2  run AIB over the leaf-level DCFs;
 //	Phase 3  scan the data set again and assign every object to the
-//	         closest of the k cluster representatives.
+//	         closest of the k cluster representatives, scored through an
+//	         inverted index of their supports (assign.go).
 //
 // A Distributional Cluster Feature (DCF) is the pair (p(c), p(T|c)).
 // Internally we store the *unnormalized sum* s = p(c)·p(T|c), because

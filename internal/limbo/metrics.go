@@ -2,7 +2,7 @@ package limbo
 
 import "structmine/internal/obs"
 
-// Phase 1 metrics, registered on the process-wide registry and served by
+// LIMBO metrics, registered on the process-wide registry and served by
 // structmined's GET /v1/metrics. The tree gauges are last-writer-wins
 // snapshots: when several trees are being built concurrently they
 // describe the most recently updated one, which is the intended
@@ -21,4 +21,8 @@ var (
 		obs.TimeBuckets)
 	limboScratchHighwater = obs.Default.Gauge("structmine_limbo_dcf_scratch_highwater_entries",
 		"High-water capacity (entries) of the most recently updated DCF-tree's reusable merge scratch — the resident cost of allocation-free absorption.")
+	limboAssignObjects = obs.Default.Counter("structmine_limbo_assign_objects_total",
+		"Objects associated with their closest representative during Phase 3.")
+	limboAssignTerms = obs.Default.Counter("structmine_limbo_assign_terms_total",
+		"Posting terms (one shared coordinate of an object and a representative) Phase 3 evaluated.")
 )

@@ -2,9 +2,7 @@ package limbo
 
 import (
 	"context"
-	"math"
 
-	"structmine/internal/exec"
 	"structmine/internal/ib"
 	"structmine/internal/it"
 )
@@ -71,39 +69,6 @@ func RepsFromClusters(leaves []*DCF, clusters [][]int) []*DCF {
 		reps[ci] = rep
 	}
 	return reps
-}
-
-// Assignment is the outcome of Phase 3 for one object.
-type Assignment struct {
-	Cluster int     // index into the representative list
-	Loss    float64 // δI between the object and its representative
-}
-
-// Assign performs Phase 3: each object is associated with the
-// representative minimizing the information loss of merging them. The
-// scan parallelizes across objects when the workload is large (each
-// comparison only reads the representatives' sums); the cutoff and
-// chunking policy are the shared ones in internal/par, the same pool the
-// AIB engine behind Phase 2 uses.
-func Assign(reps []*DCF, objs []Obj) []Assignment {
-	return AssignCtx(context.Background(), reps, objs)
-}
-
-// AssignCtx is Assign under the context's worker budget.
-func AssignCtx(ctx context.Context, reps []*DCF, objs []Obj) []Assignment {
-	out := make([]Assignment, len(objs))
-	exec.For(ctx, exec.LIMBOAssign, len(objs), len(objs)*len(reps), func(lo, hi int) {
-		for oi := lo; oi < hi; oi++ {
-			best, bestDist := -1, math.Inf(1)
-			for ri, r := range reps {
-				if d := r.DeltaIObj(objs[oi]); d < bestDist {
-					best, bestDist = ri, d
-				}
-			}
-			out[oi] = Assignment{Cluster: best, Loss: bestDist}
-		}
-	})
-	return out
 }
 
 // MutualInfo returns I(V;T) of a set of objects — the information the

@@ -32,6 +32,25 @@ func closestObjSerial(entries []*entry, o Obj) (int, float64) {
 	return best, bestDist
 }
 
+// assignSerial is the original Phase 3 scan — every object against
+// every representative through DeltaIObj, keeping the first strict
+// minimum — kept as the differential-testing oracle for the
+// term-at-a-time scan in AssignCtx, which must reproduce it bit for bit
+// (TestPropAssignMatchesSerial).
+func assignSerial(reps []*DCF, objs []Obj) []Assignment {
+	out := make([]Assignment, len(objs))
+	for oi, o := range objs {
+		best, bestDist := -1, math.Inf(1)
+		for ri, r := range reps {
+			if d := r.DeltaIObj(o); d < bestDist {
+				best, bestDist = ri, d
+			}
+		}
+		out[oi] = Assignment{Cluster: best, Loss: bestDist}
+	}
+	return out
+}
+
 // NewTreeSerial creates a DCF-tree whose closest-entry searches always
 // run through the retained serial reference, regardless of workload size
 // and GOMAXPROCS. It exists for differential tests and benchmarks (the

@@ -105,6 +105,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"structmine_aib_merges_total",
 		"structmine_limbo_dcf_tree_nodes",
 		"structmine_limbo_dcf_tree_height",
+		"structmine_limbo_assign_objects_total",
+		"structmine_limbo_assign_terms_total",
 		"structmine_stage_seconds_bucket",
 	}
 	for _, name := range required {

@@ -151,8 +151,10 @@ type PartitionResult struct {
 	// K is the number of partitions used (the heuristic's choice, or the
 	// caller's override).
 	K int
-	// Assign associates every tuple with a partition; Clusters lists the
-	// tuple ids per partition, largest first.
+	// Clusters lists the tuple ids per partition, largest first;
+	// Assign[t].Cluster indexes Clusters (tuple t is in
+	// Clusters[Assign[t].Cluster]) and Assign[t].Loss is the δI of
+	// associating t with that partition's representative.
 	Assign   []limbo.Assignment
 	Clusters [][]int
 	// InfoLossFrac is (I(C_leaves;V) − I(C_k;V)) / I(C_leaves;V): how
@@ -283,6 +285,13 @@ func partitionFromTree(ctx context.Context, objs []limbo.Obj, tree *limbo.Tree, 
 	}
 	if lossFrac < 0 {
 		lossFrac = 0 // Phase 3 can slightly beat the leaf partition
+	}
+	// Assign follows the sorted order — relabelled only now, because the
+	// loss above sums in representative order.
+	for ci, g := range groups {
+		for _, t := range g {
+			assign[t].Cluster = ci
+		}
 	}
 	return &PartitionResult{
 		Leaves: leaves, Res: res, Curve: curve, K: k,

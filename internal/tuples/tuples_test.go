@@ -208,3 +208,31 @@ func TestMedian(t *testing.T) {
 		t.Fatalf("median empty = %v", m)
 	}
 }
+
+// The two exported halves of a PartitionResult must agree: Clusters is
+// sorted largest first, and Assign[t].Cluster indexes that sorted order,
+// not the order Phase 2 listed the representatives in.
+func TestPartitionAssignIndexesClusters(t *testing.T) {
+	for _, r := range []*relation.Relation{
+		twoKindsRelation(t, 20, 30), twoKindsRelation(t, 30, 20), randomCSVRel(t, 400, 5),
+	} {
+		for _, k := range []int{0, 2, 3, 5} {
+			res := Partition(r, 40, 4, k)
+			if len(res.Assign) != r.N() {
+				t.Fatalf("k=%d: %d assignments for %d tuples", k, len(res.Assign), r.N())
+			}
+			for tup, a := range res.Assign {
+				if a.Cluster < 0 || a.Cluster >= len(res.Clusters) {
+					t.Fatalf("k=%d tuple %d: cluster %d of %d", k, tup, a.Cluster, len(res.Clusters))
+				}
+				found := false
+				for _, member := range res.Clusters[a.Cluster] {
+					found = found || member == tup
+				}
+				if !found {
+					t.Fatalf("k=%d (K=%d) tuple %d: not in Clusters[%d]", k, res.K, tup, a.Cluster)
+				}
+			}
+		}
+	}
+}
