@@ -1,7 +1,6 @@
 package colstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -10,100 +9,46 @@ import (
 	"structmine/internal/store"
 )
 
-// Append writes the post-append state of a paged dataset as a new .col
-// file named newMeta.Hash+Ext under dir, extending old with the rows of
-// the appended CSV body (header line plus data rows, shape-checked
-// against the table's schema). The old file is left untouched; the
-// caller removes it once the new one is published.
+// Append writes the post-append state of a dataset as a new .col file
+// named newMeta.Hash+Ext under dir, extending old with the rows of the
+// appended CSV body (header line plus data rows). The old file is left
+// untouched; the caller removes it once the new one is published.
 //
-// The output is byte-identical to a fresh Ingest of the concatenated
-// source under the same metadata: full old stripes are copied verbatim
-// (their offsets and CRCs are position-independent), the trailing
-// partial stripe and the appended rows are replayed through the normal
-// writer, and new values intern after the old dictionary in
-// first-appearance order — exactly the ids a from-scratch pass would
-// assign. Memory stays bounded by the dictionary, the value index, and
-// one page stripe, plus the appended body itself.
+// The body goes through relation.AppendCSV against a rowless relation
+// holding the old file's schema and dictionary, so the header check,
+// the limits, the error texts and the ids of unseen values (dense,
+// after the old dictionary, in first-appearance order) are exactly
+// those of an append to the resident relation. The output is
+// byte-identical to a fresh write of the concatenated source under the
+// same metadata: full old stripes are copied verbatim (their offsets
+// and CRCs are position-independent), and the trailing partial stripe
+// and the appended rows are replayed through the normal writer. Memory
+// is the dictionary, the value index and one page stripe, plus the
+// appended body and its rows.
 func Append(dir string, newMeta store.DatasetMeta, old *Table, body []byte, lim relation.Limits, opt WriteOptions) (string, error) {
 	opt = opt.normalized()
 	// Stripe geometry is inherited: mixing page sizes within one lineage
-	// would break the verbatim stripe copy and the fresh-ingest identity.
+	// would break the verbatim stripe copy and the fresh-write identity.
 	opt.PageRows = old.h.pageRows
 
-	// Parse the appended body under the same shape checks registration
-	// applies, against the on-disk schema.
-	var newRows [][]string
-	err := relation.ScanCSV(bytes.NewReader(body), lim, func(header []string) error {
-		if len(header) != len(old.attrs) {
-			return fmt.Errorf("%w: %d columns, dataset has %d",
-				relation.ErrShapeMismatch, len(header), len(old.attrs))
-		}
-		for i, name := range header {
-			if name != old.attrs[i] {
-				return fmt.Errorf("%w: column %d is %q, dataset has %q",
-					relation.ErrShapeMismatch, i+1, name, old.attrs[i])
-			}
-		}
-		return nil
-	}, func(line int, rec []string) error {
-		newRows = append(newRows, append([]string(nil), rec...))
-		return nil
-	})
+	raw, err := old.rawDict()
+	if err != nil {
+		return "", err
+	}
+	dict, err := relation.FromRaw(raw)
+	if err != nil {
+		return "", fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	ext, _, err := relation.AppendCSV(dict, body, lim)
 	if err != nil {
 		return "", err
 	}
 
-	// Rebuild the dictionary from the old tail and intern the appended
-	// rows; unseen values take dense ids after the old ones, in
-	// first-appearance row-major order.
-	valueStr, err := old.ValueStrings()
-	if err != nil {
-		return "", err
-	}
-	m, oldD := old.h.m, old.h.d
-	maps := make([]map[string]int32, m)
-	for a := range maps {
-		maps[a] = map[string]int32{}
-	}
-	valueAttr := make([]int, oldD, oldD+m)
-	for v := 0; v < oldD; v++ {
-		a := int(old.valueAttr[v])
-		valueAttr[v] = a
-		maps[a][valueStr[v]] = int32(v)
-	}
-	rows := make([][]int32, len(newRows))
-	ids := make([]int32, len(newRows)*m)
-	for t, rec := range newRows {
-		row := ids[t*m : (t+1)*m : (t+1)*m]
-		for a, s := range rec {
-			if s == "" {
-				s = relation.Null
-			}
-			id, ok := maps[a][s]
-			if !ok {
-				id = int32(len(valueStr))
-				maps[a][s] = id
-				valueStr = append(valueStr, s)
-				valueAttr = append(valueAttr, a)
-			}
-			row[a] = id
-		}
-		rows[t] = row
-	}
-	nullID := make([]int32, m)
-	for a := range nullID {
-		nullID[a] = -1
-		if id, ok := maps[a][relation.Null]; ok {
-			nullID[a] = id
-		}
-	}
-
-	oldN := old.h.n
+	m, oldD, oldN := old.h.m, old.h.d, old.h.n
 	pageRows := int64(old.h.pageRows)
 	fullStart := (oldN / pageRows) * pageRows
-	h := header{pageRows: old.h.pageRows, m: m, n: oldN + int64(len(rows)), d: len(valueStr)}
 
-	return writeFile(dir, newMeta, opt, h, old.relName, old.attrs, nullID, valueAttr, valueStr, func(w *writer) error {
+	return writeFile(dir, newMeta, opt, ext, oldN+int64(ext.N()), func(w *writer) error {
 		// Copy full old stripes verbatim, re-checking each page CRC on
 		// the way through so corruption never propagates into a new file.
 		fullStripes := int(fullStart / pageRows)
@@ -145,7 +90,7 @@ func Append(dir string, newMeta store.DatasetMeta, old *Table, body []byte, lim 
 			if err != nil {
 				return err
 			}
-			if id := nullID[a]; id >= 0 && int(id) < oldD {
+			if id := w.nullID[a]; id >= 0 && int(id) < oldD {
 				w.nullCount[a] = w.post[id].count
 			}
 		}
@@ -172,11 +117,6 @@ func Append(dir string, newMeta store.DatasetMeta, old *Table, body []byte, lim 
 				}
 			}
 		}
-		for _, row := range rows {
-			if err := w.writeRow(row); err != nil {
-				return err
-			}
-		}
-		return nil
+		return w.writeRows(ext)
 	})
 }

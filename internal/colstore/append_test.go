@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"testing"
 
@@ -94,6 +95,50 @@ func TestAppendShapeMismatch(t *testing.T) {
 	// A ragged appended row is a parse error, not a shape mismatch.
 	if _, err := Append(t.TempDir(), newMeta, old, []byte("id,city,zip,grade,note\n1,athens\n"), relation.Limits{}, WriteOptions{}); err == nil || errors.Is(err, relation.ErrShapeMismatch) {
 		t.Errorf("ragged row: err %v", err)
+	}
+}
+
+// TestAppendRejectsDuplicateDictionary: a file whose tail names one
+// (attribute, string) pair under two ids passes every CRC — only the
+// interner can see it. The appended body must not be interned against
+// it (which id would "g0" take?): Append fails with ErrCorrupt and
+// writes nothing.
+func TestAppendRejectsDuplicateDictionary(t *testing.T) {
+	data := testCSV(50)
+	meta := metaFor("trips", data)
+	path, err := Ingest(t.TempDir(), meta, openCSV(data), relation.Limits{}, WriteOptions{PageRows: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foot := file[len(file)-footerSize:]
+	tailOff, tailLen, _, err := decodeFooter(foot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := file[tailOff : tailOff+tailLen]
+	at := bytes.Index(tail, []byte("\x02g1")) // the dictionary entry of grade "g1"
+	if at < 0 {
+		t.Fatal("no dictionary entry for g1")
+	}
+	tail[at+2] = '0' // now a second "g0" under grade
+	copy(foot, encodeFooter(tailOff, tailLen, crc32.ChecksumIEEE(tail)))
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	newMeta := meta
+	newMeta.Hash = "ffff"
+	_, err = Append(dir, newMeta, mustOpen(t, path), []byte("id,city,zip,grade,note\n900,athens,z-athens,g0,ok\n"), relation.Limits{}, WriteOptions{})
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("append over a duplicated dictionary entry: err %v, want ErrCorrupt", err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("refused append left %d files behind", len(entries))
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package colstore is the out-of-core columnar dataset store: a
-// versioned on-disk relation format that lets the daemon admit and mine
-// datasets whose parsed form would not fit the resident-bytes budget.
+// versioned on-disk relation format that lets the daemon keep and mine
+// datasets whose parsed form would not fit the resident-bytes budget
+// (the parse itself is transient: it lasts until the file is written).
 //
 // A .col file holds one dictionary-encoded relation:
 //
@@ -18,13 +19,15 @@
 //	footer (24 B)  u64 tailOff | u64 tailLen | u32 CRC32-IEEE(tail) |
 //	               magic "SMCL"
 //
-// Value ids are the same dense attribute-qualified ids a resident
-// relation.Relation assigns, in the same first-appearance order, so a
-// kernel consuming the paged interface produces bit-identical results
-// to the resident path. Page offsets are arithmetically computable from
-// the header alone (no page directory), and every region — header,
-// each page, tail — carries its own CRC so torn or bit-flipped files
-// are rejected, never trusted.
+// This package parses no CSV and assigns no value ids: every write
+// (WriteFromRelation, Ingest, Append) encodes a relation.Relation that
+// package relation interned, so the ids on disk are the dense
+// attribute-qualified ids of the resident relation, in its
+// first-appearance order, and a kernel consuming the paged interface
+// produces bit-identical results to the resident path. Page offsets
+// are arithmetically computable from the header alone (no page
+// directory), and every region — header, each page, tail — carries its
+// own CRC so torn or bit-flipped files are rejected, never trusted.
 //
 // Files are written through the store.FS temp→fsync→rename discipline,
 // so a crash mid-write leaves no partial .col file. Reads go through

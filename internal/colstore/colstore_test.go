@@ -76,10 +76,19 @@ func mustOpen(t *testing.T, path string) *Table {
 	return tbl
 }
 
-// TestIngestMatchesWriteFromRelation pins the two write paths to the
-// same bytes: streaming ingest of a CSV and a one-shot dump of the
-// parsed relation must be indistinguishable on disk, which is what lets
-// evicted residents and directly paged registrations share files.
+// testCSV300SHA256 is the SHA-256 of the .col file for testCSV(300)
+// under metaFor("trips", …) at PageRows 64. It was computed with the
+// two-pass spill/merge Ingest of the commit before colstore stopped
+// parsing CSV (b2d7c09: a throwaway test there hashing the file Ingest
+// returned for exactly these inputs), so it pins the format across that
+// change and any later one: a writer that moves a byte fails here.
+const testCSV300SHA256 = "a95b289383a715dbffd09b7fa8c3aafaccb3445098ad94c7bbad4af3d5a16594"
+
+// TestIngestMatchesWriteFromRelation pins every write path to the same
+// bytes — the committed hash above, not just each other: Ingest of a
+// CSV, a dump of the parsed relation, and Ingest of a prefix followed by
+// Append of the rest must be indistinguishable on disk, which is what
+// lets resident, paged and appended datasets share files.
 func TestIngestMatchesWriteFromRelation(t *testing.T) {
 	data := testCSV(300)
 	meta := metaFor("trips", data)
@@ -100,28 +109,69 @@ func TestIngestMatchesWriteFromRelation(t *testing.T) {
 	if len(a) == 0 || !bytes.Equal(a, b) {
 		t.Fatalf("ingest and relation dump diverge: %d vs %d bytes", len(a), len(b))
 	}
+
+	base, rest := splitCSV(t, data, 200)
+	basePath, err := Ingest(t.TempDir(), metaFor("trips", base), openCSV(base), relation.Limits{}, opt)
+	if err != nil {
+		t.Fatalf("Ingest(first 200 rows): %v", err)
+	}
+	pathC, err := Append(t.TempDir(), meta, mustOpen(t, basePath), rest, relation.Limits{}, opt)
+	if err != nil {
+		t.Fatalf("Append(rest): %v", err)
+	}
+	for what, path := range map[string]string{"Ingest": pathA, "WriteFromRelation": pathB, "Ingest+Append": pathC} {
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sha256.Sum256(file); hex.EncodeToString(got[:]) != testCSV300SHA256 {
+			t.Errorf("%s wrote %d bytes with SHA-256 %x, want the pinned %s", what, len(file), got, testCSV300SHA256)
+		}
+	}
 }
 
-// TestSpillPreservesOrder forces the ingest dictionary to spill to temp
-// runs with a tiny budget and checks the file is byte-identical to the
-// unspilled one — i.e. the merge reproduces first-appearance id order.
+// TestSpillPreservesOrder holds Ingest to first-appearance id order on
+// the input the deleted spill/merge dictionary existed for: in every
+// column the strings first appear in descending order, and the columns
+// introduce their values interleaved row by row, so first-appearance
+// order differs from (attribute, string) sort order both within and
+// across columns. The ids in the file must be relation.ReadCSV's and
+// the bytes WriteFromRelation's.
 func TestSpillPreservesOrder(t *testing.T) {
-	data := testCSV(500)
+	var src bytes.Buffer
+	src.WriteString("a,b,c\n")
+	for i := 500; i > 0; i-- {
+		fmt.Fprintf(&src, "a%03d,b%03d,c%03d\n", i, i/2, i/3)
+	}
+	data := src.Bytes()
 	meta := metaFor("trips", data)
+	opt := WriteOptions{PageRows: 32}
 
-	big, err := Ingest(t.TempDir(), meta, openCSV(data), relation.Limits{}, WriteOptions{PageRows: 32})
+	path, err := Ingest(t.TempDir(), meta, openCSV(data), relation.Limits{}, opt)
 	if err != nil {
 		t.Fatalf("Ingest: %v", err)
 	}
-	small, err := Ingest(t.TempDir(), meta, openCSV(data), relation.Limits{},
-		WriteOptions{PageRows: 32, SpillBudgetBytes: 256})
+	want, err := relation.ReadCSV("trips", bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("Ingest (spilling): %v", err)
+		t.Fatal(err)
 	}
-	a, _ := os.ReadFile(big)
-	b, _ := os.ReadFile(small)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("spilled ingest diverges from in-memory ingest")
+	if want.ValueString(0) != "a500" || want.ValueString(1) != "b250" || want.ValueString(3) != "a499" {
+		t.Fatalf("input does not intern row-major in descending string order")
+	}
+	got, err := mustOpen(t, path).Relation()
+	if err != nil {
+		t.Fatalf("Relation: %v", err)
+	}
+	assertSameRelation(t, "ingested file", got, want)
+
+	dump, err := WriteFromRelation(t.TempDir(), meta, want, opt)
+	if err != nil {
+		t.Fatalf("WriteFromRelation: %v", err)
+	}
+	a, _ := os.ReadFile(path)
+	b, _ := os.ReadFile(dump)
+	if len(a) == 0 || !bytes.Equal(a, b) {
+		t.Fatalf("ingest and relation dump diverge: %d vs %d bytes", len(a), len(b))
 	}
 }
 

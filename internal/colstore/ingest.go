@@ -1,369 +1,27 @@
 package colstore
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
 	"io"
-	"os"
-	"sort"
 
 	"structmine/internal/relation"
 	"structmine/internal/store"
 )
 
-// Ingest streams a CSV source into a .col file named meta.Hash+Ext
-// under dir, returning the final path. Memory stays bounded by the
-// dictionary, the value index, and one page stripe — the row set is
-// never materialized:
-//
-// Pass 1 streams the CSV counting rows and building the dictionary.
-// Each distinct (attribute, string) pair records the global cell index
-// of its first appearance; when the resident maps outgrow
-// SpillBudgetBytes they are flushed, sorted, to a temporary spill file
-// and cleared. After the pass, spill runs and the residual maps merge
-// (keeping the minimum first-appearance per key) and the merged entries
-// sort by first appearance — reproducing exactly the dense ids a
-// resident relation.Builder would have interned, so paged and resident
-// mining agree bit for bit.
-//
-// Pass 2 re-streams the CSV through the merged dictionary (resident
-// from here on — O(d) strings, the format's one unavoidable resident
-// bound), writing pages stripe by stripe and accumulating the value
-// index as runs.
-//
-// open is called once per pass; both reads must observe identical bytes
-// (re-reading an upload buffer or re-opening an unchanged file). A
-// source that changes between passes is detected — unknown value, row
-// count drift — and reported as an error, never written.
+// Ingest parses a CSV source into a .col file named meta.Hash+Ext under
+// dir, returning the final path. It is relation.ReadCSVLimited followed
+// by WriteFromRelation — the parse a registration runs, so limits,
+// error texts and value ids are the resident parser's by construction.
+// open is called once; the parsed relation (named meta.Name) is
+// resident until the file is published.
 func Ingest(dir string, meta store.DatasetMeta, open func() (io.ReadCloser, error), lim relation.Limits, opt WriteOptions) (string, error) {
-	opt = opt.normalized()
-
-	// Pass 1: count rows, build the dictionary.
 	src, err := open()
 	if err != nil {
 		return "", err
 	}
-	dict := newDictBuilder(opt.SpillBudgetBytes)
-	defer dict.discard()
-	var attrs []string
-	var n int64
-	err = relation.ScanCSV(src, lim, func(header []string) error {
-		attrs = append([]string(nil), header...)
-		dict.setAttrs(len(header))
-		return nil
-	}, func(line int, rec []string) error {
-		base := n * int64(len(attrs))
-		for a, s := range rec {
-			if s == "" {
-				s = relation.Null
-			}
-			if err := dict.note(a, s, uint64(base+int64(a))); err != nil {
-				return err
-			}
-		}
-		n++
-		return nil
-	})
+	rel, err := relation.ReadCSVLimited(meta.Name, src, lim)
 	src.Close()
 	if err != nil {
 		return "", err
 	}
-
-	maps, d, err := dict.finish()
-	if err != nil {
-		return "", err
-	}
-	nullID := make([]int32, len(attrs))
-	valueAttr := make([]int, d)
-	valueStr := make([]string, d)
-	for a := range maps {
-		nullID[a] = -1
-		if id, ok := maps[a][relation.Null]; ok {
-			nullID[a] = id
-		}
-		for s, id := range maps[a] {
-			valueAttr[id] = a
-			valueStr[id] = s
-		}
-	}
-
-	// Pass 2: re-stream through the dictionary, writing the file.
-	src, err = open()
-	if err != nil {
-		return "", err
-	}
-	defer src.Close()
-	h := header{pageRows: opt.PageRows, m: len(attrs), n: n, d: d}
-	return writeFile(dir, meta, opt, h, meta.Name, attrs, nullID, valueAttr, valueStr, func(w *writer) error {
-		row := make([]int32, len(attrs))
-		return relation.ScanCSV(src, lim, func(header []string) error {
-			if len(header) != len(attrs) {
-				return fmt.Errorf("colstore: source changed between passes: %d columns, then %d", len(attrs), len(header))
-			}
-			return nil
-		}, func(line int, rec []string) error {
-			for a, s := range rec {
-				if s == "" {
-					s = relation.Null
-				}
-				id, ok := maps[a][s]
-				if !ok {
-					return fmt.Errorf("colstore: source changed between passes: line %d: unknown value %q", line, s)
-				}
-				row[a] = id
-			}
-			return w.writeRow(row)
-		})
-	})
-}
-
-// dictEntryOverhead approximates the per-entry resident cost of a map
-// entry beyond the string bytes (hash bucket, header, first-seen).
-const dictEntryOverhead = 64
-
-// dictBuilder accumulates the (attribute, string) → first-appearance
-// mapping of pass 1 under a memory budget, spilling sorted runs to
-// temporary files when the resident maps outgrow it.
-type dictBuilder struct {
-	budget int
-	maps   []map[string]uint64
-	bytes  int
-	spills []*os.File
-}
-
-func newDictBuilder(budget int) *dictBuilder {
-	return &dictBuilder{budget: budget}
-}
-
-func (b *dictBuilder) setAttrs(m int) {
-	b.maps = make([]map[string]uint64, m)
-	for a := range b.maps {
-		b.maps[a] = map[string]uint64{}
-	}
-}
-
-func (b *dictBuilder) note(a int, s string, cell uint64) error {
-	m := b.maps[a]
-	if _, ok := m[s]; ok {
-		return nil
-	}
-	m[s] = cell
-	b.bytes += len(s) + dictEntryOverhead
-	if b.bytes > b.budget {
-		return b.spill()
-	}
-	return nil
-}
-
-// dictEntry is one dictionary key with its first-appearance cell index.
-type dictEntry struct {
-	attr int
-	str  string
-	seen uint64
-}
-
-func sortEntries(es []dictEntry) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].attr != es[j].attr {
-			return es[i].attr < es[j].attr
-		}
-		return es[i].str < es[j].str
-	})
-}
-
-// spill writes the resident maps, sorted by (attribute, string), to a
-// fresh temporary file and clears them. Spill files are transient
-// scratch — deleted on completion or failure — not durable state, so
-// they bypass the store FS and live in the OS temp directory.
-func (b *dictBuilder) spill() error {
-	var es []dictEntry
-	for a, m := range b.maps {
-		for s, seen := range m {
-			es = append(es, dictEntry{attr: a, str: s, seen: seen})
-		}
-		b.maps[a] = map[string]uint64{}
-	}
-	b.bytes = 0
-	sortEntries(es)
-
-	f, err := os.CreateTemp("", "structmine-dict-*")
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	var buf []byte
-	for _, e := range es {
-		buf = buf[:0]
-		buf = binary.AppendUvarint(buf, uint64(e.attr))
-		buf = binary.AppendUvarint(buf, uint64(len(e.str)))
-		buf = append(buf, e.str...)
-		buf = binary.AppendUvarint(buf, e.seen)
-		if _, err := w.Write(buf); err != nil {
-			f.Close()
-			os.Remove(f.Name())
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	b.spills = append(b.spills, f)
-	return nil
-}
-
-// discard releases every spill file.
-func (b *dictBuilder) discard() {
-	for _, f := range b.spills {
-		f.Close()
-		os.Remove(f.Name())
-	}
-	b.spills = nil
-}
-
-// finish merges the spill runs with the residual maps (minimum first
-// appearance wins), sorts by first appearance to assign dense ids, and
-// returns per-attribute lookup maps plus the total value count d.
-func (b *dictBuilder) finish() ([]map[string]int32, int, error) {
-	var readers []entryReader
-	var resident []dictEntry
-	for a, m := range b.maps {
-		for s, seen := range m {
-			resident = append(resident, dictEntry{attr: a, str: s, seen: seen})
-		}
-	}
-	sortEntries(resident)
-	readers = append(readers, &sliceEntryReader{es: resident})
-	for _, f := range b.spills {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, 0, err
-		}
-		readers = append(readers, &fileEntryReader{r: bufio.NewReader(f)})
-	}
-
-	merged, err := mergeEntries(readers)
-	if err != nil {
-		return nil, 0, err
-	}
-	b.discard()
-
-	sort.Slice(merged, func(i, j int) bool { return merged[i].seen < merged[j].seen })
-	maps := make([]map[string]int32, len(b.maps))
-	for a := range maps {
-		maps[a] = map[string]int32{}
-	}
-	for id, e := range merged {
-		if id > 1<<31-1 {
-			return nil, 0, fmt.Errorf("colstore: %d distinct values exceed the int32 id space", len(merged))
-		}
-		maps[e.attr][e.str] = int32(id)
-	}
-	return maps, len(merged), nil
-}
-
-// mergeEntries k-way merges sorted (attribute, string) runs, keeping
-// the minimum first-appearance for keys present in several runs. k is
-// small (spill count + 1), so a linear min scan per output entry is
-// fine.
-func mergeEntries(readers []entryReader) ([]dictEntry, error) {
-	cur := make([]*dictEntry, len(readers))
-	advance := func(i int) error {
-		e, ok, err := readers[i].next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			cur[i] = nil
-			return nil
-		}
-		cur[i] = &e
-		return nil
-	}
-	for i := range readers {
-		if err := advance(i); err != nil {
-			return nil, err
-		}
-	}
-	var out []dictEntry
-	for {
-		min := -1
-		for i, e := range cur {
-			if e == nil {
-				continue
-			}
-			if min < 0 || e.attr < cur[min].attr || (e.attr == cur[min].attr && e.str < cur[min].str) {
-				min = i
-			}
-		}
-		if min < 0 {
-			return out, nil
-		}
-		key := *cur[min]
-		if err := advance(min); err != nil {
-			return nil, err
-		}
-		for i, e := range cur {
-			if e == nil || e.attr != key.attr || e.str != key.str {
-				continue
-			}
-			if e.seen < key.seen {
-				key.seen = e.seen
-			}
-			if err := advance(i); err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, key)
-	}
-}
-
-type entryReader interface {
-	next() (dictEntry, bool, error)
-}
-
-type sliceEntryReader struct {
-	es []dictEntry
-	i  int
-}
-
-func (r *sliceEntryReader) next() (dictEntry, bool, error) {
-	if r.i >= len(r.es) {
-		return dictEntry{}, false, nil
-	}
-	e := r.es[r.i]
-	r.i++
-	return e, true, nil
-}
-
-type fileEntryReader struct {
-	r   *bufio.Reader
-	buf []byte
-}
-
-func (r *fileEntryReader) next() (dictEntry, bool, error) {
-	attr, err := binary.ReadUvarint(r.r)
-	if err == io.EOF {
-		return dictEntry{}, false, nil
-	}
-	if err != nil {
-		return dictEntry{}, false, err
-	}
-	ln, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return dictEntry{}, false, err
-	}
-	if uint64(cap(r.buf)) < ln {
-		r.buf = make([]byte, ln)
-	}
-	r.buf = r.buf[:ln]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		return dictEntry{}, false, err
-	}
-	seen, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return dictEntry{}, false, err
-	}
-	return dictEntry{attr: int(attr), str: string(r.buf), seen: seen}, true, nil
+	return WriteFromRelation(dir, meta, rel, opt)
 }

@@ -290,9 +290,9 @@ func (t *Table) Close() error {
 func (t *Table) Meta() store.DatasetMeta { return t.meta }
 
 // ValueStrings decodes the dictionary — value id → string — from the
-// mapped tail. The result is freshly allocated per call: appends need
-// the full dictionary once, but steady-state mining never does, so the
-// strings are not kept resident.
+// mapped tail. The result is freshly allocated per call: an append and
+// a boot-time Relation need the full dictionary once, but steady-state
+// mining never does, so the strings are not kept resident.
 func (t *Table) ValueStrings() ([]string, error) {
 	tail, err := t.mm.readAt(t.tailOff, int(t.tailLen))
 	if err != nil {
@@ -308,27 +308,38 @@ func (t *Table) ValueStrings() ([]string, error) {
 	return out, nil
 }
 
+// rawDict decodes the table's schema and dictionary into the raw tables
+// relation.FromRaw adopts, with no rows: what Relation fills with the
+// pages, and what Append interns an appended body against.
+func (t *Table) rawDict() (relation.Raw, error) {
+	valueStr, err := t.ValueStrings()
+	if err != nil {
+		return relation.Raw{}, err
+	}
+	raw := relation.Raw{
+		Name:      t.relName,
+		Attrs:     t.attrs,
+		ValueStr:  valueStr,
+		ValueAttr: make([]int, t.h.d),
+	}
+	for v, a := range t.valueAttr {
+		raw.ValueAttr[v] = int(a)
+	}
+	return raw, nil
+}
+
 // Relation materialises the table as a resident relation: the
 // dictionary and every stripe are read (each page CRC-checked) into the
 // raw tables relation.FromRaw adopts. Value ids are preserved, so the
 // result is indistinguishable from the parse that produced the file —
 // this is how a restarted server brings a dataset back into memory.
 func (t *Table) Relation() (*relation.Relation, error) {
-	valueStr, err := t.ValueStrings()
+	raw, err := t.rawDict()
 	if err != nil {
 		return nil, err
 	}
 	n, m := int(t.h.n), t.h.m
-	raw := relation.Raw{
-		Name:      t.relName,
-		Attrs:     t.attrs,
-		ValueStr:  valueStr,
-		ValueAttr: make([]int, t.h.d),
-		Rows:      make([][]int32, n),
-	}
-	for v, a := range t.valueAttr {
-		raw.ValueAttr[v] = int(a)
-	}
+	raw.Rows = make([][]int32, n)
 	cells := make([]int32, n*m) // one backing block, carved per row
 	for i := range raw.Rows {
 		raw.Rows[i] = cells[i*m : (i+1)*m : (i+1)*m]

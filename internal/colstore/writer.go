@@ -10,20 +10,18 @@ import (
 	"structmine/internal/store"
 )
 
-// WriteOptions tunes a colstore write. The FS and Fsync fields should
-// come from the owning store so fault injection and durability settings
-// cover .col files too.
+// WriteOptions tunes a colstore write (WriteFromRelation, Ingest,
+// Append). The FS and Fsync fields should come from the owning store so
+// fault injection and durability settings cover .col files too.
 type WriteOptions struct {
 	// FS is the filesystem to write through; nil selects the OS.
 	FS store.FS
 	// Fsync syncs the file before the rename that publishes it.
 	Fsync bool
 	// PageRows overrides the tuples per page (0 = relation.DefaultPageRows).
+	// Append ignores it: a lineage keeps the stripe geometry it was
+	// registered with.
 	PageRows int
-	// SpillBudgetBytes bounds the resident dictionary build during
-	// Ingest before partial dictionaries spill to temporary files
-	// (0 = 64 MiB). WriteFromRelation ignores it.
-	SpillBudgetBytes int
 }
 
 func (o WriteOptions) normalized() WriteOptions {
@@ -32,9 +30,6 @@ func (o WriteOptions) normalized() WriteOptions {
 	}
 	if o.PageRows == 0 {
 		o.PageRows = relation.DefaultPageRows
-	}
-	if o.SpillBudgetBytes == 0 {
-		o.SpillBudgetBytes = 64 << 20
 	}
 	return o
 }
@@ -46,17 +41,19 @@ type posting struct {
 	runs  []relation.Run
 }
 
-// writer streams one .col file: rows arrive one at a time, pages flush
-// stripe by stripe, and the value index accumulates as runs. Memory is
-// O(m·pageRows + d + runs); the full row set is never resident.
+// writer encodes one .col file from an interned relation: rows arrive
+// one at a time, pages flush stripe by stripe, and the value index
+// accumulates as runs. The writer assigns no ids — names, attributes
+// and the dictionary written to the tail are dict's, whose own rows
+// need not be the rows written (Append writes old pages under the
+// extended dictionary). Beyond dict, memory is O(m·pageRows + runs).
 type writer struct {
 	f   store.File
 	h   header
 	off int64 // bytes written so far
 
-	meta    store.DatasetMeta
-	relName string
-	attrs   []string
+	meta store.DatasetMeta
+	dict *relation.Relation
 
 	cols [][]int32 // m fill buffers, pageRows capacity each
 	fill int       // rows buffered in the current stripe
@@ -65,27 +62,28 @@ type writer struct {
 	post      []posting
 	nullID    []int32 // per attribute, -1 when NULL never occurs
 	nullCount []int
-	valueAttr []int    // value id → attribute index
-	valueStr  []string // value id → dictionary string
 
 	scratch []byte
 }
 
-func newWriter(f store.File, h header, meta store.DatasetMeta, relName string, attrs []string, nullID []int32) (*writer, error) {
+func newWriter(f store.File, h header, meta store.DatasetMeta, dict *relation.Relation) (*writer, error) {
 	w := &writer{
 		f:         f,
 		h:         h,
 		meta:      meta,
-		relName:   relName,
-		attrs:     attrs,
+		dict:      dict,
 		cols:      make([][]int32, h.m),
 		post:      make([]posting, h.d),
-		nullID:    nullID,
+		nullID:    make([]int32, h.m),
 		nullCount: make([]int, h.m),
 		scratch:   make([]byte, 0, pageSize(h.pageRows)),
 	}
 	for a := range w.cols {
 		w.cols[a] = make([]int32, h.pageRows)
+		w.nullID[a] = -1
+		if id, ok := dict.ValueID(a, relation.Null); ok {
+			w.nullID[a] = id
+		}
 	}
 	return w, w.write(encodeHeader(h))
 }
@@ -175,21 +173,21 @@ func (w *writer) encodeTail() []byte {
 	buf = binary.AppendUvarint(buf, uint64(w.meta.Bytes))
 	appendString(w.meta.ID)
 	buf = binary.AppendUvarint(buf, uint64(w.meta.Epoch))
-	appendString(w.relName)
-	for _, a := range w.attrs {
+	appendString(w.dict.Name)
+	for _, a := range w.dict.Attrs {
 		appendString(a)
 	}
 	for _, c := range w.nullCount {
 		buf = binary.AppendUvarint(buf, uint64(c))
 	}
-	for _, s := range w.valueStr {
-		appendString(s)
-	}
-	// Per-attribute index sections. Ids of one attribute are ascending
-	// because interning order is global first-appearance order.
+	// The dictionary in id order, then one index section per attribute.
+	// Ids of one attribute are ascending because interning order is
+	// global first-appearance order.
 	byAttr := make([][]int32, w.h.m)
 	for v := range w.post {
-		byAttr[w.valueAttr[v]] = append(byAttr[w.valueAttr[v]], int32(v))
+		appendString(w.dict.ValueString(int32(v)))
+		a := w.dict.ValueAttr(int32(v))
+		byAttr[a] = append(byAttr[a], int32(v))
 	}
 	for a := 0; a < w.h.m; a++ {
 		ids := byAttr[a]
@@ -213,38 +211,29 @@ func (w *writer) encodeTail() []byte {
 }
 
 // WriteFromRelation writes a resident relation as a .col file named
-// meta.Hash+Ext under dir, returning the final path. The output is
-// byte-identical to Ingest of the same CSV with the same options: the
-// relation's interning order is the dictionary order, so an evicted
-// resident dataset and a streamed registration produce the same file.
+// meta.Hash+Ext under dir, returning the final path. Value ids are
+// written as the relation interned them, so the file, the relation it
+// came from and the relation Table.Relation reads back agree on every
+// id.
 func WriteFromRelation(dir string, meta store.DatasetMeta, rel *relation.Relation, opt WriteOptions) (string, error) {
-	opt = opt.normalized()
-	h := header{pageRows: opt.PageRows, m: rel.M(), n: int64(rel.N()), d: rel.D()}
-	nullID := make([]int32, rel.M())
-	valueAttr := make([]int, rel.D())
-	valueStr := make([]string, rel.D())
-	for v := 0; v < rel.D(); v++ {
-		valueAttr[v] = rel.ValueAttr(int32(v))
-		valueStr[v] = rel.ValueString(int32(v))
-	}
-	for a := range nullID {
-		nullID[a] = -1
-		if id, ok := rel.ValueID(a, relation.Null); ok {
-			nullID[a] = id
-		}
-	}
-	return writeFile(dir, meta, opt, h, rel.Name, rel.Attrs, nullID, valueAttr, valueStr, func(w *writer) error {
-		for t := 0; t < rel.N(); t++ {
-			if err := w.writeRow(rel.Row(t)); err != nil {
-				return err
-			}
-		}
-		return nil
+	return writeFile(dir, meta, opt.normalized(), rel, int64(rel.N()), func(w *writer) error {
+		return w.writeRows(rel)
 	})
 }
 
-// writeFile runs the temp→fsync→rename discipline around a writer body.
-func writeFile(dir string, meta store.DatasetMeta, opt WriteOptions, h header, relName string, attrs []string, nullID []int32, valueAttr []int, valueStr []string, body func(*writer) error) (string, error) {
+// writeRows appends every tuple of rel.
+func (w *writer) writeRows(rel *relation.Relation) error {
+	for t := 0; t < rel.N(); t++ {
+		if err := w.writeRow(rel.Row(t)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeFile runs the temp→fsync→rename discipline around a writer body
+// that writes n rows under dict's schema and dictionary.
+func writeFile(dir string, meta store.DatasetMeta, opt WriteOptions, dict *relation.Relation, n int64, body func(*writer) error) (string, error) {
 	if meta.Hash == "" || meta.Hash != filepath.Base(meta.Hash) {
 		return "", fmt.Errorf("colstore: invalid dataset hash %q", meta.Hash)
 	}
@@ -260,12 +249,11 @@ func writeFile(dir string, meta store.DatasetMeta, opt WriteOptions, h header, r
 		_ = opt.FS.Remove(tmp)
 		return "", err
 	}
-	w, err := newWriter(f, h, meta, relName, attrs, nullID)
+	h := header{pageRows: opt.PageRows, m: dict.M(), n: n, d: dict.D()}
+	w, err := newWriter(f, h, meta, dict)
 	if err != nil {
 		return fail(err)
 	}
-	w.valueAttr = valueAttr
-	w.valueStr = valueStr
 	if err := body(w); err != nil {
 		return fail(err)
 	}

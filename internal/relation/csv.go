@@ -51,10 +51,10 @@ func ReadCSVLimited(name string, r io.Reader, lim Limits) (*Relation, error) {
 // ScanCSV streams a header-first CSV without materializing anything:
 // the header callback runs once after validation, then the row callback
 // runs per data record with its 1-based line number. The record slice
-// is reused between calls; callbacks must copy what they keep. Limits
-// are enforced exactly as in ReadCSVLimited, and every error carries
-// the line number. The colstore ingest passes run over this so their
-// limit and error behavior cannot drift from the resident parser.
+// is reused between calls; callbacks must copy what they keep. Every
+// error carries the line number. ReadCSVLimited and AppendCSV — the
+// only CSV parses behind a registration or an append, on either storage
+// tier — both run over this, so limits and error texts cannot drift.
 func ScanCSV(r io.Reader, lim Limits, onHeader func(header []string) error, onRow func(line int, rec []string) error) error {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -124,7 +124,13 @@ func ReadCSVFileLimited(path string, lim Limits) (*Relation, error) {
 // as the literal token so a round-trip is lossless.
 func (r *Relation) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(r.Attrs); err != nil {
+	if len(r.Attrs) == 1 && r.Attrs[0] == "" {
+		// encoding/csv writes a lone empty field as an empty line, which
+		// every reader skips: quote it, or the header is lost.
+		if _, err := io.WriteString(w, "\"\"\n"); err != nil {
+			return err
+		}
+	} else if err := cw.Write(r.Attrs); err != nil {
 		return err
 	}
 	for t := 0; t < r.N(); t++ {

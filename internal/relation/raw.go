@@ -8,7 +8,10 @@ import "fmt"
 // names it reconstructs a Relation bit-identically — value ids keep
 // their original interning order, so a relation restored from disk has
 // the same ids, the same dictionary, and the same WriteCSV bytes as the
-// original parse.
+// original parse. With Rows left nil it is a file's schema and
+// dictionary alone: the rowless relation colstore.Append hands to
+// AppendCSV, so an appended body is interned by this package whether or
+// not the dataset's rows are in memory.
 type Raw struct {
 	Name      string
 	Attrs     []string
@@ -37,13 +40,17 @@ func FromRaw(raw Raw) (*Relation, error) {
 		valueAttr: raw.ValueAttr,
 		dict:      make([]map[string]int32, m),
 	}
-	for a := range r.dict {
-		r.dict[a] = map[string]int32{}
-	}
+	sizes := make([]int, m) // per-attribute dictionary sizes: the maps never regrow
 	for id, a := range raw.ValueAttr {
 		if a < 0 || a >= m {
 			return nil, fmt.Errorf("relation: value %d references attribute %d of %d", id, a, m)
 		}
+		sizes[a]++
+	}
+	for a := range r.dict {
+		r.dict[a] = make(map[string]int32, sizes[a])
+	}
+	for id, a := range raw.ValueAttr {
 		s := raw.ValueStr[id]
 		if prior, dup := r.dict[a][s]; dup {
 			return nil, fmt.Errorf("relation: duplicate dictionary entry %q under attribute %d (ids %d and %d)",

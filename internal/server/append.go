@@ -30,8 +30,8 @@ import (
 // A crash anywhere in between is replayed on restart by
 // Registry.RecoverAppends, so appended rows are never lost and never
 // applied twice. A resident dataset additionally extends its in-memory
-// relation with relation.AppendCSV, which assigns the same value ids
-// colstore.Append writes.
+// relation with relation.AppendCSV — the call colstore.Append makes
+// against the file's dictionary: one header check, one id assignment.
 
 // appendHash advances a dataset's content hash across an append:
 // SHA-256 over the previous hash's hex bytes followed by the appended
@@ -47,11 +47,11 @@ func appendHash(oldHash string, body []byte) string {
 // AppendCSV appends CSV rows (a header line plus data rows, validated
 // under the same shape checks as registration) to the dataset with the
 // given id or hash, returning the post-append dataset. Appends are
-// serialized: each is a multi-step identity transition and interleaving
-// two would fork the lineage.
+// serialized (writeMu): each is a multi-step identity transition and
+// interleaving two would fork the lineage.
 func (g *Registry) AppendCSV(id string, body []byte) (*Dataset, error) {
-	g.appendMu.Lock()
-	defer g.appendMu.Unlock()
+	g.writeMu.Lock()
+	defer g.writeMu.Unlock()
 
 	ds, ok := g.Get(id)
 	if !ok {

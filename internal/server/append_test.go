@@ -279,6 +279,19 @@ func TestAppendContracts(t *testing.T) {
 	do("err_append_over_budget.json", "POST", "/v1/datasets/"+ds.ID+"/append",
 		[]byte(over), http.StatusInsufficientStorage)
 
+	// The shape error is tier-independent: a paged dataset, whose body is
+	// checked against the file's schema, answers with the same bytes.
+	_, paged := newTestServer(t, Config{Workers: 1, Store: openStoreClosed(t, t.TempDir()), ResidentBytes: 1})
+	var pds Dataset
+	if code, b := doJSON(t, "POST", paged.URL+"/v1/datasets?name=toy", []byte(contractCSV), &pds); code != http.StatusCreated || pds.Storage != StoragePaged {
+		t.Fatalf("paged register: %d %s", code, b)
+	}
+	code, raw := doJSON(t, "POST", paged.URL+"/v1/datasets/"+pds.ID+"/append", []byte("A,B\n1,2\n"), nil)
+	if code != http.StatusBadRequest {
+		t.Fatalf("paged shape mismatch = %d, want 400 (%s)", code, raw)
+	}
+	checkGolden(t, "err_append_shape.json", raw)
+
 	// The route exists under /v1 only: the bare path is the mux's 404.
 	if code, _ := doJSON(t, "POST", ts.URL+"/datasets/"+ds.ID+"/append",
 		[]byte("EmpNo,Name,Dept,City\n7,Kim,Eng,Oslo\n"), nil); code != http.StatusNotFound {

@@ -5,12 +5,15 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -386,5 +389,184 @@ func TestRecoveryHonoursResidentBudget(t *testing.T) {
 	if s2.reg.Len() != 3 || resident != 2 || s2.reg.ResidentBytes() > budget {
 		t.Fatalf("recovered %d datasets, %d resident holding %d of %d budget bytes; want 3, 2",
 			s2.reg.Len(), resident, s2.reg.ResidentBytes(), budget)
+	}
+}
+
+// TestRefusedRegistrationLeavesNoFile: a registration refused at
+// -max-datasets writes no dataset file, on either tier — whether it is
+// refused before its parse (the registry was already full) or after it
+// (it lost the last slot to a concurrent registration). A leftover file
+// is not litter: the next boot's directory sweep could adopt it instead
+// of the dataset the client was told about.
+func TestRefusedRegistrationLeavesNoFile(t *testing.T) {
+	for _, tier := range []struct {
+		name   string
+		budget int64
+	}{{"resident", 0}, {"paged", 1}} {
+		t.Run(tier.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{Workers: 1, MaxDatasets: 1, ResidentBytes: tier.budget}
+			cfg.Store = openStore(t, dir)
+			s := New(cfg)
+
+			// Four registrations race for the one slot.
+			type outcome struct {
+				ds  *Dataset
+				err error
+			}
+			results := make(chan outcome, 4)
+			for i := 0; i < cap(results); i++ {
+				data := csvOf(appendCSVRows(60+i, int64(i)))
+				go func() {
+					ds, _, err := s.reg.RegisterCSV("", "upload", data)
+					results <- outcome{ds, err}
+				}()
+			}
+			var kept *Dataset
+			for i := 0; i < cap(results); i++ {
+				switch r := <-results; {
+				case r.err == nil && kept == nil:
+					kept = r.ds
+				case r.err == nil:
+					t.Fatalf("two registrations admitted at -max-datasets 1: %s and %s", kept.ID, r.ds.ID)
+				case !errors.Is(r.err, ErrDatasetLimit):
+					t.Fatalf("refusal: %v, want ErrDatasetLimit", r.err)
+				}
+			}
+			if kept == nil {
+				t.Fatal("no registration admitted")
+			}
+			// And one arrives at a registry that is already full.
+			if _, _, err := s.reg.RegisterCSV("late", "upload", csvOf(appendCSVRows(30, 9))); !errors.Is(err, ErrDatasetLimit) {
+				t.Fatalf("registration at the cap: %v, want ErrDatasetLimit", err)
+			}
+			want := []string{kept.Hash + colstore.Ext}
+			if files := dirNames(t, filepath.Join(dir, "colstore")); !reflect.DeepEqual(files, want) {
+				t.Fatalf("colstore holds %v after the refusals, want only %v", files, want)
+			}
+			_ = s.Shutdown(context.Background())
+			cfg.Store.Close()
+
+			cfg.Store = openStoreClosed(t, dir)
+			s2 := New(cfg)
+			defer s2.Shutdown(context.Background())
+			if got, ok := s2.reg.Get(kept.ID); !ok || got.Hash != kept.Hash || s2.reg.Len() != 1 {
+				t.Fatalf("reboot recovered %d datasets (%+v), want exactly %s", s2.reg.Len(), got, kept.ID)
+			}
+		})
+	}
+}
+
+// renameGateFS parks the rename that publishes a dataset file, once
+// armed, until released — a slow disk under a registration.
+type renameGateFS struct {
+	store.FS
+	armed   atomic.Bool
+	renames atomic.Int32
+	entered chan struct{} // buffered: signals the first parked rename
+	release chan struct{} // closed to let renames through
+}
+
+func (f *renameGateFS) Rename(oldPath, newPath string) error {
+	if f.armed.Load() && strings.HasSuffix(newPath, colstore.Ext) {
+		f.renames.Add(1)
+		select {
+		case f.entered <- struct{}{}:
+		default:
+		}
+		<-f.release
+	}
+	return f.FS.Rename(oldPath, newPath)
+}
+
+// TestRegisterDoesNotHoldRegistryLockAcrossWrite: a registration writes,
+// syncs and renames its dataset file outside the registry lock — while
+// it is stuck in the rename, lookups, listings and pins of other
+// datasets keep being answered. A second registration of the same bytes
+// under another name meanwhile neither writes the file again nor
+// renames the dataset: one entry, carrying the name its file carries.
+func TestRegisterDoesNotHoldRegistryLockAcrossWrite(t *testing.T) {
+	for _, tier := range []struct {
+		name   string
+		budget int64
+	}{{"resident", 0}, {"paged", 1}} {
+		t.Run(tier.name, func(t *testing.T) {
+			dir := t.TempDir()
+			gate := &renameGateFS{FS: store.OS(), entered: make(chan struct{}, 1), release: make(chan struct{})}
+			st, err := store.Open(dir, store.Options{FS: gate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Workers: 1, Store: st, ResidentBytes: tier.budget}
+			s := New(cfg)
+			other, _, err := s.reg.RegisterCSV("other", "upload", csvOf(appendCSVRows(40, 1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gate.armed.Store(true)
+
+			data := csvOf(appendCSVRows(80, 2))
+			type outcome struct {
+				ds      *Dataset
+				created bool
+			}
+			register := func(name string, out chan<- outcome) {
+				ds, created, err := s.reg.RegisterCSV(name, "upload", data)
+				if err != nil {
+					t.Errorf("register %q: %v", name, err)
+				}
+				out <- outcome{ds, created}
+			}
+			first, second := make(chan outcome, 1), make(chan outcome, 1)
+			go register("first", first)
+			select {
+			case <-gate.entered: // "first" is now inside the rename of its file
+			case <-time.After(10 * time.Second):
+				t.Fatal("registration never reached the rename of its dataset file")
+			}
+			go register("second", second)
+
+			answered := make(chan struct{})
+			go func() {
+				defer close(answered)
+				if _, ok := s.reg.Get(other.ID); !ok {
+					t.Error("Get lost the other dataset")
+				}
+				s.reg.Len()
+				s.reg.Page("", 0)
+				_, _, release, err := s.reg.Pin(other.ID)
+				if err != nil {
+					t.Errorf("Pin: %v", err)
+					return
+				}
+				release()
+			}()
+			select {
+			case <-answered:
+			case <-time.After(10 * time.Second):
+				t.Error("Get, Len, Page and Pin of another dataset are stuck behind a registration's file write")
+			}
+			close(gate.release)
+			a, b := <-first, <-second
+			if t.Failed() {
+				t.FailNow()
+			}
+			if !a.created || b.created || b.ds != a.ds || a.ds.Name != "first" || s.reg.Len() != 2 {
+				t.Fatalf("first: %+v (created %v), second: %+v (created %v), %d datasets; want one entry named by the registration that wrote the file",
+					a.ds, a.created, b.ds, b.created, s.reg.Len())
+			}
+			if n := gate.renames.Load(); n != 1 {
+				t.Fatalf("the dataset file was published %d times, want once", n)
+			}
+			_ = s.Shutdown(context.Background())
+			st.Close()
+
+			cfg.Store = openStoreClosed(t, dir)
+			s2 := New(cfg)
+			defer s2.Shutdown(context.Background())
+			if got, ok := s2.reg.Get(a.ds.Hash); !ok || got.Name != "first" || s2.reg.Len() != 2 {
+				t.Fatalf("after a reboot: %+v of %d datasets, want the name the registry answered with", got, s2.reg.Len())
+			}
+		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -166,10 +165,12 @@ type Registry struct {
 	recovered     int
 	appendReplays int
 
-	// appendMu serializes appends: each one is a multi-step identity
-	// transition (intent record, new artifact, old-state removal), and
-	// interleaving two would fork the lineage.
-	appendMu sync.Mutex
+	// writeMu serializes every change to the set of dataset files. An
+	// append is a multi-step identity transition (intent record, new file,
+	// old-file removal) and interleaving two would fork the lineage; a
+	// registration decides "not registered, not full" and writes its file
+	// under it, so a refused or raced one leaves no file. g.mu nests inside.
+	writeMu sync.Mutex
 }
 
 // shortIDLen is the initial alias length: 12 hex digits of SHA-256.
@@ -236,115 +237,95 @@ func (g *Registry) touch(ds *Dataset) {
 	}
 }
 
+// admit reports why hash needs no registration work: it is registered
+// already (the dataset is returned), or the registry is at its cap.
+func (g *Registry) admit(hash string) (*Dataset, error) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	if prior, ok := g.byHash[hash]; ok {
+		return prior, nil
+	}
+	if g.max > 0 && len(g.byHash) >= g.max {
+		return nil, fmt.Errorf("%w (%d resident)", ErrDatasetLimit, len(g.byHash))
+	}
+	return nil, nil
+}
+
 // RegisterCSV parses CSV bytes and registers the resulting relation. It
 // is idempotent on content: re-registering the same bytes returns the
-// existing dataset (and reports created=false). Content larger than the
-// resident budget is admitted straight to the paged tier — streamed
-// into a colstore file instead of being parsed into memory.
+// existing dataset (and reports created=false). Both tiers take one
+// path — parse, then with a store attached write the dataset's file —
+// and differ in what stays in memory: the parsed relation while the
+// content fits the resident budget, only the open file when it does not.
 func (g *Registry) RegisterCSV(name, source string, data []byte) (ds *Dataset, created bool, err error) {
 	sum := sha256.Sum256(data)
 	hash := hex.EncodeToString(sum[:])
+	size := int64(len(data))
 
-	g.mu.RLock()
-	existing := g.byHash[hash]
-	g.mu.RUnlock()
-	if existing != nil {
-		g.touch(existing)
-		return existing, false, nil
+	// Answer a re-registration, and refuse at the cap, before paying for
+	// the parse; writeMu below makes the same check final.
+	if prior, err := g.admit(hash); prior != nil || err != nil {
+		g.touch(prior)
+		return prior, false, err
 	}
-
 	if name == "" {
 		name = "dataset-" + hash[:shortIDLen]
 	}
-	if g.budget > 0 && int64(len(data)) > g.budget {
-		if g.st == nil {
-			return nil, false, fmt.Errorf("%w (%d > %d bytes)", ErrPagedNeedsStore, len(data), g.budget)
-		}
-		return g.registerPaged(name, source, hash, data)
+	resident := g.budget == 0 || size <= g.budget
+	if !resident && g.st == nil {
+		return nil, false, fmt.Errorf("%w (%d > %d bytes)", ErrPagedNeedsStore, size, g.budget)
 	}
 	rel, err := relation.ReadCSVLimited(name, bytes.NewReader(data), g.lim)
 	if err != nil {
 		return nil, false, err
 	}
-	summary := task.Describe(rel)
+	var summary *task.DescribeResult
+	if resident {
+		summary = task.Describe(rel)
+	}
 
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if prior, ok := g.byHash[hash]; ok { // lost a registration race
-		return prior, false, nil
+	g.writeMu.Lock()
+	defer g.writeMu.Unlock()
+	if prior, err := g.admit(hash); prior != nil || err != nil { // lost a race while parsing
+		return prior, false, err
 	}
-	if g.max > 0 && len(g.byHash) >= g.max {
-		return nil, false, fmt.Errorf("%w (%d resident)", ErrDatasetLimit, len(g.byHash))
-	}
-	ds = &Dataset{
-		ID: g.assignIDLocked(hash), Name: name, Hash: hash, Source: source,
-		Bytes: int64(len(data)), Storage: StorageResident, Summary: summary,
-		rel: rel, use: &atomic.Int64{},
-	}
+	g.mu.RLock()
+	id := g.assignIDLocked(hash)
+	g.mu.RUnlock()
 	// Durability before residency: if the dataset file cannot be written
 	// the registration fails outright, so the server never carries
-	// datasets a restart would silently forget.
+	// datasets a restart would silently forget. g.mu is not held across
+	// the write — lookups go on — and nothing can enter this hash or fill
+	// the registry meanwhile: every insert takes writeMu.
+	var path string
 	if g.st != nil {
-		meta := store.DatasetMeta{
-			Hash: hash, Name: name, Source: source,
-			Bytes: int64(len(data)), ID: ds.ID,
-		}
+		meta := store.DatasetMeta{Hash: hash, Name: name, Source: source, Bytes: size, ID: id}
 		dir, err := g.st.ColstoreDir()
 		if err == nil {
-			ds.colPath, err = colstore.WriteFromRelation(dir, meta, rel, g.writeOpts())
+			path, err = colstore.WriteFromRelation(dir, meta, rel, g.writeOpts())
 		}
 		if err != nil {
 			return nil, false, fmt.Errorf("%w: %v", ErrStoreWrite, err)
 		}
-		ds.handle = &pagedHandle{prim: g.prim, refs: 1}
 	}
-	g.addLocked(ds)
-	g.evictLocked()
-	return ds, true, nil
-}
-
-// registerPaged admits over-budget content to the colstore tier: the
-// CSV streams through the bounded-memory ingest into a paged file
-// (skipped when the content-addressed file already exists), and the
-// summary is computed from the value index. The colstore tail carries
-// the dataset metadata, so the file is self-describing and re-adopted
-// at boot.
-func (g *Registry) registerPaged(name, source, hash string, data []byte) (*Dataset, bool, error) {
-	dir, err := g.st.ColstoreDir()
-	if err != nil {
-		return nil, false, fmt.Errorf("%w: %v", ErrStoreWrite, err)
-	}
-	path := filepath.Join(dir, hash+colstore.Ext)
-	meta := store.DatasetMeta{
-		Hash: hash, Name: name, Source: source,
-		Bytes: int64(len(data)), ID: hash[:shortIDLen],
-	}
-	if _, err := os.Stat(path); err != nil {
-		open := func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil }
-		if _, err := colstore.Ingest(dir, meta, open, g.lim, g.writeOpts()); err != nil {
-			if errors.Is(err, colstore.ErrCorrupt) {
-				return nil, false, fmt.Errorf("%w: %v", ErrStoreWrite, err)
-			}
-			return nil, false, err
+	// Within the budget the parse stays; over it the file is the dataset,
+	// described from its value index, and the parse is garbage from here.
+	if resident {
+		ds = &Dataset{
+			ID: id, Name: name, Hash: hash, Source: source, Bytes: size,
+			Storage: StorageResident, Summary: summary,
+			rel: rel, colPath: path, use: &atomic.Int64{},
 		}
-	}
-	ds, err := g.openCol(path, hash)
-	if err != nil {
+		if g.st != nil {
+			ds.handle = &pagedHandle{prim: g.prim, refs: 1}
+		}
+	} else if ds, err = g.openCol(path, hash); err != nil {
 		return nil, false, err
 	}
-
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	if prior, ok := g.byHash[hash]; ok {
-		ds.handle.table.Close()
-		return prior, false, nil
-	}
-	if g.max > 0 && len(g.byHash) >= g.max {
-		ds.handle.table.Close()
-		return nil, false, fmt.Errorf("%w (%d resident)", ErrDatasetLimit, len(g.byHash))
-	}
-	ds.ID = g.claimIDLocked(ds.ID, hash)
 	g.addLocked(ds)
+	g.evictLocked()
+	g.mu.Unlock()
 	return ds, true, nil
 }
 
@@ -417,6 +398,8 @@ func (g *Registry) RecoverColstore() {
 	if g.st == nil {
 		return
 	}
+	g.writeMu.Lock()
+	defer g.writeMu.Unlock()
 	dir, err := g.st.ColstoreDir()
 	if err != nil {
 		return
@@ -439,12 +422,8 @@ func (g *Registry) RecoverColstore() {
 			continue
 		}
 		hash := strings.TrimSuffix(e.Name(), colstore.Ext)
-		g.mu.RLock()
-		_, known := g.byHash[hash]
-		full := g.max > 0 && len(g.byHash) >= g.max
-		g.mu.RUnlock()
-		if known || full {
-			continue
+		if prior, err := g.admit(hash); prior != nil || err != nil {
+			continue // already registered, or the registry is full
 		}
 		ds, err := g.openCol(path, hash)
 		if err != nil {

@@ -73,8 +73,8 @@ type Config struct {
 	MaxDatasets int
 	// ResidentBytes caps the total CSV bytes of relations held in
 	// memory (0 = unlimited). It needs Store: registrations above the
-	// budget are admitted out of core — streamed into a colstore file
-	// and served page-at-a-time ("storage":"paged") — and resident
+	// budget are admitted out of core — written to a colstore file and
+	// served from it page-at-a-time ("storage":"paged") — and resident
 	// datasets drop their in-memory relation, least recently used first,
 	// when the total exceeds the budget. Evicted datasets keep their id,
 	// summary and colstore file.

@@ -3,11 +3,13 @@
 # gate for the concurrent AIB / LIMBO / TANE code paths. The focused
 # -count=2 leg re-runs the execution engine and fan-out suites so the
 # sync.Pool arena recycling sees reuse (a pool only hands back reset
-# arenas on the second pass) with the race detector watching.
+# arenas on the second pass) with the race detector watching. The fuzz
+# targets then mutate for 3 s each (CI gives them 10 s).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 go vet ./...
 go test -race ./...
 go test -race -count=2 ./internal/exec
+scripts/fuzz.sh 3s
 scripts/smoke.sh

@@ -397,6 +397,8 @@ if [ "$phits1" -le "$phits0" ]; then
 fi
 echo "smoke: primitive cache hit on the second submission (hits $phits0 -> $phits1)"
 
+# Append errors are tier-independent: the paged tier answers a shape mismatch with the text golden/err_append_shape.json pins.
+curl -sS -X POST --data-binary $'A,B\n1,2\n' -H 'Content-Type: text/csv' "$base/v1/datasets/$ds/append" | jq -e '.error.code == "shape_mismatch" and (.error.message | test(": body has 2 attributes, dataset has [0-9]+$"))' >/dev/null || { echo "smoke: FAIL — shape-mismatched append to a paged dataset does not answer with the resident tier's error"; exit 1; }
 pmiss0=$(pmetric structmine_primcache_misses_total)
 head -n1 "$workdir/db2sample.csv" > "$workdir/pappend.csv"
 tail -n3 "$workdir/db2sample.csv" >> "$workdir/pappend.csv"
