@@ -21,10 +21,14 @@
 //	decompose    apply the top-ranked FD as a lossless vertical split
 //	joins        discover join paths across several CSVs (-mincont)
 //
-// Every task also accepts -json, which emits the same machine-readable
-// result the structmined server serves — one output contract for both
-// front ends — and -stats, which prints per-stage wall-clock timings to
-// stderr after the run.
+// Every invocation is one internal/task run — the pipeline the
+// structmined server runs for a job — with only the flags actually
+// passed turned into knobs, so an unset knob takes the task's default
+// (report: -phit 0.3; approx-fds: -eps 0.05, -maxlhs 3; rank-fds: -psi
+// 0.5; …). The result is printed as text, or with -json as the same
+// machine-readable encoding the server serves — one analysis, two
+// renderings. -stats prints the run's per-stage wall-clock timings to
+// stderr.
 package main
 
 import (
@@ -32,7 +36,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"structmine"
 	"structmine/internal/obs"
@@ -48,12 +54,6 @@ func main() {
 
 func usageError() error {
 	return fmt.Errorf("usage: structmine <task> [flags] <file.csv ...>\n\nTasks:\n%s", task.Usage())
-}
-
-func printJSON(v any) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }
 
 func run(args []string) error {
@@ -101,10 +101,8 @@ func run(args []string) error {
 	}
 
 	// With -stats every stage records itself on a trace carried by the
-	// context; the report lands on stderr so it composes with -json on
-	// stdout. In -json mode the runner's internal stage boundaries are
-	// traced; the text renderers call the miner directly, so they time
-	// parsing and the task as two coarse stages.
+	// context — parsing here, then the runner's own stage boundaries — and
+	// the report lands on stderr so it composes with -json on stdout.
 	ctx := context.Background()
 	var tr *obs.Trace
 	if *stats {
@@ -116,11 +114,15 @@ func run(args []string) error {
 		}()
 	}
 
+	// One pipeline per task: text and -json run the same call and differ
+	// only in how the result struct is written out.
+	var r *structmine.Relation
+	var res any
+	tr.Enter("parse")
 	if taskName == "joins" {
 		if fs.NArg() < 2 {
 			return fmt.Errorf("task joins requires at least two CSV files")
 		}
-		tr.Enter("parse")
 		var rels []*structmine.Relation
 		for _, path := range fs.Args() {
 			rel, err := structmine.ReadCSVFile(path)
@@ -130,219 +132,131 @@ func run(args []string) error {
 			rels = append(rels, rel)
 		}
 		tr.Enter("join discovery")
-		if *jsonOut {
-			return printJSON(structmine.FindJoinableResult(rels, *minCont, 2))
+		res = structmine.FindJoinableResult(rels, *minCont, 2)
+	} else {
+		if fs.NArg() != 1 {
+			return fmt.Errorf("task %s requires exactly one CSV file", taskName)
 		}
-		cands := structmine.FindJoinable(rels, *minCont, 2)
-		fmt.Printf("%d joinable attribute pairs (containment >= %g):\n", len(cands), *minCont)
-		for i, c := range cands {
-			if i >= *topN {
-				fmt.Printf("  ... %d more\n", len(cands)-i)
-				break
-			}
-			fmt.Printf("  %s.%s -> %s.%s  containment=%.2f jaccard=%.2f\n",
-				c.FromRelation, c.FromAttr, c.ToRelation, c.ToAttr, c.Containment, c.Jaccard)
+		var err error
+		if r, err = structmine.ReadCSVFile(fs.Arg(0)); err != nil {
+			return err
 		}
-		return nil
-	}
-
-	if fs.NArg() != 1 {
-		return fmt.Errorf("task %s requires exactly one CSV file", taskName)
-	}
-	tr.Enter("parse")
-	r, err := structmine.ReadCSVFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	m := structmine.NewMiner(r, structmine.Options{PhiT: *phiT, PhiV: *phiV, Psi: *psi})
-
-	if *jsonOut {
 		// task.Run applies the per-task defaults to unset knobs — the same
 		// normalization the structmined server runs on submitted jobs, so
-		// the CLI's -json output matches a server job byte for byte.
-		res, err := task.Run(ctx, r, taskName, params)
-		if err != nil {
+		// -json output matches a server job byte for byte.
+		if res, err = task.Run(ctx, r, taskName, params); err != nil {
 			return err
 		}
-		return printJSON(res)
 	}
+	if *jsonOut {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(res)
+	}
+	renderText(os.Stdout, r, res, *topN)
+	return nil
+}
 
-	tr.Enter(taskName)
-	fmt.Println(m.Describe())
+// renderText writes a task result for the terminal, at most top rows of
+// each list. r is the parsed relation the result was mined from (nil for
+// joins); only dedup reads it, to show the tuples behind the row ids.
+func renderText(w io.Writer, r *structmine.Relation, res any, top int) {
+	if r != nil {
+		fmt.Fprintf(w, "%s: %d tuples, %d attributes, %d values\n", r.Name, r.N(), r.M(), r.D())
+	}
+	// Lists show their first top rows (shown) and say how many they cut (more).
+	top = max(top, 0)
+	shown := func(n int) int { return min(n, top) }
+	more := func(n int) {
+		if n > top {
+			fmt.Fprintf(w, "  ... %d more\n", n-top)
+		}
+	}
+	switch res := res.(type) {
+	case *task.DescribeResult:
+		for _, a := range res.Attrs {
+			fmt.Fprintf(w, "  %-24s %5d distinct, %5.1f%% NULL\n", a.Name, a.Distinct, 100*a.NullFraction)
+		}
 
-	switch taskName {
-	case "describe":
-		for a := 0; a < r.M(); a++ {
-			fmt.Printf("  %-24s %5d distinct, %5.1f%% NULL\n",
-				r.Attrs[a], r.DomainSize(a), 100*r.NullFraction(a))
-		}
-		return nil
+	case *task.ReportResult:
+		fmt.Fprint(w, res.Text)
 
-	case "report":
-		text, err := m.StructureReport()
-		if err != nil {
-			return err
-		}
-		fmt.Print(text)
-		return nil
-
-	case "approx-fds":
-		lhs := *maxLHS
-		if lhs == 0 {
-			lhs = 3
-		}
-		fds, err := m.MineApproxFDs(*eps, lhs)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%d minimal approximate FDs with g3 ≤ %g (LHS ≤ %d):\n", len(fds), *eps, lhs)
-		for i, a := range fds {
-			if i >= *topN {
-				fmt.Printf("  ... %d more\n", len(fds)-i)
-				break
-			}
-			fmt.Printf("  %-52s g3=%.4f\n", m.FormatFD(a.FD), a.Err)
-		}
-		return nil
-
-	case "dedup":
-		rep := m.FindDuplicateTuples()
-		fmt.Printf("%d duplicate-candidate groups (φT=%g, threshold %.3g)\n",
-			len(rep.Groups), *phiT, rep.Threshold)
-		printed := 0
-		for gi, group := range rep.Groups {
-			if len(group) < 2 || printed >= *topN {
-				continue
-			}
-			fmt.Printf("group %d (%d tuples):\n", gi, len(group))
+	case *task.DedupResult:
+		fmt.Fprintf(w, "%d duplicate-candidate groups (φT=%g, threshold %.3g)\n",
+			len(res.Groups), res.PhiT, res.Threshold)
+		for gi, group := range res.Groups[:shown(len(res.Groups))] {
+			fmt.Fprintf(w, "group %d (%d tuples):\n", gi, len(group))
 			for _, t := range group {
-				fmt.Printf("  #%-6d %v\n", t, r.TupleStrings(t))
+				fmt.Fprintf(w, "  #%-6d %v\n", t, r.TupleStrings(t))
 			}
-			printed++
 		}
-		pairs := m.RefineDuplicates(rep, *minSim)
-		if len(pairs) > 0 {
-			fmt.Printf("\ntop pairs by string similarity (≥ %g):\n", *minSim)
-			for i, p := range pairs {
-				if i >= *topN {
-					break
-				}
-				fmt.Printf("  #%d ~ #%d  agree=%d/%d similarity=%.3f\n",
+		more(len(res.Groups))
+		if len(res.Pairs) > 0 {
+			fmt.Fprintf(w, "\ntop pairs by string similarity (≥ %g):\n", res.MinSim)
+			for _, p := range res.Pairs[:shown(len(res.Pairs))] {
+				fmt.Fprintf(w, "  #%d ~ #%d  agree=%d/%d similarity=%.3f\n",
 					p.T1, p.T2, p.Agree, r.M(), p.Similarity)
 			}
 		}
-		return nil
 
-	case "partition":
-		res := m.HorizontalPartition(*k)
-		fmt.Printf("k = %d partitions (information loss vs summaries: %.2f%%)\n", res.K, res.InfoLossFrac*100)
-		for i, cluster := range res.Clusters {
-			fmt.Printf("  partition %d: %d tuples, e.g. %v\n", i+1, len(cluster), r.TupleStrings(cluster[0]))
+	case *task.PartitionResult:
+		fmt.Fprintf(w, "k = %d partitions (information loss vs summaries: %.2f%%)\n", res.K, res.InfoLossFrac*100)
+		for i, g := range res.Partitions {
+			fmt.Fprintf(w, "  partition %d: %d tuples, e.g. %v\n", i+1, g.Size, g.Sample)
 		}
-		return nil
 
-	case "values":
-		vc := m.ClusterValues()
-		dups := vc.DuplicateGroups()
-		fmt.Printf("%d value groups, %d duplicate groups (C_V^D) at φV=%g\n",
-			len(vc.Groups), len(dups), *phiV)
-		printed := 0
-		for _, gi := range dups {
-			if printed >= *topN {
-				break
-			}
-			g := vc.Groups[gi]
-			if len(g.Values) < 2 {
-				continue
-			}
-			fmt.Printf("  group (%d tuples):", g.DCF.N)
-			for _, v := range g.Values {
-				fmt.Printf(" %s", r.ValueLabel(v))
-			}
-			fmt.Println()
-			printed++
+	case *task.ValuesResult:
+		fmt.Fprintf(w, "%d value groups, %d duplicate groups (C_V^D) at φV=%g\n",
+			res.NumGroups, res.NumDuplicateGroups, res.PhiV)
+		for _, g := range res.DuplicateGroups[:shown(len(res.DuplicateGroups))] {
+			fmt.Fprintf(w, "  group (%d tuples): %s\n", g.Tuples, strings.Join(g.Values, " "))
 		}
-		return nil
+		more(len(res.DuplicateGroups))
 
-	case "group-attrs":
-		g, vc := m.GroupAttributes(*double)
-		fmt.Printf("A^D has %d attributes over %d duplicate groups\n",
-			len(g.AttrIdx), len(vc.DuplicateGroups()))
-		fmt.Print(g.Dendrogram().ASCII(78))
-		return nil
+	case *task.GroupAttrsResult:
+		fmt.Fprintf(w, "A^D has %d attributes over %d duplicate groups\n", len(res.Attrs), res.NumDuplicateGroups)
+		fmt.Fprint(w, res.Dendrogram)
 
-	case "mine-mvds":
-		mvds, err := m.MineMVDs(*maxLHS, true)
-		if err != nil {
-			return err
+	case *task.MVDsResult:
+		fmt.Fprintf(w, "%d non-trivial MVDs (FD-implied suppressed):\n", len(res.MVDs))
+		for _, v := range res.MVDs[:shown(len(res.MVDs))] {
+			fmt.Fprintln(w, "  "+v.Label)
 		}
-		fmt.Printf("%d non-trivial MVDs (FD-implied suppressed):\n", len(mvds))
-		for i, v := range mvds {
-			if i >= *topN {
-				fmt.Printf("  ... %d more\n", len(mvds)-i)
-				break
-			}
-			fmt.Println("  " + v.Format(r.Attrs))
-		}
-		return nil
+		more(len(res.MVDs))
 
-	case "mine-fds":
-		fds, err := m.MineFDs()
-		if err != nil {
-			return err
+	case *task.FDsResult:
+		fmt.Fprintf(w, "%d minimal FDs, %d in minimum cover:\n", res.NumMinimal, len(res.Cover))
+		for _, f := range res.Cover {
+			fmt.Fprintln(w, "  "+f.Label)
 		}
-		cover := structmine.MinCover(fds)
-		fmt.Printf("%d minimal FDs, %d in minimum cover:\n", len(fds), len(cover))
-		for _, f := range cover {
-			fmt.Println("  " + m.FormatFD(f))
-		}
-		return nil
 
-	case "rank-fds":
-		fds, err := m.MineFDs()
-		if err != nil {
-			return err
+	case *task.ApproxFDsResult:
+		fmt.Fprintf(w, "%d minimal approximate FDs with g3 ≤ %g (LHS ≤ %d):\n", len(res.FDs), res.Eps, res.MaxLHS)
+		for _, a := range res.FDs[:shown(len(res.FDs))] {
+			fmt.Fprintf(w, "  %-52s g3=%.4f\n", a.FD.Label, a.G3)
 		}
-		cover := structmine.MinCover(fds)
-		ranked, err := m.RankFDs(cover)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%d FDs ranked (ψ=%g); most redundancy-removing first:\n", len(ranked), *psi)
-		for i, rf := range ranked {
-			if i >= *topN {
-				break
-			}
-			rad, rtr := m.MeasureFD(rf.FD)
-			fmt.Printf("  %2d. %-56s rank=%.4f RAD=%.3f RTR=%.3f\n",
-				i+1, m.FormatFD(rf.FD), rf.Rank, rad, rtr)
-		}
-		return nil
+		more(len(res.FDs))
 
-	case "decompose":
-		fds, err := m.MineFDs()
-		if err != nil {
-			return err
+	case *task.RankFDsResult:
+		fmt.Fprintf(w, "%d FDs ranked (ψ=%g); most redundancy-removing first:\n", len(res.Ranked), res.Psi)
+		for i, rf := range res.Ranked[:shown(len(res.Ranked))] {
+			fmt.Fprintf(w, "  %2d. %-56s rank=%.4f RAD=%.3f RTR=%.3f\n", i+1, rf.FD.Label, rf.Rank, rf.RAD, rf.RTR)
 		}
-		ranked, err := m.RankFDs(structmine.MinCover(fds))
-		if err != nil {
-			return err
-		}
-		for _, rf := range ranked {
-			res, err := m.Decompose(rf.FD)
-			if err != nil {
-				continue // e.g. the FD covers every attribute
-			}
-			fmt.Printf("decomposing on %s (rank %.4f):\n", m.FormatFD(rf.FD), rf.Rank)
-			fmt.Printf("  S1 %v: %d rows\n", res.S1.Attrs, res.S1.N())
-			fmt.Printf("  S2 %v: %d rows\n", res.S2.Attrs, res.S2.N())
-			fmt.Printf("  stored cells %d -> %d (%.1f%% reduction); RAD=%.3f RTR=%.3f\n",
-				res.CellsBefore, res.CellsAfter, 100*res.Reduction, res.RAD, res.RTR)
-			return nil
-		}
-		return fmt.Errorf("no decomposable dependency found")
+		more(len(res.Ranked))
 
-	default:
-		return fmt.Errorf("unknown task %q", taskName)
+	case *task.DecomposeResult:
+		fmt.Fprintf(w, "decomposing on %s (rank %.4f):\n", res.FD.Label, res.Rank)
+		fmt.Fprintf(w, "  S1 %v: %d rows\n", res.S1.Attrs, res.S1.Tuples)
+		fmt.Fprintf(w, "  S2 %v: %d rows\n", res.S2.Attrs, res.S2.Tuples)
+		fmt.Fprintf(w, "  stored cells %d -> %d (%.1f%% reduction); RAD=%.3f RTR=%.3f\n",
+			res.CellsBefore, res.CellsAfter, 100*res.Reduction, res.RAD, res.RTR)
+
+	case *task.JoinsResult:
+		fmt.Fprintf(w, "%d joinable attribute pairs (containment >= %g):\n", len(res.Candidates), res.MinContainment)
+		for _, c := range res.Candidates[:shown(len(res.Candidates))] {
+			fmt.Fprintf(w, "  %s.%s -> %s.%s  containment=%.2f jaccard=%.2f\n",
+				c.FromRelation, c.FromAttr, c.ToRelation, c.ToAttr, c.Containment, c.Jaccard)
+		}
+		more(len(res.Candidates))
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -274,36 +277,153 @@ func TestDocCommentListsEveryTask(t *testing.T) {
 	}
 }
 
-// TestRunStatsFlag checks -stats: the JSON result stays alone on stdout
-// while the per-stage timing table lands on stderr, including the
-// pipeline stages the runner traces.
+// TestRunStatsFlag checks -stats: the result stays alone on stdout while
+// the per-stage timing table lands on stderr, with the pipeline stages
+// the runner traces — the same list in text mode as with -json, because
+// both run the one task.Run call.
 func TestRunStatsFlag(t *testing.T) {
 	path := writeFixture(t)
-	oldErr := os.Stderr
-	rd, wr, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stderr = wr
-	done := make(chan []byte)
-	go func() {
-		var buf bytes.Buffer
-		_, _ = buf.ReadFrom(rd)
-		done <- buf.Bytes()
-	}()
-	out := captureStdout(t, func() error { return run([]string{"rank-fds", "-json", "-stats", path}) })
-	os.Stderr = oldErr
-	wr.Close()
-	stderr := string(<-done)
-	rd.Close()
+	for _, args := range [][]string{
+		{"rank-fds", "-json", "-stats", path},
+		{"rank-fds", "-stats", path},
+	} {
+		oldErr := os.Stderr
+		rd, wr, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.Stderr = wr
+		done := make(chan []byte)
+		go func() {
+			var buf bytes.Buffer
+			_, _ = buf.ReadFrom(rd)
+			done <- buf.Bytes()
+		}()
+		out := captureStdout(t, func() error { return run(args) })
+		os.Stderr = oldErr
+		wr.Close()
+		stderr := string(<-done)
+		rd.Close()
 
-	var decoded map[string]any
-	if err := json.Unmarshal(out, &decoded); err != nil {
-		t.Fatalf("-stats must not pollute the JSON on stdout: %v\n%.200s", err, out)
-	}
-	for _, want := range []string{"stage timings:", "parse", "dependency mining", "ranking", "total"} {
-		if !strings.Contains(stderr, want) {
-			t.Errorf("-stats stderr is missing %q:\n%s", want, stderr)
+		if args[1] == "-json" {
+			var decoded map[string]any
+			if err := json.Unmarshal(out, &decoded); err != nil {
+				t.Fatalf("-stats must not pollute the JSON on stdout: %v\n%.200s", err, out)
+			}
+		} else if strings.Contains(string(out), "stage timings:") {
+			t.Errorf("%v: the timing table belongs on stderr, not stdout", args)
+		}
+		for _, want := range []string{
+			"stage timings:", "parse", "dependency mining", "value clustering",
+			"attribute grouping", "ranking", "total",
+		} {
+			if !strings.Contains(stderr, want) {
+				t.Errorf("%v: -stats stderr is missing %q:\n%s", args, want, stderr)
+			}
 		}
 	}
+}
+
+// writeDirtyDBLP writes a 1 500-tuple DBLP relation with 20 dirty
+// tuples: its near-duplicates make the report's duplicate-tuple section
+// sensitive to φT (a handful of groups at 0, hundreds at the task
+// default 0.3).
+func writeDirtyDBLP(t *testing.T) string {
+	t.Helper()
+	cfg := datagen.DefaultDBLPConfig()
+	cfg.Tuples = 1500
+	inj := datagen.InjectTupleErrors(datagen.NewDBLP(cfg), 20, 2, datagen.Typographic, 1)
+	path := filepath.Join(t.TempDir(), "dblp.csv")
+	if err := inj.Dirty.WriteCSVFile(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestTextRendersTaskResult pins text mode to the task result: for every
+// single-file task, with no knob flag passed, the counts the text prints
+// are the fields of the -json result of the same command — so the two
+// modes cannot run different analyses (defaults, miner, composition).
+func TestTextRendersTaskResult(t *testing.T) {
+	dblp := writeDirtyDBLP(t)
+	narrow := writeNarrowFixture(t) // the MVD miner is arity-bounded
+	cases := []struct {
+		task, path string
+		text       string                // regexp capturing the counts the text prints
+		fields     func(js []byte) []int // the same counts from the -json result
+	}{
+		{"describe", dblp, `: (\d+) tuples, (\d+) attributes, (\d+) values`, func(js []byte) []int {
+			r := decode[task.DescribeResult](t, js)
+			return []int{r.Tuples, r.Attributes, r.DistinctValues}
+		}},
+		{"report", dblp, `DUPLICATE TUPLE CANDIDATES \((\d+) groups\)\n(?s:.*)CORRELATED VALUE GROUPS \((\d+) in`, func(js []byte) []int {
+			r := decode[task.ReportResult](t, js)
+			return []int{len(r.DuplicateTupleGroups), len(r.DuplicateValueGroups)}
+		}},
+		{"dedup", dblp, `(\d+) duplicate-candidate groups`, func(js []byte) []int {
+			return []int{len(decode[task.DedupResult](t, js).Groups)}
+		}},
+		{"partition", dblp, `k = (\d+) partitions`, func(js []byte) []int {
+			return []int{decode[task.PartitionResult](t, js).K}
+		}},
+		{"values", dblp, `(\d+) value groups, (\d+) duplicate groups`, func(js []byte) []int {
+			r := decode[task.ValuesResult](t, js)
+			return []int{r.NumGroups, r.NumDuplicateGroups}
+		}},
+		{"group-attrs", dblp, `A\^D has (\d+) attributes over (\d+) duplicate groups`, func(js []byte) []int {
+			r := decode[task.GroupAttrsResult](t, js)
+			return []int{len(r.Attrs), r.NumDuplicateGroups}
+		}},
+		{"mine-fds", dblp, `(\d+) minimal FDs, (\d+) in minimum cover`, func(js []byte) []int {
+			r := decode[task.FDsResult](t, js)
+			return []int{r.NumMinimal, len(r.Cover)}
+		}},
+		{"mine-mvds", narrow, `(\d+) non-trivial MVDs`, func(js []byte) []int {
+			return []int{len(decode[task.MVDsResult](t, js).MVDs)}
+		}},
+		{"approx-fds", dblp, `(\d+) minimal approximate FDs with g3 ≤ \S+ \(LHS ≤ (\d+)\)`, func(js []byte) []int {
+			r := decode[task.ApproxFDsResult](t, js)
+			return []int{len(r.FDs), r.MaxLHS}
+		}},
+		{"rank-fds", dblp, `(\d+) FDs ranked`, func(js []byte) []int {
+			return []int{len(decode[task.RankFDsResult](t, js).Ranked)}
+		}},
+		{"decompose", dblp, `S1 .*: (\d+) rows\n\s+S2 .*: (\d+) rows`, func(js []byte) []int {
+			r := decode[task.DecomposeResult](t, js)
+			return []int{r.S1.Tuples, r.S2.Tuples}
+		}},
+	}
+	covered := map[string]bool{}
+	for _, c := range cases {
+		covered[c.task] = true
+		text := captureStdout(t, func() error { return run([]string{c.task, c.path}) })
+		js := captureStdout(t, func() error { return run([]string{c.task, "-json", c.path}) })
+		m := regexp.MustCompile(c.text).FindSubmatch(text)
+		if m == nil {
+			t.Errorf("%s: text output does not match %q:\n%.400s", c.task, c.text, text)
+			continue
+		}
+		var got []int
+		for _, g := range m[1:] {
+			n, _ := strconv.Atoi(string(g))
+			got = append(got, n)
+		}
+		if want := c.fields(js); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: text prints %v, -json holds %v", c.task, got, want)
+		}
+	}
+	for _, s := range task.Specs {
+		if !s.MultiFile && !covered[s.Name] {
+			t.Errorf("task %q has no text-vs-json case", s.Name)
+		}
+	}
+}
+
+func decode[T any](t *testing.T, js []byte) T {
+	t.Helper()
+	var v T
+	if err := json.Unmarshal(js, &v); err != nil {
+		t.Fatalf("decoding -json output: %v\n%.200s", err, js)
+	}
+	return v
 }

@@ -37,20 +37,15 @@ func MineApprox(r *relation.Relation, eps float64, maxLHS int) ([]ApproxFD, erro
 // reuses one probe table, and candidate counts stay small under the
 // maxLHS bound).
 func MineApproxCtx(ctx context.Context, r *relation.Relation, eps float64, maxLHS int) ([]ApproxFD, error) {
-	single := func(a int) (*partition, error) { return singlePartition(r, a), nil }
-	return mineApprox(ctx, r.M(), r.N(), single, eps, maxLHS)
+	return MineApproxColumns(ctx, relation.AsColumns(r), eps, maxLHS)
 }
 
-// MineApproxColumns is MineApproxCtx over the paged column interface:
-// the level-1 partitions come from the value index (or a
-// relation.PartitionSource) and the lattice walk above them is shared,
-// so the result is identical to the resident one.
+// MineApproxColumns is the miner over the column interface: the level-1
+// partitions come from the value index (or a relation.PartitionSource),
+// so a paged table and a resident relation behind relation.AsColumns
+// walk the same lattice to the same result.
 func MineApproxColumns(ctx context.Context, c relation.Columns, eps float64, maxLHS int) ([]ApproxFD, error) {
-	single := func(a int) (*partition, error) { return singlePartitionColumns(c, a) }
-	return mineApprox(ctx, c.M(), c.N(), single, eps, maxLHS)
-}
-
-func mineApprox(ctx context.Context, m, n int, single func(a int) (*partition, error), eps float64, maxLHS int) ([]ApproxFD, error) {
+	m, n := c.M(), c.N()
 	if m > MaxAttrs {
 		return nil, fmt.Errorf("fd: relation has %d attributes, max %d", m, MaxAttrs)
 	}
@@ -68,7 +63,7 @@ func mineApprox(ctx context.Context, m, n int, single func(a int) (*partition, e
 	// Partitions per LHS set, built level by level.
 	parts := map[AttrSet]*partition{0: emptyPartition(n)}
 	for a := 0; a < m; a++ {
-		p, err := single(a)
+		p, err := singlePartitionColumns(c, a)
 		if err != nil {
 			return nil, err
 		}

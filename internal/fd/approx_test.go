@@ -184,8 +184,8 @@ func TestG3FromPartitionsMatchesDirect(t *testing.T) {
 		r := randomRelation(rng, 2+rng.Intn(30), 3, 2+rng.Intn(3))
 		x := NewAttrSet(0)
 		a := 1
-		px := singlePartition(r, 0)
-		pxa := product(px, singlePartition(r, a), r.N(), nil)
+		px := indexPartition(r, 0)
+		pxa := product(px, indexPartition(r, a), r.N(), nil)
 		got := g3FromPartitions(px, pxa, r.N(), nil)
 		want := G3(r, FD{LHS: x, RHS: NewAttrSet(a)})
 		return math.Abs(got-want) < 1e-12

@@ -335,6 +335,9 @@ func DecodeState(data []byte) (*MineState, error) {
 	if total != s.N*s.Attrs {
 		return nil, fmt.Errorf("%w: classes cover %d of %d cells", ErrCorruptState, total, s.N*s.Attrs)
 	}
+	if total > len(body)-r.off { // every row id takes at least one byte
+		return nil, fmt.Errorf("%w: %d row ids exceed payload", ErrCorruptState, total)
+	}
 	s.Elems = make([]int32, total)
 	for v := 0; v < int(d); v++ {
 		prev := int64(-1)

@@ -106,7 +106,7 @@ func TestPropIndexPartitionsMatchScans(t *testing.T) {
 		cached := primcache.Wrap(tbl, meta.Hash, 0, primcache.New(1<<20))
 		for a := 0; a < rel.M(); a++ {
 			want := scanBuiltPartition(t, resident, a)
-			if got := singlePartition(rel, a); !partitionsEqual(got, want) {
+			if got := fromClasses(singlePartitionClasses(rel, a)); !partitionsEqual(got, want) {
 				t.Fatalf("seed %d attr %d: resident row partition diverges", seed, a)
 			}
 			sources := map[string]relation.Columns{"resident": resident, "paged": tbl, "cached-cold": cached, "cached-warm": cached}

@@ -84,9 +84,11 @@ func productSerial(a, b *partition, n int) *partition {
 
 // TANESerial mines the same minimal FDs as TANE but routes every
 // partition product through the retained serial reference, regardless of
-// workload size and GOMAXPROCS. It exists for differential tests
+// workload size and GOMAXPROCS, and builds its level-1 partitions and
+// satisfaction checks from the rows (singlePartitionClasses, Holds)
+// where TANE reads the value index. It exists for differential tests
 // (TestPropTANEMatchesSerial compares whole runs for exact equality);
 // new callers should use TANE.
 func TANESerial(r *relation.Relation) ([]FD, error) {
-	return runTANE(context.Background(), r, true)
+	return (&tane{c: relation.AsColumns(r), serial: r}).mine(context.Background())
 }

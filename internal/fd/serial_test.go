@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"structmine/internal/obs"
+	"structmine/internal/relation"
 )
 
 // forceParallel raises GOMAXPROCS so par.ForChunk takes the concurrent
@@ -41,9 +42,20 @@ func samePartition(p *partition, classes [][]int32) error {
 	return nil
 }
 
-// Property: the flat probe-table product and singlePartition reproduce
-// the original slice-of-slices builders exactly — same classes, same
-// class order, same tuple order within each class — including when one
+// indexPartition is the production level-1 builder over a resident
+// relation: Π_{A} from the value index behind relation.AsColumns.
+func indexPartition(r *relation.Relation, a int) *partition {
+	p, err := singlePartitionColumns(relation.AsColumns(r), a)
+	if err != nil {
+		panic(err) // an in-memory relation has no failing reads
+	}
+	return p
+}
+
+// Property: the flat probe-table product and the index-built level-1
+// partitions reproduce the original slice-of-slices builders exactly —
+// same classes, same class order, same tuple order within each class —
+// including when one
 // scratch is reused across many products (stamp invalidation, buffer
 // reuse) and when products chain (products of products).
 func TestPropProductMatchesSerial(t *testing.T) {
@@ -54,9 +66,9 @@ func TestPropProductMatchesSerial(t *testing.T) {
 		n := r.N()
 		singles := make([]*partition, r.M())
 		for a := 0; a < r.M(); a++ {
-			singles[a] = singlePartition(r, a)
+			singles[a] = indexPartition(r, a)
 			if err := samePartition(singles[a], singlePartitionClasses(r, a)); err != nil {
-				t.Logf("seed %d singlePartition(%d): %v", seed, a, err)
+				t.Logf("seed %d indexPartition(%d): %v", seed, a, err)
 				return false
 			}
 		}

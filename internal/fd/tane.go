@@ -33,34 +33,22 @@ func TANE(r *relation.Relation) ([]FD, error) {
 // exec.WithWorkers budget), and partition storage is carved from pooled
 // arenas checked out through the grant.
 func TANECtx(ctx context.Context, r *relation.Relation) ([]FD, error) {
-	return runTANE(ctx, r, false)
+	return TANEColumnsCtx(ctx, relation.AsColumns(r))
 }
 
-func runTANE(ctx context.Context, r *relation.Relation, serial bool) ([]FD, error) {
-	t := &tane{
-		single: func(a int) (*partition, error) { return singlePartition(r, a), nil },
-		holds:  func(f FD) (bool, error) { return Holds(r, f), nil },
-	}
-	return t.mine(ctx, r.M(), r.N(), serial)
-}
-
-// TANEColumnsCtx mines the same minimal FDs over the column interface,
-// under the context's worker budget and arena pool: level-1 partitions
-// come straight from the value index and satisfaction checks stream page
-// stripes, so the full row set is never resident. The output is
-// bit-identical to TANE on the equivalent resident relation — identical
+// TANEColumnsCtx mines the minimal FDs over the column interface, under
+// the context's worker budget and arena pool: level-1 partitions come
+// straight from the value index and satisfaction checks stream page
+// stripes, so the full row set is never resident. A resident relation
+// mines through the same code behind relation.AsColumns — identical
 // level-1 partitions feed the identical lattice walk.
 func TANEColumnsCtx(ctx context.Context, c relation.Columns) ([]FD, error) {
-	t := &tane{
-		single: func(a int) (*partition, error) { return singlePartitionColumns(c, a) },
-		holds:  func(f FD) (bool, error) { return HoldsColumns(c, f) },
-	}
-	return t.mine(ctx, c.M(), c.N(), false)
+	return (&tane{c: c}).mine(ctx)
 }
 
-// mine validates the instance shape and runs the level-wise walk over
-// the struct's data-access hooks.
-func (t *tane) mine(ctx context.Context, m, n int, serial bool) ([]FD, error) {
+// mine validates the instance shape and runs the level-wise walk.
+func (t *tane) mine(ctx context.Context) ([]FD, error) {
+	m, n := t.c.M(), t.c.N()
 	if m > MaxAttrs {
 		return nil, fmt.Errorf("fd: relation has %d attributes, max %d", m, MaxAttrs)
 	}
@@ -70,7 +58,6 @@ func (t *tane) mine(ctx context.Context, m, n int, serial bool) ([]FD, error) {
 	t.ctx, t.m, t.n = ctx, m, n
 	t.full = FullSet(m)
 	t.cache = map[cplusKey]bool{}
-	t.forceSerial = serial
 	t.run()
 	if t.err != nil {
 		return nil, t.err
@@ -125,12 +112,6 @@ func fromClasses(classes [][]int32) *partition {
 		p.offs = append(p.offs, int32(len(p.elems)))
 	}
 	return p
-}
-
-// singlePartition builds Π_{A} for one attribute. Called once per
-// attribute, it just flattens the reference builder's output.
-func singlePartition(r *relation.Relation, a int) *partition {
-	return fromClasses(singlePartitionClasses(r, a))
 }
 
 // emptyPartition is Π_∅: one class with all tuples (stripped keeps it
@@ -318,27 +299,45 @@ type tane struct {
 	full AttrSet
 	out  []FD
 
-	// Data access is abstracted behind two hooks so the identical
-	// lattice walk serves both resident relations and paged columns:
-	// single builds the level-1 stripped partition of one attribute,
-	// holds checks satisfaction directly (the key-pruning fallback).
-	single func(a int) (*partition, error)
-	holds  func(FD) (bool, error)
+	// c is the instance: level-1 stripped partitions come from its value
+	// index (singlePartitionColumns) and the key-pruning fallback checks
+	// satisfaction by stripe scans (HoldsColumns).
+	c relation.Columns
+	// serial, set only by TANESerial, is the resident relation of a
+	// reference run: every product goes through productSerial, and
+	// level-1 partitions and satisfaction checks read its rows
+	// (singlePartitionClasses, Holds) instead of c's index — nothing
+	// below the lattice walk is shared with the production path the
+	// differential tests compare it against.
+	serial *relation.Relation
 	// err records the first data-access failure; the walk aborts and
-	// mine surfaces it (resident hooks never fail, paged reads can).
+	// mine surfaces it (resident reads never fail, paged reads can).
 	err error
 
 	cache map[cplusKey]bool
 
-	// forceSerial routes every product through the retained serial
-	// reference (TANESerial); differential tests compare whole runs.
-	forceSerial bool
-	scs         []*prodScratch // one per ForChunk worker, grown on demand
+	scs []*prodScratch // one per ForChunk worker, grown on demand
 }
 
 type cplusKey struct {
 	a int
 	y AttrSet
+}
+
+// single builds the level-1 stripped partition of one attribute.
+func (t *tane) single(a int) (*partition, error) {
+	if t.serial != nil {
+		return fromClasses(singlePartitionClasses(t.serial, a)), nil
+	}
+	return singlePartitionColumns(t.c, a)
+}
+
+// holds checks satisfaction directly (the key-pruning fallback).
+func (t *tane) holds(f FD) (bool, error) {
+	if t.serial != nil {
+		return Holds(t.serial, f), nil
+	}
+	return HoldsColumns(t.c, f)
 }
 
 func (t *tane) scratch(w int) *prodScratch {
@@ -527,7 +526,7 @@ func (t *tane) generate(level map[AttrSet]*levelNode) map[AttrSet]*levelNode {
 	}
 	parts := make([]*partition, len(cands))
 	switch {
-	case t.forceSerial:
+	case t.serial != nil:
 		for i, c := range cands {
 			parts[i] = productSerial(level[c.x].part, level[c.y].part, t.n)
 		}

@@ -252,7 +252,7 @@ func runValues(ctx context.Context, c relation.Columns, p Params) (*ValuesResult
 	if err := step(ctx, "value clustering"); err != nil {
 		return nil, err
 	}
-	vc, err := clusterValuesFor(ctx, c, p)
+	vc, err := ClusterValues(ctx, c, 0, fv(p.PhiV), defaultB, false)
 	if err != nil {
 		return nil, err
 	}
@@ -296,18 +296,20 @@ type GroupAttrsResult struct {
 	Dendrogram string `json:"dendrogram"`
 }
 
-// clusterValuesFor clusters the attribute values at φV, over the tuples
-// themselves or — with p.Double — over the tuple clusters of a φT
-// compression pass (double clustering).
-func clusterValuesFor(ctx context.Context, c relation.Columns, p Params) (*values.Clustering, error) {
+// ClusterValues clusters the attribute values at φV with branching
+// factor b, over the tuples themselves or — with double — over the tuple
+// clusters of a φT compression pass (double clustering, for large
+// instances). It is the one composition of that step: the values and
+// group-attrs runners, FD-RANK and the facade's Miner all call it.
+func ClusterValues(ctx context.Context, c relation.Columns, phiT, phiV float64, b int, double bool) (*values.Clustering, error) {
 	var objs []limbo.Obj
 	var err error
-	if !p.Double {
+	if !double {
 		objs, err = values.ObjectsColumnsCtx(ctx, c)
 	} else {
 		var assign []int
 		var k int
-		if assign, k, err = tuples.CompressColumns(ctx, c, fv(p.PhiT), defaultB); err != nil {
+		if assign, k, err = tuples.CompressColumns(ctx, c, phiT, b); err != nil {
 			return nil, err
 		}
 		if err = step(ctx, "value clustering over tuple clusters"); err != nil {
@@ -318,22 +320,44 @@ func clusterValuesFor(ctx context.Context, c relation.Columns, p Params) (*value
 	if err != nil {
 		return nil, err
 	}
-	return values.ClusterCtx(ctx, objs, fv(p.PhiV), defaultB, c.M()), nil
+	return values.ClusterCtx(ctx, objs, phiV, b, c.M()), nil
+}
+
+// GroupAttributes clusters the values (ClusterValues) and then the
+// attributes of A^D by the duplicate value groups they share, returning
+// the grouping with the value clustering it was derived from.
+func GroupAttributes(ctx context.Context, c relation.Columns, phiT, phiV float64, b int, double bool) (*attrs.Grouping, *values.Clustering, error) {
+	if err := step(ctx, "value clustering"); err != nil {
+		return nil, nil, err
+	}
+	vc, err := ClusterValues(ctx, c, phiT, phiV, b, double)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := step(ctx, "attribute grouping"); err != nil {
+		return nil, nil, err
+	}
+	return attrs.GroupNamesCtx(ctx, c.AttrNames(), vc), vc, nil
+}
+
+// largeInstance is the tuple count above which FD-RANK's value
+// clustering switches to double clustering.
+const largeInstance = 5000
+
+// RankGrouping is the attribute grouping FD-RANK ranks against:
+// GroupAttributes with double clustering exactly when the instance is
+// large.
+func RankGrouping(ctx context.Context, c relation.Columns, phiT, phiV float64, b int) (*attrs.Grouping, error) {
+	g, _, err := GroupAttributes(ctx, c, phiT, phiV, b, c.N() > largeInstance)
+	return g, err
 }
 
 func runGroupAttrs(ctx context.Context, c relation.Columns, p Params) (*GroupAttrsResult, error) {
-	if err := step(ctx, "value clustering"); err != nil {
-		return nil, err
-	}
-	vc, err := clusterValuesFor(ctx, c, p)
+	g, vc, err := GroupAttributes(ctx, c, fv(p.PhiT), fv(p.PhiV), defaultB, p.Double)
 	if err != nil {
 		return nil, err
 	}
-	if err := step(ctx, "attribute grouping"); err != nil {
-		return nil, err
-	}
 	names := c.AttrNames()
-	g := attrs.GroupNamesCtx(ctx, names, vc)
 	res := &GroupAttrsResult{
 		NumDuplicateGroups: len(vc.DuplicateGroups()),
 		Dendrogram:         g.Dendrogram().ASCII(78),
@@ -491,31 +515,20 @@ type RankFDsResult struct {
 	Ranked     []RankedFDItem `json:"ranked"`
 }
 
-// largeInstance mirrors the facade's double-clustering switch for the
-// FD-RANK value-clustering step.
-const largeInstance = 5000
-
 // rankedFDs is the FD-RANK pipeline shared by rank-fds and decompose:
-// dependency mining, minimum cover, value clustering (double above
-// largeInstance), attribute grouping, ranking. It returns the ranked
-// cover and the size of the minimal set it was reduced from.
+// dependency mining, minimum cover, value clustering and attribute
+// grouping (RankGrouping), ranking. It returns the ranked cover and the
+// size of the minimal set it was reduced from.
 func rankedFDs(ctx context.Context, c relation.Columns, psi float64) (ranked []fdrank.Ranked, numMinimal, coverSize int, err error) {
 	fds, err := minedFDs(ctx, c)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	cover := fd.MinCover(fds)
-	if err := step(ctx, "value clustering"); err != nil {
-		return nil, 0, 0, err
-	}
-	vc, err := clusterValuesFor(ctx, c, Params{Double: c.N() > largeInstance})
+	g, err := RankGrouping(ctx, c, 0, 0, defaultB)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if err := step(ctx, "attribute grouping"); err != nil {
-		return nil, 0, 0, err
-	}
-	g := attrs.GroupNamesCtx(ctx, c.AttrNames(), vc)
 	if err := step(ctx, "ranking"); err != nil {
 		return nil, 0, 0, err
 	}

@@ -1,7 +1,7 @@
 // Package task defines the shared task contract between the structmine
-// CLI and the structmined server: the catalogue of structure-mining
-// tasks, their JSON-serializable parameters and result types, and a
-// context-aware runner.
+// CLI, the structmined server and the structmine facade: the catalogue
+// of structure-mining tasks, their JSON-serializable parameters and
+// result types, and a context-aware runner.
 //
 // There is one pipeline: every single-dataset task has exactly one
 // runner, written against relation.Columns, and RunColumns is the one
@@ -9,11 +9,17 @@
 // relation.AsColumns (Run), so an in-memory dataset and an out-of-core
 // colstore table produce byte-identical artifacts by construction.
 //
-// The CLI's text mode renders these same results; its -json mode and the
-// server's job results are encodings of the structs in result.go, so the
-// two front ends cannot drift apart. Parameters are normalized per task
-// (irrelevant knobs zeroed, defaults filled in) before execution, which
-// also makes them usable as a canonical artifact-cache key.
+// Both front ends end in that one call. The CLI runs Run once per
+// invocation and then either encodes the result struct (-json) or
+// renders it as text; the server's job results are the same encoding, so
+// the front ends cannot drift apart. The steps more than one caller
+// composes — value clustering, single or double (ClusterValues), value
+// clustering followed by attribute grouping (GroupAttributes), and the
+// grouping FD-RANK ranks against (RankGrouping) — are exported here and
+// are what the facade's Miner calls, so they are composed nowhere else.
+// Parameters are normalized per task (irrelevant knobs zeroed, defaults
+// filled in) before execution, which also makes them usable as a
+// canonical artifact-cache key.
 package task
 
 import (

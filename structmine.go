@@ -28,6 +28,7 @@
 package structmine
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -41,6 +42,7 @@ import (
 	"structmine/internal/measures"
 	"structmine/internal/relation"
 	"structmine/internal/report"
+	"structmine/internal/task"
 	"structmine/internal/tuples"
 	"structmine/internal/values"
 )
@@ -182,16 +184,19 @@ func (m *Miner) HorizontalPartition(k int) *PartitionResult {
 // ClusterValues groups attribute values that (almost) co-occur, at
 // accuracy φV.
 func (m *Miner) ClusterValues() *ValueClustering {
-	return values.ClusterRelation(m.r, m.opts.PhiV, m.opts.B)
+	return m.clusterValues(false)
 }
 
 // ClusterValuesDouble runs double clustering: tuples are first
 // compressed at φT (must be > 0 to be useful), then values are expressed
 // over the tuple clusters and clustered at φV. Use for large instances.
 func (m *Miner) ClusterValuesDouble() *ValueClustering {
-	assign, k := tuples.Compress(m.r, m.opts.PhiT, m.opts.B)
-	objs := values.ObjectsOverClusters(m.r, assign, k)
-	return values.Cluster(objs, m.opts.PhiV, m.opts.B, m.r.M())
+	return m.clusterValues(true)
+}
+
+func (m *Miner) clusterValues(double bool) *ValueClustering {
+	vc, _ := task.ClusterValues(context.Background(), relation.AsColumns(m.r), m.opts.PhiT, m.opts.PhiV, m.opts.B, double) // no failing reads in memory
+	return vc
 }
 
 // GroupAttributes clusters the attributes by shared duplicate value
@@ -199,13 +204,8 @@ func (m *Miner) ClusterValuesDouble() *ValueClustering {
 // value clustering it was derived from. Double selects double
 // clustering for the value step.
 func (m *Miner) GroupAttributes(double bool) (*AttrGrouping, *ValueClustering) {
-	var vc *ValueClustering
-	if double {
-		vc = m.ClusterValuesDouble()
-	} else {
-		vc = m.ClusterValues()
-	}
-	return attrs.Group(m.r, vc), vc
+	g, vc, _ := task.GroupAttributes(context.Background(), relation.AsColumns(m.r), m.opts.PhiT, m.opts.PhiV, m.opts.B, double) // no failing reads in memory
+	return g, vc
 }
 
 // MineFDs discovers all minimal functional dependencies holding in the
@@ -300,7 +300,10 @@ func MinCover(fds []FD) []FD { return fd.MinCover(fds) }
 // (double clustering when the instance is large), attribute grouping,
 // then ranking with ψ. Lower ranks indicate more redundancy removed.
 func (m *Miner) RankFDs(fds []FD) ([]RankedFD, error) {
-	g, _ := m.GroupAttributes(m.r.N() > 5000)
+	g, err := task.RankGrouping(context.Background(), relation.AsColumns(m.r), m.opts.PhiT, m.opts.PhiV, m.opts.B)
+	if err != nil {
+		return nil, err
+	}
 	return fdrank.Rank(fds, g, m.opts.Psi), nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
+
+	"structmine/internal/datagen"
 )
 
 func TestRunTaskFacade(t *testing.T) {
@@ -48,5 +50,42 @@ func TestRunTaskFacade(t *testing.T) {
 	cancel()
 	if _, err := m.RunTask(ctx, "report", TaskParams{}); err == nil {
 		t.Error("canceled context should abort RunTask")
+	}
+}
+
+// TestRankFDsMatchesTask pins the facade's FD-RANK to the rank-fds task
+// on both sides of the double-clustering switch: Miner.RankFDs composes
+// nothing of its own, so on a small and on a large (> 5 000-row)
+// instance it returns exactly the task's ranks.
+func TestRankFDsMatchesTask(t *testing.T) {
+	for _, tuples := range []int{1200, 5200} {
+		cfg := datagen.DefaultDBLPConfig()
+		cfg.Tuples = tuples
+		r := datagen.NewDBLP(cfg)
+		r = r.Project(datagen.ProjectionAttrs())
+		m := NewMiner(r, DefaultOptions())
+
+		fds, err := m.MineFDs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranked, err := m.RankFDs(MinCover(fds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.RunTask(context.Background(), "rank-fds", TaskParams{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := res.(*RankFDsResult).Ranked
+		if len(ranked) == 0 || len(ranked) != len(want) {
+			t.Fatalf("n=%d: facade ranked %d FDs, task %d", r.N(), len(ranked), len(want))
+		}
+		for i, rf := range ranked {
+			if label := m.FormatFD(rf.FD); label != want[i].FD.Label || rf.Rank != want[i].Rank {
+				t.Errorf("n=%d row %d: facade %s rank %v, task %s rank %v",
+					r.N(), i, label, rf.Rank, want[i].FD.Label, want[i].Rank)
+			}
+		}
 	}
 }
