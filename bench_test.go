@@ -44,17 +44,21 @@ func benchDB2(b *testing.B) *relation.Relation {
 	return db.Joined
 }
 
-var benchDBLPCache *relation.Relation
+var benchDBLPCache = map[int]*relation.Relation{}
 
-func benchDBLP(b *testing.B) *relation.Relation {
+func benchDBLP(b *testing.B) *relation.Relation { return benchDBLPAt(b, benchDBLPTuples) }
+
+// benchDBLPAt is the full-arity DBLP instance at n tuples; n = 8000 is
+// the benchmark/ fd_wide workload's input shape.
+func benchDBLPAt(b *testing.B, n int) *relation.Relation {
 	b.Helper()
-	if benchDBLPCache == nil {
-		benchDBLPCache = datagen.NewDBLP(datagen.DBLPConfig{
-			Tuples: benchDBLPTuples, Seed: 1,
+	if benchDBLPCache[n] == nil {
+		benchDBLPCache[n] = datagen.NewDBLP(datagen.DBLPConfig{
+			Tuples: n, Seed: 1,
 			MiscFrac: 129.0 / 50000, JournalFrac: 0.28,
 		})
 	}
-	return benchDBLPCache
+	return benchDBLPCache[n]
 }
 
 // --- Table 1: erroneous tuple detection ---
@@ -381,6 +385,22 @@ func BenchmarkTANE(b *testing.B) {
 	run("db2", benchDB2(b))
 	run("dblp-proj/n=20000", benchDBLP(b).Project(datagen.ProjectionAttrs()))
 	run("dblp-full/n=20000", benchDBLP(b))
+	run("dblp-full/n=8000", benchDBLPAt(b, 8000))
+}
+
+// BenchmarkMineApprox is the g3 miner at the fd_wide workload's shape
+// and the approx-fds task's defaults (ε = 0.05, LHS ≤ 3).
+func BenchmarkMineApprox(b *testing.B) {
+	r := benchDBLPAt(b, 8000)
+	b.Run("dblp-full/n=8000", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fds, err := fd.MineApprox(r, 0.05, 3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(len(fds)), "fds")
+		}
+	})
 }
 
 // benchColstore writes the 20k-tuple DBLP projection to a colstore
@@ -420,8 +440,9 @@ func BenchmarkPagedScan(b *testing.B) {
 		ctx := context.Background()
 		var sum int64
 		for i := 0; i < b.N; i++ {
-			sums := make([]int64, relation.ScanWorkers(ctx, c, len(attrs)))
-			err := relation.ScanStripes(ctx, c, attrs, func(w, p int, cols [][]int32) error {
+			scan := relation.PlanScan(ctx, c, attrs)
+			sums := make([]int64, scan.Workers())
+			err := scan.Run(func(w, p int, cols [][]int32) error {
 				for _, col := range cols {
 					for _, v := range col {
 						sums[w] += int64(v)

@@ -4,7 +4,7 @@ package exec
 // steal metrics can be per-kernel. The table below is calibrated per
 // kernel because a "work unit" costs wildly different
 // amounts across them — a full δI evaluation at an AIB pair site versus
-// a handful of probe-table operations per tuple at a TANE product site.
+// a handful of counting-slot operations per tuple at a TANE refinement.
 type Kernel uint8
 
 const (
@@ -24,8 +24,12 @@ const (
 	// (one shared coordinate of an object and a representative: one
 	// logarithm, ~10 ns), estimated from the index's list lengths.
 	LIMBOAssign
-	// TANEProduct: partition products per lattice level; work counts
-	// stripped-partition tuples (~10 ns each).
+	// TANEProduct: the per-level fan-outs of internal/fd. A refinement
+	// walks one stripped partition twice (count, then place), so its
+	// work is 2 × the tuples of the walked side; a node that shares its
+	// parent's partition costs 0 and is never queued. The g3 fan-out of
+	// the approximate miner walks Π_X once per candidate and counts its
+	// tuples. One unit is one tuple visit (~5–10 ns).
 	TANEProduct
 	// ColScan: page-stripe scans over a Columns source; work counts
 	// tuples decoded (~1 ns each resident, dominated by page I/O paged).
@@ -47,7 +51,7 @@ var cutoffs = [numKernels]int{
 	AIBRecompute: 16384, // ~5 ns/unit → ~80 µs of work
 	LIMBOClosest: 16384, // ~5 ns/unit → ~80 µs of work
 	LIMBOAssign:  8192,  // ~10 ns/unit → ~80 µs of work
-	TANEProduct:  8192,  // ~10 ns/unit → ~80 µs of work
+	TANEProduct:  8192,  // ~5–10 ns/unit → ~40–80 µs of work
 	ColScan:      16384, // ~1–10 ns/unit → ≥ ~20 µs of work (4+ stripes)
 }
 

@@ -16,10 +16,11 @@
 //     concurrent jobs is bounded by the pool instead of growing one
 //     private arena per kernel instance.
 //
-//   - one fan-out: For/ForChunk (for.go) partition an index range over
-//     the context's budget, go parallel only above the per-kernel
-//     calibrated cutoff (cutoff.go), and hand chunks out by
-//     work-stealing so a skewed chunk cannot serialize the tail.
+//   - one fan-out: Plan (for.go) reads the context's budget once and
+//     its For/ForChunk partition an index range at that width, go
+//     parallel only above the per-kernel calibrated cutoff (cutoff.go),
+//     and hand chunks out by work-stealing so a skewed chunk cannot
+//     serialize the tail.
 //
 // Determinism contract: budgets only decide how index ranges are
 // partitioned, never what is computed per index. Every kernel in this

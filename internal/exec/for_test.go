@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"structmine/internal/exec"
+	"structmine/internal/exec/exectest"
 )
 
 // coverage runs For under a fixed budget and records how many times
@@ -81,19 +82,20 @@ func TestForParallelWritesDisjointSlots(t *testing.T) {
 }
 
 // TestForChunkWorkerIndexBounded pins the per-worker scratch contract:
-// every w seen by the callback is in [0, NumWorkers) and two goroutines
+// every w seen by the callback is in [0, Workers()) and two goroutines
 // never share a w concurrently (checked via a per-w owner slot).
 func TestForChunkWorkerIndexBounded(t *testing.T) {
 	ctx := exec.WithWorkers(context.Background(), 4)
 	n := 40_000
-	workers := exec.NumWorkers(ctx, exec.Generic, n, n)
+	plan := exec.Plan(ctx, exec.Generic, n, n)
+	workers := plan.Workers()
 	if workers != 4 {
-		t.Fatalf("NumWorkers = %d, want 4", workers)
+		t.Fatalf("Workers = %d, want 4", workers)
 	}
 	busy := make([]sync.Mutex, workers)
 	covered := make([]int32, n)
 	var mu sync.Mutex
-	exec.ForChunk(ctx, exec.Generic, n, n, func(w, lo, hi int) {
+	plan.ForChunk(func(w, lo, hi int) {
 		if w < 0 || w >= workers {
 			t.Errorf("worker index %d out of [0, %d)", w, workers)
 			return
@@ -119,13 +121,34 @@ func TestNumWorkersRespectsBudget(t *testing.T) {
 	big := exec.Generic.Cutoff() * 10
 	for _, budget := range []int{1, 2, 4, 8} {
 		ctx := exec.WithWorkers(context.Background(), budget)
-		if got := exec.NumWorkers(ctx, exec.Generic, 1<<20, big); got != budget {
-			t.Fatalf("budget %d: NumWorkers = %d", budget, got)
+		if got := exec.Plan(ctx, exec.Generic, 1<<20, big).Workers(); got != budget {
+			t.Fatalf("budget %d: Workers = %d", budget, got)
 		}
 	}
 	// Below the cutoff the fan-out is always serial.
 	ctx := exec.WithWorkers(context.Background(), 8)
-	if got := exec.NumWorkers(ctx, exec.Generic, 1<<20, exec.Generic.Cutoff()-1); got != 1 {
-		t.Fatalf("below-cutoff NumWorkers = %d, want 1", got)
+	if got := exec.Plan(ctx, exec.Generic, 1<<20, exec.Generic.Cutoff()-1).Workers(); got != 1 {
+		t.Fatalf("below-cutoff Workers = %d, want 1", got)
+	}
+}
+
+// TestPlanSurvivesRebalance pins the one-read contract at the root: a
+// Fanout runs at the width it was planned at, so state sized by
+// Workers() covers every w the callback sees even while other jobs'
+// acquires and releases keep rebalancing the grant underneath.
+func TestPlanSurvivesRebalance(t *testing.T) {
+	ctx := exectest.RebalancingContext(t)
+	n := 40_000
+	for i := 0; i < 200; i++ {
+		plan := exec.Plan(ctx, exec.Generic, n, n)
+		covered := make([]int, plan.Workers())
+		plan.ForChunk(func(w, lo, hi int) { covered[w] += hi - lo })
+		total := 0
+		for _, c := range covered {
+			total += c
+		}
+		if total != n {
+			t.Fatalf("round %d: covered %d of %d indices at width %d", i, total, n, plan.Workers())
+		}
 	}
 }

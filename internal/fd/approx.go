@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"structmine/internal/exec"
 	"structmine/internal/relation"
 )
 
@@ -32,10 +31,10 @@ func MineApprox(r *relation.Relation, eps float64, maxLHS int) ([]ApproxFD, erro
 	return MineApproxCtx(context.Background(), r, eps, maxLHS)
 }
 
-// MineApproxCtx is MineApprox with the scratch slabs carved from the
-// context's pooled arena (the lattice walk itself is serial: each level
-// reuses one probe table, and candidate counts stay small under the
-// maxLHS bound).
+// MineApproxCtx is MineApprox under the context's worker budget and
+// arena pool: each level's g3 evaluations, and the partitions of the
+// next level's left-hand sides, fan out across the budgeted workers
+// (one scratch and one arena per worker).
 func MineApproxCtx(ctx context.Context, r *relation.Relation, eps float64, maxLHS int) ([]ApproxFD, error) {
 	return MineApproxColumns(ctx, relation.AsColumns(r), eps, maxLHS)
 }
@@ -44,6 +43,14 @@ func MineApproxCtx(ctx context.Context, r *relation.Relation, eps float64, maxLH
 // partitions come from the value index (or a relation.PartitionSource),
 // so a paged table and a resident relation behind relation.AsColumns
 // walk the same lattice to the same result.
+//
+// g3(X → a) is counted straight from Π_X and a's class index
+// (g3Refine), so Π_{X∪a} is never formed just to be read once; the only
+// partitions built are those of the left-hand sides themselves. The
+// (X, a) candidates of one level cannot prune each other — a found
+// left-hand side only prunes strict supersets — so a level is evaluated
+// in parallel into per-candidate slots and its finds are recorded
+// afterwards in candidate order: the result is the same for any budget.
 func MineApproxColumns(ctx context.Context, c relation.Columns, eps float64, maxLHS int) ([]ApproxFD, error) {
 	m, n := c.M(), c.N()
 	if m > MaxAttrs {
@@ -58,86 +65,74 @@ func MineApproxColumns(ctx context.Context, c relation.Columns, eps float64, max
 	if maxLHS <= 0 || maxLHS > m-1 {
 		maxLHS = m - 1
 	}
-	sc := &prodScratch{ar: exec.CheckoutArena(ctx)} // one reusable probe table for every product and g3 below
-
-	// Partitions per LHS set, built level by level.
-	parts := map[AttrSet]*partition{0: emptyPartition(n)}
-	for a := 0; a < m; a++ {
+	pool := &scratchPool{ctx: ctx}
+	singles := make([]*partition, m)
+	for a := range singles {
 		p, err := singlePartitionColumns(c, a)
 		if err != nil {
 			return nil, err
 		}
-		parts[NewAttrSet(a)] = p
+		singles[a] = p
 	}
+	idx := classIndexes(pool.grow(1)[0].ar, singles, n)
 
 	// found[a] lists the minimal satisfying LHSs discovered so far for
 	// attribute a; candidates that contain one are pruned.
 	found := make([][]AttrSet, m)
 	var out []ApproxFD
 
-	record := func(x AttrSet, a int, err float64) {
-		found[a] = append(found[a], x)
-		out = append(out, ApproxFD{FD: FD{LHS: x, RHS: NewAttrSet(a)}, Err: err})
-	}
-
-	// Level 0: ∅ → a.
-	for a := 0; a < m; a++ {
-		if err := g3FromPartitions(parts[0], parts[NewAttrSet(a)], n, sc); err <= eps {
-			record(0, a, err)
-		}
-	}
-
-	level := make([]AttrSet, 0, m)
-	for a := 0; a < m; a++ {
-		level = append(level, NewAttrSet(a))
-	}
-	for size := 1; size <= maxLHS && len(level) > 0; size++ {
-		for _, x := range level {
-		rhs:
+	// One lattice level of left-hand sides and their partitions,
+	// starting at ∅; pruning is RHS-specific, so a level always holds
+	// every attribute set of its size.
+	level, parts := []AttrSet{0}, []*partition{emptyPartition(n)}
+	type pair struct{ x, a int } // level[x] with attribute a: a candidate x → a, or the extension x ∪ {a}
+	for size := 0; ; size++ {
+		var cands []pair
+		work := 0
+		for i, x := range level {
 			for a := 0; a < m; a++ {
-				if x.Has(a) {
-					continue
+				if !x.Has(a) && !anySubsetOf(found[a], x) { // a superset cannot be minimal
+					cands = append(cands, pair{i, a})
+					work += parts[i].size()
 				}
-				for _, min := range found[a] {
-					if min.SubsetOf(x) {
-						continue rhs // a superset cannot be minimal
-					}
-				}
-				xa := x.Add(a)
-				pxa, ok := parts[xa]
-				if !ok {
-					pxa = product(parts[x], parts[NewAttrSet(a)], n, sc)
-					parts[xa] = pxa
-				}
-				if err := g3FromPartitions(parts[x], pxa, n, sc); err <= eps {
-					record(x, a, err)
-				}
+			}
+		}
+		errs := make([]float64, len(cands))
+		pool.forEach(len(cands), work, func(sc *prodScratch, i int) {
+			errs[i] = g3Refine(parts[cands[i].x], idx[cands[i].a], sc)
+		})
+		for i, cd := range cands {
+			if errs[i] <= eps {
+				found[cd.a] = append(found[cd.a], level[cd.x])
+				out = append(out, ApproxFD{FD: FD{LHS: level[cd.x], RHS: NewAttrSet(cd.a)}, Err: errs[i]})
 			}
 		}
 		if size == maxLHS {
 			break
 		}
-		// Next level: extend by one attribute; skip candidates that are
-		// supersets of a found LHS for every possible RHS? LHS pruning
-		// must stay RHS-specific, so we only dedupe here.
-		next := map[AttrSet]bool{}
-		for _, x := range level {
-			for a := 0; a < m; a++ {
-				if !x.Has(a) {
-					next[x.Add(a)] = true
-				}
+		if size == 0 {
+			level, parts = make([]AttrSet, m), singles
+			for a := range level {
+				level[a] = NewAttrSet(a)
+			}
+			continue
+		}
+		// Next level: every set arises once, from the set without its
+		// highest attribute, refined by that attribute.
+		var exts []pair
+		work = 0
+		for i, x := range level {
+			for a := highest(x) + 1; a < m; a++ {
+				exts = append(exts, pair{i, a})
+				work += 2 * parts[i].size()
 			}
 		}
-		level = level[:0]
-		for x := range next {
-			if _, ok := parts[x]; !ok {
-				// Build via any single-attribute split.
-				a := x.Attrs()[0]
-				parts[x] = product(parts[x.Remove(a)], parts[NewAttrSet(a)], n, sc)
-			}
-			level = append(level, x)
-		}
-		sort.Slice(level, func(i, j int) bool { return level[i] < level[j] })
+		next, nextParts := make([]AttrSet, len(exts)), make([]*partition, len(exts))
+		pool.forEach(len(exts), work, func(sc *prodScratch, i int) {
+			next[i] = level[exts[i].x].Add(exts[i].a)
+			nextParts[i] = refine(parts[exts[i].x], idx[exts[i].a], sc)
+		})
+		level, parts = next, nextParts
 	}
 
 	sort.Slice(out, func(i, j int) bool {
@@ -149,58 +144,41 @@ func MineApproxColumns(ctx context.Context, c relation.Columns, eps float64, max
 	return out, nil
 }
 
-// g3FromPartitions computes g3(X→A) = 1 − keep/n where keep is the
-// number of tuples that can stay: for every equivalence class of Π_X,
-// the size of its largest Π_{X∪A} subclass.
-//
+// g3Refine computes g3(X→A) = 1 − keep/n from Π_X and A's class index,
+// where keep is the number of tuples that can stay: for every
+// equivalence class of Π_X, the size of its largest Π_{X∪A} subclass.
 // With stripped partitions, singleton classes of Π_X always keep their
-// tuple, and within a stripped class of Π_X the tuples outside every
-// stripped subclass of Π_{X∪A} are singletons there (each keeps at most
-// one representative... exactly one tuple can stay only if it is the
-// majority; a singleton subclass contributes one candidate). The
-// standard identity:
+// tuple, and inside a stripped class a tuple that is a singleton in Π_A
+// is a subclass of one, so
 //
 //	keep = n − size(Π_X) + Σ_{c ∈ Π_X} maxSubclass(c)
 //
-// where maxSubclass(c) is the largest Π_{X∪A} class inside c (at least
-// 1, counting singletons).
-// It shares the product kernel's stamped probe table and counting
-// buckets (a nil scratch allocates a private one), so the per-candidate
-// cost in MineApprox is two linear walks with no map traffic.
-func g3FromPartitions(px, pxa *partition, n int, sc *prodScratch) float64 {
-	if n == 0 {
-		return 0
-	}
-	if sc == nil {
-		sc = &prodScratch{}
-	}
+// with maxSubclass(c) ≥ 1 the largest count of c's tuples sharing an
+// A-class. Π_{X∪A} itself is never formed: one walk of Π_X, counting in
+// the scratch's per-class slots.
+func g3Refine(px *partition, ia []int32, sc *prodScratch) float64 {
+	n := len(ia)
 	sc.ensure(n)
-	// Stamp each tuple with its stripped Π_{X∪A} class id (an unstamped
-	// tuple is a singleton there).
-	g := sc.nextGen()
-	for ci, nc := 0, pxa.numClasses(); ci < nc; ci++ {
-		for _, t := range pxa.class(ci) {
-			sc.tClass[t] = int32(ci)
-			sc.tGen[t] = g
-		}
-	}
 	keep := n - px.size() // singletons of Π_X always stay
-	for ai, na := 0, px.numClasses(); ai < na; ai++ {
-		cg := sc.nextClassGen()
+	for ci, nc := 0, px.numClasses(); ci < nc; ci++ {
 		best := int32(1) // a lone representative can always stay
-		for _, t := range px.class(ai) {
-			if sc.tGen[t] != g {
-				continue // singleton in Π_{X∪A}
+		sc.touched = sc.touched[:0]
+		for _, t := range px.class(ci) {
+			ac := ia[t]
+			if ac < 0 {
+				continue // singleton in Π_A
 			}
-			ci := sc.tClass[t]
-			if sc.cGen[ci] != cg {
-				sc.cGen[ci] = cg
-				sc.cnt[ci] = 0
+			s := &sc.slots[ac]
+			if s.cnt == 0 {
+				sc.touched = append(sc.touched, ac)
 			}
-			sc.cnt[ci]++
-			if sc.cnt[ci] > best {
-				best = sc.cnt[ci]
+			s.cnt++
+			if s.cnt > best {
+				best = s.cnt
 			}
+		}
+		for _, ac := range sc.touched {
+			sc.slots[ac].cnt = 0
 		}
 		keep += int(best)
 	}

@@ -1,11 +1,15 @@
 package fd
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"structmine/internal/exec"
 	"structmine/internal/relation"
 )
 
@@ -178,6 +182,8 @@ func TestMineApproxEdgeCases(t *testing.T) {
 	}
 }
 
+// The product-free g3 kernel against the direct count, on single
+// attributes of random relations.
 func TestG3FromPartitionsMatchesDirect(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -185,12 +191,90 @@ func TestG3FromPartitionsMatchesDirect(t *testing.T) {
 		x := NewAttrSet(0)
 		a := 1
 		px := indexPartition(r, 0)
-		pxa := product(px, indexPartition(r, a), r.N(), nil)
-		got := g3FromPartitions(px, pxa, r.N(), nil)
+		ia := classIndexes(exec.NewArena(), []*partition{indexPartition(r, a)}, r.N())[0]
+		got := g3Refine(px, ia, &prodScratch{})
 		want := G3(r, FD{LHS: x, RHS: NewAttrSet(a)})
 		return math.Abs(got-want) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// approxInputs are the instances the approximate miner is pinned on
+// beyond random ones: DBLP-shaped relations and the sharing corner
+// cases of the exact miner.
+func approxInputs() []cornerCase {
+	in := cornerCases()
+	for seed := int64(1); seed <= 3; seed++ {
+		in = append(in, cornerCase{fmt.Sprintf("dblp/seed=%d", seed), dblp(3000, seed)})
+	}
+	return in
+}
+
+// Every reported error is the direct count's g3 to the last bit (the
+// miner never forms Π_{X∪A}; G3Columns groups rows by value), and at
+// ε = 0 the miner reports every minimal exact FD TANE finds within the
+// left-hand-side bound, with error exactly 0.
+func TestMineApproxErrMatchesDirectCount(t *testing.T) {
+	const maxLHS = 3
+	for _, in := range approxInputs() {
+		t.Run(in.name, func(t *testing.T) {
+			c := relation.AsColumns(in.r)
+			fds, err := MineApproxColumns(context.Background(), c, 0.05, maxLHS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(fds) == 0 {
+				t.Fatal("no approximate FDs mined")
+			}
+			for _, f := range fds {
+				want, err := G3Columns(c, f.FD)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f.Err != want {
+					t.Fatalf("%v: Err = %v, direct count %v", f.FD, f.Err, want)
+				}
+			}
+
+			zero, err := MineApproxColumns(context.Background(), c, 0, maxLHS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, err := TANE(in.r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range exact {
+				if f.LHS.Count() > maxLHS {
+					continue
+				}
+				if g, ok := approxHas(zero, f); !ok || g != 0 {
+					t.Fatalf("eps=0 misses TANE's %v (found %v, Err %v)", f, ok, g)
+				}
+			}
+		})
+	}
+}
+
+// The level fan-out writes per-candidate slots and records finds
+// serially afterwards, so the result is the same at every budget.
+func TestMineApproxBudgetSweep(t *testing.T) {
+	defer forceParallel()()
+	for _, in := range append(cornerCases(), cornerCase{"dblp", dblp(3000, 1)}) {
+		c := relation.AsColumns(in.r)
+		var want []ApproxFD
+		for _, budget := range []int{1, 2, 4, 8} {
+			got, err := MineApproxColumns(exec.WithWorkers(context.Background(), budget), c, 0.05, 3)
+			if err != nil {
+				t.Fatalf("%s budget %d: %v", in.name, budget, err)
+			}
+			if budget == 1 {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s budget %d: result diverged from budget 1", in.name, budget)
+			}
+		}
 	}
 }

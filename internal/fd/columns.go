@@ -19,7 +19,8 @@ import (
 // (relation.StrippedPartition). A source that can serve cached
 // partitions (relation.PartitionSource, e.g. a primcache wrapper) is
 // probed first; its slices are shared read-only, which is safe because
-// TANE only ever reads level-1 partitions — products carve new ones.
+// the miners only ever read level-1 partitions — the class index and
+// every refinement are carved fresh from the job's arena.
 func singlePartitionColumns(c relation.Columns, a int) (*partition, error) {
 	var (
 		elems, offs []int32

@@ -4,14 +4,18 @@ import "structmine/internal/obs"
 
 // FD-mining metrics, registered on the process-wide registry and served
 // by structmined's GET /v1/metrics. Products are counted inside the two
-// product kernels themselves (one atomic add each), so the counter
-// covers level-wise generation, the serial reference, and approximate
-// mining alike; levels count lattice levels a TANE run actually
-// processed (pruning makes this data-dependent, which is exactly what
-// makes it worth watching).
+// kernels that compute a partition (refine and the serial reference's
+// productSerial, one atomic add each), so the counter covers TANE's
+// level-wise generation, the reference run and approximate mining
+// alike; shared counts the lattice nodes that inherited a parent's
+// partition instead — together they say why products fell. Levels count
+// lattice levels a TANE run actually processed (pruning makes this
+// data-dependent, which is exactly what makes it worth watching).
 var (
 	taneLevels = obs.Default.Counter("structmine_tane_levels",
 		"Lattice levels processed across TANE runs.")
 	taneProducts = obs.Default.Counter("structmine_tane_products_total",
-		"Stripped-partition products computed (TANE generation, serial reference, and approximate mining).")
+		"Stripped partitions actually computed: one-attribute refinements in TANE and approximate mining, and the serial reference's products. Nodes that share a parent's partition and g3 evaluations are not counted.")
+	taneShared = obs.Default.Counter("structmine_tane_shared_partitions_total",
+		"TANE lattice nodes that inherited a parent's partition because an already-emitted FD implies the two are equal.")
 )

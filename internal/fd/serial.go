@@ -9,8 +9,8 @@ import (
 
 // This file keeps the original map-based partition builders verbatim (on
 // the slice-of-slices representation they shipped with) as the
-// differential-testing oracles for the flat probe-table kernels in
-// tane.go, mirroring limbo's closestObjSerial / NewTreeSerial split.
+// differential-testing oracles for the class-index refinement kernels
+// in tane.go, mirroring limbo's closestObjSerial / NewTreeSerial split.
 
 // singlePartitionClasses builds the stripped classes of Π_{A} the
 // original way: group by value with a map, then emit groups of ≥ 2 in
@@ -37,8 +37,9 @@ func singlePartitionClasses(r *relation.Relation, a int) [][]int32 {
 
 // productClasses is the original probe-table product: a fresh tuple→class
 // table and a fresh bucket map per class of a, subclasses emitted in
-// ascending b-class order. Quadratic in allocations, linear in time; the
-// scratch-based product in tane.go must match its output exactly
+// ascending b-class order. Quadratic in allocations, linear in time; it
+// is the only two-partition product left, and refine in tane.go must
+// match its output exactly whenever b is a single attribute's partition
 // (TestPropProductMatchesSerial).
 func productClasses(a, b *partition, n int) [][]int32 {
 	tClass := make([]int32, n)
@@ -82,13 +83,14 @@ func productSerial(a, b *partition, n int) *partition {
 	return fromClasses(productClasses(a, b, n))
 }
 
-// TANESerial mines the same minimal FDs as TANE but routes every
-// partition product through the retained serial reference, regardless of
-// workload size and GOMAXPROCS, and builds its level-1 partitions and
-// satisfaction checks from the rows (singlePartitionClasses, Holds)
-// where TANE reads the value index. It exists for differential tests
-// (TestPropTANEMatchesSerial compares whole runs for exact equality);
-// new callers should use TANE.
+// TANESerial mines the same minimal FDs as TANE but forms every lattice
+// node's partition as a product of its two prefix-join parents through
+// the retained serial reference — no class index, no partition sharing,
+// regardless of workload size and GOMAXPROCS — and builds its level-1
+// partitions and satisfaction checks from the rows
+// (singlePartitionClasses, Holds) where TANE reads the value index. It
+// exists for differential tests (TestPropTANEMatchesSerial compares
+// whole runs for exact equality); new callers should use TANE.
 func TANESerial(r *relation.Relation) ([]FD, error) {
 	return (&tane{c: relation.AsColumns(r), serial: r}).mine(context.Background())
 }

@@ -2,14 +2,17 @@ package fd
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"structmine/internal/exec"
 	"structmine/internal/obs"
 	"structmine/internal/relation"
 )
@@ -52,17 +55,17 @@ func indexPartition(r *relation.Relation, a int) *partition {
 	return p
 }
 
-// Property: the flat probe-table product and the index-built level-1
+// Property: the one-attribute refinement and the index-built level-1
 // partitions reproduce the original slice-of-slices builders exactly —
 // same classes, same class order, same tuple order within each class —
-// including when one
-// scratch is reused across many products (stamp invalidation, buffer
-// reuse) and when products chain (products of products).
+// on plain and fuzzed (NULLs, shared strings, runs) relations, including
+// when one scratch is reused across many refinements (slot reset,
+// buffer reuse) and when refinements chain (refinements of
+// refinements). The level-1 partitions the class index is built from
+// are shared read-only with their source and must come out untouched.
 func TestPropProductMatchesSerial(t *testing.T) {
-	sc := &prodScratch{} // shared on purpose: reuse must not leak state
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := randomRelation(rng, 2+rng.Intn(60), 2+rng.Intn(4), 2+rng.Intn(4))
+	sc := &prodScratch{ar: exec.NewArena()} // shared on purpose: reuse must not leak state
+	check := func(seed int64, r *relation.Relation) bool {
 		n := r.N()
 		singles := make([]*partition, r.M())
 		for a := 0; a < r.M(); a++ {
@@ -72,42 +75,151 @@ func TestPropProductMatchesSerial(t *testing.T) {
 				return false
 			}
 		}
+		idx := classIndexes(exec.NewArena(), singles, n)
+		for a, p := range singles {
+			if !partitionsEqual(p, fromClasses(singlePartitionClasses(r, a))) {
+				t.Logf("seed %d: building the class index wrote into Π_%d", seed, a)
+				return false
+			}
+		}
 		cur := singles[0]
 		for a := 1; a < r.M(); a++ {
-			got := product(cur, singles[a], n, sc)
-			if err := samePartition(got, productClasses(cur, singles[a], n)); err != nil {
-				t.Logf("seed %d product chain at %d: %v", seed, a, err)
+			got := refine(cur, idx[a], sc)
+			if !partitionsEqual(got, productSerial(cur, singles[a], n)) {
+				t.Logf("seed %d refine chain at %d: diverges from productSerial", seed, a)
 				return false
 			}
 			cur = got
 		}
 		return true
 	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		return check(seed, randomRelation(rng, 2+rng.Intn(60), 2+rng.Intn(4), 2+rng.Intn(4))) &&
+			check(seed, fuzzedRelation(rng))
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// cornerCase is a hand-built instance aimed at one interaction of the
+// partition-sharing rule with the rest of the lattice walk. Every case
+// plants B → C (C = B/2) next to free columns, so nodes containing both
+// B and C survive pruning and must inherit a parent's partition.
+type cornerCase struct {
+	name string
+	r    *relation.Relation
+}
+
+func cornerCases() []cornerCase {
+	// build adds n generated rows, each one copies times.
+	build := func(name string, attrs []string, n, copies int, row func(i int, rng *rand.Rand) []int) cornerCase {
+		rng := rand.New(rand.NewSource(int64(len(name))))
+		b := relation.NewBuilder(name, attrs)
+		cells := make([]string, len(attrs))
+		for i := 0; i < n; i++ {
+			for j, v := range row(i, rng) {
+				cells[j] = strconv.Itoa(v)
+			}
+			for c := 0; c < copies; c++ {
+				b.MustAdd(cells...)
+			}
+		}
+		return cornerCase{name, b.Relation()}
+	}
+	planted := func(rng *rand.Rand) []int { // B, C = B/2, and two free columns
+		b := rng.Intn(6)
+		return []int{b, b / 2, rng.Intn(3), rng.Intn(3)}
+	}
+	return []cornerCase{
+		// ∅ → K holds: K leaves the lattice at level 1 and every other
+		// node is built as if it were not there.
+		build("constant-column", []string{"K", "B", "C", "D", "E"}, 200, 1, func(i int, rng *rand.Rand) []int {
+			return append([]int{7}, planted(rng)...)
+		}),
+		// Every tuple twice: no partition is ever a superkey, so key
+		// pruning never fires and the lattice runs to its full height.
+		build("duplicate-tuples", []string{"B", "C", "D", "E"}, 100, 2, func(i int, rng *rand.Rand) []int {
+			return planted(rng)
+		}),
+		// A single-column key and a composite key (P, Q): sharing meets
+		// the key-pruning rule, whose siblings are partly pruned already
+		// (inCPlusByDef).
+		build("key", []string{"ID", "B", "C", "D", "P", "Q"}, 200, 1, func(i int, rng *rand.Rand) []int {
+			p := planted(rng)
+			return []int{i, p[0], p[1], p[2], i / 20, i % 20}
+		}),
+	}
+}
+
 // Property: a full TANE run matches the retained serial reference
-// exactly — the same FDs in the same order — with the parallel product
-// path forced on.
+// exactly — the same FDs in the same order — with the parallel
+// refinement path forced on: on random instances, on DBLP-shaped ones at
+// budgets 1, 2 and 4, and on the hand-built corner cases (which a brute
+// force also confirms). The reference forms every node's partition as a
+// two-partition product and shares nothing; the inputs built to exercise
+// partition sharing fail if the production run never took that path.
 func TestPropTANEMatchesSerial(t *testing.T) {
 	defer forceParallel()()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := randomRelation(rng, 20+rng.Intn(120), 3+rng.Intn(4), 2+rng.Intn(3))
-		got, err := TANE(r)
-		if err != nil {
-			return false
+	t.Run("random", func(t *testing.T) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			r := randomRelation(rng, 20+rng.Intn(120), 3+rng.Intn(4), 2+rng.Intn(3))
+			got, err := TANE(r)
+			if err != nil {
+				return false
+			}
+			want, err := TANESerial(r)
+			if err != nil {
+				return false
+			}
+			return reflect.DeepEqual(got, want)
 		}
-		want, err := TANESerial(r)
-		if err != nil {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+			t.Fatal(err)
 		}
-		return reflect.DeepEqual(got, want)
+	})
+	sweep := func(t *testing.T, r *relation.Relation, want []FD) {
+		for _, budget := range []int{1, 2, 4} {
+			shared := taneShared.Value()
+			got, err := TANECtx(exec.WithWorkers(context.Background(), budget), r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("budget %d: %d FDs, reference %d:\n got %v\nwant %v", budget, len(got), len(want), got, want)
+			}
+			if taneShared.Value() == shared {
+				t.Fatalf("budget %d: no node shared a partition on an input built to exercise sharing", budget)
+			}
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("dblp/seed=%d", seed), func(t *testing.T) {
+			r := dblp(3000, seed)
+			want, err := TANESerial(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sweep(t, r, want)
+		})
+	}
+	for _, cc := range cornerCases() {
+		t.Run(cc.name, func(t *testing.T) {
+			want, err := TANESerial(cc.r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			brute, err := BruteForce(cc.r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, brute) {
+				t.Fatalf("reference and brute force disagree:\n ref   %v\n brute %v", want, brute)
+			}
+			sweep(t, cc.r, want)
+		})
 	}
 }
 
@@ -153,17 +265,12 @@ func TestTANEMetricsExposition(t *testing.T) {
 		return out
 	}
 	before := render()
-	r := rel(t, []string{"A", "B", "C"},
-		[]string{"a", "1", "p"},
-		[]string{"a", "1", "q"},
-		[]string{"b", "2", "p"},
-		[]string{"b", "2", "q"},
-	)
+	r := cornerCases()[0].r // planted B → C: refines some nodes, shares others
 	if _, err := TANE(r); err != nil {
 		t.Fatal(err)
 	}
 	after := render()
-	for _, name := range []string{"structmine_tane_levels", "structmine_tane_products_total"} {
+	for _, name := range []string{"structmine_tane_levels", "structmine_tane_products_total", "structmine_tane_shared_partitions_total"} {
 		if _, ok := after[name]; !ok {
 			t.Fatalf("metric %s missing from exposition", name)
 		}

@@ -3,7 +3,8 @@ package fd
 import (
 	"context"
 	"fmt"
-	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"structmine/internal/exec"
@@ -16,22 +17,25 @@ import (
 // It scales to tens of thousands of tuples, unlike the pairwise FDEP.
 //
 // Partitions are stored flat (one []int32 of tuple ids plus class
-// offsets) and products run through reusable per-worker probe tables, so
-// a level's worth of products costs O(level) allocations instead of
-// O(classes). Per-level products fan out across the budgeted workers
-// above the TANEProduct cutoff (see internal/exec); the candidate list
-// is materialized in sorted order first,
-// so the result is independent of scheduling (and SortFDs canonicalizes
+// offsets). A lattice node's partition is never a two-partition
+// product: it is either inherited from a parent an already-emitted FD
+// proves equal, or a one-attribute refinement of its smallest parent
+// through a per-attribute class index built once per mine (see
+// generate). Refinements run on reusable per-worker scratch, so a
+// level's worth costs O(level) allocations instead of O(classes), and
+// fan out across the budgeted workers above the TANEProduct cutoff (see
+// internal/exec); the job list is materialized in sorted order first, so
+// the result is independent of scheduling (and SortFDs canonicalizes
 // the output order regardless). TANESerial is the retained reference
-// implementation products are differentially tested against.
+// implementation the whole walk is differentially tested against.
 func TANE(r *relation.Relation) ([]FD, error) {
 	return TANECtx(context.Background(), r)
 }
 
 // TANECtx is TANE under the context's worker budget and arena pool: the
-// per-level product fan-out is sized by the context's grant (or fixed
-// exec.WithWorkers budget), and partition storage is carved from pooled
-// arenas checked out through the grant.
+// per-level refinement fan-out is sized by the context's grant (or fixed
+// exec.WithWorkers budget), and the class index and partition storage
+// are carved from pooled arenas checked out through the grant.
 func TANECtx(ctx context.Context, r *relation.Relation) ([]FD, error) {
 	return TANEColumnsCtx(ctx, relation.AsColumns(r))
 }
@@ -57,6 +61,7 @@ func (t *tane) mine(ctx context.Context) ([]FD, error) {
 	}
 	t.ctx, t.m, t.n = ctx, m, n
 	t.full = FullSet(m)
+	t.byRHS = make([][]AttrSet, m)
 	t.cache = map[cplusKey]bool{}
 	t.run()
 	if t.err != nil {
@@ -70,9 +75,9 @@ func (t *tane) mine(ctx context.Context) ([]FD, error) {
 // least two tuples are kept, concatenated into one flat tuple-id slice.
 // Class i is elems[offs[i]:offs[i+1]]; offs always carries the leading
 // zero, so a partition with no stripped classes has offs == {0}. The
-// flat layout is what makes the probe-table product allocation-free: a
-// product walks two int32 slices and emits into one, with no per-class
-// slice headers to chase or grow.
+// flat layout is what makes a refinement allocation-free: it walks one
+// int32 slice against a class index and emits into another, with no
+// per-class slice headers to chase or grow.
 type partition struct {
 	elems []int32 // tuple ids, class by class
 	offs  []int32 // len = numClasses+1, offs[0] = 0
@@ -127,165 +132,153 @@ func emptyPartition(n int) *partition {
 	return &partition{elems: all, offs: []int32{0, int32(n)}}
 }
 
-// prodScratch is the reusable worker-private state behind product and
-// g3FromPartitions: a tuple→class probe table and per-class counting
-// buckets, both invalidated by generation stamps instead of O(n) clears,
-// plus an accumulation buffer for the result and a slab arena the final
-// exact-size copy is carved from. One scratch serves one goroutine; the
-// tane driver keeps one per exec.ForChunk worker.
+// prodScratch is the reusable worker-private state behind refine and
+// g3Refine: one counting slot per class of the attribute being refined
+// by (zero between Π_X classes — each walk resets exactly the slots it
+// touched, so nothing is ever cleared in O(n)), plus an accumulation
+// buffer for the result and the arena the final exact-size copy is
+// carved from. One scratch serves one goroutine; scratchPool keeps one
+// per fan-out worker.
 type prodScratch struct {
-	n      int
-	tClass []int32 // b-class of tuple t, valid iff tGen[t] == gen
-	tGen   []int32
-	gen    int32
-	cnt    []int32 // tuples of the current a-class per b-class, valid iff cGen[bc] == cg
-	pos    []int32 // emit cursor per b-class within the current a-class
-	cGen   []int32
-	cg     int32
-
-	touched []int32 // b-class ids hit by the current a-class
+	slots   []classSlot
+	touched []int32 // index-class ids hit by the current Π_X class
 	elems   []int32 // result accumulation, copied out exact-size
 	offs    []int32
 
-	ar *exec.Arena // arena the exact-size copies are carved from
+	// ar is the arena the exact-size result copies are carved from, so
+	// the hundreds of partitions a level produces share a handful of
+	// backing allocations. Chunks are never freed individually; a level's
+	// partitions die together when the lattice moves two levels past
+	// them, releasing their slabs wholesale (pooled arenas return to the
+	// engine pool with the grant instead).
+	ar *exec.Arena
+}
+
+// classSlot is the per-index-class state of one Π_X class walk.
+type classSlot struct {
+	cnt int32 // tuples of the current Π_X class seen in this index class
+	pos int32 // emit cursor of the subclass, −1 when it stays a singleton
 }
 
 func (sc *prodScratch) ensure(n int) {
-	if sc.n >= n {
-		return
+	if mc := n/2 + 1; len(sc.slots) < mc { // every stripped class has ≥ 2 tuples
+		sc.slots = make([]classSlot, mc)
 	}
-	sc.n = n
-	sc.tClass = make([]int32, n)
-	sc.tGen = make([]int32, n)
-	mc := n/2 + 1 // every stripped class has ≥ 2 tuples
-	sc.cnt = make([]int32, mc)
-	sc.pos = make([]int32, mc)
-	sc.cGen = make([]int32, mc)
-	sc.gen, sc.cg = 0, 0
 }
 
-// nextGen bumps the probe-table generation, re-zeroing on the (in
-// practice unreachable) int32 wraparound so stale stamps can never
-// alias a live generation.
-func (sc *prodScratch) nextGen() int32 {
-	if sc.gen == math.MaxInt32 {
-		for i := range sc.tGen {
-			sc.tGen[i] = 0
+// scratchPool keeps one prodScratch (with its own arena: carves stay
+// single-goroutine while the backing slabs are pooled and recycled with
+// the job's grant) per fan-out worker of one mining job.
+type scratchPool struct {
+	ctx context.Context // carries the worker budget and arena pool
+	scs []*prodScratch
+}
+
+// grow returns the pool extended to at least k scratches. Not safe for
+// concurrent use: forEach sizes the pool before it fans out.
+func (p *scratchPool) grow(k int) []*prodScratch {
+	for len(p.scs) < k {
+		p.scs = append(p.scs, &prodScratch{ar: exec.CheckoutArena(p.ctx)})
+	}
+	return p.scs
+}
+
+// forEach runs fn(sc, i) for every i in [0, n) across the context's
+// worker budget (TANEProduct kernel; work in its units), handing each
+// call its worker's private scratch. The budget is read once: the pool
+// is sized by the plan the loop then runs at. fn must write per-index
+// slots only.
+func (p *scratchPool) forEach(n, work int, fn func(sc *prodScratch, i int)) {
+	plan := exec.Plan(p.ctx, exec.TANEProduct, n, work)
+	scs := p.grow(plan.Workers())
+	plan.ForChunk(func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(scs[w], i)
 		}
-		sc.gen = 0
-	}
-	sc.gen++
-	return sc.gen
+	})
 }
 
-func (sc *prodScratch) nextClassGen() int32 {
-	if sc.cg == math.MaxInt32 {
-		for i := range sc.cGen {
-			sc.cGen[i] = 0
+// classIndexes builds the per-attribute class index of a mining job
+// from its level-1 partitions: idx[a][t] is the stripped class id of
+// tuple t in Π_{a}, −1 when t is a singleton there. It is the only
+// thing a refinement reads of the attribute it refines by, so no
+// two-partition product is ever formed. The m·n int32 are carved from
+// the job's arena — the level-1 partitions themselves (possibly a
+// relation.PartitionSource's shared slices) are only read.
+func classIndexes(ar *exec.Arena, singles []*partition, n int) [][]int32 {
+	idx := make([][]int32, len(singles))
+	for a, p := range singles {
+		ia := ar.Int32s(n)[:n]
+		for t := range ia {
+			ia[t] = -1
 		}
-		sc.cg = 0
+		for ci, nc := 0, p.numClasses(); ci < nc; ci++ {
+			for _, t := range p.class(ci) {
+				ia[t] = int32(ci)
+			}
+		}
+		idx[a] = ia
 	}
-	sc.cg++
-	return sc.cg
+	return idx
 }
 
-// carve copies src into a chunk of the scratch's arena, so the hundreds
-// of partitions a level produces share a handful of backing
-// allocations. Chunks are never freed individually; a level's partitions
-// die together when the lattice moves two levels past them, releasing
-// their slabs wholesale (pooled arenas return to the engine pool with
-// the grant instead). A scratch without an arena — the public product
-// entry point with a nil scratch — gets a private one.
-func (sc *prodScratch) carve(src []int32) []int32 {
-	if sc.ar == nil {
-		sc.ar = exec.NewArena()
-	}
-	return sc.ar.AppendInt32s(src)
-}
-
-// product computes the stripped partition Π_{X∪Y} = Π_X · Π_Y with the
-// probe-table algorithm (linear in the stripped sizes). It reproduces
-// the serial reference productSerial exactly: within each class of a,
-// subclasses are emitted in ascending b-class order (the insertion sort
-// over the touched list replaces the reference's sorted map keys), and
-// tuples keep their a-class order. A nil scratch allocates a private
-// one — callers on a hot path pass a reused scratch and get zero
-// steady-state allocations beyond the two result copies.
-func product(a, b *partition, n int, sc *prodScratch) *partition {
-	if sc == nil {
-		sc = &prodScratch{}
-	}
-	sc.ensure(n)
+// refine computes the stripped partition Π_{X∪{a}} = Π_X · Π_{a} by
+// walking Π_X against a's class index ia — linear in Π_X's stripped
+// size, whatever Π_{a} holds. It reproduces the serial reference
+// productSerial(Π_X, Π_{a}) exactly: within each class of Π_X,
+// subclasses are emitted in ascending a-class order and tuples keep
+// their Π_X order. Steady state allocates nothing beyond the two
+// result carves.
+func refine(px *partition, ia []int32, sc *prodScratch) *partition {
+	sc.ensure(len(ia))
 	taneProducts.Inc()
-
-	g := sc.nextGen()
-	for ci, nc := 0, b.numClasses(); ci < nc; ci++ {
-		for _, t := range b.class(ci) {
-			sc.tClass[t] = int32(ci)
-			sc.tGen[t] = g
-		}
-	}
 
 	sc.elems = sc.elems[:0]
 	sc.offs = append(sc.offs[:0], 0)
-	for ai, na := 0, a.numClasses(); ai < na; ai++ {
-		cls := a.class(ai)
-		cg := sc.nextClassGen()
+	for ci, nc := 0, px.numClasses(); ci < nc; ci++ {
+		cls := px.class(ci)
 		sc.touched = sc.touched[:0]
 		for _, t := range cls {
-			if sc.tGen[t] != g {
-				continue // singleton in b: can never join a class of ≥2
+			ac := ia[t]
+			if ac < 0 {
+				continue // singleton in Π_{a}: can never join a class of ≥ 2
 			}
-			bc := sc.tClass[t]
-			if sc.cGen[bc] != cg {
-				sc.cGen[bc] = cg
-				sc.cnt[bc] = 0
-				sc.touched = append(sc.touched, bc)
+			if sc.slots[ac].cnt == 0 {
+				sc.touched = append(sc.touched, ac)
 			}
-			sc.cnt[bc]++
+			sc.slots[ac].cnt++
 		}
-		// Ascending b-class order, as the reference emits. The touched
-		// list is tiny (subclasses of one a-class); insertion sort beats
-		// sort.Slice without allocating its closure.
-		for i := 1; i < len(sc.touched); i++ {
-			for j := i; j > 0 && sc.touched[j] < sc.touched[j-1]; j-- {
-				sc.touched[j], sc.touched[j-1] = sc.touched[j-1], sc.touched[j]
-			}
-		}
-		// Lay out the emit cursors, then place tuples in a second pass so
-		// each subclass keeps its a-class tuple order.
+		slices.Sort(sc.touched) // ascending a-class order, as the reference emits
+		// Lay out the emit cursors (zeroing the counts for the next class),
+		// then place tuples in a second pass so each subclass keeps its
+		// Π_X tuple order.
 		base := int32(len(sc.elems))
 		total := int32(0)
-		for _, bc := range sc.touched {
-			if sc.cnt[bc] >= 2 {
-				sc.pos[bc] = base + total
-				total += sc.cnt[bc]
+		for _, ac := range sc.touched {
+			s := &sc.slots[ac]
+			if s.cnt >= 2 {
+				s.pos = base + total
+				total += s.cnt
 				sc.offs = append(sc.offs, base+total)
 			} else {
-				sc.pos[bc] = -1
+				s.pos = -1
 			}
+			s.cnt = 0
 		}
 		if total == 0 {
 			continue
 		}
-		need := int(base + total)
-		if cap(sc.elems) < need {
-			grown := make([]int32, len(sc.elems), 2*need)
-			copy(grown, sc.elems)
-			sc.elems = grown
-		}
-		sc.elems = sc.elems[:need]
+		sc.elems = slices.Grow(sc.elems, int(total))[:base+total]
 		for _, t := range cls {
-			if sc.tGen[t] != g {
-				continue
-			}
-			if p := sc.pos[sc.tClass[t]]; p >= 0 {
-				sc.elems[p] = t
-				sc.pos[sc.tClass[t]] = p + 1
+			if ac := ia[t]; ac >= 0 {
+				if s := &sc.slots[ac]; s.pos >= 0 {
+					sc.elems[s.pos] = t
+					s.pos++
+				}
 			}
 		}
 	}
-	return &partition{elems: sc.carve(sc.elems), offs: sc.carve(sc.offs)}
+	return &partition{elems: sc.ar.AppendInt32s(sc.elems), offs: sc.ar.AppendInt32s(sc.offs)}
 }
 
 type levelNode struct {
@@ -294,18 +287,25 @@ type levelNode struct {
 }
 
 type tane struct {
-	ctx  context.Context // carries the worker budget and arena pool
-	m, n int
-	full AttrSet
-	out  []FD
+	scratchPool // ctx, and one scratch per fan-out worker
+	m, n        int
+	full        AttrSet
+	out         []FD
+	// byRHS[a] lists the left-hand sides of the FDs emitted so far with
+	// right-hand side a — what generate consults to share partitions.
+	byRHS [][]AttrSet
 
 	// c is the instance: level-1 stripped partitions come from its value
 	// index (singlePartitionColumns) and the key-pruning fallback checks
 	// satisfaction by stripe scans (HoldsColumns).
 	c relation.Columns
+	// idx is the per-attribute class index every refinement reads
+	// (classIndexes); nil in a reference run.
+	idx [][]int32
 	// serial, set only by TANESerial, is the resident relation of a
-	// reference run: every product goes through productSerial, and
-	// level-1 partitions and satisfaction checks read its rows
+	// reference run: every node's partition is a productSerial of its two
+	// prefix-join parents (no class index, no sharing), and level-1
+	// partitions and satisfaction checks read its rows
 	// (singlePartitionClasses, Holds) instead of c's index — nothing
 	// below the lattice walk is shared with the production path the
 	// differential tests compare it against.
@@ -315,8 +315,6 @@ type tane struct {
 	err error
 
 	cache map[cplusKey]bool
-
-	scs []*prodScratch // one per ForChunk worker, grown on demand
 }
 
 type cplusKey struct {
@@ -340,13 +338,27 @@ func (t *tane) holds(f FD) (bool, error) {
 	return HoldsColumns(t.c, f)
 }
 
-func (t *tane) scratch(w int) *prodScratch {
-	for len(t.scs) <= w {
-		// One arena per worker: carves stay single-goroutine while the
-		// backing slabs are pooled (and recycled with the job's grant).
-		t.scs = append(t.scs, &prodScratch{ar: exec.CheckoutArena(t.ctx)})
+// emit records the minimal dependency lhs → a.
+func (t *tane) emit(lhs AttrSet, a int) {
+	t.out = append(t.out, FD{LHS: lhs, RHS: NewAttrSet(a)})
+	t.byRHS[a] = append(t.byRHS[a], lhs)
+}
+
+// highest returns the largest member of a non-empty set.
+func highest(s AttrSet) int { return bits.Len64(uint64(s)) - 1 }
+
+// lowest returns the smallest member of a non-empty set; with
+// rest &= rest − 1 it walks a set without materializing Attrs().
+func lowest(s AttrSet) int { return bits.TrailingZeros64(uint64(s)) }
+
+// anySubsetOf reports whether some set of the list is a subset of x.
+func anySubsetOf(sets []AttrSet, x AttrSet) bool {
+	for _, s := range sets {
+		if s.SubsetOf(x) {
+			return true
+		}
 	}
-	return t.scs[w]
+	return false
 }
 
 // inCPlusByDef tests A ∈ C+(Y) from the definition
@@ -363,7 +375,8 @@ func (t *tane) inCPlusByDef(a int, y AttrSet) bool {
 		return v
 	}
 	res := true
-	for _, b := range y.Attrs() {
+	for rest := y; rest != 0; rest &= rest - 1 {
+		b := lowest(rest)
 		lhs := y.Remove(a).Remove(b)
 		ok, err := t.holds(FD{LHS: lhs, RHS: NewAttrSet(b)})
 		if err != nil {
@@ -388,13 +401,18 @@ func (t *tane) run() {
 	}
 	// Level 1.
 	cur := map[AttrSet]*levelNode{}
-	for a := 0; a < t.m; a++ {
+	singles := make([]*partition, t.m)
+	for a := range singles {
 		part, err := t.single(a)
 		if err != nil {
 			t.err = err
 			return
 		}
+		singles[a] = part
 		cur[NewAttrSet(a)] = &levelNode{part: part}
+	}
+	if t.serial == nil {
+		t.idx = classIndexes(t.grow(1)[0].ar, singles, t.n)
 	}
 
 	for len(cur) > 0 && t.err == nil {
@@ -410,8 +428,8 @@ func (t *tane) run() {
 func (t *tane) computeDependencies(level, prev map[AttrSet]*levelNode) {
 	for x, node := range level {
 		cp := t.full
-		for _, a := range x.Attrs() {
-			sub, ok := prev[x.Remove(a)]
+		for rest := x; rest != 0; rest &= rest - 1 {
+			sub, ok := prev[x.Remove(lowest(rest))]
 			if !ok {
 				cp = 0
 				break
@@ -421,13 +439,14 @@ func (t *tane) computeDependencies(level, prev map[AttrSet]*levelNode) {
 		node.cplus = cp
 	}
 	for x, node := range level {
-		for _, a := range x.Intersect(node.cplus).Attrs() {
+		for rest := x.Intersect(node.cplus); rest != 0; rest &= rest - 1 {
+			a := lowest(rest)
 			sub, ok := prev[x.Remove(a)]
 			if !ok {
 				continue
 			}
 			if sub.part.errVal() == node.part.errVal() {
-				t.out = append(t.out, FD{LHS: x.Remove(a), RHS: NewAttrSet(a)})
+				t.emit(x.Remove(a), a)
 				node.cplus = node.cplus.Remove(a)
 				node.cplus = node.cplus.Minus(t.full.Minus(x))
 			}
@@ -445,23 +464,20 @@ func (t *tane) prune(level map[AttrSet]*levelNode) {
 			continue
 		}
 		if node.part.superkey() {
-			for _, a := range node.cplus.Minus(x).Attrs() {
+			for rest := node.cplus.Minus(x); rest != 0; rest &= rest - 1 {
+				a := lowest(rest)
 				// a ∈ ∩_{B∈X} C+(X ∪ {a} \ {B})
 				inAll := true
-				for _, b := range x.Attrs() {
-					y := x.Add(a).Remove(b)
+				for xs := x; xs != 0 && inAll; xs &= xs - 1 {
+					y := x.Add(a).Remove(lowest(xs))
 					if ynode, ok := level[y]; ok {
-						if !ynode.cplus.Has(a) {
-							inAll = false
-							break
-						}
-					} else if !t.inCPlusByDef(a, y) {
-						inAll = false
-						break
+						inAll = ynode.cplus.Has(a)
+					} else {
+						inAll = t.inCPlusByDef(a, y)
 					}
 				}
 				if inAll {
-					t.out = append(t.out, FD{LHS: x, RHS: NewAttrSet(a)})
+					t.emit(x, a)
 				}
 			}
 			toDelete = append(toDelete, x)
@@ -472,85 +488,101 @@ func (t *tane) prune(level map[AttrSet]*levelNode) {
 	}
 }
 
-// candidate is one prefix-join pair queued for a partition product. The
-// list is built in sorted-key order before any product runs, so the
-// parallel fan-out fills parts[i] slots deterministically regardless of
+// refineJob is one next-level node whose partition has to be computed:
+// walk part against idx[attr]. The list is built serially, in sorted
+// order, before any refinement runs, and each job writes only its own
+// node, so the parallel fan-out is deterministic regardless of
 // scheduling.
-type candidate struct {
-	z, x, y AttrSet
+type refineJob struct {
+	node *levelNode
+	part *partition
+	attr int
 }
 
+// generate forms the next level by prefix join — two sets combine when
+// they share all but their highest attribute — keeping a candidate Z
+// only when all its |Z|−1 subsets survive at the current level. Sorting
+// by (prefix, set) makes every bucket of joinable sets contiguous, and
+// each Z arises from exactly one pair (the two sets missing one of its
+// two highest attributes), so no pair loop over the whole level and no
+// dedup are needed.
+//
+// Every surviving parent Z \ {b} is a valid way to Π_Z (Π_Z =
+// Π_{Z\{b}} · Π_{b}), and all of them are at hand from the subset
+// check, so the node takes the cheapest:
+//
+//   - share: if an FD W → b with W ⊆ Z \ {b} has already been emitted,
+//     it holds in the instance, so refining Π_{Z\{b}} by b splits
+//     nothing: Π_Z is Π_{Z\{b}} element for element and the node takes
+//     that pointer — no product runs. The level-wise walk has emitted
+//     every minimal FD with a left-hand side smaller than |Z|−1 by now,
+//     so this catches every Z \ {b} → b that holds non-minimally; only
+//     the still-unknown minimal ones (found by the next
+//     computeDependencies, which needs the real partition) are refined.
+//   - refine: otherwise walk the smallest parent against the removed
+//     attribute's class index. Ties go to the parent missing the higher
+//     attribute, so a node's partition is a pure function of the input.
 func (t *tane) generate(level map[AttrSet]*levelNode) map[AttrSet]*levelNode {
-	// Prefix join: sort sets; two sets combine when they share all but
-	// their largest attribute.
+	prefix := func(x AttrSet) AttrSet { return x.Remove(highest(x)) }
 	keys := make([]AttrSet, 0, len(level))
 	for x := range level {
 		keys = append(keys, x)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	sort.Slice(keys, func(i, j int) bool {
+		if pi, pj := prefix(keys[i]), prefix(keys[j]); pi != pj {
+			return pi < pj
+		}
+		return keys[i] < keys[j]
+	})
 
-	var cands []candidate
-	seen := map[AttrSet]bool{}
+	next := map[AttrSet]*levelNode{}
+	var jobs []refineJob
 	work := 0
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			x, y := keys[i], keys[j]
-			hx, hy := highest(x), highest(y)
-			if x.Remove(hx) != y.Remove(hy) {
-				continue
-			}
-			z := x.Union(y)
-			if seen[z] {
-				continue
-			}
-			// All |Z|-1 subsets must be present at the current level.
-			ok := true
-			for _, a := range z.Attrs() {
-				if _, present := level[z.Remove(a)]; !present {
-					ok = false
-					break
+	for lo, hi := 0, 0; lo < len(keys); lo = hi {
+		for hi = lo + 1; hi < len(keys) && prefix(keys[hi]) == prefix(keys[lo]); hi++ {
+		}
+		for i := lo; i < hi; i++ {
+			for j := i + 1; j < hi; j++ {
+				x, y := keys[i], keys[j]
+				z := x.Union(y)
+				var shared, walk *partition
+				attr := -1
+				complete := true
+				for rest := z; rest != 0; {
+					b := highest(rest)
+					rest = rest.Remove(b)
+					sub, ok := level[z.Remove(b)]
+					if !ok {
+						complete = false
+						break
+					}
+					if shared == nil && anySubsetOf(t.byRHS[b], z) {
+						shared = sub.part
+					}
+					if walk == nil || sub.part.size() < walk.size() {
+						walk, attr = sub.part, b
+					}
+				}
+				if !complete {
+					continue
+				}
+				node := &levelNode{}
+				next[z] = node
+				switch {
+				case t.serial != nil:
+					node.part = productSerial(level[x].part, level[y].part, t.n)
+				case shared != nil:
+					node.part = shared
+					taneShared.Inc()
+				default:
+					jobs = append(jobs, refineJob{node, walk, attr})
+					work += 2 * walk.size()
 				}
 			}
-			if !ok {
-				continue
-			}
-			seen[z] = true
-			cands = append(cands, candidate{z, x, y})
-			work += level[x].part.size() + level[y].part.size()
 		}
 	}
-
-	next := make(map[AttrSet]*levelNode, len(cands))
-	if len(cands) == 0 {
-		return next
-	}
-	parts := make([]*partition, len(cands))
-	switch {
-	case t.serial != nil:
-		for i, c := range cands {
-			parts[i] = productSerial(level[c.x].part, level[c.y].part, t.n)
-		}
-	case exec.NumWorkers(t.ctx, exec.TANEProduct, len(cands), work) <= 1:
-		sc := t.scratch(0)
-		for i, c := range cands {
-			parts[i] = product(level[c.x].part, level[c.y].part, t.n, sc)
-		}
-	default:
-		t.scratch(exec.NumWorkers(t.ctx, exec.TANEProduct, len(cands), work) - 1)
-		exec.ForChunk(t.ctx, exec.TANEProduct, len(cands), work, func(w, lo, hi int) {
-			sc := t.scs[w]
-			for i := lo; i < hi; i++ {
-				parts[i] = product(level[cands[i].x].part, level[cands[i].y].part, t.n, sc)
-			}
-		})
-	}
-	for i, c := range cands {
-		next[c.z] = &levelNode{part: parts[i]}
-	}
+	t.forEach(len(jobs), work, func(sc *prodScratch, i int) {
+		jobs[i].node.part = refine(jobs[i].part, t.idx[jobs[i].attr], sc)
+	})
 	return next
-}
-
-func highest(s AttrSet) int {
-	attrs := s.Attrs()
-	return attrs[len(attrs)-1]
 }

@@ -146,10 +146,10 @@ func assignCases(t *testing.T, seed int64) []assignCase {
 }
 
 // clearsCutoff reports whether AssignCtx fans the input out at a budget
-// of four: the estimate it hands exec.NumWorkers, recomputed here.
+// of four: the estimate it hands exec.For, recomputed here.
 func clearsCutoff(reps []*DCF, objs []Obj) bool {
 	ctx := exec.WithWorkers(context.Background(), 4)
-	return exec.NumWorkers(ctx, exec.LIMBOAssign, len(objs), newRepIndex(reps).work(objs)) > 1
+	return exec.Plan(ctx, exec.LIMBOAssign, len(objs), newRepIndex(reps).work(objs)).Workers() > 1
 }
 
 // Property: the term-at-a-time scan reproduces the pairwise scan it

@@ -237,11 +237,12 @@ func (t *Tree) closest(entries []*entry, d *DCF) (int, float64) {
 	// lives out here so the (overwhelmingly common) serial path never
 	// constructs the parallel closure.
 	work := len(entries) * (d.SupportLen() + 1)
-	if exec.NumWorkers(t.ctx, exec.LIMBOClosest, len(entries), work) <= 1 {
+	plan := exec.Plan(t.ctx, exec.LIMBOClosest, len(entries), work)
+	if plan.Workers() <= 1 {
 		return closestEntrySerial(entries, d)
 	}
 	dist := t.distBuf(len(entries))
-	exec.For(t.ctx, exec.LIMBOClosest, len(entries), work, func(lo, hi int) {
+	plan.For(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dist[i] = DeltaIDCF(entries[i].dcf, d)
 		}
@@ -260,7 +261,8 @@ func (t *Tree) closestObj(entries []*entry, o Obj) (int, float64) {
 		return -1, math.Inf(1)
 	}
 	work := len(entries) * (len(o.Cond) + 1)
-	if exec.NumWorkers(t.ctx, exec.LIMBOClosest, len(entries), work) <= 1 {
+	plan := exec.Plan(t.ctx, exec.LIMBOClosest, len(entries), work)
+	if plan.Workers() <= 1 {
 		best, bestDist := -1, math.Inf(1)
 		for i, e := range entries {
 			if dist := deltaIObjCtx(e.dcf, &t.octx, t.posRow(i)); dist < bestDist {
@@ -270,7 +272,7 @@ func (t *Tree) closestObj(entries []*entry, o Obj) (int, float64) {
 		return best, bestDist
 	}
 	dist := t.distBuf(len(entries))
-	exec.For(t.ctx, exec.LIMBOClosest, len(entries), work, func(lo, hi int) {
+	plan.For(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dist[i] = deltaIObjCtx(entries[i].dcf, &t.octx, t.posRow(i))
 		}

@@ -28,20 +28,43 @@ import (
 // The first error (from ReadStripe or fn, lowest page index wins)
 // cancels the remaining pages and is returned.
 func ScanStripes(ctx context.Context, c Columns, attrs []int, fn func(w, p int, cols [][]int32) error) error {
+	return PlanScan(ctx, c, attrs).Run(fn)
+}
+
+// StripeScan is one planned ScanStripes: PlanScan reads the worker
+// budget once, Workers is the bound on the w that Run's callback sees —
+// the size callers give per-worker accumulator state — and Run scans at
+// exactly that width even if the job's grant is rebalanced in between.
+type StripeScan struct {
+	c     Columns
+	attrs []int
+	plan  exec.Fanout
+}
+
+// PlanScan plans a scan of c over the given attributes (zero workers
+// when there is nothing to scan).
+func PlanScan(ctx context.Context, c Columns, attrs []int) StripeScan {
 	pages := c.NumPages()
-	if pages == 0 || len(attrs) == 0 {
-		return nil
+	if len(attrs) == 0 {
+		pages = 0
 	}
-	work := c.N() * len(attrs)
-	workers := exec.NumWorkers(ctx, exec.ColScan, pages, work)
-	dsts := make([][][]int32, workers)
+	return StripeScan{c: c, attrs: attrs, plan: exec.Plan(ctx, exec.ColScan, pages, c.N()*len(attrs))}
+}
+
+// Workers is the number of workers Run fans the stripes across.
+func (s StripeScan) Workers() int { return s.plan.Workers() }
+
+// Run is ScanStripes at the planned width.
+func (s StripeScan) Run(fn func(w, p int, cols [][]int32) error) error {
+	c, attrs := s.c, s.attrs
+	dsts := make([][][]int32, s.Workers())
 	var (
 		mu   sync.Mutex
 		errP = -1
 		err  error
 		bail atomic.Bool
 	)
-	exec.ForChunk(ctx, exec.ColScan, pages, work, func(w, lo, hi int) {
+	s.plan.ForChunk(func(w, lo, hi int) {
 		if dsts[w] == nil {
 			bufs := make([][]int32, len(attrs))
 			for i := range bufs {
@@ -70,15 +93,4 @@ func ScanStripes(ctx context.Context, c Columns, attrs []int, fn func(w, p int, 
 		}
 	})
 	return err
-}
-
-// ScanWorkers reports the worker bound ScanStripes will use for a scan
-// of c over len(attrs) columns — the size callers give per-worker
-// accumulator state.
-func ScanWorkers(ctx context.Context, c Columns, nattrs int) int {
-	pages := c.NumPages()
-	if pages == 0 || nattrs == 0 {
-		return 0
-	}
-	return exec.NumWorkers(ctx, exec.ColScan, pages, c.N()*nattrs)
 }

@@ -107,6 +107,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"structmine_limbo_dcf_tree_height",
 		"structmine_limbo_assign_objects_total",
 		"structmine_limbo_assign_terms_total",
+		"structmine_tane_levels",
+		"structmine_tane_products_total",
+		"structmine_tane_shared_partitions_total",
 		"structmine_stage_seconds_bucket",
 	}
 	for _, name := range required {

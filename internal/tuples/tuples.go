@@ -44,8 +44,9 @@ func ObjectsColumnsCtx(ctx context.Context, c relation.Columns) ([]limbo.Obj, er
 	objs := make([]limbo.Obj, n)
 	attrs := relation.AllAttrs(c)
 	pageRows := c.PageRows()
-	scratch := make([][]int32, relation.ScanWorkers(ctx, c, m))
-	err := relation.ScanStripes(ctx, c, attrs, func(w, p int, cols [][]int32) error {
+	scan := relation.PlanScan(ctx, c, attrs)
+	scratch := make([][]int32, scan.Workers())
+	err := scan.Run(func(w, p int, cols [][]int32) error {
 		row := scratch[w]
 		if row == nil {
 			row = make([]int32, m)

@@ -115,15 +115,14 @@ func ObjectsOverClustersColumnsCtx(ctx context.Context, c relation.Columns, tupl
 // handing each worker a private reusable tuple-id scratch slice. The
 // first error (lowest attribute index wins) cancels the remainder.
 func forAttrs(ctx context.Context, n, m int, fn func(w int, scratch *[]int32, attr int) error) error {
-	work := n * m
-	workers := exec.NumWorkers(ctx, exec.ColScan, m, work)
-	scratch := make([][]int32, workers)
+	plan := exec.Plan(ctx, exec.ColScan, m, n*m)
+	scratch := make([][]int32, plan.Workers())
 	var (
 		mu   sync.Mutex
 		errA = -1
 		err  error
 	)
-	exec.ForChunk(ctx, exec.ColScan, m, work, func(w, lo, hi int) {
+	plan.ForChunk(func(w, lo, hi int) {
 		for a := lo; a < hi; a++ {
 			mu.Lock()
 			bail := errA >= 0 && errA < a

@@ -1,11 +1,15 @@
 package values
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 
+	"structmine/internal/exec"
+	"structmine/internal/exec/exectest"
 	"structmine/internal/relation"
 )
 
@@ -265,5 +269,38 @@ func TestAnomalies(t *testing.T) {
 	exact := ClusterRelation(fig4(t), 0.0, 4)
 	if got := exact.Anomalies(0); len(got) != 0 {
 		t.Fatalf("exact clustering should have none, got %v", got)
+	}
+}
+
+// Regression: the per-attribute fan-out behind the object builders sized
+// its per-worker scratch from one read of the live budget and fanned out
+// on another, so a grant rebalanced in between indexed past the scratch
+// slice. Under a rebalancing scheduler the build must finish and equal an
+// unrebalanced one.
+func TestFanoutSurvivesRebalance(t *testing.T) {
+	attrs := []string{"A", "B", "C", "D", "E", "F", "G", "H"}
+	b := relation.NewBuilder("wide", attrs)
+	row := make([]string, len(attrs))
+	for i := 0; i < 3000; i++ {
+		for j := range row {
+			row[j] = strconv.Itoa(i % (3 + 5*j))
+		}
+		b.MustAdd(row...)
+	}
+	c := relation.AsColumns(b.Relation())
+	want, err := ObjectsColumnsCtx(exec.WithWorkers(context.Background(), 1), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := exectest.RebalancingContext(t)
+	for i := 0; i < 40; i++ {
+		got, err := ObjectsColumnsCtx(ctx, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("build %d: objects under rebalance diverge from the unrebalanced build", i)
+		}
 	}
 }
