@@ -407,6 +407,12 @@ func BenchmarkMineApprox(b *testing.B) {
 // file once per process and opens it for the paged benchmark legs.
 func benchColstore(b *testing.B) (*relation.Relation, *colstore.Table) {
 	r := benchDBLP(b).Project(datagen.ProjectionAttrs())
+	return r, benchTable(b, r)
+}
+
+// benchTable writes r as a colstore table in the benchmark's temp dir
+// and opens it.
+func benchTable(b *testing.B, r *relation.Relation) *colstore.Table {
 	meta := store.DatasetMeta{
 		Hash: fmt.Sprintf("%x", sha256.Sum256([]byte("bench-colstore"))),
 		Name: "bench", Source: "bench", Bytes: 0,
@@ -420,7 +426,7 @@ func benchColstore(b *testing.B) (*relation.Relation, *colstore.Table) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { tbl.Close() })
-	return r, tbl
+	return tbl
 }
 
 // BenchmarkPagedScan sweeps every stripe of every column of the
@@ -490,14 +496,15 @@ func BenchmarkPagedTANE(b *testing.B) {
 }
 
 // BenchmarkAppendRemine is the incremental-mining cost gate: after a 1%
-// append, re-mining through the persisted FD state (decode, extend the
-// value partitions by the appended rows, re-check only the touched
-// dependencies) must be far cheaper than mining the appended relation
-// from scratch. The appended rows duplicate existing tuples, so the
-// delta path genuinely engages — duplicates can never break an FD — and
-// both paths return the identical minimal set. CI runs this pair and
-// fails if full/delta falls below the ratio floor (see the incremental
-// job and scripts/benchcmp.sh --ratio).
+// append, re-mining through the persisted FD state (decode, hash the
+// appended rows, one filtered pass over the prefix stripes) must be far
+// cheaper than mining the appended relation from scratch — over the
+// resident adapter (full/delta) and over an mmap-backed colstore table
+// (paged-full/paged-delta) alike. The appended rows duplicate existing
+// tuples, so the delta path genuinely engages — duplicates can never
+// break an FD — and both paths return the identical minimal set. CI runs
+// both pairs and fails if either ratio falls below the floor (see the
+// incremental job and scripts/benchcmp.sh --ratio).
 func BenchmarkAppendRemine(b *testing.B) {
 	base := benchDBLP(b).Project(datagen.ProjectionAttrs())
 	k := base.N() / 100
@@ -510,40 +517,38 @@ func BenchmarkAppendRemine(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	baseFDs, err := fd.DiscoverCtx(ctx, base)
+	baseFDs, err := fd.DiscoverColumns(ctx, relation.AsColumns(base))
 	if err != nil {
 		b.Fatal(err)
 	}
-	state := fd.EncodeState(fd.NewMineState(base, baseFDs))
+	fd.SortFDs(baseFDs)
+	state := fd.EncodeState(&fd.MineState{N: base.N(), Attrs: base.M(), FDs: baseFDs})
 
-	prev, err := fd.DecodeState(state)
-	if err != nil {
-		b.Fatal(err)
+	for _, tier := range []struct {
+		prefix string
+		c      relation.Columns
+	}{{"", relation.AsColumns(ext)}, {"paged-", benchTable(b, ext)}} {
+		b.Run(tier.prefix+"full", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := fd.DiscoverColumns(ctx, tier.c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		// State decode sits inside the timed region: the server pays it
+		// on every delta re-mine, so the gate must too.
+		b.Run(tier.prefix+"delta", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				prev, err := fd.DecodeState(state)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, delta, err := fd.DiscoverDeltaColumns(ctx, tier.c, prev); err != nil || !delta {
+					b.Fatalf("delta=%v err=%v", delta, err)
+				}
+			}
+		})
 	}
-	if _, _, delta, err := fd.DiscoverDelta(ctx, ext, prev); err != nil || !delta {
-		b.Fatalf("delta path did not engage: delta=%v err=%v", delta, err)
-	}
-
-	b.Run("full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := fd.DiscoverCtx(ctx, ext); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// State decode sits inside the timed region: the server pays it on
-	// every delta re-mine, so the gate must too.
-	b.Run("delta", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			prev, err := fd.DecodeState(state)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, _, delta, err := fd.DiscoverDelta(ctx, ext, prev); err != nil || !delta {
-				b.Fatalf("delta=%v err=%v", delta, err)
-			}
-		}
-	})
 }
 
 func BenchmarkMicroAIB(b *testing.B) {

@@ -43,6 +43,8 @@ func (m *fileMapping) readAt(off int64, n int) ([]byte, error) {
 	return buf, nil
 }
 
+func (m *fileMapping) release(int64, int) {} // readAt's buffers are the caller's
+
 func (m *fileMapping) close() error {
 	if m.f == nil {
 		return nil

@@ -55,6 +55,17 @@ func (m *mmapMapping) readAt(off int64, n int) ([]byte, error) {
 	return m.data[off : off+int64(n) : off+int64(n)], nil
 }
 
+// release drops the whole OS pages inside [off, off+n) from the resident
+// set (they stay in the page cache: a re-read is a minor fault). Partial
+// pages at either end are a neighbouring stripe's too and are left alone.
+func (m *mmapMapping) release(off int64, n int) {
+	page := int64(os.Getpagesize())
+	lo, hi := (off+page-1)/page*page, (off+int64(n))/page*page
+	if lo < hi {
+		_ = syscall.Madvise(m.data[lo:hi], syscall.MADV_DONTNEED) // advisory
+	}
+}
+
 func (m *mmapMapping) close() error {
 	if m.data == nil {
 		return nil

@@ -14,9 +14,12 @@ import (
 // mapping is the read abstraction under Table: mmap where available
 // (mmap_unix.go), plain pread elsewhere or under the colstore_readat
 // build tag (mmap_fallback.go). readAt may return memory aliasing the
-// mapping; callers must not retain it across close.
+// mapping; callers must not retain it across close. release says a range
+// readAt returned has been decoded and need not stay resident — without
+// it every page a scan ever read stays in the process's resident set.
 type mapping interface {
 	readAt(off int64, n int) ([]byte, error)
+	release(off int64, n int)
 	size() int64
 	close() error
 }
@@ -396,6 +399,7 @@ func (t *Table) ReadPage(p, a int, dst []int32) ([]int32, error) {
 	if err := t.decodePage(b, p, a, rows, dst); err != nil {
 		return nil, err
 	}
+	t.mm.release(t.h.pageOff(p, a), len(b))
 	pageReadSeconds.Observe(time.Since(start).Seconds())
 	return dst, nil
 }
@@ -445,6 +449,7 @@ func (t *Table) ReadStripe(p int, attrs []int, dst [][]int32) ([][]int32, error)
 			return nil, err
 		}
 	}
+	t.mm.release(t.h.pageOff(p, lo), len(b))
 	pageReadSeconds.Observe(time.Since(start).Seconds())
 	return dst, nil
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"math"
 
+	"structmine/internal/obs"
 	"structmine/internal/relation"
 )
 
@@ -21,233 +22,286 @@ import (
 //     relation, the holding set is unchanged (any previously-holding
 //     X→A has a minimal Z⊆X among the previous minimal FDs; Z→A still
 //     holding implies X→A by augmentation, and nothing new appeared),
-//     hence the minimal set is unchanged — DiscoverDelta returns the
-//     previous set verbatim, and downstream artifacts are byte-
+//     hence the minimal set is unchanged — DiscoverDeltaColumns returns
+//     the previous set verbatim, and downstream artifacts are byte-
 //     identical to a from-scratch run by construction.
 //
-//  2. An FD X→A can only be newly violated by a pair involving an
-//     appended row t that agrees with another row on all of X. So if
-//     some attribute in X is "untouched" — no appended row lands in an
-//     equivalence class of size ≥ 2 there — the FD cannot have broken
-//     and needs no recheck.
+//  2. An FD is a constraint over tuple pairs, and every pair of prefix
+//     rows already satisfies it, so X→A can only be newly violated by a
+//     pair with an appended member: two appended rows, or an appended
+//     row and a prefix row that carries, on every attribute of X, a
+//     value some appended row carries there.
 //
-// The per-attribute equivalence classes are maintained as a by-value
-// CSR over int32 arenas (Offs/Elems below): extending them for an
-// append is an O(n·m) copy plus O(Δ·m) insertion — no hashing, no
-// re-partitioning — and the class sizes drive the touched-attribute
-// filter. Any recheck failure, or an append too large a fraction of
-// the data, falls back to full discovery (Discover), which is also
-// what (re)builds the state.
+// So nothing is kept between epochs but the minimal set, and the recheck
+// is the appended rows plus one filtered pass over the prefix, both
+// through relation.Columns: the appended rows' LHS keys are hashed per
+// dependency and their value ids marked in one bit set (ids are
+// attribute-qualified: one set serves every attribute); the pass hashes
+// a prefix row for a dependency only when all its LHS values are marked,
+// O(N·|attrs| + matches). A violation or an oversized append re-mines.
 
 // DeltaMaxFraction is the appended-rows fraction above which
-// DiscoverDelta abandons incremental maintenance and re-mines from
-// scratch: past it, the recheck pass plus state extension costs more
-// than it saves.
+// DiscoverDeltaColumns re-mines from scratch: past it the recheck saves
+// too little to be worth a second path to the answer.
 const DeltaMaxFraction = 0.25
 
 // MineState is the persistent FD-mining state for one dataset epoch:
-// the minimal FD set over the first N rows plus the by-value
-// equivalence classes that make the next append's recheck cheap.
+// the minimal FD set over the first N rows of an Attrs-wide relation,
+// sorted (SortFDs).
 type MineState struct {
-	// N is the number of rows the state covers; Attrs the schema width.
 	N     int
 	Attrs int
-	// FDs is the minimal FD set over those rows, sorted (SortFDs).
-	FDs []FD
-	// Offs/Elems are the by-value CSR: for value id v,
-	// Elems[Offs[v]:Offs[v+1]] lists the rows holding v (ascending).
-	// len(Offs) = d+1; len(Elems) = N·Attrs.
-	Offs  []int32
-	Elems []int32
+	FDs   []FD
 }
 
-// classSize returns the number of rows holding value v.
-func (s *MineState) classSize(v int32) int {
-	return int(s.Offs[v+1] - s.Offs[v])
+// DiscoverDelta is DiscoverDeltaColumns over a resident relation.
+func DiscoverDelta(ctx context.Context, r *relation.Relation, prev *MineState) ([]FD, *MineState, bool, error) {
+	return DiscoverDeltaColumns(ctx, relation.AsColumns(r), prev)
 }
 
-// NewMineState builds the state from scratch over r with the given
-// minimal FD set (sorted in place).
-func NewMineState(r *relation.Relation, fds []FD) *MineState {
-	SortFDs(fds)
-	s := &MineState{N: r.N(), Attrs: r.M(), FDs: fds}
-	s.Offs, s.Elems = buildCSR(r, 0, nil, nil)
-	return s
-}
-
-// buildCSR extends a by-value CSR covering rows [0, from) — nil/nil for
-// an empty one — with rows [from, r.N()).
-func buildCSR(r *relation.Relation, from int, oldOffs, oldElems []int32) (offs, elems []int32) {
-	n, m, d := r.N(), r.M(), r.D()
-	cnt := make([]int32, d)
-	for v := 0; v+1 < len(oldOffs); v++ {
-		cnt[v] = oldOffs[v+1] - oldOffs[v]
-	}
-	for t := from; t < n; t++ {
-		row := r.Row(t)
-		for _, v := range row {
-			cnt[v]++
-		}
-	}
-	offs = make([]int32, d+1)
-	for v := 0; v < d; v++ {
-		offs[v+1] = offs[v] + cnt[v]
-	}
-	elems = make([]int32, n*m)
-	cur := make([]int32, d)
-	copy(cur, offs[:d])
-	for v := 0; v+1 < len(oldOffs); v++ {
-		copy(elems[cur[v]:], oldElems[oldOffs[v]:oldOffs[v+1]])
-		cur[v] += oldOffs[v+1] - oldOffs[v]
-	}
-	for t := from; t < n; t++ {
-		for _, v := range r.Row(t) {
-			elems[cur[v]] = int32(t)
-			cur[v]++
-		}
-	}
-	return offs, elems
-}
-
-// DiscoverDelta mines the minimal FD set of r, reusing prev — the state
-// of a prefix of r — when it can. It returns the FDs, the state at
-// r's row count (always usable for the next append), and whether the
-// delta path was taken; delta=false means a full re-mine ran (no prev,
-// schema drift, oversized append, or a broken FD). The returned FD set
-// is identical to Discover's in every case, sorted.
-func DiscoverDelta(ctx context.Context, r *relation.Relation, prev *MineState) (fds []FD, st *MineState, delta bool, err error) {
-	full := func() ([]FD, *MineState, bool, error) {
-		mined, err := DiscoverCtx(ctx, r)
+// DiscoverDeltaColumns mines the minimal FD set of c, reusing prev — the
+// state of a prefix of c — when it can. It returns the FDs, sorted and
+// identical to DiscoverColumns' in every case, the state at c's row
+// count, and whether the delta path was taken; delta=false means a full
+// re-mine ran: no prev, or a fallback counted on obs.DeltaFallbacks
+// (state of another shape, oversized append, a broken FD).
+func DiscoverDeltaColumns(ctx context.Context, c relation.Columns, prev *MineState) (fds []FD, st *MineState, delta bool, err error) {
+	n, m := c.N(), c.M()
+	reason := ""
+	switch {
+	case prev == nil: // the caller's fallback, and the caller's to count
+	case !prev.covers(n, m):
+		reason = obs.FallbackShape
+	case float64(n-prev.N) > DeltaMaxFraction*float64(n):
+		reason = obs.FallbackOversized
+	default:
+		broken, err := appendBreaks(ctx, c, prev)
 		if err != nil {
 			return nil, nil, false, err
 		}
-		st := NewMineState(r, mined)
-		return st.FDs, st, false, nil
-	}
-	n := r.N()
-	if prev == nil || prev.Attrs != r.M() || prev.N > n ||
-		len(prev.Offs) == 0 || len(prev.Offs)-1 > r.D() ||
-		len(prev.Elems) != prev.N*prev.Attrs {
-		return full()
-	}
-	appended := n - prev.N
-	if float64(appended) > DeltaMaxFraction*float64(n) {
-		return full()
-	}
-	offs, elems := buildCSR(r, prev.N, prev.Offs, prev.Elems)
-	next := &MineState{N: n, Attrs: r.M(), FDs: prev.FDs, Offs: offs, Elems: elems}
-	if appended == 0 {
-		return next.FDs, next, true, nil
-	}
-
-	// Touched attributes: some appended row landed in a class of size
-	// ≥ 2 there, so new agreeing pairs on that attribute exist.
-	touched := AttrSet(0)
-	for t := prev.N; t < n; t++ {
-		for a, v := range r.Row(t) {
-			if next.classSize(v) >= 2 {
-				touched = touched.Add(a)
-			}
+		if !broken {
+			return prev.FDs, &MineState{N: n, Attrs: m, FDs: prev.FDs}, true, nil
 		}
+		reason = obs.FallbackFDBroken
 	}
-	// Recheck exactly the FDs that could have broken, each against only
-	// the appended rows' equivalence classes (falling back to a full
-	// Holds pass when those classes are large). One failure means the
-	// minimal set changed in ways only a full run can recover.
-	for _, f := range prev.FDs {
-		if !f.LHS.SubsetOf(touched) {
-			continue
-		}
-		if f.LHS == 0 {
-			if !constantAfter(r, f, prev.N) {
-				return full()
-			}
-			continue
-		}
-		broken, ok := next.brokenByAppend(r, f, prev.N)
-		if !ok {
-			if !Holds(r, f) {
-				return full()
-			}
-			continue
-		}
-		if broken {
-			return full()
-		}
+	if reason != "" {
+		obs.DeltaFallbacks.With(reason).Inc()
 	}
-	return next.FDs, next, true, nil
+	fds, err = TANEColumnsCtx(ctx, c)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	SortFDs(fds)
+	return fds, &MineState{N: n, Attrs: m, FDs: fds}, false, nil
 }
 
-// constantAfter rechecks an empty-LHS dependency (∅→A: attribute A is
-// constant): the appended rows must all carry row 0's values on A.
-func constantAfter(r *relation.Relation, f FD, from int) bool {
-	if r.N() == 0 {
-		return true
+// covers reports whether s can be the state of a prefix of an n × m
+// relation.
+func (s *MineState) covers(n, m int) bool {
+	if s.Attrs != m || s.N < 0 || s.N > n {
+		return false
 	}
-	rhs := f.RHS.Attrs()
-	ref := r.Row(0)
-	for t := from; t < r.N(); t++ {
-		row := r.Row(t)
-		for _, a := range rhs {
-			if row[a] != ref[a] {
-				return false
-			}
+	for _, f := range s.FDs {
+		if !f.Attrs().SubsetOf(FullSet(m)) {
+			return false
 		}
 	}
 	return true
 }
 
-// brokenByAppend reports whether f (non-empty LHS) is newly violated by
-// an appended row. A violating pair must involve an appended row t
-// agreeing with some row u on all of LHS, so u lies in t's equivalence
-// class on EVERY LHS attribute — it suffices to scan the smallest one.
-// The scan is bounded: once the class sizes sum past one full-relation
-// pass, ok=false tells the caller a plain Holds scan is cheaper.
-func (s *MineState) brokenByAppend(r *relation.Relation, f FD, from int) (broken, ok bool) {
-	lhs := f.LHS.Attrs()
-	rhs := f.RHS.Attrs()
-	budget := r.N()
-	for t := from; t < r.N(); t++ {
-		row := r.Row(t)
-		best := lhs[0]
-		for _, a := range lhs[1:] {
-			if s.classSize(row[a]) < s.classSize(row[best]) {
-				best = a
+// lhsCheck is one previously-minimal dependency X→A as the recheck sees
+// it: its attributes as columns of the stripes read, and the value of A
+// that each LHS key among the appended rows demands (for X = ∅ the one
+// key is empty).
+type lhsCheck struct {
+	lhs  AttrSet
+	cols []int // stripe columns of the LHS attributes
+	rhs  int   // stripe column of A
+	want map[string]int32
+}
+
+// deltaCheck is the recheck of one append. absorb fills it from the
+// appended rows; after that it is read-only, so violated may run on
+// many stripes at once.
+type deltaCheck struct {
+	attrs  []int      // the attributes any dependency mentions: the stripe columns
+	marked []uint64   // bit v set: some appended row carries value id v
+	consts []lhsCheck // the ∅→A dependencies: held to row 0 alone
+	keyed  []lhsCheck // the others: held to every row whose LHS values are all marked
+}
+
+// rowScratch is what one worker needs to run violated.
+type rowScratch struct {
+	have []AttrSet // per row of a stripe, the attributes whose value is marked
+	key  []byte
+}
+
+func newRowScratch(pageRows int) *rowScratch {
+	return &rowScratch{have: make([]AttrSet, pageRows)}
+}
+
+func newDeltaCheck(c relation.Columns, fds []FD) *deltaCheck {
+	var used AttrSet
+	for _, f := range fds {
+		used = used.Union(f.Attrs())
+	}
+	d := &deltaCheck{attrs: used.Attrs(), marked: make([]uint64, (c.D()+63)/64)}
+	col := make([]int, c.M())
+	for j, a := range d.attrs {
+		col[a] = j
+	}
+	for _, f := range fds {
+		for _, a := range f.RHS.Attrs() {
+			ck := lhsCheck{lhs: f.LHS, rhs: col[a], want: map[string]int32{}}
+			for _, x := range f.LHS.Attrs() {
+				ck.cols = append(ck.cols, col[x])
+			}
+			if f.LHS.Empty() {
+				d.consts = append(d.consts, ck)
+			} else {
+				d.keyed = append(d.keyed, ck)
 			}
 		}
-		cls := s.Elems[s.Offs[row[best]]:s.Offs[row[best]+1]]
-		budget -= len(cls)
-		if budget < 0 {
-			return false, false
+	}
+	return d
+}
+
+// broken reports whether row i of a stripe disagrees on A with the
+// appended rows that share its LHS key; with learn set it is an appended
+// row itself, and its own value is what later rows are held to.
+func (ck *lhsCheck) broken(cols [][]int32, i int, sc *rowScratch, learn bool) bool {
+	key := sc.key[:0]
+	for _, j := range ck.cols {
+		v := cols[j][i]
+		key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	}
+	sc.key = key
+	v := cols[ck.rhs][i]
+	w, ok := ck.want[string(key)]
+	if !ok && learn {
+		ck.want[string(key)] = v
+	}
+	return ok && w != v
+}
+
+// absorb takes rows [lo, hi) of a stripe as appended rows. It reports
+// true when two appended rows already violate a dependency.
+func (d *deltaCheck) absorb(cols [][]int32, lo, hi int, sc *rowScratch) bool {
+	for _, col := range cols {
+		for _, v := range col[lo:hi] {
+			d.marked[v>>6] |= 1 << (v & 63)
 		}
-	scan:
-		for _, u := range cls {
-			if int(u) == t {
-				continue
-			}
-			urow := r.Row(int(u))
-			for _, a := range lhs {
-				if urow[a] != row[a] {
-					continue scan
-				}
-			}
-			for _, a := range rhs {
-				if urow[a] != row[a] {
-					return true, true
+	}
+	for _, cks := range [][]lhsCheck{d.consts, d.keyed} {
+		for k := range cks {
+			for i := lo; i < hi; i++ {
+				if cks[k].broken(cols, i, sc, true) {
+					return true
 				}
 			}
 		}
 	}
-	return false, true
+	return false
+}
+
+// violated reports whether one of the first rows prefix rows of a stripe
+// disagrees with an appended row it shares a dependency's LHS with.
+// first marks the stripe that starts at row 0, the row the constant
+// attributes are held to.
+func (d *deltaCheck) violated(cols [][]int32, rows int, first bool, sc *rowScratch) bool {
+	if first && rows > 0 {
+		for k := range d.consts {
+			if d.consts[k].broken(cols, 0, sc, false) {
+				return true
+			}
+		}
+	}
+	have := sc.have[:rows]
+	clear(have)
+	for j, col := range cols {
+		bit := AttrSet(1) << uint(d.attrs[j])
+		for i, v := range col[:rows] {
+			if d.marked[v>>6]&(1<<(v&63)) != 0 {
+				have[i] |= bit
+			}
+		}
+	}
+	for i, h := range have {
+		if h == 0 {
+			continue
+		}
+		for k := range d.keyed {
+			if ck := &d.keyed[k]; ck.lhs.SubsetOf(h) && ck.broken(cols, i, sc, false) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// prefixPages is a Columns cut to its first pages stripes (all full).
+type prefixPages struct {
+	relation.Columns
+	pages int
+}
+
+func (p prefixPages) NumPages() int { return p.pages }
+func (p prefixPages) N() int        { return p.pages * p.PageRows() }
+
+var errBroken = errors.New("fd: dependency broken by an append")
+
+// appendBreaks reports whether rows [prev.N, c.N()) break one of prev's
+// dependencies. It reads the stripes that hold appended rows last to
+// first — so the one the append starts in is in hand, every appended row
+// absorbed, when its prefix rows are due — then every stripe below, each
+// once, under the context's worker budget.
+func appendBreaks(ctx context.Context, c relation.Columns, prev *MineState) (bool, error) {
+	if prev.N == c.N() { // e.g. rank-fds resuming the state mine-fds just left
+		return false, nil
+	}
+	d := newDeltaCheck(c, prev.FDs)
+	if len(d.attrs) == 0 {
+		return false, nil
+	}
+	pageRows := c.PageRows()
+	start := prev.N / pageRows
+	sc := newRowScratch(pageRows)
+	var buf [][]int32
+	for p := c.NumPages() - 1; p >= start; p-- {
+		cols, err := c.ReadStripe(p, d.attrs, buf)
+		if err != nil {
+			return false, err
+		}
+		buf = cols
+		lo := max(prev.N-p*pageRows, 0)
+		if d.absorb(cols, lo, len(cols[0]), sc) || p == start && d.violated(cols, lo, p == 0, sc) {
+			return true, nil
+		}
+	}
+	scan := relation.PlanScan(ctx, prefixPages{c, start}, d.attrs)
+	scs := make([]*rowScratch, scan.Workers())
+	err := scan.Run(func(w, p int, cols [][]int32) error {
+		if scs[w] == nil {
+			scs[w] = newRowScratch(pageRows)
+		}
+		if d.violated(cols, len(cols[0]), p == 0, scs[w]) {
+			return errBroken
+		}
+		return nil
+	})
+	if errors.Is(err, errBroken) {
+		return true, nil
+	}
+	return false, err
 }
 
 // MineState codec: magic "SMFD" | uint16 version | uvarint N, Attrs,
-// |FDs| | per FD two uint64s | uvarint d | per value uvarint class size
-// | Elems as ascending uvarint deltas per class | uint32 CRC32-IEEE.
+// |FDs| | per FD two uint64s | uint32 CRC32-IEEE. Version 1 also carried
+// a by-value row index; its blobs fail typed and are re-mined over.
 
 var mineStateMagic = [4]byte{'S', 'M', 'F', 'D'}
 
-const mineStateVersion = 1
+const mineStateVersion = 2
 
 // ErrCorruptState reports state bytes that failed checksum or
 // structural validation; callers re-mine from scratch.
@@ -255,7 +309,7 @@ var ErrCorruptState = errors.New("fd: corrupt mine state")
 
 // EncodeState serializes the state.
 func EncodeState(s *MineState) []byte {
-	buf := make([]byte, 0, 32+16*len(s.FDs)+2*len(s.Elems))
+	buf := make([]byte, 0, 32+16*len(s.FDs))
 	buf = append(buf, mineStateMagic[:]...)
 	buf = binary.LittleEndian.AppendUint16(buf, mineStateVersion)
 	buf = binary.AppendUvarint(buf, uint64(s.N))
@@ -265,23 +319,12 @@ func EncodeState(s *MineState) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.LHS))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.RHS))
 	}
-	d := len(s.Offs) - 1
-	buf = binary.AppendUvarint(buf, uint64(d))
-	for v := 0; v < d; v++ {
-		buf = binary.AppendUvarint(buf, uint64(s.Offs[v+1]-s.Offs[v]))
-	}
-	for v := 0; v < d; v++ {
-		prev := int64(-1)
-		for _, t := range s.Elems[s.Offs[v]:s.Offs[v+1]] {
-			buf = binary.AppendUvarint(buf, uint64(int64(t)-prev))
-			prev = int64(t)
-		}
-	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
 // DecodeState parses EncodeState bytes, validating bounds so corrupt
-// input yields ErrCorruptState rather than a panic.
+// input yields ErrCorruptState rather than a panic or an allocation
+// larger than the input.
 func DecodeState(data []byte) (*MineState, error) {
 	if len(data) < 4+2+4 || [4]byte(data[:4]) != mineStateMagic {
 		return nil, fmt.Errorf("%w: bad envelope", ErrCorruptState)
@@ -293,95 +336,27 @@ func DecodeState(data []byte) (*MineState, error) {
 	if v := binary.LittleEndian.Uint16(data[4:6]); v != mineStateVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrCorruptState, v)
 	}
-	r := stateReader{buf: body, off: 6}
-	n, err1 := r.uvarint()
-	m, err2 := r.uvarint()
-	nf, err3 := r.uvarint()
-	if err := firstErr(err1, err2, err3); err != nil {
-		return nil, err
+	off := 6
+	var hdr [3]uint64 // N, Attrs, |FDs|
+	for i := range hdr {
+		v, w := binary.Uvarint(body[off:])
+		if w <= 0 || v > math.MaxInt32 {
+			return nil, fmt.Errorf("%w: bad header varint at %d", ErrCorruptState, off)
+		}
+		hdr[i], off = v, off+w
 	}
-	if n > 1<<31 || m > 64 || nf > uint64(len(body))/16 {
-		return nil, fmt.Errorf("%w: header out of range", ErrCorruptState)
+	n, m, nf := hdr[0], hdr[1], hdr[2]
+	if m > MaxAttrs || nf*16 != uint64(len(body)-off) {
+		return nil, fmt.Errorf("%w: %d attributes, %d FDs in %d bytes", ErrCorruptState, m, nf, len(body)-off)
 	}
 	s := &MineState{N: int(n), Attrs: int(m), FDs: make([]FD, nf)}
 	for i := range s.FDs {
-		if r.off+16 > len(body) {
-			return nil, fmt.Errorf("%w: truncated FDs", ErrCorruptState)
-		}
-		s.FDs[i].LHS = AttrSet(binary.LittleEndian.Uint64(body[r.off:]))
-		s.FDs[i].RHS = AttrSet(binary.LittleEndian.Uint64(body[r.off+8:]))
-		r.off += 16
+		s.FDs[i].LHS = AttrSet(binary.LittleEndian.Uint64(body[off:]))
+		s.FDs[i].RHS = AttrSet(binary.LittleEndian.Uint64(body[off+8:]))
+		off += 16
 	}
-	d, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if d > uint64(len(body)-r.off) {
-		return nil, fmt.Errorf("%w: %d values exceed payload", ErrCorruptState, d)
-	}
-	s.Offs = make([]int32, d+1)
-	for v := 0; v < int(d); v++ {
-		c, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		next := int64(s.Offs[v]) + int64(c)
-		if next > int64(s.N)*int64(s.Attrs) {
-			return nil, fmt.Errorf("%w: classes cover more cells than the relation", ErrCorruptState)
-		}
-		s.Offs[v+1] = int32(next)
-	}
-	total := int(s.Offs[d])
-	if total != s.N*s.Attrs {
-		return nil, fmt.Errorf("%w: classes cover %d of %d cells", ErrCorruptState, total, s.N*s.Attrs)
-	}
-	if total > len(body)-r.off { // every row id takes at least one byte
-		return nil, fmt.Errorf("%w: %d row ids exceed payload", ErrCorruptState, total)
-	}
-	s.Elems = make([]int32, total)
-	for v := 0; v < int(d); v++ {
-		prev := int64(-1)
-		for i := s.Offs[v]; i < s.Offs[v+1]; i++ {
-			delta, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			t := prev + int64(delta)
-			if delta == 0 || t >= int64(s.N) {
-				return nil, fmt.Errorf("%w: row id %d out of range", ErrCorruptState, t)
-			}
-			s.Elems[i] = int32(t)
-			prev = t
-		}
-	}
-	if r.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptState, len(body)-r.off)
+	if !s.covers(s.N, s.Attrs) {
+		return nil, fmt.Errorf("%w: a dependency names an attribute past %d", ErrCorruptState, m)
 	}
 	return s, nil
-}
-
-type stateReader struct {
-	buf []byte
-	off int
-}
-
-func (r *stateReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint at %d", ErrCorruptState, r.off)
-	}
-	r.off += n
-	if v > math.MaxInt64 {
-		return 0, fmt.Errorf("%w: varint out of range", ErrCorruptState)
-	}
-	return v, nil
-}
-
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -7,8 +7,12 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"structmine/internal/datagen"
+	"structmine/internal/exec"
+	"structmine/internal/obs"
 	"structmine/internal/relation"
 )
 
@@ -49,140 +53,213 @@ func mustDiscover(t *testing.T, r *relation.Relation) []FD {
 	return fds
 }
 
-// checkCSR validates a state's by-value CSR against the relation it
-// claims to cover.
-func checkCSR(t *testing.T, r *relation.Relation, s *MineState) {
+// fallbackCounts snapshots obs.DeltaFallbacks.
+func fallbackCounts() map[string]uint64 {
+	out := map[string]uint64{}
+	for _, reason := range obs.DeltaFallbackReasons {
+		out[reason] = obs.DeltaFallbacks.With(reason).Value()
+	}
+	return out
+}
+
+// fallbackSince names the one reason counted since before ("" for
+// none), failing the test if more than one fallback was counted.
+func fallbackSince(t *testing.T, before map[string]uint64) string {
 	t.Helper()
-	if s.N != r.N() || s.Attrs != r.M() || len(s.Offs)-1 != r.D() || len(s.Elems) != r.N()*r.M() {
-		t.Fatalf("CSR shape: N=%d Attrs=%d d=%d elems=%d vs relation %dx%d d=%d",
-			s.N, s.Attrs, len(s.Offs)-1, len(s.Elems), r.N(), r.M(), r.D())
-	}
-	want := make(map[int32][]int32)
-	for i := 0; i < r.N(); i++ {
-		for _, v := range r.Row(i) {
-			want[v] = append(want[v], int32(i))
+	got := ""
+	for reason, now := range fallbackCounts() {
+		switch now - before[reason] {
+		case 0:
+		case 1:
+			if got != "" {
+				t.Fatalf("two fallbacks counted for one call: %s and %s", got, reason)
+			}
+			got = reason
+		default:
+			t.Fatalf("fallback %s counted %d times for one call", reason, now-before[reason])
 		}
 	}
-	for v := int32(0); int(v) < r.D(); v++ {
-		got := s.Elems[s.Offs[v]:s.Offs[v+1]]
-		if !reflect.DeepEqual(append([]int32{}, got...), append([]int32{}, want[v]...)) {
-			t.Fatalf("value %d class %v, want %v", v, got, want[v])
-		}
-	}
+	return got
+}
+
+func stateOver(r *relation.Relation, fds []FD) *MineState {
+	return &MineState{N: r.N(), Attrs: r.M(), FDs: fds}
 }
 
 // TestPropDiscoverDeltaMatchesFull is the correctness property: for
 // random relations and appends — duplicates (fast path), FD-breaking
-// rows (fallback), fresh values, oversized batches — DiscoverDelta must
-// return exactly DiscoverCtx's minimal set over the extended relation,
-// and its extended CSR must match a scratch build.
+// rows (fallback), fresh values, oversized batches, and batches dense
+// enough that every prefix row passes the marked-value filter —
+// DiscoverDelta must return exactly DiscoverCtx's minimal set over the
+// extended relation, say why whenever it re-mined, and leave the state
+// of the extended relation behind.
 func TestPropDiscoverDeltaMatchesFull(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(0); seed < 6; seed++ {
 		base, baseRows := deltaRel(t, 120, seed)
-		st := NewMineState(base, mustDiscover(t, base))
-		checkCSR(t, base, st)
+		st := stateOver(base, mustDiscover(t, base))
 
+		dense := make([][]string, 28)
+		for i := range dense {
+			dense[i] = baseRows[i%10]
+		}
 		for _, tc := range []struct {
-			name      string
-			rows      [][]string
-			wantDelta bool
+			name string
+			rows [][]string
+			want string // the fallback reason, "" for the delta path
 		}{
-			{"dup-rows", [][]string{baseRows[3], baseRows[40], baseRows[7]}, true},
-			{"new-city-ok", [][]string{{"900", "newtown", "z-newtown", "g1"}}, true},
-			{"break-city-zip", [][]string{{"901", baseRows[0][1], "z-elsewhere", "g0"}}, false},
-			{"break-id-key", [][]string{{baseRows[5][0], "c1", "z-c1", "g2"}, {baseRows[5][0], "c2", "z-c2", "g0"}}, false},
-			{"oversized", append([][]string{}, baseRows[:60]...), false},
+			{"dup-rows", [][]string{baseRows[3], baseRows[40], baseRows[7]}, ""},
+			{"new-city-ok", [][]string{{"900", "newtown", "z-newtown", "g1"}}, ""},
+			{"break-city-zip", [][]string{{"901", baseRows[0][1], "z-elsewhere", "g0"}}, obs.FallbackFDBroken},
+			{"break-id-key", [][]string{{baseRows[5][0], "c1", "z-c1", "g2"}, {baseRows[5][0], "c2", "z-c2", "g0"}}, obs.FallbackFDBroken},
+			{"oversized", append([][]string{}, baseRows[:60]...), obs.FallbackOversized},
+			{"dense-dups", dense, ""},
+			{"dense-dups-broken", append(append([][]string{}, dense...), []string{"990", baseRows[0][1], "z-wrong", "g0"}), obs.FallbackFDBroken},
 		} {
 			t.Run(fmt.Sprintf("seed%d/%s", seed, tc.name), func(t *testing.T) {
 				ext, err := base.Extend(tc.rows)
 				if err != nil {
 					t.Fatal(err)
 				}
+				before := fallbackCounts()
 				got, next, delta, err := DiscoverDelta(ctx, ext, st)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if delta != tc.wantDelta {
-					t.Fatalf("delta=%v, want %v", delta, tc.wantDelta)
+				if reason := fallbackSince(t, before); reason != tc.want || delta != (tc.want == "") {
+					t.Fatalf("delta=%v after fallback %q, want fallback %q", delta, reason, tc.want)
 				}
 				want := mustDiscover(t, ext)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("FDs diverge from full discovery:\n got %v\nwant %v", got, want)
 				}
-				checkCSR(t, ext, next)
-				if !reflect.DeepEqual(next.FDs, want) {
-					t.Fatalf("state FDs not updated")
+				if !reflect.DeepEqual(next, stateOver(ext, want)) {
+					t.Fatalf("state not updated: %+v", next)
 				}
 			})
 		}
 	}
 }
 
-// TestBrokenByAppendBudget drives the recheck into its scan-budget
-// fallback: many appended duplicates of low-cardinality rows make the
-// summed class sizes exceed one full-relation pass, so the recheck must
-// hand the FD to Holds — and the result must still match full
-// discovery, with and without a violation in the batch.
-func TestBrokenByAppendBudget(t *testing.T) {
-	ctx := context.Background()
-	base, baseRows := deltaRel(t, 120, 2)
-	st := NewMineState(base, mustDiscover(t, base))
-
-	dups := make([][]string, 28)
-	for i := range dups {
-		dups[i] = baseRows[i%10]
-	}
-	for name, rows := range map[string][][]string{
-		"clean":  dups,
-		"broken": append(append([][]string{}, dups...), []string{"990", baseRows[0][1], "z-wrong", "g0"}),
-	} {
-		ext, err := base.Extend(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, next, _, err := DiscoverDelta(ctx, ext, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := mustDiscover(t, ext); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: FDs diverge from full discovery:\n got %v\nwant %v", name, got, want)
-		}
-		checkCSR(t, ext, next)
-	}
-}
-
 // TestDiscoverDeltaFallbacks pins the guard conditions that force a
-// full run: nil state, schema drift, and state rows exceeding the
-// relation.
+// full run: nil state (the caller's fallback, so not counted here),
+// schema drift, state rows exceeding the relation, and a dependency over
+// an attribute the relation does not have.
 func TestDiscoverDeltaFallbacks(t *testing.T) {
 	ctx := context.Background()
 	r, _ := deltaRel(t, 50, 1)
 	want := mustDiscover(t, r)
 
-	for name, prev := range map[string]*MineState{
-		"nil-state":    nil,
-		"schema-drift": {N: 50, Attrs: 3, Offs: make([]int32, 4), Elems: make([]int32, 150)},
-		"shrunk":       {N: 80, Attrs: 4, Offs: make([]int32, 4), Elems: make([]int32, 320)},
-		"bad-elems":    {N: 50, Attrs: 4, Offs: make([]int32, 4), Elems: make([]int32, 7)},
+	for name, tc := range map[string]struct {
+		prev *MineState
+		want string
+	}{
+		"nil-state":    {nil, ""},
+		"schema-drift": {&MineState{N: 50, Attrs: 3}, obs.FallbackShape},
+		"shrunk":       {&MineState{N: 80, Attrs: 4}, obs.FallbackShape},
+		"wide-fd":      {&MineState{N: 50, Attrs: 4, FDs: []FD{{LHS: NewAttrSet(1), RHS: NewAttrSet(9)}}}, obs.FallbackShape},
 	} {
-		got, next, delta, err := DiscoverDelta(ctx, r, prev)
+		before := fallbackCounts()
+		got, next, delta, err := DiscoverDelta(ctx, r, tc.prev)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if delta {
-			t.Fatalf("%s: took delta path", name)
+		if reason := fallbackSince(t, before); delta || reason != tc.want {
+			t.Fatalf("%s: delta=%v after fallback %q, want %q", name, delta, reason, tc.want)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: wrong FDs", name)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(next, stateOver(r, want)) {
+			t.Fatalf("%s: wrong FDs or state", name)
 		}
-		checkCSR(t, r, next)
 	}
 
 	// Zero appended rows over a valid state is the trivial delta.
-	st := NewMineState(r, mustDiscover(t, r))
-	if _, _, delta, err := DiscoverDelta(ctx, r, st); err != nil || !delta {
+	if _, _, delta, err := DiscoverDelta(ctx, r, stateOver(r, want)); err != nil || !delta {
 		t.Fatalf("no-op append: delta=%v err=%v", delta, err)
+	}
+}
+
+// countingColumns counts the reads a kernel makes of a Columns.
+type countingColumns struct {
+	relation.Columns
+	mu      sync.Mutex
+	stripes map[int]int
+	visits  int
+}
+
+func (c *countingColumns) ReadStripe(p int, attrs []int, dst [][]int32) ([][]int32, error) {
+	c.mu.Lock()
+	c.stripes[p]++
+	c.mu.Unlock()
+	return c.Columns.ReadStripe(p, attrs, dst)
+}
+
+func (c *countingColumns) ReadPage(p, a int, dst []int32) ([]int32, error) {
+	c.mu.Lock()
+	c.stripes[p]++
+	c.mu.Unlock()
+	return c.Columns.ReadPage(p, a, dst)
+}
+
+func (c *countingColumns) VisitValues(a int, f func(v int32, count int, runs []relation.Run) error) error {
+	c.mu.Lock()
+	c.visits++
+	c.mu.Unlock()
+	return c.Columns.VisitValues(a, f)
+}
+
+// TestDeltaReadsEachStripeOnce pins the delta path's cost model on a
+// relation of several stripes: no value-index visit and every stripe —
+// the one the append starts in included — read exactly once, at any
+// worker budget; and a violation among the appended rows alone is found
+// without reading a stripe below them.
+func TestDeltaReadsEachStripeOnce(t *testing.T) {
+	base, baseRows := deltaRel(t, 2*relation.DefaultPageRows+500, 3)
+	st := stateOver(base, mustDiscover(t, base))
+	for _, workers := range []int{1, 4} {
+		ctx := exec.WithWorkers(context.Background(), workers)
+
+		ext, err := base.Extend(baseRows[:300])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &countingColumns{Columns: relation.AsColumns(ext), stripes: map[int]int{}}
+		if _, _, delta, err := DiscoverDeltaColumns(ctx, c, st); err != nil || !delta {
+			t.Fatalf("workers=%d: delta=%v err=%v", workers, delta, err)
+		}
+		if c.visits != 0 || !reflect.DeepEqual(c.stripes, map[int]int{0: 1, 1: 1, 2: 1}) {
+			t.Fatalf("workers=%d: %d VisitValues calls, stripe reads %v; want none and one read each", workers, c.visits, c.stripes)
+		}
+
+		ext, err = base.Extend([][]string{{"n1", "fresh", "z-a", "g0"}, {"n2", "fresh", "z-b", "g0"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c = &countingColumns{Columns: relation.AsColumns(ext), stripes: map[int]int{}}
+		if ok, err := appendBreaks(ctx, c, st); err != nil || !ok {
+			t.Fatalf("workers=%d: appended rows disagreeing on city -> zip: broken=%v err=%v", workers, ok, err)
+		}
+		if !reflect.DeepEqual(c.stripes, map[int]int{2: 1}) {
+			t.Fatalf("workers=%d: stripe reads %v, want the appended stripe only", workers, c.stripes)
+		}
+	}
+}
+
+// TestStateSmallAtWorkloadScale: the persisted FD state of the
+// benchmark's paged_ingest input (50 000 DBLP rows over the seven
+// projection attributes) is the minimal set and a header — under 1 KiB,
+// where the by-value row index it used to carry was ≈ 2 bytes a cell.
+func TestStateSmallAtWorkloadScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mines 50 000 rows")
+	}
+	r := datagen.NewDBLP(datagen.DBLPConfig{Tuples: 50000, Seed: 1, MiscFrac: 129.0 / 50000, JournalFrac: 0.28}).
+		Project(datagen.ProjectionAttrs())
+	fds, err := TANE(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size := len(EncodeState(stateOver(r, fds))); size >= 1024 {
+		t.Fatalf("state of %d FDs over %d x %d encodes to %d bytes, want < 1 KiB", len(fds), r.N(), r.M(), size)
 	}
 }
 
@@ -190,7 +267,7 @@ func TestDiscoverDeltaFallbacks(t *testing.T) {
 // corrupt bytes.
 func TestStateCodecRoundtrip(t *testing.T) {
 	r, _ := deltaRel(t, 90, 4)
-	st := NewMineState(r, mustDiscover(t, r))
+	st := stateOver(r, mustDiscover(t, r))
 	enc := EncodeState(st)
 	dec, err := DecodeState(enc)
 	if err != nil {

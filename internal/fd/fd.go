@@ -27,30 +27,26 @@ func (f FD) Format(names []string) string {
 func (f FD) Attrs() AttrSet { return f.LHS.Union(f.RHS) }
 
 // Holds reports whether the dependency is satisfied by the instance:
-// tuples agreeing on LHS agree on RHS.
+// tuples agreeing on LHS agree on RHS. It reads the rows directly — the
+// oracles (BruteForce, TANESerial) share nothing with HoldsColumns.
 func Holds(r *relation.Relation, f FD) bool {
-	lhs := f.LHS.Attrs()
-	rhs := f.RHS.Attrs()
-	seen := make(map[string][]int32, r.N())
-	key := make([]byte, 0, 32)
+	lhs, rhs := f.LHS.Attrs(), f.RHS.Attrs()
+	first := make(map[string]int, r.N()) // LHS key → the first tuple carrying it
+	var key []byte
 	for t := 0; t < r.N(); t++ {
 		key = key[:0]
 		for _, a := range lhs {
-			v := r.Value(t, a)
-			key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), 0xfe)
+			key = appendValueKey(key, r.Row(t)[a:a+1])
 		}
-		cur := make([]int32, len(rhs))
-		for i, a := range rhs {
-			cur[i] = r.Value(t, a)
+		u, seen := first[string(key)]
+		if !seen {
+			first[string(key)] = t
+			continue
 		}
-		if prev, ok := seen[string(key)]; ok {
-			for i := range cur {
-				if prev[i] != cur[i] {
-					return false
-				}
+		for _, a := range rhs {
+			if r.Value(u, a) != r.Value(t, a) {
+				return false
 			}
-		} else {
-			seen[string(key)] = cur
 		}
 	}
 	return true

@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -23,7 +26,7 @@ func resealCRC(data []byte) []byte {
 // FuzzDecodeState: arbitrary bytes — as given, and resealed under a
 // valid CRC — never panic DecodeState and fail only with
 // ErrCorruptState; whatever decodes survives Encode → Decode unchanged.
-// Seeds under testdata/fuzz/: a valid state, a truncated one, a bad CRC.
+// Seeds under testdata/fuzz/: see TestDecodeStateSeeds.
 func FuzzDecodeState(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, resealCRC(data)} {
@@ -43,4 +46,33 @@ func FuzzDecodeState(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDecodeStateSeeds pins what each committed fuzz seed is: one valid
+// version-2 state, and four blobs that must fail typed — a flipped CRC,
+// a truncation, a header claiming 2^31-1 FDs over a 16-byte payload
+// under a valid CRC (the decoder must not allocate for them), and a
+// well-formed version-1 state, by-value row index included, as daemons
+// before codec version 2 left on disk.
+func TestDecodeStateSeeds(t *testing.T) {
+	for name, valid := range map[string]bool{
+		"valid": true, "bad-crc": false, "truncated": false, "oversized-fd-count": false, "version-1": false,
+	} {
+		raw, err := os.ReadFile("testdata/fuzz/FuzzDecodeState/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte("), ")")
+		blob, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("seed %s: %v", name, err)
+		}
+		st, err := DecodeState([]byte(blob))
+		switch {
+		case valid && (err != nil || len(st.FDs) == 0):
+			t.Errorf("seed %s: state %+v, err %v; want a state with FDs", name, st, err)
+		case !valid && !errors.Is(err, ErrCorruptState):
+			t.Errorf("seed %s: err %v, want ErrCorruptState", name, err)
+		}
+	}
 }

@@ -100,7 +100,7 @@ func Resemblance(a, b Signature) float64 {
 		return float64(inter) / float64(union)
 	}
 	// Bottom-k of the union; count how many of those lie in both sketches.
-	k := minInt(SketchSize, minInt(len(a.hashes)+len(b.hashes), a.Distinct+b.Distinct))
+	k := min(SketchSize, len(a.hashes)+len(b.hashes), a.Distinct+b.Distinct)
 	union := mergeBottomK(a.hashes, b.hashes, k)
 	inBoth := 0
 	for _, h := range union {
@@ -262,11 +262,4 @@ func mergeBottomK(a, b []uint64, k int) []uint64 {
 		last, haveLast = h, true
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -338,7 +338,7 @@ func (d *DCF) commitStaged(stageIdx []int32, stageVal, stageLog []float64, sc *m
 	// which only run for coordinates absent from the main tier, the rare
 	// case once a summary has seen the common values — for a quarter of
 	// the O(n) merges.
-	if t := len(d.tidx); t > 0 && t*t >= 16*max2(1024, len(d.idx)) {
+	if t := len(d.tidx); t > 0 && t*t >= 16*max(1024, len(d.idx)) {
 		need := len(d.idx) + len(d.tidx)
 		outIdx, outVal, outLog := mergeBuffers(sc, need)
 		i, j := 0, 0
@@ -456,13 +456,6 @@ func storeTier(oldIdx []int32, oldVal, oldLog []float64, outIdx []int32, outVal,
 	copy(oldVal, outVal)
 	copy(oldLog, outLog)
 	return oldIdx, oldVal, oldLog
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 const invLn2 = 1 / math.Ln2

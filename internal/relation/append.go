@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 )
 
 // ErrShapeMismatch reports an appended CSV body whose header does not
@@ -17,6 +18,12 @@ var ErrShapeMismatch = errors.New("relation: append header does not match the da
 // for tuples below r.N() are the same backing arrays, and value ids are
 // append-stable (the extension interns exactly like Builder.Add, so the
 // result is indistinguishable from parsing the concatenated source).
+//
+// The dictionary is shared too: the new relation reads r's maps and
+// interns what it adds into a private overlay, r's own overlay copied
+// forward, so an append costs O(appended values), not O(D); an overlay
+// that has outgrown half of its base is folded into a fresh base by the
+// next Extend. Sharing freezes r: do not add to a relation once extended.
 func (r *Relation) Extend(rows [][]string) (*Relation, error) {
 	nr := &Relation{
 		Name:      r.Name,
@@ -24,15 +31,28 @@ func (r *Relation) Extend(rows [][]string) (*Relation, error) {
 		rows:      r.rows[:len(r.rows):len(r.rows)],
 		valueStr:  r.valueStr[:len(r.valueStr):len(r.valueStr)],
 		valueAttr: r.valueAttr[:len(r.valueAttr):len(r.valueAttr)],
-		dict:      make([]map[string]int32, len(r.dict)),
+		dict:      r.dict,
+		over:      make([]map[string]int32, len(r.dict)),
 	}
-	// The private dictionary is refilled from the id-ordered tables: a
-	// sequential scan, about two thirds the cost of iterating r's maps.
-	for a, m := range r.dict {
-		nr.dict[a] = make(map[string]int32, len(m)+1)
+	overlaid := 0
+	for _, m := range r.over {
+		overlaid += len(m)
 	}
-	for id, s := range r.valueStr {
-		nr.dict[r.valueAttr[id]][s] = int32(id)
+	fold := 2*overlaid > len(r.valueStr)-overlaid
+	for a := range nr.over {
+		nr.over[a] = map[string]int32{}
+		if !fold && r.over != nil {
+			maps.Copy(nr.over[a], r.over[a])
+		}
+	}
+	if fold { // refilled from the id-ordered tables, cheaper than iterating the maps
+		nr.dict = make([]map[string]int32, len(r.dict))
+		for a := range nr.dict {
+			nr.dict[a] = make(map[string]int32, r.DomainSize(a))
+		}
+		for id, s := range r.valueStr {
+			nr.dict[r.valueAttr[id]][s] = int32(id)
+		}
 	}
 	b := &Builder{r: nr}
 	for i, vals := range rows {

@@ -90,16 +90,6 @@ func AsColumns(r *Relation) Columns {
 	return &residentColumns{r: r}
 }
 
-// InMemory returns the relation behind an AsColumns value, or nil when c
-// reads from anywhere else. It exists for the kernels that still need
-// random row access to every tuple (delta FD maintenance).
-func InMemory(c Columns) *Relation {
-	if rc, ok := c.(*residentColumns); ok {
-		return rc.r
-	}
-	return nil
-}
-
 type residentColumns struct {
 	r      *Relation
 	stOnce sync.Once
@@ -203,7 +193,7 @@ func (c *residentColumns) ValueAttr(v int32) int { return c.r.ValueAttr(v) }
 func (c *residentColumns) ValueStrings() ([]string, error) { return c.r.valueStr, nil }
 
 func (c *residentColumns) NullCount(a int) int {
-	id, ok := c.r.dict[a][Null]
+	id, ok := c.r.ValueID(a, Null)
 	if !ok {
 		return 0
 	}

@@ -29,8 +29,12 @@ type Relation struct {
 	valueStr  []string
 	valueAttr []int
 
-	// dict[a][s] is the value id of string s under attribute a.
+	// dict[a][s] is the value id of string s under attribute a. A
+	// relation made by Extend shares its receiver's dict — read-only for
+	// both from then on — and interns what it adds into over, its private
+	// overlay; over is nil for a relation that was parsed or built.
 	dict []map[string]int32
+	over []map[string]int32
 }
 
 // Builder accumulates tuples for a Relation.
@@ -80,11 +84,15 @@ func (b *Builder) MustAdd(vals ...string) {
 func (b *Builder) Relation() *Relation { return b.r }
 
 func (r *Relation) intern(attr int, s string) int32 {
-	if id, ok := r.dict[attr][s]; ok {
+	if id, ok := r.ValueID(attr, s); ok {
 		return id
 	}
 	id := int32(len(r.valueStr))
-	r.dict[attr][s] = id
+	if r.over != nil {
+		r.over[attr][s] = id
+	} else {
+		r.dict[attr][s] = id
+	}
 	r.valueStr = append(r.valueStr, s)
 	r.valueAttr = append(r.valueAttr, attr)
 	return id
@@ -120,6 +128,9 @@ func (r *Relation) ValueLabel(id int32) string {
 // ValueID returns the id of string s under attribute a, if interned.
 func (r *Relation) ValueID(a int, s string) (int32, bool) {
 	id, ok := r.dict[a][s]
+	if !ok && r.over != nil {
+		id, ok = r.over[a][s]
+	}
 	return id, ok
 }
 
@@ -147,7 +158,13 @@ func (r *Relation) AttrIndices(names []string) ([]int, error) {
 }
 
 // DomainSize returns |Vi|, the number of distinct values of attribute a.
-func (r *Relation) DomainSize(a int) int { return len(r.dict[a]) }
+func (r *Relation) DomainSize(a int) int {
+	n := len(r.dict[a])
+	if r.over != nil {
+		n += len(r.over[a])
+	}
+	return n
+}
 
 // ValueCount returns d_v: in how many tuples value id v appears.
 // Computed on demand; use Stats for bulk access.
@@ -181,7 +198,7 @@ func (r *Relation) NullFraction(a int) float64 {
 	if r.N() == 0 {
 		return 0
 	}
-	id, ok := r.dict[a][Null]
+	id, ok := r.ValueID(a, Null)
 	if !ok {
 		return 0
 	}

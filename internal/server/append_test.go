@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"structmine/internal/fd"
+	"structmine/internal/obs"
 	"structmine/internal/relation"
 	"structmine/internal/store"
 	"structmine/internal/task"
@@ -99,10 +101,7 @@ func TestPropDeltaMatchesScratch(t *testing.T) {
 					}
 					return c
 				}
-				tasks := []string{"mine-fds", "rank-fds"}
-				if !tier.paged {
-					tasks = append(tasks, "partition")
-				}
+				tasks := []string{"mine-fds", "rank-fds", "partition"}
 
 				// Lineage server: register, mine (seeds state), append, re-mine.
 				_, ts1 := newTestServer(t, cfg(t.TempDir()))
@@ -130,7 +129,31 @@ func TestPropDeltaMatchesScratch(t *testing.T) {
 				}
 
 				for _, task := range tasks {
+					// On both tiers the re-mine resumes the persisted state:
+					// one more delta re-mine on the histogram, or — only for
+					// mine-fds past fd.DeltaMaxFraction of the data; rank-fds
+					// then resumes the state mine-fds left — one more
+					// "oversized" fallback, and never anything else.
+					before := scrapeMetrics(t, ts1.URL)
 					got := mineResult(t, ts1, ds.ID, task)
+					after := scrapeMetrics(t, ts1.URL)
+					moved := func(name string) float64 { return metricValue(t, after, name) - metricValue(t, before, name) }
+					wantDelta, wantOversized := 1.0, 0.0
+					if task == "mine-fds" && float64(size.k) > fd.DeltaMaxFraction*float64(n+size.k) {
+						wantDelta, wantOversized = 0, 1
+					}
+					if d := moved("structmine_append_delta_remine_seconds_count"); d != wantDelta {
+						t.Errorf("%s: %g delta re-mines observed, want %g", task, d, wantDelta)
+					}
+					for _, reason := range obs.DeltaFallbackReasons {
+						want := 0.0
+						if reason == obs.FallbackOversized {
+							want = wantOversized
+						}
+						if d := moved(`structmine_append_delta_fallback_total{reason="` + reason + `"}`); d != want {
+							t.Errorf("%s: %g %s fallbacks counted, want %g", task, d, reason, want)
+						}
+					}
 					want := mineResult(t, ts2, fresh.ID, task)
 					if !bytes.Equal(got, want) {
 						t.Errorf("%s artifact diverges after append:\n got %s\nwant %s", task, got, want)

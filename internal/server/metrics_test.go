@@ -110,6 +110,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"structmine_tane_levels",
 		"structmine_tane_products_total",
 		"structmine_tane_shared_partitions_total",
+		"structmine_append_delta_remine_seconds_count",
+		"structmine_append_delta_fallback_total",
 		"structmine_stage_seconds_bucket",
 	}
 	for _, name := range required {
@@ -132,6 +134,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if !regexp.MustCompile(`structmined_http_requests_total\{route="POST /v1/jobs"\} [1-9]`).MatchString(scrape) {
 		t.Error("scrape has no request count for POST /v1/jobs")
+	}
+	// The delta fallback counter is a closed set of five reasons, all
+	// exposed before the first fallback.
+	for _, reason := range obs.DeltaFallbackReasons {
+		metricValue(t, scrape, `structmine_append_delta_fallback_total{reason="`+reason+`"}`)
+	}
+	if n := strings.Count(scrape, "structmine_append_delta_fallback_total{reason="); n != 5 {
+		t.Errorf("fallback counter has %d reason labels, want no_state, corrupt_state, shape, oversized, fd_broken", n)
 	}
 	if n := strings.Count(scrape, "structmined_http_requests_total{route="); n != 13 {
 		t.Errorf("request counter has %d route labels, want the 13 /v1 routes", n)

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"structmine/internal/colstore"
+	"structmine/internal/obs"
 	"structmine/internal/relation"
 	"structmine/internal/store"
 	"structmine/internal/store/storetest"
@@ -333,7 +334,8 @@ func TestResidentRestart(t *testing.T) {
 
 	// Delta re-mining still engages: the FD state of the previous life is
 	// picked up by the first re-mine after the next append.
-	before := metricValue(t, scrapeMetrics(t, ts2.URL), "structmine_append_delta_remine_seconds_count")
+	scrape := scrapeMetrics(t, ts2.URL)
+	before := metricValue(t, scrape, "structmine_append_delta_remine_seconds_count")
 	if code, body := doJSON(t, "POST", ts2.URL+"/v1/datasets/"+ds.ID+"/append", csvOf(rows[350:]), &appended); code != http.StatusOK {
 		t.Fatalf("append after restart: %d %s", code, body)
 	}
@@ -341,8 +343,15 @@ func TestResidentRestart(t *testing.T) {
 		t.Fatalf("second append: %+v", appended)
 	}
 	delta := mineResult(t, ts2, ds.ID, "mine-fds")
-	if after := metricValue(t, scrapeMetrics(t, ts2.URL), "structmine_append_delta_remine_seconds_count"); after != before+1 {
+	rescrape := scrapeMetrics(t, ts2.URL)
+	if after := metricValue(t, rescrape, "structmine_append_delta_remine_seconds_count"); after != before+1 {
 		t.Fatalf("delta re-mines %g -> %g, want one more", before, after)
+	}
+	for _, reason := range obs.DeltaFallbackReasons {
+		name := `structmine_append_delta_fallback_total{reason="` + reason + `"}`
+		if was, now := metricValue(t, scrape, name), metricValue(t, rescrape, name); now != was {
+			t.Fatalf("%s fallbacks %g -> %g across a re-mine that resumed the previous life's state", reason, was, now)
+		}
 	}
 	if code, body := doJSON(t, "POST", fresh.URL+"/v1/datasets?name=life", csvOf(rows), &again); code != http.StatusCreated {
 		t.Fatalf("fresh register: %d %s", code, body)

@@ -152,13 +152,3 @@ func (t *tenants) releaseJob(key string) {
 		s.active--
 	}
 }
-
-// active returns the tenant's in-flight job count (tests, metrics).
-func (t *tenants) activeJobs(key string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if s, ok := t.m[key]; ok {
-		return s.active
-	}
-	return 0
-}

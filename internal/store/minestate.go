@@ -7,9 +7,9 @@ import (
 	"path/filepath"
 )
 
-// Mine-state files persist per-dataset miner state (LIMBO DCF-trees, FD
-// partitions) across epochs so a re-mine after an append absorbs only
-// the appended tuples. They are caches, not sources of truth: a
+// Mine-state files persist per-dataset miner state (LIMBO DCF-trees,
+// minimal FD sets) across epochs so a re-mine after an append absorbs
+// only the appended tuples. They are caches, not sources of truth: a
 // missing or corrupt file just means the next mine runs from scratch,
 // so unlike artifacts they need no quarantine ceremony — bad files are
 // deleted on read.
@@ -87,11 +87,4 @@ func (s *Store) GetMineState(datasetID, kind string) (payload []byte, epoch int,
 		return drop()
 	}
 	return body[6+n:], int(e), true
-}
-
-// RemoveMineState drops the persisted state for (datasetID, kind).
-func (s *Store) RemoveMineState(datasetID, kind string) {
-	if path, err := s.minestatePath(datasetID, kind); err == nil {
-		_ = s.fsys.Remove(path)
-	}
 }

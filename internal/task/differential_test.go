@@ -1,0 +1,237 @@
+package task
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"structmine/internal/colstore"
+	"structmine/internal/datagen"
+	"structmine/internal/exec"
+	"structmine/internal/fd"
+	"structmine/internal/obs"
+	"structmine/internal/relation"
+	"structmine/internal/store"
+)
+
+// diffSource is one generated relation of the differential table: its
+// rows in generation order, so a base is a prefix and a natural append
+// the rows that follow it. The last attribute, Src, is constant — the
+// planted ∅ → A dependency.
+type diffSource struct {
+	name  string
+	attrs []string
+	rows  [][]string
+	base  int // rows of the base relation
+}
+
+func diffSources(t *testing.T) []diffSource {
+	t.Helper()
+	withSrc := func(name string, r *relation.Relation, base int) diffSource {
+		s := diffSource{name: name, attrs: append(append([]string{}, r.Attrs...), "Src"), base: base}
+		for i := 0; i < r.N(); i++ {
+			s.rows = append(s.rows, append(r.TupleStrings(i), name))
+		}
+		return s
+	}
+	// DBLP: NULL-heavy Volume/Journal/Number/BookTitle, Journal → nothing
+	// much, plenty of accidental dependencies to break.
+	dblp := datagen.NewDBLP(datagen.DBLPConfig{Tuples: 330, Seed: 3, MiscFrac: 0.01, JournalFrac: 0.28}).
+		Project(datagen.ProjectionAttrs())
+	// DB2 sample join: planted key/foreign-key dependencies, a NULL
+	// column (MajorProjNo) and department numbers repeated as strings
+	// under three attributes.
+	db2, err := datagen.NewDB2Sample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := db2.Joined.AttrIndices([]string{
+		"EmpNo", "LastName", "WorkDepNo", "DepName", "MgrNo", "AdminDepNo", "ProjNo", "MajorProjNo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []diffSource{
+		withSrc("dblp", dblp, 200),
+		withSrc("db2", db2.Joined.Project(ix), 60),
+	}
+}
+
+func (s diffSource) relation(t *testing.T, rows [][]string) *relation.Relation {
+	t.Helper()
+	b := relation.NewBuilder(s.name, s.attrs)
+	for _, row := range rows {
+		if err := b.Add(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Relation()
+}
+
+// fresh is a row no value of which any other row carries, but for Src.
+func (s diffSource) fresh(tag string) []string {
+	row := make([]string, len(s.attrs))
+	for a := range row {
+		row[a] = fmt.Sprintf("%s-%d", tag, a)
+	}
+	row[len(row)-1] = s.name
+	return row
+}
+
+func fallbackCounts() map[string]uint64 {
+	out := map[string]uint64{}
+	for _, reason := range obs.DeltaFallbackReasons {
+		out[reason] = obs.DeltaFallbacks.With(reason).Value()
+	}
+	return out
+}
+
+func tableOf(t *testing.T, r *relation.Relation) relation.Columns {
+	t.Helper()
+	meta := store.DatasetMeta{Hash: fmt.Sprintf("%064x", r.N()), Name: r.Name, Source: "test"}
+	path, err := colstore.WriteFromRelation(t.TempDir(), meta, r, colstore.WriteOptions{PageRows: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := colstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tbl.Close() })
+	return tbl
+}
+
+func sortedFDs(t *testing.T, miner func(*relation.Relation) ([]fd.FD, error), r *relation.Relation) []fd.FD {
+	t.Helper()
+	fds, err := miner(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd.SortFDs(fds)
+	return fds
+}
+
+// TestDifferentialFDs is the FD leg of the differential table: over
+// generated relations with planted dependencies, NULLs and strings
+// repeated across attributes, TANE ≡ FDEP ≡ brute force ≡ the
+// delta-after-append path of mine-fds — on the resident adapter and on a
+// colstore table, at one worker and at four — and the delta path gives
+// up exactly when one of the five counted reasons says so: the state is
+// missing, corrupt or of another shape, the append is oversized, or an
+// appended row breaks a previously minimal dependency (two appended rows
+// between them, an appended row against the prefix, or a constant
+// attribute that stops being one).
+func TestDifferentialFDs(t *testing.T) {
+	for _, src := range diffSources(t) {
+		base := src.relation(t, src.rows[:src.base])
+		m := base.M()
+		prev := sortedFDs(t, fd.TANE, base)
+		var planted fd.FD // a previously minimal X → A, X ≠ ∅
+		for _, f := range prev {
+			if !f.LHS.Empty() {
+				planted = f
+				break
+			}
+		}
+		if planted.LHS.Empty() || !reflect.DeepEqual(prev[0], fd.FD{RHS: fd.NewAttrSet(m - 1)}) {
+			t.Fatalf("%s: base dependencies %v lack ∅ → Src or a keyed one", src.name, prev)
+		}
+		a := planted.RHS.Attrs()[0]
+		state := fd.EncodeState(&fd.MineState{N: base.N(), Attrs: m, FDs: prev})
+
+		natural := func(pct int) [][]string { // pct of the extended relation
+			k := src.base * pct / (100 - pct)
+			return src.rows[src.base : src.base+k]
+		}
+		twin := src.fresh("pair")
+		twin[a] = "pair-other"
+		across := src.fresh("lone")
+		for _, x := range planted.LHS.Attrs() {
+			across[x] = src.rows[0][x]
+		}
+		drifted := append([]string{}, src.rows[1]...)
+		drifted[m-1] = "elsewhere"
+
+		for _, tc := range []struct {
+			name  string
+			rows  [][]string
+			state []byte // nil: none saved
+			want  string // a fallback reason; "" = delta; "?" = whatever the oracle says
+		}{
+			{"append-1", src.rows[src.base : src.base+1], state, "?"},
+			{"append-7", src.rows[src.base : src.base+7], state, "?"},
+			{"append-10pct", natural(10), state, "?"},
+			{"append-30pct", natural(30), state, obs.FallbackOversized},
+			{"dup-rows", src.rows[3:9], state, ""},
+			{"break-among-appended", [][]string{src.fresh("pair"), twin}, state, obs.FallbackFDBroken},
+			{"break-across-prefix", [][]string{across}, state, obs.FallbackFDBroken},
+			{"break-constant", [][]string{drifted}, state, obs.FallbackFDBroken},
+			{"no-state", src.rows[3:4], nil, obs.FallbackNoState},
+			{"corrupt-state", src.rows[3:4], []byte("SMFD\x02\x00 not a state"), obs.FallbackCorruptState},
+			{"state-of-wider-schema", src.rows[3:4], fd.EncodeState(&fd.MineState{N: base.N(), Attrs: m + 1}), obs.FallbackShape},
+			{"state-of-more-rows", src.rows[3:4], fd.EncodeState(&fd.MineState{N: base.N() + 2, Attrs: m, FDs: prev}), obs.FallbackShape},
+		} {
+			t.Run(src.name+"/"+tc.name, func(t *testing.T) {
+				ext, err := base.Extend(tc.rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := sortedFDs(t, fd.TANE, ext)
+				if got := sortedFDs(t, fd.FDEP, ext); !reflect.DeepEqual(got, want) {
+					t.Fatalf("FDEP %v\nTANE %v", got, want)
+				}
+				if got := sortedFDs(t, fd.BruteForce, ext); !reflect.DeepEqual(got, want) {
+					t.Fatalf("brute %v\nTANE  %v", got, want)
+				}
+				// The oracle for the append cases: the delta path holds
+				// unless the append is oversized or breaks a dependency.
+				reason := tc.want
+				if reason == "?" {
+					reason = ""
+					for _, f := range prev {
+						if !fd.Holds(ext, f) {
+							reason = obs.FallbackFDBroken
+						}
+					}
+				}
+				if reason == obs.FallbackFDBroken && reflect.DeepEqual(prev, want) {
+					t.Fatal("the append was meant to break a dependency and broke none")
+				}
+
+				for _, tier := range []struct {
+					name string
+					c    relation.Columns
+				}{{"resident", relation.AsColumns(ext)}, {"colstore", tableOf(t, ext)}} {
+					for _, workers := range []int{1, 4} {
+						ss := memStateStore{}
+						if tc.state != nil {
+							ss[StateFDs] = tc.state
+						}
+						ctx := WithState(exec.WithWorkers(context.Background(), workers), ss)
+						before := fallbackCounts()
+						got, err := minedFDs(ctx, tier.c)
+						if err != nil {
+							t.Fatal(err)
+						}
+						where := fmt.Sprintf("%s, %d workers", tier.name, workers)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: mined %v\nTANE  %v", where, got, want)
+						}
+						for r, n := range fallbackCounts() {
+							if moved, expect := n-before[r], r == reason; moved > 1 || (moved == 1) != expect {
+								t.Fatalf("%s: fallback %q counted %d times, want only %q", where, r, moved, reason)
+							}
+						}
+						if delta := stateOf(ctx).delta; delta != (reason == "") {
+							t.Fatalf("%s: delta=%v with fallback reason %q", where, delta, reason)
+						}
+						saved, err := fd.DecodeState(ss[StateFDs])
+						if err != nil || !reflect.DeepEqual(saved, &fd.MineState{N: ext.N(), Attrs: m, FDs: want}) {
+							t.Fatalf("%s: state left behind %+v (%v)", where, saved, err)
+						}
+					}
+				}
+			})
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"structmine/internal/joins"
 	"structmine/internal/limbo"
 	"structmine/internal/measures"
+	"structmine/internal/obs"
 	"structmine/internal/relation"
 	"structmine/internal/report"
 	"structmine/internal/tuples"
@@ -178,15 +179,14 @@ type PartitionResult struct {
 	Partitions   []PartitionGroup `json:"partitions"`
 }
 
-// runPartition resumes the dataset's persisted Phase 1 tree when
-// incremental re-mining is in reach (deltaReach), absorbing only the
-// appended tuples; otherwise it builds the tree from scratch. Phases 2
-// and 3 are the same either way.
+// runPartition resumes the dataset's persisted Phase 1 tree under
+// WithState, absorbing only the appended tuples; otherwise it builds the
+// tree from scratch. Phases 2 and 3 are the same either way.
 func runPartition(ctx context.Context, c relation.Columns, p Params) (*PartitionResult, error) {
 	if err := step(ctx, "partitioning"); err != nil {
 		return nil, err
 	}
-	st, _ := deltaReach(ctx, c)
+	st := stateOf(ctx)
 	var state []byte
 	if st != nil {
 		state, _ = st.store.LoadState(StateTree)
@@ -396,24 +396,26 @@ type FDsResult struct {
 	Cover      []FDItem `json:"cover"`
 }
 
-// minedFDs discovers the minimal FD set. When incremental re-mining is
-// in reach (deltaReach) it goes through the delta path — the persisted
-// state of a prefix is rechecked against the appended rows only — and
-// refreshes the state on the way out; otherwise it mines the columns
-// directly and builds no state nobody would save.
+// minedFDs discovers the minimal FD set. Under WithState it goes through
+// the delta path — the persisted minimal set of a prefix is rechecked
+// against the appended rows — and refreshes the state on the way out;
+// otherwise it mines the columns directly and builds no state nobody
+// would save.
 func minedFDs(ctx context.Context, c relation.Columns) ([]fd.FD, error) {
 	if err := step(ctx, "dependency mining"); err != nil {
 		return nil, err
 	}
-	st, r := deltaReach(ctx, c)
+	st := stateOf(ctx)
 	if st == nil {
 		return fd.DiscoverColumns(ctx, c)
 	}
-	var prev *fd.MineState
-	if data, ok := st.store.LoadState(StateFDs); ok {
-		prev, _ = fd.DecodeState(data) // nil on corruption: scratch run
+	var prev *fd.MineState // nil: scratch run
+	if data, ok := st.store.LoadState(StateFDs); !ok {
+		obs.DeltaFallbacks.With(obs.FallbackNoState).Inc()
+	} else if prev, _ = fd.DecodeState(data); prev == nil {
+		obs.DeltaFallbacks.With(obs.FallbackCorruptState).Inc()
 	}
-	fds, next, delta, err := fd.DiscoverDelta(ctx, r, prev)
+	fds, next, delta, err := fd.DiscoverDeltaColumns(ctx, c, prev)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,6 @@
 package task
 
-import (
-	"context"
-
-	"structmine/internal/relation"
-)
+import "context"
 
 // State kinds: the incremental-mining artifacts a StateStore keeps per
 // dataset epoch.
@@ -39,10 +35,10 @@ type stateKey struct{}
 // WithState returns a context under which one RunColumns call re-mines
 // incrementally: the tasks with delta support (mine-fds, rank-fds,
 // partition) consume the dataset's persisted mining state and re-mine
-// only what an append could have changed, falling back to — and
-// indistinguishable from — a scratch run whenever the state is missing
-// or unusable, and leave fresh state behind. Without it nothing is
-// loaded, built or saved.
+// only what an append could have changed — on any relation.Columns,
+// resident or paged — falling back to, and indistinguishable from, a
+// scratch run whenever the state is missing or unusable, and leave fresh
+// state behind. Without it nothing is loaded, built or saved.
 func WithState(ctx context.Context, ss StateStore) context.Context {
 	return context.WithValue(ctx, stateKey{}, &runState{store: ss})
 }
@@ -50,16 +46,4 @@ func WithState(ctx context.Context, ss StateStore) context.Context {
 func stateOf(ctx context.Context) *runState {
 	st, _ := ctx.Value(stateKey{}).(*runState)
 	return st
-}
-
-// deltaReach is the one place that decides whether incremental
-// re-mining can engage: a state store travels on the context and the
-// rows are in memory (delta FD maintenance needs random row access). It
-// returns both, or nils.
-func deltaReach(ctx context.Context, c relation.Columns) (*runState, *relation.Relation) {
-	st, r := stateOf(ctx), relation.InMemory(c)
-	if st == nil || r == nil {
-		return nil, nil
-	}
-	return st, r
 }

@@ -87,20 +87,40 @@ func TestStateDeltaMatchesScratch(t *testing.T) {
 	}
 }
 
-// TestStateReachAndFallbacks: state is touched only when a store travels
-// on the context AND the rows are in memory; a task without delta
-// support ignores it; corrupt state degrades to a scratch run.
+// TestStateReachAndFallbacks: state is touched whenever a store travels
+// on the context, whatever Columns the rows come through; a task without
+// delta support ignores it; corrupt state degrades to a scratch run.
 func TestStateReachAndFallbacks(t *testing.T) {
 	r := stateRel(t, 60, 2)
-	// Rows not in memory (any Columns that is not an AsColumns value):
-	// the store is neither read nor written.
-	ss := memStateStore{}
-	paged := struct{ relation.Columns }{relation.AsColumns(r)}
+	ext, err := r.Extend([][]string{{"900", "c1", "z-c1", "g0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Any Columns will do — here one that is not an AsColumns value: the
+	// seed run saves state and the run after the append resumes it.
+	wrap := func(r *relation.Relation) relation.Columns {
+		return struct{ relation.Columns }{relation.AsColumns(r)}
+	}
 	for _, name := range []string{"mine-fds", "partition"} {
-		if _, delta := runWithState(t, paged, name, ss); delta || len(ss) != 0 {
-			t.Fatalf("%s out of reach: delta=%v, %d states saved", name, delta, len(ss))
+		ss := memStateStore{}
+		if _, delta := runWithState(t, wrap(r), name, ss); delta || len(ss) != 1 {
+			t.Fatalf("%s seed run: delta=%v, %d states saved, want a scratch run that saves one", name, delta, len(ss))
+		}
+		got, delta := runWithState(t, wrap(ext), name, ss)
+		if !delta {
+			t.Fatalf("%s after an append did not resume the saved state", name)
+		}
+		want, err := Run(context.Background(), ext, name, Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gj, _ := json.Marshal(got)
+		wj, _ := json.Marshal(want)
+		if string(gj) != string(wj) {
+			t.Fatalf("%s resumed over wrapped columns diverges from scratch:\n got %s\nwant %s", name, gj, wj)
 		}
 	}
+	ss := memStateStore{}
 	got, delta := runWithState(t, relation.AsColumns(r), "describe", ss)
 	if delta || len(ss) != 0 {
 		t.Fatalf("describe: delta=%v, %d states saved", delta, len(ss))

@@ -276,7 +276,13 @@ echo "$ametrics" | grep '^structmine_append_epochs_total 1' >/dev/null \
 dcount=$(echo "$ametrics" | sed -n 's/^structmine_append_delta_remine_seconds_count //p')
 [ -n "$dcount" ] && [ "$dcount" -ge 1 ] \
   || { echo "smoke: FAIL — structmine_append_delta_remine_seconds observed no delta re-mine (count=$dcount)"; exit 1; }
-echo "smoke: append counters and delta re-mine histogram exposed on /v1/metrics"
+# The mine before the append had no state to resume: one no_state
+# fallback, and the closed set of five reasons is exposed.
+[ "$(echo "$ametrics" | grep -c '^structmine_append_delta_fallback_total{reason=')" -eq 5 ] \
+  || { echo "smoke: FAIL — structmine_append_delta_fallback_total does not expose its five reasons"; exit 1; }
+echo "$ametrics" | grep '^structmine_append_delta_fallback_total{reason="no_state"} [1-9]' >/dev/null \
+  || { echo "smoke: FAIL — the first mine counted no no_state fallback"; exit 1; }
+echo "smoke: append counters, delta re-mine histogram and fallback reasons exposed on /v1/metrics"
 
 # Crash inside the append window: SIGKILL the daemon, then plant the
 # durable intent record exactly as the handler writes it before
@@ -369,33 +375,24 @@ curl -sS "$base/v1/metrics" | grep '^structmine_colstore_pages_read_total' >/dev
 echo "smoke: colstore series exposed on /v1/metrics"
 
 # --- primitive cache assertions -------------------------------------------
-# A second submission for the same (hash, epoch) with different params
-# misses the artifact cache (params are part of its key) but must serve
-# its single-attribute primitives from the primitive cache the first job
-# filled. After an append bumps the epoch, the cache must NOT serve the
-# stale entries: the re-mine recomputes, so misses increase.
+# A job of another task over the same (hash, epoch) misses the artifact
+# cache (the task is part of its key) but must serve its single-attribute
+# partitions from the primitive cache the rank-fds job's TANE run filled.
+# approx-fds is the probe because it keeps no mine-state: a second
+# rank-fds would resume the minimal FD set the first one persisted and
+# never ask for a partition. After an append bumps the epoch, the cache
+# must NOT serve the stale entries: the probe recomputes, so misses
+# increase.
 pmetric() {
   curl -sS "$base/v1/metrics" | awk -v n="$1" '$1 == n { print $2; f = 1 } END { if (!f) print 0 }'
 }
 phits0=$(pmetric structmine_primcache_hits_total)
-pjob2=$(curl -sS -X POST -H 'Content-Type: application/json' \
-  -d "{\"dataset\":\"$ds\",\"task\":\"rank-fds\",\"params\":{\"psi\":0.7}}" "$base/v1/jobs")
-p2id=$(echo "$pjob2" | jq -r .id)
-p2hit=$(echo "$pjob2" | jq -r .cache_hit)
-[ "$p2hit" != true ] || { echo "smoke: FAIL — different-params submission was an artifact cache hit"; exit 1; }
-p2state=$(echo "$pjob2" | jq -r .state)
-for _ in $(seq 1 600); do
-  case "$p2state" in done) break ;; failed|canceled)
-    echo "smoke: FAIL — paged job $p2id reached state $p2state"; exit 1 ;; esac
-  sleep 0.1
-  p2state=$(curl -sS "$base/v1/jobs/$p2id" | jq -r .state)
-done
-[ "$p2state" = done ] || { echo "smoke: FAIL — paged job $p2id stuck in $p2state"; exit 1; }
+mine approx-fds >/dev/null
 phits1=$(pmetric structmine_primcache_hits_total)
 if [ "$phits1" -le "$phits0" ]; then
-  echo "smoke: FAIL — second (hash, epoch) submission did not hit the primitive cache (hits $phits0 -> $phits1)"; exit 1
+  echo "smoke: FAIL — second (hash, epoch) job did not hit the primitive cache (hits $phits0 -> $phits1)"; exit 1
 fi
-echo "smoke: primitive cache hit on the second submission (hits $phits0 -> $phits1)"
+echo "smoke: primitive cache hit on the second job (hits $phits0 -> $phits1)"
 
 # Append errors are tier-independent: the paged tier answers a shape mismatch with the text golden/err_append_shape.json pins.
 curl -sS -X POST --data-binary $'A,B\n1,2\n' -H 'Content-Type: text/csv' "$base/v1/datasets/$ds/append" | jq -e '.error.code == "shape_mismatch" and (.error.message | test(": body has 2 attributes, dataset has [0-9]+$"))' >/dev/null || { echo "smoke: FAIL — shape-mismatched append to a paged dataset does not answer with the resident tier's error"; exit 1; }
@@ -406,21 +403,21 @@ pafter=$(curl -sS -X POST --data-binary @"$workdir/pappend.csv" \
   -H 'Content-Type: text/csv' "$base/v1/datasets/$ds/append")
 pep=$(echo "$pafter" | jq -r .epoch)
 [ "$pep" = 1 ] || { echo "smoke: FAIL — paged append did not bump the epoch (epoch=$pep)"; exit 1; }
-pjob3=$(submit)
-p3id=$(echo "$pjob3" | jq -r .id)
-p3state=$(echo "$pjob3" | jq -r .state)
-for _ in $(seq 1 600); do
-  case "$p3state" in done) break ;; failed|canceled)
-    echo "smoke: FAIL — post-append paged job $p3id reached state $p3state"; exit 1 ;; esac
-  sleep 0.1
-  p3state=$(curl -sS "$base/v1/jobs/$p3id" | jq -r .state)
-done
-[ "$p3state" = done ] || { echo "smoke: FAIL — post-append paged job $p3id stuck in $p3state"; exit 1; }
+mine approx-fds >/dev/null
 pmiss1=$(pmetric structmine_primcache_misses_total)
 if [ "$pmiss1" -le "$pmiss0" ]; then
   echo "smoke: FAIL — epoch bump did not invalidate the primitive cache (misses $pmiss0 -> $pmiss1)"; exit 1
 fi
 echo "smoke: epoch bump invalidated the primitive cache (misses $pmiss0 -> $pmiss1)"
+
+# The post-append rank-fds resumes the FD state the first one persisted:
+# delta re-mining engages on a paged dataset too.
+pdelta0=$(pmetric structmine_append_delta_remine_seconds_count)
+mine rank-fds >/dev/null
+pdelta1=$(pmetric structmine_append_delta_remine_seconds_count)
+[ "$pdelta1" -gt "$pdelta0" ] \
+  || { echo "smoke: FAIL — post-append paged rank-fds took no delta path (count $pdelta0 -> $pdelta1)"; exit 1; }
+echo "smoke: post-append paged rank-fds re-mined through the delta path"
 
 echo "smoke: SIGKILL the budgeted daemon and restart over the same store"
 kill -KILL "$pid"
