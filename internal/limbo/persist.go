@@ -241,7 +241,7 @@ func decodeNode(r *treeReader, t *Tree, depth int) (*node, error) {
 	n := t.newNode(leafByte == 1)
 	for i := 0; i < ne; i++ {
 		e := t.ar.entry()
-		if e.dcf, err = decodeDCF(r, t); err != nil {
+		if e.dcf, err = decodeDCF(r, &t.ar); err != nil {
 			return nil, err
 		}
 		if !n.leaf {
@@ -254,8 +254,10 @@ func decodeNode(r *treeReader, t *Tree, depth int) (*node, error) {
 	return n, nil
 }
 
-func decodeDCF(r *treeReader, t *Tree) (*DCF, error) {
-	d := t.ar.dcf()
+// decodeDCF reads one encodeDCF record into storage carved from ar (a
+// nil arena allocates plainly on the heap).
+func decodeDCF(r *treeReader, ar *arena) (*DCF, error) {
+	d := ar.dcf()
 	var err error
 	if d.W, err = r.float(); err != nil {
 		return nil, err
@@ -295,10 +297,10 @@ func decodeDCF(r *treeReader, t *Tree) (*DCF, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.idx, d.val, d.vlog, err = decodeTier(r, t); err != nil {
+	if d.idx, d.val, d.vlog, err = decodeTier(r, ar); err != nil {
 		return nil, err
 	}
-	if d.tidx, d.tval, d.tvlog, err = decodeTier(r, t); err != nil {
+	if d.tidx, d.tval, d.tvlog, err = decodeTier(r, ar); err != nil {
 		return nil, err
 	}
 	if hasRank == 1 {
@@ -310,14 +312,14 @@ func decodeDCF(r *treeReader, t *Tree) (*DCF, error) {
 	return d, nil
 }
 
-func decodeTier(r *treeReader, t *Tree) ([]int32, []float64, []float64, error) {
+func decodeTier(r *treeReader, ar *arena) ([]int32, []float64, []float64, error) {
 	n, err := r.count(9) // ≥ 1 delta byte + 8 value bytes per coordinate
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	idx := t.ar.int32s(n)[:n]
-	val := t.ar.float64s(n)[:n]
-	vlog := t.ar.float64s(n)[:n]
+	idx := ar.int32s(n)[:n]
+	val := ar.float64s(n)[:n]
+	vlog := ar.float64s(n)[:n]
 	prev := int64(-1)
 	for i := range idx {
 		delta, err := r.uvarint()
@@ -338,6 +340,29 @@ func decodeTier(r *treeReader, t *Tree) ([]int32, []float64, []float64, error) {
 		vlog[i] = xlog2(val[i])
 	}
 	return idx, val, vlog, nil
+}
+
+// AppendDCF appends one summary to buf in the tree codec's DCF record:
+// exact float bits, the exact main/tail tier split and the rank flag, so
+// a decoded copy scores every δI bit-identically to d. It is how a
+// summary leaves a run whose tree lives in pooled arena slabs.
+func AppendDCF(buf []byte, d *DCF) []byte { return encodeDCF(buf, d) }
+
+// DecodeDCF reads one AppendDCF record from the front of data into a
+// plain heap DCF — nothing carved from an arena, so it may outlive any
+// tree or grant — and returns the bytes that follow it. Bytes that are
+// not a structurally valid DCF fail with ErrCorruptTree, never a panic,
+// and allocate no more than the bytes left can describe.
+func DecodeDCF(data []byte) (*DCF, []byte, error) {
+	r := &treeReader{buf: data}
+	d, err := decodeDCF(r, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := validDCF(d); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorruptTree, err)
+	}
+	return d, data[r.off:], nil
 }
 
 // Scaled returns a copy of d with all mass multiplied by s: W, the

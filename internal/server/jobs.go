@@ -328,6 +328,9 @@ func (q *Runner) SubmitAs(tenant string, priority Priority, datasetID, taskName 
 		q.journal(rec)
 		return view, nil
 	}
+	// A job that runs shares intermediates with the other jobs of its
+	// dataset epoch, through the artifact cache.
+	job.ctx = task.WithIntermediates(ctx, datasetIntermediates{cache: q.cache, hash: ds.Hash, epoch: ds.Epoch})
 	if len(q.high)+len(q.low) >= q.depth {
 		cancel()
 		q.mu.Unlock()
@@ -448,6 +451,33 @@ func (s datasetStateStore) LoadState(kind string) ([]byte, bool) {
 
 func (s datasetStateStore) SaveState(kind string, data []byte) {
 	_ = s.st.PutMineState(s.id, kind, s.epoch, data) // best-effort cache
+}
+
+// datasetIntermediates keeps what the jobs of one (dataset, epoch) share
+// — so far the Phase 1 tuple summary — in the artifact cache, addressed
+// like an artifact: Key(hash, epoch, kind, params), memory tier and, under
+// -persist, the disk tier. The kind is no task, so no submission can
+// name the entry; Peek keeps these lookups out of the hit/miss counters,
+// which count questions answered; and the codec's bytes travel as a JSON
+// string because an artifact is JSON on both tiers.
+type datasetIntermediates struct {
+	cache *Cache
+	hash  string
+	epoch int
+}
+
+func (d datasetIntermediates) LoadIntermediate(kind string, p task.Params) ([]byte, bool) {
+	raw, ok := d.cache.Peek(Key(d.hash, d.epoch, kind, p))
+	var data []byte
+	if !ok || json.Unmarshal(raw, &data) != nil {
+		return nil, false
+	}
+	return data, true
+}
+
+func (d datasetIntermediates) SaveIntermediate(kind string, p task.Params, data []byte) {
+	raw, _ := json.Marshal(data) // a []byte always encodes
+	d.cache.Put(Key(d.hash, d.epoch, kind, p), raw)
 }
 
 func (q *Runner) run(job *Job) {

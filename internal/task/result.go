@@ -137,10 +137,15 @@ func runDedup(ctx context.Context, c relation.Columns, p Params) (*DedupResult, 
 	if err := step(ctx, "tuple clustering"); err != nil {
 		return nil, err
 	}
-	rep, err := tuples.FindDuplicatesColumns(ctx, c, fv(p.PhiT), defaultB)
+	objs, err := tuples.ObjectsColumnsCtx(ctx, c)
 	if err != nil {
 		return nil, err
 	}
+	sum, err := tupleSummary(ctx, c, objs, fv(p.PhiT), defaultB)
+	if err != nil {
+		return nil, err
+	}
+	rep := sum.Duplicates(ctx, objs)
 	res := &DedupResult{
 		PhiT: fv(p.PhiT), Threshold: rep.Threshold, LeafCount: rep.LeafCount,
 		MinSim: fv(p.MinSim), Groups: [][]int{},
@@ -296,6 +301,40 @@ type GroupAttrsResult struct {
 	Dendrogram string `json:"dendrogram"`
 }
 
+// tupleSummary returns the threshold-bounded Phase 1 pass over c's tuples
+// at (φT, b): the one an earlier job of this dataset epoch left with the
+// context's Intermediates, when it decodes and echoes this job's n, m,
+// φT and b, else a fresh build, encoded — here, while the run's grant
+// still backs the tree — and left there for the next job. objs are c's
+// tuple objects when the caller has them anyway (dedup's Phase 3 reads
+// them); with nil they are streamed only if the tree has to be built.
+func tupleSummary(ctx context.Context, c relation.Columns, objs []limbo.Obj, phiT float64, b int) (*tuples.Summary, error) {
+	im := intermediatesOf(ctx)
+	key := Params{PhiT: &phiT}
+	if im != nil {
+		if data, ok := im.LoadIntermediate(KindTupleSummary, key); ok {
+			if sum, err := tuples.DecodeSummary(data); err == nil && sum.For(c.N(), c.M(), phiT, b) {
+				obs.TupleSummaries.With(obs.SummaryReused).Inc()
+				obs.StageNote(ctx, "summary reused")
+				return sum, nil
+			}
+			obs.TupleSummaries.With(obs.SummaryRejected).Inc()
+		}
+	}
+	if objs == nil {
+		var err error
+		if objs, err = tuples.ObjectsColumnsCtx(ctx, c); err != nil {
+			return nil, err
+		}
+	}
+	sum := tuples.Summarize(ctx, objs, c.M(), phiT, b)
+	obs.TupleSummaries.With(obs.SummaryBuilt).Inc()
+	if im != nil {
+		im.SaveIntermediate(KindTupleSummary, key, tuples.EncodeSummary(sum))
+	}
+	return sum, nil
+}
+
 // ClusterValues clusters the attribute values at φV with branching
 // factor b, over the tuples themselves or — with double — over the tuple
 // clusters of a φT compression pass (double clustering, for large
@@ -307,14 +346,14 @@ func ClusterValues(ctx context.Context, c relation.Columns, phiT, phiV float64, 
 	if !double {
 		objs, err = values.ObjectsColumnsCtx(ctx, c)
 	} else {
-		var assign []int
-		var k int
-		if assign, k, err = tuples.CompressColumns(ctx, c, phiT, b); err != nil {
+		var sum *tuples.Summary
+		if sum, err = tupleSummary(ctx, c, nil, phiT, b); err != nil {
 			return nil, err
 		}
 		if err = step(ctx, "value clustering over tuple clusters"); err != nil {
 			return nil, err
 		}
+		assign, k := sum.Clusters()
 		objs, err = values.ObjectsOverClustersColumnsCtx(ctx, c, assign, k)
 	}
 	if err != nil {
@@ -341,8 +380,9 @@ func GroupAttributes(ctx context.Context, c relation.Columns, phiT, phiV float64
 }
 
 // largeInstance is the tuple count above which FD-RANK's value
-// clustering switches to double clustering.
-const largeInstance = 5000
+// clustering switches to double clustering (a variable only so the
+// differential table can reach that path on small relations).
+var largeInstance = 5000
 
 // RankGrouping is the attribute grouping FD-RANK ranks against:
 // GroupAttributes with double clustering exactly when the instance is

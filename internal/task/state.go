@@ -47,3 +47,36 @@ func stateOf(ctx context.Context) *runState {
 	st, _ := ctx.Value(stateKey{}).(*runState)
 	return st
 }
+
+// KindTupleSummary names the one derived intermediate jobs share so far:
+// the threshold-bounded Phase 1 pass over the tuples (tuples.Summary,
+// EncodeSummary bytes) that dedup and double clustering both read. It is
+// a cache kind, not a task — absent from Specs, so it can be neither
+// submitted nor served as a job result — and Params.Normalize keeps its
+// φT, the knob the summary depends on.
+const KindTupleSummary = "tuple-summary"
+
+// Intermediates holds derived intermediates for one dataset epoch, by
+// kind and parameters. Like mine-state it is best-effort on both sides:
+// Load returns ok=false for anything it does not hold, the runner checks
+// what it is handed and rebuilds (and overwrites) whatever it cannot
+// use, and no result ever depends on it.
+type Intermediates interface {
+	LoadIntermediate(kind string, p Params) ([]byte, bool)
+	SaveIntermediate(kind string, p Params, data []byte)
+}
+
+type intermediatesKey struct{}
+
+// WithIntermediates returns a context under which runners that share an
+// intermediate ask im for it before building it, and leave it there
+// after. Without it every run builds what it needs; the result is the
+// same either way.
+func WithIntermediates(ctx context.Context, im Intermediates) context.Context {
+	return context.WithValue(ctx, intermediatesKey{}, im)
+}
+
+func intermediatesOf(ctx context.Context) Intermediates {
+	im, _ := ctx.Value(intermediatesKey{}).(Intermediates)
+	return im
+}

@@ -99,11 +99,11 @@ func FindDuplicates(r *relation.Relation, phiT float64, b int) *DuplicateReport 
 }
 
 // FindDuplicatesCtx is FindDuplicates under the context's worker budget
-// and arena pool. When the context carries a scheduler grant, the
-// returned report's DCFs live in pooled slabs and must not be retained
-// past the grant's release (task runners copy what they keep).
+// and arena pool. The report's DCFs are the Summary's plain copies, not
+// views into the tree's pooled slabs.
 func FindDuplicatesCtx(ctx context.Context, r *relation.Relation, phiT float64, b int) *DuplicateReport {
-	return findDuplicates(ctx, Objects(r), phiT, b)
+	objs := Objects(r)
+	return Summarize(ctx, objs, r.M(), phiT, b).Duplicates(ctx, objs)
 }
 
 // FindDuplicatesColumns is FindDuplicatesCtx over the paged column
@@ -114,31 +114,7 @@ func FindDuplicatesColumns(ctx context.Context, c relation.Columns, phiT float64
 	if err != nil {
 		return nil, err
 	}
-	return findDuplicates(ctx, objs, phiT, b), nil
-}
-
-func findDuplicates(ctx context.Context, objs []limbo.Obj, phiT float64, b int) *DuplicateReport {
-	tree := limbo.BuildTreeCtx(ctx, objs, phiT, b)
-	rep := &DuplicateReport{LeafCount: tree.LeafCount(), Threshold: tree.Threshold()}
-	for _, d := range tree.Leaves() {
-		if d.N >= 2 { // p(c) > 1/n
-			rep.Summaries = append(rep.Summaries, d)
-		}
-	}
-	rep.Assign = limbo.AssignCtx(ctx, rep.Summaries, objs)
-	cutoff := tree.Threshold() + 1e-12
-	for t := range rep.Assign {
-		if rep.Assign[t].Loss > cutoff {
-			rep.Assign[t].Cluster = -1
-		}
-	}
-	rep.Groups = make([][]int, len(rep.Summaries))
-	for t, a := range rep.Assign {
-		if a.Cluster >= 0 {
-			rep.Groups[a.Cluster] = append(rep.Groups[a.Cluster], t)
-		}
-	}
-	return rep
+	return Summarize(ctx, objs, c.M(), phiT, b).Duplicates(ctx, objs), nil
 }
 
 // PartitionResult is the outcome of horizontal partitioning
@@ -174,8 +150,8 @@ func Partition(r *relation.Relation, maxLeaves, b, k int) *PartitionResult {
 }
 
 // PartitionCtx is Partition under the context's worker budget and arena
-// pool; the same retention caveat as FindDuplicatesCtx applies to the
-// returned leaves.
+// pool; the returned leaves are rescaled heap copies (limbo.Scaled), not
+// views into the tree's pooled slabs.
 func PartitionCtx(ctx context.Context, r *relation.Relation, maxLeaves, b, k int) *PartitionResult {
 	return PartitionFromTree(ctx, r, PartitionTreeCtx(ctx, r, maxLeaves, b), k)
 }
@@ -200,9 +176,13 @@ func insertUnit(tree *limbo.Tree, objs []limbo.Obj) {
 // it with limbo.EncodeTree and resume it after an append by handing the
 // bytes to PartitionColumns.
 func PartitionTreeCtx(ctx context.Context, r *relation.Relation, maxLeaves, b int) *limbo.Tree {
-	tree := limbo.NewTreeCtx(ctx, limbo.Config{B: b, MaxLeafEntries: maxLeaves})
+	tree := newPartitionTree(ctx, maxLeaves, b)
 	insertUnit(tree, Objects(r))
 	return tree
+}
+
+func newPartitionTree(ctx context.Context, maxLeaves, b int) *limbo.Tree {
+	return limbo.NewTreeCtx(ctx, limbo.Config{B: b, MaxLeafEntries: maxLeaves})
 }
 
 // PartitionFromTree runs Phases 2 and 3 over an already-built (or
@@ -235,7 +215,7 @@ func PartitionColumns(ctx context.Context, c relation.Columns, maxLeaves, b, k i
 	}
 	resumed := tree != nil
 	if !resumed {
-		tree = limbo.NewTreeCtx(ctx, limbo.Config{B: b, MaxLeafEntries: maxLeaves})
+		tree = newPartitionTree(ctx, maxLeaves, b)
 	}
 	insertUnit(tree, objs)
 	return partitionFromTree(ctx, objs, tree, k), tree, resumed, nil
@@ -350,11 +330,11 @@ func median(xs []float64) float64 {
 }
 
 // Compress performs the tuple side of double clustering (Section 6.2):
-// a Phase 1 pass at φT whose leaf summaries become the compressed T axis
-// over which attribute values are then expressed. Membership is tracked
-// during insertion (the leaf DCFs "define a clustering of the tuples
-// seen so far"), avoiding a quadratic Phase 3 scan on large instances.
-// It returns the per-tuple cluster id and the number of tuple clusters.
+// a Phase 1 pass at φT (Summarize) whose leaf summaries become the
+// compressed T axis over which attribute values are then expressed —
+// leaf membership recorded at insertion, no quadratic Phase 3 scan on
+// large instances. It returns the per-tuple cluster id and the number of
+// tuple clusters.
 func Compress(r *relation.Relation, phiT float64, b int) ([]int, int) {
 	return CompressCtx(context.Background(), r, phiT, b)
 }
@@ -362,35 +342,5 @@ func Compress(r *relation.Relation, phiT float64, b int) ([]int, int) {
 // CompressCtx is Compress under the context's worker budget and arena
 // pool.
 func CompressCtx(ctx context.Context, r *relation.Relation, phiT float64, b int) ([]int, int) {
-	return compressObjs(ctx, Objects(r), phiT, b)
-}
-
-// CompressColumns is Compress over the paged column interface; tuple
-// objects stream from page stripes and the insertion pass is shared
-// with the resident path.
-func CompressColumns(ctx context.Context, c relation.Columns, phiT float64, b int) ([]int, int, error) {
-	objs, err := ObjectsColumnsCtx(ctx, c)
-	if err != nil {
-		return nil, 0, err
-	}
-	cluster, k := compressObjs(ctx, objs, phiT, b)
-	return cluster, k, nil
-}
-
-func compressObjs(ctx context.Context, objs []limbo.Obj, phiT float64, b int) ([]int, int) {
-	tau := limbo.Threshold(phiT, limbo.MutualInfo(objs), len(objs))
-	tree := limbo.NewTreeCtx(ctx, limbo.Config{B: b, Threshold: tau})
-	leafOf := make([]*limbo.DCF, len(objs))
-	for i, o := range objs {
-		leafOf[i] = tree.Insert(o)
-	}
-	index := map[*limbo.DCF]int{}
-	for i, d := range tree.Leaves() {
-		index[d] = i
-	}
-	out := make([]int, len(objs))
-	for t, d := range leafOf {
-		out[t] = index[d]
-	}
-	return out, tree.LeafCount()
+	return Summarize(ctx, Objects(r), r.M(), phiT, b).Clusters()
 }

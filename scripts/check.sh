@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Static checks plus the full test suite under the race detector — the
-# gate for the concurrent AIB / LIMBO / TANE code paths. The focused
+# gate for the concurrent AIB / LIMBO / TANE code paths, and where both
+# legs of the differential table (task.TestDifferentialFDs,
+# task.TestDifferentialClustering) run at one worker and at four. The focused
 # -count=2 leg re-runs the execution engine and fan-out suites so the
 # sync.Pool arena recycling sees reuse (a pool only hands back reset
 # arenas on the second pass) with the race detector watching; the

@@ -80,12 +80,13 @@ submit() {
     -d "{\"dataset\":\"$ds\",\"task\":\"rank-fds\"}" "$base/v1/jobs"
 }
 
-# mine TASK — run TASK on dataset $ds to completion and print its
-# artifact (the compact "result" member).
+# mine TASK [PARAMS] — run TASK (with the JSON object PARAMS, default {})
+# on dataset $ds to completion and print its artifact (the compact
+# "result" member).
 mine() {
   local j jid jstate
   j=$(curl -sS -X POST -H 'Content-Type: application/json' \
-    -d "{\"dataset\":\"$ds\",\"task\":\"$1\"}" "$base/v1/jobs")
+    -d "{\"dataset\":\"$ds\",\"task\":\"$1\",\"params\":${2:-{\}}}" "$base/v1/jobs")
   jid=$(echo "$j" | jq -r .id)
   jstate=$(echo "$j" | jq -r .state)
   for _ in $(seq 1 600); do
@@ -116,8 +117,15 @@ stages=$(curl -sS "$base/v1/jobs/$id/trace" | jq '.trace.stages | length')
 [ "$stages" -gt 0 ] || { echo "smoke: FAIL — finished job reports no trace stages"; exit 1; }
 echo "smoke: job trace reports $stages pipeline stages"
 
-# The artifacts the out-of-core phase must reproduce byte for byte.
+# Double clustering leaves its Phase 1 tuple summary in the artifact
+# cache; the dedup that follows reads it instead of rebuilding the tree —
+# and its artifact is the one the out-of-core phase, whose daemon holds no
+# summary when its dedup runs, must reproduce byte for byte.
+mine group-attrs '{"double":true}' >/dev/null
 rdedup=$(mine dedup)
+reused=$(curl -sS "$base/v1/metrics" | sed -n 's/^structmine_tuple_summary_total{outcome="reused"} //p')
+[ "${reused:-0}" -ge 1 ] || { echo "smoke: FAIL — dedup after double clustering reused no tuple summary (reused=${reused:-none})"; exit 1; }
+echo "smoke: dedup reused the tuple summary group-attrs -double left ($reused reused)"
 rpartition=$(mine partition)
 [ -n "$rdedup" ] && [ -n "$rpartition" ] || { echo "smoke: FAIL — empty dedup/partition artifact"; exit 1; }
 echo "smoke: resident dedup and partition artifacts kept for the out-of-core comparison"
@@ -368,7 +376,7 @@ for t in dedup partition; do
   case "$t" in dedup) want=$rdedup ;; partition) want=$rpartition ;; esac
   [ "$got" = "$want" ] || { echo "smoke: FAIL — paged $t artifact differs from the resident run"; exit 1; }
 done
-echo "smoke: paged dedup and partition match the resident artifacts byte for byte"
+echo "smoke: paged dedup (own tree) and partition match the resident artifacts (dedup over a reused summary) byte for byte"
 
 curl -sS "$base/v1/metrics" | grep '^structmine_colstore_pages_read_total' >/dev/null \
   || { echo "smoke: FAIL — colstore page-read counter missing from /v1/metrics"; exit 1; }
