@@ -29,6 +29,7 @@ import (
 	"structmine/internal/measures"
 	"structmine/internal/relation"
 	"structmine/internal/store"
+	"structmine/internal/task"
 	"structmine/internal/tuples"
 	"structmine/internal/values"
 )
@@ -61,6 +62,25 @@ func benchDBLPAt(b *testing.B, n int) *relation.Relation {
 	return benchDBLPCache[n]
 }
 
+// benchGroup is task.GroupAttributes at B = 4 over a resident relation.
+func benchGroup(b *testing.B, r *relation.Relation, phiT, phiV float64, double bool) *attrs.Grouping {
+	g, _, err := task.GroupAttributes(context.Background(), relation.AsColumns(r), phiT, phiV, 4, double)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// benchPartition is the paper's horizontal partitioning (100 leaves,
+// B = 4) into k clusters, k = 0 choosing automatically.
+func benchPartition(b *testing.B, r *relation.Relation, k int) *tuples.PartitionResult {
+	res, _, _, err := tuples.PartitionColumns(context.Background(), relation.AsColumns(r), 100, 4, k, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // --- Table 1: erroneous tuple detection ---
 
 func BenchmarkTable1ErroneousTuples(b *testing.B) {
@@ -68,8 +88,8 @@ func BenchmarkTable1ErroneousTuples(b *testing.B) {
 	inj := datagen.InjectTupleErrors(r, 5, 4, datagen.Typographic, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := tuples.FindDuplicates(inj.Dirty, 0.15, 4)
-		if len(rep.Assign) != inj.Dirty.N() {
+		rep, err := tuples.FindDuplicatesColumns(context.Background(), relation.AsColumns(inj.Dirty), 0.15, 4)
+		if err != nil || len(rep.Assign) != inj.Dirty.N() {
 			b.Fatal("bad report")
 		}
 	}
@@ -82,10 +102,8 @@ func BenchmarkTable2ErroneousValues(b *testing.B) {
 	inj := datagen.InjectTupleErrors(r, 5, 4, datagen.Typographic, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		assign, k := tuples.Compress(inj.Dirty, 1.0, 4)
-		objs := values.ObjectsOverClusters(inj.Dirty, assign, k)
-		vc := values.Cluster(objs, 0.0, 4, inj.Dirty.M())
-		if len(vc.Assign) != inj.Dirty.D() {
+		vc, err := task.ClusterValues(context.Background(), relation.AsColumns(inj.Dirty), 1.0, 0.0, 4, true)
+		if err != nil || len(vc.Assign) != inj.Dirty.D() {
 			b.Fatal("bad clustering")
 		}
 	}
@@ -97,8 +115,7 @@ func BenchmarkFigure14DB2Dendrogram(b *testing.B) {
 	r := benchDB2(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vc := values.ClusterRelation(r, 0.0, 4)
-		g := attrs.Group(r, vc)
+		g := benchGroup(b, r, 0, 0, false)
 		if len(g.Res.Merges) == 0 {
 			b.Fatal("no merges")
 		}
@@ -109,8 +126,7 @@ func BenchmarkFigure14DB2Dendrogram(b *testing.B) {
 
 func BenchmarkTable3DB2FDRank(b *testing.B) {
 	r := benchDB2(b)
-	vc := values.ClusterRelation(r, 0.0, 4)
-	g := attrs.Group(r, vc)
+	g := benchGroup(b, r, 0, 0, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fds, err := fd.FDEP(r)
@@ -131,10 +147,7 @@ func BenchmarkFigure15DBLPDendrogram(b *testing.B) {
 	r := benchDBLP(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		assign, k := tuples.Compress(r, 0.5, 4)
-		objs := values.ObjectsOverClusters(r, assign, k)
-		vc := values.Cluster(objs, 1.0, 4, r.M())
-		g := attrs.Group(r, vc)
+		g := benchGroup(b, r, 0.5, 1.0, true)
 		if len(g.AttrIdx) == 0 {
 			b.Fatal("empty grouping")
 		}
@@ -148,7 +161,7 @@ func BenchmarkTable4HorizontalPartition(b *testing.B) {
 	proj := r.Project(datagen.ProjectionAttrs())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := tuples.Partition(proj, 100, 4, 3)
+		res := benchPartition(b, proj, 3)
 		if len(res.Clusters) != 3 {
 			b.Fatal("bad partition")
 		}
@@ -160,7 +173,7 @@ func BenchmarkTable4HorizontalPartition(b *testing.B) {
 func BenchmarkFigure16to18ClusterDendrograms(b *testing.B) {
 	r := benchDBLP(b)
 	proj := r.Project(datagen.ProjectionAttrs())
-	part := tuples.Partition(proj, 100, 4, 3)
+	part := benchPartition(b, proj, 3)
 	subs := make([]*relation.Relation, len(part.Clusters))
 	for i, cluster := range part.Clusters {
 		subs[i] = proj.Select(cluster)
@@ -168,10 +181,7 @@ func BenchmarkFigure16to18ClusterDendrograms(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, sub := range subs {
-			assign, k := tuples.Compress(sub, 0.5, 4)
-			objs := values.ObjectsOverClusters(sub, assign, k)
-			vc := values.Cluster(objs, 1.0, 4, sub.M())
-			attrs.Group(sub, vc)
+			benchGroup(b, sub, 0.5, 1.0, true)
 		}
 	}
 }
@@ -181,7 +191,7 @@ func BenchmarkFigure16to18ClusterDendrograms(b *testing.B) {
 func benchClusterFDs(b *testing.B, wantType string) {
 	r := benchDBLP(b)
 	proj := r.Project(datagen.ProjectionAttrs())
-	part := tuples.Partition(proj, 100, 4, 3)
+	part := benchPartition(b, proj, 3)
 	var sub *relation.Relation
 	for _, cluster := range part.Clusters {
 		s := proj.Select(cluster)
@@ -193,10 +203,7 @@ func benchClusterFDs(b *testing.B, wantType string) {
 	if sub == nil {
 		b.Skipf("no %s cluster at this scale", wantType)
 	}
-	assign, k := tuples.Compress(sub, 0.5, 4)
-	objs := values.ObjectsOverClusters(sub, assign, k)
-	vc := values.Cluster(objs, 1.0, 4, sub.M())
-	g := attrs.Group(sub, vc)
+	g := benchGroup(b, sub, 0.5, 1.0, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fds, err := fd.TANE(sub)
@@ -349,21 +356,21 @@ func BenchmarkLimboAssign(b *testing.B) {
 		})
 	}
 
-	assign, k := tuples.Compress(proj, 0, 4)
+	assign, k := tuples.CompressCtx(context.Background(), proj, 0, 4)
 	vobjs := values.ObjectsOverClusters(proj, assign, k)
 	run("sparse", limbo.BuildTree(vobjs, 0, 4).Leaves(), vobjs)
 
 	full := dblp(8000)
-	run("dense", tuples.FindDuplicates(full, 0.3, 4).Summaries, tuples.Objects(full))
+	run("dense", tuples.FindDuplicatesCtx(context.Background(), full, 0.3, 4).Summaries, tuples.Objects(full))
 
-	pr := tuples.Partition(proj, 100, 4, 0)
+	pr := benchPartition(b, proj, 0)
 	clusters, err := pr.Res.ClustersAt(pr.K)
 	if err != nil {
 		b.Fatal(err)
 	}
 	tobjs := tuples.Objects(proj)
 	run("tiny/partition", limbo.RepsFromClusters(pr.Leaves, clusters), tobjs)
-	run("tiny/dedup", tuples.FindDuplicates(proj, 0, 4).Summaries, tobjs)
+	run("tiny/dedup", tuples.FindDuplicatesCtx(context.Background(), proj, 0, 4).Summaries, tobjs)
 }
 
 // BenchmarkTANE mines the datagen relations end to end: the DB2-style
@@ -394,7 +401,7 @@ func BenchmarkMineApprox(b *testing.B) {
 	r := benchDBLPAt(b, 8000)
 	b.Run("dblp-full/n=8000", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			fds, err := fd.MineApprox(r, 0.05, 3)
+			fds, err := fd.MineApproxCtx(context.Background(), r, 0.05, 3)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -705,22 +712,20 @@ func BenchmarkAblationPhi(b *testing.B) {
 // 6.2 scalability argument.
 func BenchmarkAblationDoubleClustering(b *testing.B) {
 	r := datagen.NewDBLP(datagen.DBLPConfig{Tuples: 4000, Seed: 1, MiscFrac: 0.002, JournalFrac: 0.28})
-	b.Run("direct", func(b *testing.B) {
+	cluster := func(b *testing.B, double bool) {
 		for i := 0; i < b.N; i++ {
-			values.Cluster(values.Objects(r), 1.0, 4, r.M())
+			if _, err := task.ClusterValues(context.Background(), relation.AsColumns(r), 0.5, 1.0, 4, double); err != nil {
+				b.Fatal(err)
+			}
 		}
-	})
-	b.Run("double", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			assign, k := tuples.Compress(r, 0.5, 4)
-			values.Cluster(values.ObjectsOverClusters(r, assign, k), 1.0, 4, r.M())
-		}
-	})
+	}
+	b.Run("direct", func(b *testing.B) { cluster(b, false) })
+	b.Run("double", func(b *testing.B) { cluster(b, true) })
 }
 
 // BenchmarkAblationFDEPvsTANE sweeps the instance size to expose the
 // crossover between the pairwise FDEP and the level-wise TANE — the
-// reason Discover dispatches on size.
+// reason DiscoverCtx dispatches on size.
 func BenchmarkAblationFDEPvsTANE(b *testing.B) {
 	base := benchDBLP(b)
 	proj := base.Project(datagen.ProjectionAttrs())
@@ -753,14 +758,14 @@ func BenchmarkAblationApproxFDs(b *testing.B) {
 	r := benchDB2(b)
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fd.MineApprox(r, 0, 2); err != nil {
+			if _, err := fd.MineApproxCtx(context.Background(), r, 0, 2); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("eps=0.05", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fd.MineApprox(r, 0.05, 2); err != nil {
+			if _, err := fd.MineApproxCtx(context.Background(), r, 0.05, 2); err != nil {
 				b.Fatal(err)
 			}
 		}

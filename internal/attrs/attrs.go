@@ -27,13 +27,9 @@ type Grouping struct {
 	Names []string
 }
 
-// Group clusters the attributes of A^D using the duplicate value groups
-// of an attribute-value clustering.
-func Group(r *relation.Relation, c *values.Clustering) *Grouping {
-	return GroupCtx(context.Background(), r, c)
-}
-
-// GroupCtx is Group under the context's worker budget.
+// GroupCtx clusters the attributes of A^D using the duplicate value
+// groups of an attribute-value clustering, under the context's worker
+// budget.
 func GroupCtx(ctx context.Context, r *relation.Relation, c *values.Clustering) *Grouping {
 	rows, attrIdx := c.MatrixF()
 	return groupFromF(ctx, rows, attrIdx, r.Attrs)

@@ -1,6 +1,7 @@
 package attrs
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -8,6 +9,17 @@ import (
 	"structmine/internal/relation"
 	"structmine/internal/values"
 )
+
+// clusterRelation is the plain (non-double) value clustering of a
+// resident relation at φV.
+func clusterRelation(r *relation.Relation, phiV float64, b int) *values.Clustering {
+	ctx := context.Background()
+	objs, err := values.ObjectsColumnsCtx(ctx, relation.AsColumns(r))
+	if err != nil {
+		panic(err) // an in-memory relation has no failing reads
+	}
+	return values.ClusterCtx(ctx, objs, phiV, b, r.M())
+}
 
 func fig4(t *testing.T) *relation.Relation {
 	t.Helper()
@@ -28,8 +40,8 @@ func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 // BC); the paper reports these as ~0.1 and ~0.52 on its Figure 10 axis.
 func TestGroupReproducesSection7(t *testing.T) {
 	r := fig4(t)
-	c := values.ClusterRelation(r, 0.0, 4)
-	g := Group(r, c)
+	c := clusterRelation(r, 0.0, 4)
+	g := GroupCtx(context.Background(), r, c)
 	if len(g.AttrIdx) != 3 {
 		t.Fatalf("A^D = %v, want all 3 attributes", g.AttrIdx)
 	}
@@ -58,8 +70,8 @@ func TestGroupReproducesSection7(t *testing.T) {
 
 func TestMergeLossOf(t *testing.T) {
 	r := fig4(t)
-	c := values.ClusterRelation(r, 0.0, 4)
-	g := Group(r, c)
+	c := clusterRelation(r, 0.0, 4)
+	g := GroupCtx(context.Background(), r, c)
 	bIdx, cIdx, aIdx := 1, 2, 0
 
 	loss, ok := g.MergeLossOf([]int{bIdx, cIdx})
@@ -105,8 +117,8 @@ func TestGroupEmpty(t *testing.T) {
 
 func TestDendrogramRendering(t *testing.T) {
 	r := fig4(t)
-	c := values.ClusterRelation(r, 0.0, 4)
-	g := Group(r, c)
+	c := clusterRelation(r, 0.0, 4)
+	g := GroupCtx(context.Background(), r, c)
 	art := g.Dendrogram().ASCII(60)
 	for _, name := range []string{"A", "B", "C"} {
 		if !strings.Contains(art, name) {

@@ -283,7 +283,7 @@ func TestMinersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("value objects paged: %v", err)
 	}
-	if want := values.Objects(rel); !reflect.DeepEqual(gotV, want) {
+	if want, _ := values.ObjectsColumnsCtx(ctx, relation.AsColumns(rel)); !reflect.DeepEqual(gotV, want) {
 		t.Fatalf("value objects diverge")
 	}
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -12,8 +13,8 @@ import (
 	"structmine/internal/limbo"
 	"structmine/internal/measures"
 	"structmine/internal/relation"
+	"structmine/internal/task"
 	"structmine/internal/tuples"
-	"structmine/internal/values"
 )
 
 // dblpPipeline holds everything the DBLP experiments share: the full
@@ -26,57 +27,62 @@ type dblpPipeline struct {
 	fullGrouping  *attrs.Grouping
 	part          *tuples.PartitionResult
 	projection    *relation.Relation
+	projObjs      []limbo.Obj // the projection's tuple objects
 	clusterRels   []*relation.Relation
 	clusterGroups []*attrs.Grouping
 	clusterFDs    [][]fd.FD // minimum covers
 	clusterRanked [][]fdrank.Ranked
 }
 
-var pipelineCache = map[Scale]*dblpPipeline{}
+// summaryProbe keeps the tuple summary a double clustering leaves with
+// its context's intermediates, so Figure 15 can report how many tuple
+// clusters the φT pass produced.
+type summaryProbe struct{ data []byte }
 
-// runDBLP executes the Section 8.2 protocol once per scale.
+func (p *summaryProbe) LoadIntermediate(string, task.Params) ([]byte, bool) { return nil, false }
+func (p *summaryProbe) SaveIntermediate(_ string, _ task.Params, data []byte) {
+	p.data = data
+}
+
+// runDBLP executes the Section 8.2 protocol at one scale.
 func runDBLP(s Scale) *dblpPipeline {
-	if p, ok := pipelineCache[s]; ok {
-		return p
-	}
+	ctx := context.Background()
 	p := &dblpPipeline{rel: dblp(s)}
 
 	// Figure 15: double clustering (φT=0.5 compresses the tuple axis;
 	// the paper reports 1361 tuple clusters at 50k tuples), value
 	// clustering at φV=1.0, attribute grouping at φA=0.
-	assign, k := tuples.Compress(p.rel, 0.5, 4)
-	p.tupleClusters = k
-	objs := values.ObjectsOverClusters(p.rel, assign, k)
-	vc := values.Cluster(objs, 1.0, 4, p.rel.M())
-	p.fullGrouping = attrs.Group(p.rel, vc)
+	probe := &summaryProbe{}
+	g, _, err := task.GroupAttributes(task.WithIntermediates(ctx, probe), relation.AsColumns(p.rel), 0.5, 1.0, 4, true)
+	if err != nil {
+		panic(err) // an in-memory relation has no failing reads
+	}
+	p.fullGrouping = g
+	p.tupleClusters = must(tuples.DecodeSummary(probe.data)).LeafCount
 
 	// Table 4: set the six NULL-heavy attributes aside, project onto
 	// {Author, Pages, BookTitle, Year, Volume, Journal, Number}, then
 	// horizontally partition into 3 clusters.
 	p.projection = p.rel.Project(datagen.ProjectionAttrs())
-	p.part = tuples.Partition(p.projection, 100, 4, 3)
+	proj := relation.AsColumns(p.projection)
+	p.projObjs = must(tuples.ObjectsColumnsCtx(ctx, proj))
+	p.part, _, _, err = tuples.PartitionColumns(ctx, proj, 100, 4, 3, nil)
+	if err != nil {
+		panic(err)
+	}
 
 	// Figures 16-18 and Tables 5-6: per-cluster attribute grouping
-	// (φT=0.5, φV=1.0) and FD ranking (TANE or FDEP + min cover +
+	// (φT=0.5, φV=1.0) and FD ranking (minimal FDs + min cover +
 	// FD-RANK at ψ=0.5).
 	for _, cluster := range p.part.Clusters {
 		sub := p.projection.Select(cluster)
-		cAssign, ck := tuples.Compress(sub, 0.5, 4)
-		cObjs := values.ObjectsOverClusters(sub, cAssign, ck)
-		cvc := values.Cluster(cObjs, 1.0, 4, sub.M())
+		cg, _ := group(sub, 0.5, 1.0, true)
+		cover := fd.MinCover(must(fd.DiscoverColumns(ctx, relation.AsColumns(sub))))
 		p.clusterRels = append(p.clusterRels, sub)
-		p.clusterGroups = append(p.clusterGroups, attrs.Group(sub, cvc))
-
-		fds, err := fd.Discover(sub)
-		if err != nil {
-			panic(err)
-		}
-		cover := fd.MinCover(fds)
+		p.clusterGroups = append(p.clusterGroups, cg)
 		p.clusterFDs = append(p.clusterFDs, cover)
-		p.clusterRanked = append(p.clusterRanked, fdrank.Rank(cover, p.clusterGroups[len(p.clusterGroups)-1], 0.5))
+		p.clusterRanked = append(p.clusterRanked, fdrank.Rank(cover, cg, 0.5))
 	}
-
-	pipelineCache[s] = p
 	return p
 }
 
@@ -204,7 +210,7 @@ func typeCountsAtK(p *dblpPipeline, k int) []map[string]int {
 		return nil
 	}
 	reps := limbo.RepsFromClusters(p.part.Leaves, clusters)
-	assign := limbo.Assign(reps, tuples.Objects(p.projection))
+	assign := limbo.AssignCtx(context.Background(), reps, p.projObjs)
 	counts := make([]map[string]int, len(reps))
 	for i := range counts {
 		counts[i] = map[string]int{}
@@ -280,23 +286,14 @@ func miscConcentration(p *dblpPipeline, clusters [][]int) (total, largest int) {
 
 // dominantType labels a cluster by its majority publication type.
 func dominantType(sub *relation.Relation) string {
-	bt := sub.AttrIndex("BookTitle")
-	jr := sub.AttrIndex("Journal")
-	conf, journal, misc := 0, 0, 0
+	counts := map[string]int{}
 	for t := 0; t < sub.N(); t++ {
-		switch {
-		case bt >= 0 && !sub.IsNull(t, bt):
-			conf++
-		case jr >= 0 && !sub.IsNull(t, jr):
-			journal++
-		default:
-			misc++
-		}
+		counts[rowType(sub, t)]++
 	}
 	switch {
-	case conf >= journal && conf >= misc:
+	case counts["conf"] >= counts["jour"] && counts["conf"] >= counts["misc"]:
 		return "conference"
-	case journal >= misc:
+	case counts["jour"] >= counts["misc"]:
 		return "journal"
 	default:
 		return "misc"
@@ -380,10 +377,11 @@ func table56(p *dblpPipeline, want int, id, title, paper string) Report {
 		top = top[:5]
 	}
 	var rads, rtrs []float64
+	c := relation.AsColumns(sub)
 	for i, rf := range top {
 		ix := rf.FD.Attrs().Attrs()
-		rad := measures.RAD(sub, ix)
-		rtr := measures.RTR(sub, ix)
+		rad := must(measures.RADColumns(c, ix))
+		rtr := must(measures.RTRColumns(c, ix))
 		rads = append(rads, rad)
 		rtrs = append(rtrs, rtr)
 		fmt.Fprintf(&b, "%-4d %-52s %8.3f %8.3f %8.3f\n", i+1, rf.FD.Format(sub.Attrs), rf.Rank, rad, rtr)

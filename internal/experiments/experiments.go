@@ -15,11 +15,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"structmine/internal/attrs"
 	"structmine/internal/datagen"
 	"structmine/internal/relation"
+	"structmine/internal/task"
+	"structmine/internal/values"
 )
 
 // Scale controls experiment size so tests and benchmarks can run the
@@ -95,22 +99,33 @@ func mustDB2() *datagen.DB2 {
 	return db
 }
 
-// dblpCache memoizes generated DBLP instances per size within a process
-// (several experiments share one instance).
-var dblpCache = map[Scale]*relation.Relation{}
-
+// dblp generates the synthetic DBLP instance of a scale.
 func dblp(s Scale) *relation.Relation {
-	if r, ok := dblpCache[s]; ok {
-		return r
-	}
-	r := datagen.NewDBLP(datagen.DBLPConfig{
+	return datagen.NewDBLP(datagen.DBLPConfig{
 		Tuples:      s.DBLPTuples,
 		Seed:        s.Seed,
 		MiscFrac:    129.0 / 50000,
 		JournalFrac: 0.28,
 	})
-	dblpCache[s] = r
-	return r
+}
+
+// must unwraps a pipeline step over an in-memory relation, which has no
+// failing reads.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// group is task.GroupAttributes at the paper's branching factor B = 4,
+// with the table's φT and φV.
+func group(r *relation.Relation, phiT, phiV float64, double bool) (*attrs.Grouping, *values.Clustering) {
+	g, vc, err := task.GroupAttributes(context.Background(), relation.AsColumns(r), phiT, phiV, 4, double)
+	if err != nil {
+		panic(err) // an in-memory relation has no failing reads
+	}
+	return g, vc
 }
 
 // All runs every experiment at the given scale, in paper order.

@@ -5,11 +5,9 @@ import (
 	"math"
 	"strings"
 
-	"structmine/internal/attrs"
 	"structmine/internal/fd"
 	"structmine/internal/fdrank"
 	"structmine/internal/relation"
-	"structmine/internal/values"
 )
 
 // Figure10 regenerates the paper's worked example (Figures 4-10 and the
@@ -26,8 +24,7 @@ func Figure10(Scale) Report {
 	b.MustAdd("z", "2", "x")
 	r := b.Relation()
 
-	vc := values.ClusterRelation(r, 0.0, 4)
-	g := attrs.Group(r, vc)
+	g, vc := group(r, 0, 0, false)
 
 	var body strings.Builder
 	fmt.Fprintf(&body, "relation (Figure 4): %d tuples, %d values\n\n", r.N(), r.D())

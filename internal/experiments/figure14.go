@@ -3,9 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"structmine/internal/attrs"
-	"structmine/internal/values"
 )
 
 // db2SourceTable maps each joined-relation attribute to its source table
@@ -26,10 +23,8 @@ func db2SourceTable(attr string) string {
 // (φV = 0, φA = 0) and checks that the grouping separates the source
 // tables of the join.
 func Figure14(s Scale) Report {
-	db := mustDB2()
-	r := db.Joined
-	vc := values.ClusterRelation(r, 0.0, 4)
-	g := attrs.Group(r, vc)
+	r := mustDB2().Joined
+	g, vc := group(r, 0, 0, false)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "A^D: %d of %d attributes participate in duplicate groups\n", len(g.AttrIdx), r.M())

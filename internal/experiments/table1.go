@@ -1,26 +1,35 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"structmine/internal/datagen"
-	"structmine/internal/tuples"
+	"structmine/internal/relation"
+	"structmine/internal/task"
 )
 
 // table1ValueErrors is the per-tuple alteration grid of Tables 1 and 2.
 var table1ValueErrors = []int{1, 2, 4, 6, 10}
 
-// table1Found injects dirty tuples and counts how many are associated
-// (Phase 3) with the same summary as their source tuple.
+// table1Found injects dirty tuples, runs the dedup task at φT, and counts
+// how many dirty tuples land in the same duplicate group (are associated
+// by Phase 3 with the same summary) as their source tuple.
 func table1Found(s Scale, phiT float64, nTuples, nValues int, trial int64) int {
 	db := mustDB2()
 	inj := datagen.InjectTupleErrors(db.Joined, nTuples, nValues, datagen.Typographic, s.Seed*1000+trial)
-	rep := tuples.FindDuplicates(inj.Dirty, phiT, 4)
+	res := must(task.RunColumns(context.Background(), relation.AsColumns(inj.Dirty), "dedup", task.Params{PhiT: task.F(phiT)}))
+	groupOf := map[int]int{}
+	for gi, g := range res.(*task.DedupResult).Groups {
+		for _, t := range g {
+			groupOf[t] = gi
+		}
+	}
 	found := 0
 	for i, dt := range inj.DirtyTuples {
-		src := inj.Sources[i]
-		if rep.Assign[dt].Cluster >= 0 && rep.Assign[dt].Cluster == rep.Assign[src].Cluster {
+		g, ok := groupOf[dt]
+		if h, same := groupOf[inj.Sources[i]]; ok && same && g == h {
 			found++
 		}
 	}

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"structmine/internal/datagen"
-	"structmine/internal/tuples"
-	"structmine/internal/values"
+	"structmine/internal/relation"
+	"structmine/internal/task"
 )
 
 // table2Found injects dirty tuples, double-clusters (tuples at φT, then
@@ -18,9 +19,7 @@ func table2Found(s Scale, phiT, phiV float64, nTuples, nValues int, trial int64)
 	inj := datagen.InjectTupleErrors(db.Joined, nTuples, nValues, datagen.Typographic, s.Seed*1000+trial)
 	r := inj.Dirty
 
-	assign, k := tuples.Compress(r, phiT, 4)
-	objs := values.ObjectsOverClusters(r, assign, k)
-	vc := values.Cluster(objs, phiV, 4, r.M())
+	vc := must(task.ClusterValues(context.Background(), relation.AsColumns(r), phiT, phiV, 4, true))
 
 	placed := 0
 	for i := range inj.DirtyTuples {

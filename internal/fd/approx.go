@@ -18,7 +18,7 @@ type ApproxFD struct {
 	Err float64 // g3 ∈ [0, 1); 0 means the FD holds exactly
 }
 
-// MineApprox returns all minimal approximate dependencies X → A with
+// MineApproxCtx returns all minimal approximate dependencies X → A with
 // g3(X→A) ≤ eps, level-wise over the left-hand-side lattice with
 // stripped partitions. Minimality is with respect to the approximate
 // relation: no proper subset of X satisfies the error bound. Exact FDs
@@ -26,15 +26,9 @@ type ApproxFD struct {
 //
 // maxLHS bounds the left-hand-side size (0 means no bound). The miner is
 // exponential in the worst case like any lattice search; the bound keeps
-// interactive use cheap on wide relations.
-func MineApprox(r *relation.Relation, eps float64, maxLHS int) ([]ApproxFD, error) {
-	return MineApproxCtx(context.Background(), r, eps, maxLHS)
-}
-
-// MineApproxCtx is MineApprox under the context's worker budget and
-// arena pool: each level's g3 evaluations, and the partitions of the
-// next level's left-hand sides, fan out across the budgeted workers
-// (one scratch and one arena per worker).
+// interactive use cheap on wide relations. Each level's g3 evaluations,
+// and the partitions of the next level's left-hand sides, fan out across
+// the context's worker budget (one scratch and one arena per worker).
 func MineApproxCtx(ctx context.Context, r *relation.Relation, eps float64, maxLHS int) ([]ApproxFD, error) {
 	return MineApproxColumns(ctx, relation.AsColumns(r), eps, maxLHS)
 }

@@ -30,7 +30,7 @@ func TestMineApproxExactSubsumesTANE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := MineApprox(r, 0, 0)
+	approx, err := MineApproxCtx(context.Background(), r, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +55,14 @@ func TestMineApproxFigure5(t *testing.T) {
 	)
 	cToB := FD{LHS: NewAttrSet(2), RHS: NewAttrSet(1)}
 
-	strict, err := MineApprox(r, 0.1, 0)
+	strict, err := MineApproxCtx(context.Background(), r, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := approxHas(strict, cToB); ok {
 		t.Fatal("C→B should not satisfy eps=0.1 (g3=0.2)")
 	}
-	loose, err := MineApprox(r, 0.2, 0)
+	loose, err := MineApproxCtx(context.Background(), r, 0.2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,21 +80,21 @@ func TestMineApproxMinimality(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		r := randomRelation(rng, 2+rng.Intn(20), 2+rng.Intn(3), 2+rng.Intn(3))
 		eps := []float64{0, 0.1, 0.3}[rng.Intn(3)]
-		fds, err := MineApprox(r, eps, 0)
+		fds, err := MineApproxCtx(context.Background(), r, eps, 0)
 		if err != nil {
 			return false
 		}
 		for _, a := range fds {
 			// Satisfies the bound...
-			if G3(r, a.FD) > eps+1e-12 {
+			if g3Of(r, a.FD) > eps+1e-12 {
 				return false
 			}
-			if math.Abs(G3(r, a.FD)-a.Err) > 1e-12 {
+			if math.Abs(g3Of(r, a.FD)-a.Err) > 1e-12 {
 				return false
 			}
 			// ...and no proper subset does.
 			for _, b := range a.FD.LHS.Attrs() {
-				if G3(r, FD{LHS: a.FD.LHS.Remove(b), RHS: a.FD.RHS}) <= eps {
+				if g3Of(r, FD{LHS: a.FD.LHS.Remove(b), RHS: a.FD.RHS}) <= eps {
 					return false
 				}
 			}
@@ -113,7 +113,7 @@ func TestPropMineApproxComplete(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		r := randomRelation(rng, 2+rng.Intn(12), 2+rng.Intn(2), 2)
 		eps := 0.25
-		fds, err := MineApprox(r, eps, 0)
+		fds, err := MineApproxCtx(context.Background(), r, eps, 0)
 		if err != nil {
 			return false
 		}
@@ -128,12 +128,12 @@ func TestPropMineApproxComplete(t *testing.T) {
 				if !x.SubsetOf(universe) {
 					continue
 				}
-				if G3(r, FD{LHS: x, RHS: NewAttrSet(a)}) > eps {
+				if g3Of(r, FD{LHS: x, RHS: NewAttrSet(a)}) > eps {
 					continue
 				}
 				minimal := true
 				for _, b := range x.Attrs() {
-					if G3(r, FD{LHS: x.Remove(b), RHS: NewAttrSet(a)}) <= eps {
+					if g3Of(r, FD{LHS: x.Remove(b), RHS: NewAttrSet(a)}) <= eps {
 						minimal = false
 						break
 					}
@@ -152,7 +152,7 @@ func TestPropMineApproxComplete(t *testing.T) {
 
 func TestMineApproxLHSBound(t *testing.T) {
 	r := fig4(t)
-	fds, err := MineApprox(r, 0, 1)
+	fds, err := MineApproxCtx(context.Background(), r, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,13 +165,13 @@ func TestMineApproxLHSBound(t *testing.T) {
 
 func TestMineApproxEdgeCases(t *testing.T) {
 	empty := relation.NewBuilder("e", []string{"A", "B"}).Relation()
-	fds, err := MineApprox(empty, 0.1, 0)
+	fds, err := MineApproxCtx(context.Background(), empty, 0.1, 0)
 	if err != nil || fds != nil {
 		t.Fatalf("empty: %v %v", fds, err)
 	}
 	// Negative eps clamps to exact.
 	r := fig4(t)
-	neg, err := MineApprox(r, -1, 0)
+	neg, err := MineApproxCtx(context.Background(), r, -1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestG3FromPartitionsMatchesDirect(t *testing.T) {
 		px := indexPartition(r, 0)
 		ia := classIndexes(exec.NewArena(), []*partition{indexPartition(r, a)}, r.N())[0]
 		got := g3Refine(px, ia, &prodScratch{})
-		want := G3(r, FD{LHS: x, RHS: NewAttrSet(a)})
+		want := g3Of(r, FD{LHS: x, RHS: NewAttrSet(a)})
 		return math.Abs(got-want) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -53,14 +53,10 @@ func BruteForce(r *relation.Relation) ([]FD, error) {
 	return out, nil
 }
 
-// Discover picks a miner by instance size: FDEP (the paper's choice) for
-// small instances, TANE for large ones. Both return identical FD sets.
-func Discover(r *relation.Relation) ([]FD, error) {
-	return DiscoverCtx(context.Background(), r)
-}
-
-// DiscoverCtx is Discover under the context's worker budget and arena
-// pool (only the TANE branch parallelizes; FDEP is serial).
+// DiscoverCtx picks a miner by instance size: FDEP (the paper's choice)
+// for small instances, TANE for large ones. Both return identical FD
+// sets. Only the TANE branch parallelizes under the context's worker
+// budget and arena pool; FDEP is serial.
 func DiscoverCtx(ctx context.Context, r *relation.Relation) ([]FD, error) {
 	if r.N() <= 1000 {
 		return FDEP(r)

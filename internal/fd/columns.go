@@ -63,8 +63,11 @@ func HoldsColumns(c relation.Columns, f FD) (bool, error) {
 	return holds, err
 }
 
-// G3Columns is G3 over the column interface: a direct count, per group
-// of tuples agreeing on the LHS, of the most frequent RHS combination.
+// G3Columns returns the g3 approximation error of X → A: the minimum
+// fraction of tuples that must be removed for the dependency to hold
+// (Huhtala et al.); zero means the FD holds exactly. It is a direct
+// count, per group of tuples agreeing on the LHS, of the most frequent
+// RHS combination.
 func G3Columns(c relation.Columns, f FD) (float64, error) {
 	if c.N() == 0 {
 		return 0, nil
@@ -110,7 +113,7 @@ func appendValueKey(key []byte, vals []int32) []byte {
 
 // DiscoverColumns mines all minimal, non-trivial FDs over the paged
 // interface. It always takes the TANE branch — FDEP's pairwise
-// difference sets want random row access — which is no loss: Discover's
+// difference sets want random row access — which is no loss: DiscoverCtx's
 // two miners return identical FD sets, and the canonical SortFDs order
 // makes the choice unobservable.
 func DiscoverColumns(ctx context.Context, c relation.Columns) ([]FD, error) {

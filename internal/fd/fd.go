@@ -52,14 +52,6 @@ func Holds(r *relation.Relation, f FD) bool {
 	return true
 }
 
-// G3 returns the g3 approximation error of X → A (single-attribute RHS):
-// the minimum fraction of tuples that must be removed for the dependency
-// to hold (Huhtala et al.). Zero means the FD holds exactly.
-func G3(r *relation.Relation, f FD) float64 {
-	g3, _ := G3Columns(relation.AsColumns(r), f) // an in-memory relation has no failing reads
-	return g3
-}
-
 // SortFDs orders FDs deterministically (by LHS then RHS bit patterns).
 func SortFDs(fds []FD) {
 	sort.Slice(fds, func(i, j int) bool {

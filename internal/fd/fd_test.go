@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -82,14 +83,20 @@ func TestHolds(t *testing.T) {
 	}
 }
 
+// g3Of is G3Columns over a resident relation, which has no failing reads.
+func g3Of(r *relation.Relation, f FD) float64 {
+	g3, _ := G3Columns(relation.AsColumns(r), f)
+	return g3
+}
+
 func TestG3(t *testing.T) {
 	r := fig4(t)
 	// C→B holds exactly.
-	if g := G3(r, FD{LHS: NewAttrSet(2), RHS: NewAttrSet(1)}); g != 0 {
+	if g := g3Of(r, FD{LHS: NewAttrSet(2), RHS: NewAttrSet(1)}); g != 0 {
 		t.Fatalf("g3 of valid FD = %v", g)
 	}
 	// B→C: group B=1 has {p, r} (drop 1), group B=2 all x (drop 0) → 1/5.
-	if g := G3(r, FD{LHS: NewAttrSet(1), RHS: NewAttrSet(2)}); math.Abs(g-0.2) > 1e-12 {
+	if g := g3Of(r, FD{LHS: NewAttrSet(1), RHS: NewAttrSet(2)}); math.Abs(g-0.2) > 1e-12 {
 		t.Fatalf("g3(B→C) = %v, want 0.2", g)
 	}
 	// Figure 5 variant: x replaces p in tuple 2, making C→B approximate.
@@ -103,7 +110,7 @@ func TestG3(t *testing.T) {
 	if Holds(r5, FD{LHS: NewAttrSet(2), RHS: NewAttrSet(1)}) {
 		t.Fatal("C→B should be invalidated in Figure 5")
 	}
-	if g := G3(r5, FD{LHS: NewAttrSet(2), RHS: NewAttrSet(1)}); math.Abs(g-0.2) > 1e-12 {
+	if g := g3Of(r5, FD{LHS: NewAttrSet(2), RHS: NewAttrSet(1)}); math.Abs(g-0.2) > 1e-12 {
 		t.Fatalf("g3(C→B) on Figure 5 = %v, want 0.2 (one tuple removed)", g)
 	}
 }
@@ -368,7 +375,7 @@ func TestPropMinedFDsValidAndMinimal(t *testing.T) {
 
 func TestDiscoverDispatch(t *testing.T) {
 	r := fig4(t)
-	fds, err := Discover(r)
+	fds, err := DiscoverCtx(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"structmine/internal/relation"
 )
 
-// Keys returns all minimal candidate keys of the instance: the minimal
+// KeysColumns returns all minimal candidate keys of the instance: the minimal
 // attribute sets whose values are unique across tuples. A set X is a
 // superkey iff no pair of distinct rows agrees on all of X, i.e. X hits
 // the complement of every maximal agree set — so the minimal keys are
@@ -17,11 +17,6 @@ import (
 // Like FDEP, the computation is quadratic in the number of distinct
 // rows; it is intended for the interactive report over moderate
 // instances.
-func Keys(r *relation.Relation) ([]AttrSet, error) {
-	return KeysColumns(relation.AsColumns(r))
-}
-
-// KeysColumns is Keys over the column interface.
 func KeysColumns(c relation.Columns) ([]AttrSet, error) {
 	n, m := c.N(), c.M()
 	if m > MaxAttrs {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestKeysFig4(t *testing.T) {
-	keys, err := Keys(fig4(t))
+	keys, err := KeysColumns(relation.AsColumns(fig4(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestKeysSingleColumnKey(t *testing.T) {
 	r := rel(t, []string{"Id", "Name"},
 		[]string{"1", "x"}, []string{"2", "x"}, []string{"3", "y"},
 	)
-	keys, err := Keys(r)
+	keys, err := KeysColumns(relation.AsColumns(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestKeysWithExactDuplicates(t *testing.T) {
 	r := rel(t, []string{"A", "B"},
 		[]string{"x", "1"}, []string{"x", "1"},
 	)
-	keys, err := Keys(r)
+	keys, err := KeysColumns(relation.AsColumns(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +57,12 @@ func TestKeysWithExactDuplicates(t *testing.T) {
 
 func TestKeysDegenerate(t *testing.T) {
 	single := rel(t, []string{"A"}, []string{"x"})
-	keys, err := Keys(single)
+	keys, err := KeysColumns(relation.AsColumns(single))
 	if err != nil || len(keys) != 1 || !keys[0].Empty() {
 		t.Fatalf("single row: %v %v", keys, err)
 	}
 	empty := relation.NewBuilder("e", []string{"A"}).Relation()
-	keys, err = Keys(empty)
+	keys, err = KeysColumns(relation.AsColumns(empty))
 	if err != nil || len(keys) != 1 || !keys[0].Empty() {
 		t.Fatalf("empty: %v %v", keys, err)
 	}
@@ -74,7 +74,7 @@ func TestPropKeysMinimalAndUnique(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		r := randomRelation(rng, 2+rng.Intn(25), 2+rng.Intn(4), 3)
-		keys, err := Keys(r)
+		keys, err := KeysColumns(relation.AsColumns(r))
 		if err != nil {
 			return false
 		}

@@ -79,7 +79,8 @@ func MineMVDs(c relation.Columns, maxLHS int, skipFDImplied bool) ([]MVD, error)
 }
 
 // MineMVDsCtx is MineMVDs under the context's worker budget (used by the
-// FD-pruning TANE pass).
+// FD-pruning TANE pass) and cancellation, which it checks before every
+// candidate's scan.
 func MineMVDsCtx(ctx context.Context, c relation.Columns, maxLHS int, skipFDImplied bool) ([]MVD, error) {
 	m := c.M()
 	if m > 16 {
@@ -143,6 +144,9 @@ func MineMVDsCtx(ctx context.Context, c relation.Columns, maxLHS int, skipFDImpl
 				if seen.SubsetOf(y) {
 					continue candidates // not minimal
 				}
+			}
+			if err := ctx.Err(); err != nil { // each candidate is a full scan
+				return nil, fmt.Errorf("fd: MVD mining canceled: %w", err)
 			}
 			v := MVD{LHS: x, RHS: y}
 			if ok, err := MVDHolds(c, v); err != nil {

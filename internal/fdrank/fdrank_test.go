@@ -1,6 +1,7 @@
 package fdrank
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,7 +26,12 @@ func workedExampleGrouping(t *testing.T) *attrs.Grouping {
 	b.MustAdd("y", "2", "x")
 	b.MustAdd("z", "2", "x")
 	r := b.Relation()
-	return attrs.Group(r, values.ClusterRelation(r, 0.0, 4))
+	ctx := context.Background()
+	objs, err := values.ObjectsColumnsCtx(ctx, relation.AsColumns(r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return attrs.GroupCtx(ctx, r, values.ClusterCtx(ctx, objs, 0, 4, r.M()))
 }
 
 // TestRankPaperWorkedExample: with FDs A→B and C→B and ψ=0.5, only C→B's

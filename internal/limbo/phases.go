@@ -135,20 +135,3 @@ func BuildTreeCtx(ctx context.Context, objs []Obj, phi float64, b int) *Tree {
 	}
 	return t
 }
-
-// BuildTreeMaxLeaves runs Phase 1 in leaf-bounded mode (Section 6.1.2's
-// horizontal-partitioning protocol: "pick a number of leaves that is
-// sufficiently large").
-func BuildTreeMaxLeaves(objs []Obj, maxLeaves, b int) *Tree {
-	return BuildTreeMaxLeavesCtx(context.Background(), objs, maxLeaves, b)
-}
-
-// BuildTreeMaxLeavesCtx is BuildTreeMaxLeaves under the context's
-// worker budget and arena pool.
-func BuildTreeMaxLeavesCtx(ctx context.Context, objs []Obj, maxLeaves, b int) *Tree {
-	t := NewTreeCtx(ctx, Config{B: b, MaxLeafEntries: maxLeaves})
-	for _, o := range objs {
-		t.Insert(o)
-	}
-	return t
-}

@@ -91,7 +91,10 @@ func TestTreeMaxLeavesRebuilds(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		objs = append(objs, randObj(r, int32(i), 48, 5))
 	}
-	tree := BuildTreeMaxLeaves(objs, 40, 4)
+	tree := NewTree(Config{B: 4, MaxLeafEntries: 40}) // leaf-bounded Phase 1
+	for _, o := range objs {
+		tree.Insert(o)
+	}
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -348,6 +348,47 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// TestCancelRunningMVDJob cancels a running mine-mvds job — minutes of
+// candidate scans on a 1 000 × 13 DBLP sample — and expects it to end
+// canceled promptly with its worker-budget grant released.
+func TestCancelRunningMVDJob(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	var csv bytes.Buffer
+	r := datagen.NewDBLP(datagen.DBLPConfig{Tuples: 1000, Seed: 1, MiscFrac: 129.0 / 50000, JournalFrac: 0.28})
+	if err := r.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	var ds Dataset
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/datasets?name=dblp", csv.Bytes(), &ds); code != http.StatusCreated {
+		t.Fatalf("register: %d %s", code, body)
+	}
+	var v JobView
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/jobs", submitRequest{Dataset: ds.ID, Task: "mine-mvds"}, &v); code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, body)
+	}
+	for v.State != StateRunning {
+		time.Sleep(10 * time.Millisecond)
+		doJSON(t, "GET", ts.URL+"/v1/jobs/"+v.ID, nil, &v)
+		if v.State.Terminal() {
+			t.Fatalf("job ended %s before the cancel", v.State)
+		}
+	}
+	time.Sleep(200 * time.Millisecond) // into the candidate loop
+	canceled := time.Now()
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/jobs/"+v.ID+"/cancel", nil, nil); code != http.StatusOK {
+		t.Fatalf("cancel: %d %s", code, body)
+	}
+	if got := waitJob(t, ts, v.ID); got.State != StateCanceled {
+		t.Fatalf("job state %s (%s), want canceled", got.State, got.Error)
+	}
+	if d := time.Since(canceled); d > 5*time.Second {
+		t.Errorf("job took %v to stop after the cancel", d)
+	}
+	if n := metricValue(t, scrapeMetrics(t, ts.URL), "structmine_exec_active_grants"); n != 0 {
+		t.Errorf("%v worker-budget grants still held after the cancel", n)
+	}
+}
+
 func TestJobTimeout(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, JobTimeout: time.Nanosecond})
 	ds := registerDB2(t, ts)

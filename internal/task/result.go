@@ -14,7 +14,6 @@ import (
 	"structmine/internal/measures"
 	"structmine/internal/obs"
 	"structmine/internal/relation"
-	"structmine/internal/report"
 	"structmine/internal/tuples"
 	"structmine/internal/values"
 )
@@ -137,15 +136,10 @@ func runDedup(ctx context.Context, c relation.Columns, p Params) (*DedupResult, 
 	if err := step(ctx, "tuple clustering"); err != nil {
 		return nil, err
 	}
-	objs, err := tuples.ObjectsColumnsCtx(ctx, c)
+	rep, err := duplicates(ctx, c, fv(p.PhiT))
 	if err != nil {
 		return nil, err
 	}
-	sum, err := tupleSummary(ctx, c, objs, fv(p.PhiT), defaultB)
-	if err != nil {
-		return nil, err
-	}
-	rep := sum.Duplicates(ctx, objs)
 	res := &DedupResult{
 		PhiT: fv(p.PhiT), Threshold: rep.Threshold, LeafCount: rep.LeafCount,
 		MinSim: fv(p.MinSim), Groups: [][]int{},
@@ -166,6 +160,22 @@ func runDedup(ctx context.Context, c relation.Columns, p Params) (*DedupResult, 
 		res.Pairs = append(res.Pairs, DupPair{T1: ps.T1, T2: ps.T2, Agree: ps.Agree, Similarity: ps.Similarity})
 	}
 	return res, nil
+}
+
+// duplicates is the duplicate-tuple procedure of Section 6.1.1 that dedup
+// and report share: the Phase 1 summary at φT (tupleSummary, so through
+// the intermediates hook), with every tuple associated to its closest
+// multi-tuple leaf.
+func duplicates(ctx context.Context, c relation.Columns, phiT float64) (*tuples.DuplicateReport, error) {
+	objs, err := tuples.ObjectsColumnsCtx(ctx, c)
+	if err != nil {
+		return nil, err
+	}
+	sum, err := tupleSummary(ctx, c, objs, phiT, defaultB)
+	if err != nil {
+		return nil, err
+	}
+	return sum.Duplicates(ctx, objs), nil
 }
 
 // PartitionGroup is one horizontal partition.
@@ -273,13 +283,20 @@ func runValues(ctx context.Context, c relation.Columns, p Params) (*ValuesResult
 	for _, gi := range vc.DuplicateGroups() {
 		g := vc.Groups[gi]
 		res.NumDuplicateGroups++
-		vg := ValueGroup{Tuples: int(g.DCF.N), Duplicate: true}
-		for _, v := range g.Values {
-			vg.Values = append(vg.Values, names[c.ValueAttr(v)]+"="+strs[v])
-		}
-		res.DuplicateGroups = append(res.DuplicateGroups, vg)
+		res.DuplicateGroups = append(res.DuplicateGroups, ValueGroup{
+			Tuples: int(g.DCF.N), Duplicate: true, Values: valueLabels(c, names, strs, g.Values),
+		})
 	}
 	return res, nil
+}
+
+// valueLabels renders value ids attribute-qualified ("Attr=value").
+func valueLabels(c relation.Columns, names, strs []string, ids []int32) []string {
+	var out []string
+	for _, v := range ids {
+		out = append(out, names[c.ValueAttr(v)]+"="+strs[v])
+	}
+	return out
 }
 
 // MergeStep is one agglomerative merge of the attribute dendrogram.
@@ -649,67 +666,6 @@ func runDecompose(ctx context.Context, c relation.Columns, p Params) (*Decompose
 		}, nil
 	}
 	return nil, fmt.Errorf("task: no decomposable dependency found")
-}
-
-// ReportRankedFD is one ranked dependency row of the full report.
-type ReportRankedFD struct {
-	Label string  `json:"label"`
-	Rank  float64 `json:"rank"`
-	RAD   float64 `json:"rad"`
-	RADw  float64 `json:"rad_weighted"`
-	RTR   float64 `json:"rtr"`
-	G3    float64 `json:"g3"`
-}
-
-// ReportResult is the full analyst-facing structure report, both as
-// structured data and as the rendered text.
-type ReportResult struct {
-	Relation             string           `json:"relation"`
-	Tuples               int              `json:"tuples"`
-	Attributes           int              `json:"attributes"`
-	DistinctValues       int              `json:"distinct_values"`
-	TupleInfoBits        float64          `json:"tuple_info_bits"`
-	Attrs                []AttrProfile    `json:"attrs"`
-	DuplicateTupleGroups [][]int          `json:"duplicate_tuple_groups"`
-	DuplicateValueGroups [][]string       `json:"duplicate_value_groups"`
-	CandidateKeys        []string         `json:"candidate_keys"`
-	Dendrogram           string           `json:"dendrogram,omitempty"`
-	RankedFDs            []ReportRankedFD `json:"ranked_fds"`
-	Text                 string           `json:"text"`
-}
-
-func runReport(ctx context.Context, c relation.Columns, p Params) (*ReportResult, error) {
-	if err := step(ctx, "report generation"); err != nil {
-		return nil, err
-	}
-	opts := report.Options{PhiT: fv(p.PhiT), PhiV: fv(p.PhiV), Psi: fv(p.Psi)}
-	rep, err := report.GenerateCtx(ctx, c, opts)
-	if err != nil {
-		return nil, err
-	}
-	res := &ReportResult{
-		Relation: rep.Relation, Tuples: rep.N, Attributes: rep.M, DistinctValues: rep.D,
-		TupleInfoBits:        rep.TupleInfo,
-		DuplicateTupleGroups: rep.DuplicateTupleGroups,
-		DuplicateValueGroups: rep.DuplicateValueGroups,
-		CandidateKeys:        rep.CandidateKeys,
-		Text:                 rep.Render(opts),
-	}
-	for _, a := range rep.Attrs {
-		res.Attrs = append(res.Attrs, AttrProfile{
-			Name: a.Name, Distinct: a.Distinct, NullFraction: a.NullFraction,
-			EntropyBits: a.Entropy, RAD: a.RAD, RTR: a.RTR,
-		})
-	}
-	if rep.Grouping != nil && len(rep.Grouping.AttrIdx) > 0 {
-		res.Dendrogram = rep.Grouping.Dendrogram().ASCII(78)
-	}
-	for _, rf := range rep.RankedFDs {
-		res.RankedFDs = append(res.RankedFDs, ReportRankedFD{
-			Label: rf.Label, Rank: rf.Rank, RAD: rf.RAD, RADw: rf.RADw, RTR: rf.RTR, G3: rf.ApproxG3,
-		})
-	}
-	return res, nil
 }
 
 // JoinCandidate is one joinable attribute pair across relations.

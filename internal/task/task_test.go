@@ -3,8 +3,10 @@ package task
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"structmine/internal/datagen"
 	"structmine/internal/relation"
@@ -133,6 +135,34 @@ func TestRunCancellation(t *testing.T) {
 		if _, err := Run(ctx, db2(t), name, Params{}); err == nil {
 			t.Errorf("task %s: canceled context should abort", name)
 		}
+	}
+}
+
+// TestCancelRunningMVDMining cancels mine-mvds while its candidate loop
+// runs — a full row scan per candidate, ≈ 2 minutes in all on a
+// 1 000 × 13 DBLP sample — and expects it back, typed, within one
+// candidate.
+func TestCancelRunningMVDMining(t *testing.T) {
+	r := datagen.NewDBLP(datagen.DBLPConfig{Tuples: 1000, Seed: 1, MiscFrac: 129.0 / 50000, JournalFrac: 0.28})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(ctx, r, "mine-mvds", Params{})
+		done <- err
+	}()
+	time.Sleep(200 * time.Millisecond) // past the TANE prelude, into the candidates
+	canceled := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if d := time.Since(canceled); d > time.Second {
+			t.Errorf("returned %v after the cancel", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("mine-mvds ignored its cancellation")
 	}
 }
 

@@ -1,6 +1,7 @@
 package tuples
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -79,7 +80,7 @@ func TestRefineDuplicates(t *testing.T) {
 		[]string{"one", "two", "three", "four", "five", "six"},
 		[]string{"one", "two", "three", "four", "five", "sixy"}, // near dup of 2
 	)
-	rep := FindDuplicates(r, 0.5, 4)
+	rep := FindDuplicatesCtx(context.Background(), r, 0.5, 4)
 	pairs := RefineDuplicates(r, rep, 0.0)
 	if len(pairs) == 0 {
 		t.Fatal("no pairs scored")
@@ -106,7 +107,7 @@ func TestRefineDuplicatesExactPair(t *testing.T) {
 		[]string{"x", "y"},
 		[]string{"x", "y"},
 	)
-	rep := FindDuplicates(r, 0.0, 4)
+	rep := FindDuplicatesCtx(context.Background(), r, 0.0, 4)
 	pairs := RefineDuplicates(r, rep, 0.5)
 	if len(pairs) != 1 || pairs[0].Similarity != 1 || pairs[0].Agree != 2 {
 		t.Fatalf("exact pair: %+v", pairs)

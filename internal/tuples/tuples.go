@@ -88,18 +88,13 @@ type DuplicateReport struct {
 	Threshold float64
 }
 
-// FindDuplicates runs the three-step procedure: build tuple summaries at
-// φT, keep the summaries describing several tuples, and associate every
-// tuple with its closest summary. A tuple only joins a summary's group
-// when its association loss is within the Phase 1 threshold — beyond
-// that it is not a duplicate candidate (Cluster = -1), which keeps the
-// groups presented to the analyst small and meaningful.
-func FindDuplicates(r *relation.Relation, phiT float64, b int) *DuplicateReport {
-	return FindDuplicatesCtx(context.Background(), r, phiT, b)
-}
-
-// FindDuplicatesCtx is FindDuplicates under the context's worker budget
-// and arena pool. The report's DCFs are the Summary's plain copies, not
+// FindDuplicatesCtx runs the three-step procedure over a resident
+// relation: build tuple summaries at φT, keep the summaries describing
+// several tuples, and associate every tuple with its closest summary. A
+// tuple only joins a summary's group when its association loss is within
+// the Phase 1 threshold — beyond that it is not a duplicate candidate
+// (Cluster = -1), which keeps the groups presented to the analyst small
+// and meaningful. The report's DCFs are the Summary's plain copies, not
 // views into the tree's pooled slabs.
 func FindDuplicatesCtx(ctx context.Context, r *relation.Relation, phiT float64, b int) *DuplicateReport {
 	objs := Objects(r)
@@ -142,20 +137,6 @@ type PartitionResult struct {
 	InfoLossFrac float64
 }
 
-// Partition performs a full clustering: Phase 1 bounded to maxLeaves
-// summaries, AIB over the leaves, k selection via the rate-of-change
-// heuristic (k = 0 requests automatic choice), and a Phase 3 scan.
-func Partition(r *relation.Relation, maxLeaves, b, k int) *PartitionResult {
-	return PartitionCtx(context.Background(), r, maxLeaves, b, k)
-}
-
-// PartitionCtx is Partition under the context's worker budget and arena
-// pool; the returned leaves are rescaled heap copies (limbo.Scaled), not
-// views into the tree's pooled slabs.
-func PartitionCtx(ctx context.Context, r *relation.Relation, maxLeaves, b, k int) *PartitionResult {
-	return PartitionFromTree(ctx, r, PartitionTreeCtx(ctx, r, maxLeaves, b), k)
-}
-
 // insertUnit feeds the Phase 1 tree the tuple objects it has not yet
 // seen, objs[tree.Inserted():], with unit mass instead of 1/n. Unit
 // weights make the tree independent of the eventual row count, which is
@@ -193,9 +174,14 @@ func PartitionFromTree(ctx context.Context, r *relation.Relation, tree *limbo.Tr
 	return partitionFromTree(ctx, Objects(r), tree, k)
 }
 
-// PartitionColumns is the horizontal-partitioning pipeline over the
-// column interface, with the tuple objects streamed once and shared by
-// Phases 1 and 3. state, when non-nil, is a persisted Phase 1 tree
+// PartitionColumns performs a full horizontal partitioning over the
+// column interface: Phase 1 bounded to maxLeaves summaries, AIB over the
+// leaves, k selection via the rate-of-change heuristic (k = 0 requests
+// automatic choice), and a Phase 3 scan, with the tuple objects streamed
+// once and shared by Phases 1 and 3. The returned leaves are rescaled
+// heap copies (limbo.Scaled), not views into the tree's pooled slabs.
+//
+// state, when non-nil, is a persisted Phase 1 tree
 // (limbo.EncodeTree) of a prefix of c: it is decoded and absorbs only
 // the rows it has not yet seen. Because decode+insert is bit-identical
 // to an uninterrupted build, the result matches a from-scratch run
@@ -329,18 +315,12 @@ func median(xs []float64) float64 {
 	return (cp[n/2-1] + cp[n/2]) / 2
 }
 
-// Compress performs the tuple side of double clustering (Section 6.2):
-// a Phase 1 pass at φT (Summarize) whose leaf summaries become the
-// compressed T axis over which attribute values are then expressed —
-// leaf membership recorded at insertion, no quadratic Phase 3 scan on
-// large instances. It returns the per-tuple cluster id and the number of
-// tuple clusters.
-func Compress(r *relation.Relation, phiT float64, b int) ([]int, int) {
-	return CompressCtx(context.Background(), r, phiT, b)
-}
-
-// CompressCtx is Compress under the context's worker budget and arena
-// pool.
+// CompressCtx performs the tuple side of double clustering (Section 6.2)
+// over a resident relation: a Phase 1 pass at φT (Summarize) whose leaf
+// summaries become the compressed T axis over which attribute values are
+// then expressed — leaf membership recorded at insertion, no quadratic
+// Phase 3 scan on large instances. It returns the per-tuple cluster id
+// and the number of tuple clusters.
 func CompressCtx(ctx context.Context, r *relation.Relation, phiT float64, b int) ([]int, int) {
 	return Summarize(ctx, Objects(r), r.M(), phiT, b).Clusters()
 }

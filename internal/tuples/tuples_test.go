@@ -1,6 +1,7 @@
 package tuples
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"testing"
@@ -50,7 +51,7 @@ func TestFindExactDuplicates(t *testing.T) {
 		[]string{"p1", "x", "1"}, // dup of 0
 		[]string{"q1", "y", "2"}, // dup of 1
 	)
-	rep := FindDuplicates(r, 0.0, 4)
+	rep := FindDuplicatesCtx(context.Background(), r, 0.0, 4)
 	if len(rep.Summaries) != 2 {
 		t.Fatalf("summaries %d, want 2", len(rep.Summaries))
 	}
@@ -85,7 +86,7 @@ func TestFindNearDuplicates(t *testing.T) {
 		[]string{"a", "b", "c", "d", "e", "DIFF"},
 		[]string{"u", "v", "w", "x", "y", "z"},
 	)
-	rep := FindDuplicates(r, 0.4, 4)
+	rep := FindDuplicatesCtx(context.Background(), r, 0.4, 4)
 	if len(rep.Summaries) == 0 {
 		t.Fatal("no summaries found")
 	}
@@ -101,7 +102,7 @@ func TestFindDuplicatesNone(t *testing.T) {
 	r := build(t, []string{"A", "B"},
 		[]string{"a", "1"}, []string{"b", "2"}, []string{"c", "3"},
 	)
-	rep := FindDuplicates(r, 0.0, 4)
+	rep := FindDuplicatesCtx(context.Background(), r, 0.0, 4)
 	if len(rep.Summaries) != 0 {
 		t.Fatalf("found phantom duplicates: %d", len(rep.Summaries))
 	}
@@ -128,7 +129,7 @@ func twoKindsRelation(t *testing.T, nA, nB int) *relation.Relation {
 
 func TestPartitionSeparatesTupleTypes(t *testing.T) {
 	r := twoKindsRelation(t, 30, 20)
-	res := Partition(r, 20, 4, 2)
+	res := partition(r, 20, 4, 2)
 	if res.K != 2 {
 		t.Fatalf("K=%d", res.K)
 	}
@@ -154,7 +155,7 @@ func TestPartitionSeparatesTupleTypes(t *testing.T) {
 
 func TestPartitionAutoK(t *testing.T) {
 	r := twoKindsRelation(t, 30, 20)
-	res := Partition(r, 20, 4, 0)
+	res := partition(r, 20, 4, 0)
 	if res.K != 2 {
 		t.Fatalf("heuristic chose k=%d, want 2", res.K)
 	}
@@ -185,7 +186,7 @@ func TestCompress(t *testing.T) {
 	r := build(t, []string{"A", "B"},
 		[]string{"x", "1"}, []string{"x", "1"}, []string{"y", "2"}, []string{"x", "1"},
 	)
-	assign, k := Compress(r, 0.0, 4)
+	assign, k := CompressCtx(context.Background(), r, 0.0, 4)
 	if k != 2 {
 		t.Fatalf("k=%d, want 2", k)
 	}
@@ -195,6 +196,15 @@ func TestCompress(t *testing.T) {
 	if assign[0] == assign[2] {
 		t.Fatalf("distinct tuples share a cluster: %v", assign)
 	}
+}
+
+// partition is PartitionColumns over a resident relation, from scratch.
+func partition(r *relation.Relation, maxLeaves, b, k int) *PartitionResult {
+	res, _, _, err := PartitionColumns(context.Background(), relation.AsColumns(r), maxLeaves, b, k, nil)
+	if err != nil {
+		panic(err) // an in-memory relation has no failing reads
+	}
+	return res
 }
 
 func TestMedian(t *testing.T) {
@@ -217,7 +227,7 @@ func TestPartitionAssignIndexesClusters(t *testing.T) {
 		twoKindsRelation(t, 20, 30), twoKindsRelation(t, 30, 20), randomCSVRel(t, 400, 5),
 	} {
 		for _, k := range []int{0, 2, 3, 5} {
-			res := Partition(r, 40, 4, k)
+			res := partition(r, 40, 4, k)
 			if len(res.Assign) != r.N() {
 				t.Fatalf("k=%d: %d assignments for %d tuples", k, len(res.Assign), r.N())
 			}

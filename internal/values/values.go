@@ -17,31 +17,12 @@ import (
 	"structmine/internal/relation"
 )
 
-// Objects converts each attribute value v into a clustering object with
-// p(v) = 1/d and p(T|v) uniform over the tuples containing v
-// (equations 6 and 7), carrying its O-matrix row as ADCF counts.
-func Objects(r *relation.Relation) []limbo.Obj {
-	st := r.Stats()
-	d := r.D()
-	m := r.M()
-	objs := make([]limbo.Obj, d)
-	for v := 0; v < d; v++ {
-		counts := make([]int64, m)
-		counts[r.ValueAttr(int32(v))] = int64(st.Count[v])
-		objs[v] = limbo.Obj{
-			ID:     int32(v),
-			W:      1.0 / float64(d),
-			Cond:   it.Uniform(st.Tuples[v]),
-			Counts: counts,
-		}
-	}
-	return objs
-}
-
-// ObjectsColumnsCtx is Objects over the column interface: postings
-// stream from the value index instead of a Stats scan, producing objects
-// identical to the resident construction (the index lists the same
-// ascending tuple ids Stats.Tuples holds). The per-attribute index walks
+// ObjectsColumnsCtx converts each attribute value v into a clustering
+// object with p(v) = 1/d and p(T|v) uniform over the tuples containing v
+// (equations 6 and 7), carrying its O-matrix row as ADCF counts. Postings
+// stream from the value index, which lists each value's tuple ids in
+// ascending order for a resident relation and a paged table alike. The
+// per-attribute index walks
 // fan across the context's worker budget, each filling the objs[v] slots
 // of its own attributes — disjoint writes, pure per-value construction,
 // so results are bit-identical for any budget.
@@ -208,16 +189,10 @@ type Clustering struct {
 	NumAttrs int
 }
 
-// Cluster runs the Section 6.2 procedure on pre-built value objects:
+// ClusterCtx runs the Section 6.2 procedure on pre-built value objects:
 // Phase 1 at φV with ADCFs, then Phase 3 association of every value with
 // its closest summary. The duplicate flag is computed per summary from
-// the merged ADCF.
-func Cluster(objs []limbo.Obj, phiV float64, b, numAttrs int) *Clustering {
-	return ClusterCtx(context.Background(), objs, phiV, b, numAttrs)
-}
-
-// ClusterCtx is Cluster under the context's worker budget and arena
-// pool. When the context carries a scheduler grant, the returned
+// the merged ADCF. When the context carries a scheduler grant, the returned
 // Clustering's DCFs live in pooled slabs and must not be retained past
 // the grant's release (task runners copy what they keep).
 func ClusterCtx(ctx context.Context, objs []limbo.Obj, phiV float64, b, numAttrs int) *Clustering {
@@ -242,12 +217,6 @@ func ClusterCtx(ctx context.Context, objs []limbo.Obj, phiV float64, b, numAttrs
 		}
 	}
 	return c
-}
-
-// ClusterRelation is the common case: plain (non-double) clustering of a
-// relation's values at φV.
-func ClusterRelation(r *relation.Relation, phiV float64, b int) *Clustering {
-	return Cluster(Objects(r), phiV, b, r.M())
 }
 
 // isDuplicate applies the C_V^D test: non-zero conditional mass on at

@@ -10,6 +10,7 @@ import (
 
 	"structmine/internal/exec"
 	"structmine/internal/exec/exectest"
+	"structmine/internal/limbo"
 	"structmine/internal/relation"
 )
 
@@ -39,6 +40,20 @@ func fig5(t *testing.T) *relation.Relation {
 	return b.Relation()
 }
 
+// objects and clusterRelation build a resident relation's value objects
+// and its plain (non-double) value clustering at φV.
+func objects(r *relation.Relation) []limbo.Obj {
+	objs, err := ObjectsColumnsCtx(context.Background(), relation.AsColumns(r))
+	if err != nil {
+		panic(err) // an in-memory relation has no failing reads
+	}
+	return objs
+}
+
+func clusterRelation(r *relation.Relation, phiV float64, b int) *Clustering {
+	return ClusterCtx(context.Background(), objects(r), phiV, b, r.M())
+}
+
 func groupStrings(r *relation.Relation, c *Clustering, gi int) []string {
 	var out []string
 	for _, v := range c.Groups[gi].Values {
@@ -50,7 +65,7 @@ func groupStrings(r *relation.Relation, c *Clustering, gi int) []string {
 
 func TestObjectsMatchPaperMatrices(t *testing.T) {
 	r := fig4(t)
-	objs := Objects(r)
+	objs := objects(r)
 	if len(objs) != 9 {
 		t.Fatalf("d=%d, want 9", len(objs))
 	}
@@ -76,7 +91,7 @@ func TestObjectsMatchPaperMatrices(t *testing.T) {
 
 func TestClusterFig4PerfectCooccurrence(t *testing.T) {
 	r := fig4(t)
-	c := ClusterRelation(r, 0.0, 4)
+	c := clusterRelation(r, 0.0, 4)
 	// The paper: φV = 0 clusters {a,1} and {2,x}; 7 groups total.
 	if len(c.Groups) != 7 {
 		t.Fatalf("groups=%d, want 7", len(c.Groups))
@@ -104,7 +119,7 @@ func TestClusterFig4PerfectCooccurrence(t *testing.T) {
 func TestClusterFig5ApproximateCooccurrence(t *testing.T) {
 	r := fig5(t)
 	// With φV = 0, x and 2 no longer merge (x also occurs in tuple 1).
-	c0 := ClusterRelation(r, 0.0, 4)
+	c0 := clusterRelation(r, 0.0, 4)
 	for _, gi := range c0.DuplicateGroups() {
 		gs := groupStrings(r, c0, gi)
 		for _, s := range gs {
@@ -118,7 +133,7 @@ func TestClusterFig5ApproximateCooccurrence(t *testing.T) {
 	// τ = φ·I(V;T)/d normalization the {2,x} merge costs 0.0345 while
 	// τ(0.1) = 0.020, so 0.2 is the smallest grid value that admits it —
 	// see DESIGN.md on the paper's under-specified threshold scale).
-	c1 := ClusterRelation(r, 0.2, 4)
+	c1 := clusterRelation(r, 0.2, 4)
 	found := false
 	for _, gi := range c1.DuplicateGroups() {
 		gs := groupStrings(r, c1, gi)
@@ -137,7 +152,7 @@ func TestClusterFig5ApproximateCooccurrence(t *testing.T) {
 
 func TestMatrixFMatchesFigure9(t *testing.T) {
 	r := fig4(t)
-	c := ClusterRelation(r, 0.0, 4)
+	c := clusterRelation(r, 0.0, 4)
 	rows, attrIdx := c.MatrixF()
 	if len(rows) != 3 {
 		t.Fatalf("A^D size %d, want 3 (all attributes)", len(rows))
@@ -166,7 +181,7 @@ func TestMatrixFEmptyWhenNoDuplicates(t *testing.T) {
 	b.MustAdd("a", "1")
 	b.MustAdd("b", "2")
 	r := b.Relation()
-	c := ClusterRelation(r, 0.0, 4)
+	c := clusterRelation(r, 0.0, 4)
 	rows, attrIdx := c.MatrixF()
 	if rows != nil || attrIdx != nil {
 		t.Fatalf("expected empty F, got %v %v", rows, attrIdx)
@@ -193,7 +208,7 @@ func TestObjectsOverClusters(t *testing.T) {
 	}
 	// Double clustering at φV=0 now merges a,1 with each other (and
 	// everything living purely in cluster 0 of equal distribution).
-	c := Cluster(objs, 0.0, 4, r.M())
+	c := ClusterCtx(context.Background(), objs, 0.0, 4, r.M())
 	var sizes []int
 	for _, g := range c.Groups {
 		sizes = append(sizes, len(g.Values))
@@ -213,7 +228,7 @@ func TestDuplicateCriterion(t *testing.T) {
 	b.MustAdd("Sal", "Boston")
 	b.MustAdd("Lee", "Boston")
 	r := b.Relation()
-	c := ClusterRelation(r, 0.0, 4)
+	c := clusterRelation(r, 0.0, 4)
 	for _, gi := range c.DuplicateGroups() {
 		for _, s := range groupStrings(r, c, gi) {
 			if s == "City=Boston" {
@@ -225,7 +240,7 @@ func TestDuplicateCriterion(t *testing.T) {
 
 func TestAssignmentCoversAllValues(t *testing.T) {
 	r := fig4(t)
-	c := ClusterRelation(r, 0.0, 4)
+	c := clusterRelation(r, 0.0, 4)
 	if len(c.Assign) != r.D() {
 		t.Fatalf("assignments %d, want %d", len(c.Assign), r.D())
 	}
@@ -249,7 +264,7 @@ func TestAnomalies(t *testing.T) {
 	// coarse φV the values cluster; the imperfectly-fitting ones carry
 	// positive association loss.
 	r := fig5(t)
-	c := ClusterRelation(r, 0.2, 4)
+	c := clusterRelation(r, 0.2, 4)
 	anomalies := c.Anomalies(5)
 	if len(anomalies) == 0 {
 		t.Fatal("expected at least one anomalous value")
@@ -266,7 +281,7 @@ func TestAnomalies(t *testing.T) {
 		t.Errorf("top anomaly %s, want C=x or B=2", top)
 	}
 	// Exact clustering has no anomalies.
-	exact := ClusterRelation(fig4(t), 0.0, 4)
+	exact := clusterRelation(fig4(t), 0.0, 4)
 	if got := exact.Anomalies(0); len(got) != 0 {
 		t.Fatalf("exact clustering should have none, got %v", got)
 	}

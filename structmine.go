@@ -41,7 +41,6 @@ import (
 	"structmine/internal/limbo"
 	"structmine/internal/measures"
 	"structmine/internal/relation"
-	"structmine/internal/report"
 	"structmine/internal/task"
 	"structmine/internal/tuples"
 	"structmine/internal/values"
@@ -158,10 +157,10 @@ func NewMiner(r *Relation, opts Options) *Miner {
 // Relation returns the underlying instance.
 func (m *Miner) Relation() *Relation { return m.r }
 
-// FindDuplicateTuples detects groups of exact or near-duplicate tuples
-// at accuracy φT.
+// FindDuplicateTuples groups exact and near-duplicate tuples at accuracy φT.
 func (m *Miner) FindDuplicateTuples() *DuplicateReport {
-	return tuples.FindDuplicates(m.r, m.opts.PhiT, m.opts.B)
+	rep, _ := tuples.FindDuplicatesColumns(context.Background(), relation.AsColumns(m.r), m.opts.PhiT, m.opts.B) // no failing reads in memory
+	return rep
 }
 
 // DuplicatePair is a scored candidate duplicate pair.
@@ -178,21 +177,18 @@ func (m *Miner) RefineDuplicates(rep *DuplicateReport, minSim float64) []Duplica
 // HorizontalPartition clusters the tuples into k partitions; k ≤ 0 lets
 // the δI rate-of-change heuristic choose.
 func (m *Miner) HorizontalPartition(k int) *PartitionResult {
-	return tuples.Partition(m.r, m.opts.MaxLeaves, m.opts.B, k)
+	res, _, _, _ := tuples.PartitionColumns(context.Background(), relation.AsColumns(m.r), m.opts.MaxLeaves, m.opts.B, k, nil) // no failing reads in memory
+	return res
 }
 
 // ClusterValues groups attribute values that (almost) co-occur, at
 // accuracy φV.
-func (m *Miner) ClusterValues() *ValueClustering {
-	return m.clusterValues(false)
-}
+func (m *Miner) ClusterValues() *ValueClustering { return m.clusterValues(false) }
 
 // ClusterValuesDouble runs double clustering: tuples are first
 // compressed at φT (must be > 0 to be useful), then values are expressed
 // over the tuple clusters and clustered at φV. Use for large instances.
-func (m *Miner) ClusterValuesDouble() *ValueClustering {
-	return m.clusterValues(true)
-}
+func (m *Miner) ClusterValuesDouble() *ValueClustering { return m.clusterValues(true) }
 
 func (m *Miner) clusterValues(double bool) *ValueClustering {
 	vc, _ := task.ClusterValues(context.Background(), relation.AsColumns(m.r), m.opts.PhiT, m.opts.PhiV, m.opts.B, double) // no failing reads in memory
@@ -209,8 +205,10 @@ func (m *Miner) GroupAttributes(double bool) (*AttrGrouping, *ValueClustering) {
 }
 
 // MineFDs discovers all minimal functional dependencies holding in the
-// instance (FDEP for small instances, TANE for large ones).
-func (m *Miner) MineFDs() ([]FD, error) { return fd.Discover(m.r) }
+// instance (TANE; FDEP returns the same set, in the same order).
+func (m *Miner) MineFDs() ([]FD, error) {
+	return fd.DiscoverColumns(context.Background(), relation.AsColumns(m.r))
+}
 
 // ApproxFD is an approximate dependency with its g3 error.
 type ApproxFD = fd.ApproxFD
@@ -219,15 +217,18 @@ type ApproxFD = fd.ApproxFD
 // error (fraction of tuples to remove) is at most eps. maxLHS bounds the
 // antecedent size (0 = unbounded).
 func (m *Miner) MineApproxFDs(eps float64, maxLHS int) ([]ApproxFD, error) {
-	return fd.MineApprox(m.r, eps, maxLHS)
+	return fd.MineApproxColumns(context.Background(), relation.AsColumns(m.r), eps, maxLHS)
 }
 
 // G3 returns the approximation error of an FD on this instance.
-func (m *Miner) G3(f FD) float64 { return fd.G3(m.r, f) }
+func (m *Miner) G3(f FD) float64 {
+	g3, _ := fd.G3Columns(relation.AsColumns(m.r), f) // no failing reads in memory
+	return g3
+}
 
 // Keys returns the minimal candidate keys of the instance (nil when
 // exact duplicate tuples make every attribute set non-unique).
-func (m *Miner) Keys() ([]AttrSet, error) { return fd.Keys(m.r) }
+func (m *Miner) Keys() ([]AttrSet, error) { return fd.KeysColumns(relation.AsColumns(m.r)) }
 
 // MVD is a multivalued dependency X →→ Y.
 type MVD = fd.MVD
@@ -281,16 +282,15 @@ func (m *Miner) Decompose(f FD) (*Decomposition, error) {
 	return res, nil
 }
 
-// StructureReport generates the full analyst-facing summary: attribute
-// profiles, duplicate tuples, correlated values, attribute grouping and
-// ranked dependencies.
+// StructureReport renders the report task under the Miner's φT, φV and
+// ψ: attribute profiles, duplicate tuples, correlated values, attribute
+// grouping and ranked dependencies.
 func (m *Miner) StructureReport() (string, error) {
-	opts := report.Options{PhiT: m.opts.PhiT, PhiV: m.opts.PhiV, Psi: m.opts.Psi}
-	rep, err := report.Generate(relation.AsColumns(m.r), opts)
+	res, err := m.RunTask(context.Background(), "report", TaskParams{})
 	if err != nil {
 		return "", err
 	}
-	return rep.Render(opts), nil
+	return res.(*ReportResult).Text, nil
 }
 
 // MinCover reduces an FD set to a Maier minimum cover.
