@@ -26,8 +26,8 @@
 // are listed again and read back into memory, old job ids still answer,
 // and identical queries are cache hits without re-mining. Corrupt files
 // found at boot are quarantined under DIR/quarantine, never trusted. A
-// DIR/datasets/ directory left by a build older than the columnar
-// format is not read (and not touched). -fsync additionally syncs every
+// DIR/datasets/ or DIR/minestate/ directory left by an older build is
+// not read (and not touched). -fsync additionally syncs every
 // write for power-loss durability at a latency cost.
 //
 // With -persist, -resident-bytes N additionally bounds how many CSV

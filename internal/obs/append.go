@@ -15,14 +15,14 @@ var (
 		"Dataset epoch bumps (appends applied over the API).")
 	// DeltaRemineSeconds times mine jobs answered by delta re-mining.
 	DeltaRemineSeconds = Default.Histogram("structmine_append_delta_remine_seconds",
-		"Duration of re-mine runs that took a delta path over persisted mine-state.", TimeBuckets)
+		"Duration of re-mine runs that took a delta path over a previous epoch's mine-state.", TimeBuckets)
 )
 
-// The reasons an FD re-mine under a state store gave up on the delta
+// The reasons an FD re-mine under an intermediates hook gave up on the delta
 // path and mined from scratch: the label values of DeltaFallbacks.
 const (
-	FallbackNoState      = "no_state"      // nothing persisted for the dataset yet
-	FallbackCorruptState = "corrupt_state" // persisted bytes did not decode
+	FallbackNoState      = "no_state"      // no state left for the dataset yet
+	FallbackCorruptState = "corrupt_state" // the state's bytes did not decode
 	FallbackShape        = "shape"         // state of another width, or of more rows than the dataset has
 	FallbackOversized    = "oversized"     // append above fd.DeltaMaxFraction of the data
 	FallbackFDBroken     = "fd_broken"     // an appended row violates a previously minimal FD
@@ -36,7 +36,7 @@ var DeltaFallbackReasons = []string{
 
 // DeltaFallbacks counts FD re-mines that fell back to a scratch run.
 var DeltaFallbacks = Default.CounterVec("structmine_append_delta_fallback_total",
-	"FD re-mines under a state store that fell back to mining from scratch, by reason.", "reason")
+	"FD re-mines under an intermediates hook that fell back to mining from scratch, by reason.", "reason")
 
 func init() {
 	for _, reason := range DeltaFallbackReasons {

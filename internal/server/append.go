@@ -18,9 +18,10 @@ import (
 // rows (same header shape) without re-uploading or re-parsing what is
 // already there. The dataset keeps its stable short id; its content
 // hash advances deterministically (appendHash) and its epoch increments,
-// so every derived artifact — cache entries, persisted mine-state — is
-// keyed to exactly one point in the lineage and can never leak across an
-// append boundary.
+// so every artifact is keyed to exactly one point in the lineage and can
+// never leak across an append boundary. The intermediates jobs leave
+// behind are keyed by the id instead, so the next epoch finds them, and
+// stamped with their epoch (datasetIntermediates).
 //
 // Durability follows one intent-record protocol for both tiers: the
 // append record (carrying the body and the identity transition) is

@@ -62,12 +62,13 @@ func mineResult(t *testing.T, ts *httptest.Server, dsID, taskName string) json.R
 }
 
 // TestPropDeltaMatchesScratch is the append correctness bar: for a
-// sweep of append sizes on both storage tiers, every mining artifact
-// computed after register → mine → append → re-mine is byte-identical
-// to the artifact a fresh registration of the concatenated contents
-// produces. The first server mines before appending so the re-mine
-// genuinely consumes persisted mine-state (the delta path); the second
-// server never sees the lineage at all.
+// sweep of append sizes on both storage tiers with -persist, and on a
+// memory-only server, every mining artifact computed after register →
+// mine → append → re-mine is byte-identical to the artifact a fresh
+// registration of the concatenated contents produces. The first server
+// mines before appending so the re-mine genuinely consumes the state the
+// previous epoch left (the delta path); the second server never sees
+// the lineage at all.
 func TestPropDeltaMatchesScratch(t *testing.T) {
 	const n = 200
 	sizes := []struct {
@@ -77,10 +78,10 @@ func TestPropDeltaMatchesScratch(t *testing.T) {
 		{"one", 1}, {"seven", 7}, {"tenpct", n / 10}, {"halfpct", n / 2},
 	}
 	tiers := []struct {
-		name  string
-		paged bool
+		name           string
+		persist, paged bool
 	}{
-		{"resident", false}, {"paged", true},
+		{"resident", true, false}, {"paged", true, true}, {"memory", false, false},
 	}
 	base := appendCSVRows(n, 11)
 	for _, tier := range tiers {
@@ -95,13 +96,16 @@ func TestPropDeltaMatchesScratch(t *testing.T) {
 				body := csvOf(extra)
 
 				cfg := func(dir string) Config {
-					c := Config{Workers: 1, Store: openStore(t, dir)}
+					c := Config{Workers: 1}
+					if tier.persist {
+						c.Store = openStore(t, dir)
+					}
 					if tier.paged {
 						c.ResidentBytes = 1 // force everything out of core
 					}
 					return c
 				}
-				tasks := []string{"mine-fds", "rank-fds", "partition"}
+				tasks := []string{"mine-fds", "rank-fds", "decompose", "partition"}
 
 				// Lineage server: register, mine (seeds state), append, re-mine.
 				_, ts1 := newTestServer(t, cfg(t.TempDir()))
@@ -120,20 +124,21 @@ func TestPropDeltaMatchesScratch(t *testing.T) {
 					t.Fatalf("append identity: epoch=%d id=%s hash-same=%v", after.Epoch, after.ID, after.Hash == ds.Hash)
 				}
 
-				// Scratch server: one registration of the concatenated contents.
+				// Scratch server: one registration of the concatenated
+				// contents, under the same name (decompose's S1 and S2 carry it).
 				_, ts2 := newTestServer(t, cfg(t.TempDir()))
 				var fresh Dataset
 				concat := csvOf(append(append([]string{}, base...), extra...))
-				if code, b := doJSON(t, "POST", ts2.URL+"/v1/datasets?name=scratch", concat, &fresh); code != http.StatusCreated {
+				if code, b := doJSON(t, "POST", ts2.URL+"/v1/datasets?name=lin", concat, &fresh); code != http.StatusCreated {
 					t.Fatalf("register concat: %d %s", code, b)
 				}
 
 				for _, task := range tasks {
-					// On both tiers the re-mine resumes the persisted state:
-					// one more delta re-mine on the histogram, or — only for
+					// Every re-mine resumes the previous epoch's state: one
+					// more delta re-mine on the histogram, or — only for
 					// mine-fds past fd.DeltaMaxFraction of the data; rank-fds
-					// then resumes the state mine-fds left — one more
-					// "oversized" fallback, and never anything else.
+					// and decompose then resume the state mine-fds left — one
+					// more "oversized" fallback, and never anything else.
 					before := scrapeMetrics(t, ts1.URL)
 					got := mineResult(t, ts1, ds.ID, task)
 					after := scrapeMetrics(t, ts1.URL)
@@ -586,24 +591,29 @@ func TestReferenceBeforeOpenSurvivesAppend(t *testing.T) {
 	}
 }
 
-// TestDatasetStateStoreEpochRule: mine-state saved under a NEWER epoch
-// than the job's pin is never served to it (an append landed while the
-// job queued: that state covers rows the job is not mining); state from
-// the pinned or an older epoch is — the delta-resume case.
-func TestDatasetStateStoreEpochRule(t *testing.T) {
-	st := openStoreClosed(t, t.TempDir())
-	datasetStateStore{st: st, id: "ds", epoch: 3}.SaveState(task.StateFDs, []byte("state@3"))
+// TestDatasetIntermediatesEpochRule: an intermediate saved under a NEWER
+// epoch than the job's pin is never served to it (an append landed while
+// the job queued: that state covers rows the job is not mining); one
+// from the pinned or an older epoch is — the delta-resume case. Entries
+// are the dataset's: another dataset's id, or a kind never saved, finds
+// nothing.
+func TestDatasetIntermediatesEpochRule(t *testing.T) {
+	cache := NewCache(0)
+	datasetIntermediates{cache: cache, id: "ds", epoch: 3}.SaveIntermediate(task.KindFDState, task.Params{}, []byte("state@3"))
 	for _, tc := range []struct {
 		pin  int
 		want bool
 	}{{2, false}, {3, true}, {4, true}} {
-		data, ok := datasetStateStore{st: st, id: "ds", epoch: tc.pin}.LoadState(task.StateFDs)
+		data, ok := datasetIntermediates{cache: cache, id: "ds", epoch: tc.pin}.LoadIntermediate(task.KindFDState, task.Params{})
 		if ok != tc.want || (ok && string(data) != "state@3") {
 			t.Errorf("job pinned at epoch %d over state from epoch 3: got %q, %v; want served=%v", tc.pin, data, ok, tc.want)
 		}
 	}
-	if _, ok := (datasetStateStore{st: st, id: "ds", epoch: 3}).LoadState(task.StateTree); ok {
+	if _, ok := (datasetIntermediates{cache: cache, id: "ds", epoch: 3}).LoadIntermediate(task.KindPartitionTree, task.Params{}); ok {
 		t.Error("a kind never saved was served")
+	}
+	if _, ok := (datasetIntermediates{cache: cache, id: "other", epoch: 3}).LoadIntermediate(task.KindFDState, task.Params{}); ok {
+		t.Error("another dataset's state was served")
 	}
 }
 

@@ -17,7 +17,9 @@ import (
 // whichever tier answered. Because a (hash, epoch) state is immutable
 // and every task is deterministic, entries never go stale — but a
 // long-running daemon cannot keep every artifact forever, so the cache
-// evicts least-recently-used entries beyond a configured capacity.
+// evicts least-recently-used entries beyond a configured capacity. The
+// intermediates jobs leave each other share it under keys of their own
+// (datasetIntermediates).
 //
 // With a durable store attached the cache is two-tiered: every Put also
 // spills the artifact to disk, and a memory miss falls back to the store

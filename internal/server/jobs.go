@@ -298,12 +298,6 @@ func (q *Runner) SubmitAs(tenant string, priority Priority, datasetID, taskName 
 	}
 	q.seq++
 	ctx, cancel := context.WithCancel(q.baseCtx)
-	if q.st != nil {
-		// With a store attached the delta-capable tasks persist mine-state
-		// per (dataset, epoch) and, after an append, absorb only the
-		// appended tuples instead of re-mining from scratch.
-		ctx = task.WithState(ctx, datasetStateStore{st: q.st, id: ds.ID, epoch: ds.Epoch})
-	}
 	job := &Job{
 		id: fmt.Sprintf("%s%06d", q.idPrefix, q.seq), datasetID: ds.ID, dataset: ds,
 		cols: cols, release: release,
@@ -328,9 +322,10 @@ func (q *Runner) SubmitAs(tenant string, priority Priority, datasetID, taskName 
 		q.journal(rec)
 		return view, nil
 	}
-	// A job that runs shares intermediates with the other jobs of its
-	// dataset epoch, through the artifact cache.
-	job.ctx = task.WithIntermediates(ctx, datasetIntermediates{cache: q.cache, hash: ds.Hash, epoch: ds.Epoch})
+	// A job that runs reads what earlier jobs of its dataset left in the
+	// artifact cache, and leaves what it builds there: the intermediates
+	// other tasks share, and the state the next epoch resumes.
+	job.ctx = task.WithIntermediates(ctx, datasetIntermediates{cache: q.cache, id: ds.ID, epoch: ds.Epoch})
 	if len(q.high)+len(q.low) >= q.depth {
 		cancel()
 		q.mu.Unlock()
@@ -429,55 +424,46 @@ func (q *Runner) dequeue() (*Job, bool) {
 	}
 }
 
-// datasetStateStore adapts the durable mine-state files to the
-// task.StateStore interface for one (dataset, epoch) pair. Loads reject
-// state from a NEWER epoch than the job's pin: an append that lands
-// while the job waits in the queue must not feed the job state computed
-// over rows it is not mining. Older-epoch state is fine — that is
-// exactly the delta-resume case.
-type datasetStateStore struct {
-	st    *store.Store
+// datasetIntermediates keeps what the jobs of one dataset leave behind —
+// the tuple summary, the FD state, the partition tree — in the artifact
+// cache: memory tier and, under -persist, the disk tier. An entry is
+// keyed by the dataset's stable id, the kind and its normalized
+// parameters, so the next epoch finds it after an append; a kind is no
+// task, so no submission can name the entry, and Peek keeps these
+// lookups out of the hit/miss counters, which count questions answered.
+// The entry is JSON, as every artifact is on both tiers, and stamped
+// with the epoch it was computed at. A load never hands a job an entry
+// from a NEWER epoch than its pin — an append that lands while the job
+// waits in the queue must not feed it state computed over rows it is not
+// mining — and hands it an older one, which each runner either resumes
+// (the delta case) or refuses.
+type datasetIntermediates struct {
+	cache *Cache
 	id    string
 	epoch int
 }
 
-func (s datasetStateStore) LoadState(kind string) ([]byte, bool) {
-	data, ep, ok := s.st.GetMineState(s.id, kind)
-	if !ok || ep > s.epoch {
-		return nil, false
-	}
-	return data, true
+type intermediateEntry struct {
+	Epoch int    `json:"epoch"`
+	Data  []byte `json:"data"`
 }
 
-func (s datasetStateStore) SaveState(kind string, data []byte) {
-	_ = s.st.PutMineState(s.id, kind, s.epoch, data) // best-effort cache
-}
-
-// datasetIntermediates keeps what the jobs of one (dataset, epoch) share
-// — so far the Phase 1 tuple summary — in the artifact cache, addressed
-// like an artifact: Key(hash, epoch, kind, params), memory tier and, under
-// -persist, the disk tier. The kind is no task, so no submission can
-// name the entry; Peek keeps these lookups out of the hit/miss counters,
-// which count questions answered; and the codec's bytes travel as a JSON
-// string because an artifact is JSON on both tiers.
-type datasetIntermediates struct {
-	cache *Cache
-	hash  string
-	epoch int
+func (d datasetIntermediates) key(kind string, p task.Params) string {
+	return d.id + "|" + p.CacheKey(kind)
 }
 
 func (d datasetIntermediates) LoadIntermediate(kind string, p task.Params) ([]byte, bool) {
-	raw, ok := d.cache.Peek(Key(d.hash, d.epoch, kind, p))
-	var data []byte
-	if !ok || json.Unmarshal(raw, &data) != nil {
+	raw, ok := d.cache.Peek(d.key(kind, p))
+	var e intermediateEntry
+	if !ok || json.Unmarshal(raw, &e) != nil || e.Epoch > d.epoch {
 		return nil, false
 	}
-	return data, true
+	return e.Data, true
 }
 
 func (d datasetIntermediates) SaveIntermediate(kind string, p task.Params, data []byte) {
-	raw, _ := json.Marshal(data) // a []byte always encodes
-	d.cache.Put(Key(d.hash, d.epoch, kind, p), raw)
+	raw, _ := json.Marshal(intermediateEntry{Epoch: d.epoch, Data: data}) // always encodes
+	d.cache.Put(d.key(kind, p), raw)
 }
 
 func (q *Runner) run(job *Job) {

@@ -251,8 +251,9 @@ func TestRecoverAppendKeepsStateWhenBodyCannotApply(t *testing.T) {
 // relation that is really back in memory. After a restart the dataset
 // returns with the same id, hash, epoch and summary and
 // "storage":"resident"; the resubmission is a byte-identical cache hit;
-// nothing was written outside colstore/; and a further append still
-// re-mines by delta from the mine-state of the previous life.
+// no dataset was written outside colstore/, and no minestate/ directory
+// exists; and a further append still re-mines by delta from the FD state
+// the previous life left in the artifact cache's disk tier.
 func TestResidentRestart(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openStore(t, dir)
@@ -291,6 +292,9 @@ func TestResidentRestart(t *testing.T) {
 
 	if files := dirNames(t, filepath.Join(dir, "datasets")); len(files) != 0 {
 		t.Fatalf("state/datasets holds %v; datasets belong under colstore/ only", files)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "minestate")); !os.IsNotExist(err) {
+		t.Fatalf("state/minestate exists (%v); mine-state belongs in the artifact cache", err)
 	}
 	if files := dirNames(t, filepath.Join(dir, "colstore")); len(files) != 2 {
 		t.Fatalf("colstore holds %v, want exactly the two datasets' files", files)

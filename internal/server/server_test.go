@@ -260,6 +260,9 @@ func TestConcurrentClients(t *testing.T) {
 			t.Errorf("job %s: %s (%s)", id, v.State, v.Error)
 		}
 	}
+	// The racing duplicates above may all have missed, each submitted
+	// before its twin finished; one submitted now cannot.
+	doJSON(t, "POST", ts.URL+"/v1/jobs", submitRequest{Dataset: ds.ID, Task: tasks[0]}, nil)
 	stats := s.CacheStats()
 	if stats.Hits == 0 {
 		t.Error("duplicate submissions should produce cache hits")

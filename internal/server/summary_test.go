@@ -45,7 +45,8 @@ func summaryOutcomes(t *testing.T, ts *httptest.Server) (built, reused float64) 
 // later job still runs (202, cache_hit false), says so in its stage
 // list, returns the bytes a daemon that never held a summary returns,
 // and leaves the artifact cache's hit/miss counters to the questions
-// asked. An append is another key; the kind is not a task.
+// asked. After an append the held summary is refused; the kind is not a
+// task.
 func TestTupleSummaryAcrossJobs(t *testing.T) {
 	const reusedStage = "tuple clustering (summary reused)"
 	has := slices.Contains[[]string]
@@ -99,7 +100,8 @@ func TestTupleSummaryAcrossJobs(t *testing.T) {
 			}
 		}
 
-		// An append bumps the epoch: the summary held is another key's.
+		// An append bumps the epoch: the summary held was built over fewer
+		// rows, and the job builds its own.
 		if code, b := doJSON(t, "POST", ts.URL+"/v1/datasets/"+ds.ID+"/append", db2CSV(t), nil); code != http.StatusOK {
 			t.Fatalf("%s: append: %d %s", tier, code, b)
 		}

@@ -93,49 +93,3 @@ func TestAppendRecordFailedWriteLeavesNoIntent(t *testing.T) {
 		t.Fatal("torn intent survived recovery")
 	}
 }
-
-func TestMineStateRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, _, ok := s.GetMineState("ds1", "fds"); ok {
-		t.Fatal("missing state reported ok")
-	}
-	blob := []byte{1, 2, 3, 250, 251}
-	if err := s.PutMineState("ds1", "fds", 3, blob); err != nil {
-		t.Fatal(err)
-	}
-	got, epoch, ok := s.GetMineState("ds1", "fds")
-	if !ok || epoch != 3 || string(got) != string(blob) {
-		t.Fatalf("roundtrip: ok=%v epoch=%d blob=%v", ok, epoch, got)
-	}
-	// Overwrite with a newer epoch wins.
-	if err := s.PutMineState("ds1", "fds", 4, []byte{9}); err != nil {
-		t.Fatal(err)
-	}
-	if got, epoch, ok = s.GetMineState("ds1", "fds"); !ok || epoch != 4 || len(got) != 1 {
-		t.Fatalf("overwrite: ok=%v epoch=%d blob=%v", ok, epoch, got)
-	}
-	// Corruption is detected, the file dropped, and scratch signaled.
-	path := filepath.Join(dir, "minestate", "ds1.fds.ms")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-6] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := s.GetMineState("ds1", "fds"); ok {
-		t.Fatal("corrupt state reported ok")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("corrupt state file not dropped")
-	}
-	if err := s.PutMineState("bad/key", "fds", 1, blob); err == nil {
-		t.Fatal("path-escaping dataset id accepted")
-	}
-}

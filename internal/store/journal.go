@@ -73,13 +73,17 @@ func (s *Store) recoverJournal(keep int) error {
 		return fmt.Errorf("store: reading journal: %w", err)
 	}
 	var records [][]byte
-	dropped := 0
+	dropped, unterminated := 0, false
 	for len(data) > 0 {
 		line := data
 		if i := bytes.IndexByte(data, '\n'); i >= 0 {
 			line, data = data[:i], data[i+1:]
 		} else {
-			data = nil // unterminated tail: a torn final append
+			// A torn final append. Kept if it parses, but the journal is
+			// rewritten either way: the next append must start a new line,
+			// or it would fuse with this one and both be lost to the boot
+			// after.
+			data, unterminated = nil, true
 		}
 		if len(line) == 0 {
 			continue
@@ -95,7 +99,7 @@ func (s *Store) recoverJournal(keep int) error {
 		dropped += len(records) - keep
 		records = records[len(records)-keep:]
 	}
-	if compact || dropped > 0 {
+	if compact || dropped > 0 || unterminated {
 		var buf bytes.Buffer
 		for _, rec := range records {
 			buf.Write(rec)

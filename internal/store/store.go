@@ -1,22 +1,23 @@
 // Package store is the dependency-free durable storage subsystem behind
 // the structmined daemon's warm restarts. It owns an on-disk directory
-// with four kinds of state:
+// with three kinds of state:
 //
-//   - a persistent artifact cache: completed task results spilled to
+//   - a persistent artifact cache: completed task results — and the
+//     intermediates jobs leave for each other, such as the engine state
+//     that makes re-mining after an append a delta — spilled to
 //     content-addressed JSON files with entry and byte budgets
 //     (artifacts.go);
 //   - an append-only job journal: one JSON line per terminal job record
 //     (journal.go), so GET /v1/jobs survives restarts;
 //   - append intent records (appends.go): the durable half of the
-//     dataset append protocol, replayed by the registry at boot;
-//   - mine-state files (minestate.go): per-dataset engine state that
-//     makes re-mining after an append a delta.
+//     dataset append protocol, replayed by the registry at boot.
 //
 // Datasets themselves are not the store's business: they live in
 // self-describing colstore files under ColstoreDir, written through
 // the store's FS by internal/colstore. The store only carries their
 // metadata type (DatasetMeta); it imports no other package of this
-// module.
+// module. Directories an older build kept (datasets/, minestate/) are
+// neither created nor read.
 //
 // Every write is atomic (temp → optional fsync → rename), so a crash —
 // including kill -9 mid-write — leaves either the previous durable
@@ -104,7 +105,6 @@ type Store struct {
 	quarantineDir string
 	jobsDir       string
 	appendsDir    string
-	minestateDir  string
 
 	pendingAppends []AppendRecord // recovered at Open, replayed by the server
 
@@ -128,8 +128,6 @@ type Store struct {
 	journalAppendErr   atomic.Uint64
 	quarantined        atomic.Uint64
 	appendRecordWrites atomic.Uint64
-	minestateWrites    atomic.Uint64
-	minestateWriteErr  atomic.Uint64
 	recoveredArtifacts int
 	recoveredJobs      int
 	droppedJobRecords  int
@@ -150,18 +148,14 @@ func Open(dir string, opts Options) (*Store, error) {
 		quarantineDir: filepath.Join(dir, "quarantine"),
 		jobsDir:       filepath.Join(dir, "jobs"),
 		appendsDir:    filepath.Join(dir, "appends"),
-		minestateDir:  filepath.Join(dir, "minestate"),
 		artifacts:     map[string]*artifactEntry{},
 		maxEntries:    opts.ArtifactMaxEntries,
 		maxBytes:      opts.ArtifactMaxBytes,
 	}
-	for _, d := range []string{s.artifactsDir, s.quarantineDir, s.jobsDir, s.appendsDir, s.minestateDir} {
+	for _, d := range []string{s.artifactsDir, s.quarantineDir, s.jobsDir, s.appendsDir} {
 		if err := s.fsys.MkdirAll(d); err != nil {
 			return nil, fmt.Errorf("store: creating %s: %w", d, err)
 		}
-	}
-	if names, err := s.fsys.ReadDir(s.minestateDir); err == nil {
-		s.sweepTemps(s.minestateDir, names)
 	}
 	if err := s.recoverAppends(); err != nil {
 		return nil, err
@@ -243,8 +237,6 @@ type Stats struct {
 	JournalRecords     int
 	Quarantined        uint64
 	AppendRecordWrites uint64
-	MinestateWrites    uint64
-	MinestateWriteErr  uint64
 	RecoveredArtifacts int
 	RecoveredJobs      int
 	DroppedJobRecords  int
@@ -269,8 +261,6 @@ func (s *Store) Stats() Stats {
 		JournalRecords:     journalLen,
 		Quarantined:        s.quarantined.Load(),
 		AppendRecordWrites: s.appendRecordWrites.Load(),
-		MinestateWrites:    s.minestateWrites.Load(),
-		MinestateWriteErr:  s.minestateWriteErr.Load(),
 		RecoveredArtifacts: s.recoveredArtifacts,
 		RecoveredJobs:      s.recoveredJobs,
 		DroppedJobRecords:  s.droppedJobRecords,

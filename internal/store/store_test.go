@@ -42,7 +42,7 @@ func assertNoTemps(t *testing.T, dir string) {
 }
 
 // TestCrashMidAtomicWrite simulates kill -9 during a writeAtomic (the
-// discipline behind intents, artifacts and mine-state): the bytes land
+// discipline behind intents and artifacts): the bytes land
 // short in a temp file, the rename never happens, and a restart must
 // still see the previous durable state with no ghosts.
 func TestCrashMidAtomicWrite(t *testing.T) {

@@ -1,0 +1,205 @@
+package task
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"structmine/internal/datagen"
+	"structmine/internal/decompose"
+	"structmine/internal/exec"
+	"structmine/internal/fd"
+	"structmine/internal/ib"
+	"structmine/internal/it"
+	"structmine/internal/limbo"
+	"structmine/internal/measures"
+	"structmine/internal/relation"
+	"structmine/internal/tuples"
+)
+
+// oracleSources are the paper-oracle inputs: the DB2 sample join and a
+// 2 000 × 13 DBLP instance.
+func oracleSources(t *testing.T) []*relation.Relation {
+	dblp := datagen.NewDBLP(datagen.DBLPConfig{Tuples: 2000, Seed: 1, MiscFrac: 129.0 / 50000, JournalFrac: 0.28})
+	return []*relation.Relation{cleanDB2(t), dblp}
+}
+
+// tupleValueInfo is I(C;V) in bits for the clustering of a relation's
+// tuples that cluster names (cluster[t] for tuple t, rows[t] its value
+// ids). A tuple has mass 1/n spread evenly over its m values
+// (equations 4 and 5), so p(c, v) is the share of the n·m cells (t, a)
+// with t in c and value v: I is counted from the rows, sharing no code
+// with the DCF arithmetic the engines run on.
+func tupleValueInfo(rows [][]int32, cluster []int) float64 {
+	perCluster, perValue, joint := map[int]int{}, map[int32]int{}, map[[2]int]int{}
+	for t, row := range rows {
+		for _, v := range row {
+			perCluster[cluster[t]]++
+			perValue[v]++
+			joint[[2]int{cluster[t], int(v)}]++
+		}
+	}
+	return it.EntropyCounts(countsOf(perCluster)) + it.EntropyCounts(countsOf(perValue)) - it.EntropyCounts(countsOf(joint))
+}
+
+func countsOf[K comparable](m map[K]int) []int {
+	out := make([]int, 0, len(m))
+	for _, n := range m {
+		out = append(out, n)
+	}
+	return out
+}
+
+// checkLossAccounting replays res's merges over its q objects — object
+// i holds the tuples t with objectOf[t] = i — and asserts, at every
+// merge for up to 64 k and at the last, that the losses added up since
+// k₀ = q equal I(C_k₀;V) − I(C_k;V), both sides counted by
+// tupleValueInfo, to 1e-9 relative to I(C_k₀;V).
+func checkLossAccounting(t *testing.T, where string, rows [][]int32, objectOf []int, res *ib.Result) {
+	t.Helper()
+	q := res.NumObjects()
+	parent := make([]int, q+len(res.Merges))
+	for i := range parent {
+		parent[i] = i
+	}
+	var find func(int) int
+	find = func(x int) int {
+		if parent[x] != x {
+			parent[x] = find(parent[x])
+		}
+		return parent[x]
+	}
+	cluster := make([]int, len(rows))
+	info := func() float64 {
+		for tu, o := range objectOf {
+			cluster[tu] = find(o)
+		}
+		return tupleValueInfo(rows, cluster)
+	}
+	i0 := info()
+	if i0 <= 0 {
+		t.Fatalf("%s: I(C_k0;V) = %g", where, i0)
+	}
+	every := max(1, len(res.Merges)/64)
+	lost := 0.0
+	for j, m := range res.Merges {
+		parent[m.Left], parent[m.Right] = m.Node, m.Node
+		lost += m.Loss
+		if j%every != 0 && j != len(res.Merges)-1 {
+			continue
+		}
+		if want := i0 - info(); math.Abs(lost-want) > 1e-9*i0 {
+			t.Fatalf("%s: k=%d: merge losses add up to %.15g, I(C_k0;V) − I(C_k;V) = %.15g", where, m.K, lost, want)
+		}
+	}
+}
+
+// TestAIBLossAccounting is the information-bottleneck oracle: every δI
+// an agglomeration records is exactly the information its merge gives
+// up, so the losses from k₀ down to any k telescope to
+// I(C_k₀;V) − I(C_k;V). It holds for ib.AgglomerateK over the tuples
+// themselves (k₀ = n) and for LIMBO Phase 2 over the leaf DCFs of a
+// Phase 1 pass (k₀ = the leaf count), on DB2 and DBLP 2 000 × 13, at one
+// worker and at four.
+func TestAIBLossAccounting(t *testing.T) {
+	for _, r := range oracleSources(t) {
+		rows := make([][]int32, r.N())
+		for tu := range rows {
+			rows[tu] = r.Row(tu)
+		}
+		objs, err := tuples.ObjectsColumnsCtx(context.Background(), relation.AsColumns(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			ctx := exec.WithWorkers(context.Background(), workers)
+			where := fmt.Sprintf("%s/%dw", r.Name, workers)
+
+			points := make([]ib.Object, len(objs))
+			self := make([]int, len(objs))
+			for i, o := range objs {
+				points[i], self[i] = ib.Object{P: o.W, Cond: o.Cond}, i
+			}
+			checkLossAccounting(t, where+"/aib", rows, self, ib.AgglomerateKCtx(ctx, points, 1))
+
+			sum := tuples.Summarize(ctx, objs, r.M(), 0.3, defaultB)
+			leaves := make([]*limbo.DCF, sum.LeafCount)
+			leafOf := make([]int, len(objs))
+			for tu, l := range sum.LeafOf {
+				if leafOf[tu] = int(l); leaves[l] == nil {
+					leaves[l] = limbo.NewDCF(objs[tu])
+				} else {
+					leaves[l].AbsorbObj(objs[tu])
+				}
+			}
+			if sum.LeafCount >= len(objs) {
+				t.Fatalf("%s: Phase 1 at φT = 0.3 left %d leaves for %d tuples", where, sum.LeafCount, len(objs))
+			}
+			checkLossAccounting(t, where+"/limbo-phase2", rows, leafOf, limbo.Phase2Ctx(ctx, leaves, 1))
+		}
+	}
+}
+
+// TestDecomposeRecount is the oracle for every decompose artifact: the
+// decomposition on the artifact's FD is materialised with decompose.On
+// and its sizes recounted from S1 and S2 — S1 the distinct X∪Y rows, S2
+// one row per tuple over R−Y, R = S2 ⋈ S1 — and RAD / RTR recomputed
+// through measures.RADColumns / RTRColumns over X∪Y. Every field must
+// equal the artifact's, at three ψ, on DB2 and DBLP 2 000 × 13, over the
+// resident relation and a 32-row-page colstore table.
+func TestDecomposeRecount(t *testing.T) {
+	for _, r := range oracleSources(t) {
+		for _, src := range []struct {
+			name string
+			c    relation.Columns
+		}{{"resident", relation.AsColumns(r)}, {"colstore", tableOf(t, r)}} {
+			names := src.c.AttrNames()
+			for _, psi := range []float64{0, 0.5, 0.9} {
+				where := fmt.Sprintf("%s/%s/psi=%g", r.Name, src.name, psi)
+				out, err := RunColumns(context.Background(), src.c, "decompose", Params{Psi: F(psi)})
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				art := out.(*DecomposeResult)
+				lhs, rhs := parseFD(t, names, art.FD.Label)
+				f := fd.FD{LHS: fd.NewAttrSet(lhs...), RHS: fd.NewAttrSet(rhs...)}
+				res, err := decompose.On(src.c, f)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", where, art.FD.Label, err)
+				}
+				if err := res.Lossless(src.c, f); err != nil {
+					t.Fatalf("%s: %s: %v", where, art.FD.Label, err)
+				}
+				xy := f.Attrs().Attrs()
+				distinct, err := relation.ProjectionCountsColumns(src.c, xy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.S1.N() != len(distinct) || res.S1.M() != len(xy) || res.S2.N() != src.c.N() || res.S2.M() != src.c.M()-len(rhs) {
+					t.Fatalf("%s: S1 %d×%d, S2 %d×%d; want %d×%d and %d×%d", where, res.S1.N(), res.S1.M(), res.S2.N(), res.S2.M(),
+						len(distinct), len(xy), src.c.N(), src.c.M()-len(rhs))
+				}
+				before, after := src.c.N()*src.c.M(), res.S1.N()*res.S1.M()+res.S2.N()*res.S2.M()
+				rad, err := measures.RADColumns(src.c, xy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rtr, err := measures.RTRColumns(src.c, xy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := DecomposeResult{
+					FD: art.FD, Rank: art.Rank,
+					S1:          RelationSummary{Name: res.S1.Name, Attrs: res.S1.Attrs, Tuples: res.S1.N()},
+					S2:          RelationSummary{Name: res.S2.Name, Attrs: res.S2.Attrs, Tuples: res.S2.N()},
+					CellsBefore: before, CellsAfter: after, Reduction: 1 - float64(after)/float64(before),
+					RAD: rad, RTR: rtr,
+				}
+				if got, want := fmt.Sprintf("%+v", *art), fmt.Sprintf("%+v", want); got != want {
+					t.Errorf("%s: artifact\n %s\nrecounted\n %s", where, got, want)
+				}
+			}
+		}
+	}
+}

@@ -194,25 +194,26 @@ type PartitionResult struct {
 	Partitions   []PartitionGroup `json:"partitions"`
 }
 
-// runPartition resumes the dataset's persisted Phase 1 tree under
-// WithState, absorbing only the appended tuples; otherwise it builds the
-// tree from scratch. Phases 2 and 3 are the same either way.
+// runPartition resumes the Phase 1 tree an earlier job left with the
+// context's Intermediates, absorbing only the rows it has not seen;
+// otherwise it builds the tree from scratch. Phases 2 and 3 are the same
+// either way.
 func runPartition(ctx context.Context, c relation.Columns, p Params) (*PartitionResult, error) {
 	if err := step(ctx, "partitioning"); err != nil {
 		return nil, err
 	}
-	st := stateOf(ctx)
+	im := intermediatesOf(ctx)
 	var state []byte
-	if st != nil {
-		state, _ = st.store.LoadState(StateTree)
+	if im != nil {
+		state, _ = im.LoadIntermediate(KindPartitionTree, Params{})
 	}
 	pr, tree, resumed, err := tuples.PartitionColumns(ctx, c, defaultMaxLeaves, defaultB, p.K, state)
 	if err != nil {
 		return nil, err
 	}
-	if st != nil {
-		st.store.SaveState(StateTree, limbo.EncodeTree(tree))
-		st.delta = resumed
+	if im != nil {
+		im.SaveIntermediate(KindPartitionTree, Params{}, limbo.EncodeTree(tree))
+		im.resumed = resumed
 	}
 	// The sample rows — each partition's first member — come from one
 	// pass over the stripes that hold them.
@@ -319,10 +320,11 @@ type GroupAttrsResult struct {
 }
 
 // tupleSummary returns the threshold-bounded Phase 1 pass over c's tuples
-// at (φT, b): the one an earlier job of this dataset epoch left with the
-// context's Intermediates, when it decodes and echoes this job's n, m,
-// φT and b, else a fresh build, encoded — here, while the run's grant
-// still backs the tree — and left there for the next job. objs are c's
+// at (φT, b): the one an earlier job left with the context's
+// Intermediates, when it decodes and echoes this job's n, m, φT and b (a
+// summary from before an append does not, and τ reads every row, so it
+// is never resumed), else a fresh build, encoded — here, while the run's
+// grant still backs the tree — and left there for the next job. objs are c's
 // tuple objects when the caller has them anyway (dedup's Phase 3 reads
 // them); with nil they are streamed only if the tree has to be built.
 func tupleSummary(ctx context.Context, c relation.Columns, objs []limbo.Obj, phiT float64, b int) (*tuples.Summary, error) {
@@ -453,21 +455,21 @@ type FDsResult struct {
 	Cover      []FDItem `json:"cover"`
 }
 
-// minedFDs discovers the minimal FD set. Under WithState it goes through
-// the delta path — the persisted minimal set of a prefix is rechecked
-// against the appended rows — and refreshes the state on the way out;
-// otherwise it mines the columns directly and builds no state nobody
-// would save.
+// minedFDs discovers the minimal FD set. Under WithIntermediates it goes
+// through the delta path — the minimal set an earlier job left for a
+// prefix of the rows is rechecked against the rows appended since — and
+// leaves the state at this row count behind; otherwise it mines the
+// columns directly and builds no state nobody would keep.
 func minedFDs(ctx context.Context, c relation.Columns) ([]fd.FD, error) {
 	if err := step(ctx, "dependency mining"); err != nil {
 		return nil, err
 	}
-	st := stateOf(ctx)
-	if st == nil {
+	im := intermediatesOf(ctx)
+	if im == nil {
 		return fd.DiscoverColumns(ctx, c)
 	}
 	var prev *fd.MineState // nil: scratch run
-	if data, ok := st.store.LoadState(StateFDs); !ok {
+	if data, ok := im.LoadIntermediate(KindFDState, Params{}); !ok {
 		obs.DeltaFallbacks.With(obs.FallbackNoState).Inc()
 	} else if prev, _ = fd.DecodeState(data); prev == nil {
 		obs.DeltaFallbacks.With(obs.FallbackCorruptState).Inc()
@@ -476,8 +478,8 @@ func minedFDs(ctx context.Context, c relation.Columns) ([]fd.FD, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.store.SaveState(StateFDs, fd.EncodeState(next))
-	st.delta = delta
+	im.SaveIntermediate(KindFDState, Params{}, fd.EncodeState(next))
+	im.resumed = delta
 	return fds, nil
 }
 

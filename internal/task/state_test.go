@@ -8,17 +8,22 @@ import (
 	"strings"
 	"testing"
 
+	"structmine/internal/obs"
 	"structmine/internal/relation"
 )
 
-type memStateStore map[string][]byte
+// memIntermediates holds one dataset's intermediates by kind and
+// parameters, whatever epoch left them.
+type memIntermediates map[string][]byte
 
-func (m memStateStore) LoadState(kind string) ([]byte, bool) {
-	data, ok := m[kind]
+func (m memIntermediates) LoadIntermediate(kind string, p Params) ([]byte, bool) {
+	data, ok := m[p.CacheKey(kind)]
 	return data, ok
 }
 
-func (m memStateStore) SaveState(kind string, data []byte) { m[kind] = data }
+func (m memIntermediates) SaveIntermediate(kind string, p Params, data []byte) {
+	m[p.CacheKey(kind)] = data
+}
 
 func stateRel(t *testing.T, n int, seed int64) *relation.Relation {
 	t.Helper()
@@ -36,16 +41,16 @@ func stateRel(t *testing.T, n int, seed int64) *relation.Relation {
 	return r
 }
 
-// runWithState runs one task under WithState and reports whether the
-// delta path was taken.
-func runWithState(t *testing.T, c relation.Columns, name string, ss StateStore) (any, bool) {
+// runWithIntermediates runs one task under WithIntermediates and reports
+// whether it was timed as a delta re-mine.
+func runWithIntermediates(t *testing.T, c relation.Columns, name string, im Intermediates) (any, bool) {
 	t.Helper()
-	ctx := WithState(context.Background(), ss)
-	res, err := RunColumns(ctx, c, name, Params{})
+	before := obs.DeltaRemineSeconds.Count()
+	res, err := RunColumns(WithIntermediates(context.Background(), im), c, name, Params{})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	return res, stateOf(ctx).delta
+	return res, obs.DeltaRemineSeconds.Count() == before+1
 }
 
 // TestStateDeltaMatchesScratch pins the contract the append path
@@ -63,14 +68,14 @@ func TestStateDeltaMatchesScratch(t *testing.T) {
 	}
 	for _, name := range []string{"mine-fds", "rank-fds", "partition"} {
 		t.Run(name, func(t *testing.T) {
-			ss := memStateStore{}
-			if _, delta := runWithState(t, relation.AsColumns(base), name, ss); delta {
+			ss := memIntermediates{}
+			if _, delta := runWithIntermediates(t, relation.AsColumns(base), name, ss); delta {
 				t.Fatal("seed run took the delta path")
 			}
 			if len(ss) == 0 {
 				t.Fatal("seed run saved no state")
 			}
-			got, delta := runWithState(t, relation.AsColumns(ext), name, ss)
+			got, delta := runWithIntermediates(t, relation.AsColumns(ext), name, ss)
 			if !delta {
 				t.Fatal("append run did not take the delta path")
 			}
@@ -102,11 +107,11 @@ func TestStateReachAndFallbacks(t *testing.T) {
 		return struct{ relation.Columns }{relation.AsColumns(r)}
 	}
 	for _, name := range []string{"mine-fds", "partition"} {
-		ss := memStateStore{}
-		if _, delta := runWithState(t, wrap(r), name, ss); delta || len(ss) != 1 {
+		ss := memIntermediates{}
+		if _, delta := runWithIntermediates(t, wrap(r), name, ss); delta || len(ss) != 1 {
 			t.Fatalf("%s seed run: delta=%v, %d states saved, want a scratch run that saves one", name, delta, len(ss))
 		}
-		got, delta := runWithState(t, wrap(ext), name, ss)
+		got, delta := runWithIntermediates(t, wrap(ext), name, ss)
 		if !delta {
 			t.Fatalf("%s after an append did not resume the saved state", name)
 		}
@@ -120,8 +125,8 @@ func TestStateReachAndFallbacks(t *testing.T) {
 			t.Fatalf("%s resumed over wrapped columns diverges from scratch:\n got %s\nwant %s", name, gj, wj)
 		}
 	}
-	ss := memStateStore{}
-	got, delta := runWithState(t, relation.AsColumns(r), "describe", ss)
+	ss := memIntermediates{}
+	got, delta := runWithIntermediates(t, relation.AsColumns(r), "describe", ss)
 	if delta || len(ss) != 0 {
 		t.Fatalf("describe: delta=%v, %d states saved", delta, len(ss))
 	}
@@ -135,9 +140,11 @@ func TestStateReachAndFallbacks(t *testing.T) {
 		t.Fatalf("describe result drifted: %s vs %s", gj, wj)
 	}
 	// Corrupt state must degrade to a scratch run, not an error.
-	ss = memStateStore{StateFDs: []byte("garbage"), StateTree: []byte("junk")}
+	ss = memIntermediates{}
+	ss.SaveIntermediate(KindFDState, Params{}, []byte("garbage"))
+	ss.SaveIntermediate(KindPartitionTree, Params{}, []byte("junk"))
 	for _, name := range []string{"mine-fds", "partition"} {
-		if _, delta := runWithState(t, relation.AsColumns(r), name, ss); delta {
+		if _, delta := runWithIntermediates(t, relation.AsColumns(r), name, ss); delta {
 			t.Fatalf("%s took the delta path over corrupt state", name)
 		}
 	}

@@ -217,8 +217,8 @@ func Run(ctx context.Context, r *relation.Relation, taskName string, p Params) (
 // RunColumns executes the named task over the column interface and
 // returns its JSON-serializable result struct. The context is checked
 // between pipeline stages, so cancellation or a deadline aborts a
-// multi-stage job at the next stage boundary. Under WithState the
-// delta-capable tasks re-mine incrementally; the result is the same
+// multi-stage job at the next stage boundary. Under WithIntermediates
+// the delta-capable tasks re-mine incrementally; the result is the same
 // either way.
 //
 // The joins task operates on several relations and is not runnable here;
@@ -232,9 +232,14 @@ func RunColumns(ctx context.Context, c relation.Columns, taskName string, p Para
 		return nil, fmt.Errorf("task: %q operates on several relations and cannot run over one dataset", taskName)
 	}
 	p = p.Normalize(taskName)
+	h := intermediatesOf(ctx)
+	if h != nil { // a hook of this run's own, so resumed speaks for this run only
+		h = &hook{Intermediates: h.Intermediates}
+		ctx = context.WithValue(ctx, intermediatesKey{}, h)
+	}
 	start := time.Now()
 	res, err := dispatch(ctx, c, taskName, p)
-	if st := stateOf(ctx); st != nil && st.delta && err == nil {
+	if h != nil && h.resumed && err == nil {
 		obs.DeltaRemineSeconds.Observe(time.Since(start).Seconds())
 	}
 	return res, err

@@ -2,10 +2,12 @@
 # The fuzz leg: each native fuzz target mutates for FUZZTIME, starting
 # from its committed seeds (testdata/fuzz/, which plain `go test` already
 # replays as unit tests) — the one CSV parser behind registrations and
-# append bodies on both storage tiers, the .col file reader, the two
-# mine-state codecs delta re-mining persists (the FD state and the
-# Phase 1 tree), and the Phase 1 tuple-summary codec the artifact cache
-# carries between jobs. One target per invocation is a `go test` rule.
+# append bodies on both storage tiers, the .col file reader, the three
+# codecs of what jobs leave each other in the artifact cache (the FD
+# state and the partition tree delta re-mining resumes, and the Phase 1
+# tuple summary), the store's boot recovery over append intents,
+# artifact envelopes and the job journal, and the job-submit parameters'
+# normalization. One target per invocation is a `go test` rule.
 # -fuzzminimizetime is capped
 # because the default spends up to 60 s shrinking every new corpus entry,
 # which starves a short leg: FuzzAppendCSV ran 8 254 inputs in 40 s with
@@ -17,6 +19,7 @@ cd "$(dirname "$0")/.."
 fuzztime=${1:-10s}
 
 for target in internal/relation:FuzzReadCSV internal/relation:FuzzAppendCSV internal/colstore:FuzzOpen \
-  internal/fd:FuzzDecodeState internal/limbo:FuzzDecodeTree internal/tuples:FuzzDecodeSummary; do
+  internal/fd:FuzzDecodeState internal/limbo:FuzzDecodeTree internal/tuples:FuzzDecodeSummary \
+  internal/store:FuzzRecover internal/task:FuzzParams; do
   go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime "$fuzztime" -fuzzminimizetime 10x "./${target%:*}"
 done

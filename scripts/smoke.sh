@@ -387,7 +387,7 @@ echo "smoke: colstore series exposed on /v1/metrics"
 # cache (the task is part of its key) but must serve its single-attribute
 # partitions from the primitive cache the rank-fds job's TANE run filled.
 # approx-fds is the probe because it keeps no mine-state: a second
-# rank-fds would resume the minimal FD set the first one persisted and
+# rank-fds would resume the minimal FD set the first one left and
 # never ask for a partition. After an append bumps the epoch, the cache
 # must NOT serve the stale entries: the probe recomputes, so misses
 # increase.
@@ -418,7 +418,7 @@ if [ "$pmiss1" -le "$pmiss0" ]; then
 fi
 echo "smoke: epoch bump invalidated the primitive cache (misses $pmiss0 -> $pmiss1)"
 
-# The post-append rank-fds resumes the FD state the first one persisted:
+# The post-append rank-fds resumes the FD state the first one left:
 # delta re-mining engages on a paged dataset too.
 pdelta0=$(pmetric structmine_append_delta_remine_seconds_count)
 mine rank-fds >/dev/null
