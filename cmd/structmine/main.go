@@ -9,7 +9,7 @@
 // sync):
 //
 //	describe     print instance statistics and per-attribute profiles
-//	report       full structure report (profiles, duplicates, ranked FDs)
+//	report       full structure report (profiles, duplicates, ranked FDs) (-phit -psi)
 //	dedup        find duplicate / near-duplicate tuples (-phit -minsim)
 //	partition    horizontal partitioning (-k, 0 = automatic)
 //	values       cluster co-occurring attribute values (-phiv)

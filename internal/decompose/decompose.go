@@ -89,12 +89,11 @@ func On(c relation.Columns, f fd.FD) (*Result, error) {
 	if res.CellsBefore > 0 {
 		res.Reduction = 1 - float64(res.CellsAfter)/float64(res.CellsBefore)
 	}
-	if res.RAD, err = measures.RADColumns(c, s1Attrs); err != nil {
+	ms, err := measures.Of(c, s1Attrs)
+	if err != nil {
 		return nil, err
 	}
-	if res.RTR, err = measures.RTRColumns(c, s1Attrs); err != nil {
-		return nil, err
-	}
+	res.RAD, res.RTR = ms.RAD, ms.RTR
 	return res, nil
 }
 

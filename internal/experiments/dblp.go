@@ -380,11 +380,10 @@ func table56(p *dblpPipeline, want int, id, title, paper string) Report {
 	c := relation.AsColumns(sub)
 	for i, rf := range top {
 		ix := rf.FD.Attrs().Attrs()
-		rad := must(measures.RADColumns(c, ix))
-		rtr := must(measures.RTRColumns(c, ix))
-		rads = append(rads, rad)
-		rtrs = append(rtrs, rtr)
-		fmt.Fprintf(&b, "%-4d %-52s %8.3f %8.3f %8.3f\n", i+1, rf.FD.Format(sub.Attrs), rf.Rank, rad, rtr)
+		ms := must(measures.Of(c, ix))
+		rads = append(rads, ms.RAD)
+		rtrs = append(rtrs, ms.RTR)
+		fmt.Fprintf(&b, "%-4d %-52s %8.3f %8.3f %8.3f\n", i+1, rf.FD.Format(sub.Attrs), rf.Rank, ms.RAD, ms.RTR)
 	}
 
 	var checks []ShapeCheck

@@ -30,7 +30,7 @@ func Table3(s Scale) Report {
 	radws := make([]float64, 0, len(top))
 	rtrs := make([]float64, 0, len(top))
 	for i, rf := range top {
-		radw := must(measures.RADWeighted(c, must(r.AttrIndices(slices.Concat(rf.FD.LHS, rf.FD.RHS)))))
+		radw := must(measures.Of(c, must(r.AttrIndices(slices.Concat(rf.FD.LHS, rf.FD.RHS))))).RADw
 		radws = append(radws, radw)
 		rtrs = append(rtrs, rf.RTR)
 		fmt.Fprintf(&b, "%-4d %-56s %8.3f %8.3f %8.3f %8.3f\n", i+1, rf.FD.Label, rf.Rank, rf.RAD, radw, rf.RTR)

@@ -74,15 +74,15 @@ func TestRADWeightedWidthSensitivity(t *testing.T) {
 	// weighted RAD must also tie at 1 (entropy 0). Use a non-constant
 	// group: {C} has 3 distinct rows → H = log2 3.
 	plain := RAD(r, []int{2})
-	weighted, _ := RADWeighted(relation.AsColumns(r), []int{2})
-	if weighted <= plain {
+	ms, _ := Of(relation.AsColumns(r), []int{2})
+	if weighted := ms.RADw; weighted <= plain {
 		t.Fatalf("weighted (%v) should exceed plain (%v): entropy scaled by 1/4", weighted, plain)
 	}
 }
 
 func TestMeasuresEdgeCases(t *testing.T) {
 	empty := relation.NewBuilder("e", []string{"A"}).Relation()
-	if w, _ := RADWeighted(relation.AsColumns(empty), []int{0}); RAD(empty, []int{0}) != 0 || RTR(empty, []int{0}) != 0 || w != 0 {
+	if ms, _ := Of(relation.AsColumns(empty), []int{0}); ms != (Measures{}) {
 		t.Fatal("empty relation should measure 0")
 	}
 	one := build(t, []string{"A"}, []string{"x"})

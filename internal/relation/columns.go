@@ -214,21 +214,12 @@ func compressRuns(dst []Run, tuples []int32) []Run {
 	return dst
 }
 
-// DistinctRowsColumns returns the number of distinct rows of the
-// projection on attrs (set semantics). One page stripe of the projected
-// attributes is resident at a time.
-func DistinctRowsColumns(c Columns, attrs []int) (int, error) {
-	seen := map[string]struct{}{}
-	err := scanProjection(c, attrs, func(key []byte, _ []int32) {
-		seen[string(key)] = struct{}{}
-	})
-	return len(seen), err
-}
-
 // ProjectionCountsColumns returns the multiplicity of each distinct
 // projected row (bag semantics), sorted descending — a canonical order,
 // so entropies summed over it are bit-identical across Columns
-// implementations.
+// implementations. Its length is the number of distinct rows (set
+// semantics). One page stripe of the projected attributes is resident at
+// a time.
 func ProjectionCountsColumns(c Columns, attrs []int) ([]int, error) {
 	counts := map[string]int{}
 	err := scanProjection(c, attrs, func(key []byte, _ []int32) {

@@ -257,8 +257,7 @@ func (r *Relation) Select(tuples []int) *Relation {
 // DistinctRows returns the number of distinct rows when the relation is
 // projected on the given attributes (set semantics), i.e. n' in RTR.
 func (r *Relation) DistinctRows(attrs []int) int {
-	n, _ := DistinctRowsColumns(AsColumns(r), attrs) // no failing reads in memory
-	return n
+	return len(r.ProjectionCounts(attrs))
 }
 
 // ProjectionCounts returns the multiplicity of each distinct projected row

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"structmine/internal/datagen"
@@ -144,8 +145,8 @@ func TestAIBLossAccounting(t *testing.T) {
 // TestDecomposeRecount is the oracle for every decompose artifact: the
 // decomposition on the artifact's FD is materialised with decompose.On
 // and its sizes recounted from S1 and S2 — S1 the distinct X∪Y rows, S2
-// one row per tuple over R−Y, R = S2 ⋈ S1 — and RAD / RTR recomputed
-// through measures.RADColumns / RTRColumns over X∪Y. Every field must
+// one row per tuple over R−Y, R = S2 ⋈ S1 — and RAD / RTR recounted from
+// the rows of X∪Y (recount). Every field must
 // equal the artifact's, at three ψ, on DB2 and DBLP 2 000 × 13, over the
 // resident relation and a 32-row-page colstore table.
 func TestDecomposeRecount(t *testing.T) {
@@ -172,32 +173,107 @@ func TestDecomposeRecount(t *testing.T) {
 					t.Fatalf("%s: %s: %v", where, art.FD.Label, err)
 				}
 				xy := f.Attrs().Attrs()
-				distinct, err := relation.ProjectionCountsColumns(src.c, xy)
-				if err != nil {
-					t.Fatal(err)
-				}
+				distinct := projectionCounts(t, src.c, xy)
 				if res.S1.N() != len(distinct) || res.S1.M() != len(xy) || res.S2.N() != src.c.N() || res.S2.M() != src.c.M()-len(rhs) {
 					t.Fatalf("%s: S1 %d×%d, S2 %d×%d; want %d×%d and %d×%d", where, res.S1.N(), res.S1.M(), res.S2.N(), res.S2.M(),
 						len(distinct), len(xy), src.c.N(), src.c.M()-len(rhs))
 				}
 				before, after := src.c.N()*src.c.M(), res.S1.N()*res.S1.M()+res.S2.N()*res.S2.M()
-				rad, err := measures.RADColumns(src.c, xy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rtr, err := measures.RTRColumns(src.c, xy)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ms := recount(t, src.c, xy)
 				want := DecomposeResult{
 					FD: art.FD, Rank: art.Rank,
 					S1:          RelationSummary{Name: res.S1.Name, Attrs: res.S1.Attrs, Tuples: res.S1.N()},
 					S2:          RelationSummary{Name: res.S2.Name, Attrs: res.S2.Attrs, Tuples: res.S2.N()},
 					CellsBefore: before, CellsAfter: after, Reduction: 1 - float64(after)/float64(before),
-					RAD: rad, RTR: rtr,
+					RAD: ms.RAD, RTR: ms.RTR,
 				}
 				if got, want := fmt.Sprintf("%+v", *art), fmt.Sprintf("%+v", want); got != want {
 					t.Errorf("%s: artifact\n %s\nrecounted\n %s", where, got, want)
+				}
+			}
+		}
+	}
+}
+
+// projectionCounts is the multiplicity of each distinct row of c's
+// projection on attrs, in descending order: a map over relation.ForEachRow
+// keyed by the rendered row, sharing no code with
+// relation.ProjectionCountsColumns.
+func projectionCounts(t *testing.T, c relation.Columns, attrs []int) []int {
+	t.Helper()
+	rows := map[string]int{}
+	if err := relation.ForEachRow(c, attrs, func(_ int, row []int32) bool {
+		rows[fmt.Sprint(row)]++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	counts := countsOf(rows)
+	slices.Sort(counts)
+	slices.Reverse(counts)
+	return counts
+}
+
+// recount is the paper's duplication measures of attrs on c (Section 8)
+// over projectionCounts: RAD = 1 − H/log2 n, RADw = 1 − (H·|attrs|/m)/log2 n
+// and RTR = 1 − n'/n, for n ≥ 2 and a non-empty set.
+func recount(t *testing.T, c relation.Columns, attrs []int) measures.Measures {
+	t.Helper()
+	counts := projectionCounts(t, c, attrs)
+	h, logN := it.EntropyCounts(counts), math.Log2(float64(c.N()))
+	return measures.Measures{
+		RAD:  1 - h/logN,
+		RADw: 1 - h*float64(len(attrs))/float64(c.M())/logN,
+		RTR:  1 - float64(len(counts))/float64(c.N()),
+	}
+}
+
+// TestMeasuresRecount is the oracle for the duplication measures: on DB2
+// and DBLP 2 000 × 13, over the resident relation and a 32-row-page
+// colstore table, measures.Of equals recount bit for bit on every single
+// attribute, every pair of neighbouring attributes, the attribute set of
+// every dependency rank-fds ranks, and the full attribute set. The empty
+// set, and every set of a relation of no tuple or one tuple, measure 0.
+func TestMeasuresRecount(t *testing.T) {
+	for _, r := range oracleSources(t) {
+		for _, src := range []struct {
+			name string
+			c    relation.Columns
+		}{{"resident", relation.AsColumns(r)}, {"colstore", tableOf(t, r)}} {
+			c, m := src.c, src.c.M()
+			sets := [][]int{relation.AllAttrs(c)}
+			for a := 0; a < m; a++ {
+				sets = append(sets, []int{a}, []int{a, (a + 1) % m})
+			}
+			ranked, err := RunColumns(context.Background(), c, "rank-fds", Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			names := c.AttrNames()
+			for _, rf := range ranked.(*RankFDsResult).Ranked {
+				lhs, rhs := parseFD(t, names, rf.FD.Label)
+				sets = append(sets, fd.NewAttrSet(append(lhs, rhs...)...).Attrs())
+			}
+			for _, attrs := range sets {
+				got, err := measures.Of(c, attrs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := recount(t, c, attrs); got != want {
+					t.Errorf("%s/%s %v: measures.Of %+v, recounted %+v", r.Name, src.name, attrs, got, want)
+				}
+			}
+			if got, err := measures.Of(c, nil); err != nil || got != (measures.Measures{}) {
+				t.Errorf("%s/%s: the empty set measures %+v (%v)", r.Name, src.name, got, err)
+			}
+		}
+		for n := 0; n <= 1; n++ {
+			small := r.Select(make([]int, n))
+			for _, c := range []relation.Columns{relation.AsColumns(small), tableOf(t, small)} {
+				for _, attrs := range [][]int{nil, {0}, relation.AllAttrs(c)} {
+					if got, err := measures.Of(c, attrs); err != nil || got != (measures.Measures{}) {
+						t.Errorf("%s, n = %d, %v: measures %+v (%v)", r.Name, n, attrs, got, err)
+					}
 				}
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"structmine/internal/fd"
-	"structmine/internal/fdrank"
 	"structmine/internal/measures"
 	"structmine/internal/relation"
 )
@@ -48,19 +47,11 @@ type ReportResult struct {
 
 // runReport composes the report from the other runners' steps: the
 // describe profile with RAD/RTR per attribute, dedup's duplicate tuple
-// groups, the duplicate value groups and attribute grouping of
-// GroupAttributes, the candidate keys, and the ranked minimum cover with
-// RAD, RADw, RTR and g3 per dependency. Its grouping is single-clustered
-// at every size, so above largeInstance its ranks can differ from
-// rank-fds', which double-clusters there.
+// groups, the candidate keys, and rank-fds' pipeline (rankedFDs) — the
+// ranked minimum cover with RAD, RADw, RTR and g3 per dependency, and
+// the duplicate value groups and dendrogram of the grouping it ranks
+// against.
 func runReport(ctx context.Context, c relation.Columns, p Params) (*ReportResult, error) {
-	phiT, psi := fv(p.PhiT), fv(p.Psi)
-	if phiT < 0 {
-		phiT = 0.3
-	}
-	if psi < 0 {
-		psi = 0.5
-	}
 	if err := step(ctx, "describe"); err != nil {
 		return nil, err
 	}
@@ -78,19 +69,18 @@ func runReport(ctx context.Context, c relation.Columns, p Params) (*ReportResult
 	}
 	res.TupleInfoBits = desc.TupleInfoBits
 	for a, prof := range desc.Attrs {
-		if prof.RAD, err = measures.RADColumns(c, []int{a}); err != nil {
+		ms, err := measures.Of(c, []int{a})
+		if err != nil {
 			return nil, err
 		}
-		if prof.RTR, err = measures.RTRColumns(c, []int{a}); err != nil {
-			return nil, err
-		}
+		prof.RAD, prof.RTR = ms.RAD, ms.RTR
 		res.Attrs = append(res.Attrs, prof)
 	}
 
 	if err := step(ctx, "tuple clustering"); err != nil {
 		return nil, err
 	}
-	dup, err := duplicates(ctx, c, phiT)
+	dup, err := duplicates(ctx, c, fv(p.PhiT))
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +90,17 @@ func runReport(ctx context.Context, c relation.Columns, p Params) (*ReportResult
 		}
 	}
 
-	g, vc, err := GroupAttributes(ctx, c, phiT, fv(p.PhiV), defaultB, false)
+	if err := step(ctx, "candidate keys"); err != nil {
+		return nil, err
+	}
+	names := c.AttrNames()
+	if keys, err := fd.KeysColumns(c); err == nil {
+		for _, k := range keys {
+			res.CandidateKeys = append(res.CandidateKeys, k.Format(names))
+		}
+	}
+
+	fr, err := rankedFDs(ctx, c, fv(p.Psi))
 	if err != nil {
 		return nil, err
 	}
@@ -108,40 +108,17 @@ func runReport(ctx context.Context, c relation.Columns, p Params) (*ReportResult
 	if err != nil {
 		return nil, err
 	}
-	names := c.AttrNames()
-	for _, gi := range vc.DuplicateGroups() {
-		if vals := vc.Groups[gi].Values; len(vals) >= 2 {
+	for _, gi := range fr.values.DuplicateGroups() {
+		if vals := fr.values.Groups[gi].Values; len(vals) >= 2 {
 			res.DuplicateValueGroups = append(res.DuplicateValueGroups, valueLabels(c, names, strs, vals))
 		}
 	}
-
-	if err := step(ctx, "candidate keys"); err != nil {
-		return nil, err
-	}
-	if keys, err := fd.KeysColumns(c); err == nil {
-		for _, k := range keys {
-			res.CandidateKeys = append(res.CandidateKeys, k.Format(names))
-		}
-	}
-	fds, err := minedFDs(ctx, c)
-	if err != nil {
-		return nil, fmt.Errorf("report: mining dependencies: %w", err)
-	}
-	if err := step(ctx, "ranking"); err != nil {
-		return nil, err
-	}
-	for _, rf := range fdrank.Rank(fd.MinCover(fds), g, psi) {
-		ix := rf.FD.Attrs().Attrs()
-		row := ReportRankedFD{Label: rf.FD.Format(names), Rank: rf.Rank}
-		if row.RAD, err = measures.RADColumns(c, ix); err != nil {
+	for _, rf := range fr.ranked {
+		ms, err := measures.Of(c, rf.FD.Attrs().Attrs())
+		if err != nil {
 			return nil, err
 		}
-		if row.RADw, err = measures.RADWeighted(c, ix); err != nil {
-			return nil, err
-		}
-		if row.RTR, err = measures.RTRColumns(c, ix); err != nil {
-			return nil, err
-		}
+		row := ReportRankedFD{Label: rf.FD.Format(names), Rank: rf.Rank, RAD: ms.RAD, RADw: ms.RADw, RTR: ms.RTR}
 		if row.G3, err = fd.G3Columns(c, rf.FD); err != nil {
 			return nil, err
 		}
@@ -149,7 +126,7 @@ func runReport(ctx context.Context, c relation.Columns, p Params) (*ReportResult
 	}
 
 	var dendrogram string
-	if len(g.AttrIdx) > 0 {
+	if g := fr.grouping; len(g.AttrIdx) > 0 {
 		res.Dendrogram = g.Dendrogram().ASCII(78)
 		dendrogram = g.Dendrogram().ASCII(74)
 	}

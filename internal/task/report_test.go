@@ -195,6 +195,52 @@ func TestReportComposesTasks(t *testing.T) {
 	}
 }
 
+// TestReportRanksLikeRankFDs: above the double-clustering switch the
+// report still ranks through rank-fds' pipeline, so on DBLP 5 200 × 7 and
+// 20 000 × 13 its ranked rows are rank-fds' rows. 500 of the tuples are
+// injected exact duplicates, which the double clustering at φT = 0
+// collapses and a single clustering would not. φV is not a report knob:
+// a report submitted with one keys and answers like one without.
+func TestReportRanksLikeRankFDs(t *testing.T) {
+	ctx := context.Background()
+	const dups = 500
+	dblp := func(n int, attrs []int) *relation.Relation {
+		r := datagen.NewDBLP(datagen.DBLPConfig{Tuples: n - dups, Seed: 1, MiscFrac: 129.0 / 50000, JournalFrac: 0.28})
+		if attrs != nil {
+			r = r.Project(attrs)
+		}
+		return datagen.InjectExactDuplicates(r, dups, 1).Dirty
+	}
+	for _, r := range []*relation.Relation{dblp(5200, datagen.ProjectionAttrs()), dblp(20000, nil)} {
+		if r.N() <= largeInstance {
+			t.Fatalf("%d tuples do not reach the double-clustering switch", r.N())
+		}
+		rep := runReportOn(t, r, Params{})
+		res, err := Run(ctx, r, "rank-fds", Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranked := res.(*RankFDsResult).Ranked
+		if len(rep.RankedFDs) != len(ranked) || len(ranked) == 0 {
+			t.Fatalf("%d×%d: %d ranked FDs, rank-fds has %d", r.N(), r.M(), len(rep.RankedFDs), len(ranked))
+		}
+		for i, rf := range rep.RankedFDs {
+			if want := ranked[i]; rf.Label != want.FD.Label || rf.Rank != want.Rank || rf.RAD != want.RAD || rf.RTR != want.RTR {
+				t.Errorf("%d×%d row %d: %+v, rank-fds says %+v", r.N(), r.M(), i, rf, want)
+			}
+		}
+	}
+
+	withPhiV := Params{PhiV: F(0.7)}
+	if got, want := withPhiV.CacheKey("report"), (Params{}).CacheKey("report"); got != want {
+		t.Errorf("φV reached the report's key: %q, without it %q", got, want)
+	}
+	r := cleanDB2(t)
+	if got, want := mustJSON(t, runReportOn(t, r, withPhiV)), mustJSON(t, runReportOn(t, r, Params{})); string(got) != string(want) {
+		t.Error("a report with φV = 0.7 differs from one without")
+	}
+}
+
 // parseFD reads a dependency label ("[A,B]->[C]") back into attribute
 // indices.
 func parseFD(t *testing.T, names []string, label string) (lhs, rhs []int) {
@@ -227,15 +273,11 @@ func parseFD(t *testing.T, names []string, label string) (lhs, rhs []int) {
 }
 
 // setEntropy is H(X) in bits for the attribute set attrs, from the
-// multiplicities of c's projection on it: one ForEachRow pass, sharing
-// no code with the partition-based miners.
+// multiplicities of c's projection on it (projectionCounts): one
+// ForEachRow pass, sharing no code with the partition-based miners.
 func setEntropy(t *testing.T, c relation.Columns, attrs []int) float64 {
 	t.Helper()
-	counts, err := relation.ProjectionCountsColumns(c, attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return it.EntropyCounts(counts)
+	return it.EntropyCounts(projectionCounts(t, c, attrs))
 }
 
 // TestFDsHaveZeroConditionalEntropy is the information-theoretic oracle

@@ -406,9 +406,8 @@ var largeInstance = 5000
 // RankGrouping is the attribute grouping FD-RANK ranks against:
 // GroupAttributes with double clustering exactly when the instance is
 // large.
-func RankGrouping(ctx context.Context, c relation.Columns, phiT, phiV float64, b int) (*attrs.Grouping, error) {
-	g, _, err := GroupAttributes(ctx, c, phiT, phiV, b, c.N() > largeInstance)
-	return g, err
+func RankGrouping(ctx context.Context, c relation.Columns, phiT, phiV float64, b int) (*attrs.Grouping, *values.Clustering, error) {
+	return GroupAttributes(ctx, c, phiT, phiV, b, c.N() > largeInstance)
 }
 
 func runGroupAttrs(ctx context.Context, c relation.Columns, p Params) (*GroupAttrsResult, error) {
@@ -576,47 +575,55 @@ type RankFDsResult struct {
 	Ranked     []RankedFDItem `json:"ranked"`
 }
 
-// rankedFDs is the FD-RANK pipeline shared by rank-fds and decompose:
-// dependency mining, minimum cover, value clustering and attribute
-// grouping (RankGrouping), ranking. It returns the ranked cover and the
-// size of the minimal set it was reduced from.
-func rankedFDs(ctx context.Context, c relation.Columns, psi float64) (ranked []fdrank.Ranked, numMinimal, coverSize int, err error) {
+// fdRanking is the outcome of the FD-RANK pipeline: the ranked cover,
+// the size of the minimal set it was reduced from, and the attribute
+// grouping it was ranked against with the value clustering behind it.
+type fdRanking struct {
+	ranked     []fdrank.Ranked
+	numMinimal int
+	coverSize  int
+	grouping   *attrs.Grouping
+	values     *values.Clustering
+}
+
+// rankedFDs is the FD-RANK pipeline shared by rank-fds, decompose and
+// report: dependency mining, minimum cover, value clustering and
+// attribute grouping (RankGrouping at φT = φV = 0), ranking.
+func rankedFDs(ctx context.Context, c relation.Columns, psi float64) (*fdRanking, error) {
 	fds, err := minedFDs(ctx, c)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	cover := fd.MinCover(fds)
-	g, err := RankGrouping(ctx, c, 0, 0, defaultB)
+	g, vc, err := RankGrouping(ctx, c, 0, 0, defaultB)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	if err := step(ctx, "ranking"); err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
-	return fdrank.Rank(cover, g, psi), len(fds), len(cover), nil
+	return &fdRanking{
+		ranked: fdrank.Rank(cover, g, psi), numMinimal: len(fds), coverSize: len(cover),
+		grouping: g, values: vc,
+	}, nil
 }
 
 func runRankFDs(ctx context.Context, c relation.Columns, p Params) (*RankFDsResult, error) {
 	psi := fv(p.Psi)
-	ranked, numMinimal, coverSize, err := rankedFDs(ctx, c, psi)
+	fr, err := rankedFDs(ctx, c, psi)
 	if err != nil {
 		return nil, err
 	}
 	names := c.AttrNames()
-	res := &RankFDsResult{Psi: psi, NumMinimal: numMinimal, CoverSize: coverSize, Ranked: []RankedFDItem{}}
-	for _, rf := range ranked {
-		ix := rf.FD.Attrs().Attrs()
-		rad, err := measures.RADColumns(c, ix)
-		if err != nil {
-			return nil, err
-		}
-		rtr, err := measures.RTRColumns(c, ix)
+	res := &RankFDsResult{Psi: psi, NumMinimal: fr.numMinimal, CoverSize: fr.coverSize, Ranked: []RankedFDItem{}}
+	for _, rf := range fr.ranked {
+		ms, err := measures.Of(c, rf.FD.Attrs().Attrs())
 		if err != nil {
 			return nil, err
 		}
 		res.Ranked = append(res.Ranked, RankedFDItem{
 			FD: newFDItem(names, rf.FD), Rank: rf.Rank, Updated: rf.Updated,
-			RAD: rad, RTR: rtr,
+			RAD: ms.RAD, RTR: ms.RTR,
 		})
 	}
 	return res, nil
@@ -644,14 +651,14 @@ type DecomposeResult struct {
 }
 
 func runDecompose(ctx context.Context, c relation.Columns, p Params) (*DecomposeResult, error) {
-	ranked, _, _, err := rankedFDs(ctx, c, fv(p.Psi))
+	fr, err := rankedFDs(ctx, c, fv(p.Psi))
 	if err != nil {
 		return nil, err
 	}
 	if err := step(ctx, "decomposition"); err != nil {
 		return nil, err
 	}
-	for _, rf := range ranked {
+	for _, rf := range fr.ranked {
 		res, err := decompose.On(c, rf.FD)
 		if err != nil {
 			continue // e.g. the FD covers every attribute

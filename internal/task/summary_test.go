@@ -100,3 +100,63 @@ func TestSummaryThresholdOracle(t *testing.T) {
 		}
 	}
 }
+
+// valueTupleInfo is I(V;T) in bits over the value objects of equations
+// 6 and 7 — p(v) = 1/d, p(t|v) = 1/n_v for the n_v tuples holding v —
+// counted from c's rows: H(T|V) = (1/d)·Σ_v log2 n_v, and
+// p(t) = (1/d)·Σ_{v ∈ t} 1/n_v gives H(T). It shares no code with
+// limbo.MutualInfo's per-object joint.
+func valueTupleInfo(t *testing.T, c relation.Columns) float64 {
+	t.Helper()
+	all := relation.AllAttrs(c)
+	nv := map[int32]int{}
+	if err := relation.ForEachRow(c, all, func(_ int, row []int32) bool {
+		for _, v := range row {
+			nv[v]++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	d := float64(len(nv))
+	hTV, hT := 0.0, 0.0
+	for _, n := range nv {
+		hTV += math.Log2(float64(n)) / d
+	}
+	if err := relation.ForEachRow(c, all, func(_ int, row []int32) bool {
+		pt := 0.0
+		for _, v := range row {
+			pt += 1 / (d * float64(nv[v]))
+		}
+		hT -= pt * math.Log2(pt)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return hT - hTV
+}
+
+// TestValuesThresholdOracle is τ on the value axis: the values artifact's
+// threshold is φV·I(V;T)/|V| (Section 6.2) with |V| = D, the relation's
+// distinct values, and I(V;T) over the value objects single-clustered
+// value clustering builds its tree from (valueTupleInfo). That I is not
+// the tuple axis' I(T;V) describe reports: the value prior is uniform,
+// p(v) = 1/d, not n_v/(n·m).
+func TestValuesThresholdOracle(t *testing.T) {
+	for _, r := range oracleSources(t) {
+		c := relation.AsColumns(r)
+		info := valueTupleInfo(t, c)
+		for _, phiV := range []float64{0, 0.1, 0.3, 1} {
+			res, err := RunColumns(context.Background(), c, "values", Params{PhiV: F(phiV)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res.(*ValuesResult).Threshold
+			want := phiV * info / float64(c.D())
+			if math.Abs(got-want) > 1e-9*want || (phiV > 0 && got <= 0) {
+				t.Errorf("%s, φV=%v: τ = %v, φV·I(V;T)/|V| = %v (I = %v bits, |V| = %d)",
+					r.Name, phiV, got, want, info, c.D())
+			}
+		}
+	}
+}

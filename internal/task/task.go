@@ -48,7 +48,7 @@ type Spec struct {
 // Specs lists every task, in presentation order.
 var Specs = []Spec{
 	{Name: "describe", Synopsis: "print instance statistics and per-attribute profiles"},
-	{Name: "report", Synopsis: "full structure report (profiles, duplicates, ranked FDs)", Flags: "-phit -phiv -psi"},
+	{Name: "report", Synopsis: "full structure report (profiles, duplicates, ranked FDs)", Flags: "-phit -psi"},
 	{Name: "dedup", Synopsis: "find duplicate / near-duplicate tuples", Flags: "-phit -minsim"},
 	{Name: "partition", Synopsis: "horizontal partitioning (0 = automatic k)", Flags: "-k"},
 	{Name: "values", Synopsis: "cluster co-occurring attribute values", Flags: "-phiv"},
@@ -105,8 +105,8 @@ type Params struct {
 	// PhiT is the tuple-clustering accuracy knob φT. Unset selects 0.3
 	// for report and 0 (self-calibrating threshold) elsewhere.
 	PhiT *float64 `json:"phit,omitempty"`
-	// PhiV is the value-clustering accuracy knob φV. Unset selects 0
-	// (self-calibrating threshold).
+	// PhiV is the value-clustering accuracy knob φV of values and
+	// group-attrs. Unset selects 0 (self-calibrating threshold).
 	PhiV *float64 `json:"phiv,omitempty"`
 	// Psi is the FD-RANK threshold ψ. Unset selects 0.5; an explicit 0
 	// disables the threshold entirely.
@@ -162,7 +162,6 @@ func (p Params) Normalize(taskName string) Params {
 		// No knobs.
 	case "report":
 		resolve(&q.PhiT, p.PhiT, 0.3)
-		resolve(&q.PhiV, p.PhiV, 0)
 		resolve(&q.Psi, p.Psi, 0.5)
 	case "dedup":
 		resolve(&q.PhiT, p.PhiT, 0)

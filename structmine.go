@@ -282,8 +282,8 @@ func (m *Miner) Decompose(f FD) (*Decomposition, error) {
 	return res, nil
 }
 
-// StructureReport renders the report task under the Miner's φT, φV and
-// ψ: attribute profiles, duplicate tuples, correlated values, attribute
+// StructureReport renders the report task under the Miner's φT and ψ:
+// attribute profiles, duplicate tuples, correlated values, attribute
 // grouping and ranked dependencies.
 func (m *Miner) StructureReport() (string, error) {
 	res, err := m.RunTask(context.Background(), "report", TaskParams{})
@@ -300,7 +300,7 @@ func MinCover(fds []FD) []FD { return fd.MinCover(fds) }
 // (double clustering when the instance is large), attribute grouping,
 // then ranking with ψ. Lower ranks indicate more redundancy removed.
 func (m *Miner) RankFDs(fds []FD) ([]RankedFD, error) {
-	g, err := task.RankGrouping(context.Background(), relation.AsColumns(m.r), m.opts.PhiT, m.opts.PhiV, m.opts.B)
+	g, _, err := task.RankGrouping(context.Background(), relation.AsColumns(m.r), m.opts.PhiT, m.opts.PhiV, m.opts.B)
 	if err != nil {
 		return nil, err
 	}
@@ -333,8 +333,8 @@ func (m *Miner) RTR(attrNames []string) (float64, error) {
 // MeasureFD returns RAD and RTR for the attribute set S = X ∪ Y of an FD
 // (the per-dependency numbers of the paper's Tables 3, 5 and 6).
 func (m *Miner) MeasureFD(f FD) (rad, rtr float64) {
-	ix := f.Attrs().Attrs()
-	return measures.RAD(m.r, ix), measures.RTR(m.r, ix)
+	ms, _ := measures.Of(relation.AsColumns(m.r), f.Attrs().Attrs()) // no failing reads in memory
+	return ms.RAD, ms.RTR
 }
 
 // TupleInfo returns I(T;V) of the instance, the total information the
