@@ -39,7 +39,8 @@ type Result struct {
 // On decomposes c on the dependency f. It returns an error when the FD
 // does not hold exactly (decomposing on an approximate dependency would
 // lose the violating tuples). S1 and S2 are built in memory from one
-// streaming pass over c each.
+// streaming pass over c each; S1's rows are the first tuples of
+// fd.GroupBy's groups of X∪Y, in order of first appearance.
 func On(c relation.Columns, f fd.FD) (*Result, error) {
 	f.RHS = f.RHS.Minus(f.LHS) // drop the trivial part
 	if f.RHS.Empty() {
@@ -49,15 +50,9 @@ func On(c relation.Columns, f fd.FD) (*Result, error) {
 	if len(max) > 0 && max[len(max)-1] >= c.M() {
 		return nil, fmt.Errorf("decompose: dependency references attribute %d, relation has %d", max[len(max)-1], c.M())
 	}
-	holds, err := fd.HoldsColumns(c, f)
-	if err != nil {
+	if g3, err := fd.G3Columns(c, f); err != nil {
 		return nil, err
-	}
-	if !holds {
-		g3, err := fd.G3Columns(c, f)
-		if err != nil {
-			return nil, err
-		}
+	} else if g3 > 0 { // g3 is 0 exactly when the FD holds
 		return nil, fmt.Errorf("decompose: %s does not hold exactly (g3=%.4f)", f.Format(c.AttrNames()), g3)
 	}
 
@@ -72,11 +67,15 @@ func On(c relation.Columns, f fd.FD) (*Result, error) {
 	// except Y; S1 is the single constant row.
 	sort.Ints(s1Attrs)
 
-	s1, err := relation.ProjectColumns(c, s1Attrs, c.Name()+"_s1", true)
+	first, _, err := fd.GroupBy(c, s1Attrs)
 	if err != nil {
 		return nil, err
 	}
-	s2, err := relation.ProjectColumns(c, s2Attrs, c.Name()+"_s2", false)
+	s1, err := relation.ProjectColumns(c, s1Attrs, c.Name()+"_s1", first)
+	if err != nil {
+		return nil, err
+	}
+	s2, err := relation.ProjectColumns(c, s2Attrs, c.Name()+"_s2", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -60,15 +60,11 @@ func MineApproxColumns(ctx context.Context, c relation.Columns, eps float64, max
 		maxLHS = m - 1
 	}
 	pool := &scratchPool{ctx: ctx}
-	singles := make([]*partition, m)
-	for a := range singles {
-		p, err := singlePartitionColumns(c, a)
-		if err != nil {
-			return nil, err
-		}
-		singles[a] = p
+	sets := newGroupBy(c, pool.grow(1)[0].ar)
+	if err := sets.load(relation.AllAttrs(c)); err != nil {
+		return nil, err
 	}
-	idx := classIndexes(pool.grow(1)[0].ar, singles, n)
+	singles, idx := sets.singles, sets.idx
 
 	// found[a] lists the minimal satisfying LHSs discovered so far for
 	// attribute a; candidates that contain one are pruned.

@@ -191,7 +191,7 @@ func TestG3FromPartitionsMatchesDirect(t *testing.T) {
 		x := NewAttrSet(0)
 		a := 1
 		px := indexPartition(r, 0)
-		ia := classIndexes(exec.NewArena(), []*partition{indexPartition(r, a)}, r.N())[0]
+		ia := classIndex(exec.NewArena(), indexPartition(r, a), r.N())
 		got := g3Refine(px, ia, &prodScratch{})
 		want := g3Of(r, FD{LHS: x, RHS: NewAttrSet(a)})
 		return math.Abs(got-want) < 1e-12
@@ -213,7 +213,7 @@ func approxInputs() []cornerCase {
 }
 
 // Every reported error is the direct count's g3 to the last bit (the
-// miner never forms Π_{X∪A}; G3Columns groups rows by value), and at
+// miner never forms Π_{X∪A}; g3Of groups rows by value), and at
 // ε = 0 the miner reports every minimal exact FD TANE finds within the
 // left-hand-side bound, with error exactly 0.
 func TestMineApproxErrMatchesDirectCount(t *testing.T) {
@@ -229,11 +229,7 @@ func TestMineApproxErrMatchesDirectCount(t *testing.T) {
 				t.Fatal("no approximate FDs mined")
 			}
 			for _, f := range fds {
-				want, err := G3Columns(c, f.FD)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if f.Err != want {
+				if want := g3Of(in.r, f.FD); f.Err != want {
 					t.Fatalf("%v: Err = %v, direct count %v", f.FD, f.Err, want)
 				}
 			}

@@ -28,7 +28,8 @@ func (f FD) Attrs() AttrSet { return f.LHS.Union(f.RHS) }
 
 // Holds reports whether the dependency is satisfied by the instance:
 // tuples agreeing on LHS agree on RHS. It reads the rows directly — the
-// oracles (BruteForce, TANESerial) share nothing with HoldsColumns.
+// oracles (BruteForce, TANESerial) share nothing with HoldsColumns'
+// partitions.
 func Holds(r *relation.Relation, f FD) bool {
 	lhs, rhs := f.LHS.Attrs(), f.RHS.Attrs()
 	first := make(map[string]int, r.N()) // LHS key → the first tuple carrying it
@@ -50,6 +51,14 @@ func Holds(r *relation.Relation, f FD) bool {
 		}
 	}
 	return true
+}
+
+// appendValueKey appends the map-key encoding of a value-id tuple.
+func appendValueKey(key []byte, vals []int32) []byte {
+	for _, v := range vals {
+		key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), 0xfe)
+	}
+	return key
 }
 
 // SortFDs orders FDs deterministically (by LHS then RHS bit patterns).

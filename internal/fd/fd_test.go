@@ -83,10 +83,36 @@ func TestHolds(t *testing.T) {
 	}
 }
 
-// g3Of is G3Columns over a resident relation, which has no failing reads.
+// g3Of is g3 counted directly, with nested maps over the rows: per LHS
+// row, the tuples of each RHS row; it shares nothing with the partitions
+// G3Columns and the approximate miner read.
 func g3Of(r *relation.Relation, f FD) float64 {
-	g3, _ := G3Columns(relation.AsColumns(r), f)
-	return g3
+	if r.N() == 0 {
+		return 0
+	}
+	groups := map[string]map[string]int{}
+	for t := 0; t < r.N(); t++ {
+		var lhs, rhs []byte
+		for _, a := range f.LHS.Attrs() {
+			lhs = appendValueKey(lhs, r.Row(t)[a:a+1])
+		}
+		for _, a := range f.RHS.Attrs() {
+			rhs = appendValueKey(rhs, r.Row(t)[a:a+1])
+		}
+		if groups[string(lhs)] == nil {
+			groups[string(lhs)] = map[string]int{}
+		}
+		groups[string(lhs)][string(rhs)]++
+	}
+	keep := 0
+	for _, g := range groups {
+		best := 0
+		for _, k := range g {
+			best = max(best, k)
+		}
+		keep += best
+	}
+	return 1 - float64(keep)/float64(r.N())
 }
 
 func TestG3(t *testing.T) {

@@ -73,21 +73,14 @@ func FDEP(r *relation.Relation) ([]FD, error) {
 }
 
 // distinctRows returns one value-id row per distinct tuple, in order of
-// first appearance. The rows are materialized: the agree-set computation
-// compares them pairwise.
+// first appearance: the rows of GroupBy's representatives. The rows are
+// materialized: the agree-set computation compares them pairwise.
 func distinctRows(c relation.Columns) ([][]int32, error) {
-	seen := map[string]bool{}
-	var rows [][]int32
-	var key []byte
-	err := relation.ForEachRow(c, relation.AllAttrs(c), func(t int, row []int32) bool {
-		key = appendValueKey(key[:0], row)
-		if !seen[string(key)] {
-			seen[string(key)] = true
-			rows = append(rows, append([]int32(nil), row...))
-		}
-		return true
-	})
-	return rows, err
+	first, _, err := GroupBy(c, relation.AllAttrs(c))
+	if err != nil {
+		return nil, err
+	}
+	return relation.FetchRows(c, first)
 }
 
 // agreeSets returns the deduplicated agree sets of all pairs of distinct

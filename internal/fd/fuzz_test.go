@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"structmine/internal/relation"
 )
 
 // resealCRC returns data with its last four bytes replaced by the
@@ -75,4 +77,41 @@ func TestDecodeStateSeeds(t *testing.T) {
 			t.Errorf("seed %s: err %v, want ErrCorruptState", name, err)
 		}
 	}
+}
+
+// groupByRelation spells a small relation from fuzz bytes: the first
+// byte picks 1–4 attributes, every later byte one cell from a vocabulary
+// of NULL spellings and strings shared across attributes, row after row,
+// up to 64 rows.
+func groupByRelation(data []byte) *relation.Relation {
+	m := 1
+	if len(data) > 0 {
+		m, data = 1+int(data[0])%4, data[1:]
+	}
+	attrs := make([]string, m)
+	for a := range attrs {
+		attrs[a] = "A" + strconv.Itoa(a)
+	}
+	vocab := []string{"", "NULL", "x", "y", "zz"}
+	b := relation.NewBuilder("fuzz", attrs)
+	row := make([]string, m)
+	for t := 0; t < 64 && len(data) >= m; t++ {
+		for a := range row {
+			row[a] = vocab[int(data[a])%len(vocab)]
+		}
+		b.MustAdd(row...)
+		data = data[m:]
+	}
+	return b.Relation()
+}
+
+// FuzzGroupBy: on relations the fuzzer spells — NULLs, values shared
+// across attributes, duplicate tuples — GroupBy, HoldsColumns, G3Columns
+// and MVDHolds answer every attribute set as the recount of the rendered
+// rows does (checkGroupBy). Seeds under testdata/fuzz/FuzzGroupBy/.
+func FuzzGroupBy(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := groupByRelation(data)
+		checkGroupBy(t, "fuzz", relation.AsColumns(r), attrSetsOf(r.M()))
+	})
 }

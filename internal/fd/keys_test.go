@@ -79,11 +79,11 @@ func TestPropKeysMinimalAndUnique(t *testing.T) {
 			return false
 		}
 		for _, k := range keys {
-			if r.DistinctRows(k.Attrs()) != r.N() {
+			if distinctOf(t, r, k.Attrs()) != r.N() {
 				return false
 			}
 			for _, a := range k.Attrs() {
-				if r.DistinctRows(k.Remove(a).Attrs()) == r.N() {
+				if distinctOf(t, r, k.Remove(a).Attrs()) == r.N() {
 					return false
 				}
 			}
@@ -91,7 +91,7 @@ func TestPropKeysMinimalAndUnique(t *testing.T) {
 		// Completeness spot check: if some single attribute is unique,
 		// it must be listed.
 		for a := 0; a < r.M(); a++ {
-			if r.DistinctRows([]int{a}) == r.N() {
+			if distinctOf(t, r, []int{a}) == r.N() {
 				found := false
 				for _, k := range keys {
 					if k == NewAttrSet(a) {

@@ -6,16 +6,17 @@ import "structmine/internal/obs"
 // by structmined's GET /v1/metrics. Products are counted inside the two
 // kernels that compute a partition (refine and the serial reference's
 // productSerial, one atomic add each), so the counter covers TANE's
-// level-wise generation, the reference run and approximate mining
-// alike; shared counts the lattice nodes that inherited a parent's
-// partition instead — together they say why products fell. Levels count
-// lattice levels a TANE run actually processed (pruning makes this
-// data-dependent, which is exactly what makes it worth watching).
+// level-wise generation, the reference run, approximate mining and the
+// attribute-set group-by alike; shared counts the lattice nodes that
+// inherited a parent's partition instead — together they say why
+// products fell. Levels count lattice levels a TANE run actually
+// processed (pruning makes this data-dependent, which is exactly what
+// makes it worth watching).
 var (
 	taneLevels = obs.Default.Counter("structmine_tane_levels",
 		"Lattice levels processed across TANE runs.")
 	taneProducts = obs.Default.Counter("structmine_tane_products_total",
-		"Stripped partitions actually computed: one-attribute refinements in TANE and approximate mining, and the serial reference's products. Nodes that share a parent's partition and g3 evaluations are not counted.")
+		"Stripped partitions actually computed: one-attribute refinements in TANE, approximate mining and attribute-set group-bys, and the serial reference's products. Nodes that share a parent's partition and g3 evaluations are not counted.")
 	taneShared = obs.Default.Counter("structmine_tane_shared_partitions_total",
 		"TANE lattice nodes that inherited a parent's partition because an already-emitted FD implies the two are equal.")
 )

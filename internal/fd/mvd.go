@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"structmine/internal/exec"
 	"structmine/internal/relation"
 )
 
@@ -25,50 +26,15 @@ func (v MVD) Format(names []string) string {
 // MVDHolds reports whether X →→ Y holds: within every X-group, the
 // projections on Y and on Z = R−X−Y are independent, i.e. the group is
 // exactly the cross product of its Y-side and Z-side value combinations.
-// The instance streams page stripe by page stripe.
+// It is counted from partitions (groupBy.mvdHolds).
 func MVDHolds(c relation.Columns, v MVD) (bool, error) {
-	x := v.LHS
-	y := v.RHS.Minus(x)
-	z := FullSet(c.M()).Minus(x).Minus(y)
-	if y.Empty() || z.Empty() {
-		return true, nil // trivial MVD
-	}
-	type group struct {
-		ys, zs map[string]bool
-		rows   map[string]bool
-	}
-	groups := map[string]*group{}
-	xa, ya, za := x.Attrs(), y.Attrs(), z.Attrs()
-	nx, ny := len(xa), len(ya)
-	err := relation.ForEachRow(c, append(append(xa, ya...), za...), func(t int, row []int32) bool {
-		k := string(appendValueKey(nil, row[:nx]))
-		g := groups[k]
-		if g == nil {
-			g = &group{ys: map[string]bool{}, zs: map[string]bool{}, rows: map[string]bool{}}
-			groups[k] = g
-		}
-		yk := string(appendValueKey(nil, row[nx:nx+ny]))
-		zk := string(appendValueKey(nil, row[nx+ny:]))
-		g.ys[yk] = true
-		g.zs[zk] = true
-		g.rows[yk+"\x00"+zk] = true
-		return true
-	})
-	if err != nil {
-		return false, err
-	}
-	for _, g := range groups {
-		if len(g.rows) != len(g.ys)*len(g.zs) {
-			return false, nil
-		}
-	}
-	return true, nil
+	return newGroupBy(c, exec.NewArena()).mvdHolds(v)
 }
 
 // MineMVDs enumerates the non-trivial multivalued dependencies X →→ Y
 // holding in the instance with |X| ≤ maxLHS, keeping for each X only the
 // ⊆-minimal right-hand sides (the dependency basis elements found by the
-// scan). Y candidates range over the non-X attributes; Y and its
+// search). Y candidates range over the non-X attributes; Y and its
 // complement are reported once (the lexicographically smaller side).
 //
 // The search is exponential in the arity, as any MVD miner's is; the
@@ -80,7 +46,7 @@ func MineMVDs(c relation.Columns, maxLHS int, skipFDImplied bool) ([]MVD, error)
 
 // MineMVDsCtx is MineMVDs under the context's worker budget (used by the
 // FD-pruning TANE pass) and cancellation, which it checks before every
-// candidate's scan.
+// candidate's check.
 func MineMVDsCtx(ctx context.Context, c relation.Columns, maxLHS int, skipFDImplied bool) ([]MVD, error) {
 	m := c.M()
 	if m > 16 {
@@ -105,6 +71,7 @@ func MineMVDsCtx(ctx context.Context, c relation.Columns, maxLHS int, skipFDImpl
 	}
 
 	full := FullSet(m)
+	sets := newGroupBy(c, exec.NewArena()) // the level-1 partitions, loaded once for every candidate
 	var out []MVD
 	var lhsSets []AttrSet
 	for x := AttrSet(0); x <= full; x++ {
@@ -145,11 +112,11 @@ func MineMVDsCtx(ctx context.Context, c relation.Columns, maxLHS int, skipFDImpl
 					continue candidates // not minimal
 				}
 			}
-			if err := ctx.Err(); err != nil { // each candidate is a full scan
+			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("fd: MVD mining canceled: %w", err)
 			}
 			v := MVD{LHS: x, RHS: y}
-			if ok, err := MVDHolds(c, v); err != nil {
+			if ok, err := sets.mvdHolds(v); err != nil {
 				return nil, err
 			} else if !ok {
 				continue

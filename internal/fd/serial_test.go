@@ -75,7 +75,10 @@ func TestPropProductMatchesSerial(t *testing.T) {
 				return false
 			}
 		}
-		idx := classIndexes(exec.NewArena(), singles, n)
+		idx := make([][]int32, len(singles))
+		for a, p := range singles {
+			idx[a] = classIndex(exec.NewArena(), p, n)
+		}
 		for a, p := range singles {
 			if !partitionsEqual(p, fromClasses(singlePartitionClasses(r, a))) {
 				t.Logf("seed %d: building the class index wrote into Π_%d", seed, a)

@@ -50,6 +50,15 @@ func TANEColumnsCtx(ctx context.Context, c relation.Columns) ([]FD, error) {
 	return (&tane{c: c}).mine(ctx)
 }
 
+// DiscoverColumns mines all minimal, non-trivial FDs over the paged
+// interface. It always takes the TANE branch — FDEP's pairwise
+// difference sets want random row access — which is no loss: DiscoverCtx's
+// two miners return identical FD sets, and the canonical SortFDs order
+// makes the choice unobservable.
+func DiscoverColumns(ctx context.Context, c relation.Columns) ([]FD, error) {
+	return TANEColumnsCtx(ctx, c)
+}
+
 // mine validates the instance shape and runs the level-wise walk.
 func (t *tane) mine(ctx context.Context) ([]FD, error) {
 	m, n := t.c.M(), t.c.N()
@@ -198,28 +207,23 @@ func (p *scratchPool) forEach(n, work int, fn func(sc *prodScratch, i int)) {
 	})
 }
 
-// classIndexes builds the per-attribute class index of a mining job
-// from its level-1 partitions: idx[a][t] is the stripped class id of
-// tuple t in Π_{a}, −1 when t is a singleton there. It is the only
-// thing a refinement reads of the attribute it refines by, so no
-// two-partition product is ever formed. The m·n int32 are carved from
-// the job's arena — the level-1 partitions themselves (possibly a
-// relation.PartitionSource's shared slices) are only read.
-func classIndexes(ar *exec.Arena, singles []*partition, n int) [][]int32 {
-	idx := make([][]int32, len(singles))
-	for a, p := range singles {
-		ia := ar.Int32s(n)[:n]
-		for t := range ia {
-			ia[t] = -1
-		}
-		for ci, nc := 0, p.numClasses(); ci < nc; ci++ {
-			for _, t := range p.class(ci) {
-				ia[t] = int32(ci)
-			}
-		}
-		idx[a] = ia
+// classIndex is the class index of a partition of n tuples: ix[t] is
+// the stripped class id of tuple t in p, −1 when t is a singleton there.
+// A level-1 partition's index is the only thing a refinement reads of
+// the attribute it refines by, so no two-partition product is ever
+// formed. The n int32 are carved from ar — the partition itself
+// (possibly a relation.PartitionSource's shared slices) is only read.
+func classIndex(ar *exec.Arena, p *partition, n int) []int32 {
+	ix := ar.Int32s(n)[:n]
+	for t := range ix {
+		ix[t] = -1
 	}
-	return idx
+	for ci, nc := 0, p.numClasses(); ci < nc; ci++ {
+		for _, t := range p.class(ci) {
+			ix[t] = int32(ci)
+		}
+	}
+	return ix
 }
 
 // refine computes the stripped partition Π_{X∪{a}} = Π_X · Π_{a} by
@@ -295,13 +299,12 @@ type tane struct {
 	// right-hand side a — what generate consults to share partitions.
 	byRHS [][]AttrSet
 
-	// c is the instance: level-1 stripped partitions come from its value
-	// index (singlePartitionColumns) and the key-pruning fallback checks
-	// satisfaction by stripe scans (HoldsColumns).
-	c relation.Columns
-	// idx is the per-attribute class index every refinement reads
-	// (classIndexes); nil in a reference run.
-	idx [][]int32
+	// c is the instance. sets holds its level-1 partitions (from the
+	// value index) and the per-attribute class index every refinement
+	// reads; the key-pruning fallback checks satisfaction on them
+	// (groupBy.holds). sets is nil in a reference run.
+	c    relation.Columns
+	sets *groupBy
 	// serial, set only by TANESerial, is the resident relation of a
 	// reference run: every node's partition is a productSerial of its two
 	// prefix-join parents (no class index, no sharing), and level-1
@@ -322,20 +325,12 @@ type cplusKey struct {
 	y AttrSet
 }
 
-// single builds the level-1 stripped partition of one attribute.
-func (t *tane) single(a int) (*partition, error) {
-	if t.serial != nil {
-		return fromClasses(singlePartitionClasses(t.serial, a)), nil
-	}
-	return singlePartitionColumns(t.c, a)
-}
-
 // holds checks satisfaction directly (the key-pruning fallback).
 func (t *tane) holds(f FD) (bool, error) {
 	if t.serial != nil {
 		return Holds(t.serial, f), nil
 	}
-	return HoldsColumns(t.c, f)
+	return t.sets.holds(f)
 }
 
 // emit records the minimal dependency lhs → a.
@@ -400,19 +395,19 @@ func (t *tane) run() {
 		0: {part: emptyPartition(t.n), cplus: t.full},
 	}
 	// Level 1.
-	cur := map[AttrSet]*levelNode{}
-	singles := make([]*partition, t.m)
-	for a := range singles {
-		part, err := t.single(a)
-		if err != nil {
-			t.err = err
+	if t.serial == nil {
+		t.sets = newGroupBy(t.c, t.grow(1)[0].ar)
+		if t.err = t.sets.load(relation.AllAttrs(t.c)); t.err != nil {
 			return
 		}
-		singles[a] = part
-		cur[NewAttrSet(a)] = &levelNode{part: part}
 	}
-	if t.serial == nil {
-		t.idx = classIndexes(t.grow(1)[0].ar, singles, t.n)
+	cur := map[AttrSet]*levelNode{}
+	for a := 0; a < t.m; a++ {
+		if t.serial != nil {
+			cur[NewAttrSet(a)] = &levelNode{part: fromClasses(singlePartitionClasses(t.serial, a))}
+		} else {
+			cur[NewAttrSet(a)] = &levelNode{part: t.sets.singles[a]}
+		}
 	}
 
 	for len(cur) > 0 && t.err == nil {
@@ -582,7 +577,7 @@ func (t *tane) generate(level map[AttrSet]*levelNode) map[AttrSet]*levelNode {
 		}
 	}
 	t.forEach(len(jobs), work, func(sc *prodScratch, i int) {
-		jobs[i].node.part = refine(jobs[i].part, t.idx[jobs[i].attr], sc)
+		jobs[i].node.part = refine(jobs[i].part, t.sets.idx[jobs[i].attr], sc)
 	})
 	return next
 }

@@ -14,7 +14,9 @@ package measures
 
 import (
 	"math"
+	"slices"
 
+	"structmine/internal/fd"
 	"structmine/internal/it"
 	"structmine/internal/relation"
 )
@@ -26,21 +28,23 @@ type Measures struct {
 	RTR  float64
 }
 
-// Of measures the attribute set attrs of c from one projection scan:
+// Of measures the attribute set attrs of c from one group-by (fd.GroupBy):
 // the multiplicities of the projected rows give H(Π_CA(T)) for RAD and
-// RADw, and their number is n' for RTR. The counts arrive in a canonical
-// sorted order, so the measures are bit-identical across Columns
-// implementations. A relation of at most one tuple, an empty set and a
-// relation without attributes measure 0.
+// RADw, and their number is n' for RTR. The entropy sums the counts in
+// descending order, a canonical one, so the measures are bit-identical
+// across Columns implementations. A relation of at most one tuple, an
+// empty set and a relation without attributes measure 0.
 func Of(c relation.Columns, attrs []int) (Measures, error) {
 	n, m := c.N(), c.M()
 	if n <= 1 || len(attrs) == 0 || m == 0 {
 		return Measures{}, nil
 	}
-	counts, err := relation.ProjectionCountsColumns(c, attrs)
+	_, counts, err := fd.GroupBy(c, attrs)
 	if err != nil {
 		return Measures{}, err
 	}
+	slices.Sort(counts)
+	slices.Reverse(counts)
 	h, logN := it.EntropyCounts(counts), math.Log2(float64(n))
 	return Measures{
 		RAD:  1 - h/logN,

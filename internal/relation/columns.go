@@ -214,28 +214,6 @@ func compressRuns(dst []Run, tuples []int32) []Run {
 	return dst
 }
 
-// ProjectionCountsColumns returns the multiplicity of each distinct
-// projected row (bag semantics), sorted descending — a canonical order,
-// so entropies summed over it are bit-identical across Columns
-// implementations. Its length is the number of distinct rows (set
-// semantics). One page stripe of the projected attributes is resident at
-// a time.
-func ProjectionCountsColumns(c Columns, attrs []int) ([]int, error) {
-	counts := map[string]int{}
-	err := scanProjection(c, attrs, func(key []byte, _ []int32) {
-		counts[string(key)]++
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, 0, len(counts))
-	for _, n := range counts {
-		out = append(out, n)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out, nil
-}
-
 // AllAttrs returns the attribute indices 0..M-1: the attrs argument of a
 // scan over whole rows.
 func AllAttrs(c Columns) []int {
@@ -308,9 +286,9 @@ func ForEachRow(c Columns, attrs []int, fn func(t int, row []int32) bool) error 
 }
 
 // ProjectColumns builds the projection of c on attrs as a new in-memory
-// relation, value ids re-interned: every tuple (bag semantics), or with
-// distinct set only the first occurrence of each projected row.
-func ProjectColumns(c Columns, attrs []int, name string, distinct bool) (*Relation, error) {
+// relation, value ids re-interned: every tuple (bag semantics), or, when
+// tuples is non-nil, only the tuples it lists, which must ascend.
+func ProjectColumns(c Columns, attrs []int, name string, tuples []int) (*Relation, error) {
 	strs, err := c.ValueStrings()
 	if err != nil {
 		return nil, err
@@ -320,14 +298,16 @@ func ProjectColumns(c Columns, attrs []int, name string, distinct bool) (*Relati
 		names[i] = c.AttrNames()[a]
 	}
 	b := NewBuilder(name, names)
-	seen := map[string]bool{}
 	vals := make([]string, len(attrs))
-	err = scanProjection(c, attrs, func(key []byte, row []int32) {
-		if distinct {
-			if seen[string(key)] {
-				return
+	err = ForEachRow(c, attrs, func(t int, row []int32) bool {
+		if tuples != nil {
+			if len(tuples) == 0 {
+				return false // every listed tuple is in
 			}
-			seen[string(key)] = true
+			if tuples[0] != t {
+				return true
+			}
+			tuples = tuples[1:]
 		}
 		for i, v := range row {
 			vals[i] = strs[v]
@@ -335,21 +315,7 @@ func ProjectColumns(c Columns, attrs []int, name string, distinct bool) (*Relati
 		if err := b.Add(vals); err != nil {
 			panic(err) // schema is constructed to match
 		}
-	})
-	return b.Relation(), err
-}
-
-// scanProjection streams the projection of c on attrs, calling visit
-// with each row and its encoded key. Both buffers are reused; visit must
-// copy what it retains (map[string(key)] insertions copy implicitly).
-func scanProjection(c Columns, attrs []int, visit func(key []byte, row []int32)) error {
-	key := make([]byte, 0, 5*len(attrs))
-	return ForEachRow(c, attrs, func(t int, row []int32) bool {
-		key = key[:0]
-		for _, v := range row {
-			key = appendKey(key, v)
-		}
-		visit(key, row)
 		return true
 	})
+	return b.Relation(), err
 }

@@ -238,7 +238,7 @@ func (r *Relation) Stats() *Stats {
 // Project returns a new relation over the given attribute indices,
 // preserving every tuple (bag semantics). Value ids are re-interned.
 func (r *Relation) Project(attrs []int) *Relation {
-	p, _ := ProjectColumns(AsColumns(r), attrs, r.Name+"-proj", false) // no failing reads in memory
+	p, _ := ProjectColumns(AsColumns(r), attrs, r.Name+"-proj", nil) // no failing reads in memory
 	return p
 }
 
@@ -252,21 +252,4 @@ func (r *Relation) Select(tuples []int) *Relation {
 		}
 	}
 	return b.Relation()
-}
-
-// DistinctRows returns the number of distinct rows when the relation is
-// projected on the given attributes (set semantics), i.e. n' in RTR.
-func (r *Relation) DistinctRows(attrs []int) int {
-	return len(r.ProjectionCounts(attrs))
-}
-
-// ProjectionCounts returns the multiplicity of each distinct projected row
-// (bag semantics), sorted descending; used by the RAD measure.
-func (r *Relation) ProjectionCounts(attrs []int) []int {
-	counts, _ := ProjectionCountsColumns(AsColumns(r), attrs) // no failing reads in memory
-	return counts
-}
-
-func appendKey(b []byte, v int32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), 0xff)
 }

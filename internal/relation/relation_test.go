@@ -2,13 +2,10 @@ package relation
 
 import (
 	"bytes"
-	"math/rand"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 // paperFig4 builds the relation of Figure 4 in the paper:
@@ -113,29 +110,25 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestProjectAndDistinct(t *testing.T) {
+func TestProject(t *testing.T) {
 	r := paperFig4(t)
 	p := r.Project([]int{1, 2}) // B, C
-	if p.M() != 2 || p.N() != 5 {
-		t.Fatalf("projection shape %dx%d", p.N(), p.M())
+	if p.M() != 2 || p.N() != 5 || p.D() != 5 {
+		t.Fatalf("projection %dx%d with %d values", p.N(), p.M(), p.D())
 	}
-	// Distinct rows of (B,C): (1,p), (1,r), (2,x) = 3.
-	if d := r.DistinctRows([]int{1, 2}); d != 3 {
-		t.Fatalf("distinct(B,C)=%d, want 3", d)
+	// Only the listed tuples: the first of each distinct (B, C) row.
+	s, err := ProjectColumns(AsColumns(r), []int{1, 2}, "s1", []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := r.DistinctRows([]int{0}); d != 4 {
-		t.Fatalf("distinct(A)=%d, want 4", d)
+	want := [][]string{{"1", "p"}, {"1", "r"}, {"2", "x"}}
+	if s.N() != len(want) {
+		t.Fatalf("listed projection has %d rows, want %d", s.N(), len(want))
 	}
-	if d := r.DistinctRows([]int{0, 1, 2}); d != 5 {
-		t.Fatalf("distinct(all)=%d, want 5", d)
-	}
-}
-
-func TestProjectionCounts(t *testing.T) {
-	r := paperFig4(t)
-	c := r.ProjectionCounts([]int{1}) // B: 1 appears 2x, 2 appears 3x
-	if !reflect.DeepEqual(c, []int{3, 2}) {
-		t.Fatalf("counts %v", c)
+	for i, row := range want {
+		if got := s.TupleStrings(i); !reflect.DeepEqual(got, row) {
+			t.Fatalf("row %d = %v, want %v", i, got, row)
+		}
 	}
 }
 
@@ -261,46 +254,6 @@ func TestDomainSize(t *testing.T) {
 	r := paperFig4(t)
 	if r.DomainSize(0) != 4 || r.DomainSize(1) != 2 || r.DomainSize(2) != 3 {
 		t.Fatalf("domain sizes %d/%d/%d", r.DomainSize(0), r.DomainSize(1), r.DomainSize(2))
-	}
-}
-
-// Property: DistinctRows over all attributes never exceeds N, and
-// ProjectionCounts always sums to N.
-func TestPropProjectionInvariants(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		m := 1 + r.Intn(4)
-		attrs := make([]string, m)
-		for i := range attrs {
-			attrs[i] = "A" + strconv.Itoa(i)
-		}
-		b := NewBuilder("rand", attrs)
-		n := 1 + r.Intn(30)
-		row := make([]string, m)
-		for i := 0; i < n; i++ {
-			for j := range row {
-				row[j] = strconv.Itoa(r.Intn(4))
-			}
-			if err := b.Add(row); err != nil {
-				return false
-			}
-		}
-		rel := b.Relation()
-		all := make([]int, m)
-		for i := range all {
-			all[i] = i
-		}
-		if rel.DistinctRows(all) > rel.N() {
-			return false
-		}
-		sum := 0
-		for _, c := range rel.ProjectionCounts(all) {
-			sum += c
-		}
-		return sum == rel.N()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

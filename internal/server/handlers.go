@@ -1,11 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -62,12 +62,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// readBody reads a request body of at most limit bytes. On failure it
+// readBody reads a request body of at most limit bytes. A declared
+// Content-Length within the limit sizes the buffer once, where growing
+// it by doubling would allocate several times the body. On failure it
 // has written the response — 413 body_too_large naming what overflowed,
 // 400 for any other read error — and reports ok=false.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) (body []byte, ok bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom keeps MinRead free for its last, empty read
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeAPIErr(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
@@ -77,7 +82,7 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) 
 		}
 		return nil, false
 	}
-	return body, true
+	return buf.Bytes(), true
 }
 
 // registerRequest is the JSON form of POST /v1/datasets. Alternatively

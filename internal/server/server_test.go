@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -716,4 +717,32 @@ func TestRegistryIdentity(t *testing.T) {
 
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
+}
+
+// TestReadBodyAllocatesTheBodyOnce: with its Content-Length declared, a
+// 2.5 MB upload costs readBody less than 1.5× the body in allocations —
+// reading into a buffer grown by doubling costs several times the body —
+// and a body over the limit is still a 413.
+func TestReadBodyAllocatesTheBodyOnce(t *testing.T) {
+	body := bytes.Repeat([]byte("a,b\n"), 2500*1000/4)
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ { // the least of three: other goroutines allocate too
+		r := httptest.NewRequest("POST", "/v1/datasets", bytes.NewReader(body))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, ok := readBody(httptest.NewRecorder(), r, int64(len(body)), "upload")
+		runtime.ReadMemStats(&after)
+		if !ok || !bytes.Equal(got, body) {
+			t.Fatalf("readBody: ok=%v, %d of %d bytes", ok, len(got), len(body))
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if bound := uint64(len(body)) * 3 / 2; least >= bound {
+		t.Fatalf("readBody allocated %d bytes for a %d-byte body, want < %d", least, len(body), bound)
+	}
+	w := httptest.NewRecorder()
+	r := httptest.NewRequest("POST", "/v1/datasets", bytes.NewReader(body))
+	if _, ok := readBody(w, r, int64(len(body))-1, "upload"); ok || w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a body over the limit: ok=%v, status %d", ok, w.Code)
+	}
 }

@@ -6,8 +6,10 @@
 # codecs of what jobs leave each other in the artifact cache (the FD
 # state and the partition tree delta re-mining resumes, and the Phase 1
 # tuple summary), the store's boot recovery over append intents,
-# artifact envelopes and the job journal, and the job-submit parameters'
-# normalization. One target per invocation is a `go test` rule.
+# artifact envelopes and the job journal, the job-submit parameters'
+# normalization, and the attribute-set group-by (fd.GroupBy and the
+# Holds, g3 and MVD checks on it) against a recount of the rows. One
+# target per invocation is a `go test` rule.
 # -fuzzminimizetime is capped
 # because the default spends up to 60 s shrinking every new corpus entry,
 # which starves a short leg: FuzzAppendCSV ran 8 254 inputs in 40 s with
@@ -20,6 +22,6 @@ fuzztime=${1:-10s}
 
 for target in internal/relation:FuzzReadCSV internal/relation:FuzzAppendCSV internal/colstore:FuzzOpen \
   internal/fd:FuzzDecodeState internal/limbo:FuzzDecodeTree internal/tuples:FuzzDecodeSummary \
-  internal/store:FuzzRecover internal/task:FuzzParams; do
+  internal/store:FuzzRecover internal/task:FuzzParams internal/fd:FuzzGroupBy; do
   go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime "$fuzztime" -fuzzminimizetime 10x "./${target%:*}"
 done
