@@ -330,6 +330,40 @@ func BenchmarkDCFTreeInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkPhase1AtZero times Phase 1 at φ = 0 — the default of dedup,
+// values, group-attrs, rank-fds and decompose — on cluster_narrow's
+// 5 200 × 7 projection, over the tuple objects and over the value
+// objects of double clustering (values over the φT = 0 tuple clusters):
+// tree streams them through the B = 4 DCF-tree (BuildTreeCtx, the
+// reference), grouped is limbo.Phase1Ctx's hash pass over identical
+// conditionals.
+func BenchmarkPhase1AtZero(b *testing.B) {
+	ctx := context.Background()
+	proj := datagen.NewDBLP(datagen.DBLPConfig{
+		Tuples: 5200, Seed: 1, MiscFrac: 129.0 / 50000, JournalFrac: 0.28,
+	}).Project(datagen.ProjectionAttrs())
+	tobjs := tuples.Objects(proj)
+	assign, k := tuples.CompressCtx(ctx, proj, 0, 4)
+	vobjs := values.ObjectsOverClusters(proj, assign, k)
+	for _, in := range []struct {
+		name string
+		objs []limbo.Obj
+	}{{"tuples", tobjs}, {"values-over-clusters", vobjs}} {
+		b.Run("tree/"+in.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				limbo.BuildTreeCtx(ctx, in.objs, 0, 4)
+			}
+			b.ReportMetric(float64(len(in.objs)), "objects/op")
+		})
+		b.Run("grouped/"+in.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				limbo.Phase1Ctx(ctx, in.objs, 0, 4)
+			}
+			b.ReportMetric(float64(len(in.objs)), "objects/op")
+		})
+	}
+}
+
 // BenchmarkLimboAssign times Phase 3 alone on the four shapes the
 // cluster_narrow sessions and report hand it, at the tasks' default
 // parameters: sparse is value clustering (double-clustered value objects

@@ -2,6 +2,7 @@ package limbo
 
 import (
 	"context"
+	"math"
 
 	"structmine/internal/ib"
 	"structmine/internal/it"
@@ -116,6 +117,111 @@ func Threshold(phi, mutualInfo float64, numObjects int) float64 {
 		return 0
 	}
 	return phi * mutualInfo / float64(numObjects)
+}
+
+// ThresholdFor is τ = φ·I(V;T)/|V| over the objects, skipping I(V;T) at
+// φ = 0, where τ is 0 whatever I is.
+func ThresholdFor(phi float64, objs []Obj) float64 {
+	if phi == 0 {
+		return 0
+	}
+	return Threshold(phi, MutualInfo(objs), len(objs))
+}
+
+// Phase1Ctx runs Phase 1 over a batch of objects at a fixed threshold τ
+// and returns the leaf summaries and each object's leaf (an index into
+// leaves). It is the one Phase 1 loop behind the tuple summary and the
+// value clustering.
+//
+// For τ > 0 the objects stream into a B-ary DCF-tree in order; leaves
+// come left to right, and an object's leaf is the one that absorbed it
+// at insertion. The leaves live in the tree's arena, pooled when the
+// context carries a scheduler grant.
+//
+// At τ = 0 the only merge a leaf admits is one that loses no
+// information: objects with identical conditionals. One hash pass groups
+// the objects whose conditionals are bit-identical (the same coordinates
+// and the same probability bits) instead of routing them through the
+// tree, whose greedy descent can send two identical objects down
+// different branches. A group's DCF is NewDCF of its first member
+// absorbing the rest in object order — bit-identical to the leaf a tree
+// builds from the same members — and groups are numbered by first
+// member. The leaves are plain heap DCFs.
+func Phase1Ctx(ctx context.Context, objs []Obj, tau float64, b int) ([]*DCF, []int32) {
+	if tau == 0 {
+		return groupIdentical(objs)
+	}
+	t := NewTreeCtx(ctx, Config{B: b, Threshold: tau})
+	absorbedBy := make([]*DCF, len(objs)) // stable: no rebuild without MaxLeafEntries
+	for i, o := range objs {
+		absorbedBy[i] = t.Insert(o)
+	}
+	leaves := t.Leaves()
+	index := make(map[*DCF]int32, len(leaves))
+	for i, d := range leaves {
+		index[d] = int32(i)
+	}
+	leafOf := make([]int32, len(objs))
+	for i, d := range absorbedBy {
+		leafOf[i] = index[d]
+	}
+	return leaves, leafOf
+}
+
+// groupIdentical is Phase 1 at τ = 0. Groups whose conditionals hash
+// alike are chained through next, newest first, so a collision costs one
+// exact comparison per chained group.
+func groupIdentical(objs []Obj) ([]*DCF, []int32) {
+	var (
+		leaves []*DCF
+		first  []int32 // group → its first member
+		next   []int32 // group → the next group of its hash chain, or -1
+	)
+	head := make(map[uint64]int32, len(objs)) // hash → newest group + 1
+	leafOf := make([]int32, len(objs))
+	for i, o := range objs {
+		h := condHash(o.Cond)
+		g := head[h] - 1
+		for g >= 0 && !sameCond(objs[first[g]].Cond, o.Cond) {
+			g = next[g]
+		}
+		if g >= 0 {
+			leaves[g].AbsorbObj(o)
+		} else {
+			g = int32(len(leaves))
+			leaves = append(leaves, NewDCF(o))
+			first = append(first, int32(i))
+			next = append(next, head[h]-1)
+			head[h] = g + 1
+		}
+		leafOf[i] = g
+	}
+	return leaves, leafOf
+}
+
+// condHash mixes a conditional's coordinates and probability bits
+// (FNV-1a over 64-bit words).
+func condHash(c it.Vec) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, e := range c {
+		h = (h ^ uint64(uint32(e.Idx))) * prime
+		h = (h ^ math.Float64bits(e.P)) * prime
+	}
+	return h
+}
+
+// sameCond reports whether two conditionals are bit-identical.
+func sameCond(a, b it.Vec) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Idx != b[i].Idx || math.Float64bits(a[i].P) != math.Float64bits(b[i].P) {
+			return false
+		}
+	}
+	return true
 }
 
 // BuildTree runs Phase 1 over the given objects with threshold

@@ -17,7 +17,11 @@ type Config struct {
 	B int
 	// Threshold is τ, the maximum information loss a leaf entry may
 	// absorb; the paper sets τ = φ·I(V;T)/|V|. Zero merges only objects
-	// with identical conditionals (LIMBO degenerates to AIB).
+	// with identical conditionals (LIMBO degenerates to AIB) — which is
+	// why Phase1Ctx at τ = 0 groups them in one hash pass instead of
+	// building a tree, and numbers its leaves by first member rather than
+	// left to right. A tree built here at zero stays the reference that
+	// grouping is tested against.
 	Threshold float64
 	// MaxLeafEntries, when positive, bounds the number of leaf entries:
 	// if an insertion would exceed it, the threshold is increased and the

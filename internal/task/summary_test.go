@@ -2,6 +2,8 @@ package task
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"testing"
 
@@ -158,5 +160,45 @@ func TestValuesThresholdOracle(t *testing.T) {
 					r.Name, phiV, got, want, info, c.D())
 			}
 		}
+	}
+}
+
+// TestTupleSummaryVersionOneRebuilt: a version-1 summary (tree-ordered
+// leaves at φT = 0) that a daemon restarted on an old -persist directory
+// hands back through the intermediates hook is refused, counted
+// rejected, and rebuilt — the job's artifact is the fresh run's, and the
+// hook then holds a summary this build reads.
+func TestTupleSummaryVersionOneRebuilt(t *testing.T) {
+	src := diffSources(t)[0]
+	c := relation.AsColumns(src.relation(t, src.rows[:120]))
+	objs, err := tuples.ObjectsColumnsCtx(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := tuples.EncodeSummary(tuples.Summarize(context.Background(), objs, c.M(), 0, defaultB))
+	old := append([]byte(nil), enc[:len(enc)-4]...)
+	binary.LittleEndian.PutUint16(old[4:6], 1)
+	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
+
+	held := blindIntermediates{"": old}
+	before := summaryCounts()
+	got, err := RunColumns(WithIntermediates(context.Background(), held), c, "dedup", Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := summaryCounts()
+	if after[obs.SummaryRejected] != before[obs.SummaryRejected]+1 || after[obs.SummaryBuilt] != before[obs.SummaryBuilt]+1 ||
+		after[obs.SummaryReused] != before[obs.SummaryReused] {
+		t.Fatalf("a version-1 summary was not rejected and rebuilt: %v → %v", before, after)
+	}
+	want, err := RunColumns(context.Background(), c, "dedup", Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := mustJSON(t, got), mustJSON(t, want); string(g) != string(w) {
+		t.Fatalf("dedup over a version-1 summary:\n got %s\nwant %s", g, w)
+	}
+	if _, err := tuples.DecodeSummary(held[""]); err != nil {
+		t.Fatalf("the rebuilt summary left in the hook does not decode: %v", err)
 	}
 }

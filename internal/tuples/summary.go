@@ -12,10 +12,10 @@ import (
 )
 
 // Summary is what the consumers of a threshold-bounded Phase 1 pass over
-// the tuples read of its tree: double clustering the per-tuple leaf
+// the tuples read of its leaves: double clustering the per-tuple leaf
 // membership (Section 6.2), duplicate detection the leaves that absorbed
 // more than one tuple (Section 6.1.1). It holds plain values only —
-// nothing carved from the tree's arena — so it outlives the run that
+// nothing carved from a tree's arena — so it outlives the run that
 // built it, and EncodeSummary / DecodeSummary carry it between runs with
 // every float bit intact: a consumer cannot tell a decoded Summary from
 // a freshly built one. A Summary is read-only once built.
@@ -27,40 +27,32 @@ type Summary struct {
 	B    int
 	// Threshold is τ = φT·I(V;T)/n, the loss a leaf may absorb.
 	Threshold float64
-	// LeafCount is the number of leaf summaries, numbered left to right;
-	// LeafOf[t] is the leaf that absorbed tuple t.
+	// LeafCount is the number of leaf summaries; LeafOf[t] is the leaf
+	// that absorbed tuple t. Leaves are numbered as limbo.Phase1Ctx
+	// returns them: left to right in the tree for τ > 0, by first member
+	// at τ = 0, where every leaf is a group of identical tuples.
 	LeafCount int
 	LeafOf    []int32
-	// Multi are the leaves summarizing several tuples (p(c) > 1/n), left
-	// to right.
+	// Multi are the leaves summarizing several tuples (p(c) > 1/n), in
+	// leaf order.
 	Multi []*limbo.DCF
 }
 
-// Summarize runs the Phase 1 pass: the tuple objects (ID = tuple
+// Summarize runs the Phase 1 pass over the tuple objects (ID = tuple
 // position, as Objects and ObjectsColumnsCtx number them) of an m-column
-// relation stream into a DCF-tree bounded by τ = φT·I(V;T)/n. It is the
-// one place tuple clustering builds a threshold-bounded tree. Membership
-// is tracked during insertion (the leaf DCFs "define a clustering of the
-// tuples seen so far"): a leaf is founded by exactly one tuple and never
-// merges with another, so its FirstID names it until the finished tree
-// numbers its leaves.
+// relation at τ = φT·I(V;T)/n: limbo.Phase1Ctx, a DCF-tree for φT > 0
+// and one hash pass over identical tuples at φT = 0. Membership is
+// tracked during the pass (the leaf DCFs "define a clustering of the
+// tuples seen so far"). It is the one place tuple clustering runs
+// Phase 1 at a threshold.
 func Summarize(ctx context.Context, objs []limbo.Obj, m int, phiT float64, b int) *Summary {
-	tau := limbo.Threshold(phiT, limbo.MutualInfo(objs), len(objs))
-	tree := limbo.NewTreeCtx(ctx, limbo.Config{B: b, Threshold: tau})
-	s := &Summary{N: len(objs), M: m, PhiT: phiT, B: b, LeafOf: make([]int32, len(objs))}
-	for t, o := range objs {
-		s.LeafOf[t] = tree.Insert(o).FirstID // the founder, until leaves have numbers
-	}
-	s.Threshold, s.LeafCount = tree.Threshold(), tree.LeafCount()
-	leafOfFounder := make([]int32, len(objs))
-	for i, d := range tree.Leaves() {
-		leafOfFounder[d.FirstID] = int32(i)
+	tau := limbo.ThresholdFor(phiT, objs)
+	leaves, leafOf := limbo.Phase1Ctx(ctx, objs, tau, b)
+	s := &Summary{N: len(objs), M: m, PhiT: phiT, B: b, Threshold: tau, LeafCount: len(leaves), LeafOf: leafOf}
+	for _, d := range leaves {
 		if d.N >= 2 {
 			s.Multi = append(s.Multi, d.Clone())
 		}
-	}
-	for t, f := range s.LeafOf {
-		s.LeafOf[t] = leafOfFounder[f]
 	}
 	return s
 }
@@ -110,7 +102,10 @@ func (s *Summary) Duplicates(ctx context.Context, objs []limbo.Obj) *DuplicateRe
 
 var summaryMagic = [4]byte{'S', 'M', 'T', 'S'}
 
-const summaryVersion = 1
+// summaryVersion 2 numbers the leaves of a φT = 0 summary by first
+// member; version 1 numbered them in tree order, so a version-1 blob is
+// refused and rebuilt rather than mixed with the new numbering.
+const summaryVersion = 2
 
 // ErrCorruptSummary reports summary bytes that failed checksum or
 // structural validation; callers rebuild.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
+	"sort"
 	"testing"
 
 	"structmine/internal/limbo"
@@ -44,7 +45,10 @@ func dirtyRelation(t *testing.T, n int) *relation.Relation {
 }
 
 // TestSummarizeMatchesTree checks Summarize against the construction it
-// replaced: a limbo.BuildTreeCtx tree read through a pointer map.
+// replaced: a limbo.BuildTreeCtx tree read through a pointer map. At
+// φT = 0 the summary numbers its leaves by first member, so the tree's
+// leaves are renumbered by FirstID (the founding tuple) before the
+// comparison.
 func TestSummarizeMatchesTree(t *testing.T) {
 	ctx := context.Background()
 	r := dirtyRelation(t, 300)
@@ -57,9 +61,13 @@ func TestSummarizeMatchesTree(t *testing.T) {
 		for i, o := range objs {
 			leafOf[i] = tree.Insert(o)
 		}
+		leaves := tree.Leaves()
+		if phiT == 0 {
+			sort.Slice(leaves, func(i, j int) bool { return leaves[i].FirstID < leaves[j].FirstID })
+		}
 		index := map[*limbo.DCF]int32{}
 		var multi []*limbo.DCF
-		for i, d := range tree.Leaves() {
+		for i, d := range leaves {
 			index[d] = int32(i)
 			if d.N >= 2 {
 				multi = append(multi, d)

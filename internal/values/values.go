@@ -51,9 +51,9 @@ func ObjectsColumnsCtx(ctx context.Context, c relation.Columns) ([]limbo.Obj, er
 }
 
 // ObjectsOverClustersColumnsCtx is ObjectsOverClusters over the column
-// interface, parallelized per attribute like ObjectsColumnsCtx. Cluster
-// mass accumulates in ascending tuple order — the same order the
-// resident Stats scan feeds — so the float sums are bit-identical.
+// interface, parallelized per attribute like ObjectsColumnsCtx. Both
+// count a value's occurrences per cluster and divide once
+// (clusterShares), so the conditionals are bit-identical.
 func ObjectsOverClustersColumnsCtx(ctx context.Context, c relation.Columns, tupleCluster []int, k int) ([]limbo.Obj, error) {
 	d := c.D()
 	m := c.M()
@@ -62,24 +62,18 @@ func ObjectsOverClustersColumnsCtx(ctx context.Context, c relation.Columns, tupl
 		return c.VisitValues(attr, func(v int32, count int, runs []relation.Run) error {
 			counts := make([]int64, m)
 			counts[attr] = int64(count)
-			mass := map[int32]float64{}
-			dv := float64(count)
+			inCluster := map[int32]int{}
 			for _, r := range runs {
 				for t := r.Start; t < r.Start+r.Len; t++ {
-					cl := tupleCluster[t]
-					if cl >= 0 && cl < k {
-						mass[int32(cl)] += 1.0 / dv
+					if cl := tupleCluster[t]; cl >= 0 && cl < k {
+						inCluster[int32(cl)]++
 					}
 				}
-			}
-			es := make([]it.Entry, 0, len(mass))
-			for idx, p := range mass {
-				es = append(es, it.Entry{Idx: idx, P: p})
 			}
 			objs[v] = limbo.Obj{
 				ID:     v,
 				W:      1.0 / float64(d),
-				Cond:   it.NewVec(es),
+				Cond:   clusterShares(inCluster, count),
 				Counts: counts,
 			}
 			return nil
@@ -145,26 +139,32 @@ func ObjectsOverClusters(r *relation.Relation, tupleCluster []int, k int) []limb
 	for v := 0; v < d; v++ {
 		counts := make([]int64, m)
 		counts[r.ValueAttr(int32(v))] = int64(st.Count[v])
-		mass := map[int32]float64{}
-		dv := float64(st.Count[v])
+		inCluster := map[int32]int{}
 		for _, t := range st.Tuples[v] {
-			c := tupleCluster[t]
-			if c >= 0 && c < k {
-				mass[int32(c)] += 1.0 / dv
+			if c := tupleCluster[t]; c >= 0 && c < k {
+				inCluster[int32(c)]++
 			}
-		}
-		es := make([]it.Entry, 0, len(mass))
-		for idx, p := range mass {
-			es = append(es, it.Entry{Idx: idx, P: p})
 		}
 		objs[v] = limbo.Obj{
 			ID:     int32(v),
 			W:      1.0 / float64(d),
-			Cond:   it.NewVec(es),
+			Cond:   clusterShares(inCluster, st.Count[v]),
 			Counts: counts,
 		}
 	}
 	return objs
+}
+
+// clusterShares is p(c_t|v) from the number of v's n_v occurrences in
+// each tuple cluster: one correctly rounded division per cluster, so two
+// values with the same distribution get bit-identical conditionals —
+// the identity Phase 1 at φV = 0 groups on.
+func clusterShares(inCluster map[int32]int, nv int) it.Vec {
+	es := make([]it.Entry, 0, len(inCluster))
+	for c, n := range inCluster {
+		es = append(es, it.Entry{Idx: c, P: float64(n) / float64(nv)})
+	}
+	return it.NewVec(es)
 }
 
 // Group is one cluster of attribute values with its ADCF summary.
@@ -190,21 +190,23 @@ type Clustering struct {
 }
 
 // ClusterCtx runs the Section 6.2 procedure on pre-built value objects:
-// Phase 1 at φV with ADCFs, then Phase 3 association of every value with
-// its closest summary. The duplicate flag is computed per summary from
-// the merged ADCF. When the context carries a scheduler grant, the returned
-// Clustering's DCFs live in pooled slabs and must not be retained past
-// the grant's release (task runners copy what they keep).
+// Phase 1 at φV with ADCFs (limbo.Phase1Ctx — at φV = 0 one hash pass
+// over identical values, groups numbered by first member), then Phase 3
+// association of every value with its closest summary. The duplicate
+// flag is computed per summary from the merged ADCF. When the context
+// carries a scheduler grant, the returned Clustering's DCFs may live in
+// pooled slabs and must not be retained past the grant's release (task
+// runners copy what they keep).
 func ClusterCtx(ctx context.Context, objs []limbo.Obj, phiV float64, b, numAttrs int) *Clustering {
-	tree := limbo.BuildTreeCtx(ctx, objs, phiV, b)
-	leaves := tree.Leaves()
+	tau := limbo.ThresholdFor(phiV, objs)
+	leaves, _ := limbo.Phase1Ctx(ctx, objs, tau, b)
 	assign := limbo.AssignCtx(ctx, leaves, objs)
 
 	c := &Clustering{
 		Groups:    make([]Group, len(leaves)),
 		Assign:    assign,
-		LeafCount: tree.LeafCount(),
-		Threshold: tree.Threshold(),
+		LeafCount: len(leaves),
+		Threshold: tau,
 		NumAttrs:  numAttrs,
 	}
 	for i, d := range leaves {

@@ -7,8 +7,10 @@
 # state and the partition tree delta re-mining resumes, and the Phase 1
 # tuple summary), the store's boot recovery over append intents,
 # artifact envelopes and the job journal, the job-submit parameters'
-# normalization, and the attribute-set group-by (fd.GroupBy and the
-# Holds, g3 and MVD checks on it) against a recount of the rows. One
+# normalization, the attribute-set group-by (fd.GroupBy and the
+# Holds, g3 and MVD checks on it) against a recount of the rows, and
+# LIMBO's Phase 1 at τ = 0 (the hash pass over identical conditionals)
+# against a rendered-key grouping and NewDCF + AbsorbObj. One
 # target per invocation is a `go test` rule.
 # -fuzzminimizetime is capped
 # because the default spends up to 60 s shrinking every new corpus entry,
@@ -22,6 +24,6 @@ fuzztime=${1:-10s}
 
 for target in internal/relation:FuzzReadCSV internal/relation:FuzzAppendCSV internal/colstore:FuzzOpen \
   internal/fd:FuzzDecodeState internal/limbo:FuzzDecodeTree internal/tuples:FuzzDecodeSummary \
-  internal/store:FuzzRecover internal/task:FuzzParams internal/fd:FuzzGroupBy; do
+  internal/store:FuzzRecover internal/task:FuzzParams internal/fd:FuzzGroupBy internal/limbo:FuzzGroupZero; do
   go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime "$fuzztime" -fuzzminimizetime 10x "./${target%:*}"
 done
