@@ -657,6 +657,24 @@ func BenchmarkAgglomerate(b *testing.B) {
 	}
 }
 
+// BenchmarkPhase2 is LIMBO Phase 2 of the benchmark's cluster_narrow
+// partition: AIB over the 100 leaf DCFs tuples.PartitionTreeCtx builds on
+// DBLP 5 200 × ProjectionAttrs(), seed 1, rescaled to p(t) = 1/n as
+// PartitionFromTree does before Phase 2.
+func BenchmarkPhase2(b *testing.B) {
+	rel := benchDBLPAt(b, 5200).Project(datagen.ProjectionAttrs())
+	ctx := context.Background()
+	raw := tuples.PartitionTreeCtx(ctx, rel, 100, 4).Leaves()
+	leaves := make([]*limbo.DCF, len(raw))
+	for i, d := range raw {
+		leaves[i] = limbo.Scaled(d, 1/float64(rel.N()))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		limbo.Phase2Ctx(ctx, leaves, 1)
+	}
+}
+
 func BenchmarkMicroFDEP(b *testing.B) {
 	r := benchDB2(b)
 	b.ResetTimer()

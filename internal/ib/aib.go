@@ -6,6 +6,13 @@
 //
 //	δI(c1, c2) = [p(c1)+p(c2)] · D_JS[p(T|c1), p(T|c2)]
 //
+// The engine evaluates δI on the clusters' weighted sums
+// s = p(c)·p(T|c), with x·log₂x cached per sum (kernel.go): there
+// equation (3) reduces to a sum over the coordinates both supports
+// share, and only those take a logarithm. Equation (3) itself, it.DeltaI
+// on the mixed conditionals, is the independent oracle the tests hold
+// every merge to.
+//
 // The full merge sequence is recorded, so callers can extract the
 // clustering at any k, the information curves I(Ck;T) and H(Ck|T), and a
 // dendrogram of the merges.
@@ -14,7 +21,6 @@ package ib
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"structmine/internal/it"
 )
@@ -264,20 +270,13 @@ func (r *Result) InfoCurve() []InfoPoint {
 		p1 := massOf(masses, m.Left)
 		p2 := massOf(masses, m.Right)
 		masses = append(masses, p1+p2)
-		hCur = hCur + xlog2(p1) + xlog2(p2) - xlog2(p1+p2)
+		hCur = hCur + it.XLog2(p1) + it.XLog2(p2) - it.XLog2(p1+p2)
 		curve = append(curve, InfoPoint{K: m.K, I: iCur, H: hCur, HCondT: hCur - iCur, Loss: m.Loss})
 	}
 	return curve
 }
 
 func massOf(masses []float64, node int) float64 { return masses[node] }
-
-func xlog2(p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	return p * math.Log2(p)
-}
 
 // MaxLoss returns the largest single-merge information loss in the
 // sequence (the paper's max(Q), the initial rank in FD-RANK).

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"structmine/internal/exec"
-	"structmine/internal/it"
 )
 
 // Heap-compaction policy: the lazy-deletion queue is rebuilt without
@@ -23,21 +22,17 @@ const (
 // length before and after the rebuild. Set only by tests.
 var testHookCompact func(before, after int)
 
-// cluster is the engine's working summary of a dendrogram node: its mass
-// p(c) and conditional p(T|c).
-type cluster struct {
-	p    float64
-	cond it.Vec
-}
-
-// engine holds the mutable state of one agglomerative run. The serial
-// reference in serial.go mirrors this logic with plain loops; property
-// tests assert the two produce bit-identical merge sequences.
+// engine holds the mutable state of one agglomerative run over clusters
+// in weighted-sum form (kernel.go) whose coordinates are remapped to
+// 0..U−1. The serial reference in serial.go mirrors its arithmetic with
+// plain two-pointer walks; property tests assert the two produce
+// bit-identical merge sequences.
 type engine struct {
 	ctx        context.Context // carries the worker budget for every fan-out
 	clusters   []cluster
 	alive      []bool
 	aliveCount int
+	table      []slot // U-slot scatter table of the newest node, read-only during a recompute
 	h          minHeap[pairItem]
 	mem        exec.Structs[pairItem] // slab behind the candidate buffers
 	scratch    []pairItem             // per-merge candidate buffer, reused across steps
@@ -54,51 +49,52 @@ func newEngine(ctx context.Context, objects []Object) *engine {
 		h:          minHeap[pairItem]{less: lessPair},
 	}
 	for i, o := range objects {
-		e.clusters[i] = cluster{p: o.P, cond: o.Cond}
+		e.clusters[i] = newCluster(o)
 		e.alive[i] = true
 	}
-	e.buildInitialCandidates()
+	e.buildInitialCandidates(remap(e.clusters))
 	return e
 }
 
 // buildInitialCandidates computes δI for all q(q−1)/2 initial pairs into
-// one preallocated slice — the pair space is flattened so exec.For can
-// hand each worker an equally sized contiguous range regardless of row
-// lengths — then establishes the heap invariant with a single O(q²)
-// bottom-up init instead of q²/2 serial pushes (O(q² log q)).
+// one preallocated slice laid out newer-major — row j holds the pairs
+// (0, j) .. (j−1, j) from flat index j(j−1)/2 — so exec can hand each
+// worker an equally sized contiguous range regardless of row lengths. A
+// worker scatters each row's newer cluster into its own U-slot table
+// once and every older cluster of the row probes it. The heap invariant
+// is then established with a single O(q²) bottom-up init instead of
+// q²/2 serial pushes (O(q² log q)).
 //
 // Determinism: each slot k holds the δI of a fixed (i, j) pair computed
 // from inputs no worker mutates, so the resulting candidate multiset is
 // identical for any worker count; pops then surface candidates in the
 // strict (loss, a, b) total order regardless of heap layout.
-func (e *engine) buildInitialCandidates() {
+func (e *engine) buildInitialCandidates(u int) {
 	q := len(e.clusters)
 	total := q * (q - 1) / 2
 	items := e.mem.Slice(total)[:total]
-	// rowStart[i] is the flat index of pair (i, i+1); row i holds pairs
-	// (i, i+1) .. (i, q−1).
-	rowStart := make([]int, q)
-	off := 0
-	for i := 0; i < q; i++ {
-		rowStart[i] = off
-		off += q - 1 - i
+	plan := exec.Plan(e.ctx, exec.AIBPairs, total, total)
+	tables := make([][]slot, plan.Workers())
+	for w := range tables {
+		tables[w] = make([]slot, u)
 	}
-	exec.For(e.ctx, exec.AIBPairs, total, total, func(lo, hi int) {
-		// Locate the (i, j) pair at flat index lo, then walk forward.
-		i := sort.Search(q, func(r int) bool { return rowStart[r] > lo }) - 1
-		j := i + 1 + (lo - rowStart[i])
-		for k := lo; k < hi; k++ {
-			items[k] = pairItem{
-				loss: it.DeltaI(e.clusters[i].p, e.clusters[i].cond, e.clusters[j].p, e.clusters[j].cond),
-				a:    i, b: j,
+	plan.ForChunk(func(w, lo, hi int) {
+		tab := tables[w]
+		// Row j is the last one starting at or before lo.
+		j := sort.Search(q, func(r int) bool { return r*(r-1)/2 > lo }) - 1
+		for k := lo; k < hi; j++ {
+			n := &e.clusters[j]
+			start := j * (j - 1) / 2
+			end := min(hi, start+j)
+			scatter(tab, n)
+			for ; k < end; k++ {
+				i := k - start
+				items[k] = pairItem{loss: deltaI(&e.clusters[i], n, tab), a: i, b: j}
 			}
-			j++
-			if j == q {
-				i++
-				j = i + 1
-			}
+			unscatter(tab, n)
 		}
 	})
+	e.table = tables[0]
 	e.h.items = items
 	e.h.init()
 }
@@ -124,14 +120,10 @@ func (e *engine) step(res *Result) bool {
 	if !ok {
 		return false
 	}
-	c1, c2 := e.clusters[top.a], e.clusters[top.b]
-	pStar := c1.p + c2.p
-	var cond it.Vec
-	if pStar > 0 {
-		cond = it.Mix(c1.p/pStar, c1.cond, c2.p/pStar, c2.cond)
-	}
 	node := len(e.clusters)
-	e.clusters = append(e.clusters, cluster{p: pStar, cond: cond})
+	e.clusters = append(e.clusters, mergeClusters(&e.clusters[top.a], &e.clusters[top.b]))
+	// Merged nodes are never read again: release their sums.
+	e.clusters[top.a], e.clusters[top.b] = cluster{}, cluster{}
 	e.alive[top.a], e.alive[top.b] = false, false
 	e.alive = append(e.alive, true)
 	res.parent[top.a], res.parent[top.b] = node, node
@@ -149,14 +141,18 @@ func (e *engine) step(res *Result) bool {
 
 // pushMergeCandidates recomputes δI(id, node) for every alive cluster —
 // the per-step O(q) hot loop — concurrently into a reused scratch buffer,
-// then bulk-appends the results with O(log n) sifts. δI is evaluated with
-// the older node as the first argument, exactly as the serial engine
-// does, so the floating-point results are bit-identical.
+// then bulk-appends the results with O(log n) sifts. The new node is
+// scattered once into the shared table, which every worker only reads;
+// each older cluster walks its own support against it, exactly as the
+// initial pairs do, so the floating-point results match the serial
+// engine's bit for bit.
 func (e *engine) pushMergeCandidates(node int) {
 	ids := e.ids[:0]
+	work := 0
 	for id := 0; id < node; id++ {
 		if e.alive[id] {
 			ids = append(ids, id)
+			work += len(e.clusters[id].idx) + 1
 		}
 	}
 	e.ids = ids
@@ -167,18 +163,16 @@ func (e *engine) pushMergeCandidates(node int) {
 		e.scratch = e.mem.Slice(len(ids))
 	}
 	buf := e.scratch[:len(ids)]
-	nc := e.clusters[node]
-	// Work estimate: each δI walks the merged conditional's support,
-	// which dominates the pairing cost.
-	exec.For(e.ctx, exec.AIBRecompute, len(ids), len(ids)*(len(nc.cond)+1), func(lo, hi int) {
+	nc := &e.clusters[node]
+	scatter(e.table, nc)
+	// Work estimate: each δI probes the table once per coordinate of the
+	// older cluster.
+	exec.For(e.ctx, exec.AIBRecompute, len(ids), work, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
-			c := e.clusters[ids[k]]
-			buf[k] = pairItem{
-				loss: it.DeltaI(c.p, c.cond, nc.p, nc.cond),
-				a:    ids[k], b: node,
-			}
+			buf[k] = pairItem{loss: deltaI(&e.clusters[ids[k]], nc, e.table), a: ids[k], b: node}
 		}
 	})
+	unscatter(e.table, nc)
 	for _, x := range buf {
 		e.h.push(x)
 	}

@@ -30,11 +30,17 @@ func AgglomerateSerial(objects []Object) *Result {
 	return AgglomerateKSerial(objects, 1)
 }
 
-// AgglomerateKSerial is the original single-threaded AIB engine, kept
-// verbatim as the differential-testing oracle and benchmark baseline for
-// the parallel engine: property tests assert both produce bit-identical
-// merge sequences, and BenchmarkAgglomerate measures the speedup against
-// it. New callers should use AgglomerateK.
+// AgglomerateKSerial is the single-threaded reference engine, kept as
+// the differential-testing oracle and benchmark baseline for the
+// parallel engine. It mirrors the engine's arithmetic — clusters in
+// weighted-sum form (kernel.go), merged by mergeClusters — with plain
+// loops: every pair pushed one by one onto a container/heap queue, and
+// δI by a two-pointer walk of both supports over the original
+// coordinates instead of a remap and a scatter table. Property tests
+// assert both produce bit-identical merge sequences, and
+// BenchmarkAgglomerate measures the speedup against it. Equation (3)
+// itself (it.DeltaI) is the independent oracle both are held to
+// (TestAIBIsGreedyOnEquation3). New callers should use AgglomerateK.
 func AgglomerateKSerial(objects []Object, k int) *Result {
 	q := len(objects)
 	res := &Result{Objects: objects}
@@ -53,7 +59,7 @@ func AgglomerateKSerial(objects []Object, k int) *Result {
 	clusters := make([]cluster, q, 2*q-1)
 	alive := make([]bool, q, 2*q-1)
 	for i, o := range objects {
-		clusters[i] = cluster{p: o.P, cond: o.Cond}
+		clusters[i] = newCluster(o)
 		alive[i] = true
 	}
 	res.parent = make([]int, q, 2*q-1)
@@ -64,10 +70,7 @@ func AgglomerateKSerial(objects []Object, k int) *Result {
 	h := &refHeap{}
 	for i := 0; i < q; i++ {
 		for j := i + 1; j < q; j++ {
-			heap.Push(h, pairItem{
-				loss: it.DeltaI(clusters[i].p, clusters[i].cond, clusters[j].p, clusters[j].cond),
-				a:    i, b: j,
-			})
+			heap.Push(h, pairItem{loss: deltaIWalk(&clusters[i], &clusters[j]), a: i, b: j})
 		}
 	}
 
@@ -84,14 +87,8 @@ func AgglomerateKSerial(objects []Object, k int) *Result {
 				break
 			}
 		}
-		c1, c2 := clusters[top.a], clusters[top.b]
-		pStar := c1.p + c2.p
-		var cond it.Vec
-		if pStar > 0 {
-			cond = it.Mix(c1.p/pStar, c1.cond, c2.p/pStar, c2.cond)
-		}
 		node := len(clusters)
-		clusters = append(clusters, cluster{p: pStar, cond: cond})
+		clusters = append(clusters, mergeClusters(&clusters[top.a], &clusters[top.b]))
 		alive[top.a], alive[top.b] = false, false
 		alive = append(alive, true)
 		res.parent[top.a], res.parent[top.b] = node, node
@@ -102,12 +99,34 @@ func AgglomerateKSerial(objects []Object, k int) *Result {
 		})
 		for id := 0; id < node; id++ {
 			if alive[id] {
-				heap.Push(h, pairItem{
-					loss: it.DeltaI(clusters[id].p, clusters[id].cond, pStar, cond),
-					a:    id, b: node,
-				})
+				heap.Push(h, pairItem{loss: deltaIWalk(&clusters[id], &clusters[node]), a: id, b: node})
 			}
 		}
 	}
 	return res
+}
+
+// deltaIWalk is deltaI (kernel.go) by a two-pointer walk of both
+// supports: the same shared terms, accumulated in the same order (c's
+// ascending coordinates), hence the same bits.
+func deltaIWalk(c, n *cluster) float64 {
+	res := it.XLog2(c.p+n.p) - c.plog - n.plog
+	shared, prop := 0, true
+	j := 0
+	for k, ix := range c.idx {
+		for j < len(n.idx) && n.idx[j] < ix {
+			j++
+		}
+		if j == len(n.idx) {
+			break
+		}
+		if n.idx[j] != ix {
+			continue
+		}
+		s1, s2 := c.s[k], n.s[j]
+		res -= it.XLog2(s1+s2) - c.slog[k] - n.slog[j]
+		shared++
+		prop = prop && s1*n.p == s2*c.p
+	}
+	return settle(res, c, n, shared, prop)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"structmine/internal/exec"
+	"structmine/internal/it"
 )
 
 // Assignment is the outcome of Phase 3 for one object.
@@ -60,7 +61,7 @@ func AssignCtx(ctx context.Context, reps []*DCF, objs []Obj) []Assignment {
 // hang off a map, so nothing is sized by the largest coordinate id.
 //
 // A representative sharing no coordinate with an object scores exactly
-// the base term, a function of the two masses alone (wlog is xlog2(W) by
+// the base term, a function of the two masses alone (wlog is it.XLog2(W) by
 // invariant, see Tree.Validate). Representatives are therefore grouped
 // by bit-equal W, each group chained in ascending rep order, and a
 // group's lowest-index untouched member stands for all of them.
@@ -139,7 +140,7 @@ type assignScratch struct {
 	terms     int       // postings scored so far
 	base      []float64 // base term per W-group for an object of mass w1
 	w1        float64
-	s1, s1log float64 // the last object sum w·p and its xlog2
+	s1, s1log float64 // the last object sum w·p and its it.XLog2
 }
 
 // closest scores one object against the index.
@@ -148,9 +149,9 @@ func (ix *repIndex) closest(sc *assignScratch, o Obj) Assignment {
 	w1 := o.W
 	if sc.gen == 1 || w1 != sc.w1 {
 		sc.w1 = w1
-		w1log := xlog2(w1)
+		w1log := it.XLog2(w1)
 		for g, w2 := range ix.groupW {
-			sc.base[g] = xlog2(w1+w2) - w1log - ix.groupWlog[g]
+			sc.base[g] = it.XLog2(w1+w2) - w1log - ix.groupWlog[g]
 		}
 	}
 	touched := sc.touched[:0]
@@ -161,7 +162,7 @@ func (ix *repIndex) closest(sc *assignScratch, o Obj) Assignment {
 		}
 		s1 := w1 * e.P
 		if s1 != sc.s1 {
-			sc.s1, sc.s1log = s1, xlog2(s1)
+			sc.s1, sc.s1log = s1, it.XLog2(s1)
 		}
 		s1log := sc.s1log
 		sc.terms += len(list)
@@ -171,7 +172,7 @@ func (ix *repIndex) closest(sc *assignScratch, o Obj) Assignment {
 				sc.acc[p.rep] = sc.base[ix.group[p.rep]]
 				touched = append(touched, p.rep)
 			}
-			sc.acc[p.rep] -= xlog2(s1+p.s) - s1log - p.slog
+			sc.acc[p.rep] -= it.XLog2(s1+p.s) - s1log - p.slog
 		}
 	}
 	sc.touched = touched

@@ -35,11 +35,7 @@
 // Phase 1 determinism tests rely on that.
 package limbo
 
-import (
-	"math"
-
-	"structmine/internal/it"
-)
+import "structmine/internal/it"
 
 // DCF is a distributional cluster feature in weighted-sum form, extended
 // with the paper's ADCF fields (per-attribute support counts, the rows of
@@ -114,14 +110,14 @@ func (sc *mergeScratch) capacity() int {
 
 // NewDCF creates a singleton DCF for an object.
 func NewDCF(o Obj) *DCF {
-	d := &DCF{W: o.W, N: 1, FirstID: o.ID, wlog: xlog2(o.W),
+	d := &DCF{W: o.W, N: 1, FirstID: o.ID, wlog: it.XLog2(o.W),
 		idx:  make([]int32, len(o.Cond)),
 		val:  make([]float64, len(o.Cond)),
 		vlog: make([]float64, len(o.Cond))}
 	for i, e := range o.Cond {
 		d.idx[i] = e.Idx
 		d.val[i] = o.W * e.P
-		d.vlog[i] = xlog2(d.val[i])
+		d.vlog[i] = it.XLog2(d.val[i])
 	}
 	if o.Counts != nil {
 		d.Counts = append([]int64(nil), o.Counts...)
@@ -184,7 +180,7 @@ func (d *DCF) AbsorbObj(o Obj) { d.absorbObj(o, nil) }
 
 func (d *DCF) absorbObj(o Obj, sc *mergeScratch) {
 	d.W += o.W
-	d.wlog = xlog2(d.W)
+	d.wlog = it.XLog2(d.W)
 	d.N++
 	d.addCounts(o.Counts)
 	stageIdx, stageVal, stageLog := stageBuffers(sc, len(o.Cond))
@@ -193,7 +189,7 @@ func (d *DCF) absorbObj(o Obj, sc *mergeScratch) {
 		s := o.W * e.P
 		if pos, ok := it.Gallop(d.idx, mi, e.Idx); ok {
 			d.val[pos] += s
-			d.vlog[pos] = xlog2(d.val[pos])
+			d.vlog[pos] = it.XLog2(d.val[pos])
 			mi = pos + 1
 			continue
 		} else {
@@ -201,7 +197,7 @@ func (d *DCF) absorbObj(o Obj, sc *mergeScratch) {
 		}
 		if pos, ok := it.Gallop(d.tidx, ti, e.Idx); ok {
 			d.tval[pos] += s
-			d.tvlog[pos] = xlog2(d.tval[pos])
+			d.tvlog[pos] = it.XLog2(d.tval[pos])
 			ti = pos + 1
 			continue
 		} else {
@@ -209,7 +205,7 @@ func (d *DCF) absorbObj(o Obj, sc *mergeScratch) {
 		}
 		stageIdx = append(stageIdx, e.Idx)
 		stageVal = append(stageVal, s)
-		stageLog = append(stageLog, xlog2(s))
+		stageLog = append(stageLog, it.XLog2(s))
 	}
 	d.commitStaged(stageIdx, stageVal, stageLog, sc)
 }
@@ -220,7 +216,7 @@ func (d *DCF) absorbObj(o Obj, sc *mergeScratch) {
 // mutated since the positions were recorded.
 func (d *DCF) absorbObjAt(o Obj, c *objCtx, pos []int32, sc *mergeScratch) {
 	d.W += o.W
-	d.wlog = xlog2(d.W)
+	d.wlog = it.XLog2(d.W)
 	d.N++
 	d.addCounts(o.Counts)
 	stageIdx, stageVal, stageLog := stageBuffers(sc, len(c.idx))
@@ -229,11 +225,11 @@ func (d *DCF) absorbObjAt(o Obj, c *objCtx, pos []int32, sc *mergeScratch) {
 		switch p := pos[k]; {
 		case p >= 0: // main-tier hit
 			d.val[p] += s
-			d.vlog[p] = xlog2(d.val[p])
+			d.vlog[p] = it.XLog2(d.val[p])
 		case p != posMiss: // tail-tier hit, encoded as ^index
 			p = ^p
 			d.tval[p] += s
-			d.tvlog[p] = xlog2(d.tval[p])
+			d.tvlog[p] = it.XLog2(d.tval[p])
 		default:
 			stageIdx = append(stageIdx, ix)
 			stageVal = append(stageVal, s)
@@ -248,7 +244,7 @@ func (d *DCF) AbsorbDCF(o *DCF) { d.absorbDCF(o, nil) }
 
 func (d *DCF) absorbDCF(o *DCF, sc *mergeScratch) {
 	d.W += o.W
-	d.wlog = xlog2(d.W)
+	d.wlog = it.XLog2(d.W)
 	d.N += o.N
 	d.addCounts(o.Counts)
 	stageIdx, stageVal, stageLog := stageBuffers(sc, o.SupportLen())
@@ -266,7 +262,7 @@ func (d *DCF) absorbDCF(o *DCF, sc *mergeScratch) {
 		}
 		if pos, ok := it.Gallop(d.idx, mi, ix); ok {
 			d.val[pos] += s
-			d.vlog[pos] = xlog2(d.val[pos])
+			d.vlog[pos] = it.XLog2(d.val[pos])
 			mi = pos + 1
 			continue
 		} else {
@@ -274,7 +270,7 @@ func (d *DCF) absorbDCF(o *DCF, sc *mergeScratch) {
 		}
 		if pos, ok := it.Gallop(d.tidx, ti, ix); ok {
 			d.tval[pos] += s
-			d.tvlog[pos] = xlog2(d.tval[pos])
+			d.tvlog[pos] = it.XLog2(d.tval[pos])
 			ti = pos + 1
 			continue
 		} else {
@@ -458,21 +454,6 @@ func storeTier(oldIdx []int32, oldVal, oldLog []float64, outIdx []int32, outVal,
 	return oldIdx, oldVal, oldLog
 }
 
-const invLn2 = 1 / math.Ln2
-
-// xlog2 computes x·log₂x via the natural log and a constant factor —
-// math.Log2's Frexp normalization costs as much as the log itself on
-// this path, and Phase 1 spends a quarter of its time here. The ≤2 ulp
-// difference from math.Log2 is far inside every δI tolerance; what
-// matters for determinism is only that all of limbo uses this one
-// function.
-func xlog2(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return x * math.Log(x) * invLn2
-}
-
 // DeltaIObj returns δI between the object (as a singleton cluster) and
 // the DCF. Coordinates outside the object's support contribute zero to
 // the sum, so the scan costs O(|supp(object)|·log) regardless of the
@@ -481,7 +462,7 @@ func xlog2(x float64) float64 {
 // logarithms come from the vlog cache.
 func (d *DCF) DeltaIObj(o Obj) float64 {
 	w1, w2 := o.W, d.W
-	res := xlog2(w1+w2) - xlog2(w1) - d.wlog
+	res := it.XLog2(w1+w2) - it.XLog2(w1) - d.wlog
 	mi, ti := 0, 0
 	for _, e := range o.Cond {
 		var s2, s2log float64
@@ -499,7 +480,7 @@ func (d *DCF) DeltaIObj(o Obj) float64 {
 			}
 		}
 		s1 := w1 * e.P
-		res -= xlog2(s1+s2) - xlog2(s1) - s2log
+		res -= it.XLog2(s1+s2) - it.XLog2(s1) - s2log
 	}
 	if res < 0 { // numerical noise
 		res = 0
@@ -512,9 +493,9 @@ const posMiss = int32(-1) << 30
 
 // objCtx is the per-insert precomputation the Tree reuses across every
 // δI candidate of one descent: the object's coordinates, its scaled
-// sums s1 = w·p, their logarithms, and xlog2(w) — all constant while the
+// sums s1 = w·p, their logarithms, and it.XLog2(w) — all constant while the
 // object routes down the tree, so each candidate scan pays only the
-// mixed xlog2(s1+s2) term.
+// mixed it.XLog2(s1+s2) term.
 type objCtx struct {
 	w    float64
 	wlog float64
@@ -526,7 +507,7 @@ type objCtx struct {
 // set loads an object into the context, reusing its slices.
 func (c *objCtx) set(o Obj) {
 	c.w = o.W
-	c.wlog = xlog2(o.W)
+	c.wlog = it.XLog2(o.W)
 	c.idx = c.idx[:0]
 	c.s = c.s[:0]
 	c.slog = c.slog[:0]
@@ -534,7 +515,7 @@ func (c *objCtx) set(o Obj) {
 		s := o.W * e.P
 		c.idx = append(c.idx, e.Idx)
 		c.s = append(c.s, s)
-		c.slog = append(c.slog, xlog2(s))
+		c.slog = append(c.slog, it.XLog2(s))
 	}
 }
 
@@ -545,7 +526,7 @@ func (c *objCtx) set(o Obj) {
 // ^tail-index, or posMiss — so the winning candidate can be absorbed
 // without re-probing (absorbObjAt).
 func deltaIObjCtx(d *DCF, c *objCtx, pos []int32) float64 {
-	res := xlog2(c.w+d.W) - c.wlog - d.wlog
+	res := it.XLog2(c.w+d.W) - c.wlog - d.wlog
 	didx, tidx, rank := d.idx, d.tidx, d.rank
 	mn, tn := len(didx), len(tidx)
 	mi, ti := 0, 0
@@ -613,7 +594,7 @@ func deltaIObjCtx(d *DCF, c *objCtx, pos []int32) float64 {
 			}
 		}
 		s1 := c.s[k]
-		res -= xlog2(s1+s2) - c.slog[k] - s2log
+		res -= it.XLog2(s1+s2) - c.slog[k] - s2log
 	}
 	if res < 0 {
 		res = 0
@@ -630,7 +611,7 @@ func DeltaIDCF(a, b *DCF) float64 {
 	if a.SupportLen() > b.SupportLen() {
 		a, b = b, a
 	}
-	res := xlog2(a.W+b.W) - a.wlog - b.wlog
+	res := it.XLog2(a.W+b.W) - a.wlog - b.wlog
 	mi, ti := 0, 0
 	ai, at := 0, 0
 	for ai < len(a.idx) || at < len(a.tidx) {
@@ -657,7 +638,7 @@ func DeltaIDCF(a, b *DCF) float64 {
 				continue // disjoint coordinate: the term vanishes
 			}
 		}
-		res -= xlog2(s1+s2) - s1log - s2log
+		res -= it.XLog2(s1+s2) - s1log - s2log
 	}
 	if res < 0 {
 		res = 0

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+
+	"structmine/internal/it"
 )
 
 // Tree persistence: EncodeTree serializes a Phase 1 DCF-tree — exact
@@ -18,7 +20,7 @@ import (
 // from-scratch build over the full data would reach.
 //
 // The memoized logarithms (vlog/tvlog/wlog) are not stored: validDCF
-// pins them to be exactly xlog2 of the stored sums, so recomputing them
+// pins them to be exactly it.XLog2 of the stored sums, so recomputing them
 // at decode reproduces the same bits. The rank index is likewise
 // rebuilt, flagged per DCF because it exists only on summaries that
 // consolidated after qualifying.
@@ -262,7 +264,7 @@ func decodeDCF(r *treeReader, ar *arena) (*DCF, error) {
 	if d.W, err = r.float(); err != nil {
 		return nil, err
 	}
-	d.wlog = xlog2(d.W)
+	d.wlog = it.XLog2(d.W)
 	nObjs, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -337,7 +339,7 @@ func decodeTier(r *treeReader, ar *arena) ([]int32, []float64, []float64, error)
 		if val[i], err = r.float(); err != nil {
 			return nil, nil, nil, err
 		}
-		vlog[i] = xlog2(val[i])
+		vlog[i] = it.XLog2(val[i])
 	}
 	return idx, val, vlog, nil
 }
@@ -379,14 +381,14 @@ func Scaled(d *DCF, s float64) *DCF {
 		tval:  make([]float64, len(d.tval)),
 		tvlog: make([]float64, len(d.tval)),
 	}
-	c.wlog = xlog2(c.W)
+	c.wlog = it.XLog2(c.W)
 	for i, v := range d.val {
 		c.val[i] = v * s
-		c.vlog[i] = xlog2(c.val[i])
+		c.vlog[i] = it.XLog2(c.val[i])
 	}
 	for i, v := range d.tval {
 		c.tval[i] = v * s
-		c.tvlog[i] = xlog2(c.tval[i])
+		c.tvlog[i] = it.XLog2(c.tval[i])
 	}
 	if d.Counts != nil {
 		c.Counts = append([]int64(nil), d.Counts...)

@@ -562,7 +562,7 @@ func (t *Tree) Validate() error {
 // validDCF checks the two-tier sorted-sparse representation invariants:
 // parallel slice lengths, strict ascending order within each tier,
 // disjoint tier supports, and exact consistency of the memoized
-// logarithms (they must be the very value xlog2 would produce, since δI
+// logarithms (they must be the very value it.XLog2 would produce, since δI
 // substitutes them for recomputation).
 func validDCF(d *DCF) error {
 	if len(d.idx) != len(d.val) || len(d.idx) != len(d.vlog) ||
@@ -570,16 +570,16 @@ func validDCF(d *DCF) error {
 		return fmt.Errorf("limbo: DCF tier length mismatch: %d/%d/%d main, %d/%d/%d tail",
 			len(d.idx), len(d.val), len(d.vlog), len(d.tidx), len(d.tval), len(d.tvlog))
 	}
-	if d.wlog != xlog2(d.W) {
+	if d.wlog != it.XLog2(d.W) {
 		return fmt.Errorf("limbo: DCF wlog cache stale: %v for W=%v", d.wlog, d.W)
 	}
 	for i, v := range d.val {
-		if d.vlog[i] != xlog2(v) {
+		if d.vlog[i] != it.XLog2(v) {
 			return fmt.Errorf("limbo: DCF main vlog cache stale at %d", i)
 		}
 	}
 	for i, v := range d.tval {
-		if d.tvlog[i] != xlog2(v) {
+		if d.tvlog[i] != it.XLog2(v) {
 			return fmt.Errorf("limbo: DCF tail vlog cache stale at %d", i)
 		}
 	}

@@ -10,7 +10,9 @@
 # normalization, the attribute-set group-by (fd.GroupBy and the
 # Holds, g3 and MVD checks on it) against a recount of the rows, and
 # LIMBO's Phase 1 at τ = 0 (the hash pass over identical conditionals)
-# against a rendered-key grouping and NewDCF + AbsorbObj. One
+# against a rendered-key grouping and NewDCF + AbsorbObj, and the AIB
+# engine over repeated and proportional objects (budget 1 ≡ budget 4,
+# greedy on equation (3), exactly 0 between duplicates). One
 # target per invocation is a `go test` rule.
 # -fuzzminimizetime is capped
 # because the default spends up to 60 s shrinking every new corpus entry,
@@ -24,6 +26,7 @@ fuzztime=${1:-10s}
 
 for target in internal/relation:FuzzReadCSV internal/relation:FuzzAppendCSV internal/colstore:FuzzOpen \
   internal/fd:FuzzDecodeState internal/limbo:FuzzDecodeTree internal/tuples:FuzzDecodeSummary \
-  internal/store:FuzzRecover internal/task:FuzzParams internal/fd:FuzzGroupBy internal/limbo:FuzzGroupZero; do
+  internal/store:FuzzRecover internal/task:FuzzParams internal/fd:FuzzGroupBy internal/limbo:FuzzGroupZero \
+  internal/ib:FuzzAgglomerate; do
   go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime "$fuzztime" -fuzzminimizetime 10x "./${target%:*}"
 done
