@@ -39,12 +39,22 @@ func MineApproxCtx(ctx context.Context, r *relation.Relation, eps float64, maxLH
 // walk the same lattice to the same result.
 //
 // g3(X → a) is counted straight from Π_X and a's class index
-// (g3Refine), so Π_{X∪a} is never formed just to be read once; the only
-// partitions built are those of the left-hand sides themselves. The
-// (X, a) candidates of one level cannot prune each other — a found
+// (g3Removed), so Π_{X∪a} is never formed just to be read once; the only
+// partitions built are those of the left-hand sides themselves. Most
+// candidates are rejected before their count is complete. Accepting
+// X → a is a test on the removed-tuple count r = n·g3, and r ↦ g3 is
+// monotone, so one threshold, limit, decides it: r < limit exactly when
+// g3 ≤ ε. A walk stops as soon as its running count reaches limit, and a
+// candidate whose count is bounded below by limit before any walk —
+// r ≥ e(X) − e(X∪a) ≥ e(X) − e(X∖b∪a) for every b ∈ X, read off the
+// partitions of the current level — is not walked at all. Every
+// reported Err still comes from a complete walk.
+//
+// The (X, a) candidates of one level cannot prune each other — a found
 // left-hand side only prunes strict supersets — so a level is evaluated
 // in parallel into per-candidate slots and its finds are recorded
 // afterwards in candidate order: the result is the same for any budget.
+// The context is checked at every level boundary.
 func MineApproxColumns(ctx context.Context, c relation.Columns, eps float64, maxLHS int) ([]ApproxFD, error) {
 	m, n := c.M(), c.N()
 	if m > MaxAttrs {
@@ -59,6 +69,7 @@ func MineApproxColumns(ctx context.Context, c relation.Columns, eps float64, max
 	if maxLHS <= 0 || maxLHS > m-1 {
 		maxLHS = m - 1
 	}
+	limit := g3Limit(n, eps)
 	pool := &scratchPool{ctx: ctx}
 	sets := newGroupBy(c, pool.grow(1)[0].ar)
 	if err := sets.load(relation.AllAttrs(c)); err != nil {
@@ -73,30 +84,48 @@ func MineApproxColumns(ctx context.Context, c relation.Columns, eps float64, max
 
 	// One lattice level of left-hand sides and their partitions,
 	// starting at ∅; pruning is RHS-specific, so a level always holds
-	// every attribute set of its size.
+	// every attribute set of its size; at holds each set's position.
 	level, parts := []AttrSet{0}, []*partition{emptyPartition(n)}
 	type pair struct{ x, a int } // level[x] with attribute a: a candidate x → a, or the extension x ∪ {a}
 	for size := 0; ; size++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		at := make(map[AttrSet]int, len(level))
+		for i, x := range level {
+			at[x] = i
+		}
 		var cands []pair
-		work := 0
+		work, bounded := 0, 0
 		for i, x := range level {
 			for a := 0; a < m; a++ {
-				if !x.Has(a) && !anySubsetOf(found[a], x) { // a superset cannot be minimal
-					cands = append(cands, pair{i, a})
-					work += parts[i].size()
+				if x.Has(a) || anySubsetOf(found[a], x) { // a superset cannot be minimal
+					continue
 				}
+				if eBound(x, a, parts[i].errVal(), limit, parts, at) {
+					bounded++
+					continue
+				}
+				cands = append(cands, pair{i, a})
+				work += parts[i].size()
 			}
 		}
-		errs := make([]float64, len(cands))
+		removed := make([]int, len(cands))
 		pool.forEach(len(cands), work, func(sc *prodScratch, i int) {
-			errs[i] = g3Refine(parts[cands[i].x], idx[cands[i].a], sc)
+			removed[i] = g3Removed(parts[cands[i].x], idx[cands[i].a], sc, limit)
 		})
+		cut := 0
 		for i, cd := range cands {
-			if errs[i] <= eps {
-				found[cd.a] = append(found[cd.a], level[cd.x])
-				out = append(out, ApproxFD{FD: FD{LHS: level[cd.x], RHS: NewAttrSet(cd.a)}, Err: errs[i]})
+			if removed[i] >= limit {
+				cut++
+				continue
 			}
+			found[cd.a] = append(found[cd.a], level[cd.x])
+			out = append(out, ApproxFD{FD: FD{LHS: level[cd.x], RHS: NewAttrSet(cd.a)}, Err: g3Frac(removed[i], n)})
 		}
+		g3Walks.Add(uint64(len(cands)))
+		g3Bounded.Add(uint64(bounded))
+		g3Cut.Add(uint64(cut))
 		if size == maxLHS {
 			break
 		}
@@ -134,26 +163,60 @@ func MineApproxColumns(ctx context.Context, c relation.Columns, eps float64, max
 	return out, nil
 }
 
-// g3Refine computes g3(X→A) = 1 − keep/n from Π_X and A's class index,
-// where keep is the number of tuples that can stay: for every
-// equivalence class of Π_X, the size of its largest Π_{X∪A} subclass.
-// With stripped partitions, singleton classes of Π_X always keep their
-// tuple, and inside a stripped class a tuple that is a singleton in Π_A
-// is a subclass of one, so
+// g3Limit is the smallest removed-tuple count r < n the miner rejects:
+// the first r at which g3Frac(r, n) ≤ ε fails (n when none does).
+// g3Frac is monotone in r, so r < g3Limit(n, ε) exactly when
+// g3Frac(r, n) ≤ ε — the float comparison itself, negation included, so
+// a NaN ε accepts nothing.
+func g3Limit(n int, eps float64) int {
+	return sort.Search(n, func(r int) bool { return !(g3Frac(r, n) <= eps) })
+}
+
+// g3Frac is g3 = 1 − keep/n for removed = n − keep tuples.
+func g3Frac(removed, n int) float64 { return 1 - float64(n-removed)/float64(n) }
+
+// eBound reports whether X → a is rejected without a walk: the tuples
+// g3Removed would count are at least e(X) − e(X∪a) (a class of Π_X that
+// splits into k subclasses of Π_{X∪a} keeps only its largest one, so it
+// loses at least k − 1 tuples, and e drops by exactly k − 1), and
+// e(X∪a) ≤ e(Y) for each Y = X∖{b}∪{a}, whose partition X∪a refines.
+// The Y are the other sets of X's level, so the bound costs |X| lookups.
+func eBound(x AttrSet, a, ex, limit int, parts []*partition, at map[AttrSet]int) bool {
+	for rest := x; rest != 0; rest &= rest - 1 {
+		if ex-parts[at[x.Remove(lowest(rest)).Add(a)]].errVal() >= limit {
+			return true
+		}
+	}
+	return false
+}
+
+// g3Refine is g3(X→A) = 1 − keep/n from Π_X and A's class index, the
+// exact count of g3Removed (whose limit n+1 no count reaches).
+func g3Refine(px *partition, ia []int32, sc *prodScratch) float64 {
+	return g3Frac(g3Removed(px, ia, sc, len(ia)+1), len(ia))
+}
+
+// g3Removed counts the tuples that must go for X → A to hold, from Π_X
+// and A's class index: every equivalence class c of Π_X keeps only its
+// largest Π_{X∪A} subclass, so
 //
-//	keep = n − size(Π_X) + Σ_{c ∈ Π_X} maxSubclass(c)
+//	removed = Σ_{c ∈ Π_X} |c| − maxSubclass(c)
 //
 // with maxSubclass(c) ≥ 1 the largest count of c's tuples sharing an
-// A-class. Π_{X∪A} itself is never formed: one walk of Π_X, counting in
-// the scratch's per-class slots.
-func g3Refine(px *partition, ia []int32, sc *prodScratch) float64 {
-	n := len(ia)
-	sc.ensure(n)
-	keep := n - px.size() // singletons of Π_X always stay
+// A-class (a tuple that is a singleton in Π_A is a subclass of one, and
+// singleton classes of Π_X remove nothing). Π_{X∪A} itself is never
+// formed: one walk of Π_X, counting in the scratch's per-class slots.
+// The walk returns as soon as removed reaches limit, so a count ≥ limit
+// is only a lower bound. It is the only g3 walk: g3Refine, G3Columns
+// and the miner all count through it.
+func g3Removed(px *partition, ia []int32, sc *prodScratch, limit int) int {
+	sc.ensure(len(ia))
+	removed := 0
 	for ci, nc := 0, px.numClasses(); ci < nc; ci++ {
+		cls := px.class(ci)
 		best := int32(1) // a lone representative can always stay
 		sc.touched = sc.touched[:0]
-		for _, t := range px.class(ci) {
+		for _, t := range cls {
 			ac := ia[t]
 			if ac < 0 {
 				continue // singleton in Π_A
@@ -170,11 +233,9 @@ func g3Refine(px *partition, ia []int32, sc *prodScratch) float64 {
 		for _, ac := range sc.touched {
 			sc.slots[ac].cnt = 0
 		}
-		keep += int(best)
+		if removed += len(cls) - int(best); removed >= limit {
+			return removed
+		}
 	}
-	g3 := 1 - float64(keep)/float64(n)
-	if g3 < 0 {
-		g3 = 0
-	}
-	return g3
+	return removed
 }

@@ -2,10 +2,12 @@ package fd
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -272,5 +274,167 @@ func TestMineApproxBudgetSweep(t *testing.T) {
 				t.Fatalf("%s budget %d: result diverged from budget 1", in.name, budget)
 			}
 		}
+	}
+}
+
+// approxBrute is the exact-set oracle of the approximate miner: for
+// every left-hand side X (ascending) and right-hand side a ∉ X with
+// |X| ≤ maxLHS (0 = no bound), X → a is listed with Err = g3 when
+// g3(X → a) ≤ ε and no proper subset of X satisfies the bound — every
+// subset checked, not only the immediate ones. A negative ε counts as
+// 0, as the miner documents.
+func approxBrute(r *relation.Relation, eps float64, maxLHS int, g3 func(FD) float64) []ApproxFD {
+	m, n := r.M(), r.N()
+	if n == 0 || m == 0 {
+		return nil
+	}
+	eps = max(eps, 0)
+	if maxLHS <= 0 {
+		maxLHS = m
+	}
+	holds := func(f FD) bool { return g3(f) <= eps }
+	var out []ApproxFD
+	for x := AttrSet(0); x < AttrSet(1)<<m; x++ {
+		if x.Count() > maxLHS {
+			continue
+		}
+	rhs:
+		for a := 0; a < m; a++ {
+			f := FD{LHS: x, RHS: NewAttrSet(a)}
+			if x.Has(a) || !holds(f) {
+				continue
+			}
+			for sub := (x - 1) & x; x != 0; sub = (sub - 1) & x {
+				if holds(FD{LHS: sub, RHS: f.RHS}) {
+					continue rhs
+				}
+				if sub == 0 {
+					break
+				}
+			}
+			out = append(out, ApproxFD{FD: f, Err: g3(f)})
+		}
+	}
+	return out
+}
+
+// g3Table is g3Of for every X → a with |X| ≤ maxLHS, counted as g3Of
+// does — group the rows by their X values, keep each group's most
+// frequent a value — with one grouping of the rows per X shared by all
+// right-hand sides, so the oracle stays affordable at 3 000 × 13.
+func g3Table(r *relation.Relation, maxLHS int) map[FD]float64 {
+	m, n := r.M(), r.N()
+	table := map[FD]float64{}
+	gid := make([]int32, n)
+	cnt := map[[2]int32]int{}
+	for x := AttrSet(0); x < AttrSet(1)<<m; x++ {
+		if x.Count() > maxLHS {
+			continue
+		}
+		ids := map[string]int32{}
+		var key []byte
+		for t := range gid {
+			key = key[:0]
+			for _, a := range x.Attrs() {
+				key = appendValueKey(key, r.Row(t)[a:a+1])
+			}
+			id, ok := ids[string(key)]
+			if !ok {
+				id = int32(len(ids))
+				ids[string(key)] = id
+			}
+			gid[t] = id
+		}
+		for a := 0; a < m; a++ {
+			if x.Has(a) {
+				continue
+			}
+			clear(cnt)
+			best := make([]int, len(ids))
+			for t, g := range gid {
+				k := [2]int32{g, r.Row(t)[a]}
+				cnt[k]++
+				best[g] = max(best[g], cnt[k])
+			}
+			keep := 0
+			for _, b := range best {
+				keep += b
+			}
+			table[FD{LHS: x, RHS: NewAttrSet(a)}] = 1 - float64(keep)/float64(n)
+		}
+	}
+	return table
+}
+
+// sameApprox reports the first difference between two mined lists,
+// comparing Err to the bit; "" when they are equal.
+func sameApprox(got, want []ApproxFD) string {
+	for i := 0; i < max(len(got), len(want)); i++ {
+		switch {
+		case i >= len(got):
+			return fmt.Sprintf("missing %v (Err %v)", want[i].FD, want[i].Err)
+		case i >= len(want):
+			return fmt.Sprintf("extra %v (Err %v)", got[i].FD, got[i].Err)
+		case got[i].FD != want[i].FD || math.Float64bits(got[i].Err) != math.Float64bits(want[i].Err):
+			return fmt.Sprintf("at %d: got %v (Err %v), want %v (Err %v)", i, got[i].FD, got[i].Err, want[i].FD, want[i].Err)
+		}
+	}
+	return ""
+}
+
+// The miner reports exactly the minimal (X, a) with g3 ≤ ε, with their
+// g3 to the bit, whatever the ε budget cut off early and the e(X) bound
+// skipped. Besides round values, ε is set to k/n for the smallest
+// removed-tuple counts k that occur, so candidates sit on the budget's
+// edge: a limit one too high reports one with g3 > ε, one too low
+// misses one with g3 = ε.
+func TestMineApproxMatchesBruteForce(t *testing.T) {
+	for _, in := range approxInputs() {
+		t.Run(in.name, func(t *testing.T) {
+			n := in.r.N()
+			table := g3Table(in.r, 3)
+			g3 := func(f FD) float64 { return table[f] }
+			counts := map[int]bool{}
+			for _, e := range table {
+				if k := int(math.Round(e * float64(n))); k > 0 {
+					counts[k] = true
+				}
+			}
+			var ks []int
+			for k := range counts {
+				ks = append(ks, k)
+			}
+			sort.Ints(ks)
+			epss := []float64{0, 0.01, 0.05, 0.2}
+			for _, k := range ks[:min(3, len(ks))] {
+				epss = append(epss, float64(k)/float64(n))
+			}
+			c := relation.AsColumns(in.r)
+			for _, eps := range epss {
+				for _, maxLHS := range []int{1, 3} {
+					got, err := MineApproxColumns(context.Background(), c, eps, maxLHS)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := sameApprox(got, approxBrute(in.r, eps, maxLHS, g3)); d != "" {
+						t.Fatalf("eps %v, max LHS %d: %s", eps, maxLHS, d)
+					}
+				}
+			}
+		})
+	}
+}
+
+// Both level-wise miners read their context at every level boundary: a
+// cancelled one returns its error, not a partial or empty result.
+func TestMinersReturnCancellation(t *testing.T) {
+	c := relation.AsColumns(dblp(3000, 1))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if fds, err := MineApproxColumns(ctx, c, 0.05, 3); !errors.Is(err, context.Canceled) {
+		t.Errorf("MineApproxColumns: %d FDs, err %v; want context.Canceled", len(fds), err)
+	}
+	if fds, err := TANEColumnsCtx(ctx, c); !errors.Is(err, context.Canceled) {
+		t.Errorf("TANEColumnsCtx: %d FDs, err %v; want context.Canceled", len(fds), err)
 	}
 }

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -113,5 +114,23 @@ func FuzzGroupBy(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := groupByRelation(data)
 		checkGroupBy(t, "fuzz", relation.AsColumns(r), attrSetsOf(r.M()))
+	})
+}
+
+// FuzzMineApprox: on relations the fuzzer spells (groupByRelation) and
+// any ε — negative, NaN and ±Inf included — and left-hand-side bound,
+// the approximate miner reports exactly approxBrute's minimal (X, a)
+// with g3Of ≤ ε, Err to the bit. Seeds under testdata/fuzz/FuzzMineApprox/.
+func FuzzMineApprox(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, eps float64, maxLHS uint8) {
+		r := groupByRelation(data)
+		bound := int(maxLHS % 5) // 0 = no bound
+		got, err := MineApproxColumns(context.Background(), relation.AsColumns(r), eps, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := sameApprox(got, approxBrute(r, eps, bound, func(f FD) float64 { return g3Of(r, f) })); d != "" {
+			t.Fatalf("eps %v, max LHS %d, %d×%d: %s", eps, bound, r.N(), r.M(), d)
+		}
 	})
 }

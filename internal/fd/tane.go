@@ -411,6 +411,9 @@ func (t *tane) run() {
 	}
 
 	for len(cur) > 0 && t.err == nil {
+		if t.err = t.ctx.Err(); t.err != nil {
+			return
+		}
 		taneLevels.Inc()
 		t.computeDependencies(cur, prev)
 		t.prune(cur)

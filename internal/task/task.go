@@ -115,10 +115,11 @@ type Params struct {
 	// selects the automatic elbow choice.
 	K int `json:"k,omitempty"`
 	// Eps is the g3 bound for approx-fds. Unset selects 0.05; an
-	// explicit 0 demands exact dependencies.
+	// explicit 0 (or a negative value) demands exact dependencies.
 	Eps *float64 `json:"eps,omitempty"`
 	// MaxLHS bounds antecedent size for approx-fds / mine-mvds. For
-	// approx-fds, 0 (or unset) selects the default bound 3.
+	// approx-fds, 0, a negative value or unset selects the default
+	// bound 3.
 	MaxLHS int `json:"max_lhs,omitempty"`
 	// MinSim is the minimum string similarity for dedup pairs. Unset
 	// selects 0.5; an explicit 0 keeps every in-group pair.
@@ -179,9 +180,15 @@ func (p Params) Normalize(taskName string) Params {
 	case "mine-mvds":
 		q.MaxLHS = p.MaxLHS
 	case "approx-fds":
+		// The miner reads ε < 0 as 0 and a non-positive bound as none at
+		// all, so both resolve here: one key per question, and the
+		// documented default of 3 for max_lhs ≤ 0.
 		resolve(&q.Eps, p.Eps, 0.05)
+		if *q.Eps < 0 {
+			*q.Eps = 0
+		}
 		q.MaxLHS = p.MaxLHS
-		if q.MaxLHS == 0 {
+		if q.MaxLHS <= 0 {
 			q.MaxLHS = 3
 		}
 	case "rank-fds", "decompose":

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"structmine/internal/datagen"
+	"structmine/internal/exec"
 	"structmine/internal/relation"
 )
 
@@ -166,6 +167,34 @@ func TestCancelRunningMVDMining(t *testing.T) {
 	}
 }
 
+// TestCancelRunningApproxFDs cancels approx-fds on a DBLP 8 000 × 13
+// sample with no practical left-hand-side bound — ≈ 0.7 s at one worker
+// on a 2-core machine — while its lattice walk runs, and expects it
+// back, typed, within about one level.
+func TestCancelRunningApproxFDs(t *testing.T) {
+	r := datagen.NewDBLP(datagen.DBLPConfig{Tuples: 8000, Seed: 1, MiscFrac: 129.0 / 50000, JournalFrac: 0.28})
+	ctx, cancel := context.WithCancel(exec.WithWorkers(context.Background(), 1))
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(ctx, r, "approx-fds", Params{MaxLHS: 12})
+		done <- err
+	}()
+	time.Sleep(50 * time.Millisecond) // past the task's entry check, into the miner
+	canceled := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if d := time.Since(canceled); d > time.Second {
+			t.Errorf("returned %v after the cancel", d)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("approx-fds ignored its cancellation")
+	}
+}
+
 func TestParamsNormalizeAndCacheKey(t *testing.T) {
 	// Knobs a task never reads must not affect its cache key.
 	a := Params{Psi: F(0.7)}.CacheKey("dedup")
@@ -191,6 +220,21 @@ func TestParamsNormalizeAndCacheKey(t *testing.T) {
 	}
 	if got := (Params{Psi: F(0)}).Normalize("rank-fds"); got.Psi == nil || *got.Psi != 0 {
 		t.Errorf("explicit psi=0 normalized to %v, want 0", got.Psi)
+	}
+	// approx-fds resolves what its miner would read the same way: a
+	// negative ε is ε = 0 and a non-positive max_lhs the default 3, so
+	// each shares that key and the artifact echoes the resolved value.
+	for _, c := range []struct{ odd, same Params }{
+		{Params{Eps: F(-1)}, Params{Eps: F(0)}},
+		{Params{MaxLHS: -2}, Params{MaxLHS: 3}},
+		{Params{MaxLHS: -1}, Params{}},
+	} {
+		if got, want := c.odd.CacheKey("approx-fds"), c.same.CacheKey("approx-fds"); got != want {
+			t.Errorf("approx-fds %+v keyed %q, want %q", c.odd, got, want)
+		}
+	}
+	if got := (Params{Eps: F(-1), MaxLHS: -1}).Normalize("approx-fds"); *got.Eps != 0 || got.MaxLHS != 3 {
+		t.Errorf("approx-fds eps=-1 max_lhs=-1 normalized to eps=%v max_lhs=%d, want 0 and 3", *got.Eps, got.MaxLHS)
 	}
 	// The rendered key format is a persisted contract: artifacts written
 	// by one build must stay addressable by the next.

@@ -10,9 +10,11 @@
 # normalization, the attribute-set group-by (fd.GroupBy and the
 # Holds, g3 and MVD checks on it) against a recount of the rows, and
 # LIMBO's Phase 1 at τ = 0 (the hash pass over identical conditionals)
-# against a rendered-key grouping and NewDCF + AbsorbObj, and the AIB
+# against a rendered-key grouping and NewDCF + AbsorbObj, the AIB
 # engine over repeated and proportional objects (budget 1 ≡ budget 4,
-# greedy on equation (3), exactly 0 between duplicates). One
+# greedy on equation (3), exactly 0 between duplicates), and the
+# approximate-FD miner against a brute-force enumeration of the minimal
+# g3 ≤ ε dependencies (any ε, NaN and negatives included). One
 # target per invocation is a `go test` rule.
 # -fuzzminimizetime is capped
 # because the default spends up to 60 s shrinking every new corpus entry,
@@ -27,6 +29,6 @@ fuzztime=${1:-10s}
 for target in internal/relation:FuzzReadCSV internal/relation:FuzzAppendCSV internal/colstore:FuzzOpen \
   internal/fd:FuzzDecodeState internal/limbo:FuzzDecodeTree internal/tuples:FuzzDecodeSummary \
   internal/store:FuzzRecover internal/task:FuzzParams internal/fd:FuzzGroupBy internal/limbo:FuzzGroupZero \
-  internal/ib:FuzzAgglomerate; do
+  internal/ib:FuzzAgglomerate internal/fd:FuzzMineApprox; do
   go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime "$fuzztime" -fuzzminimizetime 10x "./${target%:*}"
 done
