@@ -74,7 +74,7 @@ func benchGroup(b *testing.B, r *relation.Relation, phiT, phiV float64, double b
 // benchPartition is the paper's horizontal partitioning (100 leaves,
 // B = 4) into k clusters, k = 0 choosing automatically.
 func benchPartition(b *testing.B, r *relation.Relation, k int) *tuples.PartitionResult {
-	res, _, _, err := tuples.PartitionColumns(context.Background(), relation.AsColumns(r), 100, 4, k, nil)
+	res, err := tuples.PartitionColumns(context.Background(), relation.AsColumns(r), 100, 4, k)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func runDBLP(s Scale) *dblpPipeline {
 	p.projection = p.rel.Project(datagen.ProjectionAttrs())
 	proj := relation.AsColumns(p.projection)
 	p.projObjs = must(tuples.ObjectsColumnsCtx(ctx, proj))
-	p.part, _, _, err = tuples.PartitionColumns(ctx, proj, 100, 4, 3, nil)
+	p.part, err = tuples.PartitionColumns(ctx, proj, 100, 4, 3)
 	if err != nil {
 		panic(err)
 	}

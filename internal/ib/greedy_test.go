@@ -40,7 +40,7 @@ func TestAIBIsGreedyOnEquation3(t *testing.T) {
 		Tuples: 5200, Seed: 1,
 		MiscFrac: 129.0 / 50000, JournalFrac: 0.28,
 	}).Project(datagen.ProjectionAttrs())
-	pr, _, _, err := tuples.PartitionColumns(ctx, relation.AsColumns(rel), 100, 4, 0, nil)
+	pr, err := tuples.PartitionColumns(ctx, relation.AsColumns(rel), 100, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,42 +39,15 @@ type arena struct {
 
 // init points the numeric slabs at the context's pooled arena (or a
 // private one without a grant). Called once by NewTreeCtx.
-func (a *arena) init(ctx context.Context) {
-	if a.num == nil {
-		a.num = exec.CheckoutArena(ctx)
-	}
-}
+func (a *arena) init(ctx context.Context) { a.num = exec.CheckoutArena(ctx) }
 
-// int32s carves a zero-length chunk with capacity c. A nil arena — here
-// and in float64s and dcf — allocates plainly on the heap: what
-// DecodeDCF returns belongs to no tree.
-func (a *arena) int32s(c int) []int32 {
-	if a == nil {
-		return make([]int32, 0, c)
-	}
-	if a.num == nil {
-		a.num = exec.NewArena()
-	}
-	return a.num.Int32s(c)
-}
+// int32s carves a zero-length chunk with capacity c.
+func (a *arena) int32s(c int) []int32 { return a.num.Int32s(c) }
 
 // float64s carves a zero-length chunk with capacity c.
-func (a *arena) float64s(c int) []float64 {
-	if a == nil {
-		return make([]float64, 0, c)
-	}
-	if a.num == nil {
-		a.num = exec.NewArena()
-	}
-	return a.num.Float64s(c)
-}
+func (a *arena) float64s(c int) []float64 { return a.num.Float64s(c) }
 
-func (a *arena) dcf() *DCF {
-	if a == nil {
-		return new(DCF)
-	}
-	return a.dcfs.New()
-}
+func (a *arena) dcf() *DCF { return a.dcfs.New() }
 
 func (a *arena) entry() *entry { return a.ents.New() }
 

@@ -109,18 +109,19 @@ func assignCases(t *testing.T, seed int64) []assignCase {
 	}
 	cases = append(cases, assignCase{"tail-and-rank-reps", tiered, wide, true})
 
-	// Scaled and DecodeTree-restored representatives.
+	// Scaled representatives, and leaves restored from their DCF records.
 	unit := unitObjs(300, 5, 12, seed)
 	tree := buildTree(context.Background(), Config{B: 4, MaxLeafEntries: 40}, unit)
-	restored, err := DecodeTree(context.Background(), EncodeTree(tree))
-	if err != nil {
-		t.Fatal(err)
+	var restored, scaled []*DCF
+	for _, d := range tree.Leaves() {
+		dec, rest, err := DecodeDCF(AppendDCF(nil, d))
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("DecodeDCF: %v (%d bytes left)", err, len(rest))
+		}
+		restored = append(restored, dec)
+		scaled = append(scaled, Scaled(dec, 1.0/300))
 	}
-	var scaled []*DCF
-	for _, d := range restored.Leaves() {
-		scaled = append(scaled, Scaled(d, 1.0/300))
-	}
-	cases = append(cases, assignCase{"decoded-leaves", restored.Leaves(), unit, false},
+	cases = append(cases, assignCase{"decoded-leaves", restored, unit, false},
 		assignCase{"scaled-decoded-leaves", scaled, unit, false})
 
 	// Objects at the edges of the index: no coordinates at all, and

@@ -1,23 +1,19 @@
 package limbo
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"structmine/internal/it"
 )
 
-// Tree persistence: EncodeTree serializes a Phase 1 DCF-tree — exact
-// float bits, exact main/tail tier split, node hierarchy, config and
-// counters — and DecodeTree rebuilds it so that decode(encode(T)) then
-// Insert(o) evolves bit-identically to inserting o into T directly.
-// That is the property delta re-mining rests on: a persisted tree
-// absorbs only the appended tuples and ends in the same state a
-// from-scratch build over the full data would reach.
+// The DCF record codec: AppendDCF serializes one summary — exact float
+// bits, the exact main/tail tier split and the rank flag — and DecodeDCF
+// rebuilds it so a decoded copy scores every δI bit-identically to the
+// original. It is how a summary leaves the run whose tree built it (the
+// tuple summary carries its multi-tuple leaves this way).
 //
 // The memoized logarithms (vlog/tvlog/wlog) are not stored: validDCF
 // pins them to be exactly it.XLog2 of the stored sums, so recomputing them
@@ -25,52 +21,17 @@ import (
 // rebuilt, flagged per DCF because it exists only on summaries that
 // consolidated after qualifying.
 //
-// Envelope: magic "SMLT" | uint16 version | config | counters |
-// preorder node tree | uint32 CRC32-IEEE (covering everything before).
+// Record: W bits | N | FirstID | ADCF counts | rank flag | main tier |
+// tail tier. Integers are uvarints, floats raw little-endian bits.
+// Decoding is strict — varints in their shortest form, a rank flag of 0
+// or 1 — so every record that decodes encodes back to the same bytes.
 
-var treeMagic = [4]byte{'S', 'M', 'L', 'T'}
+// ErrCorruptDCF reports DCF record bytes that failed structural
+// validation; callers rebuild what the record would have carried.
+var ErrCorruptDCF = errors.New("limbo: corrupt DCF encoding")
 
-const treeVersion = 1
-
-// ErrCorruptTree reports tree bytes that failed checksum or structural
-// validation; callers fall back to a from-scratch build.
-var ErrCorruptTree = errors.New("limbo: corrupt tree encoding")
-
-// EncodeTree serializes the tree. The tree is only read.
-func EncodeTree(t *Tree) []byte {
-	buf := make([]byte, 0, 1<<12)
-	buf = append(buf, treeMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, treeVersion)
-	buf = binary.AppendUvarint(buf, uint64(t.cfg.B))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.cfg.Threshold))
-	buf = binary.AppendUvarint(buf, uint64(t.cfg.MaxLeafEntries))
-	buf = binary.AppendUvarint(buf, uint64(t.cfg.NumAttrs))
-	buf = binary.AppendUvarint(buf, uint64(t.leafEntries))
-	buf = binary.AppendUvarint(buf, uint64(t.inserted))
-	buf = binary.AppendUvarint(buf, uint64(t.rebuilds))
-	buf = binary.AppendUvarint(buf, uint64(t.nodes))
-	buf = binary.AppendUvarint(buf, uint64(t.height))
-	buf = encodeNode(buf, t.root)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-}
-
-func encodeNode(buf []byte, n *node) []byte {
-	leaf := byte(0)
-	if n.leaf {
-		leaf = 1
-	}
-	buf = append(buf, leaf)
-	buf = binary.AppendUvarint(buf, uint64(len(n.entries)))
-	for _, e := range n.entries {
-		buf = encodeDCF(buf, e.dcf)
-		if !n.leaf {
-			buf = encodeNode(buf, e.child)
-		}
-	}
-	return buf
-}
-
-func encodeDCF(buf []byte, d *DCF) []byte {
+// AppendDCF appends d to buf as one DCF record.
+func AppendDCF(buf []byte, d *DCF) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.W))
 	buf = binary.AppendUvarint(buf, uint64(d.N))
 	buf = binary.AppendUvarint(buf, uint64(uint32(d.FirstID)))
@@ -83,14 +44,14 @@ func encodeDCF(buf []byte, d *DCF) []byte {
 		hasRank = 1
 	}
 	buf = append(buf, hasRank)
-	buf = encodeTier(buf, d.idx, d.val)
-	buf = encodeTier(buf, d.tidx, d.tval)
+	buf = appendTier(buf, d.idx, d.val)
+	buf = appendTier(buf, d.tidx, d.tval)
 	return buf
 }
 
-// encodeTier writes one sorted-sparse tier: count, strictly-ascending
+// appendTier writes one sorted-sparse tier: count, strictly-ascending
 // coordinates as deltas, then the sums as raw float bits.
-func encodeTier(buf []byte, idx []int32, val []float64) []byte {
+func appendTier(buf []byte, idx []int32, val []float64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(idx)))
 	prev := int64(-1)
 	for _, ix := range idx {
@@ -103,17 +64,19 @@ func encodeTier(buf []byte, idx []int32, val []float64) []byte {
 	return buf
 }
 
-// treeReader parses the payload with explicit bounds checks so corrupt
-// bytes yield ErrCorruptTree instead of a panic or allocation bomb.
-type treeReader struct {
+// dcfReader parses a record with explicit bounds checks so corrupt
+// bytes yield ErrCorruptDCF instead of a panic or allocation bomb.
+type dcfReader struct {
 	buf []byte
 	off int
 }
 
-func (r *treeReader) uvarint() (uint64, error) {
+// uvarint reads one integer in its shortest encoding (an overlong one
+// ends in a zero byte), so no two records decode alike.
+func (r *dcfReader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint at offset %d", ErrCorruptTree, r.off)
+	if n <= 0 || (n > 1 && r.buf[r.off+n-1] == 0) {
+		return 0, fmt.Errorf("%w: truncated or overlong varint at offset %d", ErrCorruptDCF, r.off)
 	}
 	r.off += n
 	return v, nil
@@ -121,145 +84,54 @@ func (r *treeReader) uvarint() (uint64, error) {
 
 // count reads a uvarint counting elements of at least elemSize bytes
 // each, rejecting values the remaining payload cannot hold.
-func (r *treeReader) count(elemSize int) (int, error) {
+func (r *dcfReader) count(elemSize int) (int, error) {
 	v, err := r.uvarint()
 	if err != nil {
 		return 0, err
 	}
 	if v > uint64(len(r.buf)-r.off)/uint64(elemSize) {
-		return 0, fmt.Errorf("%w: count %d exceeds remaining payload", ErrCorruptTree, v)
+		return 0, fmt.Errorf("%w: count %d exceeds remaining payload", ErrCorruptDCF, v)
 	}
 	return int(v), nil
 }
 
-func (r *treeReader) byte() (byte, error) {
+func (r *dcfReader) byte() (byte, error) {
 	if r.off >= len(r.buf) {
-		return 0, fmt.Errorf("%w: truncated at offset %d", ErrCorruptTree, r.off)
+		return 0, fmt.Errorf("%w: truncated at offset %d", ErrCorruptDCF, r.off)
 	}
 	b := r.buf[r.off]
 	r.off++
 	return b, nil
 }
 
-func (r *treeReader) float() (float64, error) {
+func (r *dcfReader) float() (float64, error) {
 	if r.off+8 > len(r.buf) {
-		return 0, fmt.Errorf("%w: truncated float at offset %d", ErrCorruptTree, r.off)
+		return 0, fmt.Errorf("%w: truncated float at offset %d", ErrCorruptDCF, r.off)
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
 	r.off += 8
 	return v, nil
 }
 
-// DecodeTree rebuilds a tree from EncodeTree bytes under the context's
-// worker budget, exactly as NewTreeCtx would have wired it (arena,
-// scratch, buffers), so further Inserts behave as if the original build
-// had never paused. Corrupt bytes fail with ErrCorruptTree — including
-// a final Validate pass over the decoded structure — never a panic.
-func DecodeTree(ctx context.Context, data []byte) (*Tree, error) {
-	if len(data) < 4+2+4 || [4]byte(data[:4]) != treeMagic {
-		return nil, fmt.Errorf("%w: bad envelope", ErrCorruptTree)
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if binary.LittleEndian.Uint32(tail) != crc32.ChecksumIEEE(body) {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrCorruptTree)
-	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != treeVersion {
-		return nil, fmt.Errorf("%w: version %d, this build reads %d", ErrCorruptTree, v, treeVersion)
-	}
-	r := &treeReader{buf: body, off: 6}
-
-	var cfg Config
-	b, err := r.uvarint()
+// DecodeDCF reads one AppendDCF record from the front of data into a
+// plain heap DCF — nothing carved from an arena, so it may outlive any
+// tree or grant — and returns the bytes that follow it. Bytes that are
+// not a structurally valid DCF fail with ErrCorruptDCF, never a panic,
+// and allocate no more than the bytes left can describe.
+func DecodeDCF(data []byte) (*DCF, []byte, error) {
+	r := &dcfReader{buf: data}
+	d, err := decodeDCF(r)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cfg.B = int(b)
-	if cfg.Threshold, err = r.float(); err != nil {
-		return nil, err
+	if err := validDCF(d); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorruptDCF, err)
 	}
-	mle, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	cfg.MaxLeafEntries = int(mle)
-	na, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	cfg.NumAttrs = int(na)
-	if cfg.B <= 1 || cfg.B > 1<<10 {
-		return nil, fmt.Errorf("%w: branching factor %d", ErrCorruptTree, cfg.B)
-	}
-
-	var counters [5]int
-	for i := range counters {
-		v, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if v > 1<<40 {
-			return nil, fmt.Errorf("%w: counter out of range", ErrCorruptTree)
-		}
-		counters[i] = int(v)
-	}
-
-	t := NewTreeCtx(ctx, cfg)
-	t.leafEntries = counters[0]
-	t.inserted = counters[1]
-	t.rebuilds = counters[2]
-	t.nodes = counters[3]
-	t.height = counters[4]
-	root, err := decodeNode(r, t, 0)
-	if err != nil {
-		return nil, err
-	}
-	t.root = root
-	if r.off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorruptTree, len(body)-r.off)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptTree, err)
-	}
-	return t, nil
+	return d, data[r.off:], nil
 }
 
-const maxTreeDepth = 64
-
-func decodeNode(r *treeReader, t *Tree, depth int) (*node, error) {
-	if depth > maxTreeDepth {
-		return nil, fmt.Errorf("%w: nesting deeper than %d", ErrCorruptTree, maxTreeDepth)
-	}
-	leafByte, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	ne, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	if ne > t.cfg.B {
-		return nil, fmt.Errorf("%w: node with %d entries exceeds B=%d", ErrCorruptTree, ne, t.cfg.B)
-	}
-	n := t.newNode(leafByte == 1)
-	for i := 0; i < ne; i++ {
-		e := t.ar.entry()
-		if e.dcf, err = decodeDCF(r, &t.ar); err != nil {
-			return nil, err
-		}
-		if !n.leaf {
-			if e.child, err = decodeNode(r, t, depth+1); err != nil {
-				return nil, err
-			}
-		}
-		n.entries = append(n.entries, e)
-	}
-	return n, nil
-}
-
-// decodeDCF reads one encodeDCF record into storage carved from ar (a
-// nil arena allocates plainly on the heap).
-func decodeDCF(r *treeReader, ar *arena) (*DCF, error) {
-	d := ar.dcf()
+func decodeDCF(r *dcfReader) (*DCF, error) {
+	d := new(DCF)
 	var err error
 	if d.W, err = r.float(); err != nil {
 		return nil, err
@@ -275,7 +147,7 @@ func decodeDCF(r *treeReader, ar *arena) (*DCF, error) {
 		return nil, err
 	}
 	if fid > math.MaxUint32 {
-		return nil, fmt.Errorf("%w: first id %d out of range", ErrCorruptTree, fid)
+		return nil, fmt.Errorf("%w: first id %d out of range", ErrCorruptDCF, fid)
 	}
 	d.FirstID = int32(uint32(fid))
 	nc, err := r.count(1)
@@ -290,7 +162,7 @@ func decodeDCF(r *treeReader, ar *arena) (*DCF, error) {
 				return nil, err
 			}
 			if c > math.MaxInt64 {
-				return nil, fmt.Errorf("%w: ADCF count out of range", ErrCorruptTree)
+				return nil, fmt.Errorf("%w: ADCF count out of range", ErrCorruptDCF)
 			}
 			d.Counts[i] = int64(c)
 		}
@@ -299,29 +171,32 @@ func decodeDCF(r *treeReader, ar *arena) (*DCF, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.idx, d.val, d.vlog, err = decodeTier(r, ar); err != nil {
+	if hasRank > 1 {
+		return nil, fmt.Errorf("%w: rank flag %d", ErrCorruptDCF, hasRank)
+	}
+	if d.idx, d.val, d.vlog, err = decodeTier(r); err != nil {
 		return nil, err
 	}
-	if d.tidx, d.tval, d.tvlog, err = decodeTier(r, ar); err != nil {
+	if d.tidx, d.tval, d.tvlog, err = decodeTier(r); err != nil {
 		return nil, err
 	}
 	if hasRank == 1 {
 		d.buildRank()
 		if d.rank == nil {
-			return nil, fmt.Errorf("%w: rank flagged on a DCF that cannot carry one", ErrCorruptTree)
+			return nil, fmt.Errorf("%w: rank flagged on a DCF that cannot carry one", ErrCorruptDCF)
 		}
 	}
 	return d, nil
 }
 
-func decodeTier(r *treeReader, ar *arena) ([]int32, []float64, []float64, error) {
+func decodeTier(r *dcfReader) ([]int32, []float64, []float64, error) {
 	n, err := r.count(9) // ≥ 1 delta byte + 8 value bytes per coordinate
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	idx := ar.int32s(n)[:n]
-	val := ar.float64s(n)[:n]
-	vlog := ar.float64s(n)[:n]
+	idx := make([]int32, n)
+	val := make([]float64, n)
+	vlog := make([]float64, n)
 	prev := int64(-1)
 	for i := range idx {
 		delta, err := r.uvarint()
@@ -330,7 +205,7 @@ func decodeTier(r *treeReader, ar *arena) ([]int32, []float64, []float64, error)
 		}
 		ix := prev + int64(delta)
 		if delta == 0 || ix > math.MaxInt32 {
-			return nil, nil, nil, fmt.Errorf("%w: coordinate delta %d at %d", ErrCorruptTree, delta, i)
+			return nil, nil, nil, fmt.Errorf("%w: coordinate delta %d at %d", ErrCorruptDCF, delta, i)
 		}
 		idx[i] = int32(ix)
 		prev = ix
@@ -344,34 +219,12 @@ func decodeTier(r *treeReader, ar *arena) ([]int32, []float64, []float64, error)
 	return idx, val, vlog, nil
 }
 
-// AppendDCF appends one summary to buf in the tree codec's DCF record:
-// exact float bits, the exact main/tail tier split and the rank flag, so
-// a decoded copy scores every δI bit-identically to d. It is how a
-// summary leaves a run whose tree lives in pooled arena slabs.
-func AppendDCF(buf []byte, d *DCF) []byte { return encodeDCF(buf, d) }
-
-// DecodeDCF reads one AppendDCF record from the front of data into a
-// plain heap DCF — nothing carved from an arena, so it may outlive any
-// tree or grant — and returns the bytes that follow it. Bytes that are
-// not a structurally valid DCF fail with ErrCorruptTree, never a panic,
-// and allocate no more than the bytes left can describe.
-func DecodeDCF(data []byte) (*DCF, []byte, error) {
-	r := &treeReader{buf: data}
-	d, err := decodeDCF(r, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := validDCF(d); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorruptTree, err)
-	}
-	return d, data[r.off:], nil
-}
-
 // Scaled returns a copy of d with all mass multiplied by s: W, the
 // tier sums, and the memoized logarithms recomputed from the scaled
-// values. Delta re-mining builds its Phase 1 tree over unit-weight
-// objects (so the tree is independent of the growing row count) and
-// scales the extracted leaves by 1/n before the downstream phases.
+// values. Horizontal partitioning builds its Phase 1 tree over
+// unit-weight objects and scales the extracted leaves by 1/n before the
+// downstream phases; that order of operations fixes the float bits of
+// every partition artifact.
 func Scaled(d *DCF, s float64) *DCF {
 	c := &DCF{W: d.W * s, N: d.N, FirstID: d.FirstID,
 		idx:   append([]int32(nil), d.idx...),

@@ -1,9 +1,7 @@
 package limbo
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -11,8 +9,8 @@ import (
 )
 
 // unitObjs builds unit-weight objects over random small-domain rows —
-// the shape the delta partition pipeline inserts, where the tree must
-// not depend on the total row count.
+// the shape horizontal partitioning inserts before it scales the leaves
+// by 1/n.
 func unitObjs(n, m, domain int, seed int64) []Obj {
 	rng := rand.New(rand.NewSource(seed))
 	objs := make([]Obj, n)
@@ -32,106 +30,6 @@ func buildTree(ctx context.Context, cfg Config, objs []Obj) *Tree {
 		t.Insert(o)
 	}
 	return t
-}
-
-// TestTreeEncodeDecodeRoundtrip pins decode(encode(T)) to T exactly:
-// the re-encoded bytes must match, which covers every float bit, tier
-// split, counter, and the node hierarchy.
-func TestTreeEncodeDecodeRoundtrip(t *testing.T) {
-	ctx := context.Background()
-	for _, cfg := range []Config{
-		{B: 4, Threshold: 0.05},
-		{B: 4, MaxLeafEntries: 20}, // adaptive mode: rebuilds occurred
-		{B: 2, Threshold: 0.01, NumAttrs: 3},
-	} {
-		tree := buildTree(ctx, cfg, unitObjs(400, 3, 6, 11))
-		enc := EncodeTree(tree)
-		dec, err := DecodeTree(ctx, enc)
-		if err != nil {
-			t.Fatalf("cfg %+v: DecodeTree: %v", cfg, err)
-		}
-		if err := dec.Validate(); err != nil {
-			t.Fatalf("cfg %+v: decoded tree invalid: %v", cfg, err)
-		}
-		if re := EncodeTree(dec); !bytes.Equal(re, enc) {
-			t.Fatalf("cfg %+v: re-encoded tree differs (%d vs %d bytes)", cfg, len(re), len(enc))
-		}
-		if dec.Inserted() != tree.Inserted() || dec.LeafCount() != tree.LeafCount() ||
-			dec.Threshold() != tree.Threshold() || dec.Rebuilds() != tree.Rebuilds() {
-			t.Fatalf("cfg %+v: counters drifted", cfg)
-		}
-	}
-}
-
-// TestPropDecodeResumeMatchesFullBuild is the absorb-path property the
-// delta cluster task rests on: decoding a persisted prefix tree and
-// inserting the suffix must leave the tree bit-identical — same
-// encoding, hence same leaves, same future behavior — to building over
-// the full sequence without ever pausing.
-func TestPropDecodeResumeMatchesFullBuild(t *testing.T) {
-	ctx := context.Background()
-	for _, tc := range []struct {
-		name   string
-		cfg    Config
-		n, cut int
-	}{
-		{"threshold-small-cut", Config{B: 4, Threshold: 0.02}, 300, 299},
-		{"threshold-half", Config{B: 4, Threshold: 0.02}, 300, 150},
-		{"adaptive", Config{B: 4, MaxLeafEntries: 30}, 500, 450},
-		{"adaptive-rebuild-straddles-cut", Config{B: 4, MaxLeafEntries: 25}, 400, 200},
-		{"adcf", Config{B: 3, Threshold: 0.05, NumAttrs: 4}, 250, 240},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			objs := unitObjs(tc.n, 4, 5, 23)
-			if tc.cfg.NumAttrs > 0 {
-				for i := range objs {
-					counts := make([]int64, tc.cfg.NumAttrs)
-					for a := range counts {
-						counts[a] = int64(1 + i%3)
-					}
-					objs[i].Counts = counts
-				}
-			}
-			full := buildTree(ctx, tc.cfg, objs)
-
-			prefix := buildTree(ctx, tc.cfg, objs[:tc.cut])
-			resumed, err := DecodeTree(ctx, EncodeTree(prefix))
-			if err != nil {
-				t.Fatalf("DecodeTree: %v", err)
-			}
-			if resumed.Inserted() != tc.cut {
-				t.Fatalf("resume point %d, want %d", resumed.Inserted(), tc.cut)
-			}
-			for _, o := range objs[tc.cut:] {
-				resumed.Insert(o)
-			}
-			if !bytes.Equal(EncodeTree(resumed), EncodeTree(full)) {
-				t.Fatalf("resumed tree diverges from uninterrupted build")
-			}
-		})
-	}
-}
-
-// TestDecodeTreeRejectsCorruption sweeps bit flips and truncations over
-// a valid encoding: every mutation must fail with ErrCorruptTree (or
-// decode to a tree passing Validate when the flip lands in a float's
-// low mantissa bits and CRC... it cannot: the CRC covers everything),
-// and must never panic.
-func TestDecodeTreeRejectsCorruption(t *testing.T) {
-	ctx := context.Background()
-	enc := EncodeTree(buildTree(ctx, Config{B: 4, Threshold: 0.05}, unitObjs(120, 3, 4, 5)))
-	for off := 0; off < len(enc); off += 7 {
-		mut := append([]byte(nil), enc...)
-		mut[off] ^= 0x20
-		if _, err := DecodeTree(ctx, mut); !errors.Is(err, ErrCorruptTree) {
-			t.Fatalf("flip at %d: err %v, want ErrCorruptTree", off, err)
-		}
-	}
-	for n := 0; n < len(enc); n += 11 {
-		if _, err := DecodeTree(ctx, enc[:n]); !errors.Is(err, ErrCorruptTree) {
-			t.Fatalf("truncation to %d: err %v, want ErrCorruptTree", n, err)
-		}
-	}
 }
 
 // TestScaled checks mass scaling keeps the representation invariants

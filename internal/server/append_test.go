@@ -66,9 +66,9 @@ func mineResult(t *testing.T, ts *httptest.Server, dsID, taskName string) json.R
 // memory-only server, every mining artifact computed after register →
 // mine → append → re-mine is byte-identical to the artifact a fresh
 // registration of the concatenated contents produces. The first server
-// mines before appending so the re-mine genuinely consumes the state the
-// previous epoch left (the delta path); the second server never sees
-// the lineage at all.
+// mines before appending so the FD re-mines genuinely consume the state
+// the previous epoch left (the delta path; partition keeps none and runs
+// from scratch); the second server never sees the lineage at all.
 func TestPropDeltaMatchesScratch(t *testing.T) {
 	const n = 200
 	sizes := []struct {
@@ -134,17 +134,22 @@ func TestPropDeltaMatchesScratch(t *testing.T) {
 				}
 
 				for _, task := range tasks {
-					// Every re-mine resumes the previous epoch's state: one
+					// Every FD re-mine resumes the previous epoch's state: one
 					// more delta re-mine on the histogram, or — only for
 					// mine-fds past fd.DeltaMaxFraction of the data; rank-fds
 					// and decompose then resume the state mine-fds left — one
 					// more "oversized" fallback, and never anything else.
+					// partition keeps no state, so it is a scratch run that
+					// moves neither.
 					before := scrapeMetrics(t, ts1.URL)
 					got := mineResult(t, ts1, ds.ID, task)
 					after := scrapeMetrics(t, ts1.URL)
 					moved := func(name string) float64 { return metricValue(t, after, name) - metricValue(t, before, name) }
 					wantDelta, wantOversized := 1.0, 0.0
-					if task == "mine-fds" && float64(size.k) > fd.DeltaMaxFraction*float64(n+size.k) {
+					switch {
+					case task == "partition":
+						wantDelta = 0
+					case task == "mine-fds" && float64(size.k) > fd.DeltaMaxFraction*float64(n+size.k):
 						wantDelta, wantOversized = 0, 1
 					}
 					if d := moved("structmine_append_delta_remine_seconds_count"); d != wantDelta {
@@ -609,7 +614,7 @@ func TestDatasetIntermediatesEpochRule(t *testing.T) {
 			t.Errorf("job pinned at epoch %d over state from epoch 3: got %q, %v; want served=%v", tc.pin, data, ok, tc.want)
 		}
 	}
-	if _, ok := (datasetIntermediates{cache: cache, id: "ds", epoch: 3}).LoadIntermediate(task.KindPartitionTree, task.Params{}); ok {
+	if _, ok := (datasetIntermediates{cache: cache, id: "ds", epoch: 3}).LoadIntermediate(task.KindTupleSummary, task.Params{}); ok {
 		t.Error("a kind never saved was served")
 	}
 	if _, ok := (datasetIntermediates{cache: cache, id: "other", epoch: 3}).LoadIntermediate(task.KindFDState, task.Params{}); ok {

@@ -425,7 +425,7 @@ func (q *Runner) dequeue() (*Job, bool) {
 }
 
 // datasetIntermediates keeps what the jobs of one dataset leave behind —
-// the tuple summary, the FD state, the partition tree — in the artifact
+// the tuple summary and the FD state — in the artifact
 // cache: memory tier and, under -persist, the disk tier. An entry is
 // keyed by the dataset's stable id, the kind and its normalized
 // parameters, so the next epoch finds it after an append; a kind is no

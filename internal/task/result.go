@@ -194,26 +194,16 @@ type PartitionResult struct {
 	Partitions   []PartitionGroup `json:"partitions"`
 }
 
-// runPartition resumes the Phase 1 tree an earlier job left with the
-// context's Intermediates, absorbing only the rows it has not seen;
-// otherwise it builds the tree from scratch. Phases 2 and 3 are the same
-// either way.
+// runPartition runs LIMBO's three phases over the rows. The Phase 1
+// tree is the paper's one-pass summary: built from scratch on every run
+// and dropped with it, so no intermediate keeps it for a later epoch.
 func runPartition(ctx context.Context, c relation.Columns, p Params) (*PartitionResult, error) {
 	if err := step(ctx, "partitioning"); err != nil {
 		return nil, err
 	}
-	im := intermediatesOf(ctx)
-	var state []byte
-	if im != nil {
-		state, _ = im.LoadIntermediate(KindPartitionTree, Params{})
-	}
-	pr, tree, resumed, err := tuples.PartitionColumns(ctx, c, defaultMaxLeaves, defaultB, p.K, state)
+	pr, err := tuples.PartitionColumns(ctx, c, defaultMaxLeaves, defaultB, p.K)
 	if err != nil {
 		return nil, err
-	}
-	if im != nil {
-		im.SaveIntermediate(KindPartitionTree, Params{}, limbo.EncodeTree(tree))
-		im.resumed = resumed
 	}
 	// The sample rows — each partition's first member — come from one
 	// pass over the stripes that hold them.

@@ -16,9 +16,6 @@ const (
 	// and report (fd.MineState, EncodeState bytes), rechecked rather than
 	// re-mined after an append.
 	KindFDState = "fd-state"
-	// KindPartitionTree is partition's leaf-bounded Phase 1 tree
-	// (limbo.EncodeTree bytes), which absorbs only the appended rows.
-	KindPartitionTree = "partition-tree"
 )
 
 // Intermediates holds what the jobs of one dataset leave behind, by kind
@@ -45,9 +42,9 @@ type intermediatesKey struct{}
 // WithIntermediates returns a context under which runners ask im for what
 // they can reuse before building it, and leave what they built there
 // after. That is also how an append re-mines incrementally: mine-fds,
-// rank-fds, decompose and partition resume the state of a prefix of
-// their rows, on any relation.Columns, and re-mine only what the appended
-// rows could have changed. Without it every run builds what it needs; the
+// rank-fds and decompose resume the FD state of a prefix of their rows,
+// on any relation.Columns, and re-mine only what the appended rows could
+// have changed. Without it every run builds what it needs; the
 // result is the same either way.
 func WithIntermediates(ctx context.Context, im Intermediates) context.Context {
 	return context.WithValue(ctx, intermediatesKey{}, &hook{Intermediates: im})

@@ -56,7 +56,9 @@ func runWithIntermediates(t *testing.T, c relation.Columns, name string, im Inte
 // TestStateDeltaMatchesScratch pins the contract the append path
 // depends on: for every state-aware task, a scratch run seeds the state,
 // and a delta run over the appended relation returns JSON identical to a
-// stateless scratch run on the same final relation.
+// stateless scratch run on the same final relation. partition keeps no
+// state: both of its runs are scratch runs, and the second one matches
+// too.
 func TestStateDeltaMatchesScratch(t *testing.T) {
 	base := stateRel(t, 150, 5)
 	ext, err := base.Extend([][]string{
@@ -68,16 +70,17 @@ func TestStateDeltaMatchesScratch(t *testing.T) {
 	}
 	for _, name := range []string{"mine-fds", "rank-fds", "partition"} {
 		t.Run(name, func(t *testing.T) {
+			stateful := name != "partition"
 			ss := memIntermediates{}
 			if _, delta := runWithIntermediates(t, relation.AsColumns(base), name, ss); delta {
 				t.Fatal("seed run took the delta path")
 			}
-			if len(ss) == 0 {
-				t.Fatal("seed run saved no state")
+			if (len(ss) > 0) != stateful {
+				t.Fatalf("seed run saved %d states", len(ss))
 			}
 			got, delta := runWithIntermediates(t, relation.AsColumns(ext), name, ss)
-			if !delta {
-				t.Fatal("append run did not take the delta path")
+			if delta != stateful {
+				t.Fatalf("append run: delta=%v", delta)
 			}
 			want, err := Run(context.Background(), ext, name, Params{})
 			if err != nil {
@@ -106,46 +109,41 @@ func TestStateReachAndFallbacks(t *testing.T) {
 	wrap := func(r *relation.Relation) relation.Columns {
 		return struct{ relation.Columns }{relation.AsColumns(r)}
 	}
-	for _, name := range []string{"mine-fds", "partition"} {
-		ss := memIntermediates{}
-		if _, delta := runWithIntermediates(t, wrap(r), name, ss); delta || len(ss) != 1 {
-			t.Fatalf("%s seed run: delta=%v, %d states saved, want a scratch run that saves one", name, delta, len(ss))
-		}
-		got, delta := runWithIntermediates(t, wrap(ext), name, ss)
-		if !delta {
-			t.Fatalf("%s after an append did not resume the saved state", name)
-		}
-		want, err := Run(context.Background(), ext, name, Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gj, _ := json.Marshal(got)
-		wj, _ := json.Marshal(want)
-		if string(gj) != string(wj) {
-			t.Fatalf("%s resumed over wrapped columns diverges from scratch:\n got %s\nwant %s", name, gj, wj)
-		}
-	}
 	ss := memIntermediates{}
-	got, delta := runWithIntermediates(t, relation.AsColumns(r), "describe", ss)
-	if delta || len(ss) != 0 {
-		t.Fatalf("describe: delta=%v, %d states saved", delta, len(ss))
+	if _, delta := runWithIntermediates(t, wrap(r), "mine-fds", ss); delta || len(ss) != 1 {
+		t.Fatalf("mine-fds seed run: delta=%v, %d states saved, want a scratch run that saves one", delta, len(ss))
 	}
-	want, err := Run(context.Background(), r, "describe", Params{})
+	got, delta := runWithIntermediates(t, wrap(ext), "mine-fds", ss)
+	if !delta {
+		t.Fatal("mine-fds after an append did not resume the saved state")
+	}
+	want, err := Run(context.Background(), ext, "mine-fds", Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gj, _ := json.Marshal(got)
 	wj, _ := json.Marshal(want)
 	if string(gj) != string(wj) {
+		t.Fatalf("mine-fds resumed over wrapped columns diverges from scratch:\n got %s\nwant %s", gj, wj)
+	}
+	ss = memIntermediates{}
+	got, delta = runWithIntermediates(t, relation.AsColumns(r), "describe", ss)
+	if delta || len(ss) != 0 {
+		t.Fatalf("describe: delta=%v, %d states saved", delta, len(ss))
+	}
+	want, err = Run(context.Background(), r, "describe", Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gj, _ = json.Marshal(got)
+	wj, _ = json.Marshal(want)
+	if string(gj) != string(wj) {
 		t.Fatalf("describe result drifted: %s vs %s", gj, wj)
 	}
 	// Corrupt state must degrade to a scratch run, not an error.
 	ss = memIntermediates{}
 	ss.SaveIntermediate(KindFDState, Params{}, []byte("garbage"))
-	ss.SaveIntermediate(KindPartitionTree, Params{}, []byte("junk"))
-	for _, name := range []string{"mine-fds", "partition"} {
-		if _, delta := runWithIntermediates(t, relation.AsColumns(r), name, ss); delta {
-			t.Fatalf("%s took the delta path over corrupt state", name)
-		}
+	if _, delta := runWithIntermediates(t, relation.AsColumns(r), "mine-fds", ss); delta {
+		t.Fatal("mine-fds took the delta path over corrupt state")
 	}
 }

@@ -103,26 +103,29 @@ func Usage() string {
 // field to take the default.
 type Params struct {
 	// PhiT is the tuple-clustering accuracy knob φT. Unset selects 0.3
-	// for report and 0 (self-calibrating threshold) elsewhere.
+	// for report and 0 (self-calibrating threshold) elsewhere; a
+	// negative value reads as 0.
 	PhiT *float64 `json:"phit,omitempty"`
 	// PhiV is the value-clustering accuracy knob φV of values and
-	// group-attrs. Unset selects 0 (self-calibrating threshold).
+	// group-attrs. Unset selects 0 (self-calibrating threshold); a
+	// negative value reads as 0.
 	PhiV *float64 `json:"phiv,omitempty"`
 	// Psi is the FD-RANK threshold ψ. Unset selects 0.5; an explicit 0
 	// disables the threshold entirely.
 	Psi *float64 `json:"psi,omitempty"`
-	// K is the partition count for the partition task. 0 (or unset)
-	// selects the automatic elbow choice.
+	// K is the partition count for the partition task. 0, a negative
+	// value or unset selects the automatic elbow choice.
 	K int `json:"k,omitempty"`
 	// Eps is the g3 bound for approx-fds. Unset selects 0.05; an
 	// explicit 0 (or a negative value) demands exact dependencies.
 	Eps *float64 `json:"eps,omitempty"`
-	// MaxLHS bounds antecedent size for approx-fds / mine-mvds. For
-	// approx-fds, 0, a negative value or unset selects the default
-	// bound 3.
+	// MaxLHS bounds antecedent size for approx-fds / mine-mvds. 0, a
+	// negative value or unset selects the default bound: 3 for
+	// approx-fds, 2 for mine-mvds.
 	MaxLHS int `json:"max_lhs,omitempty"`
 	// MinSim is the minimum string similarity for dedup pairs. Unset
-	// selects 0.5; an explicit 0 keeps every in-group pair.
+	// selects 0.5; an explicit 0 (or a negative value) keeps every
+	// in-group pair.
 	MinSim *float64 `json:"min_sim,omitempty"`
 	// Double selects double clustering for group-attrs.
 	Double bool `json:"double,omitempty"`
@@ -146,9 +149,11 @@ func fv(p *float64) float64 {
 // Normalize returns the parameters a task actually consumes: every knob
 // the task reads is resolved to a concrete (non-nil) value — the given
 // one, or the task's default when unset — and irrelevant knobs are
-// cleared. Two submissions that differ only in knobs the task never
-// reads normalize identically, so the artifact cache treats them as the
-// same query.
+// cleared. A value the runner reads as another one resolves to it: φT,
+// φV, ε and min_sim below 0 act as 0, a non-positive max_lhs as the
+// miner's default bound, and k < 0 as the automatic choice. Two
+// submissions that ask the same question normalize identically, so the
+// artifact cache treats them as the same query.
 func (p Params) Normalize(taskName string) Params {
 	q := Params{}
 	resolve := func(dst **float64, src *float64, def float64) {
@@ -158,35 +163,42 @@ func (p Params) Normalize(taskName string) Params {
 		}
 		*dst = &v
 	}
+	// resolveNonNeg is resolve for a knob that reads any value ≤ 0 as 0
+	// (a -0 included, so it keys as 0 too).
+	resolveNonNeg := func(dst **float64, src *float64, def float64) {
+		resolve(dst, src, def)
+		if **dst <= 0 {
+			**dst = 0
+		}
+	}
 	switch taskName {
 	case "describe", "mine-fds":
 		// No knobs.
 	case "report":
-		resolve(&q.PhiT, p.PhiT, 0.3)
+		resolveNonNeg(&q.PhiT, p.PhiT, 0.3)
 		resolve(&q.Psi, p.Psi, 0.5)
 	case "dedup":
-		resolve(&q.PhiT, p.PhiT, 0)
-		resolve(&q.MinSim, p.MinSim, 0.5)
+		resolveNonNeg(&q.PhiT, p.PhiT, 0)
+		resolveNonNeg(&q.MinSim, p.MinSim, 0.5)
 	case "partition":
-		q.K = p.K
+		q.K = max(p.K, 0)
 	case "values":
-		resolve(&q.PhiV, p.PhiV, 0)
+		resolveNonNeg(&q.PhiV, p.PhiV, 0)
 	case "group-attrs":
-		resolve(&q.PhiV, p.PhiV, 0)
+		resolveNonNeg(&q.PhiV, p.PhiV, 0)
 		q.Double = p.Double
 		if q.Double {
-			resolve(&q.PhiT, p.PhiT, 0)
+			resolveNonNeg(&q.PhiT, p.PhiT, 0)
 		}
 	case "mine-mvds":
 		q.MaxLHS = p.MaxLHS
-	case "approx-fds":
-		// The miner reads ε < 0 as 0 and a non-positive bound as none at
-		// all, so both resolve here: one key per question, and the
-		// documented default of 3 for max_lhs ≤ 0.
-		resolve(&q.Eps, p.Eps, 0.05)
-		if *q.Eps < 0 {
-			*q.Eps = 0
+		if q.MaxLHS <= 0 {
+			q.MaxLHS = 2
 		}
+	case "approx-fds":
+		// The miner reads a non-positive bound as none at all, so the
+		// documented default of 3 for max_lhs ≤ 0 resolves here.
+		resolveNonNeg(&q.Eps, p.Eps, 0.05)
 		q.MaxLHS = p.MaxLHS
 		if q.MaxLHS <= 0 {
 			q.MaxLHS = 3
@@ -198,7 +210,7 @@ func (p Params) Normalize(taskName string) Params {
 	case KindTupleSummary:
 		// Not a task, but keyed like one: without a case its φT would be
 		// cleared and every summary of a dataset filed under φT = 0.
-		resolve(&q.PhiT, p.PhiT, 0)
+		resolveNonNeg(&q.PhiT, p.PhiT, 0)
 	}
 	return q
 }

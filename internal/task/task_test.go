@@ -1,9 +1,11 @@
 package task
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -236,11 +238,71 @@ func TestParamsNormalizeAndCacheKey(t *testing.T) {
 	if got := (Params{Eps: F(-1), MaxLHS: -1}).Normalize("approx-fds"); *got.Eps != 0 || got.MaxLHS != 3 {
 		t.Errorf("approx-fds eps=-1 max_lhs=-1 normalized to eps=%v max_lhs=%d, want 0 and 3", *got.Eps, got.MaxLHS)
 	}
+	// So does every other knob a runner reads as another value: φT, φV
+	// and min_sim below 0 act as 0, mine-mvds' non-positive max_lhs as
+	// its default bound 2, and partition's k < 0 as the automatic k = 0.
+	for _, c := range []struct {
+		task      string
+		odd, same Params
+	}{
+		{"dedup", Params{PhiT: F(-0.1)}, Params{PhiT: F(0)}},
+		{"dedup", Params{PhiT: F(-1)}, Params{}},
+		{"dedup", Params{MinSim: F(-0.5)}, Params{MinSim: F(0)}},
+		{"report", Params{PhiT: F(-0.3)}, Params{PhiT: F(0)}},
+		{"values", Params{PhiV: F(-0.2)}, Params{}},
+		{"group-attrs", Params{PhiV: F(-1), PhiT: F(-1), Double: true}, Params{PhiV: F(0), PhiT: F(0), Double: true}},
+		{KindTupleSummary, Params{PhiT: F(-0.3)}, Params{}},
+		{"mine-mvds", Params{}, Params{MaxLHS: 2}},
+		{"mine-mvds", Params{MaxLHS: -1}, Params{MaxLHS: 2}},
+		{"partition", Params{K: -3}, Params{}},
+	} {
+		if got, want := c.odd.CacheKey(c.task), c.same.CacheKey(c.task); got != want {
+			t.Errorf("%s %+v keyed %q, want %q", c.task, c.odd, got, want)
+		}
+		if got, want := c.odd.Normalize(c.task), c.same.Normalize(c.task); !reflect.DeepEqual(got, want) {
+			g, _ := json.Marshal(got)
+			w, _ := json.Marshal(want)
+			t.Errorf("%s %q normalized to %s, want %s", c.task, c.odd.CacheKey(c.task), g, w)
+		}
+	}
 	// The rendered key format is a persisted contract: artifacts written
 	// by one build must stay addressable by the next.
 	const wantKey = "rank-fds|phit=0|phiv=0|psi=0.5|k=0|eps=0|maxlhs=0|minsim=0|double=false|mincont=0"
 	if got := (Params{}).CacheKey("rank-fds"); got != wantKey {
 		t.Errorf("cache key format drifted:\n got %s\nwant %s", got, wantKey)
+	}
+}
+
+// TestDedupNegativePhiT: a negative φT is φT = 0, not a negative
+// threshold under which Phase 1 absorbs nothing. On six rows holding two
+// exact-duplicate pairs, dedup at φT = -0.1 returns the φT = 0 artifact,
+// with both pairs grouped.
+func TestDedupNegativePhiT(t *testing.T) {
+	r, err := relation.ReadCSV("dups", strings.NewReader("a,b,c\nx,1,p\ny,2,q\nx,1,p\nz,3,r\ny,2,q\nw,4,s\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(phiT float64) []byte {
+		res, err := Run(context.Background(), r, "dedup", Params{PhiT: F(phiT)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js
+	}
+	zero, neg := run(0), run(-0.1)
+	if !bytes.Equal(neg, zero) {
+		t.Fatalf("dedup at φT = -0.1:\n%s\nat φT = 0:\n%s", neg, zero)
+	}
+	var res DedupResult
+	if err := json.Unmarshal(zero, &res); err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]int{{0, 2}, {1, 4}}; !reflect.DeepEqual(res.Groups, want) {
+		t.Fatalf("groups %v, want %v", res.Groups, want)
 	}
 }
 

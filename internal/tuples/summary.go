@@ -140,10 +140,11 @@ type summaryReader struct {
 	bad  bool
 }
 
-// uvarint reads one integer in [0, max].
+// uvarint reads one integer in [0, max], in its shortest encoding (an
+// overlong one ends in a zero byte), so no two payloads decode alike.
 func (r *summaryReader) uvarint(max int) int {
 	v, w := binary.Uvarint(r.rest)
-	if r.bad || w <= 0 || max < 0 || v > uint64(max) {
+	if r.bad || w <= 0 || (w > 1 && r.rest[w-1] == 0) || max < 0 || v > uint64(max) {
 		r.bad = true
 		return 0
 	}

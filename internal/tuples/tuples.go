@@ -137,25 +137,21 @@ type PartitionResult struct {
 	InfoLossFrac float64
 }
 
-// insertUnit feeds the Phase 1 tree the tuple objects it has not yet
-// seen, objs[tree.Inserted():], with unit mass instead of 1/n. Unit
-// weights make the tree independent of the eventual row count, which is
-// what lets an append resume a persisted tree: the objects inserted for
-// the suffix are exactly the ones a from-scratch pass over the extended
-// relation would have inserted at those positions. Leaf-bounded
-// splitting is count-based, so the tree shape is scale-invariant; masses
-// are normalized to 1/n when the leaves are handed to Phase 2.
+// insertUnit feeds the Phase 1 tree the tuple objects with unit mass
+// instead of 1/n. Leaf-bounded splitting is count-based, so the tree
+// shape is scale-invariant; masses are normalized to 1/n (limbo.Scaled)
+// when the leaves are handed to Phase 2. Inserting at unit mass and
+// scaling after fixes the float bits of every partition artifact.
 func insertUnit(tree *limbo.Tree, objs []limbo.Obj) {
-	for _, o := range objs[tree.Inserted():] {
+	for _, o := range objs {
 		o.W = 1
 		tree.Insert(o)
 	}
 }
 
-// PartitionTreeCtx builds the Phase 1 tree for horizontal partitioning
-// from scratch: leaf-bounded, over unit-weight tuple objects. Persist
-// it with limbo.EncodeTree and resume it after an append by handing the
-// bytes to PartitionColumns.
+// PartitionTreeCtx builds the Phase 1 tree for horizontal partitioning:
+// leaf-bounded, over unit-weight tuple objects. PartitionFromTree runs
+// the remaining phases over it.
 func PartitionTreeCtx(ctx context.Context, r *relation.Relation, maxLeaves, b int) *limbo.Tree {
 	tree := newPartitionTree(ctx, maxLeaves, b)
 	insertUnit(tree, Objects(r))
@@ -166,10 +162,10 @@ func newPartitionTree(ctx context.Context, maxLeaves, b int) *limbo.Tree {
 	return limbo.NewTreeCtx(ctx, limbo.Config{B: b, MaxLeafEntries: maxLeaves})
 }
 
-// PartitionFromTree runs Phases 2 and 3 over an already-built (or
-// resumed) Phase 1 tree. The unit-mass leaves are rescaled to tuple
-// probabilities p(t) = 1/n before AIB so the information curve keeps
-// the paper's normalization.
+// PartitionFromTree runs Phases 2 and 3 over an already-built Phase 1
+// tree. The unit-mass leaves are rescaled to tuple probabilities
+// p(t) = 1/n before AIB so the information curve keeps the paper's
+// normalization.
 func PartitionFromTree(ctx context.Context, r *relation.Relation, tree *limbo.Tree, k int) *PartitionResult {
 	return partitionFromTree(ctx, Objects(r), tree, k)
 }
@@ -180,31 +176,14 @@ func PartitionFromTree(ctx context.Context, r *relation.Relation, tree *limbo.Tr
 // automatic choice), and a Phase 3 scan, with the tuple objects streamed
 // once and shared by Phases 1 and 3. The returned leaves are rescaled
 // heap copies (limbo.Scaled), not views into the tree's pooled slabs.
-//
-// state, when non-nil, is a persisted Phase 1 tree
-// (limbo.EncodeTree) of a prefix of c: it is decoded and absorbs only
-// the rows it has not yet seen. Because decode+insert is bit-identical
-// to an uninterrupted build, the result matches a from-scratch run
-// exactly; state that does not decode, or claims more rows than c has,
-// is ignored. It returns the result, the Phase 1 tree to persist for the
-// next append, and whether state was resumed.
-func PartitionColumns(ctx context.Context, c relation.Columns, maxLeaves, b, k int, state []byte) (*PartitionResult, *limbo.Tree, bool, error) {
+func PartitionColumns(ctx context.Context, c relation.Columns, maxLeaves, b, k int) (*PartitionResult, error) {
 	objs, err := ObjectsColumnsCtx(ctx, c)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, err
 	}
-	var tree *limbo.Tree
-	if state != nil {
-		if t, err := limbo.DecodeTree(ctx, state); err == nil && t.Inserted() <= len(objs) {
-			tree = t
-		}
-	}
-	resumed := tree != nil
-	if !resumed {
-		tree = newPartitionTree(ctx, maxLeaves, b)
-	}
+	tree := newPartitionTree(ctx, maxLeaves, b)
 	insertUnit(tree, objs)
-	return partitionFromTree(ctx, objs, tree, k), tree, resumed, nil
+	return partitionFromTree(ctx, objs, tree, k), nil
 }
 
 func partitionFromTree(ctx context.Context, objs []limbo.Obj, tree *limbo.Tree, k int) *PartitionResult {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"structmine/internal/datagen"
@@ -200,13 +202,28 @@ func TestCompress(t *testing.T) {
 	}
 }
 
-// partition is PartitionColumns over a resident relation, from scratch.
+// partition is PartitionColumns over a resident relation.
 func partition(r *relation.Relation, maxLeaves, b, k int) *PartitionResult {
-	res, _, _, err := PartitionColumns(context.Background(), relation.AsColumns(r), maxLeaves, b, k, nil)
+	res, err := PartitionColumns(context.Background(), relation.AsColumns(r), maxLeaves, b, k)
 	if err != nil {
 		panic(err) // an in-memory relation has no failing reads
 	}
 	return res
+}
+
+func randomCSVRel(t *testing.T, n int, seed int64) *relation.Relation {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var sb strings.Builder
+	sb.WriteString("a,b,c\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "v%d,w%d,u%d\n", rng.Intn(6), rng.Intn(4), rng.Intn(5))
+	}
+	r, err := relation.ReadCSV("t", strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestMedian(t *testing.T) {

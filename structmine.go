@@ -177,7 +177,7 @@ func (m *Miner) RefineDuplicates(rep *DuplicateReport, minSim float64) []Duplica
 // HorizontalPartition clusters the tuples into k partitions; k ≤ 0 lets
 // the δI rate-of-change heuristic choose.
 func (m *Miner) HorizontalPartition(k int) *PartitionResult {
-	res, _, _, _ := tuples.PartitionColumns(context.Background(), relation.AsColumns(m.r), m.opts.MaxLeaves, m.opts.B, k, nil) // no failing reads in memory
+	res, _ := tuples.PartitionColumns(context.Background(), relation.AsColumns(m.r), m.opts.MaxLeaves, m.opts.B, k) // no failing reads in memory
 	return res
 }
 
