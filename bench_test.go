@@ -659,19 +659,30 @@ func BenchmarkAgglomerate(b *testing.B) {
 
 // BenchmarkPhase2 is LIMBO Phase 2 of the benchmark's cluster_narrow
 // partition: AIB over the 100 leaf DCFs tuples.PartitionTreeCtx builds on
-// DBLP 5 200 × ProjectionAttrs(), seed 1, rescaled to p(t) = 1/n as
-// PartitionFromTree does before Phase 2.
+// DBLP 5 200 × ProjectionAttrs(), seed 1, at p(t) = 1/n as
+// PartitionFromTree hands them to Phase 2.
 func BenchmarkPhase2(b *testing.B) {
 	rel := benchDBLPAt(b, 5200).Project(datagen.ProjectionAttrs())
 	ctx := context.Background()
-	raw := tuples.PartitionTreeCtx(ctx, rel, 100, 4).Leaves()
-	leaves := make([]*limbo.DCF, len(raw))
-	for i, d := range raw {
-		leaves[i] = limbo.Scaled(d, 1/float64(rel.N()))
-	}
+	leaves := tuples.PartitionTreeCtx(ctx, rel, 100, 4).Leaves()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		limbo.Phase2Ctx(ctx, leaves, 1)
+	}
+}
+
+// BenchmarkPartition is the partition task's engine end to end —
+// Phase 1's leaf-bounded tree, AIB over its leaves, the automatic k,
+// Phase 3 and the loss accounting — on cluster_narrow's shape (DBLP
+// 5 200 × ProjectionAttrs(), 100 leaves, B = 4) and at n = 20 000.
+func BenchmarkPartition(b *testing.B) {
+	for _, n := range []int{5200, 20000} {
+		rel := benchDBLPAt(b, n).Project(datagen.ProjectionAttrs())
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchPartition(b, rel, 0)
+			}
+		})
 	}
 }
 

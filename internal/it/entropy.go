@@ -94,11 +94,46 @@ func (j *JointDist) CondEntropyT() float64 {
 }
 
 // MarginalEntropyT returns H(T) of the T-marginal p(t) = Σ_x p(x) p(t|x).
-// The final sum runs in ascending coordinate order: iterating the
-// accumulator map directly would make the low float bits depend on Go's
-// randomized map order, and results derived from the same data must be
-// byte-for-byte reproducible across runs.
+// Each coordinate accumulates in row order and the final sum runs in
+// ascending coordinate order: iterating the accumulator map directly
+// would make the low float bits depend on Go's randomized map order, and
+// results derived from the same data must be byte-for-byte reproducible
+// across runs. Dense coordinates (max id ≤ 32× the entries mixed, the
+// DCF rank index's rule) accumulate in a slice instead of the map, with
+// the same bits.
 func (j *JointDist) MarginalEntropyT() float64 {
+	lo, hi, entries := int32(math.MaxInt32), int32(-1), 0
+	for i, px := range j.PX {
+		if px > 0 {
+			for _, e := range j.CondT[i] {
+				lo, hi = min(lo, e.Idx), max(hi, e.Idx)
+			}
+			entries += len(j.CondT[i])
+		}
+	}
+	if entries > 0 && lo >= 0 && int(hi) <= 32*entries {
+		marg := make([]float64, int(hi)+1)
+		for i, px := range j.PX {
+			if px > 0 {
+				for _, e := range j.CondT[i] {
+					marg[e.Idx] += px * e.P
+				}
+			}
+		}
+		h := 0.0
+		for _, p := range marg {
+			if p > 0 {
+				h -= p * log2(p)
+			}
+		}
+		return h
+	}
+	return j.marginalEntropyMap()
+}
+
+// marginalEntropyMap is MarginalEntropyT over a map accumulator, for
+// sparse coordinates.
+func (j *JointDist) marginalEntropyMap() float64 {
 	marg := map[int32]float64{}
 	for i, px := range j.PX {
 		if px <= 0 {

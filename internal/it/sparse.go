@@ -9,8 +9,10 @@
 package it
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -50,9 +52,11 @@ func NewVec(entries []Entry) Vec {
 	return Vec(out)
 }
 
-// Uniform returns the uniform distribution over the given indices.
-// Duplicate indices are rejected with a panic since they would silently
-// break normalization; callers construct index lists themselves.
+// Uniform returns the uniform distribution over the given indices —
+// NewVec of the same entries, sorted with a typed sort since the keys
+// are distinct. Duplicate indices are rejected with a panic since they
+// would silently break normalization; callers construct index lists
+// themselves.
 func Uniform(indices []int32) Vec {
 	if len(indices) == 0 {
 		return nil
@@ -62,11 +66,13 @@ func Uniform(indices []int32) Vec {
 	for i, ix := range indices {
 		es[i] = Entry{Idx: ix, P: p}
 	}
-	v := NewVec(es)
-	if len(v) != len(indices) {
-		panic("it: Uniform called with duplicate indices")
+	slices.SortFunc(es, func(a, b Entry) int { return cmp.Compare(a.Idx, b.Idx) })
+	for i := 1; i < len(es); i++ {
+		if es[i-1].Idx == es[i].Idx {
+			panic("it: Uniform called with duplicate indices")
+		}
 	}
-	return v
+	return Vec(es)
 }
 
 // Sum returns the total mass of v.

@@ -50,6 +50,40 @@ func TestUniform(t *testing.T) {
 	}
 }
 
+// Uniform sorts its distinct indices with a typed sort; the result must
+// be NewVec's over the same entries, entry for entry and bit for bit.
+func TestUniformMatchesNewVec(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + r.Intn(40)
+		seen := map[int32]bool{}
+		idx := make([]int32, 0, n)
+		for len(idx) < n {
+			ix := int32(r.Intn(4 * n))
+			if trial%5 == 0 {
+				ix = int32(r.Uint32()) // the whole int32 range, negatives included
+			}
+			if !seen[ix] {
+				seen[ix] = true
+				idx = append(idx, ix)
+			}
+		}
+		es := make([]Entry, n)
+		for i, ix := range idx {
+			es[i] = Entry{Idx: ix, P: 1.0 / float64(n)}
+		}
+		got, want := Uniform(idx), NewVec(es)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d entries, NewVec %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Idx != want[i].Idx || math.Float64bits(got[i].P) != math.Float64bits(want[i].P) {
+				t.Fatalf("trial %d: entry %d is %v, NewVec %v", trial, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestUniformPanicsOnDuplicates(t *testing.T) {
 	defer func() {
 		if recover() == nil {

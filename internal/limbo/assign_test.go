@@ -44,6 +44,28 @@ func smallDomainRows(r *rand.Rand, n, m, perAttr int) [][]int32 {
 	return rows
 }
 
+// unitObjs builds unit-weight objects over random small-domain rows.
+func unitObjs(n, m, domain int, seed int64) []Obj {
+	rng := rand.New(rand.NewSource(seed))
+	objs := make([]Obj, n)
+	for i := range objs {
+		row := make([]int32, m)
+		for a := range row {
+			row[a] = int32(a*domain + rng.Intn(domain))
+		}
+		objs[i] = Obj{ID: int32(i), W: 1, Cond: it.Uniform(row)}
+	}
+	return objs
+}
+
+func buildTree(ctx context.Context, cfg Config, objs []Obj) *Tree {
+	t := NewTreeCtx(ctx, cfg)
+	for _, o := range objs {
+		t.Insert(o)
+	}
+	return t
+}
+
 func assignCases(t *testing.T, seed int64) []assignCase {
 	r := rand.New(rand.NewSource(seed))
 	var cases []assignCase
@@ -109,20 +131,26 @@ func assignCases(t *testing.T, seed int64) []assignCase {
 	}
 	cases = append(cases, assignCase{"tail-and-rank-reps", tiered, wide, true})
 
-	// Scaled representatives, and leaves restored from their DCF records.
+	// Leaves restored from their DCF records, and a count tree's leaves
+	// (float DCFs on the heap) over the same rows at p(t) = 1/300.
 	unit := unitObjs(300, 5, 12, seed)
 	tree := buildTree(context.Background(), Config{B: 4, MaxLeafEntries: 40}, unit)
-	var restored, scaled []*DCF
+	var restored []*DCF
 	for _, d := range tree.Leaves() {
 		dec, rest, err := DecodeDCF(AppendDCF(nil, d))
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("DecodeDCF: %v (%d bytes left)", err, len(rest))
 		}
 		restored = append(restored, dec)
-		scaled = append(scaled, Scaled(dec, 1.0/300))
 	}
+	tuples := make([]Obj, len(unit))
+	for i, o := range unit {
+		o.W = 1.0 / 300
+		tuples[i] = o
+	}
+	counted := StreamTreeCtx(context.Background(), Config{B: 4, MaxLeafEntries: 40}, tuples).Leaves()
 	cases = append(cases, assignCase{"decoded-leaves", restored, unit, false},
-		assignCase{"scaled-decoded-leaves", scaled, unit, false})
+		assignCase{"count-tree-leaves", counted, tuples, false})
 
 	// Objects at the edges of the index: no coordinates at all, and
 	// coordinates no representative carries — below the smallest indexed

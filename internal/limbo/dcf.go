@@ -63,6 +63,10 @@ type DCF struct {
 	tval  []float64
 	tvlog []float64
 	wlog  float64
+	// cnt/tcnt replace val/vlog/tval/tvlog in the DCFs of a count tree
+	// (counts.go): per-coordinate object counts, parallel to idx/tidx.
+	cnt  []int32
+	tcnt []int32
 
 	// rank, when non-nil, is a direct position index over the main tier:
 	// rank[i] is the position of coordinate i in idx, or -1. The main
@@ -70,7 +74,7 @@ type DCF struct {
 	// (re)built — in between, the handful of very large summaries near
 	// the root answer probes in O(1) instead of O(log n). Built only for
 	// supports ≥ rankMinSupport with dense coordinate ids (see
-	// buildRank).
+	// buildRank). A count DCF's index covers both tiers (indexCounts).
 	rank []int32
 }
 
@@ -99,7 +103,8 @@ type mergeScratch struct {
 	mergeIdx []int32
 	mergeVal []float64
 	mergeLog []float64
-	ar       *arena // tier-growth allocator; nil → plain make
+	stageCnt []int32 // the count kernel's new coordinates (counts.go)
+	ar       *arena  // tier-growth allocator; nil → plain make
 }
 
 // capacity returns the resident size of the scratch, for the high-water

@@ -218,33 +218,3 @@ func decodeTier(r *dcfReader) ([]int32, []float64, []float64, error) {
 	}
 	return idx, val, vlog, nil
 }
-
-// Scaled returns a copy of d with all mass multiplied by s: W, the
-// tier sums, and the memoized logarithms recomputed from the scaled
-// values. Horizontal partitioning builds its Phase 1 tree over
-// unit-weight objects and scales the extracted leaves by 1/n before the
-// downstream phases; that order of operations fixes the float bits of
-// every partition artifact.
-func Scaled(d *DCF, s float64) *DCF {
-	c := &DCF{W: d.W * s, N: d.N, FirstID: d.FirstID,
-		idx:   append([]int32(nil), d.idx...),
-		tidx:  append([]int32(nil), d.tidx...),
-		val:   make([]float64, len(d.val)),
-		vlog:  make([]float64, len(d.val)),
-		tval:  make([]float64, len(d.tval)),
-		tvlog: make([]float64, len(d.tval)),
-	}
-	c.wlog = it.XLog2(c.W)
-	for i, v := range d.val {
-		c.val[i] = v * s
-		c.vlog[i] = it.XLog2(c.val[i])
-	}
-	for i, v := range d.tval {
-		c.tval[i] = v * s
-		c.tvlog[i] = it.XLog2(c.tval[i])
-	}
-	if d.Counts != nil {
-		c.Counts = append([]int64(nil), d.Counts...)
-	}
-	return c
-}

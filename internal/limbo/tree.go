@@ -82,6 +82,18 @@ type Tree struct {
 	// scratchHW is the high-water mark of the scratch capacity, exported
 	// through the structmine_limbo_dcf_scratch_highwater_entries gauge.
 	scratchHW int
+	// ck, when non-nil, is the count kernel the tree runs on (counts.go,
+	// set by StreamTreeCtx); cfg.Threshold and slack are then in its
+	// units, δI/s₀. slack is the absolute tolerance of the absorb test.
+	ck    *countKernel
+	slack float64
+	// steer, when set, sees every choice the tree makes between
+	// candidates — argmin, the first strict minimum, over their δI in the
+	// kernel's units — and returns the choice to take instead. Tests
+	// only: the count kernel's oracle walks a count tree and a float tree
+	// in lockstep through it and attributes each disagreement to a tie.
+	steer    func(dist []float64, choice int) int
+	pairDist []float64 // splitNode's seed candidates
 }
 
 type node struct {
@@ -108,7 +120,7 @@ func NewTreeCtx(ctx context.Context, cfg Config) *Tree {
 	if cfg.B <= 1 {
 		cfg.B = 4
 	}
-	t := &Tree{ctx: ctx, cfg: cfg, nodes: 1, height: 1}
+	t := &Tree{ctx: ctx, cfg: cfg, nodes: 1, height: 1, slack: thresholdEps}
 	t.ar.init(ctx)
 	t.sc.ar = &t.ar
 	t.root = t.newNode(true)
@@ -126,7 +138,16 @@ func (t *Tree) newNode(leaf bool) *node {
 
 // Threshold returns the current merge threshold (it may have grown in
 // MaxLeafEntries mode).
-func (t *Tree) Threshold() float64 { return t.cfg.Threshold }
+func (t *Tree) Threshold() float64 { return t.cfg.Threshold * t.unit() }
+
+// unit is the information one δI unit of the tree's kernel stands for:
+// 1 on floats, s₀ on counts.
+func (t *Tree) unit() float64 {
+	if t.ck != nil {
+		return t.ck.s0
+	}
+	return 1
+}
 
 // LeafCount returns the number of leaf entries (cluster summaries).
 func (t *Tree) LeafCount() int { return t.leafEntries }
@@ -148,10 +169,14 @@ func (t *Tree) Height() int { return t.height }
 // Insert streams one object into the tree (Phase 1). It returns the leaf
 // DCF the object was absorbed into (or became); the pointer remains
 // valid for the tree's lifetime unless an adaptive rebuild occurs (only
-// possible in MaxLeafEntries mode).
+// possible in MaxLeafEntries mode). On a count tree it is an identity
+// only: its tiers are counts, and Leaves hands out the float summaries.
 func (t *Tree) Insert(o Obj) *DCF {
 	start := time.Now()
 	t.inserted++
+	if t.ck != nil {
+		t.ck.grow(t.inserted)
+	}
 	leaf := t.insertObj(o)
 	if t.cfg.MaxLeafEntries > 0 {
 		for t.leafEntries > t.cfg.MaxLeafEntries {
@@ -175,7 +200,11 @@ func (t *Tree) Insert(o Obj) *DCF {
 // opens a new leaf entry. This is where the O(inserts) allocations of
 // the map-era Phase 1 went.
 func (t *Tree) insertObj(o Obj) *DCF {
-	t.octx.set(o)
+	if t.ck != nil {
+		t.ck.load(&t.octx, o)
+	} else {
+		t.octx.set(o)
+	}
 	if need := (t.cfg.B + 1) * len(t.octx.idx); cap(t.posBuf) < need {
 		t.posBuf = make([]int32, need)
 	}
@@ -198,11 +227,48 @@ func (t *Tree) posRow(i int) []int32 {
 // normal path, re-probing on the serial reference path (which records
 // none) — the two produce bit-identical DCF state.
 func (t *Tree) absorbRouted(e *entry, o Obj, best int) {
-	if t.cfg.forceSerial {
+	switch {
+	case t.ck != nil:
+		t.ck.absorbObjAt(e.dcf, o, &t.octx, t.posRow(best), &t.sc)
+	case t.cfg.forceSerial:
 		e.dcf.absorbObj(o, &t.sc)
+	default:
+		e.dcf.absorbObjAt(o, &t.octx, t.posRow(best), &t.sc)
+	}
+}
+
+// deltaObj is δI, in the kernel's units, between the loaded object and
+// d, recording probe positions into pos.
+func (t *Tree) deltaObj(d *DCF, pos []int32) float64 {
+	if t.ck != nil {
+		return t.ck.deltaObj(d, &t.octx, pos)
+	}
+	return deltaIObjCtx(d, &t.octx, pos)
+}
+
+// delta is δI between two summaries in the kernel's units.
+func (t *Tree) delta(a, b *DCF) float64 {
+	if t.ck != nil {
+		return t.ck.delta(a, b)
+	}
+	return DeltaIDCF(a, b)
+}
+
+// absorb merges summary src into d.
+func (t *Tree) absorb(d, src *DCF) {
+	if t.ck != nil {
+		t.ck.absorb(d, src, &t.sc)
 		return
 	}
-	e.dcf.absorbObjAt(o, &t.octx, t.posRow(best), &t.sc)
+	d.absorbDCF(src, &t.sc)
+}
+
+// clone copies a summary into the tree's arena.
+func (t *Tree) clone(d *DCF) *DCF {
+	if t.ck != nil {
+		return t.ck.clone(&t.ar, d)
+	}
+	return t.ar.cloneDCF(d)
 }
 
 // insertDCF inserts a pre-built summary (the adaptive-rebuild path).
@@ -242,16 +308,22 @@ func (t *Tree) closest(entries []*entry, d *DCF) (int, float64) {
 	// constructs the parallel closure.
 	work := len(entries) * (d.SupportLen() + 1)
 	plan := exec.Plan(t.ctx, exec.LIMBOClosest, len(entries), work)
-	if plan.Workers() <= 1 {
-		return closestEntrySerial(entries, d)
+	if plan.Workers() <= 1 && t.steer == nil {
+		best, bestDist := -1, math.Inf(1)
+		for i, e := range entries {
+			if dist := t.delta(e.dcf, d); dist < bestDist {
+				best, bestDist = i, dist
+			}
+		}
+		return best, bestDist
 	}
 	dist := t.distBuf(len(entries))
 	plan.For(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			dist[i] = DeltaIDCF(entries[i].dcf, d)
+			dist[i] = t.delta(entries[i].dcf, d)
 		}
 	})
-	return argminDist(dist)
+	return t.argmin(dist)
 }
 
 // closestObj is the object-descent twin of closest, ranking candidates
@@ -266,10 +338,10 @@ func (t *Tree) closestObj(entries []*entry, o Obj) (int, float64) {
 	}
 	work := len(entries) * (len(o.Cond) + 1)
 	plan := exec.Plan(t.ctx, exec.LIMBOClosest, len(entries), work)
-	if plan.Workers() <= 1 {
+	if plan.Workers() <= 1 && t.steer == nil {
 		best, bestDist := -1, math.Inf(1)
 		for i, e := range entries {
-			if dist := deltaIObjCtx(e.dcf, &t.octx, t.posRow(i)); dist < bestDist {
+			if dist := t.deltaObj(e.dcf, t.posRow(i)); dist < bestDist {
 				best, bestDist = i, dist
 			}
 		}
@@ -278,10 +350,10 @@ func (t *Tree) closestObj(entries []*entry, o Obj) (int, float64) {
 	dist := t.distBuf(len(entries))
 	plan.For(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			dist[i] = deltaIObjCtx(entries[i].dcf, &t.octx, t.posRow(i))
+			dist[i] = t.deltaObj(entries[i].dcf, t.posRow(i))
 		}
 	})
-	return argminDist(dist)
+	return t.argmin(dist)
 }
 
 func (t *Tree) distBuf(n int) []float64 {
@@ -303,18 +375,47 @@ func argminDist(dist []float64) (int, float64) {
 	return best, bestDist
 }
 
+// argmin is argminDist, steered when the test hook is set.
+func (t *Tree) argmin(dist []float64) (int, float64) {
+	best, bestDist := argminDist(dist)
+	if t.steer != nil {
+		best = t.steer(dist, best)
+		bestDist = dist[best]
+	}
+	return best, bestDist
+}
+
+// le is d1 ≤ d2: the first of two candidates unless the second is
+// strictly smaller — the absorb test and a split's sides. Steered when
+// the test hook is set.
+func (t *Tree) le(d1, d2 float64) bool {
+	first := d1 <= d2
+	if t.steer != nil {
+		choice := 1
+		if first {
+			choice = 0
+		}
+		first = t.steer([]float64{d1, d2}, choice) == 0
+	}
+	return first
+}
+
 // insertIntoObj descends to the closest leaf entry for a raw object. It
 // returns split=true with the two replacement entries when the node
 // overflowed, plus the leaf DCF that received the object.
 func (t *Tree) insertIntoObj(n *node, o Obj) (split bool, e1, e2 *entry, leaf *DCF) {
 	if n.leaf {
 		best, bestDist := t.closestObj(n.entries, o)
-		if best >= 0 && bestDist <= t.cfg.Threshold+thresholdEps {
+		if best >= 0 && t.le(bestDist, t.cfg.Threshold+t.slack) {
 			t.absorbRouted(n.entries[best], o, best)
 			return false, nil, nil, n.entries[best].dcf
 		}
 		e := t.ar.entry()
-		e.dcf = t.ar.newDCF(o, &t.octx)
+		if t.ck != nil {
+			e.dcf = t.ck.newLeaf(&t.ar, o, &t.octx)
+		} else {
+			e.dcf = t.ar.newDCF(o, &t.octx)
+		}
 		n.entries = append(n.entries, e)
 		t.leafEntries++
 		if len(n.entries) > t.cfg.B {
@@ -349,8 +450,8 @@ func (t *Tree) insertIntoObj(n *node, o Obj) (split bool, e1, e2 *entry, leaf *D
 func (t *Tree) insertInto(n *node, d *DCF) (split bool, e1, e2 *entry, leaf *DCF) {
 	if n.leaf {
 		best, bestDist := t.closest(n.entries, d)
-		if best >= 0 && bestDist <= t.cfg.Threshold+thresholdEps {
-			n.entries[best].dcf.absorbDCF(d, &t.sc)
+		if best >= 0 && t.le(bestDist, t.cfg.Threshold+t.slack) {
+			t.absorb(n.entries[best].dcf, d)
 			return false, nil, nil, n.entries[best].dcf
 		}
 		e := t.ar.entry()
@@ -367,7 +468,7 @@ func (t *Tree) insertInto(n *node, d *DCF) (split bool, e1, e2 *entry, leaf *DCF
 	best, _ := t.closest(n.entries, d)
 	childSplit, c1, c2, leaf := t.insertInto(n.entries[best].child, d)
 	if !childSplit {
-		n.entries[best].dcf.absorbDCF(d, &t.sc)
+		t.absorb(n.entries[best].dcf, d)
 		return false, nil, nil, leaf
 	}
 	// Replace the split child with its two halves.
@@ -385,15 +486,20 @@ func (t *Tree) insertInto(n *node, d *DCF) (split bool, e1, e2 *entry, leaf *DCF
 // (the BIRCH splitting policy adapted to information loss).
 func (t *Tree) splitNode(n *node) (*entry, *entry) {
 	t.nodes++ // two nodes replace one
-	s1, s2 := 0, 1
-	maxDist := math.Inf(-1)
+	// The seeds are the first strict maximum over the pairs in (i, j)
+	// order: argmin over the negated distances.
+	t.pairDist = t.pairDist[:0]
 	for i := 0; i < len(n.entries); i++ {
 		for j := i + 1; j < len(n.entries); j++ {
-			if d := DeltaIDCF(n.entries[i].dcf, n.entries[j].dcf); d > maxDist {
-				maxDist, s1, s2 = d, i, j
-			}
+			t.pairDist = append(t.pairDist, -t.delta(n.entries[i].dcf, n.entries[j].dcf))
 		}
 	}
+	p, _ := t.argmin(t.pairDist)
+	s1, s2 := 0, 1
+	for ; p >= len(n.entries)-1-s1; s1++ {
+		p -= len(n.entries) - 1 - s1
+	}
+	s2 = s1 + 1 + p
 	left := t.newNode(n.leaf)
 	left.entries = append(left.entries, n.entries[s1])
 	right := t.newNode(n.leaf)
@@ -402,7 +508,7 @@ func (t *Tree) splitNode(n *node) (*entry, *entry) {
 		if i == s1 || i == s2 {
 			continue
 		}
-		if DeltaIDCF(e.dcf, n.entries[s1].dcf) <= DeltaIDCF(e.dcf, n.entries[s2].dcf) {
+		if t.le(t.delta(e.dcf, n.entries[s1].dcf), t.delta(e.dcf, n.entries[s2].dcf)) {
 			left.entries = append(left.entries, e)
 		} else {
 			right.entries = append(right.entries, e)
@@ -415,9 +521,9 @@ func (t *Tree) wrap(n *node) *entry {
 	var d *DCF
 	for _, e := range n.entries {
 		if d == nil {
-			d = t.ar.cloneDCF(e.dcf)
+			d = t.clone(e.dcf)
 		} else {
-			d.absorbDCF(e.dcf, &t.sc)
+			t.absorb(d, e.dcf)
 		}
 	}
 	out := t.ar.entry()
@@ -433,18 +539,20 @@ func (t *Tree) wrap(n *node) *entry {
 // between-group distances and fold small natural clusters into large
 // ones before they ever get their own leaf.
 func (t *Tree) rebuild() {
-	leaves := t.Leaves()
+	leaves := t.leaves()
 	if t.cfg.Threshold <= 0 {
 		minDist := math.Inf(1)
 		for i := 0; i < len(leaves); i++ {
 			for j := i + 1; j < len(leaves); j++ {
-				if d := DeltaIDCF(leaves[i], leaves[j]); d < minDist {
+				if d := t.delta(leaves[i], leaves[j]); d < minDist {
 					minDist = d
 				}
 			}
 		}
-		if math.IsInf(minDist, 1) || minDist <= 0 {
-			minDist = 1e-9
+		// A distance within the absorb test's slack is a zero the float
+		// kernel rounded up: both kernels seed 1e-9 then.
+		if math.IsInf(minDist, 1) || minDist <= t.slack {
+			minDist = 1e-9 / t.unit()
 		}
 		t.cfg.Threshold = minDist
 	} else {
@@ -462,8 +570,21 @@ func (t *Tree) rebuild() {
 }
 
 // Leaves returns the leaf-level DCFs left to right — the Phase 1
-// summaries handed to Phase 2.
+// summaries handed to Phase 2. A float tree's leaves live in its arena;
+// a count tree's come as float DCFs on the heap, mass N·p(t).
 func (t *Tree) Leaves() []*DCF {
+	leaves := t.leaves()
+	if t.ck != nil {
+		for i, d := range leaves {
+			leaves[i] = t.ck.floatDCF(d)
+		}
+	}
+	return leaves
+}
+
+// leaves returns the leaf-level summaries left to right, in the
+// kernel's own representation.
+func (t *Tree) leaves() []*DCF {
 	var out []*DCF
 	var walk func(n *node)
 	walk = func(n *node) {
@@ -502,7 +623,7 @@ func (t *Tree) Validate() error {
 			return 0, 0, fmt.Errorf("limbo: node with %d entries exceeds B=%d", len(n.entries), t.cfg.B)
 		}
 		for _, e := range n.entries {
-			if err := validDCF(e.dcf); err != nil {
+			if err := t.validSummary(e.dcf); err != nil {
 				return 0, 0, err
 			}
 		}
@@ -559,6 +680,18 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
+// validSummary checks a summary of the tree under its kernel's
+// invariants.
+func (t *Tree) validSummary(d *DCF) error {
+	if t.ck != nil {
+		if err := validCounts(d, t.ck.m); err != nil {
+			return err
+		}
+		return validTiers(d)
+	}
+	return validDCF(d)
+}
+
 // validDCF checks the two-tier sorted-sparse representation invariants:
 // parallel slice lengths, strict ascending order within each tier,
 // disjoint tier supports, and exact consistency of the memoized
@@ -601,6 +734,12 @@ func validDCF(d *DCF) error {
 			return fmt.Errorf("limbo: DCF rank index covers %d of %d main coordinates", hits, len(d.idx))
 		}
 	}
+	return validTiers(d)
+}
+
+// validTiers checks what both kernels share: strict ascending order
+// within each tier and disjoint tier supports.
+func validTiers(d *DCF) error {
 	for i := 1; i < len(d.idx); i++ {
 		if d.idx[i-1] >= d.idx[i] {
 			return fmt.Errorf("limbo: DCF main tier not strictly ascending at %d", i)

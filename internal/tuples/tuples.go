@@ -137,35 +137,21 @@ type PartitionResult struct {
 	InfoLossFrac float64
 }
 
-// insertUnit feeds the Phase 1 tree the tuple objects with unit mass
-// instead of 1/n. Leaf-bounded splitting is count-based, so the tree
-// shape is scale-invariant; masses are normalized to 1/n (limbo.Scaled)
-// when the leaves are handed to Phase 2. Inserting at unit mass and
-// scaling after fixes the float bits of every partition artifact.
-func insertUnit(tree *limbo.Tree, objs []limbo.Obj) {
-	for _, o := range objs {
-		o.W = 1
-		tree.Insert(o)
-	}
-}
-
 // PartitionTreeCtx builds the Phase 1 tree for horizontal partitioning:
-// leaf-bounded, over unit-weight tuple objects. PartitionFromTree runs
-// the remaining phases over it.
+// leaf-bounded, streaming the tuple objects, which put the same mass
+// 1/(n·m) on every value, so the tree runs on integer counts
+// (limbo.StreamTreeCtx). PartitionFromTree runs the remaining phases
+// over it.
 func PartitionTreeCtx(ctx context.Context, r *relation.Relation, maxLeaves, b int) *limbo.Tree {
-	tree := newPartitionTree(ctx, maxLeaves, b)
-	insertUnit(tree, Objects(r))
-	return tree
+	return partitionTree(ctx, Objects(r), maxLeaves, b)
 }
 
-func newPartitionTree(ctx context.Context, maxLeaves, b int) *limbo.Tree {
-	return limbo.NewTreeCtx(ctx, limbo.Config{B: b, MaxLeafEntries: maxLeaves})
+func partitionTree(ctx context.Context, objs []limbo.Obj, maxLeaves, b int) *limbo.Tree {
+	return limbo.StreamTreeCtx(ctx, limbo.Config{B: b, MaxLeafEntries: maxLeaves}, objs)
 }
 
 // PartitionFromTree runs Phases 2 and 3 over an already-built Phase 1
-// tree. The unit-mass leaves are rescaled to tuple probabilities
-// p(t) = 1/n before AIB so the information curve keeps the paper's
-// normalization.
+// tree.
 func PartitionFromTree(ctx context.Context, r *relation.Relation, tree *limbo.Tree, k int) *PartitionResult {
 	return partitionFromTree(ctx, Objects(r), tree, k)
 }
@@ -174,25 +160,20 @@ func PartitionFromTree(ctx context.Context, r *relation.Relation, tree *limbo.Tr
 // column interface: Phase 1 bounded to maxLeaves summaries, AIB over the
 // leaves, k selection via the rate-of-change heuristic (k = 0 requests
 // automatic choice), and a Phase 3 scan, with the tuple objects streamed
-// once and shared by Phases 1 and 3. The returned leaves are rescaled
-// heap copies (limbo.Scaled), not views into the tree's pooled slabs.
+// once and shared by Phases 1 and 3. The returned leaves are the count
+// tree's float DCFs on the heap, not views into its pooled slabs.
 func PartitionColumns(ctx context.Context, c relation.Columns, maxLeaves, b, k int) (*PartitionResult, error) {
 	objs, err := ObjectsColumnsCtx(ctx, c)
 	if err != nil {
 		return nil, err
 	}
-	tree := newPartitionTree(ctx, maxLeaves, b)
-	insertUnit(tree, objs)
-	return partitionFromTree(ctx, objs, tree, k), nil
+	return partitionFromTree(ctx, objs, partitionTree(ctx, objs, maxLeaves, b), k), nil
 }
 
+// partitionFromTree runs Phases 2 and 3. The leaf information and Phase
+// 3's are both counted on the tree's kernel (Tree.Info, Tree.InfoOf).
 func partitionFromTree(ctx context.Context, objs []limbo.Obj, tree *limbo.Tree, k int) *PartitionResult {
-	n := float64(len(objs))
-	raw := tree.Leaves()
-	leaves := make([]*limbo.DCF, len(raw))
-	for i, d := range raw {
-		leaves[i] = limbo.Scaled(d, 1/n)
-	}
+	leaves := tree.Leaves()
 	res := limbo.Phase2Ctx(ctx, leaves, 1)
 	curve := res.InfoCurve()
 
@@ -221,13 +202,10 @@ func partitionFromTree(ctx context.Context, objs []limbo.Obj, tree *limbo.Tree, 
 	}
 	sort.Slice(groups, func(i, j int) bool { return len(groups[i]) > len(groups[j]) })
 
-	leafInfo := 0.0
-	if len(curve) > 0 {
-		leafInfo = curve[0].I // I(C_leaves;V)
-	}
+	leafInfo := tree.Info() // I(C_leaves;V)
 	lossFrac := 0.0
 	if leafInfo > 0 {
-		lossFrac = (leafInfo - limbo.MutualInfoOfAssignment(objs, assign, len(reps))) / leafInfo
+		lossFrac = (leafInfo - tree.InfoOf(objs, assign, len(reps))) / leafInfo
 	}
 	if lossFrac < 0 {
 		lossFrac = 0 // Phase 3 can slightly beat the leaf partition

@@ -10,7 +10,10 @@
 # normalization, the attribute-set group-by (fd.GroupBy and the
 # Holds, g3 and MVD checks on it) against a recount of the rows, and
 # LIMBO's Phase 1 at τ = 0 (the hash pass over identical conditionals)
-# against a rendered-key grouping and NewDCF + AbsorbObj, the AIB
+# against a rendered-key grouping and NewDCF + AbsorbObj, partition's
+# leaf-bounded tree on integer counts against the float tree in lockstep
+# (every choice but a tie, s₀·δI on counts = δI on floats, Validate and
+# the partition's cover), the AIB
 # engine over repeated and proportional objects (budget 1 ≡ budget 4,
 # greedy on equation (3), exactly 0 between duplicates), and the
 # approximate-FD miner against a brute-force enumeration of the minimal
@@ -29,6 +32,7 @@ fuzztime=${1:-10s}
 for target in internal/relation:FuzzReadCSV internal/relation:FuzzAppendCSV internal/colstore:FuzzOpen \
   internal/fd:FuzzDecodeState internal/tuples:FuzzDecodeSummary \
   internal/store:FuzzRecover internal/task:FuzzParams internal/fd:FuzzGroupBy internal/limbo:FuzzGroupZero \
+  internal/limbo:FuzzCountTree \
   internal/ib:FuzzAgglomerate internal/fd:FuzzMineApprox; do
   go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime "$fuzztime" -fuzzminimizetime 10x "./${target%:*}"
 done
