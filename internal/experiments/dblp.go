@@ -13,8 +13,8 @@ import (
 	"structmine/internal/limbo"
 	"structmine/internal/measures"
 	"structmine/internal/relation"
-	"structmine/internal/task"
 	"structmine/internal/tuples"
+	"structmine/internal/values"
 )
 
 // dblpPipeline holds everything the DBLP experiments share: the full
@@ -34,16 +34,6 @@ type dblpPipeline struct {
 	clusterRanked [][]fdrank.Ranked
 }
 
-// summaryProbe keeps the tuple summary a double clustering leaves with
-// its context's intermediates, so Figure 15 can report how many tuple
-// clusters the φT pass produced.
-type summaryProbe struct{ data []byte }
-
-func (p *summaryProbe) LoadIntermediate(string, task.Params) ([]byte, bool) { return nil, false }
-func (p *summaryProbe) SaveIntermediate(_ string, _ task.Params, data []byte) {
-	p.data = data
-}
-
 // runDBLP executes the Section 8.2 protocol at one scale.
 func runDBLP(s Scale) *dblpPipeline {
 	ctx := context.Background()
@@ -51,14 +41,14 @@ func runDBLP(s Scale) *dblpPipeline {
 
 	// Figure 15: double clustering (φT=0.5 compresses the tuple axis;
 	// the paper reports 1361 tuple clusters at 50k tuples), value
-	// clustering at φV=1.0, attribute grouping at φA=0.
-	probe := &summaryProbe{}
-	g, _, err := task.GroupAttributes(task.WithIntermediates(ctx, probe), relation.AsColumns(p.rel), 0.5, 1.0, 4, true)
-	if err != nil {
-		panic(err) // an in-memory relation has no failing reads
-	}
-	p.fullGrouping = g
-	p.tupleClusters = must(tuples.DecodeSummary(probe.data)).LeafCount
+	// clustering at φV=1.0, attribute grouping at φA=0. These are
+	// task.GroupAttributes' double-clustering steps spelled out, so the
+	// one Phase 1 pass also gives the figure its tuple-cluster count.
+	c := relation.AsColumns(p.rel)
+	assign, k := tuples.CompressCtx(ctx, p.rel, 0.5, 4)
+	p.tupleClusters = k
+	vc := values.ClusterCtx(ctx, must(values.ObjectsOverClustersColumnsCtx(ctx, c, assign, k)), 1.0, 4, c.M())
+	p.fullGrouping = attrs.GroupNamesCtx(ctx, c.AttrNames(), vc)
 
 	// Table 4: set the six NULL-heavy attributes aside, project onto
 	// {Author, Pages, BookTitle, Year, Volume, Journal, Number}, then
@@ -66,10 +56,7 @@ func runDBLP(s Scale) *dblpPipeline {
 	p.projection = p.rel.Project(datagen.ProjectionAttrs())
 	proj := relation.AsColumns(p.projection)
 	p.projObjs = must(tuples.ObjectsColumnsCtx(ctx, proj))
-	p.part, err = tuples.PartitionColumns(ctx, proj, 100, 4, 3)
-	if err != nil {
-		panic(err)
-	}
+	p.part = must(tuples.PartitionColumns(ctx, proj, 100, 4, 3))
 
 	// Figures 16-18 and Tables 5-6: per-cluster attribute grouping
 	// (φT=0.5, φV=1.0) and FD ranking (minimal FDs + min cover +

@@ -131,25 +131,17 @@ func assignCases(t *testing.T, seed int64) []assignCase {
 	}
 	cases = append(cases, assignCase{"tail-and-rank-reps", tiered, wide, true})
 
-	// Leaves restored from their DCF records, and a count tree's leaves
-	// (float DCFs on the heap) over the same rows at p(t) = 1/300.
+	// A float tree's leaves, and a count tree's leaves (float DCFs on the
+	// heap) over the same rows at p(t) = 1/300.
 	unit := unitObjs(300, 5, 12, seed)
-	tree := buildTree(context.Background(), Config{B: 4, MaxLeafEntries: 40}, unit)
-	var restored []*DCF
-	for _, d := range tree.Leaves() {
-		dec, rest, err := DecodeDCF(AppendDCF(nil, d))
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("DecodeDCF: %v (%d bytes left)", err, len(rest))
-		}
-		restored = append(restored, dec)
-	}
+	floated := buildTree(context.Background(), Config{B: 4, MaxLeafEntries: 40}, unit).Leaves()
 	tuples := make([]Obj, len(unit))
 	for i, o := range unit {
 		o.W = 1.0 / 300
 		tuples[i] = o
 	}
 	counted := StreamTreeCtx(context.Background(), Config{B: 4, MaxLeafEntries: 40}, tuples).Leaves()
-	cases = append(cases, assignCase{"decoded-leaves", restored, unit, false},
+	cases = append(cases, assignCase{"float-tree-leaves", floated, unit, false},
 		assignCase{"count-tree-leaves", counted, tuples, false})
 
 	// Objects at the edges of the index: no coordinates at all, and

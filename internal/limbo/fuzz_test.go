@@ -1,7 +1,6 @@
 package limbo
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -100,8 +99,8 @@ func FuzzGroupZero(f *testing.F) {
 			for _, i := range ms[1:] {
 				want.AbsorbObj(objs[i])
 			}
-			if !bytes.Equal(AppendDCF(nil, leaves[g]), AppendDCF(nil, want)) {
-				t.Fatalf("leaf %d differs from NewDCF + AbsorbObj over its members %v", g, ms)
+			if err := sameDCF(leaves[g], want); err != nil {
+				t.Fatalf("leaf %d differs from NewDCF + AbsorbObj over its members %v: %v", g, ms, err)
 			}
 			if err := validDCF(leaves[g]); err != nil {
 				t.Fatalf("leaf %d: %v", g, err)

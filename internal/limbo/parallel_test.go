@@ -1,7 +1,6 @@
 package limbo
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -33,41 +32,6 @@ func wideObj(r *rand.Rand, id int32, domain, support int, w float64) Obj {
 	}
 	o := Obj{ID: id, W: w, Cond: it.Uniform(vals)}
 	return o
-}
-
-// sameDCF compares every field of two DCFs bit for bit, including the
-// internal two-tier representation and its memoized logarithms. The
-// parallel and serial insert paths must agree exactly, not just within
-// tolerance.
-func sameDCF(a, b *DCF) error {
-	if a.W != b.W || a.wlog != b.wlog || a.N != b.N || a.FirstID != b.FirstID {
-		return fmt.Errorf("header differs: (%v,%v,%d,%d) vs (%v,%v,%d,%d)",
-			a.W, a.wlog, a.N, a.FirstID, b.W, b.wlog, b.N, b.FirstID)
-	}
-	if len(a.Counts) != len(b.Counts) {
-		return fmt.Errorf("counts length %d vs %d", len(a.Counts), len(b.Counts))
-	}
-	for i := range a.Counts {
-		if a.Counts[i] != b.Counts[i] {
-			return fmt.Errorf("counts[%d] %d vs %d", i, a.Counts[i], b.Counts[i])
-		}
-	}
-	if len(a.idx) != len(b.idx) || len(a.tidx) != len(b.tidx) {
-		return fmt.Errorf("tier sizes (%d,%d) vs (%d,%d)", len(a.idx), len(a.tidx), len(b.idx), len(b.tidx))
-	}
-	for i := range a.idx {
-		if a.idx[i] != b.idx[i] || a.val[i] != b.val[i] || a.vlog[i] != b.vlog[i] {
-			return fmt.Errorf("main[%d]: (%d,%v,%v) vs (%d,%v,%v)",
-				i, a.idx[i], a.val[i], a.vlog[i], b.idx[i], b.val[i], b.vlog[i])
-		}
-	}
-	for i := range a.tidx {
-		if a.tidx[i] != b.tidx[i] || a.tval[i] != b.tval[i] || a.tvlog[i] != b.tvlog[i] {
-			return fmt.Errorf("tail[%d]: (%d,%v,%v) vs (%d,%v,%v)",
-				i, a.tidx[i], a.tval[i], a.tvlog[i], b.tidx[i], b.tval[i], b.tvlog[i])
-		}
-	}
-	return nil
 }
 
 // Property: building a tree through the normal insert path (recorded

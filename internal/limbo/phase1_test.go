@@ -1,7 +1,6 @@
 package limbo_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -41,10 +40,10 @@ func samePartition(a, b []int) (int, bool) {
 }
 
 // checkAgainstTree holds the τ = 0 driver to a tree: the same partition
-// of the objects, and every driver leaf bit-identical (limbo.AppendDCF:
-// W, N, first member, Counts and every coordinate's mass) to the tree
-// leaf holding its first member. treeLeaf[i] is the tree leaf of
-// object i.
+// of the objects, and every hash-pass leaf bit-identical (limbo.SameDCF:
+// W, N, first member, Counts, every coordinate's mass in its tier, the
+// rank index) to the tree leaf holding its first member. treeLeaf[i] is
+// the tree leaf of object i.
 func checkAgainstTree(t *testing.T, name string, objs []limbo.Obj, treeLeaf []*limbo.DCF) {
 	t.Helper()
 	leaves, leafOf := limbo.Phase1Ctx(context.Background(), objs, 0, 4)
@@ -57,8 +56,8 @@ func checkAgainstTree(t *testing.T, name string, objs []limbo.Obj, treeLeaf []*l
 			continue
 		}
 		seen[g] = true
-		if !bytes.Equal(limbo.AppendDCF(nil, leaves[g]), limbo.AppendDCF(nil, treeLeaf[i])) {
-			t.Fatalf("%s: leaf %d (first member %d) differs from the tree's", name, g, i)
+		if err := limbo.SameDCF(leaves[g], treeLeaf[i]); err != nil {
+			t.Fatalf("%s: leaf %d (first member %d) differs from the tree's: %v", name, g, i, err)
 		}
 	}
 }

@@ -64,21 +64,6 @@ func (t *Trace) Enter(name string) {
 	t.mu.Unlock()
 }
 
-// Note appends " (note)" to the open stage's name: the stage is the same
-// step of the pipeline, but took a path worth telling apart in the stage
-// list and in StageSeconds — "tuple clustering (summary reused)" says why
-// the step took a twentieth of its usual time.
-func (t *Trace) Note(note string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if t.curName != "" {
-		t.curName += " (" + note + ")"
-	}
-	t.mu.Unlock()
-}
-
 // closeLocked appends the open stage, observing its duration.
 func (t *Trace) closeLocked(now time.Time) {
 	if t.curName == "" {
@@ -155,9 +140,4 @@ func TraceFrom(ctx context.Context) *Trace {
 // no-op (beyond the context lookup) on untraced runs.
 func Stage(ctx context.Context, name string) {
 	TraceFrom(ctx).Enter(name)
-}
-
-// StageNote annotates the stage the context's trace is in, if any.
-func StageNote(ctx context.Context, note string) {
-	TraceFrom(ctx).Note(note)
 }

@@ -614,7 +614,7 @@ func TestDatasetIntermediatesEpochRule(t *testing.T) {
 			t.Errorf("job pinned at epoch %d over state from epoch 3: got %q, %v; want served=%v", tc.pin, data, ok, tc.want)
 		}
 	}
-	if _, ok := (datasetIntermediates{cache: cache, id: "ds", epoch: 3}).LoadIntermediate(task.KindTupleSummary, task.Params{}); ok {
+	if _, ok := (datasetIntermediates{cache: cache, id: "ds", epoch: 3}).LoadIntermediate("tuple-summary", task.Params{}); ok {
 		t.Error("a kind never saved was served")
 	}
 	if _, ok := (datasetIntermediates{cache: cache, id: "other", epoch: 3}).LoadIntermediate(task.KindFDState, task.Params{}); ok {

@@ -323,8 +323,8 @@ func (q *Runner) SubmitAs(tenant string, priority Priority, datasetID, taskName 
 		return view, nil
 	}
 	// A job that runs reads what earlier jobs of its dataset left in the
-	// artifact cache, and leaves what it builds there: the intermediates
-	// other tasks share, and the state the next epoch resumes.
+	// artifact cache, and leaves what it builds there: the FD state the
+	// other FD tasks and the next epoch resume.
 	job.ctx = task.WithIntermediates(ctx, datasetIntermediates{cache: q.cache, id: ds.ID, epoch: ds.Epoch})
 	if len(q.high)+len(q.low) >= q.depth {
 		cancel()
@@ -425,8 +425,7 @@ func (q *Runner) dequeue() (*Job, bool) {
 }
 
 // datasetIntermediates keeps what the jobs of one dataset leave behind —
-// the tuple summary and the FD state — in the artifact
-// cache: memory tier and, under -persist, the disk tier. An entry is
+// the FD state — in the artifact cache: memory tier and, under -persist, the disk tier. An entry is
 // keyed by the dataset's stable id, the kind and its normalized
 // parameters, so the next epoch finds it after an append; a kind is no
 // task, so no submission can name the entry, and Peek keeps these

@@ -112,7 +112,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"structmine_tane_shared_partitions_total",
 		"structmine_append_delta_remine_seconds_count",
 		"structmine_append_delta_fallback_total",
-		"structmine_tuple_summary_total",
 		"structmine_stage_seconds_bucket",
 	}
 	for _, name := range required {

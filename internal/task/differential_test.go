@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"structmine/internal/colstore"
@@ -239,27 +238,6 @@ func TestDifferentialFDs(t *testing.T) {
 	}
 }
 
-// epochIntermediates is the Intermediates a server would hand one job:
-// a store shared by every epoch of a dataset, addressed through the
-// job's own epoch and the kind's normalized parameters.
-type epochIntermediates struct {
-	held  map[string][]byte
-	epoch int
-}
-
-func (e epochIntermediates) key(kind string, p Params) string {
-	return fmt.Sprintf("@%d|%s", e.epoch, p.CacheKey(kind))
-}
-
-func (e epochIntermediates) LoadIntermediate(kind string, p Params) ([]byte, bool) {
-	data, ok := e.held[e.key(kind, p)]
-	return data, ok
-}
-
-func (e epochIntermediates) SaveIntermediate(kind string, p Params, data []byte) {
-	e.held[e.key(kind, p)] = data
-}
-
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	buf, err := json.Marshal(v)
@@ -269,162 +247,91 @@ func mustJSON(t *testing.T, v any) []byte {
 	return buf
 }
 
-func summaryCounts() map[string]uint64 {
-	out := map[string]uint64{}
-	for _, outcome := range obs.TupleSummaryOutcomes {
-		out[outcome] = obs.TupleSummaries.With(outcome).Value()
-	}
-	return out
-}
-
-// TestDifferentialClustering is the LIMBO leg of the differential table:
-// the four tasks that read the Phase 1 tuple summary — dedup, group-attrs
-// under double clustering, rank-fds and decompose (held to the double
-// path by lowering largeInstance) — return byte-identical artifacts with
-// no Intermediates, with an empty one, with a warm one, and with one
-// warmed at the previous epoch and then appended to; on the resident
-// adapter and a 32-row-page colstore table, at one worker and at four,
-// at φT 0 and 0.3. The built / reused / rejected counters move exactly
-// as each sequence implies: a run builds unless its own epoch's summary
-// at its own φT is held.
+// TestDifferentialClustering is the LIMBO leg of the differential table.
+// Every task that runs a threshold-bounded Phase 1 pass returns one
+// artifact, byte for byte, on the resident adapter and on a 32-row-page
+// colstore table, at one worker and at four, and under no Intermediates,
+// an empty one, one warm with the FD state of its own rows, and one
+// holding the FD state the previous epoch's rows left. The rows: dedup and
+// double-clustered group-attrs at φT 0 and 0.3, rank-fds and decompose
+// (held to the double path by lowering largeInstance), and — the float
+// DCF-tree over value objects — values at φV 0 and 0.3 and
+// single-clustered group-attrs at φV 0.3. Phase 1 lives inside one job,
+// so nothing a hook holds can move a clustering.
 func TestDifferentialClustering(t *testing.T) {
 	defer func(n int) { largeInstance = n }(largeInstance)
 	largeInstance = 50
 
+	rows := []struct {
+		task string
+		p    Params
+	}{
+		{"dedup", Params{PhiT: F(0)}},
+		{"dedup", Params{PhiT: F(0.3)}},
+		{"group-attrs", Params{PhiT: F(0), Double: true}},
+		{"group-attrs", Params{PhiT: F(0.3), Double: true}},
+		{"rank-fds", Params{}}, // FD-RANK fixes φT = 0
+		{"decompose", Params{}},
+		{"values", Params{PhiV: F(0)}},
+		{"values", Params{PhiV: F(0.3)}},
+		{"group-attrs", Params{PhiV: F(0.3)}},
+	}
 	for _, src := range diffSources(t) {
 		// The append: a tenth more rows, then six exact duplicates, so
-		// the φT = 0 tree has multi-tuple leaves to carry.
+		// the φT = 0 pass has multi-tuple leaves to carry.
 		grown := append(append([][]string{}, src.rows[:src.base+src.base/10]...), src.rows[3:9]...)
 		base, full := src.relation(t, src.rows[:src.base]), src.relation(t, grown)
-		for _, tier := range []struct {
-			name       string
-			base, full relation.Columns
+		// holding returns a fresh hook per run: a run saves its own state.
+		holding := func(r *relation.Relation) func() Intermediates {
+			state := fd.EncodeState(&fd.MineState{N: r.N(), Attrs: r.M(), FDs: sortedFDs(t, fd.TANE, r)})
+			return func() Intermediates {
+				im := memIntermediates{}
+				im.SaveIntermediate(KindFDState, Params{}, state)
+				return im
+			}
+		}
+		hooks := []struct {
+			name string
+			im   func() Intermediates
 		}{
-			{"resident", relation.AsColumns(base), relation.AsColumns(full)},
-			{"colstore", tableOf(t, base), tableOf(t, full)},
-		} {
-			for _, workers := range []int{1, 4} {
-				for _, phiT := range []float64{0, 0.3} {
-					tasks := []string{"dedup", "group-attrs"}
-					if phiT == 0 { // FD-RANK fixes φT = 0
-						tasks = append(tasks, "rank-fds", "decompose")
-					}
-					for _, name := range tasks {
-						where := fmt.Sprintf("%s/%s/%dw/phit=%g/%s", src.name, tier.name, workers, phiT, name)
-						p := Params{PhiT: F(phiT), Double: true}
-						// run returns the artifact and how the counters moved.
-						run := func(c relation.Columns, im Intermediates) (string, map[string]uint64) {
-							t.Helper()
-							ctx := exec.WithWorkers(context.Background(), workers)
-							if im != nil {
-								ctx = WithIntermediates(ctx, im)
-							}
-							before := summaryCounts()
-							res, err := RunColumns(ctx, c, name, p)
-							if err != nil {
-								t.Fatalf("%s: %v", where, err)
-							}
-							moved := summaryCounts()
-							for outcome := range moved {
-								moved[outcome] -= before[outcome]
-							}
-							return string(mustJSON(t, res)), moved
-						}
-						built := map[string]uint64{obs.SummaryBuilt: 1, obs.SummaryReused: 0, obs.SummaryRejected: 0}
-						reused := map[string]uint64{obs.SummaryBuilt: 0, obs.SummaryReused: 1, obs.SummaryRejected: 0}
+			{"no hook", func() Intermediates { return nil }},
+			{"empty hook", func() Intermediates { return memIntermediates{} }},
+			{"warm FD state", holding(full)},
+			{"previous epoch's FD state", holding(base)},
+		}
+		tiers := []struct {
+			name string
+			c    relation.Columns
+		}{{"resident", relation.AsColumns(full)}, {"colstore", tableOf(t, full)}}
 
-						want, moved := run(tier.full, nil)
-						if !reflect.DeepEqual(moved, built) {
-							t.Fatalf("%s: no hook: counters moved %v", where, moved)
-						}
-						held := map[string][]byte{}
-						for _, leg := range []struct {
-							name  string
-							c     relation.Columns
-							epoch int
-							moved map[string]uint64
-						}{
-							{"previous epoch", tier.base, 1, built},
-							{"cold after the append", tier.full, 2, built},
-							{"warm", tier.full, 2, reused},
-						} {
-							got, moved := run(leg.c, epochIntermediates{held, leg.epoch})
-							if !reflect.DeepEqual(moved, leg.moved) {
-								t.Fatalf("%s: %s: counters moved %v, want %v", where, leg.name, moved, leg.moved)
-							}
-							if leg.epoch == 2 && got != want {
-								t.Fatalf("%s: %s:\n got %s\nwant %s", where, leg.name, got, want)
-							}
-						}
-						summaries := 0 // rank-fds and decompose also leave FD state
-						for key := range held {
-							if strings.Contains(key, "|"+KindTupleSummary+"|") {
-								summaries++
-							}
-						}
-						if summaries != 2 {
-							t.Fatalf("%s: %d summaries held, want one an epoch", where, summaries)
-						}
-						// A summary that does not decode, and one built for
-						// another relation, are refused, rebuilt and overwritten.
-						for what, bad := range map[string][]byte{
-							"garbage":              []byte("SMTS\x01\x00 not a summary"),
-							"the previous epoch's": held[epochIntermediates{held, 1}.key(KindTupleSummary, p)],
-						} {
-							im := epochIntermediates{map[string][]byte{}, 2}
-							im.SaveIntermediate(KindTupleSummary, p, bad)
-							got, moved := run(tier.full, im)
-							if got != want || moved[obs.SummaryRejected] != 1 || moved[obs.SummaryBuilt] != 1 || moved[obs.SummaryReused] != 0 {
-								t.Fatalf("%s: handed %s summary: counters moved %v, artifact equal: %v", where, what, moved, got == want)
-							}
-							if _, moved := run(tier.full, im); !reflect.DeepEqual(moved, reused) {
-								t.Fatalf("%s: the rebuilt summary did not replace %s one: %v", where, what, moved)
-							}
+		for _, row := range rows {
+			run := func(c relation.Columns, workers int, im Intermediates) any {
+				t.Helper()
+				ctx := exec.WithWorkers(context.Background(), workers)
+				if im != nil {
+					ctx = WithIntermediates(ctx, im)
+				}
+				res, err := RunColumns(ctx, c, row.task, row.p)
+				if err != nil {
+					t.Fatalf("%s: %s %+v: %v", src.name, row.task, row.p, err)
+				}
+				return res
+			}
+			ref := run(tiers[0].c, 1, nil)
+			if d, ok := ref.(*DedupResult); ok && fv(row.p.PhiT) == 0 && len(d.Groups) == 0 {
+				t.Fatalf("%s: the φT = 0 pass carries no multi-tuple leaf; the table has no teeth", src.name)
+			}
+			want := mustJSON(t, ref)
+			for _, tier := range tiers {
+				for _, workers := range []int{1, 4} {
+					for _, hook := range hooks {
+						if got := mustJSON(t, run(tier.c, workers, hook.im())); string(got) != string(want) {
+							t.Fatalf("%s/%s/%dw %q, %s:\n got %s\nwant %s",
+								src.name, tier.name, workers, row.p.CacheKey(row.task), hook.name, got, want)
 						}
 					}
 				}
 			}
-		}
-
-		// What the hook is for: one job's summary serves another task's.
-		// rank-fds leaves the φT = 0 summary, dedup and decompose read it,
-		// a φT = 0.3 dedup does not.
-		im := epochIntermediates{map[string][]byte{}, 1}
-		ctx := WithIntermediates(context.Background(), im)
-		c := relation.AsColumns(full)
-		for _, leg := range []struct {
-			name    string
-			p       Params
-			outcome string
-		}{
-			{"rank-fds", Params{}, obs.SummaryBuilt},
-			{"dedup", Params{}, obs.SummaryReused},
-			{"decompose", Params{}, obs.SummaryReused},
-			{"dedup", Params{PhiT: F(0.3)}, obs.SummaryBuilt},
-			{"group-attrs", Params{PhiT: F(0.3), Double: true}, obs.SummaryReused},
-		} {
-			want, err := RunColumns(context.Background(), c, leg.name, leg.p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := summaryCounts()
-			got, err := RunColumns(ctx, c, leg.name, leg.p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if after := summaryCounts(); after[leg.outcome] != before[leg.outcome]+1 {
-				t.Fatalf("%s: %s %+v across tasks: outcome %q did not move (%v → %v)", src.name, leg.name, leg.p, leg.outcome, before, after)
-			}
-			if g, w := mustJSON(t, got), mustJSON(t, want); string(g) != string(w) {
-				t.Fatalf("%s: %s across tasks:\n got %s\nwant %s", src.name, leg.name, g, w)
-			}
-		}
-		res, err := RunColumns(ctx, c, "dedup", Params{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.(*DedupResult).Groups) == 0 {
-			t.Fatalf("%s: the φT = 0 summary carries no multi-tuple leaf; the table has no teeth", src.name)
 		}
 	}
 }

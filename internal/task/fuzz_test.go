@@ -13,7 +13,7 @@ import (
 // testdata/fuzz/: every knob set, explicit zeros, negative and fractional
 // integers, and knobs of the wrong type.
 func FuzzParams(f *testing.F) {
-	names := append(Names(), KindTupleSummary, KindFDState)
+	names := append(Names(), KindFDState)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p Params
 		if json.Unmarshal(data, &p) != nil {

@@ -124,7 +124,7 @@ func TestAIBLossAccounting(t *testing.T) {
 			}
 			checkLossAccounting(t, where+"/aib", rows, self, ib.AgglomerateKCtx(ctx, points, 1))
 
-			sum := tuples.Summarize(ctx, objs, r.M(), 0.3, defaultB)
+			sum := tuples.Summarize(ctx, objs, 0.3, defaultB)
 			leaves := make([]*limbo.DCF, sum.LeafCount)
 			leafOf := make([]int, len(objs))
 			for tu, l := range sum.LeafOf {

@@ -8,6 +8,7 @@ import (
 	"structmine/internal/fd"
 	"structmine/internal/measures"
 	"structmine/internal/relation"
+	"structmine/internal/tuples"
 )
 
 // The report's text lists at most this many duplicate groups of each
@@ -80,7 +81,7 @@ func runReport(ctx context.Context, c relation.Columns, p Params) (*ReportResult
 	if err := step(ctx, "tuple clustering"); err != nil {
 		return nil, err
 	}
-	dup, err := duplicates(ctx, c, fv(p.PhiT))
+	dup, err := tuples.FindDuplicatesColumns(ctx, c, fv(p.PhiT), defaultB)
 	if err != nil {
 		return nil, err
 	}

@@ -136,7 +136,7 @@ func runDedup(ctx context.Context, c relation.Columns, p Params) (*DedupResult, 
 	if err := step(ctx, "tuple clustering"); err != nil {
 		return nil, err
 	}
-	rep, err := duplicates(ctx, c, fv(p.PhiT))
+	rep, err := tuples.FindDuplicatesColumns(ctx, c, fv(p.PhiT), defaultB)
 	if err != nil {
 		return nil, err
 	}
@@ -160,22 +160,6 @@ func runDedup(ctx context.Context, c relation.Columns, p Params) (*DedupResult, 
 		res.Pairs = append(res.Pairs, DupPair{T1: ps.T1, T2: ps.T2, Agree: ps.Agree, Similarity: ps.Similarity})
 	}
 	return res, nil
-}
-
-// duplicates is the duplicate-tuple procedure of Section 6.1.1 that dedup
-// and report share: the Phase 1 summary at φT (tupleSummary, so through
-// the intermediates hook), with every tuple associated to its closest
-// multi-tuple leaf.
-func duplicates(ctx context.Context, c relation.Columns, phiT float64) (*tuples.DuplicateReport, error) {
-	objs, err := tuples.ObjectsColumnsCtx(ctx, c)
-	if err != nil {
-		return nil, err
-	}
-	sum, err := tupleSummary(ctx, c, objs, phiT, defaultB)
-	if err != nil {
-		return nil, err
-	}
-	return sum.Duplicates(ctx, objs), nil
 }
 
 // PartitionGroup is one horizontal partition.
@@ -309,41 +293,6 @@ type GroupAttrsResult struct {
 	Dendrogram string `json:"dendrogram"`
 }
 
-// tupleSummary returns the threshold-bounded Phase 1 pass over c's tuples
-// at (φT, b): the one an earlier job left with the context's
-// Intermediates, when it decodes and echoes this job's n, m, φT and b (a
-// summary from before an append does not, and τ reads every row, so it
-// is never resumed), else a fresh build, encoded — here, while the run's
-// grant still backs the tree — and left there for the next job. objs are c's
-// tuple objects when the caller has them anyway (dedup's Phase 3 reads
-// them); with nil they are streamed only if the tree has to be built.
-func tupleSummary(ctx context.Context, c relation.Columns, objs []limbo.Obj, phiT float64, b int) (*tuples.Summary, error) {
-	im := intermediatesOf(ctx)
-	key := Params{PhiT: &phiT}
-	if im != nil {
-		if data, ok := im.LoadIntermediate(KindTupleSummary, key); ok {
-			if sum, err := tuples.DecodeSummary(data); err == nil && sum.For(c.N(), c.M(), phiT, b) {
-				obs.TupleSummaries.With(obs.SummaryReused).Inc()
-				obs.StageNote(ctx, "summary reused")
-				return sum, nil
-			}
-			obs.TupleSummaries.With(obs.SummaryRejected).Inc()
-		}
-	}
-	if objs == nil {
-		var err error
-		if objs, err = tuples.ObjectsColumnsCtx(ctx, c); err != nil {
-			return nil, err
-		}
-	}
-	sum := tuples.Summarize(ctx, objs, c.M(), phiT, b)
-	obs.TupleSummaries.With(obs.SummaryBuilt).Inc()
-	if im != nil {
-		im.SaveIntermediate(KindTupleSummary, key, tuples.EncodeSummary(sum))
-	}
-	return sum, nil
-}
-
 // ClusterValues clusters the attribute values at φV with branching
 // factor b, over the tuples themselves or — with double — over the tuple
 // clusters of a φT compression pass (double clustering, for large
@@ -355,14 +304,13 @@ func ClusterValues(ctx context.Context, c relation.Columns, phiT, phiV float64, 
 	if !double {
 		objs, err = values.ObjectsColumnsCtx(ctx, c)
 	} else {
-		var sum *tuples.Summary
-		if sum, err = tupleSummary(ctx, c, nil, phiT, b); err != nil {
+		if objs, err = tuples.ObjectsColumnsCtx(ctx, c); err != nil {
 			return nil, err
 		}
+		assign, k := tuples.Summarize(ctx, objs, phiT, b).Clusters()
 		if err = step(ctx, "value clustering over tuple clusters"); err != nil {
 			return nil, err
 		}
-		assign, k := sum.Clusters()
 		objs, err = values.ObjectsOverClustersColumnsCtx(ctx, c, assign, k)
 	}
 	if err != nil {

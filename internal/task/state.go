@@ -2,21 +2,14 @@ package task
 
 import "context"
 
-// Intermediate kinds: what one job leaves behind for the next jobs of its
-// dataset to read instead of recomputing. They are cache kinds, not
-// tasks — absent from Specs, so none can be submitted or served as a job
-// result, and no intermediate's key can be an artifact's.
-const (
-	// KindTupleSummary is the threshold-bounded Phase 1 pass over the
-	// tuples (tuples.Summary, EncodeSummary bytes) that dedup and double
-	// clustering both read. Params.Normalize keeps its φT, the knob the
-	// summary depends on.
-	KindTupleSummary = "tuple-summary"
-	// KindFDState is the minimal FD set of mine-fds, rank-fds, decompose
-	// and report (fd.MineState, EncodeState bytes), rechecked rather than
-	// re-mined after an append.
-	KindFDState = "fd-state"
-)
+// KindFDState is the one intermediate kind: what a job leaves behind for
+// the next jobs of its dataset to read instead of recomputing — the
+// minimal FD set of mine-fds, rank-fds, decompose and report
+// (fd.MineState, EncodeState bytes), rechecked rather than re-mined after
+// an append. It is a cache kind, not a task: absent from Specs, so it
+// can be neither submitted nor served as a job result, and its key can
+// never be an artifact's.
+const KindFDState = "fd-state"
 
 // Intermediates holds what the jobs of one dataset leave behind, by kind
 // and parameters. It is best-effort on both sides: Load returns ok=false

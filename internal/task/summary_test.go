@@ -2,77 +2,12 @@ package task
 
 import (
 	"context"
-	"encoding/binary"
-	"hash/crc32"
 	"math"
 	"testing"
 
-	"structmine/internal/obs"
 	"structmine/internal/relation"
 	"structmine/internal/tuples"
 )
-
-// TestTupleSummaryKey is the key trap: the summary's kind is no task, and
-// a name without a Normalize case has every knob cleared — which would
-// file the φT = 0.3 summary under φT = 0. The kind keeps its φT (and
-// nothing else), and a summary saved for one φT is refused for the other
-// even when a store hands it over under the wrong key.
-func TestTupleSummaryKey(t *testing.T) {
-	k0 := Params{PhiT: F(0)}.CacheKey(KindTupleSummary)
-	k3 := Params{PhiT: F(0.3)}.CacheKey(KindTupleSummary)
-	if k0 == k3 {
-		t.Fatalf("φT 0 and 0.3 share the key %q", k0)
-	}
-	if unset := (Params{}).CacheKey(KindTupleSummary); unset != k0 {
-		t.Fatalf("unset φT keys %q, explicit 0 keys %q", unset, k0)
-	}
-	noise := Params{PhiT: F(0.3), PhiV: F(0.7), Psi: F(0.1), K: 3, Double: true}
-	if got := noise.CacheKey(KindTupleSummary); got != k3 {
-		t.Fatalf("knobs the summary does not depend on reached its key: %q", got)
-	}
-	if _, ok := Lookup(KindTupleSummary); ok {
-		t.Fatalf("%q is a cache kind, not a task", KindTupleSummary)
-	}
-	if _, err := Run(context.Background(), db2(t), KindTupleSummary, Params{}); err == nil {
-		t.Fatalf("%q ran as a task", KindTupleSummary)
-	}
-
-	// One slot whatever the key: the φT = 0 summary is all it holds.
-	src := diffSources(t)[0]
-	c := relation.AsColumns(src.relation(t, src.rows[:120]))
-	blind := blindIntermediates{}
-	ctx := WithIntermediates(context.Background(), blind)
-	if _, err := RunColumns(ctx, c, "dedup", Params{PhiT: F(0)}); err != nil {
-		t.Fatal(err)
-	}
-	before := summaryCounts()
-	got, err := RunColumns(ctx, c, "dedup", Params{PhiT: F(0.3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := summaryCounts()
-	if after[obs.SummaryRejected] != before[obs.SummaryRejected]+1 || after[obs.SummaryReused] != before[obs.SummaryReused] {
-		t.Fatalf("the φT = 0 summary was not refused at φT = 0.3: %v → %v", before, after)
-	}
-	want, err := RunColumns(context.Background(), c, "dedup", Params{PhiT: F(0.3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := mustJSON(t, got), mustJSON(t, want); string(g) != string(w) {
-		t.Fatalf("dedup at φT = 0.3 over a φT = 0 summary:\n got %s\nwant %s", g, w)
-	}
-}
-
-// blindIntermediates ignores kind and parameters: the worst store a
-// runner could be handed.
-type blindIntermediates map[string][]byte
-
-func (b blindIntermediates) LoadIntermediate(string, Params) ([]byte, bool) {
-	data, ok := b[""]
-	return data, ok
-}
-
-func (b blindIntermediates) SaveIntermediate(_ string, _ Params, data []byte) { b[""] = data }
 
 // TestSummaryThresholdOracle is the paper's τ = φT·I(V;T)/n (Section 5.2)
 // with I(V;T) from the describe route — per-attribute value-index
@@ -90,7 +25,7 @@ func TestSummaryThresholdOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, phiT := range []float64{0, 0.1, 0.3, 1} {
-			sum := tuples.Summarize(context.Background(), objs, c.M(), phiT, defaultB)
+			sum := tuples.Summarize(context.Background(), objs, phiT, defaultB)
 			want := phiT * desc.TupleInfoBits / float64(c.N())
 			if math.Abs(sum.Threshold-want) > 1e-12 {
 				t.Errorf("%s, φT=%v: τ = %v, φT·I(V;T)/n = %v (I = %v bits, n = %d)",
@@ -160,45 +95,5 @@ func TestValuesThresholdOracle(t *testing.T) {
 					r.Name, phiV, got, want, info, c.D())
 			}
 		}
-	}
-}
-
-// TestTupleSummaryVersionOneRebuilt: a version-1 summary (tree-ordered
-// leaves at φT = 0) that a daemon restarted on an old -persist directory
-// hands back through the intermediates hook is refused, counted
-// rejected, and rebuilt — the job's artifact is the fresh run's, and the
-// hook then holds a summary this build reads.
-func TestTupleSummaryVersionOneRebuilt(t *testing.T) {
-	src := diffSources(t)[0]
-	c := relation.AsColumns(src.relation(t, src.rows[:120]))
-	objs, err := tuples.ObjectsColumnsCtx(context.Background(), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := tuples.EncodeSummary(tuples.Summarize(context.Background(), objs, c.M(), 0, defaultB))
-	old := append([]byte(nil), enc[:len(enc)-4]...)
-	binary.LittleEndian.PutUint16(old[4:6], 1)
-	old = binary.LittleEndian.AppendUint32(old, crc32.ChecksumIEEE(old))
-
-	held := blindIntermediates{"": old}
-	before := summaryCounts()
-	got, err := RunColumns(WithIntermediates(context.Background(), held), c, "dedup", Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := summaryCounts()
-	if after[obs.SummaryRejected] != before[obs.SummaryRejected]+1 || after[obs.SummaryBuilt] != before[obs.SummaryBuilt]+1 ||
-		after[obs.SummaryReused] != before[obs.SummaryReused] {
-		t.Fatalf("a version-1 summary was not rejected and rebuilt: %v → %v", before, after)
-	}
-	want, err := RunColumns(context.Background(), c, "dedup", Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := mustJSON(t, got), mustJSON(t, want); string(g) != string(w) {
-		t.Fatalf("dedup over a version-1 summary:\n got %s\nwant %s", g, w)
-	}
-	if _, err := tuples.DecodeSummary(held[""]); err != nil {
-		t.Fatalf("the rebuilt summary left in the hook does not decode: %v", err)
 	}
 }

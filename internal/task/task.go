@@ -207,10 +207,6 @@ func (p Params) Normalize(taskName string) Params {
 		resolve(&q.Psi, p.Psi, 0.5)
 	case "joins":
 		resolve(&q.MinContainment, p.MinContainment, 0.9)
-	case KindTupleSummary:
-		// Not a task, but keyed like one: without a case its φT would be
-		// cleared and every summary of a dataset filed under φT = 0.
-		resolveNonNeg(&q.PhiT, p.PhiT, 0)
 	}
 	return q
 }

@@ -251,7 +251,6 @@ func TestParamsNormalizeAndCacheKey(t *testing.T) {
 		{"report", Params{PhiT: F(-0.3)}, Params{PhiT: F(0)}},
 		{"values", Params{PhiV: F(-0.2)}, Params{}},
 		{"group-attrs", Params{PhiV: F(-1), PhiT: F(-1), Double: true}, Params{PhiV: F(0), PhiT: F(0), Double: true}},
-		{KindTupleSummary, Params{PhiT: F(-0.3)}, Params{}},
 		{"mine-mvds", Params{}, Params{MaxLHS: 2}},
 		{"mine-mvds", Params{MaxLHS: -1}, Params{MaxLHS: 2}},
 		{"partition", Params{K: -3}, Params{}},

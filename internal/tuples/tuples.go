@@ -98,7 +98,7 @@ type DuplicateReport struct {
 // views into the tree's pooled slabs.
 func FindDuplicatesCtx(ctx context.Context, r *relation.Relation, phiT float64, b int) *DuplicateReport {
 	objs := Objects(r)
-	return Summarize(ctx, objs, r.M(), phiT, b).Duplicates(ctx, objs)
+	return Summarize(ctx, objs, phiT, b).Duplicates(ctx, objs)
 }
 
 // FindDuplicatesColumns is FindDuplicatesCtx over the paged column
@@ -109,7 +109,7 @@ func FindDuplicatesColumns(ctx context.Context, c relation.Columns, phiT float64
 	if err != nil {
 		return nil, err
 	}
-	return Summarize(ctx, objs, c.M(), phiT, b).Duplicates(ctx, objs), nil
+	return Summarize(ctx, objs, phiT, b).Duplicates(ctx, objs), nil
 }
 
 // PartitionResult is the outcome of horizontal partitioning
@@ -279,5 +279,5 @@ func median(xs []float64) float64 {
 // Phase 3 scan on large instances. It returns the per-tuple cluster id
 // and the number of tuple clusters.
 func CompressCtx(ctx context.Context, r *relation.Relation, phiT float64, b int) ([]int, int) {
-	return Summarize(ctx, Objects(r), r.M(), phiT, b).Clusters()
+	return Summarize(ctx, Objects(r), phiT, b).Clusters()
 }

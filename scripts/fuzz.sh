@@ -2,10 +2,9 @@
 # The fuzz leg: each native fuzz target mutates for FUZZTIME, starting
 # from its committed seeds (testdata/fuzz/, which plain `go test` already
 # replays as unit tests) — the one CSV parser behind registrations and
-# append bodies on both storage tiers, the .col file reader, the two
-# codecs of what jobs leave each other in the artifact cache (the FD
-# state delta re-mining resumes, and the Phase 1 tuple summary with its
-# DCF records), the store's boot recovery over append intents,
+# append bodies on both storage tiers, the .col file reader, the codec
+# of what jobs leave each other in the artifact cache (the FD state
+# delta re-mining resumes), the store's boot recovery over append intents,
 # artifact envelopes and the job journal, the job-submit parameters'
 # normalization, the attribute-set group-by (fd.GroupBy and the
 # Holds, g3 and MVD checks on it) against a recount of the rows, and
@@ -30,7 +29,7 @@ cd "$(dirname "$0")/.."
 fuzztime=${1:-10s}
 
 for target in internal/relation:FuzzReadCSV internal/relation:FuzzAppendCSV internal/colstore:FuzzOpen \
-  internal/fd:FuzzDecodeState internal/tuples:FuzzDecodeSummary \
+  internal/fd:FuzzDecodeState \
   internal/store:FuzzRecover internal/task:FuzzParams internal/fd:FuzzGroupBy internal/limbo:FuzzGroupZero \
   internal/limbo:FuzzCountTree \
   internal/ib:FuzzAgglomerate internal/fd:FuzzMineApprox; do

@@ -117,15 +117,11 @@ stages=$(curl -sS "$base/v1/jobs/$id/trace" | jq '.trace.stages | length')
 [ "$stages" -gt 0 ] || { echo "smoke: FAIL — finished job reports no trace stages"; exit 1; }
 echo "smoke: job trace reports $stages pipeline stages"
 
-# Double clustering leaves its Phase 1 tuple summary in the artifact
-# cache; the dedup that follows reads it instead of rebuilding the tree —
-# and its artifact is the one the out-of-core phase, whose daemon holds no
-# summary when its dedup runs, must reproduce byte for byte.
+# A dedup after double clustering builds its own Phase 1 pass; its
+# artifact is the one the out-of-core phase, whose daemon ran nothing
+# before its dedup, must reproduce byte for byte.
 mine group-attrs '{"double":true}' >/dev/null
 rdedup=$(mine dedup)
-reused=$(curl -sS "$base/v1/metrics" | sed -n 's/^structmine_tuple_summary_total{outcome="reused"} //p')
-[ "${reused:-0}" -ge 1 ] || { echo "smoke: FAIL — dedup after double clustering reused no tuple summary (reused=${reused:-none})"; exit 1; }
-echo "smoke: dedup reused the tuple summary group-attrs -double left ($reused reused)"
 rpartition=$(mine partition)
 [ -n "$rdedup" ] && [ -n "$rpartition" ] || { echo "smoke: FAIL — empty dedup/partition artifact"; exit 1; }
 echo "smoke: resident dedup and partition artifacts kept for the out-of-core comparison"
@@ -376,7 +372,7 @@ for t in dedup partition; do
   case "$t" in dedup) want=$rdedup ;; partition) want=$rpartition ;; esac
   [ "$got" = "$want" ] || { echo "smoke: FAIL — paged $t artifact differs from the resident run"; exit 1; }
 done
-echo "smoke: paged dedup (own tree) and partition match the resident artifacts (dedup over a reused summary) byte for byte"
+echo "smoke: paged dedup and partition match the resident artifacts byte for byte"
 
 curl -sS "$base/v1/metrics" | grep '^structmine_colstore_pages_read_total' >/dev/null \
   || { echo "smoke: FAIL — colstore page-read counter missing from /v1/metrics"; exit 1; }
