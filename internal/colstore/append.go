@@ -54,7 +54,8 @@ func Append(dir string, newMeta store.DatasetMeta, old *Table, body []byte, lim 
 		fullStripes := int(fullStart / pageRows)
 		for s := 0; s < fullStripes; s++ {
 			for a := 0; a < m; a++ {
-				b, err := old.mm.readAt(old.h.pageOff(s, a), int(pageSize(old.h.pageRows)))
+				off := old.h.pageOff(s, a)
+				b, err := old.mm.readAt(off, int(pageSize(old.h.pageRows)))
 				if err != nil {
 					return err
 				}
@@ -65,6 +66,7 @@ func Append(dir string, newMeta store.DatasetMeta, old *Table, body []byte, lim 
 				if err := w.write(b); err != nil {
 					return err
 				}
+				old.mm.release(off, len(b))
 			}
 		}
 		w.rows = fullStart

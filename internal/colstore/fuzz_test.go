@@ -10,7 +10,8 @@ import (
 
 // FuzzOpen hammers the file decoder: arbitrary bytes must either fail
 // Open cleanly or yield a table whose every page and index entry can be
-// visited without a panic or an out-of-bounds access. Seeds include a
+// visited without a panic or an out-of-bounds access, and whose
+// marginals from Open equal a walk of its value index. Seeds include a
 // valid file and targeted mutations of its header, tail, and footer.
 func FuzzOpen(f *testing.F) {
 	data := testCSV(40)
@@ -57,6 +58,20 @@ func FuzzOpen(f *testing.F) {
 				return nil
 			})
 			_ = tbl.NullCount(a)
+			// Open's validation pass computed every marginal; a walk
+			// of the index it validated must agree bit for bit.
+			got, err := tbl.Marginal(a)
+			if err != nil {
+				t.Fatalf("Marginal(%d): %v", a, err)
+			}
+			want, err := relation.ComputeAttrMarginal(tbl, a)
+			if err != nil {
+				t.Fatalf("attribute %d: Open validated an index VisitValues rejects: %v", a, err)
+			}
+			if got != want {
+				t.Fatalf("attribute %d: Open's marginal %+v, index walk %+v", a, got, want)
+			}
 		}
+		_, _ = tbl.ValueStrings()
 	})
 }

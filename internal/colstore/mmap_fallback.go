@@ -9,9 +9,11 @@ import (
 
 // fileMapping is the portability fallback behind the colstore_readat
 // build tag (and any GOOS without the mmap path): plain pread into a
-// fresh buffer per call. Slower and allocation-heavy, but it shares
-// every validation path with the mmap implementation, so correctness
-// tests under the tag cover both.
+// fresh buffer of exactly the range asked for. Slower and
+// allocation-heavy, but it shares every validation path with the mmap
+// implementation, so the tests of the packages that open .col files
+// (internal/colstore, internal/server, internal/task), run under the
+// tag in CI and scripts/check.sh, cover both.
 type fileMapping struct {
 	f *os.File
 	n int64

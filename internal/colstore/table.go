@@ -32,7 +32,12 @@ type mapping interface {
 // Pages are validated lazily: the first ReadPage of a (page, attribute)
 // pair checks the page CRC and that every id belongs to the attribute
 // (a "page fault" in the metrics); later reads skip revalidation. The
-// tail — metadata and value index — is fully validated at Open.
+// tail — metadata and value index — is fully validated at Open, in one
+// pass that also yields every attribute's marginal (so Table is a
+// relation.MarginalSource and describe decodes nothing). Nothing read
+// from the tail stays resident: Open releases the tail once parsed, and
+// VisitValues and ValueStrings read only the section they decode and
+// release it after.
 type Table struct {
 	path string
 	meta store.DatasetMeta
@@ -43,16 +48,18 @@ type Table struct {
 
 	mm      mapping
 	tailOff int64
-	tailLen int64
 
 	nullCounts []int
 	valueAttr  []int32
+	marginals  []relation.AttrMarginal
 	// dictOff is the offset within the tail of the dictionary-string
-	// section; the d strings stay on disk (ValueStrings decodes them on
-	// demand for appends) rather than resident.
+	// section, which ends at attrIndexOff[0]; the d strings stay on disk
+	// (ValueStrings decodes them on demand for appends) rather than
+	// resident.
 	dictOff int
 	// attrIndexOff[a] is the offset within the tail of attribute a's
-	// value-index section; VisitValues decodes it streaming from the
+	// value-index section, and attrIndexOff[a+1] its end (attrIndexOff[m]
+	// is the tail's length); VisitValues decodes it streaming from the
 	// mapped file rather than keeping postings resident.
 	attrIndexOff []int
 
@@ -118,18 +125,21 @@ func newTable(path string, mm mapping) (*Table, error) {
 		h:       h,
 		mm:      mm,
 		tailOff: tailOff,
-		tailLen: tailLen,
 		faults:  make([]atomic.Uint64, (h.numStripes()*h.m+63)/64),
 	}
-	if err := t.parseTail(tail); err != nil {
+	err = t.parseTail(tail)
+	mm.release(tailOff, len(tail))
+	if err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// parseTail decodes and fully validates the metadata and value index.
-// Postings themselves are not retained — only per-attribute section
-// offsets, so VisitValues can re-decode them streaming.
+// parseTail decodes and fully validates the metadata and value index,
+// and computes each attribute's marginal from the counts it checks.
+// Neither the dictionary strings nor the postings are retained — only
+// the section offsets, so ValueStrings and VisitValues can re-decode
+// them streaming, each from its own section.
 func (t *Table) parseTail(tail []byte) error {
 	r := &tailReader{buf: tail}
 	var err error
@@ -194,7 +204,9 @@ func (t *Table) parseTail(tail []byte) error {
 	for i := range t.valueAttr {
 		t.valueAttr[i] = -1
 	}
-	t.attrIndexOff = make([]int, t.h.m)
+	t.attrIndexOff = make([]int, t.h.m+1)
+	t.marginals = make([]relation.AttrMarginal, t.h.m)
+	var counts []int
 	assigned := 0
 	for a := 0; a < t.h.m; a++ {
 		t.attrIndexOff[a] = r.off
@@ -202,6 +214,7 @@ func (t *Table) parseTail(tail []byte) error {
 		if err != nil {
 			return err
 		}
+		counts = counts[:0]
 		total := int64(0)
 		prev := int64(-1)
 		for i := 0; i < nv; i++ {
@@ -226,11 +239,14 @@ func (t *Table) parseTail(tail []byte) error {
 				return fmt.Errorf("%w: value %d: runs cover %d tuples, count says %d", ErrCorrupt, v, got, count)
 			}
 			total += int64(count)
+			counts = append(counts, int(count))
 		}
 		if total != t.h.n {
 			return fmt.Errorf("%w: attribute %d postings cover %d of %d tuples", ErrCorrupt, a, total, t.h.n)
 		}
+		t.marginals[a] = relation.MarginalOfCounts(counts, int(t.h.n), t.h.m)
 	}
+	t.attrIndexOff[t.h.m] = r.off
 	if assigned != t.h.d {
 		return fmt.Errorf("%w: index covers %d of %d values", ErrCorrupt, assigned, t.h.d)
 	}
@@ -295,13 +311,14 @@ func (t *Table) Meta() store.DatasetMeta { return t.meta }
 // ValueStrings decodes the dictionary — value id → string — from the
 // mapped tail. The result is freshly allocated per call: an append and
 // a boot-time Relation need the full dictionary once, but steady-state
-// mining never does, so the strings are not kept resident.
+// mining never does, so the strings are not kept resident, and neither
+// are the section's pages.
 func (t *Table) ValueStrings() ([]string, error) {
-	tail, err := t.mm.readAt(t.tailOff, int(t.tailLen))
+	r, done, err := t.section(t.dictOff, t.attrIndexOff[0])
 	if err != nil {
 		return nil, err
 	}
-	r := &tailReader{buf: tail, off: t.dictOff}
+	defer done()
 	out := make([]string, t.h.d)
 	for i := range out {
 		if out[i], err = r.string(); err != nil {
@@ -526,11 +543,11 @@ func (t *Table) VisitValues(a int, f func(v int32, count int, runs []relation.Ru
 	if a < 0 || a >= t.h.m {
 		return fmt.Errorf("colstore: attribute %d out of range (have %d)", a, t.h.m)
 	}
-	tail, err := t.mm.readAt(t.tailOff, int(t.tailLen))
+	r, done, err := t.section(t.attrIndexOff[a], t.attrIndexOff[a+1])
 	if err != nil {
 		return err
 	}
-	r := &tailReader{buf: tail, off: t.attrIndexOff[a]}
+	defer done()
 	nv, err := r.count(3)
 	if err != nil {
 		return err
@@ -569,8 +586,27 @@ func (t *Table) VisitValues(a int, f func(v int32, count int, runs []relation.Ru
 	return nil
 }
 
+// section reads the tail bytes [lo, hi) — offsets within the tail — for
+// one decode; done releases them. The mapping is read-only and the file
+// immutable, so a later read of the same bytes takes a minor fault.
+func (t *Table) section(lo, hi int) (r *tailReader, done func(), err error) {
+	off := t.tailOff + int64(lo)
+	b, err := t.mm.readAt(off, hi-lo)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &tailReader{buf: b}, func() { t.mm.release(off, hi-lo) }, nil
+}
+
 func (t *Table) ValueAttr(v int32) int { return int(t.valueAttr[v]) }
 
 func (t *Table) NullCount(a int) int { return t.nullCounts[a] }
 
-var _ relation.Columns = (*Table)(nil)
+// Marginal implements relation.MarginalSource with the marginals Open's
+// validation pass computed.
+func (t *Table) Marginal(a int) (relation.AttrMarginal, error) { return t.marginals[a], nil }
+
+var (
+	_ relation.Columns        = (*Table)(nil)
+	_ relation.MarginalSource = (*Table)(nil)
+)

@@ -1,10 +1,9 @@
 // Package primcache is the shared single-attribute primitive cache:
-// stripped partitions (TANE level 1), marginal entropies (describe),
-// and dictionary decodes, keyed by (dataset hash, append epoch,
-// attribute). Every mining task on a dataset rederives these from the
-// same value index per submission; caching them once per (hash, epoch)
-// lets later submissions — any task, any params — skip the index walk
-// entirely.
+// stripped partitions (TANE level 1) and dictionary decodes, keyed by
+// (dataset hash, append epoch, attribute). Every mining task on a
+// dataset rederives these from the same value index per submission;
+// caching them once per (hash, epoch) lets later submissions — any
+// task, any params — skip the index walk entirely.
 //
 // Invalidation is structural: an append writes a new .col file with a
 // new content hash and a bumped epoch, so stale entries simply stop
@@ -15,8 +14,12 @@
 // concurrent jobs, so everything stored here is plain-make allocated —
 // never carved from a job's pooled arena, whose slabs are recycled at
 // grant release (see the exec package's aliasing contract). The
-// relation.StrippedPartition / ComputeAttrMarginal constructors the
-// cache fills from guarantee this.
+// relation.StrippedPartition constructor the cache fills from
+// guarantees this.
+//
+// Marginal entropies are not cached: describe is their only consumer,
+// the artifact cache keeps describe's result per (dataset, epoch), and a
+// colstore table already holds the marginals its Open computed.
 //
 // There is deliberately no single-flight: two jobs racing on a cold key
 // both compute the primitive (construction is deterministic, so either
@@ -47,7 +50,6 @@ type kind uint8
 
 const (
 	kindPartition kind = iota
-	kindMarginal
 	kindDict
 )
 
@@ -146,10 +148,10 @@ type partitionEntry struct {
 }
 
 // Wrap returns c with the cache layered over its single-attribute
-// primitives: the wrapper implements relation.PartitionSource and
-// relation.MarginalSource and caches ValueStrings, so consumers probing
-// those capabilities hit the cache while every other Columns method
-// passes straight through.
+// primitives: the wrapper implements relation.PartitionSource and caches
+// ValueStrings, so consumers probing those capabilities hit the cache,
+// and it forwards relation.MarginalSource to c, while every other
+// Columns method passes straight through.
 // hash and epoch must identify the exact relation instance c reads —
 // serving a wrapper past its dataset's epoch bump is a correctness
 // bug, not just a staleness one.
@@ -186,18 +188,12 @@ func (w *wrapped) SinglePartition(a int) (elems, offs []int32, err error) {
 	return elems, offs, nil
 }
 
-// Marginal implements relation.MarginalSource.
+// Marginal implements relation.MarginalSource uncached: it forwards to
+// the wrapped source's marginals, or computes them when it has none.
+// The embedded interface does not promote a method it does not declare,
+// so without this a wrapped table would walk its value index.
 func (w *wrapped) Marginal(a int) (relation.AttrMarginal, error) {
-	k := key{w.hash, w.epoch, a, kindMarginal}
-	if v, ok := w.cache.get(k); ok {
-		return v.(relation.AttrMarginal), nil
-	}
-	mg, err := relation.ComputeAttrMarginal(w.Columns, a)
-	if err != nil {
-		return relation.AttrMarginal{}, err
-	}
-	w.cache.put(k, mg, int64(24)) // two float64s + an int
-	return mg, nil
+	return relation.Marginal(w.Columns, a)
 }
 
 // ValueStrings serves the decoded dictionary through the cache (an

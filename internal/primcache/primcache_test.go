@@ -70,11 +70,36 @@ func TestWrapCachesPartitionsAndMarginals(t *testing.T) {
 			t.Fatalf("Marginal = %+v, want %+v", mg, wantMg)
 		}
 	}
-	if cache.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (one partition, one marginal)", cache.Len())
+	if cache.Len() != 1 {
+		t.Fatalf("Len = %d, want 1 (one partition; marginals are not cached)", cache.Len())
 	}
 	if cache.Bytes() <= 0 {
 		t.Fatalf("Bytes = %d, want > 0", cache.Bytes())
+	}
+}
+
+// marginalSource is a Columns that serves its own marginals.
+type marginalSource struct {
+	relation.Columns
+	mg relation.AttrMarginal
+}
+
+func (s marginalSource) Marginal(int) (relation.AttrMarginal, error) { return s.mg, nil }
+
+// TestWrapForwardsMarginals: a wrapped source that holds its marginals
+// (a colstore table) serves them, uncomputed and uncached.
+func TestWrapForwardsMarginals(t *testing.T) {
+	src := marginalSource{Columns: testColumns(t), mg: relation.AttrMarginal{HV: 1.5, EntropyBits: 2.5, Distinct: 7}}
+	cache := New(1 << 20)
+	mg, err := Wrap(src, "h", 0, cache).(relation.MarginalSource).Marginal(0)
+	if err != nil {
+		t.Fatalf("Marginal: %v", err)
+	}
+	if mg != src.mg {
+		t.Fatalf("Marginal = %+v, want the source's %+v", mg, src.mg)
+	}
+	if cache.Len() != 0 {
+		t.Fatalf("Len = %d, want 0", cache.Len())
 	}
 }
 

@@ -2,7 +2,7 @@ package relation
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"structmine/internal/it"
 )
@@ -56,30 +56,48 @@ type AttrMarginal struct {
 }
 
 // ComputeAttrMarginal builds the marginal for attribute a from the
-// value index. Float summation order is part of the contract: HV
-// accumulates in ascending value-id order over p(v) = n_v/(n·m), and
-// EntropyBits is it.EntropyCounts over the counts sorted descending —
-// the exact sequence task.DescribeColumns historically computed — so a
-// cached marginal is bit-identical to a freshly derived one.
+// value index, through MarginalOfCounts.
 func ComputeAttrMarginal(c Columns, a int) (AttrMarginal, error) {
-	n := c.N()
-	total := float64(n) * float64(c.M())
-	hv := 0.0
 	var counts []int
-	err := c.VisitValues(a, func(v int32, count int, runs []Run) error {
+	err := c.VisitValues(a, func(_ int32, count int, _ []Run) error {
 		counts = append(counts, count)
-		if count > 0 && n > 0 {
-			p := float64(count) / total
-			hv -= p * math.Log2(p)
-		}
 		return nil
 	})
 	if err != nil {
 		return AttrMarginal{}, err
 	}
-	distinct := len(counts)
-	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
-	return AttrMarginal{HV: hv, EntropyBits: it.EntropyCounts(counts), Distinct: distinct}, nil
+	return MarginalOfCounts(counts, c.N(), c.M()), nil
+}
+
+// MarginalOfCounts builds the marginal of one attribute of an n × m
+// relation from its occurrence counts in ascending value-id order, and
+// sorts counts in place. It is the one place the arithmetic lives, so
+// every source of a marginal — a value-index walk, or a colstore file's
+// validation pass — is bit-identical to every other. Float summation
+// order is part of the contract: HV accumulates in ascending value-id
+// order over p(v) = n_v/(n·m), and EntropyBits is it.EntropyCounts over
+// the counts sorted descending.
+func MarginalOfCounts(counts []int, n, m int) AttrMarginal {
+	total := float64(n) * float64(m)
+	hv := 0.0
+	for _, count := range counts {
+		if count > 0 && n > 0 {
+			p := float64(count) / total
+			hv -= p * math.Log2(p)
+		}
+	}
+	slices.Sort(counts)
+	slices.Reverse(counts)
+	return AttrMarginal{HV: hv, EntropyBits: it.EntropyCounts(counts), Distinct: len(counts)}
+}
+
+// Marginal serves attribute a's marginal from c's MarginalSource when c
+// has one, and computes it from the value index otherwise.
+func Marginal(c Columns, a int) (AttrMarginal, error) {
+	if ms, ok := c.(MarginalSource); ok {
+		return ms.Marginal(a)
+	}
+	return ComputeAttrMarginal(c, a)
 }
 
 // PartitionSource is the capability interface a Columns wrapper
@@ -92,7 +110,9 @@ type PartitionSource interface {
 }
 
 // MarginalSource is the marginal-entropy counterpart of
-// PartitionSource, with ComputeAttrMarginal as the fallback.
+// PartitionSource: a colstore table serves the marginals its
+// validation pass computed at Open. Marginal probes it, with
+// ComputeAttrMarginal as the fallback.
 type MarginalSource interface {
 	Marginal(a int) (AttrMarginal, error)
 }

@@ -71,19 +71,12 @@ func DescribeColumns(c relation.Columns) (*DescribeResult, error) {
 		DistinctValues: c.D(),
 	}
 	names := c.AttrNames()
-	ms, cached := c.(relation.MarginalSource)
 	for a := 0; a < m; a++ {
-		// relation.ComputeAttrMarginal sums p(v) contributions in
-		// ascending value-id order and entropies over descending counts,
-		// and a MarginalSource (e.g. a primcache wrapper) serves the same
-		// struct, so cached and fresh describes are bit-identical.
-		var mg relation.AttrMarginal
-		var err error
-		if cached {
-			mg, err = ms.Marginal(a)
-		} else {
-			mg, err = relation.ComputeAttrMarginal(c, a)
-		}
+		// Every marginal comes out of relation.MarginalOfCounts, whether
+		// a colstore table computed it at Open (a primcache wrapper
+		// forwards to it) or the value index is walked here, so paged
+		// and resident describes are bit-identical.
+		mg, err := relation.Marginal(c, a)
 		if err != nil {
 			return nil, err
 		}

@@ -8,9 +8,11 @@
 # arenas on the second pass) with the race detector watching; the
 # -count=10 leg repeats the rebalance and budget-sweep tests, which only
 # bite when a grant is rebalanced between a fan-out's sizing and its
-# loop. The EXPERIMENTS.md drift gate and the ten-seed shape-check sweep
-# skip under -race, so they run in a plain leg of their own. The fuzz
-# targets then mutate for 3 s each (CI gives them 10 s).
+# loop. The colstore_readat leg runs the packages that open .col files
+# over the pread fallback mapping. The EXPERIMENTS.md drift gate and the
+# ten-seed shape-check sweep skip under -race, so they run in a plain leg
+# of their own. The fuzz targets then mutate for 3 s each (CI gives them
+# 10 s).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +20,7 @@ go vet ./...
 go test -race ./...
 go test -race -count=2 ./internal/exec
 go test -race -count=10 -run 'Rebalance|Budget' ./internal/fd ./internal/relation ./internal/values ./internal/exec
+go test -tags colstore_readat ./internal/colstore ./internal/server ./internal/task
 go test -count=1 -run 'TestDocumentCurrent|TestShapeChecksAcrossSeeds' ./cmd/experiments
 scripts/fuzz.sh 3s
 scripts/smoke.sh
