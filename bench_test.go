@@ -364,15 +364,17 @@ func BenchmarkPhase1AtZero(b *testing.B) {
 	}
 }
 
-// BenchmarkLimboAssign times Phase 3 alone on the four shapes the
-// cluster_narrow sessions and report hand it, at the tasks' default
-// parameters: sparse is value clustering (double-clustered value objects
-// against every φV = 0 leaf of the 5 200-row projection — thousands of
-// representatives, under 1 % of the pairs sharing a coordinate); dense is
-// report's duplicate step on the 8 000 × 13 relation (tuples against the
-// multi-tuple leaves of its φT = 0.3 tree); tiny/partition and tiny/dedup
-// are the projection's tuples against partition's k merged
-// representatives and dedup's few multi-tuple leaves.
+// BenchmarkLimboAssign times the Phase 3 kernel alone on four shapes of
+// the 5 200-row projection and the 8 000 × 13 relation. Sessions at the
+// tasks' default parameters hand it only dense (report's duplicate step:
+// tuples against the multi-tuple leaves of its φT = 0.3 tree) and
+// tiny/partition (the projection's tuples against partition's k merged
+// representatives). sparse (double-clustered value objects against every
+// φV = 0 leaf — thousands of representatives, under 1 % of the pairs
+// sharing a coordinate) and tiny/dedup (the projection's tuples against
+// dedup's few φT = 0 multi-tuple leaves) are kept as kernel rows for
+// τ > 0 calls of those shapes: at τ = 0 value clustering and dedup read
+// the association off Phase 1 and run no Phase 3.
 func BenchmarkLimboAssign(b *testing.B) {
 	dblp := func(n int) *relation.Relation {
 		return datagen.NewDBLP(datagen.DBLPConfig{
@@ -405,6 +407,31 @@ func BenchmarkLimboAssign(b *testing.B) {
 	tobjs := tuples.Objects(proj)
 	run("tiny/partition", limbo.RepsFromClusters(pr.Leaves, clusters), tobjs)
 	run("tiny/dedup", tuples.FindDuplicatesCtx(context.Background(), proj, 0, 4).Summaries, tobjs)
+}
+
+// BenchmarkRankFDs is the rank-fds task end to end at its default
+// parameters (task.RunColumns: FD mining, value clustering over the
+// φT = 0 tuple clusters at φV = 0, ranking) on cluster_narrow's
+// 5 200 × ProjectionAttrs() shape and on DBLP 20 000 × 13.
+func BenchmarkRankFDs(b *testing.B) {
+	ctx := context.Background()
+	for _, in := range []struct {
+		name string
+		r    *relation.Relation
+	}{
+		{"n=5200x7", benchDBLPAt(b, 5200).Project(datagen.ProjectionAttrs())},
+		{"n=20000x13", benchDBLPAt(b, 20000)},
+	} {
+		c := relation.AsColumns(in.r)
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := task.RunColumns(ctx, c, "rank-fds", task.Params{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkTANE mines the datagen relations end to end: the DB2-style

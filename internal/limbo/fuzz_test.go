@@ -65,8 +65,11 @@ func groupZeroObjects(data []byte) []Obj {
 // FuzzGroupZero: Phase 1 at τ = 0 groups exactly the objects whose
 // conditionals render alike (coordinates and probability bits), numbers
 // its groups by first member, and builds every group's DCF bit for bit
-// as NewDCF of the first member absorbing the rest in object order.
-// Seeds under testdata/fuzz/.
+// as NewDCF of the first member absorbing the rest in object order. Every
+// object is within 1e-12 of its own group (value clustering assigns it
+// there at loss 0 without a Phase 3 scan), and where Phase 3 picks
+// another group — ulp-neighbour conditionals, the lowest index winning a
+// tie — that group is within 1e-12 too. Seeds under testdata/fuzz/.
 func FuzzGroupZero(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		objs := groupZeroObjects(data)
@@ -104,6 +107,14 @@ func FuzzGroupZero(f *testing.F) {
 			}
 			if err := validDCF(leaves[g]); err != nil {
 				t.Fatalf("leaf %d: %v", g, err)
+			}
+		}
+		for i, a := range AssignCtx(context.Background(), leaves, objs) {
+			if own := leaves[leafOf[i]].DeltaIObj(objs[i]); !(own <= 1e-12) {
+				t.Fatalf("object %d is %v from its own group %d", i, own, leafOf[i])
+			}
+			if a.Cluster != int(leafOf[i]) && !(a.Loss <= 1e-12) {
+				t.Fatalf("Phase 3 moves object %d from group %d to %d at loss %v", i, leafOf[i], a.Cluster, a.Loss)
 			}
 		}
 	})

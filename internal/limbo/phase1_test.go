@@ -3,6 +3,7 @@ package limbo_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"structmine/internal/datagen"
@@ -75,8 +76,10 @@ func streamed(objs []limbo.Obj) []*limbo.DCF {
 
 // assigned is the value-axis reference, the construction value
 // clustering used before the driver: BuildTreeCtx at φ = 0, then Phase 3
-// over its leaves. It also checks that Phase 3 over the driver's leaves
-// keeps every value in its group, as values.ClusterCtx relies on.
+// over its leaves. It also holds values.ClusterCtx, which reads Phase 3's
+// answer off Phase1Ctx's groups at φ = 0, to Phase 3 over the same
+// leaves: every value keeps its group, and its loss is AssignCtx's bits
+// or, where those are not 0, 0 against a loss of at most 1e-12.
 func assigned(t *testing.T, name string, objs []limbo.Obj) []*limbo.DCF {
 	t.Helper()
 	ctx := context.Background()
@@ -86,10 +89,27 @@ func assigned(t *testing.T, name string, objs []limbo.Obj) []*limbo.DCF {
 		out[i] = leaves[a.Cluster]
 	}
 	grouped, leafOf := limbo.Phase1Ctx(ctx, objs, 0, 4)
+	got := values.ClusterCtx(ctx, objs, 0, 4, len(objs[0].Counts)).Assign
+	if len(got) != len(objs) {
+		t.Fatalf("%s: %d assignments for %d values", name, len(got), len(objs))
+	}
+	nonzero := 0
 	for i, a := range limbo.AssignCtx(ctx, grouped, objs) {
 		if a.Cluster != int(leafOf[i]) {
 			t.Fatalf("%s: Phase 3 moves value %d from group %d to %d", name, i, leafOf[i], a.Cluster)
 		}
+		if got[i].Cluster != a.Cluster {
+			t.Fatalf("%s: ClusterCtx puts value %d in group %d, Phase 3 in %d", name, i, got[i].Cluster, a.Cluster)
+		}
+		if math.Float64bits(got[i].Loss) != math.Float64bits(a.Loss) {
+			if got[i].Loss != 0 || a.Loss > 1e-12 {
+				t.Fatalf("%s: value %d at loss %v, Phase 3 says %v", name, i, got[i].Loss, a.Loss)
+			}
+			nonzero++
+		}
+	}
+	if nonzero > 0 {
+		t.Logf("%s: %d of %d values at a Phase 3 loss in (0, 1e-12]", name, nonzero, len(objs))
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package tuples
 
 import (
 	"context"
+	"math"
 
 	"structmine/internal/limbo"
 )
@@ -23,8 +24,9 @@ type Summary struct {
 	LeafCount int
 	LeafOf    []int32
 	// Multi are the leaves summarizing several tuples (p(c) > 1/n), in
-	// leaf order.
-	Multi []*limbo.DCF
+	// leaf order; multiOf[l] is leaf l's index in Multi, or -1.
+	Multi   []*limbo.DCF
+	multiOf []int32
 }
 
 // Summarize runs the Phase 1 pass over the tuple objects (ID = tuple
@@ -36,9 +38,11 @@ type Summary struct {
 func Summarize(ctx context.Context, objs []limbo.Obj, phiT float64, b int) *Summary {
 	tau := limbo.ThresholdFor(phiT, objs)
 	leaves, leafOf := limbo.Phase1Ctx(ctx, objs, tau, b)
-	s := &Summary{Threshold: tau, LeafCount: len(leaves), LeafOf: leafOf}
-	for _, d := range leaves {
+	s := &Summary{Threshold: tau, LeafCount: len(leaves), LeafOf: leafOf, multiOf: make([]int32, len(leaves))}
+	for l, d := range leaves {
+		s.multiOf[l] = -1
 		if d.N >= 2 {
+			s.multiOf[l] = int32(len(s.Multi))
 			s.Multi = append(s.Multi, d.Clone())
 		}
 	}
@@ -59,13 +63,28 @@ func (s *Summary) Clusters() ([]int, int) {
 // associated with its closest multi-tuple leaf (Phase 3), and joins that
 // leaf's group only when the association loss is within the Phase 1
 // threshold. objs are the objects the summary was built over.
+//
+// At τ = 0 no Phase 3 runs: every leaf is a class of identical tuples,
+// so a tuple of a multi-tuple leaf joins that leaf at loss 0, and any
+// other tuple joins no group (Cluster -1, Loss +Inf) — its row differs
+// from every multi-tuple leaf's, so no association is within τ.
 func (s *Summary) Duplicates(ctx context.Context, objs []limbo.Obj) *DuplicateReport {
 	rep := &DuplicateReport{Summaries: s.Multi, LeafCount: s.LeafCount, Threshold: s.Threshold}
-	rep.Assign = limbo.AssignCtx(ctx, rep.Summaries, objs)
-	cutoff := s.Threshold + 1e-12
-	for t := range rep.Assign {
-		if rep.Assign[t].Loss > cutoff {
-			rep.Assign[t].Cluster = -1
+	if s.Threshold == 0 {
+		rep.Assign = make([]limbo.Assignment, len(s.LeafOf))
+		for t, l := range s.LeafOf {
+			rep.Assign[t] = limbo.Assignment{Cluster: int(s.multiOf[l])}
+			if rep.Assign[t].Cluster < 0 {
+				rep.Assign[t].Loss = math.Inf(1)
+			}
+		}
+	} else {
+		rep.Assign = limbo.AssignCtx(ctx, rep.Summaries, objs)
+		cutoff := s.Threshold + 1e-12
+		for t := range rep.Assign {
+			if rep.Assign[t].Loss > cutoff {
+				rep.Assign[t].Cluster = -1
+			}
 		}
 	}
 	rep.Groups = make([][]int, len(rep.Summaries))

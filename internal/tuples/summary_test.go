@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"structmine/internal/datagen"
 	"structmine/internal/limbo"
 	"structmine/internal/relation"
 )
@@ -89,5 +90,61 @@ func TestSummarizeMatchesTree(t *testing.T) {
 				t.Fatalf("φT=%v: multi-tuple leaf %d differs from the tree's", phiT, i)
 			}
 		}
+	}
+}
+
+// TestDuplicatesAtZeroMatchesPhase3 holds Duplicates at φT = 0, which
+// reads the association off Phase 1's membership, to the construction
+// it replaced: Phase 3 (limbo.AssignCtx) of every tuple against the
+// multi-tuple leaves, cut at τ + 1e-12. Every tuple's cluster and every
+// group are the same; a member's loss is 0 where Phase 3's is at most
+// 1e-12, and a non-member's is +Inf where Phase 3's exceeds the cutoff.
+func TestDuplicatesAtZeroMatchesPhase3(t *testing.T) {
+	db, err := datagen.NewDB2Sample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj := datagen.NewDBLP(datagen.DBLPConfig{Tuples: 5200, Seed: 1, MiscFrac: 129.0 / 50000, JournalFrac: 0.28})
+	cases := []struct {
+		name string
+		r    *relation.Relation
+	}{
+		{"db2-joined", db.Joined},
+		{"db2-joined-duplicated", datagen.InjectExactDuplicates(db.Joined, 2, 7).Dirty},
+		{"dblp-3000x13", datagen.NewDBLP(datagen.DBLPConfig{Tuples: 3000, Seed: 2})},
+		{"dblp-5200x7", proj.Project(datagen.ProjectionAttrs())},
+	}
+	ctx := context.Background()
+	for _, tc := range cases {
+		objs := Objects(tc.r)
+		sum := Summarize(ctx, objs, 0, 4)
+		rep := sum.Duplicates(ctx, objs)
+
+		want := limbo.AssignCtx(ctx, sum.Multi, objs)
+		wantGroups := make([][]int, len(sum.Multi))
+		for i, a := range want {
+			if a.Loss > sum.Threshold+1e-12 {
+				a.Cluster = -1
+			}
+			got := rep.Assign[i]
+			if got.Cluster != a.Cluster {
+				t.Fatalf("%s: tuple %d in group %d, Phase 3 says %d", tc.name, i, got.Cluster, a.Cluster)
+			}
+			switch {
+			case a.Cluster >= 0 && got.Loss != 0:
+				t.Fatalf("%s: member %d at loss %v, want 0", tc.name, i, got.Loss)
+			case a.Cluster >= 0 && a.Loss > 1e-12:
+				t.Fatalf("%s: Phase 3 associates member %d at loss %v", tc.name, i, a.Loss)
+			case a.Cluster < 0 && !math.IsInf(got.Loss, 1):
+				t.Fatalf("%s: non-member %d at loss %v, want +Inf", tc.name, i, got.Loss)
+			}
+			if a.Cluster >= 0 {
+				wantGroups[a.Cluster] = append(wantGroups[a.Cluster], i)
+			}
+		}
+		if !reflect.DeepEqual(rep.Groups, wantGroups) {
+			t.Fatalf("%s: groups differ from Phase 3's", tc.name)
+		}
+		t.Logf("%s: %d multi-tuple leaves", tc.name, len(sum.Multi))
 	}
 }

@@ -78,8 +78,11 @@ type DuplicateReport struct {
 	// Summaries are the leaf DCFs representing more than one tuple
 	// (p(c) > 1/n).
 	Summaries []*limbo.DCF
-	// Assign[t] associates every tuple with its closest summary
-	// (Phase 3); Cluster is -1 when there are no multi-tuple summaries.
+	// Assign[t] associates every tuple with its summary. A tuple that
+	// joins no group has Cluster -1: at φT = 0, where no Phase 3 runs,
+	// with Loss +Inf; above 0 with the loss to its closest summary, which
+	// exceeds the threshold (+Inf when there are no summaries). A member's
+	// Loss is its Phase 3 association loss, 0 at φT = 0.
 	Assign []limbo.Assignment
 	// Groups[s] lists the tuples associated with summary s.
 	Groups [][]int
@@ -94,8 +97,11 @@ type DuplicateReport struct {
 // tuple only joins a summary's group when its association loss is within
 // the Phase 1 threshold — beyond that it is not a duplicate candidate
 // (Cluster = -1), which keeps the groups presented to the analyst small
-// and meaningful. The report's DCFs are the Summary's plain copies, not
-// views into the tree's pooled slabs.
+// and meaningful. At φT = 0 (the default) the summaries are the classes
+// of identical tuples and the association is read off Phase 1's
+// membership, with no Phase 3 scan (Summary.Duplicates). The report's
+// DCFs are the Summary's plain copies, not views into the tree's pooled
+// slabs.
 func FindDuplicatesCtx(ctx context.Context, r *relation.Relation, phiT float64, b int) *DuplicateReport {
 	objs := Objects(r)
 	return Summarize(ctx, objs, phiT, b).Duplicates(ctx, objs)

@@ -8,7 +8,6 @@ package values
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"structmine/internal/exec"
@@ -30,7 +29,7 @@ func ObjectsColumnsCtx(ctx context.Context, c relation.Columns) ([]limbo.Obj, er
 	d := c.D()
 	m := c.M()
 	objs := make([]limbo.Obj, d)
-	err := forAttrs(ctx, c.N(), m, func(w int, scratch *[]int32, attr int) error {
+	err := forAttrs(ctx, c.N(), m, func(scratch *[]int32, attr int) error {
 		return c.VisitValues(attr, func(v int32, count int, runs []relation.Run) error {
 			counts := make([]int64, m)
 			counts[attr] = int64(count)
@@ -50,30 +49,47 @@ func ObjectsColumnsCtx(ctx context.Context, c relation.Columns) ([]limbo.Obj, er
 	return objs, nil
 }
 
+// ObjectsOverClusters expresses values over a compressed tuple axis
+// (double clustering): p(c_t|v) is the fraction of v's occurrences that
+// fall in tuple cluster c_t. It is ObjectsOverClustersColumnsCtx over
+// the resident relation.
+func ObjectsOverClusters(r *relation.Relation, tupleCluster []int, k int) []limbo.Obj {
+	objs, _ := ObjectsOverClustersColumnsCtx(context.Background(), relation.AsColumns(r), tupleCluster, k) // no failing reads in memory
+	return objs
+}
+
 // ObjectsOverClustersColumnsCtx is ObjectsOverClusters over the column
-// interface, parallelized per attribute like ObjectsColumnsCtx. Both
-// count a value's occurrences per cluster and divide once
-// (clusterShares), so the conditionals are bit-identical.
+// interface, parallelized per attribute like ObjectsColumnsCtx. Each
+// worker counts a value's occurrences per tuple cluster in its own slab
+// of k integers (clusterCounts) and divides once per cluster,
+// p(c_t|v) = n/n_v, one correctly rounded division: two values with the
+// same distribution get bit-identical conditionals — the identity
+// Phase 1 at φV = 0 groups on.
 func ObjectsOverClustersColumnsCtx(ctx context.Context, c relation.Columns, tupleCluster []int, k int) ([]limbo.Obj, error) {
 	d := c.D()
 	m := c.M()
 	objs := make([]limbo.Obj, d)
-	err := forAttrs(ctx, c.N(), m, func(w int, scratch *[]int32, attr int) error {
+	err := forAttrs(ctx, c.N(), m, func(s *clusterCounts, attr int) error {
+		if s.n == nil {
+			s.n = make([]int32, k)
+		}
 		return c.VisitValues(attr, func(v int32, count int, runs []relation.Run) error {
 			counts := make([]int64, m)
 			counts[attr] = int64(count)
-			inCluster := map[int32]int{}
 			for _, r := range runs {
 				for t := r.Start; t < r.Start+r.Len; t++ {
 					if cl := tupleCluster[t]; cl >= 0 && cl < k {
-						inCluster[int32(cl)]++
+						if s.n[cl] == 0 {
+							s.touched = append(s.touched, int32(cl))
+						}
+						s.n[cl]++
 					}
 				}
 			}
 			objs[v] = limbo.Obj{
 				ID:     v,
 				W:      1.0 / float64(d),
-				Cond:   clusterShares(inCluster, count),
+				Cond:   s.shares(count),
 				Counts: counts,
 			}
 			return nil
@@ -85,13 +101,36 @@ func ObjectsOverClustersColumnsCtx(ctx context.Context, c relation.Columns, tupl
 	return objs, nil
 }
 
+// clusterCounts is one worker's tally of a value's occurrences per tuple
+// cluster: n[c] for every cluster, touched the clusters with n[c] > 0.
+// shares reads and clears only the touched slots, so the slab is
+// allocated once per worker and never rescanned.
+type clusterCounts struct {
+	n       []int32
+	touched []int32
+	es      []it.Entry
+}
+
+// shares is p(c_t|v) from the tally of v's n_v occurrences, leaving the
+// tally empty for the next value.
+func (s *clusterCounts) shares(nv int) it.Vec {
+	s.es = s.es[:0]
+	for _, cl := range s.touched {
+		s.es = append(s.es, it.Entry{Idx: cl, P: float64(s.n[cl]) / float64(nv)})
+		s.n[cl] = 0
+	}
+	s.touched = s.touched[:0]
+	return it.NewVec(s.es) // NewVec copies; es is reused
+}
+
 // forAttrs fans fn across the m attributes under the context's worker
 // budget (exec.ColScan kernel, work estimated as one unit per cell),
-// handing each worker a private reusable tuple-id scratch slice. The
-// first error (lowest attribute index wins) cancels the remainder.
-func forAttrs(ctx context.Context, n, m int, fn func(w int, scratch *[]int32, attr int) error) error {
+// handing each worker a private reusable state S, one per worker of the
+// plan. The first error (lowest attribute index wins) cancels the
+// remainder.
+func forAttrs[S any](ctx context.Context, n, m int, fn func(state *S, attr int) error) error {
 	plan := exec.Plan(ctx, exec.ColScan, m, n*m)
-	scratch := make([][]int32, plan.Workers())
+	state := make([]S, plan.Workers())
 	var (
 		mu   sync.Mutex
 		errA = -1
@@ -105,7 +144,7 @@ func forAttrs(ctx context.Context, n, m int, fn func(w int, scratch *[]int32, at
 			if bail {
 				return
 			}
-			if e := fn(w, &scratch[w], a); e != nil {
+			if e := fn(&state[w], a); e != nil {
 				mu.Lock()
 				if errA < 0 || a < errA {
 					errA, err = a, e
@@ -128,49 +167,11 @@ func expandRuns(dst []int32, runs []relation.Run) []int32 {
 	return dst
 }
 
-// ObjectsOverClusters expresses values over a compressed tuple axis
-// (double clustering): p(c_t|v) is the fraction of v's occurrences that
-// fall in tuple cluster c_t.
-func ObjectsOverClusters(r *relation.Relation, tupleCluster []int, k int) []limbo.Obj {
-	st := r.Stats()
-	d := r.D()
-	m := r.M()
-	objs := make([]limbo.Obj, d)
-	for v := 0; v < d; v++ {
-		counts := make([]int64, m)
-		counts[r.ValueAttr(int32(v))] = int64(st.Count[v])
-		inCluster := map[int32]int{}
-		for _, t := range st.Tuples[v] {
-			if c := tupleCluster[t]; c >= 0 && c < k {
-				inCluster[int32(c)]++
-			}
-		}
-		objs[v] = limbo.Obj{
-			ID:     int32(v),
-			W:      1.0 / float64(d),
-			Cond:   clusterShares(inCluster, st.Count[v]),
-			Counts: counts,
-		}
-	}
-	return objs
-}
-
-// clusterShares is p(c_t|v) from the number of v's n_v occurrences in
-// each tuple cluster: one correctly rounded division per cluster, so two
-// values with the same distribution get bit-identical conditionals —
-// the identity Phase 1 at φV = 0 groups on.
-func clusterShares(inCluster map[int32]int, nv int) it.Vec {
-	es := make([]it.Entry, 0, len(inCluster))
-	for c, n := range inCluster {
-		es = append(es, it.Entry{Idx: c, P: float64(n) / float64(nv)})
-	}
-	return it.NewVec(es)
-}
-
 // Group is one cluster of attribute values with its ADCF summary.
 type Group struct {
 	DCF *limbo.DCF
-	// Values are the value ids associated with this summary by Phase 3.
+	// Values are the value ids associated with this summary by Phase 3
+	// (at τ = 0, the group's own members).
 	Values []int32
 	// Duplicate marks membership in C_V^D: the group's values appear in
 	// at least two tuples (or tuple clusters) AND in at least two
@@ -181,7 +182,8 @@ type Group struct {
 // Clustering is the outcome of attribute-value clustering.
 type Clustering struct {
 	Groups []Group
-	// Assign[v] is the group index of value id v and the association loss.
+	// Assign[v] is the group index of value id v and the association
+	// loss, 0 at τ = 0.
 	Assign    []limbo.Assignment
 	LeafCount int
 	Threshold float64
@@ -190,17 +192,28 @@ type Clustering struct {
 }
 
 // ClusterCtx runs the Section 6.2 procedure on pre-built value objects:
-// Phase 1 at φV with ADCFs (limbo.Phase1Ctx — at φV = 0 one hash pass
-// over identical values, groups numbered by first member), then Phase 3
-// association of every value with its closest summary. The duplicate
-// flag is computed per summary from the merged ADCF. When the context
-// carries a scheduler grant, the returned Clustering's DCFs may live in
-// pooled slabs and must not be retained past the grant's release (task
-// runners copy what they keep).
+// Phase 1 at φV with ADCFs (limbo.Phase1Ctx), then Phase 3 association
+// of every value with its closest summary. At τ = 0 Phase 1 is one hash
+// pass over identical values, groups numbered by first member, and it
+// already holds Phase 3's answer: a value's own group carries exactly its
+// conditional, so Assign[v] is that group at loss 0 and no δI is
+// computed. Above 0 Phase 3 scans every leaf (limbo.AssignCtx). The
+// duplicate flag is computed per summary from the merged ADCF. When the
+// context carries a scheduler grant, the returned Clustering's DCFs may
+// live in pooled slabs and must not be retained past the grant's release
+// (task runners copy what they keep).
 func ClusterCtx(ctx context.Context, objs []limbo.Obj, phiV float64, b, numAttrs int) *Clustering {
 	tau := limbo.ThresholdFor(phiV, objs)
-	leaves, _ := limbo.Phase1Ctx(ctx, objs, tau, b)
-	assign := limbo.AssignCtx(ctx, leaves, objs)
+	leaves, leafOf := limbo.Phase1Ctx(ctx, objs, tau, b)
+	var assign []limbo.Assignment
+	if tau == 0 {
+		assign = make([]limbo.Assignment, len(objs))
+		for v, g := range leafOf {
+			assign[v].Cluster = int(g)
+		}
+	} else {
+		assign = limbo.AssignCtx(ctx, leaves, objs)
+	}
 
 	c := &Clustering{
 		Groups:    make([]Group, len(leaves)),
@@ -258,37 +271,6 @@ func (c *Clustering) NonDuplicateGroups() []int {
 		if !g.Duplicate {
 			out = append(out, i)
 		}
-	}
-	return out
-}
-
-// Anomaly is a value whose association with its summary is unusually
-// lossy — the §6.2 "values responsible for the errors in the tuple
-// proximity" surfaced without knowing the injections.
-type Anomaly struct {
-	Value int32
-	Group int
-	Loss  float64
-}
-
-// Anomalies returns the topN values with the highest Phase 3 association
-// loss (descending). Values that fit their summary exactly (loss 0) are
-// never reported.
-func (c *Clustering) Anomalies(topN int) []Anomaly {
-	var out []Anomaly
-	for v, a := range c.Assign {
-		if a.Cluster >= 0 && a.Loss > 1e-12 {
-			out = append(out, Anomaly{Value: int32(v), Group: a.Cluster, Loss: a.Loss})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Loss != out[j].Loss {
-			return out[i].Loss > out[j].Loss
-		}
-		return out[i].Value < out[j].Value
-	})
-	if topN > 0 && len(out) > topN {
-		out = out[:topN]
 	}
 	return out
 }

@@ -259,34 +259,6 @@ func TestAssignmentCoversAllValues(t *testing.T) {
 	}
 }
 
-func TestAnomalies(t *testing.T) {
-	// Figure 5: the stray x in tuple 2 is the anomalous value. With a
-	// coarse φV the values cluster; the imperfectly-fitting ones carry
-	// positive association loss.
-	r := fig5(t)
-	c := clusterRelation(r, 0.2, 4)
-	anomalies := c.Anomalies(5)
-	if len(anomalies) == 0 {
-		t.Fatal("expected at least one anomalous value")
-	}
-	for i := 1; i < len(anomalies); i++ {
-		if anomalies[i].Loss > anomalies[i-1].Loss {
-			t.Fatal("anomalies not sorted by loss")
-		}
-	}
-	// The top anomaly must involve the {2,x} group's imperfection: one
-	// of the values x or 2.
-	top := r.ValueLabel(anomalies[0].Value)
-	if top != "C=x" && top != "B=2" {
-		t.Errorf("top anomaly %s, want C=x or B=2", top)
-	}
-	// Exact clustering has no anomalies.
-	exact := clusterRelation(fig4(t), 0.0, 4)
-	if got := exact.Anomalies(0); len(got) != 0 {
-		t.Fatalf("exact clustering should have none, got %v", got)
-	}
-}
-
 // Regression: the per-attribute fan-out behind the object builders sized
 // its per-worker scratch from one read of the live budget and fanned out
 // on another, so a grant rebalanced in between indexed past the scratch
