@@ -1,5 +1,5 @@
 // Command structmined is the structure-mining daemon: a long-running
-// HTTP/JSON service that keeps parsed relations resident, executes
+// HTTP/JSON service that holds the datasets registered with it, executes
 // mining tasks as asynchronous jobs on a bounded worker pool, and serves
 // identical repeated queries from a content-addressed artifact cache.
 //
@@ -13,32 +13,27 @@
 // default; pass -addr to expose it deliberately. HTTP clients may only
 // register datasets by server-side path ({"path":...}) when -data-dir
 // names the directory such paths are confined to — otherwise they must
-// upload the CSV body. Resident state is bounded: -max-datasets caps
+// upload the CSV body. Retained state is bounded: -max-datasets caps
 // the registry, -max-jobs caps retained job records (oldest finished
 // jobs are forgotten first), and -cache-entries caps the artifact cache
 // (least recently used artifacts are evicted).
 //
-// Passing -persist DIR makes the daemon durable: every registered
-// dataset is written as one self-describing columnar file under
-// DIR/colstore (the only dataset format), completed artifacts spill to
-// a disk cache, and terminal jobs are journaled under DIR. A restarted
-// daemon (even after SIGKILL or a crash) recovers all three — datasets
-// are listed again and read back into memory, old job ids still answer,
-// and identical queries are cache hits without re-mining. Corrupt files
-// found at boot are quarantined under DIR/quarantine, never trusted. A
-// DIR/datasets/ or DIR/minestate/ directory left by an older build is
-// not read (and not touched). -fsync additionally syncs every
-// write for power-loss durability at a latency cost.
-//
-// With -persist, -resident-bytes N additionally bounds how many CSV
-// bytes of parsed relations stay in memory: a dataset larger than N is
-// registered out of core — streamed into its columnar file and mined
-// page-at-a-time ("storage":"paged" in its listing) — and resident
-// datasets drop their in-memory copy, least recently used first, when
-// the total exceeds N. Paged datasets run every task a resident one
-// does — all of them are marked "paged" in GET /v1/tasks; only joins,
-// which takes several files, cannot run as a job — through the same
-// pipeline, with identical results.
+// Without -persist every dataset is resident: its parsed relation is
+// held in memory. Passing -persist DIR makes the daemon durable and
+// every dataset paged: it is written as one self-describing columnar
+// file under DIR/colstore (the only dataset format) and mined from
+// there page-at-a-time ("storage":"paged" in its listing), through the
+// same task pipeline and with the same results as a resident one; only
+// joins, which takes several files, cannot run as a job. Completed
+// artifacts spill to a disk cache, and terminal jobs are journaled under
+// DIR. A restarted daemon (even after SIGKILL or a crash) recovers all
+// three — datasets are listed again from their files, old job ids still
+// answer, and identical queries are cache hits without re-mining.
+// Corrupt files found at boot are quarantined under DIR/quarantine,
+// never trusted. A DIR/datasets/ or DIR/minestate/ directory left by an
+// older build is not read (and not touched). -fsync additionally syncs
+// every write for power-loss durability at a latency cost.
+// -resident-bytes is accepted for compatibility and ignored.
 //
 // Endpoints (/v1 is the only surface; any other path is a plain 404):
 //
@@ -127,8 +122,8 @@ func run(args []string, ready chan<- string) error {
 	maxFields := fs.Int("max-fields", 0, "maximum columns per registered CSV (0 = unlimited)")
 	maxUpload := fs.Int64("max-upload", 64<<20, "maximum dataset upload size in bytes")
 	dataDir := fs.String("data-dir", "", "directory HTTP clients may register datasets from by path (empty = uploads only)")
-	maxDatasets := fs.Int("max-datasets", 64, "maximum resident datasets")
-	residentBytes := fs.Int64("resident-bytes", 0, "total CSV bytes kept resident in memory (0 = unlimited; with -persist, datasets beyond the budget are served out of core from paged colstore files)")
+	maxDatasets := fs.Int("max-datasets", 64, "maximum registered datasets, paged and resident alike")
+	fs.Int64("resident-bytes", 0, "ignored: datasets are paged with -persist and resident without it")
 	primCacheBytes := fs.Int64("primcache-bytes", 64<<20, "byte budget of the per-dataset primitive cache serving paged jobs (negative = disabled)")
 	maxJobs := fs.Int("max-jobs", 1024, "maximum retained job records (oldest finished jobs are forgotten first)")
 	cacheEntries := fs.Int("cache-entries", 512, "maximum artifact-cache entries (LRU eviction)")
@@ -143,9 +138,6 @@ func run(args []string, ready chan<- string) error {
 	tenantMaxJobs := fs.Int("tenant-max-jobs", 0, "per-tenant cap on queued+running jobs (0 = unlimited)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *residentBytes > 0 && *persist == "" {
-		return fmt.Errorf("-resident-bytes needs -persist: the paged tier stores colstore files under the durable store")
 	}
 
 	var router *cluster.Router
@@ -188,7 +180,6 @@ func run(args []string, ready chan<- string) error {
 		MaxUploadBytes: *maxUpload,
 		DataDir:        *dataDir,
 		MaxDatasets:    *maxDatasets,
-		ResidentBytes:  *residentBytes,
 		PrimCacheBytes: *primCacheBytes,
 		MaxJobs:        *maxJobs,
 		CacheEntries:   *cacheEntries,

@@ -16,7 +16,9 @@ import (
 
 // TestDaemonLifecycle boots the daemon on a random port with a
 // pre-registered dataset, runs a job over HTTP, checks the repeat is a
-// cache hit, then sends SIGTERM and waits for a clean exit.
+// cache hit, then sends SIGTERM and waits for a clean exit. The daemon
+// has no store, so -resident-bytes (accepted, ignored) leaves the
+// dataset resident.
 func TestDaemonLifecycle(t *testing.T) {
 	db, err := datagen.NewDB2Sample()
 	if err != nil {
@@ -30,7 +32,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	ready := make(chan string, 1)
 	errc := make(chan error, 1)
 	go func() {
-		errc <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1", path}, ready)
+		errc <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-resident-bytes", "1024", path}, ready)
 	}()
 	var base string
 	select {
@@ -49,7 +51,8 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	var dsPage struct {
 		Items []struct {
-			ID string `json:"id"`
+			ID      string `json:"id"`
+			Storage string `json:"storage"`
 		} `json:"items"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&dsPage); err != nil {
@@ -57,8 +60,8 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	resp.Body.Close()
 	datasets := dsPage.Items
-	if len(datasets) != 1 {
-		t.Fatalf("datasets = %d, want the pre-registered one", len(datasets))
+	if len(datasets) != 1 || datasets[0].Storage != "resident" {
+		t.Fatalf("datasets = %+v, want the pre-registered one, resident", datasets)
 	}
 
 	submit := func() (id, state string, cacheHit bool) {
@@ -129,7 +132,9 @@ func TestDaemonLifecycle(t *testing.T) {
 // TestDaemonPersistRestart boots a persistent daemon, runs a job,
 // stops the daemon, and boots a second one over the same store
 // directory: the dataset, the old job record, and the artifact must all
-// survive, and the identical resubmission must be a cache hit.
+// survive, and the identical resubmission must be a cache hit. The
+// dataset is paged in both lives, whether or not -resident-bytes is
+// passed (it is accepted and ignored).
 func TestDaemonPersistRestart(t *testing.T) {
 	db, err := datagen.NewDB2Sample()
 	if err != nil {
@@ -186,14 +191,15 @@ func TestDaemonPersistRestart(t *testing.T) {
 	}
 
 	// First life: register via CLI, run one job to completion.
-	base, errc := boot("-addr", "127.0.0.1:0", "-workers", "1", "-persist", storeDir, path)
+	base, errc := boot("-addr", "127.0.0.1:0", "-workers", "1", "-resident-bytes", "1024", "-persist", storeDir, path)
 	var dsPage struct {
 		Items []struct {
-			ID string `json:"id"`
+			ID      string `json:"id"`
+			Storage string `json:"storage"`
 		} `json:"items"`
 	}
-	if code := getJSON(base, "/v1/datasets", &dsPage); code != http.StatusOK || len(dsPage.Items) != 1 {
-		t.Fatalf("datasets: %d (%d listed)", code, len(dsPage.Items))
+	if code := getJSON(base, "/v1/datasets", &dsPage); code != http.StatusOK || len(dsPage.Items) != 1 || dsPage.Items[0].Storage != "paged" {
+		t.Fatalf("datasets: %d (%+v listed)", code, dsPage.Items)
 	}
 	dsID := dsPage.Items[0].ID
 	body, _ := json.Marshal(map[string]any{"dataset": dsID, "task": "mine-fds"})
@@ -228,7 +234,7 @@ func TestDaemonPersistRestart(t *testing.T) {
 
 	dsPage.Items = nil
 	if code := getJSON(base, "/v1/datasets", &dsPage); code != http.StatusOK ||
-		len(dsPage.Items) != 1 || dsPage.Items[0].ID != dsID {
+		len(dsPage.Items) != 1 || dsPage.Items[0].ID != dsID || dsPage.Items[0].Storage != "paged" {
 		t.Fatalf("recovered datasets: %d (%+v), want %s", code, dsPage.Items, dsID)
 	}
 	var rec struct {

@@ -1,7 +1,8 @@
 // Package colstore is the out-of-core columnar dataset store: a
-// versioned on-disk relation format that lets the daemon keep and mine
-// datasets whose parsed form would not fit the resident-bytes budget
-// (the parse itself is transient: it lasts until the file is written).
+// versioned on-disk relation format in which a durable daemon keeps and
+// mines every dataset, whether or not its parsed form would fit in
+// memory (the parse itself is transient: it lasts until the file is
+// written).
 //
 // A .col file holds one dictionary-encoded relation:
 //

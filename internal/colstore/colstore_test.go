@@ -158,11 +158,7 @@ func TestSpillPreservesOrder(t *testing.T) {
 	if want.ValueString(0) != "a500" || want.ValueString(1) != "b250" || want.ValueString(3) != "a499" {
 		t.Fatalf("input does not intern row-major in descending string order")
 	}
-	got, err := mustOpen(t, path).Relation()
-	if err != nil {
-		t.Fatalf("Relation: %v", err)
-	}
-	assertSameRelation(t, "ingested file", got, want)
+	assertTableHolds(t, "ingested file", mustOpen(t, path), want)
 
 	dump, err := WriteFromRelation(t.TempDir(), meta, want, opt)
 	if err != nil {

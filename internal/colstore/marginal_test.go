@@ -156,7 +156,7 @@ func (r *recordingMapping) release(off int64, n int) {
 }
 
 // TestTailReadsAreReleased: every range Open, VisitValues,
-// ValueStrings, Relation and an Append read from a table's file is
+// ValueStrings and an Append read from a table's file is
 // released as often as it was read — the value index and dictionary
 // included, which is what keeps a paged dataset's tail off the resident
 // set — save the 32-byte header and 24-byte footer Open decodes.
@@ -194,9 +194,6 @@ func TestTailReadsAreReleased(t *testing.T) {
 	if len(rec.reads) != before {
 		t.Error("describe read the file: its marginals should come from Open")
 	}
-	if _, err := tbl.Relation(); err != nil {
-		t.Fatalf("Relation: %v", err)
-	}
 	meta2 := meta
 	meta2.Hash, meta2.Epoch = fmt.Sprintf("%064x", 2), 1
 	body := []byte("id,city,zip,grade,note\n900,essen,z-essen,g9,\n")
@@ -218,8 +215,8 @@ func TestTailReadsAreReleased(t *testing.T) {
 		}
 	}
 	// Open's tail, each attribute's section (Append walks them again)
-	// and the dictionary (ValueStrings, Relation and Append).
-	if want := 1 + 2*tbl.M() + 3; tailReads != want {
+	// and the dictionary (ValueStrings and Append).
+	if want := 1 + 2*tbl.M() + 2; tailReads != want {
 		t.Errorf("%d tail reads, want %d", tailReads, want)
 	}
 }

@@ -18,50 +18,49 @@ import (
 	"structmine/internal/task"
 )
 
-// assertSameRelation checks that got is indistinguishable from want:
-// same shape, same dictionary in the same id order, same value id in
-// every cell, and therefore the same WriteCSV bytes.
-func assertSameRelation(t *testing.T, what string, got, want *relation.Relation) {
+// assertTableHolds checks that tbl holds exactly want: same schema and
+// shape, same dictionary in the same id order, and the same value id in
+// every cell.
+func assertTableHolds(t *testing.T, what string, tbl *Table, want *relation.Relation) {
 	t.Helper()
-	if got.Name != want.Name || strings.Join(got.Attrs, "\x00") != strings.Join(want.Attrs, "\x00") {
-		t.Fatalf("%s: schema %s%v, want %s%v", what, got.Name, got.Attrs, want.Name, want.Attrs)
+	if tbl.Name() != want.Name || strings.Join(tbl.AttrNames(), "\x00") != strings.Join(want.Attrs, "\x00") {
+		t.Fatalf("%s: schema %s%v, want %s%v", what, tbl.Name(), tbl.AttrNames(), want.Name, want.Attrs)
 	}
-	if got.N() != want.N() || got.M() != want.M() || got.D() != want.D() {
+	if tbl.N() != want.N() || tbl.M() != want.M() || tbl.D() != want.D() {
 		t.Fatalf("%s: shape (%d,%d,%d), want (%d,%d,%d)", what,
-			got.N(), got.M(), got.D(), want.N(), want.M(), want.D())
+			tbl.N(), tbl.M(), tbl.D(), want.N(), want.M(), want.D())
 	}
-	for id := int32(0); id < int32(want.D()); id++ {
-		if got.ValueString(id) != want.ValueString(id) || got.ValueAttr(id) != want.ValueAttr(id) {
+	strs, err := tbl.ValueStrings()
+	if err != nil {
+		t.Fatalf("%s: ValueStrings: %v", what, err)
+	}
+	for id, str := range strs {
+		if v := int32(id); str != want.ValueString(v) || tbl.ValueAttr(v) != want.ValueAttr(v) {
 			t.Fatalf("%s: value id %d is %q of attribute %d, want %q of %d", what, id,
-				got.ValueString(id), got.ValueAttr(id), want.ValueString(id), want.ValueAttr(id))
-		}
-		if back, ok := got.ValueID(want.ValueAttr(id), want.ValueString(id)); !ok || back != id {
-			t.Fatalf("%s: dictionary lookup of value %d gives %d, %v", what, id, back, ok)
+				str, tbl.ValueAttr(v), want.ValueString(v), want.ValueAttr(v))
 		}
 	}
-	for tup := 0; tup < want.N(); tup++ {
-		for a := 0; a < want.M(); a++ {
-			if got.Value(tup, a) != want.Value(tup, a) {
-				t.Fatalf("%s: cell (%d,%d) holds id %d, want %d", what, tup, a, got.Value(tup, a), want.Value(tup, a))
+	err = relation.ForEachRow(tbl, relation.AllAttrs(tbl), func(tup int, row []int32) bool {
+		for a, v := range row {
+			if v != want.Value(tup, a) {
+				t.Errorf("%s: cell (%d,%d) holds id %d, want %d", what, tup, a, v, want.Value(tup, a))
+				return false
 			}
 		}
+		return true
+	})
+	if err != nil {
+		t.Fatalf("%s: reading the rows: %v", what, err)
 	}
-	var g, w bytes.Buffer
-	if err := got.WriteCSV(&g); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.WriteCSV(&w); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(g.Bytes(), w.Bytes()) {
-		t.Fatalf("%s: WriteCSV bytes diverged", what)
+	if t.Failed() {
+		t.FailNow()
 	}
 }
 
-// assertSameArtifacts runs every single-dataset task over both
-// relations and requires byte-identical artifacts (or, where a task
+// assertSameArtifacts runs every single-dataset task over the table and
+// the relation and requires byte-identical artifacts (or, where a task
 // refuses the instance, the identical refusal).
-func assertSameArtifacts(t *testing.T, what string, got, want *relation.Relation) {
+func assertSameArtifacts(t *testing.T, what string, tbl *Table, want *relation.Relation) {
 	t.Helper()
 	ran := 0
 	for _, spec := range task.Specs {
@@ -69,8 +68,8 @@ func assertSameArtifacts(t *testing.T, what string, got, want *relation.Relation
 			continue
 		}
 		p := task.Params{}.Normalize(spec.Name)
-		artifact := func(r *relation.Relation) []byte {
-			res, err := task.Run(context.Background(), r, spec.Name, p)
+		artifact := func(c relation.Columns) []byte {
+			res, err := task.RunColumns(context.Background(), c, spec.Name, p)
 			if err != nil {
 				return []byte("error: " + err.Error())
 			}
@@ -80,7 +79,7 @@ func assertSameArtifacts(t *testing.T, what string, got, want *relation.Relation
 			}
 			return data
 		}
-		if g, w := artifact(got), artifact(want); !bytes.Equal(g, w) {
+		if g, w := artifact(tbl), artifact(relation.AsColumns(want)); !bytes.Equal(g, w) {
 			t.Fatalf("%s: %s artifact diverged:\n%s\nwant\n%s", what, spec.Name, g, w)
 		}
 		ran++
@@ -90,15 +89,15 @@ func assertSameArtifacts(t *testing.T, what string, got, want *relation.Relation
 	}
 }
 
-// TestRelationRoundTrip is the one-format property: a dataset restored
-// from its .col file is the dataset that was parsed from CSV. For each
-// input, CSV → relation → WriteFromRelation → Open → Relation() must
-// reproduce the value ids, the WriteCSV bytes and the artifact of every
-// single-dataset task byte for byte — and so must the post-append
-// state, whether the append ran over the file (colstore.Append) or in
-// memory (relation.AppendCSV), on the original or on the restored
-// relation. That equivalence is what lets a resident dataset keep one
-// durable representation and a restarted server keep its cache keys.
+// TestRelationRoundTrip is the one-format property: a relation written
+// to a .col file is what the file reads back. For each input — NULLs,
+// quoted and attribute-qualified values, a single column, stripe
+// boundaries — CSV → relation → WriteFromRelation → Open must reproduce
+// the value ids and the artifact of every single-dataset task byte for
+// byte, and so must the post-append state: colstore.Append over the file
+// holds what relation.AppendCSV makes of the parsed relation. That
+// equivalence is what lets a paged dataset keep its cache keys across
+// an append and a restart.
 func TestRelationRoundTrip(t *testing.T) {
 	// The append body brings values no base row has (a new city and zip,
 	// a new grade), repeats old ones, and has NULLs both where the base
@@ -141,12 +140,8 @@ func TestRelationRoundTrip(t *testing.T) {
 			if tbl.Meta() != meta {
 				t.Fatalf("meta %+v, want %+v", tbl.Meta(), meta)
 			}
-			restored, err := tbl.Relation()
-			if err != nil {
-				t.Fatalf("Relation: %v", err)
-			}
-			assertSameRelation(t, "restored", restored, rel)
-			assertSameArtifacts(t, "restored", restored, rel)
+			assertTableHolds(t, "written", tbl, rel)
+			assertSameArtifacts(t, "written", tbl, rel)
 
 			header := string(tc.csv[:bytes.IndexByte(tc.csv, '\n')+1])
 			body := appendBody(header, rel.M())
@@ -160,20 +155,9 @@ func TestRelationRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Append: %v", err)
 			}
-			onDisk, err := mustOpen(t, path2).Relation()
-			if err != nil {
-				t.Fatalf("Relation after Append: %v", err)
-			}
-			assertSameRelation(t, "colstore.Append", onDisk, want)
-			assertSameArtifacts(t, "colstore.Append", onDisk, want)
-
-			// What a restarted server holds: the restored relation,
-			// extended in memory.
-			inMem, _, err := relation.AppendCSV(restored, body, relation.Limits{})
-			if err != nil {
-				t.Fatalf("relation.AppendCSV on the restored relation: %v", err)
-			}
-			assertSameRelation(t, "restored+AppendCSV", inMem, want)
+			appended := mustOpen(t, path2)
+			assertTableHolds(t, "colstore.Append", appended, want)
+			assertSameArtifacts(t, "colstore.Append", appended, want)
 		})
 	}
 }
@@ -278,9 +262,10 @@ func TestTaskParity(t *testing.T) {
 	}
 }
 
-// TestRelationRejectsCorruptPage: materialising a table reads every
-// page through the CRC check, so a flipped bit fails the restore rather
-// than producing a relation with a wrong cell.
+// TestRelationRejectsCorruptPage: a flipped bit in a page leaves Open's
+// tail validation intact, so it is the first row read that must catch
+// it — building a relation over the table fails with ErrCorrupt rather
+// than returning wrong values.
 func TestRelationRejectsCorruptPage(t *testing.T) {
 	data := testCSV(200)
 	path, err := WriteFromRelation(t.TempDir(), metaFor("ds", data), mustRelation(t, "ds", data), WriteOptions{PageRows: 64})
@@ -296,8 +281,8 @@ func TestRelationRejectsCorruptPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := mustOpen(t, path) // the tail is intact, so Open succeeds
-	if _, err := tbl.Relation(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Relation() over a corrupt page = %v, want ErrCorrupt", err)
+	if _, err := relation.ProjectColumns(tbl, relation.AllAttrs(tbl), tbl.Name(), nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ProjectColumns over a corrupt page = %v, want ErrCorrupt", err)
 	}
 }
 

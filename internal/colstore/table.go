@@ -309,10 +309,9 @@ func (t *Table) Close() error {
 func (t *Table) Meta() store.DatasetMeta { return t.meta }
 
 // ValueStrings decodes the dictionary — value id → string — from the
-// mapped tail. The result is freshly allocated per call: an append and
-// a boot-time Relation need the full dictionary once, but steady-state
-// mining never does, so the strings are not kept resident, and neither
-// are the section's pages.
+// mapped tail. The result is freshly allocated per call: an append needs
+// the full dictionary once, but steady-state mining never does, so the
+// strings are not kept resident, and neither are the section's pages.
 func (t *Table) ValueStrings() ([]string, error) {
 	r, done, err := t.section(t.dictOff, t.attrIndexOff[0])
 	if err != nil {
@@ -329,8 +328,8 @@ func (t *Table) ValueStrings() ([]string, error) {
 }
 
 // rawDict decodes the table's schema and dictionary into the raw tables
-// relation.FromRaw adopts, with no rows: what Relation fills with the
-// pages, and what Append interns an appended body against.
+// relation.FromRaw adopts, with no rows: what Append interns an appended
+// body against.
 func (t *Table) rawDict() (relation.Raw, error) {
 	valueStr, err := t.ValueStrings()
 	if err != nil {
@@ -346,36 +345,6 @@ func (t *Table) rawDict() (relation.Raw, error) {
 		raw.ValueAttr[v] = int(a)
 	}
 	return raw, nil
-}
-
-// Relation materialises the table as a resident relation: the
-// dictionary and every stripe are read (each page CRC-checked) into the
-// raw tables relation.FromRaw adopts. Value ids are preserved, so the
-// result is indistinguishable from the parse that produced the file —
-// this is how a restarted server brings a dataset back into memory.
-func (t *Table) Relation() (*relation.Relation, error) {
-	raw, err := t.rawDict()
-	if err != nil {
-		return nil, err
-	}
-	n, m := int(t.h.n), t.h.m
-	raw.Rows = make([][]int32, n)
-	cells := make([]int32, n*m) // one backing block, carved per row
-	for i := range raw.Rows {
-		raw.Rows[i] = cells[i*m : (i+1)*m : (i+1)*m]
-	}
-	err = relation.ForEachRow(t, relation.AllAttrs(t), func(i int, row []int32) bool {
-		copy(raw.Rows[i], row)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	rel, err := relation.FromRaw(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return rel, nil
 }
 
 // Path returns the file path the table was opened from.

@@ -212,9 +212,8 @@ func (w *writer) encodeTail() []byte {
 
 // WriteFromRelation writes a resident relation as a .col file named
 // meta.Hash+Ext under dir, returning the final path. Value ids are
-// written as the relation interned them, so the file, the relation it
-// came from and the relation Table.Relation reads back agree on every
-// id.
+// written as the relation interned them, so the file and the relation
+// it came from agree on every id.
 func WriteFromRelation(dir string, meta store.DatasetMeta, rel *relation.Relation, opt WriteOptions) (string, error) {
 	return writeFile(dir, meta, opt.normalized(), rel, int64(rel.N()), func(w *writer) error {
 		return w.writeRows(rel)

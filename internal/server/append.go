@@ -23,16 +23,17 @@ import (
 // behind are keyed by the id instead, so the next epoch finds them, and
 // stamped with their epoch (datasetIntermediates).
 //
-// Durability follows one intent-record protocol for both tiers: the
-// append record (carrying the body and the identity transition) is
-// written BEFORE any dataset state changes; colstore.Append then
-// publishes the post-append file next to the old one; the registry entry
-// swaps; the old file is removed; and only then is the intent retired.
-// A crash anywhere in between is replayed on restart by
+// Without a store an append extends the in-memory relation with
+// relation.AppendCSV. With one the dataset is its file, and durability
+// follows one intent-record protocol: the append record (carrying the
+// body and the identity transition) is written BEFORE any dataset state
+// changes; colstore.Append then publishes the post-append file next to
+// the old one — making the same relation.AppendCSV call against the
+// file's dictionary: one header check, one id assignment; the registry
+// entry swaps; the old file is removed; and only then is the intent
+// retired. A crash anywhere in between is replayed on restart by
 // Registry.RecoverAppends, so appended rows are never lost and never
-// applied twice. A resident dataset additionally extends its in-memory
-// relation with relation.AppendCSV — the call colstore.Append makes
-// against the file's dictionary: one header check, one id assignment.
+// applied twice.
 
 // appendHash advances a dataset's content hash across an append:
 // SHA-256 over the previous hash's hex bytes followed by the appended
@@ -62,19 +63,6 @@ func (g *Registry) AppendCSV(id string, body []byte) (*Dataset, error) {
 		Hash: appendHash(ds.Hash, body), Name: ds.Name, Source: ds.Source,
 		Bytes: ds.Bytes + int64(len(body)), ID: ds.ID, Epoch: ds.Epoch + 1,
 	}
-	// Validate before any durable state moves: a malformed body must be
-	// a clean 4xx with the dataset untouched. The extension shares the
-	// existing rows — it costs the appended rows, not a copy.
-	var rel *relation.Relation
-	if ds.rel != nil {
-		var err error
-		if rel, _, err = relation.AppendCSV(ds.rel, body, g.lim); err != nil {
-			return nil, err
-		}
-		if g.budget > 0 && meta.Bytes > g.budget && !g.pagedTier() {
-			return nil, fmt.Errorf("%w (%d > %d bytes)", ErrAppendOverBudget, meta.Bytes, g.budget)
-		}
-	}
 	var next *Dataset
 	if g.st != nil {
 		var err error
@@ -82,21 +70,21 @@ func (g *Registry) AppendCSV(id string, body []byte) (*Dataset, error) {
 			return nil, err
 		}
 	} else {
-		// Without a store every dataset is resident: rel is set.
+		// The extension shares the existing rows — it costs the appended
+		// rows, not a copy.
+		rel, _, err := relation.AppendCSV(ds.rel, body, g.lim)
+		if err != nil {
+			return nil, err
+		}
 		next = &Dataset{
 			ID: ds.ID, Name: ds.Name, Hash: meta.Hash, Epoch: meta.Epoch,
-			Source: ds.Source, Bytes: meta.Bytes, Summary: task.Describe(rel),
+			Source: ds.Source, Bytes: meta.Bytes, Storage: StorageResident,
+			Summary: task.Describe(rel), rel: rel,
 		}
-	}
-	next.use = ds.use
-	if rel != nil {
-		next.rel, next.Storage = rel, StorageResident
 	}
 	g.mu.Lock()
 	delete(g.byHash, ds.Hash)
 	g.addLocked(next)
-	g.evictLocked()
-	next = g.byHash[next.Hash] // eviction may have paged the new entry out
 	g.mu.Unlock()
 	if g.st != nil {
 		// The new file is published and registered: the old one is garbage.
@@ -115,13 +103,9 @@ func (g *Registry) AppendCSV(id string, body []byte) (*Dataset, error) {
 // post-append colstore file (full stripes of the old file are copied
 // verbatim, the rest replayed with the new rows), reopened as the paged
 // dataset it describes. On failure the intent is withdrawn so recovery
-// does not replay an append the client saw fail.
+// does not replay an append the client saw fail. The caller holds
+// writeMu, so the registry's reference keeps the old table open.
 func (g *Registry) appendCol(ds *Dataset, meta store.DatasetMeta, body []byte) (*Dataset, error) {
-	old, err := ds.handle.pin(ds.colPath)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrStoreWrite, err)
-	}
-	defer ds.handle.unpin()
 	dir, err := g.st.ColstoreDir()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStoreWrite, err)
@@ -134,7 +118,7 @@ func (g *Registry) appendCol(ds *Dataset, meta store.DatasetMeta, body []byte) (
 	if err := g.st.PutAppendRecord(rec); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStoreWrite, err)
 	}
-	path, err := colstore.Append(dir, meta, old, body, g.lim, g.writeOpts())
+	path, err := colstore.Append(dir, meta, ds.handle.table, body, g.lim, g.writeOpts())
 	if err != nil {
 		_ = g.st.RetireAppendRecord(meta.Hash)
 		if errors.Is(err, relation.ErrShapeMismatch) {

@@ -62,8 +62,8 @@ func mineResult(t *testing.T, ts *httptest.Server, dsID, taskName string) json.R
 }
 
 // TestPropDeltaMatchesScratch is the append correctness bar: for a
-// sweep of append sizes on both storage tiers with -persist, and on a
-// memory-only server, every mining artifact computed after register →
+// sweep of append sizes on both storage tiers — paged with -persist,
+// and resident on a memory-only server — every mining artifact computed after register →
 // mine → append → re-mine is byte-identical to the artifact a fresh
 // registration of the concatenated contents produces. The first server
 // mines before appending so the FD re-mines genuinely consume the state
@@ -78,10 +78,10 @@ func TestPropDeltaMatchesScratch(t *testing.T) {
 		{"one", 1}, {"seven", 7}, {"tenpct", n / 10}, {"halfpct", n / 2},
 	}
 	tiers := []struct {
-		name           string
-		persist, paged bool
+		name    string
+		persist bool
 	}{
-		{"resident", true, false}, {"paged", true, true}, {"memory", false, false},
+		{"memory", false}, {"paged", true},
 	}
 	base := appendCSVRows(n, 11)
 	for _, tier := range tiers {
@@ -100,19 +100,18 @@ func TestPropDeltaMatchesScratch(t *testing.T) {
 					if tier.persist {
 						c.Store = openStore(t, dir)
 					}
-					if tier.paged {
-						c.ResidentBytes = 1 // force everything out of core
-					}
 					return c
 				}
 				tasks := []string{"mine-fds", "rank-fds", "decompose", "partition"}
 
 				// Lineage server: register, mine (seeds state), append, re-mine.
-				_, ts1 := newTestServer(t, cfg(t.TempDir()))
+				s1, ts1 := newTestServer(t, cfg(t.TempDir()))
 				var ds Dataset
 				if code, b := doJSON(t, "POST", ts1.URL+"/v1/datasets?name=lin", csvOf(base), &ds); code != http.StatusCreated {
 					t.Fatalf("register: %d %s", code, b)
 				}
+				registered, _ := s1.reg.Get(ds.ID)
+				assertStorage(t, registered, tier.persist)
 				for _, task := range tasks {
 					mineResult(t, ts1, ds.ID, task)
 				}
@@ -123,6 +122,8 @@ func TestPropDeltaMatchesScratch(t *testing.T) {
 				if after.Epoch != 1 || after.ID != ds.ID || after.Hash == ds.Hash {
 					t.Fatalf("append identity: epoch=%d id=%s hash-same=%v", after.Epoch, after.ID, after.Hash == ds.Hash)
 				}
+				appended, _ := s1.reg.Get(ds.ID)
+				assertStorage(t, appended, tier.persist)
 
 				// Scratch server: one registration of the concatenated
 				// contents, under the same name (decompose's S1 and S2 carry it).
@@ -204,88 +205,80 @@ func TestAppendEpochInvalidatesCache(t *testing.T) {
 	}
 }
 
-// TestAppendCrashRecovery simulates a crash in the append window on
-// both tiers: the intent record is durably written but the process dies
-// before the new state is published. The restarted server must apply
+// TestAppendCrashRecovery simulates a crash in the append window: the
+// intent record is durably written but the process dies before the new
+// state is published. The restarted server must apply
 // the append exactly once; a second restart must not double-apply it.
 func TestAppendCrashRecovery(t *testing.T) {
-	for _, tier := range []struct {
-		name  string
-		paged bool
-	}{{"resident", false}, {"paged", true}} {
-		t.Run(tier.name, func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := Config{Workers: 1, Store: openStore(t, dir)}
-			if tier.paged {
-				cfg.ResidentBytes = 1
+	t.Run("paged", func(t *testing.T) {
+		dir := t.TempDir()
+		cfg := Config{Workers: 1, Store: openStore(t, dir)}
+		s1 := New(cfg)
+		ts1 := httptest.NewServer(s1.Handler())
+		base := appendCSVRows(80, 9)
+		var ds Dataset
+		if code, b := doJSON(t, "POST", ts1.URL+"/v1/datasets?name=crash", csvOf(base), &ds); code != http.StatusCreated {
+			t.Fatalf("register: %d %s", code, b)
+		}
+		ts1.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s1.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+
+		// Crash window: the record exists, nothing else moved.
+		extra := []string{"800,c2,z-c2,g1", "801,c5,z-c5,g3"}
+		body := csvOf(extra)
+		newHash := appendHash(ds.Hash, body)
+		if err := cfg.Store.PutAppendRecord(store.AppendRecord{
+			ID: ds.ID, Name: ds.Name, Source: ds.Source,
+			OldHash: ds.Hash, NewHash: newHash, Epoch: ds.Epoch + 1,
+			Bytes: ds.Bytes + int64(len(body)), Rows: body,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cfg.Store.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		assertRecovered := func(life int) {
+			t.Helper()
+			cfg2 := cfg
+			cfg2.Store = openStore(t, dir)
+			s := New(cfg2)
+			ts := httptest.NewServer(s.Handler())
+			var got Dataset
+			if code, b := doJSON(t, "GET", ts.URL+"/v1/datasets/"+ds.ID, nil, &got); code != http.StatusOK {
+				t.Fatalf("life %d: get: %d %s", life, code, b)
 			}
-			s1 := New(cfg)
-			ts1 := httptest.NewServer(s1.Handler())
-			base := appendCSVRows(80, 9)
-			var ds Dataset
-			if code, b := doJSON(t, "POST", ts1.URL+"/v1/datasets?name=crash", csvOf(base), &ds); code != http.StatusCreated {
-				t.Fatalf("register: %d %s", code, b)
+			if got.Epoch != ds.Epoch+1 || got.Hash != newHash {
+				t.Fatalf("life %d: epoch=%d hash=%s, want epoch=%d hash=%s",
+					life, got.Epoch, got.Hash, ds.Epoch+1, newHash)
 			}
-			ts1.Close()
+			if got.Summary == nil || got.Summary.Tuples != 80+len(extra) {
+				t.Fatalf("life %d: tuples=%v, want %d (appended rows lost or doubled)",
+					life, got.Summary, 80+len(extra))
+			}
+			ts.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			if err := s1.Shutdown(ctx); err != nil {
+			if err := s.Shutdown(ctx); err != nil {
 				t.Fatal(err)
 			}
-
-			// Crash window: the record exists, nothing else moved.
-			extra := []string{"800,c2,z-c2,g1", "801,c5,z-c5,g3"}
-			body := csvOf(extra)
-			newHash := appendHash(ds.Hash, body)
-			if err := cfg.Store.PutAppendRecord(store.AppendRecord{
-				ID: ds.ID, Name: ds.Name, Source: ds.Source,
-				OldHash: ds.Hash, NewHash: newHash, Epoch: ds.Epoch + 1,
-				Bytes: ds.Bytes + int64(len(body)), Rows: body,
-			}); err != nil {
+			if err := cfg2.Store.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := cfg.Store.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			assertRecovered := func(life int) {
-				t.Helper()
-				cfg2 := cfg
-				cfg2.Store = openStore(t, dir)
-				s := New(cfg2)
-				ts := httptest.NewServer(s.Handler())
-				var got Dataset
-				if code, b := doJSON(t, "GET", ts.URL+"/v1/datasets/"+ds.ID, nil, &got); code != http.StatusOK {
-					t.Fatalf("life %d: get: %d %s", life, code, b)
-				}
-				if got.Epoch != ds.Epoch+1 || got.Hash != newHash {
-					t.Fatalf("life %d: epoch=%d hash=%s, want epoch=%d hash=%s",
-						life, got.Epoch, got.Hash, ds.Epoch+1, newHash)
-				}
-				if got.Summary == nil || got.Summary.Tuples != 80+len(extra) {
-					t.Fatalf("life %d: tuples=%v, want %d (appended rows lost or doubled)",
-						life, got.Summary, 80+len(extra))
-				}
-				ts.Close()
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				defer cancel()
-				if err := s.Shutdown(ctx); err != nil {
-					t.Fatal(err)
-				}
-				if err := cfg2.Store.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			assertRecovered(1) // replay applies the append exactly once
-			assertRecovered(2) // a second restart must not re-apply it
-		})
-	}
+		}
+		assertRecovered(1) // replay applies the append exactly once
+		assertRecovered(2) // a second restart must not re-apply it
+	})
 }
 
 // TestAppendContracts pins the append endpoint's error envelopes and
 // the /v1-only policy for post-versioning routes.
 func TestAppendContracts(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, ResidentBytes: 256})
+	_, ts := newTestServer(t, Config{Workers: 1})
 
 	do := func(name, method, path string, body any, wantStatus int) {
 		t.Helper()
@@ -307,14 +300,10 @@ func TestAppendContracts(t *testing.T) {
 		[]byte(contractCSV), http.StatusNotFound)
 	do("err_append_shape.json", "POST", "/v1/datasets/"+ds.ID+"/append",
 		[]byte("A,B\n1,2\n"), http.StatusBadRequest)
-	// 170 bytes of rows on a 256-byte budget with no store: over budget.
-	over := "EmpNo,Name,Dept,City\n" + strings.Repeat("6,Pam,Ops,Denver\n", 10)
-	do("err_append_over_budget.json", "POST", "/v1/datasets/"+ds.ID+"/append",
-		[]byte(over), http.StatusInsufficientStorage)
 
 	// The shape error is tier-independent: a paged dataset, whose body is
 	// checked against the file's schema, answers with the same bytes.
-	_, paged := newTestServer(t, Config{Workers: 1, Store: openStoreClosed(t, t.TempDir()), ResidentBytes: 1})
+	_, paged := newTestServer(t, Config{Workers: 1, Store: openStoreClosed(t, t.TempDir())})
 	var pds Dataset
 	if code, b := doJSON(t, "POST", paged.URL+"/v1/datasets?name=toy", []byte(contractCSV), &pds); code != http.StatusCreated || pds.Storage != StoragePaged {
 		t.Fatalf("paged register: %d %s", code, b)
@@ -355,7 +344,7 @@ func (g *gatedColumns) N() int {
 func TestAppendKeepsPinnedTableMapped(t *testing.T) {
 	base := appendCSVRows(300, 3)
 	st := openStoreClosed(t, t.TempDir())
-	s, ts := newTestServer(t, Config{Store: st, ResidentBytes: 64, Workers: 1})
+	s, ts := newTestServer(t, Config{Store: st, Workers: 1})
 	var ds Dataset
 	if code, b := doJSON(t, "POST", ts.URL+"/v1/datasets?name=pin", csvOf(base), &ds); code != http.StatusCreated || ds.Storage != StoragePaged {
 		t.Fatalf("register: %d %s", code, b)
@@ -467,7 +456,7 @@ func TestSubmitRacingAppend(t *testing.T) {
 	}
 
 	st := openStoreClosed(t, t.TempDir())
-	s, ts := newTestServer(t, Config{Store: st, ResidentBytes: 64, Workers: 2, QueueDepth: 1 << 12, MaxJobs: 1 << 16})
+	s, ts := newTestServer(t, Config{Store: st, Workers: 2, QueueDepth: 1 << 12, MaxJobs: 1 << 16})
 	var ds Dataset
 	if code, b := doJSON(t, "POST", ts.URL+"/v1/datasets?name=race", csvOf(rows[:baseRows]), &ds); code != http.StatusCreated || ds.Storage != StoragePaged {
 		t.Fatalf("register: %d %s", code, b)
@@ -555,40 +544,34 @@ func TestSubmitRacingAppend(t *testing.T) {
 }
 
 // TestReferenceBeforeOpenSurvivesAppend: Pin takes its reference under
-// the registry lock and opens the file only after it. An append that
-// lands in that window must leave the table mapped for the open that
-// follows — here on an evicted dataset whose file nobody had opened yet.
+// the registry lock, and the job reads the table only after it. An
+// append that lands in that window must leave the referenced table
+// mapped for the reads that follow, and the last release closes it.
 func TestReferenceBeforeOpenSurvivesAppend(t *testing.T) {
 	st := openStoreClosed(t, t.TempDir())
-	small, big := csvOf(appendCSVRows(40, 3)), csvOf(appendCSVRows(41, 5))
-	s, _ := newTestServer(t, Config{Store: st, ResidentBytes: int64(len(big))})
-	ds, _, err := s.reg.RegisterCSV("small", "test", small)
+	s, _ := newTestServer(t, Config{Store: st})
+	ds, _, err := s.reg.RegisterCSV("small", "test", csvOf(appendCSVRows(40, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.reg.RegisterCSV("big", "test", big); err != nil { // evicts small
+	_, cols, release, err := s.reg.Pin(ds.ID)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cur, _ := s.reg.Get(ds.ID)
-	h := cur.handle
-	h.mu.Lock()
-	if cur.Storage != StoragePaged || h.table != nil {
-		t.Fatalf("setup: want an evicted, never-opened dataset, got %s (open=%v)", cur.Storage, h.table != nil)
-	}
-	h.refs++ // what Pin does under the registry lock
-	h.mu.Unlock()
 	if _, err := s.reg.AppendCSV(ds.ID, csvOf([]string{"900,c1,z-c1,g0"})); err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := h.pin(cur.colPath) // what Pin does after it; the file is unlinked by now
-	if err != nil {
-		t.Fatalf("opening the table referenced before the append: %v", err)
+	if _, err := os.Stat(ds.colPath); !os.IsNotExist(err) {
+		t.Fatalf("the pre-append file is still linked (%v)", err)
 	}
-	if tbl.N() != 40 {
-		t.Errorf("the referenced table has %d rows, want the pre-append 40", tbl.N())
+	if cols.N() != 40 {
+		t.Errorf("the referenced table has %d rows, want the pre-append 40", cols.N())
 	}
-	h.unpin()
-	h.unpin()
+	if _, err := task.RunColumns(context.Background(), cols, "describe", task.Params{}); err != nil {
+		t.Errorf("reading the table referenced before the append: %v", err)
+	}
+	release()
+	h := ds.handle
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.table != nil || h.refs != 0 {
@@ -628,7 +611,7 @@ func TestDatasetIntermediatesEpochRule(t *testing.T) {
 // table, and the last one out closes it.
 func TestPagedHandleConcurrentPins(t *testing.T) {
 	st := openStoreClosed(t, t.TempDir())
-	s, _ := newTestServer(t, Config{Store: st, ResidentBytes: 64})
+	s, _ := newTestServer(t, Config{Store: st})
 	ds, _, err := s.reg.RegisterCSV("pins", "test", csvOf(appendCSVRows(200, 5)))
 	if err != nil || ds.Storage != StoragePaged {
 		t.Fatalf("register: %+v, %v", ds, err)
@@ -640,8 +623,8 @@ func TestPagedHandleConcurrentPins(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tbl, err := h.pin(ds.colPath)
-				if err != nil {
+				tbl := h.pin()
+				if tbl == nil {
 					return // closed and unlinked: nothing left to pin
 				}
 				if _, err := tbl.ReadPage(0, 0, nil); err != nil {

@@ -77,7 +77,6 @@ const (
 	CodePathForbidden   = "path_forbidden"
 	CodeStoreWrite      = "store_write_failed"
 	CodeShapeMismatch   = "shape_mismatch"
-	CodeOverBudget      = "over_budget"
 	CodeRateLimited     = "rate_limited"
 	CodeQuotaExceeded   = "quota_exceeded"
 	CodePeerUnavailable = "peer_unavailable"
@@ -130,8 +129,6 @@ func errStatus(err error) (int, string) {
 		return http.StatusTooManyRequests, CodeDatasetLimit
 	case errors.Is(err, ErrStoreWrite):
 		return http.StatusInsufficientStorage, CodeStoreWrite
-	case errors.Is(err, ErrAppendOverBudget):
-		return http.StatusInsufficientStorage, CodeOverBudget
 	case errors.Is(err, relation.ErrShapeMismatch):
 		return http.StatusBadRequest, CodeShapeMismatch
 	case errors.Is(err, ErrPathRegistrationDisabled):

@@ -55,9 +55,9 @@ type Job struct {
 	priority  Priority // queue class: interactive jobs dequeue before batch
 	quotaHeld bool     // true while the job holds a tenant concurrent-job slot
 
-	// cols is what the job reads, pinned at Submit so a dataset evicted,
-	// or replaced by an append, mid-queue still runs against the state it
-	// was admitted under. unpin lets go of it, exactly once, when the job
+	// cols is what the job reads, pinned at Submit so a dataset replaced
+	// by an append mid-queue still runs against the state it was admitted
+	// under. unpin lets go of it, exactly once, when the job
 	// reaches a terminal state.
 	cols    relation.Columns
 	release func()

@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -44,26 +43,35 @@ func relationCSV(t *testing.T, rel *relation.Relation) string {
 	return buf.String()
 }
 
-// datasetCSV reads a dataset's rows back out of its durable file, and
-// for a resident dataset checks the in-memory relation says the same.
+// assertStorage checks that a dataset is what its server makes every
+// dataset: paged with no parsed relation under a store, resident
+// without one.
+func assertStorage(t *testing.T, ds *Dataset, persist bool) {
+	t.Helper()
+	want := StorageResident
+	if persist {
+		want = StoragePaged
+	}
+	if ds.Storage != want || (ds.rel == nil) != persist {
+		t.Fatalf("dataset %s: storage %q holding a parsed relation %v, want %q", ds.ID, ds.Storage, ds.rel != nil, want)
+	}
+}
+
+// datasetCSV reads a dataset's rows back out of its durable file,
+// checking on the way that the dataset is paged.
 func datasetCSV(t *testing.T, ds *Dataset) string {
 	t.Helper()
+	assertStorage(t, ds, true)
 	tbl, err := colstore.Open(ds.colPath)
 	if err != nil {
 		t.Fatalf("opening %s: %v", ds.colPath, err)
 	}
 	defer tbl.Close()
-	rel, err := tbl.Relation()
+	rel, err := relation.ProjectColumns(tbl, relation.AllAttrs(tbl), tbl.Name(), nil)
 	if err != nil {
-		t.Fatalf("materialising %s: %v", ds.colPath, err)
+		t.Fatalf("reading %s: %v", ds.colPath, err)
 	}
-	onDisk := relationCSV(t, rel)
-	if ds.rel != nil {
-		if inMem := relationCSV(t, ds.rel); inMem != onDisk {
-			t.Fatalf("resident relation and its file disagree:\n%s\n--- file\n%s", inMem, onDisk)
-		}
-	}
-	return onDisk
+	return relationCSV(t, rel)
 }
 
 func dirNames(t *testing.T, dir string) []string {
@@ -81,180 +89,174 @@ func dirNames(t *testing.T, dir string) []string {
 
 // TestCrashAtEveryStepOfRegisterAppend enumerates a process kill at
 // every mutating filesystem call — each CreateTemp, Write, Sync, Rename
-// and Remove — of register → append, on both tiers, and reboots over
-// what the kill left behind. Whatever the crash point: the dataset is
-// in exactly the pre-append or the post-append state (rows neither lost
-// nor doubled), never both lineages; an acknowledged registration or
-// append is durable; no intent, temp file or orphaned dataset file
-// survives recovery; a second reboot changes nothing; and the lineage
-// still accepts the append afterwards.
+// and Remove — of register → append, and reboots over what the kill
+// left behind. Whatever the crash point: the dataset is in exactly the
+// pre-append or the post-append state (rows neither lost nor doubled),
+// never both lineages; an acknowledged registration or append is
+// durable; no intent, temp file or orphaned dataset file survives
+// recovery; a second reboot changes nothing; and the lineage still
+// accepts the append afterwards. Every dataset any of the four entry
+// points yields — register, append, intent replay, directory sweep — is
+// paged and holds no parsed relation (datasetCSV).
 func TestCrashAtEveryStepOfRegisterAppend(t *testing.T) {
-	base := csvOf(appendCSVRows(150, 9))
-	body := csvOf([]string{"800,c2,z-c2,g1", "801,c77,z-c77,", ",c5,z-c5,g9"})
-	sum := sha256.Sum256(base)
-	baseHash := hex.EncodeToString(sum[:])
-	preCSV := canonicalCSV(t, base)
-	postCSV := canonicalCSV(t, append(append([]byte(nil), base...), body[len(appendHeader)+1:]...))
+	t.Run("paged", func(t *testing.T) {
+		base := csvOf(appendCSVRows(150, 9))
+		body := csvOf([]string{"800,c2,z-c2,g1", "801,c77,z-c77,", ",c5,z-c5,g9"})
+		sum := sha256.Sum256(base)
+		baseHash := hex.EncodeToString(sum[:])
+		preCSV := canonicalCSV(t, base)
+		postCSV := canonicalCSV(t, append(append([]byte(nil), base...), body[len(appendHeader)+1:]...))
 
-	for _, tier := range []struct {
-		name    string
-		budget  int64
-		storage string
-	}{
-		{"resident", 0, StorageResident},
-		{"paged", 1, StoragePaged},
-	} {
-		t.Run(tier.name, func(t *testing.T) {
-			ffs := storetest.NewFaultFS()
-			boot := func(dir string) (*Server, *store.Store) {
-				st, err := store.Open(dir, store.Options{FS: ffs, Fsync: true})
-				if err != nil {
-					t.Fatal(err)
+		ffs := storetest.NewFaultFS()
+		boot := func(dir string) (*Server, *store.Store) {
+			st, err := store.Open(dir, store.Options{FS: ffs, Fsync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return New(Config{Workers: 1, Store: st}), st
+		}
+		halt := func(s *Server, st *store.Store) {
+			_ = s.Shutdown(context.Background())
+			_ = st.Close()
+		}
+		// run drives the protocol under test; with crashAt = 0 it runs
+		// clean and reports how many crash points the protocol has.
+		run := func(dir string, crashAt int) (regErr, appErr error, ops int) {
+			s, st := boot(dir)
+			defer halt(s, st)
+			ffs.CrashAt(crashAt)
+			defer ffs.CrashAt(0)
+			ds, _, regErr := s.reg.RegisterCSV("crash", "upload", base)
+			if regErr == nil {
+				assertStorage(t, ds, true)
+				var next *Dataset
+				if next, appErr = s.reg.AppendCSV(ds.ID, body); appErr == nil {
+					assertStorage(t, next, true)
 				}
-				return New(Config{Workers: 1, Store: st, ResidentBytes: tier.budget}), st
 			}
-			halt := func(s *Server, st *store.Store) {
-				_ = s.Shutdown(context.Background())
-				_ = st.Close()
+			return regErr, appErr, ffs.Ops()
+		}
+		regErr, appErr, total := run(t.TempDir(), 0)
+		if regErr != nil || appErr != nil || total < 12 {
+			t.Fatalf("clean run: register %v, append %v, %d mutating calls", regErr, appErr, total)
+		}
+		t.Logf("register → append makes %d mutating filesystem calls; crashing at each", total)
+
+		for k := 1; k <= total; k++ {
+			dir := t.TempDir()
+			regErr, appErr, _ := run(dir, k)
+			if k < total && regErr == nil && appErr == nil {
+				// Only best-effort cleanups (old file, intent) may fail silently.
+				if left := dirNames(t, filepath.Join(dir, "appends")); len(left) == 0 {
+					t.Fatalf("crash %d/%d went unnoticed and left nothing to clean up", k, total)
+				}
 			}
-			// run drives the protocol under test; with crashAt = 0 it runs
-			// clean and reports how many crash points the protocol has.
-			run := func(dir string, crashAt int) (regErr, appErr error, ops int) {
+
+			var state string
+			for life := 1; life <= 2; life++ {
 				s, st := boot(dir)
-				defer halt(s, st)
-				ffs.CrashAt(crashAt)
-				defer ffs.CrashAt(0)
-				ds, _, regErr := s.reg.RegisterCSV("crash", "upload", base)
-				if regErr == nil {
-					_, appErr = s.reg.AppendCSV(ds.ID, body)
+				list, _, _ := s.reg.Page("", 0)
+				if len(list) > 1 {
+					t.Fatalf("crash %d/%d, life %d: %d datasets, both sides of the append survived", k, total, life, len(list))
 				}
-				return regErr, appErr, ffs.Ops()
-			}
-			regErr, appErr, total := run(t.TempDir(), 0)
-			if regErr != nil || appErr != nil || total < 12 {
-				t.Fatalf("clean run: register %v, append %v, %d mutating calls", regErr, appErr, total)
-			}
-			t.Logf("register → append makes %d mutating filesystem calls; crashing at each", total)
-
-			for k := 1; k <= total; k++ {
-				dir := t.TempDir()
-				regErr, appErr, _ := run(dir, k)
-				if k < total && regErr == nil && appErr == nil {
-					// Only best-effort cleanups (old file, intent) may fail silently.
-					if left := dirNames(t, filepath.Join(dir, "appends")); len(left) == 0 {
-						t.Fatalf("crash %d/%d went unnoticed and left nothing to clean up", k, total)
+				if regErr == nil && len(list) == 0 {
+					t.Fatalf("crash %d/%d, life %d: acknowledged registration lost", k, total, life)
+				}
+				got := ""
+				if len(list) == 1 {
+					ds := list[0]
+					got = datasetCSV(t, ds)
+					switch {
+					case got == preCSV && ds.Epoch == 0 && ds.Hash == baseHash && ds.Summary.Tuples == 150:
+					case got == postCSV && ds.Epoch == 1 && ds.Hash == appendHash(baseHash, body) && ds.Summary.Tuples == 153:
+					default:
+						t.Fatalf("crash %d/%d, life %d: dataset is in neither the pre- nor the post-append state (epoch %d, %d tuples):\n%s",
+							k, total, life, ds.Epoch, ds.Summary.Tuples, got)
+					}
+					if appErr == nil && regErr == nil && got != postCSV {
+						t.Fatalf("crash %d/%d, life %d: acknowledged append lost", k, total, life)
+					}
+					if ds.Name != "crash" || ds.Source != "upload" {
+						t.Fatalf("crash %d/%d, life %d: recovered as %+v", k, total, life, ds)
+					}
+					if files := dirNames(t, filepath.Join(dir, "colstore")); len(files) != 1 || files[0] != ds.Hash+colstore.Ext {
+						t.Fatalf("crash %d/%d, life %d: colstore holds %v, want only the dataset's file", k, total, life, files)
+					}
+				} else if files := dirNames(t, filepath.Join(dir, "colstore")); len(files) != 0 {
+					t.Fatalf("crash %d/%d, life %d: no dataset but colstore holds %v", k, total, life, files)
+				}
+				if left := dirNames(t, filepath.Join(dir, "appends")); len(left) != 0 {
+					t.Fatalf("crash %d/%d, life %d: intents survived recovery: %v", k, total, life, left)
+				}
+				if _, replays := s.reg.Recovered(); life == 2 && replays != 0 {
+					t.Fatalf("crash %d/%d: second boot replayed %d intents", k, total, replays)
+				}
+				if life == 1 {
+					state = got
+				} else if got != state {
+					t.Fatalf("crash %d/%d: second boot changed the dataset", k, total)
+				}
+				if life == 2 && got == preCSV {
+					// The surviving lineage is whole: the append still applies.
+					next, err := s.reg.AppendCSV(list[0].ID, body)
+					if err != nil {
+						t.Fatalf("crash %d/%d: append after recovery: %v", k, total, err)
+					}
+					if after := datasetCSV(t, next); after != postCSV {
+						t.Fatalf("crash %d/%d: append after recovery produced\n%s", k, total, after)
 					}
 				}
-
-				var state string
-				for life := 1; life <= 2; life++ {
-					s, st := boot(dir)
-					list, _, _ := s.reg.Page("", 0)
-					if len(list) > 1 {
-						t.Fatalf("crash %d/%d, life %d: %d datasets, both sides of the append survived", k, total, life, len(list))
-					}
-					if regErr == nil && len(list) == 0 {
-						t.Fatalf("crash %d/%d, life %d: acknowledged registration lost", k, total, life)
-					}
-					got := ""
-					if len(list) == 1 {
-						ds := list[0]
-						got = datasetCSV(t, ds)
-						switch {
-						case got == preCSV && ds.Epoch == 0 && ds.Hash == baseHash && ds.Summary.Tuples == 150:
-						case got == postCSV && ds.Epoch == 1 && ds.Hash == appendHash(baseHash, body) && ds.Summary.Tuples == 153:
-						default:
-							t.Fatalf("crash %d/%d, life %d: dataset is in neither the pre- nor the post-append state (epoch %d, %d tuples):\n%s",
-								k, total, life, ds.Epoch, ds.Summary.Tuples, got)
-						}
-						if appErr == nil && regErr == nil && got != postCSV {
-							t.Fatalf("crash %d/%d, life %d: acknowledged append lost", k, total, life)
-						}
-						if ds.Storage != tier.storage || ds.Name != "crash" || ds.Source != "upload" {
-							t.Fatalf("crash %d/%d, life %d: recovered as %+v", k, total, life, ds)
-						}
-						if files := dirNames(t, filepath.Join(dir, "colstore")); len(files) != 1 || files[0] != ds.Hash+colstore.Ext {
-							t.Fatalf("crash %d/%d, life %d: colstore holds %v, want only the dataset's file", k, total, life, files)
-						}
-					} else if files := dirNames(t, filepath.Join(dir, "colstore")); len(files) != 0 {
-						t.Fatalf("crash %d/%d, life %d: no dataset but colstore holds %v", k, total, life, files)
-					}
-					if left := dirNames(t, filepath.Join(dir, "appends")); len(left) != 0 {
-						t.Fatalf("crash %d/%d, life %d: intents survived recovery: %v", k, total, life, left)
-					}
-					if _, replays := s.reg.Recovered(); life == 2 && replays != 0 {
-						t.Fatalf("crash %d/%d: second boot replayed %d intents", k, total, replays)
-					}
-					if life == 1 {
-						state = got
-					} else if got != state {
-						t.Fatalf("crash %d/%d: second boot changed the dataset", k, total)
-					}
-					if life == 2 && got == preCSV {
-						// The surviving lineage is whole: the append still applies.
-						next, err := s.reg.AppendCSV(list[0].ID, body)
-						if err != nil {
-							t.Fatalf("crash %d/%d: append after recovery: %v", k, total, err)
-						}
-						if after := datasetCSV(t, next); after != postCSV {
-							t.Fatalf("crash %d/%d: append after recovery produced\n%s", k, total, after)
-						}
-					}
-					halt(s, st)
-				}
+				halt(s, st)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestRecoverAppendKeepsStateWhenBodyCannotApply: an intent whose body
 // no longer applies to its lineage (schema drift, a corrupt record) is
-// retired without touching the pre-append state, on both tiers.
+// retired without touching the pre-append state.
 func TestRecoverAppendKeepsStateWhenBodyCannotApply(t *testing.T) {
-	for _, budget := range []int64{0, 1} {
-		dir := t.TempDir()
-		st := openStore(t, dir)
-		s := New(Config{Workers: 1, Store: st, ResidentBytes: budget})
-		ds, _, err := s.reg.RegisterCSV("ds", "upload", csvOf(appendCSVRows(20, 3)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.PutAppendRecord(store.AppendRecord{
-			ID: ds.ID, OldHash: ds.Hash, NewHash: strings.Repeat("c", 64), Epoch: 1,
-			Bytes: ds.Bytes + 12, Rows: []byte("X,Y,Z\n1,2,3\n"),
-		}); err != nil {
-			t.Fatal(err)
-		}
-		_ = s.Shutdown(context.Background())
-		st.Close()
-
-		st2 := openStore(t, dir)
-		s2 := New(Config{Workers: 1, Store: st2, ResidentBytes: budget})
-		got, ok := s2.reg.Get(ds.ID)
-		if !ok || got.Hash != ds.Hash || got.Epoch != 0 || got.Summary.Tuples != 20 {
-			t.Fatalf("budget %d: pre-append state not preserved: %+v", budget, got)
-		}
-		if left := dirNames(t, filepath.Join(dir, "appends")); len(left) != 0 {
-			t.Fatalf("budget %d: inapplicable intent not retired: %v", budget, left)
-		}
-		if _, replays := s2.reg.Recovered(); replays != 0 {
-			t.Fatalf("budget %d: an intent that did not apply counted as a replay", budget)
-		}
-		_ = s2.Shutdown(context.Background())
-		st2.Close()
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	s := New(Config{Workers: 1, Store: st})
+	ds, _, err := s.reg.RegisterCSV("ds", "upload", csvOf(appendCSVRows(20, 3)))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := st.PutAppendRecord(store.AppendRecord{
+		ID: ds.ID, OldHash: ds.Hash, NewHash: strings.Repeat("c", 64), Epoch: 1,
+		Bytes: ds.Bytes + 12, Rows: []byte("X,Y,Z\n1,2,3\n"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_ = s.Shutdown(context.Background())
+	st.Close()
+
+	st2 := openStore(t, dir)
+	s2 := New(Config{Workers: 1, Store: st2})
+	got, ok := s2.reg.Get(ds.ID)
+	if !ok || got.Hash != ds.Hash || got.Epoch != 0 || got.Summary.Tuples != 20 {
+		t.Fatalf("pre-append state not preserved: %+v", got)
+	}
+	if left := dirNames(t, filepath.Join(dir, "appends")); len(left) != 0 {
+		t.Fatalf("inapplicable intent not retired: %v", left)
+	}
+	if _, replays := s2.reg.Recovered(); replays != 0 {
+		t.Fatal("an intent that did not apply counted as a replay")
+	}
+	_ = s2.Shutdown(context.Background())
+	st2.Close()
 }
 
-// TestResidentRestart is the restart contract of the one format: a
-// persistent server registers a resident dataset, appends to it and
-// runs dedup — a task with no paged runner, so it only works on a
-// relation that is really back in memory. After a restart the dataset
-// returns with the same id, hash, epoch and summary and
-// "storage":"resident"; the resubmission is a byte-identical cache hit;
-// no dataset was written outside colstore/, and no minestate/ directory
-// exists; and a further append still re-mines by delta from the FD state
-// the previous life left in the artifact cache's disk tier.
-func TestResidentRestart(t *testing.T) {
+// TestPagedRestart is the restart contract of the one format: a
+// persistent server registers a dataset, appends to it and mines it.
+// After a restart the dataset returns from its file with the same id,
+// hash, epoch and summary and "storage":"paged"; the resubmission is a
+// byte-identical cache hit; a fresh mine over the file equals a resident
+// server's; no dataset was written outside colstore/, and no minestate/
+// directory exists; and a further append still re-mines by delta from
+// the FD state the previous life left in the artifact cache's disk tier.
+func TestPagedRestart(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openStore(t, dir)
 	s1 := New(Config{Workers: 1, Store: st1})
@@ -268,7 +270,7 @@ func TestResidentRestart(t *testing.T) {
 	if code, body := doJSON(t, "POST", ts1.URL+"/v1/datasets/"+ds.ID+"/append", csvOf(rows[300:350]), &appended); code != http.StatusOK {
 		t.Fatalf("append: %d %s", code, body)
 	}
-	if appended.Storage != StorageResident || appended.Epoch != 1 || appended.ID != ds.ID {
+	if appended.Storage != StoragePaged || appended.Epoch != 1 || appended.ID != ds.ID {
 		t.Fatalf("appended dataset: %+v", appended)
 	}
 	// A second dataset that is only registered: its listing — summary
@@ -306,8 +308,8 @@ func TestResidentRestart(t *testing.T) {
 	if code != http.StatusOK || listed2 != listed1 {
 		t.Fatalf("dataset after restart (%d):\n%s\n--- before\n%s", code, listed2, listed1)
 	}
-	if !strings.Contains(listed2, `"storage": "resident"`) {
-		t.Fatalf("dataset did not come back resident: %s", listed2)
+	if !strings.Contains(listed2, `"storage": "paged"`) {
+		t.Fatalf("dataset did not come back paged: %s", listed2)
 	}
 	if _, _, plainListed2 := doReq(t, "GET", ts2.URL+"/v1/datasets/"+plain.ID, nil, nil); plainListed2 != plainListed1 {
 		t.Fatalf("never-appended dataset after restart:\n%s\n--- before\n%s", plainListed2, plainListed1)
@@ -324,16 +326,16 @@ func TestResidentRestart(t *testing.T) {
 			t.Fatalf("%s artifact changed across the restart", taskName)
 		}
 	}
-	// A cache hit proves nothing about the restored relation itself: mine
-	// it afresh (different parameters, so a miss) and compare with a
-	// relation parsed from the same CSV on a server with no history.
+	// A cache hit proves nothing about the recovered file itself: mine it
+	// afresh (another task, so a miss) and compare with a relation parsed
+	// from the same CSV on a server with no history and no store.
 	_, fresh := newTestServer(t, Config{Workers: 1})
 	var again Dataset
 	if code, body := doJSON(t, "POST", fresh.URL+"/v1/datasets?name=life", csvOf(rows[:350]), &again); code != http.StatusCreated {
 		t.Fatalf("fresh register: %d %s", code, body)
 	}
 	if got, want := mineResult(t, ts2, ds.ID, "values"), mineResult(t, fresh, again.ID, "values"); !bytes.Equal(got, want) {
-		t.Fatal("values artifact over the restored relation differs from a fresh parse")
+		t.Fatal("values artifact over the recovered file differs from a fresh parse")
 	}
 
 	// Delta re-mining still engages: the FD state of the previous life is
@@ -343,7 +345,7 @@ func TestResidentRestart(t *testing.T) {
 	if code, body := doJSON(t, "POST", ts2.URL+"/v1/datasets/"+ds.ID+"/append", csvOf(rows[350:]), &appended); code != http.StatusOK {
 		t.Fatalf("append after restart: %d %s", code, body)
 	}
-	if appended.Epoch != 2 || appended.Storage != StorageResident || appended.Summary.Tuples != 400 {
+	if appended.Epoch != 2 || appended.Storage != StoragePaged || appended.Summary.Tuples != 400 {
 		t.Fatalf("second append: %+v", appended)
 	}
 	delta := mineResult(t, ts2, ds.ID, "mine-fds")
@@ -365,61 +367,24 @@ func TestResidentRestart(t *testing.T) {
 	}
 }
 
-// TestRecoveryHonoursResidentBudget: at boot a dataset comes back
-// resident while it fits -resident-bytes and stays paged otherwise.
-func TestRecoveryHonoursResidentBudget(t *testing.T) {
-	dir := t.TempDir()
-	st1 := openStore(t, dir)
-	s1 := New(Config{Workers: 1, Store: st1})
-	var sizes []int64
-	for i := 0; i < 3; i++ {
-		ds, _, err := s1.reg.RegisterCSV(fmt.Sprintf("d%d", i), "upload", csvOf(appendCSVRows(40+i, int64(i))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, ds.Bytes)
-	}
-	_ = s1.Shutdown(context.Background())
-	st1.Close()
-
-	// Room for two of the three (they are within a few bytes of each
-	// other), whichever the directory order adopts first.
-	budget := sizes[0] + sizes[1] + sizes[2] - 10
-	st2 := openStore(t, dir)
-	defer st2.Close()
-	s2 := New(Config{Workers: 1, Store: st2, ResidentBytes: budget})
-	defer s2.Shutdown(context.Background())
-	resident := 0
-	all, _, _ := s2.reg.Page("", 0)
-	for _, ds := range all {
-		if (ds.rel != nil) != (ds.Storage == StorageResident) {
-			t.Fatalf("dataset %s: storage %q with rel=%v", ds.ID, ds.Storage, ds.rel != nil)
-		}
-		if ds.rel != nil {
-			resident++
-		}
-	}
-	if s2.reg.Len() != 3 || resident != 2 || s2.reg.ResidentBytes() > budget {
-		t.Fatalf("recovered %d datasets, %d resident holding %d of %d budget bytes; want 3, 2",
-			s2.reg.Len(), resident, s2.reg.ResidentBytes(), budget)
-	}
-}
-
 // TestRefusedRegistrationLeavesNoFile: a registration refused at
-// -max-datasets writes no dataset file, on either tier — whether it is
-// refused before its parse (the registry was already full) or after it
-// (it lost the last slot to a concurrent registration). A leftover file
-// is not litter: the next boot's directory sweep could adopt it instead
-// of the dataset the client was told about.
+// -max-datasets is refused on either tier, and with a store writes no
+// dataset file — whether it is refused before its parse (the registry
+// was already full) or after it (it lost the last slot to a concurrent
+// registration). A leftover file is not litter: the next boot's
+// directory sweep could adopt it instead of the dataset the client was
+// told about.
 func TestRefusedRegistrationLeavesNoFile(t *testing.T) {
 	for _, tier := range []struct {
-		name   string
-		budget int64
-	}{{"resident", 0}, {"paged", 1}} {
+		name    string
+		persist bool
+	}{{"resident", false}, {"paged", true}} {
 		t.Run(tier.name, func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := Config{Workers: 1, MaxDatasets: 1, ResidentBytes: tier.budget}
-			cfg.Store = openStore(t, dir)
+			cfg := Config{Workers: 1, MaxDatasets: 1}
+			if tier.persist {
+				cfg.Store = openStore(t, dir)
+			}
 			s := New(cfg)
 
 			// Four registrations race for the one slot.
@@ -449,15 +414,19 @@ func TestRefusedRegistrationLeavesNoFile(t *testing.T) {
 			if kept == nil {
 				t.Fatal("no registration admitted")
 			}
+			assertStorage(t, kept, tier.persist)
 			// And one arrives at a registry that is already full.
 			if _, _, err := s.reg.RegisterCSV("late", "upload", csvOf(appendCSVRows(30, 9))); !errors.Is(err, ErrDatasetLimit) {
 				t.Fatalf("registration at the cap: %v, want ErrDatasetLimit", err)
+			}
+			_ = s.Shutdown(context.Background())
+			if !tier.persist {
+				return
 			}
 			want := []string{kept.Hash + colstore.Ext}
 			if files := dirNames(t, filepath.Join(dir, "colstore")); !reflect.DeepEqual(files, want) {
 				t.Fatalf("colstore holds %v after the refusals, want only %v", files, want)
 			}
-			_ = s.Shutdown(context.Background())
 			cfg.Store.Close()
 
 			cfg.Store = openStoreClosed(t, dir)
@@ -499,87 +468,82 @@ func (f *renameGateFS) Rename(oldPath, newPath string) error {
 // under another name meanwhile neither writes the file again nor
 // renames the dataset: one entry, carrying the name its file carries.
 func TestRegisterDoesNotHoldRegistryLockAcrossWrite(t *testing.T) {
-	for _, tier := range []struct {
-		name   string
-		budget int64
-	}{{"resident", 0}, {"paged", 1}} {
-		t.Run(tier.name, func(t *testing.T) {
-			dir := t.TempDir()
-			gate := &renameGateFS{FS: store.OS(), entered: make(chan struct{}, 1), release: make(chan struct{})}
-			st, err := store.Open(dir, store.Options{FS: gate})
+	t.Run("paged", func(t *testing.T) {
+		dir := t.TempDir()
+		gate := &renameGateFS{FS: store.OS(), entered: make(chan struct{}, 1), release: make(chan struct{})}
+		st, err := store.Open(dir, store.Options{FS: gate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Workers: 1, Store: st}
+		s := New(cfg)
+		other, _, err := s.reg.RegisterCSV("other", "upload", csvOf(appendCSVRows(40, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gate.armed.Store(true)
+
+		data := csvOf(appendCSVRows(80, 2))
+		type outcome struct {
+			ds      *Dataset
+			created bool
+		}
+		register := func(name string, out chan<- outcome) {
+			ds, created, err := s.reg.RegisterCSV(name, "upload", data)
 			if err != nil {
-				t.Fatal(err)
+				t.Errorf("register %q: %v", name, err)
 			}
-			cfg := Config{Workers: 1, Store: st, ResidentBytes: tier.budget}
-			s := New(cfg)
-			other, _, err := s.reg.RegisterCSV("other", "upload", csvOf(appendCSVRows(40, 1)))
+			out <- outcome{ds, created}
+		}
+		first, second := make(chan outcome, 1), make(chan outcome, 1)
+		go register("first", first)
+		select {
+		case <-gate.entered: // "first" is now inside the rename of its file
+		case <-time.After(10 * time.Second):
+			t.Fatal("registration never reached the rename of its dataset file")
+		}
+		go register("second", second)
+
+		answered := make(chan struct{})
+		go func() {
+			defer close(answered)
+			if _, ok := s.reg.Get(other.ID); !ok {
+				t.Error("Get lost the other dataset")
+			}
+			s.reg.Len()
+			s.reg.Page("", 0)
+			_, _, release, err := s.reg.Pin(other.ID)
 			if err != nil {
-				t.Fatal(err)
+				t.Errorf("Pin: %v", err)
+				return
 			}
-			gate.armed.Store(true)
+			release()
+		}()
+		select {
+		case <-answered:
+		case <-time.After(10 * time.Second):
+			t.Error("Get, Len, Page and Pin of another dataset are stuck behind a registration's file write")
+		}
+		close(gate.release)
+		a, b := <-first, <-second
+		if t.Failed() {
+			t.FailNow()
+		}
+		if !a.created || b.created || b.ds != a.ds || a.ds.Name != "first" || s.reg.Len() != 2 {
+			t.Fatalf("first: %+v (created %v), second: %+v (created %v), %d datasets; want one entry named by the registration that wrote the file",
+				a.ds, a.created, b.ds, b.created, s.reg.Len())
+		}
+		if n := gate.renames.Load(); n != 1 {
+			t.Fatalf("the dataset file was published %d times, want once", n)
+		}
+		_ = s.Shutdown(context.Background())
+		st.Close()
 
-			data := csvOf(appendCSVRows(80, 2))
-			type outcome struct {
-				ds      *Dataset
-				created bool
-			}
-			register := func(name string, out chan<- outcome) {
-				ds, created, err := s.reg.RegisterCSV(name, "upload", data)
-				if err != nil {
-					t.Errorf("register %q: %v", name, err)
-				}
-				out <- outcome{ds, created}
-			}
-			first, second := make(chan outcome, 1), make(chan outcome, 1)
-			go register("first", first)
-			select {
-			case <-gate.entered: // "first" is now inside the rename of its file
-			case <-time.After(10 * time.Second):
-				t.Fatal("registration never reached the rename of its dataset file")
-			}
-			go register("second", second)
-
-			answered := make(chan struct{})
-			go func() {
-				defer close(answered)
-				if _, ok := s.reg.Get(other.ID); !ok {
-					t.Error("Get lost the other dataset")
-				}
-				s.reg.Len()
-				s.reg.Page("", 0)
-				_, _, release, err := s.reg.Pin(other.ID)
-				if err != nil {
-					t.Errorf("Pin: %v", err)
-					return
-				}
-				release()
-			}()
-			select {
-			case <-answered:
-			case <-time.After(10 * time.Second):
-				t.Error("Get, Len, Page and Pin of another dataset are stuck behind a registration's file write")
-			}
-			close(gate.release)
-			a, b := <-first, <-second
-			if t.Failed() {
-				t.FailNow()
-			}
-			if !a.created || b.created || b.ds != a.ds || a.ds.Name != "first" || s.reg.Len() != 2 {
-				t.Fatalf("first: %+v (created %v), second: %+v (created %v), %d datasets; want one entry named by the registration that wrote the file",
-					a.ds, a.created, b.ds, b.created, s.reg.Len())
-			}
-			if n := gate.renames.Load(); n != 1 {
-				t.Fatalf("the dataset file was published %d times, want once", n)
-			}
-			_ = s.Shutdown(context.Background())
-			st.Close()
-
-			cfg.Store = openStoreClosed(t, dir)
-			s2 := New(cfg)
-			defer s2.Shutdown(context.Background())
-			if got, ok := s2.reg.Get(a.ds.Hash); !ok || got.Name != "first" || s2.reg.Len() != 2 {
-				t.Fatalf("after a reboot: %+v of %d datasets, want the name the registry answered with", got, s2.reg.Len())
-			}
-		})
-	}
+		cfg.Store = openStoreClosed(t, dir)
+		s2 := New(cfg)
+		defer s2.Shutdown(context.Background())
+		if got, ok := s2.reg.Get(a.ds.Hash); !ok || got.Name != "first" || s2.reg.Len() != 2 {
+			t.Fatalf("after a reboot: %+v of %d datasets, want the name the registry answered with", got, s2.reg.Len())
+		}
+	})
 }

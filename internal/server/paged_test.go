@@ -14,13 +14,9 @@ import (
 	"structmine/internal/task"
 )
 
-// pagedBudget is the resident budget the paged tests run under; the big
-// CSV is required to exceed it at least 4×.
-const pagedBudget = 200_000
-
 // bigCSV builds a ~1MB instance: 2000 tuples (forcing the TANE branch
 // and plenty of page stripes), a city→zip dependency to rank, and a
-// wide padded column so the source comfortably exceeds 4× the budget.
+// wide padded column.
 func bigCSV() []byte {
 	var b bytes.Buffer
 	b.WriteString("id,city,zip,grade,pad,note\n")
@@ -114,19 +110,15 @@ func jobArtifact(t *testing.T, ts *httptest.Server, jobID string) string {
 }
 
 // TestPagedTasksMatchResident is the acceptance end-to-end: a dataset
-// more than 4× the resident budget registers as "storage":"paged" on a
-// budgeted server, every single-dataset task runs out of core, and each
-// artifact is byte-identical to the one a plain resident server mines
-// from the same CSV.
+// registers as "storage":"paged" on a server with a store, every
+// single-dataset task runs out of core, and each artifact is
+// byte-identical to the one a plain resident server mines from the same
+// CSV.
 func TestPagedTasksMatchResident(t *testing.T) {
 	csv := bigCSV()
-	if int64(len(csv)) < 4*pagedBudget {
-		t.Fatalf("test CSV is %d bytes, need >= %d (4x budget)", len(csv), 4*pagedBudget)
-	}
-
 	_, residentTS := newTestServer(t, Config{})
 	st := openStoreClosed(t, t.TempDir())
-	_, pagedTS := newTestServer(t, Config{Store: st, ResidentBytes: pagedBudget})
+	_, pagedTS := newTestServer(t, Config{Store: st})
 
 	var resident, paged Dataset
 	if code, body := doJSON(t, "POST", residentTS.URL+"/v1/datasets?name=big", csv, &resident); code != http.StatusCreated {
@@ -176,57 +168,6 @@ func TestPagedTasksMatchResident(t *testing.T) {
 	metricValue(t, metrics, "structmine_colstore_bytes_mapped")
 }
 
-// TestResidentBudgetEviction drives the shared accounting: two small
-// datasets that together exceed the budget force the least recently
-// used one out to the paged tier, where every task still runs — with the
-// artifact a resident server produces.
-func TestResidentBudgetEviction(t *testing.T) {
-	st := openStoreClosed(t, t.TempDir())
-	_, ts := newTestServer(t, Config{Store: st, ResidentBytes: pagedBudget})
-
-	// Each fits alone (~60% of budget), together they exceed it.
-	csv1 := bigCSV()[:pagedBudget*6/10]
-	csv1 = csv1[:bytes.LastIndexByte(csv1, '\n')+1]
-	csv2 := bytes.Replace(csv1, []byte("athens"), []byte("aspern"), -1)
-
-	var ds1, ds2 Dataset
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/datasets?name=one", csv1, &ds1); code != http.StatusCreated {
-		t.Fatalf("register one: %d %s", code, body)
-	}
-	if ds1.Storage != StorageResident {
-		t.Fatalf("first dataset storage %q", ds1.Storage)
-	}
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/datasets?name=two", csv2, &ds2); code != http.StatusCreated {
-		t.Fatalf("register two: %d %s", code, body)
-	}
-
-	// The older dataset was evicted; the newer one stays resident.
-	var got1, got2 Dataset
-	doJSON(t, "GET", ts.URL+"/v1/datasets/"+ds1.ID, nil, &got1)
-	doJSON(t, "GET", ts.URL+"/v1/datasets/"+ds2.ID, nil, &got2)
-	if got1.Storage != StoragePaged || got2.Storage != StorageResident {
-		t.Fatalf("after eviction: one=%q two=%q, want paged/resident", got1.Storage, got2.Storage)
-	}
-	if got1.Summary == nil || got1.Summary.Tuples == 0 || got1.Bytes != int64(len(csv1)) {
-		t.Fatalf("evicted dataset lost its summary: %+v", got1)
-	}
-
-	// A task that used to need the resident relation reopens the evicted
-	// dataset's file lazily and answers as a resident server does.
-	_, residentTS := newTestServer(t, Config{})
-	var ref Dataset
-	if code, body := doJSON(t, "POST", residentTS.URL+"/v1/datasets?name=one", csv1, &ref); code != http.StatusCreated {
-		t.Fatalf("reference register: %d %s", code, body)
-	}
-	_, want := runToDone(t, residentTS, ref.ID, "report")
-	_, got := runToDone(t, ts, ds1.ID, "report")
-	if resultOf(t, got) != resultOf(t, want) {
-		t.Fatalf("report on the evicted dataset differs from resident:\n got %s\nwant %s", got, want)
-	}
-	runToDone(t, ts, ds1.ID, "describe")
-	runToDone(t, ts, ds1.ID, "mine-fds")
-}
-
 // TestPagedRecoveryAtBoot reboots a server over the same store: the
 // paged dataset (which has no snapshot — its colstore tail is the
 // metadata) is re-adopted with a correct summary, and the rank-fds
@@ -240,7 +181,7 @@ func TestPagedRecoveryAtBoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := New(Config{Store: st1, ResidentBytes: pagedBudget})
+	s1 := New(Config{Store: st1})
 	ts1 := httptest.NewServer(s1.Handler())
 	var ds Dataset
 	if code, body := doJSON(t, "POST", ts1.URL+"/v1/datasets?name=big", csv, &ds); code != http.StatusCreated {
@@ -254,7 +195,7 @@ func TestPagedRecoveryAtBoot(t *testing.T) {
 	st1.Close() // no graceful shutdown: the colstore file must carry everything
 
 	st2 := openStoreClosed(t, dir)
-	_, ts2 := newTestServer(t, Config{Store: st2, ResidentBytes: pagedBudget})
+	_, ts2 := newTestServer(t, Config{Store: st2})
 	var got Dataset
 	if code, body := doJSON(t, "GET", ts2.URL+"/v1/datasets/"+ds.ID, nil, &got); code != http.StatusOK {
 		t.Fatalf("dataset after reboot: %d %s", code, body)

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"structmine/internal/colstore"
 	"structmine/internal/primcache"
@@ -21,38 +20,29 @@ import (
 )
 
 // ErrDatasetLimit reports that the registry is at its configured
-// capacity and refuses to make another relation resident.
+// capacity and refuses to register another dataset.
 var ErrDatasetLimit = errors.New("server: dataset limit reached")
 
-// ErrPagedNeedsStore reports that a dataset exceeded the resident-bytes
-// budget on a server without a durable store to page it to.
-var ErrPagedNeedsStore = errors.New(
-	"server: dataset exceeds the resident budget and the paged tier needs -persist")
-
-// ErrAppendOverBudget reports an append that would grow a resident
-// dataset past the resident-bytes budget on a server without a paged
-// tier to spill it to.
-var ErrAppendOverBudget = errors.New(
-	"server: append exceeds the resident budget and the paged tier needs -persist")
-
-// Storage classes of a registered dataset.
+// Storage classes of a registered dataset. A dataset's class follows
+// from the server alone and never changes during its life: paged when
+// the server has a durable store, resident when it does not.
 const (
 	// StorageResident marks a dataset whose parsed relation is held in
-	// memory — the classic tier, and the only one without a store.
+	// memory: every dataset of a server without a store.
 	StorageResident = "resident"
-	// StoragePaged marks a dataset backed by an on-disk colstore file,
-	// read page-at-a-time through the relation.Columns interface. Every
-	// single-dataset task runs over it.
+	// StoragePaged marks a dataset that is its colstore file, read
+	// page-at-a-time through the relation.Columns interface: every
+	// dataset of a server with a store. Every single-dataset task runs
+	// over it.
 	StoragePaged = "paged"
 )
 
-// Dataset is one registered relation instance. With a durable store
-// every dataset is backed by one colstore file; a resident dataset
-// additionally keeps the parsed relation in memory, a paged one reads
-// the file page-at-a-time. The exported (JSON) fields are immutable for
-// the lifetime of a *Dataset value: tier changes (eviction) replace the
-// registry entry with a new value rather than mutating the old one, so
-// handlers may marshal the pointers they hold without locking.
+// Dataset is one registered relation instance: its parsed relation
+// without a durable store, its open colstore file with one. The exported
+// (JSON) fields are immutable for the lifetime of a *Dataset value: an
+// append replaces the registry entry with a new value rather than
+// mutating the old one, so handlers may marshal the pointers they hold
+// without locking.
 type Dataset struct {
 	// ID is the short display address: a prefix of the registration
 	// hash, extended just far enough to be unambiguous among registered
@@ -73,60 +63,45 @@ type Dataset struct {
 	Source string `json:"source"`
 	// Bytes is the size of the registered CSV source — the residency
 	// cost proxy behind the structmined_dataset_resident_bytes gauge.
-	// For paged datasets it comes from the colstore tail, never from a
-	// relation that is no longer resident.
+	// For paged datasets it comes from the colstore tail.
 	Bytes int64 `json:"bytes"`
 	// Storage is the dataset's tier: StorageResident or StoragePaged.
 	Storage string               `json:"storage"`
 	Summary *task.DescribeResult `json:"summary"`
 
-	rel     *relation.Relation // resident tier (nil when paged)
-	colPath string             // the dataset's colstore file ("" without a store)
-
-	// use is the LRU clock cell, shared across tier-change copies of the
-	// same dataset so eviction ordering survives the copy.
-	use *atomic.Int64
-
-	// handle is the lazily opened colstore table, behind a pointer so the
-	// struct stays copyable (tests unmarshal Dataset values) and tier
-	// changes share one open file.
-	handle *pagedHandle
+	rel     *relation.Relation // resident: the parsed relation (nil when paged)
+	colPath string             // paged: the dataset's colstore file
+	handle  *pagedHandle       // paged: the open table
 }
 
-// pagedHandle owns a dataset's colstore table: opened on first use,
-// shared by the tier-change copies of the dataset, read through the
-// server's primitive cache, and kept mapped while anyone holds a
-// reference. The registered dataset holds one from the start and every
-// job that reads the table pins another; an append drops the dataset's
-// (the file is replaced and unlinked), so the table is unmapped when the
-// last job admitted before the append has finished with it.
+// pagedHandle owns a paged dataset's open colstore table and keeps it
+// mapped while anyone holds a reference. The registered dataset holds
+// one from the start and every job that reads the table pins another; an
+// append drops the dataset's (the file is replaced and unlinked), so the
+// table is unmapped when the last job admitted before the append has
+// finished with it.
 type pagedHandle struct {
-	prim *primcache.Cache
-
 	mu    sync.Mutex
-	table *colstore.Table
+	table *colstore.Table // nil once the last reference is gone
 	refs  int
 }
 
-// pin returns the open table, holding it mapped until unpin.
-func (h *pagedHandle) pin(path string) (*colstore.Table, error) {
+// pin returns the open table, holding it mapped until unpin; nil once
+// the table is closed. A registered dataset's handle is never closed:
+// the registry holds a reference until an append retires the dataset.
+func (h *pagedHandle) pin() *colstore.Table {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.table == nil {
-		t, err := colstore.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		h.table = t
+	if h.table != nil {
+		h.refs++
 	}
-	h.refs++
-	return h.table, nil
+	return h.table
 }
 
 func (h *pagedHandle) unpin() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.refs--; h.refs == 0 && h.table != nil {
+	if h.refs--; h.refs == 0 {
 		h.table.Close()
 		h.table = nil
 	}
@@ -141,23 +116,15 @@ type Registry struct {
 	byHash map[string]*Dataset
 	alias  map[string]string // short id → full hash
 	lim    relation.Limits
-	max    int // dataset-count cap (0 = unlimited)
-
-	// budget caps the total CSV bytes of resident relations (0 =
-	// unlimited). With a store attached, registrations above the budget
-	// are admitted straight to the paged tier, and resident datasets drop
-	// their in-memory relation (least recently used first) when the
-	// total exceeds it.
-	budget int64
-	useSeq atomic.Int64
+	max    int // dataset-count cap, paged and resident alike (0 = unlimited)
 
 	// prim serves single-attribute primitives of paged datasets across
 	// jobs, keyed (hash, epoch, attr); nil disables it.
 	prim *primcache.Cache
 
-	// st, when non-nil, makes registration durable: the dataset's
-	// colstore file is written before the relation becomes resident, so
-	// a restarted server re-adopts it without re-parsing the CSV.
+	// st, when non-nil, makes every dataset paged: registration writes
+	// the dataset's colstore file and serves it from there, so a
+	// restarted server re-adopts it without re-parsing the CSV.
 	st *store.Store
 
 	// Boot recovery counters (RecoverAppends, RecoverColstore), guarded
@@ -214,10 +181,6 @@ func (g *Registry) claimIDLocked(preferred, hash string) string {
 	return g.assignIDLocked(hash)
 }
 
-// pagedTier reports whether the colstore tier is available: it needs
-// both a budget and a durable store to host the files.
-func (g *Registry) pagedTier() bool { return g.st != nil && g.budget > 0 }
-
 func (g *Registry) writeOpts() colstore.WriteOptions {
 	return colstore.WriteOptions{FS: g.st.FS(), Fsync: g.st.FsyncEnabled()}
 }
@@ -227,14 +190,6 @@ func (g *Registry) writeOpts() colstore.WriteOptions {
 func (g *Registry) addLocked(ds *Dataset) {
 	g.byHash[ds.Hash] = ds
 	g.alias[ds.ID] = ds.Hash
-	g.touch(ds)
-}
-
-// touch advances the dataset's LRU clock.
-func (g *Registry) touch(ds *Dataset) {
-	if ds != nil && ds.use != nil {
-		ds.use.Store(g.useSeq.Add(1))
-	}
 }
 
 // admit reports why hash needs no registration work: it is registered
@@ -246,17 +201,16 @@ func (g *Registry) admit(hash string) (*Dataset, error) {
 		return prior, nil
 	}
 	if g.max > 0 && len(g.byHash) >= g.max {
-		return nil, fmt.Errorf("%w (%d resident)", ErrDatasetLimit, len(g.byHash))
+		return nil, fmt.Errorf("%w (%d registered)", ErrDatasetLimit, len(g.byHash))
 	}
 	return nil, nil
 }
 
 // RegisterCSV parses CSV bytes and registers the resulting relation. It
 // is idempotent on content: re-registering the same bytes returns the
-// existing dataset (and reports created=false). Both tiers take one
-// path — parse, then with a store attached write the dataset's file —
-// and differ in what stays in memory: the parsed relation while the
-// content fits the resident budget, only the open file when it does not.
+// existing dataset (and reports created=false). Without a store the
+// parse is the dataset; with one the parse is written to the dataset's
+// colstore file, which is opened and served from then on.
 func (g *Registry) RegisterCSV(name, source string, data []byte) (ds *Dataset, created bool, err error) {
 	sum := sha256.Sum256(data)
 	hash := hex.EncodeToString(sum[:])
@@ -265,22 +219,17 @@ func (g *Registry) RegisterCSV(name, source string, data []byte) (ds *Dataset, c
 	// Answer a re-registration, and refuse at the cap, before paying for
 	// the parse; writeMu below makes the same check final.
 	if prior, err := g.admit(hash); prior != nil || err != nil {
-		g.touch(prior)
 		return prior, false, err
 	}
 	if name == "" {
 		name = "dataset-" + hash[:shortIDLen]
-	}
-	resident := g.budget == 0 || size <= g.budget
-	if !resident && g.st == nil {
-		return nil, false, fmt.Errorf("%w (%d > %d bytes)", ErrPagedNeedsStore, size, g.budget)
 	}
 	rel, err := relation.ReadCSVLimited(name, bytes.NewReader(data), g.lim)
 	if err != nil {
 		return nil, false, err
 	}
 	var summary *task.DescribeResult
-	if resident {
+	if g.st == nil {
 		summary = task.Describe(rel)
 	}
 
@@ -292,67 +241,35 @@ func (g *Registry) RegisterCSV(name, source string, data []byte) (ds *Dataset, c
 	g.mu.RLock()
 	id := g.assignIDLocked(hash)
 	g.mu.RUnlock()
-	// Durability before residency: if the dataset file cannot be written
-	// the registration fails outright, so the server never carries
-	// datasets a restart would silently forget. g.mu is not held across
-	// the write — lookups go on — and nothing can enter this hash or fill
-	// the registry meanwhile: every insert takes writeMu.
-	var path string
-	if g.st != nil {
+	if g.st == nil {
+		ds = &Dataset{
+			ID: id, Name: name, Hash: hash, Source: source, Bytes: size,
+			Storage: StorageResident, Summary: summary, rel: rel,
+		}
+	} else {
+		// Durability before registration: if the dataset file cannot be
+		// written the registration fails outright, so the server never
+		// carries datasets a restart would silently forget. g.mu is not
+		// held across the write — lookups go on — and nothing can enter
+		// this hash or fill the registry meanwhile: every insert takes
+		// writeMu.
 		meta := store.DatasetMeta{Hash: hash, Name: name, Source: source, Bytes: size, ID: id}
 		dir, err := g.st.ColstoreDir()
+		var path string
 		if err == nil {
 			path, err = colstore.WriteFromRelation(dir, meta, rel, g.writeOpts())
 		}
 		if err != nil {
 			return nil, false, fmt.Errorf("%w: %v", ErrStoreWrite, err)
 		}
-	}
-	// Within the budget the parse stays; over it the file is the dataset,
-	// described from its value index, and the parse is garbage from here.
-	if resident {
-		ds = &Dataset{
-			ID: id, Name: name, Hash: hash, Source: source, Bytes: size,
-			Storage: StorageResident, Summary: summary,
-			rel: rel, colPath: path, use: &atomic.Int64{},
+		if ds, err = g.openCol(path, hash); err != nil {
+			return nil, false, err
 		}
-		if g.st != nil {
-			ds.handle = &pagedHandle{prim: g.prim, refs: 1}
-		}
-	} else if ds, err = g.openCol(path, hash); err != nil {
-		return nil, false, err
 	}
 	g.mu.Lock()
 	g.addLocked(ds)
-	g.evictLocked()
 	g.mu.Unlock()
 	return ds, true, nil
-}
-
-// evictLocked drops the in-memory relation of resident datasets, least
-// recently used first, until the resident total fits the budget. The
-// dataset's colstore file already exists (durability before
-// residency), so eviction writes nothing: the registry entry is
-// replaced by a paged copy that keeps the id, summary, cache keys and
-// file handle. Requires the paged tier. The caller holds g.mu.
-func (g *Registry) evictLocked() {
-	if !g.pagedTier() {
-		return
-	}
-	for g.residentBytesLocked() > g.budget {
-		var victim *Dataset
-		for _, ds := range g.byHash {
-			if ds.rel != nil && (victim == nil || ds.use.Load() < victim.use.Load()) {
-				victim = ds
-			}
-		}
-		if victim == nil {
-			return
-		}
-		paged := *victim
-		paged.rel, paged.Storage = nil, StoragePaged
-		g.byHash[victim.Hash] = &paged
-	}
 }
 
 // openCol opens a colstore file as a not-yet-registered paged dataset:
@@ -382,18 +299,16 @@ func (g *Registry) openCol(path, hash string) (*Dataset, error) {
 	return &Dataset{
 		ID: meta.ID, Name: meta.Name, Hash: hash, Epoch: meta.Epoch,
 		Source: meta.Source, Bytes: meta.Bytes, Storage: StoragePaged,
-		Summary: summary, colPath: path, use: &atomic.Int64{},
-		handle: &pagedHandle{prim: g.prim, table: tbl, refs: 1},
+		Summary: summary, colPath: path,
+		handle: &pagedHandle{table: tbl, refs: 1},
 	}, nil
 }
 
 // RecoverColstore sweeps the colstore directory at boot: leftover temp
 // files are removed, foreign or corrupt files are quarantined, and
 // every valid file whose content is not already registered is adopted
-// — re-materialised as a resident relation (value ids preserved) while
-// it fits the resident budget, left paged otherwise. Call after
-// RecoverAppends so the sweep only sees the settled side of each
-// lineage.
+// as the paged dataset it describes. Call after RecoverAppends so the
+// sweep only sees the settled side of each lineage.
 func (g *Registry) RecoverColstore() {
 	if g.st == nil {
 		return
@@ -429,14 +344,6 @@ func (g *Registry) RecoverColstore() {
 		if err != nil {
 			continue
 		}
-		if g.budget == 0 || g.ResidentBytes()+ds.Bytes <= g.budget {
-			if ds.rel, err = ds.handle.table.Relation(); err != nil {
-				ds.handle.table.Close()
-				g.st.Quarantine(path)
-				continue
-			}
-			ds.Storage = StorageResident
-		}
 		g.mu.Lock()
 		ds.ID = g.claimIDLocked(ds.ID, hash)
 		g.addLocked(ds)
@@ -463,17 +370,13 @@ func (g *Registry) RegisterPath(path string) (*Dataset, bool, error) {
 	return g.RegisterCSV(filepath.Base(path), path, data)
 }
 
-// Get returns the dataset with the given short id or full content hash,
-// advancing its LRU clock. It answers for the listing only (handlers,
-// routing); whoever will read the rows takes Pin instead.
+// Get returns the dataset with the given short id or full content hash.
+// It answers for the listing only (handlers, routing); whoever will read
+// the rows takes Pin instead.
 func (g *Registry) Get(id string) (*Dataset, bool) {
 	g.mu.RLock()
-	ds, ok := g.getLocked(id)
-	g.mu.RUnlock()
-	if ok {
-		g.touch(ds)
-	}
-	return ds, ok
+	defer g.mu.RUnlock()
+	return g.getLocked(id)
 }
 
 func (g *Registry) getLocked(id string) (*Dataset, bool) {
@@ -490,37 +393,26 @@ func (g *Registry) getLocked(id string) (*Dataset, bool) {
 // append swaps the entry under the write lock before it drops the old
 // table's reference and unlinks the file, so a pin either lands first
 // and keeps that table mapped, or resolves to the post-append dataset.
-// Only the reference is taken under the lock; the file opens after it
-// (an append opens the table it replaces before unlinking it, so a held
-// reference never finds the file gone), and listings and probes never
-// queue behind an open. This is the one place the tiers differ: a
-// resident dataset reads its in-memory relation (a fresh adapter per
-// job, so the per-value statistics it derives die with the job); a paged
-// one reads its colstore table — opened by the first pin when the
-// dataset was registered resident and evicted since — through the
-// (hash, epoch)-keyed primitive cache shared across jobs.
+// This is the one place the tiers differ: a resident dataset reads its
+// in-memory relation (a fresh adapter per job, so the per-value
+// statistics it derives die with the job); a paged one reads its
+// colstore table through the (hash, epoch)-keyed primitive cache shared
+// across jobs.
 func (g *Registry) Pin(id string) (*Dataset, relation.Columns, func(), error) {
 	g.mu.RLock()
 	d, ok := g.getLocked(id)
-	if ok && d.rel == nil { // the reference only: the file opens below, unlocked
-		d.handle.mu.Lock()
-		d.handle.refs++
-		d.handle.mu.Unlock()
+	var t *colstore.Table
+	if ok && d.handle != nil {
+		t = d.handle.pin() // open: the registry holds a reference
 	}
 	g.mu.RUnlock()
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("%w %q", ErrUnknownDataset, id)
 	}
-	g.touch(d)
-	if d.rel != nil {
+	if t == nil {
 		return d, relation.AsColumns(d.rel), func() {}, nil
 	}
-	t, err := d.handle.pin(d.colPath)
-	d.handle.unpin() // the reference taken above: pin holds its own, or failed
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("server: opening dataset file of %s: %w", d.ID, err)
-	}
-	return d, primcache.Wrap(t, d.Hash, d.Epoch, d.handle.prim), d.handle.unpin, nil
+	return d, primcache.Wrap(t, d.Hash, d.Epoch, g.prim), d.handle.unpin, nil
 }
 
 // Page returns one cursor page of datasets in content-hash order: the
@@ -560,7 +452,7 @@ func cursorPage(keys []string, cursor string, limit int) (page []string, next st
 	return keys[start:end], next
 }
 
-// Len returns the number of registered datasets (both tiers).
+// Len returns the number of registered datasets.
 func (g *Registry) Len() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -573,10 +465,6 @@ func (g *Registry) Len() int {
 func (g *Registry) ResidentBytes() int64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.residentBytesLocked()
-}
-
-func (g *Registry) residentBytesLocked() int64 {
 	var total int64
 	for _, ds := range g.byHash {
 		if ds.rel != nil {

@@ -3,9 +3,11 @@
 // nowhere else. It owns three pieces of state:
 //
 //   - a dataset registry: CSV instances registered once (by path or
-//     upload), parsed under configurable limits, kept resident together
-//     with their instance statistics and content hash; a job reaches its
-//     dataset through Registry.Pin, lookup and reference in one step;
+//     upload), parsed under configurable limits and kept — as the parsed
+//     relation without a durable store, as its colstore file with one —
+//     together with their instance statistics and content hash; a job
+//     reaches its dataset through Registry.Pin, lookup and reference in
+//     one step;
 //   - an async job runner: a bounded worker pool executing mining tasks
 //     with per-job timeouts and cancellation, states
 //     queued → running → done|failed|canceled;
@@ -68,21 +70,12 @@ type Config struct {
 	// CSV body. Operator-side registration (command-line arguments) is
 	// not affected.
 	DataDir string
-	// MaxDatasets caps how many parsed relations stay resident
-	// (default 64); registrations beyond it are rejected.
+	// MaxDatasets caps how many datasets are registered, paged and
+	// resident alike (default 64); registrations beyond it are rejected.
 	MaxDatasets int
-	// ResidentBytes caps the total CSV bytes of relations held in
-	// memory (0 = unlimited). It needs Store: registrations above the
-	// budget are admitted out of core — written to a colstore file and
-	// served from it page-at-a-time ("storage":"paged") — and resident
-	// datasets drop their in-memory relation, least recently used first,
-	// when the total exceeds the budget. Evicted datasets keep their id,
-	// summary and colstore file.
-	ResidentBytes int64
 	// PrimCacheBytes caps the (hash, epoch, attribute)-keyed primitive
-	// cache serving single-attribute partitions, marginal entropies, and
-	// dictionary decodes to paged jobs (default 64 MiB, LRU-evicted;
-	// negative disables caching).
+	// cache serving single-attribute partitions and dictionary decodes to
+	// paged jobs (default 64 MiB, LRU-evicted; negative disables caching).
 	PrimCacheBytes int64
 	// MaxJobs caps how many job records are retained (default 1024);
 	// beyond it the oldest terminal jobs are forgotten.
@@ -104,12 +97,13 @@ type Config struct {
 	// Tenant bounds per-tenant admission (X-Tenant header; zero values
 	// keep admission unlimited, exactly as before).
 	Tenant TenantLimits
-	// Store, when non-nil, makes the server durable: a dataset's colstore
-	// file is written before its registration is acknowledged, completed
+	// Store, when non-nil, makes the server durable: every dataset is its
+	// colstore file ("storage":"paged"), written before its registration
+	// is acknowledged and served from it page-at-a-time; completed
 	// artifacts spill to disk, terminal jobs are journaled, and New
 	// replays all three so a restarted server answers for its previous
 	// life (the daemon's -persist flag). Nil keeps every piece of state
-	// memory-only, exactly as before.
+	// memory-only and every dataset a resident parsed relation.
 	Store *store.Store
 }
 
@@ -161,8 +155,8 @@ type Server struct {
 
 // New assembles a server and starts its worker pool. With a durable
 // store configured, the store's recovered state is adopted before the
-// first request: colstore files become datasets again (resident while
-// they fit the budget), journal records become poll-able terminal jobs,
+// first request: colstore files become (paged) datasets again, journal
+// records become poll-able terminal jobs,
 // and disk artifacts answer repeated queries as cache hits.
 func New(cfg Config) *Server {
 	cfg = cfg.normalized()
@@ -173,7 +167,6 @@ func New(cfg Config) *Server {
 		mux:   http.NewServeMux(),
 	}
 	s.reg.st = cfg.Store
-	s.reg.budget = cfg.ResidentBytes
 	s.reg.prim = primcache.New(cfg.PrimCacheBytes)
 	s.cache.st = cfg.Store
 	s.jobs = NewRunner(s.reg, s.cache, cfg.Store, exec.NewScheduler(cfg.Procs),
@@ -232,7 +225,7 @@ func (s *Server) registerMetrics() {
 			return float64(s.cache.Stats().Entries)
 		})
 	m.GaugeFunc("structmined_datasets",
-		"Datasets kept resident in the registry.", func() float64 {
+		"Datasets registered, paged and resident alike.", func() float64 {
 			return float64(s.reg.Len())
 		})
 	m.GaugeFunc("structmined_dataset_resident_bytes",

@@ -6,16 +6,17 @@
 # observability surface (/v1/metrics and the job's /trace). Then the
 # crash-recovery phase: SIGKILL the daemon (no drain, no warning), boot
 # a successor over the same -persist directory, and assert it recovers
-# the dataset (resident again, from its colstore file — the only thing
-# -persist writes for a dataset), the old job record, and the artifact —
+# the dataset (paged, from its colstore file — the only thing -persist
+# writes for a dataset), the old job record, and the artifact —
 # the repeated query must be a cache hit without re-mining. The incremental append phase
 # then drives POST /v1/datasets/{id}/append: epoch bump, cache miss on
 # re-mine, delta artifact equal to a from-scratch mine of the
 # concatenated contents, and a simulated crash inside the append window
 # that must replay to exactly one application. Finishes with a SIGTERM
-# to check graceful drain, then repeats the core flow on the paged
-# (out-of-core) tier, where dedup and partition must reproduce the
-# resident phase's artifacts byte for byte.
+# to check graceful drain, then repeats the core flow on a fresh paged
+# daemon. Both daemons' dedup and partition must reproduce, byte for
+# byte after jq -cS, the artifacts the CLI mines from the resident parse
+# of the same CSV.
 #
 # On failure the daemon log is copied to $SMOKE_ARTIFACT_DIR (when set),
 # so CI can upload it as an artifact.
@@ -46,6 +47,12 @@ trap cleanup EXIT
 echo "smoke: building structmined and generating the DB2 sample"
 go build -o "$workdir/structmined" ./cmd/structmined
 go run ./cmd/datagen db2 -out "$workdir" >/dev/null
+
+# The resident reference: what the CLI mines from its own parse of the
+# sample, normalised as every daemon artifact below is (jq -cS).
+rdedup=$(go run ./cmd/structmine dedup -json "$workdir/db2sample.csv" | jq -cS .)
+rpartition=$(go run ./cmd/structmine partition -json "$workdir/db2sample.csv" | jq -cS .)
+[ -n "$rdedup" ] && [ -n "$rpartition" ] || { echo "smoke: FAIL — empty resident dedup/partition reference"; exit 1; }
 
 # boot LOGFILE [FLAGS...] — start a daemon (default store $workdir/state,
 # override with explicit flags); sets $pid and $base.
@@ -81,8 +88,8 @@ submit() {
 }
 
 # mine TASK [PARAMS] — run TASK (with the JSON object PARAMS, default {})
-# on dataset $ds to completion and print its artifact (the compact
-# "result" member).
+# on dataset $ds to completion and print its artifact (the "result"
+# member, compact with sorted keys).
 mine() {
   local j jid jstate
   j=$(curl -sS -X POST -H 'Content-Type: application/json' \
@@ -96,7 +103,18 @@ mine() {
     jstate=$(curl -sS "$base/v1/jobs/$jid" | jq -r .state)
   done
   [ "$jstate" = done ] || { echo "smoke: FAIL — $1 job $jid stuck in $jstate" >&2; exit 1; }
-  curl -sS "$base/v1/jobs/$jid/result" | jq -c .result
+  curl -sS "$base/v1/jobs/$jid/result" | jq -cS .result
+}
+
+# same_as_resident — the paged daemon's dedup and partition on $ds equal
+# the CLI's resident artifacts.
+same_as_resident() {
+  local t got want
+  for t in dedup partition; do
+    got=$(mine "$t")
+    case "$t" in dedup) want=$rdedup ;; partition) want=$rpartition ;; esac
+    [ "$got" = "$want" ] || { echo "smoke: FAIL — paged $t artifact differs from the resident CLI run"; exit 1; }
+  done
 }
 
 job=$(submit)
@@ -117,14 +135,12 @@ stages=$(curl -sS "$base/v1/jobs/$id/trace" | jq '.trace.stages | length')
 [ "$stages" -gt 0 ] || { echo "smoke: FAIL — finished job reports no trace stages"; exit 1; }
 echo "smoke: job trace reports $stages pipeline stages"
 
-# A dedup after double clustering builds its own Phase 1 pass; its
-# artifact is the one the out-of-core phase, whose daemon ran nothing
-# before its dedup, must reproduce byte for byte.
+# A dedup after double clustering builds its own Phase 1 pass: its
+# artifact is the resident CLI's, as is the later daemon's, which runs
+# nothing before its dedup.
 mine group-attrs '{"double":true}' >/dev/null
-rdedup=$(mine dedup)
-rpartition=$(mine partition)
-[ -n "$rdedup" ] && [ -n "$rpartition" ] || { echo "smoke: FAIL — empty dedup/partition artifact"; exit 1; }
-echo "smoke: resident dedup and partition artifacts kept for the out-of-core comparison"
+same_as_resident
+echo "smoke: paged dedup and partition match the resident CLI artifacts"
 
 metrics=$(curl -sS "$base/v1/metrics")
 for series in structmined_http_requests_total structmined_jobs_queue_depth \
@@ -182,9 +198,9 @@ assert_one_format() {
 recovered=$(curl -sS "$base/v1/datasets" | jq -r --arg id "$ds" '[.items[] | select(.id == $id)] | length')
 [ "$recovered" = 1 ] || { echo "smoke: FAIL — dataset $ds not recovered after SIGKILL"; exit 1; }
 rstorage=$(curl -sS "$base/v1/datasets/$ds" | jq -r .storage)
-[ "$rstorage" = resident ] || { echo "smoke: FAIL — dataset $ds came back as storage=$rstorage, want resident"; exit 1; }
+[ "$rstorage" = paged ] || { echo "smoke: FAIL — dataset $ds came back as storage=$rstorage, want paged"; exit 1; }
 assert_one_format "$workdir/state"
-echo "smoke: dataset $ds recovered, resident, from its colstore file"
+echo "smoke: dataset $ds recovered, paged, from its colstore file"
 
 rec=$(curl -sS "$base/v1/jobs/$id")
 rstate=$(echo "$rec" | jq -r .state)
@@ -291,7 +307,7 @@ echo "smoke: append counters, delta re-mine histogram and fallback reasons expos
 # Crash inside the append window: SIGKILL the daemon, then plant the
 # durable intent record exactly as the handler writes it before
 # publishing any new state. The restarted daemon's single replay must
-# apply it to the resident lineage — rows neither lost nor doubled.
+# apply it to the paged lineage — rows neither lost nor doubled.
 echo "smoke: SIGKILL the daemon and simulate a crash mid-append (intent written, state unpublished)"
 kill -KILL "$pid"
 for _ in $(seq 1 100); do
@@ -315,8 +331,8 @@ cep=$(echo "$crashed" | jq .epoch)
 chash=$(echo "$crashed" | jq -r .hash)
 ctuples=$(echo "$crashed" | jq .summary.tuples)
 cstorage=$(echo "$crashed" | jq -r .storage)
-if [ "$cep" != 2 ] || [ "$chash" != "$nhash" ] || [ "$ctuples" != $((atuples + 2)) ] || [ "$cstorage" != resident ]; then
-  echo "smoke: FAIL — crashed append not replayed exactly once on the resident lineage (epoch=$cep tuples=$ctuples storage=$cstorage, want epoch=2, $((atuples + 2)) tuples, resident)"; exit 1
+if [ "$cep" != 2 ] || [ "$chash" != "$nhash" ] || [ "$ctuples" != $((atuples + 2)) ] || [ "$cstorage" != paged ]; then
+  echo "smoke: FAIL — crashed append not replayed exactly once on the paged lineage (epoch=$cep tuples=$ctuples storage=$cstorage, want epoch=2, $((atuples + 2)) tuples, paged)"; exit 1
 fi
 assert_one_format "$workdir/state"
 [ -z "$(ls "$workdir/state/appends")" ] \
@@ -336,20 +352,20 @@ fi
 pid=""
 echo "smoke: graceful shutdown ok"
 
-# --- out-of-core (paged colstore) phase -----------------------------------
-# A daemon with a tiny resident budget must admit the sample as a paged
+# --- fresh paged daemon phase ---------------------------------------------
+# A second daemon over an empty store must admit the sample as a paged
 # (out-of-core) dataset, mine it from the colstore file, survive a
-# SIGKILL, and re-adopt the dataset at boot — paged again, because it
-# still does not fit the budget.
-echo "smoke: booting a budgeted daemon (-resident-bytes 1024) for the paged tier"
+# SIGKILL, and re-adopt the dataset at boot. It is passed
+# -resident-bytes, which must still parse (and is ignored).
+echo "smoke: booting a fresh paged daemon (with the ignored -resident-bytes 1024)"
 boot "$workdir/log3" -persist "$workdir/state2" -resident-bytes 1024
 
 reg=$(curl -sS -X POST --data-binary @"$workdir/db2sample.csv" \
   -H 'Content-Type: text/csv' "$base/v1/datasets?name=db2paged")
 ds=$(echo "$reg" | jq -r .id)
 storage=$(echo "$reg" | jq -r .storage)
-[ "$storage" = paged ] || { echo "smoke: FAIL — over-budget dataset admitted as $storage, want paged"; exit 1; }
-echo "smoke: over-budget dataset $ds admitted out of core (storage=paged)"
+[ "$storage" = paged ] || { echo "smoke: FAIL — dataset admitted as $storage, want paged"; exit 1; }
+echo "smoke: dataset $ds admitted out of core (storage=paged)"
 
 job=$(submit)
 id=$(echo "$job" | jq -r .id)
@@ -362,17 +378,11 @@ for _ in $(seq 1 600); do
 done
 [ "$state" = done ] || { echo "smoke: FAIL — paged job $id stuck in $state"; exit 1; }
 pranked=$(curl -sS "$base/v1/jobs/$id/result" | jq '.result.ranked | length')
-[ "$pranked" = "$ranked" ] || { echo "smoke: FAIL — paged rank-fds found $pranked dependencies, resident found $ranked"; exit 1; }
-echo "smoke: paged rank-fds job $id done, matches the resident run ($pranked dependencies)"
+[ "$pranked" = "$ranked" ] || { echo "smoke: FAIL — rank-fds found $pranked dependencies, the first daemon found $ranked"; exit 1; }
+echo "smoke: rank-fds job $id done, matches the first daemon's run ($pranked dependencies)"
 
-# Tasks that used to need the resident relation run out of core too, with
-# the resident phase's artifacts.
-for t in dedup partition; do
-  got=$(mine "$t")
-  case "$t" in dedup) want=$rdedup ;; partition) want=$rpartition ;; esac
-  [ "$got" = "$want" ] || { echo "smoke: FAIL — paged $t artifact differs from the resident run"; exit 1; }
-done
-echo "smoke: paged dedup and partition match the resident artifacts byte for byte"
+same_as_resident
+echo "smoke: fresh daemon's dedup and partition match the resident CLI artifacts"
 
 curl -sS "$base/v1/metrics" | grep '^structmine_colstore_pages_read_total' >/dev/null \
   || { echo "smoke: FAIL — colstore page-read counter missing from /v1/metrics"; exit 1; }
@@ -398,7 +408,7 @@ if [ "$phits1" -le "$phits0" ]; then
 fi
 echo "smoke: primitive cache hit on the second job (hits $phits0 -> $phits1)"
 
-# Append errors are tier-independent: the paged tier answers a shape mismatch with the text golden/err_append_shape.json pins.
+# Append errors are tier-independent: the paged tier answers a shape mismatch with the text golden/err_append_shape.json pins on both tiers.
 curl -sS -X POST --data-binary $'A,B\n1,2\n' -H 'Content-Type: text/csv' "$base/v1/datasets/$ds/append" | jq -e '.error.code == "shape_mismatch" and (.error.message | test(": body has 2 attributes, dataset has [0-9]+$"))' >/dev/null || { echo "smoke: FAIL — shape-mismatched append to a paged dataset does not answer with the resident tier's error"; exit 1; }
 pmiss0=$(pmetric structmine_primcache_misses_total)
 head -n1 "$workdir/db2sample.csv" > "$workdir/pappend.csv"
@@ -423,7 +433,7 @@ pdelta1=$(pmetric structmine_append_delta_remine_seconds_count)
   || { echo "smoke: FAIL — post-append paged rank-fds took no delta path (count $pdelta0 -> $pdelta1)"; exit 1; }
 echo "smoke: post-append paged rank-fds re-mined through the delta path"
 
-echo "smoke: SIGKILL the budgeted daemon and restart over the same store"
+echo "smoke: SIGKILL the fresh daemon and restart over the same store"
 kill -KILL "$pid"
 for _ in $(seq 1 100); do
   kill -0 "$pid" 2>/dev/null || break
@@ -451,7 +461,7 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 if kill -0 "$pid" 2>/dev/null; then
-  echo "smoke: FAIL — budgeted server did not drain on SIGTERM"; exit 1
+  echo "smoke: FAIL — second server did not drain on SIGTERM"; exit 1
 fi
 pid=""
 
