@@ -64,7 +64,8 @@ func benchDBLPAt(b *testing.B, n int) *relation.Relation {
 
 // benchGroup is task.GroupAttributes at B = 4 over a resident relation.
 func benchGroup(b *testing.B, r *relation.Relation, phiT, phiV float64, double bool) *attrs.Grouping {
-	g, _, err := task.GroupAttributes(context.Background(), relation.AsColumns(r), phiT, phiV, 4, double)
+	ctx := context.Background()
+	g, _, err := task.GroupAttributes(ctx, fd.NewSets(ctx, relation.AsColumns(r)), phiT, phiV, 4, double)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -88,8 +89,8 @@ func BenchmarkTable1ErroneousTuples(b *testing.B) {
 	inj := datagen.InjectTupleErrors(r, 5, 4, datagen.Typographic, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := tuples.FindDuplicatesColumns(context.Background(), relation.AsColumns(inj.Dirty), 0.15, 4)
-		if err != nil || len(rep.Assign) != inj.Dirty.N() {
+		rep := tuples.FindDuplicatesCtx(context.Background(), inj.Dirty, 0.15, 4)
+		if len(rep.Assign) != inj.Dirty.N() {
 			b.Fatal("bad report")
 		}
 	}
@@ -102,7 +103,8 @@ func BenchmarkTable2ErroneousValues(b *testing.B) {
 	inj := datagen.InjectTupleErrors(r, 5, 4, datagen.Typographic, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vc, err := task.ClusterValues(context.Background(), relation.AsColumns(inj.Dirty), 1.0, 0.0, 4, true)
+		ctx := context.Background()
+		vc, err := task.ClusterValues(ctx, fd.NewSets(ctx, relation.AsColumns(inj.Dirty)), 1.0, 0.0, 4, true)
 		if err != nil || len(vc.Assign) != inj.Dirty.D() {
 			b.Fatal("bad clustering")
 		}
@@ -434,6 +436,31 @@ func BenchmarkRankFDs(b *testing.B) {
 	}
 }
 
+// BenchmarkDedup is the dedup task end to end at its default parameters
+// (task.RunColumns: φT = 0, so the groups are Π_R's classes, then pair
+// refinement at min_sim 0.5) on cluster_narrow's 5 200 ×
+// ProjectionAttrs() shape and on DBLP 20 000 × 13.
+func BenchmarkDedup(b *testing.B) {
+	ctx := context.Background()
+	for _, in := range []struct {
+		name string
+		r    *relation.Relation
+	}{
+		{"n=5200x7", benchDBLPAt(b, 5200).Project(datagen.ProjectionAttrs())},
+		{"n=20000x13", benchDBLPAt(b, 20000)},
+	} {
+		c := relation.AsColumns(in.r)
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := task.RunColumns(ctx, c, "dedup", task.Params{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTANE mines the datagen relations end to end: the DB2-style
 // join sample and the DBLP instance (projection and full arity) at the
 // suite's 20k scale — the workloads whose per-level partition products
@@ -611,7 +638,7 @@ func BenchmarkAppendRemine(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, delta, err := fd.DiscoverDeltaColumns(ctx, tier.c, prev); err != nil || !delta {
+				if _, _, delta, err := fd.DiscoverDeltaColumns(ctx, fd.NewSets(ctx, tier.c), prev); err != nil || !delta {
 					b.Fatalf("delta=%v err=%v", delta, err)
 				}
 			}
@@ -804,7 +831,8 @@ func BenchmarkAblationDoubleClustering(b *testing.B) {
 	r := datagen.NewDBLP(datagen.DBLPConfig{Tuples: 4000, Seed: 1, MiscFrac: 0.002, JournalFrac: 0.28})
 	cluster := func(b *testing.B, double bool) {
 		for i := 0; i < b.N; i++ {
-			if _, err := task.ClusterValues(context.Background(), relation.AsColumns(r), 0.5, 1.0, 4, double); err != nil {
+			ctx := context.Background()
+			if _, err := task.ClusterValues(ctx, fd.NewSets(ctx, relation.AsColumns(r)), 0.5, 1.0, 4, double); err != nil {
 				b.Fatal(err)
 			}
 		}

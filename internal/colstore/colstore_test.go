@@ -258,7 +258,7 @@ func TestMinersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("TANE resident: %v", err)
 	}
-	gotFDs, err := fd.TANEColumnsCtx(ctx, tbl)
+	gotFDs, err := fd.TANEColumnsCtx(ctx, fd.NewSets(ctx, tbl))
 	if err != nil {
 		t.Fatalf("TANE paged: %v", err)
 	}

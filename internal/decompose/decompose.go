@@ -14,6 +14,7 @@
 package decompose
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -36,12 +37,20 @@ type Result struct {
 	RAD, RTR float64
 }
 
-// On decomposes c on the dependency f. It returns an error when the FD
-// does not hold exactly (decomposing on an approximate dependency would
-// lose the violating tuples). S1 and S2 are built in memory from one
-// streaming pass over c each; S1's rows are the first tuples of
-// fd.GroupBy's groups of X∪Y, in order of first appearance.
+// On decomposes c on the dependency f on a kernel of its own (OnSets).
 func On(c relation.Columns, f fd.FD) (*Result, error) {
+	return OnSets(fd.NewSets(context.Background(), c), f)
+}
+
+// OnSets decomposes the instance of the job's kernel s on the dependency
+// f. It returns an error when the FD does not hold exactly (decomposing
+// on an approximate dependency would lose the violating tuples). S1 and
+// S2 are built in memory from one streaming pass over the instance each;
+// S1's rows are the first tuples of s's groups of X∪Y, in order of first
+// appearance. The g3 check, the groups and the measures are all asked of
+// s.
+func OnSets(s *fd.Sets, f fd.FD) (*Result, error) {
+	c := s.Columns()
 	f.RHS = f.RHS.Minus(f.LHS) // drop the trivial part
 	if f.RHS.Empty() {
 		return nil, fmt.Errorf("decompose: dependency has empty (or trivial) right-hand side")
@@ -50,7 +59,7 @@ func On(c relation.Columns, f fd.FD) (*Result, error) {
 	if len(max) > 0 && max[len(max)-1] >= c.M() {
 		return nil, fmt.Errorf("decompose: dependency references attribute %d, relation has %d", max[len(max)-1], c.M())
 	}
-	if g3, err := fd.G3Columns(c, f); err != nil {
+	if g3, err := s.G3(f); err != nil {
 		return nil, err
 	} else if g3 > 0 { // g3 is 0 exactly when the FD holds
 		return nil, fmt.Errorf("decompose: %s does not hold exactly (g3=%.4f)", f.Format(c.AttrNames()), g3)
@@ -67,7 +76,7 @@ func On(c relation.Columns, f fd.FD) (*Result, error) {
 	// except Y; S1 is the single constant row.
 	sort.Ints(s1Attrs)
 
-	first, _, err := fd.GroupBy(c, s1Attrs)
+	first, _, err := s.GroupBy(s1Attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +97,7 @@ func On(c relation.Columns, f fd.FD) (*Result, error) {
 	if res.CellsBefore > 0 {
 		res.Reduction = 1 - float64(res.CellsAfter)/float64(res.CellsBefore)
 	}
-	ms, err := measures.Of(c, s1Attrs)
+	ms, err := measures.OfSets(s, s1Attrs)
 	if err != nil {
 		return nil, err
 	}

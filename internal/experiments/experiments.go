@@ -21,6 +21,7 @@ import (
 
 	"structmine/internal/attrs"
 	"structmine/internal/datagen"
+	"structmine/internal/fd"
 	"structmine/internal/relation"
 	"structmine/internal/task"
 	"structmine/internal/values"
@@ -121,7 +122,8 @@ func must[T any](v T, err error) T {
 // group is task.GroupAttributes at the paper's branching factor B = 4,
 // with the table's φT and φV.
 func group(r *relation.Relation, phiT, phiV float64, double bool) (*attrs.Grouping, *values.Clustering) {
-	g, vc, err := task.GroupAttributes(context.Background(), relation.AsColumns(r), phiT, phiV, 4, double)
+	ctx := context.Background()
+	g, vc, err := task.GroupAttributes(ctx, fd.NewSets(ctx, relation.AsColumns(r)), phiT, phiV, 4, double)
 	if err != nil {
 		panic(err) // an in-memory relation has no failing reads
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"structmine/internal/datagen"
+	"structmine/internal/fd"
 	"structmine/internal/relation"
 	"structmine/internal/task"
 )
@@ -19,7 +20,8 @@ func table2Found(s Scale, phiT, phiV float64, nTuples, nValues int, trial int64)
 	inj := datagen.InjectTupleErrors(db.Joined, nTuples, nValues, datagen.Typographic, s.Seed*1000+trial)
 	r := inj.Dirty
 
-	vc := must(task.ClusterValues(context.Background(), relation.AsColumns(r), phiT, phiV, 4, true))
+	ctx := context.Background()
+	vc := must(task.ClusterValues(ctx, fd.NewSets(ctx, relation.AsColumns(r)), phiT, phiV, 4, true))
 
 	placed := 0
 	for i := range inj.DirtyTuples {

@@ -30,13 +30,13 @@ type ApproxFD struct {
 // and the partitions of the next level's left-hand sides, fan out across
 // the context's worker budget (one scratch and one arena per worker).
 func MineApproxCtx(ctx context.Context, r *relation.Relation, eps float64, maxLHS int) ([]ApproxFD, error) {
-	return MineApproxColumns(ctx, relation.AsColumns(r), eps, maxLHS)
+	return MineApproxColumns(ctx, NewSets(ctx, relation.AsColumns(r)), eps, maxLHS)
 }
 
 // MineApproxColumns is the miner over the column interface: the level-1
-// partitions come from the value index (or a relation.PartitionSource),
-// so a paged table and a resident relation behind relation.AsColumns
-// walk the same lattice to the same result.
+// partitions are the job's kernel's (Sets: from the value index or a
+// relation.PartitionSource), so a paged table and a resident relation
+// behind relation.AsColumns walk the same lattice to the same result.
 //
 // g3(X → a) is counted straight from Π_X and a's class index
 // (g3Removed), so Π_{X∪a} is never formed just to be read once; the only
@@ -55,7 +55,8 @@ func MineApproxCtx(ctx context.Context, r *relation.Relation, eps float64, maxLH
 // in parallel into per-candidate slots and its finds are recorded
 // afterwards in candidate order: the result is the same for any budget.
 // The context is checked at every level boundary.
-func MineApproxColumns(ctx context.Context, c relation.Columns, eps float64, maxLHS int) ([]ApproxFD, error) {
+func MineApproxColumns(ctx context.Context, s *Sets, eps float64, maxLHS int) ([]ApproxFD, error) {
+	c := s.Columns()
 	m, n := c.M(), c.N()
 	if m > MaxAttrs {
 		return nil, fmt.Errorf("fd: relation has %d attributes, max %d", m, MaxAttrs)
@@ -70,12 +71,11 @@ func MineApproxColumns(ctx context.Context, c relation.Columns, eps float64, max
 		maxLHS = m - 1
 	}
 	limit := g3Limit(n, eps)
-	pool := &scratchPool{ctx: ctx}
-	sets := newGroupBy(c, pool.grow(1)[0].ar)
-	if err := sets.load(relation.AllAttrs(c)); err != nil {
+	pool := s.scratchPool(ctx)
+	if err := s.load(relation.AllAttrs(c)); err != nil {
 		return nil, err
 	}
-	singles, idx := sets.singles, sets.idx
+	singles, idx := s.singles, s.idx
 
 	// found[a] lists the minimal satisfying LHSs discovered so far for
 	// attribute a; candidates that contain one are pruned.

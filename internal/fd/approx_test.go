@@ -222,8 +222,8 @@ func TestMineApproxErrMatchesDirectCount(t *testing.T) {
 	const maxLHS = 3
 	for _, in := range approxInputs() {
 		t.Run(in.name, func(t *testing.T) {
-			c := relation.AsColumns(in.r)
-			fds, err := MineApproxColumns(context.Background(), c, 0.05, maxLHS)
+			s := setsOf(in.r) // one kernel serves both miners and TANE
+			fds, err := MineApproxColumns(context.Background(), s, 0.05, maxLHS)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +236,7 @@ func TestMineApproxErrMatchesDirectCount(t *testing.T) {
 				}
 			}
 
-			zero, err := MineApproxColumns(context.Background(), c, 0, maxLHS)
+			zero, err := MineApproxColumns(context.Background(), s, 0, maxLHS)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +264,8 @@ func TestMineApproxBudgetSweep(t *testing.T) {
 		c := relation.AsColumns(in.r)
 		var want []ApproxFD
 		for _, budget := range []int{1, 2, 4, 8} {
-			got, err := MineApproxColumns(exec.WithWorkers(context.Background(), budget), c, 0.05, 3)
+			ctx := exec.WithWorkers(context.Background(), budget)
+			got, err := MineApproxColumns(ctx, NewSets(ctx, c), 0.05, 3)
 			if err != nil {
 				t.Fatalf("%s budget %d: %v", in.name, budget, err)
 			}
@@ -409,10 +410,10 @@ func TestMineApproxMatchesBruteForce(t *testing.T) {
 			for _, k := range ks[:min(3, len(ks))] {
 				epss = append(epss, float64(k)/float64(n))
 			}
-			c := relation.AsColumns(in.r)
+			s := setsOf(in.r)
 			for _, eps := range epss {
 				for _, maxLHS := range []int{1, 3} {
-					got, err := MineApproxColumns(context.Background(), c, eps, maxLHS)
+					got, err := MineApproxColumns(context.Background(), s, eps, maxLHS)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -431,10 +432,10 @@ func TestMinersReturnCancellation(t *testing.T) {
 	c := relation.AsColumns(dblp(3000, 1))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if fds, err := MineApproxColumns(ctx, c, 0.05, 3); !errors.Is(err, context.Canceled) {
+	if fds, err := MineApproxColumns(ctx, NewSets(ctx, c), 0.05, 3); !errors.Is(err, context.Canceled) {
 		t.Errorf("MineApproxColumns: %d FDs, err %v; want context.Canceled", len(fds), err)
 	}
-	if fds, err := TANEColumnsCtx(ctx, c); !errors.Is(err, context.Canceled) {
+	if fds, err := TANEColumnsCtx(ctx, NewSets(ctx, c)); !errors.Is(err, context.Canceled) {
 		t.Errorf("TANEColumnsCtx: %d FDs, err %v; want context.Canceled", len(fds), err)
 	}
 }

@@ -56,7 +56,7 @@ type MineState struct {
 
 // DiscoverDelta is DiscoverDeltaColumns over a resident relation.
 func DiscoverDelta(ctx context.Context, r *relation.Relation, prev *MineState) ([]FD, *MineState, bool, error) {
-	return DiscoverDeltaColumns(ctx, relation.AsColumns(r), prev)
+	return DiscoverDeltaColumns(ctx, NewSets(ctx, relation.AsColumns(r)), prev)
 }
 
 // DiscoverDeltaColumns mines the minimal FD set of c, reusing prev — the
@@ -65,7 +65,8 @@ func DiscoverDelta(ctx context.Context, r *relation.Relation, prev *MineState) (
 // count, and whether the delta path was taken; delta=false means a full
 // re-mine ran: no prev, or a fallback counted on obs.DeltaFallbacks
 // (state of another shape, oversized append, a broken FD).
-func DiscoverDeltaColumns(ctx context.Context, c relation.Columns, prev *MineState) (fds []FD, st *MineState, delta bool, err error) {
+func DiscoverDeltaColumns(ctx context.Context, s *Sets, prev *MineState) (fds []FD, st *MineState, delta bool, err error) {
+	c := s.Columns()
 	n, m := c.N(), c.M()
 	reason := ""
 	switch {
@@ -87,7 +88,7 @@ func DiscoverDeltaColumns(ctx context.Context, c relation.Columns, prev *MineSta
 	if reason != "" {
 		obs.DeltaFallbacks.With(reason).Inc()
 	}
-	fds, err = TANEColumnsCtx(ctx, c)
+	fds, err = TANEColumnsCtx(ctx, s)
 	if err != nil {
 		return nil, nil, false, err
 	}

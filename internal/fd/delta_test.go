@@ -223,7 +223,7 @@ func TestDeltaReadsEachStripeOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := &countingColumns{Columns: relation.AsColumns(ext), stripes: map[int]int{}}
-		if _, _, delta, err := DiscoverDeltaColumns(ctx, c, st); err != nil || !delta {
+		if _, _, delta, err := DiscoverDeltaColumns(ctx, NewSets(ctx, c), st); err != nil || !delta {
 			t.Fatalf("workers=%d: delta=%v err=%v", workers, delta, err)
 		}
 		if c.visits != 0 || !reflect.DeepEqual(c.stripes, map[int]int{0: 1, 1: 1, 2: 1}) {

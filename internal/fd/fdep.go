@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -24,7 +25,7 @@ func FDEP(r *relation.Relation) ([]FD, error) {
 	if r.N() == 0 || m == 0 {
 		return nil, nil
 	}
-	rows, err := distinctRows(relation.AsColumns(r))
+	rows, err := NewSets(context.Background(), relation.AsColumns(r)).distinctRows()
 	if err != nil {
 		return nil, err
 	}
@@ -73,14 +74,14 @@ func FDEP(r *relation.Relation) ([]FD, error) {
 }
 
 // distinctRows returns one value-id row per distinct tuple, in order of
-// first appearance: the rows of GroupBy's representatives. The rows are
+// first appearance: the rows of Sets.GroupBy's representatives. The rows are
 // materialized: the agree-set computation compares them pairwise.
-func distinctRows(c relation.Columns) ([][]int32, error) {
-	first, _, err := GroupBy(c, relation.AllAttrs(c))
+func (s *Sets) distinctRows() ([][]int32, error) {
+	first, _, err := s.GroupBy(relation.AllAttrs(s.c))
 	if err != nil {
 		return nil, err
 	}
-	return relation.FetchRows(c, first)
+	return relation.FetchRows(s.c, first)
 }
 
 // agreeSets returns the deduplicated agree sets of all pairs of distinct

@@ -61,16 +61,7 @@ func TestDecodeStateSeeds(t *testing.T) {
 	for name, valid := range map[string]bool{
 		"valid": true, "bad-crc": false, "truncated": false, "oversized-fd-count": false, "version-1": false,
 	} {
-		raw, err := os.ReadFile("testdata/fuzz/FuzzDecodeState/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lit := strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte("), ")")
-		blob, err := strconv.Unquote(lit)
-		if err != nil {
-			t.Fatalf("seed %s: %v", name, err)
-		}
-		st, err := DecodeState([]byte(blob))
+		st, err := DecodeState(seedBytes(t, "FuzzDecodeState", name))
 		switch {
 		case valid && (err != nil || len(st.FDs) == 0):
 			t.Errorf("seed %s: state %+v, err %v; want a state with FDs", name, st, err)
@@ -78,6 +69,21 @@ func TestDecodeStateSeeds(t *testing.T) {
 			t.Errorf("seed %s: err %v, want ErrCorruptState", name, err)
 		}
 	}
+}
+
+// seedBytes reads the []byte argument of a committed fuzz seed.
+func seedBytes(t *testing.T, target, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/fuzz/" + target + "/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte("), ")")
+	blob, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("seed %s/%s: %v", target, name, err)
+	}
+	return []byte(blob)
 }
 
 // groupByRelation spells a small relation from fuzz bytes: the first
@@ -107,13 +113,15 @@ func groupByRelation(data []byte) *relation.Relation {
 }
 
 // FuzzGroupBy: on relations the fuzzer spells — NULLs, values shared
-// across attributes, duplicate tuples — GroupBy, HoldsColumns, G3Columns
+// across attributes, duplicate tuples — the kernel's GroupBy, Holds, G3
 // and MVDHolds answer every attribute set as the recount of the rendered
-// rows does (checkGroupBy). Seeds under testdata/fuzz/FuzzGroupBy/.
+// rows does (checkGroupBy), and its Π_R groups are LIMBO's Phase 1 at
+// τ = 0 (checkRowGroups). Seeds under testdata/fuzz/FuzzGroupBy/.
 func FuzzGroupBy(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := groupByRelation(data)
-		checkGroupBy(t, "fuzz", relation.AsColumns(r), attrSetsOf(r.M()))
+		c := relation.AsColumns(groupByRelation(data))
+		checkGroupBy(t, "fuzz", c, attrSetsOf(c.M()))
+		checkRowGroups(t, context.Background(), "fuzz", c)
 	})
 }
 
@@ -125,7 +133,7 @@ func FuzzMineApprox(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, eps float64, maxLHS uint8) {
 		r := groupByRelation(data)
 		bound := int(maxLHS % 5) // 0 = no bound
-		got, err := MineApproxColumns(context.Background(), relation.AsColumns(r), eps, bound)
+		got, err := MineApproxCtx(context.Background(), r, eps, bound)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,33 +1,65 @@
 package fd
 
 import (
+	"context"
 	"slices"
 
 	"structmine/internal/exec"
 	"structmine/internal/relation"
 )
 
-// groupBy is the one kernel over attribute sets: every question asked of
-// a set X — the tuples sharing each projected row, X → Y, g3(X → Y),
-// X ↠ Y — is asked of Π_X, built as TANE builds a lattice node: level-1
-// partitions folded with refine through their class indexes. No value-id
-// row is hashed. The level-1 partitions and class indexes are loaded on
-// first use and kept; the partitions one question refines are carved
-// from the scratch's arena, which every question resets, so a long run
-// of questions (MineMVDsCtx) holds one question's worth.
-type groupBy struct {
+// Sets is a job's one kernel over attribute sets: every exact question
+// the job asks of a set X — the tuples sharing each projected row, the
+// class sizes of Π_X, X → Y, g3(X → Y), X ↠ Y, the candidate keys — is
+// asked of Π_X, built as TANE builds a lattice node: level-1 partitions
+// folded with refine through their class indexes. No value-id row is
+// hashed.
+//
+// A job creates one Sets where it starts (task.RunColumns; a library
+// entry point that is a job of its own creates its own) and passes it
+// down; it dies with the job. The level-1 partitions and class indexes
+// are loaded on first use and kept for the rest of the job, so each
+// attribute is read at most once per job; TANE and the approximate
+// miner start from the same ones. The class indexes are carved from an
+// arena checked out of the job's grant (exec.CheckoutArena) at the first
+// load — a job that asks nothing checks out nothing — which a miner's
+// first fan-out worker carves from too (scratchPool), so a mine checks
+// out no more arenas than it has workers. The partitions one
+// question refines are carved from a private arena that every question
+// resets, so a long run of questions (MineMVDsCtx) holds one question's
+// worth. A Sets is not safe for concurrent use.
+type Sets struct {
+	ctx     context.Context // the job's: its grant lends ar
 	c       relation.Columns
 	n       int
 	singles []*partition // level-1 partitions, by attribute
 	idx     [][]int32    // their class indexes, carved from ar
-	ar      *exec.Arena  // a pooled arena of the job in the miners
-	sc      *prodScratch
+	ar      *exec.Arena  // nil until the first load
+	sc      *prodScratch // the current question's scratch
 }
 
-func newGroupBy(c relation.Columns, ar *exec.Arena) *groupBy {
-	return &groupBy{c: c, n: c.N(), singles: make([]*partition, c.M()), idx: make([][]int32, c.M()),
-		ar: ar, sc: &prodScratch{ar: exec.NewArena()}}
+// NewSets returns the kernel of one job over c, with nothing loaded.
+func NewSets(ctx context.Context, c relation.Columns) *Sets {
+	return &Sets{ctx: ctx, c: c, n: c.N(), singles: make([]*partition, c.M()), idx: make([][]int32, c.M()),
+		sc: &prodScratch{ar: exec.NewArena()}}
 }
+
+// arena returns the job arena, checking it out on first use.
+func (s *Sets) arena() *exec.Arena {
+	if s.ar == nil {
+		s.ar = exec.CheckoutArena(s.ctx)
+	}
+	return s.ar
+}
+
+// scratchPool returns the fan-out scratch of a miner over s: its first
+// worker carves from s's arena, beside the class indexes.
+func (s *Sets) scratchPool(ctx context.Context) scratchPool {
+	return scratchPool{ctx: ctx, scs: []*prodScratch{{ar: s.arena()}}}
+}
+
+// Columns returns the instance the kernel groups.
+func (s *Sets) Columns() relation.Columns { return s.c }
 
 // singlePartitionColumns builds Π_{A} from the value index: the index
 // lists values in ascending id order with ascending tuple runs, which
@@ -56,17 +88,17 @@ func singlePartitionColumns(c relation.Columns, a int) (*partition, error) {
 
 // load loads the attributes not loaded yet and starts a question: the
 // partitions of the previous one are dropped.
-func (k *groupBy) load(attrs []int) error {
-	k.sc.ar.Reset()
+func (s *Sets) load(attrs []int) error {
+	s.sc.ar.Reset()
 	for _, a := range attrs {
-		if k.idx[a] != nil {
+		if s.idx[a] != nil {
 			continue
 		}
-		p, err := singlePartitionColumns(k.c, a)
+		p, err := singlePartitionColumns(s.c, a)
 		if err != nil {
 			return err
 		}
-		k.singles[a], k.idx[a] = p, classIndex(k.ar, p, k.n)
+		s.singles[a], s.idx[a] = p, classIndex(s.arena(), p, s.n)
 	}
 	return nil
 }
@@ -74,98 +106,140 @@ func (k *groupBy) load(attrs []int) error {
 // partition returns Π_X for loaded attributes: the smallest of their
 // level-1 partitions refined by the others, Π_∅ for none. Tuples ascend
 // within every class, as they do in the level-1 partitions.
-func (k *groupBy) partition(attrs []int) *partition {
+func (s *Sets) partition(attrs []int) *partition {
 	if len(attrs) == 0 {
-		return emptyPartition(k.n)
+		return emptyPartition(s.n)
 	}
 	first := 0
 	for i, a := range attrs {
-		if k.singles[a].size() < k.singles[attrs[first]].size() {
+		if s.singles[a].size() < s.singles[attrs[first]].size() {
 			first = i
 		}
 	}
-	return k.refineBy(k.singles[attrs[first]], slices.Delete(slices.Clone(attrs), first, first+1))
+	return s.refineBy(s.singles[attrs[first]], slices.Delete(slices.Clone(attrs), first, first+1))
 }
 
 // refineBy returns Π_{X∪Y} from Π_X and the loaded attributes of Y.
-func (k *groupBy) refineBy(px *partition, attrs []int) *partition {
+func (s *Sets) refineBy(px *partition, attrs []int) *partition {
 	for _, a := range attrs {
 		if px.superkey() {
 			break // nothing left to split
 		}
-		px = refine(px, k.idx[a], k.sc)
+		px = refine(px, s.idx[a], s.sc)
 	}
 	return px
 }
 
-// GroupBy groups the tuples of c by their projection on attrs: first[i]
-// is the first tuple carrying the i-th distinct projected row and
-// count[i] its multiplicity, in ascending first-tuple order (the order
-// of first appearance).
-func GroupBy(c relation.Columns, attrs []int) (first, count []int, err error) {
-	k := newGroupBy(c, exec.NewArena())
-	if err := k.load(attrs); err != nil {
-		return nil, nil, err
+// question loads attrs and returns Π_X.
+func (s *Sets) question(attrs []int) (*partition, error) {
+	if err := s.load(attrs); err != nil {
+		return nil, err
 	}
-	p := k.partition(attrs)
-	for t, ci := range classIndex(k.sc.ar, p, k.n) {
+	return s.partition(attrs), nil
+}
+
+// GroupOf numbers the distinct rows of the projection on attrs in order
+// of first appearance: of[t] is tuple t's group and k the number of
+// groups. Over every attribute it is Π_R, the classes of identical
+// tuples.
+func (s *Sets) GroupOf(attrs []int) (of []int, k int, err error) {
+	p, err := s.question(attrs)
+	if err != nil {
+		return nil, 0, err
+	}
+	of = make([]int, s.n)
+	group := make([]int, p.numClasses()) // class → its group, set at its first tuple
+	for t, ci := range classIndex(s.sc.ar, p, s.n) {
 		switch {
 		case ci < 0:
-			first, count = append(first, t), append(count, 1)
+			of[t], k = k, k+1
 		case p.class(int(ci))[0] == int32(t):
-			first, count = append(first, t), append(count, len(p.class(int(ci))))
+			group[ci], k = k, k+1
+			fallthrough
+		default:
+			of[t] = group[ci]
 		}
+	}
+	return of, k, nil
+}
+
+// GroupBy groups the tuples by their projection on attrs: first[i] is
+// the first tuple carrying the i-th distinct projected row and count[i]
+// its multiplicity, in ascending first-tuple order (the order of first
+// appearance).
+func (s *Sets) GroupBy(attrs []int) (first, count []int, err error) {
+	of, k, err := s.GroupOf(attrs)
+	if err != nil {
+		return nil, nil, err
+	}
+	first, count = make([]int, k), make([]int, k)
+	for t, g := range of {
+		if count[g] == 0 {
+			first[g] = t
+		}
+		count[g]++
 	}
 	return first, count, nil
 }
 
-// HoldsColumns reports whether X → Y holds, i.e. whether refining Π_X by
-// Y splits no class: e(Π_X) = e(Π_{X∪Y}).
-func HoldsColumns(c relation.Columns, f FD) (bool, error) {
-	return newGroupBy(c, exec.NewArena()).holds(f)
+// ClassSizes returns the multiplicities of the projected rows on attrs
+// without walking the tuples: the sizes of Π_X's classes, in class
+// order, and the number of rows that occur once (Π_X's singletons).
+func (s *Sets) ClassSizes(attrs []int) (sizes []int, singletons int, err error) {
+	p, err := s.question(attrs)
+	if err != nil {
+		return nil, 0, err
+	}
+	sizes = make([]int, p.numClasses())
+	for ci := range sizes {
+		sizes[ci] = int(p.offs[ci+1] - p.offs[ci])
+	}
+	return sizes, s.n - p.size(), nil
 }
 
-func (k *groupBy) holds(f FD) (bool, error) {
-	if err := k.load(f.Attrs().Attrs()); err != nil {
+// Holds reports whether X → Y holds, i.e. whether refining Π_X by Y
+// splits no class: e(Π_X) = e(Π_{X∪Y}).
+func (s *Sets) Holds(f FD) (bool, error) {
+	if err := s.load(f.Attrs().Attrs()); err != nil {
 		return false, err
 	}
-	px := k.partition(f.LHS.Attrs())
-	return k.refineBy(px, f.RHS.Minus(f.LHS).Attrs()).errVal() == px.errVal(), nil
+	px := s.partition(f.LHS.Attrs())
+	return s.refineBy(px, f.RHS.Minus(f.LHS).Attrs()).errVal() == px.errVal(), nil
 }
 
-// G3Columns returns the g3 approximation error of X → Y: the minimum
-// fraction of tuples that must be removed for the dependency to hold
-// (Huhtala et al.); zero means the FD holds exactly. It is g3Refine over
-// Π_X and the class index of Π_Y, so a multi-attribute Y counts its
-// value combinations.
-func G3Columns(c relation.Columns, f FD) (float64, error) {
-	k := newGroupBy(c, exec.NewArena())
-	if k.n == 0 {
+// G3 returns the g3 approximation error of X → Y: the minimum fraction
+// of tuples that must be removed for the dependency to hold (Huhtala et
+// al.); zero means the FD holds exactly. It is g3Refine over Π_X and the
+// class index of Π_Y, so a multi-attribute Y counts its value
+// combinations.
+func (s *Sets) G3(f FD) (float64, error) {
+	if s.n == 0 {
 		return 0, nil
 	}
-	if err := k.load(f.Attrs().Attrs()); err != nil {
+	if err := s.load(f.Attrs().Attrs()); err != nil {
 		return 0, err
 	}
-	py := k.partition(f.RHS.Attrs())
-	return g3Refine(k.partition(f.LHS.Attrs()), classIndex(k.sc.ar, py, k.n), k.sc), nil
+	py := s.partition(f.RHS.Attrs())
+	return g3Refine(s.partition(f.LHS.Attrs()), classIndex(s.sc.ar, py, s.n), s.sc), nil
 }
 
-// mvdHolds reports whether X ↠ Y holds with Z = R − X − Y: every class c
-// of Π_X must hold (distinct XY rows) × (distinct XZ rows) distinct rows.
-// A refinement P of Π_X splits c into |c| − Σ (|k| − 1) distinct rows,
-// the sum over the classes k of P inside c.
-func (k *groupBy) mvdHolds(v MVD) (bool, error) {
+// MVDHolds reports whether X ↠ Y holds with Z = R − X − Y: within every
+// X-group, the projections on Y and on Z are independent, i.e. every
+// class c of Π_X holds (distinct XY rows) × (distinct XZ rows) distinct
+// rows. A refinement P of Π_X splits c into |c| − Σ (|k| − 1) distinct
+// rows, the sum over the classes k of P inside c.
+func (s *Sets) MVDHolds(v MVD) (bool, error) {
 	x := v.LHS
 	y := v.RHS.Minus(x)
-	z := FullSet(k.c.M()).Minus(x).Minus(y)
+	z := FullSet(s.c.M()).Minus(x).Minus(y)
 	if y.Empty() || z.Empty() {
 		return true, nil // trivial MVD
 	}
-	if err := k.load(relation.AllAttrs(k.c)); err != nil {
+	if err := s.load(relation.AllAttrs(s.c)); err != nil {
 		return false, err
 	}
-	px := k.partition(x.Attrs())
-	in := classIndex(k.sc.ar, px, k.n)
+	px := s.partition(x.Attrs())
+	in := classIndex(s.sc.ar, px, s.n)
 	distinct := func(p *partition) []int { // per class of Π_X
 		d := make([]int, px.numClasses())
 		for ci := range d {
@@ -176,8 +250,8 @@ func (k *groupBy) mvdHolds(v MVD) (bool, error) {
 		}
 		return d
 	}
-	pxy := k.refineBy(px, y.Attrs())
-	xy, xz, r := distinct(pxy), distinct(k.refineBy(px, z.Attrs())), distinct(k.refineBy(pxy, z.Attrs()))
+	pxy := s.refineBy(px, y.Attrs())
+	xy, xz, r := distinct(pxy), distinct(s.refineBy(px, z.Attrs())), distinct(s.refineBy(pxy, z.Attrs()))
 	for ci := range r {
 		if r[ci] != xy[ci]*xz[ci] {
 			return false, nil

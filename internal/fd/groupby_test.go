@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"slices"
 	"strconv"
@@ -13,9 +14,14 @@ import (
 	"structmine/internal/colstore"
 	"structmine/internal/datagen"
 	"structmine/internal/exec"
+	"structmine/internal/it"
+	"structmine/internal/limbo"
 	"structmine/internal/relation"
 	"structmine/internal/store"
 )
+
+// setsOf is a standalone kernel over a resident relation.
+func setsOf(r *relation.Relation) *Sets { return NewSets(context.Background(), relation.AsColumns(r)) }
 
 // rendered is an instance's rows as quoted value strings, read back
 // through Columns: the recount below shares no code with the
@@ -132,6 +138,7 @@ func checkGroupBy(t *testing.T, where string, c relation.Columns, sets [][]int) 
 	t.Helper()
 	rs := renderRows(t, c)
 	n, m := c.N(), c.M()
+	s := NewSets(context.Background(), c) // one kernel answers every question, as in a job
 	ys := [][]int{relation.AllAttrs(c)}
 	for a := 0; a < m; a++ {
 		ys = append(ys, []int{a})
@@ -142,7 +149,7 @@ func checkGroupBy(t *testing.T, where string, c relation.Columns, sets [][]int) 
 	}
 	for _, x := range sets {
 		xRows := rs.rows(x)
-		first, count, err := GroupBy(c, x)
+		first, count, err := s.GroupBy(x)
 		if err != nil {
 			t.Fatalf("%s %v: %v", where, x, err)
 		}
@@ -160,11 +167,11 @@ func checkGroupBy(t *testing.T, where string, c relation.Columns, sets [][]int) 
 		lhs := NewAttrSet(x...)
 		for i, y := range ys {
 			f := FD{LHS: lhs, RHS: NewAttrSet(y...)}
-			holds, err := HoldsColumns(c, f)
+			holds, err := s.Holds(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			g3, err := G3Columns(c, f)
+			g3, err := s.G3(f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +182,7 @@ func checkGroupBy(t *testing.T, where string, c relation.Columns, sets [][]int) 
 		for a := 0; a < m; a++ {
 			for _, y := range []AttrSet{NewAttrSet(a), NewAttrSet(a, (a+1)%m)} {
 				v := MVD{LHS: lhs, RHS: y}
-				got, err := MVDHolds(c, v)
+				got, err := s.MVDHolds(v)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,6 +191,35 @@ func checkGroupBy(t *testing.T, where string, c relation.Columns, sets [][]int) 
 					t.Fatalf("%s %s: MVDHolds %v, recount %v", where, v.Format(c.AttrNames()), got, want)
 				}
 			}
+		}
+	}
+}
+
+// checkRowGroups holds Π_R's groups (Sets.GroupOf over every attribute)
+// to LIMBO's Phase 1 at τ = 0 over the tuple objects — p(t) = 1/n and
+// p(V|t) uniform over t's values, as tuples.Objects builds them: the same
+// group for every tuple, and the same number of groups.
+func checkRowGroups(t *testing.T, ctx context.Context, where string, c relation.Columns) {
+	t.Helper()
+	n := c.N()
+	objs := make([]limbo.Obj, 0, n)
+	if err := relation.ForEachRow(c, relation.AllAttrs(c), func(i int, row []int32) bool {
+		objs = append(objs, limbo.Obj{ID: int32(i), W: 1 / float64(n), Cond: it.Uniform(row)})
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	leaves, leafOf := limbo.Phase1Ctx(ctx, objs, 0, 4)
+	of, k, err := NewSets(ctx, c).GroupOf(relation.AllAttrs(c))
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	if k != len(leaves) || len(of) != n {
+		t.Fatalf("%s: %d groups of %d tuples; Phase 1 has %d leaves of %d", where, k, len(of), len(leaves), n)
+	}
+	for i, l := range leafOf {
+		if of[i] != int(l) {
+			t.Fatalf("%s: tuple %d in group %d, Phase 1 says %d", where, i, of[i], l)
 		}
 	}
 }
@@ -204,6 +240,41 @@ func attrSetsOf(m int) [][]int {
 		sets = append(sets, []int{a}, []int{a, (a + 1) % m})
 	}
 	return sets
+}
+
+// TestRowGroupsMatchPhase1 is the oracle of exact tuple grouping: on DB2,
+// DBLP 3 000 × 13, the 5 200 × 7 projection and the FuzzGroupBy seeds,
+// over the resident adapter and a 32-row-page colstore table, at 1 and
+// 4 workers, Π_R's group ids are LIMBO's Phase 1 at τ = 0 over the
+// tuple objects (checkRowGroups).
+func TestRowGroupsMatchPhase1(t *testing.T) {
+	db2, err := datagen.NewDB2Sample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []cornerCase{
+		{"db2", db2.Joined},
+		{"dblp-3000x13", datagen.NewDBLP(datagen.DBLPConfig{Tuples: 3000, Seed: 2})},
+		{"dblp-5200x7", dblp(5200, 1).Project(datagen.ProjectionAttrs())},
+	}
+	seeds, err := os.ReadDir("testdata/fuzz/FuzzGroupBy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range seeds {
+		inputs = append(inputs, cornerCase{"seed/" + e.Name(), groupByRelation(seedBytes(t, "FuzzGroupBy", e.Name()))})
+	}
+	for _, in := range inputs {
+		for _, src := range []struct {
+			name string
+			c    relation.Columns
+		}{{"resident", relation.AsColumns(in.r)}, {"colstore", pagedTable(t, in.r, 32)}} {
+			for _, workers := range []int{1, 4} {
+				ctx := exec.WithWorkers(context.Background(), workers)
+				checkRowGroups(t, ctx, fmt.Sprintf("%s/%s/workers=%d", in.name, src.name, workers), src.c)
+			}
+		}
+	}
 }
 
 func pagedTable(t *testing.T, r *relation.Relation, pageRows int) relation.Columns {
@@ -232,7 +303,8 @@ func pagedTable(t *testing.T, r *relation.Relation, pageRows int) relation.Colum
 // minimal, by the recount, at both budgets alike.
 func TestGroupByRecount(t *testing.T) {
 	r4 := fig4(t)
-	_, count, err := GroupBy(relation.AsColumns(r4), []int{1})
+	s4 := setsOf(r4)
+	_, count, err := s4.GroupBy([]int{1})
 	if err != nil || !reflect.DeepEqual(count, []int{2, 3}) { // B: 1 twice, then 2 three times
 		t.Fatalf("Figure 4 counts on B: %v (%v)", count, err)
 	}
@@ -240,7 +312,7 @@ func TestGroupByRecount(t *testing.T) {
 		attrs    []int
 		distinct int
 	}{{[]int{1, 2}, 3}, {[]int{0}, 4}, {[]int{0, 1, 2}, 5}} {
-		if first, _, _ := GroupBy(relation.AsColumns(r4), tc.attrs); len(first) != tc.distinct {
+		if first, _, _ := s4.GroupBy(tc.attrs); len(first) != tc.distinct {
 			t.Fatalf("Figure 4: %d distinct rows on %v, want %d", len(first), tc.attrs, tc.distinct)
 		}
 	}
@@ -269,7 +341,7 @@ func TestGroupByRecount(t *testing.T) {
 			var mvds []MVD
 			for _, workers := range []int{1, 4} {
 				ctx := exec.WithWorkers(context.Background(), workers)
-				got, err := TANEColumnsCtx(ctx, src.c)
+				got, err := TANEColumnsCtx(ctx, NewSets(ctx, src.c))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -291,7 +363,7 @@ func TestGroupByRecount(t *testing.T) {
 				if in.r.N() > 200 || in.r.M() > 16 {
 					continue // MVD mining is exponential in m and scans per candidate
 				}
-				gotMVDs, err := MineMVDsCtx(ctx, src.c, 0, true)
+				gotMVDs, err := MineMVDsCtx(ctx, NewSets(ctx, src.c), 0, true)
 				if err != nil {
 					t.Fatal(err)
 				}

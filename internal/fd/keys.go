@@ -3,11 +3,9 @@ package fd
 import (
 	"fmt"
 	"sort"
-
-	"structmine/internal/relation"
 )
 
-// KeysColumns returns all minimal candidate keys of the instance: the minimal
+// Keys returns all minimal candidate keys of the instance: the minimal
 // attribute sets whose values are unique across tuples. A set X is a
 // superkey iff no pair of distinct rows agrees on all of X, i.e. X hits
 // the complement of every maximal agree set — so the minimal keys are
@@ -17,8 +15,8 @@ import (
 // Like FDEP, the computation is quadratic in the number of distinct
 // rows; it is intended for the interactive report over moderate
 // instances.
-func KeysColumns(c relation.Columns) ([]AttrSet, error) {
-	n, m := c.N(), c.M()
+func (s *Sets) Keys() ([]AttrSet, error) {
+	n, m := s.c.N(), s.c.M()
 	if m > MaxAttrs {
 		return nil, fmt.Errorf("fd: relation has %d attributes, max %d", m, MaxAttrs)
 	}
@@ -28,7 +26,7 @@ func KeysColumns(c relation.Columns) ([]AttrSet, error) {
 	if n <= 1 {
 		return []AttrSet{0}, nil // the empty set identifies ≤1 tuple
 	}
-	rows, err := distinctRows(c)
+	rows, err := s.distinctRows()
 	if err != nil {
 		return nil, err
 	}

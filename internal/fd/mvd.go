@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"structmine/internal/exec"
 	"structmine/internal/relation"
 )
 
@@ -23,14 +22,6 @@ func (v MVD) Format(names []string) string {
 	return v.LHS.Format(names) + "->->" + v.RHS.Format(names)
 }
 
-// MVDHolds reports whether X →→ Y holds: within every X-group, the
-// projections on Y and on Z = R−X−Y are independent, i.e. the group is
-// exactly the cross product of its Y-side and Z-side value combinations.
-// It is counted from partitions (groupBy.mvdHolds).
-func MVDHolds(c relation.Columns, v MVD) (bool, error) {
-	return newGroupBy(c, exec.NewArena()).mvdHolds(v)
-}
-
 // MineMVDs enumerates the non-trivial multivalued dependencies X →→ Y
 // holding in the instance with |X| ≤ maxLHS, keeping for each X only the
 // ⊆-minimal right-hand sides (the dependency basis elements found by the
@@ -41,13 +32,17 @@ func MVDHolds(c relation.Columns, v MVD) (bool, error) {
 // maxLHS bound (default 2) and the m ≤ 16 guard keep it interactive.
 // FDs imply MVDs (X → Y ⟹ X →→ Y); pass skipFDImplied to suppress those.
 func MineMVDs(c relation.Columns, maxLHS int, skipFDImplied bool) ([]MVD, error) {
-	return MineMVDsCtx(context.Background(), c, maxLHS, skipFDImplied)
+	ctx := context.Background()
+	return MineMVDsCtx(ctx, NewSets(ctx, c), maxLHS, skipFDImplied)
 }
 
-// MineMVDsCtx is MineMVDs under the context's worker budget (used by the
-// FD-pruning TANE pass) and cancellation, which it checks before every
-// candidate's check.
-func MineMVDsCtx(ctx context.Context, c relation.Columns, maxLHS int, skipFDImplied bool) ([]MVD, error) {
+// MineMVDsCtx is MineMVDs over the job's kernel, under the context's
+// worker budget (used by the FD-pruning TANE pass) and cancellation,
+// which it checks before every candidate's check. Every candidate is
+// checked on s (Sets.MVDHolds), whose level-1 partitions the TANE pass
+// shares.
+func MineMVDsCtx(ctx context.Context, s *Sets, maxLHS int, skipFDImplied bool) ([]MVD, error) {
+	c := s.Columns()
 	m := c.M()
 	if m > 16 {
 		return nil, fmt.Errorf("fd: MVD mining limited to 16 attributes, got %d", m)
@@ -64,14 +59,13 @@ func MineMVDsCtx(ctx context.Context, c relation.Columns, maxLHS int, skipFDImpl
 	var fds []FD
 	if skipFDImplied {
 		var err error
-		fds, err = TANEColumnsCtx(ctx, c)
+		fds, err = TANEColumnsCtx(ctx, s)
 		if err != nil {
 			return nil, err
 		}
 	}
 
 	full := FullSet(m)
-	sets := newGroupBy(c, exec.NewArena()) // the level-1 partitions, loaded once for every candidate
 	var out []MVD
 	var lhsSets []AttrSet
 	for x := AttrSet(0); x <= full; x++ {
@@ -116,7 +110,7 @@ func MineMVDsCtx(ctx context.Context, c relation.Columns, maxLHS int, skipFDImpl
 				return nil, fmt.Errorf("fd: MVD mining canceled: %w", err)
 			}
 			v := MVD{LHS: x, RHS: y}
-			if ok, err := sets.mvdHolds(v); err != nil {
+			if ok, err := s.MVDHolds(v); err != nil {
 				return nil, err
 			} else if !ok {
 				continue

@@ -27,7 +27,7 @@ func crossProductRelation(t *testing.T) *relation.Relation {
 
 func mvdHolds(t testing.TB, r *relation.Relation, v MVD) bool {
 	t.Helper()
-	ok, err := MVDHolds(relation.AsColumns(r), v)
+	ok, err := setsOf(r).MVDHolds(v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,25 +24,25 @@ func dblp(tuples int, seed int64) *relation.Relation {
 func TestFanoutSurvivesRebalance(t *testing.T) {
 	c := relation.AsColumns(dblp(3000, 1))
 	quiet := exec.WithWorkers(context.Background(), 1)
-	wantFDs, err := TANEColumnsCtx(quiet, c)
+	wantFDs, err := TANEColumnsCtx(quiet, NewSets(quiet, c))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantApprox, err := MineApproxColumns(quiet, c, 0.05, 3)
+	wantApprox, err := MineApproxColumns(quiet, NewSets(quiet, c), 0.05, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx := exectest.RebalancingContext(t)
 	for i := 0; i < 3; i++ {
-		fds, err := TANEColumnsCtx(ctx, c)
+		fds, err := TANEColumnsCtx(ctx, NewSets(ctx, c))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(fds, wantFDs) {
 			t.Fatalf("run %d: TANE under rebalance returned %d FDs, unrebalanced %d", i, len(fds), len(wantFDs))
 		}
-		approx, err := MineApproxColumns(ctx, c, 0.05, 3)
+		approx, err := MineApproxColumns(ctx, NewSets(ctx, c), 0.05, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,17 +37,18 @@ func TANE(r *relation.Relation) ([]FD, error) {
 // exec.WithWorkers budget), and the class index and partition storage
 // are carved from pooled arenas checked out through the grant.
 func TANECtx(ctx context.Context, r *relation.Relation) ([]FD, error) {
-	return TANEColumnsCtx(ctx, relation.AsColumns(r))
+	return DiscoverColumns(ctx, relation.AsColumns(r))
 }
 
 // TANEColumnsCtx mines the minimal FDs over the column interface, under
-// the context's worker budget and arena pool: level-1 partitions come
-// straight from the value index and satisfaction checks stream page
-// stripes, so the full row set is never resident. A resident relation
-// mines through the same code behind relation.AsColumns — identical
-// level-1 partitions feed the identical lattice walk.
-func TANEColumnsCtx(ctx context.Context, c relation.Columns) ([]FD, error) {
-	return (&tane{c: c}).mine(ctx)
+// the context's worker budget and arena pool: level-1 partitions are the
+// job's kernel's (Sets, loaded from the value index unless s already
+// holds them) and satisfaction checks ask s, so the full row set is
+// never resident. A resident relation mines through the same code behind
+// relation.AsColumns — identical level-1 partitions feed the identical
+// lattice walk.
+func TANEColumnsCtx(ctx context.Context, s *Sets) ([]FD, error) {
+	return (&tane{c: s.Columns(), sets: s}).mine(ctx)
 }
 
 // DiscoverColumns mines all minimal, non-trivial FDs over the paged
@@ -56,7 +57,7 @@ func TANEColumnsCtx(ctx context.Context, c relation.Columns) ([]FD, error) {
 // two miners return identical FD sets, and the canonical SortFDs order
 // makes the choice unobservable.
 func DiscoverColumns(ctx context.Context, c relation.Columns) ([]FD, error) {
-	return TANEColumnsCtx(ctx, c)
+	return TANEColumnsCtx(ctx, NewSets(ctx, c))
 }
 
 // mine validates the instance shape and runs the level-wise walk.
@@ -68,7 +69,10 @@ func (t *tane) mine(ctx context.Context) ([]FD, error) {
 	if n == 0 || m == 0 {
 		return nil, nil
 	}
-	t.ctx, t.m, t.n = ctx, m, n
+	t.scratchPool, t.m, t.n = scratchPool{ctx: ctx}, m, n
+	if t.sets != nil {
+		t.scratchPool = t.sets.scratchPool(ctx)
+	}
 	t.full = FullSet(m)
 	t.byRHS = make([][]AttrSet, m)
 	t.cache = map[cplusKey]bool{}
@@ -161,6 +165,11 @@ type prodScratch struct {
 	// them, releasing their slabs wholesale (pooled arenas return to the
 	// engine pool with the grant instead).
 	ar *exec.Arena
+
+	// The slice headers above are rewritten on every append; the pad keeps
+	// two workers' scratches, which may be allocated side by side, off
+	// one cache line.
+	_ [64]byte
 }
 
 // classSlot is the per-index-class state of one Π_X class walk.
@@ -299,12 +308,12 @@ type tane struct {
 	// right-hand side a — what generate consults to share partitions.
 	byRHS [][]AttrSet
 
-	// c is the instance. sets holds its level-1 partitions (from the
-	// value index) and the per-attribute class index every refinement
-	// reads; the key-pruning fallback checks satisfaction on them
-	// (groupBy.holds). sets is nil in a reference run.
+	// c is the instance. sets is the job's kernel over it: its level-1
+	// partitions (from the value index) and the per-attribute class index
+	// every refinement reads; the key-pruning fallback asks it whether a
+	// dependency holds (Sets.Holds). sets is nil in a reference run.
 	c    relation.Columns
-	sets *groupBy
+	sets *Sets
 	// serial, set only by TANESerial, is the resident relation of a
 	// reference run: every node's partition is a productSerial of its two
 	// prefix-join parents (no class index, no sharing), and level-1
@@ -330,7 +339,7 @@ func (t *tane) holds(f FD) (bool, error) {
 	if t.serial != nil {
 		return Holds(t.serial, f), nil
 	}
-	return t.sets.holds(f)
+	return t.sets.Holds(f)
 }
 
 // emit records the minimal dependency lhs → a.
@@ -396,7 +405,6 @@ func (t *tane) run() {
 	}
 	// Level 1.
 	if t.serial == nil {
-		t.sets = newGroupBy(t.c, t.grow(1)[0].ar)
 		if t.err = t.sets.load(relation.AllAttrs(t.c)); t.err != nil {
 			return
 		}

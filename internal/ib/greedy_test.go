@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"structmine/internal/datagen"
+	"structmine/internal/fd"
 	"structmine/internal/ib"
 	"structmine/internal/relation"
 	"structmine/internal/task"
@@ -30,7 +31,7 @@ func TestAIBIsGreedyOnEquation3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := task.GroupAttributes(ctx, relation.AsColumns(db2.Joined), 0, 0, 4, false)
+	g, _, err := task.GroupAttributes(ctx, fd.NewSets(ctx, relation.AsColumns(db2.Joined)), 0, 0, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@
 package measures
 
 import (
+	"context"
 	"math"
 	"slices"
 
@@ -28,23 +29,33 @@ type Measures struct {
 	RTR  float64
 }
 
-// Of measures the attribute set attrs of c from one group-by (fd.GroupBy):
-// the multiplicities of the projected rows give H(Π_CA(T)) for RAD and
-// RADw, and their number is n' for RTR. The entropy sums the counts in
-// descending order, a canonical one, so the measures are bit-identical
-// across Columns implementations. A relation of at most one tuple, an
-// empty set and a relation without attributes measure 0.
+// Of measures the attribute set attrs of c on a kernel of its own
+// (OfSets).
 func Of(c relation.Columns, attrs []int) (Measures, error) {
-	n, m := c.N(), c.M()
+	return OfSets(fd.NewSets(context.Background(), c), attrs)
+}
+
+// OfSets measures the attribute set attrs on the job's kernel over the
+// instance: the multiplicities of the projected rows — Π_CA's class
+// sizes and its singletons — give H(Π_CA(T)) for RAD and RADw, and their
+// number is n' for RTR. The entropy sums the counts in descending order,
+// a canonical one, so the measures are bit-identical across Columns
+// implementations. A relation of at most one tuple, an empty set and a
+// relation without attributes measure 0.
+func OfSets(s *fd.Sets, attrs []int) (Measures, error) {
+	n, m := s.Columns().N(), s.Columns().M()
 	if n <= 1 || len(attrs) == 0 || m == 0 {
 		return Measures{}, nil
 	}
-	_, counts, err := fd.GroupBy(c, attrs)
+	counts, singletons, err := s.ClassSizes(attrs)
 	if err != nil {
 		return Measures{}, err
 	}
 	slices.Sort(counts)
 	slices.Reverse(counts)
+	for range singletons {
+		counts = append(counts, 1)
+	}
 	h, logN := it.EntropyCounts(counts), math.Log2(float64(n))
 	return Measures{
 		RAD:  1 - h/logN,

@@ -1,6 +1,7 @@
 package relation_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -13,7 +14,7 @@ import (
 
 // The projection counts of a relation — the multiplicity of each
 // distinct projected row, and so the distinct-row count n' of RTR — come
-// from fd.GroupBy, the one kernel over attribute sets. These tests hold
+// from the group-by of fd.Sets, the one kernel over attribute sets. These tests hold
 // it to the relation package's contract for projections.
 
 func TestProjectionCounts(t *testing.T) {
@@ -24,7 +25,7 @@ func TestProjectionCounts(t *testing.T) {
 	b.MustAdd("y", "2", "x")
 	b.MustAdd("z", "2", "x")
 	c := relation.AsColumns(b.Relation())
-	first, count, err := fd.GroupBy(c, []int{1}) // B: 1 appears 2x, then 2 appears 3x
+	first, count, err := fd.NewSets(context.Background(), c).GroupBy([]int{1}) // B: 1 appears 2x, then 2 appears 3x
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,8 @@ func TestPropProjectionInvariants(t *testing.T) {
 			}
 		}
 		rel := b.Relation()
-		first, count, err := fd.GroupBy(relation.AsColumns(rel), relation.AllAttrs(relation.AsColumns(rel)))
+		c := relation.AsColumns(rel)
+		first, count, err := fd.NewSets(context.Background(), c).GroupBy(relation.AllAttrs(c))
 		if err != nil || len(first) != len(count) || len(first) > rel.N() {
 			return false
 		}

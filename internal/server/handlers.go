@@ -2,8 +2,6 @@ package server
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -145,11 +143,11 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 		csv, regName = body, r.URL.Query().Get("name")
 	}
 	if csv != nil {
-		hash := sha256.Sum256(csv)
-		if s.routeDataset(w, r, hex.EncodeToString(hash[:]), body) {
+		hash := contentHash(csv)
+		if s.routeDataset(w, r, hash, body) {
 			return
 		}
-		ds, created, err = s.reg.RegisterCSV(regName, "upload", csv)
+		ds, created, err = s.reg.registerCSV(regName, "upload", csv, hash)
 	} else {
 		resolved, perr := s.resolveDataPath(regPath)
 		if perr != nil {

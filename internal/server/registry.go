@@ -212,8 +212,18 @@ func (g *Registry) admit(hash string) (*Dataset, error) {
 // parse is the dataset; with one the parse is written to the dataset's
 // colstore file, which is opened and served from then on.
 func (g *Registry) RegisterCSV(name, source string, data []byte) (ds *Dataset, created bool, err error) {
+	return g.registerCSV(name, source, data, contentHash(data))
+}
+
+// contentHash is a dataset's hash: the hex SHA-256 of its CSV bytes.
+func contentHash(data []byte) string {
 	sum := sha256.Sum256(data)
-	hash := hex.EncodeToString(sum[:])
+	return hex.EncodeToString(sum[:])
+}
+
+// registerCSV is RegisterCSV for bytes whose contentHash the caller has
+// already computed (the upload handler routes on it first).
+func (g *Registry) registerCSV(name, source string, data []byte, hash string) (ds *Dataset, created bool, err error) {
 	size := int64(len(data))
 
 	// Answer a re-registration, and refuse at the cap, before paying for

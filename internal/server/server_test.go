@@ -722,7 +722,8 @@ func writeFile(path, content string) error {
 // TestReadBodyAllocatesTheBodyOnce: with its Content-Length declared, a
 // 2.5 MB upload costs readBody less than 1.5× the body in allocations —
 // reading into a buffer grown by doubling costs several times the body —
-// and a body over the limit is still a 413.
+// and a body over the limit is still a 413. The allocation bound is
+// checked in a plain build only (raceEnabled).
 func TestReadBodyAllocatesTheBodyOnce(t *testing.T) {
 	body := bytes.Repeat([]byte("a,b\n"), 2500*1000/4)
 	least := uint64(math.MaxUint64)
@@ -737,7 +738,7 @@ func TestReadBodyAllocatesTheBodyOnce(t *testing.T) {
 		}
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	if bound := uint64(len(body)) * 3 / 2; least >= bound {
+	if bound := uint64(len(body)) * 3 / 2; !raceEnabled && least >= bound {
 		t.Fatalf("readBody allocated %d bytes for a %d-byte body, want < %d", least, len(body), bound)
 	}
 	w := httptest.NewRecorder()

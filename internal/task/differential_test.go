@@ -210,7 +210,7 @@ func TestDifferentialFDs(t *testing.T) {
 						}
 						ctx := WithIntermediates(exec.WithWorkers(context.Background(), workers), im)
 						before := fallbackCounts()
-						got, err := minedFDs(ctx, tier.c)
+						got, err := minedFDs(ctx, fd.NewSets(ctx, tier.c))
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -7,7 +7,6 @@ import (
 
 	"structmine/internal/fd"
 	"structmine/internal/measures"
-	"structmine/internal/relation"
 	"structmine/internal/tuples"
 )
 
@@ -52,10 +51,11 @@ type ReportResult struct {
 // ranked minimum cover with RAD, RADw, RTR and g3 per dependency, and
 // the duplicate value groups and dendrogram of the grouping it ranks
 // against.
-func runReport(ctx context.Context, c relation.Columns, p Params) (*ReportResult, error) {
+func runReport(ctx context.Context, s *fd.Sets, p Params) (*ReportResult, error) {
 	if err := step(ctx, "describe"); err != nil {
 		return nil, err
 	}
+	c := s.Columns()
 	desc, err := DescribeColumns(c)
 	if err != nil {
 		return nil, err
@@ -70,7 +70,7 @@ func runReport(ctx context.Context, c relation.Columns, p Params) (*ReportResult
 	}
 	res.TupleInfoBits = desc.TupleInfoBits
 	for a, prof := range desc.Attrs {
-		ms, err := measures.Of(c, []int{a})
+		ms, err := measures.OfSets(s, []int{a})
 		if err != nil {
 			return nil, err
 		}
@@ -81,7 +81,7 @@ func runReport(ctx context.Context, c relation.Columns, p Params) (*ReportResult
 	if err := step(ctx, "tuple clustering"); err != nil {
 		return nil, err
 	}
-	dup, err := tuples.FindDuplicatesColumns(ctx, c, fv(p.PhiT), defaultB)
+	dup, err := tuples.FindDuplicatesColumns(ctx, s, fv(p.PhiT), defaultB)
 	if err != nil {
 		return nil, err
 	}
@@ -95,13 +95,13 @@ func runReport(ctx context.Context, c relation.Columns, p Params) (*ReportResult
 		return nil, err
 	}
 	names := c.AttrNames()
-	if keys, err := fd.KeysColumns(c); err == nil {
+	if keys, err := s.Keys(); err == nil {
 		for _, k := range keys {
 			res.CandidateKeys = append(res.CandidateKeys, k.Format(names))
 		}
 	}
 
-	fr, err := rankedFDs(ctx, c, fv(p.Psi))
+	fr, err := rankedFDs(ctx, s, fv(p.Psi))
 	if err != nil {
 		return nil, err
 	}
@@ -115,12 +115,12 @@ func runReport(ctx context.Context, c relation.Columns, p Params) (*ReportResult
 		}
 	}
 	for _, rf := range fr.ranked {
-		ms, err := measures.Of(c, rf.FD.Attrs().Attrs())
+		ms, err := measures.OfSets(s, rf.FD.Attrs().Attrs())
 		if err != nil {
 			return nil, err
 		}
 		row := ReportRankedFD{Label: rf.FD.Format(names), Rank: rf.Rank, RAD: ms.RAD, RADw: ms.RADw, RTR: ms.RTR}
-		if row.G3, err = fd.G3Columns(c, rf.FD); err != nil {
+		if row.G3, err = s.G3(rf.FD); err != nil {
 			return nil, err
 		}
 		res.RankedFDs = append(res.RankedFDs, row)

@@ -125,11 +125,12 @@ type DedupResult struct {
 	Pairs  []DupPair `json:"pairs,omitempty"`
 }
 
-func runDedup(ctx context.Context, c relation.Columns, p Params) (*DedupResult, error) {
+func runDedup(ctx context.Context, s *fd.Sets, p Params) (*DedupResult, error) {
 	if err := step(ctx, "tuple clustering"); err != nil {
 		return nil, err
 	}
-	rep, err := tuples.FindDuplicatesColumns(ctx, c, fv(p.PhiT), defaultB)
+	c := s.Columns()
+	rep, err := tuples.FindDuplicatesColumns(ctx, s, fv(p.PhiT), defaultB)
 	if err != nil {
 		return nil, err
 	}
@@ -231,11 +232,12 @@ type ValuesResult struct {
 	DuplicateGroups    []ValueGroup `json:"duplicate_groups"`
 }
 
-func runValues(ctx context.Context, c relation.Columns, p Params) (*ValuesResult, error) {
+func runValues(ctx context.Context, s *fd.Sets, p Params) (*ValuesResult, error) {
 	if err := step(ctx, "value clustering"); err != nil {
 		return nil, err
 	}
-	vc, err := ClusterValues(ctx, c, 0, fv(p.PhiV), defaultB, false)
+	c := s.Columns()
+	vc, err := ClusterValues(ctx, s, 0, fv(p.PhiV), defaultB, false)
 	if err != nil {
 		return nil, err
 	}
@@ -286,21 +288,25 @@ type GroupAttrsResult struct {
 	Dendrogram string `json:"dendrogram"`
 }
 
-// ClusterValues clusters the attribute values at φV with branching
-// factor b, over the tuples themselves or — with double — over the tuple
-// clusters of a φT compression pass (double clustering, for large
-// instances). It is the one composition of that step: the values and
-// group-attrs runners, FD-RANK and the facade's Miner all call it.
-func ClusterValues(ctx context.Context, c relation.Columns, phiT, phiV float64, b int, double bool) (*values.Clustering, error) {
+// ClusterValues clusters the attribute values of the instance of the
+// job's kernel s at φV with branching factor b, over the tuples
+// themselves or — with double — over the tuple clusters of a φT
+// compression pass (double clustering, for large instances; at φT = 0
+// those are Π_R's classes, read off s). It is the one composition of
+// that step: the values and group-attrs runners, FD-RANK and the
+// facade's Miner all call it.
+func ClusterValues(ctx context.Context, s *fd.Sets, phiT, phiV float64, b int, double bool) (*values.Clustering, error) {
+	c := s.Columns()
 	var objs []limbo.Obj
 	var err error
 	if !double {
 		objs, err = values.ObjectsColumnsCtx(ctx, c)
 	} else {
-		if objs, err = tuples.ObjectsColumnsCtx(ctx, c); err != nil {
+		var assign []int
+		var k int
+		if assign, k, err = tuples.CompressColumns(ctx, s, phiT, b); err != nil {
 			return nil, err
 		}
-		assign, k := tuples.Summarize(ctx, objs, phiT, b).Clusters()
 		if err = step(ctx, "value clustering over tuple clusters"); err != nil {
 			return nil, err
 		}
@@ -315,18 +321,18 @@ func ClusterValues(ctx context.Context, c relation.Columns, phiT, phiV float64, 
 // GroupAttributes clusters the values (ClusterValues) and then the
 // attributes of A^D by the duplicate value groups they share, returning
 // the grouping with the value clustering it was derived from.
-func GroupAttributes(ctx context.Context, c relation.Columns, phiT, phiV float64, b int, double bool) (*attrs.Grouping, *values.Clustering, error) {
+func GroupAttributes(ctx context.Context, s *fd.Sets, phiT, phiV float64, b int, double bool) (*attrs.Grouping, *values.Clustering, error) {
 	if err := step(ctx, "value clustering"); err != nil {
 		return nil, nil, err
 	}
-	vc, err := ClusterValues(ctx, c, phiT, phiV, b, double)
+	vc, err := ClusterValues(ctx, s, phiT, phiV, b, double)
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := step(ctx, "attribute grouping"); err != nil {
 		return nil, nil, err
 	}
-	return attrs.GroupNamesCtx(ctx, c.AttrNames(), vc), vc, nil
+	return attrs.GroupNamesCtx(ctx, s.Columns().AttrNames(), vc), vc, nil
 }
 
 // largeInstance is the tuple count above which FD-RANK's value
@@ -337,16 +343,16 @@ var largeInstance = 5000
 // RankGrouping is the attribute grouping FD-RANK ranks against:
 // GroupAttributes with double clustering exactly when the instance is
 // large.
-func RankGrouping(ctx context.Context, c relation.Columns, phiT, phiV float64, b int) (*attrs.Grouping, *values.Clustering, error) {
-	return GroupAttributes(ctx, c, phiT, phiV, b, c.N() > largeInstance)
+func RankGrouping(ctx context.Context, s *fd.Sets, phiT, phiV float64, b int) (*attrs.Grouping, *values.Clustering, error) {
+	return GroupAttributes(ctx, s, phiT, phiV, b, s.Columns().N() > largeInstance)
 }
 
-func runGroupAttrs(ctx context.Context, c relation.Columns, p Params) (*GroupAttrsResult, error) {
-	g, vc, err := GroupAttributes(ctx, c, fv(p.PhiT), fv(p.PhiV), defaultB, p.Double)
+func runGroupAttrs(ctx context.Context, s *fd.Sets, p Params) (*GroupAttrsResult, error) {
+	g, vc, err := GroupAttributes(ctx, s, fv(p.PhiT), fv(p.PhiV), defaultB, p.Double)
 	if err != nil {
 		return nil, err
 	}
-	names := c.AttrNames()
+	names := s.Columns().AttrNames()
 	res := &GroupAttrsResult{
 		NumDuplicateGroups: len(vc.DuplicateGroups()),
 		Dendrogram:         g.Dendrogram().ASCII(78),
@@ -390,13 +396,13 @@ type FDsResult struct {
 // prefix of the rows is rechecked against the rows appended since — and
 // leaves the state at this row count behind; otherwise it mines the
 // columns directly and builds no state nobody would keep.
-func minedFDs(ctx context.Context, c relation.Columns) ([]fd.FD, error) {
+func minedFDs(ctx context.Context, s *fd.Sets) ([]fd.FD, error) {
 	if err := step(ctx, "dependency mining"); err != nil {
 		return nil, err
 	}
 	im := intermediatesOf(ctx)
 	if im == nil {
-		return fd.DiscoverColumns(ctx, c)
+		return fd.TANEColumnsCtx(ctx, s)
 	}
 	var prev *fd.MineState // nil: scratch run
 	if data, ok := im.LoadIntermediate(KindFDState, Params{}); !ok {
@@ -404,7 +410,7 @@ func minedFDs(ctx context.Context, c relation.Columns) ([]fd.FD, error) {
 	} else if prev, _ = fd.DecodeState(data); prev == nil {
 		obs.DeltaFallbacks.With(obs.FallbackCorruptState).Inc()
 	}
-	fds, next, delta, err := fd.DiscoverDeltaColumns(ctx, c, prev)
+	fds, next, delta, err := fd.DiscoverDeltaColumns(ctx, s, prev)
 	if err != nil {
 		return nil, err
 	}
@@ -413,15 +419,15 @@ func minedFDs(ctx context.Context, c relation.Columns) ([]fd.FD, error) {
 	return fds, nil
 }
 
-func runMineFDs(ctx context.Context, c relation.Columns) (*FDsResult, error) {
-	fds, err := minedFDs(ctx, c)
+func runMineFDs(ctx context.Context, s *fd.Sets) (*FDsResult, error) {
+	fds, err := minedFDs(ctx, s)
 	if err != nil {
 		return nil, err
 	}
 	if err := step(ctx, "minimum cover"); err != nil {
 		return nil, err
 	}
-	names := c.AttrNames()
+	names := s.Columns().AttrNames()
 	res := &FDsResult{NumMinimal: len(fds), Cover: []FDItem{}}
 	for _, f := range fd.MinCover(fds) {
 		res.Cover = append(res.Cover, newFDItem(names, f))
@@ -442,15 +448,15 @@ type MVDsResult struct {
 	MVDs   []MVDItem `json:"mvds"`
 }
 
-func runMineMVDs(ctx context.Context, c relation.Columns, p Params) (*MVDsResult, error) {
+func runMineMVDs(ctx context.Context, s *fd.Sets, p Params) (*MVDsResult, error) {
 	if err := step(ctx, "MVD mining"); err != nil {
 		return nil, err
 	}
-	mvds, err := fd.MineMVDsCtx(ctx, c, p.MaxLHS, true)
+	mvds, err := fd.MineMVDsCtx(ctx, s, p.MaxLHS, true)
 	if err != nil {
 		return nil, err
 	}
-	names := c.AttrNames()
+	names := s.Columns().AttrNames()
 	res := &MVDsResult{MaxLHS: p.MaxLHS, MVDs: []MVDItem{}}
 	for _, v := range mvds {
 		item := MVDItem(newFDItem(names, fd.FD{LHS: v.LHS, RHS: v.RHS}))
@@ -473,15 +479,15 @@ type ApproxFDsResult struct {
 	FDs    []ApproxFDItem `json:"fds"`
 }
 
-func runApproxFDs(ctx context.Context, c relation.Columns, p Params) (*ApproxFDsResult, error) {
+func runApproxFDs(ctx context.Context, s *fd.Sets, p Params) (*ApproxFDsResult, error) {
 	if err := step(ctx, "approximate dependency mining"); err != nil {
 		return nil, err
 	}
-	fds, err := fd.MineApproxColumns(ctx, c, fv(p.Eps), p.MaxLHS)
+	fds, err := fd.MineApproxColumns(ctx, s, fv(p.Eps), p.MaxLHS)
 	if err != nil {
 		return nil, err
 	}
-	names := c.AttrNames()
+	names := s.Columns().AttrNames()
 	res := &ApproxFDsResult{Eps: fv(p.Eps), MaxLHS: p.MaxLHS, FDs: []ApproxFDItem{}}
 	for _, a := range fds {
 		res.FDs = append(res.FDs, ApproxFDItem{FD: newFDItem(names, a.FD), G3: a.Err})
@@ -520,13 +526,13 @@ type fdRanking struct {
 // rankedFDs is the FD-RANK pipeline shared by rank-fds, decompose and
 // report: dependency mining, minimum cover, value clustering and
 // attribute grouping (RankGrouping at φT = φV = 0), ranking.
-func rankedFDs(ctx context.Context, c relation.Columns, psi float64) (*fdRanking, error) {
-	fds, err := minedFDs(ctx, c)
+func rankedFDs(ctx context.Context, s *fd.Sets, psi float64) (*fdRanking, error) {
+	fds, err := minedFDs(ctx, s)
 	if err != nil {
 		return nil, err
 	}
 	cover := fd.MinCover(fds)
-	g, vc, err := RankGrouping(ctx, c, 0, 0, defaultB)
+	g, vc, err := RankGrouping(ctx, s, 0, 0, defaultB)
 	if err != nil {
 		return nil, err
 	}
@@ -539,16 +545,16 @@ func rankedFDs(ctx context.Context, c relation.Columns, psi float64) (*fdRanking
 	}, nil
 }
 
-func runRankFDs(ctx context.Context, c relation.Columns, p Params) (*RankFDsResult, error) {
+func runRankFDs(ctx context.Context, s *fd.Sets, p Params) (*RankFDsResult, error) {
 	psi := fv(p.Psi)
-	fr, err := rankedFDs(ctx, c, psi)
+	fr, err := rankedFDs(ctx, s, psi)
 	if err != nil {
 		return nil, err
 	}
-	names := c.AttrNames()
+	names := s.Columns().AttrNames()
 	res := &RankFDsResult{Psi: psi, NumMinimal: fr.numMinimal, CoverSize: fr.coverSize, Ranked: []RankedFDItem{}}
 	for _, rf := range fr.ranked {
-		ms, err := measures.Of(c, rf.FD.Attrs().Attrs())
+		ms, err := measures.OfSets(s, rf.FD.Attrs().Attrs())
 		if err != nil {
 			return nil, err
 		}
@@ -581,16 +587,17 @@ type DecomposeResult struct {
 	RTR         float64         `json:"rtr"`
 }
 
-func runDecompose(ctx context.Context, c relation.Columns, p Params) (*DecomposeResult, error) {
-	fr, err := rankedFDs(ctx, c, fv(p.Psi))
+func runDecompose(ctx context.Context, s *fd.Sets, p Params) (*DecomposeResult, error) {
+	fr, err := rankedFDs(ctx, s, fv(p.Psi))
 	if err != nil {
 		return nil, err
 	}
 	if err := step(ctx, "decomposition"); err != nil {
 		return nil, err
 	}
+	c := s.Columns()
 	for _, rf := range fr.ranked {
-		res, err := decompose.On(c, rf.FD)
+		res, err := decompose.OnSets(s, rf.FD)
 		if err != nil {
 			continue // e.g. the FD covers every attribute
 		}

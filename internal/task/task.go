@@ -28,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"structmine/internal/fd"
 	"structmine/internal/obs"
 	"structmine/internal/relation"
 )
@@ -252,37 +253,43 @@ func RunColumns(ctx context.Context, c relation.Columns, taskName string, p Para
 		ctx = context.WithValue(ctx, intermediatesKey{}, h)
 	}
 	start := time.Now()
-	res, err := dispatch(ctx, c, taskName, p)
+	res, err := dispatch(ctx, fd.NewSets(ctx, c), taskName, p)
 	if h != nil && h.resumed && err == nil {
 		obs.DeltaRemineSeconds.Observe(time.Since(start).Seconds())
 	}
 	return res, err
 }
 
-func dispatch(ctx context.Context, c relation.Columns, taskName string, p Params) (any, error) {
+// dispatch runs one job. s is the job's kernel over its instance: every
+// exact question about an attribute set the job asks — measures, g3,
+// FD checks, keys, Π_R's tuple groups, and the miners' level-1
+// partitions — goes to it, so each attribute is loaded at most once per
+// job.
+func dispatch(ctx context.Context, s *fd.Sets, taskName string, p Params) (any, error) {
+	c := s.Columns()
 	switch taskName {
 	case "describe":
 		return runDescribe(ctx, c)
 	case "report":
-		return runReport(ctx, c, p)
+		return runReport(ctx, s, p)
 	case "dedup":
-		return runDedup(ctx, c, p)
+		return runDedup(ctx, s, p)
 	case "partition":
 		return runPartition(ctx, c, p)
 	case "values":
-		return runValues(ctx, c, p)
+		return runValues(ctx, s, p)
 	case "group-attrs":
-		return runGroupAttrs(ctx, c, p)
+		return runGroupAttrs(ctx, s, p)
 	case "mine-fds":
-		return runMineFDs(ctx, c)
+		return runMineFDs(ctx, s)
 	case "mine-mvds":
-		return runMineMVDs(ctx, c, p)
+		return runMineMVDs(ctx, s, p)
 	case "approx-fds":
-		return runApproxFDs(ctx, c, p)
+		return runApproxFDs(ctx, s, p)
 	case "rank-fds":
-		return runRankFDs(ctx, c, p)
+		return runRankFDs(ctx, s, p)
 	case "decompose":
-		return runDecompose(ctx, c, p)
+		return runDecompose(ctx, s, p)
 	}
 	return nil, fmt.Errorf("task: %q has no runner", taskName)
 }

@@ -359,3 +359,44 @@ func TestJoinsResult(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// loadCounter is a Columns that serves level-1 partitions
+// (relation.PartitionSource) and counts how often each attribute's is
+// asked for.
+type loadCounter struct {
+	relation.Columns
+	loads []int
+}
+
+func (c *loadCounter) SinglePartition(a int) (elems, offs []int32, err error) {
+	c.loads[a]++
+	return relation.StrippedPartition(c.Columns, a)
+}
+
+// TestJobLoadsEachAttributeOnce: a job asks every exact question about
+// an attribute set of one kernel (fd.Sets), so no task loads an
+// attribute's level-1 partition twice — rank-fds, decompose and report
+// with their measures and g3 rows, dedup's Π_R, double clustering's
+// tuple groups and the miners included — on DB2, its six-attribute
+// projection and DBLP's 5 200 × 7 projection, which takes rank-fds'
+// double-clustering path.
+func TestJobLoadsEachAttributeOnce(t *testing.T) {
+	proj := datagen.NewDBLP(datagen.DBLPConfig{Tuples: 5200, Seed: 1, MiscFrac: 129.0 / 50000, JournalFrac: 0.28}).
+		Project(datagen.ProjectionAttrs())
+	for _, r := range []*relation.Relation{db2(t), narrow(t), proj} {
+		for _, spec := range Specs {
+			if spec.MultiFile || (spec.Name == "mine-mvds" && (r.M() > 16 || r.N() > 1000)) {
+				continue // MVD mining takes at most 16 attributes: the narrow projection covers it
+			}
+			c := &loadCounter{Columns: relation.AsColumns(r), loads: make([]int, r.M())}
+			if _, err := RunColumns(context.Background(), c, spec.Name, Params{}); err != nil {
+				t.Fatalf("%s/%s: %v", r.Name, spec.Name, err)
+			}
+			for a, k := range c.loads {
+				if k > 1 {
+					t.Errorf("%s/%s: attribute %d loaded %d times", r.Name, spec.Name, a, k)
+				}
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"structmine/internal/datagen"
+	"structmine/internal/fd"
 	"structmine/internal/limbo"
 	"structmine/internal/relation"
 )
@@ -93,12 +94,15 @@ func TestSummarizeMatchesTree(t *testing.T) {
 	}
 }
 
-// TestDuplicatesAtZeroMatchesPhase3 holds Duplicates at φT = 0, which
-// reads the association off Phase 1's membership, to the construction
-// it replaced: Phase 3 (limbo.AssignCtx) of every tuple against the
+// TestDuplicatesAtZeroMatchesPhase3 holds duplicate detection at φT = 0,
+// which reads the groups off Π_R (FindDuplicatesColumns), to the
+// construction it replaced: Phase 1 at τ = 0 over the tuple objects
+// (Summarize), then Phase 3 (limbo.AssignCtx) of every tuple against the
 // multi-tuple leaves, cut at τ + 1e-12. Every tuple's cluster and every
 // group are the same; a member's loss is 0 where Phase 3's is at most
 // 1e-12, and a non-member's is +Inf where Phase 3's exceeds the cutoff.
+// The summaries are the multi-tuple leaves bit for bit, and the leaf
+// count and threshold are Phase 1's.
 func TestDuplicatesAtZeroMatchesPhase3(t *testing.T) {
 	db, err := datagen.NewDB2Sample()
 	if err != nil {
@@ -118,7 +122,21 @@ func TestDuplicatesAtZeroMatchesPhase3(t *testing.T) {
 	for _, tc := range cases {
 		objs := Objects(tc.r)
 		sum := Summarize(ctx, objs, 0, 4)
-		rep := sum.Duplicates(ctx, objs)
+		rep, err := FindDuplicatesColumns(ctx, fd.NewSets(ctx, relation.AsColumns(tc.r)), 0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.LeafCount != sum.LeafCount || rep.Threshold != 0 || sum.Threshold != 0 {
+			t.Fatalf("%s: %d leaves at τ %v; Phase 1 has %d at τ %v", tc.name, rep.LeafCount, rep.Threshold, sum.LeafCount, sum.Threshold)
+		}
+		if !reflect.DeepEqual(rep.Summaries, sum.Multi) {
+			t.Fatalf("%s: the summaries differ from Phase 1's multi-tuple leaves", tc.name)
+		}
+		for i, d := range sum.Multi {
+			if got := rep.Summaries[i]; math.Float64bits(got.W) != math.Float64bits(d.W) {
+				t.Fatalf("%s: summary %d has mass %v, Phase 1's leaf %v", tc.name, i, got.W, d.W)
+			}
+		}
 
 		want := limbo.AssignCtx(ctx, sum.Multi, objs)
 		wantGroups := make([][]int, len(sum.Multi))

@@ -7,8 +7,10 @@ package tuples
 
 import (
 	"context"
+	"math"
 	"sort"
 
+	"structmine/internal/fd"
 	"structmine/internal/ib"
 	"structmine/internal/it"
 	"structmine/internal/limbo"
@@ -92,30 +94,91 @@ type DuplicateReport struct {
 }
 
 // FindDuplicatesCtx runs the three-step procedure over a resident
-// relation: build tuple summaries at φT, keep the summaries describing
-// several tuples, and associate every tuple with its closest summary. A
-// tuple only joins a summary's group when its association loss is within
-// the Phase 1 threshold — beyond that it is not a duplicate candidate
-// (Cluster = -1), which keeps the groups presented to the analyst small
-// and meaningful. At φT = 0 (the default) the summaries are the classes
-// of identical tuples and the association is read off Phase 1's
-// membership, with no Phase 3 scan (Summary.Duplicates). The report's
-// DCFs are the Summary's plain copies, not views into the tree's pooled
-// slabs.
+// relation: FindDuplicatesColumns on a kernel of its own.
 func FindDuplicatesCtx(ctx context.Context, r *relation.Relation, phiT float64, b int) *DuplicateReport {
-	objs := Objects(r)
-	return Summarize(ctx, objs, phiT, b).Duplicates(ctx, objs)
+	rep, _ := FindDuplicatesColumns(ctx, fd.NewSets(ctx, relation.AsColumns(r)), phiT, b) // no failing reads in memory
+	return rep
 }
 
-// FindDuplicatesColumns is FindDuplicatesCtx over the paged column
-// interface: the tuple objects stream from page stripes and everything
-// after them is shared, so the report is identical to the resident one.
-func FindDuplicatesColumns(ctx context.Context, c relation.Columns, phiT float64, b int) (*DuplicateReport, error) {
-	objs, err := ObjectsColumnsCtx(ctx, c)
+// FindDuplicatesColumns runs the three-step procedure over the instance
+// of the job's kernel s: build tuple summaries at φT, keep the summaries
+// describing several tuples, and associate every tuple with its closest
+// summary. A tuple only joins a summary's group when its association
+// loss is within the Phase 1 threshold — beyond that it is not a
+// duplicate candidate (Cluster = -1), which keeps the groups presented
+// to the analyst small and meaningful. The tuple objects stream from
+// page stripes; the report's DCFs are the Summary's plain copies, not
+// views into the tree's pooled slabs.
+//
+// At φT = 0 (the default) the summaries are the classes of identical
+// tuples, and those are Π_R's classes: exactDuplicates reads them off
+// s, with no tuple objects, no Phase 1 pass and no Phase 3 scan.
+func FindDuplicatesColumns(ctx context.Context, s *fd.Sets, phiT float64, b int) (*DuplicateReport, error) {
+	if phiT == 0 {
+		return exactDuplicates(s)
+	}
+	objs, err := ObjectsColumnsCtx(ctx, s.Columns())
 	if err != nil {
 		return nil, err
 	}
 	return Summarize(ctx, objs, phiT, b).Duplicates(ctx, objs), nil
+}
+
+// exactDuplicates is duplicate detection at φT = 0, read off Π_R: the
+// groups are numbered by first member, as Phase 1 at τ = 0 numbers its
+// leaves, and a tuple of a multi-tuple group joins it at loss 0; any
+// other tuple joins no group (Cluster -1, Loss +Inf), since its row
+// differs from every multi-tuple group's. A group's summary is the DCF
+// Phase 1 builds for it — NewDCF of the first member absorbing the others
+// in tuple order — from one fetched row per multi-tuple group, since its
+// members' rows are identical.
+func exactDuplicates(s *fd.Sets) (*DuplicateReport, error) {
+	c := s.Columns()
+	n := c.N()
+	of, k, err := s.GroupOf(relation.AllAttrs(c))
+	if err != nil {
+		return nil, err
+	}
+	size := make([]int, k)
+	for _, g := range of {
+		size[g]++
+	}
+	multiOf := make([]int, k) // group → its index in Groups, or -1
+	nMulti := 0
+	for g, sz := range size {
+		multiOf[g] = -1
+		if sz >= 2 {
+			multiOf[g], nMulti = nMulti, nMulti+1
+		}
+	}
+	rep := &DuplicateReport{Assign: make([]limbo.Assignment, n), Groups: make([][]int, nMulti), LeafCount: k}
+	for t, g := range of {
+		mi := multiOf[g]
+		rep.Assign[t] = limbo.Assignment{Cluster: mi}
+		if mi < 0 {
+			rep.Assign[t].Loss = math.Inf(1)
+			continue
+		}
+		rep.Groups[mi] = append(rep.Groups[mi], t)
+	}
+	firsts := make([]int, nMulti)
+	for mi, g := range rep.Groups {
+		firsts[mi] = g[0]
+	}
+	rows, err := relation.FetchRows(c, firsts)
+	if err != nil {
+		return nil, err
+	}
+	w := 1.0 / float64(n)
+	for mi, g := range rep.Groups {
+		cond := it.Uniform(rows[mi])
+		d := limbo.NewDCF(limbo.Obj{ID: int32(g[0]), W: w, Cond: cond})
+		for _, t := range g[1:] {
+			d.AbsorbObj(limbo.Obj{ID: int32(t), W: w, Cond: cond})
+		}
+		rep.Summaries = append(rep.Summaries, d)
+	}
+	return rep, nil
 }
 
 // PartitionResult is the outcome of horizontal partitioning
@@ -279,11 +342,28 @@ func median(xs []float64) float64 {
 }
 
 // CompressCtx performs the tuple side of double clustering (Section 6.2)
-// over a resident relation: a Phase 1 pass at φT (Summarize) whose leaf
-// summaries become the compressed T axis over which attribute values are
-// then expressed — leaf membership recorded at insertion, no quadratic
-// Phase 3 scan on large instances. It returns the per-tuple cluster id
-// and the number of tuple clusters.
+// over a resident relation: CompressColumns on a kernel of its own.
 func CompressCtx(ctx context.Context, r *relation.Relation, phiT float64, b int) ([]int, int) {
-	return Summarize(ctx, Objects(r), phiT, b).Clusters()
+	assign, k, _ := CompressColumns(ctx, fd.NewSets(ctx, relation.AsColumns(r)), phiT, b) // no failing reads in memory
+	return assign, k
+}
+
+// CompressColumns performs the tuple side of double clustering over the
+// instance of the job's kernel s: a Phase 1 pass at φT (Summarize) whose
+// leaf summaries become the compressed T axis over which attribute
+// values are then expressed — leaf membership recorded at insertion, no
+// quadratic Phase 3 scan on large instances. It returns the per-tuple
+// cluster id and the number of tuple clusters. At φT = 0 the leaves are
+// the classes of identical tuples numbered by first member, which is
+// Π_R's grouping (Sets.GroupOf): no tuple object is built.
+func CompressColumns(ctx context.Context, s *fd.Sets, phiT float64, b int) ([]int, int, error) {
+	if phiT == 0 {
+		return s.GroupOf(relation.AllAttrs(s.Columns()))
+	}
+	objs, err := ObjectsColumnsCtx(ctx, s.Columns())
+	if err != nil {
+		return nil, 0, err
+	}
+	assign, k := Summarize(ctx, objs, phiT, b).Clusters()
+	return assign, k, nil
 }

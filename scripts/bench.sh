@@ -14,7 +14,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out=${1:-BENCH_1.json}
-pattern=${BENCH_PATTERN:-'^(BenchmarkAIBInit|BenchmarkAgglomerate|BenchmarkMicroAIB|BenchmarkMicroEntropy|BenchmarkMicroJS|BenchmarkMicroDeltaISmallVsLarge|BenchmarkMicroDCFTreeInsert|BenchmarkDCFTreeInsert|BenchmarkLimboAssign|BenchmarkPhase1AtZero|BenchmarkPhase2|BenchmarkPartition|BenchmarkRankFDs|BenchmarkTANE|BenchmarkMineApprox|BenchmarkPagedScan|BenchmarkPagedTANE|BenchmarkAppendRemine)$'}
+pattern=${BENCH_PATTERN:-'^(BenchmarkAIBInit|BenchmarkAgglomerate|BenchmarkMicroAIB|BenchmarkMicroEntropy|BenchmarkMicroJS|BenchmarkMicroDeltaISmallVsLarge|BenchmarkMicroDCFTreeInsert|BenchmarkDCFTreeInsert|BenchmarkLimboAssign|BenchmarkPhase1AtZero|BenchmarkPhase2|BenchmarkPartition|BenchmarkRankFDs|BenchmarkDedup|BenchmarkMicroRADRTR|BenchmarkTANE|BenchmarkMineApprox|BenchmarkPagedScan|BenchmarkPagedTANE|BenchmarkAppendRemine)$'}
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT

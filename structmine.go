@@ -157,10 +157,13 @@ func NewMiner(r *Relation, opts Options) *Miner {
 // Relation returns the underlying instance.
 func (m *Miner) Relation() *Relation { return m.r }
 
+// sets returns a fresh kernel over the instance: every Miner call is a
+// job of its own, so nothing it loads outlives the call.
+func (m *Miner) sets() *fd.Sets { return fd.NewSets(context.Background(), relation.AsColumns(m.r)) }
+
 // FindDuplicateTuples groups exact and near-duplicate tuples at accuracy φT.
 func (m *Miner) FindDuplicateTuples() *DuplicateReport {
-	rep, _ := tuples.FindDuplicatesColumns(context.Background(), relation.AsColumns(m.r), m.opts.PhiT, m.opts.B) // no failing reads in memory
-	return rep
+	return tuples.FindDuplicatesCtx(context.Background(), m.r, m.opts.PhiT, m.opts.B)
 }
 
 // DuplicatePair is a scored candidate duplicate pair.
@@ -191,7 +194,7 @@ func (m *Miner) ClusterValues() *ValueClustering { return m.clusterValues(false)
 func (m *Miner) ClusterValuesDouble() *ValueClustering { return m.clusterValues(true) }
 
 func (m *Miner) clusterValues(double bool) *ValueClustering {
-	vc, _ := task.ClusterValues(context.Background(), relation.AsColumns(m.r), m.opts.PhiT, m.opts.PhiV, m.opts.B, double) // no failing reads in memory
+	vc, _ := task.ClusterValues(context.Background(), m.sets(), m.opts.PhiT, m.opts.PhiV, m.opts.B, double) // no failing reads in memory
 	return vc
 }
 
@@ -200,7 +203,7 @@ func (m *Miner) clusterValues(double bool) *ValueClustering {
 // value clustering it was derived from. Double selects double
 // clustering for the value step.
 func (m *Miner) GroupAttributes(double bool) (*AttrGrouping, *ValueClustering) {
-	g, vc, _ := task.GroupAttributes(context.Background(), relation.AsColumns(m.r), m.opts.PhiT, m.opts.PhiV, m.opts.B, double) // no failing reads in memory
+	g, vc, _ := task.GroupAttributes(context.Background(), m.sets(), m.opts.PhiT, m.opts.PhiV, m.opts.B, double) // no failing reads in memory
 	return g, vc
 }
 
@@ -217,18 +220,18 @@ type ApproxFD = fd.ApproxFD
 // error (fraction of tuples to remove) is at most eps. maxLHS bounds the
 // antecedent size (0 = unbounded).
 func (m *Miner) MineApproxFDs(eps float64, maxLHS int) ([]ApproxFD, error) {
-	return fd.MineApproxColumns(context.Background(), relation.AsColumns(m.r), eps, maxLHS)
+	return fd.MineApproxCtx(context.Background(), m.r, eps, maxLHS)
 }
 
 // G3 returns the approximation error of an FD on this instance.
 func (m *Miner) G3(f FD) float64 {
-	g3, _ := fd.G3Columns(relation.AsColumns(m.r), f) // no failing reads in memory
+	g3, _ := m.sets().G3(f) // no failing reads in memory
 	return g3
 }
 
 // Keys returns the minimal candidate keys of the instance (nil when
 // exact duplicate tuples make every attribute set non-unique).
-func (m *Miner) Keys() ([]AttrSet, error) { return fd.KeysColumns(relation.AsColumns(m.r)) }
+func (m *Miner) Keys() ([]AttrSet, error) { return m.sets().Keys() }
 
 // MVD is a multivalued dependency X →→ Y.
 type MVD = fd.MVD
@@ -300,7 +303,7 @@ func MinCover(fds []FD) []FD { return fd.MinCover(fds) }
 // (double clustering when the instance is large), attribute grouping,
 // then ranking with ψ. Lower ranks indicate more redundancy removed.
 func (m *Miner) RankFDs(fds []FD) ([]RankedFD, error) {
-	g, _, err := task.RankGrouping(context.Background(), relation.AsColumns(m.r), m.opts.PhiT, m.opts.PhiV, m.opts.B)
+	g, _, err := task.RankGrouping(context.Background(), m.sets(), m.opts.PhiT, m.opts.PhiV, m.opts.B)
 	if err != nil {
 		return nil, err
 	}
