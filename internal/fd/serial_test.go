@@ -106,6 +106,78 @@ func TestPropProductMatchesSerial(t *testing.T) {
 	}
 }
 
+// smallClassRelation builds n tuples over X and A where Π_X is mostly
+// 2- and 3-tuple classes (with some singletons and larger classes for
+// the slot walk) and Π_A mixes a few shared values with values unique
+// to one tuple — singletons of Π_A, class index −1.
+func smallClassRelation(rng *rand.Rand, n int) *relation.Relation {
+	sizes := []int{1, 2, 2, 2, 3, 3, 3, 3, 4, 6}
+	xs := make([]int, 0, n)
+	for g := 0; len(xs) < n; g++ {
+		for k := sizes[rng.Intn(len(sizes))]; k > 0 && len(xs) < n; k-- {
+			xs = append(xs, g)
+		}
+	}
+	rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+	shared := 1 + rng.Intn(3)
+	b := relation.NewBuilder("small", []string{"X", "A"})
+	for t, x := range xs {
+		a := "u" + strconv.Itoa(t) // unique: a Π_A singleton
+		if rng.Intn(2) == 0 {
+			a = "s" + strconv.Itoa(rng.Intn(shared))
+		}
+		b.MustAdd(strconv.Itoa(x), a)
+	}
+	return b.Relation()
+}
+
+// Property: refine's direct path for 2- and 3-tuple classes of Π_X
+// emits exactly productSerial's classes. The instances are built so
+// every outcome of that path occurs, and the test asserts each did: a
+// pair kept or dropped (also with both tuples Π_A singletons), a triple
+// kept whole, each of its three pairs kept, and a triple dropped.
+func TestPropSmallClassProductMatchesSerial(t *testing.T) {
+	sc := &prodScratch{ar: exec.NewArena()}
+	seen := map[string]int{}
+	rng := rand.New(rand.NewSource(44))
+	for i := 0; i < 200; i++ {
+		r := smallClassRelation(rng, 2+rng.Intn(40))
+		px, pa := indexPartition(r, 0), indexPartition(r, 1)
+		ia := classIndex(exec.NewArena(), pa, r.N())
+		if got, want := refine(px, ia, sc), productSerial(px, pa, r.N()); !partitionsEqual(got, want) {
+			t.Fatalf("instance %d: refine = %v %v, productSerial = %v %v", i, got.elems, got.offs, want.elems, want.offs)
+		}
+		same := func(x, y int32) bool { return ia[x] >= 0 && ia[x] == ia[y] }
+		for ci := 0; ci < px.numClasses(); ci++ {
+			c := px.class(ci)
+			switch {
+			case len(c) == 2 && same(c[0], c[1]):
+				seen["pair kept"]++
+			case len(c) == 2 && ia[c[0]] < 0 && ia[c[1]] < 0:
+				seen["pair dropped, both singletons"]++
+			case len(c) == 2:
+				seen["pair dropped"]++
+			case len(c) == 3 && same(c[0], c[1]) && same(c[0], c[2]):
+				seen["triple kept"]++
+			case len(c) == 3 && same(c[0], c[1]):
+				seen["triple keeps 0,1"]++
+			case len(c) == 3 && same(c[0], c[2]):
+				seen["triple keeps 0,2"]++
+			case len(c) == 3 && same(c[1], c[2]):
+				seen["triple keeps 1,2"]++
+			case len(c) == 3:
+				seen["triple dropped"]++
+			}
+		}
+	}
+	for _, k := range []string{"pair kept", "pair dropped", "pair dropped, both singletons",
+		"triple kept", "triple keeps 0,1", "triple keeps 0,2", "triple keeps 1,2", "triple dropped"} {
+		if seen[k] == 0 {
+			t.Errorf("no instance took the %q branch (seen %v)", k, seen)
+		}
+	}
+}
+
 // cornerCase is a hand-built instance aimed at one interaction of the
 // partition-sharing rule with the rest of the lattice walk. Every case
 // plants B → C (C = B/2) next to free columns, so nodes containing both

@@ -240,8 +240,10 @@ func classIndex(ar *exec.Arena, p *partition, n int) []int32 {
 // size, whatever Π_{a} holds. It reproduces the serial reference
 // productSerial(Π_X, Π_{a}) exactly: within each class of Π_X,
 // subclasses are emitted in ascending a-class order and tuples keep
-// their Π_X order. Steady state allocates nothing beyond the two
-// result carves.
+// their Π_X order. A class of 2 or 3 tuples yields at most one
+// subclass, so it is split directly from its tuples' a-classes; larger
+// classes take the two-pass slot walk. Steady state allocates nothing
+// beyond the two result carves.
 func refine(px *partition, ia []int32, sc *prodScratch) *partition {
 	sc.ensure(len(ia))
 	taneProducts.Inc()
@@ -250,6 +252,32 @@ func refine(px *partition, ia []int32, sc *prodScratch) *partition {
 	sc.offs = append(sc.offs[:0], 0)
 	for ci, nc := 0, px.numClasses(); ci < nc; ci++ {
 		cls := px.class(ci)
+		switch len(cls) {
+		case 2:
+			// a ≥ 0: two singletons of Π_{a} (both −1) share no class.
+			if a := ia[cls[0]]; a >= 0 && a == ia[cls[1]] {
+				sc.elems = append(sc.elems, cls[0], cls[1])
+				sc.offs = append(sc.offs, int32(len(sc.elems)))
+			}
+			continue
+		case 3:
+			t0, t1, t2 := cls[0], cls[1], cls[2]
+			a0, a1, a2 := ia[t0], ia[t1], ia[t2]
+			switch {
+			case a0 >= 0 && a0 == a1 && a0 == a2:
+				sc.elems = append(sc.elems, t0, t1, t2)
+			case a0 >= 0 && a0 == a1:
+				sc.elems = append(sc.elems, t0, t1)
+			case a0 >= 0 && a0 == a2:
+				sc.elems = append(sc.elems, t0, t2)
+			case a1 >= 0 && a1 == a2:
+				sc.elems = append(sc.elems, t1, t2)
+			default:
+				continue
+			}
+			sc.offs = append(sc.offs, int32(len(sc.elems)))
+			continue
+		}
 		sc.touched = sc.touched[:0]
 		for _, t := range cls {
 			ac := ia[t]

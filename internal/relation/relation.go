@@ -166,19 +166,6 @@ func (r *Relation) DomainSize(a int) int {
 	return n
 }
 
-// ValueCount returns d_v: in how many tuples value id v appears.
-// Computed on demand; use Stats for bulk access.
-func (r *Relation) ValueCount(v int32) int {
-	a := r.valueAttr[v]
-	n := 0
-	for t := range r.rows {
-		if r.rows[t][a] == v {
-			n++
-		}
-	}
-	return n
-}
-
 // TupleStrings renders tuple t back to strings.
 func (r *Relation) TupleStrings(t int) []string {
 	out := make([]string, r.M())
