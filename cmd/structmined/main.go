@@ -86,6 +86,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -101,16 +102,17 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], nil); err != nil {
+	if err := run(os.Args[1:], os.Stdout, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "structmined:", err)
 		os.Exit(1)
 	}
 }
 
-// run starts the daemon and blocks until a shutdown signal arrives. When
-// ready is non-nil, the bound address is sent on it once the listener is
-// up (used by tests binding port 0).
-func run(args []string, ready chan<- string) error {
+// run starts the daemon and blocks until a shutdown signal arrives. It
+// prints its progress lines to out. When ready is non-nil, the bound
+// address is sent on it once the listener is up and SIGINT/SIGTERM are
+// handled (used by tests binding port 0).
+func run(args []string, out io.Writer, ready chan<- string) error {
 	fs := flag.NewFlagSet("structmined", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8421", "listen address (loopback by default; the daemon has no authentication)")
 	workers := fs.Int("workers", 2, "job worker-pool size (how many jobs run concurrently)")
@@ -158,7 +160,7 @@ func run(args []string, ready chan<- string) error {
 			return err
 		}
 		defer router.Close()
-		fmt.Printf("cluster mode: node %s in a %d-replica set\n", router.Self().ID, router.Table().Len())
+		fmt.Fprintf(out, "cluster mode: node %s in a %d-replica set\n", router.Self().ID, router.Table().Len())
 	}
 
 	var st *store.Store
@@ -195,20 +197,20 @@ func run(args []string, ready chan<- string) error {
 	if st != nil {
 		t := st.Stats()
 		datasets, _ := srv.Registry().Recovered()
-		fmt.Printf("durable store %s: recovered %d datasets, %d artifacts, %d job records",
+		fmt.Fprintf(out, "durable store %s: recovered %d datasets, %d artifacts, %d job records",
 			*persist, datasets, t.RecoveredArtifacts, t.RecoveredJobs)
 		if t.Quarantined > 0 || t.DroppedJobRecords > 0 {
-			fmt.Printf(" (quarantined %d files, dropped %d torn journal lines)",
+			fmt.Fprintf(out, " (quarantined %d files, dropped %d torn journal lines)",
 				t.Quarantined, t.DroppedJobRecords)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 	for _, path := range fs.Args() {
 		ds, _, err := srv.Registry().RegisterPath(path)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("registered %s as %s (%d tuples, %d attributes)\n",
+		fmt.Fprintf(out, "registered %s as %s (%d tuples, %d attributes)\n",
 			path, ds.ID, ds.Summary.Tuples, ds.Summary.Attributes)
 	}
 
@@ -217,7 +219,12 @@ func run(args []string, ready chan<- string) error {
 		return err
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	fmt.Printf("structmined listening on %s\n", ln.Addr())
+	// The handler is in place before the daemon says it is listening: a
+	// SIGTERM sent as soon as the address is known drains, not kills.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+	fmt.Fprintf(out, "structmined listening on %s\n", ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
@@ -225,13 +232,11 @@ func run(args []string, ready chan<- string) error {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		return err
 	case sig := <-sigc:
-		fmt.Printf("received %s, draining jobs\n", sig)
+		fmt.Fprintf(out, "received %s, draining jobs\n", sig)
 	}
 
 	// Drain the job runner first — new submissions get 503 while the
@@ -248,6 +253,6 @@ func run(args []string, ready chan<- string) error {
 	if err := httpSrv.Shutdown(httpCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	fmt.Println("structmined stopped")
+	fmt.Fprintln(out, "structmined stopped")
 	return nil
 }

@@ -3,16 +3,37 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"structmine/internal/datagen"
 )
+
+// daemonOutput collects what a daemon under test prints, so that a wait
+// that runs out can say what the daemon said last.
+type daemonOutput struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (o *daemonOutput) Write(p []byte) (int, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.buf.Write(p)
+}
+
+func (o *daemonOutput) String() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.buf.String()
+}
 
 // TestDaemonLifecycle boots the daemon on a random port with a
 // pre-registered dataset, runs a job over HTTP, checks the repeat is a
@@ -31,8 +52,9 @@ func TestDaemonLifecycle(t *testing.T) {
 
 	ready := make(chan string, 1)
 	errc := make(chan error, 1)
+	out := &daemonOutput{}
 	go func() {
-		errc <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-resident-bytes", "1024", path}, ready)
+		errc <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-resident-bytes", "1024", path}, out, ready)
 	}()
 	var base string
 	select {
@@ -41,7 +63,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	case err := <-errc:
 		t.Fatalf("daemon exited early: %v", err)
 	case <-time.After(30 * time.Second):
-		t.Fatal("daemon did not become ready")
+		t.Fatalf("daemon did not become ready within 30s; its output:\n%s", out)
 	}
 
 	// The command-line dataset is pre-registered.
@@ -82,7 +104,7 @@ func TestDaemonLifecycle(t *testing.T) {
 		return v.ID, v.State, v.CacheHit
 	}
 
-	id, _, hit := submit()
+	id, state, hit := submit()
 	if hit {
 		t.Fatal("first submission must not be a cache hit")
 	}
@@ -100,14 +122,15 @@ func TestDaemonLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if v.State == "done" {
+		state = v.State
+		if state == "done" {
 			break
 		}
-		if v.State == "failed" || v.State == "canceled" {
-			t.Fatalf("job %s: %s (%s)", id, v.State, v.Error)
+		if state == "failed" || state == "canceled" {
+			t.Fatalf("job %s: %s (%s)", id, state, v.Error)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %s", id, v.State)
+			t.Fatalf("job %s still %s after 60s; daemon output:\n%s", id, state, out)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -125,7 +148,7 @@ func TestDaemonLifecycle(t *testing.T) {
 			t.Fatalf("daemon exit: %v", err)
 		}
 	case <-time.After(60 * time.Second):
-		t.Fatal("daemon did not stop on SIGTERM")
+		t.Fatalf("daemon did not stop within 60s of SIGTERM (job %s last seen %s); its output:\n%s", id, state, out)
 	}
 }
 
@@ -147,17 +170,22 @@ func TestDaemonPersistRestart(t *testing.T) {
 	}
 	storeDir := filepath.Join(tmp, "state")
 
+	// out is the running daemon's output and jobState the last state the
+	// test saw of its job: what a wait that runs out reports.
+	var out *daemonOutput
+	var jobID, jobState string
 	boot := func(args ...string) (string, chan error) {
 		ready := make(chan string, 1)
 		errc := make(chan error, 1)
-		go func() { errc <- run(args, ready) }()
+		out = &daemonOutput{}
+		go func() { errc <- run(args, out, ready) }()
 		select {
 		case addr := <-ready:
 			return "http://" + addr, errc
 		case err := <-errc:
 			t.Fatalf("daemon exited early: %v", err)
 		case <-time.After(30 * time.Second):
-			t.Fatal("daemon did not become ready")
+			t.Fatalf("daemon did not become ready within 30s (job %q last seen %q); its output:\n%s", jobID, jobState, out)
 		}
 		return "", nil
 	}
@@ -172,7 +200,7 @@ func TestDaemonPersistRestart(t *testing.T) {
 				t.Fatalf("daemon exit: %v", err)
 			}
 		case <-time.After(60 * time.Second):
-			t.Fatal("daemon did not stop on SIGTERM")
+			t.Fatalf("daemon did not stop within 60s of SIGTERM (job %q last seen %q); its output:\n%s", jobID, jobState, out)
 		}
 	}
 	getJSON := func(base, path string, out any) int {
@@ -214,15 +242,20 @@ func TestDaemonPersistRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	jobID = job.ID
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		var v struct{ State string }
 		getJSON(base, "/v1/jobs/"+job.ID, &v)
-		if v.State == "done" {
+		jobState = v.State
+		if jobState == "done" {
 			break
 		}
-		if v.State == "failed" || v.State == "canceled" || time.Now().After(deadline) {
-			t.Fatalf("job %s ended in %s", job.ID, v.State)
+		if jobState == "failed" || jobState == "canceled" {
+			t.Fatalf("job %s ended in %s", job.ID, jobState)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still %s after 60s; daemon output:\n%s", job.ID, jobState, out)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -241,8 +274,9 @@ func TestDaemonPersistRestart(t *testing.T) {
 		State     string `json:"state"`
 		Recovered bool   `json:"recovered"`
 	}
-	if code := getJSON(base, "/v1/jobs/"+job.ID, &rec); code != http.StatusOK ||
-		rec.State != "done" || !rec.Recovered {
+	code := getJSON(base, "/v1/jobs/"+job.ID, &rec)
+	jobState = rec.State
+	if code != http.StatusOK || rec.State != "done" || !rec.Recovered {
 		t.Fatalf("recovered job: %d %+v", code, rec)
 	}
 	if code := getJSON(base, "/v1/jobs/"+job.ID+"/result", nil); code != http.StatusOK {
@@ -265,11 +299,42 @@ func TestDaemonPersistRestart(t *testing.T) {
 	}
 }
 
+// TestSIGTERMAtReady: a SIGTERM sent the moment the daemon reports its
+// address drains it; the signal handler is in place before ready is
+// sent, so the signal cannot fall on the process's default action.
+func TestSIGTERMAtReady(t *testing.T) {
+	ready := make(chan string, 1)
+	errc := make(chan error, 1)
+	out := &daemonOutput{}
+	go func() { errc <- run([]string{"-addr", "127.0.0.1:0"}, out, ready) }()
+	select {
+	case <-ready:
+	case err := <-errc:
+		t.Fatalf("daemon exited early: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatalf("daemon did not become ready within 30s; its output:\n%s", out)
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-errc:
+		if err != nil && !strings.Contains(err.Error(), "Server closed") {
+			t.Fatalf("daemon exit: %v", err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatalf("daemon did not stop within 60s of SIGTERM; its output:\n%s", out)
+	}
+	if !strings.Contains(out.String(), "draining jobs") {
+		t.Errorf("the daemon did not drain; its output:\n%s", out)
+	}
+}
+
 func TestRunBadArgs(t *testing.T) {
-	if err := run([]string{"-addr", "127.0.0.1:0", "/nonexistent.csv"}, nil); err == nil {
+	if err := run([]string{"-addr", "127.0.0.1:0", "/nonexistent.csv"}, io.Discard, nil); err == nil {
 		t.Error("unreadable dataset path should fail startup")
 	}
-	if err := run([]string{"-badflag"}, nil); err == nil {
+	if err := run([]string{"-badflag"}, io.Discard, nil); err == nil {
 		t.Error("unknown flag should fail")
 	}
 }

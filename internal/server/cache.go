@@ -12,12 +12,14 @@ import (
 
 // Cache is the content-addressed artifact cache: completed task results
 // keyed on (dataset content hash, epoch, task, normalized parameters).
-// An artifact is its JSON encoding from the moment its job finishes —
-// the cache stores and returns those bytes, so a response is the same
-// whichever tier answered. Because a (hash, epoch) state is immutable
-// and every task is deterministic, entries never go stale — but a
-// long-running daemon cannot keep every artifact forever, so the cache
-// evicts least-recently-used entries beyond a configured capacity. The
+// An artifact is its JSON encoding from the moment its job finishes. The
+// disk tier stores those compact bytes; the memory tier holds the
+// artifact's served form (see served), and every lookup returns that
+// form, so a response copies the same bytes whichever tier answered.
+// Because a (hash, epoch) state is immutable and every task is
+// deterministic, entries never go stale — but a long-running daemon
+// cannot keep every artifact forever, so the cache evicts
+// least-recently-used entries beyond a configured capacity. The
 // intermediates jobs leave each other share it under keys of their own
 // (datasetIntermediates).
 //
@@ -40,7 +42,7 @@ type Cache struct {
 
 type cacheEntry struct {
 	key string
-	val json.RawMessage
+	val json.RawMessage // the served form
 }
 
 // NewCache returns an empty artifact cache holding at most max entries
@@ -58,9 +60,9 @@ func Key(datasetHash string, epoch int, taskName string, p task.Params) string {
 	return fmt.Sprintf("%s@%d|%s", datasetHash, epoch, p.CacheKey(taskName))
 }
 
-// Get returns the cached artifact, refreshes its recency, and counts
-// the lookup as a hit or miss. On a memory miss the durable tier (when
-// attached) is consulted; a disk hit is promoted into memory.
+// Get returns the cached artifact's served form, refreshes its recency,
+// and counts the lookup as a hit or miss. On a memory miss the durable
+// tier (when attached) is consulted; a disk hit is promoted into memory.
 func (c *Cache) Get(key string) (json.RawMessage, bool) {
 	c.mu.Lock()
 	el, ok := c.m[key]
@@ -73,15 +75,13 @@ func (c *Cache) Get(key string) (json.RawMessage, bool) {
 	}
 	c.mu.Unlock()
 
-	if c.st != nil {
-		if raw, ok := c.st.GetArtifact(key); ok {
-			c.mu.Lock()
-			c.hits++
-			c.disk++
-			c.putLocked(key, raw)
-			c.mu.Unlock()
-			return raw, true
-		}
+	if v, ok := c.fromDisk(key); ok {
+		c.mu.Lock()
+		c.hits++
+		c.disk++
+		c.putLocked(key, v)
+		c.mu.Unlock()
+		return v, true
 	}
 	c.mu.Lock()
 	c.misses++
@@ -89,9 +89,10 @@ func (c *Cache) Get(key string) (json.RawMessage, bool) {
 	return nil, false
 }
 
-// Peek returns the artifact without touching the hit/miss counters or
-// promoting disk entries — used when serving the result of a recovered
-// job record, which is a read of existing state rather than a query.
+// Peek returns the artifact's served form without touching the
+// hit/miss counters or promoting disk entries — used when serving the
+// result of a recovered job record, which is a read of existing state
+// rather than a query.
 func (c *Cache) Peek(key string) (json.RawMessage, bool) {
 	c.mu.Lock()
 	if el, ok := c.m[key]; ok {
@@ -99,24 +100,42 @@ func (c *Cache) Peek(key string) (json.RawMessage, bool) {
 		return el.Value.(*cacheEntry).val, true
 	}
 	c.mu.Unlock()
-	if c.st != nil {
-		return c.st.GetArtifact(key)
-	}
-	return nil, false
+	return c.fromDisk(key)
 }
 
-// Put stores one completed artifact, evicting the least recently used
-// entries if the cache is over capacity. With a durable tier attached
-// the artifact is also spilled to disk; a spill failure only costs
-// durability (the store counts it), never the job result.
-func (c *Cache) Put(key string, v json.RawMessage) {
+// fromDisk reads the compact artifact from the durable tier (when
+// attached) and returns its served form. An entry that is not JSON is
+// a miss.
+func (c *Cache) fromDisk(key string) (json.RawMessage, bool) {
+	if c.st == nil {
+		return nil, false
+	}
+	raw, ok := c.st.GetArtifact(key)
+	if !ok {
+		return nil, false
+	}
+	return served(raw)
+}
+
+// Put stores one completed artifact, given as its compact encoding, and
+// returns its served form, which is what the memory tier keeps. It
+// evicts the least recently used entries if the cache is over capacity.
+// With a durable tier attached the compact bytes are also spilled to
+// disk; a spill failure only costs durability (the store counts it),
+// never the job result. Bytes that are not JSON are not cached.
+func (c *Cache) Put(key string, compact json.RawMessage) json.RawMessage {
+	v, ok := served(compact)
+	if !ok {
+		return nil
+	}
 	c.mu.Lock()
 	c.putLocked(key, v)
 	c.mu.Unlock()
 
 	if c.st != nil {
-		_ = c.st.PutArtifact(key, v)
+		_ = c.st.PutArtifact(key, compact)
 	}
+	return v
 }
 
 func (c *Cache) putLocked(key string, v json.RawMessage) {

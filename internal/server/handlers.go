@@ -364,10 +364,44 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// jobResult wraps a completed artifact with its job metadata.
+// jobResult wraps a job's artifact with its job metadata: the shape of
+// every /result response.
 type jobResult struct {
 	Job    JobView         `json:"job"`
 	Result json.RawMessage `json:"result"`
+}
+
+// served returns an artifact's served form: its compact encoding
+// indented as the value of a top-level field of a writeJSON response,
+// which is where writeResult places it. It reports false for bytes that
+// are not JSON.
+func served(compact []byte) (json.RawMessage, bool) {
+	var b bytes.Buffer
+	if json.Indent(&b, compact, "  ", "  ") != nil {
+		return nil, false
+	}
+	return bytes.Clone(b.Bytes()), true // exact size: the entry may live as long as the daemon
+}
+
+// writeResult writes a done job's /result response: the bytes
+// writeJSON(w, http.StatusOK, jobResult{view, artifact}) writes, in one
+// Write, with the artifact copied from its served form (Cache.Put)
+// rather than re-validated and re-indented on every request.
+func writeResult(w http.ResponseWriter, view JobView, artifact json.RawMessage) {
+	head, _ := json.MarshalIndent(view, "  ", "  ") // a JobView always encodes
+	if artifact == nil {
+		artifact = json.RawMessage("null")
+	}
+	const open, mid, end = "{\n  \"job\": ", ",\n  \"result\": ", "\n}\n"
+	b := make([]byte, 0, len(open)+len(head)+len(mid)+len(artifact)+len(end))
+	b = append(b, open...)
+	b = append(b, head...)
+	b = append(b, mid...)
+	b = append(b, artifact...)
+	b = append(b, end...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
@@ -382,7 +416,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	}
 	switch view.State {
 	case StateDone:
-		writeJSON(w, http.StatusOK, jobResult{Job: view, Result: res})
+		writeResult(w, view, res)
 	case StateFailed, StateCanceled:
 		writeJSON(w, http.StatusConflict, jobResult{Job: view})
 	default:

@@ -66,7 +66,7 @@ type Job struct {
 	errMsg    string
 	cacheHit  bool
 	recovered bool
-	result    json.RawMessage // the artifact: encoded once, when the job finishes
+	result    json.RawMessage // the artifact's served form (Cache.Put), built once, when the job finishes
 	trace     obs.TraceReport // per-stage timings, filled when the job terminates
 	submitted time.Time       // when the job entered the queue (queue-wait metric)
 
@@ -366,10 +366,20 @@ func (q *Runner) releaseQuotaLocked(job *Job) {
 
 // pruneLocked drops the oldest terminal job records once the retention
 // cap is exceeded. Queued and running jobs are never dropped, so the
-// record count is bounded by retain + in-flight jobs. The caller holds
-// q.mu.
+// record count is bounded by retain + in-flight jobs. While the oldest
+// record is terminal it goes by reslicing the head of q.order, so a
+// submit pays O(1) amortised; only a queued or running record among the
+// oldest makes it walk the rest. The caller holds q.mu.
 func (q *Runner) pruneLocked() {
-	if q.retain <= 0 || len(q.order) <= q.retain {
+	if q.retain <= 0 {
+		return
+	}
+	for len(q.order) > q.retain && q.jobs[q.order[0]].state.Terminal() {
+		delete(q.jobs, q.order[0])
+		q.order[0] = "" // the dropped head keeps no id alive until append reallocates
+		q.order = q.order[1:]
+	}
+	if len(q.order) <= q.retain {
 		return
 	}
 	excess := len(q.order) - q.retain
@@ -496,13 +506,16 @@ func (q *Runner) run(job *Job) {
 	tr.Finish()
 	g.Release()
 	job.unpin()
-	// The result is encoded once, here: these are the bytes every tier
-	// stores and every response carries. A result JSON cannot express (a
-	// NaN statistic) fails the job instead of being cached half-written.
+	// The result is encoded once, here: the disk tier stores these
+	// compact bytes, and the memory tier their served form, which every
+	// /result response copies. A result JSON cannot express (a NaN
+	// statistic) fails the job instead of being cached half-written.
 	var artifact json.RawMessage
 	if err == nil {
 		if artifact, err = json.Marshal(res); err != nil {
 			err = fmt.Errorf("%w: %v", ErrResultEncoding, err)
+		} else {
+			artifact = q.cache.Put(job.key, artifact)
 		}
 	}
 
@@ -512,7 +525,6 @@ func (q *Runner) run(job *Job) {
 	case err == nil:
 		job.state = StateDone
 		job.result = artifact
-		q.cache.Put(job.key, artifact)
 	case errors.Is(err, context.Canceled):
 		job.state = StateCanceled
 		job.errMsg = err.Error()
@@ -574,9 +586,10 @@ func (q *Runner) StateCounts() map[State]int {
 	return out
 }
 
-// Result returns the job's artifact once it is done. A done job
-// recovered from the journal carries no in-memory result; its artifact
-// is re-read from the cache (memory or durable tier) by key.
+// Result returns the job's artifact, in its served form, once it is
+// done. A done job recovered from the journal carries no in-memory
+// result; its artifact is re-read from the cache (memory or durable
+// tier) by key.
 func (q *Runner) Result(id string) (json.RawMessage, JobView, bool) {
 	q.mu.Lock()
 	job, ok := q.jobs[id]
