@@ -646,6 +646,67 @@ func BenchmarkAppendRemine(b *testing.B) {
 	}
 }
 
+// taskSizes is BenchmarkTaskSize's table: every task task.RunColumns
+// runs, with the DBLP × 13 row counts it is timed at. mine-mvds stops at
+// 1 000 rows, where it already takes seconds.
+var taskSizes = []struct {
+	task string
+	ns   []int
+}{
+	{"describe", []int{1000, 5000, 20000}},
+	{"report", []int{1000, 5000, 20000}},
+	{"dedup", []int{1000, 5000, 20000}},
+	{"partition", []int{1000, 5000, 20000}},
+	{"values", []int{1000, 5000, 20000}},
+	{"group-attrs", []int{1000, 5000, 20000}},
+	{"mine-fds", []int{1000, 5000, 20000}},
+	{"mine-mvds", []int{250, 500, 1000}},
+	{"approx-fds", []int{1000, 5000, 20000}},
+	{"rank-fds", []int{1000, 5000, 20000}},
+	{"decompose", []int{1000, 5000, 20000}},
+}
+
+// BenchmarkTaskSize times every task on a size axis: one run of
+// task.RunColumns at default params over the resident DBLP instance at
+// each row count of taskSizes (generation outside the timed region).
+func BenchmarkTaskSize(b *testing.B) {
+	for _, row := range taskSizes {
+		b.Run(row.task, func(b *testing.B) {
+			for _, n := range row.ns {
+				c := relation.AsColumns(benchDBLPAt(b, n))
+				b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := task.RunColumns(context.Background(), c, row.task, task.Params{}); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestEveryTaskHasASizeBenchmark: every task a dataset can run has its
+// row in taskSizes, and every row names such a task.
+func TestEveryTaskHasASizeBenchmark(t *testing.T) {
+	rows := map[string]bool{}
+	for _, row := range taskSizes {
+		rows[row.task] = true
+	}
+	for _, spec := range task.Specs {
+		if spec.MultiFile {
+			continue
+		}
+		if !rows[spec.Name] {
+			t.Errorf("task %q has no row in taskSizes", spec.Name)
+		}
+		delete(rows, spec.Name)
+	}
+	for name := range rows {
+		t.Errorf("taskSizes row %q names no runnable task", name)
+	}
+}
+
 func BenchmarkMicroAIB(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	objs := make([]ib.Object, 200)

@@ -2,11 +2,9 @@ package fd
 
 import (
 	"context"
-	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
 
 	"structmine/internal/obs"
 	"structmine/internal/relation"
@@ -296,68 +294,30 @@ func appendBreaks(ctx context.Context, c relation.Columns, prev *MineState) (boo
 	return false, err
 }
 
-// MineState codec: magic "SMFD" | uint16 version | uvarint N, Attrs,
-// |FDs| | per FD two uint64s | uint32 CRC32-IEEE. Version 1 also carried
-// a by-value row index; its blobs fail typed and are re-mined over.
-
-var mineStateMagic = [4]byte{'S', 'M', 'F', 'D'}
-
-const mineStateVersion = 2
-
-// ErrCorruptState reports state bytes that failed checksum or
-// structural validation; callers re-mine from scratch.
+// ErrCorruptState reports state bytes that did not decode or failed
+// validation; callers re-mine from scratch.
 var ErrCorruptState = errors.New("fd: corrupt mine state")
 
-// EncodeState serializes the state.
+// EncodeState serializes the state as JSON.
 func EncodeState(s *MineState) []byte {
-	buf := make([]byte, 0, 32+16*len(s.FDs))
-	buf = append(buf, mineStateMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, mineStateVersion)
-	buf = binary.AppendUvarint(buf, uint64(s.N))
-	buf = binary.AppendUvarint(buf, uint64(s.Attrs))
-	buf = binary.AppendUvarint(buf, uint64(len(s.FDs)))
-	for _, f := range s.FDs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.LHS))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.RHS))
-	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	data, _ := json.Marshal(s) // ints and uint64s: always encodes
+	return data
 }
 
-// DecodeState parses EncodeState bytes, validating bounds so corrupt
-// input yields ErrCorruptState rather than a panic or an allocation
-// larger than the input.
+// DecodeState parses EncodeState bytes and validates them, so a state
+// that is not JSON of a MineState, is wider than MaxAttrs, or names an
+// attribute past its width yields ErrCorruptState rather than a state
+// no relation can have.
 func DecodeState(data []byte) (*MineState, error) {
-	if len(data) < 4+2+4 || [4]byte(data[:4]) != mineStateMagic {
-		return nil, fmt.Errorf("%w: bad envelope", ErrCorruptState)
+	var s *MineState
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorruptState, err)
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if binary.LittleEndian.Uint32(tail) != crc32.ChecksumIEEE(body) {
-		return nil, fmt.Errorf("%w: CRC mismatch", ErrCorruptState)
-	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != mineStateVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrCorruptState, v)
-	}
-	off := 6
-	var hdr [3]uint64 // N, Attrs, |FDs|
-	for i := range hdr {
-		v, w := binary.Uvarint(body[off:])
-		if w <= 0 || v > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: bad header varint at %d", ErrCorruptState, off)
-		}
-		hdr[i], off = v, off+w
-	}
-	n, m, nf := hdr[0], hdr[1], hdr[2]
-	if m > MaxAttrs || nf*16 != uint64(len(body)-off) {
-		return nil, fmt.Errorf("%w: %d attributes, %d FDs in %d bytes", ErrCorruptState, m, nf, len(body)-off)
-	}
-	s := &MineState{N: int(n), Attrs: int(m), FDs: make([]FD, nf)}
-	for i := range s.FDs {
-		s.FDs[i].LHS = AttrSet(binary.LittleEndian.Uint64(body[off:]))
-		s.FDs[i].RHS = AttrSet(binary.LittleEndian.Uint64(body[off+8:]))
-		off += 16
+	if s == nil || s.N < 0 || s.Attrs < 0 || s.Attrs > MaxAttrs {
+		return nil, fmt.Errorf("%w: not a state of N ≥ 0 rows over at most %d attributes", ErrCorruptState, MaxAttrs)
 	}
 	if !s.covers(s.N, s.Attrs) {
-		return nil, fmt.Errorf("%w: a dependency names an attribute past %d", ErrCorruptState, m)
+		return nil, fmt.Errorf("%w: a dependency names an attribute past %d", ErrCorruptState, s.Attrs)
 	}
 	return s, nil
 }

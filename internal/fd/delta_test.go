@@ -264,7 +264,9 @@ func TestStateSmallAtWorkloadScale(t *testing.T) {
 }
 
 // TestStateCodecRoundtrip pins Encode/Decode identity and rejection of
-// corrupt bytes.
+// truncated bytes. A flipped byte is the store's to catch: the state is
+// kept on disk only inside an artifact envelope under its CRC32
+// (server.TestFDStateAcrossUpgradeAndCorruption).
 func TestStateCodecRoundtrip(t *testing.T) {
 	r, _ := deltaRel(t, 90, 4)
 	st := stateOver(r, mustDiscover(t, r))
@@ -285,13 +287,6 @@ func TestStateCodecRoundtrip(t *testing.T) {
 		t.Fatalf("DiscoverDelta on decoded state: %v", err)
 	}
 
-	for off := 0; off < len(enc); off += 5 {
-		mut := append([]byte(nil), enc...)
-		mut[off] ^= 0x40
-		if _, err := DecodeState(mut); !errors.Is(err, ErrCorruptState) {
-			t.Fatalf("flip at %d: err %v, want ErrCorruptState", off, err)
-		}
-	}
 	for n := 0; n < len(enc); n += 9 {
 		if _, err := DecodeState(enc[:n]); !errors.Is(err, ErrCorruptState) {
 			t.Fatalf("truncation to %d: err %v, want ErrCorruptState", n, err)

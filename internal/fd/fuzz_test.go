@@ -2,9 +2,7 @@ package fd
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"reflect"
 	"strconv"
@@ -14,52 +12,36 @@ import (
 	"structmine/internal/relation"
 )
 
-// resealCRC returns data with its last four bytes replaced by the
-// CRC32-IEEE of what precedes them — the envelope both mining-state
-// codecs use — so a mutated payload gets past the checksum and reaches
-// the structural validation behind it.
-func resealCRC(data []byte) []byte {
-	if len(data) < 4 {
-		return data
-	}
-	body := data[:len(data)-4]
-	return binary.LittleEndian.AppendUint32(body[:len(body):len(body)], crc32.ChecksumIEEE(body))
-}
-
-// FuzzDecodeState: arbitrary bytes — as given, and resealed under a
-// valid CRC — never panic DecodeState and fail only with
-// ErrCorruptState; whatever decodes survives Encode → Decode unchanged.
-// Seeds under testdata/fuzz/: see TestDecodeStateSeeds.
+// FuzzDecodeState: arbitrary bytes never panic DecodeState and fail
+// only with ErrCorruptState; whatever decodes survives Encode → Decode
+// unchanged. Seeds under testdata/fuzz/: see TestDecodeStateSeeds.
 func FuzzDecodeState(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, in := range [][]byte{data, resealCRC(data)} {
-			st, err := DecodeState(in)
-			if err != nil {
-				if !errors.Is(err, ErrCorruptState) {
-					t.Fatalf("DecodeState failed untyped: %v", err)
-				}
-				continue
+		st, err := DecodeState(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptState) {
+				t.Fatalf("DecodeState failed untyped: %v", err)
 			}
-			again, err := DecodeState(EncodeState(st))
-			if err != nil {
-				t.Fatalf("re-decoding an encoded state: %v", err)
-			}
-			if !reflect.DeepEqual(again, st) {
-				t.Fatalf("Encode → Decode changed the state:\ngot  %+v\nwant %+v", again, st)
-			}
+			return
+		}
+		again, err := DecodeState(EncodeState(st))
+		if err != nil {
+			t.Fatalf("re-decoding an encoded state: %v", err)
+		}
+		if !reflect.DeepEqual(again, st) {
+			t.Fatalf("Encode → Decode changed the state:\ngot  %+v\nwant %+v", again, st)
 		}
 	})
 }
 
 // TestDecodeStateSeeds pins what each committed fuzz seed is: one valid
-// version-2 state, and four blobs that must fail typed — a flipped CRC,
-// a truncation, a header claiming 2^31-1 FDs over a 16-byte payload
-// under a valid CRC (the decoder must not allocate for them), and a
-// well-formed version-1 state, by-value row index included, as daemons
-// before codec version 2 left on disk.
+// state, and five inputs that must fail typed — a truncation, fields of
+// the wrong JSON types, an FD naming an attribute past the state's
+// width, a state 65 attributes wide, and a valid "SMFD" version-2 blob,
+// the binary codec daemons before the JSON state left in the cache.
 func TestDecodeStateSeeds(t *testing.T) {
 	for name, valid := range map[string]bool{
-		"valid": true, "bad-crc": false, "truncated": false, "oversized-fd-count": false, "version-1": false,
+		"valid": true, "truncated": false, "wrong-types": false, "attr-past-width": false, "attrs-65": false, "smfd-v2": false,
 	} {
 		st, err := DecodeState(seedBytes(t, "FuzzDecodeState", name))
 		switch {

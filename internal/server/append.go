@@ -19,9 +19,9 @@ import (
 // already there. The dataset keeps its stable short id; its content
 // hash advances deterministically (appendHash) and its epoch increments,
 // so every artifact is keyed to exactly one point in the lineage and can
-// never leak across an append boundary. The intermediates jobs leave
-// behind are keyed by the id instead, so the next epoch finds them, and
-// stamped with their epoch (datasetIntermediates).
+// never leak across an append boundary. The FD state jobs leave behind
+// is keyed by the id instead, so the next epoch finds it, and stamped
+// with its epoch (datasetIntermediates).
 //
 // Without a store an append extends the in-memory relation with
 // relation.AppendCSV. With one the dataset is its file, and durability

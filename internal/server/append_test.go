@@ -579,28 +579,30 @@ func TestReferenceBeforeOpenSurvivesAppend(t *testing.T) {
 	}
 }
 
-// TestDatasetIntermediatesEpochRule: an intermediate saved under a NEWER
+// TestDatasetIntermediatesEpochRule: an FD state saved under a NEWER
 // epoch than the job's pin is never served to it (an append landed while
 // the job queued: that state covers rows the job is not mining); one
-// from the pinned or an older epoch is — the delta-resume case. Entries
-// are the dataset's: another dataset's id, or a kind never saved, finds
-// nothing.
+// from the pinned or an older epoch is — the delta-resume case — as the
+// JSON it was saved as (the memory tier keeps it indented). The slot is
+// the dataset's: another dataset's id finds nothing.
 func TestDatasetIntermediatesEpochRule(t *testing.T) {
 	cache := NewCache(0)
-	datasetIntermediates{cache: cache, id: "ds", epoch: 3}.SaveIntermediate(task.KindFDState, task.Params{}, []byte("state@3"))
+	const state = `{"N":3}`
+	datasetIntermediates{cache: cache, id: "ds", epoch: 3}.SaveFDState([]byte(state))
 	for _, tc := range []struct {
 		pin  int
 		want bool
 	}{{2, false}, {3, true}, {4, true}} {
-		data, ok := datasetIntermediates{cache: cache, id: "ds", epoch: tc.pin}.LoadIntermediate(task.KindFDState, task.Params{})
-		if ok != tc.want || (ok && string(data) != "state@3") {
+		data, ok := datasetIntermediates{cache: cache, id: "ds", epoch: tc.pin}.LoadFDState()
+		var compact bytes.Buffer
+		if ok && json.Compact(&compact, data) != nil {
+			t.Fatalf("state served as %q, not JSON", data)
+		}
+		if ok != tc.want || (ok && compact.String() != state) {
 			t.Errorf("job pinned at epoch %d over state from epoch 3: got %q, %v; want served=%v", tc.pin, data, ok, tc.want)
 		}
 	}
-	if _, ok := (datasetIntermediates{cache: cache, id: "ds", epoch: 3}).LoadIntermediate("tuple-summary", task.Params{}); ok {
-		t.Error("a kind never saved was served")
-	}
-	if _, ok := (datasetIntermediates{cache: cache, id: "other", epoch: 3}).LoadIntermediate(task.KindFDState, task.Params{}); ok {
+	if _, ok := (datasetIntermediates{cache: cache, id: "other", epoch: 3}).LoadFDState(); ok {
 		t.Error("another dataset's state was served")
 	}
 }

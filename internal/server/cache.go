@@ -19,8 +19,8 @@ import (
 // Because a (hash, epoch) state is immutable and every task is
 // deterministic, entries never go stale — but a long-running daemon
 // cannot keep every artifact forever, so the cache evicts
-// least-recently-used entries beyond a configured capacity. The
-// intermediates jobs leave each other share it under keys of their own
+// least-recently-used entries beyond a configured capacity. Each
+// dataset's FD state shares it under a key of its own
 // (datasetIntermediates).
 //
 // With a durable store attached the cache is two-tiered: every Put also

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -20,8 +19,6 @@ import (
 var (
 	// ErrUnknownDataset reports a dataset id/hash that is not registered.
 	ErrUnknownDataset = errors.New("server: unknown dataset")
-	// ErrUnknownJob reports a job id that is not retained.
-	ErrUnknownJob = errors.New("server: unknown job")
 	// ErrUnknownTask reports a task name outside the catalogue.
 	ErrUnknownTask = errors.New("server: unknown task")
 	// ErrTaskNotRunnable reports a catalogued task that cannot run as a
@@ -68,7 +65,6 @@ const (
 	CodeDatasetLimit    = "dataset_limit"
 	CodeJobNotFound     = "job_not_found"
 	CodeJobRunning      = "job_running"
-	CodeJobNotDone      = "job_not_done"
 	CodeUnknownTask     = "unknown_task"
 	CodeTaskNotRunnable = "task_not_runnable"
 	CodeQueueFull       = "queue_full"
@@ -95,11 +91,7 @@ type apiErrorBody struct {
 
 // writeAPIErr renders the error envelope.
 func writeAPIErr(w http.ResponseWriter, status int, code, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(apiErrorBody{Error: apiError{Code: code, Message: fmt.Sprintf(format, args...)}})
+	writeJSON(w, status, apiErrorBody{Error: apiError{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
 // errStatus maps a typed error to its HTTP status and envelope code.
@@ -109,8 +101,6 @@ func errStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, ErrUnknownDataset):
 		return http.StatusNotFound, CodeDatasetNotFound
-	case errors.Is(err, ErrUnknownJob):
-		return http.StatusNotFound, CodeJobNotFound
 	case errors.Is(err, ErrUnknownTask):
 		return http.StatusBadRequest, CodeUnknownTask
 	case errors.Is(err, ErrTaskNotRunnable):

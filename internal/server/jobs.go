@@ -435,44 +435,46 @@ func (q *Runner) dequeue() (*Job, bool) {
 }
 
 // datasetIntermediates keeps what the jobs of one dataset leave behind —
-// the FD state — in the artifact cache: memory tier and, under -persist, the disk tier. An entry is
-// keyed by the dataset's stable id, the kind and its normalized
-// parameters, so the next epoch finds it after an append; a kind is no
-// task, so no submission can name the entry, and Peek keeps these
-// lookups out of the hit/miss counters, which count questions answered.
-// The entry is JSON, as every artifact is on both tiers, and stamped
-// with the epoch it was computed at. A load never hands a job an entry
-// from a NEWER epoch than its pin — an append that lands while the job
-// waits in the queue must not feed it state computed over rows it is not
-// mining — and hands it an older one, which each runner either resumes
-// (the delta case) or refuses.
+// the FD state — in the artifact cache: memory tier and, under -persist,
+// the disk tier. It is one slot per dataset, keyed by the dataset's
+// stable id, so the next epoch finds it after an append. The key holds
+// no '@', so it can never be an artifact's Key and no submission can
+// name it, and Peek keeps these lookups out of the hit/miss counters,
+// which count questions answered. The entry is JSON, as every artifact
+// is on both tiers — the state's own JSON, stamped with the epoch it was
+// computed at. A load never hands a job a state from a NEWER epoch than
+// its pin — an append that lands while the job waits in the queue must
+// not feed it state computed over rows it is not mining — and hands it
+// an older one, which the miner either resumes (the delta case) or
+// refuses.
 type datasetIntermediates struct {
 	cache *Cache
 	id    string
 	epoch int
 }
 
-type intermediateEntry struct {
-	Epoch int    `json:"epoch"`
-	Data  []byte `json:"data"`
+type fdStateEntry struct {
+	Epoch int             `json:"epoch"`
+	State json.RawMessage `json:"state"`
 }
 
-func (d datasetIntermediates) key(kind string, p task.Params) string {
-	return d.id + "|" + p.CacheKey(kind)
-}
+func (d datasetIntermediates) key() string { return d.id + "|fd-state" }
 
-func (d datasetIntermediates) LoadIntermediate(kind string, p task.Params) ([]byte, bool) {
-	raw, ok := d.cache.Peek(d.key(kind, p))
-	var e intermediateEntry
+func (d datasetIntermediates) LoadFDState() ([]byte, bool) {
+	raw, ok := d.cache.Peek(d.key())
+	var e fdStateEntry
 	if !ok || json.Unmarshal(raw, &e) != nil || e.Epoch > d.epoch {
 		return nil, false
 	}
-	return e.Data, true
+	return e.State, true
 }
 
-func (d datasetIntermediates) SaveIntermediate(kind string, p task.Params, data []byte) {
-	raw, _ := json.Marshal(intermediateEntry{Epoch: d.epoch, Data: data}) // always encodes
-	d.cache.Put(d.key(kind, p), raw)
+// SaveFDState keeps data, fd.EncodeState JSON; bytes that are not JSON
+// cannot be embedded in the entry and are not kept.
+func (d datasetIntermediates) SaveFDState(data []byte) {
+	if raw, err := json.Marshal(fdStateEntry{Epoch: d.epoch, State: data}); err == nil {
+		d.cache.Put(d.key(), raw)
+	}
 }
 
 func (q *Runner) run(job *Job) {

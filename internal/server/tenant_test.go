@@ -137,50 +137,74 @@ func TestPriorityDequeueOrder(t *testing.T) {
 }
 
 // TestPriorityEndToEnd drives the HTTP surface: with a single worker
-// pinned by a heavy job, a batch submission queued first still runs
-// after a later interactive one.
+// pinned by a running job, a batch submission queued first still runs
+// after a later interactive one. The schedule is fixed by the jobs'
+// sizes, not by timing: the pin and the batch job are mine-mvds over
+// heavyCSV (at the default LHS bound ≈ 97 s and at LHS ≤ 1 ≈ 27 s on a
+// two-core host; both check for cancellation between candidates), the
+// interactive job a describe. The pin is canceled only once both other
+// jobs are queued behind it, so the freed worker takes the interactive
+// job, which finishes while the batch job has just started.
 func TestPriorityEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 16})
 	var ds Dataset
 	if code, body := doJSON(t, "POST", ts.URL+"/v1/datasets?name=heavy", heavyCSV(), &ds); code != http.StatusCreated {
 		t.Fatalf("register: %d %s", code, body)
 	}
-	submit := func(priority string, psi float64) JobView {
+	submit := func(priority, taskName string, p task.Params) JobView {
 		var v JobView
 		code, body := doJSON(t, "POST", ts.URL+"/v1/jobs",
-			submitRequest{Dataset: ds.ID, Task: "rank-fds", Priority: priority,
-				Params: task.Params{Psi: task.F(psi)}}, &v)
+			submitRequest{Dataset: ds.ID, Task: taskName, Priority: priority, Params: p}, &v)
 		if code != http.StatusAccepted {
-			t.Fatalf("submit %s: %d %s", priority, code, body)
+			t.Fatalf("submit %s %s: %d %s", priority, taskName, code, body)
 		}
 		return v
 	}
-	pin := submit("", 0.10) // occupies the single worker
-	batch := submit("batch", 0.11)
-	inter := submit("interactive", 0.12)
+	poll := func(id string) JobView {
+		var v JobView
+		if code, body := doJSON(t, "GET", ts.URL+"/v1/jobs/"+id, nil, &v); code != http.StatusOK {
+			t.Fatalf("poll %s: %d %s", id, code, body)
+		}
+		return v
+	}
+	awaitState := func(id string, want State) {
+		deadline := time.Now().Add(30 * time.Second)
+		for v := poll(id); v.State != want; v = poll(id) {
+			if v.State.Terminal() || time.Now().After(deadline) {
+				t.Fatalf("job %s is %s, want %s", id, v.State, want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	cancelJob := func(id string) {
+		if code, body := doJSON(t, "POST", ts.URL+"/v1/jobs/"+id+"/cancel", nil, nil); code != http.StatusOK {
+			t.Fatalf("cancel %s: %d %s", id, code, body)
+		}
+		if v := waitJob(t, ts, id); v.State != StateCanceled {
+			t.Fatalf("canceled job %s ended %s (%s)", id, v.State, v.Error)
+		}
+	}
+
+	pin := submit("", "mine-mvds", task.Params{})
+	awaitState(pin.ID, StateRunning) // occupies the single worker
+	batch := submit("batch", "mine-mvds", task.Params{MaxLHS: 1})
+	inter := submit("interactive", "describe", task.Params{})
 	if batch.Priority != PriorityBatch || inter.Priority != PriorityInteractive {
 		t.Fatalf("echoed priorities: %s / %s", batch.Priority, inter.Priority)
 	}
+	awaitState(batch.ID, StateQueued)
+	awaitState(inter.ID, StateQueued)
+	cancelJob(pin.ID)
 
 	// When the interactive job completes, the batch job queued before it
 	// must not have finished: the worker took the interactive one first.
-	done := waitJob(t, ts, inter.ID)
-	if done.State != StateDone {
+	if done := waitJob(t, ts, inter.ID); done.State != StateDone {
 		t.Fatalf("interactive job: %s (%s)", done.State, done.Error)
 	}
-	var b JobView
-	if code, body := doJSON(t, "GET", ts.URL+"/v1/jobs/"+batch.ID, nil, &b); code != http.StatusOK {
-		t.Fatalf("poll batch: %d %s", code, body)
-	}
-	if b.State == StateDone {
+	if b := poll(batch.ID); b.State == StateDone {
 		t.Fatal("batch job finished before the interactive job that should preempt it in the queue")
 	}
-	// Let everything drain cleanly.
-	for _, id := range []string{pin.ID, batch.ID} {
-		if v := waitJob(t, ts, id); v.State != StateDone {
-			t.Fatalf("job %s: %s (%s)", id, v.State, v.Error)
-		}
-	}
+	cancelJob(batch.ID)
 }
 
 // TestSubmitRejectsUnknownPriority pins the 400 for a priority outside

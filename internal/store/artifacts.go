@@ -11,8 +11,8 @@ import (
 	"strings"
 )
 
-// The persistent artifact cache spills completed task results, and the
-// intermediates jobs leave for each other, to content-addressed files:
+// The persistent artifact cache spills completed task results, and each
+// dataset's FD state, to content-addressed files:
 // the file name is the SHA-256 of the cache key, so the same key always
 // lands on the same file. Each file is a JSON envelope carrying the key
 // (needed to rebuild the index on boot), a write sequence number (an

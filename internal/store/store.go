@@ -2,9 +2,9 @@
 // the structmined daemon's warm restarts. It owns an on-disk directory
 // with three kinds of state:
 //
-//   - a persistent artifact cache: completed task results — and the
-//     intermediates jobs leave for each other, such as the engine state
-//     that makes re-mining after an append a delta — spilled to
+//   - a persistent artifact cache: completed task results — and each
+//     dataset's FD state, which makes re-mining after an append a
+//     delta — spilled to
 //     content-addressed JSON files with entry and byte budgets
 //     (artifacts.go);
 //   - an append-only job journal: one JSON line per terminal job record

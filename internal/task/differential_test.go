@@ -118,7 +118,8 @@ func sortedFDs(t *testing.T, miner func(*relation.Relation) ([]fd.FD, error), r 
 // delta-after-append path of mine-fds — on the resident adapter and on a
 // colstore table, at one worker and at four — and the delta path gives
 // up exactly when one of the five counted reasons says so: the state is
-// missing, corrupt or of another shape, the append is oversized, or an
+// missing, corrupt (not JSON of a state, or naming an attribute past its
+// width) or of another shape, the append is oversized, or an
 // appended row breaks a previously minimal dependency (two appended rows
 // between them, an appended row against the prefix, or a constant
 // attribute that stops being one).
@@ -169,6 +170,7 @@ func TestDifferentialFDs(t *testing.T) {
 			{"break-constant", [][]string{drifted}, state, obs.FallbackFDBroken},
 			{"no-state", src.rows[3:4], nil, obs.FallbackNoState},
 			{"corrupt-state", src.rows[3:4], []byte("SMFD\x02\x00 not a state"), obs.FallbackCorruptState},
+			{"state-past-width", src.rows[3:4], []byte(fmt.Sprintf(`{"N":%d,"Attrs":%d,"FDs":[{"LHS":0,"RHS":%d}]}`, base.N(), m, uint64(1)<<m)), obs.FallbackCorruptState},
 			{"state-of-wider-schema", src.rows[3:4], fd.EncodeState(&fd.MineState{N: base.N(), Attrs: m + 1}), obs.FallbackShape},
 			{"state-of-more-rows", src.rows[3:4], fd.EncodeState(&fd.MineState{N: base.N() + 2, Attrs: m, FDs: prev}), obs.FallbackShape},
 		} {
@@ -204,12 +206,9 @@ func TestDifferentialFDs(t *testing.T) {
 					c    relation.Columns
 				}{{"resident", relation.AsColumns(ext)}, {"colstore", tableOf(t, ext)}} {
 					for _, workers := range []int{1, 4} {
-						im := memIntermediates{}
-						if tc.state != nil {
-							im.SaveIntermediate(KindFDState, Params{}, tc.state)
-						}
+						im := &memIntermediates{state: tc.state}
 						ctx := WithIntermediates(exec.WithWorkers(context.Background(), workers), im)
-						before := fallbackCounts()
+						before, remines := fallbackCounts(), obs.DeltaRemineSeconds.Count()
 						got, err := minedFDs(ctx, fd.NewSets(ctx, tier.c))
 						if err != nil {
 							t.Fatal(err)
@@ -223,11 +222,10 @@ func TestDifferentialFDs(t *testing.T) {
 								t.Fatalf("%s: fallback %q counted %d times, want only %q", where, r, moved, reason)
 							}
 						}
-						if delta := intermediatesOf(ctx).resumed; delta != (reason == "") {
+						if delta := obs.DeltaRemineSeconds.Count() == remines+1; delta != (reason == "") {
 							t.Fatalf("%s: delta=%v with fallback reason %q", where, delta, reason)
 						}
-						data, _ := im.LoadIntermediate(KindFDState, Params{})
-						saved, err := fd.DecodeState(data)
+						saved, err := fd.DecodeState(im.state)
 						if err != nil || !reflect.DeepEqual(saved, &fd.MineState{N: ext.N(), Attrs: m, FDs: want}) {
 							t.Fatalf("%s: state left behind %+v (%v)", where, saved, err)
 						}
@@ -257,7 +255,7 @@ func mustJSON(t *testing.T, v any) []byte {
 // (held to the double path by lowering largeInstance), and — the float
 // DCF-tree over value objects — values at φV 0 and 0.3 and
 // single-clustered group-attrs at φV 0.3. Phase 1 lives inside one job,
-// so nothing a hook holds can move a clustering.
+// so nothing the FD-state slot holds can move a clustering.
 func TestDifferentialClustering(t *testing.T) {
 	defer func(n int) { largeInstance = n }(largeInstance)
 	largeInstance = 50
@@ -281,21 +279,19 @@ func TestDifferentialClustering(t *testing.T) {
 		// the φT = 0 pass has multi-tuple leaves to carry.
 		grown := append(append([][]string{}, src.rows[:src.base+src.base/10]...), src.rows[3:9]...)
 		base, full := src.relation(t, src.rows[:src.base]), src.relation(t, grown)
-		// holding returns a fresh hook per run: a run saves its own state.
+		// holding returns a fresh slot per run: a run saves its own state.
 		holding := func(r *relation.Relation) func() Intermediates {
 			state := fd.EncodeState(&fd.MineState{N: r.N(), Attrs: r.M(), FDs: sortedFDs(t, fd.TANE, r)})
 			return func() Intermediates {
-				im := memIntermediates{}
-				im.SaveIntermediate(KindFDState, Params{}, state)
-				return im
+				return &memIntermediates{state: state}
 			}
 		}
-		hooks := []struct {
+		slots := []struct {
 			name string
 			im   func() Intermediates
 		}{
-			{"no hook", func() Intermediates { return nil }},
-			{"empty hook", func() Intermediates { return memIntermediates{} }},
+			{"no intermediates", func() Intermediates { return nil }},
+			{"empty slot", func() Intermediates { return &memIntermediates{} }},
 			{"warm FD state", holding(full)},
 			{"previous epoch's FD state", holding(base)},
 		}
@@ -324,10 +320,10 @@ func TestDifferentialClustering(t *testing.T) {
 			want := mustJSON(t, ref)
 			for _, tier := range tiers {
 				for _, workers := range []int{1, 4} {
-					for _, hook := range hooks {
-						if got := mustJSON(t, run(tier.c, workers, hook.im())); string(got) != string(want) {
+					for _, slot := range slots {
+						if got := mustJSON(t, run(tier.c, workers, slot.im())); string(got) != string(want) {
 							t.Fatalf("%s/%s/%dw %q, %s:\n got %s\nwant %s",
-								src.name, tier.name, workers, row.p.CacheKey(row.task), hook.name, got, want)
+								src.name, tier.name, workers, row.p.CacheKey(row.task), slot.name, got, want)
 						}
 					}
 				}

@@ -7,19 +7,18 @@ import (
 )
 
 // FuzzParams decodes arbitrary job-submit "params" JSON the way the
-// server does and holds the cache-key contract for every task and every
-// intermediate kind: Normalize is idempotent, and a normalized parameter
-// set keys the same entry as the one it came from. Seeds under
+// server does and holds the cache-key contract for every task: Normalize
+// is idempotent, and a normalized parameter set keys the same entry as
+// the one it came from. Seeds under
 // testdata/fuzz/: every knob set, explicit zeros, negative and fractional
 // integers, and knobs of the wrong type.
 func FuzzParams(f *testing.F) {
-	names := append(Names(), KindFDState)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p Params
 		if json.Unmarshal(data, &p) != nil {
 			return
 		}
-		for _, name := range names {
+		for _, name := range Names() {
 			q := p.Normalize(name)
 			if again := q.Normalize(name); !reflect.DeepEqual(again, q) {
 				t.Fatalf("%s: Normalize is not idempotent on %s: %+v then %+v", name, data, q, again)

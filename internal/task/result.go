@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"structmine/internal/attrs"
 	"structmine/internal/decompose"
@@ -405,17 +406,20 @@ func minedFDs(ctx context.Context, s *fd.Sets) ([]fd.FD, error) {
 		return fd.TANEColumnsCtx(ctx, s)
 	}
 	var prev *fd.MineState // nil: scratch run
-	if data, ok := im.LoadIntermediate(KindFDState, Params{}); !ok {
+	if data, ok := im.LoadFDState(); !ok {
 		obs.DeltaFallbacks.With(obs.FallbackNoState).Inc()
 	} else if prev, _ = fd.DecodeState(data); prev == nil {
 		obs.DeltaFallbacks.With(obs.FallbackCorruptState).Inc()
 	}
+	start := time.Now()
 	fds, next, delta, err := fd.DiscoverDeltaColumns(ctx, s, prev)
 	if err != nil {
 		return nil, err
 	}
-	im.SaveIntermediate(KindFDState, Params{}, fd.EncodeState(next))
-	im.resumed = delta
+	if delta {
+		obs.DeltaRemineSeconds.Observe(time.Since(start).Seconds())
+	}
+	im.SaveFDState(fd.EncodeState(next))
 	return fds, nil
 }
 

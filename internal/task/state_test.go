@@ -12,18 +12,12 @@ import (
 	"structmine/internal/relation"
 )
 
-// memIntermediates holds one dataset's intermediates by kind and
-// parameters, whatever epoch left them.
-type memIntermediates map[string][]byte
+// memIntermediates is the FD-state slot of one dataset in memory,
+// whatever epoch left it; nil until a run saves a state.
+type memIntermediates struct{ state []byte }
 
-func (m memIntermediates) LoadIntermediate(kind string, p Params) ([]byte, bool) {
-	data, ok := m[p.CacheKey(kind)]
-	return data, ok
-}
-
-func (m memIntermediates) SaveIntermediate(kind string, p Params, data []byte) {
-	m[p.CacheKey(kind)] = data
-}
+func (m *memIntermediates) LoadFDState() ([]byte, bool) { return m.state, m.state != nil }
+func (m *memIntermediates) SaveFDState(data []byte)     { m.state = data }
 
 func stateRel(t *testing.T, n int, seed int64) *relation.Relation {
 	t.Helper()
@@ -71,12 +65,12 @@ func TestStateDeltaMatchesScratch(t *testing.T) {
 	for _, name := range []string{"mine-fds", "rank-fds", "partition"} {
 		t.Run(name, func(t *testing.T) {
 			stateful := name != "partition"
-			ss := memIntermediates{}
+			ss := &memIntermediates{}
 			if _, delta := runWithIntermediates(t, relation.AsColumns(base), name, ss); delta {
 				t.Fatal("seed run took the delta path")
 			}
-			if (len(ss) > 0) != stateful {
-				t.Fatalf("seed run saved %d states", len(ss))
+			if (ss.state != nil) != stateful {
+				t.Fatalf("seed run saved state %q", ss.state)
 			}
 			got, delta := runWithIntermediates(t, relation.AsColumns(ext), name, ss)
 			if delta != stateful {
@@ -109,9 +103,9 @@ func TestStateReachAndFallbacks(t *testing.T) {
 	wrap := func(r *relation.Relation) relation.Columns {
 		return struct{ relation.Columns }{relation.AsColumns(r)}
 	}
-	ss := memIntermediates{}
-	if _, delta := runWithIntermediates(t, wrap(r), "mine-fds", ss); delta || len(ss) != 1 {
-		t.Fatalf("mine-fds seed run: delta=%v, %d states saved, want a scratch run that saves one", delta, len(ss))
+	ss := &memIntermediates{}
+	if _, delta := runWithIntermediates(t, wrap(r), "mine-fds", ss); delta || ss.state == nil {
+		t.Fatalf("mine-fds seed run: delta=%v, state %q saved, want a scratch run that saves one", delta, ss.state)
 	}
 	got, delta := runWithIntermediates(t, wrap(ext), "mine-fds", ss)
 	if !delta {
@@ -126,10 +120,10 @@ func TestStateReachAndFallbacks(t *testing.T) {
 	if string(gj) != string(wj) {
 		t.Fatalf("mine-fds resumed over wrapped columns diverges from scratch:\n got %s\nwant %s", gj, wj)
 	}
-	ss = memIntermediates{}
+	ss = &memIntermediates{}
 	got, delta = runWithIntermediates(t, relation.AsColumns(r), "describe", ss)
-	if delta || len(ss) != 0 {
-		t.Fatalf("describe: delta=%v, %d states saved", delta, len(ss))
+	if delta || ss.state != nil {
+		t.Fatalf("describe: delta=%v, state %q saved", delta, ss.state)
 	}
 	want, err = Run(context.Background(), r, "describe", Params{})
 	if err != nil {
@@ -141,8 +135,7 @@ func TestStateReachAndFallbacks(t *testing.T) {
 		t.Fatalf("describe result drifted: %s vs %s", gj, wj)
 	}
 	// Corrupt state must degrade to a scratch run, not an error.
-	ss = memIntermediates{}
-	ss.SaveIntermediate(KindFDState, Params{}, []byte("garbage"))
+	ss = &memIntermediates{state: []byte("garbage")}
 	if _, delta := runWithIntermediates(t, relation.AsColumns(r), "mine-fds", ss); delta {
 		t.Fatal("mine-fds took the delta path over corrupt state")
 	}

@@ -26,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"structmine/internal/fd"
 	"structmine/internal/obs"
@@ -246,18 +245,7 @@ func RunColumns(ctx context.Context, c relation.Columns, taskName string, p Para
 	if spec.MultiFile {
 		return nil, fmt.Errorf("task: %q operates on several relations and cannot run over one dataset", taskName)
 	}
-	p = p.Normalize(taskName)
-	h := intermediatesOf(ctx)
-	if h != nil { // a hook of this run's own, so resumed speaks for this run only
-		h = &hook{Intermediates: h.Intermediates}
-		ctx = context.WithValue(ctx, intermediatesKey{}, h)
-	}
-	start := time.Now()
-	res, err := dispatch(ctx, fd.NewSets(ctx, c), taskName, p)
-	if h != nil && h.resumed && err == nil {
-		obs.DeltaRemineSeconds.Observe(time.Since(start).Seconds())
-	}
-	return res, err
+	return dispatch(ctx, fd.NewSets(ctx, c), taskName, p.Normalize(taskName))
 }
 
 // dispatch runs one job. s is the job's kernel over its instance: every
