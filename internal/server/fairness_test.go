@@ -93,12 +93,12 @@ func TestFairnessSmallJobsNotStarved(t *testing.T) {
 	case <-time.After(90 * time.Second):
 		t.Fatal("heavy job did not finish")
 	}
-	hv, _ := s.jobs.Get(heavy.ID)
+	hv, _ := viewOf(s, heavy.ID)
 	if hv.State != StateDone {
 		t.Fatalf("heavy job state = %s (%s), want done", hv.State, hv.Error)
 	}
 	for _, id := range ids {
-		if v, _ := s.jobs.Get(id); v.State != StateDone {
+		if v, _ := viewOf(s, id); v.State != StateDone {
 			t.Fatalf("small job %s state = %s (%s), want done", id, v.State, v.Error)
 		}
 	}

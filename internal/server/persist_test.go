@@ -297,7 +297,7 @@ func TestSubmitDoesNotHoldRunnerLockAcrossDiskRead(t *testing.T) {
 	s2, _ := newTestServer(t, Config{Workers: 1, Store: st2})
 	gate.armed.Store(true)
 
-	submitted := make(chan JobView, 1)
+	submitted := make(chan Snapshot, 1)
 	go func() {
 		v, err := s2.jobs.SubmitAs(DefaultTenant, PriorityInteractive, ds.ID, "describe", task.Params{})
 		if err != nil {
@@ -322,7 +322,7 @@ func TestSubmitDoesNotHoldRunnerLockAcrossDiskRead(t *testing.T) {
 		t.Error("list, queue depth and submit are stuck behind another submission's disk read")
 	}
 	close(gate.release)
-	if v := <-submitted; !v.CacheHit || v.State != StateDone {
+	if v, _ := viewOf(s2, (<-submitted).ID); !v.CacheHit || v.State != StateDone {
 		t.Fatalf("submission after the slow read: %+v, want a done cache hit", v)
 	}
 }

@@ -16,8 +16,10 @@
 # engine over repeated and proportional objects (budget 1 ≡ budget 4,
 # greedy on equation (3), exactly 0 between duplicates), and the
 # approximate-FD miner against a brute-force enumeration of the minimal
-# g3 ≤ ε dependencies (any ε, NaN and negatives included). One
-# target per invocation is a `go test` rule.
+# g3 ≤ ε dependencies (any ε, NaN and negatives included), and the job
+# views, list pages and /result envelopes the daemon assembles from
+# stored bytes against writeJSON. One target per invocation is a
+# `go test` rule.
 # -fuzzminimizetime is capped
 # because the default spends up to 60 s shrinking every new corpus entry,
 # which starves a short leg: FuzzAppendCSV ran 8 254 inputs in 40 s with
@@ -32,6 +34,6 @@ for target in internal/relation:FuzzReadCSV internal/relation:FuzzAppendCSV inte
   internal/fd:FuzzDecodeState \
   internal/store:FuzzRecover internal/task:FuzzParams internal/fd:FuzzGroupBy internal/limbo:FuzzGroupZero \
   internal/limbo:FuzzCountTree \
-  internal/ib:FuzzAgglomerate internal/fd:FuzzMineApprox; do
+  internal/ib:FuzzAgglomerate internal/fd:FuzzMineApprox internal/server:FuzzJobViewBytes; do
   go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime "$fuzztime" -fuzzminimizetime 10x "./${target%:*}"
 done
