@@ -101,13 +101,9 @@ func Append(dir string, newMeta store.DatasetMeta, old *Table, body []byte, lim 
 		// appended rows.
 		if oldN > fullStart {
 			tailLen := int(oldN - fullStart)
-			cols := make([][]int32, m)
-			for a := 0; a < m; a++ {
-				col, err := old.ReadPage(fullStripes, a, nil)
-				if err != nil {
-					return err
-				}
-				cols[a] = append([]int32(nil), col...)
+			cols, err := old.ReadStripe(fullStripes, relation.AllAttrs(old), nil)
+			if err != nil {
+				return err
 			}
 			row := make([]int32, m)
 			for t := 0; t < tailLen; t++ {

@@ -194,18 +194,24 @@ func TestColumnsMatchResident(t *testing.T) {
 	if tbl.NumPages() != (tbl.N()+tbl.PageRows()-1)/tbl.PageRows() {
 		t.Fatalf("page count %d for n=%d pageRows=%d", tbl.NumPages(), tbl.N(), tbl.PageRows())
 	}
+	var dst, resDst [][]int32
 	for p := 0; p < tbl.NumPages(); p++ {
 		for a := 0; a < tbl.M(); a++ {
-			got, err := tbl.ReadPage(p, a, nil)
+			got, err := tbl.ReadStripe(p, []int{a}, dst)
 			if err != nil {
-				t.Fatalf("ReadPage(%d,%d): %v", p, a, err)
+				t.Fatalf("ReadStripe(%d,[%d]): %v", p, a, err)
 			}
-			want, _ := res.ReadPage(p*tbl.PageRows()/res.PageRows(), a, nil)
+			dst = got
+			want, err := res.ReadStripe(p*tbl.PageRows()/res.PageRows(), []int{a}, resDst)
+			if err != nil {
+				t.Fatalf("resident ReadStripe(%d,[%d]): %v", p, a, err)
+			}
+			resDst = want
 			// Page geometries may differ; compare via global row index.
-			for i, v := range got {
+			for i, v := range got[0] {
 				row := p*tbl.PageRows() + i
 				if w := rel.Row(row)[a]; v != w {
-					t.Fatalf("page %d attr %d row %d: %d want %d (resident page head %v)", p, a, row, v, w, want[:1])
+					t.Fatalf("page %d attr %d row %d: %d want %d (resident page head %v)", p, a, row, v, w, want[0][:1])
 				}
 			}
 		}
@@ -383,9 +389,10 @@ func TestBitFlipDetected(t *testing.T) {
 		}
 		// The flip landed in page data: the first touch must catch it.
 		var readErr error
+		var dst [][]int32
 		for p := 0; p < tbl.NumPages() && readErr == nil; p++ {
 			for a := 0; a < tbl.M() && readErr == nil; a++ {
-				_, readErr = tbl.ReadPage(p, a, nil)
+				dst, readErr = tbl.ReadStripe(p, []int{a}, dst)
 			}
 		}
 		if readErr == nil {

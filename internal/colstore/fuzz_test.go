@@ -44,10 +44,10 @@ func FuzzOpen(f *testing.F) {
 			return // rejected cleanly
 		}
 		defer tbl.Close()
-		var buf []int32
+		var buf [][]int32
 		for pg := 0; pg < tbl.NumPages(); pg++ {
 			for a := 0; a < tbl.M(); a++ {
-				if buf, err = tbl.ReadPage(pg, a, buf); err != nil {
+				if buf, err = tbl.ReadStripe(pg, []int{a}, buf); err != nil {
 					return
 				}
 			}

@@ -29,7 +29,7 @@ type mapping interface {
 // runs over it unchanged. Methods are safe for concurrent use; the only
 // mutable state is the first-touch validation bitmap.
 //
-// Pages are validated lazily: the first ReadPage of a (page, attribute)
+// Pages are validated lazily: the first read of a (page, attribute)
 // pair checks the page CRC and that every id belongs to the attribute
 // (a "page fault" in the metrics); later reads skip revalidation. The
 // tail — metadata and value index — is fully validated at Open, in one
@@ -365,29 +365,6 @@ func (t *Table) PageLen(p int) int {
 		return 0
 	}
 	return t.h.stripeLen(p)
-}
-
-func (t *Table) ReadPage(p, a int, dst []int32) ([]int32, error) {
-	rows := t.PageLen(p)
-	if rows == 0 {
-		return nil, fmt.Errorf("colstore: page %d out of range (have %d)", p, t.h.numStripes())
-	}
-	if a < 0 || a >= t.h.m {
-		return nil, fmt.Errorf("colstore: attribute %d out of range (have %d)", a, t.h.m)
-	}
-	start := time.Now()
-	b, err := t.mm.readAt(t.h.pageOff(p, a), int(pageSize(rows)))
-	if err != nil {
-		return nil, err
-	}
-	pagesRead.Inc()
-	dst = sizePage(dst, rows, t.h.pageRows)
-	if err := t.decodePage(b, p, a, rows, dst); err != nil {
-		return nil, err
-	}
-	t.mm.release(t.h.pageOff(p, a), len(b))
-	pageReadSeconds.Observe(time.Since(start).Seconds())
-	return dst, nil
 }
 
 // ReadStripe reads the pages of every attribute in attrs for stripe p

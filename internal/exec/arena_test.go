@@ -140,17 +140,29 @@ func TestArenaOversizedCarve(t *testing.T) {
 	}
 }
 
-// Kernel table sanity: every kernel has a name and a positive cutoff,
-// and out-of-range values fall back to Generic.
-func TestKernelTable(t *testing.T) {
+// Every kernel below numKernels has a row in both tables: a positive
+// cutoff (a missing row reads 0 and would fan out at any work) and a
+// non-empty name no other kernel shares (the steal metric's label).
+func TestEveryKernelHasACutoffAndName(t *testing.T) {
+	seen := make(map[string]Kernel, numKernels)
 	for k := Kernel(0); k < numKernels; k++ {
 		if k.Cutoff() <= 0 {
-			t.Fatalf("kernel %s has cutoff %d", k, k.Cutoff())
+			t.Errorf("kernel %s has cutoff %d", k, k.Cutoff())
 		}
-		if k.String() == "" {
-			t.Fatalf("kernel %d has no name", k)
+		name := k.String()
+		if name == "" {
+			t.Errorf("kernel %d has no name", k)
+			continue
 		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kernels %d and %d share the name %q", prev, k, name)
+		}
+		seen[name] = k
 	}
+}
+
+// Out-of-range kernel values fall back to Generic's cutoff and name.
+func TestKernelTable(t *testing.T) {
 	if bogus := Kernel(250); bogus.Cutoff() != Generic.Cutoff() || bogus.String() != Generic.String() {
 		t.Fatal("out-of-range kernel does not fall back to Generic")
 	}

@@ -16,9 +16,6 @@ const (
 	// AIBRecompute: δI recomputation against a fresh merge; work counts
 	// sparse elements touched (~5 ns each).
 	AIBRecompute
-	// LIMBOClosest: closest-entry δI scan during DCF-tree descent; work
-	// counts entries × (support+1) sparse adds (~5 ns each).
-	LIMBOClosest
 	// LIMBOAssign: object→representative assignment through the inverted
 	// index of the representatives' supports; work counts posting terms
 	// (one shared coordinate of an object and a representative: one
@@ -49,7 +46,6 @@ var cutoffs = [numKernels]int{
 	Generic:      4096,
 	AIBPairs:     512,   // ~µs/unit → ~0.5 ms of work
 	AIBRecompute: 16384, // ~5 ns/unit → ~80 µs of work
-	LIMBOClosest: 16384, // ~5 ns/unit → ~80 µs of work
 	LIMBOAssign:  8192,  // ~10 ns/unit → ~80 µs of work
 	TANEProduct:  8192,  // ~5–10 ns/unit → ~40–80 µs of work
 	ColScan:      16384, // ~1–10 ns/unit → ≥ ~20 µs of work (4+ stripes)
@@ -59,7 +55,6 @@ var kernelNames = [numKernels]string{
 	Generic:      "generic",
 	AIBPairs:     "aib_pairs",
 	AIBRecompute: "aib_recompute",
-	LIMBOClosest: "limbo_closest",
 	LIMBOAssign:  "limbo_assign",
 	TANEProduct:  "tane_product",
 	ColScan:      "col_scan",

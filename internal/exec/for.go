@@ -54,13 +54,7 @@ func (f Fanout) Workers() int { return f.workers }
 // boundaries, which every call site in this repo does (pure per-index
 // computation into a preallocated slice).
 func For(ctx context.Context, k Kernel, n, work int, fn func(lo, hi int)) {
-	Plan(ctx, k, n, work).For(fn)
-}
-
-// For is the planned form of the package-level For, for callers that
-// branch on Workers() before fanning out.
-func (f Fanout) For(fn func(lo, hi int)) {
-	f.ForChunk(func(_, lo, hi int) { fn(lo, hi) })
+	Plan(ctx, k, n, work).ForChunk(func(_, lo, hi int) { fn(lo, hi) })
 }
 
 // ForChunk is For with the worker index exposed: fn(w, lo, hi) with

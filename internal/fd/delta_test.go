@@ -193,13 +193,6 @@ func (c *countingColumns) ReadStripe(p int, attrs []int, dst [][]int32) ([][]int
 	return c.Columns.ReadStripe(p, attrs, dst)
 }
 
-func (c *countingColumns) ReadPage(p, a int, dst []int32) ([]int32, error) {
-	c.mu.Lock()
-	c.stripes[p]++
-	c.mu.Unlock()
-	return c.Columns.ReadPage(p, a, dst)
-}
-
 func (c *countingColumns) VisitValues(a int, f func(v int32, count int, runs []relation.Run) error) error {
 	c.mu.Lock()
 	c.visits++

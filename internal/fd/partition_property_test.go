@@ -53,15 +53,15 @@ func fuzzedRelation(r *rand.Rand) *relation.Relation {
 func scanBuiltPartition(t *testing.T, c relation.Columns, a int) *partition {
 	t.Helper()
 	byValue := map[int32][]int32{}
-	var dst []int32
+	var dst [][]int32
 	row := int32(0)
 	for p := 0; p < c.NumPages(); p++ {
-		got, err := c.ReadPage(p, a, dst)
+		got, err := c.ReadStripe(p, []int{a}, dst)
 		if err != nil {
-			t.Fatalf("ReadPage(%d,%d): %v", p, a, err)
+			t.Fatalf("ReadStripe(%d,[%d]): %v", p, a, err)
 		}
 		dst = got
-		for _, v := range got {
+		for _, v := range got[0] {
 			byValue[v] = append(byValue[v], row)
 			row++
 		}

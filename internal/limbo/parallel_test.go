@@ -9,17 +9,16 @@ import (
 	"structmine/internal/it"
 )
 
-// forceParallel raises GOMAXPROCS so par takes the concurrent path even
-// on single-CPU machines (same trick as the ib package's parallel
+// forceParallel raises GOMAXPROCS so fan-outs take the concurrent path
+// even on single-CPU machines (same trick as the ib package's parallel
 // tests).
 func forceParallel() func() {
 	old := runtime.GOMAXPROCS(4)
 	return func() { runtime.GOMAXPROCS(old) }
 }
 
-// wideObj builds an object with a support wide enough that the
-// closest-entry search clears the limbo_closest kernel cutoff and
-// actually fans out.
+// wideObj builds an object with support distinct values drawn from
+// [0, domain), uniform over them, of mass w.
 func wideObj(r *rand.Rand, id int32, domain, support int, w float64) Obj {
 	seen := make(map[int32]bool, support)
 	vals := make([]int32, 0, support)
@@ -35,33 +34,30 @@ func wideObj(r *rand.Rand, id int32, domain, support int, w float64) Obj {
 }
 
 // Property: building a tree through the normal insert path (recorded
-// probes, parallel closest-entry search when wide enough) yields leaves
-// bit-identical to the retained serial reference path, for the same
-// inputs in the same order.
-func TestPropInsertParallelMatchesSerial(t *testing.T) {
-	defer forceParallel()()
+// probes, the tree-owned distance buffer) yields leaves bit-identical to
+// the retained serial reference path, for the same inputs in the same
+// order.
+func TestPropInsertMatchesSerial(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 20 + r.Intn(30)
 		objs := make([]Obj, n)
 		for i := range objs {
-			// Wide supports push the closest-entry work estimate past
-			// the kernel cutoff so the parallel branch really runs.
 			objs[i] = wideObj(r, int32(i), 4000, 900+r.Intn(300), 1.0/float64(n))
 		}
 		tau := Threshold(0.3, MutualInfo(objs), n)
 		cfg := Config{B: 4, Threshold: tau}
-		par := NewTree(cfg)
+		tree := NewTree(cfg)
 		ser := NewTreeSerial(cfg)
 		for _, o := range objs {
-			par.Insert(o)
+			tree.Insert(o)
 			ser.Insert(o)
 		}
-		if err := par.Validate(); err != nil {
-			t.Logf("seed %d: parallel tree invalid: %v", seed, err)
+		if err := tree.Validate(); err != nil {
+			t.Logf("seed %d: tree invalid: %v", seed, err)
 			return false
 		}
-		pl, sl := par.Leaves(), ser.Leaves()
+		pl, sl := tree.Leaves(), ser.Leaves()
 		if len(pl) != len(sl) {
 			t.Logf("seed %d: %d vs %d leaves", seed, len(pl), len(sl))
 			return false

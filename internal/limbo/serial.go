@@ -2,14 +2,14 @@ package limbo
 
 import "math"
 
-// closestEntrySerial is the original single-threaded closest-entry
-// search of Phase 1, kept verbatim as the differential-testing oracle
-// for the parallel search in Tree.closest: it computes each δI and folds
-// the argmin in one pass over the entries, keeping the first strict
-// minimum. The parallel path must produce bit-identical trees —
-// enforced by TestPropInsertParallelMatchesSerial, which builds whole
-// trees in both modes over seeded inputs and compares every leaf field
-// for exact equality.
+// closestEntrySerial is the original closest-entry search of Phase 1,
+// kept verbatim as the differential-testing oracle for Tree.closest: it
+// computes each δI with DeltaIDCF and folds the argmin in one pass over
+// the entries, keeping the first strict minimum. The tree's search, on
+// recorded probes and the tree-owned buffers, must produce bit-identical
+// trees — enforced by TestPropInsertMatchesSerial, which builds whole
+// trees both ways over seeded inputs and compares every leaf field for
+// exact equality.
 func closestEntrySerial(entries []*entry, d *DCF) (int, float64) {
 	best, bestDist := -1, math.Inf(1)
 	for i, e := range entries {
@@ -51,11 +51,11 @@ func assignSerial(reps []*DCF, objs []Obj) []Assignment {
 	return out
 }
 
-// NewTreeSerial creates a DCF-tree whose closest-entry searches always
-// run through the retained serial reference, regardless of workload size
-// and GOMAXPROCS. It exists for differential tests and benchmarks (the
-// AIB engine's AgglomerateKSerial plays the same role for Phase 2); new
-// callers should use NewTree.
+// NewTreeSerial creates a DCF-tree whose closest-entry searches and
+// absorptions always run through the retained serial reference. It
+// exists for differential tests and benchmarks (the AIB engine's
+// AgglomerateKSerial plays the same role for Phase 2); new callers
+// should use NewTree.
 func NewTreeSerial(cfg Config) *Tree {
 	cfg.forceSerial = true
 	return NewTree(cfg)

@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"structmine/internal/exec"
 	"structmine/internal/it"
 )
 
@@ -49,7 +48,6 @@ const thresholdEps = 1e-12
 // goroutine; the read-only DCFs it hands out (Leaves) are safe to share
 // afterwards.
 type Tree struct {
-	ctx         context.Context // carries the worker budget for closest-entry fan-outs
 	cfg         Config
 	root        *node
 	leafEntries int
@@ -69,14 +67,12 @@ type Tree struct {
 	// arena-grown tiers, so at steady state an insert allocates nothing.
 	sc mergeScratch
 	// dist is the reusable per-node candidate-distance buffer of the
-	// closest-entry search. Disjoint slots are written concurrently when
-	// the search runs parallel; the argmin scan is always serial.
+	// closest-entry search.
 	dist []float64
 	// octx holds the per-insert precomputation (scaled sums and their
 	// logarithms) shared by every δI candidate of one descent, and
 	// posBuf the per-candidate probe positions the winning absorption
-	// replays — one row per entry, written concurrently by disjoint
-	// rows when the search runs parallel.
+	// replays — one row per entry.
 	octx   objCtx
 	posBuf []int32
 	// scratchHW is the high-water mark of the scratch capacity, exported
@@ -106,21 +102,21 @@ type entry struct {
 	child *node // nil iff owning node is a leaf
 }
 
-// NewTree creates an empty DCF-tree under the GOMAXPROCS fallback
-// budget. B defaults to 4 when non-positive.
+// NewTree creates an empty DCF-tree whose slabs come from the heap. B
+// defaults to 4 when non-positive.
 func NewTree(cfg Config) *Tree {
 	return NewTreeCtx(context.Background(), cfg)
 }
 
-// NewTreeCtx creates an empty DCF-tree under the context's worker
-// budget; when the context carries a scheduler grant, the tree's
-// numeric slabs are checked out of the process arena pool and recycled
-// when the grant is released (the Tree must not outlive it).
+// NewTreeCtx creates an empty DCF-tree; when the context carries a
+// scheduler grant, the tree's numeric slabs are checked out of the
+// process arena pool and recycled when the grant is released (the Tree
+// must not outlive it).
 func NewTreeCtx(ctx context.Context, cfg Config) *Tree {
 	if cfg.B <= 1 {
 		cfg.B = 4
 	}
-	t := &Tree{ctx: ctx, cfg: cfg, nodes: 1, height: 1, slack: thresholdEps}
+	t := &Tree{cfg: cfg, nodes: 1, height: 1, slack: thresholdEps}
 	t.ar.init(ctx)
 	t.sc.ar = &t.ar
 	t.root = t.newNode(true)
@@ -290,39 +286,17 @@ func (t *Tree) growRoot(e1, e2 *entry) {
 
 // closest returns the index of the entry at minimum δI from d (first
 // strict minimum in entry order, −1 for an empty node) and the distance.
-// Above the shared cutoff the δI candidates are evaluated in parallel
-// into the tree-owned distance buffer — each candidate is a pure
-// function of two untouched DCFs, and the argmin scan runs serially in
-// entry order afterwards, so the choice is bit-identical to the retained
-// serial reference closestEntrySerial for any GOMAXPROCS.
+// A node holds at most B + 1 entries, so the search runs in line; its
+// choice is bit-identical to the retained serial reference
+// closestEntrySerial.
 func (t *Tree) closest(entries []*entry, d *DCF) (int, float64) {
 	if t.cfg.forceSerial {
 		return closestEntrySerial(entries, d)
 	}
-	if len(entries) == 0 {
-		return -1, math.Inf(1)
-	}
-	// Each δI costs roughly the smaller support; d is the freshly routed
-	// summary and is almost always the smaller operand. The cutoff check
-	// lives out here so the (overwhelmingly common) serial path never
-	// constructs the parallel closure.
-	work := len(entries) * (d.SupportLen() + 1)
-	plan := exec.Plan(t.ctx, exec.LIMBOClosest, len(entries), work)
-	if plan.Workers() <= 1 && t.steer == nil {
-		best, bestDist := -1, math.Inf(1)
-		for i, e := range entries {
-			if dist := t.delta(e.dcf, d); dist < bestDist {
-				best, bestDist = i, dist
-			}
-		}
-		return best, bestDist
-	}
 	dist := t.distBuf(len(entries))
-	plan.For(func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dist[i] = t.delta(entries[i].dcf, d)
-		}
-	})
+	for i, e := range entries {
+		dist[i] = t.delta(e.dcf, d)
+	}
 	return t.argmin(dist)
 }
 
@@ -333,52 +307,33 @@ func (t *Tree) closestObj(entries []*entry, o Obj) (int, float64) {
 	if t.cfg.forceSerial {
 		return closestObjSerial(entries, o)
 	}
-	if len(entries) == 0 {
-		return -1, math.Inf(1)
-	}
-	work := len(entries) * (len(o.Cond) + 1)
-	plan := exec.Plan(t.ctx, exec.LIMBOClosest, len(entries), work)
-	if plan.Workers() <= 1 && t.steer == nil {
-		best, bestDist := -1, math.Inf(1)
-		for i, e := range entries {
-			if dist := t.deltaObj(e.dcf, t.posRow(i)); dist < bestDist {
-				best, bestDist = i, dist
-			}
-		}
-		return best, bestDist
-	}
 	dist := t.distBuf(len(entries))
-	plan.For(func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dist[i] = t.deltaObj(entries[i].dcf, t.posRow(i))
-		}
-	})
+	for i, e := range entries {
+		dist[i] = t.deltaObj(e.dcf, t.posRow(i))
+	}
 	return t.argmin(dist)
 }
 
+// distBuf returns the distance buffer for n candidates, sized once for
+// a full node plus its transient overflow.
 func (t *Tree) distBuf(n int) []float64 {
 	if cap(t.dist) < n {
-		t.dist = make([]float64, n)
+		t.dist = make([]float64, max(n, t.cfg.B+1))
 	}
 	return t.dist[:n]
 }
 
-// argminDist returns the first strict minimum in entry order — the same
-// choice the serial reference makes, for any GOMAXPROCS.
-func argminDist(dist []float64) (int, float64) {
+// argmin returns the first strict minimum in entry order (−1, +Inf for
+// no candidates) — the choice the serial reference makes — steered when
+// the test hook is set and there is a choice to make.
+func (t *Tree) argmin(dist []float64) (int, float64) {
 	best, bestDist := -1, math.Inf(1)
 	for i, dd := range dist {
 		if dd < bestDist {
 			best, bestDist = i, dd
 		}
 	}
-	return best, bestDist
-}
-
-// argmin is argminDist, steered when the test hook is set.
-func (t *Tree) argmin(dist []float64) (int, float64) {
-	best, bestDist := argminDist(dist)
-	if t.steer != nil {
+	if t.steer != nil && len(dist) > 0 {
 		best = t.steer(dist, best)
 		bestDist = dist[best]
 	}

@@ -51,21 +51,17 @@ type Columns interface {
 	NumPages() int
 	// PageLen returns the number of tuples in page p.
 	PageLen(p int) int
-	// ReadPage returns the value ids of attribute a for the tuples of
-	// page p. dst is optional scratch (typically an exec.Arena carve);
-	// when its capacity suffices the result aliases it, otherwise a
-	// fresh slice is returned. The returned slice is only valid until
-	// the next ReadPage call on the same Columns with the same dst —
-	// mmap-backed implementations may return memory that is revalidated
-	// or remapped between calls.
-	ReadPage(p, a int, dst []int32) ([]int32, error)
 	// ReadStripe reads the pages of every attribute in attrs for stripe p
 	// in one pass: out[i] holds the value ids of attrs[i], each of length
-	// PageLen(p). dst is optional scratch with the same reuse contract as
-	// ReadPage's (dst[i] backs out[i] when its capacity suffices); passing
-	// a dst of length ≥ len(attrs) from a previous call avoids all
-	// allocation. On-disk implementations fetch the whole stripe with one
-	// contiguous read instead of len(attrs) seeks.
+	// PageLen(p). dst is optional scratch (typically carved from an
+	// exec.Arena): dst[i] backs out[i] when its capacity suffices,
+	// otherwise a fresh slice sized for a full page is returned, so
+	// passing the previous call's result as dst avoids all allocation.
+	// The returned slices are only valid until the next ReadStripe call
+	// on the same Columns with the same dst — mmap-backed
+	// implementations may return memory that is revalidated or remapped
+	// between calls. On-disk implementations fetch the whole stripe with
+	// one contiguous read instead of len(attrs) seeks.
 	ReadStripe(p int, attrs []int, dst [][]int32) ([][]int32, error)
 	// VisitValues calls f once per distinct value of attribute a, in
 	// ascending value-id order, with the value's tuple count and its
@@ -117,37 +113,15 @@ func (c *residentColumns) PageLen(p int) int {
 	return DefaultPageRows
 }
 
-func (c *residentColumns) ReadPage(p, a int, dst []int32) ([]int32, error) {
-	rows := c.PageLen(p)
-	if rows == 0 {
-		return nil, fmt.Errorf("relation: page %d out of range (have %d pages)", p, c.NumPages())
-	}
-	if a < 0 || a >= c.r.M() {
-		return nil, fmt.Errorf("relation: attribute %d out of range (have %d)", a, c.r.M())
-	}
-	if cap(dst) < rows {
-		// Right-size to the full nominal page so the same buffer is
-		// reusable across every page (only the tail page is shorter) —
-		// an exact-size allocation here would silently reallocate on
-		// each longer page that follows.
-		n := DefaultPageRows
-		if rows > n {
-			n = rows
-		}
-		dst = make([]int32, n)
-	}
-	dst = dst[:rows]
-	base := p * DefaultPageRows
-	for i := 0; i < rows; i++ {
-		dst[i] = c.r.rows[base+i][a]
-	}
-	return dst, nil
-}
-
 func (c *residentColumns) ReadStripe(p int, attrs []int, dst [][]int32) ([][]int32, error) {
 	rows := c.PageLen(p)
 	if rows == 0 {
 		return nil, fmt.Errorf("relation: page %d out of range (have %d pages)", p, c.NumPages())
+	}
+	for _, a := range attrs {
+		if a < 0 || a >= c.r.M() {
+			return nil, fmt.Errorf("relation: attribute %d out of range (have %d)", a, c.r.M())
+		}
 	}
 	if len(dst) < len(attrs) {
 		grown := make([][]int32, len(attrs))
@@ -155,12 +129,21 @@ func (c *residentColumns) ReadStripe(p int, attrs []int, dst [][]int32) ([][]int
 		dst = grown
 	}
 	dst = dst[:len(attrs)]
+	base := p * DefaultPageRows
 	for i, a := range attrs {
-		got, err := c.ReadPage(p, a, dst[i])
-		if err != nil {
-			return nil, err
+		page := dst[i]
+		if cap(page) < rows {
+			// Right-size to the full nominal page so the same buffer is
+			// reusable across every page (only the tail page is
+			// shorter) — an exact-size allocation here would silently
+			// reallocate on each longer page that follows.
+			page = make([]int32, DefaultPageRows)
 		}
-		dst[i] = got
+		page = page[:rows]
+		for j := range page {
+			page[j] = c.r.rows[base+j][a]
+		}
+		dst[i] = page
 	}
 	return dst, nil
 }

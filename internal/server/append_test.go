@@ -624,12 +624,14 @@ func TestPagedHandleConcurrentPins(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var dst [][]int32
 			for i := 0; i < 200; i++ {
 				tbl := h.pin()
 				if tbl == nil {
 					return // closed and unlinked: nothing left to pin
 				}
-				if _, err := tbl.ReadPage(0, 0, nil); err != nil {
+				var err error
+				if dst, err = tbl.ReadStripe(0, []int{0}, dst); err != nil {
 					t.Errorf("read through a pinned table: %v", err)
 				}
 				h.unpin()

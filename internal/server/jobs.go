@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -641,13 +642,21 @@ func (q *Runner) Result(id string) (json.RawMessage, Snapshot, bool) {
 // Page returns the view bytes of one cursor page of jobs in id order:
 // the first `limit` jobs whose id sorts strictly after `cursor` (empty
 // cursor = from the start), the cursor addressing the next page ("" on
-// the last page), and the retained total. Ids are zero-padded sequence numbers behind
-// one per-node prefix, so lexicographic order is submission order and a
-// cursor stays stable while jobs are submitted or pruned around it.
+// the last page), and the retained total. Ids are zero-padded sequence
+// numbers behind one per-node prefix, so lexicographic order is usually
+// submission order and the page is cut from q.order in place; only when
+// it is not (recovered ids behind another prefix, a sequence past six
+// digits) are the ids copied and sorted. Either way a cursor stays
+// stable while jobs are submitted or pruned around it.
 func (q *Runner) Page(cursor string, limit int) (views [][]byte, next string, total int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	page, next := cursorPage(append([]string(nil), q.order...), cursor, limit)
+	ids := q.order
+	if !slices.IsSorted(ids) {
+		ids = slices.Clone(ids)
+		slices.Sort(ids)
+	}
+	page, next := cursorPage(ids, cursor, limit)
 	views = make([][]byte, 0, len(page))
 	for _, id := range page {
 		views = append(views, q.jobs[id].view)

@@ -3,11 +3,14 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -273,6 +276,80 @@ func (f *gatedFS) ReadFile(path string) ([]byte, error) {
 		<-f.release
 	}
 	return f.FS.ReadFile(path)
+}
+
+// colstoreFS records every path removed through it and, when failing
+// is set, fails every listing of the colstore directory.
+type colstoreFS struct {
+	store.FS
+	failing bool
+	mu      sync.Mutex
+	removed []string
+}
+
+func (f *colstoreFS) ReadDir(dir string) ([]string, error) {
+	if f.failing && filepath.Base(dir) == "colstore" {
+		return nil, errors.New("injected ReadDir failure")
+	}
+	return f.FS.ReadDir(dir)
+}
+
+func (f *colstoreFS) Remove(path string) error {
+	f.mu.Lock()
+	f.removed = append(f.removed, path)
+	f.mu.Unlock()
+	return f.FS.Remove(path)
+}
+
+// TestRecoverColstoreThroughStoreFS: the boot sweep of the colstore
+// directory lists and deletes through the store's FS. A listing that
+// fails still boots, with nothing adopted and nothing deleted; the next
+// boot removes the leftover temp file through the FS and adopts the
+// dataset.
+func TestRecoverColstoreThroughStoreFS(t *testing.T) {
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	s1 := New(Config{Store: st1})
+	ds, _, err := s1.reg.RegisterCSV("pins", "test", csvOf(appendCSVRows(200, 5)))
+	if err != nil || ds.Storage != StoragePaged {
+		t.Fatalf("register: %+v, %v", ds, err)
+	}
+	_ = s1.Shutdown(context.Background())
+	st1.Close()
+	leftover := filepath.Join(filepath.Dir(ds.colPath), store.TempPrefix+"torn.col")
+	if err := os.WriteFile(leftover, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	boot := func(fsys *colstoreFS) (datasets, adopted int) {
+		st, err := store.Open(dir, store.Options{FS: fsys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		s := New(Config{Store: st})
+		defer func() { _ = s.Shutdown(context.Background()) }()
+		adopted, _ = s.reg.Recovered()
+		return s.reg.Len(), adopted
+	}
+
+	if n, adopted := boot(&colstoreFS{FS: store.OS(), failing: true}); n != 0 || adopted != 0 {
+		t.Fatalf("boot with a failing listing: %d datasets, %d adopted, want none", n, adopted)
+	}
+	if _, err := os.Stat(leftover); err != nil {
+		t.Fatalf("leftover temp file after a failed listing: %v", err)
+	}
+
+	fsys := &colstoreFS{FS: store.OS()}
+	if n, adopted := boot(fsys); n != 1 || adopted != 1 {
+		t.Fatalf("boot: %d datasets, %d adopted, want 1", n, adopted)
+	}
+	if _, err := os.Stat(leftover); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("leftover temp file after boot: %v", err)
+	}
+	if !slices.Contains(fsys.removed, leftover) {
+		t.Fatalf("the leftover was not removed through the store's FS; removed %v", fsys.removed)
+	}
 }
 
 // TestSubmitDoesNotHoldRunnerLockAcrossDiskRead: a submission whose

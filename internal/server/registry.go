@@ -329,24 +329,22 @@ func (g *Registry) RecoverColstore() {
 	if err != nil {
 		return
 	}
-	entries, err := os.ReadDir(dir)
+	fsys := g.st.FS()
+	names, err := fsys.ReadDir(dir)
 	if err != nil {
 		return
 	}
-	for _, e := range entries {
-		if e.IsDir() {
+	for _, name := range names {
+		path := filepath.Join(dir, name)
+		if strings.HasPrefix(name, store.TempPrefix) {
+			_ = fsys.Remove(path) // torn write from a previous life; the next boot retries
 			continue
 		}
-		path := filepath.Join(dir, e.Name())
-		if strings.HasPrefix(e.Name(), store.TempPrefix) {
-			os.Remove(path) // torn write from a previous life
-			continue
-		}
-		if !strings.HasSuffix(e.Name(), colstore.Ext) {
+		if !strings.HasSuffix(name, colstore.Ext) {
 			g.st.Quarantine(path)
 			continue
 		}
-		hash := strings.TrimSuffix(e.Name(), colstore.Ext)
+		hash := strings.TrimSuffix(name, colstore.Ext)
 		if prior, err := g.admit(hash); prior != nil || err != nil {
 			continue // already registered, or the registry is full
 		}
@@ -439,6 +437,7 @@ func (g *Registry) Page(cursor string, limit int) (items []*Dataset, next string
 	for hash := range g.byHash {
 		hashes = append(hashes, hash)
 	}
+	sort.Strings(hashes)
 	page, next := cursorPage(hashes, cursor, limit)
 	items = make([]*Dataset, 0, len(page))
 	for _, hash := range page {
@@ -447,12 +446,12 @@ func (g *Registry) Page(cursor string, limit int) (items []*Dataset, next string
 	return items, next, len(hashes)
 }
 
-// cursorPage sorts keys and cuts one cursor page out of them: the first
-// `limit` keys strictly after `cursor` (limit ≤ 0 = all of them), and the
-// cursor addressing the next page — the last key returned, "" when the
-// page reaches the end. Both list endpoints page through it.
+// cursorPage cuts one cursor page out of sorted keys: the first `limit`
+// keys strictly after `cursor` (limit ≤ 0 = all of them), and the cursor
+// addressing the next page — the last key returned, "" when the page
+// reaches the end. The page aliases keys. Both list endpoints page
+// through it.
 func cursorPage(keys []string, cursor string, limit int) (page []string, next string) {
-	sort.Strings(keys)
 	start := sort.Search(len(keys), func(i int) bool { return keys[i] > cursor })
 	end := len(keys)
 	if limit > 0 && start+limit < end {

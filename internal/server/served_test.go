@@ -707,7 +707,7 @@ func FuzzJobViewBytes(f *testing.F) {
 // field, as on a serve_hot owner) holding 100 done jobs — one describe
 // and 99 cache hits of it — and returns it with the body of a describe
 // submission and a GET /v1/jobs of one full page.
-func jobList(tb testing.TB) (s *Server, submit []byte, list *http.Request) {
+func jobList(tb testing.TB, jobs int) (s *Server, submit []byte, list *http.Request) {
 	const self = "http://127.0.0.1:1"
 	rt, err := cluster.New(self, []string{self}, time.Hour)
 	if err != nil {
@@ -722,7 +722,7 @@ func jobList(tb testing.TB) (s *Server, submit []byte, list *http.Request) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for i := 0; i < defaultPageLimit; i++ {
+	for i := 0; i < jobs; i++ {
 		v, err := s.jobs.SubmitAs("", "", ds.ID, "describe", task.Params{})
 		if err != nil {
 			tb.Fatal(err)
@@ -743,17 +743,22 @@ func benchListJobs(b *testing.B, s *Server, req *http.Request) {
 }
 
 // BenchmarkListJobs times one GET /v1/jobs page of 100 jobs in router
-// mode, handler only.
+// mode, handler only, with one page retained and with the default
+// retention full.
 func BenchmarkListJobs(b *testing.B) {
-	s, _, req := jobList(b)
-	b.ResetTimer()
-	benchListJobs(b, s, req)
+	for _, retained := range []int{defaultPageLimit, 1024} {
+		b.Run(fmt.Sprintf("retained=%d", retained), func(b *testing.B) {
+			s, _, req := jobList(b, retained)
+			b.ResetTimer()
+			benchListJobs(b, s, req)
+		})
+	}
 }
 
 // BenchmarkSubmitCacheHit times one POST /v1/jobs whose artifact is
 // cached, handler only: the submission serve_hot repeats.
 func BenchmarkSubmitCacheHit(b *testing.B) {
-	s, body, _ := jobList(b)
+	s, body, _ := jobList(b, defaultPageLimit)
 	rd := bytes.NewReader(body)
 	req := httptest.NewRequest("POST", "/v1/jobs", rd)
 	req.Header.Set("Content-Type", "application/json")
@@ -775,7 +780,7 @@ func TestJobPageAllocatesTheBodyOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on behalf of the code it instruments")
 	}
-	s, _, req := jobList(t)
+	s, _, req := jobList(t, defaultPageLimit)
 	rec := httptest.NewRecorder()
 	s.handleListJobs(rec, req)
 	page := rec.Body.Len()
@@ -785,4 +790,67 @@ func TestJobPageAllocatesTheBodyOnce(t *testing.T) {
 		t.Fatalf("a list page of %d B allocates %d B, want ≤ %d", page, got, bound)
 	}
 	t.Logf("a %d-byte page allocates %d B in %d allocations", page, res.AllocedBytesPerOp(), res.AllocsPerOp())
+}
+
+// Recovered ids behind other prefixes leave q.order out of id order.
+// Pages still come back in id order, and a cursor stays stable while a
+// job is submitted mid-walk: nothing at or before it comes back, and
+// everything after it does.
+func TestJobPagesInIDOrderAcrossPrefixes(t *testing.T) {
+	s, _, _ := jobList(t, 3)
+	var recs [][]byte
+	for _, id := range []string{"job-ffffff-000002", "job-000123", "job-000000-000009"} {
+		raw, _ := json.Marshal(jobRecord{ID: id, Dataset: "gone", Task: "describe", Key: "gone", State: StateFailed, Error: "recovered"})
+		recs = append(recs, raw)
+	}
+	s.jobs.Preload(recs)
+	s.jobs.mu.Lock()
+	all := slices.Clone(s.jobs.order)
+	s.jobs.mu.Unlock()
+	if slices.IsSorted(all) {
+		t.Fatalf("retained ids %v are already in id order", all)
+	}
+	datasets, _, _ := s.Registry().Page("", 1)
+	dsID := datasets[0].ID
+
+	var got []string
+	cursor, late := "", ""
+	for {
+		views, next, total := s.jobs.Page(cursor, 2)
+		if want := len(all); total != want {
+			t.Fatalf("total %d, want %d", total, want)
+		}
+		for _, view := range views {
+			var v struct {
+				ID string `json:"id"`
+			}
+			if err := json.Unmarshal(view, &v); err != nil {
+				t.Fatal(err)
+			}
+			if v.ID <= cursor || (len(got) > 0 && v.ID <= got[len(got)-1]) {
+				t.Fatalf("%s after cursor %q and %v", v.ID, cursor, got)
+			}
+			got = append(got, v.ID)
+		}
+		if next == "" {
+			break
+		}
+		cursor = next
+		if late == "" {
+			v, err := s.jobs.SubmitAs("", "", dsID, "describe", task.Params{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			late = v.ID
+			all = append(all, late)
+			if late <= cursor {
+				got = append(got, late) // sorts into the pages already read
+			}
+		}
+	}
+	slices.Sort(got)
+	slices.Sort(all)
+	if !slices.Equal(got, all) {
+		t.Fatalf("pages returned %v, want %v", got, all)
+	}
 }
