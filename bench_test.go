@@ -45,6 +45,13 @@ func benchDB2(b *testing.B) *relation.Relation {
 	return db.Joined
 }
 
+// benchTANE mines r with TANE on a fresh kernel over its resident
+// adapter, as one job does.
+func benchTANE(r *relation.Relation) ([]fd.FD, error) {
+	ctx := context.Background()
+	return fd.TANEColumnsCtx(ctx, fd.NewSets(ctx, relation.AsColumns(r)))
+}
+
 var benchDBLPCache = map[int]*relation.Relation{}
 
 func benchDBLP(b *testing.B) *relation.Relation { return benchDBLPAt(b, benchDBLPTuples) }
@@ -208,7 +215,7 @@ func benchClusterFDs(b *testing.B, wantType string) {
 	g := benchGroup(b, sub, 0.5, 1.0, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fds, err := fd.TANE(sub)
+		fds, err := benchTANE(sub)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -301,7 +308,7 @@ func BenchmarkMicroDCFTreeInsert(b *testing.B) {
 	tau := limbo.Threshold(0.5, limbo.MutualInfo(objs), len(objs))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree := limbo.NewTree(limbo.Config{B: 4, Threshold: tau})
+		tree := limbo.NewTreeCtx(context.Background(), limbo.Config{B: 4, Threshold: tau})
 		for _, o := range objs {
 			tree.Insert(o)
 		}
@@ -322,7 +329,7 @@ func BenchmarkDCFTreeInsert(b *testing.B) {
 		tau := limbo.Threshold(0.5, limbo.MutualInfo(objs), len(objs))
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tree := limbo.NewTree(limbo.Config{B: 4, Threshold: tau})
+				tree := limbo.NewTreeCtx(context.Background(), limbo.Config{B: 4, Threshold: tau})
 				for _, o := range objs {
 					tree.Insert(o)
 				}
@@ -387,7 +394,7 @@ func BenchmarkLimboAssign(b *testing.B) {
 	run := func(name string, reps []*limbo.DCF, objs []limbo.Obj) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				limbo.Assign(reps, objs)
+				limbo.AssignCtx(context.Background(), reps, objs)
 			}
 			b.ReportMetric(float64(len(objs)), "objects/op")
 			b.ReportMetric(float64(len(reps)), "reps/op")
@@ -396,7 +403,7 @@ func BenchmarkLimboAssign(b *testing.B) {
 
 	assign, k := tuples.CompressCtx(context.Background(), proj, 0, 4)
 	vobjs := values.ObjectsOverClusters(proj, assign, k)
-	run("sparse", limbo.BuildTree(vobjs, 0, 4).Leaves(), vobjs)
+	run("sparse", limbo.BuildTreeCtx(context.Background(), vobjs, 0, 4).Leaves(), vobjs)
 
 	full := dblp(8000)
 	run("dense", tuples.FindDuplicatesCtx(context.Background(), full, 0.3, 4).Summaries, tuples.Objects(full))
@@ -469,7 +476,7 @@ func BenchmarkTANE(b *testing.B) {
 	run := func(name string, r *relation.Relation) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fds, err := fd.TANE(r)
+				fds, err := benchTANE(r)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -576,7 +583,7 @@ func BenchmarkPagedTANE(b *testing.B) {
 	r, tbl := benchColstore(b)
 	b.Run("resident", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fd.TANE(r); err != nil {
+			if _, err := benchTANE(r); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -719,7 +726,7 @@ func BenchmarkMicroAIB(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ib.Agglomerate(objs)
+		ib.AgglomerateKCtx(context.Background(), objs, 1)
 	}
 }
 
@@ -747,7 +754,7 @@ func BenchmarkAIBInit(b *testing.B) {
 		objs := benchAIBObjects(q)
 		b.Run(fmt.Sprintf("q=%d", q), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ib.AgglomerateK(objs, q-1)
+				ib.AgglomerateKCtx(context.Background(), objs, q-1)
 			}
 		})
 	}
@@ -761,7 +768,7 @@ func BenchmarkAgglomerate(b *testing.B) {
 		objs := benchAIBObjects(q)
 		b.Run(fmt.Sprintf("parallel/q=%d", q), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ib.Agglomerate(objs)
+				ib.AgglomerateKCtx(context.Background(), objs, 1)
 			}
 		})
 		b.Run(fmt.Sprintf("serial/q=%d", q), func(b *testing.B) {
@@ -815,7 +822,7 @@ func BenchmarkMicroTANE(b *testing.B) {
 	r := benchDB2(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fd.TANE(r); err != nil {
+		if _, err := benchTANE(r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -855,7 +862,7 @@ func BenchmarkAblationBranchingFactor(b *testing.B) {
 	for _, fan := range []int{2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("B=%d", fan), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tree := limbo.NewTree(limbo.Config{B: fan, Threshold: tau})
+				tree := limbo.NewTreeCtx(context.Background(), limbo.Config{B: fan, Threshold: tau})
 				for _, o := range objs {
 					tree.Insert(o)
 				}
@@ -875,7 +882,7 @@ func BenchmarkAblationPhi(b *testing.B) {
 		b.Run(fmt.Sprintf("phi=%.2f", phi), func(b *testing.B) {
 			tau := limbo.Threshold(phi, mi, len(objs))
 			for i := 0; i < b.N; i++ {
-				tree := limbo.NewTree(limbo.Config{B: 4, Threshold: tau})
+				tree := limbo.NewTreeCtx(context.Background(), limbo.Config{B: 4, Threshold: tau})
 				for _, o := range objs {
 					tree.Insert(o)
 				}
@@ -923,7 +930,7 @@ func BenchmarkAblationFDEPvsTANE(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("TANE/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := fd.TANE(sub); err != nil {
+				if _, err := benchTANE(sub); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -203,6 +203,9 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 			fmt.Fprintf(out, " (quarantined %d files, dropped %d torn journal lines)",
 				t.Quarantined, t.DroppedJobRecords)
 		}
+		if err := srv.Registry().RecoverErr(); err != nil {
+			fmt.Fprintf(out, " (persisted datasets not adopted: %v)", err)
+		}
 		fmt.Fprintln(out)
 	}
 	for _, path := range fs.Args() {

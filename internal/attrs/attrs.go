@@ -53,7 +53,7 @@ func GroupFromMatrix(rows [][]int64, attrIdx []int, names []string) *Grouping {
 func groupFromF(ctx context.Context, rows [][]int64, attrIdx []int, names []string) *Grouping {
 	g := &Grouping{AttrIdx: attrIdx}
 	if len(rows) == 0 {
-		g.Res = ib.AgglomerateCtx(ctx, nil)
+		g.Res = ib.AgglomerateKCtx(ctx, nil, 1)
 		return g
 	}
 	objs := make([]ib.Object, len(rows))
@@ -76,7 +76,7 @@ func groupFromF(ctx context.Context, rows [][]int64, attrIdx []int, names []stri
 		objs[i] = ib.Object{Label: name, P: prior, Cond: it.NewVec(es)}
 		g.Names = append(g.Names, name)
 	}
-	g.Res = ib.AgglomerateCtx(ctx, objs)
+	g.Res = ib.AgglomerateKCtx(ctx, objs, 1)
 	return g
 }
 

@@ -152,9 +152,6 @@ func (p *Prober) record(peer string, ok bool) {
 // recovery with backoff.
 func (p *Prober) MarkUnhealthy(peer string) { p.record(peer, false) }
 
-// MarkHealthy records a successful interaction with a peer.
-func (p *Prober) MarkHealthy(peer string) { p.record(peer, true) }
-
 // Healthy reports whether the peer is currently believed reachable.
 // Unknown peers report false.
 func (p *Prober) Healthy(peer string) bool {

@@ -260,7 +260,7 @@ func TestMinersBitIdentical(t *testing.T) {
 	tbl := mustOpen(t, path)
 	ctx := context.Background()
 
-	wantFDs, err := fd.TANECtx(ctx, rel)
+	wantFDs, err := fd.TANEColumnsCtx(ctx, fd.NewSets(ctx, relation.AsColumns(rel)))
 	if err != nil {
 		t.Fatalf("TANE resident: %v", err)
 	}

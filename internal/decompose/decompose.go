@@ -14,7 +14,6 @@
 package decompose
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -35,11 +34,6 @@ type Result struct {
 	// RAD / RTR of the decomposed attribute set on the original
 	// relation — the paper's per-dependency duplication measures.
 	RAD, RTR float64
-}
-
-// On decomposes c on the dependency f on a kernel of its own (OnSets).
-func On(c relation.Columns, f fd.FD) (*Result, error) {
-	return OnSets(fd.NewSets(context.Background(), c), f)
 }
 
 // OnSets decomposes the instance of the job's kernel s on the dependency

@@ -1,6 +1,7 @@
 package decompose
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -10,6 +11,11 @@ import (
 	"structmine/internal/fd"
 	"structmine/internal/relation"
 )
+
+// decomposeOn decomposes r on f on a kernel of its own, as one job does.
+func decomposeOn(r *relation.Relation, f fd.FD) (*Result, error) {
+	return OnSets(fd.NewSets(context.Background(), relation.AsColumns(r)), f)
+}
 
 func fig4(t *testing.T) *relation.Relation {
 	t.Helper()
@@ -30,7 +36,7 @@ func TestDecomposePaperExample(t *testing.T) {
 	cToB := fd.FD{LHS: fd.NewAttrSet(2), RHS: fd.NewAttrSet(1)}
 	aToB := fd.FD{LHS: fd.NewAttrSet(0), RHS: fd.NewAttrSet(1)}
 
-	resC, err := On(relation.AsColumns(r), cToB)
+	resC, err := decomposeOn(r, cToB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +52,7 @@ func TestDecomposePaperExample(t *testing.T) {
 		t.Fatalf("S2 shape %dx%d", resC.S2.N(), resC.S2.M())
 	}
 
-	resA, err := On(relation.AsColumns(r), aToB)
+	resA, err := decomposeOn(r, aToB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +75,7 @@ func TestDecomposeDB2Department(t *testing.T) {
 	rhs := fd.NewAttrSet(r.AttrIndex("DepName")).Add(r.AttrIndex("MgrNo")).Add(r.AttrIndex("AdminDepNo"))
 	f := fd.FD{LHS: lhs, RHS: rhs}
 
-	res, err := On(relation.AsColumns(r), f)
+	res, err := decomposeOn(r, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +104,7 @@ func TestDecomposeConstantRHS(t *testing.T) {
 	b.MustAdd("z", "k")
 	r := b.Relation()
 	f := fd.FD{LHS: 0, RHS: fd.NewAttrSet(1)}
-	res, err := On(relation.AsColumns(r), f)
+	res, err := decomposeOn(r, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,17 +119,17 @@ func TestDecomposeConstantRHS(t *testing.T) {
 func TestDecomposeRejectsApproximate(t *testing.T) {
 	r := fig4(t)
 	bToC := fd.FD{LHS: fd.NewAttrSet(1), RHS: fd.NewAttrSet(2)} // does not hold
-	if _, err := On(relation.AsColumns(r), bToC); err == nil {
+	if _, err := decomposeOn(r, bToC); err == nil {
 		t.Fatal("approximate dependency must be rejected")
 	}
 }
 
 func TestDecomposeRejectsTrivial(t *testing.T) {
 	r := fig4(t)
-	if _, err := On(relation.AsColumns(r), fd.FD{LHS: fd.NewAttrSet(0), RHS: fd.NewAttrSet(0)}); err == nil {
+	if _, err := decomposeOn(r, fd.FD{LHS: fd.NewAttrSet(0), RHS: fd.NewAttrSet(0)}); err == nil {
 		t.Fatal("trivial dependency must be rejected")
 	}
-	if _, err := On(relation.AsColumns(r), fd.FD{LHS: fd.NewAttrSet(0), RHS: fd.NewAttrSet(9)}); err == nil {
+	if _, err := decomposeOn(r, fd.FD{LHS: fd.NewAttrSet(0), RHS: fd.NewAttrSet(9)}); err == nil {
 		t.Fatal("out-of-range attribute must be rejected")
 	}
 }
@@ -158,7 +164,7 @@ func TestPropDecomposeLossless(t *testing.T) {
 			if f.Attrs().Count() == r.M() {
 				continue // decomposition would be the identity
 			}
-			res, err := On(relation.AsColumns(r), f)
+			res, err := decomposeOn(r, f)
 			if err != nil {
 				return false
 			}

@@ -90,11 +90,6 @@ func (a *Arena) AppendInt32s(src []int32) []int32 {
 	return append(a.i32.carve(len(src)), src...)
 }
 
-// AppendFloat64s carves an exact-size copy of src.
-func (a *Arena) AppendFloat64s(src []float64) []float64 {
-	return append(a.f64.carve(len(src)), src...)
-}
-
 // CarvedBytes is the byte volume carved since the arena was (re)issued —
 // the per-job scratch high-water mark the exec metrics report.
 func (a *Arena) CarvedBytes() int {

@@ -8,11 +8,9 @@ package exec
 type Kernel uint8
 
 const (
-	// Generic is the fallback for fan-outs without a calibrated entry.
-	Generic Kernel = iota
 	// AIBPairs: initial δI over the q(q−1)/2 candidate pair space; one
 	// work unit is one δI evaluation over sparse supports (~µs).
-	AIBPairs
+	AIBPairs Kernel = iota
 	// AIBRecompute: δI recomputation against a fresh merge; work counts
 	// sparse elements touched (~5 ns each).
 	AIBRecompute
@@ -41,9 +39,8 @@ const (
 // so each entry targets ≥ 10× that in useful work. Expensive-unit
 // kernels (δI evaluations) keep low thresholds; cheap-unit kernels
 // (per-element passes) need far more units to amortize the same
-// overhead. Generic keeps the historical 4096.
+// overhead.
 var cutoffs = [numKernels]int{
-	Generic:      4096,
 	AIBPairs:     512,   // ~µs/unit → ~0.5 ms of work
 	AIBRecompute: 16384, // ~5 ns/unit → ~80 µs of work
 	LIMBOAssign:  8192,  // ~10 ns/unit → ~80 µs of work
@@ -52,7 +49,6 @@ var cutoffs = [numKernels]int{
 }
 
 var kernelNames = [numKernels]string{
-	Generic:      "generic",
 	AIBPairs:     "aib_pairs",
 	AIBRecompute: "aib_recompute",
 	LIMBOAssign:  "limbo_assign",
@@ -61,19 +57,9 @@ var kernelNames = [numKernels]string{
 }
 
 // Cutoff returns the kernel's serial-below threshold in work units.
-func (k Kernel) Cutoff() int {
-	if k >= numKernels {
-		return cutoffs[Generic]
-	}
-	return cutoffs[k]
-}
+func (k Kernel) Cutoff() int { return cutoffs[k] }
 
-func (k Kernel) String() string {
-	if k >= numKernels {
-		return kernelNames[Generic]
-	}
-	return kernelNames[k]
-}
+func (k Kernel) String() string { return kernelNames[k] }
 
 // stealGrain is how many chunks each worker's fair share is split into
 // for work-stealing handout: more chunks than workers, so a worker that

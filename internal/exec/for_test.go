@@ -16,7 +16,7 @@ func coverage(t *testing.T, budget, n, work int) []int32 {
 	ctx := exec.WithWorkers(context.Background(), budget)
 	hits := make([]int32, n)
 	var mu sync.Mutex
-	exec.For(ctx, exec.Generic, n, work, func(lo, hi int) {
+	exec.For(ctx, exec.ColScan, n, work, func(lo, hi int) {
 		if lo < 0 || hi > n || lo > hi {
 			t.Errorf("bad range [%d, %d) for n=%d", lo, hi, n)
 		}
@@ -45,19 +45,19 @@ func TestForCoversRangeSerial(t *testing.T) {
 
 func TestForCoversRangeParallel(t *testing.T) {
 	for _, budget := range []int{1, 2, 4, 8} {
-		assertEachOnce(t, coverage(t, budget, 10_001, exec.Generic.Cutoff()*10))
+		assertEachOnce(t, coverage(t, budget, 10_001, exec.ColScan.Cutoff()*10))
 	}
 }
 
 func TestForEmptyAndTiny(t *testing.T) {
 	ctx := exec.WithWorkers(context.Background(), 4)
-	big := exec.Generic.Cutoff() * 10
+	big := exec.ColScan.Cutoff() * 10
 	called := false
-	exec.For(ctx, exec.Generic, 0, big, func(lo, hi int) { called = true })
+	exec.For(ctx, exec.ColScan, 0, big, func(lo, hi int) { called = true })
 	if called {
 		t.Fatal("fn invoked for n=0")
 	}
-	exec.For(ctx, exec.Generic, -3, big, func(lo, hi int) { called = true })
+	exec.For(ctx, exec.ColScan, -3, big, func(lo, hi int) { called = true })
 	if called {
 		t.Fatal("fn invoked for n<0")
 	}
@@ -69,7 +69,7 @@ func TestForParallelWritesDisjointSlots(t *testing.T) {
 	ctx := exec.WithWorkers(context.Background(), 4)
 	n := 50_000
 	out := make([]int, n)
-	exec.For(ctx, exec.Generic, n, n, func(lo, hi int) {
+	exec.For(ctx, exec.ColScan, n, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = i * i
 		}
@@ -87,7 +87,7 @@ func TestForParallelWritesDisjointSlots(t *testing.T) {
 func TestForChunkWorkerIndexBounded(t *testing.T) {
 	ctx := exec.WithWorkers(context.Background(), 4)
 	n := 40_000
-	plan := exec.Plan(ctx, exec.Generic, n, n)
+	plan := exec.Plan(ctx, exec.ColScan, n, n)
 	workers := plan.Workers()
 	if workers != 4 {
 		t.Fatalf("Workers = %d, want 4", workers)
@@ -118,16 +118,16 @@ func TestForChunkWorkerIndexBounded(t *testing.T) {
 // decides the fan-out width (the pre-engine behavior read GOMAXPROCS
 // directly, so concurrent jobs oversubscribed cores).
 func TestNumWorkersRespectsBudget(t *testing.T) {
-	big := exec.Generic.Cutoff() * 10
+	big := exec.ColScan.Cutoff() * 10
 	for _, budget := range []int{1, 2, 4, 8} {
 		ctx := exec.WithWorkers(context.Background(), budget)
-		if got := exec.Plan(ctx, exec.Generic, 1<<20, big).Workers(); got != budget {
+		if got := exec.Plan(ctx, exec.ColScan, 1<<20, big).Workers(); got != budget {
 			t.Fatalf("budget %d: Workers = %d", budget, got)
 		}
 	}
 	// Below the cutoff the fan-out is always serial.
 	ctx := exec.WithWorkers(context.Background(), 8)
-	if got := exec.Plan(ctx, exec.Generic, 1<<20, exec.Generic.Cutoff()-1).Workers(); got != 1 {
+	if got := exec.Plan(ctx, exec.ColScan, 1<<20, exec.ColScan.Cutoff()-1).Workers(); got != 1 {
 		t.Fatalf("below-cutoff Workers = %d, want 1", got)
 	}
 }
@@ -140,7 +140,7 @@ func TestPlanSurvivesRebalance(t *testing.T) {
 	ctx := exectest.RebalancingContext(t)
 	n := 40_000
 	for i := 0; i < 200; i++ {
-		plan := exec.Plan(ctx, exec.Generic, n, n)
+		plan := exec.Plan(ctx, exec.ColScan, n, n)
 		covered := make([]int, plan.Workers())
 		plan.ForChunk(func(w, lo, hi int) { covered[w] += hi - lo })
 		total := 0

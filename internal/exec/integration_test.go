@@ -113,9 +113,9 @@ func TestConcurrentGrantsBitIdentical(t *testing.T) {
 				ctx := exec.WithGrant(context.Background(), g)
 				switch kind % 3 {
 				case 0:
-					got, err := fd.TANECtx(ctx, rel)
+					got, err := fd.TANEColumnsCtx(ctx, fd.NewSets(ctx, relation.AsColumns(rel)))
 					if err != nil {
-						t.Errorf("TANECtx: %v", err)
+						t.Errorf("TANEColumnsCtx: %v", err)
 					} else if !reflect.DeepEqual(got, wantFDs) {
 						t.Errorf("TANE under grant diverged from serial reference")
 					}
@@ -156,7 +156,7 @@ func TestBudgetSweepBitIdentical(t *testing.T) {
 
 	for _, budget := range []int{1, 2, 4, 8} {
 		ctx := exec.WithWorkers(context.Background(), budget)
-		if got, err := fd.TANECtx(ctx, rel); err != nil || !reflect.DeepEqual(got, wantFDs) {
+		if got, err := fd.TANEColumnsCtx(ctx, fd.NewSets(ctx, relation.AsColumns(rel))); err != nil || !reflect.DeepEqual(got, wantFDs) {
 			t.Errorf("budget %d: TANE diverged (err=%v)", budget, err)
 		}
 		if got := ib.AgglomerateKCtx(ctx, ibObjs, 1).Merges; !reflect.DeepEqual(got, wantMerges) {

@@ -45,7 +45,10 @@ func runDBLP(s Scale) *dblpPipeline {
 	// task.GroupAttributes' double-clustering steps spelled out, so the
 	// one Phase 1 pass also gives the figure its tuple-cluster count.
 	c := relation.AsColumns(p.rel)
-	assign, k := tuples.CompressCtx(ctx, p.rel, 0.5, 4)
+	assign, k, err := tuples.CompressColumns(ctx, fd.NewSets(ctx, c), 0.5, 4)
+	if err != nil {
+		panic(err)
+	}
 	p.tupleClusters = k
 	vc := values.ClusterCtx(ctx, must(values.ObjectsOverClustersColumnsCtx(ctx, c, assign, k)), 1.0, 4, c.M())
 	p.fullGrouping = attrs.GroupNamesCtx(ctx, c.AttrNames(), vc)
@@ -64,7 +67,7 @@ func runDBLP(s Scale) *dblpPipeline {
 	for _, cluster := range p.part.Clusters {
 		sub := p.projection.Select(cluster)
 		cg, _ := group(sub, 0.5, 1.0, true)
-		cover := fd.MinCover(must(fd.DiscoverColumns(ctx, relation.AsColumns(sub))))
+		cover := fd.MinCover(must(fd.TANEColumnsCtx(ctx, fd.NewSets(ctx, relation.AsColumns(sub)))))
 		p.clusterRels = append(p.clusterRels, sub)
 		p.clusterGroups = append(p.clusterGroups, cg)
 		p.clusterFDs = append(p.clusterFDs, cover)
@@ -364,10 +367,9 @@ func table56(p *dblpPipeline, want int, id, title, paper string) Report {
 		top = top[:5]
 	}
 	var rads, rtrs []float64
-	c := relation.AsColumns(sub)
+	s := fd.NewSets(context.Background(), relation.AsColumns(sub))
 	for i, rf := range top {
-		ix := rf.FD.Attrs().Attrs()
-		ms := must(measures.Of(c, ix))
+		ms := must(measures.OfSets(s, rf.FD.Attrs().Attrs()))
 		rads = append(rads, ms.RAD)
 		rtrs = append(rtrs, ms.RTR)
 		fmt.Fprintf(&b, "%-4d %-52s %8.3f %8.3f %8.3f\n", i+1, rf.FD.Format(sub.Attrs), rf.Rank, ms.RAD, ms.RTR)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 
+	"structmine/internal/fd"
 	"structmine/internal/measures"
 	"structmine/internal/relation"
 	"structmine/internal/task"
@@ -29,8 +30,9 @@ func Table3(s Scale) Report {
 	top := res.Ranked[:min(6, len(res.Ranked))]
 	radws := make([]float64, 0, len(top))
 	rtrs := make([]float64, 0, len(top))
+	sets := fd.NewSets(context.Background(), c)
 	for i, rf := range top {
-		radw := must(measures.Of(c, must(r.AttrIndices(slices.Concat(rf.FD.LHS, rf.FD.RHS))))).RADw
+		radw := must(measures.OfSets(sets, must(r.AttrIndices(slices.Concat(rf.FD.LHS, rf.FD.RHS))))).RADw
 		radws = append(radws, radw)
 		rtrs = append(rtrs, rf.RTR)
 		fmt.Fprintf(&b, "%-4d %-56s %8.3f %8.3f %8.3f %8.3f\n", i+1, rf.FD.Label, rf.Rank, rf.RAD, radw, rf.RTR)

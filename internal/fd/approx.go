@@ -18,8 +18,14 @@ type ApproxFD struct {
 	Err float64 // g3 ∈ [0, 1); 0 means the FD holds exactly
 }
 
-// MineApproxCtx returns all minimal approximate dependencies X → A with
-// g3(X→A) ≤ eps, level-wise over the left-hand-side lattice with
+// MineApproxCtx is MineApproxColumns over a resident relation, on a
+// kernel of its own.
+func MineApproxCtx(ctx context.Context, r *relation.Relation, eps float64, maxLHS int) ([]ApproxFD, error) {
+	return MineApproxColumns(ctx, NewSets(ctx, relation.AsColumns(r)), eps, maxLHS)
+}
+
+// MineApproxColumns returns all minimal approximate dependencies X → A
+// with g3(X→A) ≤ eps, level-wise over the left-hand-side lattice with
 // stripped partitions. Minimality is with respect to the approximate
 // relation: no proper subset of X satisfies the error bound. Exact FDs
 // (g3 = 0) are included with Err = 0.
@@ -29,12 +35,9 @@ type ApproxFD struct {
 // interactive use cheap on wide relations. Each level's g3 evaluations,
 // and the partitions of the next level's left-hand sides, fan out across
 // the context's worker budget (one scratch and one arena per worker).
-func MineApproxCtx(ctx context.Context, r *relation.Relation, eps float64, maxLHS int) ([]ApproxFD, error) {
-	return MineApproxColumns(ctx, NewSets(ctx, relation.AsColumns(r)), eps, maxLHS)
-}
-
-// MineApproxColumns is the miner over the column interface: the level-1
-// partitions are the job's kernel's (Sets: from the value index or a
+//
+// The miner runs over the column interface: the level-1 partitions are
+// the job's kernel's (Sets: from the value index or a
 // relation.PartitionSource), so a paged table and a resident relation
 // behind relation.AsColumns walk the same lattice to the same result.
 //

@@ -28,7 +28,7 @@ func TestMineApproxExactSubsumesTANE(t *testing.T) {
 	// With eps = 0, the approximate miner finds exactly the minimal
 	// exact FDs (no LHS-size bound).
 	r := fig4(t)
-	exact, err := TANE(r)
+	exact, err := mineTANE(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestMineApproxErrMatchesDirectCount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact, err := TANE(in.r)
+			exact, err := mineTANE(in.r)
 			if err != nil {
 				t.Fatal(err)
 			}

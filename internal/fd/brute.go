@@ -61,5 +61,5 @@ func DiscoverCtx(ctx context.Context, r *relation.Relation) ([]FD, error) {
 	if r.N() <= 1000 {
 		return FDEP(r)
 	}
-	return TANECtx(ctx, r)
+	return DiscoverColumns(ctx, relation.AsColumns(r))
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"structmine/internal/exec"
+	"structmine/internal/relation"
 )
 
 // The determinism contract of the execution engine, pinned at the TANE
@@ -25,7 +26,7 @@ func TestPropBudgetSweepMatchesSerial(t *testing.T) {
 		}
 		for _, budget := range []int{1, 2, 4, 8} {
 			ctx := exec.WithWorkers(context.Background(), budget)
-			got, err := TANECtx(ctx, r)
+			got, err := TANEColumnsCtx(ctx, NewSets(ctx, relation.AsColumns(r)))
 			if err != nil {
 				t.Fatalf("seed %d budget %d: %v", seed, budget, err)
 			}

@@ -247,7 +247,7 @@ func TestStateSmallAtWorkloadScale(t *testing.T) {
 	}
 	r := datagen.NewDBLP(datagen.DBLPConfig{Tuples: 50000, Seed: 1, MiscFrac: 129.0 / 50000, JournalFrac: 0.28}).
 		Project(datagen.ProjectionAttrs())
-	fds, err := TANE(r)
+	fds, err := mineTANE(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package fd
 
 import (
 	"sort"
-	"strings"
 
 	"structmine/internal/relation"
 )
@@ -69,14 +68,4 @@ func SortFDs(fds []FD) {
 		}
 		return fds[i].RHS < fds[j].RHS
 	})
-}
-
-// FormatAll renders a list of FDs, one per line.
-func FormatAll(fds []FD, names []string) string {
-	var b strings.Builder
-	for _, f := range fds {
-		b.WriteString(f.Format(names))
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

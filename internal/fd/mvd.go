@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-
-	"structmine/internal/relation"
 )
 
 // MVD is a multivalued dependency X →→ Y (with Z = R − X − Y implied).
@@ -22,7 +20,7 @@ func (v MVD) Format(names []string) string {
 	return v.LHS.Format(names) + "->->" + v.RHS.Format(names)
 }
 
-// MineMVDs enumerates the non-trivial multivalued dependencies X →→ Y
+// MineMVDsCtx enumerates the non-trivial multivalued dependencies X →→ Y
 // holding in the instance with |X| ≤ maxLHS, keeping for each X only the
 // ⊆-minimal right-hand sides (the dependency basis elements found by the
 // search). Y candidates range over the non-X attributes; Y and its
@@ -31,16 +29,11 @@ func (v MVD) Format(names []string) string {
 // The search is exponential in the arity, as any MVD miner's is; the
 // maxLHS bound (default 2) and the m ≤ 16 guard keep it interactive.
 // FDs imply MVDs (X → Y ⟹ X →→ Y); pass skipFDImplied to suppress those.
-func MineMVDs(c relation.Columns, maxLHS int, skipFDImplied bool) ([]MVD, error) {
-	ctx := context.Background()
-	return MineMVDsCtx(ctx, NewSets(ctx, c), maxLHS, skipFDImplied)
-}
-
-// MineMVDsCtx is MineMVDs over the job's kernel, under the context's
-// worker budget (used by the FD-pruning TANE pass) and cancellation,
-// which it checks before every candidate's check. Every candidate is
-// checked on s (Sets.MVDHolds), whose level-1 partitions the TANE pass
-// shares.
+//
+// The search runs over the job's kernel, under the context's worker
+// budget (used by the FD-pruning TANE pass) and cancellation, which it
+// checks before every candidate's check. Every candidate is checked on s
+// (Sets.MVDHolds), whose level-1 partitions the TANE pass shares.
 func MineMVDsCtx(ctx context.Context, s *Sets, maxLHS int, skipFDImplied bool) ([]MVD, error) {
 	c := s.Columns()
 	m := c.M()

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -70,7 +71,7 @@ func TestMVDTrivial(t *testing.T) {
 
 func TestMineMVDsFindsSkillLanguage(t *testing.T) {
 	r := crossProductRelation(t)
-	mvds, err := MineMVDs(relation.AsColumns(r), 0, false)
+	mvds, err := MineMVDsCtx(context.Background(), setsOf(r), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +94,11 @@ func TestMineMVDsSkipFDImplied(t *testing.T) {
 	b.MustAdd("2", "y", "p")
 	b.MustAdd("2", "y", "r")
 	r := b.Relation()
-	withFD, err := MineMVDs(relation.AsColumns(r), 0, false)
+	withFD, err := MineMVDsCtx(context.Background(), setsOf(r), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := MineMVDs(relation.AsColumns(r), 0, true)
+	without, err := MineMVDsCtx(context.Background(), setsOf(r), 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,19 +120,19 @@ func TestMineMVDsSkipFDImplied(t *testing.T) {
 
 func TestMineMVDsEdgeCases(t *testing.T) {
 	empty := relation.NewBuilder("e", []string{"A", "B", "C"}).Relation()
-	if got, err := MineMVDs(relation.AsColumns(empty), 0, false); err != nil || got != nil {
+	if got, err := MineMVDsCtx(context.Background(), setsOf(empty), 0, false); err != nil || got != nil {
 		t.Fatalf("empty: %v %v", got, err)
 	}
 	two := relation.NewBuilder("two", []string{"A", "B"})
 	two.MustAdd("x", "y")
-	if got, err := MineMVDs(relation.AsColumns(two.Relation()), 0, false); err != nil || got != nil {
+	if got, err := MineMVDsCtx(context.Background(), setsOf(two.Relation()), 0, false); err != nil || got != nil {
 		t.Fatalf("m<3: %v %v", got, err)
 	}
 	wide := make([]string, 17)
 	for i := range wide {
 		wide[i] = strconv.Itoa(i)
 	}
-	if _, err := MineMVDs(relation.AsColumns(relation.NewBuilder("wide", wide).Relation()), 0, false); err == nil {
+	if _, err := MineMVDsCtx(context.Background(), setsOf(relation.NewBuilder("wide", wide).Relation()), 0, false); err == nil {
 		t.Fatal("17 attributes should be rejected")
 	}
 }
@@ -175,7 +176,7 @@ func TestPropFDImpliesMVD(t *testing.T) {
 				return false
 			}
 		}
-		mvds, err := MineMVDs(relation.AsColumns(r), 0, false)
+		mvds, err := MineMVDsCtx(context.Background(), setsOf(r), 0, false)
 		if err != nil {
 			return false
 		}

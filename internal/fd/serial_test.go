@@ -241,7 +241,7 @@ func TestPropTANEMatchesSerial(t *testing.T) {
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			r := randomRelation(rng, 20+rng.Intn(120), 3+rng.Intn(4), 2+rng.Intn(3))
-			got, err := TANE(r)
+			got, err := mineTANE(r)
 			if err != nil {
 				return false
 			}
@@ -258,7 +258,8 @@ func TestPropTANEMatchesSerial(t *testing.T) {
 	sweep := func(t *testing.T, r *relation.Relation, want []FD) {
 		for _, budget := range []int{1, 2, 4} {
 			shared := taneShared.Value()
-			got, err := TANECtx(exec.WithWorkers(context.Background(), budget), r)
+			ctx := exec.WithWorkers(context.Background(), budget)
+			got, err := TANEColumnsCtx(ctx, NewSets(ctx, relation.AsColumns(r)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,13 +306,13 @@ func TestTANEByteStableAcrossRuns(t *testing.T) {
 	defer forceParallel()()
 	rng := rand.New(rand.NewSource(11))
 	r := randomRelation(rng, 300, 6, 3)
-	first, err := TANE(r)
+	first, err := mineTANE(r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := fmt.Sprintf("%v", first)
 	for i := 0; i < 4; i++ {
-		again, err := TANE(r)
+		again, err := mineTANE(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +342,7 @@ func TestTANEMetricsExposition(t *testing.T) {
 	}
 	before := render()
 	r := cornerCases()[0].r // planted B → C: refines some nodes, shares others
-	if _, err := TANE(r); err != nil {
+	if _, err := mineTANE(r); err != nil {
 		t.Fatal(err)
 	}
 	after := render()
@@ -360,7 +361,7 @@ func TestTANEMetricsExposition(t *testing.T) {
 // paper's worked example.
 func TestTANESerialMatchesOnFig4(t *testing.T) {
 	r := fig4(t)
-	got, err := TANE(r)
+	got, err := mineTANE(r)
 	if err != nil {
 		t.Fatal(err)
 	}

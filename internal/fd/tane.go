@@ -11,7 +11,7 @@ import (
 	"structmine/internal/relation"
 )
 
-// TANE mines all minimal, non-trivial functional dependencies holding in
+// TANEColumnsCtx mines all minimal, non-trivial functional dependencies holding in
 // the instance with the level-wise algorithm of Huhtala et al. (1999),
 // using stripped partitions and the C+ (rhs-candidate) pruning rules.
 // It scales to tens of thousands of tuples, unlike the pairwise FDEP.
@@ -28,23 +28,15 @@ import (
 // the result is independent of scheduling (and SortFDs canonicalizes
 // the output order regardless). TANESerial is the retained reference
 // implementation the whole walk is differentially tested against.
-func TANE(r *relation.Relation) ([]FD, error) {
-	return TANECtx(context.Background(), r)
-}
-
-// TANECtx is TANE under the context's worker budget and arena pool: the
-// per-level refinement fan-out is sized by the context's grant (or fixed
-// exec.WithWorkers budget), and the class index and partition storage
-// are carved from pooled arenas checked out through the grant.
-func TANECtx(ctx context.Context, r *relation.Relation) ([]FD, error) {
-	return DiscoverColumns(ctx, relation.AsColumns(r))
-}
-
-// TANEColumnsCtx mines the minimal FDs over the column interface, under
-// the context's worker budget and arena pool: level-1 partitions are the
-// job's kernel's (Sets, loaded from the value index unless s already
-// holds them) and satisfaction checks ask s, so the full row set is
-// never resident. A resident relation mines through the same code behind
+//
+// The walk runs over the column interface, under the context's worker
+// budget and arena pool: the per-level refinement fan-out is sized by
+// the context's grant (or fixed exec.WithWorkers budget), and the class
+// index and partition storage are carved from pooled arenas checked out
+// through the grant. Level-1 partitions are the job's kernel's (Sets,
+// loaded from the value index unless s already holds them) and
+// satisfaction checks ask s, so the full row set is never resident. A
+// resident relation mines through the same code behind
 // relation.AsColumns — identical level-1 partitions feed the identical
 // lattice walk.
 func TANEColumnsCtx(ctx context.Context, s *Sets) ([]FD, error) {

@@ -53,18 +53,6 @@ type Result struct {
 	parent []int
 }
 
-// Agglomerate runs AIB until a single cluster remains (or until the
-// objects are exhausted) and returns the full merge sequence.
-func Agglomerate(objects []Object) *Result {
-	return AgglomerateK(objects, 1)
-}
-
-// AgglomerateCtx is Agglomerate under the context's worker budget (a
-// scheduler grant or a fixed exec.WithWorkers budget).
-func AgglomerateCtx(ctx context.Context, objects []Object) *Result {
-	return AgglomerateKCtx(ctx, objects, 1)
-}
-
 // pairItem is a candidate merge in the priority queue. Stale items (whose
 // endpoints have since merged) are discarded lazily on pop.
 type pairItem struct {
@@ -87,15 +75,13 @@ func lessPair(x, y pairItem) bool {
 	return x.b < y.b
 }
 
-// AgglomerateK runs AIB until k clusters remain under the GOMAXPROCS
-// fallback budget. Candidate δI values are computed in parallel (see
-// parallel.go); the merge sequence is bit-identical to
+// AgglomerateKCtx runs AIB until k clusters remain (k = 1 runs it until
+// a single cluster remains, or until the objects are exhausted) and
+// returns the full merge sequence, under the context's worker budget (a
+// scheduler grant or a fixed exec.WithWorkers budget; a bare context
+// falls back to GOMAXPROCS). Candidate δI values are computed in
+// parallel (see parallel.go); the merge sequence is bit-identical to
 // AgglomerateKSerial's for any worker budget.
-func AgglomerateK(objects []Object, k int) *Result {
-	return AgglomerateKCtx(context.Background(), objects, k)
-}
-
-// AgglomerateKCtx is AgglomerateK under the context's worker budget.
 func AgglomerateKCtx(ctx context.Context, objects []Object, k int) *Result {
 	q := len(objects)
 	res := &Result{Objects: objects}

@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -23,7 +24,7 @@ func paperAttrs() []Object {
 }
 
 func TestAgglomeratePaperExample(t *testing.T) {
-	res := Agglomerate(paperAttrs())
+	res := AgglomerateKCtx(context.Background(), paperAttrs(), 1)
 	if len(res.Merges) != 2 {
 		t.Fatalf("want 2 merges, got %d", len(res.Merges))
 	}
@@ -44,7 +45,7 @@ func TestAgglomeratePaperExample(t *testing.T) {
 }
 
 func TestMembersAndClustersAt(t *testing.T) {
-	res := Agglomerate(paperAttrs())
+	res := AgglomerateKCtx(context.Background(), paperAttrs(), 1)
 	// Node 3 is the first merge (B,C); node 4 the root.
 	got := res.Members(3)
 	if len(got) != 2 {
@@ -86,7 +87,7 @@ func TestMembersAndClustersAt(t *testing.T) {
 }
 
 func TestAgglomerateKStopsEarly(t *testing.T) {
-	res := AgglomerateK(paperAttrs(), 2)
+	res := AgglomerateKCtx(context.Background(), paperAttrs(), 2)
 	if len(res.Merges) != 1 {
 		t.Fatalf("want 1 merge, got %d", len(res.Merges))
 	}
@@ -96,17 +97,17 @@ func TestAgglomerateKStopsEarly(t *testing.T) {
 }
 
 func TestAgglomerateEdgeCases(t *testing.T) {
-	if res := Agglomerate(nil); len(res.Merges) != 0 {
+	if res := AgglomerateKCtx(context.Background(), nil, 1); len(res.Merges) != 0 {
 		t.Fatal("empty input should produce no merges")
 	}
 	one := []Object{{Label: "x", P: 1, Cond: it.Uniform([]int32{0})}}
-	if res := Agglomerate(one); len(res.Merges) != 0 {
+	if res := AgglomerateKCtx(context.Background(), one, 1); len(res.Merges) != 0 {
 		t.Fatal("single object should produce no merges")
 	}
-	if res := AgglomerateK(paperAttrs(), 10); len(res.Merges) != 0 {
+	if res := AgglomerateKCtx(context.Background(), paperAttrs(), 10); len(res.Merges) != 0 {
 		t.Fatal("k >= q should produce no merges")
 	}
-	if res := AgglomerateK(paperAttrs(), -1); len(res.Merges) != 2 {
+	if res := AgglomerateKCtx(context.Background(), paperAttrs(), -1); len(res.Merges) != 2 {
 		t.Fatal("k < 1 should clamp to 1")
 	}
 }
@@ -118,7 +119,7 @@ func TestIdenticalObjectsMergeAtZeroLoss(t *testing.T) {
 		{Label: "y", P: 0.25, Cond: c},
 		{Label: "z", P: 0.5, Cond: it.Uniform([]int32{9})},
 	}
-	res := Agglomerate(objs)
+	res := AgglomerateKCtx(context.Background(), objs, 1)
 	if !almostEqual(res.Merges[0].Loss, 0, 1e-12) {
 		t.Fatalf("identical objects should merge first at zero loss, got %v", res.Merges[0].Loss)
 	}
@@ -131,7 +132,7 @@ func TestIdenticalObjectsMergeAtZeroLoss(t *testing.T) {
 func TestInfoCurveMatchesDirectComputation(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	objs := randomObjects(r, 8, 16)
-	res := Agglomerate(objs)
+	res := AgglomerateKCtx(context.Background(), objs, 1)
 	curve := res.InfoCurve()
 	if len(curve) != len(objs) {
 		t.Fatalf("curve length %d, want %d", len(curve), len(objs))
@@ -166,7 +167,7 @@ func TestInfoCurveMatchesDirectComputation(t *testing.T) {
 func TestInfoCurveMonotone(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	objs := randomObjects(r, 10, 12)
-	curve := Agglomerate(objs).InfoCurve()
+	curve := AgglomerateKCtx(context.Background(), objs, 1).InfoCurve()
 	for i := 1; i < len(curve); i++ {
 		if curve[i].I > curve[i-1].I+1e-9 {
 			t.Fatalf("I(Ck;T) increased at step %d: %v -> %v", i, curve[i-1].I, curve[i].I)
@@ -181,7 +182,7 @@ func TestInfoCurveMonotone(t *testing.T) {
 func TestClusterDCFsMassConservation(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	objs := randomObjects(r, 9, 12)
-	res := Agglomerate(objs)
+	res := AgglomerateKCtx(context.Background(), objs, 1)
 	for k := 1; k <= len(objs); k++ {
 		dcfs, err := res.ClusterDCFsAt(k)
 		if err != nil {
@@ -201,7 +202,7 @@ func TestClusterDCFsMassConservation(t *testing.T) {
 }
 
 func TestDendrogramLeafOrderAndTable(t *testing.T) {
-	res := Agglomerate(paperAttrs())
+	res := AgglomerateKCtx(context.Background(), paperAttrs(), 1)
 	d := res.Dendrogram()
 	order := d.LeafOrder()
 	if len(order) != 3 {
@@ -225,7 +226,7 @@ func TestDendrogramLeafOrderAndTable(t *testing.T) {
 }
 
 func TestDendrogramASCII(t *testing.T) {
-	res := Agglomerate(paperAttrs())
+	res := AgglomerateKCtx(context.Background(), paperAttrs(), 1)
 	art := res.Dendrogram().ASCII(60)
 	for _, label := range []string{"A", "B", "C"} {
 		if !strings.Contains(art, label) {
@@ -282,7 +283,7 @@ func TestPropMergeSequenceWellFormed(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		q := 2 + r.Intn(12)
-		res := Agglomerate(randomObjects(r, q, 10))
+		res := AgglomerateKCtx(context.Background(), randomObjects(r, q, 10), 1)
 		if len(res.Merges) != q-1 {
 			return false
 		}
@@ -316,7 +317,7 @@ func TestPropTotalLossEqualsInitialMI(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		q := 2 + r.Intn(10)
 		objs := randomObjects(r, q, 8)
-		res := Agglomerate(objs)
+		res := AgglomerateKCtx(context.Background(), objs, 1)
 		px := make([]float64, q)
 		cond := make([]it.Vec, q)
 		for i, o := range objs {
@@ -336,7 +337,7 @@ func TestPropTotalLossEqualsInitialMI(t *testing.T) {
 }
 
 func TestCutAtLoss(t *testing.T) {
-	res := Agglomerate(paperAttrs())
+	res := AgglomerateKCtx(context.Background(), paperAttrs(), 1)
 	// Losses: 0.158 (B,C) then 0.5155 (A joins). Cut between them.
 	groups := res.CutAtLoss(0.3)
 	if len(groups) != 2 {
@@ -357,13 +358,13 @@ func TestCutAtLoss(t *testing.T) {
 }
 
 func TestCutAtLossEmpty(t *testing.T) {
-	if got := Agglomerate(nil).CutAtLoss(1); got != nil {
+	if got := AgglomerateKCtx(context.Background(), nil, 1).CutAtLoss(1); got != nil {
 		t.Fatalf("empty result cut: %v", got)
 	}
 }
 
 func TestNumObjects(t *testing.T) {
-	if got := Agglomerate(paperAttrs()).NumObjects(); got != 3 {
+	if got := AgglomerateKCtx(context.Background(), paperAttrs(), 1).NumObjects(); got != 3 {
 		t.Fatalf("NumObjects: %d", got)
 	}
 }

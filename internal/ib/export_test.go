@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 )
 
 func TestDOTContainsStructure(t *testing.T) {
-	res := Agglomerate(paperAttrs())
+	res := AgglomerateKCtx(context.Background(), paperAttrs(), 1)
 	dot := res.Dendrogram().DOT("attrs")
 	for _, want := range []string{
 		"digraph \"attrs\"", `label="A"`, `label="B"`, `label="C"`,
@@ -22,7 +23,7 @@ func TestDOTContainsStructure(t *testing.T) {
 }
 
 func TestNewickWellFormed(t *testing.T) {
-	res := Agglomerate(paperAttrs())
+	res := AgglomerateKCtx(context.Background(), paperAttrs(), 1)
 	nw := res.Dendrogram().Newick()
 	if strings.Count(nw, ";") != 1 {
 		t.Fatalf("full clustering should be one tree: %q", nw)
@@ -43,7 +44,7 @@ func TestNewickWellFormed(t *testing.T) {
 
 func TestNewickForest(t *testing.T) {
 	// Partial clustering (k=2) renders two trees.
-	res := AgglomerateK(paperAttrs(), 2)
+	res := AgglomerateKCtx(context.Background(), paperAttrs(), 2)
 	nw := res.Dendrogram().Newick()
 	if strings.Count(nw, ";") != 2 {
 		t.Fatalf("k=2 should render a 2-tree forest: %q", nw)
@@ -55,7 +56,7 @@ func TestNewickEscaping(t *testing.T) {
 		{Label: "has space", P: 0.5, Cond: it.Uniform([]int32{0})},
 		{Label: "p(a,b)", P: 0.5, Cond: it.Uniform([]int32{1})},
 	}
-	nw := Agglomerate(objs).Dendrogram().Newick()
+	nw := AgglomerateKCtx(context.Background(), objs, 1).Dendrogram().Newick()
 	if !strings.Contains(nw, "'has space'") || !strings.Contains(nw, "'p(a,b)'") {
 		t.Fatalf("labels not quoted: %q", nw)
 	}
@@ -68,7 +69,7 @@ func TestNewickEscaping(t *testing.T) {
 }
 
 func TestNewickBranchLengthsNonNegative(t *testing.T) {
-	res := Agglomerate(paperAttrs())
+	res := AgglomerateKCtx(context.Background(), paperAttrs(), 1)
 	nw := res.Dendrogram().Newick()
 	if strings.Contains(nw, ":-") {
 		t.Fatalf("negative branch length in %q", nw)

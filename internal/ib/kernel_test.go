@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"context"
 	"testing"
 
 	"structmine/internal/it"
@@ -60,7 +61,7 @@ func TestDeltaIZeroOnProportional(t *testing.T) {
 		{Label: "z", P: 0.3, Cond: cond},
 	}
 	want := []Merge{{Left: 0, Right: 2, Node: 4, Loss: 0, K: 3}, {Left: 3, Right: 4, Node: 5, Loss: 0, K: 2}}
-	for _, res := range []*Result{Agglomerate(objs), AgglomerateSerial(objs)} {
+	for _, res := range []*Result{AgglomerateKCtx(context.Background(), objs, 1), AgglomerateSerial(objs)} {
 		if m := res.Merges[:2]; m[0] != want[0] || m[1] != want[1] {
 			t.Errorf("first merges %+v, want %+v", m, want)
 		}

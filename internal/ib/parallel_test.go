@@ -1,6 +1,7 @@
 package ib
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -100,7 +101,7 @@ func TestPropParallelMatchesSerial(t *testing.T) {
 			if rep == 1 {
 				k = 1 + r.Intn(c.q) // also exercise early stopping
 			}
-			par := AgglomerateK(objs, k)
+			par := AgglomerateKCtx(context.Background(), objs, k)
 			ser := AgglomerateKSerial(objs, k)
 			assertSameResult(t, seed, par, ser)
 			seed++
@@ -122,7 +123,7 @@ func TestHeapCompaction(t *testing.T) {
 
 	r := rand.New(rand.NewSource(42))
 	objs := randomObjects(r, 160, 24)
-	res := Agglomerate(objs)
+	res := AgglomerateKCtx(context.Background(), objs, 1)
 
 	if len(seen) == 0 {
 		t.Fatal("no compaction fired on a q=160 run")
@@ -154,7 +155,7 @@ func TestMembersMatchesRecursiveReference(t *testing.T) {
 		return append(recursive(r, m.Left), recursive(r, m.Right)...)
 	}
 	r := rand.New(rand.NewSource(7))
-	res := Agglomerate(randomObjects(r, 40, 12))
+	res := AgglomerateKCtx(context.Background(), randomObjects(r, 40, 12), 1)
 	for node := 0; node < 2*40-1; node++ {
 		got := res.Members(node)
 		want := recursive(res, node)

@@ -40,7 +40,7 @@ func AgglomerateSerial(objects []Object) *Result {
 // assert both produce bit-identical merge sequences, and
 // BenchmarkAgglomerate measures the speedup against it. Equation (3)
 // itself (it.DeltaI) is the independent oracle both are held to
-// (TestAIBIsGreedyOnEquation3). New callers should use AgglomerateK.
+// (TestAIBIsGreedyOnEquation3). New callers should use AgglomerateKCtx.
 func AgglomerateKSerial(objects []Object, k int) *Result {
 	q := len(objects)
 	res := &Result{Objects: objects}

@@ -157,34 +157,6 @@ func (j *JointDist) marginalEntropyMap() float64 {
 	return h
 }
 
-// EntropyX returns H(X) of the row prior.
-func (j *JointDist) EntropyX() float64 { return EntropyDense(j.PX) }
-
-// KL returns the Kullback-Leibler divergence D_KL[p ‖ q] in bits.
-// It is +Inf when p has mass where q does not.
-func KL(p, q Vec) float64 {
-	d := 0.0
-	i, j := 0, 0
-	for i < len(p) {
-		for j < len(q) && q[j].Idx < p[i].Idx {
-			j++
-		}
-		if j >= len(q) || q[j].Idx != p[i].Idx {
-			if p[i].P > 0 {
-				return math.Inf(1)
-			}
-			i++
-			continue
-		}
-		if p[i].P > 0 {
-			d += p[i].P * log2(p[i].P/q[j].P)
-		}
-		i++
-		j++
-	}
-	return d
-}
-
 // JS returns the weighted Jensen-Shannon divergence
 //
 //	D_JS^{w1,w2}[p, q] = w1·D_KL[p ‖ m] + w2·D_KL[q ‖ m],  m = w1·p + w2·q

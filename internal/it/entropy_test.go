@@ -52,27 +52,6 @@ func TestEntropyCounts(t *testing.T) {
 	}
 }
 
-func TestKL(t *testing.T) {
-	p := NewVec([]Entry{{0, 0.5}, {1, 0.5}})
-	q := NewVec([]Entry{{0, 0.25}, {1, 0.75}})
-	// 0.5*log2(2) + 0.5*log2(2/3) = 0.5 - 0.2925 = 0.2075
-	want := 0.5 + 0.5*math.Log2(0.5/0.75)
-	if d := KL(p, q); !almostEqual(d, want, 1e-12) {
-		t.Fatalf("KL = %v, want %v", d, want)
-	}
-	if d := KL(p, p); !almostEqual(d, 0, 1e-12) {
-		t.Fatalf("KL(p,p) = %v", d)
-	}
-}
-
-func TestKLInfiniteOnSupportMismatch(t *testing.T) {
-	p := Uniform([]int32{0, 1})
-	q := Uniform([]int32{0})
-	if d := KL(p, q); !math.IsInf(d, 1) {
-		t.Fatalf("KL with missing support = %v, want +Inf", d)
-	}
-}
-
 func TestJSIdentical(t *testing.T) {
 	p := NewVec([]Entry{{0, 0.3}, {5, 0.7}})
 	if d := JS(0.4, p, 0.6, p); !almostEqual(d, 0, 1e-12) {
@@ -148,13 +127,6 @@ func TestJointDistMutualInfo(t *testing.T) {
 	}
 }
 
-func TestJointDistEntropyX(t *testing.T) {
-	j := &JointDist{PX: []float64{0.5, 0.25, 0.25}}
-	if h := j.EntropyX(); !almostEqual(h, 1.5, 1e-12) {
-		t.Fatalf("H(X) = %v", h)
-	}
-}
-
 // --- property-based tests ---
 
 func TestPropEntropyBounds(t *testing.T) {
@@ -212,23 +184,6 @@ func TestPropDeltaIEqualsMutualInfoDrop(t *testing.T) {
 		return almostEqual(drop, DeltaI(w1, p, w2, q), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropKLNonNegative(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		// Same support so KL is finite: build q on p's support.
-		p := randomDist(r, 64, 12)
-		es := make([]Entry, len(p))
-		for i, e := range p {
-			es[i] = Entry{e.Idx, r.Float64() + 1e-3}
-		}
-		q := NewVec(es).Normalize()
-		return KL(p, q) >= -1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -14,7 +14,7 @@ type Assignment struct {
 	Loss    float64 // δI between the object and its representative
 }
 
-// Assign performs Phase 3: each object is associated with the
+// AssignCtx performs Phase 3: each object is associated with the
 // representative minimizing the information loss of merging them, the
 // lowest index winning ties; Cluster is -1 and Loss +Inf when there are
 // no representatives.
@@ -28,12 +28,8 @@ type Assignment struct {
 // are DeltaIObj's floating-point operations in DeltaIObj's order, so
 // losses are bit-identical to the pairwise scan (kept in serial.go as the
 // test oracle) at the cost of the shared coordinates, not of objects ×
-// representatives. Objects fan out under internal/exec's shared policy.
-func Assign(reps []*DCF, objs []Obj) []Assignment {
-	return AssignCtx(context.Background(), reps, objs)
-}
-
-// AssignCtx is Assign under the context's worker budget.
+// representatives. Objects fan out under internal/exec's shared policy,
+// sized by the context's worker budget.
 func AssignCtx(ctx context.Context, reps []*DCF, objs []Obj) []Assignment {
 	out := make([]Assignment, len(objs))
 	ix := newRepIndex(reps)

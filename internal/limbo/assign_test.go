@@ -72,13 +72,13 @@ func assignCases(t *testing.T, seed int64) []assignCase {
 
 	// Value clustering: sparse objects against every φ = 0 leaf.
 	sparse := sparseObjs(r, 900, 4000, 8)
-	cases = append(cases, assignCase{"sparse-vs-leaves", BuildTree(sparse, 0, 4).Leaves(), sparse, true})
+	cases = append(cases, assignCase{"sparse-vs-leaves", BuildTreeCtx(context.Background(), sparse, 0, 4).Leaves(), sparse, true})
 
 	// Tuple clustering: dense objects against merged cluster representatives.
 	dense := tupleObjs(smallDomainRows(r, 700, 6, 5))
-	leaves := BuildTree(dense, 0.2, 4).Leaves()
+	leaves := BuildTreeCtx(context.Background(), dense, 0.2, 4).Leaves()
 	k := 1 + len(leaves)/3
-	clusters, err := Phase2(leaves, k).ClustersAt(k)
+	clusters, err := Phase2Ctx(context.Background(), leaves, k).ClustersAt(k)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestPropBudgetSweepMatchesSerial(t *testing.T) {
 		ser.Insert(o)
 	}
 	serLeaves := ser.Leaves()
-	wantAssign := Assign(serLeaves, objs)
+	wantAssign := AssignCtx(context.Background(), serLeaves, objs)
 
 	for _, budget := range []int{1, 2, 4, 8} {
 		ctx := exec.WithWorkers(context.Background(), budget)

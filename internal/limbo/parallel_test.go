@@ -1,6 +1,7 @@
 package limbo
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -47,7 +48,7 @@ func TestPropInsertMatchesSerial(t *testing.T) {
 		}
 		tau := Threshold(0.3, MutualInfo(objs), n)
 		cfg := Config{B: 4, Threshold: tau}
-		tree := NewTree(cfg)
+		tree := NewTreeCtx(context.Background(), cfg)
 		ser := NewTreeSerial(cfg)
 		for _, o := range objs {
 			tree.Insert(o)
@@ -94,7 +95,7 @@ func TestAbsorbCountsIntoNilCounts(t *testing.T) {
 
 	// The tree insert path takes the scratch-based absorptions; mixing
 	// counted and uncounted objects must not panic there either.
-	tree := NewTree(Config{B: 4, Threshold: 1e9})
+	tree := NewTreeCtx(context.Background(), Config{B: 4, Threshold: 1e9})
 	tree.Insert(Obj{ID: 0, W: 0.5, Cond: it.Uniform([]int32{0, 1})})
 	leaf := tree.Insert(Obj{ID: 1, W: 0.5, Cond: it.Uniform([]int32{0, 1}), Counts: []int64{7}})
 	if len(leaf.Counts) != 1 || leaf.Counts[0] != 7 {

@@ -66,7 +66,7 @@ func checkAgainstTree(t *testing.T, name string, objs []limbo.Obj, treeLeaf []*l
 // streamed is the tuple-axis reference: each object's leaf as a τ = 0
 // tree's Insert returns it.
 func streamed(objs []limbo.Obj) []*limbo.DCF {
-	tree := limbo.NewTree(limbo.Config{B: 4})
+	tree := limbo.NewTreeCtx(context.Background(), limbo.Config{B: 4})
 	out := make([]*limbo.DCF, len(objs))
 	for i, o := range objs {
 		out[i] = tree.Insert(o)

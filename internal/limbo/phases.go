@@ -8,14 +8,9 @@ import (
 	"structmine/internal/it"
 )
 
-// Phase2 runs AIB over the Phase 1 leaf summaries down to k clusters and
-// returns the full merge result. Labels are synthesized from each leaf's
-// first member id.
-func Phase2(leaves []*DCF, k int) *ib.Result {
-	return Phase2Ctx(context.Background(), leaves, k)
-}
-
-// Phase2Ctx is Phase2 under the context's worker budget.
+// Phase2Ctx runs AIB over the Phase 1 leaf summaries down to k clusters,
+// under the context's worker budget, and returns the full merge result.
+// Labels are synthesized from each leaf's first member id.
 func Phase2Ctx(ctx context.Context, leaves []*DCF, k int) *ib.Result {
 	objs := make([]ib.Object, len(leaves))
 	for i, d := range leaves {
@@ -224,15 +219,9 @@ func sameCond(a, b it.Vec) bool {
 	return true
 }
 
-// BuildTree runs Phase 1 over the given objects with threshold
-// τ = φ·I(V;T)/|V| (I computed exactly from the objects) and returns the
-// populated tree.
-func BuildTree(objs []Obj, phi float64, b int) *Tree {
-	return BuildTreeCtx(context.Background(), objs, phi, b)
-}
-
-// BuildTreeCtx is BuildTree under the context's worker budget and arena
-// pool.
+// BuildTreeCtx runs Phase 1 over the given objects with threshold
+// τ = φ·I(V;T)/|V| (I computed exactly from the objects), under the
+// context's worker budget and arena pool, and returns the populated tree.
 func BuildTreeCtx(ctx context.Context, objs []Obj, phi float64, b int) *Tree {
 	tau := Threshold(phi, MutualInfo(objs), len(objs))
 	t := NewTreeCtx(ctx, Config{B: b, Threshold: tau})

@@ -1,6 +1,9 @@
 package limbo
 
-import "math"
+import (
+	"context"
+	"math"
+)
 
 // closestEntrySerial is the original closest-entry search of Phase 1,
 // kept verbatim as the differential-testing oracle for Tree.closest: it
@@ -55,8 +58,8 @@ func assignSerial(reps []*DCF, objs []Obj) []Assignment {
 // absorptions always run through the retained serial reference. It
 // exists for differential tests and benchmarks (the AIB engine's
 // AgglomerateKSerial plays the same role for Phase 2); new callers
-// should use NewTree.
+// should use NewTreeCtx.
 func NewTreeSerial(cfg Config) *Tree {
 	cfg.forceSerial = true
-	return NewTree(cfg)
+	return NewTreeCtx(context.Background(), cfg)
 }

@@ -102,16 +102,11 @@ type entry struct {
 	child *node // nil iff owning node is a leaf
 }
 
-// NewTree creates an empty DCF-tree whose slabs come from the heap. B
-// defaults to 4 when non-positive.
-func NewTree(cfg Config) *Tree {
-	return NewTreeCtx(context.Background(), cfg)
-}
-
-// NewTreeCtx creates an empty DCF-tree; when the context carries a
-// scheduler grant, the tree's numeric slabs are checked out of the
-// process arena pool and recycled when the grant is released (the Tree
-// must not outlive it).
+// NewTreeCtx creates an empty DCF-tree; B defaults to 4 when
+// non-positive. When the context carries a scheduler grant, the tree's
+// numeric slabs are checked out of the process arena pool and recycled
+// when the grant is released (the Tree must not outlive it); under a bare
+// context they come from the heap.
 func NewTreeCtx(ctx context.Context, cfg Config) *Tree {
 	if cfg.B <= 1 {
 		cfg.B = 4

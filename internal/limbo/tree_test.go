@@ -1,6 +1,7 @@
 package limbo
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,7 +26,7 @@ func TestTreeZeroThresholdMergesOnlyIdentical(t *testing.T) {
 	rows := [][]int32{
 		{0, 10, 20}, {1, 11, 21}, {0, 10, 20}, {2, 12, 22}, {1, 11, 21}, {0, 10, 20},
 	}
-	tree := BuildTree(tupleObjs(rows), 0.0, 4)
+	tree := BuildTreeCtx(context.Background(), tupleObjs(rows), 0.0, 4)
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestTreeZeroThresholdMergesOnlyIdentical(t *testing.T) {
 func TestTreeLargeThresholdMergesEverything(t *testing.T) {
 	rows := [][]int32{{0, 10}, {1, 11}, {2, 12}, {3, 13}, {4, 14}}
 	objs := tupleObjs(rows)
-	tree := NewTree(Config{B: 4, Threshold: 1e9})
+	tree := NewTreeCtx(context.Background(), Config{B: 4, Threshold: 1e9})
 	for _, o := range objs {
 		tree.Insert(o)
 	}
@@ -64,7 +65,7 @@ func TestTreeSplitsKeepInvariants(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		objs = append(objs, randObj(r, int32(i), 64, 6))
 	}
-	tree := NewTree(Config{B: 3, Threshold: 0}) // force many leaves, deep tree
+	tree := NewTreeCtx(context.Background(), Config{B: 3, Threshold: 0}) // force many leaves, deep tree
 	total := 0.0
 	for _, o := range objs {
 		tree.Insert(o)
@@ -91,7 +92,7 @@ func TestTreeMaxLeavesRebuilds(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		objs = append(objs, randObj(r, int32(i), 48, 5))
 	}
-	tree := NewTree(Config{B: 4, MaxLeafEntries: 40}) // leaf-bounded Phase 1
+	tree := NewTreeCtx(context.Background(), Config{B: 4, MaxLeafEntries: 40}) // leaf-bounded Phase 1
 	for _, o := range objs {
 		tree.Insert(o)
 	}
@@ -138,14 +139,14 @@ func TestPhase2AndPhase3EndToEnd(t *testing.T) {
 		{5, 15, 25}, {5, 15, 25}, {5, 15, 26},
 	}
 	objs := tupleObjs(rows)
-	tree := BuildTree(objs, 0.0, 4)
-	res := Phase2(tree.Leaves(), 2)
+	tree := BuildTreeCtx(context.Background(), objs, 0.0, 4)
+	res := Phase2Ctx(context.Background(), tree.Leaves(), 2)
 	clusters, err := res.ClustersAt(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reps := RepsFromClusters(tree.Leaves(), clusters)
-	assign := Assign(reps, objs)
+	assign := AssignCtx(context.Background(), reps, objs)
 	// Tuples 0-2 must share a cluster, 3-5 the other.
 	if assign[0].Cluster != assign[1].Cluster || assign[1].Cluster != assign[2].Cluster {
 		t.Fatalf("group 1 split: %+v", assign)
@@ -166,14 +167,14 @@ func TestMutualInfoOfAssignmentBounds(t *testing.T) {
 	rows := [][]int32{{0, 10}, {0, 10}, {1, 11}, {2, 12}}
 	objs := tupleObjs(rows)
 	full := MutualInfo(objs)
-	tree := BuildTree(objs, 0.0, 4)
-	res := Phase2(tree.Leaves(), 2)
+	tree := BuildTreeCtx(context.Background(), objs, 0.0, 4)
+	res := Phase2Ctx(context.Background(), tree.Leaves(), 2)
 	clusters, err := res.ClustersAt(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reps := RepsFromClusters(tree.Leaves(), clusters)
-	assign := Assign(reps, objs)
+	assign := AssignCtx(context.Background(), reps, objs)
 	got := MutualInfoOfAssignment(objs, assign, 2)
 	if got > full+1e-9 {
 		t.Fatalf("I(C;T)=%v exceeds I(V;T)=%v", got, full)
@@ -185,7 +186,7 @@ func TestMutualInfoOfAssignmentBounds(t *testing.T) {
 
 func TestAssignEmptyReps(t *testing.T) {
 	objs := tupleObjs([][]int32{{0, 1}})
-	assign := Assign(nil, objs)
+	assign := AssignCtx(context.Background(), nil, objs)
 	if assign[0].Cluster != -1 {
 		t.Fatalf("no reps should yield cluster -1, got %+v", assign[0])
 	}
@@ -212,7 +213,7 @@ func TestPropZeroPhiLeavesArePure(t *testing.T) {
 			used[k] = true
 			rows[i] = pool[k]
 		}
-		tree := BuildTree(tupleObjs(rows), 0.0, 4)
+		tree := BuildTreeCtx(context.Background(), tupleObjs(rows), 0.0, 4)
 		if err := tree.Validate(); err != nil {
 			return false
 		}
@@ -233,7 +234,7 @@ func TestPropZeroPhiLeavesArePure(t *testing.T) {
 		}
 		// Phase 2 merges duplicate-row leaves at zero loss down to the
 		// distinct count.
-		res := Phase2(tree.Leaves(), len(used))
+		res := Phase2Ctx(context.Background(), tree.Leaves(), len(used))
 		for _, m := range res.Merges {
 			if m.Loss > 1e-9 {
 				return false
@@ -256,7 +257,7 @@ func TestPropMassConservation(t *testing.T) {
 			objs[i] = randObj(r, int32(i), 32, 5)
 		}
 		phi := r.Float64() * 2
-		tree := BuildTree(objs, phi, 2+r.Intn(4))
+		tree := BuildTreeCtx(context.Background(), objs, phi, 2+r.Intn(4))
 		if err := tree.Validate(); err != nil {
 			return false
 		}
@@ -290,7 +291,7 @@ func TestAssignParallelMatchesSequential(t *testing.T) {
 	for i := range objs {
 		objs[i] = randObj(r, int32(i), 64, 5)
 	}
-	assign := Assign(reps, objs)
+	assign := AssignCtx(context.Background(), reps, objs)
 	for i := 0; i < len(objs); i += 97 {
 		best, bestDist := -1, math.Inf(1)
 		for ri, rep := range reps {

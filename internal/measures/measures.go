@@ -29,12 +29,6 @@ type Measures struct {
 	RTR  float64
 }
 
-// Of measures the attribute set attrs of c on a kernel of its own
-// (OfSets).
-func Of(c relation.Columns, attrs []int) (Measures, error) {
-	return OfSets(fd.NewSets(context.Background(), c), attrs)
-}
-
 // OfSets measures the attribute set attrs on the job's kernel over the
 // instance: the multiplicities of the projected rows — Π_CA's class
 // sizes and its singletons — give H(Π_CA(T)) for RAD and RADw, and their
@@ -65,15 +59,15 @@ func OfSets(s *fd.Sets, attrs []int) (Measures, error) {
 }
 
 // RAD returns the Relative Attribute Duplication of the attribute group
-// of a resident relation.
+// of a resident relation, on a kernel of its own.
 func RAD(r *relation.Relation, attrs []int) float64 {
-	ms, _ := Of(relation.AsColumns(r), attrs) // no failing reads in memory
+	ms, _ := OfSets(fd.NewSets(context.Background(), relation.AsColumns(r)), attrs) // no failing reads in memory
 	return ms.RAD
 }
 
 // RTR returns the Relative Tuple Reduction of the attribute group of a
-// resident relation.
+// resident relation, on a kernel of its own.
 func RTR(r *relation.Relation, attrs []int) float64 {
-	ms, _ := Of(relation.AsColumns(r), attrs) // no failing reads in memory
+	ms, _ := OfSets(fd.NewSets(context.Background(), relation.AsColumns(r)), attrs) // no failing reads in memory
 	return ms.RTR
 }

@@ -1,12 +1,14 @@
 package measures
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strconv"
 	"testing"
 	"testing/quick"
 
+	"structmine/internal/fd"
 	"structmine/internal/relation"
 )
 
@@ -74,7 +76,7 @@ func TestRADWeightedWidthSensitivity(t *testing.T) {
 	// weighted RAD must also tie at 1 (entropy 0). Use a non-constant
 	// group: {C} has 3 distinct rows → H = log2 3.
 	plain := RAD(r, []int{2})
-	ms, _ := Of(relation.AsColumns(r), []int{2})
+	ms, _ := OfSets(fd.NewSets(context.Background(), relation.AsColumns(r)), []int{2})
 	if weighted := ms.RADw; weighted <= plain {
 		t.Fatalf("weighted (%v) should exceed plain (%v): entropy scaled by 1/4", weighted, plain)
 	}
@@ -82,7 +84,7 @@ func TestRADWeightedWidthSensitivity(t *testing.T) {
 
 func TestMeasuresEdgeCases(t *testing.T) {
 	empty := relation.NewBuilder("e", []string{"A"}).Relation()
-	if ms, _ := Of(relation.AsColumns(empty), []int{0}); ms != (Measures{}) {
+	if ms, _ := OfSets(fd.NewSets(context.Background(), relation.AsColumns(empty)), []int{0}); ms != (Measures{}) {
 		t.Fatal("empty relation should measure 0")
 	}
 	one := build(t, []string{"A"}, []string{"x"})

@@ -181,7 +181,8 @@ func TestFDStateAcrossUpgradeAndCorruption(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fds, err := fd.TANE(r)
+				ctx := context.Background()
+				fds, err := fd.TANEColumnsCtx(ctx, fd.NewSets(ctx, relation.AsColumns(r)))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -321,7 +321,7 @@ func TestRecoverColstoreThroughStoreFS(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	boot := func(fsys *colstoreFS) (datasets, adopted int) {
+	boot := func(fsys *colstoreFS) (datasets, adopted int, sweepErr error) {
 		st, err := store.Open(dir, store.Options{FS: fsys})
 		if err != nil {
 			t.Fatal(err)
@@ -330,19 +330,21 @@ func TestRecoverColstoreThroughStoreFS(t *testing.T) {
 		s := New(Config{Store: st})
 		defer func() { _ = s.Shutdown(context.Background()) }()
 		adopted, _ = s.reg.Recovered()
-		return s.reg.Len(), adopted
+		return s.reg.Len(), adopted, s.reg.RecoverErr()
 	}
 
-	if n, adopted := boot(&colstoreFS{FS: store.OS(), failing: true}); n != 0 || adopted != 0 {
+	if n, adopted, err := boot(&colstoreFS{FS: store.OS(), failing: true}); n != 0 || adopted != 0 {
 		t.Fatalf("boot with a failing listing: %d datasets, %d adopted, want none", n, adopted)
+	} else if err == nil || !strings.Contains(err.Error(), "injected ReadDir failure") {
+		t.Fatalf("boot with a failing listing reports %v, want the listing's error", err)
 	}
 	if _, err := os.Stat(leftover); err != nil {
 		t.Fatalf("leftover temp file after a failed listing: %v", err)
 	}
 
 	fsys := &colstoreFS{FS: store.OS()}
-	if n, adopted := boot(fsys); n != 1 || adopted != 1 {
-		t.Fatalf("boot: %d datasets, %d adopted, want 1", n, adopted)
+	if n, adopted, err := boot(fsys); n != 1 || adopted != 1 || err != nil {
+		t.Fatalf("boot: %d datasets, %d adopted (%v), want 1", n, adopted, err)
 	}
 	if _, err := os.Stat(leftover); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("leftover temp file after boot: %v", err)

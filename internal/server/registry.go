@@ -127,10 +127,11 @@ type Registry struct {
 	// restarted server re-adopts it without re-parsing the CSV.
 	st *store.Store
 
-	// Boot recovery counters (RecoverAppends, RecoverColstore), guarded
-	// by mu.
+	// Boot recovery counters (RecoverAppends, RecoverColstore) and the
+	// error that stopped the colstore sweep, guarded by mu.
 	recovered     int
 	appendReplays int
+	recoverErr    error
 
 	// writeMu serializes every change to the set of dataset files. An
 	// append is a multi-step identity transition (intent record, new file,
@@ -318,20 +319,25 @@ func (g *Registry) openCol(path, hash string) (*Dataset, error) {
 // files are removed, foreign or corrupt files are quarantined, and
 // every valid file whose content is not already registered is adopted
 // as the paged dataset it describes. Call after RecoverAppends so the
-// sweep only sees the settled side of each lineage.
+// sweep only sees the settled side of each lineage. When the directory
+// cannot be made or listed the sweep adopts nothing, and RecoverErr
+// reports why.
 func (g *Registry) RecoverColstore() {
 	if g.st == nil {
 		return
 	}
 	g.writeMu.Lock()
 	defer g.writeMu.Unlock()
-	dir, err := g.st.ColstoreDir()
-	if err != nil {
-		return
-	}
 	fsys := g.st.FS()
-	names, err := fsys.ReadDir(dir)
+	dir, err := g.st.ColstoreDir()
+	var names []string
+	if err == nil {
+		names, err = fsys.ReadDir(dir)
+	}
 	if err != nil {
+		g.mu.Lock()
+		g.recoverErr = fmt.Errorf("colstore sweep: %w", err)
+		g.mu.Unlock()
 		return
 	}
 	for _, name := range names {
@@ -366,6 +372,14 @@ func (g *Registry) Recovered() (datasets, appendReplays int) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.recovered, g.appendReplays
+}
+
+// RecoverErr returns the error that stopped the last boot's colstore
+// sweep, or nil when the sweep listed the directory.
+func (g *Registry) RecoverErr() error {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.recoverErr
 }
 
 // RegisterPath reads a CSV file from the server's filesystem and

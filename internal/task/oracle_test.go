@@ -99,7 +99,7 @@ func checkLossAccounting(t *testing.T, where string, rows [][]int32, objectOf []
 // TestAIBLossAccounting is the information-bottleneck oracle: every δI
 // an agglomeration records is exactly the information its merge gives
 // up, so the losses from k₀ down to any k telescope to
-// I(C_k₀;V) − I(C_k;V). It holds for ib.AgglomerateK over the tuples
+// I(C_k₀;V) − I(C_k;V). It holds for ib.AgglomerateKCtx over the tuples
 // themselves (k₀ = n) and for LIMBO Phase 2 over the leaf DCFs of a
 // Phase 1 pass (k₀ = the leaf count), on DB2 and DBLP 2 000 × 13, at one
 // worker and at four.
@@ -143,7 +143,7 @@ func TestAIBLossAccounting(t *testing.T) {
 }
 
 // TestDecomposeRecount is the oracle for every decompose artifact: the
-// decomposition on the artifact's FD is materialised with decompose.On
+// decomposition on the artifact's FD is materialised with decompose.OnSets
 // and its sizes recounted from S1 and S2 — S1 the distinct X∪Y rows, S2
 // one row per tuple over R−Y, R = S2 ⋈ S1 — and RAD / RTR recounted from
 // the rows of X∪Y (recount). Every field must
@@ -165,7 +165,7 @@ func TestDecomposeRecount(t *testing.T) {
 				art := out.(*DecomposeResult)
 				lhs, rhs := parseFD(t, names, art.FD.Label)
 				f := fd.FD{LHS: fd.NewAttrSet(lhs...), RHS: fd.NewAttrSet(rhs...)}
-				res, err := decompose.On(src.c, f)
+				res, err := decompose.OnSets(fd.NewSets(context.Background(), src.c), f)
 				if err != nil {
 					t.Fatalf("%s: %s: %v", where, art.FD.Label, err)
 				}
@@ -230,7 +230,7 @@ func recount(t *testing.T, c relation.Columns, attrs []int) measures.Measures {
 
 // TestMeasuresRecount is the oracle for the duplication measures: on DB2
 // and DBLP 2 000 × 13, over the resident relation and a 32-row-page
-// colstore table, measures.Of equals recount bit for bit on every single
+// colstore table, measures.OfSets equals recount bit for bit on every single
 // attribute, every pair of neighbouring attributes, the attribute set of
 // every dependency rank-fds ranks, and the full attribute set. The empty
 // set, and every set of a relation of no tuple or one tuple, measure 0.
@@ -255,15 +255,15 @@ func TestMeasuresRecount(t *testing.T) {
 				sets = append(sets, fd.NewAttrSet(append(lhs, rhs...)...).Attrs())
 			}
 			for _, attrs := range sets {
-				got, err := measures.Of(c, attrs)
+				got, err := measures.OfSets(fd.NewSets(context.Background(), c), attrs)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if want := recount(t, c, attrs); got != want {
-					t.Errorf("%s/%s %v: measures.Of %+v, recounted %+v", r.Name, src.name, attrs, got, want)
+					t.Errorf("%s/%s %v: measures.OfSets %+v, recounted %+v", r.Name, src.name, attrs, got, want)
 				}
 			}
-			if got, err := measures.Of(c, nil); err != nil || got != (measures.Measures{}) {
+			if got, err := measures.OfSets(fd.NewSets(context.Background(), c), nil); err != nil || got != (measures.Measures{}) {
 				t.Errorf("%s/%s: the empty set measures %+v (%v)", r.Name, src.name, got, err)
 			}
 		}
@@ -271,7 +271,7 @@ func TestMeasuresRecount(t *testing.T) {
 			small := r.Select(make([]int, n))
 			for _, c := range []relation.Columns{relation.AsColumns(small), tableOf(t, small)} {
 				for _, attrs := range [][]int{nil, {0}, relation.AllAttrs(c)} {
-					if got, err := measures.Of(c, attrs); err != nil || got != (measures.Measures{}) {
+					if got, err := measures.OfSets(fd.NewSets(context.Background(), c), attrs); err != nil || got != (measures.Measures{}) {
 						t.Errorf("%s, n = %d, %v: measures %+v (%v)", r.Name, n, attrs, got, err)
 					}
 				}

@@ -26,16 +26,17 @@ type PairScore struct {
 	Similarity float64
 }
 
-// RefineDuplicates scores every pair inside each candidate group of the
-// report and returns the pairs with Similarity ≥ minSim, best first.
+// RefineDuplicates is RefineDuplicatesColumns over a resident relation,
+// reading its rows in place.
 func RefineDuplicates(r *relation.Relation, rep *DuplicateReport, minSim float64) []PairScore {
 	return refine(rep.Groups, r.Row, r.ValueString, minSim)
 }
 
-// RefineDuplicatesColumns is RefineDuplicates over the paged column
-// interface: the rows of every tuple in a multi-tuple group are fetched
-// in one pass over the stripes that hold them (never a stripe read per
-// pair), the dictionary is decoded once, and the scoring is shared.
+// RefineDuplicatesColumns scores every pair inside each candidate group
+// of the report and returns the pairs with Similarity ≥ minSim, best
+// first. The rows of every tuple in a multi-tuple group are fetched in
+// one pass over the stripes that hold them (never a stripe read per
+// pair), and the dictionary is decoded once.
 func RefineDuplicatesColumns(c relation.Columns, rep *DuplicateReport, minSim float64) ([]PairScore, error) {
 	var members []int
 	for _, g := range rep.Groups {

@@ -55,7 +55,7 @@ func TestSummarizeMatchesTree(t *testing.T) {
 	for _, phiT := range []float64{0, 0.3, 1} {
 		sum := Summarize(ctx, objs, phiT, 4)
 
-		tree := limbo.NewTree(limbo.Config{B: 4, Threshold: limbo.Threshold(phiT, limbo.MutualInfo(objs), len(objs))})
+		tree := limbo.NewTreeCtx(context.Background(), limbo.Config{B: 4, Threshold: limbo.Threshold(phiT, limbo.MutualInfo(objs), len(objs))})
 		leafOf := make([]*limbo.DCF, len(objs))
 		for i, o := range objs {
 			leafOf[i] = tree.Insert(o)

@@ -17,29 +17,20 @@ import (
 	"structmine/internal/relation"
 )
 
-// Objects converts each tuple t into a clustering object with
-// p(t) = 1/n and p(V|t) uniform over the tuple's m attribute values
-// (equations 4 and 5).
+// Objects is ObjectsColumnsCtx over a resident relation.
 func Objects(r *relation.Relation) []limbo.Obj {
-	n := r.N()
-	objs := make([]limbo.Obj, n)
-	for t := 0; t < n; t++ {
-		objs[t] = limbo.Obj{
-			ID:   int32(t),
-			W:    1.0 / float64(n),
-			Cond: it.Uniform(r.Row(t)),
-		}
-	}
+	objs, _ := ObjectsColumnsCtx(context.Background(), relation.AsColumns(r)) // no failing reads in memory
 	return objs
 }
 
-// ObjectsColumnsCtx is Objects over the column interface: one page
-// stripe per worker is resident at a time, and each tuple's object is
-// identical to the resident construction (same ids, same uniform
-// conditionals), so downstream clustering is bit-identical. Page stripes
-// fan across the context's worker budget, each worker writing the
-// per-tuple slots of its own pages — object construction is pure
-// per-index, so the result is the same for any budget.
+// ObjectsColumnsCtx converts each tuple t into a clustering object with
+// p(t) = 1/n and p(V|t) uniform over the tuple's m attribute values
+// (equations 4 and 5), over the column interface: one page stripe per
+// worker is resident at a time. Page stripes fan across the context's
+// worker budget, each worker writing the per-tuple slots of its own
+// pages — object construction is pure per-index, so the result is the
+// same for any budget and for any Columns implementation of the same
+// instance, and downstream clustering is bit-identical.
 func ObjectsColumnsCtx(ctx context.Context, c relation.Columns) ([]limbo.Obj, error) {
 	n := c.N()
 	m := c.M()
@@ -255,11 +246,7 @@ func partitionFromTree(ctx context.Context, objs []limbo.Obj, tree *limbo.Tree, 
 	if k < 1 {
 		k = 1
 	}
-	clusters, err := res.ClustersAt(k)
-	if err != nil {
-		// k is validated above; fall back to all leaves.
-		clusters, _ = res.ClustersAt(len(leaves))
-	}
+	clusters, _ := res.ClustersAt(k) // k ∈ [1, len(leaves)]; no leaves give nil, nil
 	reps := limbo.RepsFromClusters(leaves, clusters)
 	assign := limbo.AssignCtx(ctx, reps, objs)
 

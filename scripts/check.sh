@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Static checks plus the full test suite under the race detector — the
+# CI's first build gate (any file gofmt would rewrite fails), static
+# checks plus the full test suite under the race detector — the
 # gate for the concurrent AIB / LIMBO / TANE code paths, and where both
 # legs of the differential table (task.TestDifferentialFDs,
 # task.TestDifferentialClustering) run at one worker and at four. The focused
@@ -16,6 +17,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+out=$(gofmt -l .)
+if [ -n "$out" ]; then
+  echo "gofmt needs to be run on:"
+  echo "$out"
+  exit 1
+fi
 go vet ./...
 go test -race ./...
 go test -race -count=2 ./internal/exec

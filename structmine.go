@@ -163,7 +163,8 @@ func (m *Miner) sets() *fd.Sets { return fd.NewSets(context.Background(), relati
 
 // FindDuplicateTuples groups exact and near-duplicate tuples at accuracy φT.
 func (m *Miner) FindDuplicateTuples() *DuplicateReport {
-	return tuples.FindDuplicatesCtx(context.Background(), m.r, m.opts.PhiT, m.opts.B)
+	rep, _ := tuples.FindDuplicatesColumns(context.Background(), m.sets(), m.opts.PhiT, m.opts.B) // no failing reads in memory
+	return rep
 }
 
 // DuplicatePair is a scored candidate duplicate pair.
@@ -174,7 +175,8 @@ type DuplicatePair = tuples.PairScore
 // similarity of their differing values (the combination the paper's
 // conclusions suggest). Pairs below minSim are dropped.
 func (m *Miner) RefineDuplicates(rep *DuplicateReport, minSim float64) []DuplicatePair {
-	return tuples.RefineDuplicates(m.r, rep, minSim)
+	pairs, _ := tuples.RefineDuplicatesColumns(relation.AsColumns(m.r), rep, minSim) // no failing reads in memory
+	return pairs
 }
 
 // HorizontalPartition clusters the tuples into k partitions; k ≤ 0 lets
@@ -210,7 +212,7 @@ func (m *Miner) GroupAttributes(double bool) (*AttrGrouping, *ValueClustering) {
 // MineFDs discovers all minimal functional dependencies holding in the
 // instance (TANE; FDEP returns the same set, in the same order).
 func (m *Miner) MineFDs() ([]FD, error) {
-	return fd.DiscoverColumns(context.Background(), relation.AsColumns(m.r))
+	return fd.TANEColumnsCtx(context.Background(), m.sets())
 }
 
 // ApproxFD is an approximate dependency with its g3 error.
@@ -220,7 +222,7 @@ type ApproxFD = fd.ApproxFD
 // error (fraction of tuples to remove) is at most eps. maxLHS bounds the
 // antecedent size (0 = unbounded).
 func (m *Miner) MineApproxFDs(eps float64, maxLHS int) ([]ApproxFD, error) {
-	return fd.MineApproxCtx(context.Background(), m.r, eps, maxLHS)
+	return fd.MineApproxColumns(context.Background(), m.sets(), eps, maxLHS)
 }
 
 // G3 returns the approximation error of an FD on this instance.
@@ -242,7 +244,7 @@ type MVD = fd.MVD
 // dependencies. MVDs justify binary lossless decompositions beyond what
 // FDs capture.
 func (m *Miner) MineMVDs(maxLHS int, skipFDImplied bool) ([]MVD, error) {
-	return fd.MineMVDs(relation.AsColumns(m.r), maxLHS, skipFDImplied)
+	return fd.MineMVDsCtx(context.Background(), m.sets(), maxLHS, skipFDImplied)
 }
 
 // JoinCandidate is a joinable attribute pair across relations.
@@ -274,12 +276,12 @@ type Decomposition = decompose.Result
 // verifying losslessness. The paper's FD-RANK exists to pick the f that
 // maximizes the redundancy this removes.
 func (m *Miner) Decompose(f FD) (*Decomposition, error) {
-	c := relation.AsColumns(m.r)
-	res, err := decompose.On(c, f)
+	s := m.sets()
+	res, err := decompose.OnSets(s, f)
 	if err != nil {
 		return nil, err
 	}
-	if err := res.Lossless(c, f); err != nil {
+	if err := res.Lossless(s.Columns(), f); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -317,33 +319,36 @@ func (m *Miner) RankFDsWithGrouping(fds []FD, g *AttrGrouping) []RankedFD {
 
 // RAD returns the Relative Attribute Duplication of the named attributes.
 func (m *Miner) RAD(attrNames []string) (float64, error) {
-	ix, err := m.r.AttrIndices(attrNames)
-	if err != nil {
-		return 0, err
-	}
-	return measures.RAD(m.r, ix), nil
+	ms, err := m.measure(attrNames)
+	return ms.RAD, err
 }
 
 // RTR returns the Relative Tuple Reduction of the named attributes.
 func (m *Miner) RTR(attrNames []string) (float64, error) {
+	ms, err := m.measure(attrNames)
+	return ms.RTR, err
+}
+
+func (m *Miner) measure(attrNames []string) (measures.Measures, error) {
 	ix, err := m.r.AttrIndices(attrNames)
 	if err != nil {
-		return 0, err
+		return measures.Measures{}, err
 	}
-	return measures.RTR(m.r, ix), nil
+	return measures.OfSets(m.sets(), ix)
 }
 
 // MeasureFD returns RAD and RTR for the attribute set S = X ∪ Y of an FD
 // (the per-dependency numbers of the paper's Tables 3, 5 and 6).
 func (m *Miner) MeasureFD(f FD) (rad, rtr float64) {
-	ms, _ := measures.Of(relation.AsColumns(m.r), f.Attrs().Attrs()) // no failing reads in memory
+	ms, _ := measures.OfSets(m.sets(), f.Attrs().Attrs()) // no failing reads in memory
 	return ms.RAD, ms.RTR
 }
 
 // TupleInfo returns I(T;V) of the instance, the total information the
 // tuple identities carry about the values.
 func (m *Miner) TupleInfo() float64 {
-	return limbo.MutualInfo(tuples.Objects(m.r))
+	objs, _ := tuples.ObjectsColumnsCtx(context.Background(), relation.AsColumns(m.r)) // no failing reads in memory
+	return limbo.MutualInfo(objs)
 }
 
 // FormatFD renders an FD with this relation's attribute names.
