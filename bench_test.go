@@ -15,6 +15,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"structmine/internal/attrs"
@@ -688,6 +689,36 @@ func BenchmarkTaskSize(b *testing.B) {
 						}
 					}
 				})
+			}
+		})
+	}
+}
+
+// benchKeyedAt is benchDBLPAt's instance with a leading unique Id
+// column: no two tuples are identical, so the key search never stops at
+// Π_R's duplicates the way it does on DBLP.
+func benchKeyedAt(b *testing.B, n int) *relation.Relation {
+	b.Helper()
+	r := benchDBLPAt(b, n)
+	kb := relation.NewBuilder("dblp-keyed", append([]string{"Id"}, r.Attrs...))
+	for t := 0; t < n; t++ {
+		if err := kb.Add(append([]string{strconv.Itoa(t)}, r.TupleStrings(t)...)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return kb.Relation()
+}
+
+// BenchmarkKeys times the facade's candidate-key step, Miner.Keys, on
+// duplicate-free DBLP × 13 plus a unique Id column.
+func BenchmarkKeys(b *testing.B) {
+	for _, n := range []int{2500, 10000} {
+		m := NewMiner(benchKeyedAt(b, n), DefaultOptions())
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Keys(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -22,21 +22,6 @@ func Implies(fds []FD, f FD) bool {
 	return f.RHS.SubsetOf(Closure(f.LHS, fds))
 }
 
-// Equivalent reports whether two FD sets imply each other.
-func Equivalent(a, b []FD) bool {
-	for _, f := range a {
-		if !Implies(b, f) {
-			return false
-		}
-	}
-	for _, f := range b {
-		if !Implies(a, f) {
-			return false
-		}
-	}
-	return true
-}
-
 // MinCover computes a minimum cover of the FD set with Maier's
 // algorithm: split right-hand sides, drop extraneous left-hand-side
 // attributes, then drop redundant dependencies. The result is

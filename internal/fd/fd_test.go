@@ -179,7 +179,7 @@ func TestMinCover(t *testing.T) {
 	if len(cover) != 2 {
 		t.Fatalf("cover size %d: %v", len(cover), cover)
 	}
-	if !Equivalent(fds, cover) {
+	if !equivalent(fds, cover) {
 		t.Fatal("cover not equivalent to input")
 	}
 }
@@ -325,6 +325,21 @@ func TestEmptyAndSingleRow(t *testing.T) {
 	}
 }
 
+// equivalent reports whether two FD sets imply each other.
+func equivalent(a, b []FD) bool {
+	for _, f := range a {
+		if !Implies(b, f) {
+			return false
+		}
+	}
+	for _, f := range b {
+		if !Implies(a, f) {
+			return false
+		}
+	}
+	return true
+}
+
 // randomRelation builds a small random instance for cross-validation.
 func randomRelation(r *rand.Rand, n, m, domain int) *relation.Relation {
 	attrs := make([]string, m)
@@ -372,7 +387,7 @@ func TestPropMinCoverEquivalence(t *testing.T) {
 			return false
 		}
 		cover := MinCover(fds)
-		return len(cover) <= len(fds) && Equivalent(fds, cover)
+		return len(cover) <= len(fds) && equivalent(fds, cover)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -158,12 +158,7 @@ func minimalTransversals(family []AttrSet) []AttrSet {
 // minimizeSets removes supersets (and duplicates), keeping ⊆-minimal
 // members only.
 func minimizeSets(sets []AttrSet) []AttrSet {
-	sort.Slice(sets, func(i, j int) bool {
-		if c1, c2 := sets[i].Count(), sets[j].Count(); c1 != c2 {
-			return c1 < c2
-		}
-		return sets[i] < sets[j]
-	})
+	sortBySize(sets)
 	var out []AttrSet
 outer:
 	for _, s := range sets {

@@ -10,10 +10,10 @@ import (
 
 // Sets is a job's one kernel over attribute sets: every exact question
 // the job asks of a set X — the tuples sharing each projected row, the
-// class sizes of Π_X, X → Y, g3(X → Y), X ↠ Y, the candidate keys — is
-// asked of Π_X, built as TANE builds a lattice node: level-1 partitions
-// folded with refine through their class indexes. No value-id row is
-// hashed.
+// class sizes of Π_X, X → Y, g3(X → Y), X ↠ Y — is asked of Π_X, built
+// as TANE builds a lattice node: level-1 partitions folded with refine
+// through their class indexes. No value-id row is hashed. The candidate
+// keys ask one question, Π_R, and are read off the FDs the job mined.
 //
 // A job creates one Sets where it starts (task.RunColumns; a library
 // entry point that is a job of its own creates its own) and passes it

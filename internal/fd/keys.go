@@ -1,21 +1,21 @@
 package fd
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// Keys returns all minimal candidate keys of the instance: the minimal
-// attribute sets whose values are unique across tuples. A set X is a
-// superkey iff no pair of distinct rows agrees on all of X, i.e. X hits
-// the complement of every maximal agree set — so the minimal keys are
-// exactly the minimal transversals of those complements (the same
-// machinery FDEP uses for minimal left-hand sides).
-//
-// Like FDEP, the computation is quadratic in the number of distinct
-// rows; it is intended for the interactive report over moderate
-// instances.
-func (s *Sets) Keys() ([]AttrSet, error) {
+// Keys returns the minimal candidate keys of the instance, nil when
+// duplicate tuples (a class of Π_R) leave no attribute set unique. They
+// are read off fds, any FD set equivalent to the instance's minimal FDs
+// (TANE's, or their MinCover): with no two tuples identical, X is a
+// superkey exactly when X+ = R. Lucchesi & Osborn's enumeration (JCSS
+// 17(2), 1978) minimizes R, then X ∪ (K∖Y) for each key K and X → Y
+// unless that set holds a known key. Past Π_R no tuple is read: the cost
+// is polynomial in the numbers of keys and FDs, with the job's context
+// checked once per key expanded. Keys come by size, then bit pattern.
+func (s *Sets) Keys(fds []FD) ([]AttrSet, error) {
 	n, m := s.c.N(), s.c.M()
 	if m > MaxAttrs {
 		return nil, fmt.Errorf("fd: relation has %d attributes, max %d", m, MaxAttrs)
@@ -26,27 +26,35 @@ func (s *Sets) Keys() ([]AttrSet, error) {
 	if n <= 1 {
 		return []AttrSet{0}, nil // the empty set identifies ≤1 tuple
 	}
-	rows, err := s.distinctRows()
-	if err != nil {
+	full := FullSet(m)
+	if dups, _, err := s.ClassSizes(full.Attrs()); err != nil || len(dups) > 0 {
 		return nil, err
 	}
-	if len(rows) < n {
-		// Exact duplicate tuples exist: no attribute set can tell them
-		// apart, so the instance has no key at all.
-		return nil, nil
-	}
-	agree := maximalSets(agreeSets(rows, m))
-	full := FullSet(m)
-	family := make([]AttrSet, len(agree))
-	for i, ag := range agree {
-		family[i] = full.Minus(ag)
-	}
-	keys := minimalTransversals(family)
-	sort.Slice(keys, func(i, j int) bool {
-		if c1, c2 := keys[i].Count(), keys[j].Count(); c1 != c2 {
-			return c1 < c2
+	minimize := func(x AttrSet) AttrSet {
+		for _, a := range x.Attrs() {
+			if Closure(x.Remove(a), fds) == full {
+				x = x.Remove(a)
+			}
 		}
-		return keys[i] < keys[j]
-	})
+		return x
+	}
+	keys := []AttrSet{minimize(full)}
+	for i := 0; i < len(keys); i++ {
+		if err := s.ctx.Err(); err != nil {
+			return nil, err
+		}
+		for _, f := range fds {
+			x := f.LHS.Union(keys[i].Minus(f.RHS))
+			if !slices.ContainsFunc(keys, func(k AttrSet) bool { return k.SubsetOf(x) }) {
+				keys = append(keys, minimize(x))
+			}
+		}
+	}
+	sortBySize(keys)
 	return keys, nil
+}
+
+// sortBySize orders attribute sets by size, then by bit pattern.
+func sortBySize(sets []AttrSet) {
+	slices.SortFunc(sets, func(a, b AttrSet) int { return cmp.Or(a.Count()-b.Count(), cmp.Compare(a, b)) })
 }

@@ -47,10 +47,10 @@ type ReportResult struct {
 
 // runReport composes the report from the other runners' steps: the
 // describe profile with RAD/RTR per attribute, dedup's duplicate tuple
-// groups, the candidate keys, and rank-fds' pipeline (rankedFDs) — the
-// ranked minimum cover with RAD, RADw, RTR and g3 per dependency, and
-// the duplicate value groups and dendrogram of the grouping it ranks
-// against.
+// groups, and rank-fds' pipeline (rankedFDs) — the ranked minimum cover
+// with RAD, RADw, RTR and g3 per dependency, the duplicate value groups
+// and dendrogram of the grouping it ranks against, and the candidate
+// keys read off that cover, so the job mines dependencies once.
 func runReport(ctx context.Context, s *fd.Sets, p Params) (*ReportResult, error) {
 	if err := step(ctx, "describe"); err != nil {
 		return nil, err
@@ -91,19 +91,20 @@ func runReport(ctx context.Context, s *fd.Sets, p Params) (*ReportResult, error)
 		}
 	}
 
+	fr, err := rankedFDs(ctx, s, fv(p.Psi))
+	if err != nil {
+		return nil, err
+	}
 	if err := step(ctx, "candidate keys"); err != nil {
 		return nil, err
 	}
 	names := c.AttrNames()
-	if keys, err := s.Keys(); err == nil {
-		for _, k := range keys {
-			res.CandidateKeys = append(res.CandidateKeys, k.Format(names))
-		}
-	}
-
-	fr, err := rankedFDs(ctx, s, fv(p.Psi))
+	keys, err := s.Keys(fr.cover)
 	if err != nil {
 		return nil, err
+	}
+	for _, k := range keys {
+		res.CandidateKeys = append(res.CandidateKeys, k.Format(names))
 	}
 	strs, err := c.ValueStrings()
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"structmine/internal/datagen"
 	"structmine/internal/it"
+	"structmine/internal/obs"
 	"structmine/internal/relation"
 )
 
@@ -136,6 +137,26 @@ func TestReportCandidateKeys(t *testing.T) {
 	}
 	if !strings.Contains(rep.Text, "CANDIDATE KEYS") {
 		t.Fatal("render missing key section")
+	}
+}
+
+// TestReportMinesOnce: the report mines dependencies once and reads its
+// candidate keys off the cover it ranks, so its one "dependency mining"
+// stage comes before "candidate keys".
+func TestReportMinesOnce(t *testing.T) {
+	tr := obs.NewTrace()
+	if _, err := Run(obs.WithTrace(context.Background(), tr), db2(t), "report", Params{}); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	var stages []string
+	for _, st := range tr.Report().Stages {
+		stages = append(stages, st.Name)
+	}
+	mining := slices.Index(stages, "dependency mining")
+	if mining < 0 || slices.Index(stages[mining+1:], "dependency mining") >= 0 ||
+		slices.Index(stages, "candidate keys") < mining {
+		t.Fatalf("stages %v: want one dependency mining, then candidate keys", stages)
 	}
 }
 

@@ -516,13 +516,14 @@ type RankFDsResult struct {
 	Ranked     []RankedFDItem `json:"ranked"`
 }
 
-// fdRanking is the outcome of the FD-RANK pipeline: the ranked cover,
-// the size of the minimal set it was reduced from, and the attribute
-// grouping it was ranked against with the value clustering behind it.
+// fdRanking is the outcome of the FD-RANK pipeline: the minimum cover
+// and its ranking, the size of the minimal set the cover was reduced
+// from, and the attribute grouping it was ranked against with the value
+// clustering behind it.
 type fdRanking struct {
 	ranked     []fdrank.Ranked
 	numMinimal int
-	coverSize  int
+	cover      []fd.FD
 	grouping   *attrs.Grouping
 	values     *values.Clustering
 }
@@ -544,7 +545,7 @@ func rankedFDs(ctx context.Context, s *fd.Sets, psi float64) (*fdRanking, error)
 		return nil, err
 	}
 	return &fdRanking{
-		ranked: fdrank.Rank(cover, g, psi), numMinimal: len(fds), coverSize: len(cover),
+		ranked: fdrank.Rank(cover, g, psi), numMinimal: len(fds), cover: cover,
 		grouping: g, values: vc,
 	}, nil
 }
@@ -556,7 +557,7 @@ func runRankFDs(ctx context.Context, s *fd.Sets, p Params) (*RankFDsResult, erro
 		return nil, err
 	}
 	names := s.Columns().AttrNames()
-	res := &RankFDsResult{Psi: psi, NumMinimal: fr.numMinimal, CoverSize: fr.coverSize, Ranked: []RankedFDItem{}}
+	res := &RankFDsResult{Psi: psi, NumMinimal: fr.numMinimal, CoverSize: len(fr.cover), Ranked: []RankedFDItem{}}
 	for _, rf := range fr.ranked {
 		ms, err := measures.OfSets(s, rf.FD.Attrs().Attrs())
 		if err != nil {

@@ -25,15 +25,44 @@
 # which starves a short leg: FuzzAppendCSV ran 8 254 inputs in 40 s with
 # the default and 626 696 in 30 s with the cap.
 #
+# Every target runs even when an earlier one fails; the script exits 1 at
+# the end and names each failing target. A failing input the fuzzer
+# writes under internal/*/testdata/fuzz/ is moved to the git-ignored
+# fuzz-failures/ (same package path, testdata/fuzz/ dropped), so a later
+# `git add -A` cannot commit a seed that fails plain `go test`, and the
+# command that replays it is printed.
+#
 # usage: scripts/fuzz.sh [FUZZTIME]   default 10s (CI); check.sh passes 3s
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fuzztime=${1:-10s}
 
+# untracked lists the inputs under a fuzz target's testdata/fuzz/ that
+# git does not track.
+untracked() { git ls-files --others --exclude-standard -- "$1" 2>/dev/null || true; }
+
+failed=()
 for target in internal/relation:FuzzReadCSV internal/relation:FuzzAppendCSV internal/colstore:FuzzOpen \
   internal/fd:FuzzDecodeState \
   internal/store:FuzzRecover internal/task:FuzzParams internal/fd:FuzzGroupBy internal/limbo:FuzzGroupZero \
   internal/limbo:FuzzCountTree \
   internal/ib:FuzzAgglomerate internal/fd:FuzzMineApprox internal/server:FuzzJobViewBytes; do
-  go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime "$fuzztime" -fuzzminimizetime 10x "./${target%:*}"
+  pkg=${target%:*} name=${target#*:}
+  corpus=$pkg/testdata/fuzz/$name
+  before=$(untracked "$corpus")
+  if ! go test -run '^$' -fuzz "^$name\$" -fuzztime "$fuzztime" -fuzzminimizetime 10x "./$pkg"; then
+    failed+=("$target")
+  fi
+  while read -r input; do
+    [ -n "$input" ] && ! grep -qxF "$input" <<<"$before" || continue
+    kept=fuzz-failures/$pkg/$name/${input##*/}
+    mkdir -p "${kept%/*}"
+    mv "$input" "$kept"
+    echo "fuzz: $target input moved to $kept; re-run it with:"
+    echo "  mkdir -p $corpus && cp $kept $corpus/ && go test -run '^$name/${input##*/}\$' ./$pkg"
+  done <<<"$(untracked "$corpus")"
 done
+if [ ${#failed[@]} -gt 0 ]; then
+  echo "fuzz: ${#failed[@]} failing target(s): ${failed[*]}" >&2
+  exit 1
+fi

@@ -232,8 +232,16 @@ func (m *Miner) G3(f FD) float64 {
 }
 
 // Keys returns the minimal candidate keys of the instance (nil when
-// exact duplicate tuples make every attribute set non-unique).
-func (m *Miner) Keys() ([]AttrSet, error) { return m.sets().Keys() }
+// exact duplicate tuples make every attribute set non-unique), read off
+// the minimal FDs TANE mines: no pair of tuples is compared.
+func (m *Miner) Keys() ([]AttrSet, error) {
+	s := m.sets()
+	fds, err := fd.TANEColumnsCtx(context.Background(), s)
+	if err != nil {
+		return nil, err
+	}
+	return s.Keys(fds)
+}
 
 // MVD is a multivalued dependency X →→ Y.
 type MVD = fd.MVD
