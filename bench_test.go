@@ -21,6 +21,7 @@ import (
 	"structmine/internal/attrs"
 	"structmine/internal/colstore"
 	"structmine/internal/datagen"
+	"structmine/internal/exec"
 	"structmine/internal/experiments"
 	"structmine/internal/fd"
 	"structmine/internal/fdrank"
@@ -489,6 +490,29 @@ func BenchmarkTANE(b *testing.B) {
 	run("dblp-proj/n=20000", benchDBLP(b).Project(datagen.ProjectionAttrs()))
 	run("dblp-full/n=20000", benchDBLP(b))
 	run("dblp-full/n=8000", benchDBLPAt(b, 8000))
+}
+
+// BenchmarkTANEPooled is BenchmarkTANE's dblp-full/n=8000 leg run the
+// way the daemon runs mine-fds jobs: back to back, each under a grant
+// from one scheduler and on a fresh resident adapter, so every mine
+// carves the pooled arenas the previous one returned and rebuilds the
+// value postings. B/op is what one mine still allocates on the Go heap.
+func BenchmarkTANEPooled(b *testing.B) {
+	r := benchDBLPAt(b, 8000)
+	sched := exec.NewScheduler(0)
+	b.Run("dblp-full/n=8000", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g := sched.Acquire()
+			ctx := exec.WithGrant(context.Background(), g)
+			fds, err := fd.TANEColumnsCtx(ctx, fd.NewSets(ctx, relation.AsColumns(r)))
+			g.Release()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(len(fds)), "fds")
+		}
+	})
 }
 
 // BenchmarkMineApprox is the g3 miner at the fd_wide workload's shape

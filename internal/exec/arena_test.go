@@ -45,24 +45,39 @@ func TestArenaCarveCapacityIsHard(t *testing.T) {
 	}
 }
 
-// Reset abandons carved chunks but keeps the largest backing array, so
-// a steady-state reuse cycle stops allocating new slabs.
-func TestArenaResetKeepsBiggestSlab(t *testing.T) {
-	a := NewArena()
-	_ = a.Float64s(3 * arenaMinSlab) // forces growth past the first class
-	grown := cap(a.f64.cur)
-	a.Reset()
-	if a.CarvedBytes() != 0 {
-		t.Fatalf("CarvedBytes = %d after Reset, want 0", a.CarvedBytes())
-	}
-	if got := cap(a.f64.cur); got != grown {
-		t.Fatalf("Reset kept slab of cap %d, want the grown %d", got, grown)
-	}
-	// Re-carving the same volume must fit the retained slab.
-	before := cap(a.f64.cur)
-	_ = a.Float64s(2 * arenaMinSlab)
-	if cap(a.f64.cur) != before {
-		t.Fatal("re-carve after Reset allocated a new slab despite a big enough retained one")
+// Reset keeps every slab, and a carve sequence repeated after it lands
+// in the slabs it filled the first time: a steady-state reuse cycle
+// adds no slab, whatever mix of small and oversized carves it makes.
+func TestArenaResetReplaysIntoKeptSlabs(t *testing.T) {
+	for _, a := range []*Arena{NewArena(), getArena()} {
+		carves := func() {
+			for i := 0; i < 40; i++ {
+				_ = a.Float64s(1 + (i*977)%(3*arenaMinSlab))
+				_ = a.Int32s(1 + (i*131)%arenaMinSlab)
+			}
+			_ = a.Int32s(arenaMaxSlab + 1)
+		}
+		carves()
+		slabs, retained := len(a.i32.slabs)+len(a.f64.slabs), retainedBytes.Load()
+		if slabs < 4 {
+			t.Fatalf("pooled=%v: carves used %d slabs, want several", a.i32.pooled, slabs)
+		}
+		for round := 0; round < 3; round++ {
+			a.Reset()
+			if a.CarvedBytes() != 0 {
+				t.Fatalf("CarvedBytes = %d after Reset, want 0", a.CarvedBytes())
+			}
+			carves()
+			if got := len(a.i32.slabs) + len(a.f64.slabs); got != slabs {
+				t.Fatalf("pooled=%v round %d: %d slabs after a repeated carve sequence, want %d", a.i32.pooled, round, got, slabs)
+			}
+		}
+		if a.i32.pooled {
+			if got := retainedBytes.Load(); got != retained {
+				t.Fatalf("repeated carves grew the retained slab bytes %d -> %d", retained, got)
+			}
+			putArenas([]*Arena{a})
+		}
 	}
 }
 
@@ -78,20 +93,23 @@ func TestArenaAppendCopies(t *testing.T) {
 }
 
 // The pool round-trips arenas through Reset: a returned arena comes
-// back empty and usable.
+// back empty and usable, and a job's arenas come back in the order it
+// checked them out.
 func TestArenaPoolRoundTrip(t *testing.T) {
-	a := getArena()
+	a, b := getArena(), getArena()
 	_ = a.Int32s(1000)
-	putArena(a)
-	b := getArena()
-	if b.CarvedBytes() != 0 {
-		t.Fatalf("pooled arena not reset: CarvedBytes = %d", b.CarvedBytes())
+	putArenas([]*Arena{a, b})
+	if a2, b2 := getArena(), getArena(); a2 != a || b2 != b {
+		t.Fatal("the pool did not hand the arenas back in checkout order")
 	}
-	buf := append(b.Int32s(4), 1, 2, 3, 4)
+	if a.CarvedBytes() != 0 {
+		t.Fatalf("pooled arena not reset: CarvedBytes = %d", a.CarvedBytes())
+	}
+	buf := append(a.Int32s(4), 1, 2, 3, 4)
 	if len(buf) != 4 {
 		t.Fatalf("pooled arena carve broken: %v", buf)
 	}
-	putArena(b)
+	putArenas([]*Arena{a, b})
 }
 
 // Structs hands out stable pointers and disjoint slices: growing the

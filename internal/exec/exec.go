@@ -11,10 +11,13 @@
 //
 //   - pooled arenas: size-classed numeric slab allocators (Arena)
 //     checked out per job and recycled through a process pool on
-//     release, plus a generic struct-slab allocator (Structs) for the
-//     typed carving the kernels do. Peak scratch memory across
-//     concurrent jobs is bounded by the pool instead of growing one
-//     private arena per kernel instance.
+//     release with every slab kept, plus a generic struct-slab
+//     allocator (Structs) for the typed carving the kernels do. Pooled
+//     slabs are mapped outside the Go heap where the build allows
+//     (slab_mmap.go), so a job's numeric scratch is neither zeroed nor
+//     scanned by the runtime. Scratch memory across concurrent jobs is
+//     bounded by the pool instead of growing one private arena per
+//     kernel instance.
 //
 //   - one fan-out: Plan (for.go) reads the context's budget once and
 //     its For/ForChunk partition an index range at that width, go
@@ -32,7 +35,9 @@
 // It may be referenced freely while the job runs, but must never be
 // reachable from a job's result (results are freshly allocated
 // JSON-serializable structs), because Release returns the slabs to the
-// pool for the next job to overwrite.
+// pool for the next job to overwrite. Race builds fill every rewound
+// slab with 0xA5 bytes, so a break shows as a wrong artifact in
+// task.TestNoCarveOutlivesGrant.
 package exec
 
 import (

@@ -31,6 +31,19 @@ func init() {
 	obs.Default.GaugeFunc("structmine_exec_arena_highwater_bytes",
 		"Largest per-job arena carve volume seen since process start, in bytes.",
 		func() float64 { return float64(arenaHighwater.Load()) })
+	obs.Default.GaugeFunc("structmine_exec_arena_retained_bytes",
+		"Slab bytes the pooled arenas hold for reuse (off the Go heap where mapped; counted in RSS, not in GOMEMLIMIT).",
+		func() float64 { r, _ := ArenaSlabBytes(); return float64(r) })
+	obs.Default.CounterFunc("structmine_exec_arena_mapped_bytes_total",
+		"Slab bytes mapped outside the Go heap for pooled arenas.",
+		func() float64 { _, m := ArenaSlabBytes(); return float64(m) })
+}
+
+// ArenaSlabBytes returns the slab bytes the pooled arenas retain and
+// the part of them mapped outside the Go heap. The runtime's memory
+// statistics see only the rest.
+func ArenaSlabBytes() (retained, mapped int64) {
+	return retainedBytes.Load(), mappedBytes.Load()
 }
 
 // countSteals records n stolen chunks for a kernel's fan-out; callers

@@ -113,16 +113,15 @@ func (g *Grant) Workers() int {
 // to the grant: Release returns it. Safe for concurrent use (per-worker
 // scratch is checked out up front, but defensively locked anyway).
 func (g *Grant) Checkout() *Arena {
-	a := getArena()
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.released {
-		// Late checkout after release: hand out a working arena anyway,
-		// unpooled, rather than corrupting the pool.
-		g.mu.Unlock()
-		return a
+		// Late checkout after release: nothing would return a pooled
+		// arena (or its slabs) to the pool, so hand out a heap one.
+		return NewArena()
 	}
+	a := getArena()
 	g.arenas = append(g.arenas, a)
-	g.mu.Unlock()
 	return a
 }
 
@@ -140,9 +139,7 @@ func (g *Grant) Release() {
 	g.arenas = nil
 	g.mu.Unlock()
 
-	for _, a := range arenas {
-		putArena(a)
-	}
+	putArenas(arenas)
 
 	s := g.s
 	s.mu.Lock()

@@ -120,7 +120,8 @@ func TestWorkersResolution(t *testing.T) {
 }
 
 // A grant tracks its checked-out arenas and a late checkout after
-// release still returns a working (unpooled) arena.
+// release still returns a working arena — an unpooled one, which maps
+// no slab, since nothing would ever return it to the pool.
 func TestGrantCheckoutLifecycle(t *testing.T) {
 	s := NewScheduler(4)
 	g := s.Acquire()
@@ -131,10 +132,18 @@ func TestGrantCheckoutLifecycle(t *testing.T) {
 	}
 	g.Release()
 
+	retained, mapped := retainedBytes.Load(), mappedBytes.Load()
 	late := g.Checkout()
 	lateBuf := append(late.Float64s(8), 1, 2, 3)
 	if len(lateBuf) != 3 || lateBuf[2] != 3 {
 		t.Fatalf("late checkout arena is broken: %v", lateBuf)
+	}
+	_ = late.Int32s(arenaMaxSlab)
+	if late.i32.pooled {
+		t.Fatal("late checkout handed out a pooled arena")
+	}
+	if r, m := retainedBytes.Load(), mappedBytes.Load(); r != retained || m != mapped {
+		t.Fatalf("late checkout grew the pool's slabs: retained %d -> %d, mapped %d -> %d", retained, r, mapped, m)
 	}
 }
 

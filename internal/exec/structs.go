@@ -3,9 +3,10 @@ package exec
 // Structs is the typed counterpart of Arena: a slab allocator for one
 // struct (or pointer) type, carved the same way LIMBO's node/entry/DCF
 // slabs and AIB's pair scratch used to be, but shared as one
-// implementation. Unlike Arena it is not pooled — Go's pool can't hold
-// per-type slabs without reflection — so a Structs lives exactly as
-// long as its owner and its slabs are garbage collected with it.
+// implementation. Unlike Arena it is not pooled — a T may hold
+// pointers, so its slabs must stay on the Go heap where the collector
+// sees them — so a Structs lives exactly as long as its owner and its
+// slabs are garbage collected with it.
 //
 // Single-goroutine, like the kernel state that embeds it.
 type Structs[T any] struct {

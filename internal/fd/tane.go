@@ -152,10 +152,9 @@ type prodScratch struct {
 
 	// ar is the arena the exact-size result copies are carved from, so
 	// the hundreds of partitions a level produces share a handful of
-	// backing allocations. Chunks are never freed individually; a level's
-	// partitions die together when the lattice moves two levels past
-	// them, releasing their slabs wholesale (pooled arenas return to the
-	// engine pool with the grant instead).
+	// backing slabs. Chunks are never freed individually: the arena
+	// keeps its slabs until it dies (unpooled) or until the grant's
+	// release rewinds it for the next job (pooled, off the Go heap).
 	ar *exec.Arena
 
 	// The slice headers above are rewritten on every append; the pad keeps

@@ -206,16 +206,28 @@ type Stats struct {
 	Tuples [][]int32
 }
 
-// Stats scans the relation once and returns per-value occurrence lists,
-// i.e. the (sparse) columns of matrix N before normalization.
+// Stats returns per-value occurrence lists, i.e. the (sparse) columns
+// of matrix N before normalization. It is a counting sort: one pass
+// counts each value, the lists are cut as capacity-capped windows of
+// one n·m slab, and a second pass fills them in tuple order.
 func (r *Relation) Stats() *Stats {
 	s := &Stats{
 		Count:  make([]int, r.D()),
 		Tuples: make([][]int32, r.D()),
 	}
-	for t, row := range r.rows {
+	for _, row := range r.rows {
 		for _, v := range row {
 			s.Count[v]++
+		}
+	}
+	flat := make([]int32, r.N()*r.M())
+	off := 0
+	for v, c := range s.Count {
+		s.Tuples[v] = flat[off : off : off+c]
+		off += c
+	}
+	for t, row := range r.rows {
+		for _, v := range row {
 			s.Tuples[v] = append(s.Tuples[v], int32(t))
 		}
 	}

@@ -105,6 +105,19 @@ func TestStats(t *testing.T) {
 	if tot != r.N()*r.M() {
 		t.Fatalf("sum of counts %d != n*m %d", tot, r.N()*r.M())
 	}
+	// Every list is the ascending recount, in a window capped at its
+	// length: appending to one never writes into the next.
+	want := make([][]int32, r.D())
+	for tu := 0; tu < r.N(); tu++ {
+		for a := 0; a < r.M(); a++ {
+			want[r.Value(tu, a)] = append(want[r.Value(tu, a)], int32(tu))
+		}
+	}
+	for v := range want {
+		if got := s.Tuples[v]; !reflect.DeepEqual(got, want[v]) || cap(got) != len(got) {
+			t.Fatalf("tuples(%d) = %v (cap %d), want %v", v, got, cap(got), want[v])
+		}
+	}
 }
 
 func TestProject(t *testing.T) {

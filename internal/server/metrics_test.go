@@ -113,6 +113,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"structmine_append_delta_remine_seconds_count",
 		"structmine_append_delta_fallback_total",
 		"structmine_stage_seconds_bucket",
+		"structmine_exec_arena_retained_bytes",
+		"structmine_exec_arena_mapped_bytes_total",
+		"structmine_go_gc_cpu_seconds_total",
+		"structmine_go_heap_allocs_bytes_total",
 	}
 	for _, name := range required {
 		if !families[name] {
@@ -131,6 +135,19 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(scrape, want) {
 			t.Errorf("scrape is missing line %q", want)
 		}
+	}
+	// The jobs ran under grants, so the pooled arenas hold slabs; the
+	// mapped part is off the Go heap (zero in race builds, which keep
+	// heap slabs), and the runtime's own counters have moved.
+	retained := metricValue(t, scrape, "structmine_exec_arena_retained_bytes")
+	if mapped := metricValue(t, scrape, "structmine_exec_arena_mapped_bytes_total"); retained <= 0 || mapped > retained {
+		t.Errorf("arena slabs: retained %v bytes, mapped %v; want retained > 0 and mapped <= retained", retained, mapped)
+	}
+	if v := metricValue(t, scrape, "structmine_go_heap_allocs_bytes_total"); v <= 0 {
+		t.Errorf("structmine_go_heap_allocs_bytes_total = %v, want > 0", v)
+	}
+	if v := metricValue(t, scrape, "structmine_go_gc_cpu_seconds_total"); v < 0 {
+		t.Errorf("structmine_go_gc_cpu_seconds_total = %v, want >= 0", v)
 	}
 	if !regexp.MustCompile(`structmined_http_requests_total\{route="POST /v1/jobs"\} [1-9]`).MatchString(scrape) {
 		t.Error("scrape has no request count for POST /v1/jobs")

@@ -4,15 +4,15 @@
 # gate for the concurrent AIB / LIMBO / TANE code paths, and where both
 # legs of the differential table (task.TestDifferentialFDs,
 # task.TestDifferentialClustering) run at one worker and at four. The focused
-# -count=2 leg re-runs the execution engine and fan-out suites so the
-# sync.Pool arena recycling sees reuse (a pool only hands back reset
-# arenas on the second pass) with the race detector watching; the
-# -count=10 leg repeats the rebalance and budget-sweep tests, which only
-# bite when a grant is rebalanced between a fan-out's sizing and its
-# loop. The colstore_readat leg runs the packages that open .col files
-# over the pread fallback mapping. The EXPERIMENTS.md drift gate and the
-# ten-seed shape-check sweep skip under -race, so they run in a plain leg
-# of their own. The fuzz targets then mutate for 3 s each (CI gives them
+# -count=2 legs re-run the execution engine suite with the race detector
+# watching (heap slabs, poisoned on reuse) and the arena-using packages
+# without it (off-heap slabs), so the pool hands back reset arenas on
+# the second pass; the -count=10 leg repeats the rebalance and
+# budget-sweep tests, which only bite when a grant is rebalanced between
+# a fan-out's sizing and its loop. The colstore_readat leg runs the
+# packages that open .col files over the pread fallback mapping. The
+# EXPERIMENTS.md drift gate and the ten-seed shape-check sweep skip
+# under -race, so they run in a plain leg of their own. The fuzz targets then mutate for 3 s each (CI gives them
 # 10 s).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,6 +26,7 @@ fi
 go vet ./...
 go test -race ./...
 go test -race -count=2 ./internal/exec
+go test -count=2 ./internal/exec ./internal/fd ./internal/limbo ./internal/task ./internal/server
 go test -race -count=10 -run 'Rebalance|Budget' ./internal/fd ./internal/relation ./internal/values ./internal/exec
 go test -tags colstore_readat ./internal/colstore ./internal/server ./internal/task
 go test -count=1 -run 'TestDocumentCurrent|TestShapeChecksAcrossSeeds' ./cmd/experiments
