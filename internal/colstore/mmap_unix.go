@@ -39,9 +39,9 @@ func openMapping(path string) (mapping, error) {
 	}
 	// Column scans walk the stripes front to back, so ask the kernel for
 	// aggressive sequential readahead. Purely advisory — a refusal (some
-	// filesystems, locked-down sandboxes) costs nothing but the default
-	// readahead window.
-	_ = syscall.Madvise(data, syscall.MADV_SEQUENTIAL)
+	// filesystems, locked-down sandboxes, darwin) costs nothing but the
+	// default readahead window.
+	adviseSequential(data)
 	bytesMapped.Add(int64(size))
 	return &mmapMapping{data: data}, nil
 }
@@ -62,7 +62,7 @@ func (m *mmapMapping) release(off int64, n int) {
 	page := int64(os.Getpagesize())
 	lo, hi := (off+page-1)/page*page, (off+int64(n))/page*page
 	if lo < hi {
-		_ = syscall.Madvise(m.data[lo:hi], syscall.MADV_DONTNEED) // advisory
+		adviseDontNeed(m.data[lo:hi]) // advisory
 	}
 }
 

@@ -33,11 +33,10 @@ type mapping interface {
 // pair checks the page CRC and that every id belongs to the attribute
 // (a "page fault" in the metrics); later reads skip revalidation. The
 // tail — metadata and value index — is fully validated at Open, in one
-// pass that also yields every attribute's marginal (so Table is a
-// relation.MarginalSource and describe decodes nothing). Nothing read
-// from the tail stays resident: Open releases the tail once parsed, and
-// VisitValues and ValueStrings read only the section they decode and
-// release it after.
+// pass that also yields every attribute's marginal (Table.Marginal, so
+// describe decodes nothing). Nothing read from the tail stays resident:
+// Open releases the tail once parsed, and VisitValues and ValueStrings
+// read only the section they decode and release it after.
 type Table struct {
 	path string
 	meta store.DatasetMeta
@@ -548,11 +547,7 @@ func (t *Table) ValueAttr(v int32) int { return int(t.valueAttr[v]) }
 
 func (t *Table) NullCount(a int) int { return t.nullCounts[a] }
 
-// Marginal implements relation.MarginalSource with the marginals Open's
-// validation pass computed.
+// Marginal serves the marginal Open's validation pass computed.
 func (t *Table) Marginal(a int) (relation.AttrMarginal, error) { return t.marginals[a], nil }
 
-var (
-	_ relation.Columns        = (*Table)(nil)
-	_ relation.MarginalSource = (*Table)(nil)
-)
+var _ relation.Columns = (*Table)(nil)

@@ -125,12 +125,7 @@ func TestPropIndexPartitionsMatchScans(t *testing.T) {
 				t.Fatalf("seed %d attr %d: resident marginal: %v", seed, a, err)
 			}
 			for _, src := range []relation.Columns{tbl, cached, cached} {
-				var mg relation.AttrMarginal
-				if ms, ok := src.(relation.MarginalSource); ok {
-					mg, err = ms.Marginal(a)
-				} else {
-					mg, err = relation.ComputeAttrMarginal(src, a)
-				}
+				mg, err := src.Marginal(a)
 				if err != nil {
 					t.Fatalf("seed %d attr %d: marginal: %v", seed, a, err)
 				}

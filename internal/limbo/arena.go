@@ -22,13 +22,6 @@ import (
 // numeric arena is pooled, nothing carved from it may outlive the
 // grant — the Tree and its DCFs are job-local, and every task result is
 // rebuilt from plain values (the exec aliasing contract).
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 type arena struct {
 	num   *exec.Arena
 	dcfs  exec.Structs[DCF]
@@ -69,9 +62,6 @@ func (a *arena) newDCF(o Obj, c *objCtx) *DCF {
 	d.idx = append(a.int32s(len(c.idx)), c.idx...)
 	d.val = append(a.float64s(len(c.s)), c.s...)
 	d.vlog = append(a.float64s(len(c.slog)), c.slog...)
-	if o.Counts != nil {
-		d.Counts = append([]int64(nil), o.Counts...)
-	}
 	return d
 }
 
@@ -89,8 +79,5 @@ func (a *arena) cloneDCF(src *DCF) *DCF {
 	d.tidx = append(a.int32s(len(src.tidx)), src.tidx...)
 	d.tval = append(a.float64s(len(src.tval)), src.tval...)
 	d.tvlog = append(a.float64s(len(src.tvlog)), src.tvlog...)
-	if src.Counts != nil {
-		d.Counts = append([]int64(nil), src.Counts...)
-	}
 	return d
 }

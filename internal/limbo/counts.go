@@ -241,9 +241,6 @@ func (k *countKernel) newLeaf(ar *arena, o Obj, c *objCtx) *DCF {
 	for i := range d.cnt {
 		d.cnt[i] = 1
 	}
-	if o.Counts != nil {
-		d.Counts = append([]int64(nil), o.Counts...)
-	}
 	return d
 }
 
@@ -260,18 +257,14 @@ func (k *countKernel) clone(ar *arena, src *DCF) *DCF {
 	if src.rank != nil {
 		d.rank = append([]int32(nil), src.rank...)
 	}
-	if src.Counts != nil {
-		d.Counts = append([]int64(nil), src.Counts...)
-	}
 	return d
 }
 
 // absorbObjAt adds the loaded object to d along the probe positions a
 // just-finished deltaObj scan recorded: one increment per coordinate
 // held, new coordinates staged with a count of one.
-func (k *countKernel) absorbObjAt(d *DCF, o Obj, c *objCtx, pos []int32, sc *mergeScratch) {
+func (k *countKernel) absorbObjAt(d *DCF, c *objCtx, pos []int32, sc *mergeScratch) {
 	d.N++
-	d.addCounts(o.Counts)
 	stageIdx, stageCnt := sc.stageIdx[:0], sc.stageCnt[:0]
 	for j, ix := range c.idx {
 		switch p := pos[j]; {
@@ -290,7 +283,6 @@ func (k *countKernel) absorbObjAt(d *DCF, o Obj, c *objCtx, pos []int32, sc *mer
 // absorb merges the count DCF o into d; o is only read.
 func (k *countKernel) absorb(d, o *DCF, sc *mergeScratch) {
 	d.N += o.N
-	d.addCounts(o.Counts)
 	stageIdx, stageCnt := sc.stageIdx[:0], sc.stageCnt[:0]
 	mi, ti := 0, 0
 	oi, ot := 0, 0
@@ -439,9 +431,6 @@ func (k *countKernel) floatDCF(d *DCF) *DCF {
 		out.val = append(out.val, s)
 		out.vlog = append(out.vlog, it.XLog2(s))
 	})
-	if d.Counts != nil {
-		out.Counts = append([]int64(nil), d.Counts...)
-	}
 	return out
 }
 

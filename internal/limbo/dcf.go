@@ -37,16 +37,14 @@ package limbo
 
 import "structmine/internal/it"
 
-// DCF is a distributional cluster feature in weighted-sum form, extended
-// with the paper's ADCF fields (per-attribute support counts, the rows of
-// matrix O) when Counts is non-nil.
+// DCF is a distributional cluster feature in weighted-sum form: the
+// pair (p(c), p(T|c)) that Phases 1–3 compute on, plus the member count
+// and first member for reporting. The paper's ADCF rows (matrix O of
+// Section 6.2) are not carried here: they merge by plain addition, so
+// package values sums a group's row from Phase 1's membership.
 type DCF struct {
 	W float64 // p(c): total probability mass of the cluster
 	N int     // number of objects summarized
-	// Counts is the ADCF extension: Counts[a] accumulates the number of
-	// tuples in which the cluster's values appear within attribute a
-	// (matrix O of Section 6.2). Nil for plain DCFs.
-	Counts []int64
 	// FirstID is the id of the first object absorbed, for reporting.
 	FirstID int32
 
@@ -78,12 +76,14 @@ type DCF struct {
 	rank []int32
 }
 
-// Obj is an object to be inserted: id, mass, normalized conditional and
-// optional ADCF counts.
+// Obj is an object to be inserted: id, mass and normalized conditional.
 type Obj struct {
-	ID     int32
-	W      float64
-	Cond   it.Vec
+	ID   int32
+	W    float64
+	Cond it.Vec
+	// Counts is the caller's payload, carried alongside the object and
+	// never read by Phases 1–3: package values keeps each value's row of
+	// matrix O here and sums a group's row from Phase 1's membership.
 	Counts []int64
 }
 
@@ -124,9 +124,6 @@ func NewDCF(o Obj) *DCF {
 		d.val[i] = o.W * e.P
 		d.vlog[i] = it.XLog2(d.val[i])
 	}
-	if o.Counts != nil {
-		d.Counts = append([]int64(nil), o.Counts...)
-	}
 	return d
 }
 
@@ -139,9 +136,6 @@ func (d *DCF) Clone() *DCF {
 		tidx:  append([]int32(nil), d.tidx...),
 		tval:  append([]float64(nil), d.tval...),
 		tvlog: append([]float64(nil), d.tvlog...),
-	}
-	if d.Counts != nil {
-		c.Counts = append([]int64(nil), d.Counts...)
 	}
 	return c
 }
@@ -160,25 +154,6 @@ func (d *DCF) At(i int32) float64 {
 	return 0
 }
 
-// addCounts accumulates ADCF counts, guarding the historic panic when a
-// DCF without Counts absorbed an operand that had them (or the operand's
-// row was wider): the destination is zero-extended to the operand's
-// width, so a missing or shorter Counts behaves like attributes counting
-// zero instead of indexing out of range.
-func (d *DCF) addCounts(c []int64) {
-	if len(c) == 0 {
-		return
-	}
-	if len(d.Counts) < len(c) {
-		grown := make([]int64, len(c))
-		copy(grown, d.Counts)
-		d.Counts = grown
-	}
-	for i, v := range c {
-		d.Counts[i] += v
-	}
-}
-
 // AbsorbObj merges an object into the DCF (equations 1 and 2 in
 // weighted-sum form: masses and sums simply add).
 func (d *DCF) AbsorbObj(o Obj) { d.absorbObj(o, nil) }
@@ -187,7 +162,6 @@ func (d *DCF) absorbObj(o Obj, sc *mergeScratch) {
 	d.W += o.W
 	d.wlog = it.XLog2(d.W)
 	d.N++
-	d.addCounts(o.Counts)
 	stageIdx, stageVal, stageLog := stageBuffers(sc, len(o.Cond))
 	mi, ti := 0, 0 // ascending probe cursors into main and tail
 	for _, e := range o.Cond {
@@ -223,7 +197,6 @@ func (d *DCF) absorbObjAt(o Obj, c *objCtx, pos []int32, sc *mergeScratch) {
 	d.W += o.W
 	d.wlog = it.XLog2(d.W)
 	d.N++
-	d.addCounts(o.Counts)
 	stageIdx, stageVal, stageLog := stageBuffers(sc, len(c.idx))
 	for k, ix := range c.idx {
 		s := c.s[k]
@@ -251,7 +224,6 @@ func (d *DCF) absorbDCF(o *DCF, sc *mergeScratch) {
 	d.W += o.W
 	d.wlog = it.XLog2(d.W)
 	d.N += o.N
-	d.addCounts(o.Counts)
 	stageIdx, stageVal, stageLog := stageBuffers(sc, o.SupportLen())
 	mi, ti := 0, 0
 	oi, ot := 0, 0 // two-pointer walk of o's union
@@ -395,7 +367,7 @@ func (d *DCF) buildRank() {
 	}
 	old := len(d.rank)
 	if cap(d.rank) <= maxID {
-		grown := make([]int32, maxID+1, maxInt(maxID+1, 2*cap(d.rank)))
+		grown := make([]int32, maxID+1, max(maxID+1, 2*cap(d.rank)))
 		copy(grown, d.rank)
 		d.rank = grown
 	} else {

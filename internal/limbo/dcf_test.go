@@ -57,23 +57,11 @@ func TestAbsorbObjMatchesEquations1And2(t *testing.T) {
 	}
 }
 
-func TestAbsorbDCFCounts(t *testing.T) {
-	a := NewDCF(Obj{ID: 0, W: 0.5, Cond: it.Uniform([]int32{0}), Counts: []int64{2, 0, 1}})
-	b := NewDCF(Obj{ID: 1, W: 0.5, Cond: it.Uniform([]int32{1}), Counts: []int64{0, 3, 1}})
-	a.AbsorbDCF(b)
-	want := []int64{2, 3, 2}
-	for i, w := range want {
-		if a.Counts[i] != w {
-			t.Fatalf("counts %v, want %v", a.Counts, want)
-		}
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
-	a := NewDCF(Obj{ID: 0, W: 0.5, Cond: it.Uniform([]int32{0}), Counts: []int64{1}})
+	a := NewDCF(Obj{ID: 0, W: 0.5, Cond: it.Uniform([]int32{0})})
 	c := a.Clone()
-	c.AbsorbDCF(NewDCF(Obj{ID: 1, W: 0.5, Cond: it.Uniform([]int32{1}), Counts: []int64{1}}))
-	if a.W != 0.5 || a.Counts[0] != 1 || a.SupportLen() != 1 {
+	c.AbsorbDCF(NewDCF(Obj{ID: 1, W: 0.5, Cond: it.Uniform([]int32{1})}))
+	if a.W != 0.5 || a.N != 1 || a.SupportLen() != 1 {
 		t.Fatalf("clone aliased original: %+v", a)
 	}
 }

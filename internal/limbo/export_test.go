@@ -26,9 +26,9 @@ func (t *Tree) Counted() bool { return t.ck != nil }
 // SameDCF is sameDCF for the external tests.
 func SameDCF(a, b *DCF) error { return sameDCF(a, b) }
 
-// sameDCF compares two float DCFs bit for bit: W, N, FirstID and
-// Counts, each tier's coordinates, sums and memoized logarithms (so the
-// main/tail split too), and whether a rank index is present. Paths that
+// sameDCF compares two float DCFs bit for bit: W, N, FirstID, each
+// tier's coordinates, sums and memoized logarithms (so the main/tail
+// split too), and whether a rank index is present. Paths that
 // must agree exactly — parallel and serial inserts, the τ = 0 hash pass
 // and a tree — are held to it, not to a tolerance.
 func sameDCF(a, b *DCF) error {
@@ -37,8 +37,6 @@ func sameDCF(a, b *DCF) error {
 	case !bits(a.W, b.W) || !bits(a.wlog, b.wlog) || a.N != b.N || a.FirstID != b.FirstID:
 		return fmt.Errorf("header differs: (%v,%v,%d,%d) vs (%v,%v,%d,%d)",
 			a.W, a.wlog, a.N, a.FirstID, b.W, b.wlog, b.N, b.FirstID)
-	case !slices.Equal(a.Counts, b.Counts):
-		return fmt.Errorf("counts %v vs %v", a.Counts, b.Counts)
 	case (a.rank != nil) != (b.rank != nil):
 		return fmt.Errorf("rank index present: %t vs %t", a.rank != nil, b.rank != nil)
 	}

@@ -53,10 +53,9 @@ func groupZeroObjects(data []byte) []Obj {
 	objs := make([]Obj, 0, len(data))
 	for i, b := range data {
 		objs = append(objs, Obj{
-			ID:     int32(i),
-			W:      float64(1+b>>4) / 64,
-			Cond:   templates[int(b)%k],
-			Counts: []int64{int64(b >> 4), int64(b % 3)},
+			ID:   int32(i),
+			W:    float64(1+b>>4) / 64,
+			Cond: templates[int(b)%k],
 		})
 	}
 	return objs

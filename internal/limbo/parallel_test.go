@@ -75,30 +75,3 @@ func TestPropInsertMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Regression: absorbing an operand that carries per-attribute Counts
-// into a DCF built without them used to index past the nil Counts slice;
-// addCounts now zero-extends the destination.
-func TestAbsorbCountsIntoNilCounts(t *testing.T) {
-	plain := NewDCF(Obj{ID: 0, W: 0.5, Cond: it.Uniform([]int32{0})})
-	plain.AbsorbObj(Obj{ID: 1, W: 0.25, Cond: it.Uniform([]int32{1}), Counts: []int64{2, 3}})
-	if len(plain.Counts) != 2 || plain.Counts[0] != 2 || plain.Counts[1] != 3 {
-		t.Fatalf("AbsorbObj counts = %v, want [2 3]", plain.Counts)
-	}
-
-	plain2 := NewDCF(Obj{ID: 0, W: 0.5, Cond: it.Uniform([]int32{0})})
-	counted := NewDCF(Obj{ID: 1, W: 0.25, Cond: it.Uniform([]int32{1}), Counts: []int64{4}})
-	plain2.AbsorbDCF(counted)
-	if len(plain2.Counts) != 1 || plain2.Counts[0] != 4 {
-		t.Fatalf("AbsorbDCF counts = %v, want [4]", plain2.Counts)
-	}
-
-	// The tree insert path takes the scratch-based absorptions; mixing
-	// counted and uncounted objects must not panic there either.
-	tree := NewTreeCtx(context.Background(), Config{B: 4, Threshold: 1e9})
-	tree.Insert(Obj{ID: 0, W: 0.5, Cond: it.Uniform([]int32{0, 1})})
-	leaf := tree.Insert(Obj{ID: 1, W: 0.5, Cond: it.Uniform([]int32{0, 1}), Counts: []int64{7}})
-	if len(leaf.Counts) != 1 || leaf.Counts[0] != 7 {
-		t.Fatalf("tree-path counts = %v, want [7]", leaf.Counts)
-	}
-}

@@ -42,7 +42,7 @@ func samePartition(a, b []int) (int, bool) {
 
 // checkAgainstTree holds the τ = 0 driver to a tree: the same partition
 // of the objects, and every hash-pass leaf bit-identical (limbo.SameDCF:
-// W, N, first member, Counts, every coordinate's mass in its tier, the
+// W, N, first member, every coordinate's mass in its tier, the
 // rank index) to the tree leaf holding its first member. treeLeaf[i] is
 // the tree leaf of object i.
 func checkAgainstTree(t *testing.T, name string, objs []limbo.Obj, treeLeaf []*limbo.DCF) {

@@ -27,8 +27,6 @@ type Config struct {
 	// tree rebuilt from its own summaries (the "pick a number of leaves
 	// that is sufficiently large" mode of Section 6.1.2).
 	MaxLeafEntries int
-	// NumAttrs enables ADCFs carrying per-attribute counts when > 0.
-	NumAttrs int
 
 	// forceSerial routes every closest-entry search through the retained
 	// serial reference (serial.go). Settable only in-package: the
@@ -220,7 +218,7 @@ func (t *Tree) posRow(i int) []int32 {
 func (t *Tree) absorbRouted(e *entry, o Obj, best int) {
 	switch {
 	case t.ck != nil:
-		t.ck.absorbObjAt(e.dcf, o, &t.octx, t.posRow(best), &t.sc)
+		t.ck.absorbObjAt(e.dcf, &t.octx, t.posRow(best), &t.sc)
 	case t.cfg.forceSerial:
 		e.dcf.absorbObj(o, &t.sc)
 	default:

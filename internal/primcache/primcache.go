@@ -150,8 +150,8 @@ type partitionEntry struct {
 // Wrap returns c with the cache layered over its single-attribute
 // primitives: the wrapper implements relation.PartitionSource and caches
 // ValueStrings, so consumers probing those capabilities hit the cache,
-// and it forwards relation.MarginalSource to c, while every other
-// Columns method passes straight through.
+// while every other Columns method, Marginal included, passes straight
+// through to c.
 // hash and epoch must identify the exact relation instance c reads —
 // serving a wrapper past its dataset's epoch bump is a correctness
 // bug, not just a staleness one.
@@ -186,14 +186,6 @@ func (w *wrapped) SinglePartition(a int) (elems, offs []int32, err error) {
 	}
 	w.cache.put(k, &partitionEntry{elems: elems, offs: offs}, int64(len(elems)+len(offs))*4)
 	return elems, offs, nil
-}
-
-// Marginal implements relation.MarginalSource uncached: it forwards to
-// the wrapped source's marginals, or computes them when it has none.
-// The embedded interface does not promote a method it does not declare,
-// so without this a wrapped table would walk its value index.
-func (w *wrapped) Marginal(a int) (relation.AttrMarginal, error) {
-	return relation.Marginal(w.Columns, a)
 }
 
 // ValueStrings serves the decoded dictionary through the cache (an

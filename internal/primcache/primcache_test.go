@@ -91,7 +91,7 @@ func (s marginalSource) Marginal(int) (relation.AttrMarginal, error) { return s.
 func TestWrapForwardsMarginals(t *testing.T) {
 	src := marginalSource{Columns: testColumns(t), mg: relation.AttrMarginal{HV: 1.5, EntropyBits: 2.5, Distinct: 7}}
 	cache := New(1 << 20)
-	mg, err := Wrap(src, "h", 0, cache).(relation.MarginalSource).Marginal(0)
+	mg, err := Wrap(src, "h", 0, cache).Marginal(0)
 	if err != nil {
 		t.Fatalf("Marginal: %v", err)
 	}

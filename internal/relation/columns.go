@@ -77,6 +77,10 @@ type Columns interface {
 	// implementations decode it on every call, so consumers fetch it
 	// once per run, not per value.
 	ValueStrings() ([]string, error)
+	// Marginal returns attribute a's marginal (MarginalOfCounts over its
+	// occurrence counts): a colstore table serves the one its validation
+	// pass computed at Open, the resident adapter walks the value index.
+	Marginal(a int) (AttrMarginal, error)
 }
 
 // AsColumns adapts a resident *Relation to the Columns interface with
@@ -174,6 +178,8 @@ func (c *residentColumns) VisitValues(a int, f func(v int32, count int, runs []R
 func (c *residentColumns) ValueAttr(v int32) int { return c.r.ValueAttr(v) }
 
 func (c *residentColumns) ValueStrings() ([]string, error) { return c.r.valueStr, nil }
+
+func (c *residentColumns) Marginal(a int) (AttrMarginal, error) { return ComputeAttrMarginal(c, a) }
 
 func (c *residentColumns) NullCount(a int) int {
 	id, ok := c.r.ValueID(a, Null)

@@ -91,15 +91,6 @@ func MarginalOfCounts(counts []int, n, m int) AttrMarginal {
 	return AttrMarginal{HV: hv, EntropyBits: it.EntropyCounts(counts), Distinct: len(counts)}
 }
 
-// Marginal serves attribute a's marginal from c's MarginalSource when c
-// has one, and computes it from the value index otherwise.
-func Marginal(c Columns, a int) (AttrMarginal, error) {
-	if ms, ok := c.(MarginalSource); ok {
-		return ms.Marginal(a)
-	}
-	return ComputeAttrMarginal(c, a)
-}
-
 // PartitionSource is the capability interface a Columns wrapper
 // implements when it can serve stripped partitions without a fresh
 // index walk (e.g. a primcache wrapper). Consumers probe it by type
@@ -107,12 +98,4 @@ func Marginal(c Columns, a int) (AttrMarginal, error) {
 // are shared and read-only: callers must not modify them.
 type PartitionSource interface {
 	SinglePartition(a int) (elems, offs []int32, err error)
-}
-
-// MarginalSource is the marginal-entropy counterpart of
-// PartitionSource: a colstore table serves the marginals its
-// validation pass computed at Open. Marginal probes it, with
-// ComputeAttrMarginal as the fallback.
-type MarginalSource interface {
-	Marginal(a int) (AttrMarginal, error)
 }

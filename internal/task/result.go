@@ -74,10 +74,10 @@ func DescribeColumns(c relation.Columns) (*DescribeResult, error) {
 	names := c.AttrNames()
 	for a := 0; a < m; a++ {
 		// Every marginal comes out of relation.MarginalOfCounts, whether
-		// a colstore table computed it at Open (a primcache wrapper
-		// forwards to it) or the value index is walked here, so paged
-		// and resident describes are bit-identical.
-		mg, err := relation.Marginal(c, a)
+		// a colstore table computed it at Open or the resident adapter
+		// walks its value index, so paged and resident describes are
+		// bit-identical.
+		mg, err := c.Marginal(a)
 		if err != nil {
 			return nil, err
 		}
@@ -255,7 +255,7 @@ func runValues(ctx context.Context, s *fd.Sets, p Params) (*ValuesResult, error)
 		g := vc.Groups[gi]
 		res.NumDuplicateGroups++
 		res.DuplicateGroups = append(res.DuplicateGroups, ValueGroup{
-			Tuples: int(g.DCF.N), Duplicate: true, Values: valueLabels(c, names, strs, g.Values),
+			Tuples: g.DCF.SupportLen(), Duplicate: true, Values: valueLabels(c, names, strs, g.Values),
 		})
 	}
 	return res, nil

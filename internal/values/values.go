@@ -1,9 +1,9 @@
 // Package values implements attribute-value clustering (Section 6.2):
 // the value representation p(T|v), the ADCF extension carrying matrix O
-// (per-attribute support counts), detection of perfectly and almost
-// perfectly co-occurring value groups, and the split of the clustering
-// into duplicate (C_V^D) and non-duplicate (C_V^ND) groups that feeds
-// attribute grouping.
+// (per-attribute support counts, summed per group from Phase 1's
+// membership), detection of perfectly and almost perfectly co-occurring
+// value groups, and the split of the clustering into duplicate (C_V^D)
+// and non-duplicate (C_V^ND) groups that feeds attribute grouping.
 package values
 
 import (
@@ -18,7 +18,8 @@ import (
 
 // ObjectsColumnsCtx converts each attribute value v into a clustering
 // object with p(v) = 1/d and p(T|v) uniform over the tuples containing v
-// (equations 6 and 7), carrying its O-matrix row as ADCF counts. Postings
+// (equations 6 and 7), carrying its O-matrix row as the object's Counts
+// payload (one non-zero entry: its own attribute's count). Postings
 // stream from the value index, which lists each value's tuple ids in
 // ascending order for a resident relation and a paged table alike. The
 // per-attribute index walks
@@ -167,9 +168,15 @@ func expandRuns(dst []int32, runs []relation.Run) []int32 {
 	return dst
 }
 
-// Group is one cluster of attribute values with its ADCF summary.
+// Group is one cluster of attribute values with its ADCF summary: the
+// DCF (p(c), p(T|c)) of its Phase 1 leaf and the leaf's row of matrix O.
 type Group struct {
 	DCF *limbo.DCF
+	// O[a] is the number of tuples in which the leaf's members appear
+	// within attribute a: the sum of their O rows, which merge by plain
+	// addition. The members are the values Phase 1 put in the leaf (at
+	// τ > 0 not necessarily Values); DCF.N counts them.
+	O []int64
 	// Values are the value ids associated with this summary by Phase 3
 	// (at τ = 0, the group's own members).
 	Values []int32
@@ -187,21 +194,20 @@ type Clustering struct {
 	Assign    []limbo.Assignment
 	LeafCount int
 	Threshold float64
-	// NumAttrs mirrors the relation arity (the width of matrix O rows).
-	NumAttrs int
 }
 
 // ClusterCtx runs the Section 6.2 procedure on pre-built value objects:
-// Phase 1 at φV with ADCFs (limbo.Phase1Ctx), then Phase 3 association
-// of every value with its closest summary. At τ = 0 Phase 1 is one hash
-// pass over identical values, groups numbered by first member, and it
-// already holds Phase 3's answer: a value's own group carries exactly its
+// Phase 1 at φV (limbo.Phase1Ctx), then Phase 3 association of every
+// value with its closest summary. At τ = 0 Phase 1 is one hash pass over
+// identical values, groups numbered by first member, and it already
+// holds Phase 3's answer: a value's own group carries exactly its
 // conditional, so Assign[v] is that group at loss 0 and no δI is
-// computed. Above 0 Phase 3 scans every leaf (limbo.AssignCtx). The
-// duplicate flag is computed per summary from the merged ADCF. When the
-// context carries a scheduler grant, the returned Clustering's DCFs may
-// live in pooled slabs and must not be retained past the grant's release
-// (task runners copy what they keep).
+// computed. Above 0 Phase 3 scans every leaf (limbo.AssignCtx). Each
+// group's O row (numAttrs wide) sums the Counts of the values Phase 1
+// put in its leaf, and the duplicate flag is computed from the leaf's
+// DCF and that row. When the context carries a scheduler grant, the
+// returned Clustering's DCFs may live in pooled slabs and must not be
+// retained past the grant's release (task runners copy what they keep).
 func ClusterCtx(ctx context.Context, objs []limbo.Obj, phiV float64, b, numAttrs int) *Clustering {
 	tau := limbo.ThresholdFor(phiV, objs)
 	leaves, leafOf := limbo.Phase1Ctx(ctx, objs, tau, b)
@@ -220,10 +226,19 @@ func ClusterCtx(ctx context.Context, objs []limbo.Obj, phiV float64, b, numAttrs
 		Assign:    assign,
 		LeafCount: len(leaves),
 		Threshold: tau,
-		NumAttrs:  numAttrs,
 	}
 	for i, d := range leaves {
-		c.Groups[i] = Group{DCF: d, Duplicate: isDuplicate(d)}
+		c.Groups[i] = Group{DCF: d, O: make([]int64, numAttrs)}
+	}
+	for v, g := range leafOf {
+		o := c.Groups[g].O
+		for a, n := range objs[v].Counts {
+			o[a] += n
+		}
+	}
+	for i := range c.Groups {
+		g := &c.Groups[i]
+		g.Duplicate = isDuplicate(g.DCF, g.O)
 	}
 	for v, a := range assign {
 		if a.Cluster >= 0 {
@@ -237,12 +252,12 @@ func ClusterCtx(ctx context.Context, objs []limbo.Obj, phiV float64, b, numAttrs
 // isDuplicate applies the C_V^D test: non-zero conditional mass on at
 // least two tuples (clusters) and non-zero O counts in at least two
 // attributes.
-func isDuplicate(d *limbo.DCF) bool {
+func isDuplicate(d *limbo.DCF, o []int64) bool {
 	if d.SupportLen() < 2 {
 		return false
 	}
 	attrs := 0
-	for _, c := range d.Counts {
+	for _, c := range o {
 		if c > 0 {
 			attrs++
 			if attrs >= 2 {
@@ -277,20 +292,20 @@ func (c *Clustering) NonDuplicateGroups() []int {
 
 // MatrixF builds the paper's matrix F: one row per attribute of A^D
 // (attributes supporting at least one duplicate group), one column per
-// C_V^D group, entries from the merged O counts. It returns the rows and
+// C_V^D group, entries from the groups' O rows. It returns the rows and
 // the attribute indices of A^D.
 func (c *Clustering) MatrixF() (rows [][]int64, attrIdx []int) {
 	dups := c.DuplicateGroups()
 	if len(dups) == 0 {
 		return nil, nil
 	}
-	m := c.NumAttrs
+	m := len(c.Groups[dups[0]].O)
 	full := make([][]int64, m)
 	for a := 0; a < m; a++ {
 		full[a] = make([]int64, len(dups))
 	}
 	for j, gi := range dups {
-		for a, cnt := range c.Groups[gi].DCF.Counts {
+		for a, cnt := range c.Groups[gi].O {
 			full[a][j] = cnt
 		}
 	}
