@@ -88,7 +88,7 @@ func MineApproxColumns(ctx context.Context, s *Sets, eps float64, maxLHS int) ([
 	// One lattice level of left-hand sides and their partitions,
 	// starting at ∅; pruning is RHS-specific, so a level always holds
 	// every attribute set of its size; at holds each set's position.
-	level, parts := []AttrSet{0}, []*partition{emptyPartition(n)}
+	level, parts := []AttrSet{0}, []*partition{emptyPartition(s.arena(), n)}
 	type pair struct{ x, a int } // level[x] with attribute a: a candidate x → a, or the extension x ∪ {a}
 	for size := 0; ; size++ {
 		if err := ctx.Err(); err != nil {
@@ -208,7 +208,7 @@ func g3Refine(px *partition, ia []int32, sc *prodScratch) float64 {
 // with maxSubclass(c) ≥ 1 the largest count of c's tuples sharing an
 // A-class (a tuple that is a singleton in Π_A is a subclass of one, and
 // singleton classes of Π_X remove nothing). Π_{X∪A} itself is never
-// formed: one walk of Π_X, counting in the scratch's per-class slots.
+// formed: one walk of Π_X, counting in the scratch's per-class counts.
 // The walk returns as soon as removed reaches limit, so a count ≥ limit
 // is only a lower bound. It is the only g3 walk: g3Refine, G3Columns
 // and the miner all count through it.
@@ -217,24 +217,34 @@ func g3Removed(px *partition, ia []int32, sc *prodScratch, limit int) int {
 	removed := 0
 	for ci, nc := 0, px.numClasses(); ci < nc; ci++ {
 		cls := px.class(ci)
+		// The pre-scan of refine: a class whose tuples share one a-class
+		// keeps all of them, or one when that a-class is −1.
+		a0, k := ia[cls[0]], 1
+		for k < len(cls) && ia[cls[k]] == a0 {
+			k++
+		}
 		best := int32(1) // a lone representative can always stay
 		sc.touched = sc.touched[:0]
-		for _, t := range cls {
+		if a0 >= 0 {
+			best = int32(k)
+			if k < len(cls) {
+				sc.touched = append(sc.touched, a0)
+				sc.cnt[a0] = best
+			}
+		}
+		for _, t := range cls[k:] {
 			ac := ia[t]
 			if ac < 0 {
 				continue // singleton in Π_A
 			}
-			s := &sc.slots[ac]
-			if s.cnt == 0 {
+			if sc.cnt[ac] == 0 {
 				sc.touched = append(sc.touched, ac)
 			}
-			s.cnt++
-			if s.cnt > best {
-				best = s.cnt
-			}
+			sc.cnt[ac]++
+			best = max(best, sc.cnt[ac])
 		}
 		for _, ac := range sc.touched {
-			sc.slots[ac].cnt = 0
+			sc.cnt[ac] = 0
 		}
 		if removed += len(cls) - int(best); removed >= limit {
 			return removed

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -184,22 +185,64 @@ func TestMineApproxEdgeCases(t *testing.T) {
 	}
 }
 
-// The product-free g3 kernel against the direct count, on single
-// attributes of random relations.
+// g3 of X → A counted from Π_X and A's class index (g3Refine) is the
+// direct count over the rows, to the bit, on relations of up to 200
+// tuples whose Π_X classes run from pairs to dozens of tuples and whose
+// A copies X on some rows, is unique to the tuple on others and is
+// drawn from 2–12 values on the rest. Classes of ≥ 4 tuples take each
+// outcome of g3Removed's pre-scan — kept whole, all Π_A singletons, a
+// tuple leaving the first one's A-class — and the test asserts each did.
 func TestG3FromPartitionsMatchesDirect(t *testing.T) {
+	seen := map[string]int{}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := randomRelation(rng, 2+rng.Intn(30), 3, 2+rng.Intn(3))
-		x := NewAttrSet(0)
-		a := 1
+		n, dx, da := 2+rng.Intn(200), 1+rng.Intn(12), 2+rng.Intn(11)
+		copies, uniques := rng.Intn(4), rng.Intn(4) // out of 4 rows, drawn per row
+		b := relation.NewBuilder("g3", []string{"X", "A"})
+		for i := 0; i < n; i++ {
+			x := rng.Intn(dx)
+			a := "a" + strconv.Itoa(rng.Intn(da))
+			switch p := rng.Intn(4); {
+			case p < copies:
+				a = "x" + strconv.Itoa(x)
+			case p < copies+uniques:
+				a = "u" + strconv.Itoa(i)
+			}
+			b.MustAdd(strconv.Itoa(x), a)
+		}
+		r := b.Relation()
 		px := indexPartition(r, 0)
-		ia := classIndex(exec.NewArena(), indexPartition(r, a), r.N())
-		got := g3Refine(px, ia, &prodScratch{})
-		want := g3Of(r, FD{LHS: x, RHS: NewAttrSet(a)})
-		return math.Abs(got-want) < 1e-12
+		ia := classIndex(exec.NewArena(), indexPartition(r, 1), r.N())
+		for ci := 0; ci < px.numClasses(); ci++ {
+			c := px.class(ci)
+			k := 1
+			for k < len(c) && ia[c[k]] == ia[c[0]] {
+				k++
+			}
+			switch {
+			case len(c) < 4:
+			case k < len(c):
+				seen["split"]++
+			case ia[c[0]] >= 0:
+				seen["whole"]++
+			default:
+				seen["all singletons"]++
+			}
+		}
+		got := g3Refine(px, ia, &prodScratch{ar: exec.NewArena()})
+		want := g3Of(r, FD{LHS: NewAttrSet(0), RHS: NewAttrSet(1)})
+		if got != want {
+			t.Logf("seed %d: g3Refine = %v, direct count %v", seed, got, want)
+		}
+		return got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+	for _, k := range []string{"whole", "all singletons", "split"} {
+		if seen[k] == 0 {
+			t.Errorf("no class of ≥ 4 tuples took the %q outcome (seen %v)", k, seen)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"structmine/internal/exec"
 	"structmine/internal/relation"
 )
 
@@ -121,6 +122,66 @@ func FuzzMineApprox(f *testing.F) {
 		}
 		if d := sameApprox(got, approxBrute(r, eps, bound, func(f FD) float64 { return g3Of(r, f) })); d != "" {
 			t.Fatalf("eps %v, max LHS %d, %d×%d: %s", eps, bound, r.N(), r.M(), d)
+		}
+	})
+}
+
+// refineLayout spells Π_X classes and their tuples' a-labels from fuzz
+// bytes, for labeledInstance: each byte is a run of 1 + (b>>4)&7
+// tuples with label b&15, where label 15 gives every tuple of the run
+// a value of its own (−1, a Π_A singleton) and the high bit starts a
+// new Π_X class. At most 256 bytes are read.
+func refineLayout(data []byte) [][]int {
+	var classes [][]int
+	for i, b := range data[:min(len(data), 256)] {
+		if b&0x80 != 0 || i == 0 {
+			classes = append(classes, nil)
+		}
+		l := int(b & 15)
+		if l == 15 {
+			l = -1
+		}
+		c := &classes[len(classes)-1]
+		for k := 1 + int(b>>4&7); k > 0; k-- {
+			*c = append(*c, l)
+		}
+	}
+	return classes
+}
+
+// FuzzRefine: on Π_X class layouts the fuzzer spells (refineLayout) —
+// runs of shared a-classes, Π_A singletons, a-classes in any order —
+// refine emits exactly productSerial's classes, and g3Removed counts
+// exactly the tuples a recount of the labels removes, and at least its
+// limit when it stops early. One scratch serves both walks. Seeds under
+// testdata/fuzz/FuzzRefine/.
+func FuzzRefine(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, limit uint16) {
+		classes := refineLayout(data)
+		px, pa, r := labeledInstance(classes)
+		n := r.N()
+		ia := classIndex(exec.NewArena(), pa, n)
+		sc := &prodScratch{ar: exec.NewArena()}
+		if got, want := refine(px, ia, sc), productSerial(px, pa, n); !partitionsEqual(got, want) {
+			t.Fatalf("refine = %v %v, productSerial = %v %v", got.elems, got.offs, want.elems, want.offs)
+		}
+		want := 0
+		for _, c := range classes {
+			cnt, best := map[int]int{}, 1
+			for _, l := range c {
+				if l >= 0 {
+					cnt[l]++
+					best = max(best, cnt[l])
+				}
+			}
+			want += len(c) - best
+		}
+		if got := g3Removed(px, ia, sc, n+1); got != want {
+			t.Fatalf("g3Removed = %d, recount %d", got, want)
+		}
+		lim := int(limit)
+		if got := g3Removed(px, ia, sc, lim); got > want || lim <= want && got < lim || lim > want && got != want {
+			t.Fatalf("g3Removed at limit %d = %d, full count %d", lim, got, want)
 		}
 	})
 }

@@ -20,11 +20,13 @@ import (
 // down; it dies with the job. The level-1 partitions and class indexes
 // are loaded on first use and kept for the rest of the job, so each
 // attribute is read at most once per job; TANE and the approximate
-// miner start from the same ones. The class indexes are carved from an
-// arena checked out of the job's grant (exec.CheckoutArena) at the first
-// load — a job that asks nothing checks out nothing — which a miner's
-// first fan-out worker carves from too (scratchPool), so a mine checks
-// out no more arenas than it has workers. The partitions one
+// miner start from the same ones. They and their class indexes are
+// carved from an arena checked out of the job's grant
+// (exec.CheckoutArena) at the first load — a job that asks nothing
+// checks out nothing — unless a relation.PartitionSource serves the
+// partitions from its own heap slices. A miner's first fan-out worker
+// carves from the same arena (scratchPool), so a mine checks out no
+// more arenas than it has workers. The partitions one
 // question refines are carved from a private arena that every question
 // resets, so a long run of questions (MineMVDsCtx) holds one question's
 // worth. A Sets is not safe for concurrent use.
@@ -65,12 +67,13 @@ func (s *Sets) Columns() relation.Columns { return s.c }
 // lists values in ascending id order with ascending tuple runs, which
 // is exactly the class order and tuple order singlePartitionClasses
 // emits, flattened directly into the arena layout
-// (relation.StrippedPartition). A source that can serve cached
-// partitions (relation.PartitionSource, e.g. a primcache wrapper) is
-// probed first; its slices are shared read-only, which is safe because
-// the miners only ever read level-1 partitions — the class index and
-// every refinement are carved fresh from the job's arena.
-func singlePartitionColumns(c relation.Columns, a int) (*partition, error) {
+// (relation.StrippedPartition) inside two carves of ar. A source that
+// can serve cached partitions (relation.PartitionSource, e.g. a
+// primcache wrapper) is probed first; its heap slices are shared
+// read-only, which is safe because the miners only ever read level-1
+// partitions — the class index and every refinement are carved fresh
+// from the job's arena.
+func singlePartitionColumns(c relation.Columns, a int, ar *exec.Arena) (*partition, error) {
 	var (
 		elems, offs []int32
 		err         error
@@ -78,7 +81,8 @@ func singlePartitionColumns(c relation.Columns, a int) (*partition, error) {
 	if ps, ok := c.(relation.PartitionSource); ok {
 		elems, offs, err = ps.SinglePartition(a)
 	} else {
-		elems, offs, err = relation.StrippedPartition(c, a)
+		n := c.N()
+		elems, offs, err = relation.StrippedPartition(c, a, ar.Int32s(n), ar.Int32s(n/2+1))
 	}
 	if err != nil {
 		return nil, err
@@ -89,12 +93,12 @@ func singlePartitionColumns(c relation.Columns, a int) (*partition, error) {
 // load loads the attributes not loaded yet and starts a question: the
 // partitions of the previous one are dropped.
 func (s *Sets) load(attrs []int) error {
-	s.sc.ar.Reset()
+	s.sc.reset()
 	for _, a := range attrs {
 		if s.idx[a] != nil {
 			continue
 		}
-		p, err := singlePartitionColumns(s.c, a)
+		p, err := singlePartitionColumns(s.c, a, s.arena())
 		if err != nil {
 			return err
 		}
@@ -108,7 +112,7 @@ func (s *Sets) load(attrs []int) error {
 // within every class, as they do in the level-1 partitions.
 func (s *Sets) partition(attrs []int) *partition {
 	if len(attrs) == 0 {
-		return emptyPartition(s.n)
+		return emptyPartition(s.sc.ar, s.n)
 	}
 	first := 0
 	for i, a := range attrs {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -48,7 +49,7 @@ func samePartition(p *partition, classes [][]int32) error {
 // indexPartition is the production level-1 builder over a resident
 // relation: Π_{A} from the value index behind relation.AsColumns.
 func indexPartition(r *relation.Relation, a int) *partition {
-	p, err := singlePartitionColumns(relation.AsColumns(r), a)
+	p, err := singlePartitionColumns(relation.AsColumns(r), a, exec.NewArena())
 	if err != nil {
 		panic(err) // an in-memory relation has no failing reads
 	}
@@ -174,6 +175,198 @@ func TestPropSmallClassProductMatchesSerial(t *testing.T) {
 		"triple kept", "triple keeps 0,1", "triple keeps 0,2", "triple keeps 1,2", "triple dropped"} {
 		if seen[k] == 0 {
 			t.Errorf("no instance took the %q branch (seen %v)", k, seen)
+		}
+	}
+}
+
+// labeledInstance lays out Π_X classes and their tuples' a-labels:
+// classes[i] lists the labels of class i's tuples in Π_X order, and the
+// tuples are numbered class after class. A label ≥ 0 is a value of A
+// shared with every tuple holding it; −1 is a value of the tuple's own.
+// Π_X and Π_A are built directly (Π_A's classes in ascending label
+// order, so a class can list its labels in any order of a-class ids),
+// and r spells the same instance as rows (X, A) for g3Of.
+func labeledInstance(classes [][]int) (px, pa *partition, r *relation.Relation) {
+	var xs [][]int32
+	byLabel := map[int][]int32{}
+	b := relation.NewBuilder("labeled", []string{"X", "A"})
+	t := int32(0)
+	for i, c := range classes {
+		var x []int32
+		for _, l := range c {
+			x = append(x, t)
+			a := "u" + strconv.Itoa(int(t))
+			if l >= 0 {
+				byLabel[l] = append(byLabel[l], t)
+				a = "a" + strconv.Itoa(l)
+			}
+			b.MustAdd("x"+strconv.Itoa(i), a)
+			t++
+		}
+		if len(x) >= 2 {
+			xs = append(xs, x)
+		}
+	}
+	var as [][]int32
+	for l := 0; len(byLabel) > 0; l++ {
+		if ts, ok := byLabel[l]; ok {
+			if len(ts) >= 2 {
+				as = append(as, ts)
+			}
+			delete(byLabel, l)
+		}
+	}
+	return fromClasses(xs), fromClasses(as), b.Relation()
+}
+
+// wholeClassLabels draws the labels of one Π_X class of 4–500 tuples
+// shaped as the named case of the slot walk (see
+// TestPropWholeClassProductMatchesSerial); shared labels come from
+// 0..7, so they recur across classes.
+func wholeClassLabels(rng *rand.Rand, shape string) []int {
+	n := 4 + rng.Intn(497)
+	if rng.Intn(2) == 0 {
+		n = 4 + rng.Intn(12) // short classes put k = 1, 2 and len−1 close together
+	}
+	shared := func() int { return rng.Intn(8) }
+	label := func() int { return rng.Intn(9) - 1 } // −1 or shared
+	c := make([]int, n)
+	fill := func(l int) {
+		for i := range c {
+			c[i] = l
+		}
+	}
+	switch shape {
+	case "whole":
+		fill(shared())
+	case "all singletons":
+		fill(-1)
+	case "k=1", "k=2", "k=len-1":
+		k := map[string]int{"k=1": 1, "k=2": 2, "k=len-1": n - 1}[shape]
+		a, d := label(), label()
+		for d == a {
+			d = label()
+		}
+		for i := range c {
+			switch {
+			case i < k:
+				c[i] = a
+			case i == k:
+				c[i] = d
+			case rng.Intn(3) == 0:
+				c[i] = a
+			default:
+				c[i] = label()
+			}
+		}
+	case "one survivor, rest singletons":
+		fill(shared())
+		for _, i := range rng.Perm(n)[:1+rng.Intn(n-2)] { // at least two stay
+			c[i] = -1
+		}
+	case "several survivors out of order":
+		// 2–4 labels, each on ≥ 2 tuples, first appearing in descending
+		// order; −1 tuples sprinkled in.
+		labels := rng.Perm(8)[:2+rng.Intn(3)]
+		slices.Sort(labels)
+		slices.Reverse(labels)
+		c = c[:0]
+		for _, l := range labels {
+			c = append(c, l, l)
+		}
+		for len(c) < n {
+			if rng.Intn(4) == 0 {
+				c = append(c, -1)
+			} else {
+				c = append(c, labels[rng.Intn(len(labels))])
+			}
+		}
+	}
+	return c
+}
+
+// Property: refine's path for classes of ≥ 4 tuples — the whole-class
+// pre-scan, the seeded slot walk, the survivors-only sort and the lone
+// survivor's filtering pass — emits exactly productSerial's classes,
+// and g3Removed counts exactly g3Of's removed tuples (limit n + 1) and
+// at least the limit when it stops early. The instances are built so
+// each case occurs, and the test asserts each did: a class that
+// survives whole; one whose tuples are all Π_A singletons; the first
+// tuple leaving cls[0]'s a-class at k = 1, k = 2 and k = len − 1; one
+// survivor covering every tuple but the Π_A singletons; and several
+// survivors whose a-classes first appear out of ascending order. One
+// scratch serves every walk, so no count or cursor may leak between
+// classes.
+func TestPropWholeClassProductMatchesSerial(t *testing.T) {
+	shapes := []string{"whole", "all singletons", "k=1", "k=2", "k=len-1",
+		"one survivor, rest singletons", "several survivors out of order"}
+	sc := &prodScratch{ar: exec.NewArena()}
+	seen := map[string]int{}
+	rng := rand.New(rand.NewSource(55))
+	for i := 0; i < 150; i++ {
+		classes := make([][]int, 1+rng.Intn(6))
+		for j := range classes {
+			classes[j] = wholeClassLabels(rng, shapes[rng.Intn(len(shapes))])
+		}
+		px, pa, r := labeledInstance(classes)
+		n := r.N()
+		ia := classIndex(exec.NewArena(), pa, n)
+		if got, want := refine(px, ia, sc), productSerial(px, pa, n); !partitionsEqual(got, want) {
+			t.Fatalf("instance %d: refine = %v %v, productSerial = %v %v", i, got.elems, got.offs, want.elems, want.offs)
+		}
+		removed := g3Removed(px, ia, sc, n+1)
+		if got, want := g3Frac(removed, n), g3Of(r, FD{LHS: NewAttrSet(0), RHS: NewAttrSet(1)}); got != want {
+			t.Fatalf("instance %d: g3Removed = %d (g3 %v), g3Of %v", i, removed, got, want)
+		}
+		for _, limit := range []int{1, removed/2 + 1, removed} {
+			got := g3Removed(px, ia, sc, limit)
+			if got > removed || limit <= removed && got < limit || limit > removed && got != removed {
+				t.Fatalf("instance %d: g3Removed at limit %d = %d, full count %d", i, limit, got, removed)
+			}
+		}
+		for ci := 0; ci < px.numClasses(); ci++ {
+			c := px.class(ci)
+			k := 1
+			for k < len(c) && ia[c[k]] == ia[c[0]] {
+				k++
+			}
+			cnt, singles := map[int32]int{}, 0
+			var survivors []int32 // a-classes in order of first appearance, then those of ≥ 2
+			for _, t := range c {
+				if a := ia[t]; a < 0 {
+					singles++
+				} else {
+					if cnt[a] == 0 {
+						survivors = append(survivors, a)
+					}
+					cnt[a]++
+				}
+			}
+			survivors = slices.DeleteFunc(survivors, func(a int32) bool { return cnt[a] < 2 })
+			switch {
+			case k == len(c) && ia[c[0]] >= 0:
+				seen["whole"]++
+			case k == len(c):
+				seen["all singletons"]++
+			case len(survivors) == 1 && cnt[survivors[0]]+singles == len(c):
+				seen["one survivor, rest singletons"]++
+			case len(survivors) >= 2 && !slices.IsSorted(survivors):
+				seen["several survivors out of order"]++
+			}
+			switch {
+			case k == len(c):
+			case k == 1:
+				seen["k=1"]++
+			case k == 2:
+				seen["k=2"]++
+			case k == len(c)-1:
+				seen["k=len-1"]++
+			}
+		}
+	}
+	for _, k := range shapes {
+		if seen[k] == 0 {
+			t.Errorf("no class took the %q case (seen %v)", k, seen)
 		}
 	}
 }

@@ -124,13 +124,13 @@ func fromClasses(classes [][]int32) *partition {
 	return p
 }
 
-// emptyPartition is Π_∅: one class with all tuples (stripped keeps it
-// when n ≥ 2).
-func emptyPartition(n int) *partition {
+// emptyPartition is Π_∅, carved from ar: one class with all tuples
+// (stripped keeps it when n ≥ 2).
+func emptyPartition(ar *exec.Arena, n int) *partition {
 	if n < 2 {
 		return &partition{offs: []int32{0}}
 	}
-	all := make([]int32, n)
+	all := ar.Int32s(n)[:n]
 	for i := range all {
 		all[i] = int32(i)
 	}
@@ -138,23 +138,26 @@ func emptyPartition(n int) *partition {
 }
 
 // prodScratch is the reusable worker-private state behind refine and
-// g3Refine: one counting slot per class of the attribute being refined
-// by (zero between Π_X classes — each walk resets exactly the slots it
-// touched, so nothing is ever cleared in O(n)), plus an accumulation
-// buffer for the result and the arena the final exact-size copy is
-// carved from. One scratch serves one goroutine; scratchPool keeps one
-// per fan-out worker.
+// g3Refine: per class of the attribute being refined by, a count and an
+// emit cursor, plus an accumulation buffer for the result and the arena
+// the final exact-size copy is carved from. One scratch serves one
+// goroutine; scratchPool keeps one per fan-out worker.
 type prodScratch struct {
-	slots   []classSlot
-	touched []int32 // index-class ids hit by the current Π_X class
-	elems   []int32 // result accumulation, copied out exact-size
-	offs    []int32
+	// cnt[c] counts the current Π_X class's tuples in index class c. It
+	// is zero between Π_X classes: each walk resets exactly the entries
+	// it touched, so nothing is ever cleared in O(n). pos[c] is the emit
+	// cursor of c's subclass, −1 when it stays a singleton.
+	cnt, pos []int32
+	touched  []int32 // index-class ids hit by the current Π_X class
+	elems    []int32 // result accumulation, copied out exact-size
+	offs     []int32
 
-	// ar is the arena the exact-size result copies are carved from, so
-	// the hundreds of partitions a level produces share a handful of
-	// backing slabs. Chunks are never freed individually: the arena
-	// keeps its slabs until it dies (unpooled) or until the grant's
-	// release rewinds it for the next job (pooled, off the Go heap).
+	// ar is the arena the scratch's buffers and the exact-size result
+	// copies are carved from, so the hundreds of partitions a level
+	// produces share a handful of backing slabs. Chunks are never freed
+	// individually: the arena keeps its slabs until it dies (unpooled)
+	// or until the grant's release rewinds it for the next job (pooled,
+	// off the Go heap).
 	ar *exec.Arena
 
 	// The slice headers above are rewritten on every append; the pad keeps
@@ -163,16 +166,24 @@ type prodScratch struct {
 	_ [64]byte
 }
 
-// classSlot is the per-index-class state of one Π_X class walk.
-type classSlot struct {
-	cnt int32 // tuples of the current Π_X class seen in this index class
-	pos int32 // emit cursor of the subclass, −1 when it stays a singleton
+// ensure sizes the scratch for a class index over n tuples. Every
+// stripped class has ≥ 2 tuples, so the index has at most n/2 classes
+// (cnt, pos, touched) and a product at most n tuples in n/2 classes
+// (elems, offs). All five are carves of the scratch's arena, so
+// whoever resets it calls reset.
+func (sc *prodScratch) ensure(n int) {
+	if cap(sc.elems) < n {
+		mc := n/2 + 1
+		sc.cnt, sc.pos, sc.touched = sc.ar.Int32s(mc)[:mc], sc.ar.Int32s(mc)[:mc], sc.ar.Int32s(mc)
+		clear(sc.cnt)
+		sc.elems, sc.offs = sc.ar.Int32s(n), sc.ar.Int32s(mc)
+	}
 }
 
-func (sc *prodScratch) ensure(n int) {
-	if mc := n/2 + 1; len(sc.slots) < mc { // every stripped class has ≥ 2 tuples
-		sc.slots = make([]classSlot, mc)
-	}
+// reset rewinds the scratch's arena, dropping the buffers carved from it.
+func (sc *prodScratch) reset() {
+	sc.ar.Reset()
+	sc.cnt, sc.pos, sc.touched, sc.elems, sc.offs = nil, nil, nil, nil, nil
 }
 
 // scratchPool keeps one prodScratch (with its own arena: carves stay
@@ -232,9 +243,13 @@ func classIndex(ar *exec.Arena, p *partition, n int) []int32 {
 // productSerial(Π_X, Π_{a}) exactly: within each class of Π_X,
 // subclasses are emitted in ascending a-class order and tuples keep
 // their Π_X order. A class of 2 or 3 tuples yields at most one
-// subclass, so it is split directly from its tuples' a-classes; larger
-// classes take the two-pass slot walk. Steady state allocates nothing
-// beyond the two result carves.
+// subclass, so it is split directly from its tuples' a-classes. A
+// larger class is first scanned for its first tuple outside cls[0]'s
+// a-class: most have none and are kept (or dropped, when that a-class
+// is −1) as one block. The rest take the slot walk, seeded with the
+// scanned prefix: count, keep the a-classes of ≥ 2 tuples, and emit a
+// lone survivor in one filtering pass, several through sorted emit
+// cursors. Steady state allocates nothing beyond the two result carves.
 func refine(px *partition, ia []int32, sc *prodScratch) *partition {
 	sc.ensure(len(ia))
 	taneProducts.Inc()
@@ -269,43 +284,79 @@ func refine(px *partition, ia []int32, sc *prodScratch) *partition {
 			sc.offs = append(sc.offs, int32(len(sc.elems)))
 			continue
 		}
+		// Most classes of ≥ 4 come out whole: scan for the first tuple
+		// leaving cls[0]'s a-class before touching any count.
+		a0, k := ia[cls[0]], 1
+		for k < len(cls) && ia[cls[k]] == a0 {
+			k++
+		}
+		if k == len(cls) {
+			if a0 >= 0 { // else every tuple is a singleton in Π_{a}
+				sc.elems = append(sc.elems, cls...)
+				sc.offs = append(sc.offs, int32(len(sc.elems)))
+			}
+			continue
+		}
 		sc.touched = sc.touched[:0]
-		for _, t := range cls {
+		if a0 >= 0 {
+			sc.touched = append(sc.touched, a0)
+			sc.cnt[a0] = int32(k)
+		}
+		for _, t := range cls[k:] {
 			ac := ia[t]
 			if ac < 0 {
 				continue // singleton in Π_{a}: can never join a class of ≥ 2
 			}
-			if sc.slots[ac].cnt == 0 {
+			if sc.cnt[ac] == 0 {
 				sc.touched = append(sc.touched, ac)
 			}
-			sc.slots[ac].cnt++
+			sc.cnt[ac]++
 		}
-		slices.Sort(sc.touched) // ascending a-class order, as the reference emits
+		// Keep the a-classes that survive as subclasses, resetting the
+		// others' counts, and emit them in ascending a-class order, as the
+		// reference does.
+		live := sc.touched[:0]
+		for _, ac := range sc.touched {
+			if sc.cnt[ac] >= 2 {
+				live = append(live, ac)
+			} else {
+				sc.cnt[ac], sc.pos[ac] = 0, -1
+			}
+		}
+		switch len(live) {
+		case 0:
+			continue
+		case 1:
+			// The pre-scan found a tuple outside live[0], so it is a
+			// proper subset of cls: filter it out in Π_X order.
+			ac := live[0]
+			sc.cnt[ac] = 0
+			for _, t := range cls {
+				if ia[t] == ac {
+					sc.elems = append(sc.elems, t)
+				}
+			}
+			sc.offs = append(sc.offs, int32(len(sc.elems)))
+			continue
+		}
+		slices.Sort(live)
 		// Lay out the emit cursors (zeroing the counts for the next class),
 		// then place tuples in a second pass so each subclass keeps its
 		// Π_X tuple order.
 		base := int32(len(sc.elems))
 		total := int32(0)
-		for _, ac := range sc.touched {
-			s := &sc.slots[ac]
-			if s.cnt >= 2 {
-				s.pos = base + total
-				total += s.cnt
-				sc.offs = append(sc.offs, base+total)
-			} else {
-				s.pos = -1
-			}
-			s.cnt = 0
+		for _, ac := range live {
+			sc.pos[ac] = base + total
+			total += sc.cnt[ac]
+			sc.offs = append(sc.offs, base+total)
+			sc.cnt[ac] = 0
 		}
-		if total == 0 {
-			continue
-		}
-		sc.elems = slices.Grow(sc.elems, int(total))[:base+total]
+		sc.elems = sc.elems[:base+total]
 		for _, t := range cls {
 			if ac := ia[t]; ac >= 0 {
-				if s := &sc.slots[ac]; s.pos >= 0 {
-					sc.elems[s.pos] = t
-					s.pos++
+				if p := sc.pos[ac]; p >= 0 {
+					sc.elems[p] = t
+					sc.pos[ac] = p + 1
 				}
 			}
 		}
@@ -346,6 +397,9 @@ type tane struct {
 	err error
 
 	cache map[cplusKey]bool
+	// generate's level keys and job list, reused level to level.
+	keys []AttrSet
+	jobs []refineJob
 }
 
 type cplusKey struct {
@@ -420,7 +474,7 @@ func (t *tane) inCPlusByDef(a int, y AttrSet) bool {
 func (t *tane) run() {
 	// Level 0.
 	prev := map[AttrSet]*levelNode{
-		0: {part: emptyPartition(t.n), cplus: t.full},
+		0: {part: emptyPartition(t.grow(1)[0].ar, t.n), cplus: t.full},
 	}
 	// Level 1.
 	if t.serial == nil {
@@ -549,10 +603,11 @@ type refineJob struct {
 //     attribute, so a node's partition is a pure function of the input.
 func (t *tane) generate(level map[AttrSet]*levelNode) map[AttrSet]*levelNode {
 	prefix := func(x AttrSet) AttrSet { return x.Remove(highest(x)) }
-	keys := make([]AttrSet, 0, len(level))
+	keys := t.keys[:0]
 	for x := range level {
 		keys = append(keys, x)
 	}
+	t.keys = keys
 	sort.Slice(keys, func(i, j int) bool {
 		if pi, pj := prefix(keys[i]), prefix(keys[j]); pi != pj {
 			return pi < pj
@@ -560,12 +615,26 @@ func (t *tane) generate(level map[AttrSet]*levelNode) map[AttrSet]*levelNode {
 		return keys[i] < keys[j]
 	})
 
-	next := map[AttrSet]*levelNode{}
-	var jobs []refineJob
+	bucketEnd := func(lo int) int {
+		hi := lo + 1
+		for hi < len(keys) && prefix(keys[hi]) == prefix(keys[lo]) {
+			hi++
+		}
+		return hi
+	}
+	// Every pair inside a bucket bounds the next level's size, so the
+	// nodes are allocated once and no pointer into them moves.
+	pairs := 0
+	for lo, hi := 0, 0; lo < len(keys); lo = hi {
+		hi = bucketEnd(lo)
+		pairs += (hi - lo) * (hi - lo - 1) / 2
+	}
+	next := make(map[AttrSet]*levelNode, pairs)
+	nodes := make([]levelNode, 0, pairs)
+	jobs := t.jobs[:0]
 	work := 0
 	for lo, hi := 0, 0; lo < len(keys); lo = hi {
-		for hi = lo + 1; hi < len(keys) && prefix(keys[hi]) == prefix(keys[lo]); hi++ {
-		}
+		hi = bucketEnd(lo)
 		for i := lo; i < hi; i++ {
 			for j := i + 1; j < hi; j++ {
 				x, y := keys[i], keys[j]
@@ -591,7 +660,8 @@ func (t *tane) generate(level map[AttrSet]*levelNode) map[AttrSet]*levelNode {
 				if !complete {
 					continue
 				}
-				node := &levelNode{}
+				nodes = append(nodes, levelNode{})
+				node := &nodes[len(nodes)-1]
 				next[z] = node
 				switch {
 				case t.serial != nil:
@@ -609,5 +679,6 @@ func (t *tane) generate(level map[AttrSet]*levelNode) map[AttrSet]*levelNode {
 	t.forEach(len(jobs), work, func(sc *prodScratch, i int) {
 		jobs[i].node.part = refine(jobs[i].part, t.sets.idx[jobs[i].attr], sc)
 	})
+	t.jobs = jobs
 	return next
 }

@@ -13,8 +13,8 @@
 // Aliasing contract: cached values are shared read-only across
 // concurrent jobs, so everything stored here is plain-make allocated —
 // never carved from a job's pooled arena, whose slabs are recycled at
-// grant release (see the exec package's aliasing contract). The
-// relation.StrippedPartition constructor the cache fills from
+// grant release (see the exec package's aliasing contract). The cache
+// fills from relation.StrippedPartition with nil buffers, which
 // guarantees this.
 //
 // Marginal entropies are not cached: describe is their only consumer,
@@ -180,7 +180,7 @@ func (w *wrapped) SinglePartition(a int) (elems, offs []int32, err error) {
 		p := v.(*partitionEntry)
 		return p.elems, p.offs, nil
 	}
-	elems, offs, err = relation.StrippedPartition(w.Columns, a)
+	elems, offs, err = relation.StrippedPartition(w.Columns, a, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}

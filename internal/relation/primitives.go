@@ -22,11 +22,14 @@ import (
 // offs[0] = 0). This is exactly the layout internal/fd's partitions
 // use, so a cached copy can seed TANE level 1 directly.
 //
-// The returned slices are freshly allocated (never arena-carved): they
-// are safe to cache and share read-only across concurrent jobs.
-func StrippedPartition(c Columns, a int) (elems, offs []int32, err error) {
-	offs = []int32{0}
-	err = c.VisitValues(a, func(v int32, count int, runs []Run) error {
+// The result is appended to elems[:0] and offs[:0], so a caller that
+// passes buffers of capacity n and n/2+1 (every stripped class holds at
+// least two tuples) gets them back filled, with no allocation; nil
+// buffers give fresh heap slices, safe to cache and share read-only
+// across concurrent jobs.
+func StrippedPartition(c Columns, a int, elems, offs []int32) ([]int32, []int32, error) {
+	elems, offs = elems[:0], append(offs[:0], 0)
+	err := c.VisitValues(a, func(v int32, count int, runs []Run) error {
 		if count < 2 {
 			return nil // stripped: singleton classes are dropped
 		}

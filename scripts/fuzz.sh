@@ -16,7 +16,10 @@
 # engine over repeated and proportional objects (budget 1 ≡ budget 4,
 # greedy on equation (3), exactly 0 between duplicates), and the
 # approximate-FD miner against a brute-force enumeration of the minimal
-# g3 ≤ ε dependencies (any ε, NaN and negatives included), and the job
+# g3 ≤ ε dependencies (any ε, NaN and negatives included), the partition
+# product and g3 walk over fuzzed class layouts (runs of shared
+# a-classes, Π_a singletons, a-classes out of order) against the serial
+# product and a recount, and the job
 # views, list pages and /result envelopes the daemon assembles from
 # stored bytes against writeJSON. One target per invocation is a
 # `go test` rule.
@@ -46,7 +49,7 @@ for target in internal/relation:FuzzReadCSV internal/relation:FuzzAppendCSV inte
   internal/fd:FuzzDecodeState \
   internal/store:FuzzRecover internal/task:FuzzParams internal/fd:FuzzGroupBy internal/limbo:FuzzGroupZero \
   internal/limbo:FuzzCountTree \
-  internal/ib:FuzzAgglomerate internal/fd:FuzzMineApprox internal/server:FuzzJobViewBytes; do
+  internal/ib:FuzzAgglomerate internal/fd:FuzzMineApprox internal/fd:FuzzRefine internal/server:FuzzJobViewBytes; do
   pkg=${target%:*} name=${target#*:}
   corpus=$pkg/testdata/fuzz/$name
   before=$(untracked "$corpus")
