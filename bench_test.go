@@ -11,6 +11,7 @@ package structmine
 // at the paper's full 50k scale.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
@@ -554,6 +555,61 @@ func benchTable(b *testing.B, r *relation.Relation) *colstore.Table {
 	}
 	b.Cleanup(func() { tbl.Close() })
 	return tbl
+}
+
+// benchPagedIngest is paged_ingest's shape: DBLP 50 000 ×
+// ProjectionAttrs() as a colstore table, and the next 500 generated rows
+// as an append body under the same header.
+func benchPagedIngest(b *testing.B) (*colstore.Table, []byte) {
+	const rows, appendRows = 50000, 500
+	full := datagen.NewDBLP(datagen.DBLPConfig{
+		Tuples: rows + appendRows, Seed: 1,
+		MiscFrac: 129.0 / 50000, JournalFrac: 0.28,
+	}).Project(datagen.ProjectionAttrs())
+	var csv bytes.Buffer
+	if err := full.WriteCSV(&csv); err != nil {
+		b.Fatal(err)
+	}
+	lines := bytes.SplitAfter(csv.Bytes(), []byte("\n"))
+	base, err := relation.ReadCSVLimited("bench", bytes.NewReader(bytes.Join(lines[:1+rows], nil)), relation.Limits{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := append(append([]byte(nil), lines[0]...), bytes.Join(lines[1+rows:], nil)...)
+	return benchTable(b, base), body
+}
+
+// BenchmarkColstoreAppend times colstore.Append of 500 rows to the
+// 50 000-row table: the verbatim stripe copy, the partial-stripe replay
+// and the tail splice an append request runs.
+func BenchmarkColstoreAppend(b *testing.B) {
+	tbl, body := benchPagedIngest(b)
+	meta := tbl.Meta()
+	meta.Hash, meta.Epoch = fmt.Sprintf("%x", sha256.Sum256(body)), 1
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := colstore.Append(dir, meta, tbl, body, relation.Limits{}, colstore.WriteOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkColstoreOpen times colstore.Open of the 50 000-row table: the
+// header, footer and tail CRCs and the tail's validation pass, which
+// every registration and append runs.
+func BenchmarkColstoreOpen(b *testing.B) {
+	tbl, _ := benchPagedIngest(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, err := colstore.Open(tbl.Path())
+		if err != nil {
+			b.Fatal(err)
+		}
+		t.Close()
+	}
 }
 
 // BenchmarkPagedScan sweeps every stripe of every column of the

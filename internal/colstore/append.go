@@ -20,20 +20,39 @@ import (
 // after the old dictionary, in first-appearance order) are exactly
 // those of an append to the resident relation. The output is
 // byte-identical to a fresh write of the concatenated source under the
-// same metadata: full old stripes are copied verbatim (their offsets
-// and CRCs are position-independent), and the trailing partial stripe
-// and the appended rows are replayed through the normal writer. Memory
-// is the dictionary, the value index and one page stripe, plus the
-// appended body and its rows.
+// same metadata, and most of it is copied: full old stripes verbatim
+// (their offsets and CRCs are position-independent), the old
+// dictionary, and every index entry of a value the appended rows do not
+// hold (see writer.spliceSection). The trailing partial stripe is
+// replayed into its pages, and only the appended rows are indexed.
+// Memory is the old tail, the decoded dictionary and one page stripe,
+// plus the appended body, its rows and their postings.
 func Append(dir string, newMeta store.DatasetMeta, old *Table, body []byte, lim relation.Limits, opt WriteOptions) (string, error) {
 	opt = opt.normalized()
 	// Stripe geometry is inherited: mixing page sizes within one lineage
 	// would break the verbatim stripe copy and the fresh-write identity.
 	opt.PageRows = old.h.pageRows
 
-	raw, err := old.rawDict()
+	// One read of the old tail, re-checked against its CRC like every
+	// copied page, so corruption never propagates into a new file: the
+	// dictionary interns the body, and the index sections are spliced.
+	m, oldD, oldN := old.h.m, old.h.d, old.h.n
+	r, done, err := old.section(0, old.attrIndexOff[m])
 	if err != nil {
 		return "", err
+	}
+	defer done()
+	tail := r.buf
+	if got := crc32.ChecksumIEEE(tail); got != old.tailCRC {
+		return "", fmt.Errorf("%w: tail CRC32 %08x, computed %08x", ErrCorrupt, old.tailCRC, got)
+	}
+	r.off = old.dictOff
+	raw := relation.Raw{Name: old.relName, Attrs: old.attrs, ValueAttr: make([]int, oldD)}
+	if raw.ValueStr, err = decodeStrings(r, oldD); err != nil {
+		return "", err
+	}
+	for v, a := range old.valueAttr {
+		raw.ValueAttr[v] = int(a)
 	}
 	dict, err := relation.FromRaw(raw)
 	if err != nil {
@@ -43,14 +62,17 @@ func Append(dir string, newMeta store.DatasetMeta, old *Table, body []byte, lim 
 	if err != nil {
 		return "", err
 	}
+	base := baseIndex{n: oldN, d: oldD, nulls: old.nullCounts,
+		dict: tail[old.dictOff:old.attrIndexOff[0]], attrs: make([][]byte, m)}
+	for a := range base.attrs {
+		base.attrs[a] = tail[old.attrIndexOff[a]:old.attrIndexOff[a+1]]
+	}
 
-	m, oldD, oldN := old.h.m, old.h.d, old.h.n
 	pageRows := int64(old.h.pageRows)
 	fullStart := (oldN / pageRows) * pageRows
-
-	return writeFile(dir, newMeta, opt, ext, oldN+int64(ext.N()), func(w *writer) error {
+	return writeFile(dir, newMeta, opt, ext, base, oldN+int64(ext.N()), func(w *writer) error {
 		// Copy full old stripes verbatim, re-checking each page CRC on
-		// the way through so corruption never propagates into a new file.
+		// the way through.
 		fullStripes := int(fullStart / pageRows)
 		for s := 0; s < fullStripes; s++ {
 			for a := 0; a < m; a++ {
@@ -71,42 +93,15 @@ func Append(dir string, newMeta store.DatasetMeta, old *Table, body []byte, lim 
 		}
 		w.rows = fullStart
 
-		// Seed the value index with the old postings clipped to the
-		// copied rows; the replay below re-extends them, merging runs
-		// exactly as an uninterrupted writer would have.
-		for a := 0; a < m; a++ {
-			err := old.VisitValues(a, func(v int32, count int, runs []relation.Run) error {
-				p := &w.post[v]
-				for _, run := range runs {
-					if int64(run.Start) >= fullStart {
-						break
-					}
-					if end := int64(run.Start) + int64(run.Len); end > fullStart {
-						run.Len = int32(fullStart) - run.Start
-					}
-					p.count += int(run.Len)
-					p.runs = append(p.runs, run)
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			if id := w.nullID[a]; id >= 0 && int(id) < oldD {
-				w.nullCount[a] = w.post[id].count
-			}
-		}
-
-		// Replay the trailing partial stripe from the old pages, then the
-		// appended rows.
+		// Replay the trailing partial stripe into its pages (the base
+		// index holds its postings), then write the appended rows.
 		if oldN > fullStart {
-			tailLen := int(oldN - fullStart)
 			cols, err := old.ReadStripe(fullStripes, relation.AllAttrs(old), nil)
 			if err != nil {
 				return err
 			}
 			row := make([]int32, m)
-			for t := 0; t < tailLen; t++ {
+			for t := 0; t < int(oldN-fullStart); t++ {
 				for a := 0; a < m; a++ {
 					row[a] = cols[a][t]
 				}

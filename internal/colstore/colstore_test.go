@@ -227,7 +227,7 @@ func TestColumnsMatchResident(t *testing.T) {
 		}
 		collect := func(c relation.Columns) []entry {
 			var out []entry
-			if err := c.VisitValues(a, func(v int32, count int, runs []relation.Run) error {
+			if err := c.VisitValues(a, nil, func(v int32, count int, runs []relation.Run) error {
 				out = append(out, entry{v, count, append([]relation.Run(nil), runs...)})
 				return nil
 			}); err != nil {

@@ -45,7 +45,7 @@ func TestConcurrentReaders(t *testing.T) {
 	wantCounts := make([]map[int32]int, m)
 	for a := 0; a < m; a++ {
 		wantCounts[a] = map[int32]int{}
-		err := base.VisitValues(a, func(v int32, count int, runs []relation.Run) error {
+		err := base.VisitValues(a, nil, func(v int32, count int, runs []relation.Run) error {
 			wantCounts[a][v] = count
 			return nil
 		})
@@ -101,7 +101,7 @@ func TestConcurrentReaders(t *testing.T) {
 			case 2: // value-index walks
 				for a := 0; a < m; a++ {
 					counts := map[int32]int{}
-					err := tbl.VisitValues(a, func(v int32, count int, runs []relation.Run) error {
+					err := tbl.VisitValues(a, nil, func(v int32, count int, runs []relation.Run) error {
 						counts[v] = count
 						return nil
 					})

@@ -148,6 +148,30 @@ func (r *tailReader) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// run1 reads one posting run — its start delta and its length — when
+// both are one-byte uvarints, as most are; it reports false, having
+// read nothing, when either is longer or truncated, and the caller
+// falls back to run. Runs are most of the index, so this is the
+// decode's hot path, and small enough to inline.
+func (r *tailReader) run1() (delta, ln uint64, ok bool) {
+	if off := r.off; off+1 < len(r.buf) {
+		if d, l := r.buf[off], r.buf[off+1]; d|l < 0x80 {
+			r.off = off + 2
+			return uint64(d), uint64(l), true
+		}
+	}
+	return 0, 0, false
+}
+
+// run reads one posting run of any encoding.
+func (r *tailReader) run() (delta, ln uint64, err error) {
+	if delta, err = r.uvarint(); err != nil {
+		return 0, 0, err
+	}
+	ln, err = r.uvarint()
+	return delta, ln, err
+}
+
 // count reads a uvarint counting elements of at least elemSize bytes
 // each, rejecting values the remaining tail cannot possibly hold.
 func (r *tailReader) count(elemSize int) (int, error) {
@@ -161,12 +185,17 @@ func (r *tailReader) count(elemSize int) (int, error) {
 	return int(v), nil
 }
 
-func (r *tailReader) string() (string, error) {
+// bytes reads one length-prefixed string, aliasing the buffer.
+func (r *tailReader) bytes() ([]byte, error) {
 	n, err := r.count(1)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	s := string(r.buf[r.off : r.off+n])
 	r.off += n
-	return s, nil
+	return r.buf[r.off-n : r.off], nil
+}
+
+func (r *tailReader) string() (string, error) {
+	b, err := r.bytes()
+	return string(b), err
 }

@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -53,7 +55,7 @@ func FuzzOpen(f *testing.F) {
 			}
 		}
 		for a := 0; a < tbl.M(); a++ {
-			_ = tbl.VisitValues(a, func(v int32, count int, runs []relation.Run) error {
+			_ = tbl.VisitValues(a, nil, func(v int32, count int, runs []relation.Run) error {
 				_ = tbl.ValueAttr(v)
 				return nil
 			})
@@ -73,5 +75,80 @@ func FuzzOpen(f *testing.F) {
 			}
 		}
 		_, _ = tbl.ValueStrings()
+	})
+}
+
+// FuzzAppend checks the spliced tail against the writer's own: the
+// fuzz bytes pick m attributes, a page size, a split row and the cells
+// (0 is NULL, else one of 31 strings per attribute), and appending the
+// rows after the split to a file of the rows before it must give the
+// bytes of a fresh write of all of them — whichever stripe the split
+// falls in, whichever runs cross it, however many values are new — and
+// a file Open accepts.
+func FuzzAppend(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 3 {
+			return
+		}
+		m, pageRows := 1+int(in[0]%4), 1+int(in[1]%8)
+		cells := in[3:]
+		rows := min(len(cells)/m, 256)
+		split := int(in[2]) % (rows + 1)
+		var csv bytes.Buffer
+		for a := 0; a < m; a++ {
+			if a > 0 {
+				csv.WriteByte(',')
+			}
+			fmt.Fprintf(&csv, "a%d", a)
+		}
+		csv.WriteByte('\n')
+		header := csv.Len()
+		cut := header
+		for t := 0; t < rows; t++ {
+			if t == split {
+				cut = csv.Len()
+			}
+			for a := 0; a < m; a++ {
+				if a > 0 {
+					csv.WriteByte(',')
+				}
+				if c := cells[t*m+a] % 32; c > 0 {
+					fmt.Fprintf(&csv, "v%d", c)
+				}
+			}
+			csv.WriteByte('\n')
+		}
+		data := csv.Bytes()
+		if split == rows {
+			cut = len(data)
+		}
+		head := data[:cut]
+		body := append(append([]byte(nil), data[:header]...), data[cut:]...)
+
+		opt := WriteOptions{PageRows: pageRows}
+		oldMeta := metaFor("fuzz", head)
+		oldMeta.ID = "fuzz-id"
+		oldPath, err := WriteFromRelation(t.TempDir(), oldMeta, mustRelation(t, "fuzz", head), opt)
+		if err != nil {
+			t.Fatalf("WriteFromRelation(head): %v", err)
+		}
+		old := mustOpen(t, oldPath)
+		meta := metaFor("fuzz", data)
+		meta.ID, meta.Epoch = "fuzz-id", 1
+		gotPath, err := Append(t.TempDir(), meta, old, body, relation.Limits{}, opt)
+		if err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		wantPath, err := WriteFromRelation(t.TempDir(), meta, mustRelation(t, "fuzz", data), opt)
+		if err != nil {
+			t.Fatalf("WriteFromRelation(all): %v", err)
+		}
+		got, _ := os.ReadFile(gotPath)
+		want, _ := os.ReadFile(wantPath)
+		if len(got) == 0 || !bytes.Equal(got, want) {
+			t.Fatalf("%d × %d split at %d, %d rows a page: append diverges from a fresh write (%d vs %d bytes)",
+				rows, m, split, pageRows, len(got), len(want))
+		}
+		mustOpen(t, gotPath)
 	})
 }

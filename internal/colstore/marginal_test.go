@@ -179,7 +179,7 @@ func TestTailReadsAreReleased(t *testing.T) {
 		t.Fatalf("newTable: %v", err)
 	}
 	for a := 0; a < tbl.M(); a++ {
-		err := tbl.VisitValues(a, func(int32, int, []relation.Run) error { return nil })
+		err := tbl.VisitValues(a, nil, func(int32, int, []relation.Run) error { return nil })
 		if err != nil {
 			t.Fatalf("VisitValues(%d): %v", a, err)
 		}
@@ -214,9 +214,9 @@ func TestTailReadsAreReleased(t *testing.T) {
 			t.Errorf("[%d,%d) read %d times, released %d", rng[0], rng[0]+rng[1], n, got)
 		}
 	}
-	// Open's tail, each attribute's section (Append walks them again)
-	// and the dictionary (ValueStrings and Append).
-	if want := 1 + 2*tbl.M() + 2; tailReads != want {
+	// Open's tail, each attribute's section, the dictionary, and the
+	// whole tail again for Append, which splices its index sections.
+	if want := 1 + tbl.M() + 1 + 1; tailReads != want {
 		t.Errorf("%d tail reads, want %d", tailReads, want)
 	}
 }

@@ -59,7 +59,7 @@ func TestMappedTailNotResident(t *testing.T) {
 		t.Fatalf("DescribeColumns: %v", err)
 	}
 	for a := 0; a < tbl.M(); a++ {
-		if err := tbl.VisitValues(a, func(int32, int, []relation.Run) error { return nil }); err != nil {
+		if err := tbl.VisitValues(a, nil, func(int32, int, []relation.Run) error { return nil }); err != nil {
 			t.Fatalf("VisitValues(%d): %v", a, err)
 		}
 	}

@@ -47,6 +47,7 @@ type Table struct {
 
 	mm      mapping
 	tailOff int64
+	tailCRC uint32
 
 	nullCounts []int
 	valueAttr  []int32
@@ -124,6 +125,7 @@ func newTable(path string, mm mapping) (*Table, error) {
 		h:       h,
 		mm:      mm,
 		tailOff: tailOff,
+		tailCRC: tailCRC,
 		faults:  make([]atomic.Uint64, (h.numStripes()*h.m+63)/64),
 	}
 	err = t.parseTail(tail)
@@ -190,11 +192,11 @@ func (t *Table) parseTail(tail []byte) error {
 		t.nullCounts[a] = int(c)
 	}
 
-	// The dictionary strings are validated for bounds here but not
-	// retained; ValueStrings re-decodes them from the mapped tail.
+	// The dictionary strings are bounds-checked in place, neither copied
+	// nor retained; ValueStrings re-decodes them from the mapped tail.
 	t.dictOff = r.off
 	for i := 0; i < t.h.d; i++ {
-		if _, serr := r.string(); serr != nil {
+		if _, serr := r.bytes(); serr != nil {
 			return serr
 		}
 	}
@@ -279,13 +281,11 @@ func validateRuns(r *tailReader, n int64) (int64, error) {
 	covered := int64(0)
 	end := int64(0)
 	for j := 0; j < nr; j++ {
-		startDelta, err := r.uvarint()
-		if err != nil {
-			return 0, err
-		}
-		ln, err := r.uvarint()
-		if err != nil {
-			return 0, err
+		startDelta, ln, ok := r.run1()
+		if !ok {
+			if startDelta, ln, err = r.run(); err != nil {
+				return 0, err
+			}
 		}
 		start := end + int64(startDelta)
 		if ln == 0 || start+int64(ln) > n {
@@ -317,33 +317,19 @@ func (t *Table) ValueStrings() ([]string, error) {
 		return nil, err
 	}
 	defer done()
-	out := make([]string, t.h.d)
+	return decodeStrings(r, t.h.d)
+}
+
+// decodeStrings decodes d length-prefixed strings.
+func decodeStrings(r *tailReader, d int) ([]string, error) {
+	out := make([]string, d)
 	for i := range out {
+		var err error
 		if out[i], err = r.string(); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// rawDict decodes the table's schema and dictionary into the raw tables
-// relation.FromRaw adopts, with no rows: what Append interns an appended
-// body against.
-func (t *Table) rawDict() (relation.Raw, error) {
-	valueStr, err := t.ValueStrings()
-	if err != nil {
-		return relation.Raw{}, err
-	}
-	raw := relation.Raw{
-		Name:      t.relName,
-		Attrs:     t.attrs,
-		ValueStr:  valueStr,
-		ValueAttr: make([]int, t.h.d),
-	}
-	for v, a := range t.valueAttr {
-		raw.ValueAttr[v] = int(a)
-	}
-	return raw, nil
 }
 
 // Path returns the file path the table was opened from.
@@ -484,7 +470,7 @@ func (t *Table) markValidated(p, a int) {
 	}
 }
 
-func (t *Table) VisitValues(a int, f func(v int32, count int, runs []relation.Run) error) error {
+func (t *Table) VisitValues(a int, runs *[]relation.Run, f func(v int32, count int, runs []relation.Run) error) error {
 	if a < 0 || a >= t.h.m {
 		return fmt.Errorf("colstore: attribute %d out of range (have %d)", a, t.h.m)
 	}
@@ -497,7 +483,9 @@ func (t *Table) VisitValues(a int, f func(v int32, count int, runs []relation.Ru
 	if err != nil {
 		return err
 	}
-	var runs []relation.Run
+	if runs == nil {
+		runs = new([]relation.Run)
+	}
 	prev := int64(-1)
 	for i := 0; i < nv; i++ {
 		v, count, err := decodeValueHead(r, prev)
@@ -509,22 +497,21 @@ func (t *Table) VisitValues(a int, f func(v int32, count int, runs []relation.Ru
 		if err != nil {
 			return err
 		}
-		runs = runs[:0]
+		rs := (*runs)[:0]
 		end := int32(0)
 		for j := 0; j < nr; j++ {
-			startDelta, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			ln, err := r.uvarint()
-			if err != nil {
-				return err
+			startDelta, ln, ok := r.run1()
+			if !ok {
+				if startDelta, ln, err = r.run(); err != nil {
+					return err
+				}
 			}
 			start := end + int32(startDelta)
 			end = start + int32(ln)
-			runs = append(runs, relation.Run{Start: start, Len: int32(ln)})
+			rs = append(rs, relation.Run{Start: start, Len: int32(ln)})
 		}
-		if err := f(int32(v), int(count), runs); err != nil {
+		*runs = rs
+		if err := f(int32(v), int(count), rs); err != nil {
 			return err
 		}
 	}

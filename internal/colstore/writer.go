@@ -41,12 +41,26 @@ type posting struct {
 	runs  []relation.Run
 }
 
+// baseIndex is the value index a written tail extends: rows [0, n)
+// and value ids [0, d) as an earlier file of the lineage encoded them.
+// An append passes the old file's dictionary and index sections, which
+// the new tail splices in; the zero value is the empty index a fresh
+// write extends.
+type baseIndex struct {
+	n     int64
+	d     int
+	nulls []int    // NULL counts per attribute; nil for none
+	dict  []byte   // the d dictionary strings, as encoded
+	attrs [][]byte // attribute a's index section; nil for none
+}
+
 // writer encodes one .col file from an interned relation: rows arrive
 // one at a time, pages flush stripe by stripe, and the value index
-// accumulates as runs. The writer assigns no ids — names, attributes
-// and the dictionary written to the tail are dict's, whose own rows
-// need not be the rows written (Append writes old pages under the
-// extended dictionary). Beyond dict, memory is O(m·pageRows + runs).
+// accumulates as runs for the rows after the base index's. The writer
+// assigns no ids — names, attributes and the dictionary written to the
+// tail are dict's, whose own rows need not be the rows written (Append
+// writes old pages under the extended dictionary). Beyond dict and the
+// base index, memory is O(m·pageRows + runs).
 type writer struct {
 	f   store.File
 	h   header
@@ -54,24 +68,26 @@ type writer struct {
 
 	meta store.DatasetMeta
 	dict *relation.Relation
+	base baseIndex
 
 	cols [][]int32 // m fill buffers, pageRows capacity each
 	fill int       // rows buffered in the current stripe
 	rows int64     // rows written so far
 
-	post      []posting
-	nullID    []int32 // per attribute, -1 when NULL never occurs
-	nullCount []int
+	post      []posting // by value id, rows from base.n on
+	nullID    []int32   // per attribute, -1 when NULL never occurs
+	nullCount []int     // per attribute, rows from base.n on
 
 	scratch []byte
 }
 
-func newWriter(f store.File, h header, meta store.DatasetMeta, dict *relation.Relation) (*writer, error) {
+func newWriter(f store.File, h header, meta store.DatasetMeta, dict *relation.Relation, base baseIndex) (*writer, error) {
 	w := &writer{
 		f:         f,
 		h:         h,
 		meta:      meta,
 		dict:      dict,
+		base:      base,
 		cols:      make([][]int32, h.m),
 		post:      make([]posting, h.d),
 		nullID:    make([]int32, h.m),
@@ -94,14 +110,30 @@ func (w *writer) write(b []byte) error {
 	return err
 }
 
-// writeRow appends one tuple's value ids, flushing a full stripe.
+// writeRow appends one tuple's value ids, flushing a full stripe. A row
+// the base index already holds goes to its page only.
 func (w *writer) writeRow(row []int32) error {
 	if w.rows >= w.h.n {
 		return fmt.Errorf("colstore: more than the declared %d rows", w.h.n)
 	}
-	t := int32(w.rows)
 	for a, v := range row {
 		w.cols[a][w.fill] = v
+	}
+	if w.rows >= w.base.n {
+		w.index(row)
+	}
+	w.rows++
+	w.fill++
+	if w.fill == w.h.pageRows {
+		return w.flushStripe()
+	}
+	return nil
+}
+
+// index adds the row being written to its values' postings.
+func (w *writer) index(row []int32) {
+	t := int32(w.rows)
+	for a, v := range row {
 		p := &w.post[v]
 		p.count++
 		if k := len(p.runs); k > 0 && p.runs[k-1].Start+p.runs[k-1].Len == t {
@@ -113,12 +145,6 @@ func (w *writer) writeRow(row []int32) error {
 			w.nullCount[a]++
 		}
 	}
-	w.rows++
-	w.fill++
-	if w.fill == w.h.pageRows {
-		return w.flushStripe()
-	}
-	return nil
 }
 
 func (w *writer) flushStripe() error {
@@ -150,7 +176,10 @@ func (w *writer) finish() error {
 	if want := w.h.dataEnd(); w.off != want {
 		return fmt.Errorf("colstore: page section ends at %d, expected %d", w.off, want)
 	}
-	tail := w.encodeTail()
+	tail, err := w.encodeTail()
+	if err != nil {
+		return err
+	}
 	tailOff := w.off
 	if err := w.write(tail); err != nil {
 		return err
@@ -158,11 +187,20 @@ func (w *writer) finish() error {
 	return w.write(encodeFooter(tailOff, int64(len(tail)), crc32.ChecksumIEEE(tail)))
 }
 
-// encodeTail renders the metadata + value-index tail. Value ids are
-// delta-encoded in ascending order per attribute; posting runs are
-// delta-encoded from the previous run's end.
-func (w *writer) encodeTail() []byte {
-	buf := make([]byte, 0, 1<<12)
+// encodeTail renders the metadata + value-index tail over the base
+// index. Value ids are delta-encoded in ascending order per attribute;
+// posting runs are delta-encoded from the previous run's end.
+func (w *writer) encodeTail() ([]byte, error) {
+	// Room for the base's bytes, the new strings, and about four bytes
+	// of postings per indexed cell, so the buffer seldom grows.
+	size := len(w.base.dict) + 4*int(w.rows-w.base.n)*w.h.m + 1<<12
+	for _, sec := range w.base.attrs {
+		size += len(sec)
+	}
+	for v := w.base.d; v < w.h.d; v++ {
+		size += len(w.dict.ValueString(int32(v))) + 2
+	}
+	buf := make([]byte, 0, size)
 	appendString := func(s string) {
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
 		buf = append(buf, s...)
@@ -177,35 +215,124 @@ func (w *writer) encodeTail() []byte {
 	for _, a := range w.dict.Attrs {
 		appendString(a)
 	}
-	for _, c := range w.nullCount {
+	for a, c := range w.nullCount {
+		if w.base.nulls != nil {
+			c += w.base.nulls[a]
+		}
 		buf = binary.AppendUvarint(buf, uint64(c))
 	}
-	// The dictionary in id order, then one index section per attribute.
-	// Ids of one attribute are ascending because interning order is
-	// global first-appearance order.
-	byAttr := make([][]int32, w.h.m)
-	for v := range w.post {
+	// The dictionary in id order — the base's strings as encoded, then
+	// the new ones — then one index section per attribute. Ids of one
+	// attribute are ascending because interning order is global
+	// first-appearance order.
+	buf = append(buf, w.base.dict...)
+	newIDs := make([][]int32, w.h.m)
+	for v := w.base.d; v < w.h.d; v++ {
 		appendString(w.dict.ValueString(int32(v)))
 		a := w.dict.ValueAttr(int32(v))
-		byAttr[a] = append(byAttr[a], int32(v))
+		newIDs[a] = append(newIDs[a], int32(v))
 	}
 	for a := 0; a < w.h.m; a++ {
-		ids := byAttr[a]
-		buf = binary.AppendUvarint(buf, uint64(len(ids)))
-		prev := int64(-1)
-		for _, v := range ids {
-			p := &w.post[v]
-			buf = binary.AppendUvarint(buf, uint64(int64(v)-prev))
-			prev = int64(v)
-			buf = binary.AppendUvarint(buf, uint64(p.count))
-			buf = binary.AppendUvarint(buf, uint64(len(p.runs)))
-			end := int32(0)
-			for _, r := range p.runs {
-				buf = binary.AppendUvarint(buf, uint64(r.Start-end))
-				buf = binary.AppendUvarint(buf, uint64(r.Len))
-				end = r.Start + r.Len
-			}
+		var old []byte
+		if w.base.attrs != nil {
+			old = w.base.attrs[a]
 		}
+		var err error
+		if buf, err = w.spliceSection(buf, old, newIDs[a]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// spliceSection appends one attribute's index section: the base's
+// section old extended by the written rows, then the values newIDs the
+// base does not hold. Every new id sorts after every old one, so an old
+// value keeps its id delta, and one the written rows do not hold keeps
+// its count and runs too: its entry is copied byte for byte. A held one
+// keeps its runs but the last, which the first new run extends when it
+// starts where the old rows end; the new runs follow it.
+func (w *writer) spliceSection(buf, old []byte, newIDs []int32) ([]byte, error) {
+	r := &tailReader{buf: old}
+	nOld := 0
+	if len(old) > 0 {
+		var err error
+		if nOld, err = r.count(3); err != nil {
+			return nil, err
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(nOld+len(newIDs)))
+	prev := int64(-1)
+	for i := 0; i < nOld; i++ {
+		from := r.off
+		v, count, err := decodeValueHead(r, prev)
+		if err != nil {
+			return nil, err
+		}
+		if v >= int64(w.base.d) {
+			return nil, fmt.Errorf("%w: value id %d with d=%d", ErrCorrupt, v, w.base.d)
+		}
+		delta := v - prev
+		prev = v
+		nr, err := r.count(2)
+		if err != nil {
+			return nil, err
+		}
+		runsFrom, end := r.off, int64(0)
+		var lastFrom int
+		var lastDelta, lastLen uint64
+		for j := 0; j < nr; j++ {
+			lastFrom = r.off
+			d, ln, ok := r.run1()
+			if !ok {
+				if d, ln, err = r.run(); err != nil {
+					return nil, err
+				}
+			}
+			lastDelta, lastLen = d, ln
+			end += int64(d + ln)
+		}
+		p := &w.post[v]
+		if p.count == 0 {
+			buf = append(buf, old[from:r.off]...)
+			continue
+		}
+		runs := p.runs
+		merge := nr > 0 && end == w.base.n && int64(runs[0].Start) == end
+		newNR := nr + len(runs)
+		if merge {
+			lastLen += uint64(runs[0].Len)
+			end += int64(runs[0].Len)
+			runs, newNR = runs[1:], newNR-1
+		}
+		buf = binary.AppendUvarint(buf, uint64(delta))
+		buf = binary.AppendUvarint(buf, count+uint64(p.count))
+		buf = binary.AppendUvarint(buf, uint64(newNR))
+		if nr > 0 {
+			buf = append(buf, old[runsFrom:lastFrom]...)
+			buf = binary.AppendUvarint(buf, lastDelta)
+			buf = binary.AppendUvarint(buf, lastLen)
+		}
+		buf = appendRuns(buf, runs, int32(end))
+	}
+	for _, v := range newIDs {
+		p := &w.post[v]
+		buf = binary.AppendUvarint(buf, uint64(int64(v)-prev))
+		prev = int64(v)
+		buf = binary.AppendUvarint(buf, uint64(p.count))
+		buf = binary.AppendUvarint(buf, uint64(len(p.runs)))
+		buf = appendRuns(buf, p.runs, 0)
+	}
+	return buf, nil
+}
+
+// appendRuns encodes runs, each start as a delta from the previous
+// run's end, the first from end.
+func appendRuns(buf []byte, runs []relation.Run, end int32) []byte {
+	for _, r := range runs {
+		buf = binary.AppendUvarint(buf, uint64(r.Start-end))
+		buf = binary.AppendUvarint(buf, uint64(r.Len))
+		end = r.Start + r.Len
 	}
 	return buf
 }
@@ -215,7 +342,7 @@ func (w *writer) encodeTail() []byte {
 // written as the relation interned them, so the file and the relation
 // it came from agree on every id.
 func WriteFromRelation(dir string, meta store.DatasetMeta, rel *relation.Relation, opt WriteOptions) (string, error) {
-	return writeFile(dir, meta, opt.normalized(), rel, int64(rel.N()), func(w *writer) error {
+	return writeFile(dir, meta, opt.normalized(), rel, baseIndex{}, int64(rel.N()), func(w *writer) error {
 		return w.writeRows(rel)
 	})
 }
@@ -231,14 +358,15 @@ func (w *writer) writeRows(rel *relation.Relation) error {
 }
 
 // writeFile runs the temp→fsync→rename discipline around a writer body
-// that writes n rows under dict's schema and dictionary.
-func writeFile(dir string, meta store.DatasetMeta, opt WriteOptions, dict *relation.Relation, n int64, body func(*writer) error) (string, error) {
+// that writes n rows under dict's schema and dictionary, indexing them
+// over base.
+func writeFile(dir string, meta store.DatasetMeta, opt WriteOptions, dict *relation.Relation, base baseIndex, n int64, body func(*writer) error) (string, error) {
 	if meta.Hash == "" || meta.Hash != filepath.Base(meta.Hash) {
 		return "", fmt.Errorf("colstore: invalid dataset hash %q", meta.Hash)
 	}
-	base := meta.Hash + Ext
-	path := filepath.Join(dir, base)
-	f, err := opt.FS.CreateTemp(dir, store.TempPrefix+base+"-*")
+	name := meta.Hash + Ext
+	path := filepath.Join(dir, name)
+	f, err := opt.FS.CreateTemp(dir, store.TempPrefix+name+"-*")
 	if err != nil {
 		return "", err
 	}
@@ -249,7 +377,7 @@ func writeFile(dir string, meta store.DatasetMeta, opt WriteOptions, dict *relat
 		return "", err
 	}
 	h := header{pageRows: opt.PageRows, m: dict.M(), n: n, d: dict.D()}
-	w, err := newWriter(f, h, meta, dict)
+	w, err := newWriter(f, h, meta, dict, base)
 	if err != nil {
 		return fail(err)
 	}

@@ -193,11 +193,11 @@ func (c *countingColumns) ReadStripe(p int, attrs []int, dst [][]int32) ([][]int
 	return c.Columns.ReadStripe(p, attrs, dst)
 }
 
-func (c *countingColumns) VisitValues(a int, f func(v int32, count int, runs []relation.Run) error) error {
+func (c *countingColumns) VisitValues(a int, runs *[]relation.Run, f func(v int32, count int, runs []relation.Run) error) error {
 	c.mu.Lock()
 	c.visits++
 	c.mu.Unlock()
-	return c.Columns.VisitValues(a, f)
+	return c.Columns.VisitValues(a, runs, f)
 }
 
 // TestDeltaReadsEachStripeOnce pins the delta path's cost model on a

@@ -34,10 +34,11 @@ type Sets struct {
 	ctx     context.Context // the job's: its grant lends ar
 	c       relation.Columns
 	n       int
-	singles []*partition // level-1 partitions, by attribute
-	idx     [][]int32    // their class indexes, carved from ar
-	ar      *exec.Arena  // nil until the first load
-	sc      *prodScratch // the current question's scratch
+	singles []*partition   // level-1 partitions, by attribute
+	idx     [][]int32      // their class indexes, carved from ar
+	ar      *exec.Arena    // nil until the first load
+	sc      *prodScratch   // the current question's scratch
+	runs    []relation.Run // the value-index decode buffer of every load
 }
 
 // NewSets returns the kernel of one job over c, with nothing loaded.
@@ -73,7 +74,7 @@ func (s *Sets) Columns() relation.Columns { return s.c }
 // read-only, which is safe because the miners only ever read level-1
 // partitions — the class index and every refinement are carved fresh
 // from the job's arena.
-func singlePartitionColumns(c relation.Columns, a int, ar *exec.Arena) (*partition, error) {
+func singlePartitionColumns(c relation.Columns, a int, ar *exec.Arena, runs *[]relation.Run) (*partition, error) {
 	var (
 		elems, offs []int32
 		err         error
@@ -82,7 +83,7 @@ func singlePartitionColumns(c relation.Columns, a int, ar *exec.Arena) (*partiti
 		elems, offs, err = ps.SinglePartition(a)
 	} else {
 		n := c.N()
-		elems, offs, err = relation.StrippedPartition(c, a, ar.Int32s(n), ar.Int32s(n/2+1))
+		elems, offs, err = relation.StrippedPartition(c, a, ar.Int32s(n), ar.Int32s(n/2+1), runs)
 	}
 	if err != nil {
 		return nil, err
@@ -98,7 +99,7 @@ func (s *Sets) load(attrs []int) error {
 		if s.idx[a] != nil {
 			continue
 		}
-		p, err := singlePartitionColumns(s.c, a, s.arena())
+		p, err := singlePartitionColumns(s.c, a, s.arena(), &s.runs)
 		if err != nil {
 			return err
 		}

@@ -112,7 +112,7 @@ func TestPropIndexPartitionsMatchScans(t *testing.T) {
 			}
 			sources := map[string]relation.Columns{"resident": resident, "paged": tbl, "cached-cold": cached, "cached-warm": cached}
 			for name, src := range sources {
-				got, err := singlePartitionColumns(src, a, exec.NewArena())
+				got, err := singlePartitionColumns(src, a, exec.NewArena(), nil)
 				if err != nil {
 					t.Fatalf("seed %d attr %d: %s partition: %v", seed, a, name, err)
 				}

@@ -49,7 +49,7 @@ func samePartition(p *partition, classes [][]int32) error {
 // indexPartition is the production level-1 builder over a resident
 // relation: Π_{A} from the value index behind relation.AsColumns.
 func indexPartition(r *relation.Relation, a int) *partition {
-	p, err := singlePartitionColumns(relation.AsColumns(r), a, exec.NewArena())
+	p, err := singlePartitionColumns(relation.AsColumns(r), a, exec.NewArena(), nil)
 	if err != nil {
 		panic(err) // an in-memory relation has no failing reads
 	}

@@ -46,9 +46,10 @@ func Signatures(c relation.Columns) ([]Signature, error) {
 		return nil, err
 	}
 	out := make([]Signature, 0, c.M())
+	var runs []relation.Run
 	for a := 0; a < c.M(); a++ {
 		var hashes []uint64
-		if err := c.VisitValues(a, func(v int32, _ int, _ []relation.Run) error {
+		if err := c.VisitValues(a, &runs, func(v int32, _ int, _ []relation.Run) error {
 			if strs[v] != relation.Null {
 				hashes = append(hashes, hashValue(strs[v]))
 			}

@@ -25,11 +25,13 @@ type Assignment struct {
 // supports once (repIndex) and scores term-at-a-time: it walks the
 // object's coordinates in ascending order and subtracts each posting's
 // term from that representative's accumulator. Per representative these
-// are DeltaIObj's floating-point operations in DeltaIObj's order, so
-// losses are bit-identical to the pairwise scan (kept in serial.go as the
+// are deltaIObjRank's floating-point operations in its order, so the
+// ranking is bit-identical to the pairwise scan (kept in serial.go as the
 // test oracle) at the cost of the shared coordinates, not of objects ×
-// representatives. Objects fan out under internal/exec's shared policy,
-// sized by the context's worker budget.
+// representatives. A winner whose loss is near 0, where the difference
+// form's rounding shows, reports DeltaIObj's ratio form (nearZero).
+// Objects fan out under internal/exec's shared policy, sized by the
+// context's worker budget.
 func AssignCtx(ctx context.Context, reps []*DCF, objs []Obj) []Assignment {
 	out := make([]Assignment, len(objs))
 	ix := newRepIndex(reps)
@@ -62,6 +64,7 @@ func AssignCtx(ctx context.Context, reps []*DCF, objs []Obj) []Assignment {
 // by bit-equal W, each group chained in ascending rep order, and a
 // group's lowest-index untouched member stands for all of them.
 type repIndex struct {
+	reps              []*DCF
 	lists             map[int32][]posting // by coordinate
 	meanList          float64             // Σ len²/Σ len: postings a coordinate drawn from a rep meets
 	group             []int32             // rep → W-group
@@ -77,6 +80,7 @@ type posting struct {
 
 func newRepIndex(reps []*DCF) *repIndex {
 	ix := &repIndex{
+		reps:  reps,
 		lists: make(map[int32][]posting),
 		group: make([]int32, len(reps)), next: make([]int32, len(reps)),
 	}
@@ -177,7 +181,7 @@ func (ix *repIndex) closest(sc *assignScratch, o Obj) Assignment {
 	// minimum": NaN and +Inf never compare below the initial +Inf.
 	best, bestDist := -1, math.Inf(1)
 	consider := func(r int32, d float64) {
-		if d < 0 { // numerical noise, clamped as DeltaIObj does
+		if d < 0 { // numerical noise, clamped as deltaIObjRank does
 			d = 0
 		}
 		if d < bestDist || (d == bestDist && int(r) < best) {
@@ -199,5 +203,18 @@ func (ix *repIndex) closest(sc *assignScratch, o Obj) Assignment {
 			consider(r, d)
 		}
 	}
+	if best >= 0 && nearZero(bestDist, sc.base[ix.group[best]]) {
+		bestDist = ix.reps[best].DeltaIObj(o)
+	}
 	return Assignment{Cluster: best, Loss: bestDist}
 }
+
+// nearZero reports whether a winner's difference-form loss rank is a
+// small fraction of its disjoint-support loss base — the largest δI two
+// clusters of these masses can have. The difference form carries a few
+// ulps of its largest term, up to W·log₂W, so there those ulps can be
+// all of the loss: Phase 3 reports DeltaIObj's ratio form instead, ≈ 0
+// between identical conditionals at any mass. Above, the two forms
+// agree to those few ulps (TestDeltaIObjMatchesRankForm) and rank
+// stands, which spares Phase 3 a second scan of most winners.
+func nearZero(rank, base float64) bool { return rank <= base/1024 }

@@ -35,7 +35,11 @@
 // Phase 1 determinism tests rely on that.
 package limbo
 
-import "structmine/internal/it"
+import (
+	"math"
+
+	"structmine/internal/it"
+)
 
 // DCF is a distributional cluster feature in weighted-sum form: the
 // pair (p(c), p(T|c)) that Phases 1–3 compute on, plus the member count
@@ -432,12 +436,65 @@ func storeTier(oldIdx []int32, oldVal, oldLog []float64, outIdx []int32, outVal,
 }
 
 // DeltaIObj returns δI between the object (as a singleton cluster) and
-// the DCF. Coordinates outside the object's support contribute zero to
-// the sum, so the scan costs O(|supp(object)|·log) regardless of the
-// cluster's support size; coordinates outside the DCF's support are
-// skipped outright (their term is exactly zero), and the stored-side
-// logarithms come from the vlog cache.
+// the DCF: the information loss Phase 3 reports. It is computed in ratio
+// form, w₁·KL(p‖m) + w₂·KL(q‖m) with m the merged conditional: each
+// coordinate the two supports share adds
+//
+//	s₁·log(1+x₁) + s₂·log(1+x₂),  x₁ = (s₁w₂ − s₂w₁)/(w₁(s₁+s₂)),  x₂ = −x₁·w₁/w₂,
+//
+// and the mass outside them adds (w₁−S₁)·log(W/w₁) + (w₂−S₂)·log(W/w₂),
+// S₁ and S₂ being the shared sums. This is deltaIObjRank's value in
+// exact arithmetic, but no term is of the order W·log₂W: where the two
+// conditionals agree, x₁ is the rounding of the group's sums and δI
+// reads ≈ 0 at any mass, not a few ulps of W·log₂W. The scan costs
+// O(|supp(object)|·log) regardless of the cluster's support size.
 func (d *DCF) DeltaIObj(o Obj) float64 {
+	w1, w2 := o.W, d.W
+	if w1 <= 0 || w2 <= 0 {
+		return 0
+	}
+	var res, shared1, shared2 float64
+	mi, ti := 0, 0
+	for _, e := range o.Cond {
+		var s2 float64
+		if pos, ok := it.Gallop(d.idx, mi, e.Idx); ok {
+			s2 = d.val[pos]
+			mi = pos + 1
+		} else {
+			mi = pos
+			if pos, ok := it.Gallop(d.tidx, ti, e.Idx); ok {
+				s2 = d.tval[pos]
+				ti = pos + 1
+			} else {
+				ti = pos
+				continue // outside the DCF's support
+			}
+		}
+		s1 := w1 * e.P
+		if s1 == 0 {
+			continue // outside the object's support
+		}
+		shared1 += s1
+		shared2 += s2
+		x := math.FMA(s1, w2, -s2*w1) / (s1 + s2)
+		res += s1*math.Log1p(x/w1) + s2*math.Log1p(-x/w2)
+	}
+	res += (w1-shared1)*math.Log1p(w2/w1) + (w2-shared2)*math.Log1p(w1/w2)
+	res /= math.Ln2
+	if res < 0 { // numerical noise
+		res = 0
+	}
+	return res
+}
+
+// deltaIObjRank is δI between the object and the DCF in the difference
+// form the Phase 1 descent (deltaIObjCtx) and the Phase 3 scan
+// (AssignCtx) rank candidates by: XLog2 of the merged mass minus the
+// parts', less the same per shared coordinate. Each term is ≈ W·log₂W,
+// so the result carries a few ulps of that; DeltaIObj is the loss to
+// report. Coordinates outside either support contribute zero; the
+// stored-side logarithms come from the vlog cache.
+func (d *DCF) deltaIObjRank(o Obj) float64 {
 	w1, w2 := o.W, d.W
 	res := it.XLog2(w1+w2) - it.XLog2(w1) - d.wlog
 	mi, ti := 0, 0
@@ -496,8 +553,8 @@ func (c *objCtx) set(o Obj) {
 	}
 }
 
-// deltaIObjCtx is DeltaIObj over a preloaded context, bit-identical to
-// it (the cached logarithms are the same pure function of the same
+// deltaIObjCtx is deltaIObjRank over a preloaded context, bit-identical
+// to it (the cached logarithms are the same pure function of the same
 // inputs, and the accumulation order is unchanged). When pos is non-nil
 // it additionally records where each coordinate was found — main index,
 // ^tail-index, or posMiss — so the winning candidate can be absorbed

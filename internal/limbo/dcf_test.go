@@ -109,6 +109,63 @@ func TestDeltaIZeroForIdenticalConditionals(t *testing.T) {
 	}
 }
 
+// TestDeltaIObjZeroOnOwnGroup: a member of a group of objects with one
+// conditional is within 1e-12 of the group at every group mass up to
+// 10⁶, where the difference form reads a few ulps of W·log₂W (≈ 4e-9 at
+// 10⁶). Members weigh what FuzzGroupZero's do, 1/64 to 1/4, or 1; a
+// group is a thousand of them plus one heavy object with the same
+// conditional that makes up the mass. δI is homogeneous in the masses,
+// so the member's own mass sets the scale of what rounding leaves.
+func TestDeltaIObjZeroOnOwnGroup(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 20; trial++ {
+		cond := randObj(r, 0, 64, 6).Cond
+		for _, w := range []float64{1.0 / 64, 11.0 / 64, 0.25, 1} {
+			for _, total := range []float64{500, 1e4, 1e6} {
+				const members = 1000
+				d := NewDCF(Obj{ID: 0, W: total - members*w, Cond: cond})
+				o := Obj{W: w, Cond: cond}
+				for i := 1; i <= members; i++ {
+					o.ID = int32(i)
+					d.AbsorbObj(o)
+				}
+				if got := d.DeltaIObj(o); !(got <= 1e-12) {
+					t.Fatalf("trial %d: member of mass %g in a group of mass %g: δI = %g, difference form %g",
+						trial, w, d.W, got, d.deltaIObjRank(o))
+				}
+			}
+		}
+	}
+}
+
+// TestDeltaIObjMatchesRankForm: on random objects and clusters the
+// ratio form agrees with the difference form within 8 ulps of W·log₂W,
+// the scale of the difference form's own rounding (masses ≥ 1, so
+// W·log₂W is its largest term).
+func TestDeltaIObjMatchesRankForm(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	mass := func() float64 { return math.Exp(r.Float64() * math.Log(1e4)) }
+	for trial := 0; trial < 20000; trial++ {
+		o := randObj(r, 0, 24, 6)
+		o.W = mass()
+		c := randObj(r, 1, 24, 6)
+		c.W = mass()
+		d := NewDCF(c)
+		for i := r.Intn(4); i > 0; i-- {
+			m := randObj(r, int32(1+i), 24, 6)
+			m.W = mass()
+			d.AbsorbObj(m)
+		}
+		w := o.W + d.W
+		ulp := math.Nextafter(w*math.Log2(w), math.Inf(1)) - w*math.Log2(w)
+		got, rank := d.DeltaIObj(o), d.deltaIObjRank(o)
+		if math.Abs(got-rank) > 8*ulp {
+			t.Fatalf("trial %d: ratio form %.17g, difference form %.17g: %.1f ulps of W·log₂W = %g",
+				trial, got, rank, math.Abs(got-rank)/ulp, w*math.Log2(w))
+		}
+	}
+}
+
 func TestDeltaIDisjointSingletons(t *testing.T) {
 	d := NewDCF(Obj{ID: 0, W: 0.5, Cond: it.Uniform([]int32{0})})
 	got := d.DeltaIObj(Obj{ID: 1, W: 0.5, Cond: it.Uniform([]int32{1})})

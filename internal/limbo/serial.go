@@ -3,6 +3,8 @@ package limbo
 import (
 	"context"
 	"math"
+
+	"structmine/internal/it"
 )
 
 // closestEntrySerial is the original closest-entry search of Phase 1,
@@ -24,11 +26,11 @@ func closestEntrySerial(entries []*entry, d *DCF) (int, float64) {
 }
 
 // closestObjSerial is the object-descent twin of closestEntrySerial,
-// ranking candidates with DeltaIObj exactly as Tree.closestObj does.
+// ranking candidates with deltaIObjRank exactly as Tree.closestObj does.
 func closestObjSerial(entries []*entry, o Obj) (int, float64) {
 	best, bestDist := -1, math.Inf(1)
 	for i, e := range entries {
-		if dist := e.dcf.DeltaIObj(o); dist < bestDist {
+		if dist := e.dcf.deltaIObjRank(o); dist < bestDist {
 			best, bestDist = i, dist
 		}
 	}
@@ -36,17 +38,22 @@ func closestObjSerial(entries []*entry, o Obj) (int, float64) {
 }
 
 // assignSerial is the original Phase 3 scan — every object against
-// every representative through DeltaIObj, keeping the first strict
-// minimum — kept as the differential-testing oracle for the
-// term-at-a-time scan in AssignCtx, which must reproduce it bit for bit
-// (TestPropAssignMatchesSerial).
+// every representative through deltaIObjRank, keeping the first strict
+// minimum, and reporting the winner's DeltaIObj where nearZero — kept as the
+// differential-testing oracle for the term-at-a-time scan in AssignCtx,
+// which must reproduce it bit for bit (TestPropAssignMatchesSerial).
 func assignSerial(reps []*DCF, objs []Obj) []Assignment {
 	out := make([]Assignment, len(objs))
 	for oi, o := range objs {
 		best, bestDist := -1, math.Inf(1)
 		for ri, r := range reps {
-			if d := r.DeltaIObj(o); d < bestDist {
+			if d := r.deltaIObjRank(o); d < bestDist {
 				best, bestDist = ri, d
+			}
+		}
+		if best >= 0 {
+			if r := reps[best]; nearZero(bestDist, it.XLog2(o.W+r.W)-it.XLog2(o.W)-r.wlog) {
+				bestDist = r.DeltaIObj(o)
 			}
 		}
 		out[oi] = Assignment{Cluster: best, Loss: bestDist}

@@ -180,7 +180,7 @@ func (w *wrapped) SinglePartition(a int) (elems, offs []int32, err error) {
 		p := v.(*partitionEntry)
 		return p.elems, p.offs, nil
 	}
-	elems, offs, err = relation.StrippedPartition(w.Columns, a, nil, nil)
+	elems, offs, err = relation.StrippedPartition(w.Columns, a, nil, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}

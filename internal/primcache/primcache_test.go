@@ -38,7 +38,7 @@ func TestWrapCachesPartitionsAndMarginals(t *testing.T) {
 	cache := New(1 << 20)
 	w := Wrap(c, "h", 3, cache).(*wrapped)
 
-	wantElems, wantOffs, err := relation.StrippedPartition(c, 0, nil, nil)
+	wantElems, wantOffs, err := relation.StrippedPartition(c, 0, nil, nil, nil)
 	if err != nil {
 		t.Fatalf("StrippedPartition: %v", err)
 	}

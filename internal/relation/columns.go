@@ -66,8 +66,12 @@ type Columns interface {
 	// VisitValues calls f once per distinct value of attribute a, in
 	// ascending value-id order, with the value's tuple count and its
 	// run-length-compressed posting list (runs ascending, disjoint).
-	// The runs slice is reused between calls; f must not retain it.
-	VisitValues(a int, f func(v int32, count int, runs []Run) error) error
+	// The list is decoded into *runs, which is grown as needed and left
+	// holding the grown buffer, so a caller that keeps one buffer per
+	// worker decodes every pass without allocating; nil selects a
+	// buffer of the call's own. f must not retain the list, and one
+	// buffer must not serve two calls at once.
+	VisitValues(a int, runs *[]Run, f func(v int32, count int, runs []Run) error) error
 	// ValueAttr returns the attribute index a value id belongs to.
 	ValueAttr(v int32) int
 	// NullCount returns how many tuples hold NULL in attribute a.
@@ -157,18 +161,20 @@ func (c *residentColumns) stats() *Stats {
 	return c.st
 }
 
-func (c *residentColumns) VisitValues(a int, f func(v int32, count int, runs []Run) error) error {
+func (c *residentColumns) VisitValues(a int, runs *[]Run, f func(v int32, count int, runs []Run) error) error {
 	if a < 0 || a >= c.r.M() {
 		return fmt.Errorf("relation: attribute %d out of range (have %d)", a, c.r.M())
 	}
 	st := c.stats()
-	var runs []Run // per-call scratch: VisitValues runs concurrently per attribute
+	if runs == nil {
+		runs = new([]Run)
+	}
 	for v := int32(0); v < int32(c.r.D()); v++ {
 		if c.r.valueAttr[v] != a {
 			continue
 		}
-		runs = compressRuns(runs[:0], st.Tuples[v])
-		if err := f(v, st.Count[v], runs); err != nil {
+		*runs = compressRuns((*runs)[:0], st.Tuples[v])
+		if err := f(v, st.Count[v], *runs); err != nil {
 			return err
 		}
 	}

@@ -26,10 +26,10 @@ import (
 // passes buffers of capacity n and n/2+1 (every stripped class holds at
 // least two tuples) gets them back filled, with no allocation; nil
 // buffers give fresh heap slices, safe to cache and share read-only
-// across concurrent jobs.
-func StrippedPartition(c Columns, a int, elems, offs []int32) ([]int32, []int32, error) {
+// across concurrent jobs. runs is VisitValues' decode buffer.
+func StrippedPartition(c Columns, a int, elems, offs []int32, runs *[]Run) ([]int32, []int32, error) {
 	elems, offs = elems[:0], append(offs[:0], 0)
-	err := c.VisitValues(a, func(v int32, count int, runs []Run) error {
+	err := c.VisitValues(a, runs, func(v int32, count int, runs []Run) error {
 		if count < 2 {
 			return nil // stripped: singleton classes are dropped
 		}
@@ -62,7 +62,7 @@ type AttrMarginal struct {
 // value index, through MarginalOfCounts.
 func ComputeAttrMarginal(c Columns, a int) (AttrMarginal, error) {
 	var counts []int
-	err := c.VisitValues(a, func(_ int32, count int, _ []Run) error {
+	err := c.VisitValues(a, nil, func(_ int32, count int, _ []Run) error {
 		counts = append(counts, count)
 		return nil
 	})

@@ -370,7 +370,7 @@ type loadCounter struct {
 
 func (c *loadCounter) SinglePartition(a int) (elems, offs []int32, err error) {
 	c.loads[a]++
-	return relation.StrippedPartition(c.Columns, a, nil, nil)
+	return relation.StrippedPartition(c.Columns, a, nil, nil, nil)
 }
 
 // TestJobLoadsEachAttributeOnce: a job asks every exact question about

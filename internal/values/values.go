@@ -30,15 +30,15 @@ func ObjectsColumnsCtx(ctx context.Context, c relation.Columns) ([]limbo.Obj, er
 	d := c.D()
 	m := c.M()
 	objs := make([]limbo.Obj, d)
-	err := forAttrs(ctx, c.N(), m, func(scratch *[]int32, attr int) error {
-		return c.VisitValues(attr, func(v int32, count int, runs []relation.Run) error {
+	err := forAttrs(ctx, c.N(), m, func(s *postingScratch, attr int) error {
+		return c.VisitValues(attr, &s.runs, func(v int32, count int, runs []relation.Run) error {
 			counts := make([]int64, m)
 			counts[attr] = int64(count)
-			*scratch = expandRuns((*scratch)[:0], runs)
+			s.tuples = expandRuns(s.tuples[:0], runs)
 			objs[v] = limbo.Obj{
 				ID:     v,
 				W:      1.0 / float64(d),
-				Cond:   it.Uniform(*scratch), // Uniform copies; scratch is reused
+				Cond:   it.Uniform(s.tuples), // Uniform copies; tuples is reused
 				Counts: counts,
 			}
 			return nil
@@ -74,7 +74,7 @@ func ObjectsOverClustersColumnsCtx(ctx context.Context, c relation.Columns, tupl
 		if s.n == nil {
 			s.n = make([]int32, k)
 		}
-		return c.VisitValues(attr, func(v int32, count int, runs []relation.Run) error {
+		return c.VisitValues(attr, &s.runs, func(v int32, count int, runs []relation.Run) error {
 			counts := make([]int64, m)
 			counts[attr] = int64(count)
 			for _, r := range runs {
@@ -110,6 +110,7 @@ type clusterCounts struct {
 	n       []int32
 	touched []int32
 	es      []it.Entry
+	runs    []relation.Run // the value-index decode buffer
 }
 
 // shares is p(c_t|v) from the tally of v's n_v occurrences, leaving the
@@ -156,6 +157,13 @@ func forAttrs[S any](ctx context.Context, n, m int, fn func(state *S, attr int) 
 		}
 	})
 	return err
+}
+
+// postingScratch is one worker's reusable state in ObjectsColumnsCtx:
+// the value-index decode buffer and a value's expanded tuple list.
+type postingScratch struct {
+	runs   []relation.Run
+	tuples []int32
 }
 
 // expandRuns appends the tuple ids a run list covers, ascending.
