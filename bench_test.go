@@ -31,6 +31,7 @@ import (
 	"structmine/internal/limbo"
 	"structmine/internal/measures"
 	"structmine/internal/relation"
+	"structmine/internal/server"
 	"structmine/internal/store"
 	"structmine/internal/task"
 	"structmine/internal/tuples"
@@ -593,6 +594,64 @@ func BenchmarkColstoreAppend(b *testing.B) {
 		if _, err := colstore.Append(dir, meta, tbl, body, relation.Limits{}, colstore.WriteOptions{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRegisterCSV times one registration of an uploaded CSV body
+// through Registry.RegisterCSV, as POST /v1/datasets runs it: paged is
+// paged_ingest's upload (DBLP 50 000 × ProjectionAttrs(), parsed,
+// written as a .col file to the store and opened), resident is
+// fd_wide's (DBLP 8 000 × 13, parsed and described, no store). Each
+// iteration renames the first attribute in place, so every body is new
+// content of the same length and no registration is a re-registration;
+// every 64 registrations, the default cap, the daemon is replaced
+// outside the timer.
+func BenchmarkRegisterCSV(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		rel   func() *relation.Relation
+		store bool
+	}{
+		{"paged", func() *relation.Relation {
+			return datagen.NewDBLP(datagen.DBLPConfig{
+				Tuples: 50000, Seed: 1, MiscFrac: 129.0 / 50000, JournalFrac: 0.28,
+			}).Project(datagen.ProjectionAttrs())
+		}, true},
+		{"resident", func() *relation.Relation { return benchDBLPAt(b, 8000) }, false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var csv bytes.Buffer
+			if err := tc.rel().WriteCSV(&csv); err != nil {
+				b.Fatal(err)
+			}
+			const digits = 8
+			body := append(make([]byte, digits), csv.Bytes()...) // header cell "<digits><Attr>"
+			var reg *server.Registry
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%64 == 0 { // a fresh daemon before the default dataset cap
+					b.StopTimer()
+					cfg := server.Config{Workers: 1}
+					if tc.store {
+						st, err := store.Open(b.TempDir(), store.Options{})
+						if err != nil {
+							b.Fatal(err)
+						}
+						cfg.Store = st
+					}
+					reg = server.New(cfg).Registry()
+					b.StartTimer()
+				}
+				for j, v := digits-1, i; j >= 0; j, v = j-1, v/10 {
+					body[j] = byte('0' + v%10)
+				}
+				if _, created, err := reg.RegisterCSV("bench", "bench", body); err != nil || !created {
+					b.Fatalf("registration %d: created=%v, %v", i, created, err)
+				}
+			}
+		})
 	}
 }
 

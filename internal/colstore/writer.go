@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"path/filepath"
 
 	"structmine/internal/relation"
@@ -34,13 +35,6 @@ func (o WriteOptions) normalized() WriteOptions {
 	return o
 }
 
-// posting accumulates one value's run-length-compressed tuple postings
-// during the write pass.
-type posting struct {
-	count int
-	runs  []relation.Run
-}
-
 // baseIndex is the value index a written tail extends: rows [0, n)
 // and value ids [0, d) as an earlier file of the lineage encoded them.
 // An append passes the old file's dictionary and index sections, which
@@ -55,12 +49,12 @@ type baseIndex struct {
 }
 
 // writer encodes one .col file from an interned relation: rows arrive
-// one at a time, pages flush stripe by stripe, and the value index
-// accumulates as runs for the rows after the base index's. The writer
-// assigns no ids — names, attributes and the dictionary written to the
-// tail are dict's, whose own rows need not be the rows written (Append
-// writes old pages under the extended dictionary). Beyond dict and the
-// base index, memory is O(m·pageRows + runs).
+// one at a time and pages flush stripe by stripe. The writer assigns no
+// ids — names, attributes and the dictionary written to the tail are
+// dict's, and dict's rows are the rows after the base index's, whose
+// value index finish builds (Append writes old pages, then the appended
+// rows, under the extended dictionary). Beyond dict and the base index,
+// memory is O(m·pageRows) until the index is built.
 type writer struct {
 	f   store.File
 	h   header
@@ -74,32 +68,23 @@ type writer struct {
 	fill int       // rows buffered in the current stripe
 	rows int64     // rows written so far
 
-	post      []posting // by value id, rows from base.n on
-	nullID    []int32   // per attribute, -1 when NULL never occurs
-	nullCount []int     // per attribute, rows from base.n on
+	idx index // dict's value index, built by finish
 
 	scratch []byte
 }
 
 func newWriter(f store.File, h header, meta store.DatasetMeta, dict *relation.Relation, base baseIndex) (*writer, error) {
 	w := &writer{
-		f:         f,
-		h:         h,
-		meta:      meta,
-		dict:      dict,
-		base:      base,
-		cols:      make([][]int32, h.m),
-		post:      make([]posting, h.d),
-		nullID:    make([]int32, h.m),
-		nullCount: make([]int, h.m),
-		scratch:   make([]byte, 0, pageSize(h.pageRows)),
+		f:       f,
+		h:       h,
+		meta:    meta,
+		dict:    dict,
+		base:    base,
+		cols:    make([][]int32, h.m),
+		scratch: make([]byte, 0, pageSize(h.pageRows)),
 	}
 	for a := range w.cols {
 		w.cols[a] = make([]int32, h.pageRows)
-		w.nullID[a] = -1
-		if id, ok := dict.ValueID(a, relation.Null); ok {
-			w.nullID[a] = id
-		}
 	}
 	return w, w.write(encodeHeader(h))
 }
@@ -110,17 +95,14 @@ func (w *writer) write(b []byte) error {
 	return err
 }
 
-// writeRow appends one tuple's value ids, flushing a full stripe. A row
-// the base index already holds goes to its page only.
+// writeRow appends one tuple's value ids to its pages, flushing a full
+// stripe.
 func (w *writer) writeRow(row []int32) error {
 	if w.rows >= w.h.n {
 		return fmt.Errorf("colstore: more than the declared %d rows", w.h.n)
 	}
 	for a, v := range row {
 		w.cols[a][w.fill] = v
-	}
-	if w.rows >= w.base.n {
-		w.index(row)
 	}
 	w.rows++
 	w.fill++
@@ -130,21 +112,81 @@ func (w *writer) writeRow(row []int32) error {
 	return nil
 }
 
-// index adds the row being written to its values' postings.
-func (w *writer) index(row []int32) {
-	t := int32(w.rows)
-	for a, v := range row {
-		p := &w.post[v]
-		p.count++
-		if k := len(p.runs); k > 0 && p.runs[k-1].Start+p.runs[k-1].Len == t {
-			p.runs[k-1].Len++
-		} else {
-			p.runs = append(p.runs, relation.Run{Start: t, Len: 1})
-		}
-		if v == w.nullID[a] {
-			w.nullCount[a]++
+// index is the value index of the rows a write adds, built in two
+// passes over their ids into one flat run array: the first counts each
+// value's cells and runs, the second fills the runs. A value's slot in
+// the tables is its id's rank among the ids the rows hold, so the
+// tables are as large as the values the rows touch — for an append,
+// not the whole dictionary.
+type index struct {
+	held  []uint64 // bit v is set when the rows hold value v
+	rank  []int32  // set bits of held before word w
+	count []int32  // cells per slot
+	off   []int32  // slot s's runs are runs[off[s]:off[s+1]]
+	runs  []relation.Run
+}
+
+// buildIndex indexes rel's rows, whose ids are below d, as rows t0 on
+// of a file.
+func buildIndex(rel *relation.Relation, t0 int64, d int) index {
+	x := index{held: make([]uint64, (d+63)/64)}
+	for t := 0; t < rel.N(); t++ {
+		for _, v := range rel.Row(t) {
+			x.held[v>>6] |= 1 << (v & 63)
 		}
 	}
+	x.rank = make([]int32, len(x.held))
+	k := 0
+	for i, word := range x.held {
+		x.rank[i] = int32(k)
+		k += bits.OnesCount64(word)
+	}
+	x.count = make([]int32, k)
+	x.off = make([]int32, k+1)
+	last := make([]int32, k) // pass 1: the last row counted; pass 2: the next run
+	for t := int32(0); t < int32(rel.N()); t++ {
+		for _, v := range rel.Row(int(t)) {
+			s := x.slot(v)
+			if x.count[s] == 0 || last[s] != t-1 {
+				x.off[s+1]++
+			}
+			x.count[s]++
+			last[s] = t
+		}
+	}
+	for s := range k {
+		x.off[s+1] += x.off[s]
+	}
+	x.runs = make([]relation.Run, x.off[k])
+	copy(last, x.off)
+	for t := int32(0); t < int32(rel.N()); t++ {
+		row := int32(t0) + t
+		for _, v := range rel.Row(int(t)) {
+			s := x.slot(v)
+			if i := last[s] - 1; i >= x.off[s] && x.runs[i].Start+x.runs[i].Len == row {
+				x.runs[i].Len++
+			} else {
+				x.runs[i+1] = relation.Run{Start: row, Len: 1}
+				last[s]++
+			}
+		}
+	}
+	return x
+}
+
+// slot is the rank of value v among the held ids; v must be held.
+func (x *index) slot(v int32) int32 {
+	w := v >> 6
+	return x.rank[w] + int32(bits.OnesCount64(x.held[w]&(1<<(v&63)-1)))
+}
+
+// postings returns value v's cell count and runs.
+func (x *index) postings(v int32) (int, []relation.Run) {
+	if x.held[v>>6]&(1<<(v&63)) == 0 {
+		return 0, nil
+	}
+	s := x.slot(v)
+	return int(x.count[s]), x.runs[x.off[s]:x.off[s+1]]
 }
 
 func (w *writer) flushStripe() error {
@@ -176,6 +218,7 @@ func (w *writer) finish() error {
 	if want := w.h.dataEnd(); w.off != want {
 		return fmt.Errorf("colstore: page section ends at %d, expected %d", w.off, want)
 	}
+	w.idx = buildIndex(w.dict, w.base.n, w.h.d)
 	tail, err := w.encodeTail()
 	if err != nil {
 		return err
@@ -215,7 +258,11 @@ func (w *writer) encodeTail() ([]byte, error) {
 	for _, a := range w.dict.Attrs {
 		appendString(a)
 	}
-	for a, c := range w.nullCount {
+	for a := 0; a < w.h.m; a++ {
+		c := 0
+		if id, ok := w.dict.ValueID(a, relation.Null); ok {
+			c, _ = w.idx.postings(id)
+		}
 		if w.base.nulls != nil {
 			c += w.base.nulls[a]
 		}
@@ -292,12 +339,11 @@ func (w *writer) spliceSection(buf, old []byte, newIDs []int32) ([]byte, error) 
 			lastDelta, lastLen = d, ln
 			end += int64(d + ln)
 		}
-		p := &w.post[v]
-		if p.count == 0 {
+		added, runs := w.idx.postings(int32(v))
+		if added == 0 {
 			buf = append(buf, old[from:r.off]...)
 			continue
 		}
-		runs := p.runs
 		merge := nr > 0 && end == w.base.n && int64(runs[0].Start) == end
 		newNR := nr + len(runs)
 		if merge {
@@ -306,7 +352,7 @@ func (w *writer) spliceSection(buf, old []byte, newIDs []int32) ([]byte, error) 
 			runs, newNR = runs[1:], newNR-1
 		}
 		buf = binary.AppendUvarint(buf, uint64(delta))
-		buf = binary.AppendUvarint(buf, count+uint64(p.count))
+		buf = binary.AppendUvarint(buf, count+uint64(added))
 		buf = binary.AppendUvarint(buf, uint64(newNR))
 		if nr > 0 {
 			buf = append(buf, old[runsFrom:lastFrom]...)
@@ -316,12 +362,12 @@ func (w *writer) spliceSection(buf, old []byte, newIDs []int32) ([]byte, error) 
 		buf = appendRuns(buf, runs, int32(end))
 	}
 	for _, v := range newIDs {
-		p := &w.post[v]
+		count, runs := w.idx.postings(v)
 		buf = binary.AppendUvarint(buf, uint64(int64(v)-prev))
 		prev = int64(v)
-		buf = binary.AppendUvarint(buf, uint64(p.count))
-		buf = binary.AppendUvarint(buf, uint64(len(p.runs)))
-		buf = appendRuns(buf, p.runs, 0)
+		buf = binary.AppendUvarint(buf, uint64(count))
+		buf = binary.AppendUvarint(buf, uint64(len(runs)))
+		buf = appendRuns(buf, runs, 0)
 	}
 	return buf, nil
 }

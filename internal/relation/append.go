@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"maps"
@@ -25,6 +24,17 @@ var ErrShapeMismatch = errors.New("relation: append header does not match the da
 // that has outgrown half of its base is folded into a fresh base by the
 // next Extend. Sharing freezes r: do not add to a relation once extended.
 func (r *Relation) Extend(rows [][]string) (*Relation, error) {
+	b := r.extend()
+	for i, vals := range rows {
+		if err := b.Add(vals); err != nil {
+			return nil, fmt.Errorf("relation: appended row %d: %w", i+1, err)
+		}
+	}
+	return b.r, nil
+}
+
+// extend starts the relation Extend returns, with no rows added yet.
+func (r *Relation) extend() *Builder {
 	nr := &Relation{
 		Name:      r.Name,
 		Attrs:     r.Attrs,
@@ -54,23 +64,18 @@ func (r *Relation) Extend(rows [][]string) (*Relation, error) {
 			nr.dict[r.valueAttr[id]][s] = int32(id)
 		}
 	}
-	b := &Builder{r: nr}
-	for i, vals := range rows {
-		if err := b.Add(vals); err != nil {
-			return nil, fmt.Errorf("relation: appended row %d: %w", i+1, err)
-		}
-	}
-	return nr, nil
+	return &Builder{r: nr, from: len(nr.rows)}
 }
 
 // AppendCSV parses a header-first CSV body whose header must equal r's
 // schema exactly (same attribute names, same order) and returns a new
-// relation extending r with the body's rows. The row count of the body
-// is returned alongside; lim bounds the parse of the body itself.
+// relation extending r with the body's rows, scanned as ParseCSV scans
+// a body. The row count of the body is returned alongside; lim bounds
+// the parse of the body itself.
 // Header disagreement fails with an error wrapping ErrShapeMismatch.
 func AppendCSV(r *Relation, data []byte, lim Limits) (*Relation, int, error) {
-	var rows [][]string
-	err := ScanCSV(bytes.NewReader(data), lim, func(header []string) error {
+	var b *Builder
+	err := scanCSV(newRecords(data), lim, func(header []string) error {
 		if len(header) != len(r.Attrs) {
 			return fmt.Errorf("%w: body has %d attributes, dataset has %d",
 				ErrShapeMismatch, len(header), len(r.Attrs))
@@ -81,17 +86,11 @@ func AppendCSV(r *Relation, data []byte, lim Limits) (*Relation, int, error) {
 					ErrShapeMismatch, i+1, a, r.Attrs[i])
 			}
 		}
+		b = r.extend()
 		return nil
-	}, func(line int, rec []string) error {
-		rows = append(rows, append([]string(nil), rec...))
-		return nil
-	})
+	}, func(fields [][]byte, strs []string) { b.addRecord(fields, strs) })
 	if err != nil {
 		return nil, 0, err
 	}
-	nr, err := r.Extend(rows)
-	if err != nil {
-		return nil, 0, err
-	}
-	return nr, len(rows), nil
+	return b.r, b.r.N() - r.N(), nil
 }

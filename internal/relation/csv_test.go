@@ -1,9 +1,34 @@
 package relation
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// A body of one row and a megabyte of empty lines, valid or ending in a
+// ragged record, costs what one row costs: rows are allocated as
+// records arrive, never sized from the body's length.
+func TestParseCSVBlankLinesAllocateOneRow(t *testing.T) {
+	blank := bytes.Repeat([]byte{'\n'}, 1<<20)
+	for _, tail := range []string{"", "1\n"} {
+		body := append(append([]byte("A,B\n1,2\n"), blank...), tail...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rel, err := ParseCSV("blank", body, Limits{})
+		runtime.ReadMemStats(&after)
+		if tail == "" && (err != nil || rel.N() != 1 || cap(rel.rows) > 4) {
+			t.Fatalf("valid body: err %v, rel %+v", err, rel)
+		}
+		if tail != "" && err == nil {
+			t.Fatal("ragged last record accepted")
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("tail %q: parse allocated %d bytes for one row", tail, got)
+		}
+	}
+}
 
 func TestReadCSVRejectsDuplicateHeader(t *testing.T) {
 	_, err := ReadCSV("dup", strings.NewReader("A,B,A\n1,2,3\n"))

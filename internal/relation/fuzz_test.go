@@ -112,3 +112,40 @@ func FuzzAppendCSV(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseCSV: ParseCSV, which splits a quote-free body in place, and
+// ReadCSVLimited over the same bytes, which always reads them with
+// encoding/csv, give reflect.DeepEqual relations or the same error
+// text, under any limits. The seeds are the cases the in-place split
+// must read as encoding/csv does: empty lines anywhere, no final
+// newline, a lone header, a quote or a "\r" that sends the body to
+// encoding/csv, an empty field in a one-column CSV, a ragged row, and
+// each limit at and one below the input's own size.
+func FuzzParseCSV(f *testing.F) {
+	const body = "A,B\n1,\n\n2,x\n"
+	for _, s := range []string{
+		"\n\nA,B\n1,2\n", "A,B\n\n\n1,2\n\n3,4\n", "A,B\n1,2\n\n\n", "A,B\n1,2",
+		"A,B\n", "A,B", "A,B\n1,2\n3,\"4\"\n", "A,B\r\n1,2\r\n", "A,B\n1,2\r",
+		"A\n\n1\n,\n\"\"\n", "A\n1\n\n2\n", "A,B\n1,2,3\n", "A,B\n1\n", "",
+	} {
+		f.Add([]byte(s), uint8(0), uint8(0), uint16(0))
+	}
+	for _, k := range []int{0, 1} {
+		f.Add([]byte(body), uint8(3-k), uint8(0), uint16(0))                // MaxRows
+		f.Add([]byte(body), uint8(0), uint8(2-k), uint16(0))                // MaxFields
+		f.Add([]byte(body), uint8(0), uint8(0), uint16(len(body)-k))        // MaxBytes
+		f.Add([]byte(body), uint8(0), uint8(0), uint16(len("A,B\n")-k))     // the header's bytes
+		f.Add([]byte(body), uint8(0), uint8(0), uint16(len("A,B\n1,\n")-k)) // the first row's
+	}
+	f.Fuzz(func(t *testing.T, data []byte, rows, fields uint8, maxBytes uint16) {
+		lim := Limits{MaxRows: int(rows), MaxFields: int(fields), MaxBytes: int64(maxBytes)}
+		got, err := ParseCSV("fuzz", data, lim)
+		want, werr := ReadCSVLimited("fuzz", bytes.NewReader(data), lim)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("ParseCSV: %v\nencoding/csv: %v", err, werr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("ParseCSV and encoding/csv disagree:\ngot  %+v\nwant %+v", got, want)
+		}
+	})
+}

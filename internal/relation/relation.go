@@ -12,7 +12,10 @@
 // precisely because co-occurring NULLs correlate attributes.
 package relation
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Null is the canonical representation of a missing value.
 const Null = "NULL"
@@ -39,8 +42,13 @@ type Relation struct {
 
 // Builder accumulates tuples for a Relation.
 type Builder struct {
-	r *Relation
+	r    *Relation
+	from int     // rows the relation held when the builder started
+	slab []int32 // the unused rest of the slab rows are carved from
 }
+
+// slabRows caps the rows of one slab.
+const slabRows = 4096
 
 // NewBuilder starts a relation with the given attribute names.
 func NewBuilder(name string, attrs []string) *Builder {
@@ -61,15 +69,53 @@ func (b *Builder) Add(vals []string) error {
 	if len(vals) != len(b.r.Attrs) {
 		return fmt.Errorf("relation: tuple has %d values, schema has %d attributes", len(vals), len(b.r.Attrs))
 	}
-	row := make([]int32, len(vals))
+	row := b.row()
 	for a, s := range vals {
 		if s == "" {
 			s = Null
 		}
 		row[a] = b.r.intern(a, s)
 	}
-	b.r.rows = append(b.r.rows, row)
 	return nil
+}
+
+// addRecord is Add for a scanned record, whose length the scan checked:
+// encoding/csv's strings, or fields of a quote-free body. A field is
+// looked up without allocating, so only a new value's string is
+// allocated and no string pins the body.
+func (b *Builder) addRecord(fields [][]byte, strs []string) {
+	if strs != nil {
+		b.Add(strs)
+		return
+	}
+	row := b.row()
+	for a, f := range fields {
+		if len(f) == 0 {
+			row[a] = b.r.intern(a, Null)
+		} else {
+			row[a] = b.r.internBytes(a, f)
+		}
+	}
+}
+
+// row appends a row to the relation and returns it to be filled. Rows
+// are carved from a slab as large as the rows added so far (at most
+// slabRows), so a bulk parse makes a few dozen allocations and a
+// one-row Extend one row's. A full row table grows by at least the rows
+// added so far too: a parse doubles it, where append would grow a large
+// one by a quarter and copy it more often.
+func (b *Builder) row() []int32 {
+	m := len(b.r.Attrs)
+	if len(b.slab) < m || b.slab == nil { // nil: with m = 0 a row is empty, not nil
+		b.slab = make([]int32, m*min(max(len(b.r.rows)-b.from, 1), slabRows))
+	}
+	row := b.slab[:m:m]
+	b.slab = b.slab[m:]
+	if len(b.r.rows) == cap(b.r.rows) {
+		b.r.rows = slices.Grow(b.r.rows, len(b.r.rows)-b.from)
+	}
+	b.r.rows = append(b.r.rows, row)
+	return row
 }
 
 // MustAdd is Add that panics on schema mismatch; for generators and tests.
@@ -87,6 +133,25 @@ func (r *Relation) intern(attr int, s string) int32 {
 	if id, ok := r.ValueID(attr, s); ok {
 		return id
 	}
+	return r.add(attr, s)
+}
+
+// internBytes is intern for a field's bytes. Indexing a map with
+// string(f) does not allocate.
+func (r *Relation) internBytes(attr int, f []byte) int32 {
+	if id, ok := r.dict[attr][string(f)]; ok {
+		return id
+	}
+	if r.over != nil {
+		if id, ok := r.over[attr][string(f)]; ok {
+			return id
+		}
+	}
+	return r.add(attr, string(f))
+}
+
+// add interns s as attribute attr's next value.
+func (r *Relation) add(attr int, s string) int32 {
 	id := int32(len(r.valueStr))
 	if r.over != nil {
 		r.over[attr][s] = id

@@ -172,6 +172,7 @@ type Runner struct {
 	cond     *sync.Cond // signals workers when a job is queued or drain starts
 	jobs     map[string]*Job
 	order    []string
+	unsorted bool // q.order may be out of id order (see appendOrderLocked)
 	seq      int
 	idPrefix string // "job-", or "job-<node tag>-" in router mode
 	draining bool
@@ -266,7 +267,7 @@ func (q *Runner) Preload(records [][]byte) {
 		}
 		job.renderLocked()
 		q.jobs[jr.ID] = job
-		q.order = append(q.order, jr.ID)
+		q.appendOrderLocked(jr.ID)
 		if n, err := strconv.Atoi(jr.ID[strings.LastIndexByte(jr.ID, '-')+1:]); err == nil && n > q.seq {
 			q.seq = n
 		}
@@ -342,7 +343,7 @@ func (q *Runner) SubmitAs(tenant string, priority Priority, datasetID, taskName 
 		cancel()
 		job.renderLocked()
 		q.jobs[job.id] = job
-		q.order = append(q.order, job.id)
+		q.appendOrderLocked(job.id)
 		q.pruneLocked()
 		snap, rec := job.snapshotLocked(), job.recordLocked()
 		q.mu.Unlock()
@@ -376,7 +377,7 @@ func (q *Runner) SubmitAs(tenant string, priority Priority, datasetID, taskName 
 	q.cond.Signal()
 	job.renderLocked()
 	q.jobs[job.id] = job
-	q.order = append(q.order, job.id)
+	q.appendOrderLocked(job.id)
 	q.pruneLocked()
 	snap := job.snapshotLocked()
 	q.mu.Unlock()
@@ -390,6 +391,12 @@ func (q *Runner) releaseQuotaLocked(job *Job) {
 		job.quotaHeld = false
 		q.tenants.releaseJob(job.tenant)
 	}
+}
+
+// appendOrderLocked adds id to q.order, noting when it breaks id order.
+func (q *Runner) appendOrderLocked(id string) {
+	q.unsorted = q.unsorted || len(q.order) > 0 && id < q.order[len(q.order)-1]
+	q.order = append(q.order, id)
 }
 
 // pruneLocked drops the oldest terminal job records once the retention
@@ -644,7 +651,7 @@ func (q *Runner) Result(id string) (json.RawMessage, Snapshot, bool) {
 // cursor = from the start), the cursor addressing the next page ("" on
 // the last page), and the retained total. Ids are zero-padded sequence
 // numbers behind one per-node prefix, so lexicographic order is usually
-// submission order and the page is cut from q.order in place; only when
+// submission order and the page is cut from q.order in place; only while
 // it is not (recovered ids behind another prefix, a sequence past six
 // digits) are the ids copied and sorted. Either way a cursor stays
 // stable while jobs are submitted or pruned around it.
@@ -652,7 +659,7 @@ func (q *Runner) Page(cursor string, limit int) (views [][]byte, next string, to
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	ids := q.order
-	if !slices.IsSorted(ids) {
+	if q.unsorted = q.unsorted && !slices.IsSorted(ids); q.unsorted {
 		ids = slices.Clone(ids)
 		slices.Sort(ids)
 	}

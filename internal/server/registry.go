@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -225,8 +224,6 @@ func contentHash(data []byte) string {
 // registerCSV is RegisterCSV for bytes whose contentHash the caller has
 // already computed (the upload handler routes on it first).
 func (g *Registry) registerCSV(name, source string, data []byte, hash string) (ds *Dataset, created bool, err error) {
-	size := int64(len(data))
-
 	// Answer a re-registration, and refuse at the cap, before paying for
 	// the parse; writeMu below makes the same check final.
 	if prior, err := g.admit(hash); prior != nil || err != nil {
@@ -235,7 +232,7 @@ func (g *Registry) registerCSV(name, source string, data []byte, hash string) (d
 	if name == "" {
 		name = "dataset-" + hash[:shortIDLen]
 	}
-	rel, err := relation.ReadCSVLimited(name, bytes.NewReader(data), g.lim)
+	rel, err := relation.ParseCSV(name, data, g.lim)
 	if err != nil {
 		return nil, false, err
 	}
@@ -254,7 +251,7 @@ func (g *Registry) registerCSV(name, source string, data []byte, hash string) (d
 	g.mu.RUnlock()
 	if g.st == nil {
 		ds = &Dataset{
-			ID: id, Name: name, Hash: hash, Source: source, Bytes: size,
+			ID: id, Name: name, Hash: hash, Source: source, Bytes: int64(len(data)),
 			Storage: StorageResident, Summary: summary, rel: rel,
 		}
 	} else {
@@ -264,7 +261,7 @@ func (g *Registry) registerCSV(name, source string, data []byte, hash string) (d
 		// held across the write — lookups go on — and nothing can enter
 		// this hash or fill the registry meanwhile: every insert takes
 		// writeMu.
-		meta := store.DatasetMeta{Hash: hash, Name: name, Source: source, Bytes: size, ID: id}
+		meta := store.DatasetMeta{Hash: hash, Name: name, Source: source, Bytes: int64(len(data)), ID: id}
 		dir, err := g.st.ColstoreDir()
 		var path string
 		if err == nil {

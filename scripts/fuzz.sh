@@ -2,8 +2,11 @@
 # The fuzz leg: each native fuzz target mutates for FUZZTIME, starting
 # from its committed seeds (testdata/fuzz/, which plain `go test` already
 # replays as unit tests) — the one CSV parser behind registrations and
-# append bodies on both storage tiers, the .col file reader, an append's
-# spliced .col file against a fresh write of the same rows, the codec
+# append bodies on both storage tiers, its in-place split of a body with
+# no quote and no carriage return against encoding/csv's parse of the
+# same bytes (same relation or same error text, under any limits), the
+# .col file reader, an append's spliced .col file against a fresh write
+# of the same rows, the codec
 # of what jobs leave each other in the artifact cache (the FD state
 # delta re-mining resumes), the store's boot recovery over append intents,
 # artifact envelopes and the job journal, the job-submit parameters'
@@ -46,7 +49,8 @@ fuzztime=${1:-10s}
 untracked() { git ls-files --others --exclude-standard -- "$1" 2>/dev/null || true; }
 
 failed=()
-for target in internal/relation:FuzzReadCSV internal/relation:FuzzAppendCSV internal/colstore:FuzzOpen \
+for target in internal/relation:FuzzReadCSV internal/relation:FuzzAppendCSV internal/relation:FuzzParseCSV \
+  internal/colstore:FuzzOpen \
   internal/colstore:FuzzAppend internal/fd:FuzzDecodeState \
   internal/store:FuzzRecover internal/task:FuzzParams internal/fd:FuzzGroupBy internal/limbo:FuzzGroupZero \
   internal/limbo:FuzzCountTree \
