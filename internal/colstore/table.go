@@ -245,7 +245,7 @@ func (t *Table) parseTail(tail []byte) error {
 		if total != t.h.n {
 			return fmt.Errorf("%w: attribute %d postings cover %d of %d tuples", ErrCorrupt, a, total, t.h.n)
 		}
-		t.marginals[a] = relation.MarginalOfCounts(counts, int(t.h.n), t.h.m)
+		t.marginals[a] = relation.MarginalOfCounts(counts, int(t.h.n))
 	}
 	t.attrIndexOff[t.h.m] = r.off
 	if assigned != t.h.d {

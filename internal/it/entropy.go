@@ -2,6 +2,7 @@ package it
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -47,26 +48,19 @@ func EntropyDense(p []float64) float64 {
 	return h
 }
 
-// EntropyCounts returns the entropy of the empirical distribution induced
-// by non-negative counts (each count divided by the total). A total of
-// zero yields zero entropy.
-func EntropyCounts(counts []int) float64 {
-	total := 0
+// NH is the count-entropy kernel: n·H in bits of n items split into
+// classes of the given sizes, F(n) − Σ F(c) with F = XLog2. It sorts
+// counts in place and sums them in ascending order, so the result
+// depends only on the multiset, and one class of n gives exactly 0. A
+// class of one adds F(1) = 0, so callers may leave singletons out of
+// counts; they still count in n, which the caller passes.
+func NH(n int, counts []int) float64 {
+	slices.Sort(counts)
+	s := 0.0
 	for _, c := range counts {
-		total += c
+		s += XLog2(float64(c))
 	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	n := float64(total)
-	for _, c := range counts {
-		if c > 0 {
-			p := float64(c) / n
-			h -= p * log2(p)
-		}
-	}
-	return h
+	return XLog2(float64(n)) - s
 }
 
 // JointDist is a discrete joint distribution over (X, T) given as rows:

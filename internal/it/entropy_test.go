@@ -3,6 +3,7 @@ package it
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -36,19 +37,146 @@ func TestEntropyDense(t *testing.T) {
 	}
 }
 
-func TestEntropyCounts(t *testing.T) {
-	if h := EntropyCounts([]int{1, 1, 1, 1}); !almostEqual(h, 2, 1e-12) {
-		t.Fatalf("H(counts uniform 4) = %v", h)
+// TestNH: n·H over class counts on the cases H is known for, a left-out
+// singleton included.
+func TestNH(t *testing.T) {
+	for _, c := range []struct {
+		n      int
+		counts []int
+		h      float64
+	}{
+		{4, []int{1, 1, 1, 1}, 2},
+		{5, []int{5}, 0},
+		{4, []int{3, 1}, 0.8112781244591328}, // H(3/4, 1/4)
+		{4, []int{3}, 0.8112781244591328},    // the singleton left out
+	} {
+		if h := NH(c.n, c.counts) / float64(c.n); !almostEqual(h, c.h, 1e-12) {
+			t.Errorf("NH(%d, %v)/n = %v, want %v", c.n, c.counts, h, c.h)
+		}
 	}
-	if h := EntropyCounts([]int{5}); !almostEqual(h, 0, 1e-12) {
-		t.Fatalf("H(single) = %v", h)
+	if nh := NH(0, nil); nh != 0 {
+		t.Errorf("NH(0, nil) = %v", nh)
 	}
-	if h := EntropyCounts(nil); h != 0 {
-		t.Fatalf("H(empty) = %v", h)
+}
+
+// plogp is −Σ p·log₂p over counts in input order, p = c/Σ c: the
+// textbook form, sharing no arithmetic with NH.
+func plogp(counts []int) float64 {
+	n := 0
+	for _, c := range counts {
+		n += c
 	}
-	// Skewed: H(3/4,1/4) = 0.811278...
-	if h := EntropyCounts([]int{3, 1}); !almostEqual(h, 0.8112781244591328, 1e-12) {
-		t.Fatalf("H(3,1) = %v", h)
+	h := 0.0
+	for _, c := range counts {
+		p := float64(c) / float64(n)
+		h -= p * math.Log2(p)
+	}
+	return h
+}
+
+// randomCounts is a multiset of 1–300 class sizes in [1, 2^s] for a
+// random scale s < 20, and its total.
+func randomCounts(r *rand.Rand) ([]int, int) {
+	counts, n := make([]int, 1+r.Intn(300)), 0
+	scale := 1 << r.Intn(20)
+	for i := range counts {
+		counts[i] = 1 + r.Intn(scale)
+		n += counts[i]
+	}
+	return counts, n
+}
+
+// TestPropNHPermutationInvariant: NH's bits depend only on the multiset
+// of counts — every permutation of small multisets, and seeded shuffles
+// of large ones.
+func TestPropNHPermutationInvariant(t *testing.T) {
+	r := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 200; trial++ {
+		counts, n := randomCounts(r)
+		if trial%2 == 0 {
+			counts = counts[:min(len(counts), 1+r.Intn(6))]
+			n = 0
+			for _, c := range counts {
+				n += c
+			}
+		}
+		want := math.Float64bits(NH(n, slices.Clone(counts)))
+		check := func(perm []int) {
+			if got := math.Float64bits(NH(n, slices.Clone(perm))); got != want {
+				t.Fatalf("NH(%d, %v) = %x, want %x", n, perm, got, want)
+			}
+		}
+		if len(counts) <= 6 {
+			permute(counts, len(counts), check)
+			continue
+		}
+		for range 20 {
+			r.Shuffle(len(counts), func(i, j int) { counts[i], counts[j] = counts[j], counts[i] })
+			check(counts)
+		}
+	}
+}
+
+// permute calls f on every permutation of a[:k] (Heap's algorithm).
+func permute(a []int, k int, f func([]int)) {
+	if k <= 1 {
+		f(a)
+		return
+	}
+	for i := 0; i < k; i++ {
+		permute(a, k-1, f)
+		if k%2 == 0 {
+			a[i], a[k-1] = a[k-1], a[i]
+		} else {
+			a[0], a[k-1] = a[k-1], a[0]
+		}
+	}
+}
+
+// TestPropNHOneClassIsZero: a single class of every item is exactly 0
+// bits, whatever n.
+func TestPropNHOneClassIsZero(t *testing.T) {
+	if err := quick.Check(func(n uint32) bool { return NH(int(n), []int{int(n)}) == 0 }, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPropNHSingletonsAddNothing: classes of one item add F(1) = 0, so
+// appending them leaves NH's bits unchanged for the same n.
+func TestPropNHSingletonsAddNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 500; trial++ {
+		counts, n := randomCounts(r)
+		ones := r.Intn(100)
+		want := NH(n+ones, slices.Clone(counts))
+		for range ones {
+			counts = append(counts, 1)
+		}
+		if got := NH(n+ones, counts); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("NH with %d ones appended = %v, without %v", ones, got, want)
+		}
+	}
+}
+
+// TestPropNHMatchesPLogP: NH/n agrees with the textbook −Σ p·log₂p to
+// 1e-12 relative on random multisets. A split as skewed as {n−1, 1}
+// loses digits in both forms — F(n) − F(n−1) cancels, and log₂p is
+// taken of p next to 1 — so there the two agree only to a few ulps of
+// log₂n absolute (4e-11 relative at n = 10⁶).
+func TestPropNHMatchesPLogP(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 2000; trial++ {
+		counts, n := randomCounts(r)
+		want := plogp(counts)
+		if got := NH(n, counts) / float64(n); math.Abs(got-want) > 1e-12*want {
+			t.Fatalf("NH/n = %v, −Σ p·log₂p = %v over %d classes of %d", got, want, len(counts), n)
+		}
+	}
+	for _, n := range []int{2, 10, 1000, 1 << 20, 1 << 40} {
+		want := plogp([]int{n - 1, 1})
+		if got := NH(n, []int{n - 1, 1}) / float64(n); math.Abs(got-want) > 8*0x1p-52*math.Log2(float64(n)) {
+			t.Errorf("{%d, 1}: NH/n = %v, −Σ p·log₂p = %v", n-1, got, want)
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ type countKernel struct {
 	w  float64   // mass per object, p(t)
 	p  float64   // conditional mass per coordinate, p(v|t)
 	s0 float64   // w·p: the mass an object puts on each coordinate
-	f  []float64 // f[k] = F(k) = k·log₂k
+	f  []float64 // f[k] = F(k) = it.XLog2(k), deltaObj's and delta's memo
 }
 
 // countKernelFor returns the count kernel of objs, or nil when they do
@@ -72,15 +72,6 @@ func (k *countKernel) grow(n int) {
 	for x := len(k.f); x <= n; x++ {
 		k.f = append(k.f, it.XLog2(float64(x)))
 	}
-}
-
-// F is k·log₂k from the table, computed directly past its end (the
-// totals m·N of the information sums).
-func (k *countKernel) F(x int) float64 {
-	if x < len(k.f) {
-		return k.f[x]
-	}
-	return it.XLog2(float64(x))
 }
 
 // load puts an object's coordinates into the per-insert context.
@@ -487,31 +478,36 @@ func tally(cs []coordCount) []coordCount {
 
 // info is I(C;V) in bits of a clustering given as count vectors — each
 // cluster's size N_c and its (coordinate, count) pairs in ascending
-// coordinate order:
+// coordinate order — on the count-entropy kernel:
 //
-//	I = ( Σ_{c,v} F(a_cv) − Σ_c F(m·N_c) − Σ_v F(a_v) + F(n·m) ) / (n·m),
+//	I·n·m = NH(n·m; a_v) − Σ_c NH(m·N_c; a_cv),
 //
 // with the marginal a_v summed in integers. Both partition quantities
-// (the leaves' and Phase 3's) come from here, on one F table.
+// (the leaves' and Phase 3's) come from here.
 func (k *countKernel) info(sizes []int, clusters [][]coordCount) float64 {
-	joint, n := 0.0, 0
+	cond, n := 0.0, 0
 	var all []coordCount
+	var buf []int
 	for c, counts := range clusters {
-		for _, e := range counts {
-			joint += k.F(int(e.a))
-		}
-		joint -= k.F(k.m * sizes[c])
+		buf = countsOf(buf, counts)
+		cond += it.NH(k.m*sizes[c], buf)
 		n += sizes[c]
 		all = append(all, counts...)
 	}
 	if n == 0 {
 		return 0
 	}
-	for _, e := range tally(all) {
-		joint -= k.F(int(e.a))
-	}
 	nm := n * k.m
-	return max(0, (joint+k.F(nm))/float64(nm)) // rounding below an exact 0
+	return max(0, (it.NH(nm, countsOf(buf, tally(all)))-cond)/float64(nm)) // rounding below an exact 0
+}
+
+// countsOf puts the counts of cs into buf[:0].
+func countsOf(buf []int, cs []coordCount) []int {
+	buf = buf[:0]
+	for _, e := range cs {
+		buf = append(buf, int(e.a))
+	}
+	return buf
 }
 
 // StreamTreeCtx builds a Phase 1 tree over a batch of objects, inserted

@@ -15,7 +15,6 @@ package measures
 import (
 	"context"
 	"math"
-	"slices"
 
 	"structmine/internal/fd"
 	"structmine/internal/it"
@@ -31,11 +30,11 @@ type Measures struct {
 
 // OfSets measures the attribute set attrs on the job's kernel over the
 // instance: the multiplicities of the projected rows — Π_CA's class
-// sizes and its singletons — give H(Π_CA(T)) for RAD and RADw, and their
-// number is n' for RTR. The entropy sums the counts in descending order,
-// a canonical one, so the measures are bit-identical across Columns
-// implementations. A relation of at most one tuple, an empty set and a
-// relation without attributes measure 0.
+// sizes, its singletons adding nothing — give H(Π_CA(T)) = it.NH/n for
+// RAD and RADw, and the classes plus the singletons are n' for RTR.
+// it.NH sums in a canonical order, so the measures are bit-identical
+// across Columns implementations. A relation of at most one tuple, an
+// empty set and a relation without attributes measure 0.
 func OfSets(s *fd.Sets, attrs []int) (Measures, error) {
 	n, m := s.Columns().N(), s.Columns().M()
 	if n <= 1 || len(attrs) == 0 || m == 0 {
@@ -45,16 +44,11 @@ func OfSets(s *fd.Sets, attrs []int) (Measures, error) {
 	if err != nil {
 		return Measures{}, err
 	}
-	slices.Sort(counts)
-	slices.Reverse(counts)
-	for range singletons {
-		counts = append(counts, 1)
-	}
-	h, logN := it.EntropyCounts(counts), math.Log2(float64(n))
+	h, logN := it.NH(n, counts)/float64(n), math.Log2(float64(n))
 	return Measures{
 		RAD:  1 - h/logN,
 		RADw: 1 - h*float64(len(attrs))/float64(m)/logN,
-		RTR:  1 - float64(len(counts))/float64(n),
+		RTR:  1 - float64(len(counts)+singletons)/float64(n),
 	}, nil
 }
 

@@ -89,7 +89,7 @@ func (s marginalSource) Marginal(int) (relation.AttrMarginal, error) { return s.
 // TestWrapForwardsMarginals: a wrapped source that holds its marginals
 // (a colstore table) serves them, uncomputed and uncached.
 func TestWrapForwardsMarginals(t *testing.T) {
-	src := marginalSource{Columns: testColumns(t), mg: relation.AttrMarginal{HV: 1.5, EntropyBits: 2.5, Distinct: 7}}
+	src := marginalSource{Columns: testColumns(t), mg: relation.AttrMarginal{EntropyBits: 2.5, Distinct: 7}}
 	cache := New(1 << 20)
 	mg, err := Wrap(src, "h", 0, cache).Marginal(0)
 	if err != nil {

@@ -182,19 +182,14 @@ func scanCSV(src *records, lim Limits, onHeader func(header []string) error, onR
 	}
 }
 
-// ReadCSVFile opens and parses a CSV file.
+// ReadCSVFile reads a CSV file and parses it with ParseCSV, the split a
+// registration takes.
 func ReadCSVFile(path string) (*Relation, error) {
-	return ReadCSVFileLimited(path, Limits{})
-}
-
-// ReadCSVFileLimited opens and parses a CSV file under the given limits.
-func ReadCSVFileLimited(path string, lim Limits) (*Relation, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadCSVLimited(path, f, lim)
+	return ParseCSV(path, data, Limits{})
 }
 
 // WriteCSV serializes the relation with a header row. NULLs are written

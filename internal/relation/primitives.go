@@ -1,11 +1,6 @@
 package relation
 
-import (
-	"math"
-	"slices"
-
-	"structmine/internal/it"
-)
+import "structmine/internal/it"
 
 // This file holds the single-attribute primitives every miner rederives
 // per submission — stripped partitions (TANE level 1) and marginal
@@ -48,12 +43,9 @@ func StrippedPartition(c Columns, a int, elems, offs []int32, runs *[]Run) ([]in
 }
 
 // AttrMarginal is the per-attribute entropy summary describe derives
-// from the value index. HV is the attribute's contribution to H(V)
-// under the tuple-uniform marginal p(v) = n_v/(n·m) — the term summed
-// into TupleInfoBits — and EntropyBits is the plain projection entropy
-// H(A) over the occurrence counts.
+// from the value index: EntropyBits is the projection entropy H(A) over
+// the occurrence counts, and Distinct the number of values.
 type AttrMarginal struct {
-	HV          float64
 	EntropyBits float64
 	Distinct    int
 }
@@ -69,29 +61,21 @@ func ComputeAttrMarginal(c Columns, a int) (AttrMarginal, error) {
 	if err != nil {
 		return AttrMarginal{}, err
 	}
-	return MarginalOfCounts(counts, c.N(), c.M()), nil
+	return MarginalOfCounts(counts, c.N()), nil
 }
 
-// MarginalOfCounts builds the marginal of one attribute of an n × m
-// relation from its occurrence counts in ascending value-id order, and
-// sorts counts in place. It is the one place the arithmetic lives, so
-// every source of a marginal — a value-index walk, or a colstore file's
-// validation pass — is bit-identical to every other. Float summation
-// order is part of the contract: HV accumulates in ascending value-id
-// order over p(v) = n_v/(n·m), and EntropyBits is it.EntropyCounts over
-// the counts sorted descending.
-func MarginalOfCounts(counts []int, n, m int) AttrMarginal {
-	total := float64(n) * float64(m)
-	hv := 0.0
-	for _, count := range counts {
-		if count > 0 && n > 0 {
-			p := float64(count) / total
-			hv -= p * math.Log2(p)
-		}
+// MarginalOfCounts builds the marginal of one attribute of an n-tuple
+// relation from its occurrence counts, which it sorts in place. The
+// entropy is it.NH's, which depends only on the multiset of counts, so
+// every source of a marginal — a value-index walk in any value-id
+// order, or a colstore file's validation pass — is bit-identical to
+// every other.
+func MarginalOfCounts(counts []int, n int) AttrMarginal {
+	h := 0.0
+	if n > 0 {
+		h = it.NH(n, counts) / float64(n)
 	}
-	slices.Sort(counts)
-	slices.Reverse(counts)
-	return AttrMarginal{HV: hv, EntropyBits: it.EntropyCounts(counts), Distinct: len(counts)}
+	return AttrMarginal{EntropyBits: h, Distinct: len(counts)}
 }
 
 // PartitionSource is the capability interface a Columns wrapper

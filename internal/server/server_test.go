@@ -643,7 +643,7 @@ func TestCacheLRU(t *testing.T) {
 type nanColumns struct{ relation.Columns }
 
 func (nanColumns) Marginal(int) (relation.AttrMarginal, error) {
-	return relation.AttrMarginal{HV: math.NaN()}, nil
+	return relation.AttrMarginal{EntropyBits: math.NaN()}, nil
 }
 
 // TestUnencodableResultFailsJob: the artifact is encoded when its job

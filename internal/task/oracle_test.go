@@ -1,9 +1,12 @@
 package task
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -41,7 +44,25 @@ func tupleValueInfo(rows [][]int32, cluster []int) float64 {
 			joint[[2]int{cluster[t], int(v)}]++
 		}
 	}
-	return it.EntropyCounts(countsOf(perCluster)) + it.EntropyCounts(countsOf(perValue)) - it.EntropyCounts(countsOf(joint))
+	return entropyOf(countsOf(perCluster)) + entropyOf(countsOf(perValue)) - entropyOf(countsOf(joint))
+}
+
+// entropyOf is H in bits of the classes of the given sizes, counted
+// here as (F(n) − Σ F(c))/n with F(k) = k·log₂k and n = Σ c, the sizes
+// added in ascending order: the canonical order it.NH sums in, so a
+// recount of a measure matches the engines' value bit for bit. It sorts
+// counts in place.
+func entropyOf(counts []int) float64 {
+	slices.Sort(counts)
+	n, s := 0, 0.0
+	for _, c := range counts {
+		n += c
+		s += it.XLog2(float64(c))
+	}
+	if n == 0 {
+		return 0
+	}
+	return (it.XLog2(float64(n)) - s) / float64(n)
 }
 
 func countsOf[K comparable](m map[K]int) []int {
@@ -196,7 +217,7 @@ func TestDecomposeRecount(t *testing.T) {
 }
 
 // projectionCounts is the multiplicity of each distinct row of c's
-// projection on attrs, in descending order: a map over relation.ForEachRow
+// projection on attrs, in no particular order: a map over relation.ForEachRow
 // keyed by the rendered row, sharing no code with
 // relation.ProjectionCountsColumns.
 func projectionCounts(t *testing.T, c relation.Columns, attrs []int) []int {
@@ -208,10 +229,7 @@ func projectionCounts(t *testing.T, c relation.Columns, attrs []int) []int {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	counts := countsOf(rows)
-	slices.Sort(counts)
-	slices.Reverse(counts)
-	return counts
+	return countsOf(rows)
 }
 
 // recount is the paper's duplication measures of attrs on c (Section 8)
@@ -220,7 +238,7 @@ func projectionCounts(t *testing.T, c relation.Columns, attrs []int) []int {
 func recount(t *testing.T, c relation.Columns, attrs []int) measures.Measures {
 	t.Helper()
 	counts := projectionCounts(t, c, attrs)
-	h, logN := it.EntropyCounts(counts), math.Log2(float64(c.N()))
+	h, logN := entropyOf(counts), math.Log2(float64(c.N()))
 	return measures.Measures{
 		RAD:  1 - h/logN,
 		RADw: 1 - h*float64(len(attrs))/float64(c.M())/logN,
@@ -274,6 +292,82 @@ func TestMeasuresRecount(t *testing.T) {
 					if got, err := measures.OfSets(fd.NewSets(context.Background(), c), attrs); err != nil || got != (measures.Measures{}) {
 						t.Errorf("%s, n = %d, %v: measures %+v (%v)", r.Name, n, attrs, got, err)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestReportProfilesMatchOfSets: the report reads each attribute's RAD
+// and RTR off its marginal, not a partition. On DB2 and DBLP
+// 2 000 × 13, their one-tuple selections included, over the resident
+// relation and a 32-row-page colstore table, they equal measures.OfSets
+// on that attribute bit for bit.
+func TestReportProfilesMatchOfSets(t *testing.T) {
+	for _, r := range oracleSources(t) {
+		for _, rel := range []*relation.Relation{r, r.Select([]int{0})} {
+			for _, src := range []struct {
+				name string
+				c    relation.Columns
+			}{{"resident", relation.AsColumns(rel)}, {"colstore", tableOf(t, rel)}} {
+				out, err := RunColumns(context.Background(), src.c, "report", Params{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := fd.NewSets(context.Background(), src.c)
+				for a, prof := range out.(*ReportResult).Attrs {
+					ms, err := measures.OfSets(s, []int{a})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if prof.RAD != ms.RAD || prof.RTR != ms.RTR {
+						t.Errorf("%s (n = %d)/%s %s: RAD %v, RTR %v; measures.OfSets %+v", r.Name, rel.N(), src.name, prof.Name, prof.RAD, prof.RTR, ms)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDescribeRowOrderInvariant: describe's artifact does not depend on
+// the order of the rows. On DB2 and DBLP 2 000 and 20 000 × 13, over the
+// resident relation and a 32-row-page colstore table, the rows reversed
+// and in three seeded shuffles describe to the bytes of the rows in
+// order.
+func TestDescribeRowOrderInvariant(t *testing.T) {
+	dblp := func(n int) *relation.Relation {
+		return datagen.NewDBLP(datagen.DBLPConfig{Tuples: n, Seed: 1, MiscFrac: 129.0 / 50000, JournalFrac: 0.28})
+	}
+	for _, r := range []*relation.Relation{cleanDB2(t), dblp(2000), dblp(20000)} {
+		n := r.N()
+		inOrder, reversed := make([]int, n), make([]int, n)
+		for i := range n {
+			inOrder[i], reversed[i] = i, n-1-i
+		}
+		orders := map[string][]int{"in order": inOrder, "reversed": reversed}
+		rng := rand.New(rand.NewSource(12))
+		for i := range 3 {
+			orders[fmt.Sprintf("shuffle %d", i)] = rng.Perm(n)
+		}
+		var want []byte
+		for _, name := range []string{"in order", "reversed", "shuffle 0", "shuffle 1", "shuffle 2"} {
+			rel := r.Select(orders[name])
+			for _, src := range []struct {
+				name string
+				c    relation.Columns
+			}{{"resident", relation.AsColumns(rel)}, {"colstore", tableOf(t, rel)}} {
+				res, err := DescribeColumns(src.c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				} else if !bytes.Equal(got, want) {
+					t.Errorf("%s %s/%s describes to\n %s\nthe rows in order to\n %s", r.Name, name, src.name, got, want)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package task
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"structmine/internal/fd"
@@ -68,14 +69,16 @@ func runReport(ctx context.Context, s *fd.Sets, p Params) (*ReportResult, error)
 		res.Text = res.render("")
 		return res, nil
 	}
-	res.TupleInfoBits = desc.TupleInfoBits
-	for a, prof := range desc.Attrs {
-		ms, err := measures.OfSets(s, []int{a})
-		if err != nil {
-			return nil, err
+	// One attribute's measures are its marginal's: RAD = 1 − H(A)/log2 n
+	// and RTR = 1 − |dom A|/n, the values measures.OfSets computes (0 at
+	// n ≤ 1), with no partition built.
+	res.TupleInfoBits, res.Attrs = desc.TupleInfoBits, desc.Attrs
+	if n := desc.Tuples; n > 1 {
+		logN := math.Log2(float64(n))
+		for i := range res.Attrs {
+			prof := &res.Attrs[i]
+			prof.RAD, prof.RTR = 1-prof.EntropyBits/logN, 1-float64(prof.Distinct)/float64(n)
 		}
-		prof.RAD, prof.RTR = ms.RAD, ms.RTR
-		res.Attrs = append(res.Attrs, prof)
 	}
 
 	if err := step(ctx, "tuple clustering"); err != nil {

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"structmine/internal/datagen"
-	"structmine/internal/it"
 	"structmine/internal/obs"
 	"structmine/internal/relation"
 )
@@ -298,7 +297,7 @@ func parseFD(t *testing.T, names []string, label string) (lhs, rhs []int) {
 // ForEachRow pass, sharing no code with the partition-based miners.
 func setEntropy(t *testing.T, c relation.Columns, attrs []int) float64 {
 	t.Helper()
-	return it.EntropyCounts(projectionCounts(t, c, attrs))
+	return entropyOf(projectionCounts(t, c, attrs))
 }
 
 // TestFDsHaveZeroConditionalEntropy is the information-theoretic oracle

@@ -3,7 +3,6 @@ package task
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"structmine/internal/attrs"
@@ -60,8 +59,9 @@ func Describe(r *relation.Relation) *DescribeResult {
 // DescribeColumns builds the instance summary from the value index,
 // without running any miner or touching a row. Because every value id
 // is attribute-qualified, each tuple's conditional is uniform over
-// exactly m ids, so H(V|T) = log2(m) exactly and
-// I(T;V) = H(V) − log2(m) with H(V) over the marginal p(v) = n_v/(n·m).
+// exactly m ids, so H(V|T) = log2(m), and the marginal
+// p(v) = n_v/(n·m) gives H(V) = (1/m)·Σ_A H(A) + log2(m): I(T;V) is
+// the mean of the attributes' entropies.
 func DescribeColumns(c relation.Columns) (*DescribeResult, error) {
 	n := c.N()
 	m := c.M()
@@ -81,7 +81,7 @@ func DescribeColumns(c relation.Columns) (*DescribeResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.TupleInfoBits += mg.HV
+		res.TupleInfoBits += mg.EntropyBits
 		nullFrac := 0.0
 		if n > 0 {
 			nullFrac = float64(c.NullCount(a)) / float64(n)
@@ -93,8 +93,8 @@ func DescribeColumns(c relation.Columns) (*DescribeResult, error) {
 			EntropyBits:  mg.EntropyBits,
 		})
 	}
-	if n > 0 && m > 0 { // otherwise no value was visited and the sum is 0
-		res.TupleInfoBits -= math.Log2(float64(m))
+	if m > 0 {
+		res.TupleInfoBits /= float64(m)
 	}
 	return res, nil
 }

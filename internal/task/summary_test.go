@@ -10,8 +10,8 @@ import (
 )
 
 // TestSummaryThresholdOracle is the paper's τ = φT·I(V;T)/n (Section 5.2)
-// with I(V;T) from the describe route — per-attribute value-index
-// marginals, H(V) − log2 m — which shares nothing with the per-object
+// with I(V;T) from the describe route — the mean of the attributes'
+// value-index entropies — which shares nothing with the per-object
 // joint distribution limbo.MutualInfo sums for the tree.
 func TestSummaryThresholdOracle(t *testing.T) {
 	for _, src := range diffSources(t) {

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI's first build gate (any file gofmt would rewrite fails), static
-# checks plus the full test suite under the race detector — the
-# gate for the concurrent AIB / LIMBO / TANE code paths, and where both
-# legs of the differential table (task.TestDifferentialFDs,
-# task.TestDifferentialClustering) run at one worker and at four. The focused
+# checks, the darwin and windows cross-builds, plus the full test suite
+# under the race detector — the gate for the concurrent AIB / LIMBO /
+# TANE code paths, and where both legs of the differential table
+# (task.TestDifferentialFDs, task.TestDifferentialClustering) run at one
+# worker and at four. The focused
 # -count=2 legs re-run the execution engine suite with the race detector
 # watching (heap slabs, poisoned on reuse) and the arena-using packages
 # without it (off-heap slabs), so the pool hands back reset arenas on
@@ -24,6 +25,11 @@ if [ -n "$out" ]; then
   exit 1
 fi
 go vet ./...
+# CI's cross-builds: the colstore mapping and the arena slabs are per-OS
+# files, and benchmark/ needs Setpgid and syscall.Kill, which Windows
+# lacks.
+GOOS=darwin go build ./...
+GOOS=windows go build ./internal/... ./cmd/... .
 go test -race ./...
 go test -race -count=2 ./internal/exec
 go test -count=2 ./internal/exec ./internal/fd ./internal/limbo ./internal/task ./internal/server
