@@ -286,3 +286,37 @@ func TestStateCodecRoundtrip(t *testing.T) {
 		}
 	}
 }
+
+// The recheck's key table answers by the stored key, not the hash:
+// keys forced onto one hash (every probe collides) each get their own
+// value back, a colliding key never stored reads as absent, and growth
+// past the half-load bound keeps every entry.
+func TestKeyTableCollisions(t *testing.T) {
+	var kt keyTable
+	if _, ok := kt.get([]int32{1, 2}, 7); ok {
+		t.Fatal("empty table reports a key")
+	}
+	const h = 0x9e3779b97f4a7c15
+	for i := int32(0); i < 100; i++ {
+		kt.add([]int32{i, -i}, h, 1000+i)
+		kt.add([]int32{i, i + 1}, hashKey([]int32{i, i + 1}), 2000+i)
+	}
+	for i := int32(0); i < 100; i++ {
+		if v, ok := kt.get([]int32{i, -i}, h); !ok || v != 1000+i {
+			t.Fatalf("colliding key %d: got %d, %v; want %d", i, v, ok, 1000+i)
+		}
+		if v, ok := kt.get([]int32{i, i + 1}, hashKey([]int32{i, i + 1})); !ok || v != 2000+i {
+			t.Fatalf("hashed key %d: got %d, %v; want %d", i, v, ok, 2000+i)
+		}
+		if _, ok := kt.get([]int32{-i, i}, h); ok && i != 0 {
+			t.Fatalf("key (%d, %d) was never stored but shares a stored key's hash and reads as present", -i, i)
+		}
+	}
+	if _, ok := kt.get(nil, hashKey(nil)); ok {
+		t.Fatal("the empty key was never stored")
+	}
+	kt.add(nil, hashKey(nil), 5)
+	if v, ok := kt.get(nil, hashKey(nil)); !ok || v != 5 {
+		t.Fatalf("empty key: got %d, %v; want 5", v, ok)
+	}
+}

@@ -7,9 +7,10 @@ import "structmine/internal/obs"
 // kernels that compute a partition (refine and the serial reference's
 // productSerial, one atomic add each), so the counter covers TANE's
 // level-wise generation, the reference run, approximate mining and the
-// attribute-set group-by alike; shared counts the lattice nodes that
-// inherited a parent's partition instead — together they say why
-// products fell. Levels count lattice levels a TANE run actually
+// attribute-set group-by alike; product elements count what refine
+// walked (tuples, or atoms for TANE's nodes on the atom space), and
+// shared counts the lattice nodes that inherited a parent's partition
+// instead — together they say why products got fewer or cheaper. Levels count lattice levels a TANE run actually
 // processed (pruning makes this data-dependent, which is exactly what
 // makes it worth watching). The g3 counters say how the approximate
 // miner settled its (X, a) candidates: walked, rejected by the e(X)
@@ -20,6 +21,8 @@ var (
 		"Lattice levels processed across TANE runs.")
 	taneProducts = obs.Default.Counter("structmine_tane_products_total",
 		"Stripped partitions actually computed: one-attribute refinements in TANE, approximate mining and attribute-set group-bys, and the serial reference's products. Nodes that share a parent's partition and g3 evaluations are not counted.")
+	taneProductElems = obs.Default.Counter("structmine_tane_product_elements_total",
+		"Elements the one-attribute refinements walked: tuples, or atoms (the distinct rows off the most distinct attribute) for TANE lattice nodes on the atom space. The serial reference's products are not counted.")
 	taneShared = obs.Default.Counter("structmine_tane_shared_partitions_total",
 		"TANE lattice nodes that inherited a parent's partition because an already-emitted FD implies the two are equal.")
 	g3Walks = obs.Default.Counter("structmine_g3_walks_total",

@@ -109,6 +109,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"structmine_limbo_assign_terms_total",
 		"structmine_tane_levels",
 		"structmine_tane_products_total",
+		"structmine_tane_product_elements_total",
 		"structmine_tane_shared_partitions_total",
 		"structmine_append_delta_remine_seconds_count",
 		"structmine_append_delta_fallback_total",

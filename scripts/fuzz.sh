@@ -23,7 +23,9 @@
 # g3 ≤ ε dependencies (any ε, NaN and negatives included), the partition
 # product and g3 walk over fuzzed class layouts (runs of shared
 # a-classes, Π_a singletons, a-classes out of order) against the serial
-# product and a recount, and the job
+# product and a recount, TANE over narrow relations with small domains
+# (nodes on atoms and on tuples, worker budgets 1 and 4) against the
+# serial reference and a brute-force enumeration, and the job
 # views, list pages and /result envelopes the daemon assembles from
 # stored bytes against writeJSON. One target per invocation is a
 # `go test` rule.
@@ -54,7 +56,7 @@ for target in internal/relation:FuzzReadCSV internal/relation:FuzzAppendCSV inte
   internal/colstore:FuzzAppend internal/fd:FuzzDecodeState \
   internal/store:FuzzRecover internal/task:FuzzParams internal/fd:FuzzGroupBy internal/limbo:FuzzGroupZero \
   internal/limbo:FuzzCountTree \
-  internal/ib:FuzzAgglomerate internal/fd:FuzzMineApprox internal/fd:FuzzRefine internal/server:FuzzJobViewBytes; do
+  internal/ib:FuzzAgglomerate internal/fd:FuzzMineApprox internal/fd:FuzzRefine internal/fd:FuzzTANE internal/server:FuzzJobViewBytes; do
   pkg=${target%:*} name=${target#*:}
   corpus=$pkg/testdata/fuzz/$name
   before=$(untracked "$corpus")
